@@ -212,17 +212,13 @@ func seed(args []string) {
 	fs := flag.NewFlagSet("seed", flag.ExitOnError)
 	journal := fs.String("journal", "", "journal file to create (required)")
 	n := fs.Int("n", 8, "instances to create")
-	shards := fs.Int("shards", 0, "create a sharded layout with N shards (0 = single journal)")
+	shards := fs.Int("shards", 0, "shard count of the layout to create (0 = one shard)")
 	must(fs.Parse(args))
 	if *journal == "" {
 		usage()
 	}
 
-	var opts []adept2.Option
-	if *shards > 1 {
-		opts = append(opts, adept2.WithCheckpointing(adept2.CheckpointConfig{Every: -1, Shards: *shards}))
-	}
-	sys, err := adept2.Open(*journal, opts...)
+	sys, err := adept2.Open(*journal, adept2.WithCheckpointing(adept2.CheckpointConfig{Every: -1, Shards: *shards}))
 	must(err)
 	for _, u := range []*adept2.User{
 		{ID: "ann", Name: "Ann", Roles: []string{"clerk", "sales"}},
@@ -262,7 +258,7 @@ func openDurable(journal, dir string) *adept2.System {
 		fmt.Printf("recovered from snapshot seq %d + %d-record suffix\n", info.SnapshotSeq, info.Replayed)
 	}
 	if info.Shards > 1 {
-		fmt.Printf("  sharded layout: %d shards", info.Shards)
+		fmt.Printf("  %d shards:", info.Shards)
 		for _, sr := range info.PerShard {
 			fmt.Printf("  [%d: snap %d +%d]", sr.Shard, sr.SnapshotSeq, sr.Replayed)
 		}
@@ -296,10 +292,9 @@ func snapshot(args []string) {
 	}
 }
 
-// compact checkpoints, then rewrites the journal without the records the
-// snapshot covers (the journal is closed before the rewrite — compaction
-// is an offline operation). On a sharded layout every shard journal is
-// compacted against the newest generation.
+// compact checkpoints, then rewrites every shard journal without the
+// records the new generation covers (the journals are closed before the
+// rewrite — compaction is an offline operation).
 func compact(args []string) {
 	fs := flag.NewFlagSet("compact", flag.ExitOnError)
 	journal := fs.String("journal", "", "journal file (required)")
@@ -309,18 +304,13 @@ func compact(args []string) {
 		usage()
 	}
 	sys := openDurable(*journal, *dir)
-	file, seq, err := sys.Checkpoint()
+	file, _, err := sys.Checkpoint()
 	must(err)
+	shards := sys.NumShards()
 	must(sys.Close())
-	if man, merr := sharded.LoadManifest(sharded.ManifestPath(*journal)); merr == nil && man != nil {
-		dropped, err := sharded.CompactAll(*journal)
-		must(err)
-		fmt.Printf("snapshot generation at %s; dropped %d records across %d shard journals\n", file, dropped, man.Shards)
-		return
-	}
-	dropped, err := durable.CompactJournal(*journal, seq)
+	dropped, err := sharded.CompactAll(*journal)
 	must(err)
-	fmt.Printf("snapshot %s; dropped %d journal records covered by seq %d\n", file, dropped, seq)
+	fmt.Printf("snapshot generation at %s; dropped %d records across %d shard journal(s)\n", file, dropped, shards)
 }
 
 // reshard repartitions a durability layout offline: snapshot-all under
@@ -362,11 +352,11 @@ func verify(args []string) {
 	}
 	rep, err := adept2.VerifyLayout(*journal, *repair, opts...)
 	must(err)
-	if rep.Sharded {
-		fmt.Printf("%s: sharded layout, %d shards, %d generation(s)\n", *journal, len(rep.Shards), rep.Generations)
-	} else {
-		fmt.Printf("%s: single-journal layout\n", *journal)
+	fmt.Printf("%s: %d shard(s), %d generation(s)", *journal, len(rep.Shards), rep.Generations)
+	if !rep.Sharded {
+		fmt.Printf(" (no global manifest yet: the generations are shard 0's snapshot listing)")
 	}
+	fmt.Println()
 	for _, sc := range rep.Shards {
 		state := "clean"
 		switch {
@@ -384,7 +374,7 @@ func verify(args []string) {
 			}
 		}
 	}
-	if rep.Sharded && rep.Generations > 0 {
+	if rep.Generations > 0 {
 		if rep.ValidGen >= 0 {
 			fmt.Printf("  recoverable from generation %d of %d\n", rep.ValidGen+1, rep.Generations)
 		} else {
@@ -1066,16 +1056,13 @@ func fetchTraces(url string, after uint64) (*obs.TraceExport, error) {
 // journalSpans synthesizes the offline span view of a layout: one span
 // per journal record across every shard, ordered (shard, seq).
 func journalSpans(journal string) ([]obs.Span, error) {
-	paths := map[int]string{0: journal}
-	if man, err := sharded.LoadManifest(sharded.ManifestPath(journal)); err == nil && man != nil {
-		lay := sharded.Layout{Base: journal, Shards: man.Shards}
-		for k := 0; k < man.Shards; k++ {
-			paths[k] = lay.JournalPath(k)
-		}
+	lay, _, _, err := sharded.Resolve(sharded.Layout{Base: journal})
+	if err != nil {
+		return nil, err
 	}
 	var spans []obs.Span
-	for shard := 0; shard < len(paths); shard++ {
-		f, err := os.Open(paths[shard])
+	for shard := 0; shard < lay.Shards; shard++ {
+		f, err := os.Open(lay.JournalPath(shard))
 		if err != nil {
 			if os.IsNotExist(err) {
 				continue
@@ -1114,7 +1101,7 @@ func simCmd(args []string) {
 	steps := fs.Int("steps", def.Steps, "driver steps")
 	instances := fs.Int("instances", def.Instances, "target live instances")
 	seed := fs.Int64("seed", def.Seed, "scenario seed")
-	shards := fs.Int("shards", def.Shards, "journal shards (0/1 = single journal)")
+	shards := fs.Int("shards", def.Shards, "journal shards (0/1 = one shard)")
 	failProb := fs.Float64("fail", def.FailProb, "per-action activity failure probability")
 	storm := fs.Bool("storm", def.DeadlineStorm, "periodic deadline storms")
 	evolve := fs.Int("evolve", def.EvolveEvery, "steps between schema evolutions (0 = never)")

@@ -183,15 +183,15 @@ func (d *cmdDriver) drain() {
 // TestDifferentialCommandRecovery is the PR 5 acceptance property test:
 // random command sequences submitted through Submit, SubmitAsync, and
 // SubmitBatch, then a crash (close + reopen from the journal), must
-// reproduce the exact live engine state — for the single-journal and the
-// sharded layout, with background checkpoints racing the traffic.
+// reproduce the exact live engine state — at one shard and at four, with
+// background checkpoints racing the traffic.
 func TestDifferentialCommandRecovery(t *testing.T) {
 	layouts := []struct {
 		name string
 		cfg  adept2.CheckpointConfig
 	}{
-		{"single-journal", adept2.CheckpointConfig{Every: 24, GroupCommit: true}},
-		{"sharded-4", adept2.CheckpointConfig{Every: 24, GroupCommit: true, Shards: 4}},
+		{"shards=1", adept2.CheckpointConfig{Every: 24, GroupCommit: true}},
+		{"shards=4", adept2.CheckpointConfig{Every: 24, GroupCommit: true, Shards: 4}},
 	}
 	for _, l := range layouts {
 		for seed := int64(1); seed <= 3; seed++ {

@@ -10,7 +10,8 @@
 // worklists and an org model, the change framework with per-operation
 // compliance conditions, the replay-based compliance criterion, the
 // migration manager, the hybrid substitution-block storage for biased
-// instances, and the checkpointed, optionally sharded durability layer.
+// instances, and the checkpointed durability layer (a write-ahead log of
+// N >= 1 shards).
 //
 // Quick start:
 //
@@ -64,6 +65,23 @@
 // never journaled — so externalize a result only after its receipt (or a
 // later one from the same pipeline) resolves.
 //
+// # The durability layout
+//
+// Open attaches one pipeline, whatever the shard count: a write-ahead log
+// of N >= 1 journals — shard 0 is the path handed to Open and doubles as
+// the control log, data records route by instance hash — one snapshot
+// series per shard, and the global manifest <path>.MANIFEST.json, whose
+// generations (one consistent cut across all shards each) are the unit of
+// recovery and of fallback. Recovery restores the newest valid generation
+// and replays the journal suffixes past it in the epoch-merged order;
+// RecoveryInfo reports it per shard. A directory without a manifest is
+// one shard whose generations are its snapshot listing — what builds
+// before sharding wrote, and what a fresh layout is until its first
+// checkpoint writes the manifest — so there is nothing to convert;
+// changing the shard count is the offline Reshard. WithCheckpointing
+// tunes the pipeline and adds no mode: without it Open runs the zero-
+// value CheckpointConfig. A system created with New journals nothing.
+//
 // # Batches and the epoch invariant
 //
 // SubmitBatch takes the command barrier once per run of consecutive data
@@ -74,13 +92,13 @@
 // prefix is journaled and durable before SubmitBatch returns the typed
 // error, so live state and journal never diverge.
 //
-// Control commands (AddUser, Deploy, Evolve) keep the exclusive-barrier
-// epoch semantics of the sharded layout even inside a batch: each one is
-// applied and made durable individually, holding the barrier
-// exclusively, before the batch continues. The invariant — every data
+// Control commands (AddUser, Deploy, Evolve) keep their epoch semantics
+// even inside a batch: each one is applied and made durable
+// individually, holding the barrier (exclusively, with more than one
+// shard), before the batch continues. The invariant — every data
 // record's epoch stamp brackets it between the control record it
-// observed and the next one — is what lets sharded recovery replay data
-// shards concurrently between control-record barriers. For the same
+// observed and the next one — is what lets recovery replay data shards
+// concurrently between control-record barriers. For the same
 // reason control commands never pipeline: the epoch may only advance
 // after the control record is durable, so their receipts resolve
 // immediately.

@@ -188,15 +188,15 @@ func (d *faultDriver) run(steps int) {
 	d.drain()
 }
 
-// crashLayouts are the two on-disk layouts every fault property is
-// checked against.
+// crashLayouts are the two shard counts every fault property is checked
+// against.
 var crashLayouts = []struct {
 	name string
 	cfg  adept2.CheckpointConfig
 }{
-	{"single-journal", adept2.CheckpointConfig{Every: 16, GroupCommit: true,
+	{"shards=1", adept2.CheckpointConfig{Every: 16, GroupCommit: true,
 		RetryBase: 100 * time.Microsecond, RetryCap: time.Millisecond}},
-	{"sharded-4", adept2.CheckpointConfig{Every: 16, GroupCommit: true, Shards: 4,
+	{"shards=4", adept2.CheckpointConfig{Every: 16, GroupCommit: true, Shards: 4,
 		RetryBase: 100 * time.Microsecond, RetryCap: time.Millisecond}},
 }
 

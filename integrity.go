@@ -21,7 +21,6 @@ type SnapshotCheck struct {
 }
 
 // ShardCheck reports one shard's journal probe and snapshot findings.
-// In a single-journal layout there is exactly one, with Shard 0.
 type ShardCheck struct {
 	Shard    int
 	Journal  string
@@ -45,11 +44,14 @@ type ShardCheck struct {
 // full history. Warnings are degraded but recoverable findings (torn
 // tails, stale snapshots with a valid fallback).
 type IntegrityReport struct {
+	// Sharded reports that the layout's global manifest is on disk. False
+	// means a manifest-less directory, surveyed as what Open treats it as:
+	// one shard whose generations are its snapshot listing.
 	Sharded bool
-	Shards  []ShardCheck
-	// Generations is the global manifest's generation count (sharded
-	// layouts only); ValidGen indexes the newest generation whose every
-	// part validates, -1 when none does.
+	// Shards has one entry per shard (at least one).
+	Shards []ShardCheck
+	// Generations is the layout's generation count; ValidGen indexes the
+	// newest generation whose every part validates, -1 when none does.
 	Generations int
 	ValidGen    int
 	Problems    []string
@@ -62,11 +64,11 @@ func (r *IntegrityReport) OK() bool { return len(r.Problems) == 0 }
 // VerifyLayout surveys the durability layout rooted at path offline —
 // the journals must be closed. It probes every shard journal's tail
 // (scanning for sequence gaps and torn trailing bytes), fully validates
-// every snapshot file (CRC and seq cross-checks), and, for sharded
-// layouts, walks the global manifest's generations to find the newest
-// one recovery could actually use. With repair set, torn journal tails
-// are truncated in place — the same repair Open performs, made explicit
-// so an operator can inspect the layout before restarting a service.
+// every snapshot file (CRC and seq cross-checks), and walks the layout's
+// generations to find the newest one recovery could actually use. With
+// repair set, torn journal tails are truncated in place — the same repair
+// Open performs, made explicit so an operator can inspect the layout
+// before restarting a service.
 //
 // The returned report is never nil; the error covers only I/O failures
 // that prevented the survey itself.
@@ -78,29 +80,12 @@ func VerifyLayout(path string, repair bool, opts ...Option) (*IntegrityReport, e
 	fsys := c.fsys()
 	rep := &IntegrityReport{ValidGen: -1}
 
-	man, err := sharded.LoadManifestFS(fsys, sharded.ManifestPath(path))
+	l, man, found, err := sharded.Resolve(shardedLayout(&c, path))
 	if err != nil {
 		rep.Problems = append(rep.Problems, err.Error())
 		return rep, nil
 	}
-	if man == nil {
-		dir := path + ".snapshots"
-		if c.ckpt != nil && c.ckpt.Dir != "" {
-			dir = c.ckpt.Dir
-		}
-		sc := checkShard(fsys, 0, path, dir, repair, rep)
-		rep.Shards = append(rep.Shards, sc)
-		// A compacted journal (records dropped below a snapshot cut) is
-		// only recoverable through a snapshot reaching its first record.
-		if sc.FirstSeq > 1 && !anyValidAtOrAfter(sc.Snapshots, sc.FirstSeq-1) {
-			rep.Problems = append(rep.Problems, fmt.Sprintf(
-				"journal starts at seq %d but no valid snapshot covers the compacted prefix", sc.FirstSeq))
-		}
-		return rep, nil
-	}
-
-	rep.Sharded = true
-	l := shardedLayout(&c, path, man.Shards)
+	rep.Sharded = found
 	if stray, err := sharded.StrayShardsFS(fsys, path, man.Shards); err != nil {
 		rep.Problems = append(rep.Problems, err.Error())
 	} else if len(stray) > 0 {
@@ -222,14 +207,4 @@ func checkShard(fsys vfs.FS, k int, jpath, snapDir string, repair bool, rep *Int
 		sc.Snapshots = append(sc.Snapshots, chk)
 	}
 	return sc
-}
-
-// anyValidAtOrAfter reports whether a valid snapshot covers seq or later.
-func anyValidAtOrAfter(snaps []SnapshotCheck, seq int) bool {
-	for _, s := range snaps {
-		if s.Err == "" && s.Seq >= seq {
-			return true
-		}
-	}
-	return false
 }

@@ -2,11 +2,12 @@
 // of the command journal in internal/persist: it turns persistence from
 // "append-one-fsync-one, replay-everything" into a write-ahead pipeline
 // with group commit, background state snapshots, and snapshot + journal-
-// suffix recovery. It is the substitute for the ADEPT2 prototype's
-// RDBMS-backed storage layer at the scale the ROADMAP targets: bounded-
-// time recovery is a precondition for adaptivity at scale (compare
-// SmartPM's recovery-by-adaptation and the PMS robustness requirements in
-// de Leoni's pervasive-scenario work).
+// suffix recovery — the building blocks internal/durable/sharded assembles
+// into the one layout of N >= 1 shards every adept2.Open runs. It is the
+// substitute for the ADEPT2 prototype's RDBMS-backed storage layer at the
+// scale the ROADMAP targets: bounded-time recovery is a precondition for
+// adaptivity at scale (compare SmartPM's recovery-by-adaptation and the
+// PMS robustness requirements in de Leoni's pervasive-scenario work).
 //
 // # Group commit
 //
@@ -67,78 +68,86 @@
 //
 // # Snapshots
 //
-// SnapshotStore persists point-in-time captures of the full engine state
-// (deployed schemas, per-instance markings/stats/histories/data/bias,
-// worklists, org model — see Capture) as versioned, checksummed files in a
-// snapshot directory, plus a MANIFEST.json tying each snapshot to the
-// journal sequence number it covers. Snapshot files are written atomically:
-// payload to a temporary file, fsync, rename into place, directory fsync,
-// then the manifest is rewritten the same way. A torn snapshot or torn
-// manifest therefore never destroys an older good one.
+// SnapshotStore persists point-in-time captures of engine state (deployed
+// schemas, per-instance markings/stats/histories/data/bias, worklists, org
+// model — see Capture) as versioned, checksummed files in one shard's
+// snapshot directory. The file name ties a snapshot to the journal
+// sequence number it covers and the control epoch it was cut at; nothing
+// else in the directory is consulted (the per-store MANIFEST.json earlier
+// builds kept there is ignored). Snapshot files are written atomically:
+// payload to a temporary file, fsync, rename into place, directory fsync.
+// A torn snapshot therefore never destroys an older good one, and a
+// snapshot only takes part in recovery once a generation names it.
 //
-// Snapshot file layout (snap-<seq>.json):
+// Snapshot file layout (snap-<seq>.json, snap-<seq>.e<epoch>.json):
 //
-//	{"format":1,"seq":N,"len":L,"crc32":C}\n   <- header line
-//	<L bytes of SystemState JSON>              <- payload, CRC-32 (IEEE) = C
+//	{"format":2,"seq":N,"len":L,"crc32":C,"rawLen":R}\n   <- header line
+//	<L bytes of gzip-compressed SystemState JSON>          <- payload, CRC-32 (IEEE) = C
 //
-// # Recovery
+// (format 1 stores the payload raw; both load.)
 //
-// Recover loads the newest manifest-listed snapshot that (a) parses, (b)
-// carries the supported format version, and (c) passes the length and
-// checksum validation, restores it, and replays only the journal records
-// past its sequence number. Invalid snapshots (torn tail, checksum
-// mismatch, version skew, missing file) fall back to the next older one,
-// and finally to a full journal replay — corruption degrades recovery
-// time, never correctness. Two cases are hard errors instead of fallbacks:
-// a snapshot sequence number ahead of the journal tail (the journal lost
-// committed records — silently truncating history would forge state), and
-// a compacted journal whose first record is past every usable snapshot
-// (the prefix needed for replay is gone).
-//
-// Journal compaction (CompactJournal) rewrites the journal to the suffix
+// Journal compaction (CompactJournal) rewrites a journal to the suffix
 // not covered by a given snapshot; the persist readers accept journals
 // starting past sequence 1, and recovery then requires that snapshot.
 //
-// # Sharding (internal/durable/sharded)
+// # One layout of N >= 1 shards (internal/durable/sharded)
 //
-// The sharded subpackage partitions this pipeline across N journals:
-// instances are hashed by instance ID onto shards (FNV-1a, baked into the
-// layout), each shard owning its own journal, group-commit committer, and
-// snapshot series. Its invariants:
+// There is one durability layout, one recovery path, one checkpoint path
+// and one append path; the shard count is a number, not a mode. Instances
+// are hashed by instance ID onto shards (FNV-1a, baked into the layout),
+// each shard owning its own journal, group-commit committer, and snapshot
+// series. Shard 0's journal is the base path and its snapshot directory
+// the base's sibling (or the configured directory itself), so a one-shard
+// layout is exactly the directory a build before sharding wrote; epoch
+// stamps are omitted there. Its invariants:
 //
 //   - Control log. Shard 0 is the control log: schema deploys, org/user
 //     records, and schema evolutions append there. The epoch — the shard-0
 //     sequence number of the newest durable control record — is stamped
-//     onto every data-shard record. The facade holds its snapshot barrier
-//     EXCLUSIVELY around control commands, so a data record stamped with
-//     epoch e provably executed after control record e and before the
-//     first control record past e; recovery replays it in exactly that
-//     window (data shards concurrently between control-record barriers).
+//     onto every data-shard record. With more than one shard the facade
+//     holds its snapshot barrier EXCLUSIVELY around control commands, so a
+//     data record stamped with epoch e provably executed after control
+//     record e and before the first control record past e; recovery
+//     replays it in exactly that window (data shards concurrently between
+//     control-record barriers).
 //
 //   - Epoch cut. A checkpoint captures every shard under one exclusive
 //     barrier: one generation = one consistent cut at one epoch, recorded
-//     in the global MANIFEST.json (written only after every part is
-//     durable — it supersedes the advisory per-store manifests). Recovery
-//     restores all parts of ONE generation, never mixing cuts: a control
-//     change (an evolution migrates instances without touching their
-//     shards' journals) between two cuts would otherwise be double- or
-//     un-applied. A rejected part therefore degrades recovery to the
-//     previous generation for every shard, and finally to a full merged
-//     replay. Part files are epoch-qualified (snap-<seq>.e<epoch>.json)
-//     so a quiescent shard's parts are not overwritten across cuts.
+//     in the global manifest <base>.MANIFEST.json (written only after
+//     every part is durable). Recovery restores all parts of ONE
+//     generation, never mixing cuts: a control change (an evolution
+//     migrates instances without touching their shards' journals) between
+//     two cuts would otherwise be double- or un-applied. A rejected part
+//     (torn tail, checksum mismatch, version skew, missing file, failed
+//     restore) therefore degrades recovery to the previous generation for
+//     every shard, and finally to a full merged replay — corruption
+//     degrades recovery time, never correctness. Part files are epoch-
+//     qualified (snap-<seq>.e<epoch>.json) so a quiescent shard's parts
+//     are not overwritten across cuts.
 //
-//   - Refusals. The single-journal hard errors hold per shard: a snapshot
-//     past the journal tail (truncation), and a compacted shard journal
-//     no usable generation reaches. Two sharded-specific conditions are
-//     also hard refusals: a data record whose epoch lies past the control
-//     log's tail (the control journal lost committed records), and shard
+//   - No manifest means one shard. The global manifest is authoritative
+//     for the shard count and the generation list. A directory without
+//     one is the one-shard layout, and its generations are shard 0's
+//     snapshot-directory listing (sharded.Resolve — the only code that
+//     knows such directories exist): that is how a directory written
+//     before sharding opens without conversion, and how a crash between a
+//     first checkpoint's snapshot rename and its manifest write recovers.
+//     The first checkpoint writes the manifest, keeping the listed
+//     snapshots as older generations. With a manifest present, a snapshot
+//     file no generation names is inert until the next checkpoint's
+//     pruning pass sweeps it.
+//
+//   - Refusals, per shard, never fallbacks: a snapshot covering a sequence
+//     number past the journal tail (the journal lost committed records —
+//     silently truncating history would forge state), a compacted journal
+//     whose first record no usable generation reaches (the prefix needed
+//     for replay is gone), a data record whose epoch lies past the control
+//     log's tail (the control journal lost committed records), shard
 //     journals past the manifest's declared count holding records (shard
-//     count mismatch — the partitioning function is authoritative).
+//     count mismatch — the partitioning function is authoritative), and a
+//     full replay across a reshard floor.
 //
-//   - Single-shard compatibility. Shard 0's journal is the base path and
-//     its snapshot directory the base's sibling, so a 1-shard layout is
-//     byte-compatible with the pre-sharding layout; epoch stamps are
-//     omitted there. Changing the shard count is an offline reshard
+//   - Resharding. Changing the shard count is an offline reshard
 //     (adept2.Reshard): snapshot-all under the new hash, commit the new
 //     global manifest, sweep the obsolete artifacts.
 package durable

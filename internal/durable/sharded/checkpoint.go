@@ -78,17 +78,13 @@ func pruneUnreferenced(l Layout, man *Manifest, stores []*durable.SnapshotStore)
 // newest generation does not cover (offline — the journals must be
 // closed). Returns the total number of records dropped.
 func CompactAll(base string) (int, error) {
-	man, err := LoadManifest(ManifestPath(base))
+	l, man, _, err := Resolve(Layout{Base: base})
 	if err != nil {
 		return 0, err
-	}
-	if man == nil {
-		return 0, fmt.Errorf("sharded: %s is not a sharded layout", base)
 	}
 	if len(man.Generations) == 0 {
 		return 0, fmt.Errorf("sharded: no generation to compact against (checkpoint first)")
 	}
-	l := Layout{Base: base, Shards: man.Shards}
 	gen := man.Generations[len(man.Generations)-1]
 	total := 0
 	for k := 0; k < man.Shards; k++ {

@@ -1,7 +1,8 @@
-// Package sharded partitions the durability pipeline of internal/durable
-// across N journals: instances are hashed by instance ID onto shards,
-// each shard owns its own journal file, its own group-commit committer,
-// and its own snapshot series, and recovery opens all shards in parallel.
+// Package sharded assembles the building blocks of internal/durable into
+// the one durability layout of N >= 1 journals: instances are hashed by
+// instance ID onto shards, each shard owns its own journal file, its own
+// group-commit committer, and its own snapshot series, and recovery opens
+// all shards in parallel.
 // Shard 0 doubles as the control log: schema deploys, org/user changes,
 // and schema evolutions are appended there, and the sequence number of
 // the last control record — the epoch — is stamped onto every data-shard
@@ -22,18 +23,20 @@ import (
 	"adept2/internal/vfs"
 )
 
-// Layout names the on-disk artifacts of a sharded journal set rooted at a
-// base journal path. Shard 0's journal is the base path itself, so a
-// single-shard layout is byte-compatible with the pre-sharding (PR 3)
-// single-journal layout; shard k > 0 lives in sibling files.
+// Layout names the on-disk artifacts of a journal set of N >= 1 shards
+// rooted at a base journal path. Shard 0's journal is the base path itself
+// and its snapshot directory the base's sibling (or SnapBase itself), so a
+// one-shard layout is exactly the directory a build before sharding wrote;
+// shard k > 0 lives in sibling files.
 type Layout struct {
 	// Base is the shard-0 journal path (the path handed to adept2.Open).
 	Base string
 	// Shards is the shard count (>= 1).
 	Shards int
 	// SnapBase optionally overrides the snapshot directory root: shard
-	// k's store becomes SnapBase/shard-k. Empty selects the default
-	// sibling-directory scheme (<journal>.snapshots per shard).
+	// 0's store is SnapBase itself, shard k > 0 gets SnapBase/shard-k.
+	// Empty selects the default sibling-directory scheme
+	// (<journal>.snapshots per shard).
 	SnapBase string
 	// FS is the filesystem every artifact of the layout is accessed
 	// through; nil selects the real OS filesystem.
@@ -58,10 +61,13 @@ func (l Layout) JournalPath(k int) string {
 
 // SnapDir returns shard k's snapshot directory.
 func (l Layout) SnapDir(k int) string {
-	if l.SnapBase != "" {
-		return filepath.Join(l.SnapBase, fmt.Sprintf("shard-%d", k))
+	switch {
+	case l.SnapBase == "":
+		return l.JournalPath(k) + ".snapshots"
+	case k == 0:
+		return l.SnapBase
 	}
-	return l.JournalPath(k) + ".snapshots"
+	return filepath.Join(l.SnapBase, fmt.Sprintf("shard-%d", k))
 }
 
 // ManifestPath returns the global manifest path for a base journal path.
@@ -99,11 +105,11 @@ type Generation struct {
 	Parts []Part `json:"parts"`
 }
 
-// Manifest is the global sharded-layout manifest. Unlike the advisory
-// per-store manifests, it is authoritative: it declares the shard count
-// (the partitioning function), and its generation list is the unit of
-// recovery fallback — a generation is only usable when every part of it
-// validates, so the manifest is written after all parts are durable.
+// Manifest is the layout's global manifest, and it is authoritative: it
+// declares the shard count (the partitioning function), and its generation
+// list is the unit of recovery fallback — a generation is only usable when
+// every part of it validates, so the manifest is written after all parts
+// are durable. A layout without one is resolved by Resolve.
 type Manifest struct {
 	Format int `json:"format"`
 	Shards int `json:"shards"`
@@ -129,7 +135,7 @@ func NewManifest(n int) *Manifest {
 }
 
 // LoadManifest reads the global manifest; a missing file returns (nil,
-// nil) — the caller treats that as "not a sharded layout".
+// nil) — see Resolve for what such a layout is.
 func LoadManifest(path string) (*Manifest, error) {
 	return LoadManifestFS(vfs.OS(), path)
 }
@@ -154,6 +160,36 @@ func LoadManifestFS(fsys vfs.FS, path string) (*Manifest, error) {
 		return nil, fmt.Errorf("sharded: manifest %s: invalid shard count %d", path, m.Shards)
 	}
 	return &m, nil
+}
+
+// Resolve completes l with the shard count of the layout on disk and
+// returns its manifest; l.Shards is not consulted. A directory without a
+// global manifest is the one-shard layout — what a build before sharding
+// wrote, or a layout that has not checkpointed yet — and its generations
+// are shard 0's snapshot-directory listing, oldest first; found reports
+// whether the manifest came from disk. This is the only place that knows
+// manifest-less directories exist: the first checkpoint (or reshard)
+// writes the manifest, keeping the listed snapshots as older generations.
+// Results: the completed layout, the manifest, found, error.
+func Resolve(l Layout) (Layout, *Manifest, bool, error) {
+	man, err := LoadManifestFS(l.fs(), ManifestPath(l.Base))
+	if err != nil {
+		return l, nil, false, err
+	}
+	found := man != nil
+	if !found {
+		entries, err := durable.ListSnapshots(l.fs(), l.SnapDir(0))
+		if err != nil {
+			return l, nil, false, err
+		}
+		man = NewManifest(1)
+		for _, e := range entries {
+			man.Generations = append(man.Generations,
+				Generation{Epoch: e.Epoch, Parts: []Part{{File: e.File, Seq: e.Seq}}})
+		}
+	}
+	l.Shards = man.Shards
+	return l, man, found, nil
 }
 
 // WriteManifest atomically rewrites the global manifest (temp file +

@@ -79,12 +79,13 @@ type LoadResult struct {
 	Fallbacks []string
 }
 
-// Recover rebuilds engine state from a sharded layout: it walks the
-// manifest's generations newest-first, loads and validates every shard's
-// snapshot and journal suffix in parallel (one goroutine per shard), and
-// restores the first generation whose every part is intact into a fresh
-// engine obtained from fresh — shard 0 (control state: schemas, users,
-// worklist, counter) serially first, then all data shards concurrently.
+// Recover rebuilds engine state from a layout of any shard count — it is
+// the one recovery path: it walks the manifest's generations newest-first,
+// loads and validates every shard's snapshot and journal suffix in
+// parallel (one goroutine per shard), and restores the first generation
+// whose every part is intact into a fresh engine obtained from fresh —
+// shard 0 (control state: schemas, users, worklist, counter) serially
+// first, then all data shards concurrently.
 // A rejected part (torn or corrupt snapshot, failed restore, compacted
 // journal the generation cannot bridge) degrades the WHOLE recovery to
 // the previous generation: parts of different generations must never mix,
@@ -94,11 +95,11 @@ type LoadResult struct {
 // replay — possible only while every shard journal still starts at its
 // first record.
 //
-// Hard refusals (never fallbacks), per shard, mirroring the single-
-// journal recovery: a snapshot covering a sequence number past the
-// journal tail (the journal lost committed records), a compacted journal
-// no usable generation reaches, and — detected during MergeApply — a data
-// record referencing a control epoch past the control log's tail.
+// Hard refusals (never fallbacks), per shard: a snapshot covering a
+// sequence number past the journal tail (the journal lost committed
+// records), a compacted journal no usable generation reaches, and —
+// detected during MergeApply — a data record referencing a control epoch
+// past the control log's tail.
 //
 // The returned engine still needs the journal suffixes applied: run
 // MergeApply, then Engine.SortInstanceOrder.

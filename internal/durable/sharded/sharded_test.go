@@ -45,14 +45,14 @@ func TestLayoutPaths(t *testing.T) {
 		t.Fatalf("shard journal: %s", l.JournalPath(2))
 	}
 	if l.SnapDir(0) != "/x/wal.ndjson.snapshots" {
-		t.Fatalf("shard-0 snapshot dir must match the single-journal layout, got %s", l.SnapDir(0))
+		t.Fatalf("shard-0 snapshot dir must be the base path's sibling, got %s", l.SnapDir(0))
 	}
 	if ManifestPath(l.Base) != "/x/wal.ndjson.MANIFEST.json" {
 		t.Fatalf("manifest path: %s", ManifestPath(l.Base))
 	}
 	custom := Layout{Base: "/x/wal.ndjson", Shards: 3, SnapBase: "/snaps"}
-	if custom.SnapDir(1) != filepath.Join("/snaps", "shard-1") {
-		t.Fatalf("custom snapshot dir: %s", custom.SnapDir(1))
+	if custom.SnapDir(0) != "/snaps" || custom.SnapDir(1) != filepath.Join("/snaps", "shard-1") {
+		t.Fatalf("custom snapshot dirs: %s, %s", custom.SnapDir(0), custom.SnapDir(1))
 	}
 }
 
@@ -154,6 +154,10 @@ func TestWALRoutingAndEpoch(t *testing.T) {
 	}
 	if w.TotalSeq() != 4 {
 		t.Fatalf("total: %d", w.TotalSeq())
+	}
+	// The checkpoint trigger calls TotalSeq on every journaled command.
+	if allocs := testing.AllocsPerRun(100, func() { w.TotalSeq() }); allocs != 0 {
+		t.Fatalf("TotalSeq allocates %.0f objects per call", allocs)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

@@ -18,10 +18,12 @@ import (
 // queue.
 //
 // The epoch is the shard-0 sequence number of the newest *durable*
-// control record. The facade serializes control commands against all data
-// commands (exclusive snapshot barrier), so by the time the epoch
-// advances, every concurrently issued data record carried the previous
-// epoch — which is exactly the order recovery re-establishes.
+// control record. With more than one shard the facade serializes control
+// commands against all data commands (exclusive snapshot barrier), so by
+// the time the epoch advances, every concurrently issued data record
+// carried the previous epoch — which is exactly the order recovery
+// re-establishes. With one shard nothing is stamped: the journal's total
+// order needs no epoch.
 type WAL struct {
 	layout Layout
 	shards []walShard
@@ -58,10 +60,7 @@ func OpenWAL(l Layout, tails []persist.TailInfo, group bool, opts durable.Commit
 	return w, nil
 }
 
-// Shards returns the shard count.
-func (w *WAL) Shards() int { return len(w.shards) }
-
-// Journal exposes shard k's journal (read-side accessors and tests).
+// Journal exposes shard k's journal (tests).
 func (w *WAL) Journal(k int) *persist.Journal { return w.shards[k].j }
 
 // ShardFor returns the shard an instance's records route to.
@@ -84,10 +83,10 @@ func (w *WAL) appendShard(k int, op string, epoch int, args any) (int, error) {
 }
 
 // AppendControl journals a control record on shard 0 and advances the
-// epoch once the record is durable. The caller must hold the facade's
-// exclusive barrier: no data append may be in flight between the engine
-// mutation and the epoch advance, or recovery could order a dependent
-// data record ahead of this control record.
+// epoch once the record is durable. With more than one shard the caller
+// must hold the facade's exclusive barrier: no data append may be in
+// flight between the engine mutation and the epoch advance, or recovery
+// could order a dependent data record ahead of this control record.
 func (w *WAL) AppendControl(op string, args any) (int, error) {
 	seq, err := w.appendShard(0, op, 0, args)
 	if err != nil {
@@ -203,28 +202,32 @@ func (w *WAL) Seqs() []int {
 	return out
 }
 
-// Depths returns every shard's staged-but-unflushed backlog (journal head
-// minus the committer's durable watermark; 0 without group commit, where
-// appends are durable on return).
-func (w *WAL) Depths() []int {
+// Durable returns every shard's durable watermark: the highest sequence
+// number an fsync covers — the committer's flushed mark, or the journal
+// head without group commit, where appends are durable on return. Head
+// minus watermark is the shard's staged-but-unflushed backlog.
+func (w *WAL) Durable() []int {
 	out := make([]int, len(w.shards))
 	for k := range w.shards {
-		sh := &w.shards[k]
-		if sh.j != nil && sh.c != nil {
-			if d := sh.j.Seq() - sh.c.Flushed(); d > 0 {
-				out[k] = d
-			}
+		switch sh := &w.shards[k]; {
+		case sh.c != nil:
+			out[k] = sh.c.Flushed()
+		case sh.j != nil:
+			out[k] = sh.j.Seq()
 		}
 	}
 	return out
 }
 
 // TotalSeq sums the shard head sequence numbers — a monotonic growth
-// measure the checkpoint trigger compares across cuts.
+// measure the checkpoint trigger compares across cuts. It runs on every
+// journaled command, so it sums in place instead of going through Seqs.
 func (w *WAL) TotalSeq() int {
 	total := 0
-	for _, s := range w.Seqs() {
-		total += s
+	for k := range w.shards {
+		if j := w.shards[k].j; j != nil {
+			total += j.Seq()
+		}
 	}
 	return total
 }

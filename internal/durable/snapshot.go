@@ -41,19 +41,13 @@ type snapHeader struct {
 }
 
 // ManifestEntry ties one snapshot file to the journal sequence number it
-// covers.
+// covers and the control epoch it was cut at, both parsed from the file
+// name — the form in which the global manifest (internal/durable/sharded)
+// and a directory listing name a snapshot.
 type ManifestEntry struct {
-	File string `json:"file"`
-	Seq  int    `json:"seq"`
-}
-
-// Manifest lists the snapshots of a store, ascending by sequence number.
-// It is advisory: recovery enumerates the directory (so a crash between
-// snapshot rename and manifest rewrite — a stale manifest — costs
-// nothing), and validates every snapshot header independently.
-type Manifest struct {
-	Format    int             `json:"format"`
-	Snapshots []ManifestEntry `json:"snapshots"`
+	File  string
+	Seq   int
+	Epoch int
 }
 
 // SnapshotStore reads and writes checkpoint files in one directory.
@@ -73,9 +67,6 @@ type SnapshotStore struct {
 	bytesWritten atomic.Int64
 	bytesRead    atomic.Int64
 }
-
-// ManifestName is the file name of the snapshot manifest.
-const ManifestName = "MANIFEST.json"
 
 const snapPrefix, snapSuffix = "snap-", ".json"
 
@@ -134,53 +125,35 @@ func fileFor(seq, epoch int) string {
 	return fmt.Sprintf("%s%012d%s", snapPrefix, seq, snapSuffix)
 }
 
-// seqOf parses the sequence number out of a snapshot file name (either
-// the plain or the epoch-qualified form).
-func seqOf(name string) (int, bool) {
+// parseName parses the sequence number and control epoch out of a snapshot
+// file name (epoch 0 for the plain form). Anything else in the directory —
+// temp files, the per-store MANIFEST.json earlier builds wrote — is not a
+// snapshot.
+func parseName(name string) (seq, epoch int, ok bool) {
 	if !strings.HasPrefix(name, snapPrefix) || !strings.HasSuffix(name, snapSuffix) {
-		return 0, false
+		return 0, 0, false
 	}
 	core := strings.TrimSuffix(strings.TrimPrefix(name, snapPrefix), snapSuffix)
 	if i := strings.Index(core, ".e"); i >= 0 {
-		if _, err := strconv.Atoi(core[i+2:]); err != nil {
-			return 0, false
+		e, err := strconv.Atoi(core[i+2:])
+		if err != nil || e < 0 {
+			return 0, 0, false
 		}
-		core = core[:i]
+		epoch, core = e, core[:i]
 	}
 	n, err := strconv.Atoi(core)
 	if err != nil || n < 0 {
-		return 0, false
+		return 0, 0, false
 	}
-	return n, true
+	return n, epoch, true
 }
 
 // Write persists the state as a new snapshot: payload to a temp file,
-// fsync, atomic rename, directory fsync, then the manifest is rewritten
-// the same way. A crash at any point leaves older snapshots untouched.
+// fsync, atomic rename, directory fsync. A crash at any point leaves
+// older snapshots untouched. The file only takes part in recovery once a
+// generation of the global manifest names it (or, in a layout without a
+// manifest, by being listed).
 func (st *SnapshotStore) Write(state *SystemState) (string, error) {
-	file, err := st.write(state)
-	if err != nil {
-		return "", err
-	}
-	return file, st.writeManifest()
-}
-
-// WriteAndPrune is Write followed by Prune with a single manifest rewrite
-// (the steady-state checkpoint path would otherwise pay two temp-file +
-// fsync + rename passes for the manifest per snapshot).
-func (st *SnapshotStore) WriteAndPrune(state *SystemState, keep int) (string, error) {
-	file, err := st.write(state)
-	if err != nil {
-		return "", err
-	}
-	if err := st.prune(keep); err != nil {
-		return file, err
-	}
-	return file, st.writeManifest()
-}
-
-// write persists the snapshot file without touching the manifest.
-func (st *SnapshotStore) write(state *SystemState) (string, error) {
 	raw, err := json.Marshal(state)
 	if err != nil {
 		return "", fmt.Errorf("durable: marshal snapshot: %w", err)
@@ -259,10 +232,15 @@ func AtomicWriteFS(fsys vfs.FS, dir, name string, data []byte) error {
 }
 
 // Entries lists the snapshots present in the store, ascending by sequence
-// number. The listing comes from the directory, not the manifest, so a
-// stale or missing manifest never hides a durable snapshot.
+// number (then epoch).
 func (st *SnapshotStore) Entries() ([]ManifestEntry, error) {
-	des, err := st.fsys.ReadDir(st.dir)
+	return ListSnapshots(st.fsys, st.dir)
+}
+
+// ListSnapshots lists the snapshot files in dir like Entries, without
+// opening (and thereby creating) a store; a missing directory lists empty.
+func ListSnapshots(fsys vfs.FS, dir string) ([]ManifestEntry, error) {
+	des, err := fsys.ReadDir(dir)
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
@@ -274,39 +252,17 @@ func (st *SnapshotStore) Entries() ([]ManifestEntry, error) {
 		if de.IsDir() {
 			continue
 		}
-		if seq, ok := seqOf(de.Name()); ok {
-			out = append(out, ManifestEntry{File: de.Name(), Seq: seq})
+		if seq, epoch, ok := parseName(de.Name()); ok {
+			out = append(out, ManifestEntry{File: de.Name(), Seq: seq, Epoch: epoch})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Seq != out[j].Seq {
+			return out[i].Seq < out[j].Seq
+		}
+		return out[i].Epoch < out[j].Epoch
+	})
 	return out, nil
-}
-
-// writeManifest atomically rewrites the manifest from the directory
-// listing.
-func (st *SnapshotStore) writeManifest() error {
-	entries, err := st.Entries()
-	if err != nil {
-		return err
-	}
-	blob, err := json.MarshalIndent(&Manifest{Format: FormatVersion, Snapshots: entries}, "", "  ")
-	if err != nil {
-		return fmt.Errorf("durable: marshal manifest: %w", err)
-	}
-	return AtomicWriteFS(st.fsys, st.dir, ManifestName, blob)
-}
-
-// ReadManifest parses the manifest (advisory; see Manifest).
-func (st *SnapshotStore) ReadManifest() (*Manifest, error) {
-	blob, err := vfs.ReadFile(st.fsys, filepath.Join(st.dir, ManifestName))
-	if err != nil {
-		return nil, fmt.Errorf("durable: read manifest: %w", err)
-	}
-	var m Manifest
-	if err := json.Unmarshal(blob, &m); err != nil {
-		return nil, fmt.Errorf("durable: parse manifest: %w", err)
-	}
-	return &m, nil
 }
 
 // Load reads and fully validates one snapshot: header format, length, and
@@ -402,19 +358,9 @@ func ReadSnapshotInfo(path string) (SnapshotInfo, error) {
 	return info, nil
 }
 
-// Prune removes all but the newest keep snapshots and rewrites the
-// manifest.
-func (st *SnapshotStore) Prune(keep int) error {
-	if err := st.prune(keep); err != nil {
-		return err
-	}
-	return st.writeManifest()
-}
-
-// PruneExcept removes every snapshot file whose name is not in keep and
-// rewrites the advisory manifest. The sharded checkpoint path uses it for
-// generation-aware pruning: retention is decided by the global manifest's
-// generations, not by file count.
+// PruneExcept removes every snapshot file whose name is not in keep.
+// Retention is decided by the global manifest's generations, not by file
+// count.
 func (st *SnapshotStore) PruneExcept(keep map[string]bool) error {
 	entries, err := st.Entries()
 	if err != nil {
@@ -427,29 +373,6 @@ func (st *SnapshotStore) PruneExcept(keep map[string]bool) error {
 		// A failed removal must not fail the checkpoint that triggered the
 		// prune — the new snapshot is already durable. Count it instead
 		// (surfaced through HealthInfo) and retry on the next prune pass.
-		if err := st.fsys.Remove(filepath.Join(st.dir, e.File)); err != nil && !os.IsNotExist(err) {
-			st.cleanupErrs.Add(1)
-		}
-	}
-	return st.writeManifest()
-}
-
-// prune removes the stale snapshot files without touching the manifest.
-func (st *SnapshotStore) prune(keep int) error {
-	entries, err := st.Entries()
-	if err != nil {
-		return err
-	}
-	if keep < 1 {
-		keep = 1
-	}
-	if len(entries) <= keep {
-		return nil
-	}
-	for _, e := range entries[:len(entries)-keep] {
-		// A concurrent pruner may have removed the file already (explicit
-		// Checkpoint overlapping a background one): not an error. Other
-		// failures are counted, not returned — see PruneExcept.
 		if err := st.fsys.Remove(filepath.Join(st.dir, e.File)); err != nil && !os.IsNotExist(err) {
 			st.cleanupErrs.Add(1)
 		}

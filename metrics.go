@@ -156,42 +156,25 @@ func (s *System) Metrics() *obs.Snapshot {
 		snap.Exception.Retries = s.met.OpOK(opRetry)
 	}
 
-	// Shard live view: head sequence, group-commit backlog, wedge state.
-	shards := 1
-	if s.wal != nil {
-		shards = s.wal.Shards()
-	}
-	if len(snap.Shards) != shards {
-		snap.Shards = make([]obs.ShardSnapshot, shards)
+	// Shard live view: head sequence, group-commit backlog (head minus
+	// durable watermark), wedge state.
+	seqs, durable := s.journalSeqs(), s.DurableWatermarks()
+	if len(snap.Shards) != len(seqs) {
+		snap.Shards = make([]obs.ShardSnapshot, len(seqs))
 		for k := range snap.Shards {
 			snap.Shards[k].Shard = k
 		}
 	}
-	switch {
-	case s.wal != nil:
-		seqs := s.wal.Seqs()
-		depths := s.wal.Depths()
-		for _, k := range s.wal.WedgedShards() {
-			snap.Shards[k].Wedged = true
-		}
-		for k := range snap.Shards {
-			snap.Shards[k].Seq = seqs[k]
-			snap.Shards[k].Depth = depths[k]
-		}
-	case s.journal != nil:
-		seq := s.journal.Seq()
-		snap.Shards[0].Seq = seq
-		if s.committer != nil {
-			snap.Shards[0].Depth = seq - s.committer.Flushed()
-			snap.Shards[0].Wedged = s.committer.Err() != nil
-		}
+	for k := range snap.Shards {
+		snap.Shards[k].Seq = seqs[k]
+		snap.Shards[k].Depth = max(seqs[k]-durable[k], 0)
+	}
+	hi := s.HealthInfo()
+	for _, k := range hi.WedgedShards {
+		snap.Shards[k].Wedged = true
 	}
 
 	// Snapshot-store byte counters (accumulated passively, surfaced here).
-	if s.ckpt != nil && s.ckpt.store != nil {
-		snap.Checkpoint.BytesWritten += s.ckpt.store.BytesWritten()
-		snap.Checkpoint.BytesRead += s.ckpt.store.BytesRead()
-	}
 	for _, st := range s.stores {
 		snap.Checkpoint.BytesWritten += st.BytesWritten()
 		snap.Checkpoint.BytesRead += st.BytesRead()
@@ -203,7 +186,6 @@ func (s *System) Metrics() *obs.Snapshot {
 		OpenExceptions: len(s.eng.OpenExceptions()),
 	}
 
-	hi := s.HealthInfo()
 	snap.Health = obs.HealthSnapshot{
 		Wedged:       hi.Wedged != nil,
 		WedgedShards: hi.WedgedShards,

@@ -53,10 +53,7 @@ func (s *System) Mine(ctx context.Context, opts MineOptions) (*mining.Report, er
 		}
 	}
 
-	shards := 1
-	if s.wal != nil {
-		shards = s.wal.Shards()
-	}
+	shards := s.NumShards()
 	// One visitor closure and one reduction buffer serve the whole scan,
 	// so the steady-state fold allocates nothing per instance.
 	var buf []*history.Event

@@ -73,9 +73,10 @@ func BenchmarkRecoveryFull(b *testing.B) {
 			path := filepath.Join(b.TempDir(), "wal.ndjson")
 			// Group commit keeps the setup fast; no snapshot is written.
 			buildRecoveryJournal(b, path, n, adept2.CheckpointConfig{Every: -1, GroupCommit: true}, false)
+			replay := fullReplay(b)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sys, err := adept2.Open(path, adept2.WithOrg(sim.Org()))
+				sys, err := adept2.Open(path, adept2.WithOrg(sim.Org()), replay)
 				if err != nil {
 					b.Fatal(err)
 				}

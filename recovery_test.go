@@ -10,6 +10,7 @@ import (
 
 	"adept2"
 	"adept2/internal/durable"
+	"adept2/internal/durable/sharded"
 	"adept2/internal/persist"
 	"adept2/internal/sim"
 )
@@ -97,6 +98,13 @@ func assertSameState(t *testing.T, want, got *adept2.System) {
 	}
 }
 
+// fullReplay makes Open recover by the independent reference path: the
+// snapshot directory points at an empty directory, so no generation part
+// can load and recovery is the full merged replay of the journals.
+func fullReplay(t testing.TB) adept2.Option {
+	return adept2.WithCheckpointing(adept2.CheckpointConfig{Every: -1, Dir: t.TempDir()})
+}
+
 func openCheckpointed(t *testing.T, path string, cfg adept2.CheckpointConfig) *adept2.System {
 	t.Helper()
 	sys, err := adept2.Open(path, adept2.WithOrg(sim.Org()), adept2.WithCheckpointing(cfg))
@@ -141,13 +149,13 @@ func TestSnapshotRecoveryReplaysOnlySuffix(t *testing.T) {
 	}
 
 	// The state must be identical to a full replay of the same journal.
-	full, err := adept2.Open(path, adept2.WithOrg(sim.Org()))
+	full, err := adept2.Open(path, adept2.WithOrg(sim.Org()), fullReplay(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer full.Close()
 	if !full.Recovery().FullReplay {
-		t.Fatal("plain Open must fully replay")
+		t.Fatal("the reference Open must fully replay")
 	}
 	assertSameState(t, full, rec)
 
@@ -193,7 +201,7 @@ func TestRecoveryFallsBackOnTornSnapshot(t *testing.T) {
 	if len(info.Fallbacks) == 0 || !strings.Contains(strings.Join(info.Fallbacks, ";"), "torn") {
 		t.Fatalf("torn snapshot not diagnosed: %v", info.Fallbacks)
 	}
-	full, err := adept2.Open(path, adept2.WithOrg(sim.Org()))
+	full, err := adept2.Open(path, adept2.WithOrg(sim.Org()), fullReplay(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +233,7 @@ func TestRecoveryFallsBackToFullReplayWhenAllSnapshotsCorrupt(t *testing.T) {
 	if !rec.Recovery().FullReplay || len(rec.Recovery().Fallbacks) == 0 {
 		t.Fatalf("expected full-replay fallback: %+v", rec.Recovery())
 	}
-	full, err := adept2.Open(path, adept2.WithOrg(sim.Org()))
+	full, err := adept2.Open(path, adept2.WithOrg(sim.Org()), fullReplay(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,40 +278,115 @@ func TestRecoveryTornJournalTailPastSnapshot(t *testing.T) {
 	}
 }
 
-// TestRecoverySurvivesStaleManifest simulates a crash between the
-// snapshot rename and the manifest rewrite: the manifest does not mention
-// the newest snapshot, which must still be found and used.
-func TestRecoverySurvivesStaleManifest(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "wal.ndjson")
-	cfg := adept2.CheckpointConfig{Every: -1, Dir: filepath.Join(dir, "snaps")}
+// TestRecoveryAcrossCheckpointCrashWindow simulates the one crash window a
+// checkpoint has: a snapshot part renamed into place, the global manifest
+// not yet rewritten. Recovery must land on the exact live state — from
+// the directory listing while the layout has no manifest yet, from the
+// previous generation otherwise — and the next checkpoint adopts the
+// stranded part as an older generation or sweeps it.
+func TestRecoveryAcrossCheckpointCrashWindow(t *testing.T) {
+	generations := func(t *testing.T, path string) []sharded.Generation {
+		t.Helper()
+		man, err := sharded.LoadManifest(sharded.ManifestPath(path))
+		if err != nil || man == nil || man.Shards != 1 {
+			t.Fatalf("manifest: %+v err=%v", man, err)
+		}
+		return man.Generations
+	}
 
-	sys := openCheckpointed(t, path, cfg)
-	i1, _ := runPrefix(t, sys)
-	_, snapSeq, err := sys.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	runSuffix(t, sys, i1)
-	if err := sys.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The crash shapes: manifest deleted entirely, and manifest replaced
-	// by an empty (older) listing.
-	manifest := filepath.Join(cfg.Dir, durable.ManifestName)
-	for _, corrupt := range []func() error{
-		func() error { return os.Remove(manifest) },
-		func() error { return os.WriteFile(manifest, []byte(`{"format":1,"snapshots":[]}`), 0o644) },
-	} {
-		if err := corrupt(); err != nil {
+	t.Run("first-checkpoint", func(t *testing.T) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "wal.ndjson")
+		cfg := adept2.CheckpointConfig{Every: -1, Dir: filepath.Join(dir, "snaps")}
+
+		sys := openCheckpointed(t, path, cfg)
+		i1, _ := runPrefix(t, sys)
+		file, snapSeq, err := sys.Checkpoint()
+		if err != nil {
 			t.Fatal(err)
 		}
-		rec := openCheckpointed(t, path, cfg)
-		if info := rec.Recovery(); info.SnapshotSeq != snapSeq {
-			t.Fatalf("stale manifest hid the snapshot: %+v", info)
+		runSuffix(t, sys, i1)
+		tail := sys.JournalSeq()
+		if err := sys.Close(); err != nil {
+			t.Fatal(err)
 		}
-		rec.Close()
-	}
+		// The crash: the part is durable, the manifest never got written.
+		if err := os.Remove(sharded.ManifestPath(path)); err != nil {
+			t.Fatal(err)
+		}
+
+		rec := openCheckpointed(t, path, cfg)
+		defer rec.Close()
+		info := rec.Recovery()
+		if info.FullReplay || info.SnapshotSeq != snapSeq || info.Replayed != tail-snapSeq || len(info.Fallbacks) != 0 {
+			t.Fatalf("the listed part was not used: %+v", info)
+		}
+		assertSameState(t, reference(t, true), rec)
+
+		// The next checkpoint writes the manifest and adopts the part.
+		if _, _, err := rec.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		gens := generations(t, path)
+		if len(gens) != 2 || gens[0].Parts[0].Seq != snapSeq || gens[0].Parts[0].File != filepath.Base(file) || gens[1].Parts[0].Seq != tail {
+			t.Fatalf("stranded part not adopted as the older generation: %+v", gens)
+		}
+		if _, err := os.Stat(file); err != nil {
+			t.Fatalf("adopted part: %v", err)
+		}
+	})
+
+	t.Run("later-checkpoint", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "wal.ndjson")
+		cfg := adept2.CheckpointConfig{Every: -1}
+
+		sys := openCheckpointed(t, path, cfg)
+		i1, _ := runPrefix(t, sys)
+		_, seq1, err := sys.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, err := os.ReadFile(sharded.ManifestPath(path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runSuffix(t, sys, i1)
+		stranded, seq2, err := sys.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// The crash: the second part is durable, the manifest still lists
+		// only the first generation.
+		if err := os.WriteFile(sharded.ManifestPath(path), before, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		rec := openCheckpointed(t, path, cfg)
+		defer rec.Close()
+		info := rec.Recovery()
+		if info.FullReplay || info.SnapshotSeq != seq1 || info.Replayed != seq2-seq1 || len(info.Fallbacks) != 0 {
+			t.Fatalf("the previous generation was not used: %+v", info)
+		}
+		assertSameState(t, reference(t, true), rec)
+
+		// The next checkpoint (at a later cut) sweeps the stranded part.
+		if err := rec.Complete(i1, "confirm_order", "ann", nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := rec.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		gens := generations(t, path)
+		if len(gens) != 2 || gens[0].Parts[0].Seq != seq1 || gens[1].Parts[0].Seq != seq2+1 {
+			t.Fatalf("generations after the crash window: %+v", gens)
+		}
+		if _, err := os.Stat(stranded); !os.IsNotExist(err) {
+			t.Fatalf("stranded part not swept: %v", err)
+		}
+	})
 }
 
 // TestRecoveryEmptyJournalWithSnapshot covers full compaction (every
@@ -325,7 +408,7 @@ func TestRecoveryEmptyJournalWithSnapshot(t *testing.T) {
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
 	}
-	full, err := adept2.Open(path, adept2.WithOrg(sim.Org()))
+	full, err := adept2.Open(path, adept2.WithOrg(sim.Org()), fullReplay(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,14 +417,14 @@ func TestRecoveryEmptyJournalWithSnapshot(t *testing.T) {
 	if _, err := durable.CompactJournal(path, snapSeq); err != nil {
 		t.Fatal(err)
 	}
-	// Full compaction keeps the newest record as a tombstone, so a later
-	// plain Open can still detect the missing prefix instead of silently
-	// coming up empty.
+	// Full compaction keeps the newest record as a tombstone, so an Open
+	// that cannot reach the snapshot still detects the missing prefix
+	// instead of silently coming up empty.
 	recs, err := persist.LoadJournal(path)
 	if err != nil || len(recs) != 1 || recs[0].Seq != snapSeq {
 		t.Fatalf("tombstone: recs=%+v err=%v", recs, err)
 	}
-	if _, err := adept2.Open(path, adept2.WithOrg(sim.Org())); err == nil || !strings.Contains(err.Error(), "compacted") {
+	if _, err := adept2.Open(path, adept2.WithOrg(sim.Org()), fullReplay(t)); err == nil || !strings.Contains(err.Error(), "compacted") {
 		t.Fatalf("fully compacted journal without snapshot must refuse, got %v", err)
 	}
 
@@ -413,8 +496,8 @@ func TestRecoveryRejectsSnapshotNewerThanJournal(t *testing.T) {
 	}
 }
 
-// TestCompactedJournalRequiresSnapshot: once compacted, a plain full
-// replay is impossible and Open must say so rather than rebuild wrong
+// TestCompactedJournalRequiresSnapshot: once compacted, a full replay is
+// impossible and Open must say so rather than rebuild wrong
 // state.
 func TestCompactedJournalRequiresSnapshot(t *testing.T) {
 	dir := t.TempDir()
@@ -442,8 +525,8 @@ func TestCompactedJournalRequiresSnapshot(t *testing.T) {
 	}
 	rec.Close()
 
-	// Without it (plain Open, no checkpointing): hard error.
-	if _, err := adept2.Open(path, adept2.WithOrg(sim.Org())); err == nil || !strings.Contains(err.Error(), "compacted") {
+	// Without it (no snapshot in reach): hard error.
+	if _, err := adept2.Open(path, adept2.WithOrg(sim.Org()), fullReplay(t)); err == nil || !strings.Contains(err.Error(), "compacted") {
 		t.Fatalf("compacted journal without snapshot must fail, got %v", err)
 	}
 }
@@ -499,7 +582,7 @@ func TestConcurrentAppendDuringBackgroundSnapshot(t *testing.T) {
 	if info.SnapshotSeq == 0 {
 		t.Fatalf("no background snapshot was used: %+v", info)
 	}
-	full, err := adept2.Open(path, adept2.WithOrg(sim.Org()))
+	full, err := adept2.Open(path, adept2.WithOrg(sim.Org()), fullReplay(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +607,7 @@ func TestGroupCommitEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	full, err := adept2.Open(path, adept2.WithOrg(sim.Org()))
+	full, err := adept2.Open(path, adept2.WithOrg(sim.Org()), fullReplay(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,8 @@ import (
 	"adept2/internal/sim"
 )
 
-// buildShardedSystem opens a system with n shards (n=1 stays on the
-// single-journal layout — the PR 3 baseline), deploys the demo schema,
-// and creates insts instances.
+// buildShardedSystem opens a system with n shards (n=1 is the one-journal
+// baseline), deploys the demo schema, and creates insts instances.
 func buildShardedSystem(b *testing.B, path string, shards, insts int) (*adept2.System, []string) {
 	b.Helper()
 	cfg := adept2.CheckpointConfig{Every: -1, GroupCommit: true, Shards: shards}
@@ -71,7 +70,7 @@ func BenchmarkShardedAppend(b *testing.B) {
 // history as the shard count grows: the journals are scanned, decoded,
 // and replayed shard-parallel (control-record barriers only), so
 // recovery wall-time can drop with the shard count instead of paying one
-// serial replay. shards=1 is the PR 3 single-journal full replay.
+// serial replay. shards=1 is the one-journal full replay.
 func BenchmarkShardedRecovery(b *testing.B) {
 	const history = 16384
 	for _, shards := range []int{1, 2, 4} {

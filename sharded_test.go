@@ -74,33 +74,54 @@ func TestShardedRoundTrip(t *testing.T) {
 	assertSameState(t, reference(t, true), got)
 }
 
+// eachShardCount runs a layout property at one shard and at four: the
+// generation mechanism is the same code at every count.
+func eachShardCount(t *testing.T, fn func(t *testing.T, cfg adept2.CheckpointConfig)) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := shardedCfg()
+			cfg.Shards = shards
+			fn(t, cfg)
+		})
+	}
+}
+
 // TestShardedCheckpointSuffixRecovery: a generation checkpoint plus a
 // cross-shard suffix recovers without a full replay, and the per-shard
 // replay counts add up to the suffix.
 func TestShardedCheckpointSuffixRecovery(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.ndjson")
-	sys := openSharded(t, path, shardedCfg())
-	i1, _ := runPrefix(t, sys)
-	preSeq := sys.JournalSeq()
-	if _, _, err := sys.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	runSuffix(t, sys, i1)
-	suffixLen := sys.JournalSeq() - preSeq
-	if err := sys.Close(); err != nil {
-		t.Fatal(err)
-	}
+	eachShardCount(t, func(t *testing.T, cfg adept2.CheckpointConfig) {
+		path := filepath.Join(t.TempDir(), "wal.ndjson")
+		sys := openSharded(t, path, cfg)
+		i1, _ := runPrefix(t, sys)
+		preSeq := sys.JournalSeq()
+		if _, _, err := sys.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		runSuffix(t, sys, i1)
+		suffixLen := sys.JournalSeq() - preSeq
+		if err := sys.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	got := openSharded(t, path, shardedCfg())
-	defer got.Close()
-	info := got.Recovery()
-	if info.FullReplay {
-		t.Fatalf("expected generation recovery, got full replay: %+v", info)
-	}
-	if info.Replayed != suffixLen {
-		t.Fatalf("replayed %d records, suffix was %d", info.Replayed, suffixLen)
-	}
-	assertSameState(t, reference(t, true), got)
+		got := openSharded(t, path, cfg)
+		defer got.Close()
+		info := got.Recovery()
+		if info.FullReplay {
+			t.Fatalf("expected generation recovery, got full replay: %+v", info)
+		}
+		if info.Replayed != suffixLen {
+			t.Fatalf("replayed %d records, suffix was %d", info.Replayed, suffixLen)
+		}
+		perShard := 0
+		for _, sr := range info.PerShard {
+			perShard += sr.Replayed
+		}
+		if info.Shards != cfg.Shards || len(info.PerShard) != cfg.Shards || perShard != suffixLen {
+			t.Fatalf("per-shard recovery detail: %+v", info)
+		}
+		assertSameState(t, reference(t, true), got)
+	})
 }
 
 // TestShardedTornSnapshotFallsBackAGeneration: corrupting one shard's
@@ -108,72 +129,74 @@ func TestShardedCheckpointSuffixRecovery(t *testing.T) {
 // generation — for every shard, never mixing cuts — and the state still
 // comes back exact.
 func TestShardedTornSnapshotFallsBackAGeneration(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.ndjson")
-	cfg := shardedCfg()
-	cfg.Keep = 3
-	sys := openSharded(t, path, cfg)
-	i1, _ := runPrefix(t, sys)
-	if _, _, err := sys.Checkpoint(); err != nil { // generation 1
-		t.Fatal(err)
-	}
-	runSuffix(t, sys, i1)
-	// A control record between the cuts gives generation 2 a new epoch,
-	// so every shard gets its own part file even where its journal did
-	// not advance (the fallback ladder depends on parts not being shared).
-	if err := sys.AddUser(&adept2.User{ID: "carl", Roles: []string{"clerk"}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := sys.Checkpoint(); err != nil { // generation 2
-		t.Fatal(err)
-	}
-	if err := sys.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	man, err := sharded.LoadManifest(sharded.ManifestPath(path))
-	if err != nil || man == nil || len(man.Generations) != 2 {
-		t.Fatalf("manifest: %+v err=%v", man, err)
-	}
-	newest := man.Generations[1]
-	l := sharded.Layout{Base: path, Shards: man.Shards}
-	victim := filepath.Join(l.SnapDir(2), newest.Parts[2].File)
-	blob, err := os.ReadFile(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob[len(blob)-3] ^= 0xff
-	if err := os.WriteFile(victim, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	got := openSharded(t, path, shardedCfg())
-	defer got.Close()
-	info := got.Recovery()
-	if info.FullReplay {
-		t.Fatalf("expected older-generation recovery: %+v", info)
-	}
-	if len(info.Fallbacks) == 0 {
-		t.Fatal("expected a fallback diagnosis for the torn part")
-	}
-	if info.SnapshotSeq != man.Generations[0].Parts[0].Seq {
-		t.Fatalf("recovered from seq %d, want generation 1 at %d", info.SnapshotSeq, man.Generations[0].Parts[0].Seq)
-	}
-	assertSameState(t, reference(t, true), got)
-
-	// With every generation's shard-2 part torn, recovery degrades to a
-	// full merged replay (journals are uncompacted) — still exact.
-	for _, gen := range man.Generations {
-		f := filepath.Join(l.SnapDir(2), gen.Parts[2].File)
-		if err := os.WriteFile(f, []byte("garbage"), 0o644); err != nil {
+	eachShardCount(t, func(t *testing.T, cfg adept2.CheckpointConfig) {
+		path := filepath.Join(t.TempDir(), "wal.ndjson")
+		cfg.Keep = 3
+		sys := openSharded(t, path, cfg)
+		i1, _ := runPrefix(t, sys)
+		if _, _, err := sys.Checkpoint(); err != nil { // generation 1
 			t.Fatal(err)
 		}
-	}
-	got2 := openSharded(t, path, shardedCfg())
-	defer got2.Close()
-	if !got2.Recovery().FullReplay {
-		t.Fatalf("expected full replay: %+v", got2.Recovery())
-	}
-	assertSameState(t, reference(t, true), got2)
+		runSuffix(t, sys, i1)
+		// A control record between the cuts gives generation 2 a new epoch,
+		// so every shard gets its own part file even where its journal did
+		// not advance (the fallback ladder depends on parts not being shared).
+		if err := sys.AddUser(&adept2.User{ID: "carl", Roles: []string{"clerk"}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := sys.Checkpoint(); err != nil { // generation 2
+			t.Fatal(err)
+		}
+		if err := sys.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		man, err := sharded.LoadManifest(sharded.ManifestPath(path))
+		if err != nil || man == nil || len(man.Generations) != 2 {
+			t.Fatalf("manifest: %+v err=%v", man, err)
+		}
+		newest := man.Generations[1]
+		l := sharded.Layout{Base: path, Shards: man.Shards}
+		k := man.Shards / 2 // the victim shard: 2 of 4, 0 of 1
+		victim := filepath.Join(l.SnapDir(k), newest.Parts[k].File)
+		blob, err := os.ReadFile(victim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob[len(blob)-3] ^= 0xff
+		if err := os.WriteFile(victim, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		got := openSharded(t, path, cfg)
+		defer got.Close()
+		info := got.Recovery()
+		if info.FullReplay {
+			t.Fatalf("expected older-generation recovery: %+v", info)
+		}
+		if len(info.Fallbacks) == 0 {
+			t.Fatal("expected a fallback diagnosis for the torn part")
+		}
+		if info.SnapshotSeq != man.Generations[0].Parts[0].Seq {
+			t.Fatalf("recovered from seq %d, want generation 1 at %d", info.SnapshotSeq, man.Generations[0].Parts[0].Seq)
+		}
+		assertSameState(t, reference(t, true), got)
+
+		// With every generation's victim part torn, recovery degrades to a
+		// full merged replay (journals are uncompacted) — still exact.
+		for _, gen := range man.Generations {
+			f := filepath.Join(l.SnapDir(k), gen.Parts[k].File)
+			if err := os.WriteFile(f, []byte("garbage"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got2 := openSharded(t, path, cfg)
+		defer got2.Close()
+		if !got2.Recovery().FullReplay {
+			t.Fatalf("expected full replay: %+v", got2.Recovery())
+		}
+		assertSameState(t, reference(t, true), got2)
+	})
 }
 
 // dropLastLine truncates a journal file by its final record.
@@ -194,7 +217,7 @@ func dropLastLine(t *testing.T, path string) {
 }
 
 // TestShardedTornDataJournalTail: losing a data shard's final record is
-// tolerated (like a torn tail in the single-journal layout) and recovery
+// tolerated (a torn tail, as on any shard) and recovery
 // lands deterministically on the state just before the lost command.
 func TestShardedTornDataJournalTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
@@ -313,8 +336,8 @@ func TestShardedCountMismatchRefuses(t *testing.T) {
 }
 
 // TestShardedOpenOnSingleJournalLayoutRefuses: asking for shards on top
-// of an existing single-journal layout refuses with a reshard hint — it
-// never reinterprets the data in place.
+// of an existing manifest-less one-shard layout refuses with a reshard
+// hint — it never reinterprets the data in place.
 func TestShardedOpenOnSingleJournalLayoutRefuses(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
 	sys, err := adept2.Open(path, adept2.WithOrg(sim.Org()))

@@ -9,7 +9,6 @@ import (
 
 	"adept2/internal/durable/sharded"
 	"adept2/internal/obs"
-	"adept2/internal/persist"
 )
 
 // Receipt is the durability promise of an asynchronously submitted
@@ -17,8 +16,8 @@ import (
 // staged when SubmitAsync returns; Wait resolves once the record is
 // covered by an fsync (group commit batches the flushes, so pipelining
 // submitters share them). Receipts of commands that were durable on
-// return (control commands in a sharded layout, systems without group
-// commit or without a journal) resolve immediately.
+// return (control commands, systems without group commit or without a
+// journal) resolve immediately.
 type Receipt struct {
 	op     string
 	inst   string
@@ -46,13 +45,13 @@ type Receipt struct {
 // Wait resolves.
 func (r *Receipt) Result() any { return r.result }
 
-// Seq returns the journal sequence number the command's record received
-// (shard-local in a sharded layout; 0 without a journal).
+// Seq returns the shard-local journal sequence number the command's
+// record received (0 without a journal).
 func (r *Receipt) Seq() int { return r.seq }
 
-// Shard returns the shard the command's record routed to (always 0 in a
-// single-journal layout; 0 is the control shard in a sharded one).
-// Together with Seq it identifies the record's durable position.
+// Shard returns the shard the command's record routed to (0 is the
+// control shard, and the only one in a one-shard layout). Together with
+// Seq it identifies the record's durable position.
 func (r *Receipt) Shard() int { return r.shard }
 
 // Wait blocks until the record is durable, the durability pipeline
@@ -126,9 +125,8 @@ func (s *System) Submit(ctx context.Context, cmd Command) (any, error) {
 // staged in the group-commit pipeline. The Receipt resolves once the
 // record is fsync-covered, so a caller pipelines appends — submit,
 // collect receipts, await them in bulk — instead of paying one fsync
-// round-trip per command. Control commands in a multi-shard layout are
-// durable on return (their epoch semantics require it); their receipts
-// resolve immediately.
+// round-trip per command. Control commands are durable on return (their
+// epoch semantics require it); their receipts resolve immediately.
 func (s *System) SubmitAsync(ctx context.Context, cmd Command) (*Receipt, error) {
 	c, ok := cmd.(command)
 	if !ok {
@@ -300,118 +298,68 @@ func (s *System) SubmitBatch(ctx context.Context, cmds []Command) ([]any, error)
 // returns a Receipt whose wait covers it. Callers hold the command
 // barrier.
 func (s *System) appendEffect(eff effect) (*Receipt, error) {
-	switch {
-	case s.wal != nil:
-		if eff.inst == "" {
-			// Control records advance the epoch, which is only sound
-			// once the record is durable — so they never pipeline.
-			seq, err := s.wal.AppendControl(eff.op, eff.args)
-			if err != nil {
-				return nil, err
-			}
-			s.met.ShardAppend(0, 1)
-			s.maybeCheckpoint()
-			return &Receipt{seq: seq}, nil
-		}
-		shard, seq, durable, err := s.wal.AppendDataAsync(eff.inst, eff.op, eff.args)
-		if err != nil {
-			return nil, err
-		}
-		s.met.ShardAppend(shard, 1)
-		s.maybeCheckpoint()
-		r := &Receipt{seq: seq, shard: shard}
-		if !durable {
-			wal := s.wal
-			r.wait = func(ctx context.Context) error { return wal.WaitShardSeq(ctx, shard, seq) }
-		}
-		return r, nil
-	case s.committer != nil:
-		seq, err := s.committer.AppendAsync(eff.op, 0, eff.args)
-		if err != nil {
-			return nil, err
-		}
-		s.met.ShardAppend(0, 1)
-		s.maybeCheckpoint()
-		c := s.committer
-		return &Receipt{seq: seq, wait: func(ctx context.Context) error { return c.WaitSeq(ctx, seq) }}, nil
-	case s.journal != nil:
-		seq, err := s.journal.AppendSeq(eff.op, eff.args)
+	if s.wal == nil {
+		return &Receipt{}, nil // New(): nothing is journaled
+	}
+	if eff.inst == "" {
+		// Control records advance the epoch, which is only sound once the
+		// record is durable — so they never pipeline.
+		seq, err := s.wal.AppendControl(eff.op, eff.args)
 		if err != nil {
 			return nil, err
 		}
 		s.met.ShardAppend(0, 1)
 		s.maybeCheckpoint()
 		return &Receipt{seq: seq}, nil
-	default:
-		return &Receipt{}, nil
 	}
+	shard, seq, durable, err := s.wal.AppendDataAsync(eff.inst, eff.op, eff.args)
+	if err != nil {
+		return nil, err
+	}
+	s.met.ShardAppend(shard, 1)
+	s.maybeCheckpoint()
+	r := &Receipt{seq: seq, shard: shard}
+	if !durable {
+		wal := s.wal
+		r.wait = func(ctx context.Context) error { return wal.WaitShardSeq(ctx, shard, seq) }
+	}
+	return r, nil
 }
 
-// appendBatchRun journals one SubmitBatch run through appendEffects and
-// records the batch family: run size, append + durability-wait latency,
-// and (on success) the per-shard staged-record counters.
-func (s *System) appendBatchRun(ctx context.Context, effs []effect) error {
-	m := s.met
-	if m == nil || len(effs) == 0 {
-		return s.appendEffects(ctx, effs)
-	}
-	start := time.Now()
-	err := s.appendEffects(ctx, effs)
-	m.BatchSize.Observe(int64(len(effs)))
-	m.BatchNanos.Observe(time.Since(start).Nanoseconds())
-	if err == nil {
-		for i := range effs {
-			shard := 0
-			if s.wal != nil {
-				shard = s.wal.ShardFor(effs[i].inst)
-			}
-			m.ShardAppend(shard, 1)
-		}
-	}
-	return err
-}
-
-// appendEffects journals a batch of data effects as one multi-record
-// append per touched journal and blocks until the batch is durable.
+// appendBatchRun journals one SubmitBatch run — a batch of data effects —
+// as one multi-record append per touched shard, blocks until the batch is
+// durable, and records the batch family: run size, append + durability-
+// wait latency, and (on success) the per-shard staged-record counters.
 // Callers hold the shared command barrier.
-func (s *System) appendEffects(ctx context.Context, effs []effect) error {
+func (s *System) appendBatchRun(ctx context.Context, effs []effect) error {
 	if len(effs) == 0 {
 		return nil
 	}
-	switch {
-	case s.wal != nil:
+	m := s.met
+	var start time.Time
+	if m != nil { // metrics off: no clock reads
+		start = time.Now()
+	}
+	var err error
+	if s.wal != nil { // New(): nothing is journaled
 		recs := make([]sharded.DataRecord, len(effs))
 		for i, eff := range effs {
 			recs[i] = sharded.DataRecord{Instance: eff.inst, Op: eff.op, Args: eff.args}
 		}
-		if err := s.wal.AppendDataMulti(ctx, recs); err != nil {
-			return err
+		if err = s.wal.AppendDataMulti(ctx, recs); err == nil {
+			s.maybeCheckpoint()
 		}
-	case s.committer != nil:
-		last, err := s.committer.AppendMulti(pending(effs))
-		if err != nil {
-			return err
-		}
-		if err := s.committer.WaitSeq(ctx, last); err != nil {
-			return err
-		}
-	case s.journal != nil:
-		if _, err := s.journal.AppendMulti(pending(effs)); err != nil {
-			return err
-		}
-	default:
-		return nil
 	}
-	s.maybeCheckpoint()
-	return nil
-}
-
-func pending(effs []effect) []persist.Pending {
-	pend := make([]persist.Pending, len(effs))
-	for i, eff := range effs {
-		pend[i] = persist.Pending{Op: eff.op, Args: eff.args}
+	if m != nil {
+		m.BatchSize.Observe(int64(len(effs)))
+		m.BatchNanos.Observe(time.Since(start).Nanoseconds())
+		if err == nil {
+			for i := range effs {
+				m.ShardAppend(sharded.ShardOf(effs[i].inst, s.layout.Shards), 1)
+			}
+		}
 	}
-	return pend
+	return err
 }
 
 // wrapAppendErr classifies a journaling failure: a wedged durability

@@ -10,6 +10,7 @@ import (
 	"adept2"
 	"adept2/internal/persist"
 	"adept2/internal/sim"
+	"adept2/internal/vfs"
 )
 
 // TestSubmitBatchSemantics: results align with the applied prefix, a
@@ -276,5 +277,46 @@ func TestPaginationSurvivesShardedRecovery(t *testing.T) {
 	}
 	if fmt.Sprint(pageWalk) != fmt.Sprint(want) {
 		t.Fatalf("page walk after recovery %v, want %v", pageWalk, want)
+	}
+}
+
+// TestSubmitCheckpointTriggerAllocationFree: the background-checkpoint
+// trigger compares the summed shard heads on every journaled command, and
+// under the default Every that is every opened system's submit path — it
+// must cost no allocation. Pinned differentially: Submit allocates the
+// same with the trigger armed (Every 1024, never reached here) as with it
+// off, at one shard and at four.
+func TestSubmitCheckpointTriggerAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not reproducible under the race detector")
+	}
+	ctx := context.Background()
+	allocs := func(shards, every int) float64 {
+		sys, err := adept2.Open("wal", adept2.WithVFS(vfs.NewMemFS()), adept2.WithOrg(sim.Org()),
+			adept2.WithMetricsDisabled(),
+			adept2.WithCheckpointing(adept2.CheckpointConfig{Every: every, Shards: shards}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sys.Close()
+		if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+			t.Fatal(err)
+		}
+		inst, err := sys.CreateInstance("online_order")
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		return testing.AllocsPerRun(200, func() {
+			if _, err := sys.Submit(ctx, toggle(inst.ID(), i)); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+	}
+	for _, shards := range []int{1, 4} {
+		if armed, off := allocs(shards, 1024), allocs(shards, -1); armed != off {
+			t.Errorf("shards=%d: Submit allocates %.0f with the checkpoint trigger armed, %.0f with it off", shards, armed, off)
+		}
 	}
 }

@@ -16,45 +16,44 @@ import (
 	"adept2/internal/fault"
 	"adept2/internal/obs"
 	"adept2/internal/org"
-	"adept2/internal/persist"
 	"adept2/internal/storage"
 	"adept2/internal/vfs"
 )
 
-// System bundles the engine with the migration manager and an optional
-// durable command journal. All state-changing methods are journaled, so
-// Open can rebuild the exact system state after a crash. With
-// checkpointing enabled (WithCheckpointing), the journal is augmented by
-// background state snapshots and recovery replays only the journal suffix
-// past the newest valid snapshot; with group commit, concurrent commands
-// share one buffered write + one fsync per batch.
+// System bundles the engine with the migration manager and the durable
+// command journal Open attaches. All state-changing methods are journaled,
+// so Open can rebuild the exact system state after a crash: the journal
+// is a write-ahead log of N >= 1 shards, augmented by background state
+// snapshots, and recovery replays only the journal suffixes past the
+// newest valid snapshot generation; with group commit, concurrent
+// commands share one buffered write + one fsync per batch.
 type System struct {
-	eng       *engine.Engine
-	mgr       *evolution.Manager
-	journal   *persist.Journal
-	committer *durable.Committer
+	eng *engine.Engine
+	mgr *evolution.Manager
 
-	// Sharded durability (set by Open on a sharded layout, exclusive
-	// with journal/committer): the WAL routes control records to shard 0
-	// and data records by instance hash, stores holds one snapshot store
-	// per shard, and gman is the authoritative global manifest.
+	// The durability pipeline, set by Open as a whole: the WAL routes
+	// control records to shard 0 and data records by instance hash,
+	// stores holds one snapshot store per shard, gman is the global
+	// manifest, and ckpt drives background checkpoints. A system created
+	// with New journals nothing: wal, stores, gman and ckpt stay nil and
+	// layout only says "one shard".
 	wal    *sharded.WAL
 	layout sharded.Layout
 	stores []*durable.SnapshotStore
 	gman   *sharded.Manifest
 	ckptMu sync.Mutex // serializes global-manifest read-modify-write
+	ckpt   *checkpointer
 
 	// snapMu is the snapshot barrier: every journaled command holds it
 	// shared across "engine mutation + journal append", and a snapshot
 	// capture holds it exclusively — so captures always observe command-
-	// boundary-consistent state tied to an exact journal sequence number.
-	// In sharded mode, control commands (user, deploy, evolve) hold it
-	// exclusively too: the epoch stamped onto data records is only a
-	// valid recovery order if no data command is in flight between a
+	// boundary-consistent state tied to exact journal sequence numbers.
+	// With more than one shard, control commands (user, deploy, evolve)
+	// hold it exclusively too: the epoch stamped onto data records is only
+	// a valid recovery order if no data command is in flight between a
 	// control command's engine mutation and its epoch advance.
 	snapMu sync.RWMutex
 
-	ckpt     *checkpointer
 	recovery *RecoveryInfo
 
 	// fsys is the filesystem every durability artifact lives on (vfs.OS
@@ -94,20 +93,19 @@ func (s *System) now() int64 {
 
 // checkpointer tracks automatic background snapshots.
 type checkpointer struct {
-	store *durable.SnapshotStore
 	every int // journal growth (records) that triggers a snapshot; <=0 disables
-	keep  int // snapshots retained after a write
+	keep  int // generations retained after a write
 
 	mu       sync.Mutex
 	idle     *sync.Cond // signaled when an in-flight snapshot finishes
-	lastSeq  int        // journal seq covered by the newest snapshot
-	tried    int        // journal seq at the last attempt (backoff base on failure)
+	lastSeq  int        // summed shard heads covered by the newest generation
+	tried    int        // summed shard heads at the last attempt (backoff base on failure)
 	inflight bool
 	err      error // last background snapshot failure (diagnosed, not fatal)
 }
 
-func newCheckpointer(store *durable.SnapshotStore, cfg *CheckpointConfig, lastSeq int) *checkpointer {
-	ck := &checkpointer{store: store, every: cfg.Every, keep: cfg.Keep, lastSeq: lastSeq}
+func newCheckpointer(cfg *CheckpointConfig, lastSeq int) *checkpointer {
+	ck := &checkpointer{every: cfg.Every, keep: cfg.Keep, lastSeq: lastSeq}
 	ck.idle = sync.NewCond(&ck.mu)
 	return ck
 }
@@ -123,29 +121,33 @@ func (ck *checkpointer) wait() error {
 	return ck.err
 }
 
-// CheckpointConfig tunes the checkpointed durability pipeline (see
-// WithCheckpointing). The zero value of every field selects a default.
+// CheckpointConfig tunes the durability pipeline Open attaches (see
+// WithCheckpointing). The zero value of every field selects a default,
+// and the zero value as a whole is what Open uses without the option.
 type CheckpointConfig struct {
-	// Dir is the snapshot directory. Default: <journal path>.snapshots.
+	// Dir is the snapshot directory root: shard 0's snapshots live in Dir
+	// itself, shard k > 0's in Dir/shard-k. Default: <journal path>.snapshots
+	// next to each shard journal.
 	Dir string
-	// Every triggers a background snapshot when the journal grew by this
-	// many records since the last one. Default 1024; negative disables
-	// automatic snapshots (Checkpoint can still be called explicitly).
+	// Every triggers a background snapshot when the journals grew by this
+	// many records (summed over the shards) since the last one. Default
+	// 1024; negative disables automatic snapshots (Checkpoint can still be
+	// called explicitly).
 	Every int
-	// Keep bounds the snapshots retained after a successful write
-	// (older ones are pruned). Default 3.
+	// Keep bounds the snapshot generations retained after a successful
+	// write (older ones are pruned). Default 3.
 	Keep int
 	// GroupCommit batches concurrent command appends into one buffered
-	// write + one fsync (durable.Committer) instead of fsyncing per
-	// record (per shard, in a sharded layout).
+	// write + one fsync per shard (durable.Committer) instead of fsyncing
+	// per record.
 	GroupCommit bool
-	// Shards selects the sharded durability layout: instances are hashed
-	// across this many journals, each with its own committer and
-	// snapshot series, under a global manifest (see
-	// internal/durable/sharded). 0 or 1 keeps the single-journal layout.
-	// The value only matters when a layout is first created; opening an
-	// existing sharded layout auto-detects its count and refuses a
-	// conflicting non-zero setting (reshard offline to change it).
+	// Shards is the shard count of the layout: instances are hashed across
+	// this many journals, each with its own committer and snapshot series,
+	// under a global manifest (see internal/durable/sharded). 0 and 1 both
+	// mean one shard, whose journal is the path handed to Open. The value
+	// only matters when a layout is first created; opening an existing
+	// layout takes the count from its manifest and refuses a conflicting
+	// non-zero setting (reshard offline to change it).
 	Shards int
 	// FlushWindow and MaxBatch tune the group-commit flush window; zero
 	// values take the committer defaults.
@@ -173,44 +175,32 @@ func (c *CheckpointConfig) committerOptions() durable.CommitterOptions {
 	}
 }
 
-func (c *CheckpointConfig) defaults(journalPath string) {
-	if c.Dir == "" {
-		c.Dir = journalPath + ".snapshots"
-	}
-	if c.Every == 0 {
-		c.Every = 1024
-	}
-	if c.Keep <= 0 {
-		c.Keep = 3
-	}
-}
-
 // RecoveryInfo describes how Open rebuilt the system state.
 type RecoveryInfo struct {
-	// SnapshotSeq is the journal sequence number of the snapshot the
-	// recovery started from (0 when recovering by full replay; shard 0's
-	// snapshot in a sharded layout).
+	// SnapshotSeq is the shard-0 journal sequence number of the snapshot
+	// generation the recovery started from (0 when recovering by full
+	// replay).
 	SnapshotSeq int
-	// SnapshotFile is the path of that snapshot ("" for full replay).
+	// SnapshotFile is the file name of shard 0's snapshot in that
+	// generation ("" for full replay).
 	SnapshotFile string
-	// Replayed counts the journal records applied on top of the snapshot
-	// (the whole journal for a full replay; summed across shards).
+	// Replayed counts the journal records applied on top of the
+	// generation (the whole journals for a full replay), summed across
+	// shards.
 	Replayed int
 	// FullReplay reports that no snapshot was used.
 	FullReplay bool
 	// Fallbacks diagnoses snapshots that were present but rejected
-	// (checksum mismatch, version skew, torn file, failed restore). In a
-	// sharded layout, whole generations fall back together.
+	// (checksum mismatch, version skew, torn file, failed restore). Whole
+	// generations fall back together.
 	Fallbacks []string
-	// Shards is the shard count of the recovered layout (1 for the
-	// single-journal layout).
+	// Shards is the shard count of the recovered layout (>= 1).
 	Shards int
-	// PerShard details each shard's recovery in a sharded layout (nil
-	// otherwise).
+	// PerShard details each shard's recovery, one entry per shard.
 	PerShard []ShardRecovery
 }
 
-// ShardRecovery is one shard's slice of a sharded recovery.
+// ShardRecovery is one shard's slice of a recovery.
 type ShardRecovery struct {
 	// Shard is the shard index (0 is the control shard).
 	Shard int
@@ -228,8 +218,7 @@ type Option func(*config)
 type config struct {
 	org        *org.Model
 	strategy   storage.Strategy
-	journal    *persist.Journal
-	ckpt       *CheckpointConfig
+	ckpt       CheckpointConfig
 	fs         vfs.FS
 	nowFn      func() int64
 	policy     ExceptionPolicy
@@ -260,21 +249,19 @@ func WithStorageStrategy(s StorageStrategy) Option {
 	return func(c *config) { c.strategy = s }
 }
 
-// WithJournal attaches a command journal for durability.
-func WithJournal(j *persist.Journal) Option { return func(c *config) { c.journal = j } }
-
 // WithVFS routes every file access of the durability stack (journals,
 // snapshots, manifests) through an explicit filesystem. Tests inject
 // vfs.NewMemFS or vfs.NewFaultFS to simulate crashes and I/O faults; the
 // default is the real OS filesystem.
 func WithVFS(fsys vfs.FS) Option { return func(c *config) { c.fs = fsys } }
 
-// WithCheckpointing enables the checkpointed durability pipeline for Open:
-// state snapshots written in the background at journal-growth thresholds,
-// snapshot + journal-suffix recovery, and (optionally) group commit. It
-// only takes effect together with a file journal opened through Open.
+// WithCheckpointing tunes the durability pipeline of Open: where snapshots
+// live and how often they are written, group commit, and the shard count
+// of a layout created fresh. Without it Open runs the zero-value
+// CheckpointConfig. It only takes effect through Open (and Reshard,
+// VerifyLayout); New has no journal.
 func WithCheckpointing(cfg CheckpointConfig) Option {
-	return func(c *config) { c.ckpt = &cfg }
+	return func(c *config) { c.ckpt = cfg }
 }
 
 // New creates a System.
@@ -299,16 +286,17 @@ func newSystem(c *config) *System {
 	// replay — funnels through here), so recovered timeout records
 	// escalate to the identical user set the original execution offered.
 	e.SetEscalationBothCanAct(c.bothCanAct)
-	return &System{eng: e, mgr: evolution.NewManager(e), journal: c.journal, fsys: c.fsys(), nowFn: c.nowFn, policy: c.policy}
+	return &System{eng: e, mgr: evolution.NewManager(e), layout: sharded.Layout{Shards: 1},
+		fsys: c.fsys(), nowFn: c.nowFn, policy: c.policy}
 }
 
-// Open creates a System backed by a file journal at path, recovering any
-// existing state first, then appending new commands. Without
-// checkpointing, recovery replays the entire journal. With
-// WithCheckpointing, recovery restores the newest valid snapshot and
-// replays only the journal suffix past it, falling back to older
-// snapshots and finally to a full replay when snapshots are torn,
-// corrupt, or version-skewed; Recovery reports what happened.
+// Open creates a System backed by the journal layout rooted at path,
+// recovering any existing state first, then appending new commands.
+// Recovery restores the newest valid snapshot generation and replays only
+// the journal suffixes past it, falling back to older generations and
+// finally to a full replay when snapshots are torn, corrupt, or version-
+// skewed; Recovery reports what happened. WithCheckpointing tunes the
+// pipeline (snapshot cadence and directory, group commit, shard count).
 func Open(path string, opts ...Option) (*System, error) {
 	sys, err := open(path, opts...)
 	if err != nil {
@@ -326,214 +314,56 @@ func open(path string, opts ...Option) (*System, error) {
 		o(&c)
 	}
 
-	// Sharded layouts are self-describing: a global manifest next to the
-	// journal declares the shard count. Absent one, a configured shard
-	// count > 1 creates a fresh sharded layout — but never silently on
-	// top of existing single-journal data (reshard offline instead).
-	man, err := sharded.LoadManifestFS(c.fsys(), sharded.ManifestPath(path))
+	// Layouts are self-describing: the global manifest next to the journal
+	// declares the shard count, and a directory without one is one shard
+	// (sharded.Resolve). A configured count > 1 creates a fresh layout —
+	// but never silently on top of existing one-shard data (reshard
+	// offline instead).
+	l, man, found, err := sharded.Resolve(shardedLayout(&c, path))
 	if err != nil {
 		return nil, err
 	}
-	want := 0
-	if c.ckpt != nil {
-		want = c.ckpt.Shards
-	}
-	switch {
-	case man != nil:
-		if want > 0 && want != man.Shards {
-			return nil, fault.Tagf(fault.VersionSkew,
-				"adept2: layout at %s has %d shards but %d were requested: reshard offline (adeptctl reshard)",
-				path, man.Shards, want)
-		}
-		return openSharded(&c, path, man)
-	case want > 1:
-		if err := refuseExistingSingleJournal(&c, path); err != nil {
+	switch want := c.ckpt.Shards; {
+	case found && want > 0 && want != man.Shards:
+		return nil, fault.Tagf(fault.VersionSkew,
+			"adept2: layout at %s has %d shards but %d were requested: reshard offline (adeptctl reshard)",
+			path, man.Shards, want)
+	case !found && want > 1:
+		if err := refuseExistingData(l, man); err != nil {
 			return nil, err
 		}
-		man = sharded.NewManifest(want)
+		l.Shards, man = want, sharded.NewManifest(want)
 		if err := sharded.WriteManifestFS(c.fsys(), path, man); err != nil {
 			return nil, err
 		}
-		return openSharded(&c, path, man)
 	}
-
-	var store *durable.SnapshotStore
-	if c.ckpt != nil {
-		c.ckpt.defaults(path)
-		store, err = durable.OpenStoreFS(c.fsys(), c.ckpt.Dir)
-		if err != nil {
-			return nil, err
-		}
-	}
-	recoverStart := time.Now()
-	sys, info, tail, err := recoverSystem(&c, store, path)
-	if err != nil {
-		return nil, err
-	}
-	// Telemetry goes live only now — replay above ran on a Set-less
-	// system, so recovered commands can never pollute live-path metrics.
-	sys.met = newMetricsSet(&c, 1)
-	recordRecovery(sys.met, info, time.Since(recoverStart))
-
-	// The recovery pass already established the journal's boundaries, so
-	// the journal resumes (repairing any torn tail) without a second full
-	// read. A journal compacted past its last record continues the
-	// snapshot's numbering.
-	if info.SnapshotSeq > tail.LastSeq {
-		tail.LastSeq = info.SnapshotSeq
-	}
-	groupCommit := c.ckpt != nil && c.ckpt.GroupCommit
-	j, err := persist.ResumeJournalFS(c.fsys(), path, tail, groupCommit)
-	if err != nil {
-		return nil, err
-	}
-	if groupCommit {
-		copts := c.ckpt.committerOptions()
-		if sys.met != nil {
-			copts.Metrics = &sys.met.Committer
-		}
-		sys.committer = durable.NewCommitter(j, copts)
-	}
-	sys.journal = j
-	sys.recovery = info
-	if c.ckpt != nil {
-		sys.ckpt = newCheckpointer(store, c.ckpt, info.SnapshotSeq)
-	}
-	if err := sys.startObs(&c); err != nil {
-		_ = sys.Close()
-		return nil, err
-	}
-	return sys, nil
-}
-
-// recoverSystem rebuilds the system state from the snapshot store (when
-// present) and the journal. Each snapshot attempt starts from a fresh
-// system so a half-restored failure cannot leak into the fallback, and
-// only the journal suffix past the chosen snapshot is decoded — the
-// prefix is integrity-scanned without materializing records. Returns the
-// recovered system, what happened, and the journal's scanned tail info.
-func recoverSystem(c *config, store *durable.SnapshotStore, path string) (*System, *RecoveryInfo, persist.TailInfo, error) {
-	info := &RecoveryInfo{}
-	none := persist.TailInfo{}
-
-	if store != nil {
-		entries, err := store.Entries()
-		if err != nil {
-			return nil, nil, none, err
-		}
-		for i := len(entries) - 1; i >= 0; i-- {
-			entry := entries[i]
-			st, err := store.Load(entry)
-			if err != nil {
-				info.Fallbacks = append(info.Fallbacks, err.Error())
-				continue
-			}
-			recs, tail, err := persist.LoadJournalSuffixFS(c.fsys(), path, st.Seq)
-			if err != nil {
-				return nil, nil, none, err
-			}
-			// A snapshot ahead of the journal tail means the journal lost
-			// committed records: recovering would silently forge history.
-			// (An empty journal is fine — compaction may have folded every
-			// record into the snapshot.)
-			if tail.LastSeq > 0 && st.Seq > tail.LastSeq {
-				return nil, nil, none, fault.Tagf(fault.Unrecoverable,
-					"adept2: snapshot %s covers seq %d but the journal ends at %d: journal truncated, refusing to recover",
-					entry.File, st.Seq, tail.LastSeq)
-			}
-			// A compacted journal needs a snapshot reaching its first
-			// record; older snapshots cannot bridge the gap.
-			if tail.FirstSeq > 1 && st.Seq < tail.FirstSeq-1 {
-				info.Fallbacks = append(info.Fallbacks, fmt.Sprintf(
-					"durable: snapshot %s (seq %d) predates the compacted journal start %d", entry.File, st.Seq, tail.FirstSeq))
-				continue
-			}
-			// Each attempt gets its own copy of any caller-supplied org
-			// model: a half-restored failure must not leak users into the
-			// model the next attempt (or the full-replay fallback) starts
-			// from.
-			attempt := *c
-			if c.org != nil {
-				attempt.org = c.org.Clone()
-			}
-			sys := newSystem(&attempt)
-			if err := durable.Restore(sys.eng, st); err != nil {
-				info.Fallbacks = append(info.Fallbacks, err.Error())
-				continue
-			}
-			for _, rec := range recs {
-				if err := sys.apply(rec.Op, rec.Args); err != nil {
-					return nil, nil, none, fmt.Errorf("persist: replay record %d (%s): %w", rec.Seq, rec.Op, err)
-				}
-			}
-			sys.eng.SortInstanceOrder()
-			info.SnapshotSeq = st.Seq
-			info.SnapshotFile = entry.File
-			info.Replayed = len(recs)
-			return sys, info, tail, nil
-		}
-	}
-
-	// Full replay — impossible once the journal was compacted.
-	recs, tail, err := persist.LoadJournalSuffixFS(c.fsys(), path, 0)
-	if err != nil {
-		return nil, nil, none, err
-	}
-	if tail.FirstSeq > 1 {
-		return nil, nil, none, fault.Tagf(fault.Unrecoverable,
-			"adept2: journal starts at seq %d (compacted) and no usable snapshot reaches seq %d: %v",
-			tail.FirstSeq, tail.FirstSeq-1, info.Fallbacks)
-	}
-	sys := newSystem(c)
-	if err := persist.Replay(recs, sys.apply); err != nil {
-		return nil, nil, none, err
-	}
-	sys.eng.SortInstanceOrder()
-	info.FullReplay = true
-	info.Replayed = len(recs)
-	return sys, info, tail, nil
+	return openSharded(&c, l, man)
 }
 
 // Recovery reports how Open rebuilt the state (nil for systems created
 // with New).
 func (s *System) Recovery() *RecoveryInfo { return s.recovery }
 
-// Close drains the group-commit pipeline (every shard's, in a sharded
-// layout), waits for an in-flight background snapshot, and releases the
-// journals.
+// Close waits for an in-flight background snapshot, drains every shard's
+// group-commit pipeline, and releases the journals.
 func (s *System) Close() error {
 	// Observability goroutines go first: no sweep may submit into a
 	// closing committer, no scrape may observe a half-closed system.
 	s.stopObs()
-	var firstErr error
-	if s.committer != nil {
-		if err := s.committer.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+	if s.ckpt == nil {
+		return nil // New(): no pipeline, nothing to release
 	}
-	if s.ckpt != nil {
-		if err := s.ckpt.wait(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if s.wal != nil {
-		if err := s.wal.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if s.journal != nil {
-		if err := s.journal.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+	firstErr := s.ckpt.wait()
+	if err := s.wal.Close(); err != nil && firstErr == nil {
+		firstErr = err
 	}
 	return firstErr
 }
 
 // Health reports asynchronous durability failures without waiting for
 // the next command to surface them: a wedged group-commit committer
-// (sticky flush error after exhausted retries — any shard's, in a
-// sharded layout) or the most recent background checkpoint failure. nil
-// means the pipeline is healthy.
+// (sticky flush error after exhausted retries, on any shard) or the most
+// recent background checkpoint failure. nil means the pipeline is healthy.
 func (s *System) Health() error {
 	if err := s.healthErr(); err != nil {
 		return &Error{Code: CodeWedged, Op: "health", Err: err}
@@ -563,17 +393,10 @@ func (s *System) healthErr() error {
 // commands stay durable through the journal, so writes keep flowing
 // while Health surfaces the snapshot problem.
 func (s *System) wedgedErr() error {
-	if s.wal != nil {
-		if err := s.wal.Health(); err != nil {
-			return err
-		}
+	if s.wal == nil {
+		return nil // New(): no pipeline to wedge
 	}
-	if s.committer != nil {
-		if err := s.committer.Err(); err != nil {
-			return fmt.Errorf("adept2: committer wedged: %w", err)
-		}
-	}
-	return nil
+	return s.wal.Health()
 }
 
 // HealthInfo details the durability pipeline's condition beyond the
@@ -582,8 +405,7 @@ type HealthInfo struct {
 	// Wedged is the write-path wedge, if any: submissions fail fast with
 	// ErrWedged until Heal succeeds. nil while writes flow.
 	Wedged error
-	// WedgedShards lists the wedged shards ([0] for the single-journal
-	// layout's committer; empty while healthy).
+	// WedgedShards lists the wedged shards (empty while healthy).
 	WedgedShards []int
 	// CheckpointErr is the most recent background checkpoint failure
 	// (does not wedge the system; cleared by the next success or a Heal).
@@ -601,23 +423,14 @@ type HealthInfo struct {
 // type). Cheap and non-blocking — safe to poll.
 func (s *System) HealthInfo() HealthInfo {
 	hi := HealthInfo{Wedged: s.wedgedErr()}
-	if s.wal != nil {
-		hi.WedgedShards = s.wal.WedgedShards()
-		hi.FlushRetries = s.wal.Retries()
-	} else if s.committer != nil {
-		if s.committer.Err() != nil {
-			hi.WedgedShards = []int{0}
-		}
-		hi.FlushRetries = s.committer.Retries()
+	if s.wal == nil {
+		return hi // New(): no pipeline, nothing further to report
 	}
-	if ck := s.ckpt; ck != nil {
-		ck.mu.Lock()
-		hi.CheckpointErr = ck.err
-		ck.mu.Unlock()
-		if ck.store != nil {
-			hi.CleanupErrs += ck.store.CleanupErrs()
-		}
-	}
+	hi.WedgedShards = s.wal.WedgedShards()
+	hi.FlushRetries = s.wal.Retries()
+	s.ckpt.mu.Lock()
+	hi.CheckpointErr = s.ckpt.err
+	s.ckpt.mu.Unlock()
 	for _, st := range s.stores {
 		hi.CleanupErrs += st.CleanupErrs()
 	}
@@ -637,20 +450,11 @@ func (s *System) Heal(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return &Error{Code: CodeCanceled, Op: "heal", Err: err}
 	}
-	var (
-		err    error
-		healed bool
-	)
-	switch {
-	case s.wal != nil:
-		healed = s.wal.Health() != nil
-		err = s.wal.Heal()
-	case s.committer != nil && s.committer.Err() != nil:
-		healed = true
-		err = s.committer.Heal()
-	}
-	if err != nil {
-		return wrapErr("heal", "", err)
+	healed := s.wedgedErr() != nil
+	if healed {
+		if err := s.wal.Heal(); err != nil {
+			return wrapErr("heal", "", err)
+		}
 	}
 	if ck := s.ckpt; ck != nil {
 		ck.mu.Lock()
@@ -717,14 +521,14 @@ func (s *System) InstancesPage(cursor string, limit int) ([]*Instance, string) {
 	return s.eng.InstancesPage(cursor, limit)
 }
 
-// lockControl acquires the command barrier for a control command. In a
-// multi-shard layout control commands hold the barrier exclusively: a
+// lockControl acquires the command barrier for a control command. With
+// more than one shard control commands hold the barrier exclusively: a
 // data command observing the engine effect of a control command but
 // stamping the pre-command epoch would replay on the wrong side of it
-// after a crash. Single-journal (and single-shard) systems keep the
-// cheap shared acquisition — the journal's total order needs no epoch.
+// after a crash. One-shard systems keep the cheap shared acquisition —
+// the journal's total order needs no epoch.
 func (s *System) lockControl() func() {
-	if s.wal != nil && s.wal.Shards() > 1 {
+	if s.layout.Shards > 1 {
 		s.snapMu.Lock()
 		return s.snapMu.Unlock
 	}
@@ -733,13 +537,13 @@ func (s *System) lockControl() func() {
 }
 
 // Checkpoint synchronously captures the engine state at the current
-// journal position and writes a snapshot, returning its path and the
-// journal sequence number it covers. The capture quiesces commands for
-// the (in-memory, fast) state export; serialization and the file write
-// happen outside the barrier.
+// journal positions and writes a snapshot generation, returning shard 0's
+// snapshot path and the shard-0 sequence number it covers. The capture
+// quiesces commands for the (in-memory, fast) state export; serialization
+// and the file writes happen outside the barrier.
 func (s *System) Checkpoint() (string, int, error) {
 	if s.ckpt == nil {
-		return "", 0, fmt.Errorf("adept2: checkpointing is not enabled (use WithCheckpointing)")
+		return "", 0, fmt.Errorf("adept2: nothing to checkpoint: a system created with New has no journal (use Open)")
 	}
 	start := time.Now()
 	file, seq, err := s.checkpoint()
@@ -753,62 +557,15 @@ func (s *System) Checkpoint() (string, int, error) {
 	return file, seq, err
 }
 
-func (s *System) checkpoint() (string, int, error) {
-	if s.wal != nil {
-		return s.checkpointSharded()
-	}
-	st, err := s.captureState()
-	if err != nil {
-		return "", 0, err
-	}
-	file, err := s.ckpt.store.WriteAndPrune(st, s.ckpt.keep)
-	if err != nil {
-		return file, st.Seq, err
-	}
-	s.ckpt.mu.Lock()
-	if st.Seq > s.ckpt.lastSeq {
-		s.ckpt.lastSeq = st.Seq
-	}
-	s.ckpt.mu.Unlock()
-	return file, st.Seq, nil
-}
-
-// captureState stages the engine state under the exclusive snapshot
-// barrier (cheap clones only — serialization happens after the barrier is
-// released), tied to a fully durable journal sequence number: with group
-// commit the pipeline is synced first, so the snapshot never covers
-// records that could still be lost by a crash.
-func (s *System) captureState() (*durable.SystemState, error) {
-	s.snapMu.Lock()
-	if s.committer != nil {
-		if err := s.committer.Sync(); err != nil {
-			s.snapMu.Unlock()
-			return nil, err
-		}
-	}
-	seq := 0
-	if s.journal != nil {
-		seq = s.journal.Seq()
-	}
-	staged := durable.Stage(s.eng, seq)
-	s.snapMu.Unlock()
-	return staged.Encode()
-}
-
-// maybeCheckpoint spawns a background snapshot when the journal grew past
-// the configured threshold since the last one (at most one in flight).
-// In a sharded layout the growth measure is the summed shard heads.
+// maybeCheckpoint spawns a background snapshot when the journals grew past
+// the configured threshold (summed shard heads) since the last one, at
+// most one in flight. Callers just appended, so the pipeline exists.
 func (s *System) maybeCheckpoint() {
 	ck := s.ckpt
-	if ck == nil || ck.every <= 0 || (s.journal == nil && s.wal == nil) {
+	if ck.every <= 0 {
 		return
 	}
-	var seq int
-	if s.wal != nil {
-		seq = s.wal.TotalSeq()
-	} else {
-		seq = s.journal.Seq()
-	}
+	seq := s.wal.TotalSeq()
 	ck.mu.Lock()
 	// The trigger base is the newest snapshot OR the last (possibly
 	// failed) attempt: a persistently failing snapshot store retries only
@@ -844,17 +601,16 @@ func (s *System) WaitCheckpoints() error {
 	return s.ckpt.wait()
 }
 
-// JournalSeq returns the sequence number of the last journaled command (0
-// without a journal). In a sharded layout it returns the summed shard
-// head sequence numbers — a total growth measure, not a single position.
+// JournalSeq returns the number of journaled commands: the shard head
+// sequence numbers summed — with one shard the sequence number of the last
+// journaled command, otherwise a total growth measure, not a single
+// position. 0 for a system created with New.
 func (s *System) JournalSeq() int {
-	if s.wal != nil {
-		return s.wal.TotalSeq()
+	total := 0
+	for _, q := range s.journalSeqs() {
+		total += q
 	}
-	if s.journal == nil {
-		return 0
-	}
-	return s.journal.Seq()
+	return total
 }
 
 // AddUser registers a user in the organizational model (journaled, unlike

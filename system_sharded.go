@@ -12,57 +12,45 @@ import (
 	"adept2/internal/persist"
 )
 
-// refuseExistingSingleJournal guards fresh sharded-layout creation: a
-// journal (or snapshot store) already populated in the single-journal
-// layout must be resharded offline, not silently reinterpreted.
-func refuseExistingSingleJournal(c *config, path string) error {
-	_, tail, err := persist.LoadJournalSuffixFS(c.fsys(), path, int(^uint(0)>>1))
+// refuseExistingData guards fresh multi-shard layout creation: a journal
+// (or snapshot store) already populated as the manifest-less one-shard
+// layout — l and man as sharded.Resolve returned them — must be resharded
+// offline, not silently reinterpreted under a new partitioning.
+func refuseExistingData(l sharded.Layout, man *sharded.Manifest) error {
+	_, tail, err := persist.LoadJournalSuffixFS(l.FS, l.Base, maxSeq)
 	if err != nil {
 		return err
 	}
 	if tail.LastSeq > 0 {
 		return fmt.Errorf(
-			"adept2: %s holds %s-layout records (journal ends at seq %d): reshard offline (adeptctl reshard) instead of opening with a shard count",
-			path, "single-journal", tail.LastSeq)
+			"adept2: %s holds one-shard records (journal ends at seq %d): reshard offline (adeptctl reshard) instead of opening with a shard count",
+			l.Base, tail.LastSeq)
 	}
-	dir := path + ".snapshots"
-	if c.ckpt != nil && c.ckpt.Dir != "" {
-		dir = c.ckpt.Dir
-	}
-	if des, err := c.fsys().ReadDir(dir); err == nil && len(des) > 0 {
+	if len(man.Generations) > 0 {
 		return fmt.Errorf(
-			"adept2: %s already has snapshots in the single-journal layout: reshard offline (adeptctl reshard)", dir)
+			"adept2: %s already has one-shard snapshots: reshard offline (adeptctl reshard)", l.SnapDir(0))
 	}
 	return nil
 }
 
-// shardedLayout derives the Layout for a base path and config.
-func shardedLayout(c *config, path string, shards int) sharded.Layout {
-	l := sharded.Layout{Base: path, Shards: shards, FS: c.fs}
-	if c.ckpt != nil && c.ckpt.Dir != "" {
-		l.SnapBase = c.ckpt.Dir
-	}
-	return l
+// shardedLayout derives the Layout for a base path and config; the shard
+// count is filled in from the manifest (sharded.Resolve).
+func shardedLayout(c *config, path string) sharded.Layout {
+	return sharded.Layout{Base: path, SnapBase: c.ckpt.Dir, FS: c.fsys()}
 }
 
-// openSharded opens a sharded layout: every shard's newest-valid
-// generation snapshot is loaded and restored in parallel, the journal
-// suffixes are replayed in the epoch-merged order (data shards
+// openSharded opens the layout l described by man: every shard's newest-
+// valid generation snapshot is loaded and restored in parallel, the
+// journal suffixes are replayed in the epoch-merged order (data shards
 // concurrently between control-record barriers), and the shard journals
-// resume under a WAL router. A sharded layout implies checkpointing —
-// the generation mechanism is its recovery path — so a missing
-// WithCheckpointing gets the defaults.
-func openSharded(c *config, path string, man *sharded.Manifest) (*System, error) {
-	if c.ckpt == nil {
-		c.ckpt = &CheckpointConfig{}
-	}
+// resume under a WAL router.
+func openSharded(c *config, l sharded.Layout, man *sharded.Manifest) (*System, error) {
 	if c.ckpt.Every == 0 {
 		c.ckpt.Every = 1024
 	}
 	if c.ckpt.Keep <= 0 {
 		c.ckpt.Keep = 3
 	}
-	l := shardedLayout(c, path, man.Shards)
 	recoverStart := time.Now()
 
 	stores := make([]*durable.SnapshotStore, l.Shards)
@@ -155,7 +143,7 @@ func openSharded(c *config, path string, man *sharded.Manifest) (*System, error)
 	sys.stores = stores
 	sys.gman = man
 	sys.recovery = info
-	sys.ckpt = newCheckpointer(nil, c.ckpt, wal.TotalSeq())
+	sys.ckpt = newCheckpointer(&c.ckpt, wal.TotalSeq())
 	if err := sys.startObs(c); err != nil {
 		_ = sys.Close()
 		return nil, err
@@ -163,11 +151,14 @@ func openSharded(c *config, path string, man *sharded.Manifest) (*System, error)
 	return sys, nil
 }
 
-// checkpointSharded writes one generation: all shard snapshots captured
-// under a single exclusive barrier (one consistent cut at one epoch),
-// encoded and written concurrently, committed by the global manifest
-// rewrite. Returns shard 0's snapshot file and covered sequence number.
-func (s *System) checkpointSharded() (string, int, error) {
+// checkpoint writes one generation: all shard snapshots captured under a
+// single exclusive barrier (one consistent cut at one epoch, cheap clones
+// only), tied to fully durable journal positions — the pipelines are
+// synced first, so a snapshot never covers records a crash could still
+// lose — then encoded and written concurrently outside the barrier and
+// committed by the global manifest rewrite. Returns shard 0's snapshot
+// file and covered sequence number.
+func (s *System) checkpoint() (string, int, error) {
 	// The manifest read-modify-write and the "one generation at a time"
 	// invariant need explicit serialization: an explicit Checkpoint may
 	// race the background one.
@@ -209,9 +200,9 @@ func (s *System) checkpointSharded() (string, int, error) {
 // removes artifacts the new layout no longer references. Journals of
 // surviving shards are kept — their records are covered by the new
 // snapshots and fenced off from any future full replay by the
-// manifest's per-shard replay floors — so shard 0 stays byte-compatible
-// with what a pre-sharding build wrote. Resharding a single-journal
-// layout to n=1 is a no-op.
+// manifest's per-shard replay floors. Resharding to the current count
+// just writes a fresh generation (and, for a directory that had none, the
+// global manifest).
 //
 // Crash safety: everything written before the manifest commit is inert
 // under the old layout (extra snapshot files only); a crash between the
@@ -227,74 +218,55 @@ func Reshard(path string, n int, opts ...Option) error {
 	for _, o := range opts {
 		o(&c)
 	}
-	man, err := sharded.LoadManifestFS(c.fsys(), sharded.ManifestPath(path))
+	old, man, found, err := sharded.Resolve(shardedLayout(&c, path))
 	if err != nil {
 		return err
-	}
-	oldShards := 1
-	if man != nil {
-		oldShards = man.Shards
-	}
-	if man == nil && n == 1 {
-		return nil // single-journal layout already is the 1-shard layout
 	}
 
 	// Complete an interrupted shrink: journals past the manifest's shard
 	// count block Open, but once a generation committed, their records
-	// are folded into its snapshots — sweep and proceed.
-	if man != nil && len(man.Generations) > 0 {
+	// are folded into its snapshots — sweep and proceed. Only a manifest
+	// on disk proves that commit.
+	if found && len(man.Generations) > 0 {
 		stray, err := sharded.StrayShardsFS(c.fsys(), path, man.Shards)
 		if err != nil {
 			return err
 		}
 		for _, k := range stray {
-			l := shardedLayout(&c, path, k+1)
-			if err := c.fsys().Remove(l.JournalPath(k)); err != nil && !os.IsNotExist(err) {
+			if err := c.fsys().Remove(old.JournalPath(k)); err != nil && !os.IsNotExist(err) {
 				return fmt.Errorf("adept2: reshard: sweep stray journal: %w", err)
 			}
-			if err := c.fsys().RemoveAll(l.SnapDir(k)); err != nil {
+			if err := c.fsys().RemoveAll(old.SnapDir(k)); err != nil {
 				return fmt.Errorf("adept2: reshard: sweep stray snapshots: %w", err)
 			}
 		}
 	}
 
 	// Recover through the caller's configuration (snapshot dir, group
-	// commit) with automatic checkpoints off — only Every is overridden.
-	ckpt := CheckpointConfig{Every: -1}
-	if c.ckpt != nil {
-		ckpt = *c.ckpt
-		ckpt.Every = -1
-		ckpt.Shards = 0 // auto-detect; the target count applies on write
-	}
+	// commit) with automatic checkpoints off and the shard count taken
+	// from the layout; the target count applies on write.
+	ckpt := c.ckpt
+	ckpt.Every, ckpt.Shards = -1, 0
 	sys, err := Open(path, append(append([]Option(nil), opts...), WithCheckpointing(ckpt))...)
 	if err != nil {
 		return err
 	}
 	// Capture the cut: seqs of surviving shard journals carry over (their
 	// records are folded into the new snapshots); fresh shards start
-	// empty at seq 0. The epoch carries over too — for a single-journal
-	// source it is the journal head, which every pre-existing record is
-	// at or below.
-	var seqs, oldSeqs []int
-	var epoch int
-	if sys.wal != nil {
-		oldSeqs = sys.wal.Seqs()
-		epoch = sys.wal.Epoch()
-	} else {
-		oldSeqs = []int{sys.journal.Seq()}
-		epoch = sys.journal.Seq()
-	}
-	newSeqs := make([]int, n)
-	for k := 0; k < n && k < len(oldSeqs); k++ {
-		newSeqs[k] = oldSeqs[k]
-	}
-	seqs = newSeqs
+	// empty at seq 0. The cut's epoch is shard 0's head: every record
+	// journaled so far — under the old partitioning — is ordered at or
+	// below it, so records the new shards stamp with it replay after all
+	// of them.
+	seqs := make([]int, n)
+	copy(seqs, sys.wal.Seqs())
+	epoch := seqs[0]
 	staged := durable.Stage(sys.eng, 0)
 	if err := sys.Close(); err != nil {
 		return err
 	}
 
-	l := shardedLayout(&c, path, n)
+	l := old
+	l.Shards = n
 	stores := make([]*durable.SnapshotStore, n)
 	for k := range stores {
 		st, err := durable.OpenStoreFS(c.fsys(), l.SnapDir(k))
@@ -316,12 +288,11 @@ func Reshard(path string, n int, opts ...Option) error {
 
 	// The manifest committed the new layout; remove what it obsoletes:
 	// journals and snapshot stores of shards past the new count.
-	stray := shardedLayout(&c, path, oldShards)
-	for k := n; k < oldShards; k++ {
-		if err := c.fsys().Remove(stray.JournalPath(k)); err != nil && !os.IsNotExist(err) {
+	for k := n; k < old.Shards; k++ {
+		if err := c.fsys().Remove(old.JournalPath(k)); err != nil && !os.IsNotExist(err) {
 			return fmt.Errorf("adept2: reshard: remove stray journal: %w", err)
 		}
-		if err := c.fsys().RemoveAll(stray.SnapDir(k)); err != nil {
+		if err := c.fsys().RemoveAll(old.SnapDir(k)); err != nil {
 			return fmt.Errorf("adept2: reshard: remove stray snapshots: %w", err)
 		}
 	}

@@ -127,45 +127,39 @@ func CodeForHTTPStatus(status int) Code {
 	}
 }
 
-// NumShards returns the durability layout's shard count: 1 for the
-// single-journal (and journal-less) layouts, the WAL's count for sharded
-// ones. Wire receipt tokens identify a record by (shard, shard-local
-// sequence number), so clients size their watermark tracking from this.
-func (s *System) NumShards() int {
-	if s.wal != nil {
-		return s.wal.Shards()
+// NumShards returns the durability layout's shard count (1 for a system
+// created with New). Wire receipt tokens identify a record by (shard,
+// shard-local sequence number), so clients size their watermark tracking
+// from this.
+func (s *System) NumShards() int { return s.layout.Shards }
+
+// journalSeqs returns every shard's journal head sequence number. A
+// system created with New is one shard with nothing journaled.
+func (s *System) journalSeqs() []int {
+	if s.wal == nil {
+		return []int{0}
 	}
-	return 1
+	return s.wal.Seqs()
 }
 
 // DurableWatermarks returns every shard's durable watermark: the highest
 // shard-local sequence number covered by an fsync. A Receipt for (shard,
 // seq) is durable exactly when watermark[shard] >= seq — the invariant
-// the wire plane's watermark stream carries to remote clients. Layouts
+// the wire plane's watermark stream carries to remote clients. Shards
 // without group commit are durable on return, so their watermark is the
 // journal head.
 func (s *System) DurableWatermarks() []int {
-	switch {
-	case s.wal != nil:
-		seqs, depths := s.wal.Seqs(), s.wal.Depths()
-		for k := range seqs {
-			seqs[k] -= depths[k]
-		}
-		return seqs
-	case s.committer != nil:
-		return []int{s.committer.Flushed()}
-	case s.journal != nil:
-		return []int{s.journal.Seq()}
-	default:
-		return []int{0}
+	if s.wal == nil {
+		return []int{0} // New(): nothing journaled
 	}
+	return s.wal.Durable()
 }
 
 // WaitDurable blocks until shard's durable watermark covers seq, the
 // durability pipeline wedges (ErrWedged), or ctx is done (ErrCanceled).
 // seq may lie beyond the journal head: the wait then spans the append
 // AND its flush, which is what lets a watermark streamer park until the
-// next record lands. Durable-on-return layouts poll (their watermark
+// next record lands. Shards without group commit poll (their watermark
 // advances with every append).
 func (s *System) WaitDurable(ctx context.Context, shard, seq int) error {
 	const op = "wait_durable"
@@ -178,20 +172,15 @@ func (s *System) WaitDurable(ctx context.Context, shard, seq int) error {
 		if s.DurableWatermarks()[shard] >= seq {
 			return nil
 		}
-		var err error
-		switch {
-		case s.wal != nil:
-			err = s.wal.WaitShardSeq(ctx, shard, seq)
-		case s.committer != nil:
-			err = s.committer.WaitSeq(ctx, seq)
+		if s.wal != nil { // New() never journals: nothing to park on
+			if err := s.wal.WaitShardSeq(ctx, shard, seq); err != nil {
+				return wrapErr(op, "", err)
+			}
+			if s.DurableWatermarks()[shard] >= seq {
+				return nil
+			}
 		}
-		if err != nil {
-			return wrapErr(op, "", err)
-		}
-		if s.DurableWatermarks()[shard] >= seq {
-			return nil
-		}
-		// Either a durable-on-return layout (no committer to park on) or
+		// Either a shard without group commit (no committer to park on) or
 		// a committer that settled without covering seq (shutdown
 		// straggler): poll instead of spinning.
 		select {
@@ -207,20 +196,15 @@ func (s *System) WaitDurable(ctx context.Context, shard, seq int) error {
 // wire plane calls this on graceful drain so in-flight receipts resolve
 // before streams close; it is also a barrier for tests.
 func (s *System) SyncDurable() error {
-	var err error
-	switch {
-	case s.wal != nil:
-		err = s.wal.Sync()
-	case s.committer != nil:
-		err = s.committer.Sync()
+	if s.wal == nil {
+		return nil // New(): nothing staged
 	}
-	return wrapErr("sync", "", err)
+	return wrapErr("sync", "", s.wal.Sync())
 }
 
 // WireRecord is one journal record in wire form: the shard-local
 // sequence number, the control epoch it was stamped under (0 on the
-// control log itself and in single-journal layouts), and the registry op
-// + args. DecodeWireCommand turns Op/Args back into the typed command.
+// control log itself), and the registry op + args. DecodeWireCommand turns Op/Args back into the typed command.
 type WireRecord struct {
 	Seq   int             `json:"seq"`
 	Epoch int             `json:"epoch,omitempty"`
@@ -229,28 +213,19 @@ type WireRecord struct {
 }
 
 // ControlLog reads the durable suffix of the control log — shard 0's
-// journal in a sharded layout (the epoch-stamping global ordering
-// primitive), the whole journal in a single-journal layout — returning
-// records with afterSeq < seq <= durable watermark. Staged-but-unflushed
-// records are withheld: a tail subscriber must never observe a record a
-// crash could still revoke. Journal-less systems return (nil, 0, nil).
-// The second result is the watermark the read was gated on, so a tailer
-// resumes from max(lastSeen, watermark) without re-scanning.
+// journal, the epoch-stamping global ordering primitive (with one shard,
+// the whole journal) — returning records with afterSeq < seq <= durable
+// watermark. Staged-but-unflushed records are withheld: a tail subscriber
+// must never observe a record a crash could still revoke. The second
+// result is the watermark the read was gated on, so a tailer resumes from
+// max(lastSeen, watermark) without re-scanning. A system created with New
+// has watermark 0 and returns (nil, 0, nil).
 func (s *System) ControlLog(afterSeq int) ([]WireRecord, int, error) {
-	var path string
-	switch {
-	case s.wal != nil:
-		path = s.wal.Journal(0).Path()
-	case s.journal != nil:
-		path = s.journal.Path()
-	default:
-		return nil, 0, nil
-	}
 	wm := s.DurableWatermarks()[0]
-	if wm <= afterSeq {
+	if wm <= max(afterSeq, 0) {
 		return nil, wm, nil
 	}
-	recs, _, err := persist.LoadJournalSuffixFS(s.fsys, path, afterSeq)
+	recs, _, err := persist.LoadJournalSuffixFS(s.fsys, s.layout.Base, afterSeq)
 	if err != nil {
 		return nil, 0, wrapErr("control_log", "", err)
 	}
