@@ -14,8 +14,12 @@
 //	adeptctl verify -journal wal  # offline integrity check (-repair fixes tails)
 //	adeptctl list -journal wal    # page through instances and worklists
 //	adeptctl load -journal wal -mode batch   # drive the Submit API
-//	adeptctl serve -journal wal -addr :8137  # expose the command plane over HTTP
-//	adeptctl load -remote http://host:8137   # drive a served system remotely
+//	adeptctl serve -journal wal -addr :8137  # the one network surface: commands + ops routes
+//	adeptctl load -remote http://host:8137   # the same load against a served system
+//
+// list and load always speak the rpc client: -remote dials a served
+// system, -journal opens the store and serves it on an in-process
+// loopback listener first, so both run the same code.
 package main
 
 import (
@@ -102,12 +106,10 @@ func usage() {
        adeptctl compact -journal PATH [-dir DIR]
        adeptctl reshard -journal PATH -shards N [-dir DIR]
        adeptctl verify -journal PATH [-dir DIR] [-repair]
-       adeptctl list -journal PATH [-user U] [-page N]
-       adeptctl list -remote URL [-user U] [-page N]
-       adeptctl load -journal PATH [-n N] [-mode sync|async|batch] [-shards N]
-       adeptctl load -remote URL [-n N] [-mode sync|async|batch]
-       adeptctl serve -journal PATH [-addr ADDR] [-shards N] [-metrics ADDR]
-       adeptctl stats -journal PATH [-format text|prom|json] [-serve ADDR]
+       adeptctl list -journal PATH | -remote URL [-user U] [-page N]
+       adeptctl load -journal PATH [-shards N] | -remote URL [-n N] [-mode sync|async|batch]
+       adeptctl serve -journal PATH [-addr ADDR] [-shards N]
+       adeptctl stats -journal PATH [-format text|prom|json]
        adeptctl stats -fetch URL
        adeptctl mine -journal PATH [-format text|json] [-variants N]
        adeptctl mine -fetch URL
@@ -242,13 +244,15 @@ func seed(args []string) {
 	fmt.Printf("seeded %s: %d instances, journal seq %d\n", *journal, *n, seq)
 }
 
-// openDurable opens a journal-backed system with checkpointing for the
-// admin commands (automatic snapshots off — they snapshot explicitly).
-func openDurable(journal, dir string) *adept2.System {
-	sys, err := adept2.Open(journal, adept2.WithCheckpointing(adept2.CheckpointConfig{
-		Dir:   dir,
-		Every: -1,
-	}))
+// openDurable opens a journal-backed system for the admin commands
+// (automatic snapshots off — they snapshot explicitly) and reports how
+// it recovered.
+func openDurable(journal string, cfg adept2.CheckpointConfig) *adept2.System {
+	if journal == "" {
+		usage()
+	}
+	cfg.Every = -1
+	sys, err := adept2.Open(journal, adept2.WithCheckpointing(cfg))
 	must(err)
 	info := sys.Recovery()
 	switch {
@@ -277,10 +281,7 @@ func snapshot(args []string) {
 	journal := fs.String("journal", "", "journal file (required)")
 	dir := fs.String("dir", "", "snapshot directory (default JOURNAL.snapshots)")
 	must(fs.Parse(args))
-	if *journal == "" {
-		usage()
-	}
-	sys := openDurable(*journal, *dir)
+	sys := openDurable(*journal, adept2.CheckpointConfig{Dir: *dir})
 	file, seq, err := sys.Checkpoint()
 	must(err)
 	must(sys.Close())
@@ -300,10 +301,7 @@ func compact(args []string) {
 	journal := fs.String("journal", "", "journal file (required)")
 	dir := fs.String("dir", "", "snapshot directory (default JOURNAL.snapshots)")
 	must(fs.Parse(args))
-	if *journal == "" {
-		usage()
-	}
-	sys := openDurable(*journal, *dir)
+	sys := openDurable(*journal, adept2.CheckpointConfig{Dir: *dir})
 	file, _, err := sys.Checkpoint()
 	must(err)
 	shards := sys.NumShards()
@@ -393,203 +391,48 @@ func verify(args []string) {
 	fmt.Println("verify: OK")
 }
 
+// dial returns the client list and load run on: a served system at
+// remote, or — for -journal — the store opened here and served on an
+// in-process loopback listener, so both modes run the same code. done
+// drains the loopback server and closes the store.
+func dial(remote, journal string, cfg adept2.CheckpointConfig) (*rpc.Client, func()) {
+	ctx := context.Background()
+	done := func() {}
+	if remote == "" {
+		sys := openDurable(journal, cfg)
+		srv, err := rpc.NewServer(sys, rpc.Options{})
+		must(err)
+		remote = srv.URL()
+		done = func() {
+			must(srv.Close(ctx))
+			must(sys.Close())
+		}
+	}
+	cli, err := rpc.Dial(ctx, remote)
+	must(err)
+	return cli, func() {
+		cli.Close()
+		done()
+	}
+}
+
 // list pages through the instances (and, with -user, a user's worklist)
-// of a journaled system via the cursor read API — the paginated path a
-// front end would use instead of copying full slices.
+// of a system via the cursor read API — the paginated path a front end
+// would use instead of copying full slices.
 func list(args []string) {
 	fs := flag.NewFlagSet("list", flag.ExitOnError)
 	journal := fs.String("journal", "", "journal file (required unless -remote)")
 	user := fs.String("user", "", "also page this user's worklist")
 	page := fs.Int("page", 5, "page size")
-	remote := fs.String("remote", "", "page a served command plane at URL instead of opening a journal")
+	remote := fs.String("remote", "", "page a served system at URL instead of opening a journal")
 	must(fs.Parse(args))
-	if *remote != "" {
-		listRemote(*remote, *user, *page)
-		return
-	}
-	if *journal == "" {
-		usage()
-	}
-	sys := openDurable(*journal, "")
-	defer sys.Close()
+	ctx := context.Background()
+	cli, done := dial(*remote, *journal, adept2.CheckpointConfig{})
+	defer done()
 
 	pages, total := 0, 0
 	for cursor := ""; ; {
-		insts, next := sys.InstancesPage(cursor, *page)
-		if len(insts) > 0 {
-			pages++
-		}
-		for _, inst := range insts {
-			total++
-			state := "running"
-			switch {
-			case inst.Done():
-				state = "completed"
-			case inst.Suspended():
-				state = "suspended"
-			}
-			bias := ""
-			if inst.Biased() {
-				bias = " +bias"
-			}
-			fmt.Printf("  %s  %s v%d  %s%s\n", inst.ID(), inst.TypeName(), inst.Version(), state, bias)
-		}
-		if next == "" {
-			break
-		}
-		cursor = next
-	}
-	fmt.Printf("%d instances in %d pages of %d\n", total, pages, *page)
-
-	if *user != "" {
-		n := 0
-		for cursor := ""; ; {
-			items, next := sys.WorkItemsPage(*user, cursor, *page)
-			for _, it := range items {
-				n++
-				fmt.Printf("  %s  %s/%s (%s, %s)\n", it.ID, it.Instance, it.Node, it.Role, it.State)
-			}
-			if next == "" {
-				break
-			}
-			cursor = next
-		}
-		fmt.Printf("%d work items for %s\n", n, *user)
-	}
-}
-
-// load drives a synthetic workload through the unified command API:
-// every instance is created, completed one step, and suspend/resume
-// cycled, submitted via Submit (sync), SubmitAsync (pipelined receipts),
-// or SubmitBatch, per -mode. The CI smoke uses it to exercise the
-// batch/async paths end to end.
-func load(args []string) {
-	fs := flag.NewFlagSet("load", flag.ExitOnError)
-	journal := fs.String("journal", "", "journal file to create (required unless -remote)")
-	n := fs.Int("n", 64, "instances to drive")
-	mode := fs.String("mode", "batch", "submission mode: sync, async, or batch")
-	shards := fs.Int("shards", 0, "create a sharded layout with N shards")
-	remote := fs.String("remote", "", "drive a served command plane at URL instead of opening a journal")
-	must(fs.Parse(args))
-	if *remote != "" {
-		loadRemote(*remote, *n, *mode)
-		return
-	}
-	if *journal == "" {
-		usage()
-	}
-	cfg := adept2.CheckpointConfig{Every: -1, GroupCommit: true, Shards: *shards}
-	sys, err := adept2.Open(*journal, adept2.WithCheckpointing(cfg))
-	must(err)
-	ctx := context.Background()
-
-	must(sys.AddUser(&adept2.User{ID: "ann", Name: "Ann", Roles: []string{"clerk", "sales"}}))
-	must(sys.Deploy(sim.OnlineOrder()))
-	start := time.Now()
-	var cmds int
-	switch *mode {
-	case "sync":
-		for i := 0; i < *n; i++ {
-			res, err := sys.Submit(ctx, &adept2.CreateInstance{TypeName: "online_order"})
-			must(err)
-			inst := res.(*adept2.Instance)
-			_, err = sys.Submit(ctx, &adept2.CompleteActivity{
-				Instance: inst.ID(), Node: "get_order", User: "ann",
-				Outputs: map[string]any{"out": fmt.Sprintf("order-%d", i)}})
-			must(err)
-			cmds += 2
-		}
-	case "async":
-		receipts := make([]*adept2.Receipt, 0, 2*(*n))
-		for i := 0; i < *n; i++ {
-			r, err := sys.SubmitAsync(ctx, &adept2.CreateInstance{TypeName: "online_order"})
-			must(err)
-			inst := r.Result().(*adept2.Instance)
-			r2, err := sys.SubmitAsync(ctx, &adept2.CompleteActivity{
-				Instance: inst.ID(), Node: "get_order", User: "ann",
-				Outputs: map[string]any{"out": fmt.Sprintf("order-%d", i)}})
-			must(err)
-			receipts = append(receipts, r, r2)
-		}
-		for _, r := range receipts {
-			must(r.Wait(ctx))
-		}
-		cmds = len(receipts)
-	case "batch":
-		for i := 0; i < *n; i++ {
-			res, err := sys.Submit(ctx, &adept2.CreateInstance{TypeName: "online_order"})
-			must(err)
-			inst := res.(*adept2.Instance)
-			batch := []adept2.Command{
-				&adept2.CompleteActivity{Instance: inst.ID(), Node: "get_order", User: "ann",
-					Outputs: map[string]any{"out": fmt.Sprintf("order-%d", i)}},
-				&adept2.Suspend{Instance: inst.ID()},
-				&adept2.Resume{Instance: inst.ID()},
-			}
-			results, err := sys.SubmitBatch(ctx, batch)
-			must(err)
-			cmds += 1 + len(results)
-		}
-	default:
-		usage()
-	}
-	elapsed := time.Since(start)
-	must(sys.Health())
-	seq := sys.JournalSeq()
-	must(sys.Close())
-	fmt.Printf("%s: %d commands (%s mode) in %s (%.0f cmds/s), journal seq %d\n",
-		*journal, cmds, *mode, elapsed.Round(time.Millisecond),
-		float64(cmds)/elapsed.Seconds(), seq)
-}
-
-// serveCmd exposes a journaled system as a networked command plane:
-// open, serve HTTP/JSON on -addr (optionally the stats plane on
-// -metrics), block until SIGINT/SIGTERM, then drain — in-flight
-// receipts resolve against the final watermarks — and close.
-func serveCmd(args []string) {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	journal := fs.String("journal", "", "journal file (required; created if missing)")
-	addr := fs.String("addr", "127.0.0.1:0", "command-plane listen address")
-	shards := fs.Int("shards", 0, "create a sharded layout with N shards")
-	metrics := fs.String("metrics", "", "also serve /metrics, /metrics.json, /healthz at ADDR")
-	must(fs.Parse(args))
-	if *journal == "" {
-		usage()
-	}
-	opts := []adept2.Option{adept2.WithCheckpointing(adept2.CheckpointConfig{
-		Every: -1, GroupCommit: true, Shards: *shards,
-	})}
-	if *metrics != "" {
-		opts = append(opts, adept2.WithMetricsServer(*metrics))
-	}
-	sys, err := adept2.Open(*journal, opts...)
-	must(err)
-	srv, err := rpc.NewServer(sys, rpc.Options{Addr: *addr})
-	must(err)
-	fmt.Printf("serving command plane at %s\n", srv.URL())
-	if *metrics != "" {
-		fmt.Printf("serving stats at http://%s/metrics\n", sys.MetricsAddr())
-	}
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	<-ch
-	fmt.Println("draining")
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	must(srv.Close(ctx))
-	must(sys.Close())
-}
-
-// listRemote is list over the wire: the same cursor pagination, served
-// by a remote command plane.
-func listRemote(url, user string, page int) {
-	ctx := context.Background()
-	cli, err := rpc.Dial(ctx, url)
-	must(err)
-	defer cli.Close()
-	pages, total := 0, 0
-	for cursor := ""; ; {
-		pg, err := cli.Instances(ctx, cursor, page)
+		pg, err := cli.Instances(ctx, cursor, *page)
 		must(err)
 		if len(pg.Instances) > 0 {
 			pages++
@@ -614,12 +457,12 @@ func listRemote(url, user string, page int) {
 		}
 		cursor = pg.Next
 	}
-	fmt.Printf("%d instances in %d pages of %d (remote)\n", total, pages, page)
+	fmt.Printf("%d instances in %d pages of %d\n", total, pages, *page)
 
-	if user != "" {
+	if *user != "" {
 		n := 0
 		for cursor := ""; ; {
-			pg, err := cli.WorkItems(ctx, user, cursor, page)
+			pg, err := cli.WorkItems(ctx, *user, cursor, *page)
 			must(err)
 			for _, it := range pg.Items {
 				n++
@@ -630,26 +473,34 @@ func listRemote(url, user string, page int) {
 			}
 			cursor = pg.Next
 		}
-		fmt.Printf("%d work items for %s (remote)\n", n, user)
+		fmt.Printf("%d work items for %s\n", n, *user)
 	}
 }
 
-// loadRemote is load over the wire: the same create/complete workload,
-// submitted to a served command plane through the typed client in the
-// chosen mode. The org user and schema bootstrap travels as commands
-// too (tolerating a server that already has the user).
-func loadRemote(url string, n int, mode string) {
+// load drives a synthetic workload through the command plane: every
+// instance is created, completed one step, and (batch mode) suspend/
+// resume cycled, submitted via Submit (sync), SubmitAsync (pipelined
+// receipts), or SubmitBatch, per -mode. The org user and schema
+// bootstrap travels as commands too, tolerating a system that already
+// has them. The CI smoke uses it to exercise every mode end to end.
+func load(args []string) {
+	fs := flag.NewFlagSet("load", flag.ExitOnError)
+	journal := fs.String("journal", "", "journal file to create (required unless -remote)")
+	n := fs.Int("n", 64, "instances to drive")
+	mode := fs.String("mode", "batch", "submission mode: sync, async, or batch")
+	shards := fs.Int("shards", 0, "with -journal: create a sharded layout with N shards")
+	remote := fs.String("remote", "", "drive a served system at URL instead of opening a journal")
+	must(fs.Parse(args))
 	ctx := context.Background()
-	cli, err := rpc.Dial(ctx, url)
-	must(err)
-	defer cli.Close()
+	cli, done := dial(*remote, *journal, adept2.CheckpointConfig{GroupCommit: true, Shards: *shards})
+	defer done()
 
 	if _, err := cli.Submit(ctx, &adept2.AddUser{User: &adept2.User{
 		ID: "ann", Name: "Ann", Roles: []string{"clerk", "sales"}}}); err != nil &&
 		!errors.Is(err, adept2.ErrConflict) && !errors.Is(err, adept2.ErrInvalid) {
 		must(err)
 	}
-	// A server that already has the schema answers version_skew.
+	// A system that already has the schema answers version_skew.
 	if _, err := cli.Submit(ctx, &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil &&
 		!errors.Is(err, adept2.ErrConflict) && !errors.Is(err, adept2.ErrVersionSkew) {
 		must(err)
@@ -660,9 +511,9 @@ func loadRemote(url string, n int, mode string) {
 	outputs := func(i int) map[string]any {
 		return map[string]any{"out": fmt.Sprintf("order-%d", i)}
 	}
-	switch mode {
+	switch *mode {
 	case "sync":
-		for i := 0; i < n; i++ {
+		for i := 0; i < *n; i++ {
 			res, err := cli.Submit(ctx, &adept2.CreateInstance{TypeName: "online_order"})
 			must(err)
 			_, err = cli.Submit(ctx, &adept2.CompleteActivity{
@@ -671,8 +522,8 @@ func loadRemote(url string, n int, mode string) {
 			cmds += 2
 		}
 	case "async":
-		receipts := make([]*rpc.Receipt, 0, 2*n)
-		for i := 0; i < n; i++ {
+		receipts := make([]*rpc.Receipt, 0, 2*(*n))
+		for i := 0; i < *n; i++ {
 			r, err := cli.SubmitAsync(ctx, &adept2.CreateInstance{TypeName: "online_order"})
 			must(err)
 			r2, err := cli.SubmitAsync(ctx, &adept2.CompleteActivity{
@@ -685,7 +536,7 @@ func loadRemote(url string, n int, mode string) {
 		}
 		cmds = len(receipts)
 	case "batch":
-		for i := 0; i < n; i++ {
+		for i := 0; i < *n; i++ {
 			res, err := cli.Submit(ctx, &adept2.CreateInstance{TypeName: "online_order"})
 			must(err)
 			id := res.Result.Instance.ID
@@ -705,46 +556,73 @@ func loadRemote(url string, n int, mode string) {
 	must(err)
 	sum, err := cli.Health(ctx)
 	must(err)
-	fmt.Printf("%s: %d commands (%s mode, remote) in %s (%.0f cmds/s), %d shards, watermarks %v, %d instances\n",
-		url, cmds, mode, elapsed.Round(time.Millisecond),
+	target := *remote
+	if target == "" {
+		target = *journal
+	}
+	fmt.Printf("%s: %d commands (%s mode) in %s (%.0f cmds/s), %d shards, watermarks %v, %d instances\n",
+		target, cmds, *mode, elapsed.Round(time.Millisecond),
 		float64(cmds)/elapsed.Seconds(), sum.Shards, wms, sum.Instances)
+}
+
+// sweepEvery is the deadline sweep cadence of a served system: armed
+// deadlines expire and retry backoffs lift within a second of coming due.
+const sweepEvery = time.Second
+
+// serveCmd exposes a journaled system on its one network surface: open,
+// serve the command plane and the ops routes (/metrics, /metrics.json,
+// /mine.json, /trace.json, /healthz) on -addr, block until
+// SIGINT/SIGTERM, then drain — in-flight receipts resolve against the
+// final watermarks — and close.
+func serveCmd(args []string) {
+	fs := flag.NewFlagSet("serve", flag.ExitOnError)
+	journal := fs.String("journal", "", "journal file (required; created if missing)")
+	addr := fs.String("addr", "127.0.0.1:0", "listen address")
+	shards := fs.Int("shards", 0, "create a sharded layout with N shards")
+	must(fs.Parse(args))
+	if *journal == "" {
+		usage()
+	}
+	sys, err := adept2.Open(*journal,
+		adept2.WithCheckpointing(adept2.CheckpointConfig{Every: -1, GroupCommit: true, Shards: *shards}),
+		adept2.WithSweepInterval(sweepEvery))
+	must(err)
+	srv, err := rpc.NewServer(sys, rpc.Options{Addr: *addr})
+	must(err)
+	fmt.Printf("serving command plane and stats at %s\n", srv.URL())
+	ch := make(chan os.Signal, 1)
+	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
+	<-ch
+	fmt.Println("draining")
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	must(srv.Close(ctx))
+	must(sys.Close())
 }
 
 // stats is the operational stats plane on the command line: open a
 // journaled store and print its metrics snapshot (text, Prometheus
-// exposition, or JSON), serve the live HTTP plane for scrapes, or fetch
-// and validate a running system's endpoint (the CI smoke uses -fetch to
-// assert the Prometheus text parses and the JSON round-trips).
+// exposition, or JSON), or fetch and validate a served system's
+// /metrics or /metrics.json (the CI smoke uses -fetch to assert the
+// Prometheus text parses and the JSON round-trips).
 func stats(args []string) {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	journal := fs.String("journal", "", "journal file (required unless -fetch)")
 	format := fs.String("format", "text", "output format: text, prom, or json")
-	serve := fs.String("serve", "", "serve /metrics, /metrics.json, /healthz at ADDR and block (\":0\" picks a port)")
-	fetch := fs.String("fetch", "", "GET a live endpoint URL and validate its payload instead of opening a journal")
+	fetchURL := fs.String("fetch", "", "GET a live endpoint URL and validate its payload instead of opening a journal")
 	must(fs.Parse(args))
 
-	if *fetch != "" {
-		must(validateEndpoint(*fetch))
+	if *fetchURL != "" {
+		must(validateEndpoint(*fetchURL))
 		return
 	}
 	if *journal == "" {
 		usage()
 	}
-	opts := []adept2.Option{adept2.WithCheckpointing(adept2.CheckpointConfig{Every: -1})}
-	if *serve != "" {
-		opts = append(opts, adept2.WithMetricsServer(*serve))
-	}
-	sys, err := adept2.Open(*journal, opts...)
+	sys, err := adept2.Open(*journal, adept2.WithCheckpointing(adept2.CheckpointConfig{Every: -1}))
 	must(err)
 	defer sys.Close()
 
-	if *serve != "" {
-		fmt.Printf("serving stats at http://%s/metrics (also /metrics.json, /healthz)\n", sys.MetricsAddr())
-		ch := make(chan os.Signal, 1)
-		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-		<-ch
-		return
-	}
 	snap := sys.Metrics()
 	switch *format {
 	case "prom":
@@ -819,24 +697,33 @@ var requiredFamilies = []string{
 	"adept2_rpc_decode_errors_total",
 }
 
+// fetch GETs url and returns the body and content type of a 200 answer.
+func fetch(url string) (body []byte, ctype string, err error) {
+	resp, err := http.Get(url)
+	if err != nil {
+		return nil, "", err
+	}
+	defer resp.Body.Close()
+	body, err = io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, "", err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, "", fmt.Errorf("GET %s: %s", url, resp.Status)
+	}
+	return body, resp.Header.Get("Content-Type"), nil
+}
+
 // validateEndpoint GETs url and validates the payload: a /metrics.json
 // endpoint must round-trip through the typed snapshot (strict field
 // check), a /metrics endpoint must be well-formed Prometheus text
 // declaring every required family, with every sample line parseable.
 func validateEndpoint(url string) error {
-	resp, err := http.Get(url)
+	body, ctype, err := fetch(url)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("stats: GET %s: %s", url, resp.Status)
-	}
-	if strings.Contains(resp.Header.Get("Content-Type"), "json") {
+	if strings.Contains(ctype, "json") {
 		dec := json.NewDecoder(bytes.NewReader(body))
 		dec.DisallowUnknownFields()
 		var snap obs.Snapshot
@@ -911,17 +798,14 @@ func mine(args []string) {
 	journal := fs.String("journal", "", "journal file (required unless -fetch)")
 	format := fs.String("format", "text", "output format: text or json")
 	variants := fs.Int("variants", 0, "variant-table cap (0 = default)")
-	fetch := fs.String("fetch", "", "GET a live /mine.json URL and validate its payload")
+	fetchURL := fs.String("fetch", "", "GET a live /mine.json URL and validate its payload")
 	must(fs.Parse(args))
 
-	if *fetch != "" {
-		must(validateMineEndpoint(*fetch))
+	if *fetchURL != "" {
+		must(validateMineEndpoint(*fetchURL))
 		return
 	}
-	if *journal == "" {
-		usage()
-	}
-	sys := openDurable(*journal, "")
+	sys := openDurable(*journal, adept2.CheckpointConfig{})
 	defer sys.Close()
 	rep, err := sys.Mine(context.Background(), adept2.MineOptions{MaxVariants: *variants})
 	must(err)
@@ -940,17 +824,9 @@ func mine(args []string) {
 // validateMineEndpoint GETs a /mine.json URL and round-trips the body
 // through the strict report decoder.
 func validateMineEndpoint(url string) error {
-	resp, err := http.Get(url)
+	body, _, err := fetch(url)
 	if err != nil {
 		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("mine: GET %s: %s", url, resp.Status)
 	}
 	rep, err := mining.Decode(body)
 	if err != nil {
@@ -974,14 +850,14 @@ func trace(args []string) {
 	journal := fs.String("journal", "", "journal file (required unless -fetch)")
 	format := fs.String("format", "text", "output format: text or json")
 	limit := fs.Int("n", 0, "print at most the last N spans (0 = all)")
-	fetch := fs.String("fetch", "", "drain a live /trace.json URL instead of reading a journal")
+	fetchURL := fs.String("fetch", "", "drain a live /trace.json URL instead of reading a journal")
 	after := fs.Uint64("after", 0, "with -fetch: drain only spans published after this cursor")
 	must(fs.Parse(args))
 
 	var spans []obs.Span
 	switch {
-	case *fetch != "":
-		exp, err := fetchTraces(*fetch, *after)
+	case *fetchURL != "":
+		exp, err := fetchTraces(*fetchURL, *after)
 		must(err)
 		spans = exp.Spans
 		defer fmt.Printf("next cursor: %d\n", exp.Next)
@@ -1032,17 +908,9 @@ func fetchTraces(url string, after uint64) (*obs.TraceExport, error) {
 		}
 		url += fmt.Sprintf("%safter=%d", sep, after)
 	}
-	resp, err := http.Get(url)
+	body, _, err := fetch(url)
 	if err != nil {
 		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("trace: GET %s: %s", url, resp.Status)
 	}
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()

@@ -180,14 +180,15 @@
 // never delivering a span twice.
 //
 // Three surfaces expose the plane: System.Metrics returns the typed
-// obs.Snapshot; WithMetricsServer serves /metrics (Prometheus text
-// format 0.0.4), /metrics.json (the snapshot as JSON), /mine.json,
-// /trace.json, and /healthz over HTTP, folding HealthInfo into both
-// metric forms; and `adeptctl stats` renders any journal's snapshot as
-// text, Prometheus, or JSON, serves it, or validates a running
-// endpoint. WithSweepInterval completes the operational story: an
-// in-process timer runs SweepDeadlines on the system clock, records
-// sweep duration and due-to-done lag, and shuts down cleanly on Close.
+// obs.Snapshot; the ops routes of the one network surface (rpc.Server,
+// below) serve /metrics (Prometheus text format 0.0.4), /metrics.json
+// (the snapshot as JSON), /mine.json, /trace.json, and /healthz,
+// folding HealthInfo into both metric forms; and `adeptctl stats`
+// renders any journal's snapshot as text, Prometheus, or JSON, or
+// validates a served endpoint. WithSweepInterval completes the
+// operational story: an in-process timer runs SweepDeadlines on the
+// system clock, records sweep duration and due-to-done lag, and shuts
+// down cleanly on Close (`adeptctl serve` runs it every second).
 //
 // # Process intelligence
 //
@@ -208,8 +209,8 @@
 // own lock with one shared reduction buffer — peak allocation is
 // O(batch + capped tables), never O(population). The same report codec
 // backs all three surfaces: `adeptctl mine` offline over any journal
-// or layout, System.Mine in process, and /mine.json on the metrics
-// server. Deadline escalation grows a construction-time policy knob on
+// or layout, System.Mine in process, and /mine.json on a served
+// system. Deadline escalation grows a construction-time policy knob on
 // the same plane: WithEscalationBothCanAct offers expired work to the
 // union of the original and escalation roles instead of replacing the
 // offer, and recovery replays escalations under the same knob.
@@ -238,9 +239,13 @@
 // window of N receipts costs zero additional requests. Reads (cursor-
 // paginated instances and work items, instance detail, open
 // exceptions, health) and a durable-gated control-log tail round out
-// the plane; Server.Close drains gracefully, refusing new work,
+// the plane, and the same listener carries the ops routes — a served
+// process has one address, one mux and one drain; Server.Close drains
+// gracefully, refusing new work,
 // finishing in-flight commands, forcing a final flush, and ending
 // streams with Final events so every receipt issued before the drain
 // resolves. See internal/rpc's package documentation for the wire
-// invariants, and `adeptctl serve` / `-remote` for the CLI surface.
+// invariants, and `adeptctl serve` / `-remote` for the CLI surface
+// (`adeptctl list` and `load` run the same client code against
+// -journal, serving the store on an in-process loopback listener).
 package adept2

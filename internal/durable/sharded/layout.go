@@ -211,13 +211,8 @@ func WriteManifestFS(fsys vfs.FS, base string, m *Manifest) error {
 	return durable.AtomicWriteFS(fsys, dir, name, blob)
 }
 
-// StrayShards lists the indexes of shard journals past the declared
+// StrayShardsFS lists the indexes of shard journals past the declared
 // shard count that hold data.
-func StrayShards(base string, shards int) ([]int, error) {
-	return StrayShardsFS(vfs.OS(), base, shards)
-}
-
-// StrayShardsFS is StrayShards over an explicit filesystem.
 func StrayShardsFS(fsys vfs.FS, base string, shards int) ([]int, error) {
 	dir, name := filepath.Split(base)
 	if dir == "" {
@@ -244,17 +239,12 @@ func StrayShardsFS(fsys vfs.FS, base string, shards int) ([]int, error) {
 	return stray, nil
 }
 
-// CheckStrayShards refuses when the directory holds shard journals past
+// CheckStrayShardsFS refuses when the directory holds shard journals past
 // the manifest's shard count with records in them: silently ignoring a
 // populated shard journal would drop its instances' history. Resharding
 // (which rewrites the layout offline, and sweeps these up when rerun
 // after an interrupted shrink) is the only legitimate way the shard
 // count changes.
-func CheckStrayShards(base string, shards int) error {
-	return CheckStrayShardsFS(vfs.OS(), base, shards)
-}
-
-// CheckStrayShardsFS is CheckStrayShards over an explicit filesystem.
 func CheckStrayShardsFS(fsys vfs.FS, base string, shards int) error {
 	stray, err := StrayShardsFS(fsys, base, shards)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"adept2/internal/durable"
 	"adept2/internal/persist"
+	"adept2/internal/vfs"
 )
 
 func TestShardOf(t *testing.T) {
@@ -93,13 +94,13 @@ func TestCheckStrayShards(t *testing.T) {
 		}
 		j.Close()
 	}
-	if err := CheckStrayShards(base, 4); err != nil {
+	if err := CheckStrayShardsFS(vfs.OS(), base, 4); err != nil {
 		t.Fatalf("in-range shards must pass: %v", err)
 	}
-	if err := CheckStrayShards(base, 2); err == nil {
+	if err := CheckStrayShardsFS(vfs.OS(), base, 2); err == nil {
 		t.Fatal("populated shard-3 journal must refuse a 2-shard manifest")
 	}
-	if err := CheckStrayShards(base, 3); err == nil {
+	if err := CheckStrayShardsFS(vfs.OS(), base, 3); err == nil {
 		t.Fatal("shard-3 is out of range for 3 shards too")
 	}
 }

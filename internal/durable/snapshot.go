@@ -192,14 +192,8 @@ func (st *SnapshotStore) Write(state *SystemState) (string, error) {
 	return filepath.Join(st.dir, name), nil
 }
 
-// AtomicWrite writes name in dir via temp file + fsync + rename + dir
-// fsync.
-func AtomicWrite(dir, name string, data []byte) error {
-	return AtomicWriteFS(vfs.OS(), dir, name, data)
-}
-
-// AtomicWriteFS is AtomicWrite over an explicit filesystem. The
-// directory fsync error is propagated: until it returns, the rename is
+// AtomicWriteFS writes name in dir via temp file + fsync + rename + dir
+// fsync. The directory fsync error is propagated: until it returns, the rename is
 // not durable, and a caller that reported success anyway could lose an
 // acknowledged checkpoint to a crash (the torn-rename window).
 func AtomicWriteFS(fsys vfs.FS, dir, name string, data []byte) error {

@@ -217,15 +217,12 @@ func Reduce(info *graph.Info, events []*Event) []*Event {
 // block's region bitset (Block.RegionBits), and every older event whose
 // interned node lies in the active union is dropped. Properly nested loop
 // blocks make this equivalent to the forward purge-on-Again formulation
-// (retained as reduceForward for differential tests): an older Again
-// inside an active region is itself dropped, and its region is a subset of
-// the active one. Per event the pass costs one intern plus one bit probe —
+// (reduceForward in history_test.go, the differential reference): an
+// older Again inside an active region is itself dropped, and its region
+// is a subset of the active one. Per event the pass costs one intern plus one bit probe —
 // no per-purge rescans of the retained slice.
 func ReduceInto(info *graph.Info, events []*Event, buf []*Event) []*Event {
-	topo := info.Topology()
-	if topo == nil {
-		return reduceForward(info, events, buf)
-	}
+	topo := info.Topology() // never nil: graph.Analyze returns no Info without one
 	if buf == nil {
 		buf = make([]*Event, 0, 16)
 	}
@@ -280,45 +277,6 @@ func ReduceInto(info *graph.Info, events []*Event, buf []*Event) []*Event {
 	// The backward pass collected survivors youngest-first; restore order.
 	for l, r := 0, len(out)-1; l < r; l, r = l+1, r-1 {
 		out[l], out[r] = out[r], out[l]
-	}
-	return out
-}
-
-// reduceForward is the historical forward formulation: purge the retained
-// slice whenever a loop end iterates. It remains as the fallback for block
-// analyses without a topology snapshot and as the reference for the
-// differential test pinning the backward pass.
-func reduceForward(info *graph.Info, events []*Event, buf []*Event) []*Event {
-	out := buf[:0]
-	for _, e := range events {
-		switch e.Kind {
-		case Timeout:
-			continue // audit marker: never part of the logical history
-		case Failed:
-			// Purge the failed attempt: drop the youngest retained
-			// Started of the node together with the Failed event itself.
-			for k := len(out) - 1; k >= 0; k-- {
-				if out[k].Node == e.Node && out[k].Kind == Started {
-					out = append(out[:k], out[k+1:]...)
-					break
-				}
-			}
-			continue
-		}
-		if e.Kind == Completed && e.Again {
-			if blk, ok := info.ByJoin(e.Node); ok && blk.Kind == model.NodeLoopStart {
-				region := blk.Region()
-				kept := out[:0]
-				for _, prev := range out {
-					if !region[prev.Node] {
-						kept = append(kept, prev)
-					}
-				}
-				out = kept
-				continue // the iterating completion itself is purged
-			}
-		}
-		out = append(out, e)
 	}
 	return out
 }

@@ -146,6 +146,44 @@ func nestedLoopSchema(t *testing.T) (*model.Schema, *graph.Info, []string) {
 	return s, info, s.NodeIDs()
 }
 
+// reduceForward is the historical forward formulation: purge the retained
+// slice whenever a loop end iterates. It is the reference the differential
+// test below pins ReduceInto's backward pass against.
+func reduceForward(info *graph.Info, events []*Event, buf []*Event) []*Event {
+	out := buf[:0]
+	for _, e := range events {
+		switch e.Kind {
+		case Timeout:
+			continue // audit marker: never part of the logical history
+		case Failed:
+			// Purge the failed attempt: drop the youngest retained
+			// Started of the node together with the Failed event itself.
+			for k := len(out) - 1; k >= 0; k-- {
+				if out[k].Node == e.Node && out[k].Kind == Started {
+					out = append(out[:k], out[k+1:]...)
+					break
+				}
+			}
+			continue
+		}
+		if e.Kind == Completed && e.Again {
+			if blk, ok := info.ByJoin(e.Node); ok && blk.Kind == model.NodeLoopStart {
+				region := blk.Region()
+				kept := out[:0]
+				for _, prev := range out {
+					if !region[prev.Node] {
+						kept = append(kept, prev)
+					}
+				}
+				out = kept
+				continue // the iterating completion itself is purged
+			}
+		}
+		out = append(out, e)
+	}
+	return out
+}
+
 // TestReduceBackwardMatchesForward: the backward interned single-pass
 // reduction is stream-for-stream identical to the forward purge-on-Again
 // formulation, on randomized event streams over a schema with nested

@@ -83,6 +83,7 @@
 //	adept2_cleanup_errors_total, adept2_flush_retries_total
 //
 // The same data is exposed as JSON (Snapshot's struct tags) at
-// /metrics.json and through System.Metrics(); the trace ring rides the
-// snapshot as Traces.
+// /metrics.json (both are ops routes of internal/rpc's one listener)
+// and through System.Metrics(); the trace ring rides the snapshot as
+// Traces.
 package obs

@@ -46,10 +46,10 @@ func Dial(ctx context.Context, base string) (*Client, error) {
 	// A dedicated transport sized for pipelined submitters: the default
 	// transport keeps only 2 idle connections per host, so concurrent
 	// writers past that churn through fresh TCP connections on every
-	// request. Size the idle pool to the server's default inflight cap.
+	// request. Size the idle pool to the server's MaxInflight.
 	tr := http.DefaultTransport.(*http.Transport).Clone()
-	tr.MaxIdleConns = 64
-	tr.MaxIdleConnsPerHost = 64
+	tr.MaxIdleConns = MaxInflight
+	tr.MaxIdleConnsPerHost = MaxInflight
 	c := &Client{base: strings.TrimRight(base, "/"), hc: &http.Client{Transport: tr}}
 	c.ctx, c.cancel = context.WithCancel(context.Background())
 	c.changed = make(chan struct{})
@@ -386,7 +386,7 @@ func (c *Client) OpenExceptions(ctx context.Context) ([]ExceptionSummary, error)
 	return list.Exceptions, nil
 }
 
-// Health fetches the health summary. A wedged or draining server
+// Health fetches the health summary. An unhealthy or draining server
 // answers 503 but the summary still arrives alongside the error.
 func (c *Client) Health(ctx context.Context) (*HealthSummary, error) {
 	var sum HealthSummary

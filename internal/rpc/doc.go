@@ -1,6 +1,7 @@
-// Package rpc is the networked command plane: an HTTP/JSON server and
-// a typed client that turn the in-process adept2 API into a network
-// service without weakening its durability contract.
+// Package rpc is the one network surface of a System: an HTTP/JSON
+// server carrying the command plane and the operational routes on one
+// listener, and a typed client, that turn the in-process adept2 API
+// into a network service without weakening its durability contract.
 //
 // # Wire model
 //
@@ -13,9 +14,10 @@
 // ops and malformed args are rejected before dispatch with ErrInvalid
 // (and counted as decode errors in the RPC metrics).
 //
-// All routes live under the /v1 prefix; a breaking change to envelope,
-// receipt, or stream semantics must mount a new version prefix and
-// keep /v1 serving.
+// Command-plane routes live under the /v1 prefix; a breaking change to
+// envelope, receipt, or stream semantics must mount a new version
+// prefix and keep /v1 serving. The operational routes are unversioned,
+// where scrapers and probes conventionally look for them.
 //
 // # Endpoints
 //
@@ -26,7 +28,16 @@
 //	GET  /v1/instances         cursor page; /v1/instances/{id} detail
 //	GET  /v1/workitems         cursor page of a user's worklist
 //	GET  /v1/exceptions        open exception set
-//	GET  /v1/healthz           200 serving / 503 wedged or draining
+//	GET  /v1/healthz, /healthz 200 serving / 503 unhealthy or draining (one handler)
+//	GET  /metrics              Prometheus text format 0.0.4
+//	GET  /metrics.json         the typed obs.Snapshot
+//	GET  /mine.json            mining report (?variants=N caps the table)
+//	GET  /trace.json           sampled spans after cursor ?after=N
+//
+// Health has one definition: the status is 200 exactly while
+// System.Health is nil (no wedged shard, no failing background
+// checkpoint) and the server is not draining; the body is the same
+// HealthSummary in every case, so a 503 still parses.
 //
 // # Receipt tokens and durability
 //
@@ -64,22 +75,23 @@
 // # Streams, backpressure, drain
 //
 // NDJSON streams (watermarks, control-log tail) are bounded by
-// Options.MaxStreams; excess subscriptions are rejected 503. Command
-// handlers are bounded by Options.MaxInflight slots; excess requests
-// block in the handler, so the TCP connection — and HTTP/1.1's
-// one-request-per-connection discipline — absorbs the queue.
+// MaxStreams; excess subscriptions are rejected 503. Command handlers
+// are bounded by MaxInflight slots; excess requests block in the
+// handler, so the TCP connection — and HTTP/1.1's one-request-per-
+// connection discipline — absorbs the queue.
 //
 // The control-log tail serves only fsync-covered records (a subscriber
 // must never observe a record a crash could revoke) from shard 0, the
 // epoch-stamping global-ordering shard; records arrive epoch-stamped
 // exactly as journaled.
 //
-// Close drains in five steps: reject new work 503; wait for in-flight
-// command handlers by owning every backpressure slot; force every
-// staged record durable (SyncDurable); cancel streams, which emit
-// final watermark events ("final": true) before ending — resolving
-// every receipt issued before the drain — then shut the HTTP server
-// down. A client whose stream ends refreshes the watermark snapshot
+// Close drains in five steps: reject new work 503 (the operational
+// routes keep answering until the last step, /healthz with 503 and
+// "draining": true); wait for in-flight command handlers by owning
+// every backpressure slot; force every staged record durable
+// (SyncDurable); cancel streams, which emit final watermark events
+// ("final": true) before ending — resolving every receipt issued
+// before the drain — then shut the HTTP server down. A client whose stream ends refreshes the watermark snapshot
 // once before failing a wait, so receipts covered by the drain sync
 // resolve even when the final events were lost.
 package rpc

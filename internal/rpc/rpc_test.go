@@ -399,7 +399,7 @@ func TestRemoteReadEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sum.Healthy || sum.Shards != 1 || sum.Instances != 5 {
+	if !sum.Healthy || sum.Shards != 1 || sum.Instances != len(ids) {
 		t.Fatalf("health: %+v", sum)
 	}
 }
@@ -477,33 +477,35 @@ func TestControlLogTail(t *testing.T) {
 // TestStreamBackpressure checks the MaxStreams rejection.
 func TestStreamBackpressure(t *testing.T) {
 	sys := openSystem(t, adept2.CheckpointConfig{GroupCommit: true})
-	srv, _ := serve(t, sys, rpc.Options{MaxStreams: 1})
+	srv, _ := serve(t, sys, rpc.Options{})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL()+"/v1/watermarks", nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("first stream: %d", resp.StatusCode)
-	}
-	buf := make([]byte, 1)
-	if _, err := resp.Body.Read(buf); err != nil { // stream is live
-		t.Fatal(err)
+	for i := 0; i < rpc.MaxStreams; i++ {
+		req, _ := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL()+"/v1/watermarks", nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("stream %d: %d", i, resp.StatusCode)
+		}
+		buf := make([]byte, 1)
+		if _, err := resp.Body.Read(buf); err != nil { // stream is live
+			t.Fatal(err)
+		}
 	}
 
-	resp2, err := http.Get(srv.URL() + "/v1/watermarks")
+	over, err := http.Get(srv.URL() + "/v1/watermarks")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("second stream: %d, want 503", resp2.StatusCode)
+	defer over.Body.Close()
+	if over.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("stream past the limit: %d, want 503", over.StatusCode)
 	}
-	if sys.Metrics().RPC.OpenStreams != 1 {
-		t.Fatalf("open streams gauge: %d", sys.Metrics().RPC.OpenStreams)
+	if got := sys.Metrics().RPC.OpenStreams; got != rpc.MaxStreams {
+		t.Fatalf("open streams gauge: %d", got)
 	}
 }

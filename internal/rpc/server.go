@@ -16,30 +16,32 @@ import (
 	"adept2/internal/obs"
 )
 
-// Options tunes a Server (zero values take defaults).
+// Options configures a Server.
 type Options struct {
 	// Addr is the listen address (default "127.0.0.1:0" — loopback,
 	// kernel-assigned port; read it back with Addr()).
 	Addr string
+}
+
+const (
 	// MaxInflight bounds concurrently executing command/batch handlers;
 	// excess requests block in the handler until a slot frees (the
 	// wire plane's backpressure — the TCP connection absorbs the queue).
-	// Default 64.
-	MaxInflight int
+	MaxInflight = 64
 	// MaxStreams bounds concurrently connected NDJSON subscribers
 	// (watermark + control-log tails); excess subscriptions are rejected
-	// with 503. Default 8.
-	MaxStreams int
-}
+	// with 503.
+	MaxStreams = 8
+)
 
-// Server is the networked command plane: an HTTP/JSON front over one
-// *adept2.System. Commands travel as registry (op, args) envelopes —
-// the same codec the journal uses — and async durability resolves
-// through the watermark stream (see doc.go for the wire protocol).
+// Server is the one network surface of a System: an HTTP/JSON front
+// carrying the command plane and the operational routes (ops.go) on one
+// listener. Commands travel as registry (op, args) envelopes — the same
+// codec the journal uses — and async durability resolves through the
+// watermark stream (see doc.go for the wire protocol).
 type Server struct {
-	sys  *adept2.System
-	met  *obs.Set
-	opts Options
+	sys *adept2.System
+	met *obs.Set
 
 	lis net.Listener
 	srv *http.Server
@@ -63,12 +65,6 @@ func NewServer(sys *adept2.System, opts Options) (*Server, error) {
 	if opts.Addr == "" {
 		opts.Addr = "127.0.0.1:0"
 	}
-	if opts.MaxInflight <= 0 {
-		opts.MaxInflight = 64
-	}
-	if opts.MaxStreams <= 0 {
-		opts.MaxStreams = 8
-	}
 	lis, err := net.Listen("tcp", opts.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("rpc: listen %s: %w", opts.Addr, err)
@@ -76,9 +72,8 @@ func NewServer(sys *adept2.System, opts Options) (*Server, error) {
 	s := &Server{
 		sys:      sys,
 		met:      sys.ObsSet(),
-		opts:     opts,
 		lis:      lis,
-		sema:     make(chan struct{}, opts.MaxInflight),
+		sema:     make(chan struct{}, MaxInflight),
 		drainCh:  make(chan struct{}),
 		serveErr: make(chan error, 1),
 	}
@@ -91,9 +86,15 @@ func NewServer(sys *adept2.System, opts Options) (*Server, error) {
 	mux.HandleFunc("GET /v1/instances/{id}", s.instrument(obs.EpInstances, s.handleInstance))
 	mux.HandleFunc("GET /v1/workitems", s.instrument(obs.EpWorkItems, s.handleWorkItems))
 	mux.HandleFunc("GET /v1/exceptions", s.instrument(obs.EpExceptions, s.handleExceptions))
-	mux.HandleFunc("GET /v1/healthz", s.instrument(obs.EpHealth, s.handleHealth))
 	mux.HandleFunc("GET /v1/watermarks", s.instrument(obs.EpWatermarks, s.handleWatermarks))
 	mux.HandleFunc("GET /v1/control-log", s.instrument(obs.EpControlLog, s.handleControlLog))
+	health := s.instrument(obs.EpHealth, s.handleHealth)
+	mux.HandleFunc("GET /v1/healthz", health)
+	mux.HandleFunc("GET /healthz", health)
+	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.HandleFunc("GET /metrics.json", s.handleMetricsJSON)
+	mux.HandleFunc("GET /mine.json", s.handleMine)
+	mux.HandleFunc("GET /trace.json", s.handleTrace)
 
 	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 	go func() { s.serveErr <- s.srv.Serve(lis) }()
@@ -107,9 +108,10 @@ func (s *Server) Addr() string { return s.lis.Addr().String() }
 func (s *Server) URL() string { return "http://" + s.Addr() }
 
 // Close drains gracefully: (1) new commands and subscriptions are
-// rejected 503, (2) in-flight command handlers finish (bounded by ctx),
-// (3) every staged journal record is forced durable, (4) streams emit
-// their final watermarks and end — resolving every receipt issued
+// rejected 503 — the ops routes keep answering, /healthz with 503 and
+// "draining":true — (2) in-flight command handlers finish (bounded by
+// ctx), (3) every staged journal record is forced durable, (4) streams
+// emit their final watermarks and end — resolving every receipt issued
 // before Close — and (5) the HTTP server shuts down. Close does not
 // close the underlying System.
 func (s *Server) Close(ctx context.Context) error {
@@ -316,10 +318,10 @@ func (s *Server) acquireStream(w http.ResponseWriter) (*streamWriter, bool) {
 		writeError(w, drainingErr())
 		return nil, false
 	}
-	if s.streams.Add(1) > int64(s.opts.MaxStreams) {
+	if s.streams.Add(1) > MaxStreams {
 		s.streams.Add(-1)
 		writeError(w, &adept2.Error{Code: adept2.CodeWedged, Op: "rpc",
-			Err: fmt.Errorf("rpc: stream limit %d reached", s.opts.MaxStreams)})
+			Err: fmt.Errorf("rpc: stream limit %d reached", MaxStreams)})
 		return nil, false
 	}
 	fl, ok := w.(http.Flusher)
@@ -520,27 +522,4 @@ func (s *Server) handleExceptions(w http.ResponseWriter, r *http.Request) {
 		list.Exceptions[i] = xs
 	}
 	writeJSON(w, http.StatusOK, list)
-}
-
-// handleHealth serves GET /v1/healthz: 200 with the summary when the
-// system is serving, 503 (with the same summary body) when wedged or
-// draining — the body always parses, so Dial learns the shard count
-// either way.
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	info := s.sys.HealthInfo()
-	sum := HealthSummary{
-		Healthy:      info.Wedged == nil,
-		Shards:       s.sys.NumShards(),
-		Instances:    len(s.sys.Instances()),
-		WedgedShards: info.WedgedShards,
-		Draining:     s.draining.Load(),
-	}
-	if info.Wedged != nil {
-		sum.Err = info.Wedged.Error()
-	}
-	status := http.StatusOK
-	if !sum.Healthy || sum.Draining {
-		status = http.StatusServiceUnavailable
-	}
-	writeJSON(w, status, sum)
 }

@@ -231,8 +231,9 @@ type ExceptionList struct {
 	Exceptions []ExceptionSummary `json:"exceptions"`
 }
 
-// HealthSummary answers GET /v1/healthz (status 200 healthy, 503
-// wedged or draining). Shards sizes a client's watermark tracking.
+// HealthSummary answers GET /healthz and /v1/healthz (status 200
+// healthy, 503 unhealthy or draining). Shards sizes a client's
+// watermark tracking.
 type HealthSummary struct {
 	Healthy      bool   `json:"healthy"`
 	Shards       int    `json:"shards"`

@@ -52,7 +52,7 @@
 //   - Rename and Remove become durable only at the next SyncDir of the
 //     parent directory (or a later File.Sync through the renamed name).
 //     A crash between rename and directory sync revives the old
-//     binding — the torn-rename window AtomicWrite's dir-fsync closes.
+//     binding — the torn-rename window AtomicWriteFS's dir-fsync closes.
 //   - A never-synced file whose directory was synced survives as an
 //     empty file (the entry was durable, the content never was).
 //   - Directories themselves are durable on creation, and RemoveAll is

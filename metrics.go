@@ -2,11 +2,7 @@ package adept2
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"net"
-	"net/http"
-	"strconv"
 	"time"
 
 	"adept2/internal/obs"
@@ -86,8 +82,8 @@ func codeIndexOf(err error) int {
 // WithMetricsDisabled switches the telemetry plane off (obs.Disabled):
 // no counters, no histograms, no trace ring, no clock reads — the
 // submit path pays one nil check. The operational surfaces
-// (System.Metrics, the metrics server) still serve engine and health
-// gauges, just no accumulated families.
+// (System.Metrics, the ops routes of internal/rpc) still serve engine
+// and health gauges, just no accumulated families.
 func WithMetricsDisabled() Option {
 	return func(c *config) { c.metricsOff = true }
 }
@@ -97,16 +93,6 @@ func WithMetricsDisabled() Option {
 // Defaults: 256 slots, 1/64.
 func WithTraceSampling(slots, every int) Option {
 	return func(c *config) { c.obsOpts = obs.Options{RingSlots: slots, SampleEvery: every} }
-}
-
-// WithMetricsServer serves the metrics plane over HTTP at addr
-// (host:port; ":0" picks a free port — see MetricsAddr): /metrics is
-// Prometheus text format, /metrics.json the typed snapshot as JSON,
-// /healthz the health summary (503 while wedged). The server stops on
-// Close. Only takes effect with Open; New has no error path to report a
-// failed listen through.
-func WithMetricsServer(addr string) Option {
-	return func(c *config) { c.metricsAddr = addr }
 }
 
 // WithSweepInterval runs System.SweepDeadlines from an in-process timer
@@ -205,47 +191,22 @@ func (s *System) Metrics() *obs.Snapshot {
 // unguarded. External consumers should use Metrics instead.
 func (s *System) ObsSet() *obs.Set { return s.met }
 
-// MetricsAddr returns the metrics server's bound address ("" without
-// WithMetricsServer) — the way to find the port after ":0".
-func (s *System) MetricsAddr() string {
-	if s.obsLis == nil {
-		return ""
-	}
-	return s.obsLis.Addr().String()
-}
-
-// startObs brings up the per-system observability machinery that runs
-// goroutines: the sweep timer and the metrics HTTP server. Called at
-// the end of Open (after recovery) and torn down first in Close.
-func (s *System) startObs(c *config) error {
-	if c.sweepEvery > 0 {
-		s.startSweeper(c.sweepEvery)
-	}
-	if c.metricsAddr != "" {
-		if err := s.startMetricsServer(c.metricsAddr); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// stopObs shuts the sweep timer and metrics server down. It runs before
-// the durability teardown in Close so no sweep submits into a closing
-// committer and no scrape observes a half-closed system.
-func (s *System) stopObs() {
+// stopSweeper shuts the sweep timer down. It runs before the durability
+// teardown in Close so no sweep submits into a closing committer.
+func (s *System) stopSweeper() {
 	if s.sweepStop != nil {
 		close(s.sweepStop)
 		<-s.sweepDone
 		s.sweepStop = nil
 	}
-	if s.obsSrv != nil {
-		s.obsSrv.Close()
-		s.obsSrv = nil
-		s.obsLis = nil
-	}
 }
 
+// startSweeper starts the WithSweepInterval timer (a no-op without one).
+// Called at the end of construction, after recovery.
 func (s *System) startSweeper(every time.Duration) {
+	if every <= 0 {
+		return
+	}
 	s.sweepStop = make(chan struct{})
 	s.sweepDone = make(chan struct{})
 	go func() {
@@ -267,73 +228,4 @@ func (s *System) startSweeper(every time.Duration) {
 			}
 		}
 	}()
-}
-
-func (s *System) startMetricsServer(addr string) error {
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return wrapErr("metrics", "", err)
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = obs.WritePrometheus(w, s.Metrics())
-	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(s.Metrics())
-	})
-	mux.HandleFunc("/mine.json", func(w http.ResponseWriter, r *http.Request) {
-		opts := MineOptions{}
-		if v := r.URL.Query().Get("variants"); v != "" {
-			if n, err := strconv.Atoi(v); err == nil {
-				opts.MaxVariants = n
-			}
-		}
-		rep, err := s.Mine(r.Context(), opts)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(rep)
-	})
-	mux.HandleFunc("/trace.json", func(w http.ResponseWriter, r *http.Request) {
-		var after uint64
-		if v := r.URL.Query().Get("after"); v != "" {
-			n, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				http.Error(w, "bad after cursor: "+err.Error(), http.StatusBadRequest)
-				return
-			}
-			after = n
-		}
-		var ring *obs.TraceRing
-		if s.met != nil {
-			ring = s.met.Ring
-		}
-		spans, next := ring.Export(after)
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(obs.TraceExport{Next: next, Spans: spans})
-	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		status := map[string]any{"healthy": true}
-		if err := s.healthErr(); err != nil {
-			status["healthy"] = false
-			status["error"] = err.Error()
-			w.WriteHeader(http.StatusServiceUnavailable)
-		}
-		_ = json.NewEncoder(w).Encode(status)
-	})
-	s.obsLis = lis
-	s.obsSrv = &http.Server{Handler: mux}
-	go func() { _ = s.obsSrv.Serve(lis) }()
-	return nil
 }

@@ -2,19 +2,13 @@ package adept2_test
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
 	"math/rand"
-	"net/http"
 	"path/filepath"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"adept2"
-	"adept2/internal/obs"
 	"adept2/internal/sim"
 )
 
@@ -259,109 +253,6 @@ func TestMetricsDisabled(t *testing.T) {
 	if snap.Engine.Instances != 1 {
 		t.Errorf("instances gauge = %d, want 1", snap.Engine.Instances)
 	}
-}
-
-// TestMetricsServer drives the HTTP plane under live traffic: /metrics
-// must parse as Prometheus text and cover the core families, the JSON
-// snapshot must round-trip strictly into obs.Snapshot, and /healthz
-// reports healthy.
-func TestMetricsServer(t *testing.T) {
-	ctx := context.Background()
-	sys := openMetrics(t, filepath.Join(t.TempDir(), "wal.ndjson"),
-		adept2.WithMetricsServer("127.0.0.1:0"))
-	defer sys.Close()
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
-		t.Fatal(err)
-	}
-	inst, err := sys.CreateInstance("online_order")
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() { // concurrent load while scraping
-		defer close(done)
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if _, err := sys.Submit(ctx, toggle(inst.ID(), i)); err != nil {
-				return
-			}
-		}
-	}()
-
-	addr := sys.MetricsAddr()
-	if addr == "" {
-		t.Fatal("no metrics address")
-	}
-
-	body := func(path string, wantStatus int) []byte {
-		t.Helper()
-		resp, err := http.Get("http://" + addr + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != wantStatus {
-			t.Fatalf("%s: status %d, want %d: %s", path, resp.StatusCode, wantStatus, b)
-		}
-		return b
-	}
-
-	text := string(body("/metrics", 200))
-	for _, fam := range []string{
-		"adept2_submit_total", "adept2_submit_latency_seconds",
-		"adept2_committer_fsync_seconds", "adept2_checkpoint_total",
-		"adept2_exception_failures_total", "adept2_sweep_lag_seconds",
-		"adept2_instances", "adept2_wedged",
-	} {
-		if !strings.Contains(text, "# TYPE "+fam+" ") {
-			t.Errorf("family %s missing from /metrics", fam)
-		}
-	}
-	for _, line := range strings.Split(text, "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		i := strings.LastIndexByte(line, ' ')
-		if i < 0 || !strings.HasPrefix(line, "adept2_") {
-			t.Fatalf("unparseable sample line: %q", line)
-		}
-		if _, err := fmt.Sscanf(line[i+1:], "%g", new(float64)); err != nil {
-			t.Fatalf("bad value in %q: %v", line, err)
-		}
-	}
-
-	raw := body("/metrics.json", 200)
-	dec := json.NewDecoder(strings.NewReader(string(raw)))
-	dec.DisallowUnknownFields()
-	var snap obs.Snapshot
-	if err := dec.Decode(&snap); err != nil {
-		t.Fatalf("JSON snapshot does not round-trip: %v", err)
-	}
-	if len(snap.Ops) == 0 {
-		t.Error("JSON snapshot has no op families under load")
-	}
-
-	var health struct {
-		Healthy bool `json:"healthy"`
-	}
-	if err := json.Unmarshal(body("/healthz", 200), &health); err != nil {
-		t.Fatal(err)
-	}
-	if !health.Healthy {
-		t.Error("healthz reports unhealthy on a healthy system")
-	}
-
-	close(stop)
-	<-done
 }
 
 // TestSweepTimer covers the in-process deadline sweeper: a deadline

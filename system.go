@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
-	"net/http"
 	"sync"
 	"time"
 
@@ -73,12 +71,9 @@ type System struct {
 
 	// met is the telemetry plane (nil = obs.Disabled). It is installed
 	// only AFTER recovery completes, so replay can never record live-
-	// path metrics. obsSrv/obsLis serve it over HTTP
-	// (WithMetricsServer); sweepStop/sweepDone bound the in-process
-	// deadline sweep timer (WithSweepInterval).
+	// path metrics. sweepStop/sweepDone bound the in-process deadline
+	// sweep timer (WithSweepInterval).
 	met       *obs.Set
-	obsSrv    *http.Server
-	obsLis    net.Listener
 	sweepStop chan struct{}
 	sweepDone chan struct{}
 }
@@ -225,12 +220,11 @@ type config struct {
 	bothCanAct bool
 
 	// Observability (metrics.go): metrics are on by default; metricsOff
-	// selects obs.Disabled, obsOpts tunes the trace ring, metricsAddr
-	// brings up the HTTP stats plane, sweepEvery the deadline timer.
-	metricsOff  bool
-	obsOpts     obs.Options
-	metricsAddr string
-	sweepEvery  time.Duration
+	// selects obs.Disabled, obsOpts tunes the trace ring, sweepEvery
+	// runs the deadline timer.
+	metricsOff bool
+	obsOpts    obs.Options
+	sweepEvery time.Duration
 }
 
 // fsys resolves the configured filesystem, defaulting to the real OS.
@@ -272,9 +266,7 @@ func New(opts ...Option) *System {
 	}
 	sys := newSystem(&c)
 	sys.met = newMetricsSet(&c, 1)
-	if c.sweepEvery > 0 {
-		sys.startSweeper(c.sweepEvery)
-	}
+	sys.startSweeper(c.sweepEvery)
 	return sys
 }
 
@@ -347,9 +339,9 @@ func (s *System) Recovery() *RecoveryInfo { return s.recovery }
 // Close waits for an in-flight background snapshot, drains every shard's
 // group-commit pipeline, and releases the journals.
 func (s *System) Close() error {
-	// Observability goroutines go first: no sweep may submit into a
-	// closing committer, no scrape may observe a half-closed system.
-	s.stopObs()
+	// The sweep timer goes first: no sweep may submit into a closing
+	// committer.
+	s.stopSweeper()
 	if s.ckpt == nil {
 		return nil // New(): no pipeline, nothing to release
 	}
@@ -365,24 +357,16 @@ func (s *System) Close() error {
 // (sticky flush error after exhausted retries, on any shard) or the most
 // recent background checkpoint failure. nil means the pipeline is healthy.
 func (s *System) Health() error {
-	if err := s.healthErr(); err != nil {
-		return &Error{Code: CodeWedged, Op: "health", Err: err}
-	}
-	return nil
-}
-
-// healthErr is Health without the taxonomy wrapping.
-func (s *System) healthErr() error {
-	if err := s.wedgedErr(); err != nil {
-		return err
-	}
-	if ck := s.ckpt; ck != nil {
+	err := s.wedgedErr()
+	if ck := s.ckpt; err == nil && ck != nil {
 		ck.mu.Lock()
-		err := ck.err
-		ck.mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("adept2: background checkpoint failing: %w", err)
+		if ck.err != nil {
+			err = fmt.Errorf("adept2: background checkpoint failing: %w", ck.err)
 		}
+		ck.mu.Unlock()
+	}
+	if err != nil {
+		return &Error{Code: CodeWedged, Op: "health", Err: err}
 	}
 	return nil
 }

@@ -144,10 +144,7 @@ func openSharded(c *config, l sharded.Layout, man *sharded.Manifest) (*System, e
 	sys.gman = man
 	sys.recovery = info
 	sys.ckpt = newCheckpointer(&c.ckpt, wal.TotalSeq())
-	if err := sys.startObs(c); err != nil {
-		_ = sys.Close()
-		return nil, err
-	}
+	sys.startSweeper(c.sweepEvery)
 	return sys, nil
 }
 
