@@ -112,20 +112,18 @@ func buildLegacyDir(t *testing.T, snapDir string, compact bool) legacyDir {
 // checkpoint writing the global manifest with the adopted snapshot kept as
 // the older generation — and reshards 1 → 4 → 1 without losing state.
 func TestLegacyDirectoryAdoption(t *testing.T) {
-	for _, groupCommit := range []bool{false, true} {
-		for _, customDir := range []bool{false, true} {
-			for _, compact := range []bool{false, true} {
-				name := fmt.Sprintf("group=%t/dir=%t/compacted=%t", groupCommit, customDir, compact)
-				t.Run(name, func(t *testing.T) {
-					snapDir := ""
-					if customDir {
-						snapDir = filepath.Join(t.TempDir(), "snaps")
-					}
-					d := buildLegacyDir(t, snapDir, compact)
-					cfg := adept2.CheckpointConfig{Every: -1, GroupCommit: groupCommit, Dir: snapDir}
-					adoptLegacyDir(t, d, cfg)
-				})
-			}
+	for _, customDir := range []bool{false, true} {
+		for _, compact := range []bool{false, true} {
+			name := fmt.Sprintf("dir=%t/compacted=%t", customDir, compact)
+			t.Run(name, func(t *testing.T) {
+				snapDir := ""
+				if customDir {
+					snapDir = filepath.Join(t.TempDir(), "snaps")
+				}
+				d := buildLegacyDir(t, snapDir, compact)
+				cfg := adept2.CheckpointConfig{Every: -1, Dir: snapDir}
+				adoptLegacyDir(t, d, cfg)
+			})
 		}
 	}
 }

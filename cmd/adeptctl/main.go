@@ -492,7 +492,7 @@ func load(args []string) {
 	remote := fs.String("remote", "", "drive a served system at URL instead of opening a journal")
 	must(fs.Parse(args))
 	ctx := context.Background()
-	cli, done := dial(*remote, *journal, adept2.CheckpointConfig{GroupCommit: true, Shards: *shards})
+	cli, done := dial(*remote, *journal, adept2.CheckpointConfig{Shards: *shards})
 	defer done()
 
 	if _, err := cli.Submit(ctx, &adept2.AddUser{User: &adept2.User{
@@ -584,7 +584,7 @@ func serveCmd(args []string) {
 		usage()
 	}
 	sys, err := adept2.Open(*journal,
-		adept2.WithCheckpointing(adept2.CheckpointConfig{Every: -1, GroupCommit: true, Shards: *shards}),
+		adept2.WithCheckpointing(adept2.CheckpointConfig{Every: -1, Shards: *shards}),
 		adept2.WithSweepInterval(sweepEvery))
 	must(err)
 	srv, err := rpc.NewServer(sys, rpc.Options{Addr: *addr})

@@ -190,8 +190,8 @@ func TestDifferentialCommandRecovery(t *testing.T) {
 		name string
 		cfg  adept2.CheckpointConfig
 	}{
-		{"shards=1", adept2.CheckpointConfig{Every: 24, GroupCommit: true}},
-		{"shards=4", adept2.CheckpointConfig{Every: 24, GroupCommit: true, Shards: 4}},
+		{"shards=1", adept2.CheckpointConfig{Every: 24}},
+		{"shards=4", adept2.CheckpointConfig{Every: 24, Shards: 4}},
 	}
 	for _, l := range layouts {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -238,7 +238,7 @@ func TestDifferentialConcurrentAsyncRecovery(t *testing.T) {
 	for _, shards := range []int{0, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "wal.ndjson")
-			cfg := adept2.CheckpointConfig{Every: 32, GroupCommit: true, Shards: shards}
+			cfg := adept2.CheckpointConfig{Every: 32, Shards: shards}
 			sys, err := adept2.Open(path, adept2.WithOrg(sim.Org()), adept2.WithCheckpointing(cfg))
 			if err != nil {
 				t.Fatal(err)
@@ -320,7 +320,7 @@ func TestDifferentialRemoteLocal(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			ctx := context.Background()
-			cfg := adept2.CheckpointConfig{Every: 24, GroupCommit: true, Shards: 4}
+			cfg := adept2.CheckpointConfig{Every: 24, Shards: 4}
 			local, err := adept2.Open(filepath.Join(t.TempDir(), "local.ndjson"),
 				adept2.WithOrg(sim.Org()), adept2.WithCheckpointing(cfg))
 			if err != nil {

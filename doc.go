@@ -82,12 +82,19 @@
 // tunes the pipeline and adds no mode: without it Open runs the zero-
 // value CheckpointConfig. A system created with New journals nothing.
 //
+// Every shard journal is buffered and flushed by its own committer:
+// appends arriving during one fsync form the next batch (a lone writer
+// pays one write + one fsync per command), a failed flush is retried with
+// backoff, and a shard that exhausts its retries wedges — submissions
+// fail with ErrWedged before they mutate anything, reads and Health keep
+// answering, and Heal restores writes.
+//
 // # Batches and the epoch invariant
 //
 // SubmitBatch takes the command barrier once per run of consecutive data
 // commands, applies them in order, and appends the encoded records as
-// ONE multi-record journal write — one fsync (or one group-commit wait)
-// per touched journal for the whole run. Records of a batch keep command
+// ONE multi-record journal write — one group-commit wait per touched
+// journal for the whole run. Records of a batch keep command
 // order within each journal. A failing command ends its run: the applied
 // prefix is journaled and durable before SubmitBatch returns the typed
 // error, so live state and journal never diverge.
@@ -210,10 +217,7 @@
 // O(batch + capped tables), never O(population). The same report codec
 // backs all three surfaces: `adeptctl mine` offline over any journal
 // or layout, System.Mine in process, and /mine.json on a served
-// system. Deadline escalation grows a construction-time policy knob on
-// the same plane: WithEscalationBothCanAct offers expired work to the
-// union of the original and escalation roles instead of replacing the
-// offer, and recovery replays escalations under the same knob.
+// system.
 //
 // # The networked command plane
 //

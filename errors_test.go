@@ -187,7 +187,7 @@ func TestErrorTaxonomyWedged(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.ndjson")
 	snaps := filepath.Join(dir, "snaps")
-	cfg := adept2.CheckpointConfig{Dir: snaps, Every: 1, GroupCommit: true}
+	cfg := adept2.CheckpointConfig{Dir: snaps, Every: 1}
 	sys, err := adept2.Open(path, adept2.WithOrg(sim.Org()), adept2.WithCheckpointing(cfg))
 	if err != nil {
 		t.Fatal(err)

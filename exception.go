@@ -152,17 +152,6 @@ func WithExceptionPolicy(p ExceptionPolicy) Option {
 	return func(c *config) { c.policy = p }
 }
 
-// WithEscalationBothCanAct selects both-can-act escalation semantics:
-// when a deadline fires, the work item is offered to the union of the
-// escalation role's and the original role's users, instead of the
-// escalation role replacing the offer (the default). The knob is part
-// of the system's construction — like the storage strategy it applies
-// before any recovery replay, so escalations recovered from a journal
-// offer to the same user set the original execution did.
-func WithEscalationBothCanAct() Option {
-	return func(c *config) { c.bothCanAct = true }
-}
-
 func exceptionErr(kind ExceptionKind, instID, node, reason string) error {
 	if kind == DeadlineExpired {
 		return &Error{Code: CodeTimeout, Op: "timeout", Instance: instID,

@@ -188,15 +188,17 @@ func (d *faultDriver) run(steps int) {
 	d.drain()
 }
 
-// crashLayouts are the two shard counts every fault property is checked
-// against.
+// crashLayouts are the configurations every fault property is checked
+// against: both shard counts, and the zero value Open runs when no
+// WithCheckpointing is given.
 var crashLayouts = []struct {
 	name string
 	cfg  adept2.CheckpointConfig
 }{
-	{"shards=1", adept2.CheckpointConfig{Every: 16, GroupCommit: true,
+	{"default", adept2.CheckpointConfig{}},
+	{"shards=1", adept2.CheckpointConfig{Every: 16,
 		RetryBase: 100 * time.Microsecond, RetryCap: time.Millisecond}},
-	{"shards=4", adept2.CheckpointConfig{Every: 16, GroupCommit: true, Shards: 4,
+	{"shards=4", adept2.CheckpointConfig{Every: 16, Shards: 4,
 		RetryBase: 100 * time.Microsecond, RetryCap: time.Millisecond}},
 }
 
@@ -363,8 +365,12 @@ func transientRun(t *testing.T, cfg adept2.CheckpointConfig, script vfs.Script) 
 	if d.dead {
 		t.Fatal("transient faults wedged the pipeline")
 	}
-	if hi := sys.HealthInfo(); hi.Wedged != nil {
+	hi := sys.HealthInfo()
+	if hi.Wedged != nil {
 		t.Fatalf("wedged under transient faults: %v", hi.Wedged)
+	}
+	if script != nil && hi.FlushRetries == 0 {
+		t.Fatal("no flush was retried: the faults missed the journal")
 	}
 	if err := sys.Close(); err != nil && script == nil {
 		t.Fatal(err)
@@ -484,7 +490,7 @@ func TestPersistentFaultDegradesAndHeals(t *testing.T) {
 // receipt; after the pipeline wedges and is healed, a later Wait on the
 // same receipt resolves nil and the record is durable.
 func TestReceiptWaitCancelRacesWedgeThenHeal(t *testing.T) {
-	cfg := adept2.CheckpointConfig{Every: -1, GroupCommit: true,
+	cfg := adept2.CheckpointConfig{Every: -1,
 		RetryMax: 3, RetryBase: 5 * time.Millisecond, RetryCap: 10 * time.Millisecond}
 	ctx := context.Background()
 	ffs := vfs.NewFaultFS(vfs.NewMemFS(), nil)
@@ -555,7 +561,7 @@ func TestReceiptWaitCancelRacesWedgeThenHeal(t *testing.T) {
 // be replayed again: the next recovery starts at the heal-time snapshot
 // and replays only records submitted after it.
 func TestHealForcesCheckpoint(t *testing.T) {
-	cfg := adept2.CheckpointConfig{Every: -1, GroupCommit: true, RetryMax: 2,
+	cfg := adept2.CheckpointConfig{Every: -1, RetryMax: 2,
 		RetryBase: 100 * time.Microsecond, RetryCap: time.Millisecond}
 	ctx := context.Background()
 	ffs := vfs.NewFaultFS(vfs.NewMemFS(), nil)
@@ -631,7 +637,7 @@ func TestHealForcesCheckpoint(t *testing.T) {
 // the fault clears, Heal resets the checkpoint backoff and the next
 // checkpoint succeeds.
 func TestCheckpointDirFsyncFailureDoesNotWedge(t *testing.T) {
-	cfg := adept2.CheckpointConfig{Every: 4, GroupCommit: true,
+	cfg := adept2.CheckpointConfig{Every: 4,
 		RetryBase: 100 * time.Microsecond, RetryCap: time.Millisecond}
 	ctx := context.Background()
 	ffs := vfs.NewFaultFS(vfs.NewMemFS(), nil)

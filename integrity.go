@@ -139,7 +139,7 @@ func VerifyLayout(path string, repair bool, opts ...Option) (*IntegrityReport, e
 				rep.Problems = append(rep.Problems, fmt.Sprintf(
 					"shard %d: no valid generation and journal starts at seq %d: the compacted prefix is unrecoverable",
 					k, sc.FirstSeq))
-			case k > 0 && floor > 0 && sc.FirstSeq > 0 && sc.FirstSeq <= floor:
+			case floor > 0 && sc.FirstSeq > 0 && sc.FirstSeq <= floor:
 				rep.Problems = append(rep.Problems, fmt.Sprintf(
 					"shard %d: no valid generation and records at or below reshard floor %d: full replay is refused",
 					k, floor))
@@ -169,7 +169,9 @@ func checkShard(fsys vfs.FS, k int, jpath, snapDir string, repair bool, rep *Int
 			if repair {
 				// ResumeJournalFS performs exactly the tail repair Open
 				// would: truncate past the last intact record, terminate
-				// an open tail.
+				// an open tail. Unbuffered because nothing is appended:
+				// the journal is closed again at once, so there is no
+				// batch for a committer to flush.
 				j, rerr := persist.ResumeJournalFS(fsys, jpath, tail, false)
 				if rerr != nil {
 					rep.Problems = append(rep.Problems, fmt.Sprintf("shard %d: tail repair: %v", k, rerr))

@@ -9,12 +9,12 @@ import (
 	"adept2/internal/persist"
 )
 
-// BenchmarkGroupCommit compares the append throughput of the serial
+// BenchmarkCommitter compares the append throughput of the serial
 // fsync-per-record journal against the group-commit committer under
 // concurrent writers: the committer turns N concurrent appends into one
 // buffered write + one fsync per batch, so appends/sec scale with
 // concurrency instead of being bound by the fsync latency.
-func BenchmarkGroupCommit(b *testing.B) {
+func BenchmarkCommitter(b *testing.B) {
 	args := map[string]any{"instance": "inst-000001", "node": "confirm_order", "user": "ann"}
 
 	b.Run("serial-fsync", func(b *testing.B) {

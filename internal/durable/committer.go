@@ -117,14 +117,17 @@ func (c *Committer) resolveWaitersLocked() {
 
 // NewCommitter starts a group-commit pipeline over the journal. The
 // journal should be opened with persist.OpenJournalBuffered; a sync-per-
-// append journal works but double-pays fsyncs.
+// append journal works but double-pays fsyncs. The records the journal
+// was opened with are its durable floor, so the watermark starts at its
+// head: nothing is staged yet.
 func NewCommitter(j *persist.Journal, opts CommitterOptions) *Committer {
 	opts.defaults()
 	c := &Committer{
-		j:    j,
-		opts: opts,
-		wake: make(chan struct{}, 1),
-		done: make(chan struct{}),
+		j:       j,
+		opts:    opts,
+		flushed: j.Seq(),
+		wake:    make(chan struct{}, 1),
+		done:    make(chan struct{}),
 	}
 	c.cond = sync.NewCond(&c.mu)
 	go c.run()
@@ -246,14 +249,14 @@ func (c *Committer) kick() {
 // it).
 func (c *Committer) WaitSeq(ctx context.Context, seq int) error {
 	c.mu.Lock()
+	if c.flushed >= seq { // covered before any later wedge: durable
+		c.mu.Unlock()
+		return nil
+	}
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
 		return err
-	}
-	if c.flushed >= seq {
-		c.mu.Unlock()
-		return nil
 	}
 	if c.stopped {
 		c.mu.Unlock()

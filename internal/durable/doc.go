@@ -11,14 +11,18 @@
 //
 // # Group commit
 //
-// Committer batches concurrent Append callers into one buffered write plus
-// one fsync. Appends land in the journal's user-space buffer immediately
-// (serialized by the journal lock, preserving sequence order); each caller
-// then blocks until a flush covering its record completed. A single
-// background flusher drains the batch: it waits up to the configured flush
-// window (FlushWindow) for more callers to join — unless the pending batch
-// already reached MaxBatch — then issues exactly one buffered write + one
-// fsync for the whole batch and wakes every covered caller.
+// Every shard journal of every Open is flushed by one Committer
+// (sharded.OpenWAL starts it; there is no other append path). It batches
+// concurrent Append callers into one buffered write plus one fsync.
+// Appends land in the journal's user-space buffer immediately (serialized
+// by the journal lock, preserving sequence order); each caller then blocks
+// until a flush covering its record completed. A single background
+// flusher drains the batch with exactly one buffered write + one fsync and
+// wakes every covered caller. By default the in-flight fsync is the gather
+// window — appends arriving while it runs form the next batch, and a lone
+// writer pays one write + one fsync per command; a positive FlushWindow
+// adds a wait for more callers to join, unless the pending batch already
+// reached MaxBatch.
 //
 // Error semantics: a record is durable if and only if its Append (or the
 // Wait on its receipt) returned nil. Flush failures do NOT immediately
@@ -26,8 +30,8 @@
 //
 // # Retry, wedge, heal
 //
-// The journal's group-commit mode keeps every not-yet-flushed record
-// encoded in a user-space pending buffer, which makes a failed flush
+// The buffered journal keeps every not-yet-flushed record encoded in a
+// user-space pending buffer, which makes a failed flush
 // RETRYABLE without tripping over the fsync-gate problem (a failed fsync
 // may silently drop the kernel's dirty pages, so re-fsyncing the same
 // file descriptor proves nothing). A failed flush marks the physical

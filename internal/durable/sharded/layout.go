@@ -122,10 +122,12 @@ type Manifest struct {
 	// reshard cut: records at or below the floor were partitioned under
 	// a DIFFERENT shard count, so a full merged replay — which orders
 	// data shards only by epoch — could interleave one instance's
-	// records from two shards. Recovery refuses full replay for a data
-	// shard whose journal still reaches its floor (a generation snapshot
-	// is required instead). Shard 0 is exempt: its pre-reshard records
-	// are totally ordered and epoch-gate every later data record.
+	// records from two shards, or miss the instances of shards a shrink
+	// removed. Recovery refuses full replay for a shard whose journal
+	// still reaches its floor (a generation snapshot is required
+	// instead). A reshard from ONE shard leaves shard 0's floor as it
+	// was (0 unless an earlier shrink set it): that journal holds every
+	// record in total order, and a full replay reproduces it.
 	ReplayFloors []int `json:"replayFloors,omitempty"`
 }
 

@@ -136,10 +136,11 @@ func Recover(l Layout, man *Manifest, stores []*durable.SnapshotStore, fresh fun
 
 	// Full merged replay: decode every shard journal from its first
 	// record — impossible once any journal was compacted, and refused
-	// for data shards whose journals still reach a reshard floor (those
+	// for shards whose journals still reach a reshard floor (those
 	// records were partitioned under a different shard count, so one
-	// instance's history may span two data shards; only a generation
-	// snapshot can recover past that point — see Manifest.ReplayFloors).
+	// instance's history may span two shards or lie in a journal the
+	// reshard removed; only a generation snapshot can recover past that
+	// point — see Manifest.ReplayFloors).
 	var wg sync.WaitGroup
 	errs := make([]error, l.Shards)
 	for k := 0; k < l.Shards; k++ {
@@ -157,7 +158,7 @@ func Recover(l Layout, man *Manifest, stores []*durable.SnapshotStore, fresh fun
 					k, tail.FirstSeq, tail.FirstSeq-1, res.Fallbacks)
 				return
 			}
-			if k > 0 && k < len(man.ReplayFloors) && man.ReplayFloors[k] > 0 && tail.FirstSeq > 0 && tail.FirstSeq <= man.ReplayFloors[k] {
+			if k < len(man.ReplayFloors) && man.ReplayFloors[k] > 0 && tail.FirstSeq > 0 && tail.FirstSeq <= man.ReplayFloors[k] {
 				errs[k] = fault.Tagf(fault.Unrecoverable,
 					"sharded: shard %d journal reaches back to seq %d, at or before the reshard floor %d, and no usable generation: refusing full replay of mis-partitioned records: %v",
 					k, tail.FirstSeq, man.ReplayFloors[k], res.Fallbacks)

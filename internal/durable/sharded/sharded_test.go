@@ -118,9 +118,9 @@ func idOnShard(t *testing.T, k, n int) string {
 	return ""
 }
 
-func openTestWAL(t *testing.T, l Layout, group bool) *WAL {
+func openTestWAL(t *testing.T, l Layout) *WAL {
 	t.Helper()
-	w, err := OpenWAL(l, make([]persist.TailInfo, l.Shards), group, durable.CommitterOptions{})
+	w, err := OpenWAL(l, make([]persist.TailInfo, l.Shards), durable.CommitterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func openTestWAL(t *testing.T, l Layout, group bool) *WAL {
 
 func TestWALRoutingAndEpoch(t *testing.T) {
 	l := Layout{Base: filepath.Join(t.TempDir(), "wal.ndjson"), Shards: 3}
-	w := openTestWAL(t, l, false)
+	w := openTestWAL(t, l)
 	for k := 0; k < 3; k++ {
 		w.Journal(k).SetSync(false)
 	}
@@ -182,7 +182,7 @@ func TestWALRoutingAndEpoch(t *testing.T) {
 
 func TestWALHealthSurfacesWedgedCommitter(t *testing.T) {
 	l := Layout{Base: filepath.Join(t.TempDir(), "wal.ndjson"), Shards: 2}
-	w := openTestWAL(t, l, true)
+	w := openTestWAL(t, l)
 	if err := w.Health(); err != nil {
 		t.Fatalf("fresh WAL must be healthy: %v", err)
 	}

@@ -12,10 +12,11 @@ import (
 // WAL routes journal appends across the shards of a layout: control
 // records (schema deploys, users, evolutions) to shard 0, data records to
 // the shard their instance hashes onto, stamped with the current epoch.
-// Each shard owns its own journal and (with group commit) its own
-// committer, so concurrent appends to different shards serialize, encode,
-// and fsync independently — the append path scales past a single fsync
-// queue.
+// Each shard owns its own buffered journal and its own committer, so
+// concurrent appends to different shards serialize, encode, and fsync
+// independently — the append path scales past a single fsync queue — and
+// every shard fails the same way: retry, wedge, Heal (see
+// durable.Committer).
 //
 // The epoch is the shard-0 sequence number of the newest *durable*
 // control record. With more than one shard the facade serializes control
@@ -30,32 +31,29 @@ type WAL struct {
 	epoch  atomic.Int64
 }
 
+// walShard is one shard's journal and the committer flushing it. Both are
+// nil only for shards OpenWAL did not reach before it failed.
 type walShard struct {
 	j *persist.Journal
-	c *durable.Committer // nil without group commit
+	c *durable.Committer
 }
 
-// OpenWAL resumes every shard journal of the layout. tails carries the
-// per-shard scan results recovery already established (persist.TailInfo
-// per shard; the zero value is fine for journals that do not exist yet).
-// With group commit each shard gets its own buffered journal and
-// committer; otherwise appends fsync individually — still in parallel
-// across shards, since each journal has its own lock and fd.
-func OpenWAL(l Layout, tails []persist.TailInfo, group bool, opts durable.CommitterOptions) (*WAL, error) {
+// OpenWAL resumes every shard journal of the layout, buffered, and starts
+// its committer. tails carries the per-shard scan results recovery already
+// established (persist.TailInfo per shard; the zero value is fine for
+// journals that do not exist yet).
+func OpenWAL(l Layout, tails []persist.TailInfo, opts durable.CommitterOptions) (*WAL, error) {
 	if len(tails) != l.Shards {
 		return nil, fmt.Errorf("sharded: open wal: %d tails for %d shards", len(tails), l.Shards)
 	}
 	w := &WAL{layout: l, shards: make([]walShard, l.Shards)}
 	for k := range w.shards {
-		j, err := persist.ResumeJournalFS(l.fs(), l.JournalPath(k), tails[k], group)
+		j, err := persist.ResumeJournalFS(l.fs(), l.JournalPath(k), tails[k], true)
 		if err != nil {
 			w.Close()
 			return nil, err
 		}
-		w.shards[k].j = j
-		if group {
-			w.shards[k].c = durable.NewCommitter(j, opts)
-		}
+		w.shards[k] = walShard{j: j, c: durable.NewCommitter(j, opts)}
 	}
 	return w, nil
 }
@@ -73,22 +71,13 @@ func (w *WAL) Epoch() int { return int(w.epoch.Load()) }
 // number of the last control record recovery applied or restored).
 func (w *WAL) SetEpoch(e int) { w.epoch.Store(int64(e)) }
 
-// appendShard journals one record on shard k, blocking until durable.
-func (w *WAL) appendShard(k int, op string, epoch int, args any) (int, error) {
-	sh := &w.shards[k]
-	if sh.c != nil {
-		return sh.c.AppendEpoch(op, epoch, args)
-	}
-	return sh.j.AppendRecord(op, epoch, args)
-}
-
 // AppendControl journals a control record on shard 0 and advances the
 // epoch once the record is durable. With more than one shard the caller
 // must hold the facade's exclusive barrier: no data append may be in
 // flight between the engine mutation and the epoch advance, or recovery
 // could order a dependent data record ahead of this control record.
 func (w *WAL) AppendControl(op string, args any) (int, error) {
-	seq, err := w.appendShard(0, op, 0, args)
+	seq, err := w.shards[0].c.AppendEpoch(op, 0, args)
 	if err != nil {
 		return 0, err
 	}
@@ -97,45 +86,38 @@ func (w *WAL) AppendControl(op string, args any) (int, error) {
 }
 
 // AppendData journals a data record on the instance's shard, stamped with
-// the current epoch. Shard-0 data records carry no stamp — their position
-// in the control journal already orders them totally.
+// the current epoch, and blocks until it is durable. Shard-0 data records
+// carry no stamp — their position in the control journal already orders
+// them totally.
 func (w *WAL) AppendData(instID, op string, args any) error {
 	k := w.ShardFor(instID)
 	epoch := 0
 	if k != 0 {
 		epoch = w.Epoch()
 	}
-	_, err := w.appendShard(k, op, epoch, args)
+	_, err := w.shards[k].c.AppendEpoch(op, epoch, args)
 	return err
 }
 
 // AppendDataAsync journals a data record like AppendData but returns as
 // soon as the record is staged in its shard's pipeline: shard and seq
-// identify it for WaitShardSeq. durable reports that the record is
-// already durable on return (shards without group commit fsync inline,
-// so there is nothing left to await).
-func (w *WAL) AppendDataAsync(instID, op string, args any) (shard, seq int, durable bool, err error) {
+// identify it for WaitShardSeq.
+func (w *WAL) AppendDataAsync(instID, op string, args any) (shard, seq int, err error) {
 	k := w.ShardFor(instID)
 	epoch := 0
 	if k != 0 {
 		epoch = w.Epoch()
 	}
-	sh := &w.shards[k]
-	if sh.c != nil {
-		seq, err := sh.c.AppendAsync(op, epoch, args)
-		return k, seq, false, err
-	}
-	seq, err = sh.j.AppendRecord(op, epoch, args)
-	return k, seq, true, err
+	seq, err = w.shards[k].c.AppendAsync(op, epoch, args)
+	return k, seq, err
 }
 
-// WaitShardSeq blocks until shard k's record seq is durable (immediately
-// nil without group commit — such appends are durable on return).
+// WaitShardSeq blocks until shard k's record seq is durable, the shard's
+// committer wedges, or ctx is done. seq may lie beyond the journal head:
+// the wait then spans the append and its flush.
 func (w *WAL) WaitShardSeq(ctx context.Context, k, seq int) error {
-	if c := w.shards[k].c; c != nil {
-		if err := c.WaitSeq(ctx, seq); err != nil {
-			return fmt.Errorf("sharded: shard %d: %w", k, err)
-		}
+	if err := w.shards[k].c.WaitSeq(ctx, seq); err != nil {
+		return fmt.Errorf("sharded: shard %d: %w", k, err)
 	}
 	return nil
 }
@@ -150,11 +132,11 @@ type DataRecord struct {
 // AppendDataMulti journals a batch of data records: the batch is
 // partitioned by shard (relative order within each shard preserved), each
 // shard receives its slice as ONE multi-record journal append, and the
-// call returns once every touched shard's tail is durable — one fsync (or
-// one group-commit wait) per touched shard for the whole batch, instead
-// of one per record. Every record is stamped with the current epoch; the
-// caller holds the shared command barrier, so no control record can
-// interleave with the batch.
+// call returns once every touched shard's tail is durable — one commit
+// wait per touched shard for the whole batch, instead of one per record.
+// Every record is stamped with the current epoch; the caller holds the
+// shared command barrier, so no control record can interleave with the
+// batch.
 func (w *WAL) AppendDataMulti(ctx context.Context, recs []DataRecord) error {
 	perShard := make(map[int][]persist.Pending)
 	for _, r := range recs {
@@ -170,18 +152,11 @@ func (w *WAL) AppendDataMulti(ctx context.Context, recs []DataRecord) error {
 	type pendingWait struct{ shard, seq int }
 	var waits []pendingWait
 	for k, pend := range perShard {
-		sh := &w.shards[k]
-		if sh.c != nil {
-			last, err := sh.c.AppendMulti(pend)
-			if err != nil {
-				return fmt.Errorf("sharded: shard %d: %w", k, err)
-			}
-			waits = append(waits, pendingWait{k, last})
-			continue
-		}
-		if _, err := sh.j.AppendMulti(pend); err != nil {
+		last, err := w.shards[k].c.AppendMulti(pend)
+		if err != nil {
 			return fmt.Errorf("sharded: shard %d: %w", k, err)
 		}
+		waits = append(waits, pendingWait{k, last})
 	}
 	for _, pw := range waits {
 		if err := w.WaitShardSeq(ctx, pw.shard, pw.seq); err != nil {
@@ -203,18 +178,12 @@ func (w *WAL) Seqs() []int {
 }
 
 // Durable returns every shard's durable watermark: the highest sequence
-// number an fsync covers — the committer's flushed mark, or the journal
-// head without group commit, where appends are durable on return. Head
-// minus watermark is the shard's staged-but-unflushed backlog.
+// number an fsync covers (the committer's flushed mark). Head minus
+// watermark is the shard's staged-but-unflushed backlog.
 func (w *WAL) Durable() []int {
 	out := make([]int, len(w.shards))
 	for k := range w.shards {
-		switch sh := &w.shards[k]; {
-		case sh.c != nil:
-			out[k] = sh.c.Flushed()
-		case sh.j != nil:
-			out[k] = sh.j.Seq()
-		}
+		out[k] = w.shards[k].c.Flushed()
 	}
 	return out
 }
@@ -235,10 +204,8 @@ func (w *WAL) TotalSeq() int {
 // Sync makes every previously appended record durable on all shards.
 func (w *WAL) Sync() error {
 	for k := range w.shards {
-		if c := w.shards[k].c; c != nil {
-			if err := c.Sync(); err != nil {
-				return fmt.Errorf("sharded: shard %d: %w", k, err)
-			}
+		if err := w.shards[k].c.Sync(); err != nil {
+			return fmt.Errorf("sharded: shard %d: %w", k, err)
 		}
 	}
 	return nil
@@ -246,14 +213,11 @@ func (w *WAL) Sync() error {
 
 // Health reports the first wedged shard committer (sticky flush error
 // after exhausted retries) without blocking, or nil while all shards are
-// healthy. Without group commit there is no asynchronous failure mode to
-// surface: append errors reach their callers directly.
+// healthy.
 func (w *WAL) Health() error {
 	for k := range w.shards {
-		if c := w.shards[k].c; c != nil {
-			if err := c.Err(); err != nil {
-				return fmt.Errorf("sharded: shard %d committer wedged: %w", k, err)
-			}
+		if err := w.shards[k].c.Err(); err != nil {
+			return fmt.Errorf("sharded: shard %d committer wedged: %w", k, err)
 		}
 	}
 	return nil
@@ -264,7 +228,7 @@ func (w *WAL) Health() error {
 func (w *WAL) WedgedShards() []int {
 	var out []int
 	for k := range w.shards {
-		if c := w.shards[k].c; c != nil && c.Err() != nil {
+		if w.shards[k].c.Err() != nil {
 			out = append(out, k)
 		}
 	}
@@ -275,9 +239,7 @@ func (w *WAL) WedgedShards() []int {
 func (w *WAL) Retries() int64 {
 	var total int64
 	for k := range w.shards {
-		if c := w.shards[k].c; c != nil {
-			total += c.Retries()
-		}
+		total += w.shards[k].c.Retries()
 	}
 	return total
 }
@@ -290,7 +252,7 @@ func (w *WAL) Retries() int64 {
 // sticky error, so Health still reports the system degraded).
 func (w *WAL) Heal() error {
 	for k := range w.shards {
-		if c := w.shards[k].c; c != nil && c.Err() != nil {
+		if c := w.shards[k].c; c.Err() != nil {
 			if err := c.Heal(); err != nil {
 				return fmt.Errorf("sharded: heal shard %d: %w", k, err)
 			}
@@ -299,22 +261,20 @@ func (w *WAL) Heal() error {
 	return nil
 }
 
-// Close drains the committers and closes every shard journal, returning
+// Close drains every shard's committer and closes its journal, returning
 // the first error.
 func (w *WAL) Close() error {
 	var firstErr error
 	for k := range w.shards {
-		if c := w.shards[k].c; c != nil {
-			if err := c.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
+		sh := &w.shards[k]
+		if sh.j == nil {
+			continue // OpenWAL failed before reaching this shard
 		}
-	}
-	for k := range w.shards {
-		if j := w.shards[k].j; j != nil {
-			if err := j.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
+		if err := sh.c.Close(); err != nil && firstErr == nil {
+			firstErr = err
+		}
+		if err := sh.j.Close(); err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 	return firstErr

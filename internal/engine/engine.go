@@ -59,12 +59,6 @@ type Engine struct {
 	blocks   map[*model.Schema]*graph.Info
 
 	strategy storage.Strategy
-
-	// bothCanAct keeps the original role's offer alongside the
-	// escalation role's when a deadline fires (default: escalation
-	// replaces the offer). Set before any replay so escalations
-	// reproduce identical worklists on recovery.
-	bothCanAct bool
 }
 
 // New creates an engine. A nil org model is replaced by an empty one.
@@ -105,25 +99,6 @@ func (e *Engine) StorageStrategy() storage.Strategy {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.strategy
-}
-
-// SetEscalationBothCanAct selects both-can-act escalation semantics:
-// when a deadline fires, the work item is offered to the union of the
-// escalation role's and the original role's users instead of the
-// escalation role replacing the offer. Like the storage strategy, the
-// facade sets it at construction — before any replay — so recovered
-// escalations offer to the identical user set.
-func (e *Engine) SetEscalationBothCanAct(on bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.bothCanAct = on
-}
-
-// EscalationBothCanAct returns the active escalation semantics.
-func (e *Engine) EscalationBothCanAct() bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.bothCanAct
 }
 
 // Deploy verifies and registers a schema version. A schema with

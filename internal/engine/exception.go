@@ -100,22 +100,7 @@ func (inst *Instance) timeoutLocked(node string) error {
 	if role == "" {
 		role = n.Role
 	}
-	users := inst.eng.org.UsersInRole(role)
-	if inst.eng.EscalationBothCanAct() && n.Escalation != "" && n.Escalation != n.Role && n.Role != "" {
-		// Both-can-act: the original role's candidates stay on the offer
-		// alongside the escalation role's (deduplicated — a user holding
-		// both roles appears once).
-		seen := make(map[string]bool, len(users))
-		for _, u := range users {
-			seen[u] = true
-		}
-		for _, u := range inst.eng.org.UsersInRole(n.Role) {
-			if !seen[u] {
-				users = append(users, u)
-			}
-		}
-	}
-	inst.eng.wl.Escalate(inst.id, node, role, users)
+	inst.eng.wl.Escalate(inst.id, node, role, inst.eng.org.UsersInRole(role))
 	return nil
 }
 

@@ -6,13 +6,14 @@
 // substitution for the paper prototype's RDBMS-backed storage layer (see
 // DESIGN.md).
 //
-// Durability modes. A file-backed journal opened with OpenJournal fsyncs
-// after every Append (one record = one write + one fsync). The group-commit
-// path in internal/durable instead opens the journal with
-// OpenJournalBuffered — appends land in an in-memory pending buffer and
-// callers coordinate a shared Flush (one write + one fsync per *batch* of
-// concurrent appends). In both modes a record is only considered durable
-// after the fsync covering it returned.
+// Durability modes. Production opens every journal buffered
+// (sharded.OpenWAL, behind adept2.Open): appends land in an in-memory
+// pending buffer and the shard's durable.Committer drives a shared Flush
+// (one write + one fsync per *batch* of concurrent appends). A file-backed
+// journal opened unbuffered (OpenJournal) instead fsyncs after every
+// Append; no production append goes through it — VerifyLayout opens one
+// only to repair a tail, and this package's tests run it. In both modes a
+// record is only considered durable after the fsync covering it returned.
 //
 // Failure handling. The pending buffer makes a failed flush retryable: the
 // encoded records stay in memory, the journal remembers the last byte

@@ -77,7 +77,7 @@ func TestOpsRoutes(t *testing.T) {
 	ctx := context.Background()
 
 	t.Run("scrape under load", func(t *testing.T) {
-		sys := openSystem(t, adept2.CheckpointConfig{Every: -1, GroupCommit: true})
+		sys := openSystem(t, adept2.CheckpointConfig{Every: -1})
 		srv, cli := serve(t, sys, rpc.Options{})
 		res, err := cli.Submit(ctx, &adept2.CreateInstance{TypeName: "online_order"})
 		if err != nil {
@@ -167,7 +167,7 @@ func TestOpsRoutes(t *testing.T) {
 	})
 
 	t.Run("wedged", func(t *testing.T) {
-		sys, ffs := openFaulty(t, adept2.CheckpointConfig{Every: -1, GroupCommit: true,
+		sys, ffs := openFaulty(t, adept2.CheckpointConfig{Every: -1,
 			RetryMax: 2, RetryBase: 100 * time.Microsecond, RetryCap: time.Millisecond})
 		srv, cli := serve(t, sys, rpc.Options{})
 		ffs.SetScript(vfs.FailFrom(1, vfs.ErrInjected,
@@ -194,7 +194,7 @@ func TestOpsRoutes(t *testing.T) {
 	})
 
 	t.Run("checkpoint failing", func(t *testing.T) {
-		sys, ffs := openFaulty(t, adept2.CheckpointConfig{Every: 4, GroupCommit: true})
+		sys, ffs := openFaulty(t, adept2.CheckpointConfig{Every: 4})
 		srv, cli := serve(t, sys, rpc.Options{})
 		ffs.SetScript(vfs.FailFrom(1, vfs.ErrInjected, vfs.OpSyncDir))
 		for i := 0; i < 8; i++ {
@@ -213,7 +213,7 @@ func TestOpsRoutes(t *testing.T) {
 	})
 
 	t.Run("draining", func(t *testing.T) {
-		sys := openSystem(t, adept2.CheckpointConfig{Every: -1, GroupCommit: true})
+		sys := openSystem(t, adept2.CheckpointConfig{Every: -1})
 		srv, _ := serve(t, sys, rpc.Options{})
 
 		// Hold one command slot open: the server answers 100 Continue on

@@ -55,7 +55,7 @@ func serve(t *testing.T, sys *adept2.System, opts rpc.Options) (*rpc.Server, *rp
 func TestRemoteSubmitModes(t *testing.T) {
 	for _, shards := range []int{0, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			sys := openSystem(t, adept2.CheckpointConfig{GroupCommit: true, Shards: shards})
+			sys := openSystem(t, adept2.CheckpointConfig{Shards: shards})
 			_, cli := serve(t, sys, rpc.Options{})
 			ctx := context.Background()
 
@@ -115,7 +115,7 @@ func TestRemoteSubmitModes(t *testing.T) {
 // submissions out of many goroutines over one client and resolves
 // every receipt against the single shared watermark stream.
 func TestRemoteReceiptsConcurrentSubmitters(t *testing.T) {
-	sys := openSystem(t, adept2.CheckpointConfig{GroupCommit: true, Shards: 4})
+	sys := openSystem(t, adept2.CheckpointConfig{Shards: 4})
 	_, cli := serve(t, sys, rpc.Options{})
 	ctx := context.Background()
 
@@ -158,7 +158,7 @@ func TestRemoteReceiptsConcurrentSubmitters(t *testing.T) {
 // TestRemoteErrorTaxonomy exercises the error envelope: errors.Is
 // against the taxonomy sentinels must hold across the network hop.
 func TestRemoteErrorTaxonomy(t *testing.T) {
-	sys := openSystem(t, adept2.CheckpointConfig{GroupCommit: true})
+	sys := openSystem(t, adept2.CheckpointConfig{})
 	_, cli := serve(t, sys, rpc.Options{})
 	ctx := context.Background()
 
@@ -204,7 +204,7 @@ func TestRemoteErrorTaxonomy(t *testing.T) {
 
 // TestRemoteDecodeErrors checks pre-dispatch rejection and its metric.
 func TestRemoteDecodeErrors(t *testing.T) {
-	sys := openSystem(t, adept2.CheckpointConfig{GroupCommit: true})
+	sys := openSystem(t, adept2.CheckpointConfig{})
 	srv, _ := serve(t, sys, rpc.Options{})
 
 	post := func(body string) int {
@@ -246,7 +246,7 @@ func TestRemoteDecodeErrors(t *testing.T) {
 // resolves the same receipt.
 func TestClientCancelMidStream(t *testing.T) {
 	// A wide flush window keeps records staged well past the probe wait.
-	sys := openSystem(t, adept2.CheckpointConfig{GroupCommit: true, FlushWindow: 500 * time.Millisecond, MaxBatch: 1 << 20})
+	sys := openSystem(t, adept2.CheckpointConfig{FlushWindow: 500 * time.Millisecond, MaxBatch: 1 << 20})
 	_, cli := serve(t, sys, rpc.Options{})
 	ctx := context.Background()
 
@@ -280,7 +280,7 @@ func TestClientCancelMidStream(t *testing.T) {
 // in flight: the drain syncs every staged record and the streams emit
 // final watermarks, so every receipt issued before Close resolves nil.
 func TestServerDrainResolvesReceipts(t *testing.T) {
-	sys := openSystem(t, adept2.CheckpointConfig{GroupCommit: true, Shards: 4, FlushWindow: 500 * time.Millisecond, MaxBatch: 1 << 20})
+	sys := openSystem(t, adept2.CheckpointConfig{Shards: 4, FlushWindow: 500 * time.Millisecond, MaxBatch: 1 << 20})
 	srv, cli := serve(t, sys, rpc.Options{})
 	ctx := context.Background()
 	cli.Watch() // connect the watermark stream before the drain
@@ -331,7 +331,7 @@ func TestServerDrainResolvesReceipts(t *testing.T) {
 // TestRemoteReadEndpoints covers cursor pagination, instance detail,
 // worklists, exceptions, and health over the wire.
 func TestRemoteReadEndpoints(t *testing.T) {
-	sys := openSystem(t, adept2.CheckpointConfig{GroupCommit: true})
+	sys := openSystem(t, adept2.CheckpointConfig{})
 	_, cli := serve(t, sys, rpc.Options{})
 	ctx := context.Background()
 
@@ -408,7 +408,7 @@ func TestRemoteReadEndpoints(t *testing.T) {
 // follow stream: only fsync-covered records arrive, in order, with
 // their journaled epochs.
 func TestControlLogTail(t *testing.T) {
-	sys := openSystem(t, adept2.CheckpointConfig{GroupCommit: true, Shards: 4})
+	sys := openSystem(t, adept2.CheckpointConfig{Shards: 4})
 	srv, cli := serve(t, sys, rpc.Options{})
 	ctx := context.Background()
 
@@ -476,7 +476,7 @@ func TestControlLogTail(t *testing.T) {
 
 // TestStreamBackpressure checks the MaxStreams rejection.
 func TestStreamBackpressure(t *testing.T) {
-	sys := openSystem(t, adept2.CheckpointConfig{GroupCommit: true})
+	sys := openSystem(t, adept2.CheckpointConfig{})
 	srv, _ := serve(t, sys, rpc.Options{})
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -343,9 +343,8 @@ func (r *runner) open() error {
 		adept2.WithClock(r.clock.Now),
 		adept2.WithExceptionPolicy(r.policy()),
 		adept2.WithCheckpointing(adept2.CheckpointConfig{
-			Every:       256,
-			Shards:      r.cfg.Shards,
-			GroupCommit: true,
+			Every:  256,
+			Shards: r.cfg.Shards,
 		}),
 	)
 	if err != nil {

@@ -18,7 +18,7 @@ func openMetrics(t *testing.T, path string, extra ...adept2.Option) *adept2.Syst
 	t.Helper()
 	opts := append([]adept2.Option{
 		adept2.WithOrg(sim.Org()),
-		adept2.WithCheckpointing(adept2.CheckpointConfig{Every: -1, GroupCommit: true}),
+		adept2.WithCheckpointing(adept2.CheckpointConfig{Every: -1}),
 		adept2.WithTraceSampling(512, 1),
 	}, extra...)
 	sys, err := adept2.Open(path, opts...)
@@ -220,6 +220,9 @@ func TestMetricsReplayRecordsNothing(t *testing.T) {
 	}
 	if snap.Shards[0].Seq != head {
 		t.Errorf("shard seq %d != journal head %d", snap.Shards[0].Seq, head)
+	}
+	if d := snap.Shards[0].Depth; d != 0 {
+		t.Errorf("reopened shard reports %d recovered records as staged, not durable", d)
 	}
 	if len(snap.Traces) != 0 {
 		t.Errorf("replay published %d trace spans", len(snap.Traces))

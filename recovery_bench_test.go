@@ -71,8 +71,8 @@ func BenchmarkRecoveryFull(b *testing.B) {
 	for _, n := range []int{256, 2048, 16384} {
 		b.Run(fmt.Sprintf("history=%d", n), func(b *testing.B) {
 			path := filepath.Join(b.TempDir(), "wal.ndjson")
-			// Group commit keeps the setup fast; no snapshot is written.
-			buildRecoveryJournal(b, path, n, adept2.CheckpointConfig{Every: -1, GroupCommit: true}, false)
+			// No snapshot is written.
+			buildRecoveryJournal(b, path, n, adept2.CheckpointConfig{Every: -1}, false)
 			replay := fullReplay(b)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -93,7 +93,7 @@ func BenchmarkRecoveryFull(b *testing.B) {
 // plus a fixed 16-command journal suffix: cost is O(state + suffix),
 // independent of the pre-snapshot history length.
 func BenchmarkRecoverySnapshot(b *testing.B) {
-	cfg := adept2.CheckpointConfig{Every: -1, GroupCommit: true}
+	cfg := adept2.CheckpointConfig{Every: -1}
 	for _, n := range []int{256, 2048, 16384} {
 		b.Run(fmt.Sprintf("history=%d", n), func(b *testing.B) {
 			path := filepath.Join(b.TempDir(), "wal.ndjson")

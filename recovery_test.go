@@ -532,13 +532,12 @@ func TestCompactedJournalRequiresSnapshot(t *testing.T) {
 }
 
 // TestConcurrentAppendDuringBackgroundSnapshot hammers journaled commands
-// from several goroutines with a tiny snapshot threshold and group commit
-// enabled, then recovers and cross-checks against a full replay. Run under
-// -race in CI.
+// from several goroutines with a tiny snapshot threshold, then recovers
+// and cross-checks against a full replay. Run under -race in CI.
 func TestConcurrentAppendDuringBackgroundSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.ndjson")
-	cfg := adept2.CheckpointConfig{Every: 8, Keep: 2, GroupCommit: true}
+	cfg := adept2.CheckpointConfig{Every: 8, Keep: 2}
 
 	sys := openCheckpointed(t, path, cfg)
 	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
@@ -593,12 +592,12 @@ func TestConcurrentAppendDuringBackgroundSnapshot(t *testing.T) {
 	assertSameState(t, full, rec)
 }
 
-// TestGroupCommitEndToEnd drives the facade with group commit (no
-// snapshots) and verifies every command survives recovery.
-func TestGroupCommitEndToEnd(t *testing.T) {
+// TestJournalOnlyEndToEnd drives the facade with no snapshots and
+// verifies every command survives recovery.
+func TestJournalOnlyEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.ndjson")
-	cfg := adept2.CheckpointConfig{Every: -1, GroupCommit: true}
+	cfg := adept2.CheckpointConfig{Every: -1}
 
 	sys := openCheckpointed(t, path, cfg)
 	i1, _ := runPrefix(t, sys)

@@ -43,7 +43,7 @@ import (
 func remoteBench(b *testing.B, writers int, fn func(cli *rpc.Client, id string, n int)) {
 	b.Helper()
 	path := filepath.Join(b.TempDir(), "wal.ndjson")
-	cfg := adept2.CheckpointConfig{Every: -1, GroupCommit: true,
+	cfg := adept2.CheckpointConfig{Every: -1,
 		FlushWindow: 2 * time.Millisecond, MaxBatch: 1 << 20}
 	sys, err := adept2.Open(path, adept2.WithOrg(sim.Org()), adept2.WithCheckpointing(cfg))
 	if err != nil {

@@ -29,7 +29,7 @@ go test -run '^$' -bench 'Fig1|Fig3|EngineComplete|Recovery|Sharded|^BenchmarkSu
 # sync-vs-pipelined gap is ~60µs against ~±50µs swings), so it gets a
 # longer averaging window than the default 1s.
 go test -run '^$' -bench 'Remote' -benchtime 3s -benchmem . | tee -a "$raw"
-go test -run '^$' -bench 'GroupCommit' -benchmem ./internal/durable | tee -a "$raw"
+go test -run '^$' -bench 'Committer' -benchmem ./internal/durable | tee -a "$raw"
 
 {
 	printf '{\n'

@@ -14,7 +14,7 @@ import (
 // baseline), deploys the demo schema, and creates insts instances.
 func buildShardedSystem(b *testing.B, path string, shards, insts int) (*adept2.System, []string) {
 	b.Helper()
-	cfg := adept2.CheckpointConfig{Every: -1, GroupCommit: true, Shards: shards}
+	cfg := adept2.CheckpointConfig{Every: -1, Shards: shards}
 	sys, err := adept2.Open(path, adept2.WithOrg(sim.Org()), adept2.WithCheckpointing(cfg))
 	if err != nil {
 		b.Fatal(err)
@@ -89,7 +89,7 @@ func BenchmarkShardedRecovery(b *testing.B) {
 			if err := sys.Close(); err != nil {
 				b.Fatal(err)
 			}
-			cfg := adept2.CheckpointConfig{Every: -1, GroupCommit: true, Shards: shards}
+			cfg := adept2.CheckpointConfig{Every: -1, Shards: shards}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sys, err := adept2.Open(path, adept2.WithOrg(sim.Org()), adept2.WithCheckpointing(cfg))
@@ -138,7 +138,7 @@ func BenchmarkShardedSnapshotRecovery(b *testing.B) {
 			if err := sys.Close(); err != nil {
 				b.Fatal(err)
 			}
-			cfg := adept2.CheckpointConfig{Every: -1, GroupCommit: true, Shards: shards}
+			cfg := adept2.CheckpointConfig{Every: -1, Shards: shards}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sys, err := adept2.Open(path, adept2.WithOrg(sim.Org()), adept2.WithCheckpointing(cfg))

@@ -2,6 +2,7 @@ package adept2_test
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -15,7 +16,7 @@ import (
 )
 
 // shardedCfg is the default sharded test configuration: 4 shards, manual
-// checkpoints, group commit off (deterministic file contents).
+// checkpoints.
 func shardedCfg() adept2.CheckpointConfig {
 	return adept2.CheckpointConfig{Shards: 4, Every: -1}
 }
@@ -437,7 +438,7 @@ func TestReshardAfterSuffixOnSharded(t *testing.T) {
 // and parallel recovery all run concurrently here).
 func TestShardedConcurrentLoad(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
-	cfg := adept2.CheckpointConfig{Shards: 4, Every: 64, GroupCommit: true, Keep: 2}
+	cfg := adept2.CheckpointConfig{Shards: 4, Every: 64, Keep: 2}
 	sys := openSharded(t, path, cfg)
 	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
 		t.Fatal(err)
@@ -554,41 +555,74 @@ func TestReshardRerunCompletesInterruptedShrink(t *testing.T) {
 	assertSameState(t, reference(t, true), got)
 }
 
-// TestReshardFloorRefusesFullReplay: after an N→M reshard the kept data-
-// shard journals hold records partitioned under the OLD hash; if every
-// generation snapshot is lost, recovery must refuse full replay (one
-// instance's records may span two data shards, which the epoch merge
-// cannot order) instead of replaying them nondeterministically.
+// TestReshardFloorRefusesFullReplay: after a reshard from N > 1 shards the
+// kept journals hold records partitioned under the OLD hash, and the
+// journals a shrink removed are gone; if every generation snapshot is
+// lost, recovery must refuse full replay (one instance's records may span
+// two shards, or live nowhere but the lost snapshots) instead of coming up
+// with reordered or missing instances. A one-shard source is the exemption
+// that stays: shard 0 holds every record in total order, so losing the
+// generation after 1→4 still recovers by full replay.
 func TestReshardFloorRefusesFullReplay(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.ndjson")
-	sys := openSharded(t, path, shardedCfg())
-	i1, _ := runPrefix(t, sys)
-	runSuffix(t, sys, i1)
-	if err := sys.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := adept2.Reshard(path, 2, adept2.WithOrg(sim.Org())); err != nil {
-		t.Fatal(err)
-	}
-	man, err := sharded.LoadManifest(sharded.ManifestPath(path))
-	if err != nil || len(man.ReplayFloors) != 2 {
-		t.Fatalf("manifest floors: %+v err=%v", man, err)
-	}
-	if man.ReplayFloors[1] == 0 {
-		t.Skip("shard 1 held no pre-reshard records")
-	}
-	// Lose every generation part: recovery would otherwise fall back to
-	// a full merged replay of mis-partitioned journals.
-	l := sharded.Layout{Base: path, Shards: 2}
-	for _, gen := range man.Generations {
-		for k, part := range gen.Parts {
-			if err := os.WriteFile(filepath.Join(l.SnapDir(k), part.File), []byte("garbage"), 0o644); err != nil {
+	for _, tc := range []struct {
+		name   string
+		from   int
+		to     []int
+		refuse bool
+	}{
+		{"4to2", 4, []int{2}, true},
+		{"4to1", 4, []int{1}, true},
+		{"4to1to4", 4, []int{1, 4}, true}, // the shrink's floor outlives a regrow
+		{"1to4", 1, []int{4}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "wal.ndjson")
+			sys := openSharded(t, path, adept2.CheckpointConfig{Shards: tc.from, Every: -1})
+			i1, _ := runPrefix(t, sys)
+			runSuffix(t, sys, i1)
+			if err := sys.Close(); err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-	_, err = adept2.Open(path, adept2.WithOrg(sim.Org()))
-	if err == nil || !strings.Contains(err.Error(), "floor") {
-		t.Fatalf("expected reshard-floor refusal, got %v", err)
+			n := tc.from
+			for _, n = range tc.to {
+				if err := adept2.Reshard(path, n, adept2.WithOrg(sim.Org())); err != nil {
+					t.Fatal(err)
+				}
+			}
+			man, err := sharded.LoadManifest(sharded.ManifestPath(path))
+			if err != nil || len(man.ReplayFloors) != n {
+				t.Fatalf("manifest floors: %+v err=%v", man, err)
+			}
+			// Lose every generation part: recovery falls back to a full
+			// merged replay, which only the one-shard source survives.
+			l := sharded.Layout{Base: path, Shards: n}
+			for _, gen := range man.Generations {
+				for k, part := range gen.Parts {
+					if err := os.WriteFile(filepath.Join(l.SnapDir(k), part.File), []byte("garbage"), 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			got, err := adept2.Open(path, adept2.WithOrg(sim.Org()))
+			if !tc.refuse {
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer got.Close()
+				if !got.Recovery().FullReplay {
+					t.Fatalf("recovered without full replay: %+v", got.Recovery())
+				}
+				assertSameState(t, reference(t, true), got)
+				return
+			}
+			if err == nil {
+				got.Close()
+				t.Fatalf("open came up with %d instances instead of refusing (floors %v)",
+					len(got.Instances()), man.ReplayFloors)
+			}
+			if !errors.Is(err, adept2.ErrUnrecoverable) || !strings.Contains(err.Error(), "floor") {
+				t.Fatalf("expected an unrecoverable reshard-floor refusal, got %v", err)
+			}
+		})
 	}
 }

@@ -14,17 +14,17 @@ import (
 // Receipt is the durability promise of an asynchronously submitted
 // command: the engine mutation already happened and the journal record is
 // staged when SubmitAsync returns; Wait resolves once the record is
-// covered by an fsync (group commit batches the flushes, so pipelining
-// submitters share them). Receipts of commands that were durable on
-// return (control commands, systems without group commit or without a
-// journal) resolve immediately.
+// covered by an fsync (the shard's committer batches the flushes, so
+// pipelining submitters share them). Receipts of commands that were
+// durable on return (control commands, systems without a journal)
+// resolve immediately.
 type Receipt struct {
 	op     string
 	inst   string
 	seq    int
 	shard  int
 	result any
-	wait   func(ctx context.Context) error // nil = durable already
+	wal    *sharded.WAL // awaits (shard, seq); nil = durable already
 
 	// span is this command's sampled trace (nil for unsampled ones):
 	// built on the submit path, published into ring once the first Wait
@@ -65,11 +65,10 @@ func (r *Receipt) Wait(ctx context.Context) error {
 		r.mu.Unlock()
 		return err
 	}
-	w := r.wait
 	r.mu.Unlock()
 	var err error
-	if w != nil {
-		err = w(ctx)
+	if r.wal != nil {
+		err = r.wal.WaitShardSeq(ctx, r.shard, r.seq)
 	}
 	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 		// Cancellation abandons only this wait, not the outcome.
@@ -122,7 +121,7 @@ func (s *System) Submit(ctx context.Context, cmd Command) (any, error) {
 // SubmitAsync applies one command and returns without waiting for
 // durability: validation and the engine mutation are synchronous (a
 // non-nil error means nothing happened), but the journal record is only
-// staged in the group-commit pipeline. The Receipt resolves once the
+// staged in its shard's commit pipeline. The Receipt resolves once the
 // record is fsync-covered, so a caller pipelines appends — submit,
 // collect receipts, await them in bulk — instead of paying one fsync
 // round-trip per command. Control commands are durable on return (their
@@ -199,7 +198,7 @@ func (s *System) submitOne(ctx context.Context, c command, span *obs.Span) (*Rec
 	rcpt.result = eff.result
 	if span != nil {
 		span.Shard, span.Seq = rcpt.shard, rcpt.seq
-		if rcpt.wait == nil {
+		if rcpt.wal == nil {
 			span.DurableNanos = s.now()
 			s.met.Ring.Publish(*span)
 		} else {
@@ -213,10 +212,10 @@ func (s *System) submitOne(ctx context.Context, c command, span *obs.Span) (*Rec
 // SubmitBatch applies a sequence of commands, journaling each run of
 // consecutive data commands as ONE batch: the command barrier is taken
 // once per run, the encoded records land in one multi-record append per
-// touched journal (one fsync or one group-commit wait each), and the
-// call returns once everything is durable. Control commands interleaved
-// in the batch keep their exclusive-barrier epoch semantics — each one
-// is applied and made durable individually before the batch continues.
+// touched journal (one commit wait each), and the call returns once
+// everything is durable. Control commands interleaved in the batch keep
+// their exclusive-barrier epoch semantics — each one is applied and made
+// durable individually before the batch continues.
 //
 // Results align with the applied prefix of cmds. On error, the commands
 // before the failing one remain applied AND journaled (their results are
@@ -312,18 +311,13 @@ func (s *System) appendEffect(eff effect) (*Receipt, error) {
 		s.maybeCheckpoint()
 		return &Receipt{seq: seq}, nil
 	}
-	shard, seq, durable, err := s.wal.AppendDataAsync(eff.inst, eff.op, eff.args)
+	shard, seq, err := s.wal.AppendDataAsync(eff.inst, eff.op, eff.args)
 	if err != nil {
 		return nil, err
 	}
 	s.met.ShardAppend(shard, 1)
 	s.maybeCheckpoint()
-	r := &Receipt{seq: seq, shard: shard}
-	if !durable {
-		wal := s.wal
-		r.wait = func(ctx context.Context) error { return wal.WaitShardSeq(ctx, shard, seq) }
-	}
-	return r, nil
+	return &Receipt{seq: seq, shard: shard, wal: s.wal}, nil
 }
 
 // appendBatchRun journals one SubmitBatch run — a batch of data effects —
@@ -363,7 +357,7 @@ func (s *System) appendBatchRun(ctx context.Context, effs []effect) error {
 }
 
 // wrapAppendErr classifies a journaling failure: a wedged durability
-// pipeline (sticky group-commit error) maps to ErrWedged, cancellations
+// pipeline (sticky committer error) maps to ErrWedged, cancellations
 // to ErrCanceled, everything else to ErrInternal. The engine mutation
 // already happened when appending fails — the error reports lost
 // durability, not a rejected command.

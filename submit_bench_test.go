@@ -33,7 +33,7 @@ import (
 func submitBench(b *testing.B, writers int, shards int, extra []adept2.Option, fn func(sys *adept2.System, id string, n int)) {
 	b.Helper()
 	path := filepath.Join(b.TempDir(), "wal.ndjson")
-	cfg := adept2.CheckpointConfig{Every: -1, GroupCommit: true, Shards: shards}
+	cfg := adept2.CheckpointConfig{Every: -1, Shards: shards}
 	opts := append([]adept2.Option{adept2.WithOrg(sim.Org()), adept2.WithCheckpointing(cfg)}, extra...)
 	sys, err := adept2.Open(path, opts...)
 	if err != nil {

@@ -19,7 +19,7 @@ import (
 // survives recovery.
 func TestSubmitBatchSemantics(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
-	cfg := adept2.CheckpointConfig{Every: -1, GroupCommit: true}
+	cfg := adept2.CheckpointConfig{Every: -1}
 	sys, err := adept2.Open(path, adept2.WithOrg(sim.Org()), adept2.WithCheckpointing(cfg))
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func TestSubmitBatchSingleFsync(t *testing.T) {
 // from disk after Wait and finding the record.
 func TestSubmitAsyncReceiptResolvesDurable(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
-	cfg := adept2.CheckpointConfig{Every: -1, GroupCommit: true}
+	cfg := adept2.CheckpointConfig{Every: -1}
 	sys, err := adept2.Open(path, adept2.WithOrg(sim.Org()), adept2.WithCheckpointing(cfg))
 	if err != nil {
 		t.Fatal(err)

@@ -23,8 +23,8 @@ import (
 // so Open can rebuild the exact system state after a crash: the journal
 // is a write-ahead log of N >= 1 shards, augmented by background state
 // snapshots, and recovery replays only the journal suffixes past the
-// newest valid snapshot generation; with group commit, concurrent
-// commands share one buffered write + one fsync per batch.
+// newest valid snapshot generation; concurrent commands on a shard share
+// one buffered write + one fsync per batch.
 type System struct {
 	eng *engine.Engine
 	mgr *evolution.Manager
@@ -132,9 +132,8 @@ type CheckpointConfig struct {
 	// Keep bounds the snapshot generations retained after a successful
 	// write (older ones are pruned). Default 3.
 	Keep int
-	// GroupCommit batches concurrent command appends into one buffered
-	// write + one fsync per shard (durable.Committer) instead of fsyncing
-	// per record.
+	// Deprecated: ignored, every layout group-commits. The declaration
+	// stays only because the frozen bench/ names it in a struct literal.
 	GroupCommit bool
 	// Shards is the shard count of the layout: instances are hashed across
 	// this many journals, each with its own committer and snapshot series,
@@ -144,21 +143,24 @@ type CheckpointConfig struct {
 	// layout takes the count from its manifest and refuses a conflicting
 	// non-zero setting (reshard offline to change it).
 	Shards int
-	// FlushWindow and MaxBatch tune the group-commit flush window; zero
-	// values take the committer defaults.
+	// FlushWindow delays each shard committer's flush so more appends join
+	// the batch, unless MaxBatch (default 64) are already pending. The
+	// default 0 batches naturally: appends arriving during one fsync form
+	// the next batch, and a lone writer pays one write + one fsync per
+	// command.
 	FlushWindow time.Duration
 	MaxBatch    int
-	// RetryMax bounds how many times a failed group-commit flush is
-	// retried (with exponential backoff from RetryBase up to RetryCap)
-	// before the committer wedges and the system degrades to read-only
-	// serving (see System.Heal). Zero values take the committer defaults
-	// (4 retries, 1ms base, 50ms cap); RetryMax < 0 disables retries.
+	// RetryMax bounds how many times a failed flush is retried (with
+	// exponential backoff from RetryBase up to RetryCap) before the
+	// committer wedges and the system degrades to read-only serving (see
+	// System.Heal). Zero values take the committer defaults (4 retries,
+	// 1ms base, 50ms cap); RetryMax < 0 disables retries.
 	RetryMax  int
 	RetryBase time.Duration
 	RetryCap  time.Duration
 }
 
-// committerOptions maps the config's group-commit knobs onto the
+// committerOptions maps the config's flush and retry knobs onto the
 // committer's option set.
 func (c *CheckpointConfig) committerOptions() durable.CommitterOptions {
 	return durable.CommitterOptions{
@@ -211,13 +213,12 @@ type ShardRecovery struct {
 type Option func(*config)
 
 type config struct {
-	org        *org.Model
-	strategy   storage.Strategy
-	ckpt       CheckpointConfig
-	fs         vfs.FS
-	nowFn      func() int64
-	policy     ExceptionPolicy
-	bothCanAct bool
+	org      *org.Model
+	strategy storage.Strategy
+	ckpt     CheckpointConfig
+	fs       vfs.FS
+	nowFn    func() int64
+	policy   ExceptionPolicy
 
 	// Observability (metrics.go): metrics are on by default; metricsOff
 	// selects obs.Disabled, obsOpts tunes the trace ring, sweepEvery
@@ -250,10 +251,10 @@ func WithStorageStrategy(s StorageStrategy) Option {
 func WithVFS(fsys vfs.FS) Option { return func(c *config) { c.fs = fsys } }
 
 // WithCheckpointing tunes the durability pipeline of Open: where snapshots
-// live and how often they are written, group commit, and the shard count
-// of a layout created fresh. Without it Open runs the zero-value
-// CheckpointConfig. It only takes effect through Open (and Reshard,
-// VerifyLayout); New has no journal.
+// live and how often they are written, the committers' flush window and
+// retry budget, and the shard count of a layout created fresh. Without it
+// Open runs the zero-value CheckpointConfig. It only takes effect through
+// Open (and Reshard, VerifyLayout); New has no journal.
 func WithCheckpointing(cfg CheckpointConfig) Option {
 	return func(c *config) { c.ckpt = cfg }
 }
@@ -273,11 +274,6 @@ func New(opts ...Option) *System {
 func newSystem(c *config) *System {
 	e := engine.New(c.org)
 	e.SetStorageStrategy(c.strategy)
-	// Escalation semantics are fixed before any replay (every
-	// construction path — New, each snapshot-recovery attempt, full
-	// replay — funnels through here), so recovered timeout records
-	// escalate to the identical user set the original execution offered.
-	e.SetEscalationBothCanAct(c.bothCanAct)
 	return &System{eng: e, mgr: evolution.NewManager(e), layout: sharded.Layout{Shards: 1},
 		fsys: c.fsys(), nowFn: c.nowFn, policy: c.policy}
 }
@@ -288,7 +284,8 @@ func newSystem(c *config) *System {
 // the journal suffixes past it, falling back to older generations and
 // finally to a full replay when snapshots are torn, corrupt, or version-
 // skewed; Recovery reports what happened. WithCheckpointing tunes the
-// pipeline (snapshot cadence and directory, group commit, shard count).
+// pipeline (snapshot cadence and directory, flush and retry tuning, shard
+// count).
 func Open(path string, opts ...Option) (*System, error) {
 	sys, err := open(path, opts...)
 	if err != nil {

@@ -132,7 +132,7 @@ func openSharded(c *config, l sharded.Layout, man *sharded.Manifest) (*System, e
 	if sys.met != nil {
 		copts.Metrics = &sys.met.Committer
 	}
-	wal, err := sharded.OpenWAL(l, tails, c.ckpt.GroupCommit, copts)
+	wal, err := sharded.OpenWAL(l, tails, copts)
 	if err != nil {
 		return nil, err
 	}
@@ -239,9 +239,9 @@ func Reshard(path string, n int, opts ...Option) error {
 		}
 	}
 
-	// Recover through the caller's configuration (snapshot dir, group
-	// commit) with automatic checkpoints off and the shard count taken
-	// from the layout; the target count applies on write.
+	// Recover through the caller's configuration (snapshot dir) with
+	// automatic checkpoints off and the shard count taken from the layout;
+	// the target count applies on write.
 	ckpt := c.ckpt
 	ckpt.Every, ckpt.Shards = -1, 0
 	sys, err := Open(path, append(append([]Option(nil), opts...), WithCheckpointing(ckpt))...)
@@ -275,10 +275,19 @@ func Reshard(path string, n int, opts ...Option) error {
 	caps := staged.Split(seqs, epoch, func(id string) int { return sharded.ShardOf(id, n) })
 	// The kept journals' existing records were partitioned under the old
 	// shard count: record the cut as each shard's replay floor so a
-	// future full-replay fallback refuses to reorder them (recovery must
-	// go through this generation or a later one).
+	// future full-replay fallback refuses to reorder them — or, after a
+	// shrink, to come up without the removed shards' instances (recovery
+	// must go through this generation or a later one). A one-shard source
+	// held everything in shard 0's total order, which a full replay still
+	// reproduces: shard 0 only keeps the floor an earlier reshard set.
 	base := sharded.NewManifest(n)
 	base.ReplayFloors = append([]int(nil), seqs...)
+	if old.Shards == 1 {
+		base.ReplayFloors[0] = 0
+		if len(man.ReplayFloors) > 0 {
+			base.ReplayFloors[0] = man.ReplayFloors[0]
+		}
+	}
 	if _, _, err := sharded.WriteCheckpoint(l, base, stores, caps, epoch, seqs, 1); err != nil {
 		return err
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"time"
 
 	"adept2/internal/persist"
 )
@@ -145,9 +144,7 @@ func (s *System) journalSeqs() []int {
 // DurableWatermarks returns every shard's durable watermark: the highest
 // shard-local sequence number covered by an fsync. A Receipt for (shard,
 // seq) is durable exactly when watermark[shard] >= seq — the invariant
-// the wire plane's watermark stream carries to remote clients. Shards
-// without group commit are durable on return, so their watermark is the
-// journal head.
+// the wire plane's watermark stream carries to remote clients.
 func (s *System) DurableWatermarks() []int {
 	if s.wal == nil {
 		return []int{0} // New(): nothing journaled
@@ -158,9 +155,10 @@ func (s *System) DurableWatermarks() []int {
 // WaitDurable blocks until shard's durable watermark covers seq, the
 // durability pipeline wedges (ErrWedged), or ctx is done (ErrCanceled).
 // seq may lie beyond the journal head: the wait then spans the append
-// AND its flush, which is what lets a watermark streamer park until the
-// next record lands. Shards without group commit poll (their watermark
-// advances with every append).
+// AND its flush, which is what lets a watermark streamer park on the
+// shard's committer until the next record lands. A system created with
+// New never journals: its watermark stays 0, so a wait for seq > 0 ends
+// only with ctx.
 func (s *System) WaitDurable(ctx context.Context, shard, seq int) error {
 	const op = "wait_durable"
 	n := s.NumShards()
@@ -168,27 +166,14 @@ func (s *System) WaitDurable(ctx context.Context, shard, seq int) error {
 		return &Error{Code: CodeInvalid, Op: op,
 			Err: fmt.Errorf("adept2: shard %d out of range [0,%d)", shard, n)}
 	}
-	for {
-		if s.DurableWatermarks()[shard] >= seq {
-			return nil
-		}
-		if s.wal != nil { // New() never journals: nothing to park on
-			if err := s.wal.WaitShardSeq(ctx, shard, seq); err != nil {
-				return wrapErr(op, "", err)
-			}
-			if s.DurableWatermarks()[shard] >= seq {
-				return nil
-			}
-		}
-		// Either a shard without group commit (no committer to park on) or
-		// a committer that settled without covering seq (shutdown
-		// straggler): poll instead of spinning.
-		select {
-		case <-ctx.Done():
-			return wrapErr(op, "", ctx.Err())
-		case <-time.After(5 * time.Millisecond):
-		}
+	if s.wal != nil {
+		return wrapErr(op, "", s.wal.WaitShardSeq(ctx, shard, seq))
 	}
+	if seq <= 0 {
+		return nil
+	}
+	<-ctx.Done()
+	return wrapErr(op, "", ctx.Err())
 }
 
 // SyncDurable forces every staged journal record durable (one flush +
