@@ -232,7 +232,12 @@
 // durable-on-resolution semantics and the identical Error taxonomy —
 // non-2xx answers carry a structured error envelope mapped through
 // Code.HTTPStatus, and the client rehydrates it so errors.Is matches
-// the Err* sentinels across the network.
+// the Err* sentinels across the network. Submit and SubmitAsync share
+// one full-duplex NDJSON exchange per client (POST /v1/commands: command
+// lines down, reply lines back in the same order), so a remote command
+// costs a line each way rather than an HTTP request, and one client's
+// commands reach the committer back to back; a single JSON body on the
+// same route is that stream's length-one case.
 //
 // Async submission keeps its pipelining win remotely because receipts
 // are tokens, not server state: a receipt is (shard, shard-local seq),
@@ -245,10 +250,10 @@
 // exceptions, health) and a durable-gated control-log tail round out
 // the plane, and the same listener carries the ops routes — a served
 // process has one address, one mux and one drain; Server.Close drains
-// gracefully, refusing new work,
-// finishing in-flight commands, forcing a final flush, and ending
-// streams with Final events so every receipt issued before the drain
-// resolves. See internal/rpc's package documentation for the wire
+// gracefully, refusing new work, answering every command already read,
+// forcing a final flush, and ending streams — tails with Final events,
+// so every receipt issued before the drain resolves, command streams
+// even when the client never closes its side. See internal/rpc's package documentation for the wire
 // invariants, and `adeptctl serve` / `-remote` for the CLI surface
 // (`adeptctl list` and `load` run the same client code against
 // -journal, serving the store on an in-process loopback listener).

@@ -183,10 +183,14 @@ func (w *WAL) Seqs() []int {
 func (w *WAL) Durable() []int {
 	out := make([]int, len(w.shards))
 	for k := range w.shards {
-		out[k] = w.shards[k].c.Flushed()
+		out[k] = w.ShardDurable(k)
 	}
 	return out
 }
+
+// ShardDurable returns shard k's durable watermark alone, for callers on
+// a per-command path that Durable's slice would charge an allocation.
+func (w *WAL) ShardDurable(k int) int { return w.shards[k].c.Flushed() }
 
 // TotalSeq sums the shard head sequence numbers — a monotonic growth
 // measure the checkpoint trigger compares across cuts. It runs on every

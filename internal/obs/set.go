@@ -231,7 +231,7 @@ var ActionNames = [4]string{"none", "retry", "skip", "suspend"}
 // RPC endpoint indexes into RPCEndpoints — the networked command plane's
 // fixed label space (one slot per wire endpoint family).
 const (
-	EpCommands = iota // POST /v1/commands (sync + async submit)
+	EpCommands = iota // POST /v1/commands: one request per command, unary or a stream's line
 	EpBatch           // POST /v1/batch
 	EpInstances       // GET /v1/instances, /v1/instances/{id}
 	EpWorkItems       // GET /v1/workitems
@@ -256,8 +256,8 @@ var RPCEndpoints = [NumEndpoints]string{
 // (or a Server handed obs.Disabled) pays one branch.
 type RPCMetrics struct {
 	requests []Counter    // per endpoint: requests answered (any status)
-	failures []Counter    // per endpoint: non-2xx answers
-	Latency  []*Histogram // per endpoint, nanos, full handler duration
+	failures []Counter    // per endpoint: non-2xx answers and error reply lines
+	Latency  []*Histogram // per endpoint, nanos: handler duration, or a command's read to reply
 
 	// OpenStreams counts currently-connected NDJSON subscribers
 	// (watermark + control-log tails); StreamEvents counts lines pushed
@@ -269,8 +269,9 @@ type RPCMetrics struct {
 	DecodeErrors Counter
 }
 
-// RPCRequest records one answered RPC request: the endpoint slot, the
-// handler duration, and whether the answer was a success (2xx).
+// RPCRequest records one answered RPC request — on the commands
+// endpoint, one command: the endpoint slot, the duration, and whether
+// the answer was a success (2xx, or a result line).
 func (s *Set) RPCRequest(ep int, nanos int64, ok bool) {
 	if s == nil || ep < 0 || ep >= len(s.RPC.requests) {
 		return

@@ -18,23 +18,27 @@ import (
 
 // Client is the typed remote face of a System: it mirrors the façade's
 // Submit/SubmitAsync/SubmitBatch and read surface over the wire
-// protocol. Async receipts resolve against one shared watermark stream
-// — the client tracks every shard's durable watermark locally and a
-// Receipt for (shard, seq) resolves the moment watermark[shard] >= seq,
+// protocol. Every Submit and SubmitAsync travels down one lazily opened
+// command stream (stream.go), so a command costs a line each way, not an
+// HTTP request. Async receipts resolve against one shared watermark
+// stream — the client tracks every shard's durable watermark locally and
+// a Receipt for (shard, seq) resolves the moment watermark[shard] >= seq,
 // so any number of in-flight receipts cost one server stream. Safe for
 // concurrent use.
 type Client struct {
 	base string
-	hc   *http.Client
 
-	ctx    context.Context // watcher lifetime; Close cancels
+	ctx    context.Context // stream lifetimes; Close cancels
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
+
+	cmdMu sync.Mutex // orders command lines; guards cmds and its fields
+	cmds  *cmdStream // nil until the first submit and after a loss
 
 	mu        sync.Mutex
 	wm        []int         // per-shard durable watermarks learned
 	shardErr  []error       // sticky per-shard wedge from the stream
-	changed   chan struct{} // closed + replaced on every update
+	changed   chan struct{} // a parked waiter's wake-up; nil while none waits
 	watching  bool
 	streamErr error // sticky stream loss; cleared by a successful refresh
 }
@@ -43,16 +47,8 @@ type Client struct {
 // verifying connectivity and learning the shard layout from the
 // watermark snapshot. ctx bounds only the handshake.
 func Dial(ctx context.Context, base string) (*Client, error) {
-	// A dedicated transport sized for pipelined submitters: the default
-	// transport keeps only 2 idle connections per host, so concurrent
-	// writers past that churn through fresh TCP connections on every
-	// request. Size the idle pool to the server's MaxInflight.
-	tr := http.DefaultTransport.(*http.Transport).Clone()
-	tr.MaxIdleConns = MaxInflight
-	tr.MaxIdleConnsPerHost = MaxInflight
-	c := &Client{base: strings.TrimRight(base, "/"), hc: &http.Client{Transport: tr}}
+	c := &Client{base: strings.TrimRight(base, "/")}
 	c.ctx, c.cancel = context.WithCancel(context.Background())
-	c.changed = make(chan struct{})
 	var snap WatermarksSnapshot
 	if err := c.get(ctx, "/v1/watermarks?once=1", &snap); err != nil {
 		c.cancel()
@@ -68,12 +64,11 @@ func Dial(ctx context.Context, base string) (*Client, error) {
 	return c, nil
 }
 
-// Close ends the watermark watcher and releases connections. Receipts
-// still waiting resolve with an error.
+// Close ends the command stream and the watermark watcher. Submissions
+// and receipts still waiting resolve with an error.
 func (c *Client) Close() error {
 	c.cancel()
 	c.wg.Wait()
-	c.hc.CloseIdleConnections()
 	return nil
 }
 
@@ -164,6 +159,9 @@ func (c *Client) awaitDurable(ctx context.Context, shard, seq int, op string) er
 		if streamErr == nil {
 			c.ensureWatcherLocked()
 		}
+		if c.changed == nil {
+			c.changed = make(chan struct{})
+		}
 		ch := c.changed
 		c.mu.Unlock()
 
@@ -242,7 +240,7 @@ func (c *Client) watch() {
 		if err != nil {
 			return err
 		}
-		resp, err := c.hc.Do(req)
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			return err
 		}
@@ -288,14 +286,19 @@ func (c *Client) applyEvent(ev WatermarkEvent) {
 	c.bumpLocked()
 }
 
-// bumpLocked wakes every parked waiter. Callers hold c.mu.
+// bumpLocked wakes every parked waiter; the next one to park makes the
+// next channel. Callers hold c.mu.
 func (c *Client) bumpLocked() {
-	close(c.changed)
-	c.changed = make(chan struct{})
+	if c.changed != nil {
+		close(c.changed)
+		c.changed = nil
+	}
 }
 
 // Submit sends one command and blocks until its record is durable
-// server-side, mirroring System.Submit across the hop.
+// server-side, mirroring System.Submit across the hop. When ctx ends
+// first Submit returns ErrCanceled and the command may still have been
+// applied: its line had left, and the reply is discarded when it comes.
 func (c *Client) Submit(ctx context.Context, cmd adept2.Command) (*SubmitResult, error) {
 	return c.submit(ctx, cmd, "sync")
 }
@@ -311,19 +314,6 @@ func (c *Client) SubmitAsync(ctx context.Context, cmd adept2.Command) (*Receipt,
 	}
 	return &Receipt{c: c, op: res.Op, shard: res.Shard, seq: res.Seq,
 		result: res.Result, durable: res.Durable}, nil
-}
-
-func (c *Client) submit(ctx context.Context, cmd adept2.Command, mode string) (*SubmitResult, error) {
-	op, args, err := adept2.EncodeCommand(cmd)
-	if err != nil {
-		return nil, err
-	}
-	req := commandRequest{Envelope: Envelope{Op: op, Args: args}, Mode: mode}
-	var res SubmitResult
-	if err := c.post(ctx, "/v1/commands", req, &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
 }
 
 // SubmitBatch sends a run of commands that lands as one multi-record
@@ -426,7 +416,7 @@ func (c *Client) TailControlLog(ctx context.Context, afterSeq int, fn func(adept
 	if err != nil {
 		return err
 	}
-	resp, err := c.hc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -496,7 +486,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := c.hc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}

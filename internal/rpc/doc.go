@@ -21,7 +21,7 @@
 //
 // # Endpoints
 //
-//	POST /v1/commands          submit one command (mode=sync|async)
+//	POST /v1/commands          submit commands: an NDJSON stream both ways, or one JSON body
 //	POST /v1/batch             submit a run, durable on return
 //	GET  /v1/watermarks        NDJSON watermark stream (?once=1: snapshot)
 //	GET  /v1/control-log       durable control-log suffix (?follow=1: NDJSON tail)
@@ -33,6 +33,39 @@
 //	GET  /metrics.json         the typed obs.Snapshot
 //	GET  /mine.json            mining report (?variants=N caps the table)
 //	GET  /trace.json           sampled spans after cursor ?after=N
+//
+// # The command stream
+//
+// POST /v1/commands with Content-Type application/x-ndjson is a
+// full-duplex stream. Every non-empty request line is one command —
+// {"op", "args", "mode"}, mode "sync" (the default) or "async" — and
+// every reply line is that command's SubmitResult or {"error": {…}}, in
+// request order, so nothing carries a correlation id. The response
+// headers (200) come at once and the exchange stays open until either
+// side ends it. A malformed line or an unknown op answers an invalid
+// envelope in its position and the stream carries on.
+//
+// Any other Content-Type is the stream's length-one case: the body is one
+// command, answered with an HTTP status and a SubmitResult or error
+// envelope. Both framings run each command through the same two steps —
+// apply (decode, take a backpressure slot, SubmitAsync) and settle (a
+// sync command waits for its record's fsync; the slot frees; the command
+// is counted) — and adept2_rpc_requests_total{endpoint="commands"} and
+// its latency histogram count commands in both.
+//
+// On a stream the server's reader applies lines in arrival order without
+// waiting for replies, and a writer settles and answers them in the same
+// order, flushing when it has caught up. One client's sync commands
+// therefore reach the committer back to back and share flushes the way
+// in-process SubmitAsync callers do. Order has its price: a reply waits
+// for the replies before it, so an async acknowledgement queued behind a
+// sync command arrives when that command is durable. Client opens one stream lazily and
+// sends every Submit and SubmitAsync down it: a command costs a line each
+// way, not an HTTP request. A submitter whose ctx ends gets ErrCanceled
+// at once; its line had left, so the command may still have applied, and
+// its reply is discarded in its position. When the stream is lost every
+// waiting call fails with ErrWedged (same caveat) and the next submit
+// dials a new stream.
 //
 // Health has one definition: the status is 200 exactly while
 // System.Health is nil (no wedged shard, no failing background
@@ -52,9 +85,9 @@
 // line — and clients resolve any number of in-flight receipts locally
 // against that single stream. This is what preserves the async
 // pipelining win across the hop: N outstanding submissions cost N
-// small POSTs plus one shared stream, not N parked server goroutines.
-// Sync mode (the default) is the same dispatch with the watermark wait
-// folded into the response.
+// lines on the command stream plus one shared watermark stream, not N
+// parked server goroutines. Sync mode (the default) is the same dispatch
+// with the durability wait folded into the reply.
 //
 // Batch runs land as one multi-record append and are durable when the
 // response arrives; on a mid-run failure the response still carries
@@ -63,8 +96,9 @@
 //
 // # Error envelope
 //
-// Every non-2xx response body is {"error": {"code", "op", "instance",
-// "applied", "message"}} — the wire form of *adept2.Error. The HTTP
+// Every non-2xx response body, and every failed command's reply line, is
+// {"error": {"code", "op", "instance", "applied", "message"}} — the wire
+// form of *adept2.Error. The HTTP
 // status is derived from the code by Code.HTTPStatus (404 not_found,
 // 409 conflict/version_skew, 403 denied, 503 wedged, ...). Clients
 // rehydrate the envelope into *adept2.Error, so errors.Is against the
@@ -74,24 +108,31 @@
 //
 // # Streams, backpressure, drain
 //
-// NDJSON streams (watermarks, control-log tail) are bounded by
-// MaxStreams; excess subscriptions are rejected 503. Command handlers
-// are bounded by MaxInflight slots; excess requests block in the
-// handler, so the TCP connection — and HTTP/1.1's one-request-per-
-// connection discipline — absorbs the queue.
+// NDJSON subscriptions (watermarks, control-log tail) are bounded by
+// MaxStreams; excess subscriptions are rejected 503. Commands are bounded
+// by MaxInflight slots over all connections, each held from the moment
+// a command is decoded until it is settled; at the limit a stream's
+// reader stops reading (and a unary handler waits), so the TCP
+// connection carries the backpressure to the client's writes.
 //
 // The control-log tail serves only fsync-covered records (a subscriber
 // must never observe a record a crash could revoke) from shard 0, the
 // epoch-stamping global-ordering shard; records arrive epoch-stamped
 // exactly as journaled.
 //
-// Close drains in five steps: reject new work 503 (the operational
-// routes keep answering until the last step, /healthz with 503 and
-// "draining": true); wait for in-flight command handlers by owning
-// every backpressure slot; force every staged record durable
-// (SyncDurable); cancel streams, which emit final watermark events
-// ("final": true) before ending — resolving every receipt issued
-// before the drain — then shut the HTTP server down. A client whose stream ends refreshes the watermark snapshot
-// once before failing a wait, so receipts covered by the drain sync
-// resolve even when the final events were lost.
+// Close drains in five steps. (1) New work is refused: 503 for a new
+// request, subscription or command stream, the same draining envelope in
+// band for a line read on an open command stream; the operational routes
+// keep answering until the last step, /healthz with 503 and "draining":
+// true. (2) Close waits until it owns every backpressure slot, that is
+// until every command already read has been applied and answered. (3)
+// Every staged record is forced durable (SyncDurable). (4) Streams are
+// canceled: watermark and control-log tails emit their final events
+// ("final": true) first — resolving every receipt issued before the
+// drain — and a command stream's reply body ends, whether or not the
+// client ever closes its side. (5) The HTTP server shuts down. So every
+// command acknowledged on a stream before or during the drain is durable
+// when Close returns. A client whose watermark stream ends refreshes the
+// watermark snapshot once before failing a wait, so receipts covered by
+// the drain sync resolve even when the final events were lost.
 package rpc

@@ -216,15 +216,16 @@ func TestOpsRoutes(t *testing.T) {
 		sys := openSystem(t, adept2.CheckpointConfig{Every: -1})
 		srv, _ := serve(t, sys, rpc.Options{})
 
-		// Hold one command slot open: the server answers 100 Continue on
-		// the handler's first body read, which happens after it took its
-		// slot, and the body never arrives until the pipe closes. The
-		// drain barrier therefore waits, keeping the listener up.
+		// Hold one slot open: the server answers 100 Continue on the batch
+		// handler's first body read, which happens after it took its slot
+		// (a command takes its slot only once its line is decoded), and
+		// the body never arrives until the pipe closes. The drain barrier
+		// therefore waits, keeping the listener up.
 		pr, pw := io.Pipe()
 		holding := make(chan struct{})
 		trace := &httptrace.ClientTrace{Got100Continue: func() { close(holding) }}
 		req, err := http.NewRequestWithContext(httptrace.WithClientTrace(ctx, trace),
-			http.MethodPost, srv.URL()+"/v1/commands", pr)
+			http.MethodPost, srv.URL()+"/v1/batch", pr)
 		if err != nil {
 			t.Fatal(err)
 		}

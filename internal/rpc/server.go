@@ -1,13 +1,18 @@
 package rpc
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,9 +29,10 @@ type Options struct {
 }
 
 const (
-	// MaxInflight bounds concurrently executing command/batch handlers;
-	// excess requests block in the handler until a slot frees (the
-	// wire plane's backpressure — the TCP connection absorbs the queue).
+	// MaxInflight bounds commands and batches between read and reply,
+	// over every connection; past it a command stream's reader (or a
+	// unary handler) blocks until a slot frees — the wire plane's
+	// backpressure, which the TCP connection passes on to the client.
 	MaxInflight = 64
 	// MaxStreams bounds concurrently connected NDJSON subscribers
 	// (watermark + control-log tails); excess subscriptions are rejected
@@ -80,7 +86,7 @@ func NewServer(sys *adept2.System, opts Options) (*Server, error) {
 	s.streamCtx, s.streamCancel = context.WithCancel(context.Background())
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/commands", s.instrument(obs.EpCommands, s.handleCommands))
+	mux.HandleFunc("POST /v1/commands", s.handleCommands) // counts commands itself, see settle
 	mux.HandleFunc("POST /v1/batch", s.instrument(obs.EpBatch, s.handleBatch))
 	mux.HandleFunc("GET /v1/instances", s.instrument(obs.EpInstances, s.handleInstances))
 	mux.HandleFunc("GET /v1/instances/{id}", s.instrument(obs.EpInstances, s.handleInstance))
@@ -108,18 +114,21 @@ func (s *Server) Addr() string { return s.lis.Addr().String() }
 func (s *Server) URL() string { return "http://" + s.Addr() }
 
 // Close drains gracefully: (1) new commands and subscriptions are
-// rejected 503 — the ops routes keep answering, /healthz with 503 and
-// "draining":true — (2) in-flight command handlers finish (bounded by
-// ctx), (3) every staged journal record is forced durable, (4) streams
-// emit their final watermarks and end — resolving every receipt issued
-// before Close — and (5) the HTTP server shuts down. Close does not
-// close the underlying System.
+// rejected — 503, or the same envelope in band on an open command
+// stream; the ops routes keep answering, /healthz with 503 and
+// "draining":true — (2) every command already read is applied and
+// answered (bounded by ctx), (3) every staged journal record is forced
+// durable, (4) streams end: watermark and control-log tails after their
+// final events — resolving every receipt issued before Close — command
+// streams by closing the reply body, whether or not the client closed
+// its side, and (5) the HTTP server shuts down. Close does not close
+// the underlying System.
 func (s *Server) Close(ctx context.Context) error {
 	s.closeOnce.Do(func() {
 		s.draining.Store(true)
 		close(s.drainCh)
-		// Barrier: owning every slot means no command handler is mid-
-		// stage, so the sync below covers everything submitted so far.
+		// Barrier: owning every slot means no command is between read
+		// and reply, so the sync below covers everything submitted so far.
 		acquired := 0
 	barrier:
 		for acquired < cap(s.sema) {
@@ -159,7 +168,8 @@ func (s *Server) instrument(ep int, h http.HandlerFunc) http.HandlerFunc {
 }
 
 // statusRecorder captures the response status for the request metrics
-// and forwards Flush so streaming handlers keep their flusher.
+// and forwards Flush so streaming handlers keep their flusher; Unwrap
+// gives http.ResponseController the connection underneath.
 type statusRecorder struct {
 	http.ResponseWriter
 	code int
@@ -175,6 +185,8 @@ func (r *statusRecorder) Flush() {
 		f.Flush()
 	}
 }
+
+func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -193,75 +205,180 @@ func drainingErr() error {
 }
 
 // acquireSlot takes one backpressure slot, blocking while the plane is
-// at MaxInflight. It reports false (with the response written) when
-// the client went away or the server started draining.
-func (s *Server) acquireSlot(w http.ResponseWriter, r *http.Request) bool {
+// at MaxInflight. It fails when ctx ends first or the server is
+// draining.
+func (s *Server) acquireSlot(ctx context.Context) error {
 	if s.draining.Load() {
-		writeError(w, drainingErr())
-		return false
+		return drainingErr()
 	}
 	select {
 	case s.sema <- struct{}{}:
-		return true
-	case <-r.Context().Done():
-		writeError(w, &adept2.Error{Code: adept2.CodeCanceled, Op: "rpc", Err: r.Context().Err()})
-		return false
+		return nil
+	case <-ctx.Done():
+		return &adept2.Error{Code: adept2.CodeCanceled, Op: "rpc", Err: ctx.Err()}
 	case <-s.drainCh:
-		writeError(w, drainingErr())
-		return false
+		return drainingErr()
 	}
 }
 
 func (s *Server) releaseSlot() { <-s.sema }
 
-// handleCommands serves POST /v1/commands: decode the envelope through
-// the registry, dispatch SubmitAsync, and either wait for durability
-// (sync mode) or hand back the receipt token (async mode).
-func (s *Server) handleCommands(w http.ResponseWriter, r *http.Request) {
-	if !s.acquireSlot(w, r) {
-		return
-	}
-	defer s.releaseSlot()
-	var req commandRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.met.RPCDecodeError()
-		writeError(w, decodeErr("command envelope", err))
-		return
-	}
-	cmd, err := adept2.DecodeWireCommand(req.Op, req.Args)
+// pending is one command between its two halves: apply (decode → slot →
+// SubmitAsync) and settle (optional durability wait → reply). A command
+// stream's reader hands it to the stream's writer; the unary form runs
+// both halves in place.
+type pending struct {
+	start time.Time
+	res   SubmitResult
+	rcpt  *adept2.Receipt // sync mode: the reply waits for it
+	err   error           // the reply is this error's envelope
+	slot  bool            // holds a backpressure slot until settled
+}
+
+// apply runs one command line up to the point where its record is
+// staged: decode through the registry, take a slot, SubmitAsync.
+func (s *Server) apply(ctx context.Context, line []byte) (p pending) {
+	p.start = time.Now()
+	cmd, op, mode, err := decodeCommandLine(line)
 	if err != nil {
 		s.met.RPCDecodeError()
-		writeError(w, err)
-		return
+		p.err = err
+		return p
 	}
-	rcpt, err := s.sys.SubmitAsync(r.Context(), cmd)
+	if p.err = s.acquireSlot(ctx); p.err != nil {
+		return p
+	}
+	p.slot = true
+	rcpt, err := s.sys.SubmitAsync(ctx, cmd)
 	if err != nil {
-		writeError(w, err)
-		return
+		p.err = err
+		return p
 	}
-	res := SubmitResult{
-		Op:     req.Op,
-		Shard:  rcpt.Shard(),
-		Seq:    rcpt.Seq(),
-		Result: resultSummary(rcpt.Result()),
-	}
-	if req.Mode == "async" {
-		res.Durable = s.sys.DurableWatermarks()[res.Shard] >= res.Seq
+	p.res = SubmitResult{Op: op, Shard: rcpt.Shard(), Seq: rcpt.Seq(), Result: resultSummary(rcpt.Result())}
+	if mode == "async" {
+		p.res.Durable = s.sys.DurableWatermark(p.res.Shard) >= p.res.Seq
 	} else {
-		if err := rcpt.Wait(r.Context()); err != nil {
-			writeError(w, err)
-			return
-		}
-		res.Durable = true
+		p.rcpt = rcpt
 	}
-	writeJSON(w, http.StatusOK, res)
+	return p
+}
+
+// settle finishes a command: a sync submission waits for its record's
+// fsync, the slot frees, and the command is counted — one request and
+// one latency sample per command in either framing. The result is the
+// error the reply carries, nil for p.res.
+func (s *Server) settle(ctx context.Context, p *pending) error {
+	if p.rcpt != nil {
+		p.err = p.rcpt.Wait(ctx)
+		p.res.Durable = p.err == nil
+	}
+	if p.slot {
+		s.releaseSlot()
+	}
+	s.met.RPCRequest(obs.EpCommands, time.Since(p.start).Nanoseconds(), p.err == nil)
+	return p.err
+}
+
+// handleCommands serves POST /v1/commands. An application/x-ndjson body
+// is a command stream (streamCommands); any other body is one command
+// answered with an HTTP status — the stream's length-one case, through
+// the same apply and settle.
+func (s *Server) handleCommands(w http.ResponseWriter, r *http.Request) {
+	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/x-ndjson") {
+		s.streamCommands(w, r)
+		return
+	}
+	body, _ := io.ReadAll(r.Body) // a body cut short fails the decode in apply
+	p := s.apply(r.Context(), body)
+	if err := s.settle(r.Context(), &p); err != nil {
+		writeError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, &p.res)
+}
+
+// streamCommands serves the full-duplex form: every non-empty request
+// line is one command envelope, every reply line its SubmitResult or
+// {"error":{…}}, in request order. This goroutine reads and applies
+// lines in arrival order — so one client's commands reach the committer
+// back to back and share flushes — and a writer settles and answers
+// them. The stream ends when the client closes its side, goes away, or
+// the server's drain reaches its last step; every line read by then is
+// answered before the reply body closes.
+func (s *Server) streamCommands(w http.ResponseWriter, r *http.Request) {
+	rc := http.NewResponseController(w)
+	if err := rc.EnableFullDuplex(); err != nil {
+		writeError(w, &adept2.Error{Code: adept2.CodeInternal, Op: "rpc",
+			Err: fmt.Errorf("rpc: command stream: %w", err)})
+		return
+	}
+	if s.draining.Load() {
+		writeError(w, drainingErr())
+		return
+	}
+	ctx, cancel := s.streamContext(r)
+	defer cancel()
+	// The reader parks on the request body, which an idle client never
+	// ends: a past read deadline is what wakes it when the stream is
+	// canceled.
+	stop := context.AfterFunc(ctx, func() { _ = rc.SetReadDeadline(time.Now()) })
+	defer stop()
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	_ = rc.Flush() // the client's dial returns on these headers
+
+	// Every settled-later command in the queue holds a slot, so the
+	// queue is sized to the slots and only rejected lines can fill it.
+	queue := make(chan pending, MaxInflight)
+	written := make(chan struct{})
+	go func() {
+		defer close(written)
+		s.writeReplies(ctx, w, rc, queue)
+	}()
+	lines := commandLines(r.Body)
+	for lines.Scan() {
+		if line := lines.Bytes(); len(bytes.TrimSpace(line)) > 0 {
+			queue <- s.apply(ctx, line)
+		}
+	}
+	close(queue)
+	<-written
+}
+
+// commandLines splits a command stream into lines of any length; the
+// scanner reuses one buffer, so a line is valid until the next Scan.
+func commandLines(r io.Reader) *bufio.Scanner {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, math.MaxInt)
+	return sc
+}
+
+// writeReplies settles queued commands in order and writes one reply
+// line each, flushing whenever the queue runs empty. A client that left
+// fails the writes; its commands are settled all the same.
+func (s *Server) writeReplies(ctx context.Context, w io.Writer, rc *http.ResponseController, queue <-chan pending) {
+	enc := json.NewEncoder(w)
+	var p pending
+	for p = range queue {
+		var reply any = &p.res
+		if err := s.settle(ctx, &p); err != nil {
+			we, _ := toWireError(err)
+			reply = errorBody{Error: we}
+		}
+		_ = enc.Encode(reply)
+		p = pending{} // an idle stream must not pin its last receipt and result
+		if len(queue) == 0 {
+			_ = rc.Flush()
+		}
+	}
 }
 
 // handleBatch serves POST /v1/batch: decode every envelope, land the
 // run through SubmitBatch (durable on return), answer the applied
 // results plus the in-band error envelope of the first failure.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if !s.acquireSlot(w, r) {
+	if err := s.acquireSlot(r.Context()); err != nil {
+		writeError(w, err)
 		return
 	}
 	defer s.releaseSlot()
@@ -385,7 +502,7 @@ func (s *Server) handleWatermarks(w http.ResponseWriter, r *http.Request) {
 					}
 					return
 				}
-				wm = s.sys.DurableWatermarks()[k]
+				wm = s.sys.DurableWatermark(k)
 				sw.send(WatermarkEvent{Shard: k, Durable: wm})
 			}
 		}()

@@ -1,0 +1,344 @@
+package rpc_test
+
+import (
+	"bufio"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
+	"sync"
+	"testing"
+	"time"
+
+	"adept2"
+	"adept2/internal/rpc"
+	"adept2/internal/sim"
+	"adept2/internal/vfs"
+)
+
+// rawStream is POST /v1/commands in its NDJSON form, driven by hand: the
+// test writes request lines and reads reply lines itself.
+type rawStream struct {
+	t       *testing.T
+	lines   *io.PipeWriter
+	replies *bufio.Scanner
+}
+
+// rawReply is a reply line with both shapes' fields.
+type rawReply struct {
+	rpc.SubmitResult
+	Error *rpc.WireError `json:"error"`
+}
+
+func openRawStream(t *testing.T, url string) *rawStream {
+	t.Helper()
+	pr, pw := io.Pipe()
+	req, err := http.NewRequest(http.MethodPost, url+"/v1/commands", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/x-ndjson")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pw.Close(); resp.Body.Close() })
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("command stream: HTTP %d", resp.StatusCode)
+	}
+	return &rawStream{t: t, lines: pw, replies: bufio.NewScanner(resp.Body)}
+}
+
+func (rs *rawStream) send(line string) {
+	rs.t.Helper()
+	if _, err := io.WriteString(rs.lines, line+"\n"); err != nil {
+		rs.t.Fatalf("write %q: %v", line, err)
+	}
+}
+
+// reply reads the next reply line; ok is false once the reply body ended.
+func (rs *rawStream) reply() (r rawReply, ok bool) {
+	rs.t.Helper()
+	if !rs.replies.Scan() {
+		return r, false
+	}
+	if err := json.Unmarshal(rs.replies.Bytes(), &r); err != nil {
+		rs.t.Fatalf("reply line %q: %v", rs.replies.Bytes(), err)
+	}
+	return r, true
+}
+
+// eventually polls cond until it holds, failing the test after 5 s.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal(what)
+		}
+	}
+}
+
+const createLine = `{"op":"create","args":{"type":"online_order"}}`
+
+// TestCommandStreamBadLines: a malformed line and an unknown op each
+// answer an invalid envelope in their position and the stream carries
+// on; requests and latency samples count commands, not streams.
+func TestCommandStreamBadLines(t *testing.T) {
+	sys := openSystem(t, adept2.CheckpointConfig{})
+	srv, _ := serve(t, sys, rpc.Options{})
+	rs := openRawStream(t, srv.URL())
+
+	rs.send(`{not json`)
+	rs.send(`{"op":"no_such_op","args":{}}`)
+	rs.send("")
+	rs.send(createLine)
+	for i, wantErr := range []bool{true, true, false} {
+		r, ok := rs.reply()
+		if !ok {
+			t.Fatalf("reply body ended before reply %d", i)
+		}
+		switch {
+		case wantErr && (r.Error == nil || r.Error.Code != string(adept2.CodeInvalid)):
+			t.Fatalf("reply %d: want an invalid envelope, got %+v", i, r)
+		case !wantErr && (r.Error != nil || !r.Durable || r.Result == nil || r.Result.Instance == nil):
+			t.Fatalf("reply %d: want a durable create result, got %+v", i, r)
+		}
+	}
+
+	snap := sys.Metrics()
+	ep := snap.RPC.Endpoints["commands"]
+	if ep.Requests != 3 || ep.Failures != 2 || ep.Latency.Count != 3 || snap.RPC.DecodeErrors != 2 {
+		t.Fatalf("one stream of 3 commands, 2 rejected: requests %d failures %d latency samples %d decode errors %d",
+			ep.Requests, ep.Failures, ep.Latency.Count, snap.RPC.DecodeErrors)
+	}
+}
+
+// TestCommandStreamConcurrentSubmitters: 8 sync submitters share one
+// client, hence one stream. Every reply reaches the call in its position
+// — a misdelivered one would hand a submitter another's instance — and
+// the commands reach the committer back to back, so fsyncs are shared.
+func TestCommandStreamConcurrentSubmitters(t *testing.T) {
+	sys := openSystem(t, adept2.CheckpointConfig{Every: -1})
+	_, cli := serve(t, sys, rpc.Options{})
+	ctx := context.Background()
+
+	const workers, rounds = 8, 25
+	ids := make([]string, workers)
+	for w := range ids {
+		res, err := cli.Submit(ctx, &adept2.CreateInstance{TypeName: "online_order"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[w] = res.Result.Instance.ID
+	}
+	before := sys.Metrics().Committer
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				var cmd adept2.Command = &adept2.Suspend{Instance: ids[w]}
+				if i%2 == 1 {
+					cmd = &adept2.Resume{Instance: ids[w]}
+				}
+				if _, err := cli.Submit(ctx, cmd); err != nil {
+					t.Errorf("worker %d round %d: %v", w, i, err)
+					return
+				}
+				ghost := fmt.Sprintf("ghost-%d-%d", w, i)
+				_, err := cli.Submit(ctx, &adept2.Suspend{Instance: ghost})
+				var ae *adept2.Error
+				if !errors.As(err, &ae) || ae.Code != adept2.CodeNotFound || ae.Instance != ghost {
+					t.Errorf("worker %d round %d: reply for %s was %v", w, i, ghost, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	after := sys.Metrics().Committer
+	fsyncs, flushed := after.Fsync.Count-before.Fsync.Count, after.BatchRecords.Sum-before.BatchRecords.Sum
+	if flushed != workers*rounds || fsyncs >= flushed {
+		t.Fatalf("%d records in %d fsyncs: want %d records in fewer", flushed, fsyncs, workers*rounds)
+	}
+}
+
+// TestClientSubmitCancel: a ctx that ends inside Submit is ErrCanceled
+// across the hop as it is in process, the abandoned reply is discarded
+// in its position, and the stream serves the next command.
+func TestClientSubmitCancel(t *testing.T) {
+	// A wide flush window parks the sync submit well past its deadline.
+	sys := openSystem(t, adept2.CheckpointConfig{FlushWindow: 500 * time.Millisecond, MaxBatch: 1 << 20})
+	_, cli := serve(t, sys, rpc.Options{})
+	ctx := context.Background()
+
+	short, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+	defer cancel()
+	_, err := cli.Submit(short, &adept2.CreateInstance{TypeName: "online_order"})
+	if !errors.Is(err, adept2.ErrCanceled) {
+		t.Fatalf("canceled submit: got %v, want ErrCanceled", err)
+	}
+	_, err = cli.Submit(ctx, &adept2.Suspend{Instance: "inst-nope"})
+	if !errors.Is(err, adept2.ErrNotFound) {
+		t.Fatalf("submit after a cancel: got %v, want the suspend's own ErrNotFound", err)
+	}
+	if n := len(sys.Instances()); n != 1 {
+		t.Fatalf("the canceled create left %d instances, want it applied once", n)
+	}
+}
+
+// TestClientStreamLost cuts the connection under a parked submit: the
+// call fails with a taxonomy error, and the next submit dials a new
+// stream.
+func TestClientStreamLost(t *testing.T) {
+	sys := openSystem(t, adept2.CheckpointConfig{FlushWindow: 500 * time.Millisecond, MaxBatch: 1 << 20})
+	srv, _ := serve(t, sys, rpc.Options{})
+	ctx := context.Background()
+
+	// A TCP relay in front of the server, whose connections the test can cut.
+	relay, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close()
+	var mu sync.Mutex
+	var conns []net.Conn
+	go func() {
+		for {
+			in, err := relay.Accept()
+			if err != nil {
+				return
+			}
+			out, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				in.Close()
+				return
+			}
+			mu.Lock()
+			conns = append(conns, in, out)
+			mu.Unlock()
+			go io.Copy(out, in)
+			go io.Copy(in, out)
+		}
+	}()
+	cli, err := rpc.Dial(ctx, "http://"+relay.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	failed := make(chan error, 1)
+	go func() {
+		_, err := cli.Submit(ctx, &adept2.CreateInstance{TypeName: "online_order"})
+		failed <- err
+	}()
+	eventually(t, "the parked submit never reached the server", func() bool { return len(sys.Instances()) > 0 })
+	mu.Lock()
+	for _, c := range conns {
+		c.Close()
+	}
+	mu.Unlock()
+	select {
+	case err := <-failed:
+		if !errors.Is(err, adept2.ErrWedged) {
+			t.Fatalf("submit on a lost stream: got %v, want ErrWedged", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("submit still parked after its stream was cut")
+	}
+
+	if _, err := cli.Submit(ctx, &adept2.Suspend{Instance: "inst-nope"}); !errors.Is(err, adept2.ErrNotFound) {
+		t.Fatalf("submit after the loss: got %v, want a reply over a new stream", err)
+	}
+}
+
+// TestCommandStreamDrain: Close returns with a command stream connected
+// whose client never closes its side. A line read before the drain is
+// applied, answered and durable; a line read during it gets the draining
+// envelope in band; then the reply body ends.
+func TestCommandStreamDrain(t *testing.T) {
+	// The sync command holds its slot — and with it the drain barrier —
+	// until the flush window closes, which is the time the test has to
+	// get a second line in.
+	sys := openSystem(t, adept2.CheckpointConfig{FlushWindow: time.Second, MaxBatch: 1 << 20})
+	srv, _ := serve(t, sys, rpc.Options{})
+	rs := openRawStream(t, srv.URL())
+
+	rs.send(createLine)
+	eventually(t, "the first line was never applied", func() bool { return len(sys.Instances()) > 0 })
+	closed := make(chan error, 1)
+	go func() {
+		cctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		closed <- srv.Close(cctx)
+	}()
+	eventually(t, "drain never showed on /healthz", func() bool {
+		status, _ := get(t, srv.URL()+"/healthz")
+		return status == http.StatusServiceUnavailable
+	})
+	rs.send(createLine)
+
+	first, ok := rs.reply()
+	if !ok || first.Error != nil || !first.Durable {
+		t.Fatalf("line read before the drain: %+v (replied %t)", first, ok)
+	}
+	if wm := sys.DurableWatermarks()[first.Shard]; wm < first.Seq {
+		t.Fatalf("acknowledged (%d,%d) but the watermark is %d", first.Shard, first.Seq, wm)
+	}
+	second, ok := rs.reply()
+	if !ok || second.Error == nil || second.Error.Code != string(adept2.CodeWedged) {
+		t.Fatalf("line read during the drain: %+v (replied %t)", second, ok)
+	}
+	if extra, ok := rs.reply(); ok {
+		t.Fatalf("reply body carried on after the drain: %+v", extra)
+	}
+	if err := <-closed; err != nil {
+		t.Fatalf("drain with a connected command stream: %v", err)
+	}
+	if n := len(sys.Instances()); n != 1 {
+		t.Fatalf("%d instances, want only the line read before the drain applied", n)
+	}
+}
+
+// TestClientSubmitAllocations pins what one sync command costs across the
+// hop, both ends and the engine between them counted: 28 allocations on
+// the stream, where a whole HTTP request per command cost 125. The bound
+// leaves room for another toolchain's JSON, not for a request per command.
+func TestClientSubmitAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not reproducible under the race detector")
+	}
+	sys, err := adept2.Open("wal", adept2.WithVFS(vfs.NewMemFS()), adept2.WithOrg(sim.Org()),
+		adept2.WithCheckpointing(adept2.CheckpointConfig{Every: -1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sys.Close() })
+	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+		t.Fatal(err)
+	}
+	_, cli := serve(t, sys, rpc.Options{})
+	ctx := context.Background()
+	res, err := cli.Submit(ctx, &adept2.CreateInstance{TypeName: "online_order"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	suspend, resume := &adept2.Suspend{Instance: res.Result.Instance.ID}, &adept2.Resume{Instance: res.Result.Instance.ID}
+	i := 0
+	allocs := testing.AllocsPerRun(500, func() {
+		var cmd adept2.Command = suspend
+		if i++; i%2 == 0 {
+			cmd = resume
+		}
+		if _, err := cli.Submit(ctx, cmd); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 40 {
+		t.Fatalf("one remote Submit allocates %.0f objects, want at most 40", allocs)
+	}
+}

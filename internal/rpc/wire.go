@@ -18,13 +18,28 @@ type Envelope struct {
 	Args json.RawMessage `json:"args"`
 }
 
-// commandRequest is the POST /v1/commands body: an Envelope plus the
-// submission mode ("sync" — the default — blocks until the record is
-// fsync-covered; "async" returns as soon as the mutation is applied and
-// the record staged, handing back a receipt token).
+// commandRequest is the POST /v1/commands body, and each line of its
+// NDJSON form: an Envelope plus the submission mode ("sync" — the
+// default — blocks until the record is fsync-covered; "async" returns as
+// soon as the mutation is applied and the record staged, handing back a
+// receipt token).
 type commandRequest struct {
 	Envelope
 	Mode string `json:"mode,omitempty"`
+}
+
+// decodeCommandLine decodes one command — the unary POST /v1/commands
+// body, or one line of the stream — into the typed command, its op name
+// and the submission mode. It is the plane's network-facing decoder:
+// every failure is ErrInvalid and leaves nothing behind for the next
+// line.
+func decodeCommandLine(line []byte) (cmd adept2.Command, op, mode string, err error) {
+	var req commandRequest
+	if err := json.Unmarshal(line, &req); err != nil {
+		return nil, "", "", decodeErr("command envelope", err)
+	}
+	cmd, err = adept2.DecodeWireCommand(req.Op, req.Args)
+	return cmd, req.Op, req.Mode, err
 }
 
 // batchRequest is the POST /v1/batch body. The run lands as one
@@ -46,6 +61,14 @@ type SubmitResult struct {
 	Seq     int            `json:"seq"`
 	Durable bool           `json:"durable"`
 	Result  *ResultSummary `json:"result,omitempty"`
+}
+
+// replyLine is one line of a command stream's reply body: the
+// SubmitResult of the command in the same position of the request body,
+// or that command's error envelope.
+type replyLine struct {
+	SubmitResult
+	Error *WireError `json:"error,omitempty"`
 }
 
 // ResultSummary is a command's typed result projected onto the wire

@@ -17,12 +17,14 @@ import (
 // plane over loopback HTTP against the same suspend/resume workload the
 // PR 5 in-process benches use:
 //
-//   - RemoteSubmit blocks per command: one HTTP round-trip plus one
-//     durability round-trip before the next command is issued,
-//   - RemoteSubmitAsyncPipeline posts async commands (the server answers
+//   - RemoteSubmit blocks per command: one line each way on the
+//     client's command stream plus one durability round-trip before the
+//     writer issues its next command (writers on one client share the
+//     stream, so their commands share flushes),
+//   - RemoteSubmitAsyncPipeline sends async commands (the server answers
 //     at receipt-issue time) and resolves windows of receipts against
-//     the shared watermark stream, so both the HTTP latency and the
-//     flush cost amortize across the window.
+//     the shared watermark stream, so the flush cost amortizes across
+//     the window.
 //
 // The server runs a 2ms group-commit flush window (the standard
 // configuration for a loaded durability pipeline) rather than
@@ -33,8 +35,8 @@ import (
 // durability cost is deterministic and the comparison is structural:
 // the blocking path pays the window per command, the pipelined path
 // per 64-command window. Same honest 1-CPU caveat as the local
-// benches: loopback HTTP and the engine share one core, so the gain
-// shown is a floor — real network latency widens it, since the
+// benches: the loopback connection and the engine share one core, so
+// the gain shown is a floor — real network latency widens it, since the
 // blocking path pays that latency per command too.
 
 // remoteBench serves a group-commit system over loopback and runs fn
@@ -94,7 +96,7 @@ func remoteBench(b *testing.B, writers int, fn func(cli *rpc.Client, id string, 
 }
 
 // BenchmarkRemoteSubmit is the blocking remote baseline: every command
-// pays an HTTP round-trip and a durability round-trip in series.
+// pays a stream round-trip and a durability round-trip in series.
 func BenchmarkRemoteSubmit(b *testing.B) {
 	for _, writers := range []int{1, 8} {
 		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {

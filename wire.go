@@ -152,6 +152,16 @@ func (s *System) DurableWatermarks() []int {
 	return s.wal.Durable()
 }
 
+// DurableWatermark returns one shard's durable watermark (0 for a shard
+// the layout does not have): what a per-command caller reads instead of
+// building the all-shards slice.
+func (s *System) DurableWatermark(shard int) int {
+	if s.wal == nil || shard < 0 || shard >= s.NumShards() {
+		return 0
+	}
+	return s.wal.ShardDurable(shard)
+}
+
 // WaitDurable blocks until shard's durable watermark covers seq, the
 // durability pipeline wedges (ErrWedged), or ctx is done (ErrCanceled).
 // seq may lie beyond the journal head: the wait then spans the append
