@@ -182,6 +182,9 @@ func drill(args []string) {
 	mode := fs.String("mode", "fast", "compliance check: fast or replay")
 	seed := fs.Int64("seed", 1, "workload seed")
 	must(fs.Parse(args))
+	if *n <= 0 || (*mode != "fast" && *mode != "replay") {
+		usage()
+	}
 
 	e := engine.New(sim.Org())
 	must(e.Deploy(sim.OnlineOrder()))
@@ -466,7 +469,7 @@ func list(args []string) {
 			must(err)
 			for _, it := range pg.Items {
 				n++
-				fmt.Printf("  %s  %s/%s (%s, %s)\n", it.ID, it.Instance, it.Node, it.Role, it.State)
+				fmt.Printf("  %s (%s, %s)\n", it.ID, it.Role, it.State)
 			}
 			if pg.Next == "" {
 				break

@@ -248,8 +248,12 @@
 // window of N receipts costs zero additional requests. Reads (cursor-
 // paginated instances and work items, instance detail, open
 // exceptions, health) and a durable-gated control-log tail round out
-// the plane, and the same listener carries the ops routes — a served
-// process has one address, one mux and one drain; Server.Close drains
+// the plane. What a client holds across the hop outlives the process
+// that handed it out: a work item is named by its (instance, node), so
+// item IDs and worklist cursors mean the same after a restart — from a
+// snapshot or by full replay — and after a reshard. The same listener
+// carries the ops routes — a served process has one address, one mux
+// and one drain; Server.Close drains
 // gracefully, refusing new work, answering every command already read,
 // forcing a final flush, and ending streams — tails with Final events,
 // so every receipt issued before the drain resolves, command streams

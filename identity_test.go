@@ -1,0 +1,180 @@
+package adept2_test
+
+import (
+	"context"
+	"fmt"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"adept2"
+	"adept2/internal/rpc"
+	"adept2/internal/sim"
+)
+
+// worklistView is what a worklist client holds of a system: every user's
+// rows with their item IDs, and per user a cursor into the middle of the
+// listing together with the IDs that followed it.
+type worklistView struct {
+	rows   string
+	cursor map[string]string
+	tail   map[string]string
+}
+
+var identityUsers = []string{"ann", "bob", "cyn", "dan"}
+
+func itemIDs(items []*adept2.WorkItem) string {
+	ids := make([]string, len(items))
+	for i, it := range items {
+		ids[i] = it.ID
+	}
+	return strings.Join(ids, " ")
+}
+
+func viewWorklists(t *testing.T, sys *adept2.System) worklistView {
+	t.Helper()
+	v := worklistView{cursor: map[string]string{}, tail: map[string]string{}}
+	var b strings.Builder
+	for _, user := range identityUsers {
+		items := sys.WorkItems(user)
+		if len(items) < 4 {
+			t.Fatalf("%s sees only %d items — population degenerated", user, len(items))
+		}
+		for _, it := range items {
+			fmt.Fprintf(&b, "%s %s %s/%s role=%s state=%s claimed=%q offered=%v\n",
+				user, it.ID, it.Instance, it.Node, it.Role, it.State, it.ClaimedBy, it.Offered)
+		}
+		_, v.cursor[user] = sys.WorkItemsPage(user, "", len(items)/2)
+		v.tail[user] = itemIDs(items[len(items)/2:])
+	}
+	v.rows = b.String()
+	return v
+}
+
+// TestWorkItemIdentityAcrossRecoveryAndReshard: a work-item ID and a page
+// cursor are functions of journaled facts only, so what a client read
+// from one process means the same to the next one — whether that one
+// recovered from snapshot + suffix or by full replay (where four shards
+// replay concurrently and re-offer in a different interleaving every
+// time), and whatever shard count a reshard left behind.
+func TestWorkItemIdentityAcrossRecoveryAndReshard(t *testing.T) {
+	ctx := context.Background()
+	path := filepath.Join(t.TempDir(), "wal.ndjson")
+	sys := openSharded(t, path, shardedCfg())
+	d := newCmdDriver(t, sys, 5)
+	for i := 0; i < 200; i++ {
+		d.step()
+	}
+	d.drain()
+	if _, _, err := sys.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		d.step()
+	}
+	d.drain()
+	want := viewWorklists(t, sys)
+
+	// The same cursor as the wire hands it out.
+	srv, err := rpc.NewServer(sys, rpc.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := rpc.Dial(ctx, srv.URL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	annItems := sys.WorkItems("ann")
+	pg, err := cli.WorkItems(ctx, "ann", "", len(annItems)/2)
+	if err != nil || pg.Next != want.cursor["ann"] {
+		t.Fatalf("remote cursor %q (err %v), local %q", pg.Next, err, want.cursor["ann"])
+	}
+	cli.Close()
+	if err := srv.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(t *testing.T, got *adept2.System) {
+		t.Helper()
+		if v := viewWorklists(t, got); v.rows != want.rows {
+			t.Fatalf("worklist rows differ:\n--- before\n%s--- after\n%s", want.rows, v.rows)
+		}
+		for _, user := range identityUsers {
+			rest, next := got.WorkItemsPage(user, want.cursor[user], 1<<20)
+			if ids := itemIDs(rest); ids != want.tail[user] || next != "" {
+				t.Fatalf("%s: cursor %q continues with [%s] next=%q, want [%s]",
+					user, want.cursor[user], ids, next, want.tail[user])
+			}
+		}
+		// An ID read before the restart claims the same activity after it.
+		held := annItems[len(annItems)/2]
+		if err := got.Claim(held.ID, "ann"); err != nil {
+			t.Fatalf("claim %s: %v", held.ID, err)
+		}
+		it, ok := got.Engine().Worklist().ItemFor(held.Instance, held.Node)
+		if !ok || it.ClaimedBy != "ann" || it.ID != held.ID {
+			t.Fatalf("claim of %s landed on %+v, want %s/%s", held.ID, it, held.Instance, held.Node)
+		}
+		if err := got.Release(held.ID, "ann"); err != nil {
+			t.Fatal(err)
+		}
+		// ... and the cursor one server handed out resumes on the next.
+		srv, err := rpc.NewServer(got, rpc.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close(ctx)
+		cli, err := rpc.Dial(ctx, srv.URL())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cli.Close()
+		pg, err := cli.WorkItems(ctx, "ann", want.cursor["ann"], 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := make([]string, len(pg.Items))
+		for i, it := range pg.Items {
+			ids[i] = it.ID
+		}
+		if got := strings.Join(ids, " "); got != want.tail["ann"] || pg.Next != "" {
+			t.Fatalf("remote cursor continues with [%s] next=%q, want [%s]", got, pg.Next, want.tail["ann"])
+		}
+	}
+
+	t.Run("snapshot+suffix", func(t *testing.T) {
+		got := openSharded(t, path, shardedCfg())
+		defer got.Close()
+		if info := got.Recovery(); info.FullReplay || info.Replayed == 0 {
+			t.Fatalf("expected snapshot + suffix recovery, got %+v", info)
+		}
+		check(t, got)
+	})
+	t.Run("full-replay", func(t *testing.T) {
+		got, err := adept2.Open(path, adept2.WithOrg(sim.Org()), fullReplay(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer got.Close()
+		if info := got.Recovery(); !info.FullReplay || info.Shards != 4 {
+			t.Fatalf("expected a 4-shard full replay, got %+v", info)
+		}
+		check(t, got)
+	})
+	for _, n := range []int{2, 4} {
+		t.Run(fmt.Sprintf("reshard-to-%d", n), func(t *testing.T) {
+			if err := adept2.Reshard(path, n, adept2.WithOrg(sim.Org())); err != nil {
+				t.Fatal(err)
+			}
+			got := openSharded(t, path, adept2.CheckpointConfig{Shards: n, Every: -1})
+			defer got.Close()
+			if got.Recovery().Shards != n {
+				t.Fatalf("recovered %d shards, want %d", got.Recovery().Shards, n)
+			}
+			check(t, got)
+		})
+	}
+}

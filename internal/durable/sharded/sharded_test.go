@@ -1,6 +1,7 @@
 package sharded
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -127,6 +128,15 @@ func openTestWAL(t *testing.T, l Layout) *WAL {
 	return w
 }
 
+// appendDurable journals one data record and waits until it is durable.
+func appendDurable(w *WAL, instID, op string, args any) error {
+	k, seq, err := w.AppendDataAsync(instID, op, args)
+	if err != nil {
+		return err
+	}
+	return w.WaitShardSeq(context.Background(), k, seq)
+}
+
 func TestWALRoutingAndEpoch(t *testing.T) {
 	l := Layout{Base: filepath.Join(t.TempDir(), "wal.ndjson"), Shards: 3}
 	w := openTestWAL(t, l)
@@ -141,13 +151,13 @@ func TestWALRoutingAndEpoch(t *testing.T) {
 	}
 	id1 := idOnShard(t, 1, 3)
 	id2 := idOnShard(t, 2, 3)
-	if err := w.AppendData(id1, "complete", 1); err != nil {
+	if err := appendDurable(w, id1, "complete", 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.AppendControl("user", 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendData(id2, "complete", 2); err != nil {
+	if err := appendDurable(w, id2, "complete", 2); err != nil {
 		t.Fatal(err)
 	}
 	if got := w.Seqs(); got[0] != 2 || got[1] != 1 || got[2] != 1 {
@@ -188,7 +198,7 @@ func TestWALHealthSurfacesWedgedCommitter(t *testing.T) {
 	}
 	victim := 1
 	id := idOnShard(t, victim, 2)
-	if err := w.AppendData(id, "op", 1); err != nil {
+	if err := appendDurable(w, id, "op", 1); err != nil {
 		t.Fatal(err)
 	}
 	// Close the backing file out from under shard 1's committer: the next
@@ -196,7 +206,7 @@ func TestWALHealthSurfacesWedgedCommitter(t *testing.T) {
 	if err := w.Journal(victim).Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendData(id, "op", 2); err == nil {
+	if err := appendDurable(w, id, "op", 2); err == nil {
 		t.Fatal("append through a dead fd must fail")
 	}
 	if err := w.Health(); err == nil {

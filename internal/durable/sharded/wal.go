@@ -85,23 +85,11 @@ func (w *WAL) AppendControl(op string, args any) (int, error) {
 	return seq, nil
 }
 
-// AppendData journals a data record on the instance's shard, stamped with
-// the current epoch, and blocks until it is durable. Shard-0 data records
-// carry no stamp — their position in the control journal already orders
-// them totally.
-func (w *WAL) AppendData(instID, op string, args any) error {
-	k := w.ShardFor(instID)
-	epoch := 0
-	if k != 0 {
-		epoch = w.Epoch()
-	}
-	_, err := w.shards[k].c.AppendEpoch(op, epoch, args)
-	return err
-}
-
-// AppendDataAsync journals a data record like AppendData but returns as
-// soon as the record is staged in its shard's pipeline: shard and seq
-// identify it for WaitShardSeq.
+// AppendDataAsync journals a data record on the instance's shard, stamped
+// with the current epoch, and returns as soon as the record is staged in
+// the shard's pipeline: shard and seq identify it for WaitShardSeq.
+// Shard-0 data records carry no stamp — their position in the control
+// journal already orders them totally.
 func (w *WAL) AppendDataAsync(instID, op string, args any) (shard, seq int, err error) {
 	k := w.ShardFor(instID)
 	epoch := 0

@@ -121,7 +121,7 @@ func sortedKeys(m map[string]bool) []string {
 // schema version must already be deployed, the decoded bias is re-applied
 // to a fresh representation, and markings, stats, history, data, and flags
 // are installed verbatim. The worklist is NOT reconciled — callers restore
-// worklist items wholesale so pre-crash item IDs survive.
+// worklist items wholesale so pre-crash claims survive.
 func (e *Engine) RestoreInstance(snap *InstanceSnapshot, bias []BiasOp) error {
 	e.mu.Lock()
 	s, ok := e.schemas[schemaKey{snap.TypeName, snap.Version}]

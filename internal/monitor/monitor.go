@@ -194,7 +194,7 @@ func SummarizeWorklists(e *engine.Engine) string {
 		}
 		fmt.Fprintf(&b, "%s:\n", u)
 		for _, it := range items {
-			fmt.Fprintf(&b, "  [%s] %s/%s (%s, role %s)\n", it.ID, it.Instance, it.Node, it.State, it.Role)
+			fmt.Fprintf(&b, "  %s (%s, role %s)\n", it.ID, it.State, it.Role)
 		}
 	}
 	if b.Len() == 0 {

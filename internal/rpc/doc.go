@@ -67,6 +67,15 @@
 // waiting call fails with ErrWedged (same caveat) and the next submit
 // dials a new stream.
 //
+// GET /v1/workitems?user=U&cursor=C&limit=N pages a worklist in item-ID
+// order; "next" is the ID of the page's last item. A work item's ID is
+// derived from its instance and node alone (see internal/worklist), so
+// an ID or a cursor this server handed out names the same work to the
+// next server process on the store — after a restart recovered from a
+// snapshot or by full replay, after a reshard, at any shard count. A
+// cursor need not name a live item: the page starts at the first ID
+// above it.
+//
 // Health has one definition: the status is 200 exactly while
 // System.Health is nil (no wedged shard, no failing background
 // checkpoint) and the server is not draining; the body is the same

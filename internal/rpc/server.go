@@ -609,10 +609,7 @@ func (s *Server) handleInstance(w http.ResponseWriter, r *http.Request) {
 // handleWorkItems serves GET /v1/workitems?user=&cursor=&limit=.
 func (s *Server) handleWorkItems(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	limit, _ := strconv.Atoi(q.Get("limit"))
-	if limit <= 0 {
-		limit = 100
-	}
+	limit, _ := strconv.Atoi(q.Get("limit")) // absent or <= 0: the worklist's default page
 	items, next := s.sys.WorkItemsPage(q.Get("user"), q.Get("cursor"), limit)
 	page := WorkItemPage{Items: make([]*WorkItemSummary, len(items)), Next: next}
 	for i, it := range items {

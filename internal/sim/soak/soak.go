@@ -32,13 +32,15 @@
 // dials as flags. A scenario is deterministic per (Seed, Config): the
 // soak uses a logical clock injected via adept2.WithClock and a seeded
 // PRNG, runs on an in-memory filesystem wrapped in a vfs.FaultFS, and
-// reports a Result whose counters are reproducible run to run.
+// reports a Result whose counters and final-state Digest are identical
+// run to run, at any shard count, with and without the race detector.
 package soak
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"sort"
 	"strings"
@@ -143,8 +145,14 @@ type Result struct {
 	FaultWindows  int // injected disk-fault windows
 	Heals         int // successful heals (each forcing a checkpoint)
 	WedgedSubmits int // submits rejected while the store was wedged
+	Unacked       int // submits applied in memory whose acknowledgement failed (Error.Applied)
 	Crashes       int // simulated crashes survived
 	Reopens       int // clean close→reopen cycles verified
+
+	// Digest is FNV-64a over the final state (summarize), the per-shard
+	// durable watermarks and the filesystem's operation count: two runs
+	// with equal digests ended in the same place by the same I/O.
+	Digest uint64
 
 	// MetricsSummary renders the telemetry plane of the busiest session
 	// (captured after the drain, before the final reopen resets the
@@ -154,10 +162,10 @@ type Result struct {
 
 func (r *Result) String() string {
 	return fmt.Sprintf(
-		"steps=%d created=%d finished=%d activities=%d failures=%d timeouts=%d retries=%d compensations=%d skips=%d suspends=%d evolutions=%d adhocs=%d faultWindows=%d heals=%d wedgedSubmits=%d crashes=%d reopens=%d",
+		"steps=%d created=%d finished=%d activities=%d failures=%d timeouts=%d retries=%d compensations=%d skips=%d suspends=%d evolutions=%d adhocs=%d faultWindows=%d heals=%d wedgedSubmits=%d unacked=%d crashes=%d reopens=%d digest=%016x",
 		r.Steps, r.Created, r.Finished, r.Activities, r.Failures, r.Timeouts,
 		r.Retries, r.Compensations, r.Skips, r.Suspends, r.Evolutions, r.AdHocs,
-		r.FaultWindows, r.Heals, r.WedgedSubmits, r.Crashes, r.Reopens)
+		r.FaultWindows, r.Heals, r.WedgedSubmits, r.Unacked, r.Crashes, r.Reopens, r.Digest)
 }
 
 // users is the deterministic user pool (see Org).
@@ -226,6 +234,9 @@ type runner struct {
 	// crash the recovered lengths must cover these.
 	ackHist map[string]int
 	ackDone map[string]bool
+	// unackedCreates counts the creates among Result.Unacked: such an
+	// instance survives iff the next Heal, not a crash, reaches it first.
+	unackedCreates int
 
 	faultCloseAt int  // step at which the open fault window closes (0 = none)
 	crashArmed   bool // a CrashAt script is pending
@@ -310,10 +321,34 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if err := r.checkInvariants(); err != nil {
 		return nil, err
 	}
+	if err := r.checkCounters(); err != nil {
+		return nil, err
+	}
+	h := fnv.New64a()
+	fmt.Fprint(h, summarize(r.sys), r.sys.DurableWatermarks(), r.ffs.OpCount())
+	r.res.Digest = h.Sum64()
 	if err := r.sys.Close(); err != nil {
 		return nil, fmt.Errorf("sim: soak: final close: %w", err)
 	}
 	return r.res, nil
+}
+
+// checkCounters reconciles the Result with the population recovered
+// after the drain: every acknowledged create is an instance, every
+// instance an acknowledged or applied-but-unacknowledged create, all done.
+func (r *runner) checkCounters() error {
+	insts := r.sys.Instances()
+	done := 0
+	for _, inst := range insts {
+		if inst.Done() {
+			done++
+		}
+	}
+	if n := len(insts); n < r.res.Created || n > r.res.Created+r.unackedCreates || done != n {
+		return fmt.Errorf("sim: soak: %d instances (%d done) for %d acknowledged and %d applied-but-unacknowledged creates",
+			n, done, r.res.Created, r.unackedCreates)
+	}
+	return nil
 }
 
 func (r *runner) policy() adept2.ExceptionPolicy {
@@ -366,6 +401,10 @@ func (r *runner) open() error {
 func (r *runner) tolerate(err error) error {
 	if err == nil {
 		return nil
+	}
+	var e *adept2.Error
+	if errors.As(err, &e) && e.Applied {
+		r.res.Unacked++
 	}
 	if errors.Is(err, adept2.ErrWedged) {
 		r.res.WedgedSubmits++
@@ -499,6 +538,9 @@ func (r *runner) topUpInstances(ctx context.Context) error {
 	for live < r.cfg.Instances {
 		inst, err := r.sys.CreateInstance("soak_order")
 		if err != nil {
+			if inst != nil { // applied, then wedged before the acknowledgement
+				r.unackedCreates++
+			}
 			return r.tolerate(err)
 		}
 		r.res.Created++
@@ -550,17 +592,21 @@ func (r *runner) userAction(ctx context.Context) error {
 			r.ackNow(it.Instance)
 		}
 	default:
-		err := r.sys.Complete(it.Instance, it.Node, user, r.outputsFor(inst, it.Node))
-		if terr := r.tolerate(err); terr != nil {
-			return terr
-		}
-		if err == nil {
-			r.res.Activities++
-			r.ackNow(it.Instance)
-			if inst.Done() {
-				r.res.Finished++
-			}
-		}
+		return r.complete(it, inst, user)
+	}
+	return nil
+}
+
+// complete completes the item's activity and counts what was acknowledged.
+func (r *runner) complete(it *adept2.WorkItem, inst *adept2.Instance, user string) error {
+	err := r.sys.Complete(it.Instance, it.Node, user, r.outputsFor(inst, it.Node))
+	if err != nil {
+		return r.tolerate(err)
+	}
+	r.res.Activities++
+	r.ackNow(it.Instance)
+	if inst.Done() {
+		r.res.Finished++
 	}
 	return nil
 }
@@ -586,8 +632,7 @@ func (r *runner) sweep(ctx context.Context) error {
 		// The sweep aborts on a wedged store — expected inside a fault
 		// window.
 		if errors.Is(err, adept2.ErrWedged) {
-			r.res.WedgedSubmits++
-			return nil
+			return r.tolerate(err)
 		}
 		return err
 	}
@@ -769,16 +814,8 @@ func (r *runner) drain(ctx context.Context) error {
 				if !ok {
 					continue
 				}
-				err := r.sys.Complete(it.Instance, it.Node, user, r.outputsFor(inst, it.Node))
-				if terr := r.tolerate(err); terr != nil {
-					return fmt.Errorf("sim: drain complete %s/%s: %w", it.Instance, it.Node, terr)
-				}
-				if err == nil {
-					r.res.Activities++
-					r.ackNow(it.Instance)
-					if inst.Done() {
-						r.res.Finished++
-					}
+				if err := r.complete(it, inst, user); err != nil {
+					return fmt.Errorf("sim: drain complete %s/%s: %w", it.Instance, it.Node, err)
 				}
 			}
 		}
@@ -1008,20 +1045,9 @@ func summarize(sys *adept2.System) string {
 		}
 	}
 	for _, user := range users {
-		items := sys.WorkItems(user)
-		// Items sort by (instance, node), not ID: re-offers replayed by
-		// concurrent shard recoveries draw fresh IDs in a different
-		// interleaving, and the durable contract covers which work is
-		// offered to whom and in what state, not the synthetic ID.
-		sort.Slice(items, func(i, j int) bool {
-			if items[i].Instance != items[j].Instance {
-				return items[i].Instance < items[j].Instance
-			}
-			return items[i].Node < items[j].Node
-		})
-		for _, it := range items {
-			fmt.Fprintf(&b, "wl %s %s/%s role=%s state=%s claimed=%s\n",
-				user, it.Instance, it.Node, it.Role, it.State, it.ClaimedBy)
+		for _, it := range sys.WorkItems(user) {
+			fmt.Fprintf(&b, "wl %s %s role=%s state=%s claimed=%s\n",
+				user, it.ID, it.Role, it.State, it.ClaimedBy)
 		}
 	}
 	return b.String()

@@ -3,11 +3,32 @@
 // role matches the activity's staff assignment; users claim, start, and
 // complete items. Items of skipped, completed, or migrated-away activities
 // are withdrawn automatically by the engine.
+//
+// # Identity
+//
+// A work item's ID is a pure, injective function of its (instance, node)
+// — the pair the manager holds at most one item for: the two joined by
+// "/", with "/" and "%" inside the instance percent-escaped. No counter
+// or arrival order enters it, so an ID or page cursor a client holds
+// names the same work live, after recovery from a snapshot or by full
+// replay, after a reshard and at any shard count.
+//
+// The name belongs to the activity, not to one offer of it: an escalated
+// item, or an offered one whose staff assignment changed, is re-offered
+// to the new candidates under its old ID, and so is the next iteration
+// of a loop. Whether the holder of an ID may act is decided by Claim,
+// against the item's current state and candidates.
+//
+// Every listing (ItemsFor, ItemsForPage, ItemsForInstance, Export) is in
+// ascending ID order, and a page cursor is the last ID returned.
 package worklist
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"adept2/internal/fault"
@@ -55,26 +76,33 @@ func (i *Item) clone() *Item {
 	return &c
 }
 
+// itemID names the work item of (instance, node). The escaped instance
+// contains no "/", so the first "/" splits an ID back into its pair.
+func itemID(instance, node string) string {
+	return idEscaper.Replace(instance) + "/" + node
+}
+
+var idEscaper = strings.NewReplacer("%", "%25", "/", "%2F")
+
 // Manager is a thread-safe worklist registry.
 type Manager struct {
-	mu     sync.Mutex
-	seq    int
-	items  map[string]*Item     // item ID -> item
-	byNode map[[2]string]string // (instance, node) -> item ID
-	// byUser holds each user's visible item IDs: a membership set for
-	// O(1) offers/withdrawals plus a lazily rebuilt sorted cache so a
-	// page listing is a binary search plus a walk of one page — O(page)
-	// while the worklist is read-quiescent, one O(n log n) rebuild on
-	// the first read after a write (no worse than gathering and sorting
-	// the whole ID set per call, which is what it replaced).
+	mu    sync.Mutex
+	items map[string]*Item // item ID -> item
+	// byUser holds each user's visible item IDs: a membership set for O(1)
+	// offers/withdrawals plus a lazily rebuilt sorted ID cache so a page
+	// listing is a binary search plus a walk of one page — O(page) while
+	// the worklist is read-quiescent, one O(n log n) rebuild on the first
+	// read after a write.
 	byUser map[string]*userIndex
-	byInst map[string]map[string]bool // instance -> item IDs
+	// byInst holds each instance's few live items; find walks them for
+	// the item of one node, so (instance, node) needs no index of its own.
+	byInst map[string][]*Item
 }
 
 // userIndex is one user's worklist index.
 type userIndex struct {
-	members map[string]struct{} // item IDs offered to / claimed by the user
-	sorted  []string            // ascending ID cache over members; nil when stale
+	members map[string]struct{} // IDs of the items offered to / claimed by the user
+	sorted  []string            // ascending cache over members; nil when stale
 }
 
 // sortedIDs returns the user's item IDs in ascending order, rebuilding
@@ -85,44 +113,68 @@ func (u *userIndex) sortedIDs() []string {
 		for id := range u.members {
 			u.sorted = append(u.sorted, id)
 		}
-		sort.Strings(u.sorted)
+		slices.Sort(u.sorted)
 	}
 	return u.sorted
+}
+
+func sortByID(items []*Item) {
+	slices.SortFunc(items, func(a, b *Item) int { return strings.Compare(a.ID, b.ID) })
 }
 
 // NewManager returns an empty worklist manager.
 func NewManager() *Manager {
 	return &Manager{
 		items:  make(map[string]*Item),
-		byNode: make(map[[2]string]string),
 		byUser: make(map[string]*userIndex),
-		byInst: make(map[string]map[string]bool),
+		byInst: make(map[string][]*Item),
 	}
 }
 
-// addToUser indexes id for user. Caller holds the manager lock.
-func (m *Manager) addToUser(user, id string) {
-	u := m.byUser[user]
-	if u == nil {
-		u = &userIndex{members: make(map[string]struct{})}
-		m.byUser[user] = u
+// find returns the item of (instance, node), or nil.
+func (m *Manager) find(instance, node string) *Item {
+	for _, it := range m.byInst[instance] {
+		if it.Node == node {
+			return it
+		}
 	}
-	u.members[id] = struct{}{}
-	u.sorted = nil
+	return nil
 }
 
-// removeFromUser drops id from user's index. Caller holds the manager lock.
-func (m *Manager) removeFromUser(user, id string) {
-	u := m.byUser[user]
-	if u == nil {
-		return
+// indexLocked registers it — whose ID must be unused — in every index.
+func (m *Manager) indexLocked(it *Item) {
+	m.items[it.ID] = it
+	m.byInst[it.Instance] = append(m.byInst[it.Instance], it)
+	for _, user := range it.Offered {
+		u := m.byUser[user]
+		if u == nil {
+			u = &userIndex{members: make(map[string]struct{})}
+			m.byUser[user] = u
+		}
+		u.members[it.ID] = struct{}{}
+		u.sorted = nil
 	}
-	delete(u.members, id)
-	if len(u.members) == 0 {
-		delete(m.byUser, user)
-		return
+}
+
+// removeLocked drops it from every index.
+func (m *Manager) removeLocked(it *Item) {
+	delete(m.items, it.ID)
+	for _, user := range it.Offered {
+		if u := m.byUser[user]; u != nil {
+			delete(u.members, it.ID)
+			u.sorted = nil
+			if len(u.members) == 0 {
+				delete(m.byUser, user)
+			}
+		}
 	}
-	u.sorted = nil
+	rest := m.byInst[it.Instance]
+	i := slices.Index(rest, it)
+	if rest = slices.Delete(rest, i, i+1); len(rest) == 0 {
+		delete(m.byInst, it.Instance)
+	} else {
+		m.byInst[it.Instance] = rest
+	}
 }
 
 // Offer creates a work item for an activated activity and offers it to the
@@ -140,64 +192,48 @@ func (m *Manager) Offer(instance, node, role string, users []string) (*Item, err
 // offerLocked creates and indexes a new item; it returns nil if one
 // already exists for (instance, node).
 func (m *Manager) offerLocked(instance, node, role string, users []string) *Item {
-	key := [2]string{instance, node}
-	if _, dup := m.byNode[key]; dup {
+	if m.find(instance, node) != nil {
 		return nil
 	}
-	m.seq++
 	it := &Item{
-		ID:       fmt.Sprintf("wi-%d", m.seq),
+		ID:       itemID(instance, node),
 		Instance: instance,
 		Node:     node,
 		Role:     role,
 		Offered:  append([]string(nil), users...),
 		State:    Offered,
 	}
-	sort.Strings(it.Offered)
-	m.items[it.ID] = it
-	m.byNode[key] = it.ID
-	for _, u := range it.Offered {
-		m.addToUser(u, it.ID)
-	}
-	inst := m.byInst[instance]
-	if inst == nil {
-		inst = make(map[string]bool)
-		m.byInst[instance] = inst
-	}
-	inst[it.ID] = true
+	slices.Sort(it.Offered)
+	m.indexLocked(it)
 	return it
 }
 
-// Escalate replaces the activity's work item with a fresh offer to the
+// Escalate replaces the activity's work item with an offer to the
 // escalation role's candidates, under one lock acquisition so no reader
 // observes the node item-less in between. The previous item — typically
 // InProgress for the original assignee of a timed-out activity — is
-// withdrawn; the replacement starts in the Offered state. Returns the
-// new item.
-func (m *Manager) Escalate(instance, node, role string, users []string) *Item {
+// withdrawn; the replacement keeps its ID and starts in the Offered
+// state.
+func (m *Manager) Escalate(instance, node, role string, users []string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.withdrawLocked(instance, node)
-	it := m.offerLocked(instance, node, role, users)
-	if it == nil {
-		return nil
-	}
-	return it.clone()
+	m.offerLocked(instance, node, role, users)
 }
 
 // Claim reserves an offered item for one of its candidate users.
-func (m *Manager) Claim(itemID, user string) error {
+func (m *Manager) Claim(id, user string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	it, ok := m.items[itemID]
+	it, ok := m.items[id]
 	if !ok {
-		return fault.Tagf(fault.NotFound, "worklist: claim %q: no such item", itemID)
+		return fault.Tagf(fault.NotFound, "worklist: claim %q: no such item", id)
 	}
 	if it.State != Offered {
-		return fault.Tagf(fault.Conflict, "worklist: claim %q: item is %s", itemID, it.State)
+		return fault.Tagf(fault.Conflict, "worklist: claim %q: item is %s", id, it.State)
 	}
-	if !contains(it.Offered, user) {
-		return fault.Tagf(fault.Denied, "worklist: claim %q: user %q is not a candidate", itemID, user)
+	if !slices.Contains(it.Offered, user) {
+		return fault.Tagf(fault.Denied, "worklist: claim %q: user %q is not a candidate", id, user)
 	}
 	it.State = Claimed
 	it.ClaimedBy = user
@@ -205,15 +241,15 @@ func (m *Manager) Claim(itemID, user string) error {
 }
 
 // Release returns a claimed item to the offered state.
-func (m *Manager) Release(itemID, user string) error {
+func (m *Manager) Release(id, user string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	it, ok := m.items[itemID]
+	it, ok := m.items[id]
 	if !ok {
-		return fault.Tagf(fault.NotFound, "worklist: release %q: no such item", itemID)
+		return fault.Tagf(fault.NotFound, "worklist: release %q: no such item", id)
 	}
 	if it.State != Claimed || it.ClaimedBy != user {
-		return fault.Tagf(fault.Conflict, "worklist: release %q: not claimed by %q", itemID, user)
+		return fault.Tagf(fault.Conflict, "worklist: release %q: not claimed by %q", id, user)
 	}
 	it.State = Offered
 	it.ClaimedBy = ""
@@ -224,11 +260,10 @@ func (m *Manager) Release(itemID, user string) error {
 func (m *Manager) MarkStarted(instance, node, user string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	id, ok := m.byNode[[2]string{instance, node}]
-	if !ok {
+	it := m.find(instance, node)
+	if it == nil {
 		return fault.Tagf(fault.NotFound, "worklist: start %s/%s: no work item", instance, node)
 	}
-	it := m.items[id]
 	if it.State == Claimed && it.ClaimedBy != user {
 		return fault.Tagf(fault.Denied, "worklist: start %s/%s: claimed by %q, not %q", instance, node, it.ClaimedBy, user)
 	}
@@ -247,22 +282,8 @@ func (m *Manager) Withdraw(instance, node string) {
 }
 
 func (m *Manager) withdrawLocked(instance, node string) {
-	key := [2]string{instance, node}
-	id, ok := m.byNode[key]
-	if !ok {
-		return
-	}
-	it := m.items[id]
-	delete(m.byNode, key)
-	delete(m.items, id)
-	for _, u := range it.Offered {
-		m.removeFromUser(u, id)
-	}
-	if set := m.byInst[instance]; set != nil {
-		delete(set, id)
-		if len(set) == 0 {
-			delete(m.byInst, instance)
-		}
+	if it := m.find(instance, node); it != nil {
+		m.removeLocked(it)
 	}
 }
 
@@ -291,42 +312,39 @@ func (m *Manager) BatchUpdate(instance string, wanted []Wanted, usersInRole func
 	// staff assignment changed are withdrawn and re-offered to the new
 	// role below.
 	m.mu.Lock()
-	byNode := make(map[string]*Wanted, len(wanted))
+	want := make(map[string]*Wanted, len(wanted))
 	for i := range wanted {
-		byNode[wanted[i].Node] = &wanted[i]
+		want[wanted[i].Node] = &wanted[i]
 	}
-	var stale []string
-	for id := range m.byInst[instance] {
-		it := m.items[id]
-		if w, ok := byNode[it.Node]; ok && (it.Role == w.Role || w.Running) {
-			delete(byNode, it.Node) // keep existing item
+	var stale []*Item
+	for _, it := range m.byInst[instance] {
+		if w, ok := want[it.Node]; ok && (it.Role == w.Role || w.Running) {
+			delete(want, it.Node) // keep existing item
 		} else {
-			stale = append(stale, it.Node)
+			stale = append(stale, it)
 		}
 	}
-	for _, node := range stale {
-		m.withdrawLocked(instance, node)
-	}
-	var nodes []string
-	for node, w := range byNode {
-		if !w.Running {
-			nodes = append(nodes, node)
-		}
+	for _, it := range stale {
+		m.removeLocked(it)
 	}
 	m.mu.Unlock()
-	if len(nodes) == 0 {
+	var missing []*Wanted
+	for i := range wanted {
+		if w := &wanted[i]; want[w.Node] == w && !w.Running {
+			missing = append(missing, w)
+		}
+	}
+	if len(missing) == 0 {
 		return
 	}
 
 	// Phase 2 (unlocked): resolve candidate users, once per distinct role
 	// — the org model must not be consulted while every other worklist
 	// operation is blocked on the manager lock.
-	sort.Strings(nodes) // deterministic item IDs
 	roleUsers := make(map[string][]string)
-	for _, node := range nodes {
-		role := byNode[node].Role
-		if _, done := roleUsers[role]; !done {
-			roleUsers[role] = usersInRole(role)
+	for _, w := range missing {
+		if _, done := roleUsers[w.Role]; !done {
+			roleUsers[w.Role] = usersInRole(w.Role)
 		}
 	}
 
@@ -335,18 +353,16 @@ func (m *Manager) BatchUpdate(instance string, wanted []Wanted, usersInRole func
 	// only the instance's own reconciliation creates items, and that runs
 	// under the instance lock.
 	m.mu.Lock()
-	for _, node := range nodes {
-		w := byNode[node]
-		m.offerLocked(instance, node, w.Role, roleUsers[w.Role])
+	for _, w := range missing {
+		m.offerLocked(instance, w.Node, w.Role, roleUsers[w.Role])
 	}
 	m.mu.Unlock()
 }
 
-// ManagerExport is the serialized state of a worklist manager: the item-ID
-// counter and every live item. Restoring it wholesale (instead of
-// re-offering from markings) preserves pre-crash item IDs and claims.
+// ManagerExport is the serialized state of a worklist manager: every live
+// item. Restoring it wholesale (instead of re-offering from markings)
+// preserves claims.
 type ManagerExport struct {
-	Seq   int     `json:"seq"`
 	Items []*Item `json:"items,omitempty"`
 }
 
@@ -354,85 +370,46 @@ type ManagerExport struct {
 func (m *Manager) Export() *ManagerExport {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ex := &ManagerExport{Seq: m.seq, Items: make([]*Item, 0, len(m.items))}
+	ex := &ManagerExport{Items: make([]*Item, 0, len(m.items))}
 	for _, it := range m.items {
 		ex.Items = append(ex.Items, it.clone())
 	}
-	sort.Slice(ex.Items, func(i, j int) bool { return ex.Items[i].ID < ex.Items[j].ID })
+	sortByID(ex.Items)
 	return ex
 }
 
 // Import replaces the manager state with the exported one, rebuilding all
-// indexes. Pre-existing items are dropped.
+// indexes. Pre-existing items are dropped. An item's ID is derived from
+// its instance and node, whatever the export says: a snapshot written
+// when IDs came from a counter restores with the derived names.
 func (m *Manager) Import(ex *ManagerExport) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	items := make(map[string]*Item, len(ex.Items))
-	byNode := make(map[[2]string]string, len(ex.Items))
-	byUser := make(map[string]*userIndex)
-	byInst := make(map[string]map[string]bool)
+	fresh := NewManager()
 	for _, src := range ex.Items {
 		it := src.clone()
-		if _, dup := items[it.ID]; dup {
-			return fmt.Errorf("worklist: import: duplicate item ID %q", it.ID)
-		}
-		key := [2]string{it.Instance, it.Node}
-		if _, dup := byNode[key]; dup {
+		it.ID = itemID(it.Instance, it.Node)
+		if _, dup := fresh.items[it.ID]; dup {
 			return fmt.Errorf("worklist: import: duplicate item for %s/%s", it.Instance, it.Node)
 		}
-		items[it.ID] = it
-		byNode[key] = it.ID
-		for _, u := range it.Offered {
-			ui := byUser[u]
-			if ui == nil {
-				ui = &userIndex{members: make(map[string]struct{})}
-				byUser[u] = ui
-			}
-			ui.members[it.ID] = struct{}{}
-		}
-		inst := byInst[it.Instance]
-		if inst == nil {
-			inst = make(map[string]bool)
-			byInst[it.Instance] = inst
-		}
-		inst[it.ID] = true
+		fresh.indexLocked(it)
 	}
-	m.seq = ex.Seq
-	m.items = items
-	m.byNode = byNode
-	m.byUser = byUser
-	m.byInst = byInst
+	m.items, m.byUser, m.byInst = fresh.items, fresh.byUser, fresh.byInst
 	return nil
 }
 
 // ItemsFor returns the items visible to a user (offered to or claimed by),
 // ordered by item ID.
 func (m *Manager) ItemsFor(user string) []*Item {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var ids []string
-	if u := m.byUser[user]; u != nil {
-		ids = u.sortedIDs()
-	}
-	items := make([]*Item, 0, len(ids))
-	for _, id := range ids {
-		it := m.items[id]
-		if it.State == Claimed && it.ClaimedBy != user {
-			continue // reserved by someone else
-		}
-		items = append(items, it.clone())
-	}
+	items, _ := m.ItemsForPage(user, "", math.MaxInt)
 	return items
 }
 
-// ItemsForPage returns up to limit of the items visible to a user in
-// item-ID order, starting after the cursor item ID ("" starts from the
-// beginning), plus the cursor for the next page ("" when no items
-// follow). The per-user index caches a sorted ID slice, so a page costs
-// one binary search for the cursor plus a walk of the page — O(page),
-// independent of the user's total worklist size — except on the first
-// read after an offer/withdrawal touched the user, which rebuilds the
-// cache (O(n log n), the cost every call used to pay).
+// ItemsForPage returns up to limit (default 100) of the items visible to
+// a user in item-ID order, starting above the cursor ("" starts from the
+// beginning; it need not name a live item), plus the cursor for the next
+// page ("" when no items follow). A page costs one binary search for the
+// cursor plus a walk of the page, after the cache rebuild byUser describes.
 func (m *Manager) ItemsForPage(user, cursor string, limit int) ([]*Item, string) {
 	if limit <= 0 {
 		limit = 100
@@ -443,43 +420,30 @@ func (m *Manager) ItemsForPage(user, cursor string, limit int) ([]*Item, string)
 	if u := m.byUser[user]; u != nil {
 		ids = u.sortedIDs()
 	}
-	start := 0
-	if cursor != "" {
-		start = sort.SearchStrings(ids, cursor)
-		if start < len(ids) && ids[start] == cursor {
-			start++
-		}
-	}
-	items := make([]*Item, 0, limit)
-	next := ""
-	for i := start; i < len(ids); i++ {
-		it := m.items[ids[i]]
+	start := sort.Search(len(ids), func(i int) bool { return ids[i] > cursor })
+	items := make([]*Item, 0, min(limit, len(ids)-start))
+	for _, id := range ids[start:] {
+		it := m.items[id]
 		if it.State == Claimed && it.ClaimedBy != user {
 			continue // reserved by someone else
 		}
 		if len(items) == limit {
-			next = ids[i-1] // page full with candidates left
-			break
+			return items, items[limit-1].ID // page full with candidates left
 		}
 		items = append(items, it.clone())
 	}
-	return items, next
+	return items, ""
 }
 
 // ItemsForInstance returns all items of one instance, ordered by item ID.
-// The engine uses it to reconcile worklists after markings change.
 func (m *Manager) ItemsForInstance(instance string) []*Item {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ids := make([]string, 0, len(m.byInst[instance]))
-	for id := range m.byInst[instance] {
-		ids = append(ids, id)
+	items := make([]*Item, 0, len(m.byInst[instance]))
+	for _, it := range m.byInst[instance] {
+		items = append(items, it.clone())
 	}
-	sort.Strings(ids)
-	items := make([]*Item, 0, len(ids))
-	for _, id := range ids {
-		items = append(items, m.items[id].clone())
-	}
+	sortByID(items)
 	return items
 }
 
@@ -487,11 +451,11 @@ func (m *Manager) ItemsForInstance(instance string) []*Item {
 func (m *Manager) ItemFor(instance, node string) (*Item, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	id, ok := m.byNode[[2]string{instance, node}]
-	if !ok {
+	it := m.find(instance, node)
+	if it == nil {
 		return nil, false
 	}
-	return m.items[id].clone(), true
+	return it.clone(), true
 }
 
 // Len returns the number of live items.
@@ -499,9 +463,4 @@ func (m *Manager) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.items)
-}
-
-func contains(ss []string, s string) bool {
-	i := sort.SearchStrings(ss, s)
-	return i < len(ss) && ss[i] == s
 }

@@ -1,6 +1,12 @@
 package worklist
 
-import "testing"
+import (
+	"encoding/json"
+	"reflect"
+	"testing"
+
+	"adept2/internal/fault"
+)
 
 func TestOfferClaimStartWithdraw(t *testing.T) {
 	m := NewManager()
@@ -103,6 +109,9 @@ func TestBatchUpdateReconciles(t *testing.T) {
 	resolutions := 0
 	users := func(role string) []string {
 		resolutions++
+		if role == "sales" {
+			return []string{"cyn"}
+		}
 		return []string{"ann", "bob"}
 	}
 
@@ -140,14 +149,22 @@ func TestBatchUpdateReconciles(t *testing.T) {
 		t.Fatal("new item not offered")
 	}
 
-	// A role change on an offered item withdraws and re-offers it.
+	// A role change on an offered item — even a claimed one — withdraws
+	// it and re-offers it to the new role's candidates under its old name.
+	if err := m.Claim(itA.ID, "ann"); err != nil {
+		t.Fatal(err)
+	}
 	m.BatchUpdate("i1", []Wanted{
 		{Node: "a", Role: "sales"},
 		{Node: "c", Role: "sales"},
 	}, users)
 	reoffered, ok := m.ItemFor("i1", "a")
-	if !ok || reoffered.Role != "sales" || reoffered.ID == itA.ID {
+	if !ok || reoffered.Role != "sales" || reoffered.State != Offered || reoffered.ClaimedBy != "" ||
+		!reflect.DeepEqual(reoffered.Offered, []string{"cyn"}) || reoffered.ID != itA.ID {
 		t.Fatalf("role change not re-offered: %+v", reoffered)
+	}
+	if got := m.ItemsFor("ann"); len(got) != 0 {
+		t.Fatalf("ann still sees %v after the role change", got)
 	}
 
 	// Running work is never disturbed, even across a role change, and no
@@ -189,5 +206,48 @@ func TestItemStateString(t *testing.T) {
 	}
 	if ItemState(9).String() == "" {
 		t.Fatal("out-of-range string")
+	}
+}
+
+// TestImportParentFormat: a snapshot written when item IDs came from a
+// counter ("seq", "wi-N") restores with the derived names in their place;
+// claims survive, the old names mean nothing.
+func TestImportParentFormat(t *testing.T) {
+	const parent = `{"seq":7,"items":[
+		{"id":"wi-3","Instance":"inst-000002","Node":"pack_goods","Role":"warehouse","Offered":["bob","cyn"],"ClaimedBy":"bob","State":1},
+		{"id":"wi-7","Instance":"inst-000001","Node":"get_order","Role":"clerk","Offered":["ann"],"State":0}]}`
+	var ex ManagerExport
+	if err := json.Unmarshal([]byte(parent), &ex); err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager()
+	if err := m.Import(&ex); err != nil {
+		t.Fatal(err)
+	}
+	it, ok := m.ItemFor("inst-000002", "pack_goods")
+	if !ok || it.ID != "inst-000002/pack_goods" || it.State != Claimed || it.ClaimedBy != "bob" {
+		t.Fatalf("imported item = %+v", it)
+	}
+	if err := m.Claim("wi-3", "cyn"); fault.KindOf(err) != fault.NotFound {
+		t.Fatalf("claim by the counter name: %v, want not-found", err)
+	}
+	if err := m.Release(it.ID, "bob"); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.ItemsFor("ann"); len(got) != 1 || got[0].ID != "inst-000001/get_order" {
+		t.Fatalf("ann sees %+v", got)
+	}
+	// What Export writes now imports to the same state.
+	m2 := NewManager()
+	if err := m2.Import(m.Export()); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(m.Export(), m2.Export()) {
+		t.Fatal("export → import → export is not a fixpoint")
+	}
+
+	ex.Items = append(ex.Items, &Item{ID: "wi-9", Instance: "inst-000001", Node: "get_order"})
+	if err := NewManager().Import(&ex); err == nil {
+		t.Fatal("two items for one (instance, node) must be refused")
 	}
 }
