@@ -3,6 +3,7 @@ package adept2
 import (
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"adept2/internal/change"
 	"adept2/internal/engine"
@@ -60,10 +61,76 @@ type argsEncoder interface {
 	encodeArgs() (any, error)
 }
 
-// finishEffect fills a nil effect.args from the command's encoder (the
-// live path's pre-journal step).
+// stampedArgs holds the journal form of the commands whose record is a
+// small struct other than the submitted one: it carries a value the live
+// path assigned, or has the wire shape Suspend and Resume share. The
+// caller's command is never written to (one &CreateInstance{} may be
+// submitted twice, and a stamped ID would make the second submit a
+// duplicate), and a value handed to the encoder as `any` cannot live on
+// the stack — so the forms are recycled through stampedPool.
+type stampedArgs struct {
+	create   CreateInstance
+	start    StartActivity
+	complete CompleteActivity
+	suspend  suspendArgs
+}
+
+var stampedPool = sync.Pool{New: func() any { return new(stampedArgs) }}
+
+// stamp builds the record args of such a command in a pooled stampedArgs,
+// which eff owns until release, and reports whether c is one. Like
+// argsEncoder it runs on the live path only.
+func (eff *effect) stamp(c command) bool {
+	rec := stampedPool.Get().(*stampedArgs)
+	switch c := c.(type) {
+	case *CreateInstance:
+		// The record always carries the assigned ID so sharded replay
+		// reproduces it under any shard interleaving (pre-PR4 records
+		// without one rely on the total journal order instead).
+		rec.create = *c
+		rec.create.ID = eff.inst
+		eff.args = &rec.create
+	case *StartActivity:
+		// The record always carries the stamped time so replay re-arms
+		// deadlines deterministically (pre-deadline records with At 0 are
+		// harmless: their schemas model no deadlines).
+		rec.start = *c
+		rec.start.At = eff.at
+		eff.args = &rec.start
+	case *CompleteActivity:
+		// The record carries the stamped time so replay reproduces event
+		// timestamps (pre-timestamp records decode At 0 and stay unstamped).
+		rec.complete = *c
+		rec.complete.At = eff.at
+		eff.args = &rec.complete
+	case *Suspend:
+		rec.suspend = suspendArgs{Instance: c.Instance}
+		eff.args = &rec.suspend
+	case *Resume:
+		rec.suspend = suspendArgs{Instance: c.Instance, Resume: true}
+		eff.args = &rec.suspend
+	default:
+		stampedPool.Put(rec)
+		return false
+	}
+	eff.stamped = rec
+	return true
+}
+
+// release recycles the effect's pooled record form. The journal encodes a
+// record before its append returns, so nothing references the form then.
+func (eff *effect) release() {
+	if eff.stamped != nil {
+		*eff.stamped = stampedArgs{} // drop the caller's strings and outputs
+		stampedPool.Put(eff.stamped)
+		eff.stamped = nil
+	}
+}
+
+// finishEffect fills a nil effect.args with the command's stamped record
+// form or from its encoder (the live path's pre-journal step).
 func finishEffect(c command, eff *effect) error {
-	if eff.args != nil || eff.op == "" {
+	if eff.args != nil || eff.op == "" || eff.stamp(c) {
 		return nil
 	}
 	enc, ok := c.(argsEncoder)
@@ -83,7 +150,10 @@ type effect struct {
 	result any    // returned to the submitter (nil for most commands)
 	inst   string // routing instance ("" = control record)
 	op     string // journal op
-	args   any    // journal args (wire form)
+	args   any    // journal args (wire form); nil until finishEffect for stamped and encoded ones
+	at     int64  // the time run stamped (StartActivity, CompleteActivity)
+
+	stamped *stampedArgs // what args points into, if stamp built it
 }
 
 // cmdSpec is one registry row.
@@ -228,12 +298,7 @@ func (c *CreateInstance) run(s *System) (effect, error) {
 	if err != nil {
 		return effect{}, err
 	}
-	// The record always carries the assigned ID so sharded replay
-	// reproduces it under any shard interleaving (pre-PR4 records without
-	// one rely on the total journal order instead).
-	rec := *c
-	rec.ID = inst.ID()
-	return effect{result: inst, inst: inst.ID(), op: "create", args: &rec}, nil
+	return effect{result: inst, inst: inst.ID(), op: "create"}, nil
 }
 
 // StartActivity starts an activated activity on behalf of a user. At is
@@ -261,12 +326,7 @@ func (c *StartActivity) run(s *System) (effect, error) {
 	if err := s.eng.StartActivityAt(c.Instance, c.Node, c.User, at); err != nil {
 		return effect{}, err
 	}
-	// The record always carries the stamped time so replay re-arms
-	// deadlines deterministically (pre-deadline records with At 0 are
-	// harmless: their schemas model no deadlines).
-	rec := *c
-	rec.At = at
-	return effect{inst: c.Instance, op: "start", args: &rec}, nil
+	return effect{inst: c.Instance, op: "start", at: at}, nil
 }
 
 // FailActivity records a process-level failure of a running activity:
@@ -369,7 +429,8 @@ func (c *CompleteActivity) run(s *System) (effect, error) {
 	if at == 0 {
 		at = s.now()
 	}
-	opts := []engine.CompleteOption{engine.WithCompletedAt(at)}
+	var buf [3]engine.CompleteOption
+	opts := append(buf[:0], engine.WithCompletedAt(at))
 	if c.Decision != nil {
 		opts = append(opts, engine.WithDecision(*c.Decision))
 	}
@@ -379,11 +440,7 @@ func (c *CompleteActivity) run(s *System) (effect, error) {
 	if err := s.eng.CompleteActivity(c.Instance, c.Node, c.User, c.Outputs, opts...); err != nil {
 		return effect{}, err
 	}
-	// The record carries the stamped time so replay reproduces event
-	// timestamps (pre-timestamp records decode At 0 and stay unstamped).
-	rec := *c
-	rec.At = at
-	return effect{inst: c.Instance, op: "complete", args: &rec}, nil
+	return effect{inst: c.Instance, op: "complete", at: at}, nil
 }
 
 // adHocArgs is the wire form of an ad-hoc change (ops serialized through
@@ -458,7 +515,7 @@ func (c *Suspend) run(s *System) (effect, error) {
 	if err := s.eng.Suspend(c.Instance); err != nil {
 		return effect{}, err
 	}
-	return effect{inst: c.Instance, op: "suspend", args: suspendArgs{Instance: c.Instance}}, nil
+	return effect{inst: c.Instance, op: "suspend"}, nil
 }
 
 // Resume re-enables user operations on a suspended instance.
@@ -475,7 +532,7 @@ func (c *Resume) run(s *System) (effect, error) {
 	if err := s.eng.Resume(c.Instance); err != nil {
 		return effect{}, err
 	}
-	return effect{inst: c.Instance, op: "suspend", args: suspendArgs{Instance: c.Instance, Resume: true}}, nil
+	return effect{inst: c.Instance, op: "suspend"}, nil
 }
 
 func decodeSuspend(raw json.RawMessage) (command, error) {

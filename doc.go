@@ -110,6 +110,60 @@
 // after the control record is durable, so their receipts resolve
 // immediately.
 //
+// # Allocation budget
+//
+// A command allocates what the instance keeps: apart from the two rows
+// marked transient below, the path Submit → command → engine → worklist →
+// sharded WAL → committer → journal makes no object it drops again.
+// Submit's Receipt stays on its
+// stack (SubmitAsync's is the one heap object that path adds); a parked
+// durability wait takes a recycled channel; the journal writes each line
+// by hand into its own buffer; a record that differs from the submitted
+// command (the assigned ID of a create, the stamped time of a start or
+// complete, the shared wire shape of suspend and resume) is built in a
+// pooled copy, never in the caller's command; completion options are
+// values; the worklist reconciliation and the cascade run on stack
+// scratch; and an offered item aliases the role's immutable candidate
+// slice. What is left, over the 13-command online-order lifecycle (one
+// create, six start + complete pairs; 16 history events, six work items)
+// — 62 allocations, 4.8 per command, where the same loop made 13.4
+// before this budget was drawn:
+//
+//	per lifecycle  allocation, and why it stays
+//	    13  instance structures, per create: the Instance and its
+//	        loop-count map (2), the marking and its node, skip, edge and
+//	        pending arrays (5), the history log (1), the execution index
+//	        (2), the data store (2), the ID string (1)
+//	    16  history events, one per Started and per Completed event,
+//	        automatic nodes included: the execution history itself
+//	     5  history log growth: its event slice doubling (1, 2, 4, 8, 16)
+//	    12  work items: an Item and its derived ID string per offered
+//	        activity, kept until the item is withdrawn
+//	    ~4  worklist index entries: the instance's item list and the
+//	        growth of each candidate's member set
+//	     6  an event's reads or writes map (the map and its first bucket)
+//	        for a node with data edges: the values the activity saw or
+//	        produced, which compliance replay re-checks
+//	     3  the first write of a data element: its version list and map
+//	        entry (2), the box of the coerced value (1)
+//	     3  transient: encoding/json's reflective encode of
+//	        CompleteActivity.Outputs (a sorted key slice, two reflect
+//	        copies)
+//	  ~0.4  transient: one command in 64 builds a trace span and the
+//	        clock closure its receipt stamps it with
+//
+// The outputs encode stays because removing it takes a hand-written
+// encoder for arbitrary values that is byte-identical to encoding/json's,
+// and every stored byte would have to trust it; the journal's own line is
+// simple enough for that (internal/persist.FuzzAppendRecord holds it to
+// encoding/json), a map of `any` is not.
+//
+// A start is its event (2 with log growth); a complete is its event plus
+// what it activates; suspend and resume allocate nothing.
+// TestSubmitAllocationBudget pins each command kind on each submission
+// path at its measured count, so an allocation that comes back fails by
+// name; the benchmark's allocs_per_cmd gates the sum.
+//
 // # Errors
 //
 // Every failure of the mutation API carries the Error taxonomy: a Code

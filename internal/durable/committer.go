@@ -82,6 +82,11 @@ type Committer struct {
 	// cond) so cancellation via context works; resolved whenever flushed
 	// advances or the sticky error is set.
 	waiters []waiter
+	// free holds waiter channels whose value was received: each is empty
+	// and no longer referenced by waiters, so the next WaitSeq reuses it
+	// instead of making one per wait (see the package documentation for
+	// why a cancelled wait's channel never comes back).
+	free []chan error
 
 	wake chan struct{}
 	done chan struct{}
@@ -262,14 +267,24 @@ func (c *Committer) WaitSeq(ctx context.Context, seq int) error {
 		c.mu.Unlock()
 		return c.settle(seq)
 	}
-	w := waiter{seq: seq, ch: make(chan error, 1)}
+	w := waiter{seq: seq}
+	if n := len(c.free); n > 0 {
+		w.ch, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		w.ch = make(chan error, 1)
+	}
 	c.waiters = append(c.waiters, w)
 	c.mu.Unlock()
 	c.kick()
 	select {
 	case err := <-w.ch:
+		c.mu.Lock()
+		c.free = append(c.free, w.ch)
+		c.mu.Unlock()
 		return err
 	case <-ctx.Done():
+		// Abandoned, not recycled: the waiter is still parked and the
+		// flusher will send its outcome on w.ch.
 		return ctx.Err()
 	}
 }

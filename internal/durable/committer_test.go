@@ -1,12 +1,17 @@
 package durable
 
 import (
+	"context"
+	"errors"
 	"path/filepath"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"adept2/internal/persist"
+	"adept2/internal/vfs"
 )
 
 func TestCommitterConcurrentAppends(t *testing.T) {
@@ -166,6 +171,180 @@ func TestCommitterNoLostWakeStress(t *testing.T) {
 			}
 		case <-timeout:
 			t.Fatal("append stranded: lost wake in the group-commit handoff")
+		}
+	}
+}
+
+// syncGate is a fault script over the journal's fsync: armed, every Sync
+// parks until release lets one through; failing, every Sync errors.
+type syncGate struct {
+	armed   atomic.Bool
+	failing atomic.Bool
+	pass    chan struct{}
+}
+
+func (g *syncGate) script(_ int64, op vfs.OpRef) vfs.Decision {
+	if op.Kind != vfs.OpSync {
+		return vfs.Decision{}
+	}
+	if g.armed.Load() {
+		<-g.pass
+	}
+	if g.failing.Load() {
+		return vfs.Decision{Err: vfs.ErrInjected}
+	}
+	return vfs.Decision{}
+}
+
+func (g *syncGate) release() { g.pass <- struct{}{} }
+
+// gatedCommitter opens a committer whose flushes the returned gate holds.
+func gatedCommitter(t *testing.T, opts CommitterOptions) (*Committer, *syncGate) {
+	t.Helper()
+	g := &syncGate{pass: make(chan struct{})}
+	j, err := persist.OpenJournalBufferedFS(vfs.NewFaultFS(vfs.NewMemFS(), g.script), "wal.ndjson")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCommitter(j, opts)
+	t.Cleanup(func() {
+		g.armed.Store(false)
+		c.Close()
+		j.Close()
+	})
+	return c, g
+}
+
+// stageAndWait stages n records in one journal append — the gate holds
+// the flush that covers them with the journal locked, so a second append
+// would wait for the release — then parks one WaitSeq per record and
+// returns once all n are parked. ctxs[i] is the i-th wait's context; its
+// result arrives on results[i].
+func stageAndWait(t *testing.T, c *Committer, ctxs []context.Context) (seqs []int, results []chan error) {
+	t.Helper()
+	last, err := c.Journal().AppendMulti(make([]persist.Pending, len(ctxs)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqs, results = make([]int, len(ctxs)), make([]chan error, len(ctxs))
+	for i := range ctxs {
+		seqs[i], results[i] = last-len(ctxs)+1+i, make(chan error, 1)
+	}
+	for i, ctx := range ctxs {
+		go func(ctx context.Context, seq int, out chan<- error) { out <- c.WaitSeq(ctx, seq) }(ctx, seqs[i], results[i])
+	}
+	for parked := 0; parked < len(ctxs); runtime.Gosched() {
+		c.mu.Lock()
+		parked = len(c.waiters)
+		c.mu.Unlock()
+	}
+	return seqs, results
+}
+
+// TestWaitSeqRecyclingSurvivesCancellation: waiter channels are recycled,
+// and half of every round's waits are cancelled while the flush is held.
+// A cancelled wait's channel must not come back — the flusher still sends
+// that record's outcome on it — so no later wait may ever find a stale
+// outcome in its channel: every wait that returns nil is covered by the
+// watermark at that moment, with the next flush still held.
+func TestWaitSeqRecyclingSurvivesCancellation(t *testing.T) {
+	c, g := gatedCommitter(t, CommitterOptions{})
+	g.armed.Store(true)
+	const rounds, waits = 1000, 8
+	for round := 0; round < rounds; round++ {
+		ctxs := make([]context.Context, waits)
+		cancels := make([]context.CancelFunc, waits)
+		for i := range ctxs {
+			ctxs[i], cancels[i] = context.WithCancel(context.Background())
+			defer cancels[i]()
+		}
+		seqs, results := stageAndWait(t, c, ctxs)
+		before := c.Flushed()
+		for i := 0; i < waits; i += 2 {
+			cancels[i]()
+			if err := <-results[i]; !errors.Is(err, context.Canceled) {
+				t.Fatalf("round %d: cancelled wait on seq %d returned %v", round, seqs[i], err)
+			}
+		}
+		// Nothing flushed yet: a survivor that already returned was handed
+		// another record's outcome.
+		for i := 1; i < waits; i += 2 {
+			select {
+			case err := <-results[i]:
+				t.Fatalf("round %d: wait on seq %d returned %v with the flush held at %d", round, seqs[i], err, before)
+			default:
+			}
+		}
+		g.release()
+		for i := 1; i < waits; i += 2 {
+			if err := <-results[i]; err != nil {
+				t.Fatalf("round %d: wait on seq %d: %v", round, seqs[i], err)
+			}
+			if got := c.Flushed(); got < seqs[i] {
+				t.Fatalf("round %d: wait on seq %d returned nil at watermark %d", round, seqs[i], got)
+			}
+		}
+	}
+	// Survivors recycle, cancelled waits leak: at most one round's
+	// survivors are ever free at once.
+	c.mu.Lock()
+	free := len(c.free)
+	c.mu.Unlock()
+	if free == 0 || free > waits/2 {
+		t.Fatalf("%d free waiter channels after %d rounds, want 1..%d", free, rounds, waits/2)
+	}
+}
+
+// TestWaitSeqRecycledChannelsAfterHeal: a wedge hands every parked waiter
+// the sticky error; after Heal, fresh waits — on those same channels —
+// must see their own flush succeed, not a stale error.
+func TestWaitSeqRecycledChannelsAfterHeal(t *testing.T) {
+	c, g := gatedCommitter(t, CommitterOptions{RetryMax: -1})
+	const waits = 8
+	ctxs := make([]context.Context, waits)
+	for i := range ctxs {
+		ctxs[i] = context.Background()
+	}
+
+	g.armed.Store(true)
+	_, results := stageAndWait(t, c, ctxs)
+	g.failing.Store(true)
+	g.release()
+	for i := range results {
+		if err := <-results[i]; !errors.Is(err, vfs.ErrInjected) {
+			t.Fatalf("parked wait %d: %v, want the sticky flush error", i, err)
+		}
+	}
+	if c.Err() == nil {
+		t.Fatal("committer must be wedged")
+	}
+	c.mu.Lock()
+	free := len(c.free)
+	c.mu.Unlock()
+	if free != waits {
+		t.Fatalf("%d free waiter channels after the wedge, want %d", free, waits)
+	}
+
+	g.failing.Store(false)
+	g.armed.Store(false)
+	if err := c.Heal(); err != nil {
+		t.Fatal(err)
+	}
+	g.armed.Store(true)
+	seqs, results := stageAndWait(t, c, ctxs)
+	c.mu.Lock()
+	free = len(c.free)
+	c.mu.Unlock()
+	if free != 0 {
+		t.Fatalf("%d waiter channels still free with %d waits parked: the waits did not reuse them", free, waits)
+	}
+	g.release()
+	for i := range results {
+		if err := <-results[i]; err != nil {
+			t.Fatalf("wait on seq %d after Heal: %v", seqs[i], err)
+		}
+		if got := c.Flushed(); got < seqs[i] {
+			t.Fatalf("wait on seq %d returned nil at watermark %d", seqs[i], got)
 		}
 	}
 }

@@ -28,6 +28,22 @@
 // Wait on its receipt) returned nil. Flush failures do NOT immediately
 // poison the pipeline — see the retry/wedge/heal state machine below.
 //
+// Waiter channels. A WaitSeq that has to park does so on a one-slot
+// channel the flusher sends the outcome on (not on the cond, so that a
+// context can cancel the wait). The channels are recycled through a free
+// list under the committer's lock, by one rule: a channel goes back only
+// after its value was received. Then it is empty and its waiter entry is
+// gone (the flusher removes an entry as it sends), so the next wait that
+// takes it can only ever receive its own outcome — a stale nil would
+// acknowledge a record that is not durable, a stale error would fail one
+// that is. A wait abandoned on ctx.Done() therefore abandons its channel
+// too: its entry is still parked and the flusher will send that record's
+// outcome on it, at a time the waiter cannot know. One cancelled wait
+// leaks one channel (about a hundred bytes, collected with the entry);
+// taking the entry back out under the lock instead would put a linear
+// scan on the cancel path to save an allocation on the next wait after a
+// cancellation, which is not the path that is hot.
+//
 // # Retry, wedge, heal
 //
 // The buffered journal keeps every not-yet-flushed record encoded in a

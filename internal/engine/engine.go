@@ -13,6 +13,7 @@ package engine
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 
 	"adept2/internal/fault"
@@ -178,7 +179,7 @@ func (e *Engine) CreateInstance(typeName string, version int) (*Instance, error)
 		return nil, fault.Tagf(fault.NotFound, "engine: create instance: no schema %s v%d", typeName, version)
 	}
 	e.nextID++
-	inst := newInstance(e, fmt.Sprintf("inst-%06d", e.nextID), s, e.strategy)
+	inst := newInstance(e, instanceID(e.nextID), s, e.strategy)
 	e.insts[inst.id] = inst
 	e.orderPos[inst.id] = len(e.order)
 	e.order = append(e.order, inst.id)
@@ -190,6 +191,15 @@ func (e *Engine) CreateInstance(typeName string, version int) (*Instance, error)
 		return nil, err
 	}
 	return inst, nil
+}
+
+// instanceID formats the n-th engine-assigned instance ID, "inst-%06d".
+func instanceID(n int) string {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(n), 10)
+	var buf [32]byte
+	b := append(buf[:0], "inst-000000"[:max(5, 11-len(d))]...)
+	return string(append(b, d...))
 }
 
 // CreateInstanceID is CreateInstance with a caller-supplied instance ID.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -417,5 +418,50 @@ func TestInstancesEnumeration(t *testing.T) {
 	fp := inst.Footprint()
 	if fp.BiasBytes != 0 || fp.StateBytes == 0 {
 		t.Fatalf("footprint = %+v", fp)
+	}
+}
+
+// TestInstanceIDFormat: the hand-formatted ID is "inst-%06d" at every
+// width, which CreateInstanceID parses back to advance the counter.
+func TestInstanceIDFormat(t *testing.T) {
+	for _, n := range []int{1, 9, 10, 99999, 100000, 999999, 1000000, 123456789} {
+		if got, want := instanceID(n), fmt.Sprintf("inst-%06d", n); got != want {
+			t.Fatalf("instanceID(%d) = %q, want %q", n, got, want)
+		}
+	}
+}
+
+// TestOfferKeepsItsCandidates: a work item aliases the role's candidate
+// slice, and a user added later must not appear in an offer already made
+// (what replay relies on: the offer is a function of the commands before
+// it) while the next offer for the role includes them.
+func TestOfferKeepsItsCandidates(t *testing.T) {
+	e := newEngine(t)
+	first, err := e.CreateInstance("online_order", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Org().AddUser(&org.User{ID: "abe", Roles: []string{"clerk"}}); err != nil {
+		t.Fatal(err)
+	}
+	second, err := e.CreateInstance("online_order", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offered := func(inst *Instance) string {
+		it, ok := e.Worklist().ItemFor(inst.ID(), "get_order")
+		if !ok {
+			t.Fatalf("no get_order item for %s", inst.ID())
+		}
+		return strings.Join(it.Offered, ",")
+	}
+	if got := offered(first); got != "ann" {
+		t.Fatalf("offer made before AddUser now lists %s", got)
+	}
+	if got := offered(second); got != "abe,ann" {
+		t.Fatalf("offer made after AddUser lists %s", got)
+	}
+	if len(e.WorkItems("abe")) != 1 {
+		t.Fatalf("abe sees %d items, want the one offered after joining", len(e.WorkItems("abe")))
 	}
 }

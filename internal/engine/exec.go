@@ -12,8 +12,20 @@ import (
 	"adept2/internal/worklist"
 )
 
-// CompleteOption customizes activity completion.
-type CompleteOption func(*completeOpts)
+// CompleteOption customizes activity completion. It is a plain value — a
+// kind and its argument — so building and applying one allocates nothing.
+type CompleteOption struct {
+	kind completeOptKind
+	arg  int64
+}
+
+type completeOptKind uint8
+
+const (
+	optDecision completeOptKind = iota + 1
+	optLoopAgain
+	optCompletedAt
+)
 
 type completeOpts struct {
 	decision    int
@@ -23,23 +35,38 @@ type completeOpts struct {
 	at          int64
 }
 
+func (co *completeOpts) apply(o CompleteOption) {
+	switch o.kind {
+	case optDecision:
+		co.decision, co.decisionSet = int(o.arg), true
+	case optLoopAgain:
+		co.again, co.againSet = o.arg != 0, true
+	case optCompletedAt:
+		co.at = o.arg
+	}
+}
+
 // WithDecision supplies the selection code for completing an XOR split
 // manually.
 func WithDecision(code int) CompleteOption {
-	return func(o *completeOpts) { o.decision = code; o.decisionSet = true }
+	return CompleteOption{kind: optDecision, arg: int64(code)}
 }
 
 // WithLoopAgain supplies the iteration decision for completing a loop end
 // manually.
 func WithLoopAgain(again bool) CompleteOption {
-	return func(o *completeOpts) { o.again = again; o.againSet = true }
+	o := CompleteOption{kind: optLoopAgain}
+	if again {
+		o.arg = 1
+	}
+	return o
 }
 
 // WithCompletedAt stamps the completion timestamp (unix nanos, recorded
 // on the journaled complete command so replay reproduces it) onto the
 // Completed history event. Zero leaves the event unstamped.
 func WithCompletedAt(at int64) CompleteOption {
-	return func(o *completeOpts) { o.at = at }
+	return CompleteOption{kind: optCompletedAt, arg: at}
 }
 
 // startLocked validates and performs the start of a node. A non-zero at
@@ -142,7 +169,7 @@ func (inst *Instance) completeEntryLocked(node, user string, outputs map[string]
 	}
 	var co completeOpts
 	for _, o := range opts {
-		o(&co)
+		co.apply(o)
 	}
 	if err := inst.completeCoreLocked(node, user, outputs, co); err != nil {
 		return err
@@ -348,7 +375,10 @@ func (inst *Instance) cascadeLocked() error {
 	// The per-instance execution index follows every topology change the
 	// cascade observes (cheap no-op while the topology is unchanged).
 	inst.stats.Rebind(topo)
-	var evalBuf []model.NodeIdx
+	// The activation buffer is stack scratch: a cascade step activates a
+	// handful of nodes (append spills to the heap past that).
+	var scratch [16]model.NodeIdx
+	evalBuf := scratch[:0]
 	for {
 		evalBuf = state.EvaluateInto(v, inst.marking, inst.hist.NextSeq(), evalBuf)
 
@@ -396,7 +426,10 @@ func (inst *Instance) syncWorklistLocked() {
 	}
 	topo := v.Topology()
 	inst.reconcileExceptionsLocked()
-	var wanted []worklist.Wanted
+	// Stack scratch: an instance has a handful of live items (append
+	// spills to the heap past that), and BatchUpdate only reads the slice.
+	var scratch [8]worklist.Wanted
+	wanted := scratch[:0]
 	for _, id := range topo.ManualActivities() {
 		if s := inst.marking.Node(id); s == state.Activated || s == state.Running {
 			// A failed activity in its retry backoff (or awaiting a

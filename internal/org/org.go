@@ -1,9 +1,16 @@
 // Package org implements the ADEPT2 organizational model: users, roles,
 // and org units. Staff assignments on activities reference roles; the
 // worklist manager resolves them to concrete users through this model.
+//
+// A role's candidate slice is immutable once published: AddUser builds a
+// fresh sorted slice instead of inserting in place, UsersInRole hands the
+// current one out without copying, and the work items offered to a role
+// alias it. Nobody who holds one may modify it; an item offered before a
+// later AddUser keeps the candidates it was offered with.
 package org
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -22,7 +29,7 @@ type User struct {
 type Model struct {
 	mu    sync.RWMutex
 	users map[string]*User
-	roles map[string][]string // role -> user IDs (sorted)
+	roles map[string][]string // role -> user IDs (sorted; each slice immutable, see the package doc)
 }
 
 // NewModel returns an empty organizational model.
@@ -60,11 +67,13 @@ func (m *Model) User(id string) (*User, bool) {
 	return u, ok
 }
 
-// UsersInRole returns the IDs of all users holding the role, sorted.
+// UsersInRole returns the IDs of all users holding the role, sorted. The
+// slice is shared and immutable (see the package doc): callers must not
+// modify it.
 func (m *Model) UsersInRole(role string) []string {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return append([]string(nil), m.roles[role]...)
+	return m.roles[role]
 }
 
 // HasRole reports whether the user holds the role.
@@ -133,13 +142,12 @@ func (m *Model) Users() []string {
 	return ids
 }
 
+// insertSorted returns ss with s inserted in order, as a fresh slice: ss
+// itself, which readers and work items may hold, is left untouched.
 func insertSorted(ss []string, s string) []string {
 	i := sort.SearchStrings(ss, s)
 	if i < len(ss) && ss[i] == s {
 		return ss
 	}
-	ss = append(ss, "")
-	copy(ss[i+1:], ss[i:])
-	ss[i] = s
-	return ss
+	return slices.Concat(ss[:i], []string{s}, ss[i:])
 }

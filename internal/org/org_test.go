@@ -68,3 +68,30 @@ func TestAddUserCopiesInput(t *testing.T) {
 		t.Fatal("model must copy the roles slice")
 	}
 }
+
+// TestCandidateSlicesAreImmutable: UsersInRole hands out the model's own
+// slice, so AddUser must publish a new one and leave every slice a caller
+// (or a work item) already holds as it was.
+func TestCandidateSlicesAreImmutable(t *testing.T) {
+	m := demoModel(t)
+	before := m.UsersInRole("clerk")
+	if err := m.AddUser(&User{ID: "abe", Roles: []string{"clerk"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AddUser(&User{ID: "zoe", Roles: []string{"clerk"}}); err != nil {
+		t.Fatal(err)
+	}
+	if len(before) != 2 || before[0] != "ann" || before[1] != "bob" {
+		t.Fatalf("slice handed out before AddUser changed to %v", before)
+	}
+	if full := before[:cap(before)]; len(full) > 2 && (full[2] == "abe" || full[2] == "zoe") {
+		t.Fatalf("AddUser wrote into the spare capacity of a published slice: %v", full)
+	}
+	after := m.UsersInRole("clerk")
+	if len(after) != 4 || after[0] != "abe" || after[1] != "ann" || after[2] != "bob" || after[3] != "zoe" {
+		t.Fatalf("UsersInRole(clerk) = %v", after)
+	}
+	if again := m.UsersInRole("clerk"); &again[0] != &after[0] {
+		t.Fatal("UsersInRole copied the role's slice")
+	}
+}

@@ -3,8 +3,7 @@
 // activity completion, ad-hoc change, schema evolution) is appended to a
 // newline-delimited JSON write-ahead journal. Recovery replays the journal
 // through the public API, reconstructing the exact engine state — the
-// substitution for the paper prototype's RDBMS-backed storage layer (see
-// DESIGN.md).
+// substitution for the paper prototype's RDBMS-backed storage layer.
 //
 // Durability modes. Production opens every journal buffered
 // (sharded.OpenWAL, behind adept2.Open): appends land in an in-memory
@@ -43,7 +42,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"sync"
+	"unicode/utf8"
 
 	"adept2/internal/vfs"
 )
@@ -88,11 +89,10 @@ type Journal struct {
 	dirty    bool // the physical tail may exceed size (failed write or fsync)
 
 	// Append serializes into per-journal buffers (guarded by mu) instead
-	// of allocating fresh ones per record; the encoders are lazily bound
-	// to the buffers on first use.
-	lineBuf bytes.Buffer
+	// of allocating fresh ones per record; the args encoder is lazily
+	// bound to its buffer on first use.
+	lineBuf []byte
 	argsBuf bytes.Buffer
-	lineEnc *json.Encoder
 	argsEnc *json.Encoder
 }
 
@@ -207,10 +207,13 @@ func (j *Journal) AppendSeq(op string, args any) (int, error) {
 	return j.AppendRecord(op, 0, args)
 }
 
-// encodeLocked serializes one record into lineBuf (caller holds mu).
+// encodeLocked appends one record's line to lineBuf (caller holds mu).
+// The line is json.Marshal(Record{seq, epoch, op, args}) plus the newline
+// terminator, byte for byte, written by hand so that no Record is boxed
+// per line: the args blob is the encoder's own compact, HTML-escaped
+// output, which is what encoding/json emits for a RawMessage field.
 func (j *Journal) encodeLocked(seq, epoch int, op string, args any) error {
-	if j.lineEnc == nil {
-		j.lineEnc = json.NewEncoder(&j.lineBuf)
+	if j.argsEnc == nil {
 		j.argsEnc = json.NewEncoder(&j.argsBuf)
 	}
 	j.argsBuf.Reset()
@@ -219,12 +222,33 @@ func (j *Journal) encodeLocked(seq, epoch int, op string, args any) error {
 	}
 	blob := j.argsBuf.Bytes()
 	blob = blob[:len(blob)-1] // drop the encoder's trailing newline
-	rec := Record{Seq: seq, Epoch: epoch, Op: op, Args: blob}
-	// Encode appends the newline record terminator itself.
-	if err := j.lineEnc.Encode(rec); err != nil {
-		return fmt.Errorf("persist: marshal record: %w", err)
+	b := append(j.lineBuf, `{"seq":`...)
+	b = strconv.AppendInt(b, int64(seq), 10)
+	if epoch != 0 {
+		b = append(b, `,"epoch":`...)
+		b = strconv.AppendInt(b, int64(epoch), 10)
 	}
+	b = append(b, `,"op":`...)
+	b = appendJSONString(b, op)
+	b = append(b, `,"args":`...)
+	b = append(b, blob...)
+	j.lineBuf = append(b, '}', '\n')
 	return nil
+}
+
+// appendJSONString appends s as encoding/json encodes a string. Every op
+// the registry defines is plain ASCII and is quoted as it stands; anything
+// the encoder would escape goes through the encoder.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			quoted, _ := json.Marshal(s) // a string always marshals
+			return append(b, quoted...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // AppendRecord is AppendSeq with an explicit epoch reference (sharded
@@ -236,7 +260,7 @@ func (j *Journal) AppendRecord(op string, epoch int, args any) (int, error) {
 	if j.failed {
 		return 0, fmt.Errorf("persist: journal failed: a previous append left it in an unknown state")
 	}
-	j.lineBuf.Reset()
+	j.lineBuf = j.lineBuf[:0]
 	if err := j.encodeLocked(j.seq+1, epoch, op, args); err != nil {
 		return 0, err
 	}
@@ -258,10 +282,10 @@ func (j *Journal) AppendRecord(op string, epoch int, args any) (int, error) {
 // counter is NOT advanced here.
 func (j *Journal) writeLocked() error {
 	if j.buffered {
-		j.pending.Write(j.lineBuf.Bytes())
+		j.pending.Write(j.lineBuf)
 		return nil
 	}
-	n, err := j.w.Write(j.lineBuf.Bytes())
+	n, err := j.w.Write(j.lineBuf)
 	if err != nil {
 		// A failed write must not leave partial bytes for the next append
 		// to concatenate onto. Roll back the fragment where possible.
@@ -276,7 +300,7 @@ func (j *Journal) writeLocked() error {
 		}
 		return err
 	}
-	j.size += int64(j.lineBuf.Len())
+	j.size += int64(len(j.lineBuf))
 	return nil
 }
 
@@ -306,7 +330,7 @@ func (j *Journal) AppendMulti(recs []Pending) (int, error) {
 	if len(recs) == 0 {
 		return j.seq, nil
 	}
-	j.lineBuf.Reset()
+	j.lineBuf = j.lineBuf[:0]
 	for i, p := range recs {
 		if err := j.encodeLocked(j.seq+1+i, p.Epoch, p.Op, p.Args); err != nil {
 			return 0, err

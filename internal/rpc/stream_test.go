@@ -305,9 +305,11 @@ func TestCommandStreamDrain(t *testing.T) {
 }
 
 // TestClientSubmitAllocations pins what one sync command costs across the
-// hop, both ends and the engine between them counted: 28 allocations on
-// the stream, where a whole HTTP request per command cost 125. The bound
-// leaves room for another toolchain's JSON, not for a request per command.
+// hop, both ends and the engine between them counted: 24 allocations on
+// the stream — 28 while the engine's own path still made a Receipt, a
+// waiter channel, a boxed record and a boxed args struct per command —
+// where a whole HTTP request per command cost 125. The bound is the
+// measured count plus two.
 func TestClientSubmitAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not reproducible under the race detector")
@@ -338,7 +340,8 @@ func TestClientSubmitAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 40 {
-		t.Fatalf("one remote Submit allocates %.0f objects, want at most 40", allocs)
+	t.Logf("one remote Submit allocates %.0f objects", allocs)
+	if allocs > 26 {
+		t.Fatalf("one remote Submit allocates %.0f objects, want at most 26", allocs)
 	}
 }

@@ -42,9 +42,13 @@ type MemFS struct {
 }
 
 // memNode is one inode: live bytes and the bytes a crash preserves.
+// data[:clean] and synced[:clean] are identical — clean is the lowest
+// offset written or truncated since the last Sync — so a Sync copies only
+// the tail past it, not the whole file.
 type memNode struct {
 	data   []byte
 	synced []byte
+	clean  int
 }
 
 // ErrStaleHandle is returned by operations on handles that were open
@@ -95,6 +99,7 @@ func (m *MemFS) Crash() {
 			nn = &memNode{
 				data:   append([]byte(nil), n.synced...),
 				synced: append([]byte(nil), n.synced...),
+				clean:  len(n.synced),
 			}
 			moved[n] = nn
 		}
@@ -131,7 +136,7 @@ func (m *MemFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) 
 		m.files[p] = n
 	}
 	if flag&os.O_TRUNC != 0 {
-		n.data = nil
+		n.data, n.clean = nil, 0
 	}
 	return &memFile{fs: m, gen: m.gen, node: n, path: p, flag: flag}, nil
 }
@@ -352,6 +357,7 @@ func (f *memFile) Write(p []byte) (int, error) {
 		f.node.data = append(f.node.data, make([]byte, grow)...)
 	}
 	copy(f.node.data[f.off:], p)
+	f.node.clean = min(f.node.clean, int(f.off))
 	f.off += int64(len(p))
 	return len(p), nil
 }
@@ -364,7 +370,9 @@ func (f *memFile) Sync() error {
 	if err := f.guard("sync"); err != nil {
 		return err
 	}
-	f.node.synced = append(f.node.synced[:0], f.node.data...)
+	n := f.node
+	n.synced = append(n.synced[:n.clean], n.data[n.clean:]...)
+	n.clean = len(n.data)
 	// Relaxed model: fsync of the file persists its current directory
 	// entry too, provided the name still points at this inode.
 	if f.fs.files[f.path] == f.node {
@@ -389,6 +397,7 @@ func (f *memFile) Truncate(size int64) error {
 	} else {
 		f.node.data = f.node.data[:size]
 	}
+	f.node.clean = min(f.node.clean, int(size))
 	return nil
 }
 

@@ -1,8 +1,10 @@
 package vfs
 
 import (
+	"bytes"
 	"errors"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -317,5 +319,63 @@ func TestMemReadSequential(t *testing.T) {
 	rest, err := io.ReadAll(f)
 	if err != nil || string(rest) != "456789" {
 		t.Fatalf("read rest: %q %v", rest, err)
+	}
+}
+
+// TestMemSyncMatchesFullCopy drives one file through random appends,
+// overwrites from offset 0 (a fresh non-append handle), truncations both
+// ways, O_TRUNC reopens, syncs and crashes, and checks after every step
+// that the bytes a crash would preserve are what a whole-file copy at each
+// Sync would have kept: Sync copies only the tail past the lowest offset
+// touched since the last one.
+func TestMemSyncMatchesFullCopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	m := NewMemFS()
+	open := func(flag int) File {
+		f, err := m.OpenFile("/f", os.O_CREATE|os.O_RDWR|flag, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	var live, durable []byte
+	f := open(os.O_APPEND)
+	for step := 0; step < 4000; step++ {
+		p := make([]byte, 1+rng.Intn(40))
+		rng.Read(p)
+		switch op := rng.Intn(12); {
+		case op < 5: // append
+			f.Write(p)
+			live = append(live, p...)
+		case op < 6: // overwrite the head through a second handle
+			h := open(0)
+			h.Write(p)
+			h.Close()
+			live = append(p, live[min(len(p), len(live)):]...)
+		case op < 8: // truncate, shrinking or zero-extending
+			size := rng.Intn(len(live) + 20)
+			if err := f.Truncate(int64(size)); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, make([]byte, 20)...)[:size]
+		case op < 9:
+			open(os.O_TRUNC).Close()
+			live = nil
+		case op < 11:
+			if err := f.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			durable = append([]byte(nil), live...)
+		default:
+			m.Crash()
+			live = append([]byte(nil), durable...)
+			f = open(os.O_APPEND)
+		}
+		if got := readAll(t, m, "/f"); !bytes.Equal(got, live) {
+			t.Fatalf("step %d: live content diverged from the model", step)
+		}
+		if got, _ := m.SyncedContent("/f"); !bytes.Equal(got, durable) {
+			t.Fatalf("step %d: synced content diverged from the whole-file copy", step)
+		}
 	}
 }

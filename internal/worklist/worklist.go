@@ -21,6 +21,17 @@
 //
 // Every listing (ItemsFor, ItemsForPage, ItemsForInstance, Export) is in
 // ascending ID order, and a page cursor is the last ID returned.
+//
+// # Candidates
+//
+// An item does not copy its candidate list: Item.Offered inside the
+// manager is the slice the organizational model published for the role
+// (org.Model.UsersInRole), shared by every item offered to that role
+// until the role's membership changes. Such a slice is sorted and
+// immutable — the org model replaces it instead of inserting into it — so
+// an item keeps exactly the candidates it was offered with, which is what
+// replay reproduces. Items handed out by the read methods are clones with
+// a candidate list of their own.
 package worklist
 
 import (
@@ -65,7 +76,7 @@ type Item struct {
 	Instance  string
 	Node      string
 	Role      string
-	Offered   []string // candidate user IDs
+	Offered   []string // candidate user IDs, sorted (shared and immutable inside the manager)
 	ClaimedBy string
 	State     ItemState
 }
@@ -178,8 +189,11 @@ func (m *Manager) removeLocked(it *Item) {
 }
 
 // Offer creates a work item for an activated activity and offers it to the
-// candidate users. At most one item exists per (instance, node).
+// candidate users, given in any order; the item keeps its own sorted copy.
+// At most one item exists per (instance, node).
 func (m *Manager) Offer(instance, node, role string, users []string) (*Item, error) {
+	users = slices.Clone(users)
+	slices.Sort(users)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	it := m.offerLocked(instance, node, role, users)
@@ -190,7 +204,8 @@ func (m *Manager) Offer(instance, node, role string, users []string) (*Item, err
 }
 
 // offerLocked creates and indexes a new item; it returns nil if one
-// already exists for (instance, node).
+// already exists for (instance, node). The item keeps users itself, not a
+// copy: the slice must be sorted and never modified afterwards.
 func (m *Manager) offerLocked(instance, node, role string, users []string) *Item {
 	if m.find(instance, node) != nil {
 		return nil
@@ -200,16 +215,16 @@ func (m *Manager) offerLocked(instance, node, role string, users []string) *Item
 		Instance: instance,
 		Node:     node,
 		Role:     role,
-		Offered:  append([]string(nil), users...),
+		Offered:  users,
 		State:    Offered,
 	}
-	slices.Sort(it.Offered)
 	m.indexLocked(it)
 	return it
 }
 
 // Escalate replaces the activity's work item with an offer to the
-// escalation role's candidates, under one lock acquisition so no reader
+// escalation role's candidates (sorted, and never modified afterwards —
+// the item keeps the slice), under one lock acquisition so no reader
 // observes the node item-less in between. The previous item — typically
 // InProgress for the original assignee of a timed-out activity — is
 // withdrawn; the replacement keeps its ID and starts in the Offered
@@ -300,40 +315,51 @@ type Wanted struct {
 }
 
 // BatchUpdate reconciles all items of one instance against the desired
-// state under a single lock: items of nodes not listed (or whose staff
-// assignment changed while merely offered) are withdrawn, and missing
-// items for non-running entries are offered. usersInRole resolves the
-// candidate users of a role; it is consulted at most once per distinct
-// role in the batch, so a cascade touching many nodes of one role costs a
-// single org-model resolution instead of one per operation.
+// state: items of nodes not listed (or whose staff assignment changed
+// while merely offered) are withdrawn, and missing items for non-running
+// entries are offered. usersInRole resolves the candidate users of a role
+// (sorted, and never modified afterwards — the items keep the slice); it
+// is consulted at most once per distinct role in the batch, so a cascade
+// touching many nodes of one role costs a single org-model resolution
+// instead of one per operation. wanted is only read, and the scratch below
+// is on the stack, so a reconciliation that offers nothing allocates
+// nothing.
 func (m *Manager) BatchUpdate(instance string, wanted []Wanted, usersInRole func(role string) []string) {
+	// offer is one missing item: its entry in wanted and its candidates.
+	type offer struct {
+		w     int
+		users []string
+	}
+	// An instance has a handful of live items; append spills past that.
+	var scratch [8]offer
+	missing := scratch[:0]
+
 	// Phase 1 (locked): withdraw obsolete items, decide which offers are
 	// missing. In-progress work is never disturbed; offered items whose
 	// staff assignment changed are withdrawn and re-offered to the new
-	// role below.
+	// role below. A removal shifts only the items behind it, in place, so
+	// walking backwards the list read once stays valid.
 	m.mu.Lock()
-	want := make(map[string]*Wanted, len(wanted))
-	for i := range wanted {
-		want[wanted[i].Node] = &wanted[i]
-	}
-	var stale []*Item
-	for _, it := range m.byInst[instance] {
-		if w, ok := want[it.Node]; ok && (it.Role == w.Role || w.Running) {
-			delete(want, it.Node) // keep existing item
-		} else {
-			stale = append(stale, it)
+	items := m.byInst[instance]
+	for i := len(items) - 1; i >= 0; i-- {
+		it := items[i]
+		keep := false
+		for _, w := range wanted {
+			if w.Node == it.Node {
+				keep = it.Role == w.Role || w.Running
+				break
+			}
+		}
+		if !keep {
+			m.removeLocked(it)
 		}
 	}
-	for _, it := range stale {
-		m.removeLocked(it)
+	for i, w := range wanted {
+		if !w.Running && m.find(instance, w.Node) == nil {
+			missing = append(missing, offer{w: i})
+		}
 	}
 	m.mu.Unlock()
-	var missing []*Wanted
-	for i := range wanted {
-		if w := &wanted[i]; want[w.Node] == w && !w.Running {
-			missing = append(missing, w)
-		}
-	}
 	if len(missing) == 0 {
 		return
 	}
@@ -341,10 +367,17 @@ func (m *Manager) BatchUpdate(instance string, wanted []Wanted, usersInRole func
 	// Phase 2 (unlocked): resolve candidate users, once per distinct role
 	// — the org model must not be consulted while every other worklist
 	// operation is blocked on the manager lock.
-	roleUsers := make(map[string][]string)
-	for _, w := range missing {
-		if _, done := roleUsers[w.Role]; !done {
-			roleUsers[w.Role] = usersInRole(w.Role)
+	for i := range missing {
+		role := wanted[missing[i].w].Role
+		resolved := false
+		for _, prev := range missing[:i] {
+			if wanted[prev.w].Role == role {
+				missing[i].users, resolved = prev.users, true
+				break
+			}
+		}
+		if !resolved {
+			missing[i].users = usersInRole(role)
 		}
 	}
 
@@ -353,8 +386,9 @@ func (m *Manager) BatchUpdate(instance string, wanted []Wanted, usersInRole func
 	// only the instance's own reconciliation creates items, and that runs
 	// under the instance lock.
 	m.mu.Lock()
-	for _, w := range missing {
-		m.offerLocked(instance, w.Node, w.Role, roleUsers[w.Role])
+	for _, o := range missing {
+		w := wanted[o.w]
+		m.offerLocked(instance, w.Node, w.Role, o.users)
 	}
 	m.mu.Unlock()
 }

@@ -66,36 +66,46 @@ func (r *Receipt) Wait(ctx context.Context) error {
 		return err
 	}
 	r.mu.Unlock()
-	var err error
-	if r.wal != nil {
-		err = r.wal.WaitShardSeq(ctx, r.shard, r.seq)
-	}
-	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-		// Cancellation abandons only this wait, not the outcome.
-		return &Error{Code: CodeCanceled, Op: r.op, Instance: r.inst, Applied: true, Result: r.result, Err: err}
+	resolved, err := r.await(ctx)
+	if !resolved {
+		return err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !r.done {
-		r.done = true
-		if err != nil {
-			r.err = &Error{Code: CodeWedged, Op: r.op, Instance: r.inst, Applied: true, Result: r.result, Err: err}
-		}
-		r.publishSpanLocked()
+		r.resolve(err)
 	}
 	return r.err
 }
 
-// publishSpanLocked stamps the durability outcome onto a sampled span
-// and publishes it (once, on the done transition). Callers hold r.mu.
-func (r *Receipt) publishSpanLocked() {
+// await blocks for the record's durability outcome: nil or an ErrWedged
+// error, resolved. On cancellation it returns the ErrCanceled error
+// unresolved — that abandons only this wait, not the outcome.
+func (r *Receipt) await(ctx context.Context) (resolved bool, err error) {
+	if r.wal != nil {
+		err = r.wal.WaitShardSeq(ctx, r.shard, r.seq)
+	}
+	switch {
+	case err == nil:
+		return true, nil
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		return false, &Error{Code: CodeCanceled, Op: r.op, Instance: r.inst, Applied: true, Result: r.result, Err: err}
+	}
+	return true, &Error{Code: CodeWedged, Op: r.op, Instance: r.inst, Applied: true, Result: r.result, Err: err}
+}
+
+// resolve records the durability outcome, stamps it onto a sampled span
+// and publishes that (once, on the done transition). Callers hold r.mu or
+// own r alone.
+func (r *Receipt) resolve(err error) {
+	r.done, r.err = true, err
 	if r.span == nil {
 		return
 	}
-	if r.err == nil {
+	if err == nil {
 		r.span.DurableNanos = r.nowNanos()
 	} else {
-		r.span.Err = string(codeOf(r.err))
+		r.span.Err = string(codeOf(err))
 	}
 	r.ring.Publish(*r.span)
 	r.span = nil
@@ -108,14 +118,21 @@ func (r *Receipt) publishSpanLocked() {
 // applied and journaled (ErrCanceled reports only the abandoned wait).
 // All failures carry the Error taxonomy of this package.
 func (s *System) Submit(ctx context.Context, cmd Command) (any, error) {
-	r, err := s.SubmitAsync(ctx, cmd)
+	// The sync path's Receipt never leaves this frame, so it costs no
+	// allocation — which is why it goes through await and resolve, not
+	// Wait: a mutex that is locked moves its struct to the heap.
+	var r Receipt
+	if err := s.submitInto(ctx, cmd, &r); err != nil {
+		return nil, err
+	}
+	resolved, err := r.await(ctx)
+	if resolved {
+		r.resolve(err)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if err := r.Wait(ctx); err != nil {
-		return nil, err
-	}
-	return r.Result(), nil
+	return r.result, nil
 }
 
 // SubmitAsync applies one command and returns without waiting for
@@ -127,48 +144,58 @@ func (s *System) Submit(ctx context.Context, cmd Command) (any, error) {
 // round-trip per command. Control commands are durable on return (their
 // epoch semantics require it); their receipts resolve immediately.
 func (s *System) SubmitAsync(ctx context.Context, cmd Command) (*Receipt, error) {
+	r := new(Receipt)
+	if err := s.submitInto(ctx, cmd, r); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// submitInto is Submit and SubmitAsync up to the durability wait: it
+// applies cmd, stages its record and fills the caller's zero Receipt,
+// recording the submit metrics around the core.
+func (s *System) submitInto(ctx context.Context, cmd Command, r *Receipt) error {
 	c, ok := cmd.(command)
 	if !ok {
-		return nil, &Error{Code: CodeInvalid, Op: cmd.CommandName(),
+		return &Error{Code: CodeInvalid, Op: cmd.CommandName(),
 			Err: fmt.Errorf("adept2: foreign Command implementation %T", cmd)}
 	}
 	m := s.met
 	if m == nil {
 		// Metrics off: no recording, no clock reads — one branch.
-		return s.submitOne(ctx, c, nil)
+		return s.submitOne(ctx, c, nil, r)
 	}
 	start := time.Now()
 	var span *obs.Span
 	if m.Ring.Sample() {
 		span = &obs.Span{Op: c.CommandName(), Instance: c.target(), SubmitNanos: s.now()}
 	}
-	rcpt, err := s.submitOne(ctx, c, span)
-	if err != nil {
+	if err := s.submitOne(ctx, c, span, r); err != nil {
 		m.SubmitErr(c.opIndex(), codeIndexOf(err))
 		if span != nil {
 			span.Err = string(codeOf(err))
 			m.Ring.Publish(*span)
 		}
-		return nil, err
+		return err
 	}
 	m.SubmitOK(c.opIndex(), time.Since(start).Nanoseconds())
-	return rcpt, nil
+	return nil
 }
 
 // submitOne is the submission core: validation, wedge check, barrier,
 // apply, journal staging. span (when the trace ring sampled this
 // command) is stamped along the way and either published here (durable
 // on return) or handed to the Receipt to publish when Wait resolves.
-func (s *System) submitOne(ctx context.Context, c command, span *obs.Span) (*Receipt, error) {
+func (s *System) submitOne(ctx context.Context, c command, span *obs.Span, rcpt *Receipt) error {
 	if err := ctx.Err(); err != nil {
-		return nil, wrapErr(c.CommandName(), c.target(), err)
+		return wrapErr(c.CommandName(), c.target(), err)
 	}
 	// Degraded mode: a wedged durability pipeline fails submissions fast,
 	// BEFORE the engine mutation (Applied stays false — nothing happened),
 	// instead of mutating state whose journal record could never become
 	// durable. Reads keep flowing; Heal restores write service.
 	if err := s.wedgedErr(); err != nil {
-		return nil, &Error{Code: CodeWedged, Op: c.CommandName(), Instance: c.target(), Err: err}
+		return &Error{Code: CodeWedged, Op: c.CommandName(), Instance: c.target(), Err: err}
 	}
 	var unlock func()
 	if c.control() {
@@ -186,12 +213,12 @@ func (s *System) submitOne(ctx context.Context, c command, span *obs.Span) (*Rec
 	}
 	if err != nil {
 		unlock()
-		return nil, wrapErr(c.CommandName(), c.target(), err)
+		return wrapErr(c.CommandName(), c.target(), err)
 	}
-	rcpt, err := s.appendEffect(eff)
+	err = s.appendEffect(&eff, rcpt)
 	unlock()
 	if err != nil {
-		return nil, s.wrapAppendErr(c.CommandName(), eff.inst, eff.result, err)
+		return s.wrapAppendErr(c.CommandName(), eff.inst, eff.result, err)
 	}
 	rcpt.op = c.CommandName()
 	rcpt.inst = eff.inst
@@ -206,7 +233,7 @@ func (s *System) submitOne(ctx context.Context, c command, span *obs.Span) (*Rec
 			rcpt.nowNanos = func() int64 { return s.now() }
 		}
 	}
-	return rcpt, nil
+	return nil
 }
 
 // SubmitBatch applies a sequence of commands, journaling each run of
@@ -246,10 +273,8 @@ func (s *System) SubmitBatch(ctx context.Context, cmds []Command) ([]any, error)
 		// barrier acquisition, journal as one batch. A failing command
 		// ends the run — the applied prefix MUST still be journaled
 		// (its engine mutations happened).
-		var (
-			effs   []effect
-			runErr error
-		)
+		var runErr error
+		effs := make([]effect, 0, len(cmds)-i)
 		j := i
 		s.snapMu.RLock()
 		for ; j < len(cmds); j++ {
@@ -279,8 +304,8 @@ func (s *System) SubmitBatch(ctx context.Context, cmds []Command) ([]any, error)
 		}
 		appendErr := s.appendBatchRun(ctx, effs)
 		s.snapMu.RUnlock()
-		for _, eff := range effs {
-			results = append(results, eff.result)
+		for i := range effs {
+			results = append(results, effs[i].result)
 		}
 		if appendErr != nil {
 			return results, s.wrapAppendErr("batch", "", nil, appendErr)
@@ -294,30 +319,33 @@ func (s *System) SubmitBatch(ctx context.Context, cmds []Command) ([]any, error)
 }
 
 // appendEffect journals one effect without waiting for durability and
-// returns a Receipt whose wait covers it. Callers hold the command
-// barrier.
-func (s *System) appendEffect(eff effect) (*Receipt, error) {
+// fills in where rcpt's wait finds it: a zero rcpt stays "durable already"
+// (New(), control records). Callers hold the command barrier.
+func (s *System) appendEffect(eff *effect, rcpt *Receipt) error {
+	defer eff.release()
 	if s.wal == nil {
-		return &Receipt{}, nil // New(): nothing is journaled
+		return nil // New(): nothing is journaled
 	}
 	if eff.inst == "" {
 		// Control records advance the epoch, which is only sound once the
 		// record is durable — so they never pipeline.
 		seq, err := s.wal.AppendControl(eff.op, eff.args)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s.met.ShardAppend(0, 1)
 		s.maybeCheckpoint()
-		return &Receipt{seq: seq}, nil
+		rcpt.seq = seq
+		return nil
 	}
 	shard, seq, err := s.wal.AppendDataAsync(eff.inst, eff.op, eff.args)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.met.ShardAppend(shard, 1)
 	s.maybeCheckpoint()
-	return &Receipt{seq: seq, shard: shard, wal: s.wal}, nil
+	rcpt.seq, rcpt.shard, rcpt.wal = seq, shard, s.wal
+	return nil
 }
 
 // appendBatchRun journals one SubmitBatch run — a batch of data effects —
@@ -343,6 +371,9 @@ func (s *System) appendBatchRun(ctx context.Context, effs []effect) error {
 		if err = s.wal.AppendDataMulti(ctx, recs); err == nil {
 			s.maybeCheckpoint()
 		}
+	}
+	for i := range effs {
+		effs[i].release()
 	}
 	if m != nil {
 		m.BatchSize.Observe(int64(len(effs)))

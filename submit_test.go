@@ -2,6 +2,7 @@ package adept2_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -318,5 +319,81 @@ func TestSubmitCheckpointTriggerAllocationFree(t *testing.T) {
 		if armed, off := allocs(shards, 1024), allocs(shards, -1); armed != off {
 			t.Errorf("shards=%d: Submit allocates %.0f with the checkpoint trigger armed, %.0f with it off", shards, armed, off)
 		}
+	}
+}
+
+// TestSubmitStampsTheRecordNotTheCommand: the journal record of a create,
+// start or complete carries the ID or time the live path assigned, and
+// the caller's command does not — one &CreateInstance{} submitted twice
+// creates two instances, where a stamped ID would make the second submit
+// a duplicate.
+func TestSubmitStampsTheRecordNotTheCommand(t *testing.T) {
+	fsys := vfs.NewMemFS()
+	sys, err := adept2.Open("wal", adept2.WithVFS(fsys), adept2.WithOrg(sim.Org()),
+		adept2.WithCheckpointing(adept2.CheckpointConfig{Every: -1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	create := &adept2.CreateInstance{TypeName: "online_order"}
+	first, err := sys.Submit(ctx, create)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := sys.SubmitBatch(ctx, []adept2.Command{create, create})
+	if err != nil {
+		t.Fatalf("resubmitting one CreateInstance: %v", err)
+	}
+	ids := map[string]bool{first.(*adept2.Instance).ID(): true}
+	for _, res := range batch {
+		ids[res.(*adept2.Instance).ID()] = true
+	}
+	if len(ids) != 3 || *create != (adept2.CreateInstance{TypeName: "online_order"}) {
+		t.Fatalf("3 submits of %+v created instances %v", *create, ids)
+	}
+	id := first.(*adept2.Instance).ID()
+	start := &adept2.StartActivity{Instance: id, Node: "get_order", User: "ann"}
+	complete := &adept2.CompleteActivity{Instance: id, Node: "get_order", User: "ann", Outputs: map[string]any{"out": "o-1"}}
+	for _, cmd := range []adept2.Command{start, complete} {
+		if _, err := sys.Submit(ctx, cmd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if start.At != 0 || complete.At != 0 {
+		t.Fatalf("the live path wrote its clock into the caller's commands: start.At=%d complete.At=%d", start.At, complete.At)
+	}
+
+	recs, err := persist.LoadJournalFS(fsys, "wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stamped := 0
+	for _, rec := range recs {
+		var args struct {
+			ID string `json:"id"`
+			At int64  `json:"at"`
+		}
+		if err := json.Unmarshal(rec.Args, &args); err != nil {
+			t.Fatal(err)
+		}
+		switch rec.Op {
+		case "create":
+			if !ids[args.ID] {
+				t.Fatalf("create record %s carries no assigned ID", rec.Args)
+			}
+			stamped++
+		case "start", "complete":
+			if args.At == 0 {
+				t.Fatalf("%s record %s carries no time", rec.Op, rec.Args)
+			}
+			stamped++
+		}
+	}
+	if stamped != 5 {
+		t.Fatalf("%d stamped records among %d, want 3 creates + start + complete", stamped, len(recs))
 	}
 }
