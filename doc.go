@@ -126,14 +126,15 @@
 // scratch; and an offered item aliases the role's immutable candidate
 // slice. What is left, over the 13-command online-order lifecycle (one
 // create, six start + complete pairs; 16 history events, six work items)
-// — 62 allocations, 4.8 per command, where the same loop made 13.4
-// before this budget was drawn:
+// — 57 allocations, 4.4 per command, where the same loop made 13.4
+// before this budget was drawn and 4.8 while an instance's small
+// collections were Go maps:
 //
 //	per lifecycle  allocation, and why it stays
-//	    13  instance structures, per create: the Instance and its
-//	        loop-count map (2), the marking and its node, skip, edge and
-//	        pending arrays (5), the history log (1), the execution index
-//	        (2), the data store (2), the ID string (1)
+//	    11  instance structures, per create: the Instance (1), the
+//	        marking and its node, skip, edge and pending arrays (5), the
+//	        history log (1), the execution index (2), the data store (1),
+//	        the ID string (1)
 //	    16  history events, one per Started and per Completed event,
 //	        automatic nodes included: the execution history itself
 //	     5  history log growth: its event slice doubling (1, 2, 4, 8, 16)
@@ -141,11 +142,13 @@
 //	        activity, kept until the item is withdrawn
 //	    ~4  worklist index entries: the instance's item list and the
 //	        growth of each candidate's member set
-//	     6  an event's reads or writes map (the map and its first bucket)
-//	        for a node with data edges: the values the activity saw or
-//	        produced, which compliance replay re-checks
-//	     3  the first write of a data element: its version list and map
-//	        entry (2), the box of the coerced value (1)
+//	     3  an event's reads or writes set, one exactly sized
+//	        data.Values for each event of a node with data edges: the
+//	        values the activity saw or produced, which compliance replay
+//	        re-checks
+//	     3  the first write of a data element: its version list and its
+//	        entry in the store's element list (2), the box of the
+//	        coerced value (1)
 //	     3  transient: encoding/json's reflective encode of
 //	        CompleteActivity.Outputs (a sorted key slice, two reflect
 //	        copies)
@@ -163,6 +166,52 @@
 // TestSubmitAllocationBudget pins each command kind on each submission
 // path at its measured count, so an allocation that comes back fails by
 // name; the benchmark's allocs_per_cmd gates the sum.
+//
+// # Memory budget
+//
+// An instance costs what it records. ADEPT2's storage argument is that a
+// server holds 10⁴–10⁵ instances because each keeps only what is its own
+// — marking, history, data versions, and a substitution block if biased —
+// and references its schema; this is that argument in bytes. A finished
+// online-order instance (the same 13 commands) holds 2 766 B of live heap,
+// where it held 4 694 B while its loop counts, data store and every
+// event's reads and writes were Go maps (336 B each to hold one entry)
+// and an event was 120 B in the allocator's 128 B class. What is
+// left, from an in-use heap profile of 2 000 such instances
+// (MemProfileRate 1, sizes as the allocator rounds them):
+//
+//	   B  structure, and why it stays
+//	1536  16 history events of 96 B: the execution history, which
+//	      compliance replay, mining and explanation read in place.
+//	      Sequence number, decision and intern memo are 32-bit and the
+//	      reads and writes share one field to stay in the 96 B class
+//	      (internal/history.TestEventSize)
+//	 224  the Instance: identity, schema reference, bias slots, the
+//	      pointers below, its mutex, five nil exception maps
+//	 223  the marking: its struct (128) and four dense arrays — node
+//	      states, skip stamps, edge states, the evaluation worklist's
+//	      bitset — sized by the schema, not by progress
+//	 176  the execution index: Stats (48) and 12 B per schema node
+//	 152  the history log (24) and its event pointer slice (16 × 8)
+//	 146  the engine's three ID-keyed indexes (instance map, creation
+//	      order, position map) and the ID string they share
+//	 136  the data store (24), its element list (48), one version list
+//	      (48) and the box of the written string (16)
+//	  96  three value sets of one binding, 32 B each: two reads, one
+//	      write
+//	  77  not the instance's: the order ID the caller wrote (24), and
+//	      the system's own structures divided by the population
+//
+// A biased instance adds its substitution block (about 300 B) and the
+// topology and block analysis of its own view; an instance that has not
+// finished adds an Item, an ID and index entries per offered activity.
+// TestInstanceHeapBudget pins the figure (+3 %), and holds the sum of
+// Instance.Footprint().StateBytes over the population to the measured
+// heap (±10 %); the benchmark's heap_bytes_per_inst gates it at scale.
+// What would move it further is named, not done: events stored by value
+// would save the 8 B pointer and the log header but double the waste of
+// a half-filled slice; the marking's five allocations could be one; an
+// instance that will never run again could be paged out whole.
 //
 // # Errors
 //

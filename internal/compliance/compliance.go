@@ -143,13 +143,14 @@ func (sc *Replayer) Replay(view model.SchemaView, info *graph.Info, events []*hi
 		}
 		nt := topo.At(ni)
 		n := nt.Node
+		seq, decision := int(e.Seq), int(e.Decision)
 		switch e.Kind {
 		case history.Started:
 			for m.NodeAt(ni) != state.Activated {
-				if !r.fireVirtual(e.Seq) {
+				if !r.fireVirtual(seq) {
 					return nil, &Error{Event: e, Reason: fmt.Sprintf("node is %s and cannot become activated", m.NodeAt(ni))}
 				}
-				r.observe(r.evaluate(e.Seq))
+				r.observe(r.evaluate(seq))
 			}
 			// Mandatory inputs must have been available.
 			for _, de := range view.DataEdgesOf(e.Node) {
@@ -168,13 +169,13 @@ func (sc *Replayer) Replay(view model.SchemaView, info *graph.Info, events []*hi
 			if n.Type == model.NodeXORSplit {
 				found := false
 				for _, edge := range nt.OutControl {
-					if edge.Code == e.Decision {
+					if edge.Code == decision {
 						found = true
 						break
 					}
 				}
 				if !found {
-					return nil, &Error{Event: e, Reason: fmt.Sprintf("selected branch (code %d) no longer exists", e.Decision)}
+					return nil, &Error{Event: e, Reason: fmt.Sprintf("selected branch (code %d) no longer exists", decision)}
 				}
 			}
 			// Outputs must exactly cover the write edges of the target
@@ -183,15 +184,17 @@ func (sc *Replayer) Replay(view model.SchemaView, info *graph.Info, events []*hi
 				if de.Access != model.Write {
 					continue
 				}
-				if _, ok := e.Writes[de.Element]; !ok {
+				if _, ok := e.Writes().Get(de.Element); !ok {
 					return nil, &Error{Event: e, Reason: fmt.Sprintf("completion wrote no value for element %q required by the target schema", de.Element)}
 				}
 			}
-			for elem, val := range e.Writes {
-				if !writesElement(view, e.Node, elem) {
-					return nil, &Error{Event: e, Reason: fmt.Sprintf("recorded write of element %q has no data edge in the target schema", elem)}
+			// In element order: of two offending writes the first is named
+			// on every run.
+			for _, w := range e.Writes() {
+				if !writesElement(view, e.Node, w.Name) {
+					return nil, &Error{Event: e, Reason: fmt.Sprintf("recorded write of element %q has no data edge in the target schema", w.Name)}
 				}
-				store.Write(elem, val, e.Node, e.Seq)
+				store.Write(w.Name, w.Value, e.Node, seq)
 			}
 			if n.Type == model.NodeLoopEnd && e.Again {
 				blk, ok := info.ByJoin(e.Node)
@@ -200,7 +203,7 @@ func (sc *Replayer) Replay(view model.SchemaView, info *graph.Info, events []*hi
 				}
 				state.ResetLoop(view, m, blk.Region())
 			} else {
-				if err := m.CompleteAt(ni, e.Decision); err != nil {
+				if err := m.CompleteAt(ni, decision); err != nil {
 					return nil, &Error{Event: e, Reason: err.Error()}
 				}
 			}
@@ -218,7 +221,7 @@ func (sc *Replayer) Replay(view model.SchemaView, info *graph.Info, events []*hi
 				return nil, &Error{Event: e, Reason: fmt.Sprintf("node is %s, not running", m.NodeAt(ni))}
 			}
 		}
-		r.observe(r.evaluate(e.Seq))
+		r.observe(r.evaluate(seq))
 	}
 	return res, nil
 }

@@ -1,10 +1,13 @@
 package compliance_test
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"adept2/internal/change"
 	"adept2/internal/compliance"
+	"adept2/internal/data"
 	"adept2/internal/engine"
 	"adept2/internal/graph"
 	"adept2/internal/history"
@@ -134,5 +137,36 @@ func TestComplianceErrorStrings(t *testing.T) {
 	se := &change.StructuralError{Reason: "r"}
 	if se.Error() == "" {
 		t.Fatal("structural error string")
+	}
+}
+
+// TestReplayNamesFirstOffendingWriteInElementOrder: of two recorded writes
+// the target schema has no data edge for, the error names the first in
+// element order on every run (it followed map iteration order while an
+// event's writes were a map, so two runs could blame different elements).
+func TestReplayNamesFirstOffendingWriteInElementOrder(t *testing.T) {
+	b := model.NewBuilder("plain")
+	s, err := b.Build(b.Activity("a", "A", model.WithRole("clerk")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := graph.Analyze(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var writes data.Values
+	for _, elem := range []string{"zulu", "mike", "alpha", "kilo"} {
+		writes.Set(elem, "v")
+	}
+	events := []*history.Event{
+		{Seq: 1, Kind: history.Started, Node: "a", Decision: -1},
+		{Seq: 2, Kind: history.Completed, Node: "a", Decision: -1, Values: writes},
+	}
+	for run := 0; run < 50; run++ {
+		_, err := compliance.Replay(s, info, events)
+		var cerr *compliance.Error
+		if !errors.As(err, &cerr) || cerr.Event != events[1] || !strings.Contains(cerr.Reason, `"alpha"`) {
+			t.Fatalf("run %d: replay error %v, want the write of element \"alpha\" refused", run, err)
+		}
 	}
 }

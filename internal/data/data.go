@@ -3,13 +3,35 @@
 // writing activity and event sequence, so reads are reproducible during
 // compliance replay and the "missing data after activity deletion" problem
 // is decidable from the version history.
+//
+// # Why the collections are slices
+//
+// An instance holds a handful of named values in three places: the
+// elements of its Store, and the Values set of each history event that
+// read parameters or wrote elements. An activity has one to three data
+// edges, so these collections hold one to three entries, and there is one
+// per instance and two per executed activity. A Go map is built for
+// thousands of entries: its header and first group of eight slots are
+// 336 B before it holds a value, which made these maps a third of what an
+// instance cost. Values and the Store's element list are therefore slices
+// sorted by name and probed linearly — 32 B and 40 B an entry, one
+// allocation, no hashing, and an iteration order that is the name order on
+// every run, so the JSON they write (keys sorted, as encoding/json sorts a
+// map's) falls out of a plain walk and nothing downstream depends on map
+// order. A linear probe over three strings is faster than hashing one;
+// the representation would stop paying at a few dozen entries, which no
+// activity's parameter list reaches.
 package data
 
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
+	"unsafe"
 
+	"adept2/internal/jsonx"
 	"adept2/internal/model"
 )
 
@@ -25,22 +47,41 @@ type Version struct {
 
 // Store holds the versions of all data elements of one instance.
 type Store struct {
-	versions map[string][]Version
+	elems []element // sorted by id; every entry holds at least one version
+}
+
+type element struct {
+	id       string
+	versions []Version
 }
 
 // NewStore returns an empty store.
-func NewStore() *Store {
-	return &Store{versions: make(map[string][]Version)}
+func NewStore() *Store { return &Store{} }
+
+// find returns the position of the element, or the position it would be
+// inserted at.
+func (s *Store) find(elem string) (int, bool) {
+	i := 0
+	for i < len(s.elems) && s.elems[i].id < elem {
+		i++
+	}
+	return i, i < len(s.elems) && s.elems[i].id == elem
 }
 
 // Write appends a version for the element.
 func (s *Store) Write(elem string, value any, writer string, seq int) {
-	s.versions[elem] = append(s.versions[elem], Version{Value: value, Writer: writer, Seq: seq})
+	v := Version{Value: value, Writer: writer, Seq: seq}
+	i, ok := s.find(elem)
+	if ok {
+		s.elems[i].versions = append(s.elems[i].versions, v)
+		return
+	}
+	s.elems = slices.Insert(s.elems, i, element{id: elem, versions: []Version{v}})
 }
 
 // Read returns the latest value of the element.
 func (s *Store) Read(elem string) (any, bool) {
-	vs := s.versions[elem]
+	vs := s.Versions(elem)
 	if len(vs) == 0 {
 		return nil, false
 	}
@@ -51,7 +92,7 @@ func (s *Store) Read(elem string) (any, bool) {
 // sequence — the value an activity starting at seq observed. Compliance
 // replay uses it to re-check data availability.
 func (s *Store) ReadAt(elem string, seq int) (any, bool) {
-	vs := s.versions[elem]
+	vs := s.Versions(elem)
 	for i := len(vs) - 1; i >= 0; i-- {
 		if vs[i].Seq < seq {
 			return vs[i].Value, true
@@ -61,18 +102,25 @@ func (s *Store) ReadAt(elem string, seq int) (any, bool) {
 }
 
 // Has reports whether the element has at least one version.
-func (s *Store) Has(elem string) bool { return len(s.versions[elem]) > 0 }
+func (s *Store) Has(elem string) bool {
+	_, ok := s.find(elem)
+	return ok
+}
 
 // Versions returns the full version history of the element.
-func (s *Store) Versions(elem string) []Version { return s.versions[elem] }
+func (s *Store) Versions(elem string) []Version {
+	if i, ok := s.find(elem); ok {
+		return s.elems[i].versions
+	}
+	return nil
+}
 
 // Elements returns all element IDs with at least one version, sorted.
 func (s *Store) Elements() []string {
-	ids := make([]string, 0, len(s.versions))
-	for id := range s.versions {
-		ids = append(ids, id)
+	ids := make([]string, len(s.elems))
+	for i := range s.elems {
+		ids[i] = s.elems[i].id
 	}
-	sort.Strings(ids)
 	return ids
 }
 
@@ -80,59 +128,92 @@ func (s *Store) Elements() []string {
 // change framework calls it when an activity whose outputs were never
 // consumed is deleted.
 func (s *Store) DropWritesBy(writer string) {
-	for elem, vs := range s.versions {
-		kept := vs[:0]
-		for _, v := range vs {
-			if v.Writer != writer {
-				kept = append(kept, v)
-			}
-		}
-		if len(kept) == 0 {
-			delete(s.versions, elem)
-		} else {
-			s.versions[elem] = kept
-		}
+	for i := range s.elems {
+		s.elems[i].versions = slices.DeleteFunc(s.elems[i].versions, func(v Version) bool { return v.Writer == writer })
 	}
+	s.elems = slices.DeleteFunc(s.elems, func(e element) bool { return len(e.versions) == 0 })
 }
 
 // Clone returns a deep copy of the store.
 func (s *Store) Clone() *Store {
-	c := NewStore()
-	for elem, vs := range s.versions {
-		c.versions[elem] = append([]Version(nil), vs...)
+	c := &Store{elems: slices.Clone(s.elems)}
+	for i := range c.elems {
+		c.elems[i].versions = slices.Clone(c.elems[i].versions)
 	}
 	return c
 }
 
-// ApproxBytes estimates the memory held by the store.
+// ApproxBytes returns the memory the store holds: its own structures from
+// their sizes and the capacities actually allocated, plus the box and the
+// bytes of every stored value.
 func (s *Store) ApproxBytes() int {
-	total := 0
-	for elem, vs := range s.versions {
-		total += len(elem) + 16
-		for _, v := range vs {
-			total += len(v.Writer) + 32
-			if str, ok := v.Value.(string); ok {
-				total += len(str)
-			}
+	total := int(unsafe.Sizeof(*s)) + cap(s.elems)*int(unsafe.Sizeof(element{}))
+	for i := range s.elems {
+		vs := s.elems[i].versions
+		total += cap(vs) * int(unsafe.Sizeof(Version{}))
+		for j := range vs {
+			total += valueBytes(vs[j].Value)
 		}
 	}
 	return total
 }
 
-// MarshalJSON implements json.Marshaler.
-func (s *Store) MarshalJSON() ([]byte, error) {
-	return json.Marshal(s.versions)
+// valueBytes is what a dynamic value costs beyond the interface word pair
+// that holds it: a string's header and bytes, a number's box.
+func valueBytes(v any) int {
+	switch x := v.(type) {
+	case string:
+		return int(unsafe.Sizeof(x)) + len(x)
+	case int64, float64, int:
+		return 8
+	}
+	return 0
 }
 
-// UnmarshalJSON implements json.Unmarshaler.
+// MarshalJSON implements json.Marshaler: the object encoding/json writes
+// for a map of element ID to version list, elements in byte order.
+func (s *Store) MarshalJSON() ([]byte, error) {
+	b := []byte{'{'}
+	for i := range s.elems {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(jsonx.AppendString(b, s.elems[i].id), ':', '[')
+		for j, v := range s.elems[i].versions {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"value":`...)
+			var err error
+			if b, err = appendJSONValue(b, v.Value); err != nil {
+				return nil, err
+			}
+			b = append(b, `,"writer":`...)
+			b = jsonx.AppendString(b, v.Writer)
+			b = append(b, `,"seq":`...)
+			b = append(strconv.AppendInt(b, int64(v.Seq), 10), '}')
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}'), nil
+}
+
+// UnmarshalJSON implements json.Unmarshaler. An element listed without a
+// version is no element and is dropped.
 func (s *Store) UnmarshalJSON(b []byte) error {
-	m := make(map[string][]Version)
+	var m map[string][]Version // decode scratch
 	if err := json.Unmarshal(b, &m); err != nil {
 		return fmt.Errorf("data: unmarshal store: %w", err)
 	}
 	// JSON numbers decode as float64; integers are re-normalized lazily by
 	// Coerce at the call sites that care about the static type.
-	s.versions = m
+	s.elems = make([]element, 0, len(m))
+	for id, vs := range m {
+		if len(vs) > 0 {
+			s.elems = append(s.elems, element{id: id, versions: vs})
+		}
+	}
+	slices.SortFunc(s.elems, func(a, b element) int { return strings.Compare(a.id, b.id) })
 	return nil
 }
 

@@ -2,6 +2,8 @@ package data
 
 import (
 	"encoding/json"
+	"math"
+	"reflect"
 	"testing"
 
 	"adept2/internal/model"
@@ -137,5 +139,101 @@ func TestAsIntAsBool(t *testing.T) {
 	}
 	if _, ok := AsBool(1); ok {
 		t.Fatal("AsBool non-bool")
+	}
+}
+
+func TestValuesSetGetClone(t *testing.T) {
+	var vs Values
+	for _, name := range []string{"m", "a", "z", "m"} {
+		vs.Set(name, name+"!")
+	}
+	if len(vs) != 3 || vs[0].Name != "a" || vs[1].Name != "m" || vs[2].Name != "z" {
+		t.Fatalf("Set keeps one binding per name in name order, got %v", vs)
+	}
+	if v, ok := vs.Get("m"); !ok || v != "m!" {
+		t.Fatalf("Get(m) = %v, %v", v, ok)
+	}
+	if _, ok := vs.Get("b"); ok {
+		t.Fatal("Get of an unbound name")
+	}
+	c := vs.Clone()
+	c.Set("a", "changed")
+	c.Set("b", "new")
+	if v, _ := vs.Get("a"); v != "a!" || len(vs) != 3 {
+		t.Fatalf("clone shares bindings: %v", vs)
+	}
+	if Values(nil).Clone() != nil {
+		t.Fatal("clone of no values allocates")
+	}
+}
+
+// TestJSONMatchesMapForm holds the two hand-written encoders of this
+// package to what encoding/json writes for the maps they replaced — a
+// Values set for map[string]any, a Store for map[string][]Version — and
+// the decoders to what decoding those maps and re-encoding them gives:
+// sorted keys, HTML-escaped strings, every JSON value type, encoding/json's
+// float formats, a duplicate key resolved to its last occurrence.
+func TestJSONMatchesMapForm(t *testing.T) {
+	for _, m := range []map[string]any{
+		{}, {"a": nil}, {"z": int64(1), "a": "x", "m": true},
+		{"<k>&": "é \"\\", "f": 1e21, "g": 1e-7, "h": -0.0, "n": []any{1.0, "x", map[string]any{"k": false}}},
+	} {
+		var vs Values
+		s := NewStore()
+		versions := make(map[string][]Version)
+		seq := 0
+		for k, v := range m {
+			vs.Set(k, v)
+			for _, writer := range []string{"w<1>", k} {
+				seq++
+				s.Write(k, v, writer, seq)
+				versions[k] = append(versions[k], Version{Value: v, Writer: writer, Seq: seq})
+			}
+		}
+		for _, c := range []struct {
+			name      string
+			got, back any
+			want      any
+		}{
+			{"Values", vs, new(Values), m},
+			{"Store", s, new(Store), versions},
+		} {
+			want, _ := json.Marshal(c.want)
+			got, err := json.Marshal(c.got)
+			if err != nil || string(got) != string(want) {
+				t.Errorf("%s of %v encodes as %s (%v), the map as %s", c.name, m, got, err, want)
+			}
+			// Decode into the slice form and into the map form: both
+			// re-encode alike (numbers are float64 on both sides now).
+			ref := reflect.New(reflect.TypeOf(c.want))
+			if err := json.Unmarshal(want, c.back); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(want, ref.Interface()); err != nil {
+				t.Fatal(err)
+			}
+			again, _ := json.Marshal(c.back)
+			if wantAgain, _ := json.Marshal(ref.Interface()); string(again) != string(wantAgain) {
+				t.Errorf("decoded %s re-encodes as %s, the decoded map as %s", c.name, again, wantAgain)
+			}
+		}
+	}
+
+	var vs Values
+	if err := json.Unmarshal([]byte(`{"b":1,"a":2,"b":3}`), &vs); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := json.Marshal(vs); string(got) != `{"a":2,"b":3}` {
+		t.Errorf("duplicate and unsorted keys decode to %s", got)
+	}
+	if _, err := json.Marshal(Values{{Name: "nan", Value: math.NaN()}}); err == nil {
+		t.Error("a NaN encodes")
+	}
+	var s Store
+	if err := json.Unmarshal([]byte(`{"gone":[],"null":null,"kept":[{"value":1,"writer":"w","seq":2}]}`), &s); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Elements(); len(got) != 1 || got[0] != "kept" {
+		t.Errorf("an element without a version is no element, got %v", got)
 	}
 }

@@ -130,9 +130,9 @@ func TestOptionalReadZeroFill(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ev := range inst.HistoryEvents() {
-		if ev.Node == "a" && ev.Reads != nil {
-			if ev.Reads["n"] != "" {
-				t.Fatalf("optional read should zero-fill, got %v", ev.Reads["n"])
+		if ev.Node == "a" && ev.Reads() != nil {
+			if v, _ := ev.Reads().Get("n"); v != "" {
+				t.Fatalf("optional read should zero-fill, got %v", v)
 			}
 		}
 	}

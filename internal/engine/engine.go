@@ -11,7 +11,6 @@
 package engine
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"sync"
@@ -222,8 +221,7 @@ func (e *Engine) CreateInstanceID(id, typeName string, version int) (*Instance, 
 		e.mu.Unlock()
 		return nil, fault.Tagf(fault.Conflict, "engine: create instance: %q already exists", id)
 	}
-	var n int
-	if _, err := fmt.Sscanf(id, "inst-%d", &n); err == nil && n > e.nextID {
+	if n, ok := instanceNumber(id); ok && n > e.nextID {
 		e.nextID = n
 	}
 	inst := newInstance(e, id, s, e.strategy)

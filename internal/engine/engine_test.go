@@ -152,7 +152,7 @@ func TestInstanceExecutionEndToEnd(t *testing.T) {
 	ev := inst.HistoryEvents()
 	var sawRead bool
 	for _, h := range ev {
-		if h.Node == "compose_order" && h.Reads["in"] == "order-77" {
+		if v, _ := h.Reads().Get("in"); h.Node == "compose_order" && v == "order-77" {
 			sawRead = true
 		}
 	}

@@ -105,8 +105,8 @@ func (inst *Instance) startLocked(node, user string, at int64) error {
 	if err := inst.marking.Start(node); err != nil {
 		return err
 	}
-	e := inst.hist.Append(&history.Event{Kind: history.Started, Node: node, User: user, Reads: reads, Decision: -1, At: at})
-	inst.stats.OnStart(node, e.Seq)
+	e := inst.hist.Append(&history.Event{Kind: history.Started, Node: node, User: user, Values: reads, Decision: -1, At: at})
+	inst.stats.OnStart(node, int(e.Seq))
 	// A fresh start clears any pending retry/compensation left from a
 	// prior failed attempt and arms the activity's deadline.
 	delete(inst.retryAt, node)
@@ -127,9 +127,13 @@ func (inst *Instance) startLocked(node, user string, at int64) error {
 
 // gatherReadsLocked collects the input parameter values of a node and
 // enforces mandatory supplies.
-func (inst *Instance) gatherReadsLocked(v model.SchemaView, n *model.Node) (map[string]any, error) {
-	var reads map[string]any
-	for _, de := range v.DataEdgesOf(n.ID) {
+func (inst *Instance) gatherReadsLocked(v model.SchemaView, n *model.Node) (data.Values, error) {
+	edges := v.DataEdgesOf(n.ID)
+	var reads data.Values
+	if k := countAccess(edges, model.Read); k > 0 {
+		reads = make(data.Values, 0, k) // the set's one allocation, exactly sized
+	}
+	for _, de := range edges {
 		if de.Access != model.Read {
 			continue
 		}
@@ -142,12 +146,20 @@ func (inst *Instance) gatherReadsLocked(v model.SchemaView, n *model.Node) (map[
 				val = elem.Type.ZeroValue()
 			}
 		}
-		if reads == nil {
-			reads = make(map[string]any)
-		}
-		reads[de.Parameter] = val
+		reads.Set(de.Parameter, val)
 	}
 	return reads, nil
+}
+
+// countAccess counts the data edges of one access mode.
+func countAccess(edges []*model.DataEdge, access model.DataAccess) int {
+	k := 0
+	for _, de := range edges {
+		if de.Access == access {
+			k++
+		}
+	}
+	return k
 }
 
 // completeEntryLocked is the user-facing completion path: it starts the
@@ -199,6 +211,10 @@ func (inst *Instance) completeCoreLocked(node, user string, outputs map[string]a
 		if err != nil {
 			return err
 		}
+		if decision != int(int32(decision)) {
+			// The history and the execution index record a decision in 32 bits.
+			return fault.Tagf(fault.Invalid, "engine: complete %s/%s: selection code %d does not fit 32 bits", inst.id, node, decision)
+		}
 	}
 	again := false
 	if n.Type == model.NodeLoopEnd {
@@ -215,14 +231,14 @@ func (inst *Instance) completeCoreLocked(node, user string, outputs map[string]a
 		Kind:     history.Completed,
 		Node:     node,
 		User:     user,
-		Decision: decision,
+		Decision: int32(decision),
 		Again:    again,
-		Writes:   writes,
+		Values:   writes,
 		At:       co.at,
 	})
-	inst.stats.OnComplete(node, e.Seq, decision)
-	for elem, val := range writes {
-		inst.store.Write(elem, val, node, e.Seq)
+	inst.stats.OnComplete(node, int(e.Seq), decision)
+	for _, w := range writes {
+		inst.store.Write(w.Name, w.Value, node, int(e.Seq))
 	}
 
 	if n.Type == model.NodeLoopEnd && again {
@@ -233,6 +249,9 @@ func (inst *Instance) completeCoreLocked(node, user string, outputs map[string]a
 		region := blk.Region()
 		inst.stats.PurgeRegion(region)
 		state.ResetLoop(v, inst.marking, region)
+		if inst.loopIter == nil {
+			inst.loopIter = make(map[string]int)
+		}
 		inst.loopIter[node]++
 		inst.clearExceptionLocked(node)
 		// Nested loops restart their iteration count.
@@ -327,10 +346,14 @@ func (inst *Instance) loopDecisionLocked(n *model.Node, co completeOpts) bool {
 // collectWritesLocked validates output parameters against the node's write
 // data edges and returns element -> value. Manual nodes must supply every
 // output parameter; automatic nodes zero-fill missing ones.
-func (inst *Instance) collectWritesLocked(v model.SchemaView, n *model.Node, outputs map[string]any) (map[string]any, error) {
-	var writes map[string]any
+func (inst *Instance) collectWritesLocked(v model.SchemaView, n *model.Node, outputs map[string]any) (data.Values, error) {
+	edges := v.DataEdgesOf(n.ID)
+	var writes data.Values
+	if k := countAccess(edges, model.Write); k > 0 {
+		writes = make(data.Values, 0, k) // the set's one allocation, exactly sized
+	}
 	seen := make(map[string]bool, len(outputs))
-	for _, de := range v.DataEdgesOf(n.ID) {
+	for _, de := range edges {
 		if de.Access != model.Write {
 			continue
 		}
@@ -349,10 +372,7 @@ func (inst *Instance) collectWritesLocked(v model.SchemaView, n *model.Node, out
 		if err != nil {
 			return nil, fmt.Errorf("engine: complete %s/%s: parameter %q: %w", inst.id, n.ID, de.Parameter, err)
 		}
-		if writes == nil {
-			writes = make(map[string]any)
-		}
-		writes[de.Element] = coerced
+		writes.Set(de.Element, coerced)
 		seen[de.Parameter] = true
 	}
 	for p := range outputs {

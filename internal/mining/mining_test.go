@@ -70,7 +70,7 @@ func TestFingerprintMatchesStringReference(t *testing.T) {
 			evs = append(evs, &history.Event{
 				Kind:     kind,
 				Node:     nodes[rng.Intn(len(nodes))],
-				Decision: rng.Intn(5) - 1,
+				Decision: int32(rng.Intn(5) - 1),
 				Again:    rng.Intn(2) == 0,
 			})
 		}

@@ -44,8 +44,8 @@ import (
 	"os"
 	"strconv"
 	"sync"
-	"unicode/utf8"
 
+	"adept2/internal/jsonx"
 	"adept2/internal/vfs"
 )
 
@@ -229,26 +229,11 @@ func (j *Journal) encodeLocked(seq, epoch int, op string, args any) error {
 		b = strconv.AppendInt(b, int64(epoch), 10)
 	}
 	b = append(b, `,"op":`...)
-	b = appendJSONString(b, op)
+	b = jsonx.AppendString(b, op)
 	b = append(b, `,"args":`...)
 	b = append(b, blob...)
 	j.lineBuf = append(b, '}', '\n')
 	return nil
-}
-
-// appendJSONString appends s as encoding/json encodes a string. Every op
-// the registry defines is plain ASCII and is quoted as it stands; anything
-// the encoder would escape goes through the encoder.
-func appendJSONString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			quoted, _ := json.Marshal(s) // a string always marshals
-			return append(b, quoted...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
 }
 
 // AppendRecord is AppendSeq with an explicit epoch reference (sharded

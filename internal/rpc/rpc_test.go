@@ -366,12 +366,20 @@ func TestRemoteReadEndpoints(t *testing.T) {
 		t.Fatalf("paged %d instances, want %d", len(seen), len(ids))
 	}
 
+	if _, err := cli.Submit(ctx, &adept2.StartActivity{Instance: ids[0], Node: "get_order", User: "ann"}); err != nil {
+		t.Fatal(err)
+	}
 	detail, err := cli.Instance(ctx, ids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if detail.ID != ids[0] || detail.Type != "online_order" {
 		t.Fatalf("detail: %+v", detail)
+	}
+	// The count is read off the log (Instance.HistoryLen), not off a copy
+	// of the history; it is still the number of events.
+	if inst, _ := sys.Instance(ids[0]); detail.HistoryLen == 0 || detail.HistoryLen != len(inst.HistoryEvents()) {
+		t.Fatalf("detail reports %d history events, the instance holds %d", detail.HistoryLen, len(inst.HistoryEvents()))
 	}
 
 	items, err := cli.WorkItems(ctx, "ann", "", 100)

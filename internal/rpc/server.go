@@ -600,7 +600,7 @@ func (s *Server) handleInstance(w http.ResponseWriter, r *http.Request) {
 	}
 	detail := InstanceDetail{
 		InstanceSummary: *instanceSummary(inst),
-		HistoryLen:      len(inst.HistoryEvents()),
+		HistoryLen:      inst.HistoryLen(),
 		Deadlines:       inst.Deadlines(),
 	}
 	writeJSON(w, http.StatusOK, detail)

@@ -425,7 +425,7 @@ func (r *runner) ackNow(instID string) {
 	if !ok {
 		return
 	}
-	r.ackHist[instID] = len(inst.HistoryEvents())
+	r.ackHist[instID] = inst.HistoryLen()
 	if inst.Done() {
 		r.ackDone[instID] = true
 	}
@@ -756,7 +756,7 @@ func (r *runner) reopenAfterCrash(ctx context.Context) error {
 		if !ok {
 			return fmt.Errorf("acknowledged instance %s lost in crash", id)
 		}
-		if got := len(inst.HistoryEvents()); got < n {
+		if got := inst.HistoryLen(); got < n {
 			return fmt.Errorf("instance %s lost acknowledged history: %d < %d", id, got, n)
 		}
 		if r.ackDone[id] && !inst.Done() {
@@ -1034,7 +1034,7 @@ func summarize(sys *adept2.System) string {
 	for _, inst := range sys.Instances() {
 		fmt.Fprintf(&b, "%s type=%s v=%d done=%v susp=%v hist=%d migr=%d\n",
 			inst.ID(), inst.TypeName(), inst.Version(), inst.Done(), inst.Suspended(),
-			len(inst.HistoryEvents()), inst.Migrations())
+			inst.HistoryLen(), inst.Migrations())
 		v := inst.View()
 		for _, id := range v.NodeIDs() {
 			dl, _ := inst.Deadline(id)

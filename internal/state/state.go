@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"unsafe"
 
 	"adept2/internal/arena"
 	"adept2/internal/bitset"
@@ -387,11 +388,12 @@ func (m *Marking) CountNodes() int {
 	return n
 }
 
-// ApproxBytes estimates the memory held by the marking: the dense state
-// arrays scale with the view size (a byte per node/edge state plus the
-// skip stamps), not with the number of non-default entries.
+// ApproxBytes returns the memory held by the marking: the struct and its
+// dense arrays by the capacities actually allocated. The arrays scale with
+// the view size (a byte per node/edge state plus the skip stamps), not
+// with the number of non-default entries.
 func (m *Marking) ApproxBytes() int {
-	return len(m.nodes)*5 + len(m.edges) + 8*len(m.pendingSet) + 4*cap(m.pending)
+	return int(unsafe.Sizeof(*m)) + cap(m.nodes) + 4*cap(m.skipSeq) + cap(m.edges) + 8*cap(m.pendingSet) + 4*cap(m.pending)
 }
 
 // Init marks the start node of the view completed and signals its outgoing
