@@ -43,11 +43,10 @@ func buildLegacyDir(t *testing.T, snapDir string, compact bool) legacyDir {
 	if d.snapDir == "" {
 		d.snapDir = d.path + ".snapshots"
 	}
-	j, err := persist.OpenJournal(d.path)
+	j, err := persist.OpenJournalBuffered(d.path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.SetSync(false)
 	submit := func(cmd adept2.Command) any {
 		t.Helper()
 		res, err := d.want.Submit(ctx, cmd)

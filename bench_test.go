@@ -1,12 +1,14 @@
-// Benchmarks regenerating the evaluation artifacts of the ADEPT2 paper
-// (one family per figure, plus the ablations indexed in EXPERIMENTS.md).
-// cmd/adeptbench produces the same results as human-readable tables.
+// Benchmarks regenerating the evaluation artifacts of the ADEPT2 paper:
+// one family per figure plus the ablations E4–E8. They are the only copy
+// of these experiments; CI runs each for one iteration.
 package adept2_test
 
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"adept2/internal/change"
 	"adept2/internal/compliance"
@@ -309,28 +311,69 @@ func BenchmarkBiasedMigration(b *testing.B) {
 	}
 }
 
-// --- E8: engine throughput baseline ----------------------------------------
+// --- E8: user operations, alone and under migration load -------------------
 
-// BenchmarkEngineComplete measures the plain user-operation path; the
-// concurrent-migration variant of E8 (wall-clock interference) lives in
-// cmd/adeptbench -experiment concurrent.
+// BenchmarkEngineComplete measures the plain user-operation path, and the
+// same operation while a bulk Evolve of 5 000 instances runs beside it on
+// half the CPUs ("on-the-fly ... avoid performance penalties"): 200 fresh
+// instances are the users' working set and us/user-op, their mean latency,
+// carries the result (ns/op there is a whole round, population build
+// included: stopping the clock around it would run hundreds of rounds).
 func BenchmarkEngineComplete(b *testing.B) {
-	e := engine.New(sim.Org())
-	if err := e.Deploy(sim.OnlineOrder()); err != nil {
-		b.Fatal(err)
-	}
-	insts := make([]*engine.Instance, b.N)
-	for i := range insts {
-		inst, err := e.CreateInstance("online_order", 0)
-		if err != nil {
+	newEngine := func(b *testing.B) *engine.Engine {
+		e := engine.New(sim.Org())
+		if err := e.Deploy(sim.OnlineOrder()); err != nil {
 			b.Fatal(err)
 		}
-		insts[i] = inst
+		return e
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := e.CompleteActivity(insts[i].ID(), "get_order", "ann", map[string]any{"out": "o"}); err != nil {
-			b.Fatal(err)
+	fresh := func(b *testing.B, e *engine.Engine, n int) []*engine.Instance {
+		insts := make([]*engine.Instance, n)
+		for i := range insts {
+			inst, err := e.CreateInstance("online_order", 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			insts[i] = inst
+		}
+		return insts
+	}
+	complete := func(b *testing.B, e *engine.Engine, insts []*engine.Instance) {
+		for _, inst := range insts {
+			if err := e.CompleteActivity(inst.ID(), "get_order", "ann", map[string]any{"out": "o"}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
+	b.Run("baseline", func(b *testing.B) {
+		e := newEngine(b)
+		insts := fresh(b, e, b.N)
+		b.ResetTimer()
+		complete(b, e, insts)
+	})
+	b.Run("during-migration", func(b *testing.B) {
+		const population, working = 5000, 200
+		var user time.Duration
+		for i := 0; i < b.N; i++ {
+			e := newEngine(b)
+			if _, err := sim.BuildPopulation(e, rand.New(rand.NewSource(1)), sim.DefaultPopulationOpts(population)); err != nil {
+				b.Fatal(err)
+			}
+			work := fresh(b, e, working)
+			migrated := make(chan error, 1)
+			go func() {
+				_, err := evolution.NewManager(e).Evolve("online_order", sim.OnlineOrderTypeChange(),
+					evolution.Options{Workers: runtime.GOMAXPROCS(0) / 2})
+				migrated <- err
+			}()
+			start := time.Now()
+			// A migrated instance is on v2, where get_order still exists.
+			complete(b, e, work)
+			user += time.Since(start)
+			if err := <-migrated; err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(user.Microseconds())/float64(working*b.N), "us/user-op")
+	})
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -684,5 +686,58 @@ func TestCheckpointDirFsyncFailureDoesNotWedge(t *testing.T) {
 	}
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestVerifyRepairIsDurableOrAProblem: `verify -repair` may say Repaired
+// only once the repair is fsynced — a crash right after must not bring the
+// torn tail back — and a repair whose fsync fails is a Problem.
+func TestVerifyRepairIsDurableOrAProblem(t *testing.T) {
+	mem := vfs.NewMemFS()
+	sys, err := adept2.Open("wal", adept2.WithOrg(sim.Org()), adept2.WithVFS(mem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := mem.OpenFile("wal", os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("torn-tail-garbage")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	noSync := vfs.NewFaultFS(mem, func(n int64, op vfs.OpRef) vfs.Decision {
+		if op.Kind == vfs.OpSync {
+			return vfs.Decision{Err: vfs.ErrInjected}
+		}
+		return vfs.Decision{}
+	})
+	rep, err := adept2.VerifyLayout("wal", true, adept2.WithVFS(noSync))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OK() || rep.Shards[0].Repaired || !strings.Contains(rep.Problems[0], "tail repair") {
+		t.Fatalf("repair with a failing fsync: repaired=%v problems=%q", rep.Shards[0].Repaired, rep.Problems)
+	}
+
+	mem.Crash() // the truncate nothing synced is lost with the crash
+	rep, err = adept2.VerifyLayout("wal", true, adept2.WithVFS(mem))
+	if err != nil || !rep.OK() || !rep.Shards[0].Repaired {
+		t.Fatalf("repair on a healthy disk: %+v, %v", rep, err)
+	}
+	mem.Crash()
+	rep, err = adept2.VerifyLayout("wal", false, adept2.WithVFS(mem))
+	if err != nil || !rep.OK() || rep.Shards[0].TornBytes != 0 || rep.Shards[0].LastSeq != 1 {
+		t.Fatalf("after a crash the reported repair is gone: %+v, %v", rep, err)
 	}
 }

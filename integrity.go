@@ -153,6 +153,21 @@ func VerifyLayout(path string, repair bool, opts ...Option) (*IntegrityReport, e
 	return rep, nil
 }
 
+// repairJournalTail performs exactly the tail repair Open would (truncate
+// past the last intact record, terminate an open tail) and fsyncs it:
+// nothing is appended, so the Flush is the sync alone.
+func repairJournalTail(fsys vfs.FS, jpath string, tail persist.TailInfo) error {
+	j, err := persist.ResumeJournalFS(fsys, jpath, tail)
+	if err != nil {
+		return err
+	}
+	if err := j.Flush(); err != nil {
+		j.Close()
+		return err
+	}
+	return j.Close()
+}
+
 // checkShard probes one shard's journal tail and validates its snapshot
 // store, appending findings to the report.
 func checkShard(fsys vfs.FS, k int, jpath, snapDir string, repair bool, rep *IntegrityReport) ShardCheck {
@@ -167,16 +182,9 @@ func checkShard(fsys vfs.FS, k int, jpath, snapDir string, repair bool, rep *Int
 		}
 		if sc.TornBytes > 0 || sc.OpenTail {
 			if repair {
-				// ResumeJournalFS performs exactly the tail repair Open
-				// would: truncate past the last intact record, terminate
-				// an open tail. Unbuffered because nothing is appended:
-				// the journal is closed again at once, so there is no
-				// batch for a committer to flush.
-				j, rerr := persist.ResumeJournalFS(fsys, jpath, tail, false)
-				if rerr != nil {
+				if rerr := repairJournalTail(fsys, jpath, tail); rerr != nil {
 					rep.Problems = append(rep.Problems, fmt.Sprintf("shard %d: tail repair: %v", k, rerr))
 				} else {
-					j.Close()
 					sc.Repaired = true
 				}
 			} else {

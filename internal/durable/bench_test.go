@@ -9,28 +9,13 @@ import (
 	"adept2/internal/persist"
 )
 
-// BenchmarkCommitter compares the append throughput of the serial
-// fsync-per-record journal against the group-commit committer under
-// concurrent writers: the committer turns N concurrent appends into one
-// buffered write + one fsync per batch, so appends/sec scale with
-// concurrency instead of being bound by the fsync latency.
+// BenchmarkCommitter measures the group-commit committer's append
+// throughput under concurrent writers: it turns N concurrent appends into
+// one buffered write + one fsync per batch, so appends/sec scale with
+// concurrency instead of being bound by the fsync latency (writers=1 is
+// the lone writer's one write + one fsync per record).
 func BenchmarkCommitter(b *testing.B) {
 	args := map[string]any{"instance": "inst-000001", "node": "confirm_order", "user": "ann"}
-
-	b.Run("serial-fsync", func(b *testing.B) {
-		path := filepath.Join(b.TempDir(), "wal.ndjson")
-		j, err := persist.OpenJournal(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer j.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := j.Append("complete", args); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 
 	for _, writers := range []int{1, 8} {
 		b.Run(fmt.Sprintf("group-writers=%d", writers), func(b *testing.B) {

@@ -72,15 +72,14 @@ type Committer struct {
 	opts CommitterOptions
 
 	mu      sync.Mutex
-	cond    *sync.Cond
 	flushed int   // highest seq covered by a successful flush
 	err     error // sticky: set on the first flush failure
 	closed  bool
 	stopped bool // flusher goroutine exited; stragglers flush inline
 
-	// waiters are WaitSeq callers parked on a channel (instead of the
-	// cond) so cancellation via context works; resolved whenever flushed
-	// advances or the sticky error is set.
+	// waiters are the parked WaitSeq calls, each on a channel so that a
+	// context can cancel the wait; resolved whenever flushed advances or
+	// the sticky error is set.
 	waiters []waiter
 	// free holds waiter channels whose value was received: each is empty
 	// and no longer referenced by waiters, so the next WaitSeq reuses it
@@ -121,10 +120,8 @@ func (c *Committer) resolveWaitersLocked() {
 }
 
 // NewCommitter starts a group-commit pipeline over the journal. The
-// journal should be opened with persist.OpenJournalBuffered; a sync-per-
-// append journal works but double-pays fsyncs. The records the journal
-// was opened with are its durable floor, so the watermark starts at its
-// head: nothing is staged yet.
+// records the journal was opened with are its durable floor, so the
+// watermark starts at its head: nothing is staged yet.
 func NewCommitter(j *persist.Journal, opts CommitterOptions) *Committer {
 	opts.defaults()
 	c := &Committer{
@@ -134,7 +131,6 @@ func NewCommitter(j *persist.Journal, opts CommitterOptions) *Committer {
 		wake:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
-	c.cond = sync.NewCond(&c.mu)
 	go c.run()
 	return c
 }
@@ -153,40 +149,11 @@ func (c *Committer) Append(op string, args any) (int, error) {
 // (sharded data journals tag commands with the control-log position they
 // were issued under; see internal/durable/sharded).
 func (c *Committer) AppendEpoch(op string, epoch int, args any) (int, error) {
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
-		return 0, err
-	}
-	if c.closed {
-		c.mu.Unlock()
-		return 0, fmt.Errorf("durable: committer closed")
-	}
-	c.mu.Unlock()
-
-	// The journal's own lock serializes the record into the shared buffer
-	// and assigns the sequence number; holding c.mu here would serialize
-	// the JSON encoding too.
-	seq, err := c.j.AppendRecord(op, epoch, args)
+	seq, err := c.AppendAsync(op, epoch, args)
 	if err != nil {
 		return 0, err
 	}
-
-	// Publish-then-wake: the record (and its seq) is visible in the
-	// journal before the wake token lands, so the flusher can never go
-	// idle with uncovered work — any token it consumes after this point
-	// observes a journal tail that includes the record.
-	c.mu.Lock()
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
-	for c.flushed < seq && c.err == nil && !c.stopped {
-		c.cond.Wait()
-	}
-	c.mu.Unlock()
-	if err := c.settle(seq); err != nil {
+	if err := c.WaitSeq(context.Background(), seq); err != nil {
 		return 0, err
 	}
 	return seq, nil
@@ -195,8 +162,8 @@ func (c *Committer) AppendEpoch(op string, epoch int, args any) (int, error) {
 // AppendAsync journals one record and schedules its flush WITHOUT
 // blocking until durability: the caller pipelines further appends and
 // awaits the returned sequence number with WaitSeq when it needs the
-// durability guarantee. Errors of the append itself (encoding, write)
-// surface here; flush failures surface from WaitSeq and Err.
+// durability guarantee. Args that do not encode fail here; flush failures
+// surface from WaitSeq and Err.
 func (c *Committer) AppendAsync(op string, epoch int, args any) (int, error) {
 	if err := c.admit(); err != nil {
 		return 0, err
@@ -289,37 +256,23 @@ func (c *Committer) WaitSeq(ctx context.Context, seq int) error {
 	}
 }
 
-// settle resolves a waiter's outcome after its wait loop broke: success
-// when a flush covered the sequence, the sticky error when one is set,
-// and otherwise — the flusher exited during shutdown before covering a
-// straggler that slipped past the closed check — an inline flush.
+// settle is a wait after the flusher has stopped: nobody is left to
+// resolve a parked channel, so a straggler that slipped past the closed
+// check — seq is covered by no flush and no sticky error is set — flushes
+// inline.
 func (c *Committer) settle(seq int) error {
-	c.mu.Lock()
-	flushed, err, stopped := c.flushed, c.err, c.stopped
-	c.mu.Unlock()
-	if flushed >= seq {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	if !stopped {
-		return nil // unreachable: the wait loop only breaks on one of the three
-	}
 	ferr := c.flushWithRetry()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if ferr != nil {
 		c.wedgeLocked(ferr)
 		c.resolveWaitersLocked()
-		c.cond.Broadcast()
 		return c.err
 	}
 	if seq > c.flushed {
 		c.flushed = seq
 	}
 	c.resolveWaitersLocked()
-	c.cond.Broadcast()
 	return nil
 }
 
@@ -411,7 +364,6 @@ func (c *Committer) Heal() error {
 		c.flushed = target
 	}
 	c.resolveWaitersLocked()
-	c.cond.Broadcast()
 	c.mu.Unlock()
 	c.kick()
 	return nil
@@ -419,21 +371,7 @@ func (c *Committer) Heal() error {
 
 // Sync blocks until everything appended so far is durable.
 func (c *Committer) Sync() error {
-	target := c.j.Seq()
-	c.mu.Lock()
-	if c.flushed >= target {
-		c.mu.Unlock()
-		return nil
-	}
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
-	for c.flushed < target && c.err == nil && !c.stopped {
-		c.cond.Wait()
-	}
-	c.mu.Unlock()
-	return c.settle(target)
+	return c.WaitSeq(context.Background(), c.j.Seq())
 }
 
 // Close flushes any remaining appends, stops the flusher, and leaves the
@@ -446,10 +384,7 @@ func (c *Committer) Close() error {
 	}
 	c.closed = true
 	c.mu.Unlock()
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
+	c.kick()
 	<-c.done
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -462,11 +397,10 @@ func (c *Committer) Close() error {
 // (natural batching — the fsync latency is the gather window).
 func (c *Committer) run() {
 	defer func() {
-		// Wake any straggler that enqueued after the exit decision; it
-		// self-serves its flush in settle. Parked WaitSeq callers have no
-		// thread to self-serve with, so any still uncovered (an async
-		// append slipping past the exit decision) get one final inline
-		// flush here before their channels resolve.
+		// A wait that arrives from here on sees stopped and flushes inline
+		// (settle). The waits already parked cannot, so any still
+		// uncovered (an append slipping past the exit decision) get one
+		// final inline flush here before their channels resolve.
 		c.mu.Lock()
 		c.stopped = true
 		uncovered := false
@@ -489,17 +423,16 @@ func (c *Committer) run() {
 		}
 		c.mu.Lock()
 		c.resolveWaitersLocked()
-		c.cond.Broadcast()
 		c.mu.Unlock()
 		close(c.done)
 	}()
 	for {
 		<-c.wake
 		for {
-			// Yield once so appenders woken by the previous broadcast (or
-			// freshly unblocked callers) can enqueue before this batch is
-			// cut — essential on few-core hosts where the flusher would
-			// otherwise outrun every producer and degrade to batch size 1.
+			// Yield once so waiters the previous flush resolved (or freshly
+			// unblocked callers) can enqueue before this batch is cut —
+			// essential on few-core hosts where the flusher would otherwise
+			// outrun every producer and degrade to batch size 1.
 			runtime.Gosched()
 			c.mu.Lock()
 			flushed, closed, broken := c.flushed, c.closed, c.err != nil
@@ -535,7 +468,6 @@ func (c *Committer) run() {
 				c.opts.Metrics.ObserveBatch(int64(target - flushed))
 			}
 			c.resolveWaitersLocked()
-			c.cond.Broadcast()
 			c.mu.Unlock()
 		}
 	}

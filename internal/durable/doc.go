@@ -28,8 +28,10 @@
 // Wait on its receipt) returned nil. Flush failures do NOT immediately
 // poison the pipeline — see the retry/wedge/heal state machine below.
 //
-// Waiter channels. A WaitSeq that has to park does so on a one-slot
-// channel the flusher sends the outcome on (not on the cond, so that a
+// Waiter channels. Every wait is a WaitSeq: a blocking Append (the
+// control log's) is AppendAsync plus WaitSeq, and Sync is WaitSeq on the
+// journal's head. One that has to park does so on a one-slot channel the
+// flusher sends the outcome on (a channel and not a condition, so that a
 // context can cancel the wait). The channels are recycled through a free
 // list under the committer's lock, by one rule: a channel goes back only
 // after its value was received. Then it is empty and its waiter entry is
@@ -46,7 +48,7 @@
 //
 // # Retry, wedge, heal
 //
-// The buffered journal keeps every not-yet-flushed record encoded in a
+// The journal keeps every not-yet-flushed record encoded in a
 // user-space pending buffer, which makes a failed flush
 // RETRYABLE without tripping over the fsync-gate problem (a failed fsync
 // may silently drop the kernel's dirty pages, so re-fsyncing the same

@@ -62,7 +62,7 @@ func fanOut(n int, job func(k int) error) error {
 // ShardState is one shard's recovered inputs: the snapshot state it
 // restores from (nil on full replay), the snapshot file name, the decoded
 // journal suffix past the snapshot, and the journal's physical tail info
-// (fed to ResumeJournal afterwards).
+// (fed to ResumeJournalFS afterwards).
 type ShardState struct {
 	State *durable.SystemState
 	File  string

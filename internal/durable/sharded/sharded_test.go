@@ -85,12 +85,11 @@ func TestCheckStrayShards(t *testing.T) {
 	l := Layout{Base: base, Shards: 2}
 	// Populate shard 1 (in range) and shard 3 (stray).
 	for _, k := range []int{1, 3} {
-		j, err := persist.OpenJournal(l.JournalPath(k))
+		j, err := persist.OpenJournalBuffered(l.JournalPath(k))
 		if err != nil {
 			t.Fatal(err)
 		}
-		j.SetSync(false)
-		if err := j.Append("op", k); err != nil {
+		if _, err := j.AppendRecord("op", 0, k); err != nil {
 			t.Fatal(err)
 		}
 		j.Close()
@@ -140,9 +139,6 @@ func appendDurable(w *WAL, instID, op string, args any) error {
 func TestWALRoutingAndEpoch(t *testing.T) {
 	l := Layout{Base: filepath.Join(t.TempDir(), "wal.ndjson"), Shards: 3}
 	w := openTestWAL(t, l)
-	for k := 0; k < 3; k++ {
-		w.Journal(k).SetSync(false)
-	}
 	if seq, err := w.AppendControl("deploy", 1); err != nil || seq != 1 {
 		t.Fatalf("control append: seq=%d err=%v", seq, err)
 	}

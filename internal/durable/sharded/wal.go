@@ -12,7 +12,7 @@ import (
 // WAL routes journal appends across the shards of a layout: control
 // records (schema deploys, users, evolutions) to shard 0, data records to
 // the shard their instance hashes onto, stamped with the current epoch.
-// Each shard owns its own buffered journal and its own committer, so
+// Each shard owns its own journal and its own committer, so
 // concurrent appends to different shards serialize, encode, and fsync
 // independently — the append path scales past a single fsync queue — and
 // every shard fails the same way: retry, wedge, Heal (see
@@ -38,8 +38,8 @@ type walShard struct {
 	c *durable.Committer
 }
 
-// OpenWAL resumes every shard journal of the layout, buffered, and starts
-// its committer. tails carries the per-shard scan results recovery already
+// OpenWAL resumes every shard journal of the layout and starts its
+// committer. tails carries the per-shard scan results recovery already
 // established (persist.TailInfo per shard; the zero value is fine for
 // journals that do not exist yet).
 func OpenWAL(l Layout, tails []persist.TailInfo, opts durable.CommitterOptions) (*WAL, error) {
@@ -48,7 +48,7 @@ func OpenWAL(l Layout, tails []persist.TailInfo, opts durable.CommitterOptions) 
 	}
 	w := &WAL{layout: l, shards: make([]walShard, l.Shards)}
 	for k := range w.shards {
-		j, err := persist.ResumeJournalFS(l.fs(), l.JournalPath(k), tails[k], true)
+		j, err := persist.ResumeJournalFS(l.fs(), l.JournalPath(k), tails[k])
 		if err != nil {
 			w.Close()
 			return nil, err

@@ -190,13 +190,12 @@ func TestSnapshotStoreDetectsCorruption(t *testing.T) {
 
 func TestCompactJournal(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
-	j, err := persist.OpenJournal(path)
+	j, err := persist.OpenJournalBuffered(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.SetSync(false)
 	for i := 1; i <= 10; i++ {
-		if err := j.Append("op", i); err != nil {
+		if _, err := j.AppendRecord("op", 0, i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -215,12 +214,11 @@ func TestCompactJournal(t *testing.T) {
 		t.Fatalf("records after compact: %+v", recs)
 	}
 	// The compacted journal accepts further appends continuing the seq.
-	j2, err := persist.OpenJournal(path)
+	j2, err := persist.OpenJournalBuffered(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2.SetSync(false)
-	if err := j2.Append("op", 11); err != nil {
+	if _, err := j2.AppendRecord("op", 0, 11); err != nil {
 		t.Fatal(err)
 	}
 	if j2.Seq() != 11 {

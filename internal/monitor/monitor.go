@@ -5,7 +5,6 @@ package monitor
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
@@ -123,63 +122,6 @@ func FormatReport(r *evolution.Report) string {
 		b.WriteString(strings.TrimRight(line, " ") + "\n")
 	}
 	return b.String()
-}
-
-// Row is one line of a results table emitted by the experiment harness.
-type Row struct {
-	Label  string
-	Values []string
-}
-
-// WriteTable renders rows as an aligned text table with a header.
-func WriteTable(w io.Writer, headers []string, rows []Row) {
-	widths := make([]int, len(headers)+1)
-	for _, r := range rows {
-		if len(r.Label) > widths[0] {
-			widths[0] = len(r.Label)
-		}
-		for i, vx := range r.Values {
-			if i+1 < len(widths) && len(vx) > widths[i+1] {
-				widths[i+1] = len(vx)
-			}
-		}
-	}
-	for i, h := range headers {
-		if len(h) > widths[i] {
-			widths[i] = len(h)
-		}
-	}
-	var line []string
-	for i, h := range headers {
-		line = append(line, pad(h, widths[i]))
-	}
-	fmt.Fprintln(w, strings.Join(line, "  "))
-	for _, r := range rows {
-		cells := []string{pad(r.Label, widths[0])}
-		for i, vx := range r.Values {
-			cw := 0
-			if i+1 < len(widths) {
-				cw = widths[i+1]
-			}
-			cells = append(cells, pad(vx, cw))
-		}
-		fmt.Fprintln(w, strings.Join(cells, "  "))
-	}
-}
-
-func pad(s string, w int) string {
-	if len(s) >= w {
-		return s
-	}
-	return s + strings.Repeat(" ", w-len(s))
-}
-
-// WriteCSV emits rows as CSV (for plotting the experiment outputs).
-func WriteCSV(w io.Writer, headers []string, rows []Row) {
-	fmt.Fprintln(w, strings.Join(headers, ","))
-	for _, r := range rows {
-		fmt.Fprintln(w, strings.Join(append([]string{r.Label}, r.Values...), ","))
-	}
 }
 
 // SummarizeWorklists renders the worklists of all users, sorted.

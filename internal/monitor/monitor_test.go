@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -84,23 +83,5 @@ func TestSummarizeWorklists(t *testing.T) {
 	empty := engine.New(nil)
 	if got := SummarizeWorklists(empty); got != "no work items\n" {
 		t.Errorf("empty summary = %q", got)
-	}
-}
-
-func TestWriteTableAndCSV(t *testing.T) {
-	rows := []Row{
-		{Label: "hybrid", Values: []string{"123", "4.5"}},
-		{Label: "full-copy", Values: []string{"99999", "0.1"}},
-	}
-	var tbl bytes.Buffer
-	WriteTable(&tbl, []string{"strategy", "bytes", "us/op"}, rows)
-	lines := strings.Split(strings.TrimSpace(tbl.String()), "\n")
-	if len(lines) != 3 || !strings.HasPrefix(lines[0], "strategy") {
-		t.Fatalf("table:\n%s", tbl.String())
-	}
-	var csv bytes.Buffer
-	WriteCSV(&csv, []string{"strategy", "bytes", "us/op"}, rows)
-	if !strings.Contains(csv.String(), "hybrid,123,4.5") {
-		t.Fatalf("csv:\n%s", csv.String())
 	}
 }

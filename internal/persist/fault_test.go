@@ -1,117 +1,183 @@
 package persist
 
 import (
+	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"syscall"
 	"testing"
 
 	"adept2/internal/vfs"
 )
 
-// TestAppendMultiENOSPCRollsBackAndRetries: a torn write mid-batch
-// (ENOSPC after a few bytes landed) must roll the physical tail back to
-// the pre-batch offset, leave the sequence counter untouched, and let
-// the identical batch succeed on retry once space returns — no gap, no
-// duplicate, no interleaved fragment.
+// failWrites fails every write with err after persisting torn bytes of it.
+func failWrites(err error, torn int) vfs.Script {
+	return func(n int64, op vfs.OpRef) vfs.Decision {
+		if op.Kind == vfs.OpWrite {
+			return vfs.Decision{Err: err, TornPrefix: torn}
+		}
+		return vfs.Decision{}
+	}
+}
+
+// TestFailedAppendLeavesSeqAndJournalIntact: an append fails where its
+// flush does. A flush whose write fails before any byte landed changes
+// neither the sequence counter nor the file, keeps the record pending, and
+// lets later appends continue densely; the retried flush lands all of them.
+func TestFailedAppendLeavesSeqAndJournalIntact(t *testing.T) {
+	mem := vfs.NewMemFS()
+	ffs := vfs.NewFaultFS(mem, nil)
+	j, err := OpenJournalBufferedFS(ffs, "wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stage(t, j, "a", 1)
+	before := flushed(t, j, mem)
+
+	stage(t, j, "b", 2)
+	ffs.SetScript(failWrites(os.ErrClosed, 0))
+	if err := j.Flush(); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("flush through failing writes: %v", err)
+	}
+	if j.Seq() != 2 {
+		t.Fatalf("failed flush changed Seq: %d", j.Seq())
+	}
+	if data, _ := vfs.ReadFile(mem, "wal"); !bytes.Equal(data, before) {
+		t.Fatalf("failed flush changed the file: %q", data)
+	}
+
+	ffs.SetScript(nil)
+	stage(t, j, "c", 3)
+	recs, err := ReadJournal(bytes.NewReader(flushed(t, j, mem)))
+	if err != nil {
+		t.Fatalf("journal unreadable after failed flush: %v", err)
+	}
+	if len(recs) != 3 || recs[0].Op != "a" || recs[1].Op != "b" || recs[2].Op != "c" || recs[2].Seq != 3 {
+		t.Fatalf("records = %+v", recs)
+	}
+}
+
+// TestFailedAppendTruncatesPartialWrite: a short write on a real file must
+// not leave fragment bytes for the record's second attempt to land behind.
+func TestFailedAppendTruncatesPartialWrite(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.ndjson")
+	ffs := vfs.NewFaultFS(vfs.OS(), nil)
+	j, err := OpenJournalBufferedFS(ffs, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stage(t, j, "a", 1)
+	intact := int64(len(flushed(t, j, ffs)))
+
+	stage(t, j, "b", 2)
+	ffs.SetScript(failWrites(os.ErrClosed, 12))
+	if err := j.Flush(); err == nil {
+		t.Fatal("partial write must error")
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() != intact+12 {
+		t.Fatalf("the fault left %v bytes (%v), want the %d-byte fragment after %d", st.Size(), err, 12, intact)
+	}
+	ffs.SetScript(nil)
+	if err := j.Close(); err != nil { // Close repairs the tail like Flush does
+		t.Fatal(err)
+	}
+	recs, err := LoadJournal(path)
+	if err != nil {
+		t.Fatalf("journal corrupt after partial write: %v", err)
+	}
+	if len(recs) != 2 || recs[1].Op != "b" || recs[1].Seq != 2 {
+		t.Fatalf("records: %+v", recs)
+	}
+}
+
+// TestAppendMultiENOSPCRollsBackAndRetries: a torn write mid-flush
+// (ENOSPC after a few bytes of the batch landed) leaves the sequence
+// counter and the pending batch alone, and the retried flush rolls the
+// physical tail back to the pre-batch offset and lands the identical
+// lines — no gap, no duplicate, no interleaved fragment.
 func TestAppendMultiENOSPCRollsBackAndRetries(t *testing.T) {
 	mem := vfs.NewMemFS()
 	ffs := vfs.NewFaultFS(mem, nil)
-	j, err := OpenJournalFS(ffs, "j")
+	j, err := OpenJournalBufferedFS(ffs, "j")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.AppendSeq("seed", map[string]any{"n": 1}); err != nil {
-		t.Fatal(err)
-	}
+	stage(t, j, "seed", map[string]any{"n": 1})
+	seed := flushed(t, j, mem)
 
-	batch := []Pending{
+	last, err := j.AppendMulti([]Pending{
 		{Op: "a", Args: map[string]any{"n": 2}},
 		{Op: "b", Args: map[string]any{"n": 3}},
 		{Op: "c", Args: map[string]any{"n": 4}},
-	}
-	ffs.SetScript(func(n int64, op vfs.OpRef) vfs.Decision {
-		if op.Kind == vfs.OpWrite {
-			return vfs.Decision{Err: syscall.ENOSPC, TornPrefix: 7}
-		}
-		return vfs.Decision{}
 	})
-	if _, err := j.AppendMulti(batch); !errors.Is(err, syscall.ENOSPC) {
-		t.Fatalf("torn batch append: %v, want ENOSPC", err)
+	if err != nil || last != 4 {
+		t.Fatalf("staged batch: last=%d err=%v", last, err)
 	}
-	if got := j.Seq(); got != 1 {
-		t.Fatalf("seq after failed batch: %d, want 1", got)
+	ffs.SetScript(failWrites(syscall.ENOSPC, 7))
+	if err := j.Flush(); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("torn flush: %v, want ENOSPC", err)
+	}
+	if got := j.Seq(); got != 4 {
+		t.Fatalf("seq after failed flush: %d, want 4", got)
+	}
+	if data, _ := vfs.ReadFile(mem, "j"); len(data) != len(seed)+7 {
+		t.Fatalf("file holds %d bytes, want the 7-byte fragment after %d", len(data), len(seed))
 	}
 
-	// Space returns; the same batch must append cleanly.
+	// Space returns; the same batch must land cleanly.
 	ffs.SetScript(nil)
-	last, err := j.AppendMulti(batch)
-	if err != nil {
-		t.Fatalf("retried batch: %v", err)
-	}
-	if last != 4 {
-		t.Fatalf("retried batch last seq: %d, want 4", last)
+	want := string(seed) + `{"seq":2,"op":"a","args":{"n":2}}` + "\n" +
+		`{"seq":3,"op":"b","args":{"n":3}}` + "\n" + `{"seq":4,"op":"c","args":{"n":4}}` + "\n"
+	if data := flushed(t, j, mem); string(data) != want {
+		t.Fatalf("retried flush left\n%q, want\n%q", data, want)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := LoadJournalFS(mem, "j")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 4 {
-		t.Fatalf("journal holds %d records, want 4", len(recs))
-	}
-	for i, rec := range recs {
-		if rec.Seq != i+1 {
-			t.Fatalf("record %d has seq %d — the torn fragment leaked", i, rec.Seq)
-		}
-	}
 }
 
-// TestAppendMultiRollbackFailureWedgesUntilHeal: when the rollback
-// truncate itself fails too, the journal must refuse further appends
-// (the tail is in an unknown state) until Heal re-verifies it — after
-// which the batch is retryable.
+// TestAppendMultiRollbackFailureWedgesUntilHeal: when the repair truncate
+// fails too, every further flush must keep failing at the repair (the
+// tail is in an unknown state — nothing may be written behind the
+// fragment) until the fault is gone and Heal re-verifies the tail, which
+// lands the batch that stayed pending.
 func TestAppendMultiRollbackFailureWedgesUntilHeal(t *testing.T) {
 	mem := vfs.NewMemFS()
 	ffs := vfs.NewFaultFS(mem, nil)
-	j, err := OpenJournalFS(ffs, "j")
+	j, err := OpenJournalBufferedFS(ffs, "j")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.AppendSeq("seed", map[string]any{"n": 1}); err != nil {
+	stage(t, j, "seed", map[string]any{"n": 1})
+	seed := flushed(t, j, mem)
+
+	if _, err := j.AppendMulti([]Pending{{Op: "a", Args: nil}, {Op: "b", Args: nil}}); err != nil {
 		t.Fatal(err)
 	}
-
+	writes := 0
 	ffs.SetScript(func(n int64, op vfs.OpRef) vfs.Decision {
 		switch op.Kind {
 		case vfs.OpWrite:
+			writes++
 			return vfs.Decision{Err: syscall.ENOSPC, TornPrefix: 3}
 		case vfs.OpTruncate:
 			return vfs.Decision{Err: syscall.ENOSPC}
 		}
 		return vfs.Decision{}
 	})
-	batch := []Pending{{Op: "a", Args: nil}, {Op: "b", Args: nil}}
-	if _, err := j.AppendMulti(batch); !errors.Is(err, syscall.ENOSPC) {
-		t.Fatalf("torn batch append: %v, want ENOSPC", err)
+	for attempt := 1; attempt <= 3; attempt++ {
+		if err := j.Flush(); !errors.Is(err, syscall.ENOSPC) {
+			t.Fatalf("flush %d: %v, want ENOSPC", attempt, err)
+		}
 	}
-	// The journal is sticky-failed: appends refuse instead of
-	// concatenating onto the unrepaired fragment.
-	if _, err := j.AppendMulti(batch); err == nil {
-		t.Fatal("append succeeded on a failed journal")
+	if data, _ := vfs.ReadFile(mem, "j"); writes != 1 || len(data) != len(seed)+3 {
+		t.Fatalf("%d writes reached the file, which holds %d bytes: only the first, torn one may (%d)", writes, len(data), len(seed)+3)
 	}
 
 	ffs.SetScript(nil)
 	if err := j.Heal(); err != nil {
 		t.Fatalf("heal: %v", err)
-	}
-	last, err := j.AppendMulti(batch)
-	if err != nil {
-		t.Fatalf("batch after heal: %v", err)
-	}
-	if last != 3 {
-		t.Fatalf("last seq after heal: %d, want 3", last)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -120,7 +186,7 @@ func TestAppendMultiRollbackFailureWedgesUntilHeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 3 {
-		t.Fatalf("journal holds %d records, want 3", len(recs))
+	if len(recs) != 3 || recs[1].Op != "a" || recs[2].Op != "b" || recs[2].Seq != 3 {
+		t.Fatalf("journal holds %+v, want seed, a, b", recs)
 	}
 }

@@ -77,3 +77,90 @@ func FuzzAppendRecord(f *testing.F) {
 		}
 	})
 }
+
+// FuzzScanAndRepair is the target for the bytes a disk can hand back: for
+// any file content and any afterSeq the scanner either refuses the file or
+// returns records that are contiguous, all above afterSeq and end at the
+// reported tail, inside the file; and then the path every Open takes —
+// resume on that tail (the repair), one append, Flush, Close — succeeds
+// and a second scan reads the same records plus the new one from a file
+// that is intact to its last byte. A repair that loses a record the first
+// scan returned, or lets the append land where the next scan cannot read
+// it, fails here.
+func FuzzScanAndRepair(f *testing.F) {
+	// testdata/fuzz/FuzzScanAndRepair holds the tail shapes the repair
+	// knows (torn, open, CRLF, cut between \r and \n, blank lines past a
+	// torn record) and the files the scanner refuses or only probes.
+	f.Add([]byte(`{"seq":1,"op":"a","args":null}`+"\n"), 0)
+	f.Fuzz(func(t *testing.T, file []byte, afterSeq int) {
+		fsys := vfs.NewMemFS()
+		putFile(t, fsys, "wal", file)
+
+		recs, tail, err := LoadJournalSuffixFS(fsys, "wal", afterSeq)
+		if err != nil {
+			return // refused
+		}
+		checkSuffix(t, recs, tail, afterSeq)
+		if tail.ValidSize < 0 || tail.ValidSize > int64(len(file)) {
+			t.Fatalf("tail %+v over a %d-byte file", tail, len(file))
+		}
+		if tail.LastSeq+1 < tail.LastSeq {
+			return // no sequence number follows the maximum int
+		}
+
+		j, err := ResumeJournalFS(fsys, "wal", tail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq, err := j.AppendRecord("fuzz", 0, nil)
+		if err != nil || seq != tail.LastSeq+1 {
+			t.Fatalf("append after %+v: seq %d, %v", tail, seq, err)
+		}
+		repaired := flushed(t, j, fsys)
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		want := tail
+		want.LastSeq, want.ValidSize, want.OpenTail = seq, int64(len(repaired)), false
+		if want.FirstSeq == 0 {
+			want.FirstSeq = seq
+		}
+		if seq > afterSeq {
+			recs = append(recs, Record{Seq: seq, Op: "fuzz", Args: json.RawMessage("null")})
+		}
+		again, tail2, err := LoadJournalSuffixFS(fsys, "wal", afterSeq)
+		if err != nil {
+			t.Fatalf("scan after repair and append: %v\nfile: %q", err, repaired)
+		}
+		if tail2 != want || !reflect.DeepEqual(again, recs) {
+			t.Fatalf("after repair and append: tail %+v, records %+v\nwant tail %+v, records %+v\nfile: %q",
+				tail2, again, want, recs, repaired)
+		}
+	})
+}
+
+// checkSuffix holds a scan result to its contract: contiguous records, all
+// above afterSeq, reaching the tail's last sequence number from the first
+// one above afterSeq the journal holds.
+func checkSuffix(t *testing.T, recs []Record, tail TailInfo, afterSeq int) {
+	t.Helper()
+	if tail.FirstSeq > tail.LastSeq || tail.FirstSeq < 0 || (tail.FirstSeq == 0) != (tail.LastSeq == 0) {
+		t.Fatalf("tail %+v", tail)
+	}
+	if tail.LastSeq == 0 || afterSeq >= tail.LastSeq {
+		if len(recs) != 0 {
+			t.Fatalf("%d records above %d from a journal ending at %d", len(recs), afterSeq, tail.LastSeq)
+		}
+		return
+	}
+	first := max(tail.FirstSeq, afterSeq+1)
+	if len(recs) != tail.LastSeq-first+1 {
+		t.Fatalf("%d records for seq %d..%d", len(recs), first, tail.LastSeq)
+	}
+	for i, rec := range recs {
+		if rec.Seq != first+i {
+			t.Fatalf("record %d has seq %d, want %d", i, rec.Seq, first+i)
+		}
+	}
+}

@@ -5,23 +5,19 @@
 // through the public API, reconstructing the exact engine state — the
 // substitution for the paper prototype's RDBMS-backed storage layer.
 //
-// Durability modes. Production opens every journal buffered
-// (sharded.OpenWAL, behind adept2.Open): appends land in an in-memory
-// pending buffer and the shard's durable.Committer drives a shared Flush
-// (one write + one fsync per *batch* of concurrent appends). A file-backed
-// journal opened unbuffered (OpenJournal) instead fsyncs after every
-// Append; no production append goes through it — VerifyLayout opens one
-// only to repair a tail, and this package's tests run it. In both modes a
-// record is only considered durable after the fsync covering it returned.
-//
-// Failure handling. The pending buffer makes a failed flush retryable: the
-// encoded records stay in memory, the journal remembers the last byte
-// offset a successful fsync covered, and the next Flush first repairs the
-// physical tail (truncating whatever a torn write or an unfsynced write
-// left behind, re-verifying the size) before re-appending the pending
-// bytes and fsyncing again. This sidesteps the fsync-gate problem — the
-// retry never relies on the kernel still holding pages a failed fsync may
-// have dropped, because it rewrites them from user space.
+// Durability. An append encodes its record into the journal's in-memory
+// pending buffer and touches nothing else; Flush lands the buffer with one
+// write and one fsync, and a record is durable once the Flush covering it
+// returned nil (the shard's durable.Committer drives it, one Flush per
+// batch of concurrent appends). A failed Flush keeps the encoded records:
+// the journal remembers the last byte offset a successful fsync covered,
+// and the next Flush first truncates the physical tail back to it (and
+// re-verifies the size) before rewriting the pending bytes and fsyncing
+// again — the retry never relies on the kernel still holding pages a
+// failed fsync may have dropped. Heal is that retry over a reopened file,
+// refusing a file that shrank below the durable offset. Close writes what
+// is still pending without an fsync and closes the file: whoever needs the
+// records durable calls Flush first.
 //
 // All file access goes through internal/vfs, so fault-injection and
 // crash-simulation backends can stand in for the OS in tests.
@@ -72,21 +68,17 @@ type Record struct {
 
 // Journal is an append-only command log. It is safe for concurrent use.
 type Journal struct {
-	mu     sync.Mutex
-	w      io.Writer // unbuffered write target (the file itself when file-backed)
-	fsys   vfs.FS    // non-nil when backed by a file
-	path   string
-	file   vfs.File
-	seq    int
-	size   int64 // bytes covered by durable-intent writes (the tail-repair floor)
-	sync   bool
-	failed bool // an unrepairable write error; the journal refuses appends
+	mu   sync.Mutex
+	fsys vfs.FS
+	path string
+	file vfs.File
+	seq  int
+	size int64 // the tail-repair floor: the repaired size at open plus every flushed byte
 
-	// Buffered (group-commit) journals accumulate encoded records here
-	// until Flush; a failed flush keeps them, making the flush retryable.
-	buffered bool
-	pending  bytes.Buffer
-	dirty    bool // the physical tail may exceed size (failed write or fsync)
+	// Encoded records accumulate here until Flush; a failed flush keeps
+	// them, making the flush retryable.
+	pending bytes.Buffer
+	dirty   bool // the physical tail may exceed size (failed write or fsync)
 
 	// Append serializes into per-journal buffers (guarded by mu) instead
 	// of allocating fresh ones per record; the args encoder is lazily
@@ -96,37 +88,17 @@ type Journal struct {
 	argsEnc *json.Encoder
 }
 
-// NewJournal wraps an arbitrary writer (tests use a bytes.Buffer).
-func NewJournal(w io.Writer) *Journal { return &Journal{w: w} }
-
-// OpenJournal opens (or creates) a file-backed journal in append mode. If
-// the file already holds records, new sequence numbers continue after the
-// highest existing one.
-func OpenJournal(path string) (*Journal, error) {
-	return OpenJournalFS(vfs.OS(), path)
-}
-
-// OpenJournalFS is OpenJournal over an explicit filesystem.
-func OpenJournalFS(fsys vfs.FS, path string) (*Journal, error) {
-	return openJournal(fsys, path, false)
-}
-
-// OpenJournalBuffered opens a file-backed journal whose appends land in a
-// user-space buffer and are NOT individually fsynced: records become
-// durable only when Flush is called. The group-commit committer
-// (internal/durable) uses this mode to turn many concurrent appends into
-// one write plus one fsync per batch.
+// OpenJournalBuffered opens (or creates) a journal file in append mode,
+// repairing its tail. If the file already holds records, new sequence
+// numbers continue after the highest existing one. Appends land in a
+// user-space buffer: records become durable only when Flush is called.
 func OpenJournalBuffered(path string) (*Journal, error) {
-	return openJournal(vfs.OS(), path, true)
+	return OpenJournalBufferedFS(vfs.OS(), path)
 }
 
 // OpenJournalBufferedFS is OpenJournalBuffered over an explicit
 // filesystem.
 func OpenJournalBufferedFS(fsys vfs.FS, path string) (*Journal, error) {
-	return openJournal(fsys, path, true)
-}
-
-func openJournal(fsys vfs.FS, path string, buffered bool) (*Journal, error) {
 	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("persist: open journal: %w", err)
@@ -141,12 +113,12 @@ func openJournal(fsys vfs.FS, path string, buffered bool) (*Journal, error) {
 		f.Close()
 		return nil, err
 	}
-	return newFileJournal(fsys, path, f, buffered, tail.LastSeq), nil
+	return newFileJournal(fsys, path, f, tail.LastSeq), nil
 }
 
 // newFileJournal wires a Journal over an already-positioned append fd.
-func newFileJournal(fsys vfs.FS, path string, f vfs.File, buffered bool, lastSeq int) *Journal {
-	j := &Journal{w: f, fsys: fsys, path: path, file: f, sync: !buffered, buffered: buffered, seq: lastSeq}
+func newFileJournal(fsys vfs.FS, path string, f vfs.File, lastSeq int) *Journal {
+	j := &Journal{fsys: fsys, path: path, file: f, seq: lastSeq}
 	if st, err := f.Stat(); err == nil {
 		j.size = st.Size()
 	}
@@ -176,36 +148,8 @@ func repairTail(f vfs.File, tail TailInfo) error {
 	return nil
 }
 
-// SetSync toggles fsync after every append (default true for file-backed
-// journals opened unbuffered; benchmarks disable it).
-func (j *Journal) SetSync(on bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.sync = on
-}
-
-// Path returns the journal's file path ("" for plain-writer journals).
+// Path returns the journal's file path.
 func (j *Journal) Path() string { return j.path }
-
-// Append journals one command. For sync-enabled file journals the record
-// is durable when Append returns; buffered journals require a Flush. A
-// failed append leaves the journal's sequence counter unchanged, and for
-// unbuffered file journals any partially written bytes are truncated
-// away, so the caller can retry without leaving a gap or corrupting the
-// file. When that self-repair is impossible (plain-writer journal with
-// partial bytes emitted, or the truncate itself failed) the journal
-// refuses all further appends instead of concatenating onto damaged
-// data. Buffered appends touch only memory and cannot fail past
-// encoding.
-func (j *Journal) Append(op string, args any) error {
-	_, err := j.AppendSeq(op, args)
-	return err
-}
-
-// AppendSeq is Append returning the sequence number the record received.
-func (j *Journal) AppendSeq(op string, args any) (int, error) {
-	return j.AppendRecord(op, 0, args)
-}
 
 // encodeLocked appends one record's line to lineBuf (caller holds mu).
 // The line is json.Marshal(Record{seq, epoch, op, args}) plus the newline
@@ -236,57 +180,22 @@ func (j *Journal) encodeLocked(seq, epoch int, op string, args any) error {
 	return nil
 }
 
-// AppendRecord is AppendSeq with an explicit epoch reference (sharded
-// journals tag data records with the control-log sequence number they
-// were issued under; epoch 0 is omitted from the encoding).
+// AppendRecord stages one command in the pending buffer and returns the
+// sequence number it received; the record is durable after the next
+// successful Flush. epoch is the control-log sequence number a sharded
+// data record was issued under (0 is omitted from the encoding). The
+// append touches only memory: it fails only when the args do not encode,
+// and then leaves the journal as it was.
 func (j *Journal) AppendRecord(op string, epoch int, args any) (int, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.failed {
-		return 0, fmt.Errorf("persist: journal failed: a previous append left it in an unknown state")
-	}
 	j.lineBuf = j.lineBuf[:0]
 	if err := j.encodeLocked(j.seq+1, epoch, op, args); err != nil {
 		return 0, err
 	}
-	if err := j.writeLocked(); err != nil {
-		return 0, fmt.Errorf("persist: append: %w", err)
-	}
+	j.pending.Write(j.lineBuf)
 	j.seq++
-	if j.file != nil && j.sync && !j.buffered {
-		if err := j.file.Sync(); err != nil {
-			return 0, fmt.Errorf("persist: fsync: %w", err)
-		}
-	}
 	return j.seq, nil
-}
-
-// writeLocked lands lineBuf's records: into the pending buffer for
-// buffered journals (no I/O, no failure), through to the backing writer
-// otherwise, with the rollback semantics Append documents. The sequence
-// counter is NOT advanced here.
-func (j *Journal) writeLocked() error {
-	if j.buffered {
-		j.pending.Write(j.lineBuf)
-		return nil
-	}
-	n, err := j.w.Write(j.lineBuf)
-	if err != nil {
-		// A failed write must not leave partial bytes for the next append
-		// to concatenate onto. Roll back the fragment where possible.
-		switch {
-		case j.file != nil:
-			if terr := j.file.Truncate(j.size); terr != nil {
-				j.failed = true
-			}
-		case n > 0:
-			// Plain writer with partial bytes emitted: unrepairable.
-			j.failed = true
-		}
-		return err
-	}
-	j.size += int64(len(j.lineBuf))
-	return nil
 }
 
 // Pending is one not-yet-appended record for AppendMulti.
@@ -299,19 +208,14 @@ type Pending struct {
 	Args any
 }
 
-// AppendMulti journals a batch of records under one lock acquisition and
-// one write (plus, for sync-enabled journals, one fsync for the whole
-// batch) — the throughput primitive behind SubmitBatch. Sequence numbers
-// are assigned contiguously in slice order; the last one is returned. The
-// append is all-or-nothing: an encoding failure before any byte is
-// written leaves the journal untouched, and a failed write rolls back
-// exactly like Append.
+// AppendMulti stages a batch of records under one lock acquisition — the
+// throughput primitive behind SubmitBatch. Sequence numbers are assigned
+// contiguously in slice order; the last one is returned. The append is
+// all-or-nothing: a record that does not encode leaves the journal as it
+// was.
 func (j *Journal) AppendMulti(recs []Pending) (int, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.failed {
-		return 0, fmt.Errorf("persist: journal failed: a previous append left it in an unknown state")
-	}
 	if len(recs) == 0 {
 		return j.seq, nil
 	}
@@ -321,25 +225,17 @@ func (j *Journal) AppendMulti(recs []Pending) (int, error) {
 			return 0, err
 		}
 	}
-	if err := j.writeLocked(); err != nil {
-		return 0, fmt.Errorf("persist: append batch: %w", err)
-	}
+	j.pending.Write(j.lineBuf)
 	j.seq += len(recs)
-	if j.file != nil && j.sync && !j.buffered {
-		if err := j.file.Sync(); err != nil {
-			return 0, fmt.Errorf("persist: fsync: %w", err)
-		}
-	}
 	return j.seq, nil
 }
 
-// Flush makes every previously appended record durable: for buffered
-// journals it repairs the physical tail if a previous flush failed
-// (truncate to the last fsync-covered offset, re-verify), writes the
-// pending records, and fsyncs; on a sync-enabled journal it degenerates
-// to a plain fsync. A failed Flush keeps the pending records — the next
-// Flush (or Heal) retries from a verified tail, so transient I/O errors
-// do not poison the journal.
+// Flush makes every previously appended record durable: it repairs the
+// physical tail if a previous flush failed (truncate to the last
+// fsync-covered offset, re-verify), writes the pending records, and
+// fsyncs. A failed Flush keeps the pending records — the next Flush (or
+// Heal) retries from a verified tail, so transient I/O errors do not
+// poison the journal.
 func (j *Journal) Flush() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -347,44 +243,35 @@ func (j *Journal) Flush() error {
 }
 
 func (j *Journal) flushLocked() error {
-	if j.file == nil {
-		return nil
+	if j.dirty {
+		// A previous flush failed after (possibly) emitting bytes: the
+		// physical tail is unknown. Truncate back to the last offset a
+		// successful fsync covered and verify before re-appending.
+		if err := j.file.Truncate(j.size); err != nil {
+			return fmt.Errorf("persist: flush: repair tail: %w", err)
+		}
+		if st, err := j.file.Stat(); err != nil {
+			return fmt.Errorf("persist: flush: verify tail: %w", err)
+		} else if st.Size() != j.size {
+			return fmt.Errorf("persist: flush: tail repair left %d bytes, want %d", st.Size(), j.size)
+		}
+		j.dirty = false
 	}
-	if j.buffered {
-		if j.dirty {
-			// A previous flush failed after (possibly) emitting bytes: the
-			// physical tail is unknown. Truncate back to the last offset a
-			// successful fsync covered and verify before re-appending.
-			if err := j.file.Truncate(j.size); err != nil {
-				return fmt.Errorf("persist: flush: repair tail: %w", err)
-			}
-			if st, err := j.file.Stat(); err != nil {
-				return fmt.Errorf("persist: flush: verify tail: %w", err)
-			} else if st.Size() != j.size {
-				return fmt.Errorf("persist: flush: tail repair left %d bytes, want %d", st.Size(), j.size)
-			}
-			j.dirty = false
-		}
-		if j.pending.Len() > 0 {
-			if _, err := j.file.Write(j.pending.Bytes()); err != nil {
-				j.dirty = true
-				return fmt.Errorf("persist: flush: %w", err)
-			}
-		}
-		if err := j.file.Sync(); err != nil {
-			// The kernel may have dropped the just-written pages (fsync
-			// gate): mark the tail dirty so the retry rewrites them from
-			// the pending buffer instead of trusting the page cache.
+	if j.pending.Len() > 0 {
+		if _, err := j.file.Write(j.pending.Bytes()); err != nil {
 			j.dirty = true
-			return fmt.Errorf("persist: fsync: %w", err)
+			return fmt.Errorf("persist: flush: %w", err)
 		}
-		j.size += int64(j.pending.Len())
-		j.pending.Reset()
-		return nil
 	}
 	if err := j.file.Sync(); err != nil {
+		// The kernel may have dropped the just-written pages (fsync
+		// gate): mark the tail dirty so the retry rewrites them from
+		// the pending buffer instead of trusting the page cache.
+		j.dirty = true
 		return fmt.Errorf("persist: fsync: %w", err)
 	}
+	j.size += int64(j.pending.Len())
+	j.pending.Reset()
 	return nil
 }
 
@@ -397,9 +284,6 @@ func (j *Journal) flushLocked() error {
 func (j *Journal) Heal() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.fsys == nil {
-		return j.flushLocked()
-	}
 	f, err := j.fsys.OpenFile(j.path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("persist: heal: reopen: %w", err)
@@ -419,19 +303,9 @@ func (j *Journal) Heal() error {
 			return fmt.Errorf("persist: heal: repair tail: %w", err)
 		}
 	}
-	old := j.file
-	if j.w == j.file {
-		// Unbuffered file journals write through j.w; keep it pointed at
-		// the live handle (tests may have swapped in another writer —
-		// those keep theirs).
-		j.w = f
-	}
+	_ = j.file.Close()
 	j.file = f
 	j.dirty = false
-	j.failed = false
-	if old != nil {
-		_ = old.Close()
-	}
 	return j.flushLocked()
 }
 
@@ -443,12 +317,12 @@ func (j *Journal) Seq() int {
 	return j.seq
 }
 
-// Close writes out pending records (without forcing an fsync, matching
-// the pre-vfs buffered close) and closes a file-backed journal.
+// Close writes out pending records without an fsync (a caller that needs
+// them durable calls Flush first) and closes the file.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.buffered && (j.pending.Len() > 0 || j.dirty) && j.file != nil {
+	if j.pending.Len() > 0 || j.dirty {
 		if j.dirty {
 			if err := j.file.Truncate(j.size); err != nil {
 				j.file.Close()
@@ -463,10 +337,7 @@ func (j *Journal) Close() error {
 		j.size += int64(j.pending.Len())
 		j.pending.Reset()
 	}
-	if j.file != nil {
-		return j.file.Close()
-	}
-	return nil
+	return j.file.Close()
 }
 
 // ReadJournal parses all records from a reader. A trailing partial line
@@ -508,16 +379,11 @@ type TailInfo struct {
 	OpenTail  bool
 }
 
-// ResumeJournal opens a file journal whose scan result the caller already
-// holds (from LoadJournalSuffix), skipping the re-read OpenJournal would
-// perform and repairing the physical tail exactly like OpenJournal does.
-// buffered selects the group-commit mode of OpenJournalBuffered.
-func ResumeJournal(path string, tail TailInfo, buffered bool) (*Journal, error) {
-	return ResumeJournalFS(vfs.OS(), path, tail, buffered)
-}
-
-// ResumeJournalFS is ResumeJournal over an explicit filesystem.
-func ResumeJournalFS(fsys vfs.FS, path string, tail TailInfo, buffered bool) (*Journal, error) {
+// ResumeJournalFS opens a journal whose scan result the caller already
+// holds (from LoadJournalSuffixFS), skipping the re-read
+// OpenJournalBufferedFS would perform and repairing the physical tail
+// exactly like it does.
+func ResumeJournalFS(fsys vfs.FS, path string, tail TailInfo) (*Journal, error) {
 	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("persist: open journal: %w", err)
@@ -526,7 +392,7 @@ func ResumeJournalFS(fsys vfs.FS, path string, tail TailInfo, buffered bool) (*J
 		f.Close()
 		return nil, err
 	}
-	return newFileJournal(fsys, path, f, buffered, tail.LastSeq), nil
+	return newFileJournal(fsys, path, f, tail.LastSeq), nil
 }
 
 // LoadJournalSuffix scans the journal once and fully decodes only the
@@ -535,7 +401,7 @@ func ResumeJournalFS(fsys vfs.FS, path string, tail TailInfo, buffered bool) (*J
 // sequence-number probe but never materialized, so recovering a long
 // journal from a recent snapshot does not pay for decoding its history.
 // Torn trailing lines are tolerated exactly like ReadJournal; the
-// returned TailInfo feeds ResumeJournal's tail repair.
+// returned TailInfo feeds ResumeJournalFS's tail repair.
 func LoadJournalSuffix(path string, afterSeq int) ([]Record, TailInfo, error) {
 	return LoadJournalSuffixFS(vfs.OS(), path, afterSeq)
 }
@@ -586,26 +452,30 @@ func readAll(r io.Reader) ([]Record, error) {
 // intact prefix for tail repair.
 func scanRecords(r io.Reader, afterSeq int) ([]Record, TailInfo, error) {
 	var (
-		recs    []Record
-		tail    TailInfo
-		lineErr error // candidate torn-tail error, fatal if more data follows
-		offset  int64 // bytes consumed including the current line
-		advance int   // bytes the splitter consumed for the current token
+		recs       []Record
+		tail       TailInfo
+		lineErr    error // candidate torn-tail error, fatal if more data follows
+		offset     int64 // bytes consumed including the current line
+		advance    int   // bytes the splitter consumed for the current token
+		terminated bool  // the consumed bytes end in the newline
 	)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
 		adv, tok, err := bufio.ScanLines(data, atEOF)
 		advance = adv
+		// A token shorter than the advance does not prove a newline: at
+		// EOF ScanLines also drops a trailing \r that no \n follows (a
+		// CRLF journal cut between its two terminator bytes), and that
+		// line is an open tail the next append must not land on.
+		terminated = adv > 0 && data[adv-1] == '\n'
 		return adv, tok, err
 	})
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		raw := sc.Bytes()
-		terminated := advance > len(raw) // newline (or \r\n) was consumed
 		offset += int64(advance)
-		line := bytes.TrimSpace(raw)
+		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			// A blank line extends the intact prefix only while no corrupt
 			// line is pending: past a torn record, everything belongs to
@@ -625,7 +495,13 @@ func scanRecords(r io.Reader, afterSeq int) ([]Record, TailInfo, error) {
 		// so it always takes the full decode.
 		if !quick || !terminated || seq > afterSeq {
 			var rec Record
-			if err := json.Unmarshal(line, &rec); err != nil {
+			err := json.Unmarshal(line, &rec)
+			if err == nil && quick && rec.Seq != seq {
+				// A repeated or case-folded key: the line must not carry one
+				// number when probed and another when decoded.
+				err = fmt.Errorf("seq reads %d, decodes to %d", seq, rec.Seq)
+			}
+			if err != nil {
 				// Possibly a torn final write; decide when we see whether
 				// more lines follow.
 				lineErr = fmt.Errorf("persist: corrupt record at line %d: %w", lineNo, err)
@@ -663,19 +539,6 @@ func checkSeq(seq, last, lineNo int) error {
 		}
 	} else if seq < 1 {
 		return fmt.Errorf("persist: invalid seq %d at line %d", seq, lineNo)
-	}
-	return nil
-}
-
-// Applier replays one journaled command; the facade implements it.
-type Applier func(op string, args json.RawMessage) error
-
-// Replay feeds every record to the applier in order.
-func Replay(recs []Record, apply Applier) error {
-	for _, rec := range recs {
-		if err := apply(rec.Op, rec.Args); err != nil {
-			return fmt.Errorf("persist: replay record %d (%s): %w", rec.Seq, rec.Op, err)
-		}
 	}
 	return nil
 }

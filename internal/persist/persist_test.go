@@ -3,26 +3,79 @@ package persist
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"adept2/internal/vfs"
 )
 
+// memJournal opens a journal named "wal" on a fresh in-memory filesystem.
+func memJournal(t testing.TB) (*Journal, *vfs.MemFS) {
+	t.Helper()
+	mem := vfs.NewMemFS()
+	j, err := OpenJournalBufferedFS(mem, "wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j, mem
+}
+
+// fileJournal opens the journal file at path.
+func fileJournal(t testing.TB, path string) *Journal {
+	t.Helper()
+	j, err := OpenJournalBuffered(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j
+}
+
+// putFile writes data as the whole content of name.
+func putFile(t testing.TB, fsys vfs.FS, name string, data []byte) {
+	t.Helper()
+	f, err := fsys.OpenFile(name, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// stage appends one record with epoch 0.
+func stage(t testing.TB, j *Journal, op string, args any) {
+	t.Helper()
+	if _, err := j.AppendRecord(op, 0, args); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// flushed flushes the journal and returns the bytes of its file.
+func flushed(t testing.TB, j *Journal, fsys vfs.FS) []byte {
+	t.Helper()
+	if err := j.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := vfs.ReadFile(fsys, j.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 func TestJournalAppendAndRead(t *testing.T) {
-	var buf bytes.Buffer
-	j := NewJournal(&buf)
-	if err := j.Append("create", map[string]any{"type": "order"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Append("complete", map[string]any{"node": "a"}); err != nil {
-		t.Fatal(err)
-	}
+	j, mem := memJournal(t)
+	stage(t, j, "create", map[string]any{"type": "order"})
+	stage(t, j, "complete", map[string]any{"node": "a"})
 	if j.Seq() != 2 {
 		t.Fatalf("seq = %d", j.Seq())
 	}
-	recs, err := ReadJournal(bytes.NewReader(buf.Bytes()))
+	recs, err := ReadJournal(bytes.NewReader(flushed(t, j, mem)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,13 +85,10 @@ func TestJournalAppendAndRead(t *testing.T) {
 }
 
 func TestJournalToleratesTornTail(t *testing.T) {
-	var buf bytes.Buffer
-	j := NewJournal(&buf)
-	if err := j.Append("create", nil); err != nil {
-		t.Fatal(err)
-	}
-	buf.WriteString(`{"seq":2,"op":"comp`) // torn write, no newline... then EOF
-	recs, err := ReadJournal(bytes.NewReader(buf.Bytes()))
+	j, mem := memJournal(t)
+	stage(t, j, "create", nil)
+	data := append(flushed(t, j, mem), `{"seq":2,"op":"comp`...) // torn write, no newline... then EOF
+	recs, err := ReadJournal(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("torn tail must be tolerated: %v", err)
 	}
@@ -68,28 +118,15 @@ func TestJournalRejectsGaps(t *testing.T) {
 
 func TestFileJournalReopenContinuesSeq(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.SetSync(false)
-	if err := j.Append("a", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Append("b", 2); err != nil {
-		t.Fatal(err)
-	}
+	j := fileJournal(t, path)
+	stage(t, j, "a", 1)
+	stage(t, j, "b", 2)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	j2, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j2.Append("c", 3); err != nil {
-		t.Fatal(err)
-	}
+	j2 := fileJournal(t, path)
+	stage(t, j2, "c", 3)
 	if err := j2.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -109,75 +146,10 @@ func TestLoadJournalMissingFile(t *testing.T) {
 	}
 }
 
-func TestReplayStopsOnError(t *testing.T) {
-	recs := []Record{
-		{Seq: 1, Op: "ok", Args: json.RawMessage(`null`)},
-		{Seq: 2, Op: "boom", Args: json.RawMessage(`null`)},
-		{Seq: 3, Op: "ok", Args: json.RawMessage(`null`)},
-	}
-	var applied []string
-	err := Replay(recs, func(op string, _ json.RawMessage) error {
-		applied = append(applied, op)
-		if op == "boom" {
-			return os.ErrInvalid
-		}
-		return nil
-	})
-	if err == nil || len(applied) != 2 {
-		t.Fatalf("applied=%v err=%v", applied, err)
-	}
-}
-
 func TestAppendMarshalsErrors(t *testing.T) {
-	j := NewJournal(&bytes.Buffer{})
-	if err := j.Append("bad", func() {}); err == nil {
+	j, _ := memJournal(t)
+	if _, err := j.AppendRecord("bad", 0, func() {}); err == nil {
 		t.Fatal("unmarshalable args must fail")
-	}
-}
-
-// failNWriter fails every write once armed, without consuming any bytes.
-type failNWriter struct {
-	w      io.Writer
-	failed bool
-	arm    bool
-}
-
-func (f *failNWriter) Write(p []byte) (int, error) {
-	if f.arm {
-		f.failed = true
-		return 0, os.ErrClosed
-	}
-	return f.w.Write(p)
-}
-
-func TestFailedAppendLeavesSeqAndJournalIntact(t *testing.T) {
-	var buf bytes.Buffer
-	fw := &failNWriter{w: &buf}
-	j := NewJournal(fw)
-	if err := j.Append("a", 1); err != nil {
-		t.Fatal(err)
-	}
-	fw.arm = true
-	if err := j.Append("b", 2); err == nil {
-		t.Fatal("append through failing writer must error")
-	}
-	if !fw.failed {
-		t.Fatal("writer was not exercised")
-	}
-	if j.Seq() != 1 {
-		t.Fatalf("failed append changed Seq: %d", j.Seq())
-	}
-	// The journal stays readable and the next append continues densely.
-	fw.arm = false
-	if err := j.Append("c", 3); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := ReadJournal(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("journal unreadable after failed append: %v", err)
-	}
-	if len(recs) != 2 || recs[0].Op != "a" || recs[1].Op != "c" || recs[1].Seq != 2 {
-		t.Fatalf("records = %+v", recs)
 	}
 }
 
@@ -203,11 +175,8 @@ func TestCompactedJournalAccepted(t *testing.T) {
 
 func TestBufferedJournalFlush(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
-	j, err := OpenJournalBuffered(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := j.AppendSeq("a", 1)
+	j := fileJournal(t, path)
+	seq, err := j.AppendRecord("a", 0, 1)
 	if err != nil || seq != 1 {
 		t.Fatalf("seq=%d err=%v", seq, err)
 	}
@@ -223,9 +192,7 @@ func TestBufferedJournalFlush(t *testing.T) {
 		t.Fatalf("recs=%v err=%v", recs, err)
 	}
 	// Close flushes any remainder.
-	if _, err := j.AppendSeq("b", 2); err != nil {
-		t.Fatal(err)
-	}
+	stage(t, j, "b", 2)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -236,15 +203,9 @@ func TestBufferedJournalFlush(t *testing.T) {
 
 func TestLoadJournalSuffix(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.SetSync(false)
+	j := fileJournal(t, path)
 	for i := 1; i <= 9; i++ {
-		if err := j.Append("op", map[string]int{"i": i}); err != nil {
-			t.Fatal(err)
-		}
+		stage(t, j, "op", map[string]int{"i": i})
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -304,12 +265,11 @@ func TestLoadJournalSuffix(t *testing.T) {
 
 func TestResumeJournalContinuesSeq(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
-	j, err := ResumeJournal(path, TailInfo{LastSeq: 41}, false)
+	j, err := ResumeJournalFS(vfs.OS(), path, TailInfo{LastSeq: 41})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.SetSync(false)
-	seq, err := j.AppendSeq("op", nil)
+	seq, err := j.AppendRecord("op", 0, nil)
 	if err != nil || seq != 42 {
 		t.Fatalf("seq=%d err=%v", seq, err)
 	}
@@ -320,21 +280,15 @@ func TestResumeJournalContinuesSeq(t *testing.T) {
 
 // TestTornTailRepairedBeforeAppend is the crash shape that used to be
 // fatal: a torn trailing line survives recovery, and the next append must
-// NOT concatenate onto it. Both OpenJournal and ResumeJournal truncate
-// the damage (and terminate an unterminated final record) before
+// NOT concatenate onto it. Both OpenJournalBuffered and ResumeJournalFS
+// truncate the damage (and terminate an unterminated final record) before
 // appending.
 func TestTornTailRepairedBeforeAppend(t *testing.T) {
 	mk := func(t *testing.T, tornTail string) string {
 		t.Helper()
 		path := filepath.Join(t.TempDir(), "wal.ndjson")
-		j, err := OpenJournal(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		j.SetSync(false)
-		if err := j.Append("a", 1); err != nil {
-			t.Fatal(err)
-		}
+		j := fileJournal(t, path)
+		stage(t, j, "a", 1)
 		if err := j.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -365,14 +319,8 @@ func TestTornTailRepairedBeforeAppend(t *testing.T) {
 	} {
 		t.Run("open/"+name, func(t *testing.T) {
 			path := mk(t, torn)
-			j, err := OpenJournal(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			j.SetSync(false)
-			if err := j.Append("b", 2); err != nil {
-				t.Fatal(err)
-			}
+			j := fileJournal(t, path)
+			stage(t, j, "b", 2)
 			if err := j.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -384,14 +332,11 @@ func TestTornTailRepairedBeforeAppend(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			j, err := ResumeJournal(path, tail, false)
+			j, err := ResumeJournalFS(vfs.OS(), path, tail)
 			if err != nil {
 				t.Fatal(err)
 			}
-			j.SetSync(false)
-			if err := j.Append("b", 2); err != nil {
-				t.Fatal(err)
-			}
+			stage(t, j, "b", 2)
 			if err := j.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -412,14 +357,11 @@ func TestOpenTailGetsNewline(t *testing.T) {
 	if err != nil || tail.LastSeq != 1 || !tail.OpenTail {
 		t.Fatalf("tail=%+v err=%v", tail, err)
 	}
-	j, err := ResumeJournal(path, tail, false)
+	j, err := ResumeJournalFS(vfs.OS(), path, tail)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.SetSync(false)
-	if err := j.Append("b", 2); err != nil {
-		t.Fatal(err)
-	}
+	stage(t, j, "b", 2)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -429,46 +371,33 @@ func TestOpenTailGetsNewline(t *testing.T) {
 	}
 }
 
-// TestFailedAppendTruncatesPartialWrite: a short write on a file journal
-// must not leave fragment bytes for the next append to collide with.
-func TestFailedAppendTruncatesPartialWrite(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.ndjson")
-	j, err := OpenJournal(path)
+// TestCRCutTailKeepsBothRecords: a CRLF journal cut between its two
+// terminator bytes ends in a lone \r. That is an open tail: the repair
+// must complete the terminator, or the next record lands on record 2's
+// line and the following scan drops both as one torn line.
+func TestCRCutTailKeepsBothRecords(t *testing.T) {
+	mem := vfs.NewMemFS()
+	putFile(t, mem, "wal", []byte("{\"seq\":1,\"op\":\"a\",\"args\":null}\r\n{\"seq\":2,\"op\":\"b\",\"args\":null}\r"))
+	recs, tail, err := LoadJournalSuffixFS(mem, "wal", 0)
+	if err != nil || len(recs) != 2 || tail.LastSeq != 2 || !tail.OpenTail {
+		t.Fatalf("before: recs=%+v tail=%+v err=%v", recs, tail, err)
+	}
+	j, err := ResumeJournalFS(mem, "wal", tail)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.SetSync(false)
-	if err := j.Append("a", 1); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a partial write failure: swap the writer for one that
-	// writes half the bytes to the real file and then errors.
-	real := j.w
-	j.w = &halfWriter{w: real}
-	if err := j.Append("b", 2); err == nil {
-		t.Fatal("partial write must error")
-	}
-	j.w = real
-	if err := j.Append("c", 3); err != nil {
-		t.Fatal(err)
-	}
+	stage(t, j, "c", 3)
+	data := flushed(t, j, mem)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := LoadJournal(path)
-	if err != nil {
-		t.Fatalf("journal corrupt after partial write: %v", err)
+	recs, tail, err = LoadJournalSuffixFS(mem, "wal", 0)
+	if err != nil || len(recs) != 3 || recs[1].Op != "b" || recs[2].Op != "c" || tail.LastSeq != 3 {
+		t.Fatalf("after: recs=%+v tail=%+v err=%v\nfile: %q", recs, tail, err, data)
 	}
-	if len(recs) != 2 || recs[1].Op != "c" || recs[1].Seq != 2 {
-		t.Fatalf("records: %+v", recs)
+	if tail.ValidSize != int64(len(data)) || tail.OpenTail {
+		t.Fatalf("tail=%+v over %d bytes", tail, len(data))
 	}
-}
-
-type halfWriter struct{ w io.Writer }
-
-func (h *halfWriter) Write(p []byte) (int, error) {
-	n, _ := h.w.Write(p[:len(p)/2])
-	return n, os.ErrClosed
 }
 
 // TestTornTailFollowedByBlankLineRepaired: a corrupt terminated line plus
@@ -479,14 +408,8 @@ func TestTornTailFollowedByBlankLineRepaired(t *testing.T) {
 	if err := os.WriteFile(path, []byte("{\"seq\":1,\"op\":\"a\",\"args\":null}\ngarbage\n\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.SetSync(false)
-	if err := j.Append("b", 2); err != nil {
-		t.Fatal(err)
-	}
+	j := fileJournal(t, path)
+	stage(t, j, "b", 2)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -500,18 +423,18 @@ func TestTornTailFollowedByBlankLineRepaired(t *testing.T) {
 }
 
 func TestEpochRecordRoundTripAndBackCompat(t *testing.T) {
-	var buf bytes.Buffer
-	j := NewJournal(&buf)
+	j, mem := memJournal(t)
 	if _, err := j.AppendRecord("deploy", 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := j.AppendRecord("complete", 1, 2); err != nil {
 		t.Fatal(err)
 	}
+	data := flushed(t, j, mem)
 	// Epoch 0 is omitted from the wire format, keeping unsharded journals
 	// byte-compatible with pre-epoch records; the seq probe's prefix
 	// assumption holds for both forms.
-	lines := strings.SplitN(buf.String(), "\n", 3)
+	lines := strings.SplitN(string(data), "\n", 3)
 	if strings.Contains(lines[0], "epoch") {
 		t.Fatalf("epoch 0 must be omitted: %s", lines[0])
 	}
@@ -523,7 +446,7 @@ func TestEpochRecordRoundTripAndBackCompat(t *testing.T) {
 			t.Fatalf("seq must stay the first field for quickSeq: %s", l)
 		}
 	}
-	recs, err := ReadJournal(bytes.NewReader(buf.Bytes()))
+	recs, err := ReadJournal(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}

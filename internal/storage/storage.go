@@ -13,8 +13,7 @@
 //     instance-specific schema is materialized on every access (minimal
 //     memory, slowest access).
 //
-// The Fig. 2 experiments (bench_test.go, cmd/adeptbench) compare the
-// three.
+// The Fig. 2 experiments (bench_test.go) compare the three.
 package storage
 
 import "fmt"

@@ -3,9 +3,8 @@
 # replay, Fig. 3 population migration, E8 engine throughput, journal
 # recovery, group commit, sharded append/recovery, command submission
 # sync/async/batch, remote submission over loopback HTTP sync/async,
-# exception fail→sweep→retry round trip, mining scan over a
-# multi-thousand-instance population) as a JSON snapshot, for looking at
-# one layer while working on it.
+# mining scan over a multi-thousand-instance population) as a JSON
+# snapshot, for looking at one layer while working on it.
 #
 # This is NOT the gating benchmark: that is `bash bench/run.sh` (declared
 # in BENCHMARK.json, noise budget in bench/README.md), which the driver
@@ -24,7 +23,7 @@ baseline="${BENCH_BASELINE:-}"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-go test -run '^$' -bench 'Fig1|Fig3|EngineComplete|Recovery|Sharded|^BenchmarkSubmit|Exception|Mine' -benchmem . | tee "$raw"
+go test -run '^$' -bench 'Fig1|Fig3|EngineComplete|Recovery|Sharded|^BenchmarkSubmit|Mine' -benchmem . | tee "$raw"
 # The remote loopback family is fsync-noise-dominated on this host (the
 # sync-vs-pipelined gap is ~60µs against ~±50µs swings), so it gets a
 # longer averaging window than the default 1s.
