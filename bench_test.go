@@ -4,14 +4,17 @@
 package adept2_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
 	"time"
 
+	"adept2"
 	"adept2/internal/change"
 	"adept2/internal/compliance"
+	"adept2/internal/durable"
 	"adept2/internal/engine"
 	"adept2/internal/evolution"
 	"adept2/internal/graph"
@@ -98,6 +101,77 @@ func BenchmarkFig1ComplianceReplay(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkHistoryReads measures what the three readers of the execution
+// history pay per instance over one 20 000-instance population: a
+// compliance worker (reduce + Replayer.Replay through one reused scratch,
+// the call shape of evolution's migration worker and of bench/layers.go),
+// a System.Mine scan, and a checkpoint's durable.Stage. The history is
+// stored packed and decoded to be read; this is the check that reading it
+// costs no more than it did while every event was a heap object (run with
+// -cpu 1 and alternate the parent's binary, which compiles this file as it
+// stands).
+func BenchmarkHistoryReads(b *testing.B) {
+	const n = 20000
+	sys := adept2.New(adept2.WithOrg(sim.Org()))
+	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+		b.Fatal(err)
+	}
+	eng := sys.Engine()
+	insts, err := sim.BuildPopulation(eng, rand.New(rand.NewSource(1)), sim.DefaultPopulationOpts(n))
+	if err != nil {
+		b.Fatal(err)
+	}
+	target, err := evolution.NewManager(eng).DeriveVersion("online_order", sim.OnlineOrderTypeChange())
+	if err != nil {
+		b.Fatal(err)
+	}
+	info, err := graph.Analyze(target)
+	if err != nil {
+		b.Fatal(err)
+	}
+	perInstance := func(b *testing.B, pass func()) {
+		pass() // scratch grown, symbols and block analyses cached
+		runtime.GC()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pass()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/instance")
+	}
+	b.Run("replay", func(b *testing.B) {
+		var reduced []*history.Event
+		var rp compliance.Replayer
+		perInstance(b, func() {
+			for _, inst := range insts {
+				err := inst.Mutate(func(mx *engine.Mutable) error {
+					blocks, err := mx.Blocks()
+					if err != nil {
+						return err
+					}
+					reduced = history.ReduceInto(blocks, mx.History().Events(), reduced)
+					// A state conflict is an answer, not a failure.
+					_, _ = rp.Replay(target, info, reduced)
+					return nil
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	})
+	b.Run("mine", func(b *testing.B) {
+		perInstance(b, func() {
+			rep, err := sys.Mine(context.Background(), adept2.MineOptions{})
+			if err != nil || rep.Instances != n {
+				b.Fatalf("mined %d instances, want %d: %v", rep.Instances, n, err)
+			}
+		})
+	})
+	b.Run("stage", func(b *testing.B) {
+		perInstance(b, func() { _ = durable.Stage(eng, 0) })
+	})
 }
 
 // --- Fig. 2 / E2: biased-instance representation -------------------------

@@ -126,29 +126,29 @@
 // scratch; and an offered item aliases the role's immutable candidate
 // slice. What is left, over the 13-command online-order lifecycle (one
 // create, six start + complete pairs; 16 history events, six work items)
-// — 57 allocations, 4.4 per command, where the same loop made 13.4
-// before this budget was drawn and 4.8 while an instance's small
-// collections were Go maps:
+// — 41 allocations, 3.2 per command, where the same loop made 13.4
+// before this budget was drawn, 4.8 while an instance's small collections
+// were Go maps and 4.4 while a history event was a heap object (from an
+// allocation profile of 2 000 lifecycles, MemProfileRate 1):
 //
 //	per lifecycle  allocation, and why it stays
-//	    11  instance structures, per create: the Instance (1), the
-//	        marking and its node, skip, edge and pending arrays (5), the
-//	        history log (1), the execution index (2), the data store (1),
-//	        the ID string (1)
-//	    16  history events, one per Started and per Completed event,
-//	        automatic nodes included: the execution history itself
-//	     5  history log growth: its event slice doubling (1, 2, 4, 8, 16)
+//	    10  instance structures, per create: the Instance, which holds
+//	        the history log by value (1), the marking and its node,
+//	        skip, edge and pending arrays (5), the execution index (2),
+//	        the data store (1), the ID string (1)
+//	     6  history growth: the log's records doubling (32, 64, 128 B)
+//	        and its binding list (1, 2, 4). An event allocates nothing:
+//	        the engine builds it on its stack and Append packs it
 //	    12  work items: an Item and its derived ID string per offered
 //	        activity, kept until the item is withdrawn
 //	    ~4  worklist index entries: the instance's item list and the
 //	        growth of each candidate's member set
-//	     3  an event's reads or writes set, one exactly sized
-//	        data.Values for each event of a node with data edges: the
-//	        values the activity saw or produced, which compliance replay
-//	        re-checks
 //	     3  the first write of a data element: its version list and its
 //	        entry in the store's element list (2), the box of the
 //	        coerced value (1)
+//	     3  transient: the reads or writes of a node with data edges,
+//	        gathered in an exactly sized data.Values that Append copies
+//	        into the log's binding list
 //	     3  transient: encoding/json's reflective encode of
 //	        CompleteActivity.Outputs (a sorted key slice, two reflect
 //	        copies)
@@ -161,11 +161,12 @@
 // simple enough for that (internal/persist.FuzzAppendRecord holds it to
 // encoding/json), a map of `any` is not.
 //
-// A start is its event (2 with log growth); a complete is its event plus
-// what it activates; suspend and resume allocate nothing.
+// A start allocates only when the log grows under it; a complete, what it
+// activates; suspend and resume allocate nothing.
 // TestSubmitAllocationBudget pins each command kind on each submission
 // path at its measured count, so an allocation that comes back fails by
-// name; the benchmark's allocs_per_cmd gates the sum.
+// name; internal/history.TestHistoryAppendAllocations pins the six; the
+// benchmark's allocs_per_cmd gates the sum.
 //
 // # Memory budget
 //
@@ -173,45 +174,49 @@
 // server holds 10⁴–10⁵ instances because each keeps only what is its own
 // — marking, history, data versions, and a substitution block if biased —
 // and references its schema; this is that argument in bytes. A finished
-// online-order instance (the same 13 commands) holds 2 766 B of live heap,
-// where it held 4 694 B while its loop counts, data store and every
-// event's reads and writes were Go maps (336 B each to hold one entry)
-// and an event was 120 B in the allocator's 128 B class. What is
-// left, from an in-use heap profile of 2 000 such instances
-// (MemProfileRate 1, sizes as the allocator rounds them):
+// online-order instance (the same 13 commands) holds 1 303 B of live heap,
+// where it held 2 766 B while each of its 16 history events was a 96 B
+// object behind a pointer slice, and 4 694 B while its loop counts, data
+// store and every event's reads and writes were Go maps (336 B each to
+// hold one entry). What is left, from an in-use heap profile of 2 000 such
+// instances (MemProfileRate 1, sizes as the allocator rounds them):
 //
-//	   B  structure, and why it stays
-//	1536  16 history events of 96 B: the execution history, which
-//	      compliance replay, mining and explanation read in place.
-//	      Sequence number, decision and intern memo are 32-bit and the
-//	      reads and writes share one field to stay in the 96 B class
-//	      (internal/history.TestEventSize)
-//	 224  the Instance: identity, schema reference, bias slots, the
-//	      pointers below, its mutex, five nil exception maps
-//	 223  the marking: its struct (128) and four dense arrays — node
-//	      states, skip stamps, edge states, the evaluation worklist's
-//	      bitset — sized by the schema, not by progress
-//	 176  the execution index: Stats (48) and 12 B per schema node
-//	 152  the history log (24) and its event pointer slice (16 × 8)
-//	 146  the engine's three ID-keyed indexes (instance map, creation
-//	      order, position map) and the ID string they share
-//	 136  the data store (24), its element list (48), one version list
-//	      (48) and the box of the written string (16)
-//	  96  three value sets of one binding, 32 B each: two reads, one
-//	      write
-//	  77  not the instance's: the order ID the caller wrote (24), and
-//	      the system's own structures divided by the population
+//	  B  structure, and why it stays
+//	288  the Instance: identity, schema reference, bias slots, its
+//	     mutex, five nil exception maps, pointers to the structures
+//	     below, and the history log (72) by value
+//	256  the execution history: its 16 events packed into about 100
+//	     bytes of records (128 as the log doubled), and the three
+//	     bindings two activities read and one wrote, in a list of four
+//	     (128). internal/history says what a record holds; compliance
+//	     replay, mining and the snapshot encoder decode it into scratch
+//	223  the marking: its struct (128) and four dense arrays — node
+//	     states, skip stamps, edge states, the evaluation worklist's
+//	     bitset — sized by the schema, not by progress
+//	176  the execution index: Stats (48) and 12 B per schema node
+//	146  the engine's three ID-keyed indexes (instance map, creation
+//	     order, position map) and the ID string they share
+//	136  the data store (24), its element list (48), one version list
+//	     (48) and the box of the written string (16)
+//	 78  not the instance's: the order ID the caller wrote (24), and
+//	     the system's own structures divided by the population
 //
 // A biased instance adds its substitution block (about 300 B) and the
 // topology and block analysis of its own view; an instance that has not
-// finished adds an Item, an ID and index entries per offered activity.
+// finished adds an Item, an ID and index entries per offered activity;
+// the node IDs and user names the histories refer to are kept once per
+// engine, in its symbol table.
 // TestInstanceHeapBudget pins the figure (+3 %), and holds the sum of
 // Instance.Footprint().StateBytes over the population to the measured
 // heap (±10 %); the benchmark's heap_bytes_per_inst gates it at scale.
-// What would move it further is named, not done: events stored by value
-// would save the 8 B pointer and the log header but double the waste of
-// a half-filled slice; the marking's five allocations could be one; an
-// instance that will never run again could be paged out whole.
+// What would move it further is named, not done: a binding could name
+// its value as an (element, version) of the data store instead of holding
+// it (at most 96 B here, and it would tie the log's lifetime to the
+// store's DropWritesBy, Clone and decode order); the log's two slices grow
+// by doubling, so a finished instance holds up to half of each unused;
+// the marking's five allocations could be one; an instance that will
+// never run again is two small blocks and a few flat arrays, and could be
+// paged out whole.
 //
 // # Errors
 //

@@ -34,6 +34,18 @@ type Error struct {
 	Event *history.Event
 	// Reason explains the failure.
 	Reason string
+
+	event history.Event // what Event points to, when Replay built the error
+}
+
+// eventError reports e as the event that could not be reproduced. The
+// error holds a copy, in its own allocation: e may be decode scratch
+// (history.ReduceInto) that the caller's next reduction overwrites while
+// the error is still held.
+func eventError(e *history.Event, reason string) *Error {
+	err := &Error{Reason: reason, event: *e}
+	err.Event = &err.event
+	return err
 }
 
 func (e *Error) Error() string {
@@ -139,7 +151,7 @@ func (sc *Replayer) Replay(view model.SchemaView, info *graph.Info, events []*hi
 	for i, e := range events {
 		ni := sc.evIdx[i]
 		if ni == model.InvalidNode {
-			return nil, &Error{Event: e, Reason: "node no longer exists in the target schema"}
+			return nil, eventError(e, "node no longer exists in the target schema")
 		}
 		nt := topo.At(ni)
 		n := nt.Node
@@ -148,22 +160,22 @@ func (sc *Replayer) Replay(view model.SchemaView, info *graph.Info, events []*hi
 		case history.Started:
 			for m.NodeAt(ni) != state.Activated {
 				if !r.fireVirtual(seq) {
-					return nil, &Error{Event: e, Reason: fmt.Sprintf("node is %s and cannot become activated", m.NodeAt(ni))}
+					return nil, eventError(e, fmt.Sprintf("node is %s and cannot become activated", m.NodeAt(ni)))
 				}
 				r.observe(r.evaluate(seq))
 			}
 			// Mandatory inputs must have been available.
 			for _, de := range view.DataEdgesOf(e.Node) {
 				if de.Access == model.Read && de.Mandatory && !store.Has(de.Element) {
-					return nil, &Error{Event: e, Reason: fmt.Sprintf("mandatory input element %q had no value", de.Element)}
+					return nil, eventError(e, fmt.Sprintf("mandatory input element %q had no value", de.Element))
 				}
 			}
 			if err := m.StartAt(ni); err != nil {
-				return nil, &Error{Event: e, Reason: err.Error()}
+				return nil, eventError(e, err.Error())
 			}
 		case history.Completed:
 			if m.NodeAt(ni) != state.Running {
-				return nil, &Error{Event: e, Reason: fmt.Sprintf("node is %s, not running", m.NodeAt(ni))}
+				return nil, eventError(e, fmt.Sprintf("node is %s, not running", m.NodeAt(ni)))
 			}
 			// The recorded routing decision must still be possible.
 			if n.Type == model.NodeXORSplit {
@@ -175,7 +187,7 @@ func (sc *Replayer) Replay(view model.SchemaView, info *graph.Info, events []*hi
 					}
 				}
 				if !found {
-					return nil, &Error{Event: e, Reason: fmt.Sprintf("selected branch (code %d) no longer exists", decision)}
+					return nil, eventError(e, fmt.Sprintf("selected branch (code %d) no longer exists", decision))
 				}
 			}
 			// Outputs must exactly cover the write edges of the target
@@ -185,26 +197,26 @@ func (sc *Replayer) Replay(view model.SchemaView, info *graph.Info, events []*hi
 					continue
 				}
 				if _, ok := e.Writes().Get(de.Element); !ok {
-					return nil, &Error{Event: e, Reason: fmt.Sprintf("completion wrote no value for element %q required by the target schema", de.Element)}
+					return nil, eventError(e, fmt.Sprintf("completion wrote no value for element %q required by the target schema", de.Element))
 				}
 			}
 			// In element order: of two offending writes the first is named
 			// on every run.
 			for _, w := range e.Writes() {
 				if !writesElement(view, e.Node, w.Name) {
-					return nil, &Error{Event: e, Reason: fmt.Sprintf("recorded write of element %q has no data edge in the target schema", w.Name)}
+					return nil, eventError(e, fmt.Sprintf("recorded write of element %q has no data edge in the target schema", w.Name))
 				}
 				store.Write(w.Name, w.Value, e.Node, seq)
 			}
 			if n.Type == model.NodeLoopEnd && e.Again {
 				blk, ok := info.ByJoin(e.Node)
 				if !ok {
-					return nil, &Error{Event: e, Reason: "loop end has no loop block in the target schema"}
+					return nil, eventError(e, "loop end has no loop block in the target schema")
 				}
 				state.ResetLoop(view, m, blk.Region())
 			} else {
 				if err := m.CompleteAt(ni, decision); err != nil {
-					return nil, &Error{Event: e, Reason: err.Error()}
+					return nil, eventError(e, err.Error())
 				}
 			}
 		case history.Failed:
@@ -212,13 +224,13 @@ func (sc *Replayer) Replay(view model.SchemaView, info *graph.Info, events []*hi
 			// reach this case; raw replays undo the attempt like the
 			// live engine did: the node reverts to activated.
 			if m.NodeAt(ni) != state.Running {
-				return nil, &Error{Event: e, Reason: fmt.Sprintf("node is %s, not running", m.NodeAt(ni))}
+				return nil, eventError(e, fmt.Sprintf("node is %s, not running", m.NodeAt(ni)))
 			}
 			m.SetNodeAt(ni, state.Activated)
 		case history.Timeout:
 			// Audit marker: the node keeps running.
 			if m.NodeAt(ni) != state.Running {
-				return nil, &Error{Event: e, Reason: fmt.Sprintf("node is %s, not running", m.NodeAt(ni))}
+				return nil, eventError(e, fmt.Sprintf("node is %s, not running", m.NodeAt(ni)))
 			}
 		}
 		r.observe(r.evaluate(seq))

@@ -3,6 +3,8 @@ package engine
 import (
 	"strings"
 	"testing"
+	"time"
+	"unsafe"
 
 	"adept2/internal/model"
 	"adept2/internal/storage"
@@ -136,4 +138,93 @@ func TestOptionalReadZeroFill(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRetainedNodeStringsAreTheSchemas: what an instance keeps of a command
+// — the writer of a data version, the keys of its exception maps, the node
+// of a work item — is the schema's node ID, not the string the command
+// arrived with. Over rpc that string is decoded per command; kept, every
+// one of them would be a small allocation the instance holds for life. The
+// commands here carry clones, and each retained string must be the
+// schema's by address.
+func TestRetainedNodeStringsAreTheSchemas(t *testing.T) {
+	b := model.NewBuilder("order")
+	b.DataElement("order", model.TypeString)
+	get := b.Activity("get_order", "Get Order", model.WithRole("clerk"), model.WithDeadline(time.Second))
+	b.Write("get_order", "order", "out")
+	s, err := b.Build(b.Seq(get, b.Activity("ship", "Ship", model.WithRole("clerk"))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(demoOrg(t))
+	if err := e.Deploy(s); err != nil {
+		t.Fatal(err)
+	}
+	inst, err := e.CreateInstance("order", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, _ := s.Node("get_order")
+	cmd := func() string { return strings.Clone("get_order") }
+	check := func(what, kept string) {
+		t.Helper()
+		if kept != n.ID || unsafe.StringData(kept) != unsafe.StringData(n.ID) {
+			t.Errorf("%s keeps %q at %p, not the schema's node ID at %p", what, kept, unsafe.StringData(kept), unsafe.StringData(n.ID))
+		}
+	}
+	keys := func(what string, n int, each func(yield func(string))) {
+		t.Helper()
+		seen := 0
+		each(func(k string) { seen++; check(what, k) })
+		if seen != n {
+			t.Errorf("%s holds %d keys, want %d", what, seen, n)
+		}
+	}
+
+	if err := e.StartActivityAt(inst.ID(), cmd(), "ann", 1000); err != nil {
+		t.Fatal(err)
+	}
+	keys("deadlines", 1, func(y func(string)) {
+		for k := range inst.deadlines {
+			y(k)
+		}
+	})
+	if err := e.TimeoutActivity(inst.ID(), cmd()); err != nil {
+		t.Fatal(err)
+	}
+	keys("escalated", 1, func(y func(string)) {
+		for k := range inst.escalated {
+			y(k)
+		}
+	})
+	if it, ok := e.Worklist().ItemFor(inst.ID(), "get_order"); !ok {
+		t.Error("no escalated work item")
+	} else {
+		check("the escalated work item", it.Node)
+	}
+	if err := e.FailActivity(inst.ID(), cmd(), "ann", "boom", 5000, true); err != nil {
+		t.Fatal(err)
+	}
+	keys("failures, retryAt and compPending", 3, func(y func(string)) {
+		for k := range inst.failures {
+			y(k)
+		}
+		for k := range inst.retryAt {
+			y(k)
+		}
+		for k := range inst.compPending {
+			y(k)
+		}
+	})
+	if err := e.RetryActivity(inst.ID(), cmd()); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.CompleteActivity(inst.ID(), cmd(), "ann", map[string]any{"out": "o-1"}); err != nil {
+		t.Fatal(err)
+	}
+	vs := inst.store.Versions("order")
+	if len(vs) != 1 {
+		t.Fatalf("%d versions of the order, want 1", len(vs))
+	}
+	check("the data version's writer", vs[0].Writer)
 }

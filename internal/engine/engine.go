@@ -17,6 +17,7 @@ import (
 
 	"adept2/internal/fault"
 	"adept2/internal/graph"
+	"adept2/internal/history"
 	"adept2/internal/model"
 	"adept2/internal/org"
 	"adept2/internal/storage"
@@ -57,6 +58,9 @@ type Engine struct {
 	orderPos map[string]int
 	nextID   int
 	blocks   map[*model.Schema]*graph.Info
+	// syms is the string table every instance's history log draws its
+	// node and user symbols from; it lives and dies with the engine.
+	syms *history.Symbols
 
 	strategy storage.Strategy
 }
@@ -74,6 +78,7 @@ func New(o *org.Model) *Engine {
 		insts:    make(map[string]*Instance),
 		orderPos: make(map[string]int),
 		blocks:   make(map[*model.Schema]*graph.Info),
+		syms:     history.NewSymbols(),
 		strategy: storage.Hybrid,
 	}
 }

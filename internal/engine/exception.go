@@ -30,8 +30,12 @@ func (inst *Instance) failLocked(node, user, reason string, retryAt int64, pendi
 	if inst.suspended {
 		return fault.Tagf(fault.Suspended, "engine: fail %s/%s: instance is suspended", inst.id, node)
 	}
-	if _, _, err := inst.viewLocked(); err != nil {
+	v, _, err := inst.viewLocked()
+	if err != nil {
 		return err
+	}
+	if n, ok := v.Node(node); ok {
+		node = n.ID // as in startLocked; a node the view lacks is not running
 	}
 	if got := inst.marking.Node(node); got != state.Running {
 		return fault.Tagf(fault.Conflict, "engine: fail %s/%s: node is %s, not running", inst.id, node, got)
@@ -84,6 +88,7 @@ func (inst *Instance) timeoutLocked(node string) error {
 	if !ok {
 		return fault.Tagf(fault.NotFound, "engine: timeout %s/%s: no such node", inst.id, node)
 	}
+	node = n.ID // as in startLocked
 	if got := inst.marking.Node(node); got != state.Running {
 		return fault.Tagf(fault.Conflict, "engine: timeout %s/%s: node is %s, not running", inst.id, node, got)
 	}

@@ -87,6 +87,7 @@ func (inst *Instance) startLocked(node, user string, at int64) error {
 	if !ok {
 		return fault.Tagf(fault.NotFound, "engine: start %s/%s: no such node", inst.id, node)
 	}
+	node = n.ID // what the instance keeps is the schema's string, not the command's
 	if got := inst.marking.Node(node); got != state.Activated {
 		return fault.Tagf(fault.Conflict, "engine: start %s/%s: node is %s, not activated", inst.id, node, got)
 	}
@@ -105,6 +106,7 @@ func (inst *Instance) startLocked(node, user string, at int64) error {
 	if err := inst.marking.Start(node); err != nil {
 		return err
 	}
+	// The event is read by Append, not kept: it stays on the stack.
 	e := inst.hist.Append(&history.Event{Kind: history.Started, Node: node, User: user, Values: reads, Decision: -1, At: at})
 	inst.stats.OnStart(node, int(e.Seq))
 	// A fresh start clears any pending retry/compensation left from a
@@ -200,6 +202,7 @@ func (inst *Instance) completeCoreLocked(node, user string, outputs map[string]a
 	if !ok {
 		return fault.Tagf(fault.NotFound, "engine: complete %s/%s: no such node", inst.id, node)
 	}
+	node = n.ID // as in startLocked
 	if got := inst.marking.Node(node); got != state.Running {
 		return fault.Tagf(fault.Conflict, "engine: complete %s/%s: node is %s, not running", inst.id, node, got)
 	}

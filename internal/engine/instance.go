@@ -32,7 +32,7 @@ type Instance struct {
 
 	blocks    *graph.Info // block analysis of the cached view (nil for on-the-fly biased instances)
 	marking   *state.Marking
-	hist      *history.Log
+	hist      history.Log // by value: one allocation and one pointer fewer per instance
 	stats     *history.Stats
 	store     *data.Store
 	loopIter  map[string]int // loop end ID -> completed iterations; nil until a loop iterates
@@ -69,7 +69,7 @@ func newInstance(e *Engine, id string, base *model.Schema, strat storage.Strateg
 		base:     base,
 		strategy: strat,
 		marking:  state.NewMarking(base),
-		hist:     history.NewLog(),
+		hist:     *e.syms.NewLog(),
 		stats:    history.NewStatsFor(base.Topology()),
 		store:    data.NewStore(),
 	}
@@ -166,14 +166,14 @@ func (inst *Instance) HistoryLen() int {
 func (inst *Instance) HistoryEvents() []*history.Event {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
-	return inst.hist.Clone().Events()
+	return inst.hist.Clone().Events().Decode(nil)
 }
 
 // MineView is the under-lock view of one instance handed to a
 // MineHistory visitor: identity, state flags, the physical history, and
-// its logical (loop/failure-purged) reduction. Both event slices alias
-// live engine state — the visitor must fold what it needs and return
-// without retaining any pointer past the call.
+// its logical (loop/failure-purged) reduction. Both event slices are the
+// scan's scratch, decoded from live engine state — the visitor must fold
+// what it needs and return without retaining any pointer past the call.
 type MineView struct {
 	ID       string
 	TypeName string
@@ -183,31 +183,33 @@ type MineView struct {
 
 	// Events is the physical history (every Started/Completed/Failed/
 	// Timeout marker); Reduced is the logical history per
-	// history.ReduceInto — superseded loop iterations and failed
+	// history.Reduce — superseded loop iterations and failed
 	// attempts purged, Timeout markers dropped.
 	Events  []*history.Event
 	Reduced []*history.Event
 }
 
+// MineScratch is the caller-owned memory a scan's histories are decoded
+// into, one instance after the other. The zero value is ready.
+type MineScratch struct {
+	events  []*history.Event // what Cursor.Decode reads into, and grows
+	reduced []*history.Event // the same events again, for ReduceInPlace to reorder
+}
+
 // MineHistory runs visit over the instance's history under the instance
-// lock, folding into caller-owned memory: the reduction reuses buf
-// (grown as needed) and the returned slice is buf's latest incarnation,
-// to be passed back in on the next instance. One buffer thus serves a
-// whole scan batch — the mining layer's bounded-memory invariant — and
-// the events' intern memos stay single-goroutine (they mutate lazily
-// during reduction, which is why the visitor must run inside the lock
-// rather than on a returned copy).
-func (inst *Instance) MineHistory(buf []*history.Event, visit func(MineView)) []*history.Event {
+// lock, folding into caller-owned memory: the history is decoded into the
+// scratch and reduced there. One scratch thus serves a whole scan batch —
+// the mining layer's bounded-memory invariant — and allocates nothing
+// once it has seen the longest history.
+func (inst *Instance) MineHistory(sc *MineScratch, visit func(MineView)) {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
-	events := inst.hist.Events()
-	reduced := events
+	sc.events = inst.hist.Events().Decode(sc.events)
+	sc.reduced = append(sc.reduced[:0], sc.events...)
+	// A view that cannot materialize (broken bias) still gets mined: the
+	// physical history stands in for the reduction.
 	if _, info, err := inst.viewLocked(); err == nil {
-		reduced = history.ReduceInto(info, events, buf)
-	} else {
-		// A view that cannot materialize (broken bias) still gets mined:
-		// the physical history stands in for the reduction.
-		reduced = append(buf[:0], events...)
+		sc.reduced = history.ReduceInPlace(info, sc.reduced)
 	}
 	visit(MineView{
 		ID:       inst.id,
@@ -215,10 +217,9 @@ func (inst *Instance) MineHistory(buf []*history.Event, visit func(MineView)) []
 		Version:  inst.version,
 		Biased:   len(inst.biasOps) > 0,
 		Done:     inst.done,
-		Events:   events,
-		Reduced:  reduced,
+		Events:   sc.events,
+		Reduced:  sc.reduced,
 	})
-	return reduced
 }
 
 // StatsSnapshot returns a copy of the per-node execution index.
@@ -305,19 +306,27 @@ type StorageFootprint struct {
 	// schema: the substitution block (hybrid), the full copy, or the
 	// recorded operations (on-the-fly).
 	BiasBytes int
-	// StateBytes covers the instance record, marking, history, execution
-	// index and data versions: each structure from its size and the
-	// capacities it actually holds, so the sum over a population is its
-	// live heap to within the allocator's size-class rounding.
+	// StateBytes covers the instance record and its entries in the
+	// engine's indexes, marking, history, execution index and data
+	// versions: each structure from its size and the capacities it
+	// actually holds, so the sum over a population is its live heap to
+	// within the allocator's size-class rounding.
 	StateBytes int
 }
+
+// engineIndexBytes is what the engine's three ID-keyed indexes hold per
+// instance beside the ID's own bytes: the creation-order entry (a string
+// header) and an entry in each of two maps (a string header, a word and a
+// control byte, at the maps' 7/8 load).
+const engineIndexBytes = 16 + 2*(16+8+1)*8/7
 
 // Footprint returns the instance's storage footprint.
 func (inst *Instance) Footprint() StorageFootprint {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
 	f := StorageFootprint{
-		StateBytes: int(unsafe.Sizeof(*inst)) + inst.marking.ApproxBytes() + inst.hist.ApproxBytes() + inst.stats.ApproxBytes() + inst.store.ApproxBytes(),
+		StateBytes: int(unsafe.Sizeof(*inst)) + (len(inst.id)+7)&^7 + engineIndexBytes +
+			inst.marking.ApproxBytes() + inst.hist.ApproxBytes() + inst.stats.ApproxBytes() + inst.store.ApproxBytes(),
 	}
 	switch {
 	case inst.overlay != nil:
@@ -424,7 +433,7 @@ func (mx *Mutable) Marking() *state.Marking { return mx.inst.marking }
 func (mx *Mutable) Stats() *history.Stats { return mx.inst.stats }
 
 // History exposes the live history log.
-func (mx *Mutable) History() *history.Log { return mx.inst.hist }
+func (mx *Mutable) History() *history.Log { return &mx.inst.hist }
 
 // Store exposes the live data store.
 func (mx *Mutable) Store() *data.Store { return mx.inst.store }

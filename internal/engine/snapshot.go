@@ -154,7 +154,7 @@ func (e *Engine) RestoreInstance(snap *InstanceSnapshot, bias []BiasOp) error {
 	inst.marking = m
 	inst.stats = history.ImportStats(v.Topology(), snap.Stats)
 	if snap.History != nil {
-		inst.hist = snap.History
+		inst.hist = *snap.History.In(e.syms)
 	}
 	if snap.Store != nil {
 		inst.store = snap.Store

@@ -6,20 +6,69 @@
 //
 // # What an event costs
 //
-// The history is two thirds of what an instance holds in memory (root
-// doc.go, "Memory budget"), so an Event is laid out to fit the allocator's
-// 96-byte size class and TestEventSize pins it there: sequence number,
-// decision and intern memo are 32-bit, and the values a Started event read
-// or a Completed event wrote — an event never has both — share one
-// data.Values field, a sorted slice (package data says why it is not a
-// map). The JSON an event writes and reads is unchanged from the
-// struct-and-two-maps form it replaced; FuzzLogJSON holds the hand-written
-// encoder to encoding/json's output for that form.
+// The history was two thirds of what an instance held in memory while
+// every event was a 96 B heap object behind a pointer slice. Only
+// compliance replay, mining, the snapshot encoder and HistoryEvents ever
+// read it, always whole and from the front, so a Log stores an event as
+// one record of a byte slice and hands it out decoded. A record is, byte
+// by byte:
+//
+//	flags     1 byte: bits 0–1 the kind (Started … Timeout), bit 2 Again,
+//	          bit 3 a user follows, bit 4 a timestamp, bit 5 a decision,
+//	          bit 6 a value count, bit 7 the two rare members
+//	kind      1 byte, with bit 7: the kind again, which may then be none
+//	          of the four (a decoded snapshot may hold one)
+//	node      uvarint: the node ID's symbol
+//	user      uvarint: the user's symbol; absent for the empty user
+//	at        zigzag varint: At minus the At of the last stamped event
+//	          before this one (minus 0 for the first), wrapping; absent
+//	          when At is 0
+//	decision  zigzag varint; absent when Decision is -1
+//	reason    uvarint length and the bytes, with bit 7: set when there is
+//	          a reason — a Failed or a Timeout event — or an unknown kind
+//	values    uvarint count of the event's bindings, which are the next
+//	          that many of the log's one []data.Binding, in event order;
+//	          absent when the event has none
+//
+// The event of an automatic node is two bytes, a stamped user event six to
+// nine (thirteen for the first, whose timestamp has nothing to count
+// from); the 16 events of an online-order lifecycle take about 100 bytes
+// (TestEventSize pins the mean at 10) in one allocation that doubles from
+// 32 B. Seq is not stored: it is the record's position plus one. The JSON
+// a log writes and reads is that of the struct-and-two-maps form of the
+// first journals: FuzzLogJSON holds the hand-written encoder to
+// encoding/json's output for that form, FuzzPackedLog the records to the
+// Event struct field for field.
+//
+// # The symbol table
+//
+// Node IDs and user names are kept once, in a Symbols table, and a record
+// names them by number. An engine owns one table for all its instances —
+// it dies with the engine, there is no package-level state — so it holds
+// the distinct node IDs and user names that engine has recorded, strings
+// its schemas, overlays and org model hold anyway, and never shrinks.
+// Symbols are process-local: no journal or snapshot byte contains one. A
+// log decoded from JSON, or made by NewLog, has a table of its own until
+// Log.In moves it onto an engine's (engine.RestoreInstance).
+//
+// # Reading a log
+//
+// Log.Events returns a Cursor, and Cursor.Next decodes one event into an
+// Event the caller owns: the struct is now only that decode target. Its
+// strings are the table's and its Values alias the log's binding list;
+// both are immutable once written, so a decoded event outlives appends to
+// its log, but bindings must not be written through it. Readers that want
+// a slice pass Cursor.Decode or ReduceInto a buffer, and pass the result
+// back in as the next call's: the Events a buffer points to — behind its
+// length too — are the decode targets of the next call, so a scan over a
+// population allocates nothing once its buffer has seen the longest
+// history, and a result is valid exactly until its buffer goes back in.
 package history
 
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"unsafe"
@@ -66,9 +115,12 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Event is one entry of the execution history. The fields are ordered by
-// size so the struct has no interior padding (see TestEventSize); the JSON
-// form is written and read by appendJSON and eventWire.
+// Event is one entry of the execution history as a reader sees it: a Log
+// stores records (package documentation) and decodes them into Events the
+// caller owns, and Append reads one without keeping it. The fields are
+// ordered by size so the struct has no interior padding (see
+// TestEventSize); the JSON form is written and read by appendJSON and
+// eventWire.
 type Event struct {
 	// Node is the schema node the event belongs to.
 	Node string
@@ -94,17 +146,6 @@ type Event struct {
 	// Decision is the selection code chosen by a completed XOR split
 	// (-1 when not applicable).
 	Decision int32
-
-	// Intern memo: Node's dense index in the topology that last reduced
-	// the event. ReduceInto trusts it only where topo.ID(idx) == Node — a
-	// pointer compare when the ID is the schema's own string, and never a
-	// false hit, so the memo needs no topology pointer beside it — and
-	// refreshes it otherwise, so repeated reductions against one topology
-	// (every compliance decision of an instance) intern each event once.
-	// Events are owned by one goroutine at a time (the engine reduces
-	// under the instance lock; snapshots are per-caller clones), so the
-	// memo needs no synchronization.
-	idx model.NodeIdx
 
 	// Kind is Started, Completed, Failed or Timeout.
 	Kind Kind
@@ -239,111 +280,6 @@ func (e *Event) UnmarshalJSON(b []byte) error {
 	return w.event(e)
 }
 
-// Log is an append-only execution history. Sequence numbers are positions:
-// the event at index i has Seq i+1.
-type Log struct {
-	events []*Event
-}
-
-// NewLog returns an empty history.
-func NewLog() *Log { return &Log{} }
-
-// Append adds an event, assigning it the next sequence number, and returns
-// the event.
-func (l *Log) Append(e *Event) *Event {
-	e.Seq = int32(l.NextSeq())
-	l.events = append(l.events, e)
-	return e
-}
-
-// Events returns the full physical history in order. Callers must not
-// mutate the returned slice.
-func (l *Log) Events() []*Event { return l.events }
-
-// Len returns the number of events.
-func (l *Log) Len() int { return len(l.events) }
-
-// NextSeq returns the sequence number the next event will receive.
-func (l *Log) NextSeq() int { return len(l.events) + 1 }
-
-// Clone returns a deep copy of the log.
-func (l *Log) Clone() *Log {
-	events, block := newEvents(len(l.events))
-	for i, e := range l.events {
-		block[i] = *e
-		block[i].Values = e.Values.Clone()
-	}
-	return &Log{events: events}
-}
-
-// newEvents returns n zero events allocated as one block, and the pointer
-// slice a Log holds them by. A cloned or decoded history lives and dies as
-// a whole — a checkpoint clones every history and recovery decodes every
-// one — so it costs two allocations, not one per event.
-func newEvents(n int) ([]*Event, []Event) {
-	block := make([]Event, n)
-	events := make([]*Event, n)
-	for i := range block {
-		events[i] = &block[i]
-	}
-	return events, block
-}
-
-// ApproxBytes returns the memory the history holds: the log, its pointer
-// slice and every value set from their sizes and the capacities actually
-// allocated, plus the bytes of the strings the events keep alive.
-func (l *Log) ApproxBytes() int {
-	total := int(unsafe.Sizeof(*l)) + cap(l.events)*int(unsafe.Sizeof((*Event)(nil)))
-	for _, e := range l.events {
-		total += int(unsafe.Sizeof(*e)) + len(e.Node) + len(e.User) + len(e.Reason) + e.Values.ApproxBytes()
-	}
-	return total
-}
-
-// MarshalJSON implements json.Marshaler: the array of the events' objects.
-func (l *Log) MarshalJSON() ([]byte, error) {
-	if l.events == nil {
-		return []byte("null"), nil // as encoding/json writes a nil slice
-	}
-	b := make([]byte, 0, 64+96*len(l.events))
-	b = append(b, '[')
-	for i, e := range l.events {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		var err error
-		if b, err = e.appendJSON(b); err != nil {
-			return nil, err
-		}
-	}
-	return append(b, ']'), nil
-}
-
-// UnmarshalJSON implements json.Unmarshaler. A log whose sequence numbers
-// are not 1…n in order was not written by this package (Seq is the
-// position; nothing ever removes an event) and is refused, not renumbered.
-func (l *Log) UnmarshalJSON(b []byte) error {
-	var wire []eventWire
-	if err := json.Unmarshal(b, &wire); err != nil {
-		return fmt.Errorf("history: unmarshal log: %w", err)
-	}
-	if wire == nil {
-		l.events = nil // JSON null, which is what an empty log marshals to
-		return nil
-	}
-	events, block := newEvents(len(wire))
-	for i := range wire {
-		if int(wire[i].Seq) != i+1 {
-			return fmt.Errorf("history: unmarshal log: event %d has sequence number %d, want %d", i, wire[i].Seq, i+1)
-		}
-		if err := wire[i].event(&block[i]); err != nil {
-			return err
-		}
-	}
-	l.events = events
-	return nil
-}
-
 // Reduce computes the logical execution history: every loop iteration that
 // was superseded by a later one is purged. Concretely, whenever a loop end
 // completes with Again=true, all prior events of nodes inside that loop's
@@ -355,45 +291,33 @@ func (l *Log) UnmarshalJSON(b []byte) error {
 // paper's loop-tolerant compliance view.
 //
 // info must be the block analysis of the same schema view the events were
-// recorded on.
+// recorded on; events is a full history in order, and is left as it was.
 func Reduce(info *graph.Info, events []*Event) []*Event {
-	return ReduceInto(info, events, nil)
+	return ReduceInPlace(info, slices.Clone(events))
 }
 
-// ReduceInto is Reduce with a caller-provided result buffer: the reduction
-// appends into buf[:0] and returns the (possibly re-grown) slice, so loops
-// that reduce many histories (population migration workers) reuse one
-// allocation instead of growing a fresh slice per instance.
+// ReduceInPlace is Reduce within the caller's own slice: events is
+// reordered so that the survivors come first, still in order, and that
+// prefix is returned; the purged events stay behind it, in no order.
 //
-// The reduction is a single backward pass over interned indices: scanning
-// from the youngest event, an iterating loop-end completion activates its
-// block's region bitset (Block.RegionBits), and every older event whose
-// interned node lies in the active union is dropped. Properly nested loop
-// blocks make this equivalent to the forward purge-on-Again formulation
-// (reduceForward in history_test.go, the differential reference): an
-// older Again inside an active region is itself dropped, and its region
-// is a subset of the active one. Per event the pass costs one intern plus one bit probe —
-// no per-purge rescans of the retained slice.
-func ReduceInto(info *graph.Info, events []*Event, buf []*Event) []*Event {
-	topo := info.Topology() // never nil: graph.Analyze returns no Info without one
-	if buf == nil {
-		buf = make([]*Event, 0, 16)
-	}
-	out := buf[:0]
+// The reduction is a single backward pass: scanning from the youngest
+// event, an iterating loop-end completion activates its block's region
+// bitset (Block.RegionBits), and every older event whose node lies in the
+// active union is dropped. Properly nested loop blocks make this
+// equivalent to the forward purge-on-Again formulation (reduceForward in
+// history_test.go, the differential reference): an older Again inside an
+// active region is itself dropped, and its region is a subset of the
+// active one. A node is looked up only once a region is active.
+func ReduceInPlace(info *graph.Info, events []*Event) []*Event {
+	topo := info.Topology()        // never nil: graph.Analyze returns no Info without one
 	var active bitset.Set          // lazily sized union of activated region bitsets
 	var failedAhead map[string]int // per node: Failed events seen younger, Started not yet matched
+	// The pass collects the survivors, in order, at events[w:].
+	w := len(events)
 	for i := len(events) - 1; i >= 0; i-- {
 		e := events[i]
 		if active != nil {
-			n := e.idx
-			if uint32(n) >= uint32(topo.NumNodes()) || topo.ID(n) != e.Node {
-				if j, ok := topo.Idx(e.Node); ok {
-					n, e.idx = j, j
-				} else {
-					n = model.InvalidNode
-				}
-			}
-			if n != model.InvalidNode && active.Has(int(n)) {
+			if n, ok := topo.Idx(e.Node); ok && active.Has(int(n)) {
 				continue // inside an iterated loop's region: purged
 			}
 		}
@@ -410,7 +334,7 @@ func ReduceInto(info *graph.Info, events []*Event, buf []*Event) []*Event {
 			failedAhead[e.Node]++
 			continue
 		case Started:
-			if failedAhead[e.Node] > 0 {
+			if failedAhead != nil && failedAhead[e.Node] > 0 {
 				failedAhead[e.Node]--
 				continue
 			}
@@ -424,13 +348,25 @@ func ReduceInto(info *graph.Info, events []*Event, buf []*Event) []*Event {
 				continue // the iterating completion itself is purged
 			}
 		}
-		out = append(out, e)
+		w--
+		events[i], events[w] = events[w], events[i] // events[i+1:w] are all purged
 	}
-	// The backward pass collected survivors youngest-first; restore order.
-	for l, r := 0, len(out)-1; l < r; l, r = l+1, r-1 {
-		out[l], out[r] = out[r], out[l]
+	// Walk each survivor down over the w purged events before it.
+	if w > 0 {
+		for k := w; k < len(events); k++ {
+			events[k-w], events[k] = events[k], events[k-w]
+		}
 	}
-	return out
+	return events[:len(events)-w]
+}
+
+// ReduceInto is Reduce over a log, decoded into the caller's scratch
+// (Cursor.Decode) and reduced there: the result is a prefix of buf, with
+// its capacity, valid until it or buf is passed to another call. Loops
+// that reduce many histories (population migration workers, a mining scan)
+// pass each result back in and stop allocating.
+func ReduceInto(info *graph.Info, events Cursor, buf []*Event) []*Event {
+	return ReduceInPlace(info, events.Decode(buf))
 }
 
 // Stats is the per-node execution index an instance maintains alongside

@@ -2,10 +2,12 @@ package history
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
-	"unsafe"
 
 	"adept2/internal/data"
 	"adept2/internal/graph"
@@ -49,8 +51,8 @@ func TestLogCloneIsDeep(t *testing.T) {
 	l := NewLog()
 	l.Append(&Event{Kind: Completed, Node: "a", Values: data.Values{{Name: "d", Value: int64(1)}}})
 	c := l.Clone()
-	c.Events()[0].Values.Set("d", int64(99))
-	if v, _ := l.Events()[0].Writes().Get("d"); v != int64(1) {
+	c.Events().Decode(nil)[0].Values.Set("d", int64(99))
+	if v, _ := l.Events().Decode(nil)[0].Writes().Get("d"); v != int64(1) {
 		t.Fatal("clone shares write sets")
 	}
 	c.Append(&Event{Kind: Started, Node: "b"})
@@ -74,7 +76,7 @@ func TestLogJSONRoundTrip(t *testing.T) {
 	if back.Len() != 2 || back.NextSeq() != 3 {
 		t.Fatalf("round trip: len=%d next=%d", back.Len(), back.NextSeq())
 	}
-	if back.Events()[1].Decision != 2 {
+	if back.Events().Decode(nil)[1].Decision != 2 {
 		t.Fatal("decision lost")
 	}
 	if err := json.Unmarshal([]byte("{"), &back); err == nil {
@@ -104,7 +106,7 @@ func TestReduceDropsSupersededIterations(t *testing.T) {
 	l.Append(&Event{Kind: Started, Node: "w"})
 	l.Append(&Event{Kind: Completed, Node: "w"})
 
-	red := Reduce(info, l.Events())
+	red := ReduceInto(info, l.Events(), nil)
 	// Expected: pre(2) + final iteration so far (ls started/completed, w
 	// started/completed) = 6 events.
 	if len(red) != 6 {
@@ -125,7 +127,7 @@ func TestReduceKeepsNonLoopHistory(t *testing.T) {
 	l := NewLog()
 	l.Append(&Event{Kind: Started, Node: "pre"})
 	l.Append(&Event{Kind: Completed, Node: "pre"})
-	red := Reduce(info, l.Events())
+	red := ReduceInto(info, l.Events(), nil)
 	if len(red) != 2 {
 		t.Fatalf("reduce must keep all non-loop events, got %d", len(red))
 	}
@@ -186,24 +188,27 @@ func reduceForward(info *graph.Info, events []*Event, buf []*Event) []*Event {
 	return out
 }
 
-// TestReduceBackwardMatchesForward: the backward interned single-pass
-// reduction is stream-for-stream identical to the forward purge-on-Again
-// formulation, on randomized event streams over a schema with nested
-// loops (including streams that are not valid executions — both
-// formulations only inspect Kind/Again/Node). The generator also emits
-// Failed and Timeout events, pinning the attempt-purge bookkeeping of
-// both passes against each other.
+// TestReduceBackwardMatchesForward: the backward single-pass reduction,
+// run in place over a decoded log, is stream-for-stream identical to the
+// forward purge-on-Again formulation, on randomized event streams over a
+// schema with nested loops (including streams that are not valid
+// executions — both formulations only inspect Kind/Again/Node). The
+// generator also emits Failed and Timeout events, pinning the attempt-purge
+// bookkeeping of both passes against each other. The two sides decode the
+// log separately, so events are compared by sequence number; and the
+// purged events stay in the buffer behind the result, each exactly once,
+// which is what lets the next call decode into them.
 func TestReduceBackwardMatchesForward(t *testing.T) {
 	_, info, ids := nestedLoopSchema(t)
 	if info.Topology() == nil {
 		t.Fatal("analysis must capture the topology snapshot")
 	}
+	var buf []*Event
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(80)
-		events := make([]*Event, n)
-		for i := range events {
-			e := &Event{Seq: int32(i + 1), Node: ids[rng.Intn(len(ids))]}
+		l := NewLog()
+		for i, n := 0, rng.Intn(80); i < n; i++ {
+			e := Event{Node: ids[rng.Intn(len(ids))], Decision: -1}
 			switch rng.Intn(6) {
 			case 0, 1, 2:
 				e.Kind = Completed
@@ -215,17 +220,25 @@ func TestReduceBackwardMatchesForward(t *testing.T) {
 			default:
 				e.Kind = Started
 			}
-			events[i] = e
+			l.Append(&e)
 		}
-		got := ReduceInto(info, events, nil)
-		want := reduceForward(info, events, nil)
+		buf = ReduceInto(info, l.Events(), buf)
+		got := buf
+		want := reduceForward(info, l.Events().Decode(nil), nil)
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: backward %d events, forward %d", seed, len(got), len(want))
 		}
 		for i := range got {
-			if got[i] != want[i] {
+			if !reflect.DeepEqual(got[i], want[i]) { // by value: the two sides decoded the log separately
 				t.Fatalf("seed %d: event %d differs: %v vs %v", seed, i, got[i], want[i])
 			}
+		}
+		seen := make(map[int32]bool)
+		for _, e := range got[:l.Len()] {
+			if e == nil || seen[e.Seq] {
+				t.Fatalf("seed %d: the buffer behind the result does not hold every event once: %v", seed, got[:l.Len()])
+			}
+			seen[e.Seq] = true
 		}
 		return true
 	}
@@ -250,7 +263,7 @@ func TestReducePurgesFailedAttempts(t *testing.T) {
 	l.Append(&Event{Kind: Started, Node: "pre"})
 	l.Append(&Event{Kind: Completed, Node: "pre"})
 
-	red := Reduce(info, l.Events())
+	red := ReduceInto(info, l.Events(), nil)
 	if len(red) != 2 {
 		t.Fatalf("reduced length = %d, want the surviving Started/Completed pair: %v", len(red), red)
 	}
@@ -265,17 +278,25 @@ func TestReducePurgesFailedAttempts(t *testing.T) {
 }
 
 // TestReduceIntoReusesBuffer: the result lives in the caller's buffer when
-// it has capacity.
+// it has capacity, and in the events a previous result left there.
 func TestReduceIntoReusesBuffer(t *testing.T) {
 	_, info, _, _ := loopSchema(t)
-	events := []*Event{
-		{Seq: 1, Kind: Started, Node: "pre"},
-		{Seq: 2, Kind: Completed, Node: "pre"},
-	}
+	l := NewLog()
+	l.Append(&Event{Kind: Started, Node: "pre"})
+	l.Append(&Event{Kind: Completed, Node: "pre"})
 	buf := make([]*Event, 0, 32)
-	out := ReduceInto(info, events, buf)
+	out := ReduceInto(info, l.Events(), buf)
 	if len(out) != 2 || cap(out) != cap(buf) || &out[0] != &buf[:1][0] {
 		t.Fatalf("buffer not reused: len=%d cap=%d", len(out), cap(out))
+	}
+	if out[0].Seq != 1 || out[1].Seq != 2 || out[1].Kind != Completed || out[1].Node != "pre" {
+		t.Fatalf("wrong events: %v", out)
+	}
+	first, second := out[0], out[1]
+	l.Append(&Event{Kind: Started, Node: "post"})
+	again := ReduceInto(info, l.Events(), out)
+	if len(again) != 3 || again[0] != first || again[1] != second || &again[0] != &buf[:1][0] {
+		t.Fatalf("second pass did not decode into the first's events: %v", again)
 	}
 }
 
@@ -461,23 +482,44 @@ func TestStatsRebindPooledMatchesRebind(t *testing.T) {
 	}
 }
 
-// TestEventSize pins the two per-instance records of this package to their
-// allocator size classes: an Event fits 96 B (it was 120 B in the 128 B
-// class, and the history is two thirds of an instance), a NodeStat is three
-// 32-bit numbers. A field that pushes either over fails here with the
-// layout, before it shows as heap_bytes_per_inst.
-func TestEventSize(t *testing.T) {
-	var e Event
-	if got := unsafe.Sizeof(e); got > 96 {
-		t.Errorf("Event is %d B, over the 96 B size class: Node@%d User@%d Reason@%d Values@%d At@%d Seq@%d Decision@%d idx@%d Kind@%d Again@%d",
-			got, unsafe.Offsetof(e.Node), unsafe.Offsetof(e.User), unsafe.Offsetof(e.Reason), unsafe.Offsetof(e.Values),
-			unsafe.Offsetof(e.At), unsafe.Offsetof(e.Seq), unsafe.Offsetof(e.Decision), unsafe.Offsetof(e.idx),
-			unsafe.Offsetof(e.Kind), unsafe.Offsetof(e.Again))
+// TestSymbolsConcurrent: goroutines that append to logs of one table —
+// each interning strings the others have and strings only it has — while
+// they decode their own logs read back exactly what they appended. Run
+// under the race detector this is the check that a decoder needs no lock:
+// the names slice it loaded is never written where it reads.
+func TestSymbolsConcurrent(t *testing.T) {
+	syms := NewSymbols()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			l := syms.NewLog()
+			var want []string
+			var e Event
+			for i := 0; i < 300; i++ {
+				node := fmt.Sprintf("shared-%d", i%40)
+				if i%3 == 0 {
+					node = fmt.Sprintf("own-%d-%d", g, i)
+				}
+				want = append(want, node)
+				l.Append(&Event{Kind: Started, Node: node, User: fmt.Sprintf("user-%d", i%7), Decision: -1})
+				if i%25 != 0 {
+					continue
+				}
+				k := 0
+				for c := l.Events(); c.Next(&e); k++ {
+					if e.Node != want[k] || e.User != fmt.Sprintf("user-%d", k%7) {
+						t.Errorf("goroutine %d: event %d decodes to %q by %q, appended %q", g, k, e.Node, e.User, want[k])
+						return
+					}
+				}
+				if k != len(want) {
+					t.Errorf("goroutine %d: decoded %d events, appended %d", g, k, len(want))
+					return
+				}
+			}
+		}(g)
 	}
-	var st NodeStat
-	if got := unsafe.Sizeof(st); got > 12 {
-		t.Errorf("NodeStat is %d B, over 12: StartSeq@%d CompleteSeq@%d Decision@%d",
-			got, unsafe.Offsetof(st.StartSeq), unsafe.Offsetof(st.CompleteSeq), unsafe.Offsetof(st.Decision))
-	}
-	t.Logf("Event %d B, NodeStat %d B, data.Binding %d B", unsafe.Sizeof(e), unsafe.Sizeof(st), unsafe.Sizeof(data.Binding{}))
+	wg.Wait()
 }

@@ -108,8 +108,8 @@ func TestFingerprintDifferential(t *testing.T) {
 	dirty.Append(&history.Event{Kind: history.Started, Node: "c"})
 	dirty.Append(&history.Event{Kind: history.Completed, Node: "c"})
 
-	fpClean := Fingerprint(history.Reduce(info, clean.Events()))
-	redDirty := history.Reduce(info, dirty.Events())
+	fpClean := Fingerprint(history.ReduceInto(info, clean.Events(), nil))
+	redDirty := history.ReduceInto(info, dirty.Events(), nil)
 	fpDirty := Fingerprint(redDirty)
 	if fpClean != fpDirty {
 		t.Fatalf("fail/timeout/retry leaked into the fingerprint: clean %016x, dirty %016x (reduced: %v)",
@@ -123,7 +123,7 @@ func TestFingerprintDifferential(t *testing.T) {
 	short := history.NewLog()
 	short.Append(&history.Event{Kind: history.Started, Node: "a"})
 	short.Append(&history.Event{Kind: history.Completed, Node: "a"})
-	if Fingerprint(history.Reduce(info, short.Events())) == fpClean {
+	if Fingerprint(history.ReduceInto(info, short.Events(), nil)) == fpClean {
 		t.Fatal("distinct paths collapsed to one fingerprint")
 	}
 }

@@ -74,7 +74,7 @@ func undo(inst *engine.Instance, count int) error {
 		if err != nil {
 			return err
 		}
-		reduced := history.Reduce(curBlocks, mx.History().Events())
+		reduced := history.ReduceInto(curBlocks, mx.History().Events(), nil)
 		info, err := graph.Analyze(trial)
 		if err != nil {
 			return err

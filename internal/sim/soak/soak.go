@@ -48,7 +48,6 @@ import (
 
 	"adept2"
 	"adept2/internal/engine"
-	"adept2/internal/history"
 	"adept2/internal/mining"
 	"adept2/internal/model"
 	"adept2/internal/obs"
@@ -901,9 +900,9 @@ func (r *runner) checkMining(ctx context.Context) error {
 	}
 	want := make(map[string]int64)
 	var done, biased int64
-	var buf []*history.Event
+	var sc engine.MineScratch
 	for _, inst := range insts {
-		buf = inst.MineHistory(buf, func(v engine.MineView) {
+		inst.MineHistory(&sc, func(v engine.MineView) {
 			want[fmt.Sprintf("%016x", mining.Fingerprint(v.Reduced))]++
 			if v.Done {
 				done++

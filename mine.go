@@ -5,7 +5,6 @@ import (
 
 	"adept2/internal/durable/sharded"
 	"adept2/internal/engine"
-	"adept2/internal/history"
 	"adept2/internal/mining"
 )
 
@@ -33,7 +32,7 @@ type MineOptions struct {
 // batches: each InstancesPage walk holds snapMu shared (like any data
 // command — writers are not blocked), folds every instance of the
 // batch inside that instance's own lock via engine.MineHistory with a
-// single shared reduction buffer, then releases the barrier before
+// single shared decode scratch, then releases the barrier before
 // paging on. Instances created while the scan is in flight may or may
 // not be included (cursor semantics); each included instance's history
 // is internally consistent because the fold runs under its lock.
@@ -54,9 +53,9 @@ func (s *System) Mine(ctx context.Context, opts MineOptions) (*mining.Report, er
 	}
 
 	shards := s.NumShards()
-	// One visitor closure and one reduction buffer serve the whole scan,
+	// One visitor closure and one decode scratch serve the whole scan,
 	// so the steady-state fold allocates nothing per instance.
-	var buf []*history.Event
+	var sc engine.MineScratch
 	var shard int
 	visit := func(v engine.MineView) { m.Observe(v, shard) }
 	for cursor := ""; ; {
@@ -67,7 +66,7 @@ func (s *System) Mine(ctx context.Context, opts MineOptions) (*mining.Report, er
 		insts, next := s.eng.InstancesPage(cursor, opts.BatchSize)
 		for _, inst := range insts {
 			shard = sharded.ShardOf(inst.ID(), shards)
-			buf = inst.MineHistory(buf, visit)
+			inst.MineHistory(&sc, visit)
 		}
 		s.snapMu.RUnlock()
 		if next == "" {
