@@ -2,6 +2,7 @@ package adept2_test
 
 import (
 	"context"
+	"encoding/json"
 	"runtime"
 	"testing"
 
@@ -163,6 +164,43 @@ func TestSubmitAllocationBudget(t *testing.T) {
 				t.Errorf("%s through %s allocates %.2f objects per command, pinned at %g (+1)",
 					k.kind, p.name, perCmd, p.pinned)
 			}
+		}
+	}
+}
+
+// TestDecodeWireCommandAllocations pins what decoding a flat command
+// costs — on the wire, and at recovery, which replays every record through
+// the same decoder: the command and its strings. The args are as the
+// journal writes them: a start carries the time the live path stamped, 19
+// digits, and an integer reader that gave up at 18 would send every
+// replayed record to the reference after the plain attempt (11 allocations
+// where encoding/json alone makes 8; this is the shape that shows it). A
+// completion with outputs is the reference's, and must cost it nothing
+// extra.
+func TestDecodeWireCommandAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not reproducible under the race detector")
+	}
+	for _, c := range []struct {
+		op, args string
+		bound    float64
+	}{
+		{"start", `{"instance":"inst-000001","node":"collect_data","user":"ann","at":1700000000000000000}`, 4},
+		{"complete", `{"instance":"inst-000001","node":"collect_data","user":"ann","at":1700000000000000000}`, 4},
+		{"create", `{"type":"online_order","version":0}`, 2},
+		{"create", `{"type":"online_order","version":0,"id":"inst-000001"}`, 3}, // the record: the assigned ID is one string more
+		{"suspend", `{"instance":"inst-000001","resume":true}`, 3},
+		{"complete", `{"instance":"inst-000001","node":"get_order","user":"ann","outputs":{"out":"order-0"},"at":1700000000000000000}`, 16},
+	} {
+		args := json.RawMessage(c.args)
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := adept2.DecodeWireCommand(c.op, args); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("decoding %s %s allocates %.0f objects", c.op, c.args, allocs)
+		if allocs > c.bound {
+			t.Errorf("decoding %s %s allocates %.0f objects, want at most %.0f", c.op, c.args, allocs, c.bound)
 		}
 	}
 }

@@ -3,12 +3,15 @@ package adept2
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 
 	"adept2/internal/change"
 	"adept2/internal/engine"
 	"adept2/internal/evolution"
 	"adept2/internal/fault"
+	"adept2/internal/jsonx"
 	"adept2/internal/rollback"
 )
 
@@ -156,11 +159,32 @@ type effect struct {
 	stamped *stampedArgs // what args points into, if stamp built it
 }
 
+// codec is a row's pair of args decoders. decode is the reference,
+// encoding/json throughout. plain, where the wire form has flat members,
+// reads the plain shape of the same args (internal/jsonx) at the cost of
+// the command and its strings, and is tried first: it refuses whatever it
+// does not read exactly as decode would, so the two agree wherever both
+// answer (FuzzDecodeAgainstJSON in internal/rpc).
+type codec struct {
+	decode func(json.RawMessage) (command, error)
+	plain  func(args []byte) (command, bool) // args have passed json.Valid
+}
+
+// decodeArgs decodes a row's args; valid says they are known to be JSON.
+func (c *codec) decodeArgs(args []byte, valid bool) (command, error) {
+	if c.plain != nil && (valid || json.Valid(args)) {
+		if cmd, ok := c.plain(args); ok {
+			return cmd, nil
+		}
+	}
+	return c.decode(args)
+}
+
 // cmdSpec is one registry row.
 type cmdSpec struct {
 	op      string
 	control bool
-	decode  func(json.RawMessage) (command, error)
+	codec
 }
 
 // registry maps journal op names to their spec. It is the single source
@@ -168,38 +192,117 @@ type cmdSpec struct {
 // and the sharded WAL's control/data routing.
 var registry = map[string]*cmdSpec{}
 
-func register(op string, control bool, decode func(json.RawMessage) (command, error)) {
-	registry[op] = &cmdSpec{op: op, control: control, decode: decode}
+func register(op string, control bool, c codec) {
+	registry[op] = &cmdSpec{op: op, control: control, codec: c}
 }
 
-// decodeJSON builds the standard decoder for commands whose wire form is
-// the command struct itself.
-func decodeJSON[T any, P interface {
+// structCodec is the codec of a command whose wire form is the command
+// struct itself.
+func structCodec[T any, P interface {
 	*T
 	command
-}]() func(json.RawMessage) (command, error) {
-	return func(raw json.RawMessage) (command, error) {
-		var v T
-		if err := json.Unmarshal(raw, &v); err != nil {
+}]() codec {
+	return wireCodec(func(v *T) command { return P(v) })
+}
+
+// wireCodec is the codec of the wire form W, whose json tags are the one
+// field table both decoders read; finish makes the command of a decoded W.
+// The plain decoder knows W's string, integer and boolean members. Any
+// other member — a completion's outputs — is one it does not know, and
+// args that carry it are the reference's.
+func wireCodec[W any](finish func(*W) command) codec {
+	c := codec{decode: func(raw json.RawMessage) (command, error) {
+		v := new(W)
+		if err := json.Unmarshal(raw, v); err != nil {
 			return nil, err
 		}
-		return P(&v), nil
+		return finish(v), nil
+	}}
+	var keys []string
+	var fields []int
+	var kinds []reflect.Kind
+	typ := reflect.TypeFor[W]()
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.String, reflect.Int, reflect.Int64, reflect.Bool:
+			key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			keys, fields, kinds = append(keys, key), append(fields, i), append(kinds, f.Type.Kind())
+		}
 	}
+	const maxPlain = 8
+	if len(keys) > maxPlain {
+		panic(fmt.Sprintf("adept2: %v has more than %d flat members", typ, maxPlain))
+	}
+	if keys == nil {
+		return c
+	}
+	c.plain = func(args []byte) (command, bool) {
+		var buf [maxPlain][]byte
+		vals := buf[:len(keys)]
+		if !jsonx.Members(args, keys, vals) {
+			return nil, false
+		}
+		// Nothing is allocated until every member has been read once, so
+		// args refused here cost the reference nothing extra.
+		for k, val := range vals {
+			if val != nil && !readPlain(val, kinds[k], reflect.Value{}) {
+				return nil, false
+			}
+		}
+		v := new(W)
+		dst := reflect.ValueOf(v).Elem()
+		for k, val := range vals {
+			if val != nil {
+				readPlain(val, kinds[k], dst.Field(fields[k]))
+			}
+		}
+		return finish(v), true
+	}
+	return c
+}
+
+// readPlain reads a raw member value as the plain form of kind and
+// stores it in dst, if dst is a field; it reports whether val is plain.
+func readPlain(val []byte, kind reflect.Kind, dst reflect.Value) bool {
+	switch kind {
+	case reflect.String:
+		s, ok := jsonx.Str(val)
+		if ok && dst.IsValid() {
+			dst.SetString(string(s))
+		}
+		return ok
+	case reflect.Bool:
+		b, ok := jsonx.Bool(val)
+		if ok && dst.IsValid() {
+			dst.SetBool(b)
+		}
+		return ok
+	}
+	n, ok := jsonx.Int(val)
+	if ok && dst.IsValid() {
+		dst.SetInt(n)
+	}
+	return ok && (kind == reflect.Int64 || int64(int(n)) == n)
 }
 
 func init() {
-	register("user", true, decodeJSON[AddUser]())
-	register("deploy", true, decodeJSON[Deploy]())
-	register("evolve", true, decodeEvolve)
-	register("create", false, decodeJSON[CreateInstance]())
-	register("start", false, decodeJSON[StartActivity]())
-	register("fail", false, decodeJSON[FailActivity]())
-	register("timeout", false, decodeJSON[TimeoutActivity]())
-	register("retry", false, decodeJSON[RetryActivity]())
-	register("complete", false, decodeJSON[CompleteActivity]())
-	register("adhoc", false, decodeAdHoc)
-	register("suspend", false, decodeSuspend)
-	register("undo", false, decodeJSON[Undo]())
+	register("user", true, structCodec[AddUser]())
+	register("deploy", true, structCodec[Deploy]())
+	register("evolve", true, codec{decode: decodeEvolve})
+	register("create", false, structCodec[CreateInstance]())
+	register("start", false, structCodec[StartActivity]())
+	register("fail", false, structCodec[FailActivity]())
+	register("timeout", false, structCodec[TimeoutActivity]())
+	register("retry", false, structCodec[RetryActivity]())
+	register("complete", false, structCodec[CompleteActivity]())
+	register("adhoc", false, codec{decode: decodeAdHoc})
+	register("suspend", false, wireCodec(func(a *suspendArgs) command {
+		if a.Resume {
+			return &Resume{Instance: a.Instance}
+		}
+		return &Suspend{Instance: a.Instance}
+	}))
+	register("undo", false, structCodec[Undo]())
 }
 
 // isControlOp classifies journal ops that belong to the shard-0 control
@@ -216,7 +319,7 @@ func decodeCommand(op string, args json.RawMessage) (command, error) {
 	if !ok {
 		return nil, fmt.Errorf("adept2: unknown journal op %q", op)
 	}
-	return spec.decode(args)
+	return spec.decodeArgs(args, false)
 }
 
 // apply replays one journaled command (crash recovery): the same decode +
@@ -533,17 +636,6 @@ func (c *Resume) run(s *System) (effect, error) {
 		return effect{}, err
 	}
 	return effect{inst: c.Instance, op: "suspend"}, nil
-}
-
-func decodeSuspend(raw json.RawMessage) (command, error) {
-	var a suspendArgs
-	if err := json.Unmarshal(raw, &a); err != nil {
-		return nil, err
-	}
-	if a.Resume {
-		return &Resume{Instance: a.Instance}, nil
-	}
-	return &Suspend{Instance: a.Instance}, nil
 }
 
 // Undo removes the most recent ad-hoc change of an instance (or, with

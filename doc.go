@@ -168,6 +168,43 @@
 // name; internal/history.TestHistoryAppendAllocations pins the six; the
 // benchmark's allocs_per_cmd gates the sum.
 //
+// The remote hop adds 105 to the lifecycle's 41 — 8.1 a command, where it
+// added 27 while the server decoded every line twice through
+// encoding/json (envelope, then args) and the client marshalled every
+// command twice (args, then line). A line is now read in one pass
+// (internal/rpc "Wire model"), the client writes its line into one reused
+// buffer and reads a bare acknowledgement in place, calls and their
+// channels are reused, and neither end of the watermark stream allocates
+// per event. What is left, from an allocation profile of 550 lifecycles
+// over the command stream (sync starts and create, async completions;
+// MemProfileRate 1, tiny strings counted from runtime.MemStats):
+//
+//	per lifecycle  allocation, and why it stays
+//	    12  server: the decoded command, one struct for each of the
+//	        twelve flat commands
+//	    34  server: their strings — the instance, node and user of
+//	        eleven starts and completions, the type of the create. None
+//	        outlives the command: the engine keeps the schema's node ID
+//	        and the org model's user ID (a work item's ClaimedBy) instead
+//	    16  server: the completion that carries outputs, decoded by
+//	        encoding/json — a map of `any` is the reference's, as it is
+//	        on the way out
+//	     3  client: the reflective encode of those outputs
+//	    13  server: SubmitAsync's Receipt; every remote command is
+//	        applied through it, and a sync one waits on it in the reply
+//	        writer, off the reader's goroutine
+//	    13  client: what the caller is handed — Submit's SubmitResult,
+//	        SubmitAsync's Receipt
+//	    14  the create's result: a ResultSummary and an InstanceSummary
+//	        on the server (2); on the client a reply that carries a
+//	        result is encoding/json's (12)
+//	    ~1  client: the wake-up channel of a Receipt.Wait that parks
+//
+// internal/rpc.TestClientSubmitAllocations pins a remote create, start,
+// complete, complete with outputs and suspend at their measured counts
+// (33, 7, 9, 35, 6), TestDecodeWireCommandAllocations the decode alone —
+// which recovery shares, record by record — at the struct and its strings.
+//
 // # Memory budget
 //
 // An instance costs what it records. ADEPT2's storage argument is that a

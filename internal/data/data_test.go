@@ -156,15 +156,6 @@ func TestValuesSetGetClone(t *testing.T) {
 	if _, ok := vs.Get("b"); ok {
 		t.Fatal("Get of an unbound name")
 	}
-	c := vs.Clone()
-	c.Set("a", "changed")
-	c.Set("b", "new")
-	if v, _ := vs.Get("a"); v != "a!" || len(vs) != 3 {
-		t.Fatalf("clone shares bindings: %v", vs)
-	}
-	if Values(nil).Clone() != nil {
-		t.Fatal("clone of no values allocates")
-	}
 }
 
 // TestJSONMatchesMapForm holds the two hand-written encoders of this

@@ -46,10 +46,6 @@ func (vs *Values) Set(name string, value any) {
 	*vs = slices.Insert(s, i, Binding{Name: name, Value: value})
 }
 
-// Clone returns a copy of the set (the values themselves are immutable
-// scalars and are shared).
-func (vs Values) Clone() Values { return slices.Clone(vs) }
-
 // ApproxBytes returns the memory the set holds: its bindings by the
 // capacity actually allocated, plus the box and the bytes of every value
 // (names alias the schema's data edges).

@@ -181,9 +181,26 @@ func TestRetainedNodeStringsAreTheSchemas(t *testing.T) {
 		}
 	}
 
-	if err := e.StartActivityAt(inst.ID(), cmd(), "ann", 1000); err != nil {
+	// The one user string an instance keeps is its work item's, and that
+	// is the org model's.
+	ann, _ := e.Org().User("ann")
+	claimedBy := func(what string) {
+		t.Helper()
+		it, _ := e.Worklist().ItemFor(inst.ID(), "get_order")
+		if it == nil || it.ClaimedBy != "ann" || unsafe.StringData(it.ClaimedBy) != unsafe.StringData(ann.ID) {
+			t.Errorf("%s: the work item is %+v, want it claimed by the org model's %q at %p", what, it, ann.ID, unsafe.StringData(ann.ID))
+		}
+	}
+	if it, ok := e.Worklist().ItemFor(inst.ID(), "get_order"); !ok {
+		t.Fatal("no work item to claim")
+	} else if err := e.Claim(it.ID, strings.Clone("ann")); err != nil {
 		t.Fatal(err)
 	}
+	claimedBy("after Claim")
+	if err := e.StartActivityAt(inst.ID(), cmd(), strings.Clone("ann"), 1000); err != nil {
+		t.Fatal(err)
+	}
+	claimedBy("after StartActivity")
 	keys("deadlines", 1, func(y func(string)) {
 		for k := range inst.deadlines {
 			y(k)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -156,7 +157,7 @@ func sameEvents(a, b []*Event) bool {
 		if len(x.Values) != len(y.Values) {
 			return false
 		}
-		x.Values, y.Values = x.Values.Clone(), y.Values.Clone() // x and y are copies, their bindings are not
+		x.Values, y.Values = slices.Clone(x.Values), slices.Clone(y.Values) // x and y are copies, their bindings are not
 		for j := range x.Values {
 			xf, xIsFloat := x.Values[j].Value.(float64)
 			yf, yIsFloat := y.Values[j].Value.(float64)

@@ -32,8 +32,11 @@ type Client struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	cmdMu sync.Mutex // orders command lines; guards cmds and its fields
-	cmds  *cmdStream // nil until the first submit and after a loss
+	cmdMu sync.Mutex    // orders command lines; guards the fields below
+	cmds  *cmdStream    // nil until the first submit and after a loss
+	line  bytes.Buffer  // the line being sent, reused
+	enc   *json.Encoder // onto line
+	free  []*call       // answered calls, for reuse
 
 	mu        sync.Mutex
 	wm        []int         // per-shard durable watermarks learned
@@ -49,6 +52,7 @@ type Client struct {
 func Dial(ctx context.Context, base string) (*Client, error) {
 	c := &Client{base: strings.TrimRight(base, "/")}
 	c.ctx, c.cancel = context.WithCancel(context.Background())
+	c.enc = json.NewEncoder(&c.line)
 	var snap WatermarksSnapshot
 	if err := c.get(ctx, "/v1/watermarks?once=1", &snap); err != nil {
 		c.cancel()
@@ -249,8 +253,9 @@ func (c *Client) watch() {
 			return responseError(resp)
 		}
 		dec := json.NewDecoder(resp.Body)
+		var ev WatermarkEvent // one a stream: Decode makes it escape
 		for {
-			var ev WatermarkEvent
+			ev = WatermarkEvent{}
 			if err := dec.Decode(&ev); err != nil {
 				return err
 			}
@@ -300,7 +305,13 @@ func (c *Client) bumpLocked() {
 // first Submit returns ErrCanceled and the command may still have been
 // applied: its line had left, and the reply is discarded when it comes.
 func (c *Client) Submit(ctx context.Context, cmd adept2.Command) (*SubmitResult, error) {
-	return c.submit(ctx, cmd, "sync")
+	cl, err := c.submit(ctx, cmd, "sync")
+	if err != nil {
+		return nil, err
+	}
+	res := cl.reply.SubmitResult
+	c.release(cl)
+	return &res, nil
 }
 
 // SubmitAsync sends one command and returns as soon as the server
@@ -308,12 +319,14 @@ func (c *Client) Submit(ctx context.Context, cmd adept2.Command) (*SubmitResult,
 // resolves at fsync coverage — the remote form of the ~10-22x
 // pipelining win of in-process SubmitAsync.
 func (c *Client) SubmitAsync(ctx context.Context, cmd adept2.Command) (*Receipt, error) {
-	res, err := c.submit(ctx, cmd, "async")
+	cl, err := c.submit(ctx, cmd, "async")
 	if err != nil {
 		return nil, err
 	}
-	return &Receipt{c: c, op: res.Op, shard: res.Shard, seq: res.Seq,
-		result: res.Result, durable: res.Durable}, nil
+	res := &cl.reply.SubmitResult
+	r := &Receipt{c: c, op: res.Op, shard: res.Shard, seq: res.Seq, result: res.Result, durable: res.Durable}
+	c.release(cl)
+	return r, nil
 }
 
 // SubmitBatch sends a run of commands that lands as one multi-record

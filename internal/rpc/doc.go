@@ -14,6 +14,21 @@
 // ops and malformed args are rejected before dispatch with ErrInvalid
 // (and counted as decode errors in the RPC metrics).
 //
+// A command line is decoded in one pass. Once json.Valid has accepted
+// the line, the envelope's members are cut where they lie
+// (internal/jsonx) and the registry decodes the args span in place: a
+// flat command — create, start, complete without outputs, suspend, fail,
+// timeout, retry, undo — from the json tags of its struct, at the cost of
+// that struct and its strings; any other through its encoding/json
+// decoder. The pass declines whatever is not plain — an escaped,
+// repeated, case-folded or unknown key, a null, a number that is not a
+// plain integer, a non-ASCII string — and such a line, like every line
+// that is not JSON, is decoded by encoding/json from the start
+// (decodeCommandLineJSON), so what a line means and why a bad one is bad
+// are encoding/json's to say; FuzzDecodeAgainstJSON holds the two
+// together. The client builds its line the same way, in one reused
+// buffer, and reads a bare acknowledgement in place.
+//
 // Command-plane routes live under the /v1 prefix; a breaking change to
 // envelope, receipt, or stream semantics must mount a new version
 // prefix and keep /v1 serving. The operational routes are unversioned,
@@ -43,7 +58,9 @@
 // request order, so nothing carries a correlation id. The response
 // headers (200) come at once and the exchange stays open until either
 // side ends it. A malformed line or an unknown op answers an invalid
-// envelope in its position and the stream carries on.
+// envelope in its position and the stream carries on. So does a mode
+// that is present and neither "sync" nor "async": a misspelt "async" is
+// refused, in either framing, not quietly run as a blocking sync.
 //
 // Any other Content-Type is the stream's length-one case: the body is one
 // command, answered with an HTTP status and a SubmitResult or error

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"reflect"
@@ -45,6 +46,83 @@ func FuzzCommandLine(f *testing.F) {
 		}
 		if last != good {
 			t.Fatalf("after %q the stream's last line read %q, want %q", data, last, good)
+		}
+	})
+}
+
+// decodeReference is decodeCommandLine by encoding/json and nothing else:
+// the envelope by Unmarshal, then the args of a flat command by Unmarshal
+// into its exported struct, which is what the registry's reference row
+// does (an op without a flat form has no other decoder, so the registry
+// is its reference).
+func decodeReference(line []byte) (adept2.Command, string, string, error) {
+	var req commandRequest
+	if err := json.Unmarshal(line, &req); err != nil {
+		return nil, "", "", decodeErr("command envelope", err)
+	}
+	if req.Mode != "" && req.Mode != "sync" && req.Mode != "async" {
+		return nil, "", "", decodeErr("command envelope", errors.New("mode"))
+	}
+	var cmd adept2.Command
+	var suspend struct {
+		Instance string `json:"instance"`
+		Resume   bool   `json:"resume,omitempty"`
+	}
+	into := any(&suspend)
+	switch req.Op {
+	case "create":
+		cmd = new(adept2.CreateInstance)
+	case "start":
+		cmd = new(adept2.StartActivity)
+	case "fail":
+		cmd = new(adept2.FailActivity)
+	case "timeout":
+		cmd = new(adept2.TimeoutActivity)
+	case "retry":
+		cmd = new(adept2.RetryActivity)
+	case "complete":
+		cmd = new(adept2.CompleteActivity)
+	case "undo":
+		cmd = new(adept2.Undo)
+	case "suspend":
+	default:
+		cmd, err := adept2.DecodeWireCommand(req.Op, req.Args)
+		return cmd, req.Op, req.Mode, err
+	}
+	if cmd != nil {
+		into = cmd
+	}
+	if err := json.Unmarshal(req.Args, into); err != nil {
+		return nil, "", "", &adept2.Error{Code: adept2.CodeInvalid, Op: req.Op, Err: err}
+	}
+	if cmd == nil {
+		cmd = &adept2.Suspend{Instance: suspend.Instance}
+		if suspend.Resume {
+			cmd = &adept2.Resume{Instance: suspend.Instance}
+		}
+	}
+	return cmd, req.Op, req.Mode, nil
+}
+
+// FuzzDecodeAgainstJSON holds the one-pass line decoder to encoding/json:
+// on every input the two either both fail with ErrInvalid, or return equal
+// commands, op and mode. The corpus is the inputs on which a hand-written
+// reader and the reference are most likely to part: repeated, case-folded
+// and escaped keys, null members, integers at the ends of int64, numbers
+// that are not integers, strings that are not ASCII.
+func FuzzDecodeAgainstJSON(f *testing.F) {
+	f.Add([]byte(`{"op":"suspend","args":{"instance":"inst-000001"},"mode":"async"}`))
+	f.Fuzz(func(t *testing.T, line []byte) {
+		cmd, op, mode, err := decodeCommandLine(line)
+		ref, refOp, refMode, refErr := decodeReference(line)
+		if err != nil || refErr != nil {
+			if !errors.Is(err, adept2.ErrInvalid) || !errors.Is(refErr, adept2.ErrInvalid) {
+				t.Fatalf("line %q: decoder says %v, encoding/json says %v; want ErrInvalid from both or neither", line, err, refErr)
+			}
+			return
+		}
+		if !reflect.DeepEqual(cmd, ref) || op != refOp || mode != refMode {
+			t.Fatalf("line %q: decoded %#v op %q mode %q, encoding/json decodes %#v op %q mode %q", line, cmd, op, mode, ref, refOp, refMode)
 		}
 	})
 }

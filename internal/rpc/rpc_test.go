@@ -232,11 +232,14 @@ func TestRemoteDecodeErrors(t *testing.T) {
 	if code := post(`{"op":"no_such_op","args":{}}`); code != http.StatusBadRequest {
 		t.Fatalf("unknown op: status %d", code)
 	}
-	snap := sys.Metrics()
-	if snap.RPC.DecodeErrors != 2 {
-		t.Fatalf("decode errors metric = %d, want 2", snap.RPC.DecodeErrors)
+	if code := post(`{"op":"create","args":{"type":"online_order"},"mode":"asnyc"}`); code != http.StatusBadRequest {
+		t.Fatalf("unknown mode: status %d", code)
 	}
-	if ep, ok := snap.RPC.Endpoints["commands"]; !ok || ep.Requests != 2 || ep.Failures != 2 {
+	snap := sys.Metrics()
+	if snap.RPC.DecodeErrors != 3 {
+		t.Fatalf("decode errors metric = %d, want 3", snap.RPC.DecodeErrors)
+	}
+	if ep, ok := snap.RPC.Endpoints["commands"]; !ok || ep.Requests != 3 || ep.Failures != 3 {
 		t.Fatalf("commands endpoint family: %+v", snap.RPC.Endpoints)
 	}
 }

@@ -495,6 +495,7 @@ func (s *Server) handleWatermarks(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			ev := &WatermarkEvent{Shard: k} // sent by pointer: one event a stream, not one an fsync
 			for {
 				if err := s.sys.WaitDurable(ctx, k, wm+1); err != nil {
 					if ctx.Err() == nil {
@@ -503,7 +504,8 @@ func (s *Server) handleWatermarks(w http.ResponseWriter, r *http.Request) {
 					return
 				}
 				wm = s.sys.DurableWatermark(k)
-				sw.send(WatermarkEvent{Shard: k, Durable: wm})
+				ev.Durable = wm
+				sw.send(ev)
 			}
 		}()
 	}

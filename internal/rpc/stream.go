@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"adept2"
+	"adept2/internal/jsonx"
 )
 
 // cmdStream is the client's end of one POST /v1/commands exchange in its
@@ -21,11 +22,6 @@ type cmdStream struct {
 	cancel context.CancelFunc // ends the HTTP exchange
 	body   *io.PipeWriter     // request body, one line per command
 
-	// The line being built, reused across submits under Client.cmdMu.
-	req commandRequest
-	buf bytes.Buffer
-	enc *json.Encoder // onto buf
-
 	mu    sync.Mutex
 	calls []*call // awaiting replies, oldest at head
 	head  int
@@ -33,10 +29,13 @@ type cmdStream struct {
 }
 
 // call is one submission parked on its reply. done is buffered so the
-// reply reader never blocks on a call whose submitter gave up.
+// reply reader never blocks on a call whose submitter gave up. A call
+// whose submitter took its reply is reused (Client.free); one abandoned
+// to a canceled ctx still owns a place in the stream and is not.
 type call struct {
 	done  chan struct{}
-	reply *replyLine
+	op    string // as sent: an acknowledgement names it back
+	reply replyLine
 	err   error
 }
 
@@ -70,7 +69,6 @@ func (c *Client) openCommands(ctx context.Context) (*cmdStream, error) {
 		return nil, streamLost(err)
 	}
 	st := &cmdStream{cancel: cancel, body: pw}
-	st.enc = json.NewEncoder(&st.buf)
 	c.wg.Add(1)
 	go c.readReplies(st, resp.Body)
 	return st, nil
@@ -90,12 +88,28 @@ func streamLost(cause error) error {
 
 // send writes one command line down the stream, dialing it if there is
 // none, and returns the call that will receive its reply.
-func (c *Client) send(ctx context.Context, op string, args json.RawMessage, mode string) (*call, error) {
+func (c *Client) send(ctx context.Context, cmd adept2.Command, mode string) (*call, error) {
+	op, args, err := adept2.WireArgs(cmd)
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, &adept2.Error{Code: adept2.CodeCanceled, Op: op, Err: err}
+	}
 	c.cmdMu.Lock()
 	defer c.cmdMu.Unlock()
-	st, cl := c.cmds, &call{done: make(chan struct{}, 1)}
+	if err := encodeLine(&c.line, c.enc, op, args, mode); err != nil {
+		return nil, &adept2.Error{Code: adept2.CodeInternal, Op: op, Err: err}
+	}
+	var cl *call
+	if n := len(c.free); n > 0 {
+		cl, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		cl = &call{done: make(chan struct{}, 1)}
+	}
+	cl.op = op
+	st := c.cmds
 	if st == nil || st.push(cl) != nil {
-		var err error
 		if st, err = c.openCommands(ctx); err != nil {
 			return nil, err
 		}
@@ -104,16 +118,37 @@ func (c *Client) send(ctx context.Context, op string, args json.RawMessage, mode
 			return nil, err
 		}
 	}
-	st.req = commandRequest{Envelope: Envelope{Op: op, Args: args}, Mode: mode}
-	st.buf.Reset()
-	err := st.enc.Encode(&st.req)
-	if err == nil {
-		_, err = st.body.Write(st.buf.Bytes())
-	}
-	if err != nil {
+	if _, err := st.body.Write(c.line.Bytes()); err != nil {
 		st.fail(err) // cl is queued: it fails with the rest
 	}
 	return cl, nil
+}
+
+// encodeLine builds one command line in buf, byte for byte what
+// encoding/json makes of a commandRequest: enc, an encoder onto buf,
+// writes the args where they belong, so they are encoded once and
+// nothing is copied.
+func encodeLine(buf *bytes.Buffer, enc *json.Encoder, op string, args any, mode string) error {
+	buf.Reset()
+	buf.WriteString(`{"op":`)
+	buf.Write(jsonx.AppendString(buf.AvailableBuffer(), op))
+	buf.WriteString(`,"args":`)
+	if err := enc.Encode(args); err != nil {
+		return err
+	}
+	buf.Truncate(buf.Len() - 1) // the encoder ends a value with a newline
+	buf.WriteString(`,"mode":`)
+	buf.Write(jsonx.AppendString(buf.AvailableBuffer(), mode))
+	buf.WriteString("}\n")
+	return nil
+}
+
+// release returns a call whose reply its submitter has taken.
+func (c *Client) release(cl *call) {
+	cl.reply = replyLine{}
+	c.cmdMu.Lock()
+	c.free = append(c.free, cl)
+	c.cmdMu.Unlock()
 }
 
 // push queues a call for the next unclaimed reply; it must precede the
@@ -167,48 +202,73 @@ func (st *cmdStream) fail(cause error) {
 func (c *Client) readReplies(st *cmdStream, body io.ReadCloser) {
 	defer c.wg.Done()
 	defer body.Close()
-	dec := json.NewDecoder(body)
-	for {
-		rl := new(replyLine)
-		err := dec.Decode(rl)
-		var cl *call
-		if err == nil {
-			if cl = st.pop(); cl == nil {
-				err = errors.New("rpc: reply line without a command")
-			}
+	lines := commandLines(body)
+	for lines.Scan() {
+		line := lines.Bytes()
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
 		}
+		cl := st.pop()
+		if cl == nil {
+			st.fail(errors.New("rpc: reply line without a command"))
+			return
+		}
+		err := cl.read(line)
+		if err != nil {
+			cl.err = streamLost(err) // popped, so fail below would miss it
+		}
+		cl.done <- struct{}{}
 		if err != nil {
 			st.fail(err)
 			return
 		}
-		cl.reply = rl
-		cl.done <- struct{}{}
 	}
+	err := lines.Err()
+	if err == nil {
+		err = io.EOF
+	}
+	st.fail(err)
 }
 
-// submit sends one command down the stream and waits for its reply.
-func (c *Client) submit(ctx context.Context, cmd adept2.Command, mode string) (*SubmitResult, error) {
-	op, args, err := adept2.EncodeCommand(cmd)
-	if err != nil {
-		return nil, err
+var replyKeys = [...]string{"op", "shard", "seq", "durable"}
+
+// read decodes a reply line into the call. The acknowledgement of a
+// command without a result — four plain members, the op the one sent —
+// is read in place; a result, an error envelope or anything unexpected
+// is encoding/json's.
+func (cl *call) read(line []byte) error {
+	var vals [len(replyKeys)][]byte
+	if json.Valid(line) && jsonx.Members(line, replyKeys[:], vals[:]) {
+		op, ok0 := jsonx.Str(vals[0])
+		shard, ok1 := jsonx.Int(vals[1])
+		seq, ok2 := jsonx.Int(vals[2])
+		durable, ok3 := jsonx.Bool(vals[3])
+		if ok0 && ok1 && ok2 && ok3 && string(op) == cl.op && int64(int(shard)) == shard && int64(int(seq)) == seq {
+			cl.reply.SubmitResult = SubmitResult{Op: cl.op, Shard: int(shard), Seq: int(seq), Durable: durable}
+			return nil
+		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, &adept2.Error{Code: adept2.CodeCanceled, Op: op, Err: err}
-	}
-	cl, err := c.send(ctx, op, args, mode)
+	return json.Unmarshal(line, &cl.reply)
+}
+
+// submit sends one command down the stream and waits for its reply: the
+// call comes back answered, for the caller to copy from and release.
+func (c *Client) submit(ctx context.Context, cmd adept2.Command, mode string) (*call, error) {
+	cl, err := c.send(ctx, cmd, mode)
 	if err != nil {
 		return nil, err
 	}
 	select {
 	case <-cl.done:
 	case <-ctx.Done():
-		return nil, &adept2.Error{Code: adept2.CodeCanceled, Op: op, Err: ctx.Err()}
+		return nil, &adept2.Error{Code: adept2.CodeCanceled, Op: cl.op, Err: ctx.Err()}
 	}
 	if cl.err != nil {
 		return nil, cl.err
 	}
-	if cl.reply.Error != nil {
-		return nil, cl.reply.Error.Err()
+	if we := cl.reply.Error; we != nil {
+		c.release(cl)
+		return nil, we.Err()
 	}
-	return &cl.reply.SubmitResult, nil
+	return cl, nil
 }

@@ -83,9 +83,10 @@ func eventually(t *testing.T, what string, cond func() bool) {
 
 const createLine = `{"op":"create","args":{"type":"online_order"}}`
 
-// TestCommandStreamBadLines: a malformed line and an unknown op each
-// answer an invalid envelope in their position and the stream carries
-// on; requests and latency samples count commands, not streams.
+// TestCommandStreamBadLines: a malformed line, an unknown op and a mode
+// that is neither sync nor async each answer an invalid envelope in their
+// position and the stream carries on; requests and latency samples count
+// commands, not streams.
 func TestCommandStreamBadLines(t *testing.T) {
 	sys := openSystem(t, adept2.CheckpointConfig{})
 	srv, _ := serve(t, sys, rpc.Options{})
@@ -94,8 +95,10 @@ func TestCommandStreamBadLines(t *testing.T) {
 	rs.send(`{not json`)
 	rs.send(`{"op":"no_such_op","args":{}}`)
 	rs.send("")
+	rs.send(`{"op":"create","args":{"type":"online_order"},"mode":"asnyc"}`) // a misspelt async must not become a blocking sync
+	rs.send(`{"op":"create","args":{"type":"online_order"},"mode":"\u0061synch"}`)
 	rs.send(createLine)
-	for i, wantErr := range []bool{true, true, false} {
+	for i, wantErr := range []bool{true, true, true, true, false} {
 		r, ok := rs.reply()
 		if !ok {
 			t.Fatalf("reply body ended before reply %d", i)
@@ -107,11 +110,14 @@ func TestCommandStreamBadLines(t *testing.T) {
 			t.Fatalf("reply %d: want a durable create result, got %+v", i, r)
 		}
 	}
+	if n := len(sys.Instances()); n != 1 {
+		t.Fatalf("%d instances: a rejected line was applied", n)
+	}
 
 	snap := sys.Metrics()
 	ep := snap.RPC.Endpoints["commands"]
-	if ep.Requests != 3 || ep.Failures != 2 || ep.Latency.Count != 3 || snap.RPC.DecodeErrors != 2 {
-		t.Fatalf("one stream of 3 commands, 2 rejected: requests %d failures %d latency samples %d decode errors %d",
+	if ep.Requests != 5 || ep.Failures != 4 || ep.Latency.Count != 5 || snap.RPC.DecodeErrors != 4 {
+		t.Fatalf("one stream of 5 commands, 4 rejected: requests %d failures %d latency samples %d decode errors %d",
 			ep.Requests, ep.Failures, ep.Latency.Count, snap.RPC.DecodeErrors)
 	}
 }
@@ -305,11 +311,12 @@ func TestCommandStreamDrain(t *testing.T) {
 }
 
 // TestClientSubmitAllocations pins what one sync command costs across the
-// hop, both ends and the engine between them counted: 24 allocations on
-// the stream — 28 while the engine's own path still made a Receipt, a
-// waiter channel, a boxed record and a boxed args struct per command —
-// where a whole HTTP request per command cost 125. The bound is the
-// measured count plus two.
+// hop, both ends and the engine between them counted, for suspend/resume
+// — the cheapest command there is, so the row is the hop — and for the
+// commands of an order's lifecycle. Root doc.go "Allocation budget" names
+// each site. A whole HTTP request per command cost 125; the stream with
+// two reflective decodes a command 24. Each bound is the measured count
+// plus two.
 func TestClientSubmitAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not reproducible under the race detector")
@@ -325,23 +332,53 @@ func TestClientSubmitAllocations(t *testing.T) {
 	}
 	_, cli := serve(t, sys, rpc.Options{})
 	ctx := context.Background()
-	res, err := cli.Submit(ctx, &adept2.CreateInstance{TypeName: "online_order"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	suspend, resume := &adept2.Suspend{Instance: res.Result.Instance.ID}, &adept2.Resume{Instance: res.Result.Instance.ID}
-	i := 0
-	allocs := testing.AllocsPerRun(500, func() {
-		var cmd adept2.Command = suspend
-		if i++; i%2 == 0 {
-			cmd = resume
-		}
-		if _, err := cli.Submit(ctx, cmd); err != nil {
+	const runs = 200
+	submit := func(cmd adept2.Command) *rpc.SubmitResult {
+		res, err := cli.Submit(ctx, cmd)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	t.Logf("one remote Submit allocates %.0f objects", allocs)
-	if allocs > 26 {
-		t.Fatalf("one remote Submit allocates %.0f objects, want at most 26", allocs)
+		return res
 	}
+	row := func(name string, bound float64, next func() adept2.Command) {
+		t.Helper()
+		allocs := testing.AllocsPerRun(runs, func() { submit(next()) })
+		t.Logf("one remote %s allocates %.1f objects", name, allocs)
+		if allocs > bound {
+			t.Errorf("one remote %s allocates %.1f objects, want at most %.0f", name, allocs, bound)
+		}
+	}
+	create := &adept2.CreateInstance{TypeName: "online_order"}
+	row("create", 35, func() adept2.Command { return create })
+	// One instance a run, and one for the warm-up call AllocsPerRun makes;
+	// a row's commands are built before they are counted.
+	ids := make([]string, runs+1)
+	for i := range ids {
+		ids[i] = submit(create).Result.Instance.ID
+	}
+	each := func(build func(id string) adept2.Command) func() adept2.Command {
+		cmds := make([]adept2.Command, len(ids))
+		for i, id := range ids {
+			cmds[i] = build(id)
+		}
+		i := -1
+		return func() adept2.Command { i++; return cmds[i] }
+	}
+	row("start", 9, each(func(id string) adept2.Command {
+		return &adept2.StartActivity{Instance: id, Node: "get_order", User: "ann"}
+	}))
+	row("complete with outputs", 37, each(func(id string) adept2.Command {
+		return &adept2.CompleteActivity{Instance: id, Node: "get_order", User: "ann", Outputs: map[string]any{"out": "order"}}
+	}))
+	row("complete", 11, each(func(id string) adept2.Command {
+		return &adept2.CompleteActivity{Instance: id, Node: "collect_data", User: "ann"}
+	}))
+	suspend, resume := &adept2.Suspend{Instance: ids[0]}, &adept2.Resume{Instance: ids[0]}
+	n := 0
+	row("suspend/resume", 8, func() adept2.Command {
+		if n++; n%2 == 1 {
+			return suspend
+		}
+		return resume
+	})
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"adept2"
+	"adept2/internal/jsonx"
 )
 
 // Envelope is one command in wire form: the registry op name and its
@@ -33,10 +34,45 @@ type commandRequest struct {
 // and the submission mode. It is the plane's network-facing decoder:
 // every failure is ErrInvalid and leaves nothing behind for the next
 // line.
-func decodeCommandLine(line []byte) (cmd adept2.Command, op, mode string, err error) {
+//
+// A line that is valid JSON and whose envelope is plain (internal/jsonx:
+// op, args and mode spelled so, each at most once, op a known name
+// without escapes, args an object) is read in one pass: the registry
+// decodes the args where they lie in the line, a flat command from its
+// field table. Any other line is decodeCommandLineJSON's, which is also
+// what says why a bad line is bad.
+func decodeCommandLine(line []byte) (adept2.Command, string, string, error) {
+	var vals [len(envelopeKeys)][]byte
+	if json.Valid(line) && jsonx.Members(line, envelopeKeys[:], vals[:]) {
+		op, plain := jsonx.Str(vals[0])
+		mode, known := plainModes[string(vals[2])]
+		if args := vals[1]; plain && known && len(args) > 0 && args[0] == '{' {
+			cmd, name, err := adept2.DecodeWireSpans(op, args)
+			return cmd, name, mode, err
+		}
+	}
+	return decodeCommandLineJSON(line)
+}
+
+var (
+	envelopeKeys = [...]string{"op", "args", "mode"}
+	// plainModes maps the raw mode member to the mode: absent, or one of
+	// the two strings the protocol has.
+	plainModes = map[string]string{"": "", `"sync"`: "sync", `"async"`: "async"}
+)
+
+// decodeCommandLineJSON is decodeCommandLine by encoding/json alone: the
+// reference the one-pass reader is held to (FuzzDecodeAgainstJSON) and
+// the decoder of every line that reader declines.
+func decodeCommandLineJSON(line []byte) (cmd adept2.Command, op, mode string, err error) {
 	var req commandRequest
 	if err := json.Unmarshal(line, &req); err != nil {
 		return nil, "", "", decodeErr("command envelope", err)
+	}
+	switch req.Mode {
+	case "", "sync", "async":
+	default:
+		return nil, "", "", decodeErr("command envelope", fmt.Errorf("mode %q is neither sync nor async", req.Mode))
 	}
 	cmd, err = adept2.DecodeWireCommand(req.Op, req.Args)
 	return cmd, req.Op, req.Mode, err

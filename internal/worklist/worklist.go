@@ -247,11 +247,12 @@ func (m *Manager) Claim(id, user string) error {
 	if it.State != Offered {
 		return fault.Tagf(fault.Conflict, "worklist: claim %q: item is %s", id, it.State)
 	}
-	if !slices.Contains(it.Offered, user) {
+	i := slices.Index(it.Offered, user)
+	if i < 0 {
 		return fault.Tagf(fault.Denied, "worklist: claim %q: user %q is not a candidate", id, user)
 	}
 	it.State = Claimed
-	it.ClaimedBy = user
+	it.ClaimedBy = it.Offered[i] // the org model's string, not the command's: see MarkStarted
 	return nil
 }
 
@@ -281,6 +282,12 @@ func (m *Manager) MarkStarted(instance, node, user string) error {
 	}
 	if it.State == Claimed && it.ClaimedBy != user {
 		return fault.Tagf(fault.Denied, "worklist: start %s/%s: claimed by %q, not %q", instance, node, it.ClaimedBy, user)
+	}
+	// The item outlives the command. Where the offer names the user it
+	// keeps the offer's string — the org model's, shared by every item —
+	// and not one decoded off the wire for this command alone.
+	if i, ok := slices.BinarySearch(it.Offered, user); ok {
+		user = it.Offered[i]
 	}
 	it.State = InProgress
 	it.ClaimedBy = user

@@ -25,32 +25,38 @@ import (
 // their operations through the change codec. Foreign Command
 // implementations are rejected with ErrInvalid, mirroring SubmitAsync.
 func EncodeCommand(cmd Command) (op string, args json.RawMessage, err error) {
+	op, wire, err := WireArgs(cmd)
+	if err != nil {
+		return "", nil, err
+	}
+	blob, err := json.Marshal(wire)
+	if err != nil {
+		return "", nil, wrapErr(op, cmd.(command).target(), err)
+	}
+	return op, blob, nil
+}
+
+// WireArgs is EncodeCommand short of the encoding: the registry op name
+// and the value whose JSON is the command's args, for a caller that
+// encodes into a buffer of its own. The value may be cmd itself; it is
+// read, never written.
+func WireArgs(cmd Command) (op string, args any, err error) {
 	c, ok := cmd.(command)
 	if !ok {
 		return "", nil, &Error{Code: CodeInvalid, Op: cmd.CommandName(),
 			Err: fmt.Errorf("adept2: foreign Command implementation %T", cmd)}
 	}
 	op = c.CommandName()
-	var wire any = cmd
 	switch t := cmd.(type) {
 	case *Resume:
-		op, wire = "suspend", suspendArgs{Instance: t.Instance, Resume: true}
+		return "suspend", suspendArgs{Instance: t.Instance, Resume: true}, nil
 	case *Suspend:
-		wire = suspendArgs{Instance: t.Instance}
-	default:
-		if enc, isEnc := cmd.(argsEncoder); isEnc {
-			w, encErr := enc.encodeArgs()
-			if encErr != nil {
-				return "", nil, wrapErr(op, c.target(), encErr)
-			}
-			wire = w
-		}
+		return op, suspendArgs{Instance: t.Instance}, nil
+	case argsEncoder:
+		args, err = t.encodeArgs()
+		return op, args, wrapErr(op, c.target(), err)
 	}
-	blob, err := json.Marshal(wire)
-	if err != nil {
-		return "", nil, wrapErr(op, c.target(), err)
-	}
-	return op, blob, nil
+	return op, cmd, nil
 }
 
 // DecodeWireCommand resolves a wire (op, args) pair — produced by
@@ -63,6 +69,25 @@ func DecodeWireCommand(op string, args json.RawMessage) (Command, error) {
 		return nil, &Error{Code: CodeInvalid, Op: op, Err: err}
 	}
 	return cmd, nil
+}
+
+// DecodeWireSpans is DecodeWireCommand for a caller that holds a whole
+// line json.Valid has accepted and has cut it into members itself — the
+// command plane's line decoder. op is the bytes of the op name and args
+// the raw args value, both aliasing the line; nothing decoded does. The
+// op comes back as the registry's own string, so a command in its plain
+// shape costs its struct and its strings and nothing else.
+func DecodeWireSpans(op, args []byte) (Command, string, error) {
+	spec, ok := registry[string(op)]
+	if !ok {
+		_, err := DecodeWireCommand(string(op), args)
+		return nil, "", err
+	}
+	cmd, err := spec.decodeArgs(args, true)
+	if err != nil {
+		return nil, "", &Error{Code: CodeInvalid, Op: spec.op, Err: err}
+	}
+	return cmd, spec.op, nil
 }
 
 // HTTPStatus maps a taxonomy code onto the HTTP status the networked
