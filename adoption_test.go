@@ -12,6 +12,7 @@ import (
 	"adept2/internal/durable/sharded"
 	"adept2/internal/persist"
 	"adept2/internal/sim"
+	"adept2/internal/vfs"
 )
 
 // legacyDir is the directory a build before sharding left behind — one
@@ -29,9 +30,9 @@ type legacyDir struct {
 // buildLegacyDir writes the canonical scenario (runPrefix, a snapshot,
 // runSuffix) with persist and durable primitives only: records go through
 // persist.Journal without instance IDs or epochs, the snapshot through
-// durable.Capture and SnapshotStore.Write under its plain name, and the
-// per-store MANIFEST.json such builds kept is there too. With compact the
-// journal is cut down to the suffix past the snapshot.
+// durable.Stage(…).Encode() and SnapshotStore.Write under its plain name,
+// and the per-store MANIFEST.json such builds kept is there too. With
+// compact the journal is cut down to the suffix past the snapshot.
 func buildLegacyDir(t *testing.T, snapDir string, compact bool) legacyDir {
 	t.Helper()
 	ctx := context.Background()
@@ -43,7 +44,7 @@ func buildLegacyDir(t *testing.T, snapDir string, compact bool) legacyDir {
 	if d.snapDir == "" {
 		d.snapDir = d.path + ".snapshots"
 	}
-	j, err := persist.OpenJournalBuffered(d.path)
+	j, err := persist.OpenJournalBufferedFS(vfs.OS(), d.path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func buildLegacyDir(t *testing.T, snapDir string, compact bool) legacyDir {
 	submit(&adept2.Evolve{TypeName: "online_order", Ops: sim.OnlineOrderTypeChange()})
 
 	d.snapSeq = j.Seq()
-	state, err := durable.Capture(d.want.Engine(), d.snapSeq)
+	state, err := durable.Stage(d.want.Engine(), d.snapSeq).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}

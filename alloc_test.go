@@ -220,7 +220,7 @@ func TestInstanceHeapBudget(t *testing.T) {
 	}
 	const (
 		n      = 2000
-		pinned = 1303 // bytes per instance, measured; 2 766 while every history event was a 96 B heap object, 4 694 with the per-instance maps
+		pinned = 1237 // bytes per instance, measured; 1 303 while the engine kept a position map and the order as ID strings, 2 766 while every history event was a 96 B heap object, 4 694 with the per-instance maps
 	)
 	ctx := context.Background()
 	// The journal's bytes live in the MemFS, which stays referenced across

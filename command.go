@@ -389,15 +389,7 @@ func (*CreateInstance) opIndex() int        { return opCreate }
 func (c *CreateInstance) target() string    { return c.ID }
 
 func (c *CreateInstance) run(s *System) (effect, error) {
-	var (
-		inst *engine.Instance
-		err  error
-	)
-	if c.ID != "" {
-		inst, err = s.eng.CreateInstanceID(c.ID, c.TypeName, c.Version)
-	} else {
-		inst, err = s.eng.CreateInstance(c.TypeName, c.Version)
-	}
+	inst, err := s.eng.CreateInstanceID(c.ID, c.TypeName, c.Version)
 	if err != nil {
 		return effect{}, err
 	}

@@ -211,7 +211,7 @@
 // server holds 10⁴–10⁵ instances because each keeps only what is its own
 // — marking, history, data versions, and a substitution block if biased —
 // and references its schema; this is that argument in bytes. A finished
-// online-order instance (the same 13 commands) holds 1 303 B of live heap,
+// online-order instance (the same 13 commands) holds 1 237 B of live heap,
 // where it held 2 766 B while each of its 16 history events was a 96 B
 // object behind a pointer slice, and 4 694 B while its loop counts, data
 // store and every event's reads and writes were Go maps (336 B each to
@@ -231,8 +231,9 @@
 //	     states, skip stamps, edge states, the evaluation worklist's
 //	     bitset — sized by the schema, not by progress
 //	176  the execution index: Stats (48) and 12 B per schema node
-//	146  the engine's three ID-keyed indexes (instance map, creation
-//	     order, position map) and the ID string they share
+//	 80  the engine's two instance containers (the ID map's entry and
+//	     a pointer in the creation order; the instance holds its own
+//	     position there) and the ID string
 //	136  the data store (24), its element list (48), one version list
 //	     (48) and the box of the written string (16)
 //	 78  not the instance's: the order ID the caller wrote (24), and

@@ -136,7 +136,7 @@ func TestParallelInsertCondition(t *testing.T) {
 	if err := e.CompleteActivity(late.ID(), "confirm_order", "ann", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.StartActivity(late.ID(), "deliver_goods", "bob"); err != nil {
+	if err := e.StartActivityAt(late.ID(), "deliver_goods", "bob", 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := op2.FastCompliance(fastCtx(t, late)); err == nil {

@@ -110,7 +110,7 @@ func TestAdHocStaffReassignmentMovesWorkItems(t *testing.T) {
 		t.Fatalf("bob's worklist = %v", items)
 	}
 	// And the new role is enforced on start.
-	if err := e.StartActivity(inst.ID(), "get_order", "ann"); err == nil {
+	if err := e.StartActivityAt(inst.ID(), "get_order", "ann", 0); err == nil {
 		t.Fatal("old role must be rejected")
 	}
 	if err := e.CompleteActivity(inst.ID(), "get_order", "bob", map[string]any{"out": "o"}); err != nil {

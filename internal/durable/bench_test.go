@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"adept2/internal/persist"
+	"adept2/internal/vfs"
 )
 
 // BenchmarkCommitter measures the group-commit committer's append
@@ -20,7 +21,7 @@ func BenchmarkCommitter(b *testing.B) {
 	for _, writers := range []int{1, 8} {
 		b.Run(fmt.Sprintf("group-writers=%d", writers), func(b *testing.B) {
 			path := filepath.Join(b.TempDir(), "wal.ndjson")
-			j, err := persist.OpenJournalBuffered(path)
+			j, err := persist.OpenJournalBufferedFS(vfs.OS(), path)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -39,7 +40,7 @@ func BenchmarkCommitter(b *testing.B) {
 				go func(n int) {
 					defer wg.Done()
 					for i := 0; i < n; i++ {
-						if _, err := c.Append("complete", args); err != nil {
+						if _, err := c.AppendEpoch("complete", 0, args); err != nil {
 							b.Error(err)
 							return
 						}

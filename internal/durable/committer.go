@@ -138,16 +138,11 @@ func NewCommitter(j *persist.Journal, opts CommitterOptions) *Committer {
 // Journal returns the underlying journal (read-side accessors like Seq).
 func (c *Committer) Journal() *persist.Journal { return c.j }
 
-// Append journals one command and blocks until it is durable (its batch
-// was written and fsynced) or the committer failed or closed. The returned
-// sequence number is valid iff err is nil.
-func (c *Committer) Append(op string, args any) (int, error) {
-	return c.AppendEpoch(op, 0, args)
-}
-
-// AppendEpoch is Append with an explicit epoch reference on the record
-// (sharded data journals tag commands with the control-log position they
-// were issued under; see internal/durable/sharded).
+// AppendEpoch journals one command and blocks until it is durable (its
+// batch was written and fsynced) or the committer failed or closed. The
+// returned sequence number is valid iff err is nil. epoch is the record's
+// epoch reference (sharded data journals tag commands with the control-log
+// position they were issued under; see internal/durable/sharded).
 func (c *Committer) AppendEpoch(op string, epoch int, args any) (int, error) {
 	seq, err := c.AppendAsync(op, epoch, args)
 	if err != nil {

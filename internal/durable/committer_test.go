@@ -16,7 +16,7 @@ import (
 
 func TestCommitterConcurrentAppends(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
-	j, err := persist.OpenJournalBuffered(path)
+	j, err := persist.OpenJournalBufferedFS(vfs.OS(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestCommitterConcurrentAppends(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				if _, err := c.Append("op", map[string]int{"w": w, "i": i}); err != nil {
+				if _, err := c.AppendEpoch("op", 0, map[string]int{"w": w, "i": i}); err != nil {
 					errs <- err
 				}
 			}
@@ -46,7 +46,7 @@ func TestCommitterConcurrentAppends(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := persist.LoadJournal(path)
+	recs, _, err := persist.LoadJournalSuffixFS(vfs.OS(), path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,18 +64,18 @@ func TestCommitterConcurrentAppends(t *testing.T) {
 // Close) right after Append returned: the record must already be on disk.
 func TestCommitterDurableOnReturn(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
-	j, err := persist.OpenJournalBuffered(path)
+	j, err := persist.OpenJournalBufferedFS(vfs.OS(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := NewCommitter(j, CommitterOptions{})
-	seq, err := c.Append("op", 42)
+	seq, err := c.AppendEpoch("op", 0, 42)
 	if err != nil || seq != 1 {
 		t.Fatalf("seq=%d err=%v", seq, err)
 	}
 	// No Close, no Flush: simulated crash. The journal file must already
 	// hold the record because Append only returns after the group fsync.
-	recs, err := persist.LoadJournal(path)
+	recs, _, err := persist.LoadJournalSuffixFS(vfs.OS(), path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,12 +88,12 @@ func TestCommitterDurableOnReturn(t *testing.T) {
 
 func TestCommitterErrorBroadcast(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
-	j, err := persist.OpenJournalBuffered(path)
+	j, err := persist.OpenJournalBufferedFS(vfs.OS(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := NewCommitter(j, CommitterOptions{})
-	if _, err := c.Append("op", 1); err != nil {
+	if _, err := c.AppendEpoch("op", 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Close the backing file out from under the committer: the next flush
@@ -102,10 +102,10 @@ func TestCommitterErrorBroadcast(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Append("op", 2); err == nil {
+	if _, err := c.AppendEpoch("op", 0, 2); err == nil {
 		t.Fatal("append after backing-file failure must error")
 	}
-	if _, err := c.Append("op", 3); err == nil {
+	if _, err := c.AppendEpoch("op", 0, 3); err == nil {
 		t.Fatal("committer must stay broken after a flush failure")
 	}
 	if err := c.Close(); err == nil {
@@ -115,7 +115,7 @@ func TestCommitterErrorBroadcast(t *testing.T) {
 
 func TestCommitterSync(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
-	j, err := persist.OpenJournalBuffered(path)
+	j, err := persist.OpenJournalBufferedFS(vfs.OS(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestCommitterSync(t *testing.T) {
 	if err := c.Sync(); err != nil { // nothing pending
 		t.Fatal(err)
 	}
-	if _, err := c.Append("op", 1); err != nil {
+	if _, err := c.AppendEpoch("op", 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Sync(); err != nil {
@@ -142,7 +142,7 @@ func TestCommitterSync(t *testing.T) {
 // stranding its waiter forever).
 func TestCommitterNoLostWakeStress(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
-	j, err := persist.OpenJournalBuffered(path)
+	j, err := persist.OpenJournalBufferedFS(vfs.OS(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestCommitterNoLostWakeStress(t *testing.T) {
 	for w := 0; w < 8; w++ {
 		go func() {
 			for i := 0; i < 2000; i++ {
-				if _, err := c.Append("op", i); err != nil {
+				if _, err := c.AppendEpoch("op", 0, i); err != nil {
 					done <- err
 					return
 				}

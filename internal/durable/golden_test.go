@@ -90,7 +90,7 @@ func goldenEngine(t *testing.T) (*engine.Engine, *engine.Instance) {
 
 func goldenState(t *testing.T, e *engine.Engine) []byte {
 	t.Helper()
-	st, err := Capture(e, 17)
+	st, err := Stage(e, 17).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}

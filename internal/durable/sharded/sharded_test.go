@@ -85,7 +85,7 @@ func TestCheckStrayShards(t *testing.T) {
 	l := Layout{Base: base, Shards: 2}
 	// Populate shard 1 (in range) and shard 3 (stray).
 	for _, k := range []int{1, 3} {
-		j, err := persist.OpenJournalBuffered(l.JournalPath(k))
+		j, err := persist.OpenJournalBufferedFS(vfs.OS(), l.JournalPath(k))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,16 +171,16 @@ func TestWALRoutingAndEpoch(t *testing.T) {
 	}
 	// The data records carry the epoch of the control record preceding
 	// them.
-	recs, err := persist.LoadJournal(l.JournalPath(1))
+	recs, _, err := persist.LoadJournalSuffixFS(vfs.OS(), l.JournalPath(1), 0)
 	if err != nil || len(recs) != 1 || recs[0].Epoch != 1 {
 		t.Fatalf("shard-1 records: %+v err=%v", recs, err)
 	}
-	recs, err = persist.LoadJournal(l.JournalPath(2))
+	recs, _, err = persist.LoadJournalSuffixFS(vfs.OS(), l.JournalPath(2), 0)
 	if err != nil || len(recs) != 1 || recs[0].Epoch != 2 {
 		t.Fatalf("shard-2 records: %+v err=%v", recs, err)
 	}
 	// Control records carry no stamp (shard 0's order is total).
-	recs, err = persist.LoadJournal(l.Base)
+	recs, _, err = persist.LoadJournalSuffixFS(vfs.OS(), l.Base, 0)
 	if err != nil || len(recs) != 2 || recs[0].Epoch != 0 || recs[1].Epoch != 0 {
 		t.Fatalf("shard-0 records: %+v err=%v", recs, err)
 	}

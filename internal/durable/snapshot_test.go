@@ -11,6 +11,7 @@ import (
 	"adept2/internal/engine"
 	"adept2/internal/persist"
 	"adept2/internal/sim"
+	"adept2/internal/vfs"
 )
 
 // populate builds a small engine: two instances of the online-order
@@ -46,7 +47,7 @@ func populate(t *testing.T) *engine.Engine {
 func TestCaptureRestoreRoundTrip(t *testing.T) {
 	e := populate(t)
 	insts := e.Instances()
-	st, err := Capture(e, 42)
+	st, err := Stage(e, 42).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestCaptureRestoreBiasedInstance(t *testing.T) {
 	if err := change.ApplyAdHoc(inst, sim.OnlineOrderBiasI2()...); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Capture(e, 1)
+	st, err := Stage(e, 1).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestSnapshotStoreDetectsCorruption(t *testing.T) {
 
 func TestCompactJournal(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
-	j, err := persist.OpenJournalBuffered(path)
+	j, err := persist.OpenJournalBufferedFS(vfs.OS(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestCompactJournal(t *testing.T) {
 	if err != nil || dropped != 6 {
 		t.Fatalf("dropped=%d err=%v", dropped, err)
 	}
-	recs, err := persist.LoadJournal(path)
+	recs, _, err := persist.LoadJournalSuffixFS(vfs.OS(), path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestCompactJournal(t *testing.T) {
 		t.Fatalf("records after compact: %+v", recs)
 	}
 	// The compacted journal accepts further appends continuing the seq.
-	j2, err := persist.OpenJournalBuffered(path)
+	j2, err := persist.OpenJournalBufferedFS(vfs.OS(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +250,7 @@ func TestOpenStoreSweepsOrphanedTempFiles(t *testing.T) {
 // container written by a pre-compression build still loads.
 func TestSnapshotCompression(t *testing.T) {
 	e := populate(t)
-	st, err := Capture(e, 9)
+	st, err := Stage(e, 9).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -133,12 +133,6 @@ func (sc *StagedCapture) Encode() (*SystemState, error) {
 	return st, nil
 }
 
-// Capture is Stage followed by Encode, for callers without a concurrent
-// command load.
-func Capture(eng *engine.Engine, seq int) (*SystemState, error) {
-	return Stage(eng, seq).Encode()
-}
-
 // Restore rebuilds the engine state from a captured snapshot. The engine
 // must be freshly created (no schemas, no instances).
 func Restore(eng *engine.Engine, st *SystemState) error {

@@ -8,7 +8,10 @@ import (
 
 	"adept2/internal/change"
 	"adept2/internal/engine"
+	"adept2/internal/evolution"
+	"adept2/internal/graph"
 	"adept2/internal/model"
+	"adept2/internal/rollback"
 	"adept2/internal/sim"
 	"adept2/internal/state"
 )
@@ -116,7 +119,7 @@ func TestSuspendResume(t *testing.T) {
 	if err := e.CompleteActivity(inst.ID(), "get_order", "ann", map[string]any{"out": "o"}); err == nil {
 		t.Fatal("user op on suspended instance must fail")
 	}
-	if err := e.StartActivity(inst.ID(), "get_order", "ann"); err == nil {
+	if err := e.StartActivityAt(inst.ID(), "get_order", "ann", 0); err == nil {
 		t.Fatal("start on suspended instance must fail")
 	}
 	// Ad-hoc changes remain possible while suspended.
@@ -166,5 +169,190 @@ func TestOnTheFlyInstanceExecutesEndToEnd(t *testing.T) {
 	}
 	if inst.NodeState("send_brochure") != state.Completed {
 		t.Fatal("bias activity should have run")
+	}
+}
+
+// TestDeployAndEvolveBesideCommands: instances of one type are created and
+// driven to their end while new versions of a second type are deployed, a
+// third type evolves twice under its population and a reader walks every
+// listing. An unbiased instance reads its block analysis through its own
+// pointer, not under the engine lock Deploy appends to the registry with;
+// run with -race this holds that the pointer is all a command needs.
+func TestDeployAndEvolveBesideCommands(t *testing.T) {
+	e := engine.New(sim.Org())
+	for _, s := range []*model.Schema{sim.OnlineOrder(), sim.LoopProcess()} {
+		if err := e.Deploy(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := sim.BuildPopulation(e, rand.New(rand.NewSource(7)), sim.DefaultPopulationOpts(60)); err != nil {
+		t.Fatal(err)
+	}
+	const submitters, each, versions = 4, 6, 12
+	var work, reads sync.WaitGroup
+	errs := make(chan error, submitters+2)
+	for w := 0; w < submitters; w++ {
+		work.Add(1)
+		go func() {
+			defer work.Done()
+			for i := 0; i < each; i++ {
+				inst, err := e.CreateInstance("loopy", 0)
+				if err == nil {
+					err = sim.DriveLoopIterations(e, inst, 2)
+				}
+				if err == nil {
+					err = e.CompleteActivity(inst.ID(), "finalize", "ann", nil)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	work.Add(2)
+	go func() {
+		defer work.Done()
+		for v := 1; v <= versions; v++ {
+			b := model.NewVersionBuilder("spare", v)
+			s, err := b.Build(b.Activity("only", "Only", model.WithRole("clerk")))
+			if err == nil {
+				err = e.Deploy(s)
+			}
+			if err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	go func() {
+		defer work.Done()
+		mgr := evolution.NewManager(e)
+		second := []change.Operation{&change.SerialInsert{
+			Node: &model.Node{ID: "register_delivery", Name: "Register Delivery", Type: model.NodeActivity, Role: "courier", Template: "register_delivery"},
+			Pred: "deliver_goods",
+			Succ: "end",
+		}}
+		if _, err := mgr.Evolve("online_order", sim.OnlineOrderTypeChange(), evolution.Options{Workers: 2}); err != nil {
+			errs <- err
+			return
+		}
+		if _, err := mgr.Evolve("online_order", second, evolution.Options{Workers: 2, Mode: evolution.ReplayCheck}); err != nil {
+			errs <- err
+		}
+	}()
+	stop := make(chan struct{})
+	reads.Add(1)
+	go func() {
+		defer reads.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, typ := range e.Types() {
+				for _, inst := range e.InstancesOf(typ, e.LatestVersion(typ)) {
+					inst.View()
+				}
+			}
+			for cursor := ""; ; {
+				page, next := e.InstancesPage(cursor, 16)
+				if cursor = next; len(page) == 0 || next == "" {
+					break
+				}
+			}
+			e.AllSchemas()
+		}
+	}()
+	work.Wait()
+	close(stop)
+	reads.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if got := e.InstancesOf("loopy", -1); len(got) != submitters*each {
+		t.Errorf("%d loopy instances, want %d", len(got), submitters*each)
+	} else {
+		for _, inst := range got {
+			if !inst.Done() {
+				t.Errorf("%s did not finish", inst.ID())
+			}
+		}
+	}
+	if v := e.LatestVersion("spare"); v != versions {
+		t.Errorf("spare is at v%d, want v%d", v, versions)
+	}
+	if v := e.LatestVersion("online_order"); v != 3 {
+		t.Errorf("online_order is at v%d after two evolutions", v)
+	}
+}
+
+// TestUnbiasedInstanceHoldsDeployedAnalysis: the block analysis an unbiased
+// instance answers with is the very one Deploy stored for its version — at
+// creation, after a restore, once an undo emptied its bias and after a
+// migration — and a biased instance answers with one of its own.
+func TestUnbiasedInstanceHoldsDeployedAnalysis(t *testing.T) {
+	e := engine.New(sim.Org())
+	if err := e.Deploy(sim.OnlineOrder()); err != nil {
+		t.Fatal(err)
+	}
+	blocks := func(inst *engine.Instance) (info *graph.Info) {
+		t.Helper()
+		if err := inst.Mutate(func(mx *engine.Mutable) (err error) {
+			info, err = mx.Blocks()
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return info
+	}
+	deployed := func(version int) *graph.Info {
+		t.Helper()
+		d, ok := e.Deployed("online_order", version)
+		if !ok || d.Blocks == nil || d.Schema.Version() != version {
+			t.Fatalf("Deployed(online_order, %d) = %+v, %t", version, d, ok)
+		}
+		return d.Blocks
+	}
+	inst, err := e.CreateInstance("online_order", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blocks(inst) != deployed(1) {
+		t.Fatal("a new instance does not hold its version's analysis")
+	}
+	if err := change.ApplyAdHoc(inst, sim.OnlineOrderBiasI2()...); err != nil {
+		t.Fatal(err)
+	}
+	if got := blocks(inst); got == nil || got == deployed(1) {
+		t.Fatal("a biased instance must hold an analysis of its own view")
+	}
+	if err := rollback.UndoAll(inst); err != nil {
+		t.Fatal(err)
+	}
+	if inst.Biased() || blocks(inst) != deployed(1) {
+		t.Fatal("an undo that emptied the bias did not give the version's analysis back")
+	}
+	snap, bias := inst.Snapshot()
+	restored := engine.New(sim.Org())
+	if err := restored.Deploy(sim.OnlineOrder()); err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.RestoreInstance(snap, bias); err != nil {
+		t.Fatal(err)
+	}
+	if d, _ := restored.Deployed("online_order", 1); blocks(restored.Instances()[0]) != d.Blocks {
+		t.Fatal("a restored instance does not hold its version's analysis")
+	}
+	if _, err := evolution.NewManager(e).Evolve("online_order", sim.OnlineOrderTypeChange(), evolution.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if inst.Version() != 2 || blocks(inst) != deployed(2) {
+		t.Fatalf("after migrating to v%d the instance does not hold that version's analysis", inst.Version())
+	}
+	if _, ok := e.Deployed("online_order", 0); ok {
+		t.Fatal("Deployed(type, 0) is no version")
 	}
 }

@@ -8,10 +8,25 @@
 // BiasOp interface — so the package order stays strictly layered:
 // model/graph/verify/state/history/data/org/worklist → engine →
 // change/compliance → evolution.
+//
+// The engine holds three containers and no index beside them: types, the
+// deployed versions of each process type in ascending order, each with the
+// block analysis Deploy verified it by; insts, every instance by ID; and
+// order, the same instances in creation order, each holding its own index
+// there. Engine.mu guards those three, the ID counter, the storage
+// strategy and every instance's pos. Instance.mu guards everything else an
+// instance points to — its blocks included, the analysis of its current
+// view: the deployed entry's for an unbiased instance, which is immutable
+// once Deploy returned and is therefore read through the instance's own
+// pointer, not under Engine.mu. Neither lock is acquired while the other
+// is held, but for the one lookup that gives an instance whose bias an
+// Undo emptied its base analysis back (Engine.mu inside Instance.mu).
 package engine
 
 import (
-	"sort"
+	"cmp"
+	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -38,26 +53,23 @@ type BiasOp interface {
 	String() string
 }
 
-type schemaKey struct {
-	typeName string
-	version  int
+// Deployed is one deployed schema version together with the block
+// analysis verify.Check computed when it was deployed. Both are immutable.
+type Deployed struct {
+	Schema *model.Schema
+	Blocks *graph.Info
 }
 
 // Engine is the process management runtime. All methods are safe for
 // concurrent use.
 type Engine struct {
-	mu      sync.RWMutex
-	org     *org.Model
-	wl      *worklist.Manager
-	schemas map[schemaKey]*model.Schema
-	latest  map[string]int
-	insts   map[string]*Instance
-	order   []string
-	// orderPos maps instance ID -> index in order, so paginated reads
-	// resolve a cursor in O(1) instead of scanning the creation order.
-	orderPos map[string]int
-	nextID   int
-	blocks   map[*model.Schema]*graph.Info
+	mu     sync.RWMutex
+	org    *org.Model
+	wl     *worklist.Manager
+	types  map[string][]Deployed // ascending by version; the latest is the last
+	insts  map[string]*Instance
+	order  []*Instance // creation order; order[inst.pos] == inst
+	nextID int
 	// syms is the string table every instance's history log draws its
 	// node and user symbols from; it lives and dies with the engine.
 	syms *history.Symbols
@@ -73,11 +85,8 @@ func New(o *org.Model) *Engine {
 	return &Engine{
 		org:      o,
 		wl:       worklist.NewManager(),
-		schemas:  make(map[schemaKey]*model.Schema),
-		latest:   make(map[string]int),
+		types:    make(map[string][]Deployed),
 		insts:    make(map[string]*Instance),
-		orderPos: make(map[string]int),
-		blocks:   make(map[*model.Schema]*graph.Info),
 		syms:     history.NewSymbols(),
 		strategy: storage.Hybrid,
 	}
@@ -110,29 +119,51 @@ func (e *Engine) StorageStrategy() storage.Strategy {
 // error-severity findings is rejected; the version must be strictly newer
 // than any deployed version of the same type.
 func (e *Engine) Deploy(s *model.Schema) error {
-	if err := verify.Err(s); err != nil {
+	res := verify.Check(s)
+	if err := res.Err(); err != nil {
 		return fault.Tagf(fault.Invalid, "engine: deploy %s v%d: %w", s.TypeName(), s.Version(), err)
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	key := schemaKey{s.TypeName(), s.Version()}
-	if _, dup := e.schemas[key]; dup {
+	vs := e.types[s.TypeName()]
+	if _, dup := versionOf(vs, s.Version()); dup {
 		return fault.Tagf(fault.VersionSkew, "engine: deploy %s v%d: version already deployed", s.TypeName(), s.Version())
 	}
-	if s.Version() <= e.latest[s.TypeName()] {
-		return fault.Tagf(fault.VersionSkew, "engine: deploy %s v%d: version not newer than latest v%d", s.TypeName(), s.Version(), e.latest[s.TypeName()])
+	if s.Version() <= latestOf(vs) {
+		return fault.Tagf(fault.VersionSkew, "engine: deploy %s v%d: version not newer than latest v%d", s.TypeName(), s.Version(), latestOf(vs))
 	}
-	e.schemas[key] = s
-	e.latest[s.TypeName()] = s.Version()
+	e.types[s.TypeName()] = append(vs, Deployed{s, res.Blocks})
 	return nil
+}
+
+// versionOf finds one version in a type's ascending list.
+func versionOf(vs []Deployed, version int) (Deployed, bool) {
+	i, ok := slices.BinarySearchFunc(vs, version, func(d Deployed, v int) int { return cmp.Compare(d.Schema.Version(), v) })
+	if !ok {
+		return Deployed{}, false
+	}
+	return vs[i], true
+}
+
+// latestOf is the newest version in a type's list, 0 for an empty one.
+func latestOf(vs []Deployed) int {
+	if len(vs) == 0 {
+		return 0
+	}
+	return vs[len(vs)-1].Schema.Version()
+}
+
+// Deployed returns a deployed version of a type with its block analysis.
+func (e *Engine) Deployed(typeName string, version int) (Deployed, bool) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return versionOf(e.types[typeName], version)
 }
 
 // Schema returns the deployed schema of a type and version.
 func (e *Engine) Schema(typeName string, version int) (*model.Schema, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	s, ok := e.schemas[schemaKey{typeName, version}]
-	return s, ok
+	d, ok := e.Deployed(typeName, version)
+	return d.Schema, ok
 }
 
 // LatestVersion returns the newest deployed version of a type (0 if the
@@ -140,18 +171,22 @@ func (e *Engine) Schema(typeName string, version int) (*model.Schema, bool) {
 func (e *Engine) LatestVersion(typeName string) int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.latest[typeName]
+	return latestOf(e.types[typeName])
 }
 
 // Types returns all deployed process type names, sorted.
 func (e *Engine) Types() []string {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	ts := make([]string, 0, len(e.latest))
-	for t := range e.latest {
+	return e.typesLocked()
+}
+
+func (e *Engine) typesLocked() []string {
+	ts := make([]string, 0, len(e.types))
+	for t := range e.types {
 		ts = append(ts, t)
 	}
-	sort.Strings(ts)
+	slices.Sort(ts)
 	return ts
 }
 
@@ -160,12 +195,9 @@ func (e *Engine) Versions(typeName string) []int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	var vs []int
-	for k := range e.schemas {
-		if k.typeName == typeName {
-			vs = append(vs, k.version)
-		}
+	for _, d := range e.types[typeName] {
+		vs = append(vs, d.Schema.Version())
 	}
-	sort.Ints(vs)
 	return vs
 }
 
@@ -173,27 +205,56 @@ func (e *Engine) Versions(typeName string) []int {
 // latest deployed version. The new instance immediately executes all
 // automatic nodes up to the first user-visible state.
 func (e *Engine) CreateInstance(typeName string, version int) (*Instance, error) {
+	return e.CreateInstanceID("", typeName, version)
+}
+
+// CreateInstanceID is CreateInstance with a caller-supplied instance ID
+// ("" has the engine assign the next one). Sharded journal replay uses it:
+// the create record carries the ID the original execution assigned, so
+// recovery reproduces identical IDs even when shards replay in a different
+// interleaving than the original command stream. An engine-style ID
+// (inst-%06d) advances the counter past its numeric suffix so
+// post-recovery creations cannot collide.
+func (e *Engine) CreateInstanceID(id, typeName string, version int) (*Instance, error) {
 	e.mu.Lock()
 	if version == 0 {
-		version = e.latest[typeName]
+		version = latestOf(e.types[typeName])
 	}
-	s, ok := e.schemas[schemaKey{typeName, version}]
-	if !ok {
-		e.mu.Unlock()
-		return nil, fault.Tagf(fault.NotFound, "engine: create instance: no schema %s v%d", typeName, version)
-	}
-	e.nextID++
-	inst := newInstance(e, instanceID(e.nextID), s, e.strategy)
-	e.insts[inst.id] = inst
-	e.orderPos[inst.id] = len(e.order)
-	e.order = append(e.order, inst.id)
+	inst, err := e.registerLocked(id, typeName, version, e.strategy)
 	e.mu.Unlock()
-
+	if err != nil {
+		return nil, fmt.Errorf("engine: create instance: %w", err)
+	}
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
 	if err := inst.bootstrapLocked(); err != nil {
 		return nil, err
 	}
+	return inst, nil
+}
+
+// registerLocked is the one place an instance enters the registry: it
+// resolves the deployed version, assigns the next ID to an empty one,
+// refuses a taken one, keeps the counter ahead of every engine-style ID,
+// and appends the instance to the creation order at the position it
+// records. A create that fails consumes no ID.
+func (e *Engine) registerLocked(id, typeName string, version int, strategy storage.Strategy) (*Instance, error) {
+	d, ok := versionOf(e.types[typeName], version)
+	if !ok {
+		return nil, fault.Tagf(fault.NotFound, "no schema %s v%d", typeName, version)
+	}
+	if id == "" {
+		e.nextID++
+		id = instanceID(e.nextID)
+	} else if _, dup := e.insts[id]; dup {
+		return nil, fault.Tagf(fault.Conflict, "%q already exists", id)
+	} else if n, ok := instanceNumber(id); ok && n > e.nextID {
+		e.nextID = n
+	}
+	inst := newInstance(e, id, d, strategy)
+	inst.pos = int32(len(e.order))
+	e.insts[id] = inst
+	e.order = append(e.order, inst)
 	return inst, nil
 }
 
@@ -204,43 +265,6 @@ func instanceID(n int) string {
 	var buf [32]byte
 	b := append(buf[:0], "inst-000000"[:max(5, 11-len(d))]...)
 	return string(append(b, d...))
-}
-
-// CreateInstanceID is CreateInstance with a caller-supplied instance ID.
-// Sharded journal replay uses it: the create record carries the ID the
-// original execution assigned, so recovery reproduces identical IDs even
-// when shards replay in a different interleaving than the original
-// command stream. An engine-style ID (inst-%06d) advances the counter
-// past its numeric suffix so post-recovery creations cannot collide.
-func (e *Engine) CreateInstanceID(id, typeName string, version int) (*Instance, error) {
-	e.mu.Lock()
-	if version == 0 {
-		version = e.latest[typeName]
-	}
-	s, ok := e.schemas[schemaKey{typeName, version}]
-	if !ok {
-		e.mu.Unlock()
-		return nil, fault.Tagf(fault.NotFound, "engine: create instance: no schema %s v%d", typeName, version)
-	}
-	if _, dup := e.insts[id]; dup {
-		e.mu.Unlock()
-		return nil, fault.Tagf(fault.Conflict, "engine: create instance: %q already exists", id)
-	}
-	if n, ok := instanceNumber(id); ok && n > e.nextID {
-		e.nextID = n
-	}
-	inst := newInstance(e, id, s, e.strategy)
-	e.insts[inst.id] = inst
-	e.orderPos[inst.id] = len(e.order)
-	e.order = append(e.order, inst.id)
-	e.mu.Unlock()
-
-	inst.mu.Lock()
-	defer inst.mu.Unlock()
-	if err := inst.bootstrapLocked(); err != nil {
-		return nil, err
-	}
-	return inst, nil
 }
 
 // Instance looks up an instance by ID.
@@ -263,11 +287,7 @@ func (e *Engine) NumInstances() int {
 func (e *Engine) Instances() []*Instance {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	out := make([]*Instance, 0, len(e.order))
-	for _, id := range e.order {
-		out = append(out, e.insts[id])
-	}
-	return out
+	return slices.Clone(e.order)
 }
 
 // InstancesPage returns up to limit instances in creation order,
@@ -286,53 +306,39 @@ func (e *Engine) InstancesPage(cursor string, limit int) ([]*Instance, string) {
 	defer e.mu.RUnlock()
 	start := 0
 	if cursor != "" {
-		pos, ok := e.orderPos[cursor]
+		after, ok := e.insts[cursor]
 		if !ok {
 			return nil, ""
 		}
-		start = pos + 1
+		start = int(after.pos) + 1
 	}
 	if start >= len(e.order) {
 		return nil, ""
 	}
-	end := start + limit
-	if end > len(e.order) {
-		end = len(e.order)
-	}
-	out := make([]*Instance, 0, end-start)
-	for _, id := range e.order[start:end] {
-		out = append(out, e.insts[id])
-	}
+	end := min(start+limit, len(e.order))
 	next := ""
 	if end < len(e.order) {
-		next = e.order[end-1]
+		next = e.order[end-1].id
 	}
-	return out, next
+	return slices.Clone(e.order[start:end]), next
 }
 
 // InstancesOf returns the instances of one process type, optionally
-// filtered by schema version (version < 0 matches all).
+// filtered by schema version (version < 0 matches all). The version is an
+// instance's own, read under its lock once the engine's is released.
 func (e *Engine) InstancesOf(typeName string, version int) []*Instance {
 	e.mu.RLock()
-	defer e.mu.RUnlock()
 	var out []*Instance
-	for _, id := range e.order {
-		inst := e.insts[id]
-		if inst.TypeName() != typeName {
-			continue
+	for _, inst := range e.order {
+		if inst.typeName == typeName {
+			out = append(out, inst)
 		}
-		if version >= 0 && inst.Version() != version {
-			continue
-		}
-		out = append(out, inst)
 	}
-	return out
-}
-
-// StartActivity starts an activated manual activity on behalf of a user
-// without arming a deadline (StartActivityAt with at = 0).
-func (e *Engine) StartActivity(instID, node, user string) error {
-	return e.StartActivityAt(instID, node, user, 0)
+	e.mu.RUnlock()
+	if version < 0 {
+		return out
+	}
+	return slices.DeleteFunc(out, func(inst *Instance) bool { return inst.Version() != version })
 }
 
 // StartActivityAt starts an activated manual activity on behalf of a

@@ -131,7 +131,7 @@ func TestInstanceExecutionEndToEnd(t *testing.T) {
 	if err := e.Claim(items[0].ID, "ann"); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.StartActivity(inst.ID(), "get_order", "ann"); err != nil {
+	if err := e.StartActivityAt(inst.ID(), "get_order", "ann", 0); err != nil {
 		t.Fatal(err)
 	}
 	if inst.NodeState("get_order") != state.Running {
@@ -182,19 +182,19 @@ func TestRoleEnforcement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.StartActivity(inst.ID(), "get_order", "bob"); err == nil {
+	if err := e.StartActivityAt(inst.ID(), "get_order", "bob", 0); err == nil {
 		t.Fatal("bob lacks the clerk role")
 	}
-	if err := e.StartActivity(inst.ID(), "get_order", ""); err == nil {
+	if err := e.StartActivityAt(inst.ID(), "get_order", "", 0); err == nil {
 		t.Fatal("anonymous start of role-bound activity must fail")
 	}
-	if err := e.StartActivity(inst.ID(), "ghost", "ann"); err == nil {
+	if err := e.StartActivityAt(inst.ID(), "ghost", "ann", 0); err == nil {
 		t.Fatal("unknown node must fail")
 	}
-	if err := e.StartActivity("nope", "get_order", "ann"); err == nil {
+	if err := e.StartActivityAt("nope", "get_order", "ann", 0); err == nil {
 		t.Fatal("unknown instance must fail")
 	}
-	if err := e.StartActivity(inst.ID(), "collect_data", "ann"); err == nil {
+	if err := e.StartActivityAt(inst.ID(), "collect_data", "ann", 0); err == nil {
 		t.Fatal("not-activated node must fail")
 	}
 }

@@ -25,19 +25,27 @@ type Instance struct {
 	version  int
 	base     *model.Schema
 
-	strategy storage.Strategy
+	// One word: the strategy is fixed at creation, done and suspended are
+	// the instance's own, and pos — the instance's index in the engine's
+	// creation order — is the engine's, read and written under Engine.mu.
+	strategy  storage.Strategy
+	done      bool
+	suspended bool
+	pos       int32
+
 	overlay  *storage.Overlay // hybrid representation (nil while unbiased)
 	fullcopy *model.Schema    // full-copy representation (nil while unbiased)
 	biasOps  []BiasOp
 
-	blocks    *graph.Info // block analysis of the cached view (nil for on-the-fly biased instances)
-	marking   *state.Marking
-	hist      history.Log // by value: one allocation and one pointer fewer per instance
-	stats     *history.Stats
-	store     *data.Store
-	loopIter  map[string]int // loop end ID -> completed iterations; nil until a loop iterates
-	done      bool
-	suspended bool
+	// blocks is the block analysis of the current view: the deployed
+	// version's own while the instance is unbiased, the cached view's once
+	// it is biased (nil for on-the-fly biased instances).
+	blocks   *graph.Info
+	marking  *state.Marking
+	hist     history.Log // by value: one allocation and one pointer fewer per instance
+	stats    *history.Stats
+	store    *data.Store
+	loopIter map[string]int // loop end ID -> completed iterations; nil until a loop iterates
 
 	// Exception state, all keyed by node ID and all rebuilt identically
 	// by command replay (every transition below rides a journaled
@@ -60,13 +68,15 @@ type Instance struct {
 	migrations int
 }
 
-func newInstance(e *Engine, id string, base *model.Schema, strat storage.Strategy) *Instance {
+func newInstance(e *Engine, id string, d Deployed, strat storage.Strategy) *Instance {
+	base := d.Schema
 	return &Instance{
 		eng:      e,
 		id:       id,
 		typeName: base.TypeName(),
 		version:  base.Version(),
 		base:     base,
+		blocks:   d.Blocks,
 		strategy: strat,
 		marking:  state.NewMarking(base),
 		hist:     *e.syms.NewLog(),
@@ -314,11 +324,11 @@ type StorageFootprint struct {
 	StateBytes int
 }
 
-// engineIndexBytes is what the engine's three ID-keyed indexes hold per
-// instance beside the ID's own bytes: the creation-order entry (a string
-// header) and an entry in each of two maps (a string header, a word and a
-// control byte, at the maps' 7/8 load).
-const engineIndexBytes = 16 + 2*(16+8+1)*8/7
+// engineIndexBytes is what the engine's two instance containers hold per
+// instance beside the ID's own bytes: the creation-order entry (a pointer)
+// and the ID map's (a string header, a pointer and a control byte, at the
+// map's 7/8 load).
+const engineIndexBytes = 8 + (16+8+1)*8/7
 
 // Footprint returns the instance's storage footprint.
 func (inst *Instance) Footprint() StorageFootprint {
@@ -343,8 +353,7 @@ func (inst *Instance) Footprint() StorageFootprint {
 func (inst *Instance) viewLocked() (model.SchemaView, *graph.Info, error) {
 	switch {
 	case len(inst.biasOps) == 0:
-		info, err := inst.eng.blocksOf(inst.base)
-		return inst.base, info, err
+		return inst.base, inst.blocks, nil
 	case inst.strategy == storage.Hybrid:
 		return inst.overlay, inst.blocks, nil
 	case inst.strategy == storage.FullCopy:
@@ -363,25 +372,6 @@ func (inst *Instance) viewLocked() (model.SchemaView, *graph.Info, error) {
 		}
 		return s, info, nil
 	}
-}
-
-// blocksOf caches block analyses of deployed (immutable) schemas so the
-// thousands of unbiased instances of one type share a single analysis.
-func (e *Engine) blocksOf(s *model.Schema) (*graph.Info, error) {
-	e.mu.RLock()
-	info, ok := e.blocks[s]
-	e.mu.RUnlock()
-	if ok {
-		return info, nil
-	}
-	info, err := graph.Analyze(s)
-	if err != nil {
-		return nil, err
-	}
-	e.mu.Lock()
-	e.blocks[s] = info
-	e.mu.Unlock()
-	return info, nil
 }
 
 // bootstrapLocked initializes the marking of a fresh instance and runs the
@@ -446,9 +436,6 @@ func (mx *Mutable) BiasOps() []BiasOp {
 	return append([]BiasOp(nil), mx.inst.biasOps...)
 }
 
-// Version returns the current schema version.
-func (mx *Mutable) Version() int { return mx.inst.version }
-
 // Base returns the deployed schema the instance references.
 func (mx *Mutable) Base() *model.Schema { return mx.inst.base }
 
@@ -493,17 +480,21 @@ func (mx *Mutable) CommitBias(ops ...BiasOp) error {
 	return mx.refreshBlocks()
 }
 
+// refreshBlocks re-analyses the cached view of a biased instance. An
+// unbiased one already holds its base schema's analysis.
 func (mx *Mutable) refreshBlocks() error {
 	inst := mx.inst
-	if len(inst.biasOps) == 0 || inst.strategy == storage.OnTheFly {
+	var v model.SchemaView
+	switch {
+	case len(inst.biasOps) == 0:
+		return nil
+	case inst.strategy == storage.Hybrid:
+		v = inst.overlay
+	case inst.strategy == storage.FullCopy:
+		v = inst.fullcopy
+	default:
 		inst.blocks = nil
 		return nil
-	}
-	var v model.SchemaView
-	if inst.strategy == storage.Hybrid {
-		v = inst.overlay
-	} else {
-		v = inst.fullcopy
 	}
 	info, err := graph.Analyze(v)
 	if err != nil {
@@ -517,27 +508,12 @@ func (mx *Mutable) refreshBlocks() error {
 // swapped, the (possibly empty) rebased bias is re-applied to a fresh
 // representation, and the version counter advances. State adaptation is
 // the caller's next step (AdaptState).
-func (mx *Mutable) MigrateTo(newBase *model.Schema, rebased []BiasOp) error {
+func (mx *Mutable) MigrateTo(to Deployed, rebased []BiasOp) error {
 	inst := mx.inst
-	inst.base = newBase
-	inst.version = newBase.Version()
-	inst.overlay = nil
-	inst.fullcopy = nil
-	inst.biasOps = nil
-	inst.blocks = nil
-	if len(rebased) > 0 {
-		target := (&Mutable{inst: inst}).PersistentTarget()
-		if target != nil {
-			for _, op := range rebased {
-				if err := op.ApplyTo(target); err != nil {
-					return fmt.Errorf("engine: migrate %s: re-apply bias: %w", inst.id, err)
-				}
-			}
-		}
-		inst.biasOps = rebased
-		if err := mx.refreshBlocks(); err != nil {
-			return err
-		}
+	inst.base = to.Schema
+	inst.version = to.Schema.Version()
+	if err := mx.rebias(to.Blocks, rebased, "engine: migrate %s: re-apply bias: %w"); err != nil {
+		return err
 	}
 	inst.migrations++
 	return nil
@@ -545,21 +521,30 @@ func (mx *Mutable) MigrateTo(newBase *model.Schema, rebased []BiasOp) error {
 
 // RebuildBias replaces the instance bias wholesale: the representation is
 // reset against the unchanged base schema and the remaining operations are
-// re-applied. The rollback facility uses it to undo ad-hoc changes.
+// re-applied. The rollback facility uses it to undo ad-hoc changes. The
+// base's analysis, which the biased view's replaced, comes back from the
+// registry: the one place Engine.mu is taken inside Instance.mu.
 func (mx *Mutable) RebuildBias(ops []BiasOp) error {
+	d, _ := mx.inst.eng.Deployed(mx.inst.typeName, mx.inst.version)
+	return mx.rebias(d.Blocks, ops, "engine: rebuild bias of %s: %w")
+}
+
+// rebias resets the instance to its unbiased base, whose analysis is
+// blocks, and applies ops to a fresh representation; applyFailed formats
+// the instance ID and an operation's error.
+func (mx *Mutable) rebias(blocks *graph.Info, ops []BiasOp, applyFailed string) error {
 	inst := mx.inst
 	inst.overlay = nil
 	inst.fullcopy = nil
 	inst.biasOps = nil
-	inst.blocks = nil
+	inst.blocks = blocks
 	if len(ops) == 0 {
 		return nil
 	}
-	target := mx.PersistentTarget()
-	if target != nil {
+	if target := mx.PersistentTarget(); target != nil {
 		for _, op := range ops {
 			if err := op.ApplyTo(target); err != nil {
-				return fmt.Errorf("engine: rebuild bias of %s: %w", inst.id, err)
+				return fmt.Errorf(applyFailed, inst.id, err)
 			}
 		}
 	}

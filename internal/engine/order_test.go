@@ -34,13 +34,24 @@ func sscanfOrder(order []string) {
 	})
 }
 
+// engineWithOrder registers one bare instance per ID, in the given order.
 func engineWithOrder(ids []string) *Engine {
 	e := New(nil)
-	e.order = slices.Clone(ids)
 	for i, id := range ids {
-		e.orderPos[id] = i
+		inst := &Instance{id: id, pos: int32(i)}
+		e.insts[id] = inst
+		e.order = append(e.order, inst)
 	}
 	return e
+}
+
+// orderIDs is the creation order as IDs.
+func orderIDs(e *Engine) []string {
+	ids := make([]string, len(e.order))
+	for i, inst := range e.order {
+		ids[i] = inst.id
+	}
+	return ids
 }
 
 // TestSortInstanceOrderKeepsTheOrder holds the parse-once sort to the
@@ -79,12 +90,12 @@ func TestSortInstanceOrderKeepsTheOrder(t *testing.T) {
 		sscanfOrder(want)
 		e := engineWithOrder(ids)
 		e.SortInstanceOrder()
-		if !slices.Equal(e.order, want) {
-			t.Fatalf("trial %d:\n got %q\nwant %q", trial, e.order, want)
+		if got := orderIDs(e); !slices.Equal(got, want) {
+			t.Fatalf("trial %d:\n got %q\nwant %q", trial, got, want)
 		}
-		for i, id := range e.order {
-			if e.orderPos[id] != i {
-				t.Fatalf("orderPos[%q] = %d, want %d", id, e.orderPos[id], i)
+		for i, inst := range e.order {
+			if int(inst.pos) != i {
+				t.Fatalf("%q holds position %d at index %d", inst.id, inst.pos, i)
 			}
 		}
 	}
@@ -101,10 +112,11 @@ func BenchmarkSortInstanceOrder(b *testing.B) {
 	}
 	rand.New(rand.NewSource(1)).Shuffle(n, func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 	e := engineWithOrder(ids)
+	shuffled := slices.Clone(e.order)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		copy(e.order, ids)
+		copy(e.order, shuffled)
 		e.SortInstanceOrder()
 	}
 }
@@ -116,8 +128,9 @@ func TestSortInstanceOrderAllocations(t *testing.T) {
 		ids[i] = instanceID(len(ids) - i)
 	}
 	e := engineWithOrder(ids)
+	shuffled := slices.Clone(e.order)
 	if allocs := testing.AllocsPerRun(5, func() {
-		copy(e.order, ids)
+		copy(e.order, shuffled)
 		e.SortInstanceOrder()
 	}); allocs > 3 {
 		t.Errorf("SortInstanceOrder allocates %.0f objects for %d instances, want at most 3", allocs, len(ids))

@@ -121,20 +121,13 @@ func sortedKeys(m map[string]bool) []string {
 // worklist items wholesale so pre-crash claims survive.
 func (e *Engine) RestoreInstance(snap *InstanceSnapshot, bias []BiasOp) error {
 	e.mu.Lock()
-	s, ok := e.schemas[schemaKey{snap.TypeName, snap.Version}]
-	if !ok {
-		e.mu.Unlock()
-		return fmt.Errorf("engine: restore %s: no schema %s v%d", snap.ID, snap.TypeName, snap.Version)
-	}
-	if _, dup := e.insts[snap.ID]; dup {
-		e.mu.Unlock()
-		return fmt.Errorf("engine: restore %s: instance already exists", snap.ID)
-	}
-	inst := newInstance(e, snap.ID, s, snap.Strategy)
-	e.insts[snap.ID] = inst
-	e.orderPos[snap.ID] = len(e.order)
-	e.order = append(e.order, snap.ID)
+	inst, err := e.registerLocked(snap.ID, snap.TypeName, snap.Version, snap.Strategy)
 	e.mu.Unlock()
+	if err != nil {
+		// %v: a snapshot that names a missing schema or a taken ID is a
+		// broken snapshot, not a caller's not-found or conflict.
+		return fmt.Errorf("engine: restore %s: %v", snap.ID, err)
+	}
 
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
@@ -189,16 +182,12 @@ func (e *Engine) RestoreInstance(snap *InstanceSnapshot, bias []BiasOp) error {
 func (e *Engine) AllSchemas() []*model.Schema {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	out := make([]*model.Schema, 0, len(e.schemas))
-	for _, s := range e.schemas {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].TypeName() != out[j].TypeName() {
-			return out[i].TypeName() < out[j].TypeName()
+	out := []*model.Schema{}
+	for _, t := range e.typesLocked() {
+		for _, d := range e.types[t] {
+			out = append(out, d.Schema)
 		}
-		return out[i].Version() < out[j].Version()
-	})
+	}
 	return out
 }
 
@@ -235,14 +224,14 @@ func (e *Engine) SortInstanceOrder() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	type key struct {
-		id     string
+		inst   *Instance
 		n      int
-		engine bool // id is engine-style and n its number
+		engine bool // the ID is engine-style and n its number
 	}
 	keys := make([]key, len(e.order))
-	for i, id := range e.order {
-		n, ok := instanceNumber(id)
-		keys[i] = key{id, n, ok}
+	for i, inst := range e.order {
+		n, ok := instanceNumber(inst.id)
+		keys[i] = key{inst, n, ok}
 	}
 	slices.SortStableFunc(keys, func(a, b key) int {
 		switch {
@@ -254,11 +243,11 @@ func (e *Engine) SortInstanceOrder() {
 			}
 			return 1
 		}
-		return strings.Compare(a.id, b.id)
+		return strings.Compare(a.inst.id, b.inst.id)
 	})
 	for i, k := range keys {
-		e.order[i] = k.id
-		e.orderPos[k.id] = i
+		e.order[i] = k.inst
+		k.inst.pos = int32(i)
 	}
 }
 

@@ -196,42 +196,21 @@ func (m *Manager) Evolve(typeName string, ops []change.Operation, opts Options) 
 	if err := m.eng.Deploy(next); err != nil {
 		return nil, err
 	}
-	report := m.MigrateAll(typeName, from, next, ops, opts)
-	return report, nil
-}
-
-// targetIndex bundles the target schema with its derived indexes — block
-// analysis and topology — computed once per migration run and shared
-// (read-only) by every worker, instead of being re-derived per instance.
-type targetIndex struct {
-	schema  *model.Schema
-	info    *graph.Info
-	infoErr error
-}
-
-// indexTarget precomputes the shared derived indexes of the target schema.
-// Only the replay check consumes the block analysis, so it is skipped in
-// fast mode. Pre-warming Topology also keeps the workers from racing to
-// build the schema's cached index.
-func indexTarget(target *model.Schema, mode CheckMode) *targetIndex {
-	ti := &targetIndex{schema: target}
-	if mode == ReplayCheck {
-		ti.info, ti.infoErr = graph.Analyze(target)
-	}
-	target.Topology()
-	return ti
+	to, _ := m.eng.Deployed(typeName, next.Version())
+	return m.MigrateAll(typeName, from, to, ops, opts), nil
 }
 
 // MigrateAll migrates every instance of (typeName, fromVersion) towards
-// the already-deployed target schema and returns the report.
-func (m *Manager) MigrateAll(typeName string, fromVersion int, target *model.Schema, ops []change.Operation, opts Options) *Report {
+// the deployed target version and returns the report. Every worker shares
+// (read-only) the target's topology and the block analysis it was deployed
+// with instead of deriving them per instance.
+func (m *Manager) MigrateAll(typeName string, fromVersion int, to engine.Deployed, ops []change.Operation, opts Options) *Report {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 	start := time.Now()
 	insts := m.eng.InstancesOf(typeName, fromVersion)
 	results := make([]InstanceResult, len(insts))
-	ti := indexTarget(target, opts.Mode)
 
 	var wg sync.WaitGroup
 	work := make(chan int)
@@ -244,7 +223,7 @@ func (m *Manager) MigrateAll(typeName string, fromVersion int, target *model.Sch
 			// buffer across all instances it migrates.
 			sc := &migrateScratch{}
 			for i := range work {
-				results[i] = m.migrateInstance(insts[i], ti, ops, opts, sc)
+				results[i] = m.migrateInstance(insts[i], to, ops, opts, sc)
 			}
 		}()
 	}
@@ -257,7 +236,7 @@ func (m *Manager) MigrateAll(typeName string, fromVersion int, target *model.Sch
 	return &Report{
 		TypeName:    typeName,
 		FromVersion: fromVersion,
-		ToVersion:   target.Version(),
+		ToVersion:   to.Schema.Version(),
 		Options:     opts,
 		Results:     results,
 		Elapsed:     time.Since(start),
@@ -276,18 +255,14 @@ type migrateScratch struct {
 	rebind  history.RebindScratch
 }
 
-// MigrateInstance decides and (if compliant) performs the migration of one
-// instance to the target schema.
-func (m *Manager) MigrateInstance(inst *engine.Instance, target *model.Schema, ops []change.Operation, opts Options) InstanceResult {
-	return m.migrateInstance(inst, indexTarget(target, opts.Mode), ops, opts, &migrateScratch{})
-}
-
-func (m *Manager) migrateInstance(inst *engine.Instance, ti *targetIndex, ops []change.Operation, opts Options, sc *migrateScratch) InstanceResult {
+// migrateInstance decides and (if compliant) performs the migration of one
+// instance to the target version.
+func (m *Manager) migrateInstance(inst *engine.Instance, to engine.Deployed, ops []change.Operation, opts Options, sc *migrateScratch) InstanceResult {
 	res := InstanceResult{Instance: inst.ID()}
 	begin := time.Now()
 	err := inst.Mutate(func(mx *engine.Mutable) error {
 		res.Biased = len(mx.BiasOps()) > 0
-		res.Outcome, res.Detail = m.migrateLocked(mx, ti, ops, opts, sc)
+		res.Outcome, res.Detail = m.migrateLocked(mx, to, ops, opts, sc)
 		return nil
 	})
 	if err != nil {
@@ -298,8 +273,8 @@ func (m *Manager) migrateInstance(inst *engine.Instance, ti *targetIndex, ops []
 }
 
 // migrateLocked runs under the instance lock.
-func (m *Manager) migrateLocked(mx *engine.Mutable, ti *targetIndex, ops []change.Operation, opts Options, sc *migrateScratch) (Outcome, string) {
-	target := ti.schema
+func (m *Manager) migrateLocked(mx *engine.Mutable, to engine.Deployed, ops []change.Operation, opts Options, sc *migrateScratch) (Outcome, string) {
+	target := to.Schema
 	if mx.Done() {
 		return AlreadyFinished, ""
 	}
@@ -344,14 +319,13 @@ func (m *Manager) migrateLocked(mx *engine.Mutable, ti *targetIndex, ops []chang
 			return Failed, err.Error()
 		}
 		sc.reduced = history.ReduceInto(curBlocks, mx.History().Events(), sc.reduced)
-		// Unbiased instances replay against the shared target index; only
-		// biased instances need a fresh analysis of their trial view.
-		info, infoErr := ti.info, ti.infoErr
+		// Unbiased instances replay against the target's own analysis; only
+		// biased instances need a fresh one of their trial view.
+		info := to.Blocks
 		if targetView != model.SchemaView(target) {
-			info, infoErr = graph.Analyze(targetView)
-		}
-		if infoErr != nil {
-			return StructuralConflict, infoErr.Error()
+			if info, err = graph.Analyze(targetView); err != nil {
+				return StructuralConflict, err.Error()
+			}
 		}
 		if _, err := sc.rp.Replay(targetView, info, sc.reduced); err != nil {
 			return StateConflict, err.Error()
@@ -372,7 +346,7 @@ func (m *Manager) migrateLocked(mx *engine.Mutable, ti *targetIndex, ops []chang
 	for i, op := range biasOps {
 		rebased[i] = op
 	}
-	if err := mx.MigrateTo(target, rebased); err != nil {
+	if err := mx.MigrateTo(to, rebased); err != nil {
 		return Failed, err.Error()
 	}
 	switch opts.Adapt {

@@ -74,7 +74,6 @@ type Info struct {
 	blocks  []*Block
 	bySplit map[string]*Block
 	byJoin  map[string]*Block
-	pos     map[string]int // topological position over control edges
 
 	// topo is the topology index of the analyzed view, captured so
 	// consumers of the analysis (history reduction) can intern node IDs
@@ -112,7 +111,6 @@ func Analyze(v model.SchemaView) (*Info, error) {
 	info := &Info{
 		bySplit: make(map[string]*Block),
 		byJoin:  make(map[string]*Block),
-		pos:     pos,
 	}
 
 	loopPairs, err := loopPairs(v)
@@ -381,9 +379,6 @@ func (i *Info) ByJoin(join string) (*Block, bool) {
 	b, ok := i.byJoin[join]
 	return b, ok
 }
-
-// TopoPos returns the topological position of the node over control edges.
-func (i *Info) TopoPos(id string) int { return i.pos[id] }
 
 // InnermostContaining returns the smallest block strictly containing the
 // node, or nil if the node lies at the top level.

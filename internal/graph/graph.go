@@ -26,9 +26,6 @@ func ControlAndSync(e *model.Edge) bool {
 	return e.Type == model.EdgeControl || e.Type == model.EdgeSync
 }
 
-// All selects every edge including loop edges.
-func All(*model.Edge) bool { return true }
-
 // TopoOrder returns a topological order of all nodes over the filtered
 // edges. If the filtered graph contains a cycle, it returns an error
 // naming the nodes on the residual cycle.

@@ -25,12 +25,6 @@ type Fragment struct {
 	valid bool
 }
 
-// Entry returns the entry node ID of the fragment.
-func (f Fragment) Entry() string { return f.entry }
-
-// Exit returns the exit node ID of the fragment.
-func (f Fragment) Exit() string { return f.exit }
-
 // NewBuilder creates a builder for version 1 of the named process type.
 func NewBuilder(typeName string) *Builder {
 	return NewVersionBuilder(typeName, 1)

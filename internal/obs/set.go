@@ -309,11 +309,3 @@ func (s *Set) RPCDecodeError() {
 		s.RPC.DecodeErrors.Inc()
 	}
 }
-
-// RPCRequests returns one endpoint's request count (tests).
-func (s *Set) RPCRequests(ep int) int64 {
-	if s == nil || ep < 0 || ep >= len(s.RPC.requests) {
-		return 0
-	}
-	return s.RPC.requests[ep].Load()
-}

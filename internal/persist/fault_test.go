@@ -82,7 +82,7 @@ func TestFailedAppendTruncatesPartialWrite(t *testing.T) {
 	if err := j.Close(); err != nil { // Close repairs the tail like Flush does
 		t.Fatal(err)
 	}
-	recs, err := LoadJournal(path)
+	recs, _, err := LoadJournalSuffixFS(vfs.OS(), path, 0)
 	if err != nil {
 		t.Fatalf("journal corrupt after partial write: %v", err)
 	}
@@ -182,7 +182,7 @@ func TestAppendMultiRollbackFailureWedgesUntilHeal(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := LoadJournalFS(mem, "j")
+	recs, _, err := LoadJournalSuffixFS(mem, "j", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

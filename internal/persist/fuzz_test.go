@@ -3,6 +3,8 @@ package persist
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -13,7 +15,7 @@ import (
 // writes its lines by hand, so for any sequence number, epoch, op and args
 // the line it appends must be json.Marshal of the Record plus the newline,
 // byte for byte — HTML-escaped <, > and &, invalid UTF-8 replaced, U+2028
-// and U+2029 escaped, args compacted — and LoadJournalSuffix must read the
+// and U+2029 escaped, args compacted — and LoadJournalSuffixFS must read the
 // same record back. Where encoding/json refuses the args the append must
 // refuse too and leave the journal as it was; where the scanner refuses
 // the reference line (a sequence number below 1) it must refuse this one.
@@ -86,7 +88,8 @@ func FuzzAppendRecord(f *testing.F) {
 // and a second scan reads the same records plus the new one from a file
 // that is intact to its last byte. A repair that loses a record the first
 // scan returned, or lets the append land where the next scan cannot read
-// it, fails here.
+// it, fails here. The one append that may fail is the one after the
+// maximum int, and only by saying that no sequence number is left.
 func FuzzScanAndRepair(f *testing.F) {
 	// testdata/fuzz/FuzzScanAndRepair holds the tail shapes the repair
 	// knows (torn, open, CRLF, cut between \r and \n, blank lines past a
@@ -104,15 +107,18 @@ func FuzzScanAndRepair(f *testing.F) {
 		if tail.ValidSize < 0 || tail.ValidSize > int64(len(file)) {
 			t.Fatalf("tail %+v over a %d-byte file", tail, len(file))
 		}
-		if tail.LastSeq+1 < tail.LastSeq {
-			return // no sequence number follows the maximum int
-		}
 
 		j, err := ResumeJournalFS(fsys, "wal", tail)
 		if err != nil {
 			t.Fatal(err)
 		}
 		seq, err := j.AppendRecord("fuzz", 0, nil)
+		if tail.LastSeq == math.MaxInt {
+			if !errors.Is(err, errSeqExhausted) || j.Seq() != tail.LastSeq {
+				t.Fatalf("append after the maximum int: seq %d, %v; the journal is at %d", seq, err, j.Seq())
+			}
+			return
+		}
 		if err != nil || seq != tail.LastSeq+1 {
 			t.Fatalf("append after %+v: seq %d, %v", tail, seq, err)
 		}

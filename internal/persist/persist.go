@@ -35,8 +35,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"sync"
@@ -88,16 +90,10 @@ type Journal struct {
 	argsEnc *json.Encoder
 }
 
-// OpenJournalBuffered opens (or creates) a journal file in append mode,
+// OpenJournalBufferedFS opens (or creates) a journal file in append mode,
 // repairing its tail. If the file already holds records, new sequence
 // numbers continue after the highest existing one. Appends land in a
 // user-space buffer: records become durable only when Flush is called.
-func OpenJournalBuffered(path string) (*Journal, error) {
-	return OpenJournalBufferedFS(vfs.OS(), path)
-}
-
-// OpenJournalBufferedFS is OpenJournalBuffered over an explicit
-// filesystem.
 func OpenJournalBufferedFS(fsys vfs.FS, path string) (*Journal, error) {
 	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
@@ -180,15 +176,23 @@ func (j *Journal) encodeLocked(seq, epoch int, op string, args any) error {
 	return nil
 }
 
+// errSeqExhausted refuses an append that no sequence number is left for:
+// past math.MaxInt the counter would wrap negative and the record read as
+// a gap.
+var errSeqExhausted = errors.New("persist: append: the journal's sequence numbers are exhausted")
+
 // AppendRecord stages one command in the pending buffer and returns the
 // sequence number it received; the record is durable after the next
 // successful Flush. epoch is the control-log sequence number a sharded
 // data record was issued under (0 is omitted from the encoding). The
-// append touches only memory: it fails only when the args do not encode,
-// and then leaves the journal as it was.
+// append touches only memory: it fails only when the args do not encode
+// or no sequence number is left, and then leaves the journal as it was.
 func (j *Journal) AppendRecord(op string, epoch int, args any) (int, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.seq == math.MaxInt {
+		return 0, errSeqExhausted
+	}
 	j.lineBuf = j.lineBuf[:0]
 	if err := j.encodeLocked(j.seq+1, epoch, op, args); err != nil {
 		return 0, err
@@ -211,13 +215,16 @@ type Pending struct {
 // AppendMulti stages a batch of records under one lock acquisition — the
 // throughput primitive behind SubmitBatch. Sequence numbers are assigned
 // contiguously in slice order; the last one is returned. The append is
-// all-or-nothing: a record that does not encode leaves the journal as it
-// was.
+// all-or-nothing: a record that does not encode, or a batch longer than
+// the sequence numbers left, leaves the journal as it was.
 func (j *Journal) AppendMulti(recs []Pending) (int, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if len(recs) == 0 {
 		return j.seq, nil
+	}
+	if len(recs) > math.MaxInt-j.seq {
+		return 0, errSeqExhausted
 	}
 	j.lineBuf = j.lineBuf[:0]
 	for i, p := range recs {
@@ -345,26 +352,8 @@ func (j *Journal) Close() error {
 // middle of the journal is an error. A compacted journal (first record's
 // sequence number > 1) is accepted as long as it stays contiguous.
 func ReadJournal(r io.Reader) ([]Record, error) {
-	return readAll(r)
-}
-
-// LoadJournal reads all records of a journal file. A missing file yields
-// an empty journal.
-func LoadJournal(path string) ([]Record, error) {
-	return LoadJournalFS(vfs.OS(), path)
-}
-
-// LoadJournalFS is LoadJournal over an explicit filesystem.
-func LoadJournalFS(fsys vfs.FS, path string) ([]Record, error) {
-	f, err := vfs.Open(fsys, path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("persist: load journal: %w", err)
-	}
-	defer f.Close()
-	return readAll(f)
+	recs, _, err := scanRecords(r, 0)
+	return recs, err
 }
 
 // TailInfo describes the boundaries and physical integrity of a scanned
@@ -395,18 +384,14 @@ func ResumeJournalFS(fsys vfs.FS, path string, tail TailInfo) (*Journal, error) 
 	return newFileJournal(fsys, path, f, tail.LastSeq), nil
 }
 
-// LoadJournalSuffix scans the journal once and fully decodes only the
-// records with Seq > afterSeq — the suffix a snapshot recovery replays.
+// LoadJournalSuffixFS scans the journal once and fully decodes only the
+// records with Seq > afterSeq — the suffix a snapshot recovery replays;
+// afterSeq 0 loads a whole journal, and a missing file is an empty one.
 // Records at or before afterSeq are verified for contiguity via a fast
 // sequence-number probe but never materialized, so recovering a long
 // journal from a recent snapshot does not pay for decoding its history.
 // Torn trailing lines are tolerated exactly like ReadJournal; the
 // returned TailInfo feeds ResumeJournalFS's tail repair.
-func LoadJournalSuffix(path string, afterSeq int) ([]Record, TailInfo, error) {
-	return LoadJournalSuffixFS(vfs.OS(), path, afterSeq)
-}
-
-// LoadJournalSuffixFS is LoadJournalSuffix over an explicit filesystem.
 func LoadJournalSuffixFS(fsys vfs.FS, path string, afterSeq int) ([]Record, TailInfo, error) {
 	f, err := vfs.Open(fsys, path)
 	if os.IsNotExist(err) {
@@ -438,11 +423,6 @@ func quickSeq(line []byte) (int, bool) {
 		return 0, false
 	}
 	return n, true
-}
-
-func readAll(r io.Reader) ([]Record, error) {
-	recs, _, err := scanRecords(r, 0)
-	return recs, err
 }
 
 // scanRecords is the shared journal scanner: it validates sequence

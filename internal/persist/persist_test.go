@@ -3,6 +3,9 @@ package persist
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,7 +28,7 @@ func memJournal(t testing.TB) (*Journal, *vfs.MemFS) {
 // fileJournal opens the journal file at path.
 func fileJournal(t testing.TB, path string) *Journal {
 	t.Helper()
-	j, err := OpenJournalBuffered(path)
+	j, err := OpenJournalBufferedFS(vfs.OS(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,6 +69,45 @@ func flushed(t testing.TB, j *Journal, fsys vfs.FS) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// TestAppendRefusedPastMaxInt: a journal resumed on a tail that ends one
+// short of the maximum int has one sequence number left. A batch of two is
+// refused whole, one record takes the last number, and every append after
+// it is refused with the journal — counter, pending bytes, file — as it was.
+func TestAppendRefusedPastMaxInt(t *testing.T) {
+	mem := vfs.NewMemFS()
+	putFile(t, mem, "wal", []byte(fmt.Sprintf(`{"seq":%d,"op":"a","args":null}`+"\n", math.MaxInt-1)))
+	_, tail, err := LoadJournalSuffixFS(mem, "wal", 0)
+	if err != nil || tail.LastSeq != math.MaxInt-1 {
+		t.Fatalf("scan: tail %+v, %v", tail, err)
+	}
+	j, err := ResumeJournalFS(mem, "wal", tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq, err := j.AppendMulti([]Pending{{Op: "b"}, {Op: "c"}}); !errors.Is(err, errSeqExhausted) || seq != 0 || j.Seq() != math.MaxInt-1 {
+		t.Fatalf("batch of two with one number left: seq %d, %v; the journal is at %d", seq, err, j.Seq())
+	}
+	if seq, err := j.AppendRecord("b", 0, nil); err != nil || seq != math.MaxInt {
+		t.Fatalf("the last sequence number: %d, %v", seq, err)
+	}
+	full := flushed(t, j, mem)
+	if seq, err := j.AppendRecord("c", 0, nil); !errors.Is(err, errSeqExhausted) || seq != 0 {
+		t.Fatalf("append past the maximum int: seq %d, %v", seq, err)
+	}
+	if seq, err := j.AppendMulti([]Pending{{Op: "c"}}); !errors.Is(err, errSeqExhausted) || seq != 0 {
+		t.Fatalf("batch past the maximum int: seq %d, %v", seq, err)
+	}
+	if got := flushed(t, j, mem); j.Seq() != math.MaxInt || !bytes.Equal(got, full) {
+		t.Fatalf("a refused append moved the journal: seq %d, file %q", j.Seq(), got)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, tail, err := LoadJournalSuffixFS(mem, "wal", 0); err != nil || tail.LastSeq != math.MaxInt {
+		t.Fatalf("rescan: tail %+v, %v", tail, err)
+	}
 }
 
 func TestJournalAppendAndRead(t *testing.T) {
@@ -130,7 +172,7 @@ func TestFileJournalReopenContinuesSeq(t *testing.T) {
 	if err := j2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := LoadJournal(path)
+	recs, _, err := LoadJournalSuffixFS(vfs.OS(), path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +182,7 @@ func TestFileJournalReopenContinuesSeq(t *testing.T) {
 }
 
 func TestLoadJournalMissingFile(t *testing.T) {
-	recs, err := LoadJournal(filepath.Join(t.TempDir(), "absent.ndjson"))
+	recs, _, err := LoadJournalSuffixFS(vfs.OS(), filepath.Join(t.TempDir(), "absent.ndjson"), 0)
 	if err != nil || recs != nil {
 		t.Fatalf("missing file: recs=%v err=%v", recs, err)
 	}
@@ -181,13 +223,13 @@ func TestBufferedJournalFlush(t *testing.T) {
 		t.Fatalf("seq=%d err=%v", seq, err)
 	}
 	// Before the flush the record sits in the user-space buffer.
-	if recs, _ := LoadJournal(path); len(recs) != 0 {
+	if recs, _, _ := LoadJournalSuffixFS(vfs.OS(), path, 0); len(recs) != 0 {
 		t.Fatalf("buffered record visible before flush: %+v", recs)
 	}
 	if err := j.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := LoadJournal(path)
+	recs, _, err := LoadJournalSuffixFS(vfs.OS(), path, 0)
 	if err != nil || len(recs) != 1 {
 		t.Fatalf("recs=%v err=%v", recs, err)
 	}
@@ -196,7 +238,7 @@ func TestBufferedJournalFlush(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if recs, _ := LoadJournal(path); len(recs) != 2 {
+	if recs, _, _ := LoadJournalSuffixFS(vfs.OS(), path, 0); len(recs) != 2 {
 		t.Fatalf("close must flush, got %+v", recs)
 	}
 }
@@ -211,7 +253,7 @@ func TestLoadJournalSuffix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, tail, err := LoadJournalSuffix(path, 6)
+	recs, tail, err := LoadJournalSuffixFS(vfs.OS(), path, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,14 +264,14 @@ func TestLoadJournalSuffix(t *testing.T) {
 		t.Fatalf("intact journal: tail=%+v size=%d", tail, st.Size())
 	}
 	// afterSeq 0 decodes everything; afterSeq past the tail decodes nothing.
-	if recs, _, _ := LoadJournalSuffix(path, 0); len(recs) != 9 {
+	if recs, _, _ := LoadJournalSuffixFS(vfs.OS(), path, 0); len(recs) != 9 {
 		t.Fatalf("full suffix: %d", len(recs))
 	}
-	if recs, tail, _ := LoadJournalSuffix(path, 99); len(recs) != 0 || tail.LastSeq != 9 {
+	if recs, tail, _ := LoadJournalSuffixFS(vfs.OS(), path, 99); len(recs) != 0 || tail.LastSeq != 9 {
 		t.Fatalf("empty suffix: %d tail=%+v", len(recs), tail)
 	}
 	// Missing file: all zeros.
-	if recs, tail, err := LoadJournalSuffix(filepath.Join(t.TempDir(), "absent"), 0); err != nil || recs != nil || tail != (TailInfo{}) {
+	if recs, tail, err := LoadJournalSuffixFS(vfs.OS(), filepath.Join(t.TempDir(), "absent"), 0); err != nil || recs != nil || tail != (TailInfo{}) {
 		t.Fatalf("missing: %v %v %+v", recs, err, tail)
 	}
 
@@ -244,7 +286,7 @@ func TestLoadJournalSuffix(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	recs, tail, err = LoadJournalSuffix(path, 6)
+	recs, tail, err = LoadJournalSuffixFS(vfs.OS(), path, 6)
 	if err != nil || tail.LastSeq != 9 || len(recs) != 3 {
 		t.Fatalf("torn tail: recs=%d tail=%+v err=%v", len(recs), tail, err)
 	}
@@ -258,7 +300,7 @@ func TestLoadJournalSuffix(t *testing.T) {
 	if err := os.WriteFile(gapPath, []byte(gap), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadJournalSuffix(gapPath, 5); err == nil || !strings.Contains(err.Error(), "gap") {
+	if _, _, err := LoadJournalSuffixFS(vfs.OS(), gapPath, 5); err == nil || !strings.Contains(err.Error(), "gap") {
 		t.Fatalf("prefix gap not detected: %v", err)
 	}
 }
@@ -280,7 +322,7 @@ func TestResumeJournalContinuesSeq(t *testing.T) {
 
 // TestTornTailRepairedBeforeAppend is the crash shape that used to be
 // fatal: a torn trailing line survives recovery, and the next append must
-// NOT concatenate onto it. Both OpenJournalBuffered and ResumeJournalFS
+// NOT concatenate onto it. Both OpenJournalBufferedFS and ResumeJournalFS
 // truncate the damage (and terminate an unterminated final record) before
 // appending.
 func TestTornTailRepairedBeforeAppend(t *testing.T) {
@@ -304,7 +346,7 @@ func TestTornTailRepairedBeforeAppend(t *testing.T) {
 	}
 	check := func(t *testing.T, path string) {
 		t.Helper()
-		recs, err := LoadJournal(path)
+		recs, _, err := LoadJournalSuffixFS(vfs.OS(), path, 0)
 		if err != nil {
 			t.Fatalf("journal corrupt after repaired append: %v", err)
 		}
@@ -328,7 +370,7 @@ func TestTornTailRepairedBeforeAppend(t *testing.T) {
 		})
 		t.Run("resume/"+name, func(t *testing.T) {
 			path := mk(t, torn)
-			_, tail, err := LoadJournalSuffix(path, 0)
+			_, tail, err := LoadJournalSuffixFS(vfs.OS(), path, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -353,7 +395,7 @@ func TestOpenTailGetsNewline(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"seq":1,"op":"a","args":null}`), 0o644); err != nil {
 		t.Fatal(err) // note: no trailing newline
 	}
-	_, tail, err := LoadJournalSuffix(path, 0)
+	_, tail, err := LoadJournalSuffixFS(vfs.OS(), path, 0)
 	if err != nil || tail.LastSeq != 1 || !tail.OpenTail {
 		t.Fatalf("tail=%+v err=%v", tail, err)
 	}
@@ -365,7 +407,7 @@ func TestOpenTailGetsNewline(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := LoadJournal(path)
+	recs, _, err := LoadJournalSuffixFS(vfs.OS(), path, 0)
 	if err != nil || len(recs) != 2 || recs[0].Op != "a" || recs[1].Op != "b" {
 		t.Fatalf("recs=%+v err=%v", recs, err)
 	}
@@ -413,7 +455,7 @@ func TestTornTailFollowedByBlankLineRepaired(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := LoadJournal(path)
+	recs, _, err := LoadJournalSuffixFS(vfs.OS(), path, 0)
 	if err != nil {
 		t.Fatalf("journal corrupt after repair: %v", err)
 	}

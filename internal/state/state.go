@@ -290,9 +290,6 @@ func (m *Marking) Edge(k model.EdgeKey) EdgeState {
 	return NotSignaled
 }
 
-// EdgeAt returns the state of an interned edge.
-func (m *Marking) EdgeAt(i model.EdgeIdx) EdgeState { return m.edges[i] }
-
 // SetNode sets a node state directly. Callers outside this package should
 // prefer the Start/Complete/Evaluate entry points. Demoting a node to
 // NotActivated queues it for re-examination. Setting a node unknown to the

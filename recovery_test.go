@@ -13,6 +13,7 @@ import (
 	"adept2/internal/durable/sharded"
 	"adept2/internal/persist"
 	"adept2/internal/sim"
+	"adept2/internal/vfs"
 )
 
 // runPrefix drives a deterministic scenario through the facade: deploy,
@@ -420,7 +421,7 @@ func TestRecoveryEmptyJournalWithSnapshot(t *testing.T) {
 	// Full compaction keeps the newest record as a tombstone, so an Open
 	// that cannot reach the snapshot still detects the missing prefix
 	// instead of silently coming up empty.
-	recs, err := persist.LoadJournal(path)
+	recs, _, err := persist.LoadJournalSuffixFS(vfs.OS(), path, 0)
 	if err != nil || len(recs) != 1 || recs[0].Seq != snapSeq {
 		t.Fatalf("tombstone: recs=%+v err=%v", recs, err)
 	}

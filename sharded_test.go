@@ -8,11 +8,13 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"adept2"
 	"adept2/internal/durable/sharded"
 	"adept2/internal/sim"
+	"adept2/internal/vfs"
 )
 
 // shardedCfg is the default sharded test configuration: 4 shards, manual
@@ -548,6 +550,57 @@ func TestReshardRerunCompletesInterruptedShrink(t *testing.T) {
 		t.Fatalf("reshard rerun must complete the shrink: %v", err)
 	}
 	got, err := adept2.Open(path, adept2.WithOrg(sim.Org()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer got.Close()
+	assertSameState(t, reference(t, true), got)
+}
+
+// TestReshardReportsFailedFinalSync: the directory fsync that makes a
+// shrink's stray-journal removals durable fails. Reshard says so rather
+// than report a finished job; the crash that follows brings the strays
+// back, Open refuses them, and a rerun on a healthy disk finishes.
+func TestReshardReportsFailedFinalSync(t *testing.T) {
+	mem := vfs.NewMemFS()
+	opts := []adept2.Option{adept2.WithOrg(sim.Org()), adept2.WithCheckpointing(shardedCfg()), adept2.WithVFS(mem)}
+	sys, err := adept2.Open("wal", opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i1, _ := runPrefix(t, sys)
+	runSuffix(t, sys, i1)
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l4 := sharded.Layout{Base: "wal", Shards: 4}
+	var swept, failed atomic.Bool
+	lastSync := vfs.NewFaultFS(mem, func(n int64, op vfs.OpRef) vfs.Decision {
+		switch {
+		case op.Kind == vfs.OpRemoveAll && op.Path == l4.SnapDir(3):
+			swept.Store(true) // the sweep's last removal
+		case op.Kind == vfs.OpSyncDir && swept.Load():
+			failed.Store(true)
+			return vfs.Decision{Err: vfs.ErrInjected}
+		}
+		return vfs.Decision{}
+	})
+	err = adept2.Reshard("wal", 2, adept2.WithOrg(sim.Org()), adept2.WithVFS(lastSync))
+	if !failed.Load() {
+		t.Fatal("the fault script never met the directory fsync after the sweep")
+	}
+	if !errors.Is(err, vfs.ErrInjected) {
+		t.Fatalf("reshard with its last fsync failing: %v, want the injected fault", err)
+	}
+	mem.Crash()
+	if _, err := adept2.Open("wal", opts...); err == nil {
+		t.Fatal("open must refuse the strays the crash brought back")
+	}
+	if err := adept2.Reshard("wal", 2, adept2.WithOrg(sim.Org()), adept2.WithVFS(mem)); err != nil {
+		t.Fatalf("reshard rerun must complete the shrink: %v", err)
+	}
+	mem.Crash()
+	got, err := adept2.Open("wal", adept2.WithOrg(sim.Org()), adept2.WithVFS(mem))
 	if err != nil {
 		t.Fatal(err)
 	}

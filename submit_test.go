@@ -110,7 +110,7 @@ func TestSubmitBatchSingleFsync(t *testing.T) {
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := persist.LoadJournal(path)
+	recs, _, err := persist.LoadJournalSuffixFS(vfs.OS(), path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestSubmitAsyncReceiptResolvesDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The record is on disk now, without closing the system.
-	recs, err := persist.LoadJournal(path)
+	recs, _, err := persist.LoadJournalSuffixFS(vfs.OS(), path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestSubmitStampsTheRecordNotTheCommand(t *testing.T) {
 		t.Fatalf("the live path wrote its clock into the caller's commands: start.At=%d complete.At=%d", start.At, complete.At)
 	}
 
-	recs, err := persist.LoadJournalFS(fsys, "wal")
+	recs, _, err := persist.LoadJournalSuffixFS(fsys, "wal", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -304,6 +304,8 @@ func Reshard(path string, n int, opts ...Option) error {
 	}
 	// Fsync the directory so the removals are durable alongside the
 	// manifest.
-	_ = c.fsys().SyncDir(filepath.Dir(path))
+	if err := c.fsys().SyncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("adept2: reshard: sync directory: %w", err)
+	}
 	return nil
 }
