@@ -239,14 +239,32 @@
 //	 78  not the instance's: the order ID the caller wrote (24), and
 //	     the system's own structures divided by the population
 //
-// A biased instance adds its substitution block (about 300 B) and the
-// topology and block analysis of its own view; an instance that has not
-// finished adds an Item, an ID and index entries per offered activity;
-// the node IDs and user names the histories refer to are kept once per
-// engine, in its symbol table.
-// TestInstanceHeapBudget pins the figure (+3 %), and holds the sum of
-// Instance.Footprint().StateBytes over the population to the measured
-// heap (±10 %); the benchmark's heap_bytes_per_inst gates it at scale.
+// A biased instance adds 4 400 B under the hybrid representation, where
+// it added 12 376 B while the overlay kept a second adjacency index of its
+// view and the topology a slice header per node and edge type. By the same
+// profile, 2 000 fresh instances with the benchmark's conflicting bias (an
+// inserted activity and a sync edge: an 11-node, 12-edge view):
+//
+//	 was   is  structure
+//	4312  760  the overlay: its record, the delta's entries' lists and the
+//	           six edge lists of the four nodes the delta touches (was
+//	           eight maps and an index of every node's edges)
+//	5739 1321  the view's topology index: the ID map (503), an offset
+//	           table and one arena of edge indices (was eleven slices a
+//	           node and an edge-key map)
+//	1721 1721  the view's block analysis, five small maps
+//	 604  598  the inserted node and three edges, the two recorded
+//	           operations, and what the marking and the execution index
+//	           grow by for one more node
+//
+// An instance that has not finished adds an Item, an ID and index entries
+// per offered activity; the node IDs and user names the histories refer to
+// are kept once per engine, in its symbol table.
+// TestInstanceHeapBudget and TestBiasedInstanceHeapBudget pin the two
+// figures (+3 %), and hold Instance.Footprint() to the measured heap
+// (±10 %): StateBytes summed over the population, and what StateBytes,
+// BiasBytes and ViewBytes say the bias adds. The benchmark's
+// heap_bytes_per_inst gates both at scale.
 // What would move it further is named, not done: a binding could name
 // its value as an (element, version) of the data store instead of holding
 // it (at most 96 B here, and it would tie the log's lifetime to the

@@ -231,11 +231,10 @@ func (o *ParallelInsert) FastCompliance(ctx *Context) error {
 		return nil
 	}
 	topo := ctx.topology()
-	nt := topo.At(to)
-	for k, ei := range nt.OutControlIdx {
+	for _, ei := range topo.At(to).OutControlIdx() {
 		s := topo.EdgeTarget(ei)
 		if s != model.InvalidNode && ctx.startedAt(s) && ctx.stateAt(to) != state.Skipped {
-			return stateConflict(o.String(), "node %q behind the region already started", nt.OutControl[k].To)
+			return stateConflict(o.String(), "node %q behind the region already started", topo.EdgeAt(ei).To)
 		}
 	}
 	return nil
@@ -530,7 +529,7 @@ func (o *MoveActivity) FastCompliance(ctx *Context) error {
 	succ, succOK := ctx.node(o.NewSucc)
 	var n *model.Node
 	if idOK {
-		n = ctx.topology().At(id).Node
+		n = ctx.topology().At(id).Node()
 	} else {
 		n, _ = ctx.View.Node(o.ID)
 	}

@@ -154,7 +154,7 @@ func (sc *Replayer) Replay(view model.SchemaView, info *graph.Info, events []*hi
 			return nil, eventError(e, "node no longer exists in the target schema")
 		}
 		nt := topo.At(ni)
-		n := nt.Node
+		n := nt.Node()
 		seq, decision := int(e.Seq), int(e.Decision)
 		switch e.Kind {
 		case history.Started:
@@ -180,8 +180,8 @@ func (sc *Replayer) Replay(view model.SchemaView, info *graph.Info, events []*hi
 			// The recorded routing decision must still be possible.
 			if n.Type == model.NodeXORSplit {
 				found := false
-				for _, edge := range nt.OutControl {
-					if edge.Code == decision {
+				for _, ei := range nt.OutControlIdx() {
+					if topo.EdgeAt(ei).Code == decision {
 						found = true
 						break
 					}
@@ -245,7 +245,7 @@ func (r *replayRun) observe(activated []model.NodeIdx) {
 		if r.sc.inHistory.Has(int(ni)) {
 			continue
 		}
-		if !r.topo.At(ni).Node.CanAutoExecute() {
+		if !r.topo.At(ni).Node().CanAutoExecute() {
 			continue
 		}
 		r.insertCandidate(ni)
@@ -287,14 +287,13 @@ func (r *replayRun) fireVirtual(seq int) bool {
 			i--
 			continue
 		}
-		nt := r.topo.At(ni)
-		n := nt.Node
+		n := r.topo.At(ni).Node()
 		if err := r.m.StartAt(ni); err != nil {
 			continue
 		}
 		decision := -1
 		if n.Type == model.NodeXORSplit {
-			decision = virtualDecision(r.store, nt)
+			decision = virtualDecision(r.store, r.topo, ni)
 		}
 		// Virtual completions zero-fill their write edges, mirroring the
 		// engine's automatic execution. Virtual loop ends never iterate
@@ -320,15 +319,16 @@ func (r *replayRun) fireVirtual(seq int) bool {
 // virtualDecision resolves an XOR decision for a virtually fired split:
 // the decision element's current value, clamped to the lowest existing
 // code — identical to the engine's clamping rule.
-func virtualDecision(store *data.Store, nt *model.NodeTopology) int {
-	outs := nt.OutControl
-	min := outs[0].Code
-	for _, e := range outs {
-		if e.Code < min {
-			min = e.Code
+func virtualDecision(store *data.Store, topo *model.Topology, ni model.NodeIdx) int {
+	nt := topo.At(ni)
+	outs := nt.OutControlIdx()
+	min := topo.EdgeAt(outs[0]).Code
+	for _, ei := range outs {
+		if c := topo.EdgeAt(ei).Code; c < min {
+			min = c
 		}
 	}
-	n := nt.Node
+	n := nt.Node()
 	if n.DecisionElement == "" {
 		return min
 	}
@@ -340,8 +340,8 @@ func virtualDecision(store *data.Store, nt *model.NodeTopology) int {
 	if !ok {
 		return min
 	}
-	for _, e := range outs {
-		if e.Code == want {
+	for _, ei := range outs {
+		if topo.EdgeAt(ei).Code == want {
 			return want
 		}
 	}

@@ -453,7 +453,9 @@ func (inst *Instance) syncWorklistLocked() {
 	// spills to the heap past that), and BatchUpdate only reads the slice.
 	var scratch [8]worklist.Wanted
 	wanted := scratch[:0]
-	for _, id := range topo.ManualActivities() {
+	for _, ni := range topo.ManualActivitiesIdx() {
+		n := topo.At(ni).Node()
+		id := n.ID
 		if s := inst.marking.Node(id); s == state.Activated || s == state.Running {
 			// A failed activity in its retry backoff (or awaiting a
 			// policy compensation) keeps no offer: the re-offer is a
@@ -464,7 +466,7 @@ func (inst *Instance) syncWorklistLocked() {
 			}
 			wanted = append(wanted, worklist.Wanted{
 				Node:    id,
-				Role:    topo.Of(id).Node.Role,
+				Role:    n.Role,
 				Running: s == state.Running,
 			})
 		}

@@ -316,6 +316,13 @@ type StorageFootprint struct {
 	// schema: the substitution block (hybrid), the full copy, or the
 	// recorded operations (on-the-fly).
 	BiasBytes int
+	// ViewBytes is what the instance holds to serve its own view beyond
+	// that: the lists around a substitution block, the view's topology
+	// index and its block analysis, from the sizes and capacities they
+	// hold, and the recorded operations a migration or an undo rebuilds
+	// the view from. It is 0 while the instance is unbiased — the index
+	// and the analysis it reads then are the deployed version's.
+	ViewBytes int
 	// StateBytes covers the instance record and its entries in the
 	// engine's indexes, marking, history, execution index and data
 	// versions: each structure from its size and the capacities it
@@ -330,6 +337,10 @@ type StorageFootprint struct {
 // map's 7/8 load).
 const engineIndexBytes = 8 + (16+8+1)*8/7
 
+// biasOpBytes is the estimate of one recorded change operation: its record
+// and the node or the key it carries.
+const biasOpBytes = 64
+
 // Footprint returns the instance's storage footprint.
 func (inst *Instance) Footprint() StorageFootprint {
 	inst.mu.Lock()
@@ -341,10 +352,15 @@ func (inst *Instance) Footprint() StorageFootprint {
 	switch {
 	case inst.overlay != nil:
 		f.BiasBytes = inst.overlay.ApproxBytes()
+		f.ViewBytes = inst.overlay.IndexBytes()
 	case inst.fullcopy != nil:
 		f.BiasBytes = inst.fullcopy.ApproxBytes()
+		f.ViewBytes = inst.fullcopy.Topology().ApproxBytes()
 	case len(inst.biasOps) > 0:
-		f.BiasBytes = 64 * len(inst.biasOps) // recorded operations only
+		f.BiasBytes = biasOpBytes * len(inst.biasOps) // recorded operations only
+	}
+	if f.ViewBytes > 0 {
+		f.ViewBytes += inst.blocks.ApproxBytes() + 16*cap(inst.biasOps) + biasOpBytes*len(inst.biasOps)
 	}
 	return f
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"unsafe"
 
 	"adept2/internal/bitset"
 	"adept2/internal/model"
@@ -362,6 +363,25 @@ func checkNesting(blocks []*Block) error {
 		}
 	}
 	return nil
+}
+
+// ApproxBytes returns the memory the analysis holds beside the topology it
+// points to: the block records with their node sets and the two lookup
+// maps, each map from its entry count.
+func (i *Info) ApproxBytes() int {
+	total := int(unsafe.Sizeof(*i)) + 8*cap(i.blocks) +
+		model.StringMapBytes(len(i.bySplit)) + model.StringMapBytes(len(i.byJoin))
+	for _, b := range i.blocks {
+		total += int(unsafe.Sizeof(*b)) + 8*cap(b.Branches) + 8*cap(b.regionBits) +
+			model.StringMapBytes(len(b.region))
+		if b.Kind != model.NodeLoopStart { // a loop's one branch is its Inside
+			total += model.StringMapBytes(len(b.Inside))
+		}
+		for _, br := range b.Branches {
+			total += model.StringMapBytes(len(br))
+		}
+	}
+	return total
 }
 
 // Blocks returns all blocks ordered innermost-first (ascending region

@@ -14,31 +14,42 @@
 // # Topology index invariants
 //
 // Every SchemaView exposes a precomputed Topology: per-node adjacency
-// slices split by edge type plus derived node lists (auto-executable
-// nodes, manual activities). The index obeys the following invariants,
-// which the marking evaluator (internal/state), the engine cascade, and
-// the compliance replayer rely on:
+// lists split by edge type plus derived node lists (auto-executable
+// nodes, manual activities). The adjacency is one arena: a single array of
+// edge indices holds every list of every node back to back, an offset
+// table says where each list starts, and the NodeTopology handle At
+// returns slices the arena per call — no slice header and no allocation
+// per list. The index obeys the following invariants, which the marking
+// evaluator (internal/state), the engine cascade, and the compliance
+// replayer rely on:
 //
-//   - Completeness: Topology().Of(id) is non-nil exactly for the IDs in
-//     NodeIDs(), and NodeTopology.Index equals the ID's position there.
-//     NodeTopology.Node is the same *Node that Node(id) returns.
-//   - Partition: the six edge slices of a node partition InEdges/OutEdges
-//     by EdgeType — every incident edge appears in exactly one slice, and
-//     the *Edge pointers are shared with Edges() (no copies).
-//   - Derived lists: AutoExecutable() holds exactly the nodes with
-//     CanAutoExecute() true, ManualActivities() exactly the non-Auto
+//   - Completeness: Topology().Idx(id) succeeds exactly for the IDs in
+//     NodeIDs() and returns the ID's position there; At(i).Node() is the
+//     same *Node that Node(id) returns.
+//   - Partition: the typed lists of a node partition InEdges/OutEdges by
+//     EdgeType — every incident control and sync edge appears in exactly
+//     one in list and one out list, every loop edge in its source's out
+//     list (incoming loop edges are not indexed: nothing reads them) —
+//     each list in Edges() order, and EdgeAt returns the *Edge pointers of
+//     Edges() (no copies).
+//   - Derived lists: AutoExecutableIdx() holds exactly the nodes with
+//     CanAutoExecute() true, ManualActivitiesIdx() exactly the non-Auto
 //     NodeActivity nodes, both in NodeIDs() order.
+//   - Keyed edge lookup: EdgeIdxOf scans the source node's out list of the
+//     key's type; there is no edge-key map. It serves the marking remap,
+//     the snapshot import and the keyed Marking accessors, none of them on
+//     the per-command path.
 //   - Coherence: the index is invalidated by every structural mutation
 //     (node/edge add, remove, replace). *Schema clears its cache slot on
 //     mutation and rebuilds on demand (safe under concurrent readers: the
-//     slot is atomic and the build idempotent); the storage overlay
-//     rebuilds the index together with its adjacency caches on refresh.
-//     A *Topology held across a mutation of its view is stale — re-fetch
-//     it instead. Data elements and data edges do not affect the index
-//     (the per-activity data-edge map is maintained separately by
-//     DataEdgesOf).
-//   - Immutability: callers must never mutate the returned slices; one
-//     Topology is shared by every concurrent reader of a deployed schema.
+//     slot is atomic and the build idempotent); the storage overlay drops
+//     its index the same way. A *Topology held across a mutation of its
+//     view is stale — re-fetch it instead. Data elements and data edges do
+//     not affect the index (the per-activity data-edge lists are
+//     maintained separately by DataEdgesOf).
+//   - Immutability: accessor results alias the arena read-only (they are
+//     capped, so an append copies); one Topology is shared by every
+//     concurrent reader of a deployed schema.
 //
 // # Interning invariants
 //
@@ -53,7 +64,7 @@
 //     exact *Topology value that assigned it. The window opens when the
 //     index is obtained from a Topology and closes when the view's
 //     Topology() returns a different pointer — i.e. at the next structural
-//     mutation (Schema cache invalidation) or overlay bias refresh.
+//     mutation (of a Schema or of an overlay's delta).
 //     Indices must never be mixed across Topology values, not even for
 //     views with identical node sets: only the string IDs are stable
 //     identity.
@@ -66,10 +77,9 @@
 //     from the new topology are dropped, new ones start in their zero
 //     state. history.Stats follows the same rule via Rebind (with an
 //     overflow map as a correctness net for deferred rebinds). The
-//     overlay's bias refresh path (internal/storage) triggers this by
-//     rebuilding its Topology together with its adjacency caches, so a
-//     bias that alters the node set re-interns and every bound consumer
-//     remaps on next contact.
+//     overlay (internal/storage) triggers this by dropping its Topology
+//     on every node or edge mutation, so a bias that alters the node set
+//     re-interns and every bound consumer remaps on next contact.
 //   - Order preservation: interned indices order exactly like view order
 //     (NodeIdx ascending == NodeIDs order), so sorting activation sets by
 //     index reproduces the deterministic schema order the string API

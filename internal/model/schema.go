@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -223,7 +224,7 @@ func (s *Schema) RemoveNode(id string) error {
 		s.endID = ""
 	}
 	delete(s.nodes, id)
-	s.nodeOrder = removeString(s.nodeOrder, id)
+	s.nodeOrder = remove(s.nodeOrder, id)
 	delete(s.outEdges, id)
 	delete(s.inEdges, id)
 	delete(s.edgesByAct, id)
@@ -265,9 +266,9 @@ func (s *Schema) RemoveEdge(k EdgeKey) error {
 		return fmt.Errorf("model: remove edge %s: not found", k)
 	}
 	delete(s.edgeSet, k)
-	s.edges = removeEdge(s.edges, e)
-	s.outEdges[e.From] = removeEdge(s.outEdges[e.From], e)
-	s.inEdges[e.To] = removeEdge(s.inEdges[e.To], e)
+	s.edges = remove(s.edges, e)
+	s.outEdges[e.From] = remove(s.outEdges[e.From], e)
+	s.inEdges[e.To] = remove(s.inEdges[e.To], e)
 	s.invalidateTopology()
 	return nil
 }
@@ -297,7 +298,7 @@ func (s *Schema) RemoveDataElement(id string) error {
 		}
 	}
 	delete(s.data, id)
-	s.dataOrder = removeString(s.dataOrder, id)
+	s.dataOrder = remove(s.dataOrder, id)
 	return nil
 }
 
@@ -332,8 +333,8 @@ func (s *Schema) RemoveDataEdge(k DataEdgeKey) error {
 		return fmt.Errorf("model: remove data edge %v: not found", k)
 	}
 	delete(s.dataEdgeSet, k)
-	s.dataEdges = removeDataEdge(s.dataEdges, d)
-	s.edgesByAct[d.Activity] = removeDataEdge(s.edgesByAct[d.Activity], d)
+	s.dataEdges = remove(s.dataEdges, d)
+	s.edgesByAct[d.Activity] = remove(s.edgesByAct[d.Activity], d)
 	return nil
 }
 
@@ -451,31 +452,12 @@ func Equal(a, b SchemaView) bool {
 	return true
 }
 
-func removeString(ss []string, s string) []string {
-	for i, v := range ss {
-		if v == s {
-			return append(ss[:i], ss[i+1:]...)
-		}
+// remove deletes the first occurrence of x, keeping the order of the rest.
+func remove[T comparable](xs []T, x T) []T {
+	if i := slices.Index(xs, x); i >= 0 {
+		return append(xs[:i], xs[i+1:]...)
 	}
-	return ss
-}
-
-func removeEdge(es []*Edge, e *Edge) []*Edge {
-	for i, v := range es {
-		if v == e {
-			return append(es[:i], es[i+1:]...)
-		}
-	}
-	return es
-}
-
-func removeDataEdge(ds []*DataEdge, d *DataEdge) []*DataEdge {
-	for i, v := range ds {
-		if v == d {
-			return append(ds[:i], ds[i+1:]...)
-		}
-	}
-	return ds
+	return xs
 }
 
 var (

@@ -1,5 +1,10 @@
 package model
 
+import (
+	"slices"
+	"unsafe"
+)
+
 // NodeIdx is the dense interned index of a node within one Topology. The
 // index of a node is its position in SchemaView.NodeIDs order, so indices
 // are contiguous in [0, NumNodes()) and array lookups replace string-keyed
@@ -20,44 +25,51 @@ const InvalidNode NodeIdx = -1
 // for the Topology that assigned it.
 type EdgeIdx int32
 
-// NodeTopology is the precomputed adjacency record of one node: its
-// incident edges split by edge type, the node itself, and the node's
-// position in the view's enumeration order. The marking evaluator
-// (internal/state) consults these slices in its inner loop instead of
-// filtering InEdges/OutEdges on every visit, which removes all per-call
-// allocations from the hot path.
+// The typed adjacency ranges of one node, in arena order. The three out
+// ranges come first and in EdgeType order, so adjOut+EdgeType names the out
+// range of an edge type.
+const (
+	adjOutControl = iota
+	adjOutSync
+	adjOutLoop
+	adjInControl
+	adjInSync
+	adjRanges
+)
+
+// NodeTopology is the handle of one node of a Topology: the node record
+// and its incident edges split by edge type, each list a sub-slice of the
+// topology's one adjacency arena. The marking evaluator (internal/state)
+// consults these lists in its inner loop instead of filtering
+// InEdges/OutEdges on every visit, so the hot path allocates nothing.
 //
-// The *Edge slices carry the full edge records (selection codes, endpoint
-// IDs); the parallel EdgeIdx slices carry the same edges as dense indices
-// into the topology's edge enumeration, aligned element-for-element, so
-// int-indexed consumers never touch an edge-key map.
-//
-// The slices are owned by the Topology and must not be mutated.
+// The lists hold dense edge indices; Topology.EdgeAt turns one into the
+// edge record (selection code, endpoint IDs). They alias the arena and
+// must not be mutated. Incoming loop edges are not indexed: nothing reads
+// them.
 type NodeTopology struct {
-	// Index is the node's position in SchemaView.NodeIDs order — the
-	// node's interned NodeIdx as a plain int.
-	Index int
-	// Node is the node record itself.
-	Node *Node
-
-	// InControl / OutControl are the incoming/outgoing control edges.
-	InControl  []*Edge
-	OutControl []*Edge
-	// InSync / OutSync are the incoming/outgoing sync edges.
-	InSync  []*Edge
-	OutSync []*Edge
-	// InLoop / OutLoop are the incoming/outgoing loop back edges.
-	InLoop  []*Edge
-	OutLoop []*Edge
-
-	// Interned adjacency, aligned with the slices above: XxxIdx[i] is the
-	// EdgeIdx of Xxx[i].
-	InControlIdx  []EdgeIdx
-	OutControlIdx []EdgeIdx
-	InSyncIdx     []EdgeIdx
-	OutSyncIdx    []EdgeIdx
-	OutLoopIdx    []EdgeIdx
+	t *Topology
+	i NodeIdx
 }
+
+// Node returns the node record itself: the *Node the view's Node(id)
+// returns.
+func (nt NodeTopology) Node() *Node { return nt.t.nodes[nt.i] }
+
+// OutControlIdx returns the outgoing control edges.
+func (nt NodeTopology) OutControlIdx() []EdgeIdx { return nt.t.adjOf(nt.i, adjOutControl) }
+
+// OutSyncIdx returns the outgoing sync edges.
+func (nt NodeTopology) OutSyncIdx() []EdgeIdx { return nt.t.adjOf(nt.i, adjOutSync) }
+
+// OutLoopIdx returns the outgoing loop back edges.
+func (nt NodeTopology) OutLoopIdx() []EdgeIdx { return nt.t.adjOf(nt.i, adjOutLoop) }
+
+// InControlIdx returns the incoming control edges.
+func (nt NodeTopology) InControlIdx() []EdgeIdx { return nt.t.adjOf(nt.i, adjInControl) }
+
+// InSyncIdx returns the incoming sync edges.
+func (nt NodeTopology) InSyncIdx() []EdgeIdx { return nt.t.adjOf(nt.i, adjInSync) }
 
 // Topology is the precomputed topology index of a schema view: per-node
 // typed adjacency plus derived node lists the engine's hot paths scan
@@ -67,24 +79,29 @@ type NodeTopology struct {
 // the int-indexed accessors (At, EdgeTarget, EdgeStateAt consumers) let
 // the replay stack run map-free between package boundaries.
 //
+// The adjacency is one arena: adj holds every typed list of every node
+// back to back, and the list of node i's range r is
+// adj[off[adjRanges*i+r]:off[adjRanges*i+r+1]] — one offset per list
+// instead of a slice header and an allocation each.
+//
 // A Topology is an immutable snapshot of the view it was built from. Views
-// cache it (see Schema.Topology and the overlay refresh path in
-// internal/storage) and invalidate the cache on every structural mutation,
-// so holding a *Topology across a mutation observes stale data — re-fetch
-// it from the view instead. Indices assigned by different Topology values
-// are unrelated; remap through the string IDs.
+// cache it (see Schema.Topology and Overlay.Topology in internal/storage)
+// and drop the cache on every structural mutation, so holding a *Topology
+// across a mutation observes stale data — re-fetch it from the view
+// instead. Indices assigned by different Topology values are unrelated;
+// remap through the string IDs.
 type Topology struct {
-	byID map[string]NodeIdx
-	recs []NodeTopology // dense by NodeIdx
-	ids  []string       // dense by NodeIdx (NodeIDs order)
+	byID  map[string]NodeIdx
+	nodes []*Node // dense by NodeIdx (NodeIDs order)
 
-	edges   []*Edge             // dense by EdgeIdx (Edges order)
-	edgeIdx map[EdgeKey]EdgeIdx // boundary interner for keyed access
-	edgeTo  []NodeIdx           // dense by EdgeIdx: interned target node
+	edges  []*Edge   // dense by EdgeIdx (Edges order)
+	edgeTo []NodeIdx // dense by EdgeIdx: interned target node
 
-	auto    []string // CanAutoExecute node IDs in view order
-	autoIdx []NodeIdx
-	manual  []string // manual (user-worked) activity IDs in view order
+	off []uint32  // adjRanges*NumNodes()+1 ascending arena offsets
+	adj []EdgeIdx // the arena; each list in Edges order
+
+	autoIdx   []NodeIdx // CanAutoExecute nodes in view order
+	manualIdx []NodeIdx // manual (user-worked) activities in view order
 
 	start NodeIdx
 	end   NodeIdx
@@ -96,26 +113,23 @@ func BuildTopology(v SchemaView) *Topology {
 	ids := v.NodeIDs()
 	t := &Topology{
 		byID:  make(map[string]NodeIdx, len(ids)),
+		nodes: make([]*Node, 0, len(ids)),
 		start: InvalidNode,
 		end:   InvalidNode,
 	}
-	t.recs = make([]NodeTopology, 0, len(ids))
-	t.ids = make([]string, 0, len(ids))
 	for _, id := range ids {
 		n, ok := v.Node(id)
 		if !ok {
 			continue
 		}
-		idx := NodeIdx(len(t.recs))
+		idx := NodeIdx(len(t.nodes))
 		t.byID[id] = idx
-		t.ids = append(t.ids, id)
-		t.recs = append(t.recs, NodeTopology{Index: int(idx), Node: n})
+		t.nodes = append(t.nodes, n)
 		if n.CanAutoExecute() {
-			t.auto = append(t.auto, id)
 			t.autoIdx = append(t.autoIdx, idx)
 		}
 		if n.Type == NodeActivity && !n.Auto {
-			t.manual = append(t.manual, id)
+			t.manualIdx = append(t.manualIdx, idx)
 		}
 		switch n.Type {
 		case NodeStart:
@@ -125,65 +139,60 @@ func BuildTopology(v SchemaView) *Topology {
 		}
 	}
 
-	all := v.Edges()
-	t.edges = make([]*Edge, 0, len(all))
-	t.edgeIdx = make(map[EdgeKey]EdgeIdx, len(all))
-	t.edgeTo = make([]NodeIdx, 0, len(all))
-	rec := func(id string) *NodeTopology {
-		if i, ok := t.byID[id]; ok {
-			return &t.recs[i]
+	// A copy: a Schema edits its edge list in place, and a marking still
+	// bound to this snapshot reads its edges while it remaps to the next.
+	t.edges = slices.Clone(v.Edges())
+	t.edgeTo = make([]NodeIdx, len(t.edges))
+	// The arena is filled by a counting sort over (node, range) slots: off
+	// is built one slot ahead, so that after the counts are summed
+	// off[s+1] is where slot s starts, and after the fill has advanced it
+	// past the slot's entries it is where slot s+1 starts.
+	off := make([]uint32, adjRanges*len(t.nodes)+2)
+	slots := func(ei int, e *Edge) (out, in int) {
+		out, in = -1, -1
+		if i, ok := t.byID[e.From]; ok && e.Type <= EdgeLoop {
+			out = adjRanges*int(i) + adjOutControl + int(e.Type)
 		}
-		return nil
+		if i := t.edgeTo[ei]; i != InvalidNode && e.Type <= EdgeSync {
+			in = adjRanges*int(i) + adjInControl + int(e.Type)
+		}
+		return out, in
 	}
-	for _, e := range all {
-		ei := EdgeIdx(len(t.edges))
-		t.edges = append(t.edges, e)
-		t.edgeIdx[e.Key()] = ei
-		to := InvalidNode
+	for ei, e := range t.edges {
+		t.edgeTo[ei] = InvalidNode
 		if i, ok := t.byID[e.To]; ok {
-			to = i
+			t.edgeTo[ei] = i
 		}
-		t.edgeTo = append(t.edgeTo, to)
-		from, target := rec(e.From), rec(e.To)
-		switch e.Type {
-		case EdgeControl:
-			if from != nil {
-				from.OutControl = append(from.OutControl, e)
-				from.OutControlIdx = append(from.OutControlIdx, ei)
-			}
-			if target != nil {
-				target.InControl = append(target.InControl, e)
-				target.InControlIdx = append(target.InControlIdx, ei)
-			}
-		case EdgeSync:
-			if from != nil {
-				from.OutSync = append(from.OutSync, e)
-				from.OutSyncIdx = append(from.OutSyncIdx, ei)
-			}
-			if target != nil {
-				target.InSync = append(target.InSync, e)
-				target.InSyncIdx = append(target.InSyncIdx, ei)
-			}
-		case EdgeLoop:
-			if from != nil {
-				from.OutLoop = append(from.OutLoop, e)
-				from.OutLoopIdx = append(from.OutLoopIdx, ei)
-			}
-			if target != nil {
-				target.InLoop = append(target.InLoop, e)
-			}
+		out, in := slots(ei, e)
+		if out >= 0 {
+			off[out+2]++
+		}
+		if in >= 0 {
+			off[in+2]++
 		}
 	}
+	for s := 2; s < len(off); s++ {
+		off[s] += off[s-1]
+	}
+	t.adj = make([]EdgeIdx, off[len(off)-1])
+	for ei, e := range t.edges {
+		out, in := slots(ei, e)
+		if out >= 0 {
+			t.adj[off[out+1]] = EdgeIdx(ei)
+			off[out+1]++
+		}
+		if in >= 0 {
+			t.adj[off[in+1]] = EdgeIdx(ei)
+			off[in+1]++
+		}
+	}
+	t.off = off[:len(off)-1]
 	return t
 }
 
-// Of returns the adjacency record of the node, or nil if the node is not
-// part of the indexed view.
-func (t *Topology) Of(id string) *NodeTopology {
-	if i, ok := t.byID[id]; ok {
-		return &t.recs[i]
-	}
-	return nil
+func (t *Topology) adjOf(i NodeIdx, r int) []EdgeIdx {
+	s := adjRanges*int(i) + r
+	return t.adj[t.off[s]:t.off[s+1]:t.off[s+1]]
 }
 
 // Idx interns a node ID to its dense index.
@@ -194,22 +203,33 @@ func (t *Topology) Idx(id string) (NodeIdx, bool) {
 
 // ID returns the node ID of a dense index. The index must be valid for
 // this topology.
-func (t *Topology) ID(i NodeIdx) string { return t.ids[i] }
+func (t *Topology) ID(i NodeIdx) string { return t.nodes[i].ID }
 
-// At returns the adjacency record of a dense index. The index must be
-// valid for this topology.
-func (t *Topology) At(i NodeIdx) *NodeTopology { return &t.recs[i] }
+// At returns the handle of a dense index. The index must be valid for
+// this topology.
+func (t *Topology) At(i NodeIdx) NodeTopology { return NodeTopology{t, i} }
 
 // NumNodes returns the number of indexed nodes.
-func (t *Topology) NumNodes() int { return len(t.recs) }
+func (t *Topology) NumNodes() int { return len(t.nodes) }
 
 // NumEdges returns the number of indexed edges.
 func (t *Topology) NumEdges() int { return len(t.edges) }
 
-// EdgeIdxOf interns an edge key to its dense index.
+// EdgeIdxOf interns an edge key to its dense index by scanning the source
+// node's outgoing edges of the key's type — a handful in any schema, and
+// the callers (a marking remap, a snapshot import, the keyed Marking
+// accessors) are off the per-command path.
 func (t *Topology) EdgeIdxOf(k EdgeKey) (EdgeIdx, bool) {
-	i, ok := t.edgeIdx[k]
-	return i, ok
+	from, ok := t.byID[k.From]
+	if !ok || k.Type > EdgeLoop {
+		return 0, false
+	}
+	for _, ei := range t.adjOf(from, adjOutControl+int(k.Type)) {
+		if t.edges[ei].To == k.To {
+			return ei, true
+		}
+	}
+	return 0, false
 }
 
 // EdgeAt returns the edge record of a dense edge index.
@@ -225,16 +245,33 @@ func (t *Topology) StartIdx() NodeIdx { return t.start }
 // EndIdx returns the interned end node (InvalidNode if absent).
 func (t *Topology) EndIdx() NodeIdx { return t.end }
 
-// AutoExecutable returns the IDs of all nodes the engine may start and
-// complete without user interaction (Node.CanAutoExecute), in view order.
-// The execution cascade scans this list instead of all nodes.
-func (t *Topology) AutoExecutable() []string { return t.auto }
-
-// AutoExecutableIdx returns the interned indices of AutoExecutable, in
-// view order.
+// AutoExecutableIdx returns the nodes the engine may start and complete
+// without user interaction (Node.CanAutoExecute), in view order. The
+// execution cascade scans this list instead of all nodes.
 func (t *Topology) AutoExecutableIdx() []NodeIdx { return t.autoIdx }
 
-// ManualActivities returns the IDs of all user-worked activity nodes in
-// view order; worklist reconciliation scans this list instead of all
-// nodes.
-func (t *Topology) ManualActivities() []string { return t.manual }
+// ManualActivitiesIdx returns the user-worked activity nodes in view
+// order; worklist reconciliation scans this list instead of all nodes.
+func (t *Topology) ManualActivitiesIdx() []NodeIdx { return t.manualIdx }
+
+// ApproxBytes returns the memory the index holds beside the nodes and
+// edges it points to: the record, the ID map, and every array from the
+// capacity it holds.
+func (t *Topology) ApproxBytes() int {
+	return int(unsafe.Sizeof(*t)) + StringMapBytes(len(t.byID)) +
+		8*(cap(t.nodes)+cap(t.edges)) +
+		4*(cap(t.edgeTo)+cap(t.off)+cap(t.adj)+cap(t.autoIdx)+cap(t.manualIdx))
+}
+
+// StringMapBytes returns what a map keyed by strings, with values of up to
+// a word, holds on the heap at the given number of entries: a swiss table
+// of groups of eight 24-byte slots — one group while eight entries fit,
+// doubled past a load of 7/8 after that — at the 240 B a group measured
+// with the table's own records.
+func StringMapBytes(entries int) int {
+	groups := 1
+	for entries > 8 && 7*groups < entries {
+		groups *= 2
+	}
+	return 24 + 240*groups
+}

@@ -11,7 +11,7 @@
 // perform pure array indexing — no string-keyed map traffic. The string
 // API (Node, SetNode, Edge, ...) remains at the package boundary and
 // interns on entry. When the underlying view changes structurally (ad-hoc
-// change, migration, overlay bias refresh) the marking transparently
+// change, migration, a new bias on an overlay) the marking transparently
 // remaps its state onto the new topology by node/edge identity — see
 // ensure.
 //
@@ -113,7 +113,7 @@ func (s EdgeState) String() string {
 // A marking is bound to the topology of the view it was created on. Every
 // entry point that receives a view re-binds automatically when the view's
 // topology changed (remapping state by node/edge identity), so markings
-// survive ad-hoc changes, overlay bias refreshes, and migrations without
+// survive ad-hoc changes, new biases on an overlay, and migrations without
 // caller-side bookkeeping.
 type Marking struct {
 	topo    *model.Topology
@@ -373,18 +373,6 @@ func (m *Marking) Clone() *Marking {
 	}
 }
 
-// CountNodes returns the number of nodes holding a non-default state; it
-// feeds the storage footprint accounting of the Fig. 2 experiment.
-func (m *Marking) CountNodes() int {
-	n := 0
-	for _, s := range m.nodes {
-		if s != NotActivated {
-			n++
-		}
-	}
-	return n
-}
-
 // ApproxBytes returns the memory held by the marking: the struct and its
 // dense arrays by the capacities actually allocated. The arrays scale with
 // the view size (a byte per node/edge state plus the skip stamps), not
@@ -403,13 +391,7 @@ func (m *Marking) Init(v model.SchemaView) {
 		return
 	}
 	m.SetNodeAt(start, Completed)
-	nt := m.topo.At(start)
-	for _, ei := range nt.OutControlIdx {
-		m.SetEdgeAt(ei, TrueSignaled)
-	}
-	for _, ei := range nt.OutSyncIdx {
-		m.SetEdgeAt(ei, TrueSignaled)
-	}
+	m.signalOutAt(start, 0)
 }
 
 // Start transitions an activated node to running.
@@ -449,32 +431,41 @@ func (m *Marking) CompleteAt(i model.NodeIdx, decision int) error {
 	if got := m.nodes[i]; got != Running {
 		return fmt.Errorf("state: complete %q: node is %s, not running", m.topo.ID(i), got)
 	}
-	nt := m.topo.At(i)
 	m.nodes[i] = Completed
-	for k, e := range nt.OutControl {
-		if nt.Node.Type == model.NodeXORSplit && e.Code != decision {
-			m.SetEdgeAt(nt.OutControlIdx[k], FalseSignaled)
+	m.signalOutAt(i, decision)
+	return nil
+}
+
+// signalOutAt signals the outgoing control and sync edges of a completed
+// node: true, except for the control edges an XOR split's decision did not
+// select.
+func (m *Marking) signalOutAt(i model.NodeIdx, decision int) {
+	nt := m.topo.At(i)
+	isXOR := nt.Node().Type == model.NodeXORSplit
+	for _, ei := range nt.OutControlIdx() {
+		if isXOR && m.topo.EdgeAt(ei).Code != decision {
+			m.SetEdgeAt(ei, FalseSignaled)
 		} else {
-			m.SetEdgeAt(nt.OutControlIdx[k], TrueSignaled)
+			m.SetEdgeAt(ei, TrueSignaled)
 		}
 	}
-	for _, ei := range nt.OutSyncIdx {
+	for _, ei := range nt.OutSyncIdx() {
 		m.SetEdgeAt(ei, TrueSignaled)
 	}
-	return nil
 }
 
 // skipAt marks a node dead and false-signals everything leaving it. A node
 // skipped earlier (non-zero stamp) keeps its original stamp.
-func (m *Marking) skipAt(nt *model.NodeTopology, i model.NodeIdx, seq int) {
+func (m *Marking) skipAt(i model.NodeIdx, seq int) {
+	nt := m.topo.At(i)
 	m.nodes[i] = Skipped
 	if m.skipSeq[i] == 0 {
 		m.skipSeq[i] = int32(seq)
 	}
-	for _, ei := range nt.OutControlIdx {
+	for _, ei := range nt.OutControlIdx() {
 		m.SetEdgeAt(ei, FalseSignaled)
 	}
-	for _, ei := range nt.OutSyncIdx {
+	for _, ei := range nt.OutSyncIdx() {
 		m.SetEdgeAt(ei, FalseSignaled)
 	}
 }
@@ -526,11 +517,11 @@ func propagate(topo *model.Topology, m *Marking, seq int, activated []model.Node
 			continue
 		}
 		nt := topo.At(ni)
-		n := nt.Node
+		n := nt.Node()
 		if n.Type == model.NodeStart {
 			continue
 		}
-		inC := nt.InControlIdx
+		inC := nt.InControlIdx()
 		if len(inC) == 0 {
 			continue // disconnected; verifier rejects such schemas
 		}
@@ -544,7 +535,7 @@ func propagate(topo *model.Topology, m *Marking, seq int, activated []model.Node
 			}
 		}
 		syncReady := true
-		for _, ei := range nt.InSyncIdx {
+		for _, ei := range nt.InSyncIdx() {
 			if m.edges[ei] == NotSignaled {
 				syncReady = false
 				break
@@ -558,7 +549,7 @@ func propagate(topo *model.Topology, m *Marking, seq int, activated []model.Node
 				m.nodes[ni] = Activated
 				activated = append(activated, ni)
 			case falseC == len(inC):
-				m.skipAt(nt, ni, seq)
+				m.skipAt(ni, seq)
 			}
 		case model.NodeANDJoin:
 			switch {
@@ -566,7 +557,7 @@ func propagate(topo *model.Topology, m *Marking, seq int, activated []model.Node
 				m.nodes[ni] = Activated
 				activated = append(activated, ni)
 			case falseC == len(inC):
-				m.skipAt(nt, ni, seq)
+				m.skipAt(ni, seq)
 			}
 		default:
 			// Single incoming control edge (activities, splits, loop
@@ -576,7 +567,7 @@ func propagate(topo *model.Topology, m *Marking, seq int, activated []model.Node
 				m.nodes[ni] = Activated
 				activated = append(activated, ni)
 			case falseC > 0:
-				m.skipAt(nt, ni, seq)
+				m.skipAt(ni, seq)
 			}
 		}
 	}
@@ -616,22 +607,11 @@ func adaptCore(v model.SchemaView, m *Marking, decisions map[string]int) {
 		if m.nodes[i] != Completed || ni == start {
 			continue
 		}
-		nt := topo.At(ni)
-		isXOR := nt.Node.Type == model.NodeXORSplit
 		var dec int
-		if isXOR {
+		if topo.At(ni).Node().Type == model.NodeXORSplit {
 			dec = decisions[topo.ID(ni)]
 		}
-		for k, e := range nt.OutControl {
-			if isXOR && e.Code != dec {
-				m.SetEdgeAt(nt.OutControlIdx[k], FalseSignaled)
-			} else {
-				m.SetEdgeAt(nt.OutControlIdx[k], TrueSignaled)
-			}
-		}
-		for _, ei := range nt.OutSyncIdx {
-			m.SetEdgeAt(ei, TrueSignaled)
-		}
+		m.signalOutAt(ni, dec)
 	}
 }
 
@@ -674,19 +654,11 @@ func ResetLoop(v model.SchemaView, m *Marking, region map[string]bool) {
 		m.SetNodeAt(i, NotActivated)
 		m.skipSeq[i] = 0
 		nt := topo.At(i)
-		for k, e := range nt.OutControl {
-			if region[e.To] {
-				m.SetEdgeAt(nt.OutControlIdx[k], NotSignaled)
-			}
-		}
-		for k, e := range nt.OutSync {
-			if region[e.To] {
-				m.SetEdgeAt(nt.OutSyncIdx[k], NotSignaled)
-			}
-		}
-		for k, e := range nt.OutLoop {
-			if region[e.To] {
-				m.SetEdgeAt(nt.OutLoopIdx[k], NotSignaled)
+		for _, out := range [...][]model.EdgeIdx{nt.OutControlIdx(), nt.OutSyncIdx(), nt.OutLoopIdx()} {
+			for _, ei := range out {
+				if region[topo.EdgeAt(ei).To] {
+					m.SetEdgeAt(ei, NotSignaled)
+				}
 			}
 		}
 	}

@@ -2,6 +2,8 @@ package storage
 
 import (
 	"fmt"
+	"slices"
+	"unsafe"
 
 	"adept2/internal/model"
 )
@@ -12,71 +14,95 @@ import (
 // model.MutableView, so the engine, the verifier, and the compliance
 // checker operate on it exactly as on a plain schema — without ever
 // materializing a full copy.
+//
+// The delta is a handful of entries, so it is kept in slices, made on
+// first use and searched linearly. Beside it the overlay keeps the view's
+// edge and data-edge list of every key the delta touches (a node that
+// gained or lost an edge, an activity that gained or lost a data edge) and
+// the view's topology index; every other key reads the base's own list.
 type Overlay struct {
 	base *model.Schema
 
-	addedNodes   map[string]*model.Node
-	addedNodeIDs []string
-	removedNodes map[string]bool
+	// The delta, each list in the order its entries were made. An added
+	// entry hides the base's entry of the same key.
+	addedNodes       []*model.Node
+	removedNodes     []string
+	addedEdges       []*model.Edge
+	removedEdges     []model.EdgeKey
+	addedData        []*model.DataElement
+	removedData      []string
+	addedDataEdges   []*model.DataEdge
+	removedDataEdges []model.DataEdgeKey
 
-	addedEdges    map[model.EdgeKey]*model.Edge
-	addedEdgeList []*model.Edge
-	removedEdges  map[model.EdgeKey]bool
+	// The view's lists of the touched keys, replaced whole by the mutation
+	// that touches the key.
+	out  []touched[*model.Edge]
+	in   []touched[*model.Edge]
+	deOf []touched[*model.DataEdge]
 
-	addedData    map[string]*model.DataElement
-	addedDataIDs []string
-	removedData  map[string]bool
+	topo *model.Topology // nil after a structural mutation
+}
 
-	addedDataEdges    map[model.DataEdgeKey]*model.DataEdge
-	addedDataEdgeList []*model.DataEdge
-	removedDataEdges  map[model.DataEdgeKey]bool
+// touched is the view's list of one key the delta touches.
+type touched[T any] struct {
+	id   string
+	list []T
+}
 
-	// lazily rebuilt caches
-	dirty     bool
-	nodeIDs   []string
-	edgeList  []*model.Edge
-	outCache  map[string][]*model.Edge
-	inCache   map[string][]*model.Edge
-	deOfCache map[string][]*model.DataEdge
-	topo      *model.Topology
+// listOf returns the view's list of a key: the delta's where it touches
+// the key, otherwise the base's, capped so that an append cannot reach the
+// base schema's memory.
+func listOf[T any](ts []touched[T], id string, base []T) []T {
+	for i := range ts {
+		if ts[i].id == id {
+			return ts[i].list
+		}
+	}
+	return base[:len(base):len(base)]
+}
+
+// setTouched makes list, trimmed to its length, the view's list of a key.
+func setTouched[T any](ts []touched[T], id string, list []T) []touched[T] {
+	list = slices.Clone(list)
+	for i := range ts {
+		if ts[i].id == id {
+			ts[i].list = list
+			return ts
+		}
+	}
+	return append(ts, touched[T]{id, list})
+}
+
+// overlaid builds the view's form of one of the base's lists: the base's
+// entries the delta does not hide, then the delta's own entries that
+// belong to the list (all of them if belongs is nil) in the order they
+// were added.
+func overlaid[T any](base []T, hidden func(T) bool, added []T, belongs func(T) bool) []T {
+	out := make([]T, 0, len(base)+len(added))
+	for _, x := range base {
+		if !hidden(x) {
+			out = append(out, x)
+		}
+	}
+	for _, x := range added {
+		if belongs == nil || belongs(x) {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
+// whole returns a whole-view list, built per call: the base's own, capped,
+// while the delta neither removes nor adds an entry of the kind.
+func whole[T any](base []T, removed int, hidden func(T) bool, added []T) []T {
+	if removed == 0 && len(added) == 0 {
+		return base[:len(base):len(base)]
+	}
+	return overlaid(base, hidden, added, nil)
 }
 
 // NewOverlay creates an empty overlay over the base schema.
-func NewOverlay(base *model.Schema) *Overlay {
-	return &Overlay{
-		base:             base,
-		addedNodes:       make(map[string]*model.Node),
-		removedNodes:     make(map[string]bool),
-		addedEdges:       make(map[model.EdgeKey]*model.Edge),
-		removedEdges:     make(map[model.EdgeKey]bool),
-		addedData:        make(map[string]*model.DataElement),
-		removedData:      make(map[string]bool),
-		addedDataEdges:   make(map[model.DataEdgeKey]*model.DataEdge),
-		removedDataEdges: make(map[model.DataEdgeKey]bool),
-		dirty:            true,
-	}
-}
-
-// Base returns the base schema the overlay substitutes into.
-func (o *Overlay) Base() *model.Schema { return o.base }
-
-// Rebase re-attaches the overlay delta to a different base schema (used
-// when a biased instance migrates to a new schema version and its bias is
-// re-applied there). The delta is validated against the new base by the
-// caller (the migration manager re-applies the bias operations instead of
-// blindly rebasing when validation is needed).
-func (o *Overlay) Rebase(base *model.Schema) {
-	o.base = base
-	o.dirty = true
-}
-
-// IsEmpty reports whether the overlay holds no delta.
-func (o *Overlay) IsEmpty() bool {
-	return len(o.addedNodes) == 0 && len(o.removedNodes) == 0 &&
-		len(o.addedEdges) == 0 && len(o.removedEdges) == 0 &&
-		len(o.addedData) == 0 && len(o.removedData) == 0 &&
-		len(o.addedDataEdges) == 0 && len(o.removedDataEdges) == 0
-}
+func NewOverlay(base *model.Schema) *Overlay { return &Overlay{base: base} }
 
 // --- SchemaView ---
 
@@ -89,67 +115,53 @@ func (o *Overlay) TypeName() string { return o.base.TypeName() }
 // Version implements model.SchemaView.
 func (o *Overlay) Version() int { return o.base.Version() }
 
-func (o *Overlay) refresh() {
-	if !o.dirty {
-		return
-	}
-	o.nodeIDs = o.nodeIDs[:0]
-	for _, id := range o.base.NodeIDs() {
-		if o.removedNodes[id] || o.addedNodes[id] != nil {
-			continue
-		}
-		o.nodeIDs = append(o.nodeIDs, id)
-	}
-	o.nodeIDs = append(o.nodeIDs, o.addedNodeIDs...)
-
-	o.edgeList = o.edgeList[:0]
-	o.outCache = make(map[string][]*model.Edge)
-	o.inCache = make(map[string][]*model.Edge)
-	for _, e := range o.base.Edges() {
-		k := e.Key()
-		if o.removedEdges[k] || o.addedEdges[k] != nil {
-			continue
-		}
-		o.edgeList = append(o.edgeList, e)
-	}
-	o.edgeList = append(o.edgeList, o.addedEdgeList...)
-	for _, e := range o.edgeList {
-		o.outCache[e.From] = append(o.outCache[e.From], e)
-		o.inCache[e.To] = append(o.inCache[e.To], e)
-	}
-
-	o.deOfCache = make(map[string][]*model.DataEdge)
-	for _, de := range o.allDataEdges() {
-		o.deOfCache[de.Activity] = append(o.deOfCache[de.Activity], de)
-	}
-	o.topo = nil // rebuilt lazily by Topology against the fresh caches
-	o.dirty = false
+func (o *Overlay) addedNode(id string) int {
+	return slices.IndexFunc(o.addedNodes, func(n *model.Node) bool { return n.ID == id })
 }
 
-func (o *Overlay) allDataEdges() []*model.DataEdge {
-	var out []*model.DataEdge
-	for _, de := range o.base.DataEdges() {
-		k := de.Key()
-		if o.removedDataEdges[k] || o.addedDataEdges[k] != nil {
-			continue
-		}
-		out = append(out, de)
-	}
-	return append(out, o.addedDataEdgeList...)
+func (o *Overlay) addedEdge(k model.EdgeKey) int {
+	return slices.IndexFunc(o.addedEdges, func(e *model.Edge) bool { return e.Key() == k })
+}
+
+func (o *Overlay) addedDataElement(id string) int {
+	return slices.IndexFunc(o.addedData, func(d *model.DataElement) bool { return d.ID == id })
+}
+
+func (o *Overlay) addedDataEdge(k model.DataEdgeKey) int {
+	return slices.IndexFunc(o.addedDataEdges, func(d *model.DataEdge) bool { return d.Key() == k })
+}
+
+func (o *Overlay) hidesNode(id string) bool {
+	return slices.Contains(o.removedNodes, id) || o.addedNode(id) >= 0
+}
+
+func (o *Overlay) hidesEdge(e *model.Edge) bool {
+	return slices.Contains(o.removedEdges, e.Key()) || o.addedEdge(e.Key()) >= 0
+}
+
+func (o *Overlay) hidesDataElement(d *model.DataElement) bool {
+	return slices.Contains(o.removedData, d.ID) || o.addedDataElement(d.ID) >= 0
+}
+
+func (o *Overlay) hidesDataEdge(d *model.DataEdge) bool {
+	return slices.Contains(o.removedDataEdges, d.Key()) || o.addedDataEdge(d.Key()) >= 0
 }
 
 // NodeIDs implements model.SchemaView.
 func (o *Overlay) NodeIDs() []string {
-	o.refresh()
-	return o.nodeIDs
+	added := make([]string, len(o.addedNodes))
+	for i, n := range o.addedNodes {
+		added[i] = n.ID
+	}
+	return whole(o.base.NodeIDs(), len(o.removedNodes), o.hidesNode, added)
 }
 
 // Node implements model.SchemaView.
 func (o *Overlay) Node(id string) (*model.Node, bool) {
-	if n, ok := o.addedNodes[id]; ok {
-		return n, true
+	if i := o.addedNode(id); i >= 0 {
+		return o.addedNodes[i], true
 	}
-	if o.removedNodes[id] {
+	if slices.Contains(o.removedNodes, id) {
 		return nil, false
 	}
 	return o.base.Node(id)
@@ -157,89 +169,69 @@ func (o *Overlay) Node(id string) (*model.Node, bool) {
 
 // Edges implements model.SchemaView.
 func (o *Overlay) Edges() []*model.Edge {
-	o.refresh()
-	return o.edgeList
+	return whole(o.base.Edges(), len(o.removedEdges), o.hidesEdge, o.addedEdges)
 }
 
 // OutEdges implements model.SchemaView.
 func (o *Overlay) OutEdges(id string) []*model.Edge {
-	o.refresh()
-	return o.outCache[id]
+	return listOf(o.out, id, o.base.OutEdges(id))
 }
 
 // InEdges implements model.SchemaView.
 func (o *Overlay) InEdges(id string) []*model.Edge {
-	o.refresh()
-	return o.inCache[id]
+	return listOf(o.in, id, o.base.InEdges(id))
 }
 
 // HasEdge implements model.SchemaView.
 func (o *Overlay) HasEdge(k model.EdgeKey) bool {
-	if o.addedEdges[k] != nil {
+	if o.addedEdge(k) >= 0 {
 		return true
 	}
-	if o.removedEdges[k] {
+	if slices.Contains(o.removedEdges, k) {
 		return false
 	}
 	return o.base.HasEdge(k)
 }
 
-// StartID implements model.SchemaView.
-func (o *Overlay) StartID() string {
-	if id := o.base.StartID(); id != "" && !o.removedNodes[id] {
-		return id
+// boundary returns the base's start or end node while the delta leaves it
+// alone, otherwise the added node of the type.
+func (o *Overlay) boundary(baseID string, t model.NodeType) string {
+	if baseID != "" && !slices.Contains(o.removedNodes, baseID) {
+		return baseID
 	}
-	for _, id := range o.addedNodeIDs {
-		if o.addedNodes[id].Type == model.NodeStart {
-			return id
+	for _, n := range o.addedNodes {
+		if n.Type == t {
+			return n.ID
 		}
 	}
 	return ""
 }
 
+// StartID implements model.SchemaView.
+func (o *Overlay) StartID() string { return o.boundary(o.base.StartID(), model.NodeStart) }
+
 // EndID implements model.SchemaView.
-func (o *Overlay) EndID() string {
-	if id := o.base.EndID(); id != "" && !o.removedNodes[id] {
-		return id
-	}
-	for _, id := range o.addedNodeIDs {
-		if o.addedNodes[id].Type == model.NodeEnd {
-			return id
-		}
-	}
-	return ""
-}
+func (o *Overlay) EndID() string { return o.boundary(o.base.EndID(), model.NodeEnd) }
 
 // DataElements implements model.SchemaView.
 func (o *Overlay) DataElements() []*model.DataElement {
-	var out []*model.DataElement
-	for _, d := range o.base.DataElements() {
-		if o.removedData[d.ID] || o.addedData[d.ID] != nil {
-			continue
-		}
-		out = append(out, d)
-	}
-	for _, id := range o.addedDataIDs {
-		out = append(out, o.addedData[id])
-	}
-	return out
+	return whole(o.base.DataElements(), len(o.removedData), o.hidesDataElement, o.addedData)
 }
 
 // DataElement implements model.SchemaView.
 func (o *Overlay) DataElement(id string) (*model.DataElement, bool) {
-	if d, ok := o.addedData[id]; ok {
-		return d, true
+	if i := o.addedDataElement(id); i >= 0 {
+		return o.addedData[i], true
 	}
-	if o.removedData[id] {
+	if slices.Contains(o.removedData, id) {
 		return nil, false
 	}
 	return o.base.DataElement(id)
 }
 
-// Topology implements model.SchemaView: the index is rebuilt together
-// with the overlay's adjacency caches whenever the delta changed.
+// Topology implements model.SchemaView: the index of the overlaid view,
+// built on first use after a structural mutation.
 func (o *Overlay) Topology() *model.Topology {
-	o.refresh()
 	if o.topo == nil {
 		o.topo = model.BuildTopology(o)
 	}
@@ -247,12 +239,13 @@ func (o *Overlay) Topology() *model.Topology {
 }
 
 // DataEdges implements model.SchemaView.
-func (o *Overlay) DataEdges() []*model.DataEdge { return o.allDataEdges() }
+func (o *Overlay) DataEdges() []*model.DataEdge {
+	return whole(o.base.DataEdges(), len(o.removedDataEdges), o.hidesDataEdge, o.addedDataEdges)
+}
 
 // DataEdgesOf implements model.SchemaView.
 func (o *Overlay) DataEdgesOf(activity string) []*model.DataEdge {
-	o.refresh()
-	return o.deOfCache[activity]
+	return listOf(o.deOf, activity, o.base.DataEdgesOf(activity))
 }
 
 // --- MutableView ---
@@ -276,9 +269,8 @@ func (o *Overlay) AddNode(n *model.Node) error {
 			return fmt.Errorf("storage: overlay add node %q: end node already present", n.ID)
 		}
 	}
-	o.addedNodes[n.ID] = n
-	o.addedNodeIDs = append(o.addedNodeIDs, n.ID)
-	o.dirty = true
+	o.addedNodes = append(o.addedNodes, n)
+	o.topo = nil
 	return nil
 }
 
@@ -295,14 +287,12 @@ func (o *Overlay) ReplaceNode(n *model.Node) error {
 	if old.Type != n.Type {
 		return fmt.Errorf("storage: overlay replace node %q: type change %s -> %s not allowed", n.ID, old.Type, n.Type)
 	}
-	if _, added := o.addedNodes[n.ID]; added {
-		o.addedNodes[n.ID] = n
-		o.topo = nil // node attributes feed the topology's derived lists
-		return nil
+	if i := o.addedNode(n.ID); i >= 0 {
+		o.addedNodes[i] = n
+	} else {
+		o.addedNodes = append(o.addedNodes, n)
 	}
-	o.addedNodes[n.ID] = n
-	o.addedNodeIDs = append(o.addedNodeIDs, n.ID)
-	o.dirty = true
+	o.topo = nil // node attributes feed the topology's derived lists
 	return nil
 }
 
@@ -317,18 +307,25 @@ func (o *Overlay) RemoveNode(id string) error {
 	if len(o.DataEdgesOf(id)) > 0 {
 		return fmt.Errorf("storage: overlay remove node %q: data edges remain", id)
 	}
-	if _, added := o.addedNodes[id]; added {
-		delete(o.addedNodes, id)
-		o.addedNodeIDs = removeString(o.addedNodeIDs, id)
-		// If the base also has this node it must stay hidden.
-		if _, inBase := o.base.Node(id); inBase {
-			o.removedNodes[id] = true
-		}
-	} else {
-		o.removedNodes[id] = true
+	if i := o.addedNode(id); i >= 0 {
+		o.addedNodes = slices.Delete(o.addedNodes, i, i+1)
 	}
-	o.dirty = true
+	// If the base has this node it must be, or stay, hidden.
+	if _, inBase := o.base.Node(id); inBase && !slices.Contains(o.removedNodes, id) {
+		o.removedNodes = append(o.removedNodes, id)
+	}
+	o.topo = nil
 	return nil
+}
+
+// edgeChanged replaces the view's edge lists of the two nodes an added or
+// removed edge connects.
+func (o *Overlay) edgeChanged(from, to string) {
+	o.out = setTouched(o.out, from, overlaid(o.base.OutEdges(from), o.hidesEdge, o.addedEdges,
+		func(e *model.Edge) bool { return e.From == from }))
+	o.in = setTouched(o.in, to, overlaid(o.base.InEdges(to), o.hidesEdge, o.addedEdges,
+		func(e *model.Edge) bool { return e.To == to }))
+	o.topo = nil
 }
 
 // AddEdge implements model.MutableView.
@@ -348,9 +345,8 @@ func (o *Overlay) AddEdge(e *model.Edge) error {
 	if o.HasEdge(e.Key()) {
 		return fmt.Errorf("storage: overlay add edge %s: duplicate edge", e)
 	}
-	o.addedEdges[e.Key()] = e
-	o.addedEdgeList = append(o.addedEdgeList, e)
-	o.dirty = true
+	o.addedEdges = append(o.addedEdges, e)
+	o.edgeChanged(e.From, e.To)
 	return nil
 }
 
@@ -359,16 +355,13 @@ func (o *Overlay) RemoveEdge(k model.EdgeKey) error {
 	if !o.HasEdge(k) {
 		return fmt.Errorf("storage: overlay remove edge %s: not found", k)
 	}
-	if e, added := o.addedEdges[k]; added {
-		delete(o.addedEdges, k)
-		o.addedEdgeList = removeEdge(o.addedEdgeList, e)
-		if o.base.HasEdge(k) {
-			o.removedEdges[k] = true
-		}
-	} else {
-		o.removedEdges[k] = true
+	if i := o.addedEdge(k); i >= 0 {
+		o.addedEdges = slices.Delete(o.addedEdges, i, i+1)
 	}
-	o.dirty = true
+	if o.base.HasEdge(k) && !slices.Contains(o.removedEdges, k) {
+		o.removedEdges = append(o.removedEdges, k)
+	}
+	o.edgeChanged(k.From, k.To)
 	return nil
 }
 
@@ -380,8 +373,7 @@ func (o *Overlay) AddDataElement(d *model.DataElement) error {
 	if _, visible := o.DataElement(d.ID); visible {
 		return fmt.Errorf("storage: overlay add data element %q: duplicate ID", d.ID)
 	}
-	o.addedData[d.ID] = d
-	o.addedDataIDs = append(o.addedDataIDs, d.ID)
+	o.addedData = append(o.addedData, d)
 	return nil
 }
 
@@ -390,21 +382,25 @@ func (o *Overlay) RemoveDataElement(id string) error {
 	if _, visible := o.DataElement(id); !visible {
 		return fmt.Errorf("storage: overlay remove data element %q: not found", id)
 	}
-	for _, de := range o.allDataEdges() {
+	for _, de := range o.DataEdges() {
 		if de.Element == id {
 			return fmt.Errorf("storage: overlay remove data element %q: data edge %s remains", id, de)
 		}
 	}
-	if _, added := o.addedData[id]; added {
-		delete(o.addedData, id)
-		o.addedDataIDs = removeString(o.addedDataIDs, id)
-		if _, inBase := o.base.DataElement(id); inBase {
-			o.removedData[id] = true
-		}
-	} else {
-		o.removedData[id] = true
+	if i := o.addedDataElement(id); i >= 0 {
+		o.addedData = slices.Delete(o.addedData, i, i+1)
+	}
+	if _, inBase := o.base.DataElement(id); inBase && !slices.Contains(o.removedData, id) {
+		o.removedData = append(o.removedData, id)
 	}
 	return nil
+}
+
+// dataEdgeChanged replaces the view's data-edge list of the activity an
+// added or removed data edge belongs to.
+func (o *Overlay) dataEdgeChanged(activity string) {
+	o.deOf = setTouched(o.deOf, activity, overlaid(o.base.DataEdgesOf(activity), o.hidesDataEdge, o.addedDataEdges,
+		func(d *model.DataEdge) bool { return d.Activity == activity }))
 }
 
 // AddDataEdge implements model.MutableView.
@@ -421,13 +417,11 @@ func (o *Overlay) AddDataEdge(d *model.DataEdge) error {
 	if _, ok := o.DataElement(d.Element); !ok {
 		return fmt.Errorf("storage: overlay add data edge %s: unknown data element %q", d, d.Element)
 	}
-	k := d.Key()
-	if o.hasDataEdge(k) {
+	if o.hasDataEdge(d.Key()) {
 		return fmt.Errorf("storage: overlay add data edge %s: duplicate edge", d)
 	}
-	o.addedDataEdges[k] = d
-	o.addedDataEdgeList = append(o.addedDataEdgeList, d)
-	o.dirty = true
+	o.addedDataEdges = append(o.addedDataEdges, d)
+	o.dataEdgeChanged(d.Activity)
 	return nil
 }
 
@@ -436,92 +430,22 @@ func (o *Overlay) RemoveDataEdge(k model.DataEdgeKey) error {
 	if !o.hasDataEdge(k) {
 		return fmt.Errorf("storage: overlay remove data edge %v: not found", k)
 	}
-	if de, added := o.addedDataEdges[k]; added {
-		delete(o.addedDataEdges, k)
-		o.addedDataEdgeList = removeDataEdge(o.addedDataEdgeList, de)
-		if baseHasDataEdge(o.base, k) {
-			o.removedDataEdges[k] = true
-		}
-	} else {
-		o.removedDataEdges[k] = true
+	if i := o.addedDataEdge(k); i >= 0 {
+		o.addedDataEdges = slices.Delete(o.addedDataEdges, i, i+1)
 	}
-	o.dirty = true
+	if baseHasDataEdge(o.base, k) && !slices.Contains(o.removedDataEdges, k) {
+		o.removedDataEdges = append(o.removedDataEdges, k)
+	}
+	o.dataEdgeChanged(k.Activity)
 	return nil
 }
 
 func (o *Overlay) hasDataEdge(k model.DataEdgeKey) bool {
-	if o.addedDataEdges[k] != nil {
-		return true
-	}
-	if o.removedDataEdges[k] {
-		return false
-	}
-	return baseHasDataEdge(o.base, k)
+	return slices.ContainsFunc(o.DataEdgesOf(k.Activity), func(d *model.DataEdge) bool { return d.Key() == k })
 }
 
 func baseHasDataEdge(s *model.Schema, k model.DataEdgeKey) bool {
-	for _, de := range s.DataEdgesOf(k.Activity) {
-		if de.Key() == k {
-			return true
-		}
-	}
-	return false
-}
-
-// Delta summarizes the substitution block for reports and storage
-// accounting.
-type Delta struct {
-	AddedNodes       int
-	RemovedNodes     int
-	AddedEdges       int
-	RemovedEdges     int
-	AddedData        int
-	RemovedData      int
-	AddedDataEdges   int
-	RemovedDataEdges int
-}
-
-// Delta returns the overlay's delta summary.
-func (o *Overlay) Delta() Delta {
-	return Delta{
-		AddedNodes:       len(o.addedNodes),
-		RemovedNodes:     len(o.removedNodes),
-		AddedEdges:       len(o.addedEdges),
-		RemovedEdges:     len(o.removedEdges),
-		AddedData:        len(o.addedData),
-		RemovedData:      len(o.removedData),
-		AddedDataEdges:   len(o.addedDataEdges),
-		RemovedDataEdges: len(o.removedDataEdges),
-	}
-}
-
-// TouchedNodes returns the IDs of all nodes the delta touches (added,
-// removed, or endpoints of added/removed edges); the minimal substitution
-// block reported to users is the smallest block containing them.
-func (o *Overlay) TouchedNodes() []string {
-	seen := make(map[string]bool)
-	var out []string
-	add := func(id string) {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	for _, id := range o.addedNodeIDs {
-		add(id)
-	}
-	for id := range o.removedNodes {
-		add(id)
-	}
-	for k := range o.addedEdges {
-		add(k.From)
-		add(k.To)
-	}
-	for k := range o.removedEdges {
-		add(k.From)
-		add(k.To)
-	}
-	return out
+	return slices.ContainsFunc(s.DataEdgesOf(k.Activity), func(d *model.DataEdge) bool { return d.Key() == k })
 }
 
 // ApproxBytes estimates the memory held by the substitution block (the
@@ -531,20 +455,52 @@ func (o *Overlay) ApproxBytes() int {
 	for _, n := range o.addedNodes {
 		total += 48 + len(n.ID) + len(n.Name) + len(n.Role) + len(n.Template) + len(n.DecisionElement)
 	}
-	for id := range o.removedNodes {
+	for _, id := range o.removedNodes {
 		total += len(id) + 16
 	}
 	for _, e := range o.addedEdges {
 		total += 24 + len(e.From) + len(e.To)
 	}
-	for k := range o.removedEdges {
+	for _, k := range o.removedEdges {
 		total += 24 + len(k.From) + len(k.To)
 	}
 	for _, d := range o.addedData {
 		total += 16 + len(d.ID) + len(d.Name)
 	}
+	for _, id := range o.removedData {
+		total += 16 + len(id)
+	}
 	for _, de := range o.addedDataEdges {
 		total += 24 + len(de.Activity) + len(de.Element) + len(de.Parameter)
+	}
+	for _, k := range o.removedDataEdges {
+		total += 24 + len(k.Activity) + len(k.Element) + len(k.Parameter)
+	}
+	return total
+}
+
+// IndexBytes returns what the overlay holds around the substitution block
+// to serve the view: its own record, the lists the delta's entries sit in,
+// the lists of the touched keys, and the topology index — each from its
+// size and the capacity it holds.
+func (o *Overlay) IndexBytes() int {
+	const ptr, str = 8, 16
+	total := int(unsafe.Sizeof(*o)) +
+		ptr*(cap(o.addedNodes)+cap(o.addedEdges)+cap(o.addedData)+cap(o.addedDataEdges)) +
+		str*(cap(o.removedNodes)+cap(o.removedData)) +
+		int(unsafe.Sizeof(model.EdgeKey{}))*cap(o.removedEdges) +
+		int(unsafe.Sizeof(model.DataEdgeKey{}))*cap(o.removedDataEdges) +
+		touchedBytes(o.out) + touchedBytes(o.in) + touchedBytes(o.deOf)
+	if o.topo != nil {
+		total += o.topo.ApproxBytes()
+	}
+	return total
+}
+
+func touchedBytes[T any](ts []touched[T]) int {
+	total := int(unsafe.Sizeof(touched[T]{})) * cap(ts)
+	for _, t := range ts {
+		total += 8 * cap(t.list) // lists of pointers
 	}
 	return total
 }
@@ -575,33 +531,6 @@ func Materialize(v model.SchemaView, id, typeName string, version int) (*model.S
 		}
 	}
 	return s, nil
-}
-
-func removeString(ss []string, s string) []string {
-	for i, v := range ss {
-		if v == s {
-			return append(ss[:i], ss[i+1:]...)
-		}
-	}
-	return ss
-}
-
-func removeEdge(es []*model.Edge, e *model.Edge) []*model.Edge {
-	for i, v := range es {
-		if v == e {
-			return append(es[:i], es[i+1:]...)
-		}
-	}
-	return es
-}
-
-func removeDataEdge(ds []*model.DataEdge, d *model.DataEdge) []*model.DataEdge {
-	for i, v := range ds {
-		if v == d {
-			return append(ds[:i], ds[i+1:]...)
-		}
-	}
-	return ds
 }
 
 var (

@@ -14,6 +14,17 @@
 //     memory, slowest access).
 //
 // The Fig. 2 experiments (bench_test.go) compare the three.
+//
+// An Overlay answers a read by one rule: a key the delta does not touch —
+// a node whose edges it left alone, an activity whose data edges it left
+// alone — reads the base schema's own list (capped, so that an append
+// copies instead of writing into the base); a key the delta touches reads
+// the list the overlay keeps for it, replaced whole by each mutation that
+// touches the key. Nothing is built per read. The whole-view lists
+// (NodeIDs, Edges, DataElements, DataEdges) are built per call — unless the
+// delta has no entry of the kind, when they are the base's too — for their
+// cold callers: the verifier, the block analysis, the topology build and
+// Materialize.
 package storage
 
 import "fmt"

@@ -28,15 +28,19 @@ func topologyMatches(t *testing.T, ctx string, v model.SchemaView) {
 		if !ok {
 			t.Fatalf("%s: view enumerates unknown node %q", ctx, id)
 		}
-		nt := topo.Of(id)
-		if nt == nil {
+		ni, ok := topo.Idx(id)
+		if !ok {
 			t.Fatalf("%s: node %q missing from topology", ctx, id)
 		}
-		if nt.Index != i || nt.Node != n {
+		nt := topo.At(ni)
+		if int(ni) != i || nt.Node() != n {
 			t.Fatalf("%s: node %q: index/node mismatch", ctx, id)
 		}
-		checkPartition := func(kind string, got []*model.Edge, edges []*model.Edge, et model.EdgeType) {
-			var want []*model.Edge
+		checkPartition := func(kind string, idxs []model.EdgeIdx, edges []*model.Edge, et model.EdgeType) {
+			var got, want []*model.Edge
+			for _, ei := range idxs {
+				got = append(got, topo.EdgeAt(ei))
+			}
 			for _, e := range edges {
 				if e.Type == et {
 					want = append(want, e)
@@ -55,12 +59,11 @@ func topologyMatches(t *testing.T, ctx string, v model.SchemaView) {
 				}
 			}
 		}
-		checkPartition("in-control", nt.InControl, v.InEdges(id), model.EdgeControl)
-		checkPartition("in-sync", nt.InSync, v.InEdges(id), model.EdgeSync)
-		checkPartition("in-loop", nt.InLoop, v.InEdges(id), model.EdgeLoop)
-		checkPartition("out-control", nt.OutControl, v.OutEdges(id), model.EdgeControl)
-		checkPartition("out-sync", nt.OutSync, v.OutEdges(id), model.EdgeSync)
-		checkPartition("out-loop", nt.OutLoop, v.OutEdges(id), model.EdgeLoop)
+		checkPartition("in-control", nt.InControlIdx(), v.InEdges(id), model.EdgeControl)
+		checkPartition("in-sync", nt.InSyncIdx(), v.InEdges(id), model.EdgeSync)
+		checkPartition("out-control", nt.OutControlIdx(), v.OutEdges(id), model.EdgeControl)
+		checkPartition("out-sync", nt.OutSyncIdx(), v.OutEdges(id), model.EdgeSync)
+		checkPartition("out-loop", nt.OutLoopIdx(), v.OutEdges(id), model.EdgeLoop)
 		if n.CanAutoExecute() {
 			wantAuto = append(wantAuto, id)
 		}
@@ -68,20 +71,25 @@ func topologyMatches(t *testing.T, ctx string, v model.SchemaView) {
 			wantManual = append(wantManual, id)
 		}
 	}
-	if got := topo.AutoExecutable(); fmt.Sprint(got) != fmt.Sprint(wantAuto) {
+	idsOf := func(idxs []model.NodeIdx) (ids []string) {
+		for _, ni := range idxs {
+			ids = append(ids, topo.ID(ni))
+		}
+		return ids
+	}
+	if got := idsOf(topo.AutoExecutableIdx()); fmt.Sprint(got) != fmt.Sprint(wantAuto) {
 		t.Fatalf("%s: auto list %v, want %v", ctx, got, wantAuto)
 	}
-	if got := topo.ManualActivities(); fmt.Sprint(got) != fmt.Sprint(wantManual) {
+	if got := idsOf(topo.ManualActivitiesIdx()); fmt.Sprint(got) != fmt.Sprint(wantManual) {
 		t.Fatalf("%s: manual list %v, want %v", ctx, got, wantManual)
 	}
 
 	// Interner invariants: dense contiguous node indices round-trip
-	// through Idx/ID/At in NodeIDs order; every edge interns to a dense
-	// EdgeIdx whose record and target agree with the edge itself, and the
-	// per-node idx slices align element-for-element with the edge slices.
+	// through Idx/ID in NodeIDs order; every edge interns to a dense
+	// EdgeIdx whose record and target agree with the edge itself.
 	for i, id := range ids {
 		n, ok := topo.Idx(id)
-		if !ok || int(n) != i || topo.ID(n) != id || topo.At(n) != topo.Of(id) {
+		if !ok || int(n) != i || topo.ID(n) != id {
 			t.Fatalf("%s: node %q does not intern round-trip (idx %d, ok %v)", ctx, id, n, ok)
 		}
 	}
@@ -98,29 +106,11 @@ func topologyMatches(t *testing.T, ctx string, v model.SchemaView) {
 			t.Fatalf("%s: edge %s target interned wrong", ctx, e)
 		}
 	}
-	for _, id := range ids {
-		nt := topo.Of(id)
-		aligned := func(kind string, edges []*model.Edge, idxs []model.EdgeIdx) {
-			if len(edges) != len(idxs) {
-				t.Fatalf("%s: node %q: %s idx slice misaligned", ctx, id, kind)
-			}
-			for k := range edges {
-				if topo.EdgeAt(idxs[k]) != edges[k] {
-					t.Fatalf("%s: node %q: %s[%d] idx points at wrong edge", ctx, id, kind, k)
-				}
-			}
-		}
-		aligned("in-control", nt.InControl, nt.InControlIdx)
-		aligned("in-sync", nt.InSync, nt.InSyncIdx)
-		aligned("out-control", nt.OutControl, nt.OutControlIdx)
-		aligned("out-sync", nt.OutSync, nt.OutSyncIdx)
-		aligned("out-loop", nt.OutLoop, nt.OutLoopIdx)
-	}
 }
 
 // TestOverlayTopologyCoherence applies random accepted ad-hoc changes to
 // hybrid-represented instances and asserts after every change that the
-// overlay's cached topology index (refreshed by the overlay's dirty path)
+// overlay's cached topology index (dropped by every mutation of the delta)
 // matches both the overlay's enumeration and the topology of a freshly
 // materialized copy of the view.
 func TestOverlayTopologyCoherence(t *testing.T) {
