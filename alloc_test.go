@@ -92,9 +92,12 @@ func TestSubmitAllocationBudget(t *testing.T) {
 	// counts, data store and write sets were Go maps, and 16, 2, 3 and 18
 	// while every history event was a heap object: what is left of the
 	// history is the growth of its log, which falls on a command or not
-	// with the bytes its timestamps take (the +1 covers it: a batch of 64
-	// completions reads 2 + 11/64 = 2.172 without it and 3.172 with it on
-	// every one, so that row is pinned a cent up at 2.18).
+	// with the bytes its timestamps take (the +1 covers it; a batch row is
+	// pinned at the most it was seen to read). Create, complete and
+	// complete+outputs read 15, 2 and 14 while the worklist kept a derived
+	// ID string per item and rebuilt an instance's item list after each
+	// withdrawal, and every batch row 0.09 more while AppendDataMulti
+	// grouped a batch through a map (11 allocations a batch, now 5).
 	// doc.go's "Allocation budget" names every allocation behind the
 	// submit column; SubmitAsync adds its heap Receipt (create's fraction
 	// rounds it away), and SubmitBatch pays its per-batch slices once per
@@ -108,29 +111,29 @@ func TestSubmitAllocationBudget(t *testing.T) {
 		prepare, cmds        []cmdFor
 		submit, async, batch float64
 	}{
-		{kind: "create", submit: 15, async: 15, batch: 14.23,
+		{kind: "create", submit: 13, async: 14, batch: 13.12,
 			cmds: []cmdFor{func(string) adept2.Command { return &adept2.CreateInstance{TypeName: "online_order"} }}},
-		{kind: "start", submit: 1, async: 2, batch: 1.17,
+		{kind: "start", submit: 1, async: 2, batch: 1.08,
 			cmds: []cmdFor{start("get_order", "ann")}},
-		{kind: "complete", submit: 2, async: 3, batch: 2.18, // offers confirm_order
+		{kind: "complete", submit: 1, async: 2, batch: 2.05, // offers confirm_order
 			prepare: []cmdFor{complete("get_order", "ann", order), start("collect_data", "ann")},
 			cmds:    []cmdFor{complete("collect_data", "ann", nil)}},
-		{kind: "start biased/untouched", submit: 1, async: 2, batch: 1.17,
+		{kind: "start biased/untouched", submit: 1, async: 2, batch: 1.08,
 			prepare: []cmdFor{bias},
 			cmds:    []cmdFor{start("get_order", "ann")}},
-		{kind: "complete biased/untouched", submit: 2, async: 3, batch: 2.18, // offers pack_goods; reads 3: the log growth falls on it
+		{kind: "complete biased/untouched", submit: 2, async: 3, batch: 2.08, // offers pack_goods; the log growth falls on it, or on the row before
 			prepare: []cmdFor{bias, complete("get_order", "ann", order), start("compose_order", "bob")},
 			cmds:    []cmdFor{complete("compose_order", "bob", nil)}},
-		{kind: "start biased/inserted", submit: 1, async: 2, batch: 1.17,
+		{kind: "start biased/inserted", submit: 1, async: 2, batch: 1.08,
 			prepare: []cmdFor{bias, complete("get_order", "ann", order), complete("collect_data", "ann", nil)},
 			cmds:    []cmdFor{start("send_brochure", "ann")}},
-		{kind: "complete biased/inserted", submit: 2, async: 3, batch: 2.18, // offers confirm_order
+		{kind: "complete biased/inserted", submit: 1, async: 2, batch: 1.09, // offers confirm_order
 			prepare: []cmdFor{bias, complete("get_order", "ann", order), complete("collect_data", "ann", nil), start("send_brochure", "ann")},
 			cmds:    []cmdFor{complete("send_brochure", "ann", nil)}},
-		{kind: "complete+outputs", submit: 14, async: 15, batch: 14.20, // a data write, two items offered
+		{kind: "complete+outputs", submit: 10, async: 11, batch: 10.11, // a data write, two items offered
 			prepare: []cmdFor{start("get_order", "ann")},
 			cmds:    []cmdFor{complete("get_order", "ann", order)}},
-		{kind: "suspend/resume", submit: 0, async: 1, batch: 0.17,
+		{kind: "suspend/resume", submit: 0, async: 1, batch: 0.08,
 			cmds: []cmdFor{
 				func(id string) adept2.Command { return &adept2.Suspend{Instance: id} },
 				func(id string) adept2.Command { return &adept2.Resume{Instance: id} },

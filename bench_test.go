@@ -23,6 +23,7 @@ import (
 	"adept2/internal/sim"
 	"adept2/internal/storage"
 	"adept2/internal/verify"
+	"adept2/internal/worklist"
 )
 
 // --- Fig. 1 / E1: compliance decision cost -------------------------------
@@ -290,8 +291,30 @@ func BenchmarkFig3Migration(b *testing.B) {
 // --- E4: buildtime verification -------------------------------------------
 
 // BenchmarkVerify measures the full buildtime check suite across schema
-// sizes.
+// sizes, and on the view of an instance carrying Fig. 1's bias of I2 under
+// the hybrid representation — an overlay, whose whole-view lists are built
+// per call (allocs/op is what a check builds).
 func BenchmarkVerify(b *testing.B) {
+	b.Run("biased", func(b *testing.B) {
+		e := engine.New(sim.Org())
+		if err := e.Deploy(sim.OnlineOrder()); err != nil {
+			b.Fatal(err)
+		}
+		inst, err := e.CreateInstance("online_order", 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := change.ApplyAdHoc(inst, sim.OnlineOrderBiasI2()...); err != nil {
+			b.Fatal(err)
+		}
+		v := inst.View()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if res := verify.Check(v); !res.OK() {
+				b.Fatal(res.Err())
+			}
+		}
+	})
 	for _, depth := range []int{2, 3, 4} {
 		rng := rand.New(rand.NewSource(7))
 		opts := sim.DefaultSchemaOpts()
@@ -302,6 +325,37 @@ func BenchmarkVerify(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if res := verify.Check(s); !res.OK() {
 					b.Fatal(res.Err())
+				}
+			}
+		})
+	}
+}
+
+// --- Worklist reads under writes -------------------------------------------
+
+// BenchmarkWorklistPageAfterWrite measures a worklist read under writes —
+// the traffic of a client polling pages while commands run: each op offers
+// an item and withdraws it again, then reads one 50-item page of a user
+// who holds n offered items.
+func BenchmarkWorklistPageAfterWrite(b *testing.B) {
+	users := []string{"ann", "cyn"}
+	for _, n := range []int{2000, 40000} {
+		b.Run(fmt.Sprintf("items=%d", n), func(b *testing.B) {
+			wl := worklist.NewManager()
+			for i := 0; i < n; i++ {
+				if _, err := wl.Offer(fmt.Sprintf("inst-%06d", i), "get_order", "clerk", users); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := wl.Offer("inst-001000a", "get_order", "clerk", users); err != nil {
+					b.Fatal(err)
+				}
+				wl.Withdraw("inst-001000a", "get_order")
+				if items, _ := wl.ItemsForPage("ann", "", 50); len(items) != 50 {
+					b.Fatalf("a page of %d items, want 50", len(items))
 				}
 			}
 		})

@@ -48,7 +48,7 @@ func (d *cmdDriver) userFor(role string) string {
 	}
 	org := d.sys.Org()
 	for _, u := range []string{"ann", "bob"} {
-		if org.HasRole(u, role) {
+		if _, ok := org.HasRole(u, role); ok {
 			return u
 		}
 	}

@@ -126,10 +126,10 @@
 // scratch; and an offered item aliases the role's immutable candidate
 // slice. What is left, over the 13-command online-order lifecycle (one
 // create, six start + complete pairs; 16 history events, six work items)
-// — 41 allocations, 3.2 per command, where the same loop made 13.4
-// before this budget was drawn, 4.8 while an instance's small collections
-// were Go maps and 4.4 while a history event was a heap object (from an
-// allocation profile of 2 000 lifecycles, MemProfileRate 1):
+// — 32 allocations, 2.5 per command, where the same loop made 13.4
+// before this budget was drawn, 4.8 with an instance's small collections
+// as Go maps, 4.4 with heap history events, 3.2 with stored item IDs
+// (allocation profile of 2 000 lifecycles, MemProfileRate 1):
 //
 //	per lifecycle  allocation, and why it stays
 //	    10  instance structures, per create: the Instance, which holds
@@ -139,10 +139,10 @@
 //	     6  history growth: the log's records doubling (32, 64, 128 B)
 //	        and its binding list (1, 2, 4). An event allocates nothing:
 //	        the engine builds it on its stack and Append packs it
-//	    12  work items: an Item and its derived ID string per offered
-//	        activity, kept until the item is withdrawn
-//	    ~4  worklist index entries: the instance's item list and the
-//	        growth of each candidate's member set
+//	     6  work items: an Item per offered activity, kept until the
+//	        item is withdrawn (its ID is built on the copies handed out)
+//	    ~1  worklist index: the instance's item list, made with room for
+//	        two and kept while it has items; a user's list splitting a block
 //	     3  the first write of a data element: its version list and its
 //	        entry in the store's element list (2), the box of the
 //	        coerced value (1)
@@ -168,7 +168,7 @@
 // name; internal/history.TestHistoryAppendAllocations pins the six; the
 // benchmark's allocs_per_cmd gates the sum.
 //
-// The remote hop adds 105 to the lifecycle's 41 — 8.1 a command, where it
+// The remote hop adds 105 to the lifecycle's 32 — 8.1 a command, where it
 // added 27 while the server decoded every line twice through
 // encoding/json (envelope, then args) and the client marshalled every
 // command twice (args, then line). A line is now read in one pass
@@ -257,9 +257,9 @@
 //	           operations, and what the marking and the execution index
 //	           grow by for one more node
 //
-// An instance that has not finished adds an Item, an ID and index entries
-// per offered activity; the node IDs and user names the histories refer to
-// are kept once per engine, in its symbol table.
+// An unfinished instance adds a 112 B Item and an 8 B slot per candidate
+// per offered activity, and a 16 B item list; the node IDs and user names
+// the histories refer to are kept once per engine, in its symbol table.
 // TestInstanceHeapBudget and TestBiasedInstanceHeapBudget pin the two
 // figures (+3 %), and hold Instance.Footprint() to the measured heap
 // (±10 %): StateBytes summed over the population, and what StateBytes,

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"adept2"
 	"adept2/internal/rpc"
@@ -175,6 +176,85 @@ func TestWorkItemIdentityAcrossRecoveryAndReshard(t *testing.T) {
 				t.Fatalf("recovered %d shards, want %d", got.Recovery().Shards, n)
 			}
 			check(t, got)
+		})
+	}
+}
+
+// TestLateRoleMemberSeesTheItemTheyStart: the engine lets a user who
+// joined a role after an offer start its item — it checks the org model's
+// current roles — so the item must then be in that user's worklist too,
+// claimed by the org model's string for them, and stay there across a
+// restart, from a snapshot and by full replay, until it completes.
+func TestLateRoleMemberSeesTheItemTheyStart(t *testing.T) {
+	ctx := context.Background()
+	path := filepath.Join(t.TempDir(), "wal.ndjson")
+	sys := openSharded(t, path, adept2.CheckpointConfig{Every: -1})
+	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+		t.Fatal(err)
+	}
+	inst, err := sys.CreateInstance("online_order")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.AddUser(&adept2.User{ID: "eve", Roles: []string{"clerk"}}); err != nil {
+		t.Fatal(err)
+	}
+	start := &adept2.StartActivity{Instance: inst.ID(), Node: "get_order", User: strings.Clone("eve")}
+	if _, err := sys.Submit(ctx, start); err != nil {
+		t.Fatal(err)
+	}
+	id := inst.ID() + "/get_order"
+	check := func(t *testing.T, sys *adept2.System) {
+		t.Helper()
+		for _, user := range []string{"ann", "cyn", "eve"} {
+			items := sys.WorkItems(user)
+			if len(items) != 1 || items[0].ID != id || items[0].State.String() != "in-progress" || items[0].ClaimedBy != "eve" {
+				t.Fatalf("%s sees %+v, want %s in progress by eve", user, items, id)
+			}
+		}
+	}
+	check(t, sys)
+	eve, _ := sys.Org().User("eve")
+	if it := sys.WorkItems("eve")[0]; unsafe.StringData(it.ClaimedBy) != unsafe.StringData(eve.ID) {
+		t.Fatal("the item keeps the command's user string, not the org model's")
+	}
+	if _, _, err := sys.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The snapshot is read first: the full replay's run completes the item.
+	for _, reopen := range []struct {
+		name string
+		opt  adept2.Option
+	}{
+		{"snapshot", adept2.WithCheckpointing(adept2.CheckpointConfig{Every: -1})},
+		{"full-replay", fullReplay(t)},
+	} {
+		t.Run(reopen.name, func(t *testing.T) {
+			got, err := adept2.Open(path, adept2.WithOrg(sim.Org()), reopen.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer got.Close()
+			if full := got.Recovery().FullReplay; full != (reopen.name == "full-replay") {
+				t.Fatalf("recovered by full replay: %v", full)
+			}
+			check(t, got)
+			if reopen.name == "snapshot" {
+				return
+			}
+			done := &adept2.CompleteActivity{Instance: inst.ID(), Node: "get_order", User: "eve", Outputs: map[string]any{"out": "o"}}
+			if _, err := got.Submit(ctx, done); err != nil {
+				t.Fatal(err)
+			}
+			for _, it := range got.WorkItems("eve") {
+				if it.ID == id {
+					t.Fatalf("eve still sees %+v after completing it", it)
+				}
+			}
 		})
 	}
 }

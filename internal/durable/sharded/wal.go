@@ -88,16 +88,20 @@ func (w *WAL) AppendControl(op string, args any) (int, error) {
 // AppendDataAsync journals a data record on the instance's shard, stamped
 // with the current epoch, and returns as soon as the record is staged in
 // the shard's pipeline: shard and seq identify it for WaitShardSeq.
-// Shard-0 data records carry no stamp — their position in the control
-// journal already orders them totally.
 func (w *WAL) AppendDataAsync(instID, op string, args any) (shard, seq int, err error) {
 	k := w.ShardFor(instID)
-	epoch := 0
-	if k != 0 {
-		epoch = w.Epoch()
-	}
-	seq, err = w.shards[k].c.AppendAsync(op, epoch, args)
+	seq, err = w.shards[k].c.AppendAsync(op, w.stamp(k), args)
 	return k, seq, err
+}
+
+// stamp is the epoch a data record on shard k carries. Shard-0 data
+// records carry none — their position in the control journal already
+// orders them totally.
+func (w *WAL) stamp(k int) int {
+	if k == 0 {
+		return 0
+	}
+	return w.Epoch()
 }
 
 // WaitShardSeq blocks until shard k's record seq is durable, the shard's
@@ -126,28 +130,28 @@ type DataRecord struct {
 // shared command barrier, so no control record can interleave with the
 // batch.
 func (w *WAL) AppendDataMulti(ctx context.Context, recs []DataRecord) error {
-	perShard := make(map[int][]persist.Pending)
-	for _, r := range recs {
-		k := w.ShardFor(r.Instance)
-		epoch := 0
-		if k != 0 {
-			epoch = w.Epoch()
-		}
-		perShard[k] = append(perShard[k], persist.Pending{Op: r.Op, Epoch: epoch, Args: r.Args})
-	}
-	// Stage every shard's slice first (buffered appends are cheap), then
+	// Stage every shard's records first, in ascending shard order, each
+	// shard's gathered into one scratch (buffered appends are cheap), then
 	// await durability — shards flush concurrently instead of in turn.
-	type pendingWait struct{ shard, seq int }
-	var waits []pendingWait
-	for k, pend := range perShard {
-		last, err := w.shards[k].c.AppendMulti(pend)
-		if err != nil {
-			return fmt.Errorf("sharded: shard %d: %w", k, err)
+	// last[k] is the last seq staged on shard k, or 0, which a wait passes.
+	pend := make([]persist.Pending, 0, len(recs))
+	last := make([]int, len(w.shards))
+	for k := range w.shards {
+		from := len(pend)
+		for _, r := range recs {
+			if w.ShardFor(r.Instance) == k {
+				pend = append(pend, persist.Pending{Op: r.Op, Epoch: w.stamp(k), Args: r.Args})
+			}
 		}
-		waits = append(waits, pendingWait{k, last})
+		if len(pend) > from {
+			var err error
+			if last[k], err = w.shards[k].c.AppendMulti(pend[from:]); err != nil {
+				return fmt.Errorf("sharded: shard %d: %w", k, err)
+			}
+		}
 	}
-	for _, pw := range waits {
-		if err := w.WaitShardSeq(ctx, pw.shard, pw.seq); err != nil {
+	for k, seq := range last {
+		if err := w.WaitShardSeq(ctx, k, seq); err != nil {
 			return err
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"adept2/internal/model"
+	"adept2/internal/org"
 	"adept2/internal/storage"
 )
 
@@ -244,4 +245,17 @@ func TestRetainedNodeStringsAreTheSchemas(t *testing.T) {
 		t.Fatalf("%d versions of the order, want 1", len(vs))
 	}
 	check("the data version's writer", vs[0].Writer)
+
+	// A user who joined the role after the offer may start its item, and
+	// what the item keeps for them is the org model's string too.
+	if err := e.Org().AddUser(&org.User{ID: "eve", Roles: []string{"clerk"}}); err != nil {
+		t.Fatal(err)
+	}
+	eve, _ := e.Org().User("eve")
+	if err := e.StartActivityAt(inst.ID(), strings.Clone("ship"), strings.Clone("eve"), 2000); err != nil {
+		t.Fatal(err)
+	}
+	if it, _ := e.Worklist().ItemFor(inst.ID(), "ship"); it == nil || it.ClaimedBy != "eve" || unsafe.StringData(it.ClaimedBy) != unsafe.StringData(eve.ID) {
+		t.Errorf("a late member's start: the work item is %+v, want it claimed by the org model's %q at %p", it, eve.ID, unsafe.StringData(eve.ID))
+	}
 }

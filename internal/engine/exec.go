@@ -95,9 +95,11 @@ func (inst *Instance) startLocked(node, user string, at int64) error {
 		if user == "" {
 			return fault.Tagf(fault.Denied, "engine: start %s/%s: activity requires a user with role %q", inst.id, node, n.Role)
 		}
-		if !inst.eng.org.HasRole(user, n.Role) {
+		id, ok := inst.eng.org.HasRole(user, n.Role)
+		if !ok {
 			return fault.Tagf(fault.Denied, "engine: start %s/%s: user %q lacks role %q", inst.id, node, user, n.Role)
 		}
+		user = id // what the work item keeps is the org model's string, not the command's
 	}
 	reads, err := inst.gatherReadsLocked(v, n)
 	if err != nil {

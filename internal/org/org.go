@@ -76,20 +76,17 @@ func (m *Model) UsersInRole(role string) []string {
 	return m.roles[role]
 }
 
-// HasRole reports whether the user holds the role.
-func (m *Model) HasRole(userID, role string) bool {
+// HasRole reports whether the user holds the role and, if so, returns the
+// model's own string for the user ID — the one a caller that keeps the ID
+// should keep, as the role's candidate slices do.
+func (m *Model) HasRole(userID, role string) (string, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	u, ok := m.users[userID]
-	if !ok {
-		return false
+	if !ok || !slices.Contains(u.Roles, role) {
+		return "", false
 	}
-	for _, r := range u.Roles {
-		if r == role {
-			return true
-		}
-	}
-	return false
+	return u.ID, true
 }
 
 // Roles returns all known roles, sorted.

@@ -1,6 +1,9 @@
 package org
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 func demoModel(t *testing.T) *Model {
 	t.Helper()
@@ -33,8 +36,12 @@ func TestModelLookup(t *testing.T) {
 	if got := m.UsersInRole("none"); len(got) != 0 {
 		t.Fatalf("UsersInRole(none) = %v", got)
 	}
-	if !m.HasRole("ann", "sales") || m.HasRole("bob", "sales") || m.HasRole("zz", "clerk") {
+	has := func(user, role string) bool { _, ok := m.HasRole(user, role); return ok }
+	if !has("ann", "sales") || has("bob", "sales") || has("zz", "clerk") {
 		t.Fatal("HasRole broken")
+	}
+	if id, _ := m.HasRole(string([]byte("ann")), "sales"); id != "ann" || unsafe.StringData(id) != unsafe.StringData(u.ID) {
+		t.Fatalf("HasRole returned %q at %p, not the model's %q at %p", id, unsafe.StringData(id), u.ID, unsafe.StringData(u.ID))
 	}
 	if got := m.Roles(); len(got) != 3 {
 		t.Fatalf("Roles = %v", got)
@@ -64,7 +71,7 @@ func TestAddUserCopiesInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	u.Roles[0] = "mutated"
-	if !m.HasRole("x", "r") {
+	if _, ok := m.HasRole("x", "r"); !ok {
 		t.Fatal("model must copy the roles slice")
 	}
 }

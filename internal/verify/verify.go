@@ -125,8 +125,22 @@ func (r *Result) add(code Code, sev Severity, nodes []string, format string, arg
 	})
 }
 
+// listed is a view whose whole-view lists were built once: an overlay
+// builds them per call, and the passes below ask for them a dozen times.
+type listed struct {
+	model.SchemaView
+	ids       []string
+	edges     []*model.Edge
+	dataEdges []*model.DataEdge
+}
+
+func (l *listed) NodeIDs() []string            { return l.ids }
+func (l *listed) Edges() []*model.Edge         { return l.edges }
+func (l *listed) DataEdges() []*model.DataEdge { return l.dataEdges }
+
 // Check runs all buildtime checks and returns the aggregated result.
 func Check(v model.SchemaView) *Result {
+	v = &listed{SchemaView: v, ids: v.NodeIDs(), edges: v.Edges(), dataEdges: v.DataEdges()}
 	r := &Result{}
 	checkCardinalities(v, r)
 	checkConnectivity(v, r)

@@ -2,7 +2,10 @@ package worklist
 
 import (
 	"fmt"
+	"strings"
 	"testing"
+
+	"adept2/internal/fault"
 )
 
 // FuzzItemIDAndCursor guards the two strings of the worklist a peer holds
@@ -11,7 +14,10 @@ import (
 // get distinct IDs and are offered and claimed separately; and from any
 // cursor string a paged walk returns strictly ascending IDs above the
 // cursor, terminates, and visits every visible item above the cursor
-// exactly once (all of them from "").
+// exactly once (all of them from ""). A claim of the cursor, or of a near
+// miss of a live ID — an escape lower-cased or cut short, a "%" appended
+// to it or to its instance, its "/" dropped — finds an item iff the string
+// is exactly a live item's ID, and is refused as not found otherwise.
 func FuzzItemIDAndCursor(f *testing.F) {
 	f.Add("inst-000001", "get_order", "inst-000002", "get_order", "", 2)
 	f.Fuzz(func(t *testing.T, instA, nodeA, instB, nodeB, cursor string, limit int) {
@@ -85,5 +91,21 @@ func FuzzItemIDAndCursor(f *testing.F) {
 				t.Fatalf("walk from %q (limit %d) visited %q, want %q", from, limit, got, want)
 			}
 		}
+
+		live := map[string]bool{}
+		tries := []string{cursor}
+		for _, it := range m.Export().Items {
+			live[it.ID] = true
+			tries = append(tries, it.ID, strings.ReplaceAll(it.ID, "%2F", "%2f"), nearMiss.Replace(it.ID),
+				it.ID+"%", strings.Replace(it.ID, "/", "%/", 1), strings.Replace(it.ID, "/", "", 1))
+		}
+		for _, s := range tries {
+			if err := m.Claim(s, "u"); (fault.KindOf(err) == fault.NotFound) == live[s] {
+				t.Fatalf("claim %q (a live ID: %v): %v", s, live[s], err)
+			}
+		}
 	})
 }
+
+// nearMiss cuts every escape of an ID short.
+var nearMiss = strings.NewReplacer("%25", "%2", "%2F", "%2")

@@ -11,7 +11,8 @@
 // "/", with "/" and "%" inside the instance percent-escaped. No counter
 // or arrival order enters it, so an ID or page cursor a client holds
 // names the same work live, after recovery from a snapshot or by full
-// replay, after a reshard and at any shard count.
+// replay, after a reshard and at any shard count. The manager keeps the
+// pair and computes the ID on the way out, on the copies it hands out.
 //
 // The name belongs to the activity, not to one offer of it: an escalated
 // item, or an offered one whose staff assignment changed, is re-offered
@@ -22,12 +23,23 @@
 // Every listing (ItemsFor, ItemsForPage, ItemsForInstance, Export) is in
 // ascending ID order, and a page cursor is the last ID returned.
 //
+// # Index
+//
+// byInst owns each instance's few live items and answers (instance,
+// node). byUser holds per user the items the user's worklist lists — the
+// offered ones, and one the user started unoffered, having joined the role
+// after the offer — as one sequence in ID order (cmpItems, which builds no
+// ID) stored as blocks of at most blockSize: a lookup binary-searches the
+// blocks' last items, then one block. An offer or withdrawal is
+// O(log n + blockSize) and allocates only when a full block splits; a page
+// is O(log n + limit) whether or not a write came before it.
+//
 // # Candidates
 //
 // An item does not copy its candidate list: Item.Offered inside the
 // manager is the slice the organizational model published for the role
 // (org.Model.UsersInRole), shared by every item offered to that role
-// until the role's membership changes. Such a slice is sorted and
+// until the role gains or loses a user. Such a slice is sorted and
 // immutable — the org model replaces it instead of inserting into it — so
 // an item keeps exactly the candidates it was offered with, which is what
 // replay reproduces. Items handed out by the read methods are clones with
@@ -72,7 +84,7 @@ func (s ItemState) String() string {
 
 // Item is one unit of offered work.
 type Item struct {
-	ID        string
+	ID        string // set on the copies handed out, empty inside the manager
 	Instance  string
 	Node      string
 	Role      string
@@ -83,6 +95,7 @@ type Item struct {
 
 func (i *Item) clone() *Item {
 	c := *i
+	c.ID = itemID(i.Instance, i.Node)
 	c.Offered = append([]string(nil), i.Offered...)
 	return &c
 }
@@ -93,51 +106,106 @@ func itemID(instance, node string) string {
 	return idEscaper.Replace(instance) + "/" + node
 }
 
-var idEscaper = strings.NewReplacer("%", "%25", "/", "%2F")
+var idEscaper, idUnescaper = strings.NewReplacer("%", "%25", "/", "%2F"), strings.NewReplacer("%25", "%", "%2F", "/")
 
-// Manager is a thread-safe worklist registry.
-type Manager struct {
-	mu    sync.Mutex
-	items map[string]*Item // item ID -> item
-	// byUser holds each user's visible item IDs: a membership set for O(1)
-	// offers/withdrawals plus a lazily rebuilt sorted ID cache so a page
-	// listing is a binary search plus a walk of one page — O(page) while
-	// the worklist is read-quiescent, one O(n log n) rebuild on the first
-	// read after a write.
-	byUser map[string]*userIndex
-	// byInst holds each instance's few live items; find walks them for
-	// the item of one node, so (instance, node) needs no index of its own.
-	byInst map[string][]*Item
-}
-
-// userIndex is one user's worklist index.
-type userIndex struct {
-	members map[string]struct{} // IDs of the items offered to / claimed by the user
-	sorted  []string            // ascending cache over members; nil when stale
-}
-
-// sortedIDs returns the user's item IDs in ascending order, rebuilding
-// the cache if a write invalidated it. Caller holds the manager lock.
-func (u *userIndex) sortedIDs() []string {
-	if u.sorted == nil {
-		u.sorted = make([]string, 0, len(u.members))
-		for id := range u.members {
-			u.sorted = append(u.sorted, id)
-		}
-		slices.Sort(u.sorted)
+// idPiece is what byte i of an instance becomes in an item ID, and the
+// "/" that follows the instance for i == len(instance).
+func idPiece(instance string, i int) string {
+	switch {
+	case i == len(instance):
+		return "/"
+	case instance[i] == '%':
+		return "%25"
+	case instance[i] == '/':
+		return "%2F"
 	}
-	return u.sorted
+	return instance[i : i+1]
 }
 
-func sortByID(items []*Item) {
-	slices.SortFunc(items, func(a, b *Item) int { return strings.Compare(a.ID, b.ID) })
+// cmpItems is strings.Compare of the two items' IDs without building
+// either: escaping goes byte by byte, so the pieces of the first instance
+// byte that differs, or the "/" ending the shorter one, decide.
+func cmpItems(a, b *Item) int {
+	i := 0
+	for i < len(a.Instance) && i < len(b.Instance) && a.Instance[i] == b.Instance[i] {
+		i++
+	}
+	if c := strings.Compare(idPiece(a.Instance, i), idPiece(b.Instance, i)); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Node, b.Node) // equal instances: both pieces are the "/"
+}
+
+// cmpID is strings.Compare(itemID(instance, node), s) without the ID.
+func cmpID(instance, node, s string) int {
+	for i := 0; i <= len(instance); i++ {
+		piece := idPiece(instance, i)
+		if c := strings.Compare(piece, s[:min(len(piece), len(s))]); c != 0 {
+			return c
+		}
+		s = s[len(piece):]
+	}
+	return strings.Compare(node, s)
+}
+
+const blockSize = 128
+
+// seq is one user's sequence (see Index). No block is empty but a lone
+// one, kept for the next offer.
+type seq [][]*Item
+
+// seek returns where the first item the monotone above holds for is, or
+// goes: block b (the last if no earlier block's last item is above; 0 if
+// there is no block) and index i in it.
+func (s seq) seek(above func(*Item) bool) (b, i int) {
+	b = sort.Search(len(s)-1, func(b int) bool { return above(s[b][len(s[b])-1]) })
+	if b < len(s) {
+		i = sort.Search(len(s[b]), func(i int) bool { return above(s[b][i]) })
+	}
+	return b, i
+}
+
+func (s seq) insert(it *Item) seq {
+	if len(s) == 0 {
+		s = seq{nil}
+	}
+	b, i := s.seek(func(x *Item) bool { return cmpItems(x, it) > 0 })
+	if blk := s[b]; len(blk) == blockSize {
+		half := blockSize / 2 // past the end of the last block, a fresh block instead
+		if i == blockSize && b == len(s)-1 {
+			half = blockSize
+		}
+		s = slices.Insert(s, b+1, append(make([]*Item, 0, blockSize), blk[half:]...))
+		clear(blk[half:])
+		if s[b] = blk[:half]; i >= half {
+			b, i = b+1, i-half
+		}
+	}
+	s[b] = slices.Insert(s[b], i, it)
+	return s
+}
+
+func (s seq) remove(it *Item) seq {
+	if b, i := s.seek(func(x *Item) bool { return cmpItems(x, it) >= 0 }); b < len(s) && i < len(s[b]) && s[b][i] == it {
+		if s[b] = slices.Delete(s[b], i, i+1); len(s[b]) == 0 && len(s) > 1 {
+			s = slices.Delete(s, b, b+1)
+		}
+	}
+	return s
+}
+
+// Manager is a thread-safe worklist registry (see Index).
+type Manager struct {
+	mu     sync.Mutex
+	byInst map[string][]*Item
+	byUser map[string]seq
+	n      int // live items
 }
 
 // NewManager returns an empty worklist manager.
 func NewManager() *Manager {
 	return &Manager{
-		items:  make(map[string]*Item),
-		byUser: make(map[string]*userIndex),
+		byUser: make(map[string]seq),
 		byInst: make(map[string][]*Item),
 	}
 }
@@ -152,40 +220,47 @@ func (m *Manager) find(instance, node string) *Item {
 	return nil
 }
 
-// indexLocked registers it — whose ID must be unused — in every index.
-func (m *Manager) indexLocked(it *Item) {
-	m.items[it.ID] = it
-	m.byInst[it.Instance] = append(m.byInst[it.Instance], it)
-	for _, user := range it.Offered {
-		u := m.byUser[user]
-		if u == nil {
-			u = &userIndex{members: make(map[string]struct{})}
-			m.byUser[user] = u
-		}
-		u.members[it.ID] = struct{}{}
-		u.sorted = nil
+// lookup returns the live item whose ID is exactly id, or nil.
+func (m *Manager) lookup(id string) *Item {
+	esc, node, _ := strings.Cut(id, "/")
+	if it := m.find(idUnescaper.Replace(esc), node); it != nil && cmpID(it.Instance, it.Node, id) == 0 {
+		return it
+	}
+	return nil
+}
+
+// relistLocked applies op — seq.insert or seq.remove — to it in the
+// sequence of each of users, and of whoever started it unoffered.
+func (m *Manager) relistLocked(it *Item, op func(seq, *Item) seq, users []string) {
+	for _, user := range users {
+		m.byUser[user] = op(m.byUser[user], it)
+	}
+	if _, named := slices.BinarySearch(it.Offered, it.ClaimedBy); it.State == InProgress && !named {
+		m.byUser[it.ClaimedBy] = op(m.byUser[it.ClaimedBy], it)
 	}
 }
 
-// removeLocked drops it from every index.
-func (m *Manager) removeLocked(it *Item) {
-	delete(m.items, it.ID)
-	for _, user := range it.Offered {
-		if u := m.byUser[user]; u != nil {
-			delete(u.members, it.ID)
-			u.sorted = nil
-			if len(u.members) == 0 {
-				delete(m.byUser, user)
-			}
-		}
+// indexLocked registers it — whose (instance, node) must be free — in
+// every index; an instance's list starts with room for two.
+func (m *Manager) indexLocked(it *Item) {
+	items := m.byInst[it.Instance]
+	if items == nil {
+		items = make([]*Item, 0, 2)
 	}
+	m.byInst[it.Instance] = append(items, it)
+	m.relistLocked(it, seq.insert, it.Offered)
+	m.n++
+}
+
+// removeLocked drops it from every index. An emptied instance list stays
+// for the reconciliation after a withdrawal to offer into; BatchUpdate
+// deletes a list it leaves empty.
+func (m *Manager) removeLocked(it *Item) {
+	m.relistLocked(it, seq.remove, it.Offered)
 	rest := m.byInst[it.Instance]
 	i := slices.Index(rest, it)
-	if rest = slices.Delete(rest, i, i+1); len(rest) == 0 {
-		delete(m.byInst, it.Instance)
-	} else {
-		m.byInst[it.Instance] = rest
-	}
+	m.byInst[it.Instance] = slices.Delete(rest, i, i+1)
+	m.n--
 }
 
 // Offer creates a work item for an activated activity and offers it to the
@@ -211,7 +286,6 @@ func (m *Manager) offerLocked(instance, node, role string, users []string) *Item
 		return nil
 	}
 	it := &Item{
-		ID:       itemID(instance, node),
 		Instance: instance,
 		Node:     node,
 		Role:     role,
@@ -240,8 +314,8 @@ func (m *Manager) Escalate(instance, node, role string, users []string) {
 func (m *Manager) Claim(id, user string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	it, ok := m.items[id]
-	if !ok {
+	it := m.lookup(id)
+	if it == nil {
 		return fault.Tagf(fault.NotFound, "worklist: claim %q: no such item", id)
 	}
 	if it.State != Offered {
@@ -260,8 +334,8 @@ func (m *Manager) Claim(id, user string) error {
 func (m *Manager) Release(id, user string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	it, ok := m.items[id]
-	if !ok {
+	it := m.lookup(id)
+	if it == nil {
 		return fault.Tagf(fault.NotFound, "worklist: release %q: no such item", id)
 	}
 	if it.State != Claimed || it.ClaimedBy != user {
@@ -272,7 +346,9 @@ func (m *Manager) Release(id, user string) error {
 	return nil
 }
 
-// MarkStarted transitions the item of the given activity to InProgress.
+// MarkStarted transitions the item of the given activity to InProgress. A
+// starter the offer does not name (who joined the role after it) has the
+// item in their worklist from then on.
 func (m *Manager) MarkStarted(instance, node, user string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -285,12 +361,15 @@ func (m *Manager) MarkStarted(instance, node, user string) error {
 	}
 	// The item outlives the command. Where the offer names the user it
 	// keeps the offer's string — the org model's, shared by every item —
-	// and not one decoded off the wire for this command alone.
+	// and not one decoded off the wire for this command alone; for a
+	// starter it does not name, the engine passes the org model's.
 	if i, ok := slices.BinarySearch(it.Offered, user); ok {
 		user = it.Offered[i]
 	}
+	m.relistLocked(it, seq.remove, nil)
 	it.State = InProgress
 	it.ClaimedBy = user
+	m.relistLocked(it, seq.insert, nil)
 	return nil
 }
 
@@ -330,7 +409,7 @@ type Wanted struct {
 // touching many nodes of one role costs a single org-model resolution
 // instead of one per operation. wanted is only read, and the scratch below
 // is on the stack, so a reconciliation that offers nothing allocates
-// nothing.
+// nothing. The instance's item list is deleted only if empty at the end.
 func (m *Manager) BatchUpdate(instance string, wanted []Wanted, usersInRole func(role string) []string) {
 	// offer is one missing item: its entry in wanted and its candidates.
 	type offer struct {
@@ -365,6 +444,9 @@ func (m *Manager) BatchUpdate(instance string, wanted []Wanted, usersInRole func
 		if !w.Running && m.find(instance, w.Node) == nil {
 			missing = append(missing, offer{w: i})
 		}
+	}
+	if len(missing) == 0 && len(m.byInst[instance]) == 0 {
+		delete(m.byInst, instance) // kept by the withdrawals above until now
 	}
 	m.mu.Unlock()
 	if len(missing) == 0 {
@@ -411,12 +493,20 @@ type ManagerExport struct {
 func (m *Manager) Export() *ManagerExport {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ex := &ManagerExport{Items: make([]*Item, 0, len(m.items))}
-	for _, it := range m.items {
-		ex.Items = append(ex.Items, it.clone())
+	items := make([]*Item, 0, m.n)
+	for _, its := range m.byInst {
+		items = append(items, its...)
 	}
-	sortByID(ex.Items)
-	return ex
+	return &ManagerExport{Items: sortedClones(items)}
+}
+
+// sortedClones sorts items by ID and replaces each with its clone.
+func sortedClones(items []*Item) []*Item {
+	slices.SortFunc(items, cmpItems)
+	for i, it := range items {
+		items[i] = it.clone()
+	}
+	return items
 }
 
 // Import replaces the manager state with the exported one, rebuilding all
@@ -428,14 +518,14 @@ func (m *Manager) Import(ex *ManagerExport) error {
 	defer m.mu.Unlock()
 	fresh := NewManager()
 	for _, src := range ex.Items {
-		it := src.clone()
-		it.ID = itemID(it.Instance, it.Node)
-		if _, dup := fresh.items[it.ID]; dup {
-			return fmt.Errorf("worklist: import: duplicate item for %s/%s", it.Instance, it.Node)
+		if fresh.find(src.Instance, src.Node) != nil {
+			return fmt.Errorf("worklist: import: duplicate item for %s/%s", src.Instance, src.Node)
 		}
-		fresh.indexLocked(it)
+		it := *src
+		it.ID, it.Offered = "", slices.Clone(src.Offered)
+		fresh.indexLocked(&it)
 	}
-	m.items, m.byUser, m.byInst = fresh.items, fresh.byUser, fresh.byInst
+	m.byInst, m.byUser, m.n = fresh.byInst, fresh.byUser, fresh.n
 	return nil
 }
 
@@ -449,29 +539,31 @@ func (m *Manager) ItemsFor(user string) []*Item {
 // ItemsForPage returns up to limit (default 100) of the items visible to
 // a user in item-ID order, starting above the cursor ("" starts from the
 // beginning; it need not name a live item), plus the cursor for the next
-// page ("" when no items follow). A page costs one binary search for the
-// cursor plus a walk of the page, after the cache rebuild byUser describes.
+// page ("" when no items follow). A page costs one search for the cursor
+// plus a walk of the page.
 func (m *Manager) ItemsForPage(user, cursor string, limit int) ([]*Item, string) {
 	if limit <= 0 {
 		limit = 100
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var ids []string
-	if u := m.byUser[user]; u != nil {
-		ids = u.sortedIDs()
+	s := m.byUser[user]
+	b0, i0 := s.seek(func(x *Item) bool { return cmpID(x.Instance, x.Node, cursor) > 0 })
+	n := -i0 // the items above the cursor, counted as far as a page reaches
+	for b := b0; b < len(s) && n < limit; b++ {
+		n += len(s[b])
 	}
-	start := sort.Search(len(ids), func(i int) bool { return ids[i] > cursor })
-	items := make([]*Item, 0, min(limit, len(ids)-start))
-	for _, id := range ids[start:] {
-		it := m.items[id]
-		if it.State == Claimed && it.ClaimedBy != user {
-			continue // reserved by someone else
+	items := make([]*Item, 0, min(limit, n))
+	for b, i := b0, i0; b < len(s); b, i = b+1, 0 {
+		for _, it := range s[b][i:] {
+			if it.State == Claimed && it.ClaimedBy != user {
+				continue // reserved by someone else
+			}
+			if len(items) == limit {
+				return items, items[limit-1].ID // page full with candidates left
+			}
+			items = append(items, it.clone())
 		}
-		if len(items) == limit {
-			return items, items[limit-1].ID // page full with candidates left
-		}
-		items = append(items, it.clone())
 	}
 	return items, ""
 }
@@ -480,12 +572,7 @@ func (m *Manager) ItemsForPage(user, cursor string, limit int) ([]*Item, string)
 func (m *Manager) ItemsForInstance(instance string) []*Item {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	items := make([]*Item, 0, len(m.byInst[instance]))
-	for _, it := range m.byInst[instance] {
-		items = append(items, it.clone())
-	}
-	sortByID(items)
-	return items
+	return sortedClones(append(make([]*Item, 0, len(m.byInst[instance])), m.byInst[instance]...))
 }
 
 // ItemFor returns the item of the given activity, if any.
@@ -503,5 +590,5 @@ func (m *Manager) ItemFor(instance, node string) (*Item, bool) {
 func (m *Manager) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.items)
+	return m.n
 }
