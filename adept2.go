@@ -9,7 +9,6 @@ import (
 	"adept2/internal/model"
 	"adept2/internal/monitor"
 	"adept2/internal/org"
-	"adept2/internal/storage"
 	"adept2/internal/worklist"
 )
 
@@ -96,23 +95,14 @@ type (
 	OrgModel = org.Model
 	// User is an organizational agent.
 	User = org.User
-	// StorageStrategy selects the biased-instance representation.
-	StorageStrategy = storage.Strategy
 )
 
-// Completion options and storage strategies.
+// Completion options.
 var (
 	// WithDecision supplies an XOR routing decision.
 	WithDecision = engine.WithDecision
 	// WithLoopAgain supplies a loop iteration decision.
 	WithLoopAgain = engine.WithLoopAgain
-)
-
-// Storage strategies for biased instances (paper Fig. 2).
-const (
-	StorageHybrid   = storage.Hybrid
-	StorageFullCopy = storage.FullCopy
-	StorageOnTheFly = storage.OnTheFly
 )
 
 // Change framework.

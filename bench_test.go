@@ -177,17 +177,66 @@ func BenchmarkHistoryReads(b *testing.B) {
 
 // --- Fig. 2 / E2: biased-instance representation -------------------------
 
-// BenchmarkFig2ViewAccess measures the schema-access cost per strategy
-// (the read path every engine operation takes) and reports the bias
-// memory per biased instance.
+// fig2Rep is one of the biased-instance representations Fig. 2 compares,
+// built from one instance's delta over its base schema: the overlay the
+// engine keeps (hybrid), a standalone copy of its view (full copy), and
+// the recorded ops alone, re-applied to the base on every access
+// (on-the-fly). keep builds what the representation holds for an instance
+// beside its recorded ops, which every representation keeps; view reads
+// the instance's schema from it as an access does.
+type fig2Rep struct {
+	name string
+	keep func(inst *engine.Instance, base *model.Schema) (any, error)
+	view func(inst *engine.Instance, base *model.Schema, kept any) (model.SchemaView, error)
+}
+
+var fig2Reps = []fig2Rep{
+	{"hybrid",
+		func(inst *engine.Instance, base *model.Schema) (any, error) {
+			ov, err := engine.BuildOverlay(base, inst.BiasOps())
+			if err != nil {
+				return nil, err
+			}
+			info, err := graph.Analyze(ov) // builds the view's topology too
+			return []any{ov, info}, err
+		},
+		func(inst *engine.Instance, _ *model.Schema, _ any) (model.SchemaView, error) { return inst.View(), nil }},
+	{"full-copy",
+		func(inst *engine.Instance, _ *model.Schema) (any, error) {
+			v := inst.View()
+			s, err := storage.Materialize(v, v.SchemaID(), v.TypeName(), v.Version())
+			if err != nil {
+				return nil, err
+			}
+			info, err := graph.Analyze(s)
+			return []any{s, info}, err
+		},
+		func(_ *engine.Instance, _ *model.Schema, kept any) (model.SchemaView, error) {
+			return kept.([]any)[0].(*model.Schema), nil
+		}},
+	{"on-the-fly",
+		func(*engine.Instance, *model.Schema) (any, error) { return nil, nil },
+		func(inst *engine.Instance, base *model.Schema, _ any) (model.SchemaView, error) {
+			s := base.Clone()
+			for _, op := range inst.BiasOps() {
+				if err := op.ApplyTo(s); err != nil {
+					return nil, err
+				}
+			}
+			return s, nil
+		}},
+}
+
+// BenchmarkFig2ViewAccess measures the schema-access cost of each
+// representation (the read path every engine operation takes) for an
+// instance carrying Fig. 1's bias of I2.
 func BenchmarkFig2ViewAccess(b *testing.B) {
-	for _, strat := range storage.Strategies() {
-		b.Run(strat.String(), func(b *testing.B) {
+	for _, rep := range fig2Reps {
+		b.Run(rep.name, func(b *testing.B) {
 			e := engine.New(sim.Org())
 			if err := e.Deploy(sim.OnlineOrder()); err != nil {
 				b.Fatal(err)
 			}
-			e.SetStorageStrategy(strat)
 			inst, err := e.CreateInstance("online_order", 0)
 			if err != nil {
 				b.Fatal(err)
@@ -195,11 +244,18 @@ func BenchmarkFig2ViewAccess(b *testing.B) {
 			if err := change.ApplyAdHoc(inst, sim.OnlineOrderBiasI2()...); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportMetric(float64(inst.Footprint().BiasBytes), "bias-bytes")
+			base, _ := e.Schema("online_order", 1)
+			kept, err := rep.keep(inst, base)
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ResetTimer()
 			var sink int
 			for i := 0; i < b.N; i++ {
-				v := inst.View()
+				v, err := rep.view(inst, base, kept)
+				if err != nil {
+					b.Fatal(err)
+				}
 				sink += len(v.NodeIDs())
 			}
 			_ = sink
@@ -207,48 +263,43 @@ func BenchmarkFig2ViewAccess(b *testing.B) {
 	}
 }
 
-// BenchmarkFig2BiasMemory reports what a bias costs a population per
-// strategy (bytes/op is meaningless here; the custom metrics carry the
-// result): bias-bytes/biased-inst is the representation's own estimate,
-// Footprint().BiasBytes; heap-bytes/biased-inst is the live heap the
-// population holds minus what the same 500 instances hold with no bias
-// applied, over the biased ones — the bias with everything kept to serve
-// it, measured. (The unbiased twin draws its progress mix from the same
-// seed but not the same draws, which moves the figure by under 1 %.)
+// BenchmarkFig2BiasMemory reports what each representation holds per
+// biased instance of a 2 000-instance population beside the recorded ops
+// (bytes/op is meaningless here; the custom metric carries the result):
+// heap-bytes/biased-inst is the live heap that keeping it for every biased
+// instance adds — the view's index and block analysis with the overlay or
+// the full copy, nothing for on-the-fly.
 func BenchmarkFig2BiasMemory(b *testing.B) {
-	for _, strat := range storage.Strategies() {
-		b.Run(strat.String(), func(b *testing.B) {
-			// population returns the live heap of a population, the sum of
-			// its bias estimates and how many of it are biased.
-			population := func(opts sim.PopulationOpts) (heap, biasBytes, biased float64) {
+	for _, rep := range fig2Reps {
+		b.Run(rep.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
 				e := engine.New(sim.Org())
 				if err := e.Deploy(sim.OnlineOrder()); err != nil {
 					b.Fatal(err)
 				}
-				e.SetStorageStrategy(strat)
-				insts, err := sim.BuildPopulation(e, rand.New(rand.NewSource(1)), opts)
+				insts, err := sim.BuildPopulation(e, rand.New(rand.NewSource(1)), sim.DefaultPopulationOpts(2000))
 				if err != nil {
 					b.Fatal(err)
 				}
-				held := liveHeap()
+				base, _ := e.Schema("online_order", 1)
+				before := liveHeap()
+				var kept []any
 				for _, inst := range insts {
-					if inst.Biased() {
-						biased++
-						biasBytes += float64(inst.Footprint().BiasBytes)
+					if !inst.Biased() {
+						continue
 					}
+					k, err := rep.keep(inst, base)
+					if err != nil {
+						b.Fatal(err)
+					}
+					kept = append(kept, k)
 				}
-				e, insts = nil, nil
-				return float64(held - liveHeap()), biasBytes, biased
-			}
-			for i := 0; i < b.N; i++ {
-				opts := sim.DefaultPopulationOpts(500)
-				heap, biasBytes, biased := population(opts)
-				opts.BiasedFrac = 0
-				unbiasedHeap, _, _ := population(opts)
-				if biased > 0 {
-					b.ReportMetric(biasBytes/biased, "bias-bytes/biased-inst")
-					b.ReportMetric((heap-unbiasedHeap)/biased, "heap-bytes/biased-inst")
+				held := liveHeap()
+				if len(kept) > 0 {
+					b.ReportMetric(float64(held-before)/float64(len(kept)), "heap-bytes/biased-inst")
 				}
+				runtime.KeepAlive(insts)
+				runtime.KeepAlive(kept)
 			}
 		})
 	}
@@ -365,33 +416,28 @@ func BenchmarkWorklistPageAfterWrite(b *testing.B) {
 // --- E5: ad-hoc change latency --------------------------------------------
 
 // BenchmarkAdHocChange measures the full atomic ad-hoc change round trip
-// (trial application + verification + state conditions + commit +
-// adaptation) per storage strategy.
+// (trial overlay + verification + state conditions + install +
+// adaptation) on a fresh instance.
 func BenchmarkAdHocChange(b *testing.B) {
-	for _, strat := range storage.Strategies() {
-		b.Run(strat.String(), func(b *testing.B) {
-			e := engine.New(sim.Org())
-			if err := e.Deploy(sim.OnlineOrder()); err != nil {
-				b.Fatal(err)
-			}
-			e.SetStorageStrategy(strat)
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				inst, err := e.CreateInstance("online_order", 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				op := &change.SerialInsert{
-					Node: &model.Node{ID: fmt.Sprintf("x%d", i), Type: model.NodeActivity, Role: "sales", Template: "x"},
-					Pred: "collect_data",
-					Succ: "confirm_order",
-				}
-				b.StartTimer()
-				if err := change.ApplyAdHoc(inst, op); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	e := engine.New(sim.Org())
+	if err := e.Deploy(sim.OnlineOrder()); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		inst, err := e.CreateInstance("online_order", 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		op := &change.SerialInsert{
+			Node: &model.Node{ID: fmt.Sprintf("x%d", i), Type: model.NodeActivity, Role: "sales", Template: "x"},
+			Pred: "collect_data",
+			Succ: "confirm_order",
+		}
+		b.StartTimer()
+		if err := change.ApplyAdHoc(inst, op); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -422,35 +468,29 @@ func BenchmarkStateAdaptation(b *testing.B) {
 	}
 }
 
-// --- E7: biased migration across representations ---------------------------
+// --- E7: biased migration --------------------------------------------------
 
-// BenchmarkBiasedMigration isolates migration of biased instances: the
-// bias must be structurally re-checked and re-applied, which stresses the
-// representation differently per strategy.
+// BenchmarkBiasedMigration isolates migration of biased instances: each bias must
+// be rebased onto the new version as an overlay and verified there.
 func BenchmarkBiasedMigration(b *testing.B) {
-	for _, strat := range storage.Strategies() {
-		b.Run(strat.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				e := engine.New(sim.Org())
-				if err := e.Deploy(sim.OnlineOrder()); err != nil {
-					b.Fatal(err)
-				}
-				e.SetStorageStrategy(strat)
-				rng := rand.New(rand.NewSource(1))
-				opts := sim.DefaultPopulationOpts(300)
-				opts.BiasedFrac = 1.0
-				opts.ConflictingBiasFrac = 0.5
-				if _, err := sim.BuildPopulation(e, rng, opts); err != nil {
-					b.Fatal(err)
-				}
-				mgr := evolution.NewManager(e)
-				b.StartTimer()
-				if _, err := mgr.Evolve("online_order", sim.OnlineOrderTypeChange(), evolution.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e := engine.New(sim.Org())
+		if err := e.Deploy(sim.OnlineOrder()); err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(1))
+		opts := sim.DefaultPopulationOpts(300)
+		opts.BiasedFrac = 1.0
+		opts.ConflictingBiasFrac = 0.5
+		if _, err := sim.BuildPopulation(e, rng, opts); err != nil {
+			b.Fatal(err)
+		}
+		mgr := evolution.NewManager(e)
+		b.StartTimer()
+		if _, err := mgr.Evolve("online_order", sim.OnlineOrderTypeChange(), evolution.Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

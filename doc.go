@@ -239,8 +239,9 @@
 //	 78  not the instance's: the order ID the caller wrote (24), and
 //	     the system's own structures divided by the population
 //
-// A biased instance adds 4 400 B under the hybrid representation, where
-// it added 12 376 B while the overlay kept a second adjacency index of its
+// A biased instance adds 4 400 B for its overlay (the hybrid
+// representation of the paper's Fig. 2, the only one), where it added
+// 12 376 B while the overlay kept a second adjacency index of its
 // view and the topology a slice header per node and edge type. By the same
 // profile, 2 000 fresh instances with the benchmark's conflicting bias (an
 // inserted activity and a sync edge: an 11-node, 12-edge view):
@@ -273,6 +274,24 @@
 // the marking's five allocations could be one; an instance that will
 // never run again is two small blocks and a few flat arrays, and could be
 // paged out whole.
+//
+// # Changes: one trial, one analysis
+//
+// An ad-hoc change, an undo and the migration of a biased instance each
+// build one overlay: the instance's deployed version with its recorded ops
+// and the new ones, the version with the ops an undo keeps, or the target
+// version with the rebased bias. Each op is applied once, verify.Check runs
+// once, and on success that overlay and the block analysis the verifier
+// computed become the instance's — so the live overlay is by construction
+// the one a restore rebuilds from the recorded ops. An undo to no bias and
+// the migration of an unbiased instance verify nothing and reuse the
+// deployed version's analysis. TestAdHocAllocationBudget pins the path on
+// the engine: 174 allocations for a change of an unbiased or a biased
+// instance, 172 for UndoLast and 20 for UndoAll (330, 310, 359 and 267
+// while a change materialized the view, applied its ops a second time and
+// analysed the result twice). A refused change leaves the instance as it
+// was; the evolution package's TestChangePathsAgreeWithReference holds all
+// four paths to that algorithm, kept as its reference.
 //
 // # Errors
 //

@@ -2,6 +2,7 @@ package change
 
 import (
 	"fmt"
+	"slices"
 
 	"adept2/internal/engine"
 	"adept2/internal/fault"
@@ -19,12 +20,12 @@ func (e *StructuralError) Error() string {
 }
 
 // ApplyAdHoc performs an ad-hoc change of a single running instance — the
-// paper's first change dimension. The change is atomic: operations are
-// applied to a trial materialization first, the full buildtime verifier
-// runs on the result, and the per-operation state conditions are checked
-// against the instance; only if everything holds is the bias committed to
-// the instance's storage representation and the marking adapted. On any
-// failure the instance is untouched.
+// paper's first change dimension. The change is atomic: it builds the
+// overlay the instance would have, verifies it once, checks the
+// per-operation state conditions against the instance, and only if
+// everything holds does that overlay, with the analysis the verifier
+// computed, become the instance's representation and the marking adapt.
+// On any failure the instance is untouched.
 func ApplyAdHoc(inst *engine.Instance, ops ...Operation) error {
 	if len(ops) == 0 {
 		return fault.Tagf(fault.Invalid, "change: ad-hoc change without operations")
@@ -33,47 +34,35 @@ func ApplyAdHoc(inst *engine.Instance, ops ...Operation) error {
 		if mx.Done() {
 			return fault.Tagf(fault.Completed, "change: instance %s already completed", inst.ID())
 		}
-		// 1. Trial application on a scratch copy.
-		trial, err := mx.TrialSchema()
+		// 1. The trial: the instance's recorded bias and then the change,
+		// each op applied once to a fresh overlay over the base.
+		bias := mx.BiasOps()
+		trial, err := engine.BuildOverlay(mx.Base().Schema, bias)
 		if err != nil {
-			return err
+			return fmt.Errorf("change: recorded bias of %s does not re-apply: %w", inst.ID(), err)
 		}
+		bias = slices.Grow(bias, len(ops))
 		for _, op := range ops {
 			if err := op.ApplyTo(trial); err != nil {
 				return fault.Tag(fault.Invalid, err)
 			}
+			bias = append(bias, op)
 		}
 		// 2. The changed schema must satisfy every buildtime guarantee.
-		if res := verify.Check(trial); !res.OK() {
+		res := verify.Check(trial)
+		if !res.OK() {
 			return fault.Tag(fault.NotCompliant, &StructuralError{Reason: res.Err().Error()})
 		}
 		// 3. State conditions against the live instance.
-		view, err := mx.View()
-		if err != nil {
-			return err
-		}
+		view, _ := mx.View()
 		ctx := &Context{View: view, Marking: mx.Marking(), Stats: mx.Stats(), Store: mx.Store()}
 		for _, op := range ops {
 			if err := op.FastCompliance(ctx); err != nil {
 				return fault.Tag(fault.NotCompliant, err)
 			}
 		}
-		// 4. Commit to the persistent representation.
-		if target := mx.PersistentTarget(); target != nil {
-			for _, op := range ops {
-				if err := op.ApplyTo(target); err != nil {
-					// The trial succeeded, so this indicates corruption.
-					return fmt.Errorf("change: commit failed after successful trial: %w", err)
-				}
-			}
-		}
-		biasOps := make([]engine.BiasOp, len(ops))
-		for i, op := range ops {
-			biasOps[i] = op
-		}
-		if err := mx.CommitBias(biasOps...); err != nil {
-			return err
-		}
+		// 4. The trial and its analysis become the instance's.
+		mx.SetBias(trial, res.Blocks, bias)
 		// 5. Automatic state adaptation.
 		_, err = mx.AdaptState()
 		return err

@@ -43,9 +43,8 @@ type Context struct {
 }
 
 // topology returns the interning domain of the fast conditions: the
-// topology the instance marking is bound to. Using the marking's binding
-// (not View.Topology()) keeps dense reads exact even when the view
-// materializes a fresh topology pointer per access (on-the-fly storage).
+// topology the instance marking is bound to, whose index space its dense
+// arrays are laid out in.
 func (c *Context) topology() *model.Topology {
 	if c.topo == nil {
 		c.topo = c.Marking.Topology()
@@ -96,9 +95,9 @@ func stateConflict(op, format string, args ...any) error {
 }
 
 // Operation is one ADEPT2 change operation. Operations implement
-// engine.BiasOp, so recorded instance biases can be re-applied by the
-// engine when materializing on-the-fly views and re-based onto new schema
-// versions during migration.
+// engine.BiasOp, so a recorded instance bias can be re-applied to build
+// the instance's overlay: over its deployed version when it changes, is
+// undone or is restored, and over a new schema version when it migrates.
 type Operation interface {
 	// OpName identifies the operation kind (stable, used in JSON).
 	OpName() string

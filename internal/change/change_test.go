@@ -397,35 +397,54 @@ func TestApplyAdHocOnFinishedInstance(t *testing.T) {
 	}
 }
 
+// TestApplyAdHocAcrossStorageStrategies builds the three representations
+// of Fig. 2 from one changed instance's delta — the overlay it holds, a
+// full copy of that view, and its recorded ops re-applied to the base on
+// access — and holds each to the ops applied to a plain copy of the schema.
 func TestApplyAdHocAcrossStorageStrategies(t *testing.T) {
-	for _, strat := range storage.Strategies() {
-		t.Run(strat.String(), func(t *testing.T) {
-			e := newEngine(t)
-			e.SetStorageStrategy(strat)
-			inst := freshInstance(t, e)
-			if inst.Strategy() != strat {
-				t.Fatalf("strategy = %s", inst.Strategy())
-			}
-			if err := change.ApplyAdHoc(inst, sim.OnlineOrderBiasI2()...); err != nil {
-				t.Fatalf("ad-hoc change: %v", err)
-			}
+	e := newEngine(t)
+	inst := freshInstance(t, e)
+	if err := change.ApplyAdHoc(inst, sim.OnlineOrderBiasI2()...); err != nil {
+		t.Fatalf("ad-hoc change: %v", err)
+	}
+	if fp := inst.Footprint(); fp.BiasBytes == 0 {
+		t.Fatal("bias footprint should be non-zero")
+	}
+	ref := sim.OnlineOrder()
+	for _, op := range sim.OnlineOrderBiasI2() {
+		if err := op.ApplyTo(ref); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		view func() (model.SchemaView, error)
+	}{
+		{"hybrid", func() (model.SchemaView, error) { return inst.View(), nil }},
+		{"full-copy", func() (model.SchemaView, error) {
 			v := inst.View()
+			return storage.Materialize(v, v.SchemaID(), v.TypeName(), v.Version())
+		}},
+		{"on-the-fly", func() (model.SchemaView, error) {
+			s := sim.OnlineOrder()
+			for _, op := range inst.BiasOps() {
+				if err := op.ApplyTo(s); err != nil {
+					return nil, err
+				}
+			}
+			return s, nil
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			v, err := c.view()
+			if err != nil {
+				t.Fatal(err)
+			}
 			if _, ok := v.Node("send_brochure"); !ok {
 				t.Fatal("inserted activity missing")
 			}
-			// All strategies yield structurally identical views.
-			ref := sim.OnlineOrder()
-			for _, op := range sim.OnlineOrderBiasI2() {
-				if err := op.ApplyTo(ref); err != nil {
-					t.Fatal(err)
-				}
-			}
 			if !model.Equal(v, ref) {
-				t.Fatalf("%s view differs from reference application", strat)
-			}
-			fp := inst.Footprint()
-			if fp.BiasBytes == 0 {
-				t.Fatal("bias footprint should be non-zero")
+				t.Fatalf("%s view differs from reference application", c.name)
 			}
 		})
 	}

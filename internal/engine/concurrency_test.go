@@ -144,31 +144,47 @@ func TestSuspendResume(t *testing.T) {
 	}
 }
 
-// TestOnTheFlyInstanceExecutesEndToEnd exercises the materialize-per-
-// access representation through a complete biased run.
+// TestOnTheFlyInstanceExecutesEndToEnd restores a biased instance from
+// snapshots that name each of the representations there once were (0
+// hybrid, 1 full copy, 2 on-the-fly): every one restores as the overlay
+// its recorded bias builds, with the live view, and runs to completion.
 func TestOnTheFlyInstanceExecutesEndToEnd(t *testing.T) {
-	e := engine.New(sim.Org())
-	e.SetStorageStrategy(2) // storage.OnTheFly
-	if err := e.Deploy(sim.OnlineOrder()); err != nil {
+	src := engine.New(sim.Org())
+	if err := src.Deploy(sim.OnlineOrder()); err != nil {
 		t.Fatal(err)
 	}
-	inst, err := e.CreateInstance("online_order", 0)
+	live, err := src.CreateInstance("online_order", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := change.ApplyAdHoc(inst, sim.OnlineOrderBiasI2()...); err != nil {
+	if err := change.ApplyAdHoc(live, sim.OnlineOrderBiasI2()...); err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(9))
-	d := sim.NewDriver(rng, e)
-	if err := d.RunToCompletion(inst); err != nil {
-		t.Fatal(err)
-	}
-	if !inst.Done() {
-		t.Fatal("on-the-fly instance should complete")
-	}
-	if inst.NodeState("send_brochure") != state.Completed {
-		t.Fatal("bias activity should have run")
+	for strategy := uint8(0); strategy < 3; strategy++ {
+		snap, bias := live.Snapshot()
+		if snap.Strategy != 0 {
+			t.Fatalf("a snapshot writes strategy %d, want 0", snap.Strategy)
+		}
+		snap.Strategy = strategy
+		e := engine.New(sim.Org())
+		if err := e.Deploy(sim.OnlineOrder()); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.RestoreInstance(snap, bias); err != nil {
+			t.Fatalf("strategy %d: %v", strategy, err)
+		}
+		inst, _ := e.Instance(live.ID())
+		got, want := inst.Footprint(), live.Footprint()
+		if !model.Equal(inst.View(), live.View()) || got.BiasBytes != want.BiasBytes || got.ViewBytes != want.ViewBytes {
+			t.Fatalf("strategy %d: the restored representation differs from the live one", strategy)
+		}
+		d := sim.NewDriver(rand.New(rand.NewSource(9)), e)
+		if err := d.RunToCompletion(inst); err != nil {
+			t.Fatal(err)
+		}
+		if inst.NodeState("send_brochure") != state.Completed {
+			t.Fatalf("strategy %d: the bias activity should have run", strategy)
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"adept2/internal/model"
 	"adept2/internal/org"
-	"adept2/internal/storage"
 )
 
 func TestXORDecisionElementErrors(t *testing.T) {
@@ -64,13 +63,6 @@ func TestWorklistReleaseRoundTrip(t *testing.T) {
 
 func TestEngineAccessors(t *testing.T) {
 	e := newEngine(t)
-	if e.StorageStrategy() != storage.Hybrid {
-		t.Fatal("default strategy")
-	}
-	e.SetStorageStrategy(storage.OnTheFly)
-	if e.StorageStrategy() != storage.OnTheFly {
-		t.Fatal("strategy setter")
-	}
 	if _, ok := e.Schema("online_order", 1); !ok {
 		t.Fatal("schema lookup")
 	}
@@ -80,9 +72,6 @@ func TestEngineAccessors(t *testing.T) {
 	inst, err := e.CreateInstance("online_order", 0)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if inst.Strategy() != storage.OnTheFly {
-		t.Fatal("instance strategy")
 	}
 	snap := inst.StatsSnapshot()
 	if snap == nil {

@@ -13,14 +13,20 @@
 // deployed versions of each process type in ascending order, each with the
 // block analysis Deploy verified it by; insts, every instance by ID; and
 // order, the same instances in creation order, each holding its own index
-// there. Engine.mu guards those three, the ID counter, the storage
-// strategy and every instance's pos. Instance.mu guards everything else an
-// instance points to — its blocks included, the analysis of its current
-// view: the deployed entry's for an unbiased instance, which is immutable
-// once Deploy returned and is therefore read through the instance's own
-// pointer, not under Engine.mu. Neither lock is acquired while the other
-// is held, but for the one lookup that gives an instance whose bias an
-// Undo emptied its base analysis back (Engine.mu inside Instance.mu).
+// there. Engine.mu guards those three, the ID counter and every instance's
+// pos. Instance.mu guards everything else an instance points to — its
+// deployed version included, whose schema and analysis are immutable once
+// Deploy returned and are therefore read through the instance's own copy
+// of the entry, not under Engine.mu. Neither lock is acquired while the
+// other is held.
+//
+// A biased instance has one representation, the hybrid one of the paper's
+// Fig. 2: an overlay holding only the delta over its deployed version.
+// A change, an undo and a migration each build the overlay the instance
+// would have (BuildOverlay), verify it once, and on success install it
+// with the analysis the verifier computed (Mutable.SetBias,
+// Mutable.MigrateTo); RestoreInstance rebuilds the same overlay from the
+// recorded operations.
 package engine
 
 import (
@@ -35,15 +41,13 @@ import (
 	"adept2/internal/history"
 	"adept2/internal/model"
 	"adept2/internal/org"
-	"adept2/internal/storage"
 	"adept2/internal/verify"
 	"adept2/internal/worklist"
 )
 
 // BiasOp is the engine's view of an instance-specific change operation.
 // The concrete operations live in internal/change; the engine only needs
-// to re-apply them when it materializes on-the-fly views and to report
-// them.
+// to apply them to an overlay (BuildOverlay) and to report them.
 type BiasOp interface {
 	// OpName identifies the operation kind (e.g. "serial-insert").
 	OpName() string
@@ -73,8 +77,6 @@ type Engine struct {
 	// syms is the string table every instance's history log draws its
 	// node and user symbols from; it lives and dies with the engine.
 	syms *history.Symbols
-
-	strategy storage.Strategy
 }
 
 // New creates an engine. A nil org model is replaced by an empty one.
@@ -83,12 +85,11 @@ func New(o *org.Model) *Engine {
 		o = org.NewModel()
 	}
 	return &Engine{
-		org:      o,
-		wl:       worklist.NewManager(),
-		types:    make(map[string][]Deployed),
-		insts:    make(map[string]*Instance),
-		syms:     history.NewSymbols(),
-		strategy: storage.Hybrid,
+		org:   o,
+		wl:    worklist.NewManager(),
+		types: make(map[string][]Deployed),
+		insts: make(map[string]*Instance),
+		syms:  history.NewSymbols(),
 	}
 }
 
@@ -97,23 +98,6 @@ func (e *Engine) Org() *org.Model { return e.org }
 
 // Worklist returns the worklist manager.
 func (e *Engine) Worklist() *worklist.Manager { return e.wl }
-
-// SetStorageStrategy selects how biased instances represent their
-// instance-specific schema (default storage.Hybrid). It applies to
-// instances biased after the call; the Fig. 2 experiments switch it
-// between runs.
-func (e *Engine) SetStorageStrategy(s storage.Strategy) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.strategy = s
-}
-
-// StorageStrategy returns the active strategy.
-func (e *Engine) StorageStrategy() storage.Strategy {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.strategy
-}
 
 // Deploy verifies and registers a schema version. A schema with
 // error-severity findings is rejected; the version must be strictly newer
@@ -220,7 +204,7 @@ func (e *Engine) CreateInstanceID(id, typeName string, version int) (*Instance, 
 	if version == 0 {
 		version = latestOf(e.types[typeName])
 	}
-	inst, err := e.registerLocked(id, typeName, version, e.strategy)
+	inst, err := e.registerLocked(id, typeName, version)
 	e.mu.Unlock()
 	if err != nil {
 		return nil, fmt.Errorf("engine: create instance: %w", err)
@@ -238,7 +222,7 @@ func (e *Engine) CreateInstanceID(id, typeName string, version int) (*Instance, 
 // refuses a taken one, keeps the counter ahead of every engine-style ID,
 // and appends the instance to the creation order at the position it
 // records. A create that fails consumes no ID.
-func (e *Engine) registerLocked(id, typeName string, version int, strategy storage.Strategy) (*Instance, error) {
+func (e *Engine) registerLocked(id, typeName string, version int) (*Instance, error) {
 	d, ok := versionOf(e.types[typeName], version)
 	if !ok {
 		return nil, fault.Tagf(fault.NotFound, "no schema %s v%d", typeName, version)
@@ -251,7 +235,7 @@ func (e *Engine) registerLocked(id, typeName string, version int, strategy stora
 	} else if n, ok := instanceNumber(id); ok && n > e.nextID {
 		e.nextID = n
 	}
-	inst := newInstance(e, id, d, strategy)
+	inst := newInstance(e, id, d)
 	inst.pos = int32(len(e.order))
 	e.insts[id] = inst
 	e.order = append(e.order, inst)

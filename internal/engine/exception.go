@@ -30,10 +30,7 @@ func (inst *Instance) failLocked(node, user, reason string, retryAt int64, pendi
 	if inst.suspended {
 		return fault.Tagf(fault.Suspended, "engine: fail %s/%s: instance is suspended", inst.id, node)
 	}
-	v, _, err := inst.viewLocked()
-	if err != nil {
-		return err
-	}
+	v, _ := inst.viewLocked()
 	if n, ok := v.Node(node); ok {
 		node = n.ID // as in startLocked; a node the view lacks is not running
 	}
@@ -80,10 +77,7 @@ func (inst *Instance) timeoutLocked(node string) error {
 	if inst.suspended {
 		return fault.Tagf(fault.Suspended, "engine: timeout %s/%s: instance is suspended", inst.id, node)
 	}
-	v, _, err := inst.viewLocked()
-	if err != nil {
-		return err
-	}
+	v, _ := inst.viewLocked()
 	n, ok := v.Node(node)
 	if !ok {
 		return fault.Tagf(fault.NotFound, "engine: timeout %s/%s: no such node", inst.id, node)

@@ -79,10 +79,7 @@ func (inst *Instance) startLocked(node, user string, at int64) error {
 	if inst.suspended && user != "" {
 		return fault.Tagf(fault.Suspended, "engine: start %s/%s: instance is suspended", inst.id, node)
 	}
-	v, _, err := inst.viewLocked()
-	if err != nil {
-		return err
-	}
+	v, _ := inst.viewLocked()
 	n, ok := v.Node(node)
 	if !ok {
 		return fault.Tagf(fault.NotFound, "engine: start %s/%s: no such node", inst.id, node)
@@ -196,10 +193,7 @@ func (inst *Instance) completeEntryLocked(node, user string, outputs map[string]
 // completeCoreLocked performs the completion bookkeeping without running
 // the automatic cascade.
 func (inst *Instance) completeCoreLocked(node, user string, outputs map[string]any, co completeOpts) error {
-	v, blocks, err := inst.viewLocked()
-	if err != nil {
-		return err
-	}
+	v, blocks := inst.viewLocked()
 	n, ok := v.Node(node)
 	if !ok {
 		return fault.Tagf(fault.NotFound, "engine: complete %s/%s: no such node", inst.id, node)
@@ -212,6 +206,7 @@ func (inst *Instance) completeCoreLocked(node, user string, outputs map[string]a
 	// Routing decisions.
 	decision := -1
 	if n.Type == model.NodeXORSplit {
+		var err error
 		decision, err = inst.xorDecisionLocked(v, n, co)
 		if err != nil {
 			return err
@@ -392,10 +387,7 @@ func (inst *Instance) collectWritesLocked(v model.SchemaView, n *model.Node, out
 // executes automatic nodes until none is enabled, detects completion of
 // the end node, and reconciles the worklist.
 func (inst *Instance) cascadeLocked() error {
-	v, _, err := inst.viewLocked()
-	if err != nil {
-		return err
-	}
+	v, _ := inst.viewLocked()
 	topo := v.Topology()
 	// The per-instance execution index follows every topology change the
 	// cascade observes (cheap no-op while the topology is unchanged).
@@ -445,10 +437,7 @@ func (inst *Instance) cascadeLocked() error {
 // is one worklist.BatchUpdate — a single lock acquisition and at most one
 // org-model resolution per distinct role.
 func (inst *Instance) syncWorklistLocked() {
-	v, _, err := inst.viewLocked()
-	if err != nil {
-		return
-	}
+	v, _ := inst.viewLocked()
 	topo := v.Topology()
 	inst.reconcileExceptionsLocked()
 	// Stack scratch: an instance has a handful of live items (append

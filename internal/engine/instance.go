@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"sync"
 	"unsafe"
 
@@ -22,24 +21,20 @@ type Instance struct {
 
 	id       string
 	typeName string
-	version  int
-	base     *model.Schema
+	base     Deployed // the schema version the instance runs on, with its analysis
 
-	// One word: the strategy is fixed at creation, done and suspended are
-	// the instance's own, and pos — the instance's index in the engine's
-	// creation order — is the engine's, read and written under Engine.mu.
-	strategy  storage.Strategy
+	// One word: done and suspended are the instance's own, and pos — the
+	// instance's index in the engine's creation order — is the engine's,
+	// read and written under Engine.mu.
 	done      bool
 	suspended bool
 	pos       int32
 
-	overlay  *storage.Overlay // hybrid representation (nil while unbiased)
-	fullcopy *model.Schema    // full-copy representation (nil while unbiased)
+	// The bias: the overlay biasOps build over the base, and the block
+	// analysis of its view. All three are nil while the instance is
+	// unbiased, when its view and analysis are the base's.
+	overlay  *storage.Overlay
 	biasOps  []BiasOp
-
-	// blocks is the block analysis of the current view: the deployed
-	// version's own while the instance is unbiased, the cached view's once
-	// it is biased (nil for on-the-fly biased instances).
 	blocks   *graph.Info
 	marking  *state.Marking
 	hist     history.Log // by value: one allocation and one pointer fewer per instance
@@ -68,19 +63,15 @@ type Instance struct {
 	migrations int
 }
 
-func newInstance(e *Engine, id string, d Deployed, strat storage.Strategy) *Instance {
-	base := d.Schema
+func newInstance(e *Engine, id string, d Deployed) *Instance {
 	return &Instance{
 		eng:      e,
 		id:       id,
-		typeName: base.TypeName(),
-		version:  base.Version(),
-		base:     base,
-		blocks:   d.Blocks,
-		strategy: strat,
-		marking:  state.NewMarking(base),
+		typeName: d.Schema.TypeName(),
+		base:     d,
+		marking:  state.NewMarking(d.Schema),
 		hist:     *e.syms.NewLog(),
-		stats:    history.NewStatsFor(base.Topology()),
+		stats:    history.NewStatsFor(d.Schema.Topology()),
 		store:    data.NewStore(),
 	}
 }
@@ -95,7 +86,7 @@ func (inst *Instance) TypeName() string { return inst.typeName }
 func (inst *Instance) Version() int {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
-	return inst.version
+	return inst.base.Schema.Version()
 }
 
 // Done reports whether the instance reached its end node.
@@ -134,19 +125,12 @@ func (inst *Instance) Migrations() int {
 	return inst.migrations
 }
 
-// Strategy returns the storage strategy of the instance.
-func (inst *Instance) Strategy() storage.Strategy { return inst.strategy }
-
-// View returns the instance's current schema view. For on-the-fly biased
-// instances this materializes the instance-specific schema — the
-// deliberate cost of that baseline representation.
+// View returns the instance's current schema view: its base schema, or
+// the overlay of its bias.
 func (inst *Instance) View() model.SchemaView {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
-	v, _, err := inst.viewLocked()
-	if err != nil {
-		panic(fmt.Sprintf("engine: instance %s: corrupt bias: %v", inst.id, err))
-	}
+	v, _ := inst.viewLocked()
 	return v
 }
 
@@ -215,16 +199,12 @@ func (inst *Instance) MineHistory(sc *MineScratch, visit func(MineView)) {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
 	sc.events = inst.hist.Events().Decode(sc.events)
-	sc.reduced = append(sc.reduced[:0], sc.events...)
-	// A view that cannot materialize (broken bias) still gets mined: the
-	// physical history stands in for the reduction.
-	if _, info, err := inst.viewLocked(); err == nil {
-		sc.reduced = history.ReduceInPlace(info, sc.reduced)
-	}
+	_, info := inst.viewLocked()
+	sc.reduced = history.ReduceInPlace(info, append(sc.reduced[:0], sc.events...))
 	visit(MineView{
 		ID:       inst.id,
 		TypeName: inst.typeName,
-		Version:  inst.version,
+		Version:  inst.base.Schema.Version(),
 		Biased:   len(inst.biasOps) > 0,
 		Done:     inst.done,
 		Events:   sc.events,
@@ -309,12 +289,11 @@ func (inst *Instance) PendingCompensation(node string) bool {
 	return inst.compPending[node]
 }
 
-// StorageFootprint describes the memory attributable to one instance under
-// its storage strategy; the Fig. 2 experiment aggregates it.
+// StorageFootprint describes the memory attributable to one instance; the
+// Fig. 2 experiment aggregates it.
 type StorageFootprint struct {
 	// BiasBytes is the representation cost of the instance-specific
-	// schema: the substitution block (hybrid), the full copy, or the
-	// recorded operations (on-the-fly).
+	// schema: its substitution block.
 	BiasBytes int
 	// ViewBytes is what the instance holds to serve its own view beyond
 	// that: the lists around a substitution block, the view's topology
@@ -349,55 +328,26 @@ func (inst *Instance) Footprint() StorageFootprint {
 		StateBytes: int(unsafe.Sizeof(*inst)) + (len(inst.id)+7)&^7 + engineIndexBytes +
 			inst.marking.ApproxBytes() + inst.hist.ApproxBytes() + inst.stats.ApproxBytes() + inst.store.ApproxBytes(),
 	}
-	switch {
-	case inst.overlay != nil:
+	if inst.overlay != nil {
 		f.BiasBytes = inst.overlay.ApproxBytes()
-		f.ViewBytes = inst.overlay.IndexBytes()
-	case inst.fullcopy != nil:
-		f.BiasBytes = inst.fullcopy.ApproxBytes()
-		f.ViewBytes = inst.fullcopy.Topology().ApproxBytes()
-	case len(inst.biasOps) > 0:
-		f.BiasBytes = biasOpBytes * len(inst.biasOps) // recorded operations only
-	}
-	if f.ViewBytes > 0 {
-		f.ViewBytes += inst.blocks.ApproxBytes() + 16*cap(inst.biasOps) + biasOpBytes*len(inst.biasOps)
+		f.ViewBytes = inst.overlay.IndexBytes() + inst.blocks.ApproxBytes() +
+			16*cap(inst.biasOps) + biasOpBytes*len(inst.biasOps)
 	}
 	return f
 }
 
 // viewLocked returns the current schema view and its block analysis.
-func (inst *Instance) viewLocked() (model.SchemaView, *graph.Info, error) {
-	switch {
-	case len(inst.biasOps) == 0:
-		return inst.base, inst.blocks, nil
-	case inst.strategy == storage.Hybrid:
-		return inst.overlay, inst.blocks, nil
-	case inst.strategy == storage.FullCopy:
-		return inst.fullcopy, inst.blocks, nil
-	default: // on-the-fly: materialize per access
-		s := inst.base.Clone()
-		s.SetSchemaID(inst.base.SchemaID() + "+bias")
-		for _, op := range inst.biasOps {
-			if err := op.ApplyTo(s); err != nil {
-				return nil, nil, fmt.Errorf("engine: materialize bias of %s: %w", inst.id, err)
-			}
-		}
-		info, err := graph.Analyze(s)
-		if err != nil {
-			return nil, nil, err
-		}
-		return s, info, nil
+func (inst *Instance) viewLocked() (model.SchemaView, *graph.Info) {
+	if inst.overlay != nil {
+		return inst.overlay, inst.blocks
 	}
+	return inst.base.Schema, inst.base.Blocks
 }
 
 // bootstrapLocked initializes the marking of a fresh instance and runs the
 // automatic cascade.
 func (inst *Instance) bootstrapLocked() error {
-	v, _, err := inst.viewLocked()
-	if err != nil {
-		return err
-	}
-	inst.marking.Init(v)
+	inst.marking.Init(inst.base.Schema)
 	return inst.cascadeLocked()
 }
 
@@ -420,16 +370,17 @@ func (inst *Instance) Mutate(fn func(mx *Mutable) error) error {
 	return nil
 }
 
-// View returns the current schema view.
+// View returns the current schema view. The error is always nil.
 func (mx *Mutable) View() (model.SchemaView, error) {
-	v, _, err := mx.inst.viewLocked()
-	return v, err
+	v, _ := mx.inst.viewLocked()
+	return v, nil
 }
 
-// Blocks returns the block analysis of the current view.
+// Blocks returns the block analysis of the current view. The error is
+// always nil.
 func (mx *Mutable) Blocks() (*graph.Info, error) {
-	_, info, err := mx.inst.viewLocked()
-	return info, err
+	_, info := mx.inst.viewLocked()
+	return info, nil
 }
 
 // Marking exposes the live marking.
@@ -452,120 +403,45 @@ func (mx *Mutable) BiasOps() []BiasOp {
 	return append([]BiasOp(nil), mx.inst.biasOps...)
 }
 
-// Base returns the deployed schema the instance references.
-func (mx *Mutable) Base() *model.Schema { return mx.inst.base }
+// Base returns the deployed version the instance runs on, with the
+// analysis Deploy verified it by.
+func (mx *Mutable) Base() Deployed { return mx.inst.base }
 
-// TrialSchema materializes the current view into a standalone schema the
-// caller may mutate freely to validate a change before committing it.
-func (mx *Mutable) TrialSchema() (*model.Schema, error) {
-	v, _, err := mx.inst.viewLocked()
-	if err != nil {
-		return nil, err
-	}
-	return storage.Materialize(v, v.SchemaID()+"+trial", v.TypeName(), v.Version())
-}
-
-// PersistentTarget returns the mutable view the committed bias must be
-// applied to: the overlay (hybrid), the materialized copy (full-copy), or
-// nil for on-the-fly instances (which re-apply recorded operations on
-// access).
-func (mx *Mutable) PersistentTarget() model.MutableView {
-	inst := mx.inst
-	switch inst.strategy {
-	case storage.Hybrid:
-		if inst.overlay == nil {
-			inst.overlay = storage.NewOverlay(inst.base)
-		}
-		return inst.overlay
-	case storage.FullCopy:
-		if inst.fullcopy == nil {
-			inst.fullcopy = inst.base.Clone()
-			inst.fullcopy.SetSchemaID(inst.base.SchemaID() + "+bias")
-		}
-		return inst.fullcopy
-	default:
-		return nil
-	}
-}
-
-// CommitBias records operations as part of the instance bias and refreshes
-// the cached block analysis.
-func (mx *Mutable) CommitBias(ops ...BiasOp) error {
-	inst := mx.inst
-	inst.biasOps = append(inst.biasOps, ops...)
-	return mx.refreshBlocks()
-}
-
-// refreshBlocks re-analyses the cached view of a biased instance. An
-// unbiased one already holds its base schema's analysis.
-func (mx *Mutable) refreshBlocks() error {
-	inst := mx.inst
-	var v model.SchemaView
-	switch {
-	case len(inst.biasOps) == 0:
-		return nil
-	case inst.strategy == storage.Hybrid:
-		v = inst.overlay
-	case inst.strategy == storage.FullCopy:
-		v = inst.fullcopy
-	default:
-		inst.blocks = nil
-		return nil
-	}
-	info, err := graph.Analyze(v)
-	if err != nil {
-		return fmt.Errorf("engine: refresh blocks of %s: %w", inst.id, err)
-	}
-	inst.blocks = info
-	return nil
-}
-
-// MigrateTo moves the instance to a new schema version: the base schema is
-// swapped, the (possibly empty) rebased bias is re-applied to a fresh
-// representation, and the version counter advances. State adaptation is
-// the caller's next step (AdaptState).
-func (mx *Mutable) MigrateTo(to Deployed, rebased []BiasOp) error {
-	inst := mx.inst
-	inst.base = to.Schema
-	inst.version = to.Schema.Version()
-	if err := mx.rebias(to.Blocks, rebased, "engine: migrate %s: re-apply bias: %w"); err != nil {
-		return err
-	}
-	inst.migrations++
-	return nil
-}
-
-// RebuildBias replaces the instance bias wholesale: the representation is
-// reset against the unchanged base schema and the remaining operations are
-// re-applied. The rollback facility uses it to undo ad-hoc changes. The
-// base's analysis, which the biased view's replaced, comes back from the
-// registry: the one place Engine.mu is taken inside Instance.mu.
-func (mx *Mutable) RebuildBias(ops []BiasOp) error {
-	d, _ := mx.inst.eng.Deployed(mx.inst.typeName, mx.inst.version)
-	return mx.rebias(d.Blocks, ops, "engine: rebuild bias of %s: %w")
-}
-
-// rebias resets the instance to its unbiased base, whose analysis is
-// blocks, and applies ops to a fresh representation; applyFailed formats
-// the instance ID and an operation's error.
-func (mx *Mutable) rebias(blocks *graph.Info, ops []BiasOp, applyFailed string) error {
-	inst := mx.inst
-	inst.overlay = nil
-	inst.fullcopy = nil
-	inst.biasOps = nil
-	inst.blocks = blocks
-	if len(ops) == 0 {
-		return nil
-	}
-	if target := mx.PersistentTarget(); target != nil {
-		for _, op := range ops {
-			if err := op.ApplyTo(target); err != nil {
-				return fmt.Errorf(applyFailed, inst.id, err)
-			}
+// BuildOverlay applies ops in order to a fresh overlay over base: the one
+// representation of a bias of those ops. A change, an undo and a migration
+// build their trial with it, and RestoreInstance rebuilds the overlay the
+// trial became from the recorded ops the same way.
+func BuildOverlay(base *model.Schema, ops []BiasOp) (*storage.Overlay, error) {
+	ov := storage.NewOverlay(base)
+	for _, op := range ops {
+		if err := op.ApplyTo(ov); err != nil {
+			return nil, err
 		}
 	}
-	inst.biasOps = ops
-	return mx.refreshBlocks()
+	return ov, nil
+}
+
+// SetBias makes a verified trial the instance's representation: ov, the
+// overlay ops built over the base (BuildOverlay), becomes its view, blocks
+// — the analysis the verifier computed of it — the view's analysis, and
+// ops its recorded bias. A nil overlay returns the instance to its
+// deployed version and that version's analysis. State adaptation is the
+// caller's next step (AdaptState).
+func (mx *Mutable) SetBias(ov *storage.Overlay, blocks *graph.Info, ops []BiasOp) {
+	inst := mx.inst
+	if ov == nil {
+		blocks, ops = nil, nil
+	}
+	inst.overlay, inst.blocks, inst.biasOps = ov, blocks, ops
+}
+
+// MigrateTo moves the instance to a new schema version and installs its
+// rebased bias there (SetBias; a nil overlay for an unbiased instance).
+// State adaptation is the caller's next step (AdaptState).
+func (mx *Mutable) MigrateTo(to Deployed, ov *storage.Overlay, blocks *graph.Info, rebased []BiasOp) {
+	mx.inst.base = to
+	mx.SetBias(ov, blocks, rebased)
+	mx.inst.migrations++
 }
 
 // AdaptState recomputes the marking against the current view (the
@@ -574,10 +450,7 @@ func (mx *Mutable) rebias(blocks *graph.Info, ops []BiasOp, applyFailed string) 
 // adaptation enabled.
 func (mx *Mutable) AdaptState() ([]string, error) {
 	inst := mx.inst
-	v, _, err := inst.viewLocked()
-	if err != nil {
-		return nil, err
-	}
+	v, _ := inst.viewLocked()
 	activated := state.Adapt(v, inst.marking, inst.stats.Decisions(), inst.hist.NextSeq())
 	if err := inst.cascadeLocked(); err != nil {
 		return activated, err

@@ -10,10 +10,10 @@ import (
 	"strings"
 
 	"adept2/internal/data"
+	"adept2/internal/graph"
 	"adept2/internal/history"
 	"adept2/internal/model"
 	"adept2/internal/state"
-	"adept2/internal/storage"
 )
 
 // InstanceSnapshot is the engine-level serialized state of one instance:
@@ -25,14 +25,17 @@ import (
 // to the caller, which serializes them into Bias; RestoreInstance receives
 // them decoded again.
 type InstanceSnapshot struct {
-	ID         string           `json:"id"`
-	TypeName   string           `json:"type"`
-	Version    int              `json:"version"`
-	Strategy   storage.Strategy `json:"strategy"`
-	Done       bool             `json:"done,omitempty"`
-	Suspended  bool             `json:"suspended,omitempty"`
-	Migrations int              `json:"migrations,omitempty"`
-	LoopIter   map[string]int   `json:"loopIter,omitempty"`
+	ID       string `json:"id"`
+	TypeName string `json:"type"`
+	Version  int    `json:"version"`
+	// Strategy is written as 0 and read for nothing: it named one of three
+	// biased-instance representations, and an instance restores as the
+	// one there is, rebuilt from Bias, whatever value it holds.
+	Strategy   uint8          `json:"strategy"`
+	Done       bool           `json:"done,omitempty"`
+	Suspended  bool           `json:"suspended,omitempty"`
+	Migrations int            `json:"migrations,omitempty"`
+	LoopIter   map[string]int `json:"loopIter,omitempty"`
 	// Exception state (armed absolute deadlines, retry due times,
 	// consecutive-failure counts, escalated nodes, pending policy
 	// compensations), all keyed by node ID. Deadlines survive the
@@ -60,8 +63,7 @@ func (inst *Instance) Snapshot() (*InstanceSnapshot, []BiasOp) {
 	return &InstanceSnapshot{
 		ID:          inst.id,
 		TypeName:    inst.typeName,
-		Version:     inst.version,
-		Strategy:    inst.strategy,
+		Version:     inst.base.Schema.Version(),
 		Done:        inst.done,
 		Suspended:   inst.suspended,
 		Migrations:  inst.migrations,
@@ -115,13 +117,13 @@ func sortedKeys(m map[string]bool) []string {
 }
 
 // RestoreInstance rebuilds an instance from a snapshot: the referenced
-// schema version must already be deployed, the decoded bias is re-applied
-// to a fresh representation, and markings, stats, history, data, and flags
-// are installed verbatim. The worklist is NOT reconciled — callers restore
+// schema version must already be deployed, the decoded bias builds the
+// instance's overlay (BuildOverlay) and the view's analysis, and markings,
+// stats, history, data, and flags are installed verbatim. The worklist is NOT reconciled — callers restore
 // worklist items wholesale so pre-crash claims survive.
 func (e *Engine) RestoreInstance(snap *InstanceSnapshot, bias []BiasOp) error {
 	e.mu.Lock()
-	inst, err := e.registerLocked(snap.ID, snap.TypeName, snap.Version, snap.Strategy)
+	inst, err := e.registerLocked(snap.ID, snap.TypeName, snap.Version)
 	e.mu.Unlock()
 	if err != nil {
 		// %v: a snapshot that names a missing schema or a taken ID is a
@@ -132,14 +134,17 @@ func (e *Engine) RestoreInstance(snap *InstanceSnapshot, bias []BiasOp) error {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
 	if len(bias) > 0 {
-		if err := (&Mutable{inst: inst}).RebuildBias(bias); err != nil {
+		ov, err := BuildOverlay(inst.base.Schema, bias)
+		if err != nil {
+			return fmt.Errorf("engine: restore %s: re-apply bias: %w", snap.ID, err)
+		}
+		info, err := graph.Analyze(ov)
+		if err != nil {
 			return fmt.Errorf("engine: restore %s: %w", snap.ID, err)
 		}
+		(&Mutable{inst: inst}).SetBias(ov, info, bias)
 	}
-	v, _, err := inst.viewLocked()
-	if err != nil {
-		return fmt.Errorf("engine: restore %s: %w", snap.ID, err)
-	}
+	v, _ := inst.viewLocked()
 	m, err := state.ImportMarking(v, snap.Marking)
 	if err != nil {
 		return fmt.Errorf("engine: restore %s: %w", snap.ID, err)
@@ -173,7 +178,6 @@ func (e *Engine) RestoreInstance(snap *InstanceSnapshot, bias []BiasOp) error {
 	inst.done = snap.Done
 	inst.suspended = snap.Suspended
 	inst.migrations = snap.Migrations
-	inst.version = snap.Version
 	return nil
 }
 

@@ -16,10 +16,10 @@ import (
 	"adept2/internal/compliance"
 	"adept2/internal/engine"
 	"adept2/internal/fault"
-	"adept2/internal/graph"
 	"adept2/internal/history"
 	"adept2/internal/model"
 	"adept2/internal/state"
+	"adept2/internal/storage"
 	"adept2/internal/verify"
 )
 
@@ -274,11 +274,11 @@ func (m *Manager) migrateInstance(inst *engine.Instance, to engine.Deployed, ops
 
 // migrateLocked runs under the instance lock.
 func (m *Manager) migrateLocked(mx *engine.Mutable, to engine.Deployed, ops []change.Operation, opts Options, sc *migrateScratch) (Outcome, string) {
-	target := to.Schema
 	if mx.Done() {
 		return AlreadyFinished, ""
 	}
-	biasOps, err := change.AsOperations(mxBias(mx))
+	bias := mx.BiasOps()
+	biasOps, err := change.AsOperations(bias)
 	if err != nil {
 		return Failed, err.Error()
 	}
@@ -296,71 +296,44 @@ func (m *Manager) migrateLocked(mx *engine.Mutable, to engine.Deployed, ops []ch
 	// 2. Structural conflicts: the bias must re-apply cleanly to the new
 	// version and the result must satisfy every buildtime guarantee
 	// (instance I2 of Fig. 1 fails here with a deadlock-causing cycle).
-	targetView := model.SchemaView(target)
-	if len(biasOps) > 0 {
-		trial := target.Clone()
-		trial.SetSchemaID(trial.SchemaID() + "+bias-trial")
-		for _, op := range biasOps {
-			if err := op.ApplyTo(trial); err != nil {
-				return StructuralConflict, err.Error()
-			}
+	// The trial is the overlay the instance will have, verified once; an
+	// unbiased instance runs on the target itself, with its analysis.
+	var trial *storage.Overlay
+	targetView, targetBlocks := model.SchemaView(to.Schema), to.Blocks
+	if len(bias) > 0 {
+		if trial, err = engine.BuildOverlay(to.Schema, bias); err != nil {
+			return StructuralConflict, err.Error()
 		}
-		if vres := verify.Check(trial); !vres.OK() {
+		vres := verify.Check(trial)
+		if !vres.OK() {
 			return StructuralConflict, vres.Err().Error()
 		}
-		targetView = trial
+		targetView, targetBlocks = trial, vres.Blocks
 	}
 
 	// 3. State-related conflicts: compliance check.
 	switch opts.Mode {
 	case ReplayCheck:
-		curBlocks, err := mx.Blocks()
-		if err != nil {
-			return Failed, err.Error()
-		}
+		curBlocks, _ := mx.Blocks()
 		sc.reduced = history.ReduceInto(curBlocks, mx.History().Events(), sc.reduced)
-		// Unbiased instances replay against the target's own analysis; only
-		// biased instances need a fresh one of their trial view.
-		info := to.Blocks
-		if targetView != model.SchemaView(target) {
-			if info, err = graph.Analyze(targetView); err != nil {
-				return StructuralConflict, err.Error()
-			}
-		}
-		if _, err := sc.rp.Replay(targetView, info, sc.reduced); err != nil {
+		if _, err := sc.rp.Replay(targetView, targetBlocks, sc.reduced); err != nil {
 			return StateConflict, err.Error()
 		}
 	default:
-		view, err := mx.View()
-		if err != nil {
-			return Failed, err.Error()
-		}
+		view, _ := mx.View()
 		ctx := &change.Context{View: view, Marking: mx.Marking(), Stats: mx.Stats(), Store: mx.Store()}
 		if err := compliance.CheckFast(ctx, ops); err != nil {
 			return StateConflict, err.Error()
 		}
 	}
 
-	// 4. Migrate: swap schema version, re-apply bias, adapt state.
-	rebased := make([]engine.BiasOp, len(biasOps))
-	for i, op := range biasOps {
-		rebased[i] = op
-	}
-	if err := mx.MigrateTo(to, rebased); err != nil {
-		return Failed, err.Error()
-	}
+	// 4. Migrate: the target version and the trial become the instance's,
+	// and the state adapts.
+	mx.MigrateTo(to, trial, targetBlocks, bias)
 	switch opts.Adapt {
 	case AdaptReplay:
-		view, err := mx.View()
-		if err != nil {
-			return Failed, err.Error()
-		}
-		info, err := mx.Blocks()
-		if err != nil {
-			return Failed, err.Error()
-		}
-		sc.reduced = history.ReduceInto(info, mx.History().Events(), sc.reduced)
-		rr, err := sc.rp.Replay(view, info, sc.reduced)
+		sc.reduced = history.ReduceInto(targetBlocks, mx.History().Events(), sc.reduced)
+		rr, err := sc.rp.Replay(targetView, targetBlocks, sc.reduced)
 		if err != nil {
 			return Failed, "replay adaptation after successful check: " + err.Error()
 		}
@@ -372,17 +345,12 @@ func (m *Manager) migrateLocked(mx *engine.Mutable, to engine.Deployed, ops []ch
 		// Pre-bind marking and stats onto the target topology through the
 		// worker's pooled scratch; the adaptation's own ensure/rebind then
 		// degenerates to a pointer check instead of an allocating remap.
-		if view, verr := mx.View(); verr == nil {
-			topo := view.Topology()
-			mx.Marking().RebindTo(topo, &sc.remap)
-			mx.Stats().RebindPooled(topo, &sc.rebind)
-		}
+		topo := targetView.Topology()
+		mx.Marking().RebindTo(topo, &sc.remap)
+		mx.Stats().RebindPooled(topo, &sc.rebind)
 		if _, err := mx.AdaptState(); err != nil {
 			return Failed, err.Error()
 		}
 	}
 	return Migrated, ""
 }
-
-// mxBias fetches the recorded bias ops from the mutable instance.
-func mxBias(mx *engine.Mutable) []engine.BiasOp { return mx.BiasOps() }

@@ -318,57 +318,109 @@ func TestSequentialEvolutions(t *testing.T) {
 	}
 }
 
+// TestBulkMigrationAcrossStrategies migrates a population with a bias mix
+// with parallel workers, and builds the three representations of Fig. 2
+// of every migrated biased instance from its delta over the new version —
+// the overlay it holds, a full copy of that view, and its recorded ops
+// re-applied to the version — each equal to the bias applied to a plain
+// copy of the version.
 func TestBulkMigrationAcrossStrategies(t *testing.T) {
-	// A population with a bias mix migrates correctly under every storage
-	// strategy and with parallel workers.
-	for _, strat := range storage.Strategies() {
-		t.Run(strat.String(), func(t *testing.T) {
-			e := newEngine(t)
-			e.SetStorageStrategy(strat)
-			rng := rand.New(rand.NewSource(42))
-			driver := sim.NewDriver(rng, e)
-			const n = 40
-			var wantMigratable int
-			for i := 0; i < n; i++ {
-				inst, err := e.CreateInstance("online_order", 0)
+	e := newEngine(t)
+	const n = 40
+	var wantMigratable int
+	biases := make(map[*engine.Instance][]change.Operation)
+	for i := 0; i < n; i++ {
+		inst, err := e.CreateInstance("online_order", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bias []change.Operation
+		switch i % 4 {
+		case 0: // fresh, with a bias the type change does not touch
+			bias = []change.Operation{&change.SerialInsert{
+				Node: &model.Node{ID: fmt.Sprintf("quality_check_%d", i), Type: model.NodeActivity, Role: "warehouse", Template: "quality_check"},
+				Pred: "get_order", Succ: "and-split_1",
+			}}
+			wantMigratable++
+		case 1: // advanced to I1
+			if err := sim.AdvanceOnlineOrderToI1(e, inst); err != nil {
+				t.Fatal(err)
+			}
+			wantMigratable++
+		case 2: // state conflict
+			if err := sim.AdvanceOnlineOrderToI3(e, inst); err != nil {
+				t.Fatal(err)
+			}
+		case 3: // biased with the conflicting I2 bias
+			bias = sim.OnlineOrderBiasI2()
+		}
+		if bias != nil {
+			if err := change.ApplyAdHoc(inst, bias...); err != nil {
+				t.Fatal(err)
+			}
+			biases[inst] = bias
+		}
+	}
+	mgr := evolution.NewManager(e)
+	report, err := mgr.Evolve("online_order", sim.OnlineOrderTypeChange(), evolution.Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := report.Count(evolution.Migrated); got != wantMigratable {
+		t.Fatalf("migrated = %d, want %d (report: %+v)", got, wantMigratable, summarize(report))
+	}
+	if got := report.Count(evolution.StateConflict); got != n/4 {
+		t.Fatalf("state conflicts = %d, want %d", got, n/4)
+	}
+	if got := report.Count(evolution.StructuralConflict); got != n/4 {
+		t.Fatalf("structural conflicts = %d, want %d", got, n/4)
+	}
+	if report.Count(evolution.Failed) != 0 {
+		t.Fatalf("failures: %v", summarize(report))
+	}
+	v2, _ := e.Schema("online_order", 2)
+	for _, c := range []struct {
+		name string
+		view func(inst *engine.Instance) (model.SchemaView, error)
+	}{
+		{"hybrid", func(inst *engine.Instance) (model.SchemaView, error) { return inst.View(), nil }},
+		{"full-copy", func(inst *engine.Instance) (model.SchemaView, error) {
+			v := inst.View()
+			return storage.Materialize(v, v.SchemaID(), v.TypeName(), v.Version())
+		}},
+		{"on-the-fly", func(inst *engine.Instance) (model.SchemaView, error) {
+			s := v2.Clone()
+			for _, op := range inst.BiasOps() {
+				if err := op.ApplyTo(s); err != nil {
+					return nil, err
+				}
+			}
+			return s, nil
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			checked := 0
+			for inst, bias := range biases {
+				if inst.Version() != 2 {
+					continue
+				}
+				ref := v2.Clone()
+				for _, op := range bias {
+					if err := op.ApplyTo(ref); err != nil {
+						t.Fatal(err)
+					}
+				}
+				v, err := c.view(inst)
 				if err != nil {
 					t.Fatal(err)
 				}
-				switch i % 4 {
-				case 0: // fresh
-					wantMigratable++
-				case 1: // advanced to I1
-					if err := sim.AdvanceOnlineOrderToI1(e, inst); err != nil {
-						t.Fatal(err)
-					}
-					wantMigratable++
-				case 2: // state conflict
-					if err := sim.AdvanceOnlineOrderToI3(e, inst); err != nil {
-						t.Fatal(err)
-					}
-				case 3: // biased with the conflicting I2 bias
-					if err := change.ApplyAdHoc(inst, sim.OnlineOrderBiasI2()...); err != nil {
-						t.Fatal(err)
-					}
+				if !model.Equal(ref, v) {
+					t.Fatalf("%s: %s view differs from its bias applied to v2", inst.ID(), c.name)
 				}
+				checked++
 			}
-			_ = driver
-			mgr := evolution.NewManager(e)
-			report, err := mgr.Evolve("online_order", sim.OnlineOrderTypeChange(), evolution.Options{Workers: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := report.Count(evolution.Migrated); got != wantMigratable {
-				t.Fatalf("migrated = %d, want %d (report: %+v)", got, wantMigratable, summarize(report))
-			}
-			if got := report.Count(evolution.StateConflict); got != n/4 {
-				t.Fatalf("state conflicts = %d, want %d", got, n/4)
-			}
-			if got := report.Count(evolution.StructuralConflict); got != n/4 {
-				t.Fatalf("structural conflicts = %d, want %d", got, n/4)
-			}
-			if report.Count(evolution.Failed) != 0 {
-				t.Fatalf("failures: %v", summarize(report))
+			if checked != n/4 {
+				t.Fatalf("checked %d migrated biased instances, want %d", checked, n/4)
 			}
 		})
 	}

@@ -425,8 +425,8 @@ type RebindScratch struct {
 // overflow records resolvable in the new topology move into the new dense
 // array, the rest stay in overflow. Rebinding to the already-bound
 // topology is a cheap no-op; a fresh topology with an identical node
-// sequence (the on-the-fly strategy re-materializes one per access) only
-// swaps the binding.
+// sequence (the overlay a data-flow-only change builds) only swaps the
+// binding.
 func (s *Stats) Rebind(topo *model.Topology) { s.RebindPooled(topo, nil) }
 
 // RebindPooled is Rebind drawing the target record array from — and

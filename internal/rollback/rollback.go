@@ -14,12 +14,14 @@
 package rollback
 
 import (
-	"adept2/internal/change"
+	"slices"
+
 	"adept2/internal/compliance"
 	"adept2/internal/engine"
 	"adept2/internal/fault"
-	"adept2/internal/graph"
 	"adept2/internal/history"
+	"adept2/internal/model"
+	"adept2/internal/storage"
 	"adept2/internal/verify"
 )
 
@@ -40,59 +42,46 @@ func undo(inst *engine.Instance, count int) error {
 		if mx.Done() {
 			return fault.Tagf(fault.Completed, "rollback: instance %s already completed", inst.ID())
 		}
-		ops, err := change.AsOperations(mx.BiasOps())
-		if err != nil {
-			return err
-		}
-		if len(ops) == 0 {
+		bias := mx.BiasOps()
+		if len(bias) == 0 {
 			return fault.Tagf(fault.Conflict, "rollback: instance %s has no ad-hoc changes", inst.ID())
 		}
 		keep := 0
 		if count > 0 {
-			keep = len(ops) - count
-			if keep < 0 {
-				keep = 0
-			}
+			keep = max(len(bias)-count, 0)
 		}
-		rest := ops[:keep]
+		rest := slices.Clone(bias[:keep])
 
-		// 1. The reduced bias must produce a correct schema.
-		trial := mx.Base().Clone()
-		trial.SetSchemaID(trial.SchemaID() + "+undo-trial")
-		for _, op := range rest {
-			if err := op.ApplyTo(trial); err != nil {
+		// 1. The reduced bias must produce a correct schema: the overlay
+		// of the remaining ops, verified once. No remaining op leaves the
+		// deployed version, verified when it was deployed.
+		base := mx.Base()
+		var trial *storage.Overlay
+		view, blocks := model.SchemaView(base.Schema), base.Blocks
+		if len(rest) > 0 {
+			var err error
+			if trial, err = engine.BuildOverlay(base.Schema, rest); err != nil {
 				return fault.Tagf(fault.NotCompliant, "rollback: remaining bias does not re-apply: %w", err)
 			}
-		}
-		if res := verify.Check(trial); !res.OK() {
-			return fault.Tagf(fault.NotCompliant, "rollback: remaining bias fails verification: %w", res.Err())
+			res := verify.Check(trial)
+			if !res.OK() {
+				return fault.Tagf(fault.NotCompliant, "rollback: remaining bias fails verification: %w", res.Err())
+			}
+			view, blocks = trial, res.Blocks
 		}
 
 		// 2. The execution history must be reproducible without the
 		// undone operations (state condition).
-		curBlocks, err := mx.Blocks()
-		if err != nil {
-			return err
-		}
+		curBlocks, _ := mx.Blocks()
 		reduced := history.ReduceInto(curBlocks, mx.History().Events(), nil)
-		info, err := graph.Analyze(trial)
-		if err != nil {
-			return err
-		}
-		if _, err := compliance.Replay(trial, info, reduced); err != nil {
+		if _, err := compliance.Replay(view, blocks, reduced); err != nil {
 			return fault.Tagf(fault.NotCompliant, "rollback: instance progressed into the change: %w", err)
 		}
 
-		// 3. Commit: rebuild the representation from the remaining bias
-		// and adapt the marking.
-		rebuilt := make([]engine.BiasOp, len(rest))
-		for i, op := range rest {
-			rebuilt[i] = op
-		}
-		if err := mx.RebuildBias(rebuilt); err != nil {
-			return err
-		}
-		_, err = mx.AdaptState()
+		// 3. Commit: the trial becomes the representation and the marking
+		// adapts.
+		mx.SetBias(trial, blocks, rest)
+		_, err := mx.AdaptState()
 		return err
 	})
 }

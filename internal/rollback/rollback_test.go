@@ -10,6 +10,7 @@ import (
 	"adept2/internal/rollback"
 	"adept2/internal/sim"
 	"adept2/internal/state"
+	"adept2/internal/storage"
 )
 
 func newInstance(t *testing.T) (*engine.Engine, *engine.Instance) {
@@ -175,34 +176,61 @@ func TestUndoOnFinishedInstanceFails(t *testing.T) {
 	}
 }
 
+// TestUndoAcrossStorageStrategies undoes the last of three ops and builds
+// the three representations of Fig. 2 from the remaining delta — the
+// overlay the instance holds, a full copy of that view, and the remaining
+// ops re-applied to the base — each equal to those ops applied to a plain
+// copy of the schema; undoing the rest returns the plain schema.
 func TestUndoAcrossStorageStrategies(t *testing.T) {
-	for _, strat := range []struct {
+	_, inst := newInstance(t)
+	if err := change.ApplyAdHoc(inst, sim.OnlineOrderBiasI2()...); err != nil {
+		t.Fatal(err)
+	}
+	if err := change.ApplyAdHoc(inst, &change.InsertSyncEdge{From: "collect_data", To: "compose_order"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rollback.UndoLast(inst); err != nil {
+		t.Fatal(err)
+	}
+	ref := sim.OnlineOrder()
+	for _, op := range sim.OnlineOrderBiasI2() {
+		if err := op.ApplyTo(ref); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
 		name string
-		set  func(*engine.Engine)
+		view func() (model.SchemaView, error)
 	}{
-		{"hybrid", func(*engine.Engine) {}},
-		{"full-copy", func(e *engine.Engine) { e.SetStorageStrategy(1) }},
-		{"on-the-fly", func(e *engine.Engine) { e.SetStorageStrategy(2) }},
-	} {
-		t.Run(strat.name, func(t *testing.T) {
-			e := engine.New(sim.Org())
-			strat.set(e)
-			if err := e.Deploy(sim.OnlineOrder()); err != nil {
-				t.Fatal(err)
+		{"hybrid", func() (model.SchemaView, error) { return inst.View(), nil }},
+		{"full-copy", func() (model.SchemaView, error) {
+			v := inst.View()
+			return storage.Materialize(v, v.SchemaID(), v.TypeName(), v.Version())
+		}},
+		{"on-the-fly", func() (model.SchemaView, error) {
+			s := sim.OnlineOrder()
+			for _, op := range inst.BiasOps() {
+				if err := op.ApplyTo(s); err != nil {
+					return nil, err
+				}
 			}
-			inst, err := e.CreateInstance("online_order", 0)
+			return s, nil
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			v, err := c.view()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := change.ApplyAdHoc(inst, sim.OnlineOrderBiasI2()...); err != nil {
-				t.Fatal(err)
-			}
-			if err := rollback.UndoAll(inst); err != nil {
-				t.Fatal(err)
-			}
-			if !model.Equal(sim.OnlineOrder(), inst.View()) {
-				t.Fatal("undo did not restore the plain schema")
+			if !model.Equal(ref, v) {
+				t.Fatalf("%s view differs from the remaining ops applied to the schema", c.name)
 			}
 		})
+	}
+	if err := rollback.UndoAll(inst); err != nil {
+		t.Fatal(err)
+	}
+	if !model.Equal(sim.OnlineOrder(), inst.View()) {
+		t.Fatal("undo did not restore the plain schema")
 	}
 }

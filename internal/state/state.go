@@ -156,11 +156,12 @@ func (m *Marking) ensure(t *model.Topology) {
 }
 
 // sameShape reports whether two topologies intern identical node and edge
-// sequences, so indices carry over one-to-one. The on-the-fly storage
-// strategy materializes a fresh schema (and thus a fresh topology pointer)
-// per access — this check turns those re-binds into a pointer swap
-// instead of a full remap copy. The ID comparisons are cheap: clones share
-// their ID string backing, so equality short-circuits on the data pointer.
+// sequences, so indices carry over one-to-one. Every change and undo
+// builds a fresh overlay, and with it a fresh topology; one that only
+// touches data flow (or restores it) leaves the node and edge sequence as
+// it was — this check turns those re-binds into a pointer swap instead of
+// a full remap copy. The ID comparisons are cheap: views share their ID
+// string backing, so equality short-circuits on the data pointer.
 func sameShape(a, b *model.Topology) bool {
 	if a.NumNodes() != b.NumNodes() || a.NumEdges() != b.NumEdges() {
 		return false

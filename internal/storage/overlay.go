@@ -505,8 +505,8 @@ func touchedBytes[T any](ts []touched[T]) int {
 	return total
 }
 
-// Materialize builds a standalone schema equal to the overlaid view; the
-// FullCopy strategy and schema evolution use it.
+// Materialize builds a standalone schema equal to the overlaid view: the
+// full copy of the Fig. 2 comparison.
 func Materialize(v model.SchemaView, id, typeName string, version int) (*model.Schema, error) {
 	s := model.NewSchema(id, typeName, version)
 	for _, nid := range v.NodeIDs() {

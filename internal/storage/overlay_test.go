@@ -263,15 +263,3 @@ func TestOverlayDataElementOps(t *testing.T) {
 		t.Fatal("base must be untouched")
 	}
 }
-
-func TestStrategyStrings(t *testing.T) {
-	if Hybrid.String() != "hybrid" || FullCopy.String() != "full-copy" || OnTheFly.String() != "on-the-fly" {
-		t.Fatal("strategy strings")
-	}
-	if Strategy(9).String() == "" {
-		t.Fatal("out-of-range string")
-	}
-	if len(Strategies()) != 3 {
-		t.Fatal("strategies enumeration")
-	}
-}

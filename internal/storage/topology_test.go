@@ -109,7 +109,7 @@ func topologyMatches(t *testing.T, ctx string, v model.SchemaView) {
 }
 
 // TestOverlayTopologyCoherence applies random accepted ad-hoc changes to
-// hybrid-represented instances and asserts after every change that the
+// instances and asserts after every change that the
 // overlay's cached topology index (dropped by every mutation of the delta)
 // matches both the overlay's enumeration and the topology of a freshly
 // materialized copy of the view.
@@ -120,7 +120,6 @@ func TestOverlayTopologyCoherence(t *testing.T) {
 		schema := sim.RandomSchema(schemaRng, name, sim.DefaultSchemaOpts())
 
 		e := engine.New(sim.Org())
-		e.SetStorageStrategy(storage.Hybrid)
 		if err := e.Deploy(schema); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

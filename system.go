@@ -14,7 +14,6 @@ import (
 	"adept2/internal/fault"
 	"adept2/internal/obs"
 	"adept2/internal/org"
-	"adept2/internal/storage"
 	"adept2/internal/vfs"
 )
 
@@ -213,12 +212,11 @@ type ShardRecovery struct {
 type Option func(*config)
 
 type config struct {
-	org      *org.Model
-	strategy storage.Strategy
-	ckpt     CheckpointConfig
-	fs       vfs.FS
-	nowFn    func() int64
-	policy   ExceptionPolicy
+	org    *org.Model
+	ckpt   CheckpointConfig
+	fs     vfs.FS
+	nowFn  func() int64
+	policy ExceptionPolicy
 
 	// Observability (metrics.go): metrics are on by default; metricsOff
 	// selects obs.Disabled, obsOpts tunes the trace ring, sweepEvery
@@ -238,11 +236,6 @@ func (c *config) fsys() vfs.FS {
 
 // WithOrg supplies a pre-populated organizational model.
 func WithOrg(m *OrgModel) Option { return func(c *config) { c.org = m } }
-
-// WithStorageStrategy selects the biased-instance representation.
-func WithStorageStrategy(s StorageStrategy) Option {
-	return func(c *config) { c.strategy = s }
-}
 
 // WithVFS routes every file access of the durability stack (journals,
 // snapshots, manifests) through an explicit filesystem. Tests inject
@@ -273,7 +266,6 @@ func New(opts ...Option) *System {
 
 func newSystem(c *config) *System {
 	e := engine.New(c.org)
-	e.SetStorageStrategy(c.strategy)
 	return &System{eng: e, mgr: evolution.NewManager(e), layout: sharded.Layout{Shards: 1},
 		fsys: c.fsys(), nowFn: c.nowFn, policy: c.policy}
 }

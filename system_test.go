@@ -144,15 +144,8 @@ func TestSystemJournalRecovery(t *testing.T) {
 	}
 }
 
-func TestSystemStorageStrategyOption(t *testing.T) {
-	sys := demoSystem(t, adept2.WithStorageStrategy(adept2.StorageFullCopy))
-	inst, err := sys.CreateInstance("online_order")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inst.Strategy() != adept2.StorageFullCopy {
-		t.Fatalf("strategy = %s", inst.Strategy())
-	}
+func TestSystemAdHocChangeUnknownInstance(t *testing.T) {
+	sys := demoSystem(t)
 	if err := sys.AdHocChange("nope", &adept2.DeleteSyncEdge{From: "a", To: "b"}); err == nil {
 		t.Fatal("unknown instance must fail")
 	}
