@@ -11,7 +11,7 @@
 //	adeptctl snapshot -journal wal# write a checkpoint of the journal state
 //	adeptctl compact -journal wal # checkpoint, then drop the covered prefix
 //	adeptctl reshard -journal wal -shards 4  # repartition offline
-//	adeptctl verify -journal wal  # offline integrity check (-repair fixes tails)
+//	adeptctl verify -journal wal  # what Open would recover, offline (-repair fixes tails)
 //	adeptctl list -journal wal    # page through instances and worklists
 //	adeptctl load -journal wal -mode batch   # drive the Submit API
 //	adeptctl serve -journal wal -addr :8137  # the one network surface: commands + ops routes
@@ -54,6 +54,7 @@ import (
 	"adept2/internal/rpc"
 	"adept2/internal/sim"
 	"adept2/internal/sim/soak"
+	"adept2/internal/vfs"
 )
 
 func main() {
@@ -105,7 +106,7 @@ func usage() {
        adeptctl snapshot -journal PATH [-dir DIR]
        adeptctl compact -journal PATH [-dir DIR]
        adeptctl reshard -journal PATH -shards N [-dir DIR]
-       adeptctl verify -journal PATH [-dir DIR] [-repair]
+       adeptctl verify -journal PATH [-dir DIR] [-repair]   (runs Open's recovery: needs Open's memory)
        adeptctl list -journal PATH | -remote URL [-user U] [-page N]
        adeptctl load -journal PATH [-shards N] | -remote URL [-n N] [-mode sync|async|batch]
        adeptctl serve -journal PATH [-addr ADDR] [-shards N]
@@ -257,7 +258,14 @@ func openDurable(journal string, cfg adept2.CheckpointConfig) *adept2.System {
 	cfg.Every = -1
 	sys, err := adept2.Open(journal, adept2.WithCheckpointing(cfg))
 	must(err)
-	info := sys.Recovery()
+	printRecovery(sys.Recovery())
+	return sys
+}
+
+// printRecovery reports how a layout recovers: from which snapshot with
+// how many records on top, per shard when there are several, and every
+// generation rejected on the way.
+func printRecovery(info *adept2.RecoveryInfo) {
 	switch {
 	case info.FullReplay:
 		fmt.Printf("recovered by full replay: %d records\n", info.Replayed)
@@ -274,7 +282,6 @@ func openDurable(journal string, cfg adept2.CheckpointConfig) *adept2.System {
 	for _, fb := range info.Fallbacks {
 		fmt.Printf("  fallback: %s\n", fb)
 	}
-	return sys
 }
 
 // snapshot checkpoints the full state of a journal into the snapshot
@@ -288,7 +295,7 @@ func snapshot(args []string) {
 	file, seq, err := sys.Checkpoint()
 	must(err)
 	must(sys.Close())
-	if info, err := durable.ReadSnapshotInfo(file); err == nil && info.Compressed {
+	if info, err := durable.ReadSnapshotInfo(vfs.OS(), file); err == nil && info.Compressed {
 		fmt.Printf("snapshot %s covering journal seq %d (%d B payload, %d B compressed, %.1fx)\n",
 			file, seq, info.RawLen, info.StoredLen, float64(info.RawLen)/float64(info.StoredLen))
 	} else {
@@ -336,8 +343,9 @@ func reshard(args []string) {
 
 // verify surveys a durability layout offline: journal tail probes per
 // shard (sequence gaps, torn trailing bytes), full CRC validation of
-// every snapshot, generation walk of the global manifest. Exits 1 on
-// refusal conditions — findings a normal open could not recover from.
+// every snapshot file, and Open's own recovery run on the layout and
+// discarded — so it reports what Open would restore and replay, or Open's
+// refusal, and needs the memory Open needs. Exits 1 on a refusal.
 func verify(args []string) {
 	fs := flag.NewFlagSet("verify", flag.ExitOnError)
 	journal := fs.String("journal", "", "journal file (required)")
@@ -351,8 +359,7 @@ func verify(args []string) {
 	if *dir != "" {
 		opts = append(opts, adept2.WithCheckpointing(adept2.CheckpointConfig{Dir: *dir}))
 	}
-	rep, err := adept2.VerifyLayout(*journal, *repair, opts...)
-	must(err)
+	rep := adept2.VerifyLayout(*journal, *repair, opts...)
 	fmt.Printf("%s: %d shard(s), %d generation(s)", *journal, len(rep.Shards), rep.Generations)
 	if !rep.Sharded {
 		fmt.Printf(" (no global manifest yet: the generations are shard 0's snapshot listing)")
@@ -375,18 +382,14 @@ func verify(args []string) {
 			}
 		}
 	}
-	if rep.Generations > 0 {
-		if rep.ValidGen >= 0 {
-			fmt.Printf("  recoverable from generation %d of %d\n", rep.ValidGen+1, rep.Generations)
-		} else {
-			fmt.Printf("  no generation validates\n")
-		}
+	if rep.Recovery != nil {
+		printRecovery(rep.Recovery)
 	}
 	for _, w := range rep.Warnings {
 		fmt.Printf("warning: %s\n", w)
 	}
 	for _, p := range rep.Problems {
-		fmt.Printf("PROBLEM: %s\n", p)
+		fmt.Printf("PROBLEM: %v\n", p)
 	}
 	if !rep.OK() {
 		os.Exit(1)
@@ -933,15 +936,7 @@ func journalSpans(journal string) ([]obs.Span, error) {
 	}
 	var spans []obs.Span
 	for shard := 0; shard < lay.Shards; shard++ {
-		f, err := os.Open(lay.JournalPath(shard))
-		if err != nil {
-			if os.IsNotExist(err) {
-				continue
-			}
-			return nil, err
-		}
-		recs, err := persist.ReadJournal(f)
-		f.Close()
+		recs, _, err := persist.LoadJournalSuffixFS(vfs.OS(), lay.JournalPath(shard), 0)
 		if err != nil {
 			return nil, err
 		}

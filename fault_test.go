@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -258,11 +259,11 @@ func crashRun(t *testing.T, cfg adept2.CheckpointConfig, site int64, steps int) 
 	// else: the disk died during the initial open — nothing was
 	// acknowledged, recovery below must still produce a working system.
 
-	// Survey the surviving bytes (only fsync-covered state remains).
-	rep, err := adept2.VerifyLayout("wal", false, adept2.WithVFS(mem))
-	if err != nil {
-		t.Fatalf("site %d: verify: %v", site, err)
-	}
+	// Survey the surviving bytes (only fsync-covered state remains) with
+	// the options the Open below gets: verify's verdict and Recovery must
+	// match that Open's.
+	rep := adept2.VerifyLayout("wal", false,
+		adept2.WithOrg(sim.Org()), adept2.WithCheckpointing(cfg), adept2.WithVFS(mem))
 	for _, p := range rep.Problems {
 		t.Fatalf("site %d: layout problem after crash: %s", site, p)
 	}
@@ -280,6 +281,9 @@ func crashRun(t *testing.T, cfg adept2.CheckpointConfig, site int64, steps int) 
 		adept2.WithOrg(sim.Org()), adept2.WithCheckpointing(cfg), adept2.WithVFS(mem))
 	if err != nil {
 		t.Fatalf("site %d: recovery: %v", site, err)
+	}
+	if !reflect.DeepEqual(rep.Recovery, got.Recovery()) {
+		t.Fatalf("site %d: verify says recovery %+v, Open did %+v", site, rep.Recovery, got.Recovery())
 	}
 	if d != nil {
 		for _, id := range d.ackedInsts {
@@ -722,22 +726,19 @@ func TestVerifyRepairIsDurableOrAProblem(t *testing.T) {
 		}
 		return vfs.Decision{}
 	})
-	rep, err := adept2.VerifyLayout("wal", true, adept2.WithVFS(noSync))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.OK() || rep.Shards[0].Repaired || !strings.Contains(rep.Problems[0], "tail repair") {
+	rep := adept2.VerifyLayout("wal", true, adept2.WithVFS(noSync))
+	if rep.OK() || rep.Shards[0].Repaired || !strings.Contains(rep.Problems[0].Error(), "tail repair") {
 		t.Fatalf("repair with a failing fsync: repaired=%v problems=%q", rep.Shards[0].Repaired, rep.Problems)
 	}
 
 	mem.Crash() // the truncate nothing synced is lost with the crash
-	rep, err = adept2.VerifyLayout("wal", true, adept2.WithVFS(mem))
-	if err != nil || !rep.OK() || !rep.Shards[0].Repaired {
-		t.Fatalf("repair on a healthy disk: %+v, %v", rep, err)
+	rep = adept2.VerifyLayout("wal", true, adept2.WithVFS(mem))
+	if !rep.OK() || !rep.Shards[0].Repaired {
+		t.Fatalf("repair on a healthy disk: %+v", rep)
 	}
 	mem.Crash()
-	rep, err = adept2.VerifyLayout("wal", false, adept2.WithVFS(mem))
-	if err != nil || !rep.OK() || rep.Shards[0].TornBytes != 0 || rep.Shards[0].LastSeq != 1 {
-		t.Fatalf("after a crash the reported repair is gone: %+v, %v", rep, err)
+	rep = adept2.VerifyLayout("wal", false, adept2.WithVFS(mem))
+	if !rep.OK() || rep.Shards[0].TornBytes != 0 || rep.Shards[0].LastSeq != 1 {
+		t.Fatalf("after a crash the reported repair is gone: %+v", rep)
 	}
 }

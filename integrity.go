@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"adept2/internal/durable"
-	"adept2/internal/durable/sharded"
 	"adept2/internal/persist"
 	"adept2/internal/vfs"
 )
@@ -38,119 +37,66 @@ type ShardCheck struct {
 	Snapshots []SnapshotCheck
 }
 
-// IntegrityReport is the result of VerifyLayout: the offline integrity
-// survey of a durability layout. Problems are refusal conditions — a
-// normal Open would either fail outright or be unable to recover the
-// full history. Warnings are degraded but recoverable findings (torn
-// tails, stale snapshots with a valid fallback).
+// IntegrityReport is the result of VerifyLayout: what Open would do with a
+// durability layout, computed by Open's code, beside what each journal and
+// snapshot file holds.
 type IntegrityReport struct {
 	// Sharded reports that the layout's global manifest is on disk. False
 	// means a manifest-less directory, surveyed as what Open treats it as:
 	// one shard whose generations are its snapshot listing.
 	Sharded bool
-	// Shards has one entry per shard (at least one).
+	// Shards has one entry per shard of the layout Open would run.
 	Shards []ShardCheck
-	// Generations is the layout's generation count; ValidGen indexes the
-	// newest generation whose every part validates, -1 when none does.
+	// Generations is the layout's generation count.
 	Generations int
-	ValidGen    int
-	Problems    []string
-	Warnings    []string
+	// Recovery is what Open(path, opts...).Recovery() would return: the
+	// snapshot each shard restores, the records replayed on top, and the
+	// generations rejected on the way. nil when Open would refuse.
+	Recovery *RecoveryInfo
+	// Problems are refusals: Open's own error — the same text and the same
+	// Code — when Open would refuse the layout, and a tail repair that
+	// failed.
+	Problems []error
+	// Warnings are findings Open recovers past: torn journal tails and
+	// snapshot files that do not load.
+	Warnings []string
 }
 
 // OK reports whether the layout has no refusal conditions.
 func (r *IntegrityReport) OK() bool { return len(r.Problems) == 0 }
 
-// VerifyLayout surveys the durability layout rooted at path offline —
-// the journals must be closed. It probes every shard journal's tail
-// (scanning for sequence gaps and torn trailing bytes), fully validates
-// every snapshot file (CRC and seq cross-checks), and walks the layout's
-// generations to find the newest one recovery could actually use. With
-// repair set, torn journal tails are truncated in place — the same repair
-// Open performs, made explicit so an operator can inspect the layout
-// before restarting a service.
-//
-// The returned report is never nil; the error covers only I/O failures
-// that prevented the survey itself.
-func VerifyLayout(path string, repair bool, opts ...Option) (*IntegrityReport, error) {
+// VerifyLayout surveys the durability layout rooted at path offline — the
+// journals must be closed. It runs Open's recovery with the same options,
+// over snapshot stores that create and sweep nothing, and discards the
+// rebuilt system, so the report's verdict and Recovery are Open's own; it
+// needs the memory Open needs. Beside that it probes every shard journal's
+// tail (sequence gaps, torn trailing bytes) and loads every snapshot file,
+// whether a generation names it or not. Without repair it changes nothing
+// on disk. With repair set, torn journal tails are truncated in place
+// first — the same repair Open performs, made explicit so an operator can
+// inspect the layout before restarting a service.
+func VerifyLayout(path string, repair bool, opts ...Option) *IntegrityReport {
 	var c config
 	for _, o := range opts {
 		o(&c)
 	}
-	fsys := c.fsys()
-	rep := &IntegrityReport{ValidGen: -1}
-
-	l, man, found, err := sharded.Resolve(shardedLayout(&c, path))
+	rep := &IntegrityReport{}
+	l, man, found, err := resolveLayout(&c, path, false)
 	if err != nil {
-		rep.Problems = append(rep.Problems, err.Error())
-		return rep, nil
+		rep.Problems = append(rep.Problems, wrapErr("open", "", err))
+		return rep
 	}
-	rep.Sharded = found
-	if stray, err := sharded.StrayShardsFS(fsys, path, man.Shards); err != nil {
-		rep.Problems = append(rep.Problems, err.Error())
-	} else if len(stray) > 0 {
-		rep.Problems = append(rep.Problems, fmt.Sprintf(
-			"stray shard journals %v past the declared count %d: rerun adeptctl reshard", stray, man.Shards))
+	rep.Sharded, rep.Generations = found, len(man.Generations)
+	for k := 0; k < l.Shards; k++ {
+		rep.Shards = append(rep.Shards, checkShard(c.fsys(), k, l.JournalPath(k), l.SnapDir(k), repair, rep))
 	}
-
-	valid := make([]map[string]int, man.Shards) // per shard: file -> seq of valid snapshots
-	for k := 0; k < man.Shards; k++ {
-		sc := checkShard(fsys, k, l.JournalPath(k), l.SnapDir(k), repair, rep)
-		rep.Shards = append(rep.Shards, sc)
-		valid[k] = make(map[string]int)
-		for _, s := range sc.Snapshots {
-			if s.Err == "" {
-				valid[k][s.File] = s.Seq
-			}
-		}
+	sys, _, _, err := recoverLayout(&c, l, man, true)
+	if err != nil {
+		rep.Problems = append(rep.Problems, wrapErr("open", "", err))
+		return rep
 	}
-
-	rep.Generations = len(man.Generations)
-	for g := len(man.Generations) - 1; g >= 0; g-- {
-		gen := man.Generations[g]
-		ok := len(gen.Parts) == man.Shards
-		for k := 0; ok && k < man.Shards; k++ {
-			seq, present := valid[k][gen.Parts[k].File]
-			ok = present && seq == gen.Parts[k].Seq
-		}
-		if ok {
-			rep.ValidGen = g
-			break
-		}
-	}
-	switch {
-	case rep.Generations > 0 && rep.ValidGen == rep.Generations-1:
-		// Newest generation is usable: the fast path.
-	case rep.ValidGen >= 0:
-		rep.Warnings = append(rep.Warnings, fmt.Sprintf(
-			"newest generation does not validate: recovery falls back to generation %d of %d",
-			rep.ValidGen+1, rep.Generations))
-	default:
-		// No usable generation: full merged replay is the only path, and
-		// it is refused for shards whose prefix was compacted away or
-		// partitioned under a different shard count (reshard floor).
-		for k, sc := range rep.Shards {
-			floor := 0
-			if k < len(man.ReplayFloors) {
-				floor = man.ReplayFloors[k]
-			}
-			switch {
-			case sc.FirstSeq > 1:
-				rep.Problems = append(rep.Problems, fmt.Sprintf(
-					"shard %d: no valid generation and journal starts at seq %d: the compacted prefix is unrecoverable",
-					k, sc.FirstSeq))
-			case floor > 0 && sc.FirstSeq > 0 && sc.FirstSeq <= floor:
-				rep.Problems = append(rep.Problems, fmt.Sprintf(
-					"shard %d: no valid generation and records at or below reshard floor %d: full replay is refused",
-					k, floor))
-			}
-		}
-		if rep.Generations > 0 && rep.OK() {
-			rep.Warnings = append(rep.Warnings,
-				"no generation validates: recovery will fall back to full journal replay")
-		}
-	}
-	return rep, nil
+	rep.Recovery = sys.recovery
+	return rep
 }
 
 // repairJournalTail performs exactly the tail repair Open would (truncate
@@ -168,13 +114,15 @@ func repairJournalTail(fsys vfs.FS, jpath string, tail persist.TailInfo) error {
 	return j.Close()
 }
 
-// checkShard probes one shard's journal tail and validates its snapshot
-// store, appending findings to the report.
+// checkShard probes one shard's journal tail and loads every file in its
+// snapshot directory, appending findings to the report. A journal the
+// probe cannot read is a warning here: recovery reads the same bytes, and
+// its error is the verdict.
 func checkShard(fsys vfs.FS, k int, jpath, snapDir string, repair bool, rep *IntegrityReport) ShardCheck {
 	sc := ShardCheck{Shard: k, Journal: jpath}
 	_, tail, err := persist.LoadJournalSuffixFS(fsys, jpath, maxSeq)
 	if err != nil {
-		rep.Problems = append(rep.Problems, fmt.Sprintf("shard %d: %v", k, err))
+		rep.Warnings = append(rep.Warnings, fmt.Sprintf("shard %d: %v", k, err))
 	} else {
 		sc.FirstSeq, sc.LastSeq, sc.OpenTail = tail.FirstSeq, tail.LastSeq, tail.OpenTail
 		if st, serr := fsys.Stat(jpath); serr == nil {
@@ -183,7 +131,7 @@ func checkShard(fsys vfs.FS, k int, jpath, snapDir string, repair bool, rep *Int
 		if sc.TornBytes > 0 || sc.OpenTail {
 			if repair {
 				if rerr := repairJournalTail(fsys, jpath, tail); rerr != nil {
-					rep.Problems = append(rep.Problems, fmt.Sprintf("shard %d: tail repair: %v", k, rerr))
+					rep.Problems = append(rep.Problems, fmt.Errorf("shard %d: tail repair: %w", k, rerr))
 				} else {
 					sc.Repaired = true
 				}
@@ -195,17 +143,10 @@ func checkShard(fsys vfs.FS, k int, jpath, snapDir string, repair bool, rep *Int
 		}
 	}
 
-	if _, err := fsys.Stat(snapDir); err != nil {
-		return sc // no snapshot store: nothing to validate
-	}
-	store, err := durable.OpenStoreFS(fsys, snapDir)
-	if err != nil {
-		rep.Problems = append(rep.Problems, fmt.Sprintf("shard %d: %v", k, err))
-		return sc
-	}
+	store := durable.ViewStore(fsys, snapDir)
 	entries, err := store.Entries()
 	if err != nil {
-		rep.Problems = append(rep.Problems, fmt.Sprintf("shard %d: %v", k, err))
+		rep.Warnings = append(rep.Warnings, fmt.Sprintf("shard %d: %v", k, err))
 		return sc
 	}
 	for _, e := range entries {

@@ -12,19 +12,10 @@ import (
 	"adept2/internal/persist"
 )
 
-// CommitterOptions tunes the group-commit flush window.
+// CommitterOptions tunes a committer's flush retries and names its
+// telemetry. Batching has no knob: the in-flight fsync is the gather
+// window (see the package documentation).
 type CommitterOptions struct {
-	// FlushWindow optionally delays each flush so more callers join the
-	// batch. The default (0) uses natural batching instead: the duration
-	// of the in-flight fsync is the gather window — appends arriving
-	// while a flush runs form the next batch, so batch size adapts to
-	// load without added latency. Set a positive window only when fsyncs
-	// are so fast that batches stay degenerate under real concurrency.
-	FlushWindow time.Duration
-	// MaxBatch short-circuits a positive FlushWindow: when at least
-	// MaxBatch appends are pending, the flusher skips the wait (default
-	// 64). Ignored with natural batching.
-	MaxBatch int
 	// RetryMax bounds how many times a failed flush is retried (with
 	// exponential backoff) before the committer wedges. Each retry
 	// re-verifies the journal tail and rewrites the batch from the
@@ -45,9 +36,6 @@ type CommitterOptions struct {
 }
 
 func (o *CommitterOptions) defaults() {
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 64
-	}
 	if o.RetryMax == 0 {
 		o.RetryMax = 4
 	}
@@ -443,11 +431,6 @@ func (c *Committer) run() {
 				}
 				break // idle (or sticky-broken): wait for the next wake
 			}
-			if w := c.opts.FlushWindow; w > 0 && !closed && target-flushed < c.opts.MaxBatch {
-				time.Sleep(w)
-				target = c.j.Seq() // the window let more appends land
-			}
-
 			// Everything appended up to target is covered by this flush;
 			// transient failures are retried with backoff before wedging.
 			err := c.flushWithRetry()

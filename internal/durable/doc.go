@@ -18,11 +18,10 @@
 // by the journal lock, preserving sequence order); each caller then blocks
 // until a flush covering its record completed. A single background
 // flusher drains the batch with exactly one buffered write + one fsync and
-// wakes every covered caller. By default the in-flight fsync is the gather
-// window — appends arriving while it runs form the next batch, and a lone
-// writer pays one write + one fsync per command; a positive FlushWindow
-// adds a wait for more callers to join, unless the pending batch already
-// reached MaxBatch.
+// wakes every covered caller. The in-flight fsync is the gather window —
+// appends arriving while it runs form the next batch, so the batch size
+// follows the load, and a lone writer pays one write + one fsync per
+// command.
 //
 // Error semantics: a record is durable if and only if its Append (or the
 // Wait on its receipt) returned nil. Flush failures do NOT immediately
@@ -168,6 +167,14 @@
 //     journals past the manifest's declared count holding records (shard
 //     count mismatch — the partitioning function is authoritative), and a
 //     full replay across a reshard floor.
+//
+//   - One recovery decision. sharded.Recover and MergeApply are the only
+//     code that decides which generation restores, what replays on top,
+//     and what is refused. adept2.VerifyLayout runs them through Open's own
+//     recovery over stores that create and sweep nothing and discards the
+//     rebuilt state, so `adeptctl verify` reports Open's fallbacks and
+//     Open's refusal, word for word, rather than a second reading of these
+//     rules.
 //
 //   - Resharding. Changing the shard count is an offline reshard
 //     (adept2.Reshard): snapshot-all under the new hash, commit the new

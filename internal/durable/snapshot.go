@@ -82,7 +82,7 @@ func OpenStoreFS(fsys vfs.FS, dir string) (*SnapshotStore, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: open snapshot store: %w", err)
 	}
-	st := &SnapshotStore{fsys: fsys, dir: dir}
+	st := ViewStore(fsys, dir)
 	if des, err := fsys.ReadDir(dir); err == nil {
 		for _, de := range des {
 			if !de.IsDir() && strings.Contains(de.Name(), ".tmp-") {
@@ -93,6 +93,14 @@ func OpenStoreFS(fsys vfs.FS, dir string) (*SnapshotStore, error) {
 		}
 	}
 	return st, nil
+}
+
+// ViewStore addresses the snapshot directory dir without touching it:
+// unlike OpenStoreFS it creates nothing and sweeps nothing, and a missing
+// directory lists empty. Reading a layout through it leaves the layout
+// as it was.
+func ViewStore(fsys vfs.FS, dir string) *SnapshotStore {
+	return &SnapshotStore{fsys: fsys, dir: dir}
 }
 
 // CleanupErrs returns how many stale-file removals have failed over the
@@ -269,32 +277,29 @@ func (st *SnapshotStore) Load(entry ManifestEntry) (*SystemState, error) {
 	}
 	defer f.Close()
 	br := bufio.NewReaderSize(f, 1<<16)
-	hdrLine, err := br.ReadBytes('\n')
+	hdr, hdrLen, err := readHeader(br, entry.File)
 	if err != nil {
-		return nil, fmt.Errorf("durable: snapshot %s: torn header: %w", entry.File, err)
-	}
-	var hdr snapHeader
-	if err := json.Unmarshal(hdrLine, &hdr); err != nil {
-		return nil, fmt.Errorf("durable: snapshot %s: corrupt header: %w", entry.File, err)
-	}
-	if hdr.Format != containerRaw && hdr.Format != containerGzip {
-		return nil, fmt.Errorf("durable: snapshot %s: container format %d, want %d or %d",
-			entry.File, hdr.Format, containerRaw, containerGzip)
+		return nil, err
 	}
 	if hdr.Seq != entry.Seq {
 		return nil, fmt.Errorf("durable: snapshot %s: header seq %d does not match file name", entry.File, hdr.Seq)
 	}
-	payload := make([]byte, hdr.Len)
-	if _, err := io.ReadFull(br, payload); err != nil {
+	// One byte past the promised length tells trailing data from an exact
+	// payload, and a length the file does not back never becomes an
+	// allocation: the buffer grows with the bytes actually read.
+	payload, err := io.ReadAll(io.LimitReader(br, int64(hdr.Len)+1))
+	switch {
+	case err != nil:
 		return nil, fmt.Errorf("durable: snapshot %s: torn payload: %w", entry.File, err)
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
+	case len(payload) < hdr.Len:
+		return nil, fmt.Errorf("durable: snapshot %s: torn payload: %d of %d bytes", entry.File, len(payload), hdr.Len)
+	case len(payload) > hdr.Len:
 		return nil, fmt.Errorf("durable: snapshot %s: trailing data after payload", entry.File)
 	}
 	if crc := crc32.ChecksumIEEE(payload); crc != hdr.CRC32 {
 		return nil, fmt.Errorf("durable: snapshot %s: checksum mismatch (%08x != %08x)", entry.File, crc, hdr.CRC32)
 	}
-	st.bytesRead.Add(int64(len(hdrLine) + hdr.Len))
+	st.bytesRead.Add(int64(hdrLen + hdr.Len))
 	if hdr.Format == containerGzip {
 		zr, err := gzip.NewReader(bytes.NewReader(payload))
 		if err != nil {
@@ -319,6 +324,29 @@ func (st *SnapshotStore) Load(entry ManifestEntry) (*SystemState, error) {
 	return &state, nil
 }
 
+// readHeader reads a snapshot's header line and checks what every reader
+// relies on: a known container format and a payload length that is not
+// negative. It returns the header and the line's length; name labels the
+// errors.
+func readHeader(br *bufio.Reader, name string) (snapHeader, int, error) {
+	var hdr snapHeader
+	line, err := br.ReadBytes('\n')
+	if err != nil {
+		return hdr, 0, fmt.Errorf("durable: snapshot %s: torn header: %w", name, err)
+	}
+	if err := json.Unmarshal(line, &hdr); err != nil {
+		return hdr, 0, fmt.Errorf("durable: snapshot %s: corrupt header: %w", name, err)
+	}
+	if hdr.Format != containerRaw && hdr.Format != containerGzip {
+		return hdr, 0, fmt.Errorf("durable: snapshot %s: container format %d, want %d or %d",
+			name, hdr.Format, containerRaw, containerGzip)
+	}
+	if hdr.Len < 0 {
+		return hdr, 0, fmt.Errorf("durable: snapshot %s: corrupt header: payload length %d", name, hdr.Len)
+	}
+	return hdr, len(line), nil
+}
+
 // SnapshotInfo summarizes a snapshot file's header: the journal sequence
 // number it covers, the stored (on-disk) payload size, the uncompressed
 // payload size, and whether the container is compressed.
@@ -329,21 +357,17 @@ type SnapshotInfo struct {
 	Compressed bool
 }
 
-// ReadSnapshotInfo reads just the header line of a snapshot file (for
-// tooling output — adeptctl reports both payload sizes).
-func ReadSnapshotInfo(path string) (SnapshotInfo, error) {
-	f, err := os.Open(path)
+// ReadSnapshotInfo reads just the header line of the snapshot file at path
+// (for tooling output — adeptctl reports both payload sizes).
+func ReadSnapshotInfo(fsys vfs.FS, path string) (SnapshotInfo, error) {
+	f, err := vfs.Open(fsys, path)
 	if err != nil {
 		return SnapshotInfo{}, fmt.Errorf("durable: open snapshot: %w", err)
 	}
 	defer f.Close()
-	hdrLine, err := bufio.NewReaderSize(f, 4096).ReadBytes('\n')
+	hdr, _, err := readHeader(bufio.NewReaderSize(f, 4096), path)
 	if err != nil {
-		return SnapshotInfo{}, fmt.Errorf("durable: snapshot %s: torn header: %w", path, err)
-	}
-	var hdr snapHeader
-	if err := json.Unmarshal(hdrLine, &hdr); err != nil {
-		return SnapshotInfo{}, fmt.Errorf("durable: snapshot %s: corrupt header: %w", path, err)
+		return SnapshotInfo{}, err
 	}
 	info := SnapshotInfo{Seq: hdr.Seq, StoredLen: hdr.Len, RawLen: hdr.RawLen, Compressed: hdr.Format == containerGzip}
 	if info.RawLen == 0 {

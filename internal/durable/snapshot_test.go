@@ -5,6 +5,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"adept2/internal/change"
@@ -189,6 +190,43 @@ func TestSnapshotStoreDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestSnapshotLoadChecksPayloadLength: the header's payload length is
+// held against the bytes that follow it before anything is allocated for
+// it, so a wrong one is an error recovery falls back on — never a panic,
+// and never an allocation the file does not back.
+func TestSnapshotLoadChecksPayloadLength(t *testing.T) {
+	store, err := OpenStore(filepath.Join(t.TempDir(), "snaps"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(&SystemState{Format: FormatVersion, Seq: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := ManifestEntry{File: "snap-000000000007.json", Seq: 7}
+	for _, tc := range []struct {
+		name string
+		len  int
+		want string
+	}{
+		{"negative", -1, "corrupt header: payload length -1"},
+		{"huge", 1 << 40, "torn payload"},
+		{"short", len(payload) + 1, "torn payload"},
+		{"long", len(payload) - 1, "trailing data"},
+	} {
+		hdr, err := json.Marshal(snapHeader{Format: containerRaw, Seq: 7, Len: tc.len, CRC32: crc32.ChecksumIEEE(payload)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(store.Dir(), entry.File), append(append(hdr, '\n'), payload...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := store.Load(entry); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s length: got %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestCompactJournal(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
 	j, err := persist.OpenJournalBufferedFS(vfs.OS(), path)
@@ -262,7 +300,7 @@ func TestSnapshotCompression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := ReadSnapshotInfo(file)
+	info, err := ReadSnapshotInfo(vfs.OS(), file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +343,7 @@ func TestSnapshotCompression(t *testing.T) {
 	if old.InstanceCounter != 2 {
 		t.Fatalf("v1 payload: %+v", old)
 	}
-	oldInfo, err := ReadSnapshotInfo(v1)
+	oldInfo, err := ReadSnapshotInfo(vfs.OS(), v1)
 	if err != nil || oldInfo.Compressed || oldInfo.RawLen != len(payload) {
 		t.Fatalf("v1 info: %+v err=%v", oldInfo, err)
 	}

@@ -1,9 +1,6 @@
 package persist
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 // benchArgs is a representative journaled command payload.
 type benchArgs struct {
@@ -71,7 +68,7 @@ func TestAppendReusedBuffers(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		stage(t, j, "op", map[string]int{"i": i})
 	}
-	recs, err := ReadJournal(bytes.NewReader(flushed(t, j, mem)))
+	recs, err := loadAll(t, flushed(t, j, mem))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func TestFailedAppendLeavesSeqAndJournalIntact(t *testing.T) {
 
 	ffs.SetScript(nil)
 	stage(t, j, "c", 3)
-	recs, err := ReadJournal(bytes.NewReader(flushed(t, j, mem)))
+	recs, err := loadAll(t, flushed(t, j, mem))
 	if err != nil {
 		t.Fatalf("journal unreadable after failed flush: %v", err)
 	}

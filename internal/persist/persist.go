@@ -347,15 +347,6 @@ func (j *Journal) Close() error {
 	return j.file.Close()
 }
 
-// ReadJournal parses all records from a reader. A trailing partial line
-// (torn write after a crash) is tolerated and discarded; corruption in the
-// middle of the journal is an error. A compacted journal (first record's
-// sequence number > 1) is accepted as long as it stays contiguous.
-func ReadJournal(r io.Reader) ([]Record, error) {
-	recs, _, err := scanRecords(r, 0)
-	return recs, err
-}
-
 // TailInfo describes the boundaries and physical integrity of a scanned
 // journal: the first and last intact sequence numbers (0, 0 when empty or
 // missing), how many leading bytes hold intact records (a torn or corrupt
@@ -390,8 +381,10 @@ func ResumeJournalFS(fsys vfs.FS, path string, tail TailInfo) (*Journal, error) 
 // Records at or before afterSeq are verified for contiguity via a fast
 // sequence-number probe but never materialized, so recovering a long
 // journal from a recent snapshot does not pay for decoding its history.
-// Torn trailing lines are tolerated exactly like ReadJournal; the
-// returned TailInfo feeds ResumeJournalFS's tail repair.
+// A torn trailing line (a crash mid-write) is tolerated and discarded;
+// corruption in the middle of the journal is an error, and a compacted
+// journal (first sequence number > 1) must stay contiguous. The returned
+// TailInfo feeds ResumeJournalFS's tail repair.
 func LoadJournalSuffixFS(fsys vfs.FS, path string, afterSeq int) ([]Record, TailInfo, error) {
 	f, err := vfs.Open(fsys, path)
 	if os.IsNotExist(err) {

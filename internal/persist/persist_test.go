@@ -50,6 +50,15 @@ func putFile(t testing.TB, fsys vfs.FS, name string, data []byte) {
 	}
 }
 
+// loadAll reads data back as a whole journal through LoadJournalSuffixFS.
+func loadAll(t testing.TB, data []byte) ([]Record, error) {
+	t.Helper()
+	mem := vfs.NewMemFS()
+	putFile(t, mem, "wal", data)
+	recs, _, err := LoadJournalSuffixFS(mem, "wal", 0)
+	return recs, err
+}
+
 // stage appends one record with epoch 0.
 func stage(t testing.TB, j *Journal, op string, args any) {
 	t.Helper()
@@ -117,7 +126,7 @@ func TestJournalAppendAndRead(t *testing.T) {
 	if j.Seq() != 2 {
 		t.Fatalf("seq = %d", j.Seq())
 	}
-	recs, err := ReadJournal(bytes.NewReader(flushed(t, j, mem)))
+	recs, err := loadAll(t, flushed(t, j, mem))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +139,7 @@ func TestJournalToleratesTornTail(t *testing.T) {
 	j, mem := memJournal(t)
 	stage(t, j, "create", nil)
 	data := append(flushed(t, j, mem), `{"seq":2,"op":"comp`...) // torn write, no newline... then EOF
-	recs, err := ReadJournal(bytes.NewReader(data))
+	recs, err := loadAll(t, data)
 	if err != nil {
 		t.Fatalf("torn tail must be tolerated: %v", err)
 	}
@@ -144,7 +153,7 @@ func TestJournalRejectsMidCorruption(t *testing.T) {
 garbage
 {"seq":2,"op":"b","args":null}
 `
-	if _, err := ReadJournal(strings.NewReader(data)); err == nil {
+	if _, err := loadAll(t, []byte(data)); err == nil {
 		t.Fatal("mid-journal corruption must be rejected")
 	}
 }
@@ -153,7 +162,7 @@ func TestJournalRejectsGaps(t *testing.T) {
 	data := `{"seq":1,"op":"a","args":null}
 {"seq":3,"op":"b","args":null}
 `
-	if _, err := ReadJournal(strings.NewReader(data)); err == nil || !strings.Contains(err.Error(), "gap") {
+	if _, err := loadAll(t, []byte(data)); err == nil || !strings.Contains(err.Error(), "gap") {
 		t.Fatalf("expected gap error, got %v", err)
 	}
 }
@@ -199,7 +208,7 @@ func TestCompactedJournalAccepted(t *testing.T) {
 	data := `{"seq":5,"op":"a","args":null}
 {"seq":6,"op":"b","args":null}
 `
-	recs, err := ReadJournal(strings.NewReader(data))
+	recs, err := loadAll(t, []byte(data))
 	if err != nil {
 		t.Fatalf("compacted journal must be readable: %v", err)
 	}
@@ -210,7 +219,7 @@ func TestCompactedJournalAccepted(t *testing.T) {
 	bad := `{"seq":5,"op":"a","args":null}
 {"seq":7,"op":"b","args":null}
 `
-	if _, err := ReadJournal(strings.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "gap") {
+	if _, err := loadAll(t, []byte(bad)); err == nil || !strings.Contains(err.Error(), "gap") {
 		t.Fatalf("expected gap error, got %v", err)
 	}
 }
@@ -488,7 +497,7 @@ func TestEpochRecordRoundTripAndBackCompat(t *testing.T) {
 			t.Fatalf("seq must stay the first field for quickSeq: %s", l)
 		}
 	}
-	recs, err := ReadJournal(bytes.NewReader(data))
+	recs, err := loadAll(t, data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,18 +9,21 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"adept2"
 	"adept2/internal/rpc"
 	"adept2/internal/sim"
+	"adept2/internal/vfs"
 )
 
-func openSystem(t *testing.T, cfg adept2.CheckpointConfig) *adept2.System {
+func openSystem(t *testing.T, cfg adept2.CheckpointConfig, opts ...adept2.Option) *adept2.System {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
-	sys, err := adept2.Open(path, adept2.WithOrg(sim.Org()), adept2.WithCheckpointing(cfg))
+	opts = append([]adept2.Option{adept2.WithOrg(sim.Org()), adept2.WithCheckpointing(cfg)}, opts...)
+	sys, err := adept2.Open(path, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,6 +32,38 @@ func openSystem(t *testing.T, cfg adept2.CheckpointConfig) *adept2.System {
 		t.Fatal(err)
 	}
 	return sys
+}
+
+// parkedDisk is the disk under a system from openParked: once park is
+// called, every journal fsync waits until release, so a record staged in
+// between stays unresolved for exactly as long as the test says. Release
+// before anything that syncs (SyncDurable, a server drain, Close) is
+// meant to finish. The journal's lock is held across the parked fsync, so
+// whatever else takes it waits for the release too: a second record on a
+// parked shard, and the automatic checkpoint trigger, which reads every
+// shard's head after each command.
+type parkedDisk struct {
+	parked atomic.Bool
+	gate   chan struct{}
+	once   sync.Once
+}
+
+func (d *parkedDisk) park()    { d.parked.Store(true) }
+func (d *parkedDisk) release() { d.once.Do(func() { close(d.gate) }) }
+
+// openParked is openSystem over a parkedDisk. Callers defer release, so
+// the cleanups that drain the server and close the system never meet a
+// parked fsync.
+func openParked(t *testing.T, cfg adept2.CheckpointConfig) (*adept2.System, *parkedDisk) {
+	t.Helper()
+	d := &parkedDisk{gate: make(chan struct{})}
+	fsys := vfs.NewFaultFS(vfs.OS(), func(_ int64, op vfs.OpRef) vfs.Decision {
+		if op.Kind == vfs.OpSync && d.parked.Load() {
+			<-d.gate
+		}
+		return vfs.Decision{}
+	})
+	return openSystem(t, cfg, adept2.WithVFS(fsys)), d
 }
 
 func serve(t *testing.T, sys *adept2.System, opts rpc.Options) (*rpc.Server, *rpc.Client) {
@@ -248,10 +283,12 @@ func TestRemoteDecodeErrors(t *testing.T) {
 // cancels it: ErrCanceled with Applied=true, and a later Wait still
 // resolves the same receipt.
 func TestClientCancelMidStream(t *testing.T) {
-	// A wide flush window keeps records staged well past the probe wait.
-	sys := openSystem(t, adept2.CheckpointConfig{FlushWindow: 500 * time.Millisecond, MaxBatch: 1 << 20})
+	// A parked fsync keeps the record staged past the probe wait.
+	sys, disk := openParked(t, adept2.CheckpointConfig{})
+	defer disk.release()
 	_, cli := serve(t, sys, rpc.Options{})
 	ctx := context.Background()
+	disk.park()
 
 	rcpt, err := cli.SubmitAsync(ctx, &adept2.CreateInstance{TypeName: "online_order"})
 	if err != nil {
@@ -268,7 +305,9 @@ func TestClientCancelMidStream(t *testing.T) {
 		t.Fatalf("canceled wait must report Applied: %+v", ae)
 	}
 
-	// The record is still queued; forcing the flush resolves it.
+	// The record is still queued; releasing the disk and forcing the flush
+	// resolves it.
+	disk.release()
 	if err := sys.SyncDurable(); err != nil {
 		t.Fatal(err)
 	}
@@ -283,25 +322,39 @@ func TestClientCancelMidStream(t *testing.T) {
 // in flight: the drain syncs every staged record and the streams emit
 // final watermarks, so every receipt issued before Close resolves nil.
 func TestServerDrainResolvesReceipts(t *testing.T) {
-	sys := openSystem(t, adept2.CheckpointConfig{Shards: 4, FlushWindow: 500 * time.Millisecond, MaxBatch: 1 << 20})
+	// No automatic checkpoints: their trigger reads every shard's head,
+	// which a parked shard's journal lock would hold up.
+	sys, disk := openParked(t, adept2.CheckpointConfig{Shards: 4, Every: -1})
+	defer disk.release()
 	srv, cli := serve(t, sys, rpc.Options{})
 	ctx := context.Background()
 	cli.Watch() // connect the watermark stream before the drain
 
+	// One instance per shard, so that each parked shard holds exactly one
+	// staged record below.
+	onShard := map[int]string{}
+	for len(onShard) < 4 {
+		res, err := cli.Submit(ctx, &adept2.CreateInstance{TypeName: "online_order"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := onShard[res.Shard]; !ok {
+			onShard[res.Shard] = res.Result.Instance.ID
+		}
+	}
+	disk.park()
 	var receipts []*rpc.Receipt
-	for i := 0; i < 12; i++ {
-		rcpt, err := cli.SubmitAsync(ctx, &adept2.CreateInstance{TypeName: "online_order"})
+	for _, id := range onShard {
+		rcpt, err := cli.SubmitAsync(ctx, &adept2.Suspend{Instance: id})
 		if err != nil {
 			t.Fatal(err)
 		}
 		receipts = append(receipts, rcpt)
 	}
-	// The long flush window guarantees they are still unresolved.
-	probe, cancel := context.WithTimeout(ctx, 30*time.Millisecond)
-	err := receipts[len(receipts)-1].Wait(probe)
-	cancel()
-	if !errors.Is(err, adept2.ErrCanceled) {
-		t.Fatalf("receipt resolved before drain: %v", err)
+	for _, r := range receipts {
+		if wm := sys.DurableWatermark(r.Shard()); wm >= r.Seq() {
+			t.Fatalf("receipt (%d,%d) durable before the drain (watermark %d)", r.Shard(), r.Seq(), wm)
+		}
 	}
 
 	done := make(chan error, len(receipts))
@@ -316,7 +369,14 @@ func TestServerDrainResolvesReceipts(t *testing.T) {
 
 	cctx, ccancel := context.WithTimeout(ctx, 10*time.Second)
 	defer ccancel()
-	if err := srv.Close(cctx); err != nil {
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close(cctx) }()
+	eventually(t, "drain never showed on /healthz", func() bool {
+		status, _ := get(t, srv.URL()+"/healthz")
+		return status == http.StatusServiceUnavailable
+	})
+	disk.release() // the drain's sync is what lands the staged records
+	if err := <-closed; err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 	for range receipts {

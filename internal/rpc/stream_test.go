@@ -177,10 +177,12 @@ func TestCommandStreamConcurrentSubmitters(t *testing.T) {
 // across the hop as it is in process, the abandoned reply is discarded
 // in its position, and the stream serves the next command.
 func TestClientSubmitCancel(t *testing.T) {
-	// A wide flush window parks the sync submit well past its deadline.
-	sys := openSystem(t, adept2.CheckpointConfig{FlushWindow: 500 * time.Millisecond, MaxBatch: 1 << 20})
+	// A parked fsync holds the sync submit past its deadline.
+	sys, disk := openParked(t, adept2.CheckpointConfig{})
+	defer disk.release()
 	_, cli := serve(t, sys, rpc.Options{})
 	ctx := context.Background()
+	disk.park()
 
 	short, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
 	defer cancel()
@@ -188,6 +190,7 @@ func TestClientSubmitCancel(t *testing.T) {
 	if !errors.Is(err, adept2.ErrCanceled) {
 		t.Fatalf("canceled submit: got %v, want ErrCanceled", err)
 	}
+	disk.release() // the abandoned reply comes first, then the next one
 	_, err = cli.Submit(ctx, &adept2.Suspend{Instance: "inst-nope"})
 	if !errors.Is(err, adept2.ErrNotFound) {
 		t.Fatalf("submit after a cancel: got %v, want the suspend's own ErrNotFound", err)
@@ -201,9 +204,11 @@ func TestClientSubmitCancel(t *testing.T) {
 // call fails with a taxonomy error, and the next submit dials a new
 // stream.
 func TestClientStreamLost(t *testing.T) {
-	sys := openSystem(t, adept2.CheckpointConfig{FlushWindow: 500 * time.Millisecond, MaxBatch: 1 << 20})
+	sys, disk := openParked(t, adept2.CheckpointConfig{})
+	defer disk.release()
 	srv, _ := serve(t, sys, rpc.Options{})
 	ctx := context.Background()
+	disk.park()
 
 	// A TCP relay in front of the server, whose connections the test can cut.
 	relay, err := net.Listen("tcp", "127.0.0.1:0")
@@ -268,11 +273,13 @@ func TestClientStreamLost(t *testing.T) {
 // envelope in band; then the reply body ends.
 func TestCommandStreamDrain(t *testing.T) {
 	// The sync command holds its slot — and with it the drain barrier —
-	// until the flush window closes, which is the time the test has to
-	// get a second line in.
-	sys := openSystem(t, adept2.CheckpointConfig{FlushWindow: time.Second, MaxBatch: 1 << 20})
+	// while its fsync is parked, which is the time the test has to get a
+	// second line in.
+	sys, disk := openParked(t, adept2.CheckpointConfig{})
+	defer disk.release()
 	srv, _ := serve(t, sys, rpc.Options{})
 	rs := openRawStream(t, srv.URL())
+	disk.park()
 
 	rs.send(createLine)
 	eventually(t, "the first line was never applied", func() bool { return len(sys.Instances()) > 0 })
@@ -287,6 +294,11 @@ func TestCommandStreamDrain(t *testing.T) {
 		return status == http.StatusServiceUnavailable
 	})
 	rs.send(createLine)
+	// The server reads the second line while the first still holds the
+	// barrier; nothing shows that read, so give it time before the release
+	// lets the drain run to its end.
+	time.Sleep(100 * time.Millisecond)
+	disk.release()
 
 	first, ok := rs.reply()
 	if !ok || first.Error != nil || !first.Durable {

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"adept2"
 	"adept2/internal/rpc"
@@ -26,15 +25,12 @@ import (
 //     the shared watermark stream, so the flush cost amortizes across
 //     the window.
 //
-// The server runs a 2ms group-commit flush window (the standard
-// configuration for a loaded durability pipeline) rather than
-// flush-on-every-append: this host's raw fsync latency drifts by
-// ±50µs minute to minute, more than the ~60µs structural gap the
-// windowless config leaves at one writer, so windowless runs measure
-// the disk's mood instead of the protocol. Under a window the
-// durability cost is deterministic and the comparison is structural:
-// the blocking path pays the window per command, the pipelined path
-// per 64-command window. Same honest 1-CPU caveat as the local
+// The server batches naturally, as every served system does: the
+// in-flight fsync is the gather window, so the blocking path pays a
+// round-trip and an fsync per command while the pipelined path shares
+// each fsync across whatever the window caught. On a disk whose fsync
+// latency drifts, single runs measure the disk as much as the protocol:
+// alternate builds when comparing. Same honest 1-CPU caveat as the local
 // benches: the loopback connection and the engine share one core, so
 // the gain shown is a floor — real network latency widens it, since the
 // blocking path pays that latency per command too.
@@ -45,8 +41,7 @@ import (
 func remoteBench(b *testing.B, writers int, fn func(cli *rpc.Client, id string, n int)) {
 	b.Helper()
 	path := filepath.Join(b.TempDir(), "wal.ndjson")
-	cfg := adept2.CheckpointConfig{Every: -1,
-		FlushWindow: 2 * time.Millisecond, MaxBatch: 1 << 20}
+	cfg := adept2.CheckpointConfig{Every: -1}
 	sys, err := adept2.Open(path, adept2.WithOrg(sim.Org()), adept2.WithCheckpointing(cfg))
 	if err != nil {
 		b.Fatal(err)

@@ -142,13 +142,6 @@ type CheckpointConfig struct {
 	// layout takes the count from its manifest and refuses a conflicting
 	// non-zero setting (reshard offline to change it).
 	Shards int
-	// FlushWindow delays each shard committer's flush so more appends join
-	// the batch, unless MaxBatch (default 64) are already pending. The
-	// default 0 batches naturally: appends arriving during one fsync form
-	// the next batch, and a lone writer pays one write + one fsync per
-	// command.
-	FlushWindow time.Duration
-	MaxBatch    int
 	// RetryMax bounds how many times a failed flush is retried (with
 	// exponential backoff from RetryBase up to RetryCap) before the
 	// committer wedges and the system degrades to read-only serving (see
@@ -159,16 +152,10 @@ type CheckpointConfig struct {
 	RetryCap  time.Duration
 }
 
-// committerOptions maps the config's flush and retry knobs onto the
-// committer's option set.
+// committerOptions maps the config's retry knobs onto the committer's
+// option set.
 func (c *CheckpointConfig) committerOptions() durable.CommitterOptions {
-	return durable.CommitterOptions{
-		FlushWindow: c.FlushWindow,
-		MaxBatch:    c.MaxBatch,
-		RetryMax:    c.RetryMax,
-		RetryBase:   c.RetryBase,
-		RetryCap:    c.RetryCap,
-	}
+	return durable.CommitterOptions{RetryMax: c.RetryMax, RetryBase: c.RetryBase, RetryCap: c.RetryCap}
 }
 
 // RecoveryInfo describes how Open rebuilt the system state.
@@ -244,10 +231,10 @@ func WithOrg(m *OrgModel) Option { return func(c *config) { c.org = m } }
 func WithVFS(fsys vfs.FS) Option { return func(c *config) { c.fs = fsys } }
 
 // WithCheckpointing tunes the durability pipeline of Open: where snapshots
-// live and how often they are written, the committers' flush window and
-// retry budget, and the shard count of a layout created fresh. Without it
-// Open runs the zero-value CheckpointConfig. It only takes effect through
-// Open (and Reshard, VerifyLayout); New has no journal.
+// live and how often they are written, the committers' retry budget, and
+// the shard count of a layout created fresh. Without it Open runs the
+// zero-value CheckpointConfig. It only takes effect through Open (and
+// Reshard, VerifyLayout); New has no journal.
 func WithCheckpointing(cfg CheckpointConfig) Option {
 	return func(c *config) { c.ckpt = cfg }
 }
@@ -276,7 +263,7 @@ func newSystem(c *config) *System {
 // the journal suffixes past it, falling back to older generations and
 // finally to a full replay when snapshots are torn, corrupt, or version-
 // skewed; Recovery reports what happened. WithCheckpointing tunes the
-// pipeline (snapshot cadence and directory, flush and retry tuning, shard
+// pipeline (snapshot cadence and directory, flush retry tuning, shard
 // count).
 func Open(path string, opts ...Option) (*System, error) {
 	sys, err := open(path, opts...)
@@ -295,30 +282,43 @@ func open(path string, opts ...Option) (*System, error) {
 		o(&c)
 	}
 
-	// Layouts are self-describing: the global manifest next to the journal
-	// declares the shard count, and a directory without one is one shard
-	// (sharded.Resolve). A configured count > 1 creates a fresh layout —
-	// but never silently on top of existing one-shard data (reshard
-	// offline instead).
-	l, man, found, err := sharded.Resolve(shardedLayout(&c, path))
+	l, man, _, err := resolveLayout(&c, path, true)
 	if err != nil {
 		return nil, err
 	}
+	return openSharded(&c, l, man)
+}
+
+// resolveLayout is Open's reading of the layout at path. Layouts are
+// self-describing: the global manifest next to the journal declares the
+// shard count, and a directory without one is one shard
+// (sharded.Resolve). A configured count > 1 creates a fresh layout — but
+// never silently on top of existing one-shard data (reshard offline
+// instead) — whose manifest is written only with create set: VerifyLayout
+// surveys the layout Open would make without making it. found reports a
+// manifest on disk.
+func resolveLayout(c *config, path string, create bool) (l sharded.Layout, man *sharded.Manifest, found bool, err error) {
+	l, man, found, err = sharded.Resolve(shardedLayout(c, path))
+	if err != nil {
+		return l, nil, false, err
+	}
 	switch want := c.ckpt.Shards; {
 	case found && want > 0 && want != man.Shards:
-		return nil, fault.Tagf(fault.VersionSkew,
+		return l, nil, false, fault.Tagf(fault.VersionSkew,
 			"adept2: layout at %s has %d shards but %d were requested: reshard offline (adeptctl reshard)",
 			path, man.Shards, want)
 	case !found && want > 1:
 		if err := refuseExistingData(l, man); err != nil {
-			return nil, err
+			return l, nil, false, err
 		}
 		l.Shards, man = want, sharded.NewManifest(want)
-		if err := sharded.WriteManifestFS(c.fsys(), path, man); err != nil {
-			return nil, err
+		if create {
+			if err := sharded.WriteManifestFS(c.fsys(), path, man); err != nil {
+				return l, nil, false, err
+			}
 		}
 	}
-	return openSharded(&c, l, man)
+	return l, man, found, nil
 }
 
 // Recovery reports how Open rebuilt the state (nil for systems created

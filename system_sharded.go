@@ -39,11 +39,8 @@ func shardedLayout(c *config, path string) sharded.Layout {
 	return sharded.Layout{Base: path, SnapBase: c.ckpt.Dir, FS: c.fsys()}
 }
 
-// openSharded opens the layout l described by man: every shard's newest-
-// valid generation snapshot is loaded and restored in parallel, the
-// journal suffixes are replayed in the epoch-merged order (data shards
-// concurrently between control-record barriers), and the shard journals
-// resume under a WAL router.
+// openSharded opens the layout l described by man: recoverLayout rebuilds
+// the state, then the shard journals resume under a WAL router.
 func openSharded(c *config, l sharded.Layout, man *sharded.Manifest) (*System, error) {
 	if c.ckpt.Every == 0 {
 		c.ckpt.Every = 1024
@@ -52,71 +49,15 @@ func openSharded(c *config, l sharded.Layout, man *sharded.Manifest) (*System, e
 		c.ckpt.Keep = 3
 	}
 	recoverStart := time.Now()
-
-	stores := make([]*durable.SnapshotStore, l.Shards)
-	for k := range stores {
-		st, err := durable.OpenStoreFS(c.fsys(), l.SnapDir(k))
-		if err != nil {
-			return nil, err
-		}
-		stores[k] = st
-	}
-
-	// Each generation attempt restores into a fresh system so a half-
-	// restored failure cannot leak into the fallback; any caller-supplied
-	// org model is cloned per attempt for the same reason.
-	var sys *System
-	fresh := func() *engine.Engine {
-		attempt := *c
-		if c.org != nil {
-			attempt.org = c.org.Clone()
-		}
-		sys = newSystem(&attempt)
-		return sys.eng
-	}
-	_, res, err := sharded.Recover(l, man, stores, fresh)
+	sys, res, lastControl, err := recoverLayout(c, l, man, false)
 	if err != nil {
 		return nil, err
-	}
-
-	applied := 0
-	apply := func(rec *persist.Record) error {
-		if err := sys.apply(rec.Op, rec.Args); err != nil {
-			return fmt.Errorf("persist: replay record %d (%s): %w", rec.Seq, rec.Op, err)
-		}
-		return nil
-	}
-	lastControl, perShard, err := sharded.MergeApply(res, isControlOp, apply)
-	if err != nil {
-		return nil, err
-	}
-	sys.eng.SortInstanceOrder()
-
-	info := &RecoveryInfo{
-		Fallbacks: res.Fallbacks,
-		Shards:    l.Shards,
-	}
-	for k := range res.Shards {
-		sr := ShardRecovery{Shard: k, Replayed: perShard[k]}
-		applied += perShard[k]
-		if st := res.Shards[k].State; st != nil {
-			sr.SnapshotSeq = st.Seq
-			sr.SnapshotFile = res.Shards[k].File
-		}
-		info.PerShard = append(info.PerShard, sr)
-	}
-	info.Replayed = applied
-	if res.Gen != nil {
-		info.SnapshotSeq = res.Shards[0].State.Seq
-		info.SnapshotFile = res.Shards[0].File
-	} else {
-		info.FullReplay = true
 	}
 
 	// Replay is done: install the telemetry plane (see metrics.go) so the
 	// WAL committers record into it but nothing recovered above did.
 	sys.met = newMetricsSet(c, l.Shards)
-	recordRecovery(sys.met, info, time.Since(recoverStart))
+	recordRecovery(sys.met, sys.recovery, time.Since(recoverStart))
 
 	// Resume every shard journal (repairing torn tails) without a second
 	// full read; journals fully folded into snapshots continue the
@@ -139,13 +80,89 @@ func openSharded(c *config, l sharded.Layout, man *sharded.Manifest) (*System, e
 	wal.SetEpoch(lastControl)
 
 	sys.wal = wal
+	sys.ckpt = newCheckpointer(&c.ckpt, wal.TotalSeq())
+	sys.startSweeper(c.sweepEvery)
+	return sys, nil
+}
+
+// recoverLayout is Open's recovery, everything before the journals
+// resume: every shard's newest-valid generation snapshot is loaded and
+// restored in parallel (sharded.Recover), the journal suffixes are
+// replayed in the epoch-merged order (data shards concurrently between
+// control-record barriers), and the system's RecoveryInfo says what was
+// done. It returns the system with its layout, manifest and stores set,
+// the load result whose tails the journals resume from, and the recovered
+// control epoch. Open resumes the journals on the result. VerifyLayout
+// passes inspect, which opens the snapshot stores without creating or
+// sweeping anything, and discards the system: its verdict is this code's.
+func recoverLayout(c *config, l sharded.Layout, man *sharded.Manifest, inspect bool) (*System, *sharded.LoadResult, int, error) {
+	stores := make([]*durable.SnapshotStore, l.Shards)
+	for k := range stores {
+		if inspect {
+			stores[k] = durable.ViewStore(c.fsys(), l.SnapDir(k))
+			continue
+		}
+		st, err := durable.OpenStoreFS(c.fsys(), l.SnapDir(k))
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		stores[k] = st
+	}
+
+	// Each generation attempt restores into a fresh system so a half-
+	// restored failure cannot leak into the fallback; any caller-supplied
+	// org model is cloned per attempt for the same reason.
+	var sys *System
+	fresh := func() *engine.Engine {
+		attempt := *c
+		if c.org != nil {
+			attempt.org = c.org.Clone()
+		}
+		sys = newSystem(&attempt)
+		return sys.eng
+	}
+	_, res, err := sharded.Recover(l, man, stores, fresh)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+
+	apply := func(rec *persist.Record) error {
+		if err := sys.apply(rec.Op, rec.Args); err != nil {
+			return fmt.Errorf("persist: replay record %d (%s): %w", rec.Seq, rec.Op, err)
+		}
+		return nil
+	}
+	lastControl, perShard, err := sharded.MergeApply(res, isControlOp, apply)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	sys.eng.SortInstanceOrder()
+
+	info := &RecoveryInfo{
+		Fallbacks: res.Fallbacks,
+		Shards:    l.Shards,
+	}
+	for k := range res.Shards {
+		sr := ShardRecovery{Shard: k, Replayed: perShard[k]}
+		info.Replayed += perShard[k]
+		if st := res.Shards[k].State; st != nil {
+			sr.SnapshotSeq = st.Seq
+			sr.SnapshotFile = res.Shards[k].File
+		}
+		info.PerShard = append(info.PerShard, sr)
+	}
+	if res.Gen != nil {
+		info.SnapshotSeq = res.Shards[0].State.Seq
+		info.SnapshotFile = res.Shards[0].File
+	} else {
+		info.FullReplay = true
+	}
+
 	sys.layout = l
 	sys.stores = stores
 	sys.gman = man
 	sys.recovery = info
-	sys.ckpt = newCheckpointer(&c.ckpt, wal.TotalSeq())
-	sys.startSweeper(c.sweepEvery)
-	return sys, nil
+	return sys, res, lastControl, nil
 }
 
 // checkpoint writes one generation: all shard snapshots captured under a
