@@ -34,7 +34,7 @@
 //
 //	res, err := sys.Submit(ctx, cmd)        // durable when it returns
 //	rcpt, err := sys.SubmitAsync(ctx, cmd)  // durable when rcpt.Wait returns
-//	ress, err := sys.SubmitBatch(ctx, cmds) // one barrier + one append per run
+//	ress, err := sys.SubmitBatch(ctx, cmds) // one barrier + one wait per run
 //
 // The legacy façade methods (Complete, AdHocChange, Evolve, …) are thin
 // wrappers over Submit and keep working unchanged.
@@ -92,12 +92,14 @@
 // # Batches and the epoch invariant
 //
 // SubmitBatch takes the command barrier once per run of consecutive data
-// commands, applies them in order, and appends the encoded records as
-// ONE multi-record journal write — one group-commit wait per touched
-// journal for the whole run. Records of a batch keep command
-// order within each journal. A failing command ends its run: the applied
-// prefix is journaled and durable before SubmitBatch returns the typed
-// error, so live state and journal never diverge.
+// commands and runs each through Submit's own path: a command applies and
+// its record is staged at once, so records keep command order within each
+// journal. The run then releases the barrier, wakes each touched shard
+// once, and waits until every record it staged is durable — the wait
+// holds no barrier, so no other command, control commands included,
+// queues behind the run's fsync. A failing command ends its run: every
+// command before it is staged, and durable before SubmitBatch returns the
+// typed error, so live state and journal never diverge.
 //
 // Control commands (AddUser, Deploy, Evolve) keep their epoch semantics
 // even inside a batch: each one is applied and made durable

@@ -26,11 +26,14 @@ package data
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 	"unsafe"
 
+	"adept2/internal/fault"
 	"adept2/internal/jsonx"
 	"adept2/internal/model"
 )
@@ -219,11 +222,14 @@ func (s *Store) UnmarshalJSON(b []byte) error {
 
 // Coerce converts a dynamic value to the element's declared type. It
 // accepts the native Go type, the JSON decoding of it, and (for int/float)
-// plain int values from call sites.
+// plain int values from call sites. It refuses what the journal cannot
+// carry, as fault.Invalid like any value of the wrong type: a NaN or
+// infinite float has no JSON encoding, and a string that is not valid
+// UTF-8 would come back from the journal altered.
 func Coerce(value any, t model.DataType) (any, error) {
 	switch t {
 	case model.TypeString:
-		if v, ok := value.(string); ok {
+		if v, ok := value.(string); ok && utf8.ValidString(v) {
 			return v, nil
 		}
 	case model.TypeBool:
@@ -244,14 +250,16 @@ func Coerce(value any, t model.DataType) (any, error) {
 	case model.TypeFloat:
 		switch v := value.(type) {
 		case float64:
-			return v, nil
+			if !math.IsNaN(v) && !math.IsInf(v, 0) {
+				return v, nil
+			}
 		case int:
 			return float64(v), nil
 		case int64:
 			return float64(v), nil
 		}
 	}
-	return nil, fmt.Errorf("data: value %v (%T) is not assignable to %s", value, value, t)
+	return nil, fault.Tagf(fault.Invalid, "data: value %v (%T) is not assignable to %s", value, value, t)
 }
 
 // AsInt extracts an integer decision value (XOR split routing).

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"adept2/internal/fault"
 	"adept2/internal/model"
 )
 
@@ -106,14 +107,20 @@ func TestCoerce(t *testing.T) {
 		{3, model.TypeFloat, 3.0, true},
 		{int64(4), model.TypeFloat, 4.0, true},
 		{"x", model.TypeFloat, nil, false},
+		// What the journal cannot carry: no JSON number, altered UTF-8.
+		{math.NaN(), model.TypeFloat, nil, false},
+		{math.Inf(1), model.TypeFloat, nil, false},
+		{math.Inf(-1), model.TypeFloat, nil, false},
+		{math.Inf(1), model.TypeInt, nil, false},
+		{"bad\xff", model.TypeString, nil, false},
 	}
 	for _, c := range cases {
 		got, err := Coerce(c.val, c.tp)
 		if c.ok && (err != nil || got != c.want) {
 			t.Errorf("Coerce(%v, %s) = %v, %v; want %v", c.val, c.tp, got, err, c.want)
 		}
-		if !c.ok && err == nil {
-			t.Errorf("Coerce(%v, %s) should fail", c.val, c.tp)
+		if !c.ok && fault.KindOf(err) != fault.Invalid {
+			t.Errorf("Coerce(%v, %s) = %v, want a fault.Invalid error", c.val, c.tp, err)
 		}
 	}
 }

@@ -40,7 +40,7 @@ func BenchmarkCommitter(b *testing.B) {
 				go func(n int) {
 					defer wg.Done()
 					for i := 0; i < n; i++ {
-						if _, err := c.AppendEpoch("complete", 0, args); err != nil {
+						if _, err := appendDurable(c, "complete", args); err != nil {
 							b.Error(err)
 							return
 						}

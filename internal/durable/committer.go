@@ -51,10 +51,10 @@ func (o *CommitterOptions) defaults() {
 }
 
 // Committer groups concurrent journal appends into shared flushes: each
-// Append writes its record into the journal's user-space buffer and blocks
-// until one buffered write + one fsync covering it completed (see the
-// package documentation for the batching and error semantics). It is safe
-// for concurrent use.
+// Append writes its record into the journal's user-space buffer, and a
+// WaitSeq on it returns once one buffered write + one fsync covering it
+// completed (see the package documentation for the batching and error
+// semantics). It is safe for concurrent use.
 type Committer struct {
 	j    *persist.Journal
 	opts CommitterOptions
@@ -123,75 +123,31 @@ func NewCommitter(j *persist.Journal, opts CommitterOptions) *Committer {
 	return c
 }
 
-// Journal returns the underlying journal (read-side accessors like Seq).
-func (c *Committer) Journal() *persist.Journal { return c.j }
-
-// AppendEpoch journals one command and blocks until it is durable (its
-// batch was written and fsynced) or the committer failed or closed. The
-// returned sequence number is valid iff err is nil. epoch is the record's
-// epoch reference (sharded data journals tag commands with the control-log
-// position they were issued under; see internal/durable/sharded).
-func (c *Committer) AppendEpoch(op string, epoch int, args any) (int, error) {
-	seq, err := c.AppendAsync(op, epoch, args)
-	if err != nil {
-		return 0, err
-	}
-	if err := c.WaitSeq(context.Background(), seq); err != nil {
-		return 0, err
-	}
-	return seq, nil
-}
-
-// AppendAsync journals one record and schedules its flush WITHOUT
-// blocking until durability: the caller pipelines further appends and
-// awaits the returned sequence number with WaitSeq when it needs the
-// durability guarantee. Args that do not encode fail here; flush failures
-// surface from WaitSeq and Err.
-func (c *Committer) AppendAsync(op string, epoch int, args any) (int, error) {
-	if err := c.admit(); err != nil {
-		return 0, err
-	}
-	seq, err := c.j.AppendRecord(op, epoch, args)
-	if err != nil {
-		return 0, err
-	}
-	c.kick()
-	return seq, nil
-}
-
-// AppendMulti journals a batch of records as one journal write (see
-// persist.Journal.AppendMulti) and schedules its flush without waiting:
-// one WaitSeq on the returned last sequence number covers the whole
-// batch.
-func (c *Committer) AppendMulti(recs []persist.Pending) (int, error) {
-	if err := c.admit(); err != nil {
-		return 0, err
-	}
-	last, err := c.j.AppendMulti(recs)
-	if err != nil {
-		return 0, err
-	}
-	c.kick()
-	return last, nil
-}
-
-// admit rejects appends on a wedged or closed committer.
-func (c *Committer) admit() error {
+// Append stages one record in the journal without waking the flusher and
+// returns its sequence number: the caller stages what it has, wakes the
+// flusher with Kick, and awaits the number with WaitSeq when it needs the
+// durability guarantee. epoch is the record's epoch reference (sharded
+// data journals tag commands with the control-log position they were
+// issued under; see internal/durable/sharded). A wedged or closed
+// committer refuses the record, and so do args that do not encode; flush
+// failures surface from WaitSeq and Err.
+func (c *Committer) Append(op string, epoch int, args any) (int, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err != nil {
-		return c.err
+	err := c.err
+	if err == nil && c.closed {
+		err = fmt.Errorf("durable: committer closed")
 	}
-	if c.closed {
-		return fmt.Errorf("durable: committer closed")
+	c.mu.Unlock()
+	if err != nil {
+		return 0, err
 	}
-	return nil
+	return c.j.AppendRecord(op, epoch, args)
 }
 
-// kick wakes the flusher. The caller's journal append happened before the
+// Kick wakes the flusher. The caller's journal appends happened before the
 // wake token lands (publish-then-wake), so the flusher can never go idle
 // with uncovered work.
-func (c *Committer) kick() {
+func (c *Committer) Kick() {
 	select {
 	case c.wake <- struct{}{}:
 	default:
@@ -225,7 +181,7 @@ func (c *Committer) WaitSeq(ctx context.Context, seq int) error {
 	}
 	c.waiters = append(c.waiters, w)
 	c.mu.Unlock()
-	c.kick()
+	c.Kick()
 	select {
 	case err := <-w.ch:
 		c.mu.Lock()
@@ -348,7 +304,7 @@ func (c *Committer) Heal() error {
 	}
 	c.resolveWaitersLocked()
 	c.mu.Unlock()
-	c.kick()
+	c.Kick()
 	return nil
 }
 
@@ -367,7 +323,7 @@ func (c *Committer) Close() error {
 	}
 	c.closed = true
 	c.mu.Unlock()
-	c.kick()
+	c.Kick()
 	<-c.done
 	c.mu.Lock()
 	defer c.mu.Unlock()

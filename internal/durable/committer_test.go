@@ -14,6 +14,17 @@ import (
 	"adept2/internal/vfs"
 )
 
+// appendDurable stages one record, wakes the flusher and waits until the
+// record is durable.
+func appendDurable(c *Committer, op string, args any) (int, error) {
+	seq, err := c.Append(op, 0, args)
+	if err != nil {
+		return 0, err
+	}
+	c.Kick()
+	return seq, c.WaitSeq(context.Background(), seq)
+}
+
 func TestCommitterConcurrentAppends(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
 	j, err := persist.OpenJournalBufferedFS(vfs.OS(), path)
@@ -29,7 +40,7 @@ func TestCommitterConcurrentAppends(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				if _, err := c.AppendEpoch("op", 0, map[string]int{"w": w, "i": i}); err != nil {
+				if _, err := appendDurable(c, "op", map[string]int{"w": w, "i": i}); err != nil {
 					errs <- err
 				}
 			}
@@ -61,7 +72,8 @@ func TestCommitterConcurrentAppends(t *testing.T) {
 }
 
 // TestCommitterDurableOnReturn crashes (abandons the committer without
-// Close) right after Append returned: the record must already be on disk.
+// Close) right after a record's wait returned: the record must already be
+// on disk.
 func TestCommitterDurableOnReturn(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
 	j, err := persist.OpenJournalBufferedFS(vfs.OS(), path)
@@ -69,18 +81,18 @@ func TestCommitterDurableOnReturn(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCommitter(j, CommitterOptions{})
-	seq, err := c.AppendEpoch("op", 0, 42)
+	seq, err := appendDurable(c, "op", 42)
 	if err != nil || seq != 1 {
 		t.Fatalf("seq=%d err=%v", seq, err)
 	}
 	// No Close, no Flush: simulated crash. The journal file must already
-	// hold the record because Append only returns after the group fsync.
+	// hold the record because WaitSeq only returns after the group fsync.
 	recs, _, err := persist.LoadJournalSuffixFS(vfs.OS(), path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 1 || recs[0].Seq != 1 {
-		t.Fatalf("record not durable at Append return: %+v", recs)
+		t.Fatalf("record not durable when its wait returned: %+v", recs)
 	}
 	c.Close()
 	j.Close()
@@ -93,7 +105,7 @@ func TestCommitterErrorBroadcast(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCommitter(j, CommitterOptions{})
-	if _, err := c.AppendEpoch("op", 0, 1); err != nil {
+	if _, err := appendDurable(c, "op", 1); err != nil {
 		t.Fatal(err)
 	}
 	// Close the backing file out from under the committer: the next flush
@@ -102,10 +114,10 @@ func TestCommitterErrorBroadcast(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.AppendEpoch("op", 0, 2); err == nil {
+	if _, err := appendDurable(c, "op", 2); err == nil {
 		t.Fatal("append after backing-file failure must error")
 	}
-	if _, err := c.AppendEpoch("op", 0, 3); err == nil {
+	if _, err := appendDurable(c, "op", 3); err == nil {
 		t.Fatal("committer must stay broken after a flush failure")
 	}
 	if err := c.Close(); err == nil {
@@ -125,13 +137,13 @@ func TestCommitterSync(t *testing.T) {
 	if err := c.Sync(); err != nil { // nothing pending
 		t.Fatal(err)
 	}
-	if _, err := c.AppendEpoch("op", 0, 1); err != nil {
+	if _, err := appendDurable(c, "op", 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Journal().Seq(); got != 1 {
+	if got := j.Seq(); got != 1 {
 		t.Fatalf("seq = %d", got)
 	}
 }
@@ -154,7 +166,7 @@ func TestCommitterNoLostWakeStress(t *testing.T) {
 	for w := 0; w < 8; w++ {
 		go func() {
 			for i := 0; i < 2000; i++ {
-				if _, err := c.AppendEpoch("op", 0, i); err != nil {
+				if _, err := appendDurable(c, "op", i); err != nil {
 					done <- err
 					return
 				}
@@ -175,62 +187,39 @@ func TestCommitterNoLostWakeStress(t *testing.T) {
 	}
 }
 
-// syncGate is a fault script over the journal's fsync: armed, every Sync
-// parks until release lets one through; failing, every Sync errors.
-type syncGate struct {
-	armed   atomic.Bool
-	failing atomic.Bool
-	pass    chan struct{}
-}
-
-func (g *syncGate) script(_ int64, op vfs.OpRef) vfs.Decision {
-	if op.Kind != vfs.OpSync {
-		return vfs.Decision{}
-	}
-	if g.armed.Load() {
-		<-g.pass
-	}
-	if g.failing.Load() {
-		return vfs.Decision{Err: vfs.ErrInjected}
-	}
-	return vfs.Decision{}
-}
-
-func (g *syncGate) release() { g.pass <- struct{}{} }
-
-// gatedCommitter opens a committer whose flushes the returned gate holds.
-func gatedCommitter(t *testing.T, opts CommitterOptions) (*Committer, *syncGate) {
+// failingCommitter opens a committer over an in-memory journal whose
+// fsyncs fail while the returned flag is set.
+func failingCommitter(t *testing.T, opts CommitterOptions) (*Committer, *atomic.Bool) {
 	t.Helper()
-	g := &syncGate{pass: make(chan struct{})}
-	j, err := persist.OpenJournalBufferedFS(vfs.NewFaultFS(vfs.NewMemFS(), g.script), "wal.ndjson")
+	failing := new(atomic.Bool)
+	j, err := persist.OpenJournalBufferedFS(vfs.NewFaultFS(vfs.NewMemFS(), func(_ int64, op vfs.OpRef) vfs.Decision {
+		if op.Kind == vfs.OpSync && failing.Load() {
+			return vfs.Decision{Err: vfs.ErrInjected}
+		}
+		return vfs.Decision{}
+	}), "wal.ndjson")
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := NewCommitter(j, opts)
 	t.Cleanup(func() {
-		g.armed.Store(false)
+		failing.Store(false)
 		c.Close()
 		j.Close()
 	})
-	return c, g
+	return c, failing
 }
 
-// stageAndWait stages n records in one journal append — the gate holds
-// the flush that covers them with the journal locked, so a second append
-// would wait for the release — then parks one WaitSeq per record and
-// returns once all n are parked. ctxs[i] is the i-th wait's context; its
-// result arrives on results[i].
-func stageAndWait(t *testing.T, c *Committer, ctxs []context.Context) (seqs []int, results []chan error) {
+// parkWaits parks one WaitSeq on each of the next len(ctxs) sequence
+// numbers, none of which is staged yet, and returns once all are parked:
+// no flush can answer them before stage runs. ctxs[i] is the i-th wait's
+// context; its result arrives on results[i].
+func parkWaits(t *testing.T, c *Committer, ctxs []context.Context) (seqs []int, results []chan error) {
 	t.Helper()
-	last, err := c.Journal().AppendMulti(make([]persist.Pending, len(ctxs)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	head := c.j.Seq()
 	seqs, results = make([]int, len(ctxs)), make([]chan error, len(ctxs))
-	for i := range ctxs {
-		seqs[i], results[i] = last-len(ctxs)+1+i, make(chan error, 1)
-	}
 	for i, ctx := range ctxs {
+		seqs[i], results[i] = head+1+i, make(chan error, 1)
 		go func(ctx context.Context, seq int, out chan<- error) { out <- c.WaitSeq(ctx, seq) }(ctx, seqs[i], results[i])
 	}
 	for parked := 0; parked < len(ctxs); runtime.Gosched() {
@@ -241,15 +230,28 @@ func stageAndWait(t *testing.T, c *Committer, ctxs []context.Context) (seqs []in
 	return seqs, results
 }
 
+// stage appends n records to the journal and wakes the flusher. It goes
+// around Append, which a wedged committer refuses: the waits parked on
+// these records must meet the flush that wedges it.
+func stage(t *testing.T, c *Committer, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if _, err := c.j.AppendRecord("op", 0, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Kick()
+}
+
 // TestWaitSeqRecyclingSurvivesCancellation: waiter channels are recycled,
-// and half of every round's waits are cancelled while the flush is held.
-// A cancelled wait's channel must not come back — the flusher still sends
-// that record's outcome on it — so no later wait may ever find a stale
-// outcome in its channel: every wait that returns nil is covered by the
-// watermark at that moment, with the next flush still held.
+// and half of every round's waits are cancelled before their records are
+// staged. A cancelled wait's channel must not come back — the flusher
+// still sends that record's outcome on it — so no later wait may ever find
+// a stale outcome in its channel: no wait returns before its record is
+// staged, and every wait that returns nil is covered by the watermark at
+// that moment.
 func TestWaitSeqRecyclingSurvivesCancellation(t *testing.T) {
-	c, g := gatedCommitter(t, CommitterOptions{})
-	g.armed.Store(true)
+	c, _ := failingCommitter(t, CommitterOptions{})
 	const rounds, waits = 1000, 8
 	for round := 0; round < rounds; round++ {
 		ctxs := make([]context.Context, waits)
@@ -258,24 +260,23 @@ func TestWaitSeqRecyclingSurvivesCancellation(t *testing.T) {
 			ctxs[i], cancels[i] = context.WithCancel(context.Background())
 			defer cancels[i]()
 		}
-		seqs, results := stageAndWait(t, c, ctxs)
-		before := c.Flushed()
+		seqs, results := parkWaits(t, c, ctxs)
 		for i := 0; i < waits; i += 2 {
 			cancels[i]()
 			if err := <-results[i]; !errors.Is(err, context.Canceled) {
 				t.Fatalf("round %d: cancelled wait on seq %d returned %v", round, seqs[i], err)
 			}
 		}
-		// Nothing flushed yet: a survivor that already returned was handed
+		// Nothing staged yet: a survivor that already returned was handed
 		// another record's outcome.
 		for i := 1; i < waits; i += 2 {
 			select {
 			case err := <-results[i]:
-				t.Fatalf("round %d: wait on seq %d returned %v with the flush held at %d", round, seqs[i], err, before)
+				t.Fatalf("round %d: wait on seq %d returned %v before its record was staged", round, seqs[i], err)
 			default:
 			}
 		}
-		g.release()
+		stage(t, c, waits)
 		for i := 1; i < waits; i += 2 {
 			if err := <-results[i]; err != nil {
 				t.Fatalf("round %d: wait on seq %d: %v", round, seqs[i], err)
@@ -299,17 +300,16 @@ func TestWaitSeqRecyclingSurvivesCancellation(t *testing.T) {
 // the sticky error; after Heal, fresh waits — on those same channels —
 // must see their own flush succeed, not a stale error.
 func TestWaitSeqRecycledChannelsAfterHeal(t *testing.T) {
-	c, g := gatedCommitter(t, CommitterOptions{RetryMax: -1})
+	c, failing := failingCommitter(t, CommitterOptions{RetryMax: -1})
 	const waits = 8
 	ctxs := make([]context.Context, waits)
 	for i := range ctxs {
 		ctxs[i] = context.Background()
 	}
 
-	g.armed.Store(true)
-	_, results := stageAndWait(t, c, ctxs)
-	g.failing.Store(true)
-	g.release()
+	_, results := parkWaits(t, c, ctxs)
+	failing.Store(true)
+	stage(t, c, waits)
 	for i := range results {
 		if err := <-results[i]; !errors.Is(err, vfs.ErrInjected) {
 			t.Fatalf("parked wait %d: %v, want the sticky flush error", i, err)
@@ -325,20 +325,18 @@ func TestWaitSeqRecycledChannelsAfterHeal(t *testing.T) {
 		t.Fatalf("%d free waiter channels after the wedge, want %d", free, waits)
 	}
 
-	g.failing.Store(false)
-	g.armed.Store(false)
+	failing.Store(false)
 	if err := c.Heal(); err != nil {
 		t.Fatal(err)
 	}
-	g.armed.Store(true)
-	seqs, results := stageAndWait(t, c, ctxs)
+	seqs, results := parkWaits(t, c, ctxs)
 	c.mu.Lock()
 	free = len(c.free)
 	c.mu.Unlock()
 	if free != 0 {
 		t.Fatalf("%d waiter channels still free with %d waits parked: the waits did not reuse them", free, waits)
 	}
-	g.release()
+	stage(t, c, waits)
 	for i := range results {
 		if err := <-results[i]; err != nil {
 			t.Fatalf("wait on seq %d after Heal: %v", seqs[i], err)

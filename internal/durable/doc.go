@@ -13,25 +13,26 @@
 //
 // Every shard journal of every Open is flushed by one Committer
 // (sharded.OpenWAL starts it; there is no other append path). It batches
-// concurrent Append callers into one buffered write plus one fsync.
-// Appends land in the journal's user-space buffer immediately (serialized
-// by the journal lock, preserving sequence order); each caller then blocks
-// until a flush covering its record completed. A single background
+// concurrent appends into one buffered write plus one fsync. Append stages
+// a record in the journal's user-space buffer (serialized by the journal
+// lock, preserving sequence order) and wakes nobody; Kick wakes the
+// flusher, so a caller staging several records wakes it once; WaitSeq
+// blocks until a flush covering a record completed. A single background
 // flusher drains the batch with exactly one buffered write + one fsync and
-// wakes every covered caller. The in-flight fsync is the gather window —
+// wakes every covered waiter. The in-flight fsync is the gather window —
 // appends arriving while it runs form the next batch, so the batch size
 // follows the load, and a lone writer pays one write + one fsync per
 // command.
 //
-// Error semantics: a record is durable if and only if its Append (or the
+// Error semantics: a record is known durable once a WaitSeq on it (or the
 // Wait on its receipt) returned nil. Flush failures do NOT immediately
 // poison the pipeline — see the retry/wedge/heal state machine below.
 //
-// Waiter channels. Every wait is a WaitSeq: a blocking Append (the
-// control log's) is AppendAsync plus WaitSeq, and Sync is WaitSeq on the
-// journal's head. One that has to park does so on a one-slot channel the
-// flusher sends the outcome on (a channel and not a condition, so that a
-// context can cancel the wait). The channels are recycled through a free
+// Waiter channels. Every wait is a WaitSeq: a control record's append is
+// Append plus WaitSeq, and Sync is WaitSeq on the journal's head. One
+// that has to park does so on a one-slot channel the flusher sends the
+// outcome on (a channel and not a condition, so that a context can cancel
+// the wait). The channels are recycled through a free
 // list under the committer's lock, by one rule: a channel goes back only
 // after its value was received. Then it is empty and its waiter entry is
 // gone (the flusher removes an entry as it sends), so the next wait that

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"adept2/internal/durable"
@@ -127,12 +128,14 @@ func openTestWAL(t *testing.T, l Layout) *WAL {
 	return w
 }
 
-// appendDurable journals one data record and waits until it is durable.
+// appendDurable stages one data record, wakes its shard and waits until
+// the record is durable.
 func appendDurable(w *WAL, instID, op string, args any) error {
-	k, seq, err := w.AppendDataAsync(instID, op, args)
+	k, seq, err := w.AppendData(instID, op, args)
 	if err != nil {
 		return err
 	}
+	w.Kick(k)
 	return w.WaitShardSeq(context.Background(), k, seq)
 }
 
@@ -188,22 +191,28 @@ func TestWALRoutingAndEpoch(t *testing.T) {
 
 func TestWALHealthSurfacesWedgedCommitter(t *testing.T) {
 	l := Layout{Base: filepath.Join(t.TempDir(), "wal.ndjson"), Shards: 2}
+	victim := 1
+	victimPath := l.JournalPath(victim)
+	var broken atomic.Bool
+	l.FS = vfs.NewFaultFS(vfs.OS(), func(_ int64, op vfs.OpRef) vfs.Decision {
+		if broken.Load() && op.Kind == vfs.OpSync && op.Path == victimPath {
+			return vfs.Decision{Err: vfs.ErrInjected}
+		}
+		return vfs.Decision{}
+	})
 	w := openTestWAL(t, l)
 	if err := w.Health(); err != nil {
 		t.Fatalf("fresh WAL must be healthy: %v", err)
 	}
-	victim := 1
 	id := idOnShard(t, victim, 2)
 	if err := appendDurable(w, id, "op", 1); err != nil {
 		t.Fatal(err)
 	}
-	// Close the backing file out from under shard 1's committer: the next
-	// flush fails and the committer wedges sticky.
-	if err := w.Journal(victim).Close(); err != nil {
-		t.Fatal(err)
-	}
+	// Shard 1's disk fails every fsync from here on: the next flush
+	// exhausts its retries and the committer wedges sticky.
+	broken.Store(true)
 	if err := appendDurable(w, id, "op", 2); err == nil {
-		t.Fatal("append through a dead fd must fail")
+		t.Fatal("an append whose fsyncs fail must fail")
 	}
 	if err := w.Health(); err == nil {
 		t.Fatal("Health must surface the wedged shard committer")

@@ -58,9 +58,6 @@ func OpenWAL(l Layout, tails []persist.TailInfo, opts durable.CommitterOptions) 
 	return w, nil
 }
 
-// Journal exposes shard k's journal (tests).
-func (w *WAL) Journal(k int) *persist.Journal { return w.shards[k].j }
-
 // ShardFor returns the shard an instance's records route to.
 func (w *WAL) ShardFor(instID string) int { return ShardOf(instID, len(w.shards)) }
 
@@ -71,13 +68,17 @@ func (w *WAL) Epoch() int { return int(w.epoch.Load()) }
 // number of the last control record recovery applied or restored).
 func (w *WAL) SetEpoch(e int) { w.epoch.Store(int64(e)) }
 
-// AppendControl journals a control record on shard 0 and advances the
-// epoch once the record is durable. With more than one shard the caller
-// must hold the facade's exclusive barrier: no data append may be in
-// flight between the engine mutation and the epoch advance, or recovery
+// AppendControl journals a control record on shard 0, waits until it is
+// durable, and then advances the epoch. With more than one shard the
+// caller must hold the facade's exclusive barrier: no data append may be
+// in flight between the engine mutation and the epoch advance, or recovery
 // could order a dependent data record ahead of this control record.
 func (w *WAL) AppendControl(op string, args any) (int, error) {
-	seq, err := w.shards[0].c.AppendEpoch(op, 0, args)
+	c := w.shards[0].c
+	seq, err := c.Append(op, 0, args)
+	if err == nil {
+		err = c.WaitSeq(context.Background(), seq)
+	}
 	if err != nil {
 		return 0, err
 	}
@@ -85,14 +86,18 @@ func (w *WAL) AppendControl(op string, args any) (int, error) {
 	return seq, nil
 }
 
-// AppendDataAsync journals a data record on the instance's shard, stamped
-// with the current epoch, and returns as soon as the record is staged in
-// the shard's pipeline: shard and seq identify it for WaitShardSeq.
-func (w *WAL) AppendDataAsync(instID, op string, args any) (shard, seq int, err error) {
+// AppendData stages a data record on the instance's shard, stamped with
+// the current epoch, without waking the shard's flusher: the caller Kicks
+// the shard once it has staged what it has, and shard and seq identify the
+// record for WaitShardSeq.
+func (w *WAL) AppendData(instID, op string, args any) (shard, seq int, err error) {
 	k := w.ShardFor(instID)
-	seq, err = w.shards[k].c.AppendAsync(op, w.stamp(k), args)
+	seq, err = w.shards[k].c.Append(op, w.stamp(k), args)
 	return k, seq, err
 }
+
+// Kick wakes shard k's flusher to flush what AppendData staged there.
+func (w *WAL) Kick(k int) { w.shards[k].c.Kick() }
 
 // stamp is the epoch a data record on shard k carries. Shard-0 data
 // records carry none — their position in the control journal already
@@ -114,57 +119,11 @@ func (w *WAL) WaitShardSeq(ctx context.Context, k, seq int) error {
 	return nil
 }
 
-// DataRecord is one instance-scoped record of an AppendDataMulti batch.
-type DataRecord struct {
-	Instance string
-	Op       string
-	Args     any
-}
-
-// AppendDataMulti journals a batch of data records: the batch is
-// partitioned by shard (relative order within each shard preserved), each
-// shard receives its slice as ONE multi-record journal append, and the
-// call returns once every touched shard's tail is durable — one commit
-// wait per touched shard for the whole batch, instead of one per record.
-// Every record is stamped with the current epoch; the caller holds the
-// shared command barrier, so no control record can interleave with the
-// batch.
-func (w *WAL) AppendDataMulti(ctx context.Context, recs []DataRecord) error {
-	// Stage every shard's records first, in ascending shard order, each
-	// shard's gathered into one scratch (buffered appends are cheap), then
-	// await durability — shards flush concurrently instead of in turn.
-	// last[k] is the last seq staged on shard k, or 0, which a wait passes.
-	pend := make([]persist.Pending, 0, len(recs))
-	last := make([]int, len(w.shards))
-	for k := range w.shards {
-		from := len(pend)
-		for _, r := range recs {
-			if w.ShardFor(r.Instance) == k {
-				pend = append(pend, persist.Pending{Op: r.Op, Epoch: w.stamp(k), Args: r.Args})
-			}
-		}
-		if len(pend) > from {
-			var err error
-			if last[k], err = w.shards[k].c.AppendMulti(pend[from:]); err != nil {
-				return fmt.Errorf("sharded: shard %d: %w", k, err)
-			}
-		}
-	}
-	for k, seq := range last {
-		if err := w.WaitShardSeq(ctx, k, seq); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Seqs returns every shard's last journal sequence number.
 func (w *WAL) Seqs() []int {
 	out := make([]int, len(w.shards))
 	for k := range w.shards {
-		if w.shards[k].j != nil {
-			out[k] = w.shards[k].j.Seq()
-		}
+		out[k] = w.shards[k].j.Seq()
 	}
 	return out
 }
@@ -186,13 +145,13 @@ func (w *WAL) ShardDurable(k int) int { return w.shards[k].c.Flushed() }
 
 // TotalSeq sums the shard head sequence numbers — a monotonic growth
 // measure the checkpoint trigger compares across cuts. It runs on every
-// journaled command, so it sums in place instead of going through Seqs.
+// journaled command, so it sums in place instead of going through Seqs,
+// and a head is read without its journal's lock: a shard whose fsync is
+// slow holds up no other shard's commands.
 func (w *WAL) TotalSeq() int {
 	total := 0
 	for k := range w.shards {
-		if j := w.shards[k].j; j != nil {
-			total += j.Seq()
-		}
+		total += w.shards[k].j.Seq()
 	}
 	return total
 }

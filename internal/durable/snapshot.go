@@ -115,9 +115,6 @@ func (st *SnapshotStore) BytesWritten() int64 { return st.bytesWritten.Load() }
 // lifetime (recovery and explicit loads).
 func (st *SnapshotStore) BytesRead() int64 { return st.bytesRead.Load() }
 
-// Dir returns the store directory.
-func (st *SnapshotStore) Dir() string { return st.dir }
-
 // fileFor returns the snapshot file name covering seq. Sharded states
 // (epoch > 0) qualify the name with the control epoch: a shard whose
 // journal did not advance between two checkpoint cuts would otherwise

@@ -195,7 +195,8 @@ func TestSnapshotStoreDetectsCorruption(t *testing.T) {
 // it, so a wrong one is an error recovery falls back on — never a panic,
 // and never an allocation the file does not back.
 func TestSnapshotLoadChecksPayloadLength(t *testing.T) {
-	store, err := OpenStore(filepath.Join(t.TempDir(), "snaps"))
+	dir := filepath.Join(t.TempDir(), "snaps")
+	store, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestSnapshotLoadChecksPayloadLength(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(store.Dir(), entry.File), append(append(hdr, '\n'), payload...), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, entry.File), append(append(hdr, '\n'), payload...), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := store.Load(entry); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -292,7 +293,8 @@ func TestSnapshotCompression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := OpenStore(filepath.Join(t.TempDir(), "snaps"))
+	dir := filepath.Join(t.TempDir(), "snaps")
+	store, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +334,7 @@ func TestSnapshotCompression(t *testing.T) {
 		"format": 1, "seq": 4, "len": len(payload), "crc32": crc32.ChecksumIEEE(payload),
 	})
 	raw := append(append(hdr, '\n'), payload...)
-	v1 := filepath.Join(store.Dir(), "snap-000000000004.json")
+	v1 := filepath.Join(dir, "snap-000000000004.json")
 	if err := os.WriteFile(v1, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}

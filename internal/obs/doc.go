@@ -40,7 +40,7 @@
 //	adept2_submit_total{op,code}         counter    commands by outcome
 //	adept2_submit_latency_seconds{op}    histogram  synchronous apply+stage latency (singular ok submits)
 //	adept2_batch_commands                histogram  data commands per SubmitBatch run
-//	adept2_batch_append_seconds          histogram  append+durability wait per SubmitBatch run
+//	adept2_batch_append_seconds          histogram  durability wait per SubmitBatch run
 //	adept2_shard_appends_total{shard}    counter    live-path records staged per shard
 //	adept2_shard_seq{shard}              gauge      journal head sequence
 //	adept2_shard_append_depth{shard}     gauge      staged-but-unflushed backlog

@@ -32,7 +32,7 @@ func WritePrometheus(w io.Writer, s *Snapshot) error {
 
 	pw.header("adept2_batch_commands", "histogram", "Data commands per SubmitBatch run.")
 	pw.histogram("adept2_batch_commands", "", s.Batch.Size, 1)
-	pw.header("adept2_batch_append_seconds", "histogram", "Append + durability wait per SubmitBatch run.")
+	pw.header("adept2_batch_append_seconds", "histogram", "Durability wait per SubmitBatch run.")
 	pw.histogram("adept2_batch_append_seconds", "", s.Batch.Nanos, 1e-9)
 
 	pw.header("adept2_shard_appends_total", "counter", "Live-path journal records staged, per shard.")

@@ -17,7 +17,7 @@ type Set struct {
 	batched       []Counter    // per op: subset of OK applied inside SubmitBatch runs
 	SubmitLatency []*Histogram // per op, nanos; singular submits, success only
 	BatchSize     *Histogram   // data commands per SubmitBatch run
-	BatchNanos    *Histogram   // append + durability wait per SubmitBatch run
+	BatchNanos    *Histogram   // durability wait per SubmitBatch run (its records staged already)
 	shardAppends  []Counter    // per shard: live-path journal records staged
 
 	Committer  CommitterMetrics
@@ -97,7 +97,7 @@ func (s *Set) SubmitOK(op int, nanos int64) {
 }
 
 // SubmitBatched records one command applied inside a SubmitBatch run
-// (ok outcome; no per-command latency — the run's append cost is
+// (ok outcome; no per-command latency — the run's durability wait is
 // BatchNanos).
 func (s *Set) SubmitBatched(op int) {
 	if s == nil {

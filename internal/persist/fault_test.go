@@ -91,12 +91,12 @@ func TestFailedAppendTruncatesPartialWrite(t *testing.T) {
 	}
 }
 
-// TestAppendMultiENOSPCRollsBackAndRetries: a torn write mid-flush
-// (ENOSPC after a few bytes of the batch landed) leaves the sequence
-// counter and the pending batch alone, and the retried flush rolls the
-// physical tail back to the pre-batch offset and lands the identical
-// lines — no gap, no duplicate, no interleaved fragment.
-func TestAppendMultiENOSPCRollsBackAndRetries(t *testing.T) {
+// TestTornFlushRollsBackAndRetries: a torn write mid-flush (ENOSPC after
+// a few bytes of the batch landed) leaves the sequence counter and the
+// pending batch alone, and the retried flush rolls the physical tail back
+// to the pre-batch offset and lands the identical lines — no gap, no
+// duplicate, no interleaved fragment.
+func TestTornFlushRollsBackAndRetries(t *testing.T) {
 	mem := vfs.NewMemFS()
 	ffs := vfs.NewFaultFS(mem, nil)
 	j, err := OpenJournalBufferedFS(ffs, "j")
@@ -106,13 +106,8 @@ func TestAppendMultiENOSPCRollsBackAndRetries(t *testing.T) {
 	stage(t, j, "seed", map[string]any{"n": 1})
 	seed := flushed(t, j, mem)
 
-	last, err := j.AppendMulti([]Pending{
-		{Op: "a", Args: map[string]any{"n": 2}},
-		{Op: "b", Args: map[string]any{"n": 3}},
-		{Op: "c", Args: map[string]any{"n": 4}},
-	})
-	if err != nil || last != 4 {
-		t.Fatalf("staged batch: last=%d err=%v", last, err)
+	for i, op := range []string{"a", "b", "c"} {
+		stage(t, j, op, map[string]any{"n": i + 2})
 	}
 	ffs.SetScript(failWrites(syscall.ENOSPC, 7))
 	if err := j.Flush(); !errors.Is(err, syscall.ENOSPC) {
@@ -137,12 +132,12 @@ func TestAppendMultiENOSPCRollsBackAndRetries(t *testing.T) {
 	}
 }
 
-// TestAppendMultiRollbackFailureWedgesUntilHeal: when the repair truncate
+// TestRollbackFailureWedgesUntilHeal: when the repair truncate
 // fails too, every further flush must keep failing at the repair (the
 // tail is in an unknown state — nothing may be written behind the
 // fragment) until the fault is gone and Heal re-verifies the tail, which
 // lands the batch that stayed pending.
-func TestAppendMultiRollbackFailureWedgesUntilHeal(t *testing.T) {
+func TestRollbackFailureWedgesUntilHeal(t *testing.T) {
 	mem := vfs.NewMemFS()
 	ffs := vfs.NewFaultFS(mem, nil)
 	j, err := OpenJournalBufferedFS(ffs, "j")
@@ -152,9 +147,8 @@ func TestAppendMultiRollbackFailureWedgesUntilHeal(t *testing.T) {
 	stage(t, j, "seed", map[string]any{"n": 1})
 	seed := flushed(t, j, mem)
 
-	if _, err := j.AppendMulti([]Pending{{Op: "a", Args: nil}, {Op: "b", Args: nil}}); err != nil {
-		t.Fatal(err)
-	}
+	stage(t, j, "a", nil)
+	stage(t, j, "b", nil)
 	writes := 0
 	ffs.SetScript(func(n int64, op vfs.OpRef) vfs.Decision {
 		switch op.Kind {

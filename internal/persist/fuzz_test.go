@@ -33,7 +33,7 @@ func FuzzAppendRecord(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer j.Close()
-		j.seq = seq - 1 // as if resumed behind seq-1
+		j.seq.Store(int64(seq - 1)) // as if resumed behind seq-1
 
 		want, wantErr := json.Marshal(Record{Seq: seq, Epoch: epoch, Op: op, Args: json.RawMessage(args)})
 		got, gotErr := j.AppendRecord(op, epoch, json.RawMessage(args))

@@ -42,6 +42,7 @@ import (
 	"os"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"adept2/internal/jsonx"
 	"adept2/internal/vfs"
@@ -74,8 +75,12 @@ type Journal struct {
 	fsys vfs.FS
 	path string
 	file vfs.File
-	seq  int
 	size int64 // the tail-repair floor: the repaired size at open plus every flushed byte
+
+	// seq is the last appended sequence number. Appends store it under mu;
+	// Seq loads it without mu, so a reader never waits behind a Flush,
+	// which holds mu across its fsync.
+	seq atomic.Int64
 
 	// Encoded records accumulate here until Flush; a failed flush keeps
 	// them, making the flush retryable.
@@ -114,7 +119,8 @@ func OpenJournalBufferedFS(fsys vfs.FS, path string) (*Journal, error) {
 
 // newFileJournal wires a Journal over an already-positioned append fd.
 func newFileJournal(fsys vfs.FS, path string, f vfs.File, lastSeq int) *Journal {
-	j := &Journal{fsys: fsys, path: path, file: f, seq: lastSeq}
+	j := &Journal{fsys: fsys, path: path, file: f}
+	j.seq.Store(int64(lastSeq))
 	if st, err := f.Stat(); err == nil {
 		j.size = st.Size()
 	}
@@ -144,10 +150,7 @@ func repairTail(f vfs.File, tail TailInfo) error {
 	return nil
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
-// encodeLocked appends one record's line to lineBuf (caller holds mu).
+// encodeLocked writes one record's line into lineBuf (caller holds mu).
 // The line is json.Marshal(Record{seq, epoch, op, args}) plus the newline
 // terminator, byte for byte, written by hand so that no Record is boxed
 // per line: the args blob is the encoder's own compact, HTML-escaped
@@ -162,7 +165,7 @@ func (j *Journal) encodeLocked(seq, epoch int, op string, args any) error {
 	}
 	blob := j.argsBuf.Bytes()
 	blob = blob[:len(blob)-1] // drop the encoder's trailing newline
-	b := append(j.lineBuf, `{"seq":`...)
+	b := append(j.lineBuf[:0], `{"seq":`...)
 	b = strconv.AppendInt(b, int64(seq), 10)
 	if epoch != 0 {
 		b = append(b, `,"epoch":`...)
@@ -190,51 +193,16 @@ var errSeqExhausted = errors.New("persist: append: the journal's sequence number
 func (j *Journal) AppendRecord(op string, epoch int, args any) (int, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.seq == math.MaxInt {
+	seq := int(j.seq.Load())
+	if seq == math.MaxInt {
 		return 0, errSeqExhausted
 	}
-	j.lineBuf = j.lineBuf[:0]
-	if err := j.encodeLocked(j.seq+1, epoch, op, args); err != nil {
+	if err := j.encodeLocked(seq+1, epoch, op, args); err != nil {
 		return 0, err
 	}
 	j.pending.Write(j.lineBuf)
-	j.seq++
-	return j.seq, nil
-}
-
-// Pending is one not-yet-appended record for AppendMulti.
-type Pending struct {
-	// Op names the command.
-	Op string
-	// Epoch is the control-log reference (0 omitted on the wire).
-	Epoch int
-	// Args carries the command arguments (encoded at append time).
-	Args any
-}
-
-// AppendMulti stages a batch of records under one lock acquisition — the
-// throughput primitive behind SubmitBatch. Sequence numbers are assigned
-// contiguously in slice order; the last one is returned. The append is
-// all-or-nothing: a record that does not encode, or a batch longer than
-// the sequence numbers left, leaves the journal as it was.
-func (j *Journal) AppendMulti(recs []Pending) (int, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if len(recs) == 0 {
-		return j.seq, nil
-	}
-	if len(recs) > math.MaxInt-j.seq {
-		return 0, errSeqExhausted
-	}
-	j.lineBuf = j.lineBuf[:0]
-	for i, p := range recs {
-		if err := j.encodeLocked(j.seq+1+i, p.Epoch, p.Op, p.Args); err != nil {
-			return 0, err
-		}
-	}
-	j.pending.Write(j.lineBuf)
-	j.seq += len(recs)
-	return j.seq, nil
+	j.seq.Store(int64(seq + 1))
+	return seq + 1, nil
 }
 
 // Flush makes every previously appended record durable: it repairs the
@@ -317,12 +285,9 @@ func (j *Journal) Heal() error {
 }
 
 // Seq returns the sequence number of the last appended record (buffered
-// records count — durability is Flush's business).
-func (j *Journal) Seq() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.seq
-}
+// records count — durability is Flush's business). It takes no lock, so
+// it answers while a Flush holds the journal across its fsync.
+func (j *Journal) Seq() int { return int(j.seq.Load()) }
 
 // Close writes out pending records without an fsync (a caller that needs
 // them durable calls Flush first) and closes the file.

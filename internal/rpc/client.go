@@ -329,10 +329,10 @@ func (c *Client) SubmitAsync(ctx context.Context, cmd adept2.Command) (*Receipt,
 	return r, nil
 }
 
-// SubmitBatch sends a run of commands that lands as one multi-record
-// append, durable when SubmitBatch returns. On error the results hold
-// the applied (and durable) prefix and the error carries the server's
-// taxonomy envelope, mirroring System.SubmitBatch.
+// SubmitBatch sends a run of commands the server applies through
+// System.SubmitBatch, durable when SubmitBatch returns. On error the
+// results hold the applied (and durable) prefix and the error carries the
+// server's taxonomy envelope, mirroring System.SubmitBatch.
 func (c *Client) SubmitBatch(ctx context.Context, cmds []adept2.Command) ([]*ResultSummary, error) {
 	req := batchRequest{Commands: make([]Envelope, len(cmds))}
 	for i, cmd := range cmds {

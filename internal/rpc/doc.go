@@ -115,10 +115,10 @@
 // parked server goroutines. Sync mode (the default) is the same dispatch
 // with the durability wait folded into the reply.
 //
-// Batch runs land as one multi-record append and are durable when the
-// response arrives; on a mid-run failure the response still carries
-// the applied prefix's results plus the in-band error envelope,
-// because the prefix's records are journaled and durable.
+// A batch is System.SubmitBatch and is durable when the response
+// arrives; on a mid-run failure the response still carries the applied
+// prefix's results plus the in-band error envelope, because the prefix's
+// records are journaled and durable.
 //
 // # Error envelope
 //

@@ -39,9 +39,7 @@ func openSystem(t *testing.T, cfg adept2.CheckpointConfig, opts ...adept2.Option
 // between stays unresolved for exactly as long as the test says. Release
 // before anything that syncs (SyncDurable, a server drain, Close) is
 // meant to finish. The journal's lock is held across the parked fsync, so
-// whatever else takes it waits for the release too: a second record on a
-// parked shard, and the automatic checkpoint trigger, which reads every
-// shard's head after each command.
+// a second record on a parked shard waits for the release too.
 type parkedDisk struct {
 	parked atomic.Bool
 	gate   chan struct{}
@@ -322,9 +320,7 @@ func TestClientCancelMidStream(t *testing.T) {
 // in flight: the drain syncs every staged record and the streams emit
 // final watermarks, so every receipt issued before Close resolves nil.
 func TestServerDrainResolvesReceipts(t *testing.T) {
-	// No automatic checkpoints: their trigger reads every shard's head,
-	// which a parked shard's journal lock would hold up.
-	sys, disk := openParked(t, adept2.CheckpointConfig{Shards: 4, Every: -1})
+	sys, disk := openParked(t, adept2.CheckpointConfig{Shards: 4})
 	defer disk.release()
 	srv, cli := serve(t, sys, rpc.Options{})
 	ctx := context.Background()

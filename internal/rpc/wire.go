@@ -78,8 +78,8 @@ func decodeCommandLineJSON(line []byte) (cmd adept2.Command, op, mode string, er
 	return cmd, req.Op, req.Mode, err
 }
 
-// batchRequest is the POST /v1/batch body. The run lands as one
-// multi-record append and is durable when the response arrives.
+// batchRequest is the POST /v1/batch body. The server runs it through
+// System.SubmitBatch, so it is durable when the response arrives.
 type batchRequest struct {
 	Commands []Envelope `json:"commands"`
 }

@@ -155,10 +155,9 @@ func (s *System) SubmitAsync(ctx context.Context, cmd Command) (*Receipt, error)
 // applies cmd, stages its record and fills the caller's zero Receipt,
 // recording the submit metrics around the core.
 func (s *System) submitInto(ctx context.Context, cmd Command, r *Receipt) error {
-	c, ok := cmd.(command)
-	if !ok {
-		return &Error{Code: CodeInvalid, Op: cmd.CommandName(),
-			Err: fmt.Errorf("adept2: foreign Command implementation %T", cmd)}
+	c, err := asCommand(cmd)
+	if err != nil {
+		return err
 	}
 	m := s.met
 	if m == nil {
@@ -182,20 +181,23 @@ func (s *System) submitInto(ctx context.Context, cmd Command, r *Receipt) error 
 	return nil
 }
 
-// submitOne is the submission core: validation, wedge check, barrier,
-// apply, journal staging. span (when the trace ring sampled this
-// command) is stamped along the way and either published here (durable
-// on return) or handed to the Receipt to publish when Wait resolves.
+// asCommand admits a Command this package implemented and refuses a
+// foreign one.
+func asCommand(cmd Command) (command, error) {
+	if c, ok := cmd.(command); ok {
+		return c, nil
+	}
+	return nil, &Error{Code: CodeInvalid, Op: cmd.CommandName(),
+		Err: fmt.Errorf("adept2: foreign Command implementation %T", cmd)}
+}
+
+// submitOne is the submission core: the barrier around one stage, then the
+// wake-up of the record's shard. span (when the trace ring sampled this
+// command) is stamped along the way and either published here (durable on
+// return) or handed to the Receipt to publish when Wait resolves.
 func (s *System) submitOne(ctx context.Context, c command, span *obs.Span, rcpt *Receipt) error {
 	if err := ctx.Err(); err != nil {
 		return wrapErr(c.CommandName(), c.target(), err)
-	}
-	// Degraded mode: a wedged durability pipeline fails submissions fast,
-	// BEFORE the engine mutation (Applied stays false — nothing happened),
-	// instead of mutating state whose journal record could never become
-	// durable. Reads keep flowing; Heal restores write service.
-	if err := s.wedgedErr(); err != nil {
-		return &Error{Code: CodeWedged, Op: c.CommandName(), Instance: c.target(), Err: err}
 	}
 	var unlock func()
 	if c.control() {
@@ -204,25 +206,17 @@ func (s *System) submitOne(ctx context.Context, c command, span *obs.Span, rcpt 
 		s.snapMu.RLock()
 		unlock = s.snapMu.RUnlock
 	}
-	eff, err := c.run(s)
-	if err == nil {
-		if span != nil {
-			span.AppliedNanos = s.now()
+	err := s.stage(c, span, rcpt)
+	if err == nil && s.wal != nil {
+		if rcpt.wal != nil {
+			s.wal.Kick(rcpt.shard)
 		}
-		err = finishEffect(c, &eff)
+		s.maybeCheckpoint()
 	}
-	if err != nil {
-		unlock()
-		return wrapErr(c.CommandName(), c.target(), err)
-	}
-	err = s.appendEffect(&eff, rcpt)
 	unlock()
 	if err != nil {
-		return s.wrapAppendErr(c.CommandName(), eff.inst, eff.result, err)
+		return err
 	}
-	rcpt.op = c.CommandName()
-	rcpt.inst = eff.inst
-	rcpt.result = eff.result
 	if span != nil {
 		span.Shard, span.Seq = rcpt.shard, rcpt.seq
 		if rcpt.wal == nil {
@@ -236,155 +230,157 @@ func (s *System) submitOne(ctx context.Context, c command, span *obs.Span, rcpt 
 	return nil
 }
 
-// SubmitBatch applies a sequence of commands, journaling each run of
-// consecutive data commands as ONE batch: the command barrier is taken
-// once per run, the encoded records land in one multi-record append per
-// touched journal (one commit wait each), and the call returns once
-// everything is durable. Control commands interleaved in the batch keep
-// their exclusive-barrier epoch semantics — each one is applied and made
-// durable individually before the batch continues.
-//
-// Results align with the applied prefix of cmds. On error, the commands
-// before the failing one remain applied AND journaled (their results are
-// returned); the failing command had no effect.
-func (s *System) SubmitBatch(ctx context.Context, cmds []Command) ([]any, error) {
-	results := make([]any, 0, len(cmds))
-	i := 0
-	for i < len(cmds) {
-		ci, ok := cmds[i].(command)
-		if !ok {
-			return results, &Error{Code: CodeInvalid, Op: cmds[i].CommandName(),
-				Err: fmt.Errorf("adept2: foreign Command implementation %T", cmds[i])}
-		}
-		if err := ctx.Err(); err != nil {
-			return results, wrapErr(ci.CommandName(), ci.target(), err)
-		}
-		if ci.control() {
-			res, err := s.Submit(ctx, cmds[i])
-			if err != nil {
-				return results, err
-			}
-			results = append(results, res)
-			i++
-			continue
-		}
-
-		// A run of consecutive data commands: apply under one shared
-		// barrier acquisition, journal as one batch. A failing command
-		// ends the run — the applied prefix MUST still be journaled
-		// (its engine mutations happened).
-		var runErr error
-		effs := make([]effect, 0, len(cmds)-i)
-		j := i
-		s.snapMu.RLock()
-		for ; j < len(cmds); j++ {
-			cj, ok := cmds[j].(command)
-			if !ok || cj.control() {
-				break
-			}
-			// The wedge check runs per command, before its engine
-			// mutation: commands already applied in this run stay in the
-			// journaled prefix, the rest fail fast un-applied.
-			if err := s.wedgedErr(); err != nil {
-				runErr = &Error{Code: CodeWedged, Op: cj.CommandName(), Instance: cj.target(), Err: err}
-				s.met.SubmitErr(cj.opIndex(), codeIndexOf(runErr))
-				break
-			}
-			eff, err := cj.run(s)
-			if err == nil {
-				err = finishEffect(cj, &eff)
-			}
-			if err != nil {
-				runErr = wrapErr(cj.CommandName(), cj.target(), err)
-				s.met.SubmitErr(cj.opIndex(), codeIndexOf(runErr))
-				break
-			}
-			s.met.SubmitBatched(cj.opIndex())
-			effs = append(effs, eff)
-		}
-		appendErr := s.appendBatchRun(ctx, effs)
-		s.snapMu.RUnlock()
-		for i := range effs {
-			results = append(results, effs[i].result)
-		}
-		if appendErr != nil {
-			return results, s.wrapAppendErr("batch", "", nil, appendErr)
-		}
-		if runErr != nil {
-			return results, runErr
-		}
-		i = j
+// stage is one command's turn under the command barrier, which the caller
+// holds: the wedge check, the engine mutation, the record's args and the
+// staging of the record. Submit, SubmitAsync and every command of a
+// SubmitBatch run go through it. It fills rcpt with the command's result
+// and with where the record's wait finds it: a zero position means durable
+// already (New(); a control record, which is durable on return). A data
+// record is staged without waking its shard's flusher.
+func (s *System) stage(c command, span *obs.Span, rcpt *Receipt) error {
+	// Degraded mode: a wedged durability pipeline fails submissions fast,
+	// BEFORE the engine mutation (Applied stays false — nothing happened),
+	// instead of mutating state whose journal record could never become
+	// durable. Reads keep flowing; Heal restores write service.
+	if err := s.wedgedErr(); err != nil {
+		return &Error{Code: CodeWedged, Op: c.CommandName(), Instance: c.target(), Err: err}
 	}
-	return results, nil
-}
-
-// appendEffect journals one effect without waiting for durability and
-// fills in where rcpt's wait finds it: a zero rcpt stays "durable already"
-// (New(), control records). Callers hold the command barrier.
-func (s *System) appendEffect(eff *effect, rcpt *Receipt) error {
+	eff, err := c.run(s)
+	if err == nil {
+		if span != nil {
+			span.AppliedNanos = s.now()
+		}
+		err = finishEffect(c, &eff)
+	}
+	if err != nil {
+		return wrapErr(c.CommandName(), c.target(), err)
+	}
 	defer eff.release()
+	rcpt.op, rcpt.inst, rcpt.result = c.CommandName(), eff.inst, eff.result
 	if s.wal == nil {
 		return nil // New(): nothing is journaled
 	}
 	if eff.inst == "" {
 		// Control records advance the epoch, which is only sound once the
 		// record is durable — so they never pipeline.
-		seq, err := s.wal.AppendControl(eff.op, eff.args)
-		if err != nil {
-			return err
-		}
-		s.met.ShardAppend(0, 1)
-		s.maybeCheckpoint()
-		rcpt.seq = seq
-		return nil
+		rcpt.seq, err = s.wal.AppendControl(eff.op, eff.args)
+	} else {
+		rcpt.shard, rcpt.seq, err = s.wal.AppendData(eff.inst, eff.op, eff.args)
+		rcpt.wal = s.wal
 	}
-	shard, seq, err := s.wal.AppendDataAsync(eff.inst, eff.op, eff.args)
 	if err != nil {
-		return err
+		return s.wrapAppendErr(rcpt.op, eff.inst, eff.result, err)
 	}
-	s.met.ShardAppend(shard, 1)
-	s.maybeCheckpoint()
-	rcpt.seq, rcpt.shard, rcpt.wal = seq, shard, s.wal
+	s.met.ShardAppend(rcpt.shard, 1)
 	return nil
 }
 
-// appendBatchRun journals one SubmitBatch run — a batch of data effects —
-// as one multi-record append per touched shard, blocks until the batch is
-// durable, and records the batch family: run size, append + durability-
-// wait latency, and (on success) the per-shard staged-record counters.
-// Callers hold the shared command barrier.
-func (s *System) appendBatchRun(ctx context.Context, effs []effect) error {
-	if len(effs) == 0 {
-		return nil
+// SubmitBatch applies a sequence of commands. A run of consecutive data
+// commands is Submit's own path (stage) under one acquisition of the
+// shared command barrier: each record is staged as soon as its command
+// applies; then the barrier is released, each touched shard is woken once,
+// and SubmitBatch waits until the run is durable. Control commands
+// interleaved in the batch keep their exclusive-barrier epoch semantics:
+// each one goes through Submit, applied and made durable individually
+// before the batch continues.
+//
+// Results align with the applied prefix of cmds. On error, the commands
+// before the failing one remain applied AND journaled (their results are
+// returned, and they are durable unless the error reports the wait
+// itself); the failing command had no effect unless its error says
+// Applied.
+func (s *System) SubmitBatch(ctx context.Context, cmds []Command) ([]any, error) {
+	results := make([]any, 0, len(cmds))
+	for len(cmds) > 0 {
+		c, err := asCommand(cmds[0])
+		if err != nil {
+			return results, err
+		}
+		if err := ctx.Err(); err != nil {
+			return results, wrapErr(c.CommandName(), c.target(), err)
+		}
+		if c.control() {
+			res, err := s.Submit(ctx, c)
+			if err != nil {
+				return results, err
+			}
+			results = append(results, res)
+			cmds = cmds[1:]
+			continue
+		}
+		var n int
+		if results, n, err = s.submitRun(ctx, cmds, results); err != nil {
+			return results, err
+		}
+		cmds = cmds[n:]
+	}
+	return results, nil
+}
+
+// submitRun is one SubmitBatch run: the data commands at the head of cmds,
+// up to the first control or foreign one, each staged under one shared
+// barrier acquisition, their results appended to results. Once the barrier
+// is released it wakes each touched shard once, in ascending order, and
+// waits on the positions the run staged — the wait holds no barrier, and
+// a failing command ends the run with every command before it staged and
+// awaited. n is how many commands the run took.
+func (s *System) submitRun(ctx context.Context, cmds []Command, results []any) (_ []any, n int, err error) {
+	var last []int // per shard: the run's last staged sequence number, 0 if none
+	if s.wal != nil {
+		last = make([]int, s.layout.Shards)
 	}
 	m := s.met
+	staged := 0
+	s.snapMu.RLock()
+	for ; n < len(cmds); n++ {
+		c, ok := cmds[n].(command)
+		if !ok || c.control() {
+			break
+		}
+		var r Receipt
+		if err = s.stage(c, nil, &r); err != nil {
+			m.SubmitErr(c.opIndex(), codeIndexOf(err))
+			break
+		}
+		m.SubmitBatched(c.opIndex())
+		results = append(results, r.result)
+		staged++
+		if r.wal != nil {
+			last[r.shard] = r.seq
+		}
+	}
+	s.snapMu.RUnlock()
+	if staged == 0 {
+		return results, n, err
+	}
+	if s.wal != nil {
+		for k, seq := range last {
+			if seq > 0 {
+				s.wal.Kick(k)
+			}
+		}
+		s.maybeCheckpoint()
+	}
 	var start time.Time
 	if m != nil { // metrics off: no clock reads
 		start = time.Now()
 	}
-	var err error
-	if s.wal != nil { // New(): nothing is journaled
-		recs := make([]sharded.DataRecord, len(effs))
-		for i, eff := range effs {
-			recs[i] = sharded.DataRecord{Instance: eff.inst, Op: eff.op, Args: eff.args}
-		}
-		if err = s.wal.AppendDataMulti(ctx, recs); err == nil {
-			s.maybeCheckpoint()
-		}
-	}
-	for i := range effs {
-		effs[i].release()
-	}
-	if m != nil {
-		m.BatchSize.Observe(int64(len(effs)))
-		m.BatchNanos.Observe(time.Since(start).Nanoseconds())
-		if err == nil {
-			for i := range effs {
-				m.ShardAppend(sharded.ShardOf(effs[i].inst, s.layout.Shards), 1)
+	var werr error
+	for k, seq := range last {
+		if seq > 0 {
+			if werr = s.wal.WaitShardSeq(ctx, k, seq); werr != nil {
+				break
 			}
 		}
 	}
-	return err
+	if m != nil {
+		m.BatchSize.Observe(int64(staged))
+		m.BatchNanos.Observe(time.Since(start).Nanoseconds())
+	}
+	if werr != nil {
+		return results, n, s.wrapAppendErr("batch", "", nil, werr)
+	}
+	return results, n, err
 }
 
 // wrapAppendErr classifies a journaling failure: a wedged durability
@@ -393,9 +389,6 @@ func (s *System) appendBatchRun(ctx context.Context, effs []effect) error {
 // already happened when appending fails — the error reports lost
 // durability, not a rejected command.
 func (s *System) wrapAppendErr(op, inst string, res any, err error) error {
-	if err == nil {
-		return nil
-	}
 	var e *Error
 	if errors.As(err, &e) {
 		return err

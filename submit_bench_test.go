@@ -19,8 +19,9 @@ import (
 //     (one durability round-trip per command per writer),
 //   - SubmitAsyncPipeline stages commands and awaits receipts in bulk,
 //     so one flush covers a writer's whole window,
-//   - SubmitBatch applies a window of commands under one barrier and
-//     appends them as one multi-record journal write.
+//   - SubmitBatch applies a window of commands under one barrier, staging
+//     each record as its command applies, and waits once per touched
+//     shard after releasing the barrier.
 //
 // Same honest 1-CPU caveat as the PR 4 sharding benches: this host has a
 // single virtio flush queue, so the async/batch gains shown here come
@@ -156,8 +157,8 @@ func BenchmarkSubmitAsyncPipeline(b *testing.B) {
 }
 
 // BenchmarkSubmitBatch applies windows of 64 commands per SubmitBatch
-// call: one barrier acquisition and one multi-record append (one
-// group-commit wait) per window.
+// call: one barrier acquisition, 64 staged records and one group-commit
+// wait per window.
 func BenchmarkSubmitBatch(b *testing.B) {
 	for _, writers := range []int{1, 8} {
 		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {

@@ -5,10 +5,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"adept2"
+	"adept2/internal/durable/sharded"
 	"adept2/internal/persist"
 	"adept2/internal/sim"
 	"adept2/internal/vfs"
@@ -81,8 +86,8 @@ func TestSubmitBatchSemantics(t *testing.T) {
 }
 
 // TestSubmitBatchSingleFsync: on a plain sync journal, a batch of N data
-// commands lands as one contiguous multi-record append (N records, one
-// fsync — visible as one contiguous seq run).
+// commands is staged before its shard is woken once (N records, one fsync
+// — visible as one contiguous seq run).
 func TestSubmitBatchSingleFsync(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
 	sys, err := adept2.Open(path, adept2.WithOrg(sim.Org()))
@@ -396,4 +401,313 @@ func TestSubmitStampsTheRecordNotTheCommand(t *testing.T) {
 	if stamped != 5 {
 		t.Fatalf("%d stamped records among %d, want 3 creates + start + complete", stamped, len(recs))
 	}
+}
+
+// measureSchema is a two-step type whose first step writes a float and a
+// string: the outputs the journal can carry only when they are finite and
+// valid UTF-8.
+func measureSchema(t *testing.T) *adept2.Schema {
+	t.Helper()
+	b := adept2.NewBuilder("measure")
+	b.DataElement("x", adept2.TypeFloat)
+	b.DataElement("note", adept2.TypeString)
+	first := b.Activity("a", "Measure", adept2.WithRole("clerk"))
+	second := b.Activity("b", "Check", adept2.WithRole("clerk"))
+	b.Write("a", "x", "x")
+	b.Write("a", "note", "note")
+	b.Read("b", "x", "x", true)
+	s, err := b.Build(b.Seq(first, second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// measure returns the completion of a measure instance's first step.
+func measure(id string, x any, note string) adept2.Command {
+	return &adept2.CompleteActivity{Instance: id, Node: "a", User: "ann",
+		Outputs: map[string]any{"x": x, "note": note}}
+}
+
+// sameData fails unless every instance of got holds the data of its
+// namesake in want, version for version.
+func sameData(t *testing.T, want, got *adept2.System) {
+	t.Helper()
+	for _, w := range want.Instances() {
+		g, ok := got.Instance(w.ID())
+		if !ok {
+			t.Fatalf("instance %s is gone", w.ID())
+		}
+		wd, err := json.Marshal(w.DataSnapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		gd, err := json.Marshal(g.DataSnapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(wd) != string(gd) {
+			t.Fatalf("instance %s holds %s, want %s", w.ID(), gd, wd)
+		}
+	}
+}
+
+// instanceOnShard creates measure instances until one routes to shard k of
+// an n-shard layout and returns it, its first step started.
+func instanceOnShard(t *testing.T, sys *adept2.System, k, n int) string {
+	t.Helper()
+	for i := 0; i < 256; i++ {
+		inst, err := sys.CreateInstance("measure")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sharded.ShardOf(inst.ID(), n) == k {
+			if err := sys.Start(inst.ID(), "a", "ann"); err != nil {
+				t.Fatal(err)
+			}
+			return inst.ID()
+		}
+	}
+	t.Fatalf("no instance on shard %d", k)
+	return ""
+}
+
+// TestSubmitRefusesOutputsTheJournalCannotCarry: a completion whose output
+// has no journal form — a NaN or infinite float, a string that is not
+// valid UTF-8 — is refused with ErrInvalid before it mutates anything, on
+// every submission path, and a reopen equals the live state. Accepted,
+// such a completion was applied and then lost its record (an error with
+// Applied set, the completion gone after a reopen), or came back altered
+// ("bad\xff" as "bad�").
+func TestSubmitRefusesOutputsTheJournalCannotCarry(t *testing.T) {
+	ctx := context.Background()
+	paths := map[string]func(sys *adept2.System, cmd adept2.Command) error{
+		"Submit": func(sys *adept2.System, cmd adept2.Command) error {
+			_, err := sys.Submit(ctx, cmd)
+			return err
+		},
+		"SubmitAsync": func(sys *adept2.System, cmd adept2.Command) error {
+			_, err := sys.SubmitAsync(ctx, cmd)
+			return err
+		},
+		"SubmitBatch": func(sys *adept2.System, cmd adept2.Command) error {
+			res, err := sys.SubmitBatch(ctx, []adept2.Command{cmd})
+			if err != nil && len(res) != 0 {
+				return fmt.Errorf("a refused batch returned results %v (%v)", res, err)
+			}
+			return err
+		},
+	}
+	for name, submit := range paths {
+		t.Run(name, func(t *testing.T) {
+			fsys := vfs.NewMemFS()
+			open := func() *adept2.System {
+				sys, err := adept2.Open("wal", adept2.WithVFS(fsys), adept2.WithOrg(sim.Org()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sys
+			}
+			sys := open()
+			if err := sys.Deploy(measureSchema(t)); err != nil {
+				t.Fatal(err)
+			}
+			id := instanceOnShard(t, sys, 0, 1)
+			inst, _ := sys.Instance(id)
+			events := len(inst.HistoryEvents())
+			for _, out := range []struct {
+				x    any
+				note string
+			}{{math.NaN(), "ok"}, {math.Inf(1), "ok"}, {math.Inf(-1), "ok"}, {1.5, "bad\xff"}} {
+				err := submit(sys, measure(id, out.x, out.note))
+				var e *adept2.Error
+				if !errors.Is(err, adept2.ErrInvalid) || !errors.As(err, &e) || e.Applied {
+					t.Fatalf("completion with x=%v note=%q: %v, want ErrInvalid not applied", out.x, out.note, err)
+				}
+				if inst.NodeState("a").String() != "running" || len(inst.HistoryEvents()) != events {
+					t.Fatalf("a refused completion moved the instance: a is %s, %d events, want running, %d",
+						inst.NodeState("a"), len(inst.HistoryEvents()), events)
+				}
+			}
+			if err := submit(sys, measure(id, 1.5, "fine")); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got := open()
+			defer got.Close()
+			assertSameState(t, sys, got)
+			sameData(t, sys, got)
+		})
+	}
+}
+
+// TestSubmitBatchKeepsStagedPrefix: a run of [valid, refused, valid]
+// completions on one shard keeps what it staged before the refusal. The
+// results hold the first completion, the error is the refusal's (not
+// applied), the third completion never applies, and a reopen has the first
+// completion and its data. A run that staged its records as one group
+// refused the whole group after applying all of it, and the reopen lost
+// the first completion.
+func TestSubmitBatchKeepsStagedPrefix(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			fsys := vfs.NewMemFS()
+			cfg := adept2.CheckpointConfig{Shards: shards}
+			open := func() *adept2.System {
+				sys, err := adept2.Open("wal", adept2.WithVFS(fsys), adept2.WithOrg(sim.Org()), adept2.WithCheckpointing(cfg))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sys
+			}
+			sys := open()
+			if err := sys.Deploy(measureSchema(t)); err != nil {
+				t.Fatal(err)
+			}
+			ids := make([]string, 3)
+			for i := range ids {
+				ids[i] = instanceOnShard(t, sys, shards-1, shards)
+			}
+			results, err := sys.SubmitBatch(context.Background(), []adept2.Command{
+				measure(ids[0], 1.5, "first"),
+				measure(ids[1], math.Inf(1), "second"),
+				measure(ids[2], 2.5, "third"),
+			})
+			var e *adept2.Error
+			if !errors.Is(err, adept2.ErrInvalid) || !errors.As(err, &e) || e.Applied {
+				t.Fatalf("batch error %v, want ErrInvalid not applied", err)
+			}
+			if len(results) != 1 {
+				t.Fatalf("%d results, want the first completion's alone", len(results))
+			}
+			for i, want := range []string{"completed", "running", "running"} {
+				if inst, _ := sys.Instance(ids[i]); inst.NodeState("a").String() != want {
+					t.Fatalf("completion %d: a is %s, want %s", i, inst.NodeState("a"), want)
+				}
+			}
+			if err := sys.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got := open()
+			defer got.Close()
+			assertSameState(t, sys, got)
+			sameData(t, sys, got)
+		})
+	}
+}
+
+// parkedShard is a 4-shard system on a MemFS whose shard-1 journal fsyncs
+// wait, once park is called, until release; parked is closed when the
+// first one waits. The journal's lock is held across that fsync, so a
+// second record on shard 1 waits for the release too.
+type parkedShard struct {
+	sys    *adept2.System
+	armed  atomic.Bool
+	parked chan struct{}
+	gate   chan struct{}
+	onPark sync.Once
+	onFree sync.Once
+}
+
+func (p *parkedShard) park()    { p.armed.Store(true) }
+func (p *parkedShard) release() { p.onFree.Do(func() { close(p.gate) }) }
+
+// openParkedShard opens a parkedShard under the default checkpoint
+// cadence, the measure type deployed. The test's cleanup releases the
+// disk before it closes the system.
+func openParkedShard(t *testing.T) *parkedShard {
+	t.Helper()
+	p := &parkedShard{parked: make(chan struct{}), gate: make(chan struct{})}
+	victim := sharded.Layout{Base: "wal", Shards: 4}.JournalPath(1)
+	fsys := vfs.NewFaultFS(vfs.NewMemFS(), func(_ int64, op vfs.OpRef) vfs.Decision {
+		if op.Kind == vfs.OpSync && op.Path == victim && p.armed.Load() {
+			p.onPark.Do(func() { close(p.parked) })
+			<-p.gate
+		}
+		return vfs.Decision{}
+	})
+	sys, err := adept2.Open("wal", adept2.WithVFS(fsys), adept2.WithOrg(sim.Org()),
+		adept2.WithCheckpointing(adept2.CheckpointConfig{Shards: 4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.sys = sys
+	t.Cleanup(func() {
+		p.release()
+		sys.Close()
+	})
+	if err := sys.Deploy(measureSchema(t)); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// within fails the test unless done delivers within 2 s.
+func within(t *testing.T, what string, done <-chan error) {
+	t.Helper()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatalf("%s did not return within 2 s", what)
+	}
+}
+
+// TestParkedShardDoesNotStallOtherShards: while shard 1's fsync is parked,
+// a command on shard 2 returns at once with automatic checkpoints on. Their
+// trigger reads every shard's head after each command; a head read that
+// took the journal's lock waited for the parked flush, so one slow disk
+// stalled every shard.
+func TestParkedShardDoesNotStallOtherShards(t *testing.T) {
+	p := openParkedShard(t)
+	ctx := context.Background()
+	on1, on2 := instanceOnShard(t, p.sys, 1, 4), instanceOnShard(t, p.sys, 2, 4)
+	p.park()
+	rcpt, err := p.sys.SubmitAsync(ctx, measure(on1, 1.5, "parked"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-p.parked
+	done := make(chan error, 1)
+	go func() {
+		_, err := p.sys.Submit(ctx, measure(on2, 2.5, "free"))
+		done <- err
+	}()
+	within(t, "a Submit on shard 2 with shard 1's fsync parked", done)
+	p.release()
+	if err := rcpt.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSubmitBatchWaitHoldsNoBarrier: a SubmitBatch run waits for its
+// records after releasing the command barrier, so with its shard's fsync
+// parked a control command — which takes the barrier exclusively at 4
+// shards — still goes through. A run that held the barrier across its wait
+// held every control command and checkpoint behind its fsync.
+func TestSubmitBatchWaitHoldsNoBarrier(t *testing.T) {
+	p := openParkedShard(t)
+	ctx := context.Background()
+	on1 := instanceOnShard(t, p.sys, 1, 4)
+	p.park()
+	batch := make(chan error, 1)
+	go func() {
+		_, err := p.sys.SubmitBatch(ctx, []adept2.Command{measure(on1, 1.5, "batched")})
+		batch <- err
+	}()
+	<-p.parked
+	added := make(chan error, 1)
+	go func() { added <- p.sys.AddUser(&adept2.User{ID: "eve", Roles: []string{"clerk"}}) }()
+	within(t, "AddUser during a batch's durability wait", added)
+	select {
+	case err := <-batch:
+		t.Fatalf("the batch returned (%v) with its fsync parked", err)
+	default:
+	}
+	p.release()
+	within(t, "the batch after the release", batch)
 }
