@@ -141,10 +141,10 @@ func adoptLegacyDir(t *testing.T, d legacyDir, cfg adept2.CheckpointConfig) {
 	}
 
 	// Numbering continues past the adopted journal on both sides.
-	if err := d.want.Complete(d.i1, "confirm_order", "ann", nil); err != nil {
+	if _, err := d.want.Submit(context.Background(), &adept2.CompleteActivity{Instance: d.i1, Node: "confirm_order", User: "ann"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Complete(d.i1, "confirm_order", "ann", nil); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.CompleteActivity{Instance: d.i1, Node: "confirm_order", User: "ann"}); err != nil {
 		t.Fatal(err)
 	}
 	if sys.JournalSeq() != d.tail+1 {

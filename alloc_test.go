@@ -39,7 +39,7 @@ func TestSubmitAllocationBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sys.Close() })
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(ctx, &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -51,10 +51,11 @@ func TestSubmitAllocationBudget(t *testing.T) {
 		t.Helper()
 		ids := make([]string, n)
 		for i := range ids {
-			inst, err := sys.CreateInstance("online_order")
+			res, err := sys.Submit(ctx, &adept2.CreateInstance{TypeName: "online_order"})
 			if err != nil {
 				t.Fatal(err)
 			}
+			inst := res.(*adept2.Instance)
 			ids[i] = inst.ID()
 			for _, cmd := range advance {
 				if _, err := sys.Submit(ctx, cmd(ids[i])); err != nil {
@@ -284,7 +285,7 @@ func TestInstanceHeapBudget(t *testing.T) {
 			sys.Close()
 		}
 	}()
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(ctx, &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
 	lifecycle := []struct{ node, user string }{
@@ -292,10 +293,11 @@ func TestInstanceHeapBudget(t *testing.T) {
 		{"confirm_order", "ann"}, {"pack_goods", "bob"}, {"deliver_goods", "bob"},
 	}
 	for i := 0; i < n; i++ {
-		inst, err := sys.CreateInstance("online_order")
+		res, err := sys.Submit(ctx, &adept2.CreateInstance{TypeName: "online_order"})
 		if err != nil {
 			t.Fatal(err)
 		}
+		inst := res.(*adept2.Instance)
 		for _, step := range lifecycle {
 			var out map[string]any
 			if step.node == "get_order" {
@@ -367,23 +369,22 @@ func TestBiasedInstanceHeapBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+		if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
-			inst, err := sys.CreateInstance("online_order")
+			res, err := sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "online_order"})
 			if err != nil {
 				t.Fatal(err)
 			}
+			inst := res.(*adept2.Instance)
 			if !bias {
 				continue
 			}
-			if err := sys.AdHocChange(inst.ID(),
-				&adept2.SerialInsert{
-					Node: &adept2.Node{ID: fmt.Sprintf("send_brochure_%d", i), Name: "Send Brochure", Type: adept2.NodeActivity, Role: "sales", Template: "send_brochure"},
-					Pred: "collect_data", Succ: "confirm_order",
-				},
-				&adept2.InsertSyncEdge{From: "confirm_order", To: "compose_order"}); err != nil {
+			if _, err := sys.Submit(context.Background(), &adept2.AdHoc{Instance: inst.ID(), Ops: []adept2.Operation{&adept2.SerialInsert{
+				Node: &adept2.Node{ID: fmt.Sprintf("send_brochure_%d", i), Name: "Send Brochure", Type: adept2.NodeActivity, Role: "sales", Template: "send_brochure"},
+				Pred: "collect_data", Succ: "confirm_order",
+			}, &adept2.InsertSyncEdge{From: "confirm_order", To: "compose_order"}}}); err != nil {
 				t.Fatal(err)
 			}
 		}

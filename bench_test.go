@@ -116,7 +116,7 @@ func BenchmarkFig1ComplianceReplay(b *testing.B) {
 func BenchmarkHistoryReads(b *testing.B) {
 	const n = 20000
 	sys := adept2.New(adept2.WithOrg(sim.Org()))
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		b.Fatal(err)
 	}
 	eng := sys.Engine()

@@ -35,7 +35,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -226,23 +225,27 @@ func seed(args []string) {
 
 	sys, err := adept2.Open(*journal, adept2.WithCheckpointing(adept2.CheckpointConfig{Every: -1, Shards: *shards}))
 	must(err)
+	submit := func(cmd adept2.Command) any {
+		res, err := sys.Submit(context.Background(), cmd)
+		must(err)
+		return res
+	}
 	for _, u := range []*adept2.User{
 		{ID: "ann", Name: "Ann", Roles: []string{"clerk", "sales"}},
 		{ID: "bob", Name: "Bob", Roles: []string{"warehouse", "finance"}},
 	} {
-		must(sys.AddUser(u))
+		submit(&adept2.AddUser{User: u})
 	}
-	must(sys.Deploy(sim.OnlineOrder()))
+	submit(&adept2.Deploy{Schema: sim.OnlineOrder()})
 	for i := 0; i < *n; i++ {
-		inst, err := sys.CreateInstance("online_order")
-		must(err)
-		must(sys.Complete(inst.ID(), "get_order", "ann", map[string]any{"out": fmt.Sprintf("order-%d", i)}))
+		id := submit(&adept2.CreateInstance{TypeName: "online_order"}).(*adept2.Instance).ID()
+		submit(&adept2.CompleteActivity{Instance: id, Node: "get_order", User: "ann",
+			Outputs: map[string]any{"out": fmt.Sprintf("order-%d", i)}})
 		if i == 0 {
-			must(sys.AdHocChange(inst.ID(), sim.OnlineOrderBiasI2()...))
+			submit(&adept2.AdHoc{Instance: id, Ops: sim.OnlineOrderBiasI2()})
 		}
 	}
-	_, err = sys.Evolve("online_order", sim.OnlineOrderTypeChange(), adept2.EvolveOptions{})
-	must(err)
+	submit(&adept2.Evolve{TypeName: "online_order", Ops: sim.OnlineOrderTypeChange()})
 	seq := sys.JournalSeq()
 	must(sys.Close())
 	fmt.Printf("seeded %s: %d instances, journal seq %d\n", *journal, *n, seq)
@@ -638,50 +641,9 @@ func stats(args []string) {
 		enc.SetIndent("", "  ")
 		must(enc.Encode(snap))
 	case "text":
-		printStats(snap)
+		must(obs.WriteText(os.Stdout, snap))
 	default:
 		usage()
-	}
-}
-
-// printStats renders the human-readable snapshot view. An offline open
-// has no live submit counters — the interesting rows are the recovered
-// state, shard heads, and health.
-func printStats(snap *obs.Snapshot) {
-	fmt.Printf("recovery: replayed=%d fallbacks=%d fullReplays=%d in %s (read %d B of snapshots)\n",
-		snap.Recovery.Replayed, snap.Recovery.Fallbacks, snap.Recovery.FullReplays,
-		time.Duration(snap.Recovery.Nanos).Round(time.Microsecond), snap.Checkpoint.BytesRead)
-	for _, sh := range snap.Shards {
-		fmt.Printf("shard %d: seq=%d depth=%d appends=%d wedged=%v\n",
-			sh.Shard, sh.Seq, sh.Depth, sh.Appends, sh.Wedged)
-	}
-	ops := make([]string, 0, len(snap.Ops))
-	for op := range snap.Ops {
-		ops = append(ops, op)
-	}
-	sort.Strings(ops)
-	for _, op := range ops {
-		o := snap.Ops[op]
-		fmt.Printf("op %-9s ok=%d batched=%d errors=%v\n", op, o.OK, o.Batched, o.Errors)
-	}
-	fmt.Printf("engine: instances=%d worklist=%d openExceptions=%d\n",
-		snap.Engine.Instances, snap.Engine.WorklistDepth, snap.Engine.OpenExceptions)
-	fmt.Printf("exception: failures=%d timeouts=%d retries=%d escalations=%d compensated=%d sweeps=%d\n",
-		snap.Exception.Failures, snap.Exception.Timeouts, snap.Exception.Retries,
-		snap.Exception.Escalations, snap.Exception.Compensated, snap.Exception.Sweeps)
-	fmt.Printf("committer: fsyncs=%d retries=%d wedges=%d heals=%d\n",
-		snap.Committer.Fsync.Count, snap.Committer.FlushRetries,
-		snap.Committer.Wedges, snap.Committer.Heals)
-	fmt.Printf("checkpoint: count=%d failures=%d bytesWritten=%d\n",
-		snap.Checkpoint.Count, snap.Checkpoint.Failures, snap.Checkpoint.BytesWritten)
-	health := "ok"
-	if snap.Health.Wedged {
-		health = fmt.Sprintf("WEDGED (shards %v)", snap.Health.WedgedShards)
-	}
-	fmt.Printf("health: %s cleanupErrs=%d flushRetries=%d\n",
-		health, snap.Health.CleanupErrs, snap.Health.FlushRetries)
-	if len(snap.Traces) > 0 {
-		fmt.Printf("traces: %d sampled spans\n", len(snap.Traces))
 	}
 }
 
@@ -998,6 +960,6 @@ func simCmd(args []string) {
 	must(err)
 	fmt.Printf("soak passed in %s\n  %s\n", time.Since(start).Round(time.Millisecond), res)
 	if *showStats {
-		fmt.Printf("telemetry (post-drain session):\n%s\n", res.MetricsSummary)
+		fmt.Printf("telemetry (post-drain session):\n%s", res.MetricsSummary)
 	}
 }

@@ -18,11 +18,12 @@ import (
 // Command is one typed, journal-able state mutation of a System. Every
 // mutation — instance execution, ad-hoc change, schema evolution, org and
 // deployment changes — is a value implementing Command, submitted through
-// Submit, SubmitAsync, or SubmitBatch (the legacy façade methods are thin
-// wrappers over Submit). One registry owns each command's journal name,
-// JSON codec, control/data classification, and engine application, and
-// the SAME table drives both the live path and crash-recovery replay, so
-// a command type cannot drift between execution and recovery.
+// Submit, SubmitAsync, or SubmitBatch (System.Fail submits a FailActivity
+// its exception policy completed). One registry owns each command's
+// journal name, JSON codec, control/data classification, and engine
+// application, and the SAME table drives both the live path and
+// crash-recovery replay, so a command type cannot drift between execution
+// and recovery.
 //
 // Commands are defined by this package; foreign implementations are
 // rejected with ErrInvalid.

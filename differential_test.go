@@ -33,7 +33,7 @@ type cmdDriver struct {
 func newCmdDriver(t *testing.T, sys *adept2.System, seed int64) *cmdDriver {
 	t.Helper()
 	d := &cmdDriver{t: t, sys: sys, rng: rand.New(rand.NewSource(seed)), ctx: context.Background()}
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
 	return d
@@ -243,7 +243,7 @@ func TestDifferentialConcurrentAsyncRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+			if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 				t.Fatal(err)
 			}
 			ctx := context.Background()
@@ -251,10 +251,11 @@ func TestDifferentialConcurrentAsyncRecovery(t *testing.T) {
 			const workers = 6
 			ids := make([]string, workers)
 			for w := range ids {
-				inst, err := sys.CreateInstance("online_order")
+				res, err := sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "online_order"})
 				if err != nil {
 					t.Fatal(err)
 				}
+				inst := res.(*adept2.Instance)
 				ids[w] = inst.ID()
 			}
 			var wg sync.WaitGroup
@@ -286,7 +287,7 @@ func TestDifferentialConcurrentAsyncRecovery(t *testing.T) {
 			}
 			// Control traffic through the exclusive barrier.
 			for i := 0; i < 4; i++ {
-				if err := sys.AddUser(&adept2.User{ID: fmt.Sprintf("u%d", i), Roles: []string{"clerk"}}); err != nil {
+				if _, err := sys.Submit(context.Background(), &adept2.AddUser{User: &adept2.User{ID: fmt.Sprintf("u%d", i), Roles: []string{"clerk"}}}); err != nil {
 					t.Fatal(err)
 				}
 			}

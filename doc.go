@@ -20,11 +20,13 @@
 //	              b.Activity("c", "C", adept2.WithRole("clerk")))
 //	schema, _ := b.Build(frag)
 //
+//	ctx := context.Background()
 //	sys := adept2.New()
 //	_ = sys.Org().AddUser(&adept2.User{ID: "ann", Roles: []string{"clerk"}})
-//	_ = sys.Deploy(schema)
-//	inst, _ := sys.CreateInstance("order")
-//	_ = sys.Complete(inst.ID(), "a", "ann", nil)
+//	_, _ = sys.Submit(ctx, &adept2.Deploy{Schema: schema})
+//	res, _ := sys.Submit(ctx, &adept2.CreateInstance{TypeName: "order"})
+//	inst := res.(*adept2.Instance)
+//	_, _ = sys.Submit(ctx, &adept2.CompleteActivity{Instance: inst.ID(), Node: "a", User: "ann"})
 //
 // # The unified command API
 //
@@ -36,18 +38,19 @@
 //	rcpt, err := sys.SubmitAsync(ctx, cmd)  // durable when rcpt.Wait returns
 //	ress, err := sys.SubmitBatch(ctx, cmds) // one barrier + one wait per run
 //
-// The legacy façade methods (Complete, AdHocChange, Evolve, …) are thin
-// wrappers over Submit and keep working unchanged.
+// A result is read by type assertion: a create returns the *Instance, an
+// evolution the *MigrationReport, every other command nil. A command that
+// was applied but not made durable fails with an Error whose Applied is
+// set, and its result is the Error's Result.
 //
 // A single registry owns each command's journal name, JSON codec,
 // control/data classification, and engine application. The SAME table
 // drives the live path and crash-recovery replay — executing a command
-// and replaying its journal record run the identical code — so the three
-// historically hand-synchronized copies (façade method, args codec,
-// replay switch) cannot drift. This uniformity is the paper's central
-// architectural claim carried into the implementation: execution, ad-hoc
-// change, and schema evolution are the same kind of logged, replayable
-// operation.
+// and replaying its journal record run the identical code — so a
+// command's live path, args codec and replay cannot drift. This
+// uniformity is the paper's central architectural claim carried into the
+// implementation: execution, ad-hoc change, and schema evolution are the
+// same kind of logged, replayable operation.
 //
 // # Receipts
 //

@@ -35,35 +35,38 @@ func (fakeCommand) CommandName() string { return "fake" }
 // right errors.Is sentinel of the adept2.Error taxonomy.
 func TestErrorTaxonomy(t *testing.T) {
 	sys := adept2.New(adept2.WithOrg(sim.Org()))
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Deploy(oneStepSchema(t)); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: oneStepSchema(t)}); err != nil {
 		t.Fatal(err)
 	}
 
 	// A running instance with one completed step (get_order by ann).
-	running, err := sys.CreateInstance("online_order")
+	res, err := sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "online_order"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Complete(running.ID(), "get_order", "ann", map[string]any{"out": "o1"}); err != nil {
+	running := res.(*adept2.Instance)
+	if _, err := sys.Submit(context.Background(), &adept2.CompleteActivity{Instance: running.ID(), Node: "get_order", User: "ann", Outputs: map[string]any{"out": "o1"}}); err != nil {
 		t.Fatal(err)
 	}
 	// A suspended instance.
-	frozen, err := sys.CreateInstance("online_order")
+	res, err = sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "online_order"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Suspend(frozen.ID()); err != nil {
+	frozen := res.(*adept2.Instance)
+	if _, err := sys.Submit(context.Background(), &adept2.Suspend{Instance: frozen.ID()}); err != nil {
 		t.Fatal(err)
 	}
 	// A completed instance.
-	done, err := sys.CreateInstance("one_step")
+	res, err = sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "one_step"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Complete(done.ID(), "a", "ann", nil); err != nil {
+	done := res.(*adept2.Instance)
+	if _, err := sys.Submit(context.Background(), &adept2.CompleteActivity{Instance: done.ID(), Node: "a", User: "ann"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -76,52 +79,65 @@ func TestErrorTaxonomy(t *testing.T) {
 		want *adept2.Error
 	}{
 		{"duplicate user", func() error {
-			return sys.AddUser(&adept2.User{ID: "ann"})
+			_, err := sys.Submit(context.Background(), &adept2.AddUser{User: &adept2.User{ID: "ann"}})
+			return err
 		}, adept2.ErrConflict},
 		{"empty user ID", func() error {
-			return sys.AddUser(&adept2.User{})
+			_, err := sys.Submit(context.Background(), &adept2.AddUser{User: &adept2.User{}})
+			return err
 		}, adept2.ErrInvalid},
 		{"stale deploy version", func() error {
-			return sys.Deploy(sim.OnlineOrder())
+			_, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()})
+			return err
 		}, adept2.ErrVersionSkew},
 		{"create of unknown type", func() error {
-			_, err := sys.CreateInstance("no_such_type")
+			_, err := sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "no_such_type"})
 			return err
 		}, adept2.ErrNotFound},
 		{"complete on unknown instance", func() error {
-			return sys.Complete("inst-999999", "get_order", "ann", nil)
+			_, err := sys.Submit(context.Background(), &adept2.CompleteActivity{Instance: "inst-999999", Node: "get_order", User: "ann"})
+			return err
 		}, adept2.ErrNotFound},
 		{"complete of unknown node", func() error {
-			return sys.Complete(running.ID(), "no_such_node", "ann", nil)
+			_, err := sys.Submit(context.Background(), &adept2.CompleteActivity{Instance: running.ID(), Node: "no_such_node", User: "ann"})
+			return err
 		}, adept2.ErrNotFound},
 		{"start a completed node", func() error {
-			return sys.Start(running.ID(), "get_order", "ann")
+			_, err := sys.Submit(context.Background(), &adept2.StartActivity{Instance: running.ID(), Node: "get_order", User: "ann"})
+			return err
 		}, adept2.ErrConflict},
 		{"complete without the role", func() error {
-			return sys.Complete(running.ID(), "collect_data", "bob", nil)
+			_, err := sys.Submit(context.Background(), &adept2.CompleteActivity{Instance: running.ID(), Node: "collect_data", User: "bob"})
+			return err
 		}, adept2.ErrDenied},
 		{"complete while suspended", func() error {
-			return sys.Complete(frozen.ID(), "get_order", "ann", map[string]any{"out": "x"})
+			_, err := sys.Submit(context.Background(), &adept2.CompleteActivity{Instance: frozen.ID(), Node: "get_order", User: "ann", Outputs: map[string]any{"out": "x"}})
+			return err
 		}, adept2.ErrSuspended},
 		{"suspend a completed instance", func() error {
-			return sys.Suspend(done.ID())
+			_, err := sys.Submit(context.Background(), &adept2.Suspend{Instance: done.ID()})
+			return err
 		}, adept2.ErrCompleted},
 		{"ad-hoc change of a completed instance", func() error {
-			return sys.AdHocChange(done.ID(), sim.OnlineOrderBiasI2()...)
+			_, err := sys.Submit(context.Background(), &adept2.AdHoc{Instance: done.ID(), Ops: sim.OnlineOrderBiasI2()})
+			return err
 		}, adept2.ErrCompleted},
 		{"resume a running instance", func() error {
-			return sys.Resume(running.ID())
+			_, err := sys.Submit(context.Background(), &adept2.Resume{Instance: running.ID()})
+			return err
 		}, adept2.ErrConflict},
 		{"non-compliant ad-hoc change", func() error {
 			// Deleting an already-completed activity violates its state
 			// condition.
-			return sys.AdHocChange(running.ID(), &adept2.DeleteActivity{ID: "get_order"})
+			_, err := sys.Submit(context.Background(), &adept2.AdHoc{Instance: running.ID(), Ops: []adept2.Operation{&adept2.DeleteActivity{ID: "get_order"}}})
+			return err
 		}, adept2.ErrNotCompliant},
 		{"undo without changes", func() error {
-			return sys.UndoAdHocChange(running.ID())
+			_, err := sys.Submit(context.Background(), &adept2.Undo{Instance: running.ID()})
+			return err
 		}, adept2.ErrConflict},
 		{"evolve unknown type", func() error {
-			_, err := sys.Evolve("no_such_type", sim.OnlineOrderTypeChange(), adept2.EvolveOptions{})
+			_, err := sys.Submit(context.Background(), &adept2.Evolve{TypeName: "no_such_type", Ops: sim.OnlineOrderTypeChange()})
 			return err
 		}, adept2.ErrNotFound},
 		{"claim by a non-candidate", func() error {
@@ -164,14 +180,15 @@ func TestErrorTaxonomy(t *testing.T) {
 // field narrows to that instance.
 func TestErrorTaxonomyInstanceMatch(t *testing.T) {
 	sys := adept2.New(adept2.WithOrg(sim.Org()))
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
-	inst, err := sys.CreateInstance("online_order")
+	res, err := sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "online_order"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = sys.Resume(inst.ID())
+	inst := res.(*adept2.Instance)
+	_, err = sys.Submit(context.Background(), &adept2.Resume{Instance: inst.ID()})
 	if !errors.Is(err, &adept2.Error{Code: adept2.CodeConflict, Instance: inst.ID()}) {
 		t.Fatalf("instance-narrowed match failed for %v", err)
 	}
@@ -193,7 +210,7 @@ func TestErrorTaxonomyWedged(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.Health(); err != nil {
@@ -210,7 +227,7 @@ func TestErrorTaxonomyWedged(t *testing.T) {
 	// Commands keep succeeding (the journal is fine) while background
 	// checkpoints fail; Health must say wedged.
 	for i := 0; i < 4; i++ {
-		if _, err := sys.CreateInstance("online_order"); err != nil {
+		if _, err := sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "online_order"}); err != nil {
 			t.Fatal(err)
 		}
 		if err := sys.WaitCheckpoints(); err != nil {

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -62,6 +63,12 @@ func main() {
 
 	sys, err := adept2.Open(journal)
 	must(err)
+	// submit hands one command to the system and returns its result.
+	submit := func(cmd adept2.Command) any {
+		res, err := sys.Submit(context.Background(), cmd)
+		must(err)
+		return res
+	}
 	for _, u := range []*adept2.User{
 		{ID: "dispatch", Roles: []string{"dispatcher"}},
 		{ID: "quay", Roles: []string{"terminal"}},
@@ -69,24 +76,23 @@ func main() {
 		{ID: "capt", Roles: []string{"carrier"}},
 		{ID: "sec", Roles: []string{"security"}},
 	} {
-		must(sys.AddUser(u))
+		submit(&adept2.AddUser{User: u})
 	}
-	must(sys.Deploy(buildTransport()))
+	submit(&adept2.Deploy{Schema: buildTransport()})
 
 	// A small fleet in different states.
 	var ids []string
 	for i := 0; i < 6; i++ {
-		inst, err := sys.CreateInstance("container_transport")
-		must(err)
+		inst := submit(&adept2.CreateInstance{TypeName: "container_transport"}).(*adept2.Instance)
 		ids = append(ids, inst.ID())
 		route := i % 2
-		must(sys.Complete(inst.ID(), "book", "dispatch",
-			map[string]any{"manifest": fmt.Sprintf("M-%03d", i), "route": route}))
+		submit(&adept2.CompleteActivity{Instance: inst.ID(), Node: "book", User: "dispatch",
+			Outputs: map[string]any{"manifest": fmt.Sprintf("M-%03d", i), "route": route}})
 		if i >= 3 {
 			// The late fleet already cleared customs and loaded.
-			must(sys.Complete(inst.ID(), "load", "quay", nil))
-			must(sys.Complete(inst.ID(), "declare", "broker1", nil))
-			must(sys.Complete(inst.ID(), "clear", "broker1", nil))
+			submit(&adept2.CompleteActivity{Instance: inst.ID(), Node: "load", User: "quay"})
+			submit(&adept2.CompleteActivity{Instance: inst.ID(), Node: "declare", User: "broker1"})
+			submit(&adept2.CompleteActivity{Instance: inst.ID(), Node: "clear", User: "broker1"})
 		}
 	}
 
@@ -108,8 +114,8 @@ func main() {
 	}
 
 	fmt.Println("=== fleet-wide evolution: add security scan ===")
-	report, err := sys.Evolve("container_transport", deltaT, adept2.EvolveOptions{Workers: 4})
-	must(err)
+	report := submit(&adept2.Evolve{TypeName: "container_transport", Ops: deltaT,
+		Options: adept2.EvolveOptions{Workers: 4}}).(*adept2.MigrationReport)
 	fmt.Print(adept2.FormatReport(report))
 
 	// Instances that already passed loading keep running on V1; the rest

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -60,66 +61,72 @@ func main() {
 	schema := buildTreatment()
 	loopEnd := loopEndOf(schema)
 
+	ctx := context.Background()
 	sys := adept2.New()
+	// submit hands one command to the system and returns its result.
+	submit := func(cmd adept2.Command) any {
+		res, err := sys.Submit(ctx, cmd)
+		must(err)
+		return res
+	}
 	for _, u := range []*adept2.User{
 		{ID: "nina", Roles: []string{"nurse"}},
 		{ID: "dr_may", Roles: []string{"physician"}},
 		{ID: "lu", Roles: []string{"lab"}},
 	} {
-		must(sys.AddUser(u))
+		submit(&adept2.AddUser{User: u})
 	}
-	must(sys.Deploy(schema))
+	submit(&adept2.Deploy{Schema: schema})
 
 	// Patient A follows the standard process for one round.
-	pa, err := sys.CreateInstance("treatment")
-	must(err)
-	must(sys.Complete(pa.ID(), "admit", "nina", nil))
-	must(sys.Complete(pa.ID(), "anamnesis", "dr_may", map[string]any{"diagnosis": "pneumonia"}))
+	pa := submit(&adept2.CreateInstance{TypeName: "treatment"}).(*adept2.Instance)
+	submit(&adept2.CompleteActivity{Instance: pa.ID(), Node: "admit", User: "nina"})
+	submit(&adept2.CompleteActivity{Instance: pa.ID(), Node: "anamnesis", User: "dr_may", Outputs: map[string]any{"diagnosis": "pneumonia"}})
 
 	// Exceptional situation: patient A additionally needs an MRT scan in
 	// parallel with this round's basic lab panel — an ad-hoc deviation for
 	// this single instance.
-	must(sys.AdHocChange(pa.ID(), &adept2.ParallelInsert{
+	submit(&adept2.AdHoc{Instance: pa.ID(), Ops: []adept2.Operation{&adept2.ParallelInsert{
 		Node: &adept2.Node{ID: "mrt_scan", Name: "MRT Scan", Type: adept2.NodeActivity, Role: "lab", Template: "mrt"},
 		From: "lab_basic",
 		To:   "lab_basic",
-	}))
+	}}})
 	fmt.Println("patient A deviates from the template:")
 	fmt.Print(adept2.RenderInstance(pa))
 
 	// The round proceeds, including the extra scan.
-	must(sys.Complete(pa.ID(), "examine", "dr_may", nil))
-	must(sys.Complete(pa.ID(), "treat", "dr_may", nil))
-	must(sys.Complete(pa.ID(), "lab_basic", "lu", nil))
-	must(sys.Complete(pa.ID(), "mrt_scan", "lu", nil))
-	must(sys.Complete(pa.ID(), "evaluate", "dr_may", map[string]any{"cured": false}))
+	submit(&adept2.CompleteActivity{Instance: pa.ID(), Node: "examine", User: "dr_may"})
+	submit(&adept2.CompleteActivity{Instance: pa.ID(), Node: "treat", User: "dr_may"})
+	submit(&adept2.CompleteActivity{Instance: pa.ID(), Node: "lab_basic", User: "lu"})
+	submit(&adept2.CompleteActivity{Instance: pa.ID(), Node: "mrt_scan", User: "lu"})
+	submit(&adept2.CompleteActivity{Instance: pa.ID(), Node: "evaluate", User: "dr_may", Outputs: map[string]any{"cured": false}})
 	// Not cured: iterate the treatment cycle once more.
-	must(sys.CompleteLoop(pa.ID(), loopEnd, "", nil, true))
+	again, stop := true, false
+	submit(&adept2.CompleteActivity{Instance: pa.ID(), Node: loopEnd, Again: &again})
 	fmt.Printf("\npatient A entered round 2 (loop iterations: %d)\n", pa.LoopIterations(loopEnd))
-	must(sys.Complete(pa.ID(), "examine", "dr_may", nil))
-	must(sys.Complete(pa.ID(), "treat", "dr_may", nil))
-	must(sys.Complete(pa.ID(), "lab_basic", "lu", nil))
-	must(sys.Complete(pa.ID(), "mrt_scan", "lu", nil))
-	must(sys.Complete(pa.ID(), "evaluate", "dr_may", map[string]any{"cured": true}))
-	must(sys.CompleteLoop(pa.ID(), loopEnd, "", nil, false))
-	must(sys.Complete(pa.ID(), "discharge", "nina", nil))
+	submit(&adept2.CompleteActivity{Instance: pa.ID(), Node: "examine", User: "dr_may"})
+	submit(&adept2.CompleteActivity{Instance: pa.ID(), Node: "treat", User: "dr_may"})
+	submit(&adept2.CompleteActivity{Instance: pa.ID(), Node: "lab_basic", User: "lu"})
+	submit(&adept2.CompleteActivity{Instance: pa.ID(), Node: "mrt_scan", User: "lu"})
+	submit(&adept2.CompleteActivity{Instance: pa.ID(), Node: "evaluate", User: "dr_may", Outputs: map[string]any{"cured": true}})
+	submit(&adept2.CompleteActivity{Instance: pa.ID(), Node: loopEnd, Again: &stop})
+	submit(&adept2.CompleteActivity{Instance: pa.ID(), Node: "discharge", User: "nina"})
 	fmt.Printf("patient A discharged: %v\n\n", pa.Done())
 
 	// Patient B: the basic lab panel is not medically indicated; the
 	// physician deletes it for this instance. The engine checks that no
 	// data dependency breaks.
-	pb, err := sys.CreateInstance("treatment")
-	must(err)
-	must(sys.Complete(pb.ID(), "admit", "nina", nil))
-	must(sys.Complete(pb.ID(), "anamnesis", "dr_may", map[string]any{"diagnosis": "sprain"}))
-	must(sys.AdHocChange(pb.ID(), &adept2.DeleteActivity{ID: "lab_basic"}))
+	pb := submit(&adept2.CreateInstance{TypeName: "treatment"}).(*adept2.Instance)
+	submit(&adept2.CompleteActivity{Instance: pb.ID(), Node: "admit", User: "nina"})
+	submit(&adept2.CompleteActivity{Instance: pb.ID(), Node: "anamnesis", User: "dr_may", Outputs: map[string]any{"diagnosis": "sprain"}})
+	submit(&adept2.AdHoc{Instance: pb.ID(), Ops: []adept2.Operation{&adept2.DeleteActivity{ID: "lab_basic"}}})
 	fmt.Println("patient B skips the lab panel:")
 	fmt.Print(adept2.RenderInstance(pb))
 
 	// Attempting to delete an already-started activity is rejected — the
 	// guarantee that makes ad-hoc changes safe.
-	must(sys.Start(pb.ID(), "examine", "dr_may"))
-	if err := sys.AdHocChange(pb.ID(), &adept2.DeleteActivity{ID: "examine"}); err != nil {
+	submit(&adept2.StartActivity{Instance: pb.ID(), Node: "examine", User: "dr_may"})
+	if _, err := sys.Submit(ctx, &adept2.AdHoc{Instance: pb.ID(), Ops: []adept2.Operation{&adept2.DeleteActivity{ID: "examine"}}}); err != nil {
 		fmt.Printf("\nrejected as expected: %v\n", err)
 	} else {
 		log.Fatal("deleting a running activity must be rejected")

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -45,45 +46,48 @@ func must(err error) {
 
 func main() {
 	sys := adept2.New()
+	// submit hands one command to the system and returns its result.
+	submit := func(cmd adept2.Command) any {
+		res, err := sys.Submit(context.Background(), cmd)
+		must(err)
+		return res
+	}
 	for _, u := range []*adept2.User{
 		{ID: "ann", Roles: []string{"clerk", "sales"}},
 		{ID: "bob", Roles: []string{"warehouse", "courier"}},
 	} {
-		must(sys.AddUser(u))
+		submit(&adept2.AddUser{User: u})
 	}
-	must(sys.Deploy(buildOnlineOrder()))
+	submit(&adept2.Deploy{Schema: buildOnlineOrder()})
 
 	// I1: both branches progressed, confirm_order and pack_goods not yet
 	// started (the compliant instance of Fig. 1).
-	i1, err := sys.CreateInstance("online_order")
-	must(err)
-	must(sys.Complete(i1.ID(), "get_order", "ann", map[string]any{"out": "order-1001"}))
-	must(sys.Complete(i1.ID(), "collect_data", "ann", nil))
-	must(sys.Complete(i1.ID(), "compose_order", "bob", nil))
+	i1 := submit(&adept2.CreateInstance{TypeName: "online_order"}).(*adept2.Instance)
+	submit(&adept2.CompleteActivity{Instance: i1.ID(), Node: "get_order", User: "ann", Outputs: map[string]any{"out": "order-1001"}})
+	submit(&adept2.CompleteActivity{Instance: i1.ID(), Node: "collect_data", User: "ann"})
+	submit(&adept2.CompleteActivity{Instance: i1.ID(), Node: "compose_order", User: "bob"})
 
 	// I2: individually modified — send_brochure inserted, and composition
 	// must wait for confirmation (sync edge). This bias later collides
 	// with the type change.
-	i2, err := sys.CreateInstance("online_order")
-	must(err)
-	must(sys.Complete(i2.ID(), "get_order", "ann", map[string]any{"out": "order-1002"}))
-	must(sys.AdHocChange(i2.ID(),
+	i2 := submit(&adept2.CreateInstance{TypeName: "online_order"}).(*adept2.Instance)
+	submit(&adept2.CompleteActivity{Instance: i2.ID(), Node: "get_order", User: "ann", Outputs: map[string]any{"out": "order-1002"}})
+	submit(&adept2.AdHoc{Instance: i2.ID(), Ops: []adept2.Operation{
 		&adept2.SerialInsert{
 			Node: &adept2.Node{ID: "send_brochure", Name: "Send Brochure", Type: adept2.NodeActivity, Role: "sales", Template: "send_brochure"},
 			Pred: "collect_data",
 			Succ: "confirm_order",
 		},
 		&adept2.InsertSyncEdge{From: "confirm_order", To: "compose_order"},
-	))
+	}})
 
 	// I3: the warehouse already packed the goods (the state-conflict
 	// instance of Fig. 1).
-	i3, err := sys.CreateInstance("online_order")
-	must(err)
-	must(sys.Complete(i3.ID(), "get_order", "ann", map[string]any{"out": "order-1003"}))
-	must(sys.Complete(i3.ID(), "collect_data", "ann", nil))
-	must(sys.Complete(i3.ID(), "compose_order", "bob", nil))
-	must(sys.Complete(i3.ID(), "pack_goods", "bob", nil))
+	i3 := submit(&adept2.CreateInstance{TypeName: "online_order"}).(*adept2.Instance)
+	submit(&adept2.CompleteActivity{Instance: i3.ID(), Node: "get_order", User: "ann", Outputs: map[string]any{"out": "order-1003"}})
+	submit(&adept2.CompleteActivity{Instance: i3.ID(), Node: "collect_data", User: "ann"})
+	submit(&adept2.CompleteActivity{Instance: i3.ID(), Node: "compose_order", User: "bob"})
+	submit(&adept2.CompleteActivity{Instance: i3.ID(), Node: "pack_goods", User: "bob"})
 
 	// The type change ΔT of Fig. 1: insert send_questions between
 	// compose_order and pack_goods, synchronized before confirm_order.
@@ -96,8 +100,7 @@ func main() {
 		&adept2.InsertSyncEdge{From: "send_questions", To: "confirm_order"},
 	}
 	fmt.Println("=== evolving online_order V1 -> V2 ===")
-	report, err := sys.Evolve("online_order", deltaT, adept2.EvolveOptions{})
-	must(err)
+	report := submit(&adept2.Evolve{TypeName: "online_order", Ops: deltaT}).(*adept2.MigrationReport)
 	fmt.Print(adept2.FormatReport(report))
 
 	fmt.Println("\n=== I1 after migration (state adapted, Fig. 1 bottom) ===")
@@ -108,20 +111,20 @@ func main() {
 	fmt.Print(adept2.RenderInstance(i3))
 
 	// All three instances complete on their respective versions.
-	must(sys.Complete(i1.ID(), "send_questions", "ann", nil))
-	must(sys.Complete(i1.ID(), "confirm_order", "ann", nil))
-	must(sys.Complete(i1.ID(), "pack_goods", "bob", nil))
-	must(sys.Complete(i1.ID(), "deliver_goods", "bob", nil))
+	submit(&adept2.CompleteActivity{Instance: i1.ID(), Node: "send_questions", User: "ann"})
+	submit(&adept2.CompleteActivity{Instance: i1.ID(), Node: "confirm_order", User: "ann"})
+	submit(&adept2.CompleteActivity{Instance: i1.ID(), Node: "pack_goods", User: "bob"})
+	submit(&adept2.CompleteActivity{Instance: i1.ID(), Node: "deliver_goods", User: "bob"})
 
-	must(sys.Complete(i2.ID(), "collect_data", "ann", nil))
-	must(sys.Complete(i2.ID(), "send_brochure", "ann", nil))
-	must(sys.Complete(i2.ID(), "confirm_order", "ann", nil))
-	must(sys.Complete(i2.ID(), "compose_order", "bob", nil))
-	must(sys.Complete(i2.ID(), "pack_goods", "bob", nil))
-	must(sys.Complete(i2.ID(), "deliver_goods", "bob", nil))
+	submit(&adept2.CompleteActivity{Instance: i2.ID(), Node: "collect_data", User: "ann"})
+	submit(&adept2.CompleteActivity{Instance: i2.ID(), Node: "send_brochure", User: "ann"})
+	submit(&adept2.CompleteActivity{Instance: i2.ID(), Node: "confirm_order", User: "ann"})
+	submit(&adept2.CompleteActivity{Instance: i2.ID(), Node: "compose_order", User: "bob"})
+	submit(&adept2.CompleteActivity{Instance: i2.ID(), Node: "pack_goods", User: "bob"})
+	submit(&adept2.CompleteActivity{Instance: i2.ID(), Node: "deliver_goods", User: "bob"})
 
-	must(sys.Complete(i3.ID(), "confirm_order", "ann", nil))
-	must(sys.Complete(i3.ID(), "deliver_goods", "bob", nil))
+	submit(&adept2.CompleteActivity{Instance: i3.ID(), Node: "confirm_order", User: "ann"})
+	submit(&adept2.CompleteActivity{Instance: i3.ID(), Node: "deliver_goods", User: "bob"})
 
 	fmt.Printf("\nall done: I1=%v (v%d), I2=%v (v%d), I3=%v (v%d)\n",
 		i1.Done(), i1.Version(), i2.Done(), i2.Version(), i3.Done(), i3.Version())

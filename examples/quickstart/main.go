@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,7 +25,9 @@ func main() {
 		log.Fatalf("build schema: %v", err)
 	}
 
-	// 2. Set up the system with an org model and deploy.
+	// 2. Set up the system with an org model and deploy. Every change to
+	// the system is a typed command handed to Submit.
+	ctx := context.Background()
 	sys := adept2.New()
 	for _, u := range []*adept2.User{
 		{ID: "ann", Name: "Ann", Roles: []string{"clerk"}},
@@ -35,32 +38,34 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	if err := sys.Deploy(schema); err != nil {
+	if _, err := sys.Submit(ctx, &adept2.Deploy{Schema: schema}); err != nil {
 		log.Fatalf("deploy: %v", err)
 	}
 	fmt.Print(adept2.RenderSchema(schema))
 
 	// 3. Create an instance and work through the worklist.
-	inst, err := sys.CreateInstance("credit_request")
+	res, err := sys.Submit(ctx, &adept2.CreateInstance{TypeName: "credit_request"})
 	if err != nil {
 		log.Fatal(err)
 	}
+	inst := res.(*adept2.Instance)
 	items := sys.WorkItems("ann")
 	fmt.Printf("\nann's worklist: %d item(s), first: %s\n", len(items), items[0].Node)
 	if err := sys.Claim(items[0].ID, "ann"); err != nil {
 		log.Fatal(err)
 	}
-	if err := sys.Complete(inst.ID(), "receive", "ann", map[string]any{"amount": 5000}); err != nil {
+	if _, err := sys.Submit(ctx, &adept2.CompleteActivity{
+		Instance: inst.ID(), Node: "receive", User: "ann", Outputs: map[string]any{"amount": 5000}}); err != nil {
 		log.Fatal(err)
 	}
 
 	// 4. Ad-hoc change: this single request additionally needs a second
 	// opinion, inserted between check and decide — only for this instance.
-	err = sys.AdHocChange(inst.ID(), &adept2.SerialInsert{
+	_, err = sys.Submit(ctx, &adept2.AdHoc{Instance: inst.ID(), Ops: []adept2.Operation{&adept2.SerialInsert{
 		Node: &adept2.Node{ID: "second_opinion", Name: "Second Opinion", Type: adept2.NodeActivity, Role: "analyst", Template: "second_opinion"},
 		Pred: "check",
 		Succ: "decide",
-	})
+	}}})
 	if err != nil {
 		log.Fatalf("ad-hoc change: %v", err)
 	}
@@ -73,7 +78,7 @@ func main() {
 		{"second_opinion", "eve"},
 		{"decide", "eve"},
 	} {
-		if err := sys.Complete(inst.ID(), step.node, step.user, nil); err != nil {
+		if _, err := sys.Submit(ctx, &adept2.CompleteActivity{Instance: inst.ID(), Node: step.node, User: step.user}); err != nil {
 			log.Fatalf("complete %s: %v", step.node, err)
 		}
 	}

@@ -63,17 +63,18 @@ func openRepair(t *testing.T, path string, clk *testClock, policy adept2.Excepti
 // "fix running under ann". Returns the instance ID.
 func startFix(t *testing.T, sys *adept2.System) string {
 	t.Helper()
-	if err := sys.Deploy(repairSchema(t)); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: repairSchema(t)}); err != nil {
 		t.Fatal(err)
 	}
-	inst, err := sys.CreateInstance("repair")
+	res, err := sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "repair"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Complete(inst.ID(), "triage", "ann", nil); err != nil {
+	inst := res.(*adept2.Instance)
+	if _, err := sys.Submit(context.Background(), &adept2.CompleteActivity{Instance: inst.ID(), Node: "triage", User: "ann"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Start(inst.ID(), "fix", "ann"); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.StartActivity{Instance: inst.ID(), Node: "fix", User: "ann"}); err != nil {
 		t.Fatal(err)
 	}
 	return inst.ID()
@@ -150,7 +151,7 @@ func TestFailRetryBackoffLifecycle(t *testing.T) {
 	}
 
 	// The second failure doubles the backoff.
-	if err := sys.Start(id, "fix", "ann"); err != nil {
+	if _, err := sys.Submit(ctx, &adept2.StartActivity{Instance: id, Node: "fix", User: "ann"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.Fail(ctx, id, "fix", "ann", "printer still on fire"); err != nil {
@@ -167,10 +168,10 @@ func TestFailRetryBackoffLifecycle(t *testing.T) {
 	if rep, err = sys.SweepDeadlines(ctx, clk.Now()); err != nil || rep.Retries != 1 {
 		t.Fatalf("second due sweep: %v, retries %d", err, rep.Retries)
 	}
-	if err := sys.Start(id, "fix", "cyn"); err != nil {
+	if _, err := sys.Submit(ctx, &adept2.StartActivity{Instance: id, Node: "fix", User: "cyn"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Complete(id, "fix", "cyn", nil); err != nil {
+	if _, err := sys.Submit(ctx, &adept2.CompleteActivity{Instance: id, Node: "fix", User: "cyn"}); err != nil {
 		t.Fatal(err)
 	}
 	if got := inst.FailureCount("fix"); got != 0 {
@@ -179,7 +180,7 @@ func TestFailRetryBackoffLifecycle(t *testing.T) {
 	if got := countEvents(inst, history.Failed); got != 2 {
 		t.Fatalf("physical history records %d Failed events, want 2", got)
 	}
-	if err := sys.Complete(id, "wrap", "ann", nil); err != nil {
+	if _, err := sys.Submit(ctx, &adept2.CompleteActivity{Instance: id, Node: "wrap", User: "ann"}); err != nil {
 		t.Fatal(err)
 	}
 	if !inst.Done() {
@@ -213,7 +214,7 @@ func TestFailSkipCompensation(t *testing.T) {
 	if !hasItem(sys, "ann", id, "wrap") {
 		t.Fatal("successor not offered after the skip")
 	}
-	if err := sys.Complete(id, "wrap", "ann", nil); err != nil {
+	if _, err := sys.Submit(ctx, &adept2.CompleteActivity{Instance: id, Node: "wrap", User: "ann"}); err != nil {
 		t.Fatal(err)
 	}
 	if !inst.Done() {
@@ -249,7 +250,7 @@ func TestFailSuspendThenAdminRecovers(t *testing.T) {
 		t.Fatal("suppressed item offered while suspended")
 	}
 
-	if err := sys.Resume(id); err != nil {
+	if _, err := sys.Submit(ctx, &adept2.Resume{Instance: id}); err != nil {
 		t.Fatal(err)
 	}
 	// Resuming alone does not lift the suppression: the pending mark
@@ -267,7 +268,7 @@ func TestFailSuspendThenAdminRecovers(t *testing.T) {
 		t.Fatal("item not re-offered after the admin retry")
 	}
 	for _, step := range []string{"fix", "wrap"} {
-		if err := sys.Complete(id, step, "ann", nil); err != nil {
+		if _, err := sys.Submit(ctx, &adept2.CompleteActivity{Instance: id, Node: step, User: "ann"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -373,10 +374,10 @@ func TestDeadlineEscalationSurvivesRecovery(t *testing.T) {
 		t.Fatalf("sweep after replay double-fired: %v, timeouts %d", err, rep.Timeouts)
 	}
 	// The escalation assignee finishes the work.
-	if err := sys.Complete(id, "fix", "dan", nil); err != nil {
+	if _, err := sys.Submit(ctx, &adept2.CompleteActivity{Instance: id, Node: "fix", User: "dan"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Complete(id, "wrap", "ann", nil); err != nil {
+	if _, err := sys.Submit(ctx, &adept2.CompleteActivity{Instance: id, Node: "wrap", User: "ann"}); err != nil {
 		t.Fatal(err)
 	}
 	if !inst.Done() {

@@ -46,7 +46,7 @@ func newFaultDriver(t *testing.T, sys *adept2.System, seed int64) *faultDriver {
 		t: t, sys: sys, rng: rand.New(rand.NewSource(seed)),
 		ctx: context.Background(), byReceipt: make(map[*adept2.Receipt]string),
 	}
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		d.noteErr(err)
 	}
 	return d
@@ -199,10 +199,8 @@ var crashLayouts = []struct {
 	cfg  adept2.CheckpointConfig
 }{
 	{"default", adept2.CheckpointConfig{}},
-	{"shards=1", adept2.CheckpointConfig{Every: 16,
-		RetryBase: 100 * time.Microsecond, RetryCap: time.Millisecond}},
-	{"shards=4", adept2.CheckpointConfig{Every: 16, Shards: 4,
-		RetryBase: 100 * time.Microsecond, RetryCap: time.Millisecond}},
+	{"shards=1", adept2.CheckpointConfig{Every: 16}},
+	{"shards=4", adept2.CheckpointConfig{Every: 16, Shards: 4}},
 }
 
 // TestCrashPointRecovery is the PR 6 acceptance property test: the same
@@ -293,7 +291,7 @@ func crashRun(t *testing.T, cfg adept2.CheckpointConfig, site int64, steps int) 
 		}
 	}
 	// Writability probe: the recovered system accepts new durable work.
-	if err := got.AddUser(&adept2.User{ID: fmt.Sprintf("probe-%d", site)}); err != nil {
+	if _, err := got.Submit(ctx, &adept2.AddUser{User: &adept2.User{ID: fmt.Sprintf("probe-%d", site)}}); err != nil {
 		t.Fatalf("site %d: post-recovery write: %v", site, err)
 	}
 	if err := got.Health(); err != nil {
@@ -323,8 +321,6 @@ func TestTransientFaultsNeverWedge(t *testing.T) {
 	for _, l := range crashLayouts {
 		t.Run(l.name, func(t *testing.T) {
 			cfg := l.cfg
-			cfg.RetryMax = 6
-
 			ref := transientRun(t, cfg, nil)
 
 			var injected atomic.Int64
@@ -395,7 +391,6 @@ func TestPersistentFaultDegradesAndHeals(t *testing.T) {
 		t.Run(l.name, func(t *testing.T) {
 			cfg := l.cfg
 			cfg.Every = -1 // no checkpoints: the journal is the story here
-			cfg.RetryMax = 2
 			ctx := context.Background()
 			ffs := vfs.NewFaultFS(vfs.NewMemFS(), nil)
 			sys, err := adept2.Open("wal",
@@ -403,7 +398,7 @@ func TestPersistentFaultDegradesAndHeals(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+			if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 				t.Fatal(err)
 			}
 			res, err := sys.Submit(ctx, &adept2.CreateInstance{TypeName: "online_order"})
@@ -496,8 +491,7 @@ func TestPersistentFaultDegradesAndHeals(t *testing.T) {
 // receipt; after the pipeline wedges and is healed, a later Wait on the
 // same receipt resolves nil and the record is durable.
 func TestReceiptWaitCancelRacesWedgeThenHeal(t *testing.T) {
-	cfg := adept2.CheckpointConfig{Every: -1,
-		RetryMax: 3, RetryBase: 5 * time.Millisecond, RetryCap: 10 * time.Millisecond}
+	cfg := adept2.CheckpointConfig{Every: -1}
 	ctx := context.Background()
 	ffs := vfs.NewFaultFS(vfs.NewMemFS(), nil)
 	sys, err := adept2.Open("wal",
@@ -505,7 +499,7 @@ func TestReceiptWaitCancelRacesWedgeThenHeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(ctx, &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -567,8 +561,7 @@ func TestReceiptWaitCancelRacesWedgeThenHeal(t *testing.T) {
 // be replayed again: the next recovery starts at the heal-time snapshot
 // and replays only records submitted after it.
 func TestHealForcesCheckpoint(t *testing.T) {
-	cfg := adept2.CheckpointConfig{Every: -1, RetryMax: 2,
-		RetryBase: 100 * time.Microsecond, RetryCap: time.Millisecond}
+	cfg := adept2.CheckpointConfig{Every: -1}
 	ctx := context.Background()
 	ffs := vfs.NewFaultFS(vfs.NewMemFS(), nil)
 	sys, err := adept2.Open("wal",
@@ -576,7 +569,7 @@ func TestHealForcesCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(ctx, &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
@@ -643,8 +636,7 @@ func TestHealForcesCheckpoint(t *testing.T) {
 // the fault clears, Heal resets the checkpoint backoff and the next
 // checkpoint succeeds.
 func TestCheckpointDirFsyncFailureDoesNotWedge(t *testing.T) {
-	cfg := adept2.CheckpointConfig{Every: 4,
-		RetryBase: 100 * time.Microsecond, RetryCap: time.Millisecond}
+	cfg := adept2.CheckpointConfig{Every: 4}
 	ctx := context.Background()
 	ffs := vfs.NewFaultFS(vfs.NewMemFS(), nil)
 	sys, err := adept2.Open("wal",
@@ -652,7 +644,7 @@ func TestCheckpointDirFsyncFailureDoesNotWedge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(ctx, &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -702,7 +694,7 @@ func TestVerifyRepairIsDurableOrAProblem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.Close(); err != nil {

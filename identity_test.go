@@ -189,14 +189,15 @@ func TestLateRoleMemberSeesTheItemTheyStart(t *testing.T) {
 	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
 	sys := openSharded(t, path, adept2.CheckpointConfig{Every: -1})
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(ctx, &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
-	inst, err := sys.CreateInstance("online_order")
+	res, err := sys.Submit(ctx, &adept2.CreateInstance{TypeName: "online_order"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.AddUser(&adept2.User{ID: "eve", Roles: []string{"clerk"}}); err != nil {
+	inst := res.(*adept2.Instance)
+	if _, err := sys.Submit(ctx, &adept2.AddUser{User: &adept2.User{ID: "eve", Roles: []string{"clerk"}}}); err != nil {
 		t.Fatal(err)
 	}
 	start := &adept2.StartActivity{Instance: inst.ID(), Node: "get_order", User: strings.Clone("eve")}

@@ -12,42 +12,28 @@ import (
 	"adept2/internal/persist"
 )
 
-// CommitterOptions tunes a committer's flush retries and names its
-// telemetry. Batching has no knob: the in-flight fsync is the gather
-// window (see the package documentation).
+// Flush retries: a failed flush is retried up to retryMax times, the
+// backoff doubling from retryBase to at most retryCap, before the
+// committer wedges. Each retry re-verifies the journal tail and rewrites
+// the batch from the pending buffer (persist.Journal.Flush), so a
+// transient I/O error — a busy device, a momentary ENOSPC — never wedges
+// the committer.
+const (
+	retryMax  = 4
+	retryBase = time.Millisecond
+	retryCap  = 50 * time.Millisecond
+)
+
+// CommitterOptions names a committer's telemetry. Batching has no knob:
+// the in-flight fsync is the gather window (see the package
+// documentation).
 type CommitterOptions struct {
-	// RetryMax bounds how many times a failed flush is retried (with
-	// exponential backoff) before the committer wedges. Each retry
-	// re-verifies the journal tail and rewrites the batch from the
-	// pending buffer (persist.Journal.Flush), so a transient I/O error —
-	// a busy device, a momentary ENOSPC — never wedges the committer.
-	// Default 4; negative disables retries entirely.
-	RetryMax int
-	// RetryBase is the first retry's backoff (default 1ms); each further
-	// retry doubles it up to RetryCap (default 50ms).
-	RetryBase time.Duration
-	RetryCap  time.Duration
 	// Metrics, when set, receives the committer's flush telemetry (fsync
 	// latency, batch occupancy, retries, wedge/heal transitions). All
 	// recording methods are nil-safe, so the zero value costs one branch.
 	// Sharded WALs share one CommitterMetrics across their per-shard
 	// committers — the families aggregate.
 	Metrics *obs.CommitterMetrics
-}
-
-func (o *CommitterOptions) defaults() {
-	if o.RetryMax == 0 {
-		o.RetryMax = 4
-	}
-	if o.RetryMax < 0 {
-		o.RetryMax = 0
-	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = time.Millisecond
-	}
-	if o.RetryCap <= 0 {
-		o.RetryCap = 50 * time.Millisecond
-	}
 }
 
 // Committer groups concurrent journal appends into shared flushes: each
@@ -111,7 +97,6 @@ func (c *Committer) resolveWaitersLocked() {
 // records the journal was opened with are its durable floor, so the
 // watermark starts at its head: nothing is staged yet.
 func NewCommitter(j *persist.Journal, opts CommitterOptions) *Committer {
-	opts.defaults()
 	c := &Committer{
 		j:       j,
 		opts:    opts,
@@ -246,13 +231,13 @@ func (c *Committer) Flushed() int {
 // wedges the committer).
 func (c *Committer) flushWithRetry() error {
 	err := c.timedFlush()
-	backoff := c.opts.RetryBase
-	for attempt := 0; err != nil && attempt < c.opts.RetryMax; attempt++ {
+	backoff := retryBase
+	for attempt := 0; err != nil && attempt < retryMax; attempt++ {
 		c.retries.Add(1)
 		c.opts.Metrics.RetryInc()
 		time.Sleep(backoff)
-		if backoff *= 2; backoff > c.opts.RetryCap {
-			backoff = c.opts.RetryCap
+		if backoff *= 2; backoff > retryCap {
+			backoff = retryCap
 		}
 		err = c.timedFlush()
 	}

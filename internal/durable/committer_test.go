@@ -300,7 +300,7 @@ func TestWaitSeqRecyclingSurvivesCancellation(t *testing.T) {
 // the sticky error; after Heal, fresh waits — on those same channels —
 // must see their own flush succeed, not a stale error.
 func TestWaitSeqRecycledChannelsAfterHeal(t *testing.T) {
-	c, failing := failingCommitter(t, CommitterOptions{RetryMax: -1})
+	c, failing := failingCommitter(t, CommitterOptions{})
 	const waits = 8
 	ctxs := make([]context.Context, waits)
 	for i := range ctxs {

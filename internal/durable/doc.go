@@ -56,10 +56,10 @@
 // tail dirty; the retry path never trusts kernel pages — it truncates
 // the file back to the last fsync-covered offset, re-verifies the size,
 // rewrites the pending records from user space, and fsyncs. The
-// committer drives that retry with bounded exponential backoff
-// (CommitterOptions.RetryBase doubling up to RetryCap, at most RetryMax
-// retries per flush), so transient faults — a momentary ENOSPC, a
-// hiccuping device — are absorbed invisibly (counted in Retries).
+// committer drives that retry with bounded exponential backoff (retryBase,
+// 1 ms, doubling up to retryCap, 50 ms, at most retryMax = 4 retries per
+// flush), so transient faults — a momentary ENOSPC, a hiccuping device —
+// are absorbed invisibly (counted in Retries).
 //
 // Only when the budget is exhausted does the committer WEDGE: the error
 // becomes sticky, every waiter (current and future) settles with it,

@@ -73,40 +73,61 @@ func WithCompletedAt(at int64) CompleteOption {
 // (unix nanos, recorded on the journaled start command so replay re-arms
 // identically) arms the node's relative deadline.
 func (inst *Instance) startLocked(node, user string, at int64) error {
+	st, err := inst.checkStartLocked(node, user)
+	if err != nil {
+		return err
+	}
+	return inst.applyStartLocked(st, at)
+}
+
+// pendingStart is a start checkStartLocked accepted: the node, the user
+// its work item keeps, and the input values it reads.
+type pendingStart struct {
+	n     *model.Node
+	user  string
+	reads data.Values
+}
+
+// checkStartLocked validates the start of a node without changing
+// anything.
+func (inst *Instance) checkStartLocked(node, user string) (st pendingStart, err error) {
 	if inst.done {
-		return fault.Tagf(fault.Completed, "engine: start %s/%s: instance is completed", inst.id, node)
+		return st, fault.Tagf(fault.Completed, "engine: start %s/%s: instance is completed", inst.id, node)
 	}
 	if inst.suspended && user != "" {
-		return fault.Tagf(fault.Suspended, "engine: start %s/%s: instance is suspended", inst.id, node)
+		return st, fault.Tagf(fault.Suspended, "engine: start %s/%s: instance is suspended", inst.id, node)
 	}
 	v, _ := inst.viewLocked()
 	n, ok := v.Node(node)
 	if !ok {
-		return fault.Tagf(fault.NotFound, "engine: start %s/%s: no such node", inst.id, node)
+		return st, fault.Tagf(fault.NotFound, "engine: start %s/%s: no such node", inst.id, node)
 	}
 	node = n.ID // what the instance keeps is the schema's string, not the command's
 	if got := inst.marking.Node(node); got != state.Activated {
-		return fault.Tagf(fault.Conflict, "engine: start %s/%s: node is %s, not activated", inst.id, node, got)
+		return st, fault.Tagf(fault.Conflict, "engine: start %s/%s: node is %s, not activated", inst.id, node, got)
 	}
 	if !n.Auto && n.Role != "" {
 		if user == "" {
-			return fault.Tagf(fault.Denied, "engine: start %s/%s: activity requires a user with role %q", inst.id, node, n.Role)
+			return st, fault.Tagf(fault.Denied, "engine: start %s/%s: activity requires a user with role %q", inst.id, node, n.Role)
 		}
 		id, ok := inst.eng.org.HasRole(user, n.Role)
 		if !ok {
-			return fault.Tagf(fault.Denied, "engine: start %s/%s: user %q lacks role %q", inst.id, node, user, n.Role)
+			return st, fault.Tagf(fault.Denied, "engine: start %s/%s: user %q lacks role %q", inst.id, node, user, n.Role)
 		}
 		user = id // what the work item keeps is the org model's string, not the command's
 	}
 	reads, err := inst.gatherReadsLocked(v, n)
-	if err != nil {
-		return err
-	}
+	return pendingStart{n: n, user: user, reads: reads}, err
+}
+
+// applyStartLocked performs a start checkStartLocked accepted.
+func (inst *Instance) applyStartLocked(st pendingStart, at int64) error {
+	n, node := st.n, st.n.ID
 	if err := inst.marking.Start(node); err != nil {
 		return err
 	}
 	// The event is read by Append, not kept: it stays on the stack.
-	e := inst.hist.Append(&history.Event{Kind: history.Started, Node: node, User: user, Values: reads, Decision: -1, At: at})
+	e := inst.hist.Append(&history.Event{Kind: history.Started, Node: node, User: st.user, Values: st.reads, Decision: -1, At: at})
 	inst.stats.OnStart(node, int(e.Seq))
 	// A fresh start clears any pending retry/compensation left from a
 	// prior failed attempt and arms the activity's deadline.
@@ -121,7 +142,7 @@ func (inst *Instance) startLocked(node, user string, at int64) error {
 	if !n.Auto && n.Type == model.NodeActivity {
 		// Best effort: the item exists unless the node was activated by
 		// adaptation inside a Mutate (reconciled afterwards).
-		_ = inst.eng.wl.MarkStarted(inst.id, node, user)
+		_ = inst.eng.wl.MarkStarted(inst.id, node, st.user)
 	}
 	return nil
 }
@@ -163,9 +184,8 @@ func countAccess(edges []*model.DataEdge, access model.DataAccess) int {
 	return k
 }
 
-// completeEntryLocked is the user-facing completion path: it starts the
-// node first when it is merely activated, completes it, and advances the
-// instance.
+// completeEntryLocked is the user-facing completion path: it completes
+// the node and advances the instance.
 func (inst *Instance) completeEntryLocked(node, user string, outputs map[string]any, opts ...CompleteOption) error {
 	if inst.done {
 		return fault.Tagf(fault.Completed, "engine: complete %s/%s: instance is completed", inst.id, node)
@@ -173,33 +193,35 @@ func (inst *Instance) completeEntryLocked(node, user string, outputs map[string]
 	if inst.suspended {
 		return fault.Tagf(fault.Suspended, "engine: complete %s/%s: instance is suspended", inst.id, node)
 	}
-	if inst.marking.Node(node) == state.Activated {
-		// Implicit start: no deadline is armed — the completion follows
-		// immediately, so an expiry could never fire.
-		if err := inst.startLocked(node, user, 0); err != nil {
-			return err
-		}
-	}
 	var co completeOpts
 	for _, o := range opts {
 		co.apply(o)
 	}
-	if err := inst.completeCoreLocked(node, user, outputs, co); err != nil {
+	if err := inst.completeLocked(node, user, outputs, co); err != nil {
 		return err
 	}
 	return inst.cascadeLocked()
 }
 
-// completeCoreLocked performs the completion bookkeeping without running
-// the automatic cascade.
-func (inst *Instance) completeCoreLocked(node, user string, outputs map[string]any, co completeOpts) error {
+// completeLocked completes a node without running the automatic cascade,
+// starting it first when it is merely activated. Everything that can
+// refuse the start or the completion is checked before either changes
+// anything, so a refused completion leaves an activated node activated.
+func (inst *Instance) completeLocked(node, user string, outputs map[string]any, co completeOpts) error {
 	v, blocks := inst.viewLocked()
 	n, ok := v.Node(node)
 	if !ok {
 		return fault.Tagf(fault.NotFound, "engine: complete %s/%s: no such node", inst.id, node)
 	}
-	node = n.ID // as in startLocked
-	if got := inst.marking.Node(node); got != state.Running {
+	node = n.ID // as in checkStartLocked
+	var st pendingStart
+	starting := inst.marking.Node(node) == state.Activated
+	if starting {
+		var err error
+		if st, err = inst.checkStartLocked(node, user); err != nil {
+			return err
+		}
+	} else if got := inst.marking.Node(node); got != state.Running {
 		return fault.Tagf(fault.Conflict, "engine: complete %s/%s: node is %s, not running", inst.id, node, got)
 	}
 
@@ -227,6 +249,13 @@ func (inst *Instance) completeCoreLocked(node, user string, outputs map[string]a
 		return err
 	}
 
+	if starting {
+		// Implicit start: no deadline is armed — the completion follows
+		// immediately, so an expiry could never fire.
+		if err := inst.applyStartLocked(st, 0); err != nil {
+			return err
+		}
+	}
 	e := inst.hist.Append(&history.Event{
 		Kind:     history.Completed,
 		Node:     node,
@@ -417,11 +446,7 @@ func (inst *Instance) cascadeLocked() error {
 		if next == model.InvalidNode {
 			break
 		}
-		id := topo.ID(next)
-		if err := inst.startLocked(id, "", 0); err != nil {
-			return err
-		}
-		if err := inst.completeCoreLocked(id, "", nil, completeOpts{}); err != nil {
+		if err := inst.completeLocked(topo.ID(next), "", nil, completeOpts{}); err != nil {
 			return err
 		}
 		// A loop reset may have changed nothing visible to Evaluate's

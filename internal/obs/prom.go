@@ -145,6 +145,44 @@ func WritePrometheus(w io.Writer, s *Snapshot) error {
 	return pw.err
 }
 
+// WriteText renders the counters of a Snapshot as a short human-readable
+// summary: the recovery, one line per shard and per op, then one line per
+// subsystem. It prints no duration, so a run on a logical clock renders
+// the same text every time. An offline open has no live submit counters,
+// so its interesting rows are the recovered state, the shard heads and
+// the health.
+func WriteText(w io.Writer, s *Snapshot) error {
+	tw := &promWriter{w: w}
+	tw.printf("recovery: replayed=%d fallbacks=%d fullReplays=%d (read %d B of snapshots)\n",
+		s.Recovery.Replayed, s.Recovery.Fallbacks, s.Recovery.FullReplays, s.Checkpoint.BytesRead)
+	for _, sh := range s.Shards {
+		tw.printf("shard %d: seq=%d depth=%d appends=%d wedged=%v\n",
+			sh.Shard, sh.Seq, sh.Depth, sh.Appends, sh.Wedged)
+	}
+	for _, op := range sortedOps(s.Ops) {
+		o := s.Ops[op]
+		tw.printf("op %-9s ok=%d batched=%d errors=%v\n", op, o.OK, o.Batched, o.Errors)
+	}
+	tw.printf("engine: instances=%d worklist=%d openExceptions=%d\n",
+		s.Engine.Instances, s.Engine.WorklistDepth, s.Engine.OpenExceptions)
+	tw.printf("exception: failures=%d timeouts=%d retries=%d escalations=%d compensated=%d sweeps=%d\n",
+		s.Exception.Failures, s.Exception.Timeouts, s.Exception.Retries,
+		s.Exception.Escalations, s.Exception.Compensated, s.Exception.Sweeps)
+	tw.printf("committer: fsyncs=%d retries=%d wedges=%d heals=%d\n",
+		s.Committer.Fsync.Count, s.Committer.FlushRetries, s.Committer.Wedges, s.Committer.Heals)
+	tw.printf("checkpoint: count=%d failures=%d bytesWritten=%d\n",
+		s.Checkpoint.Count, s.Checkpoint.Failures, s.Checkpoint.BytesWritten)
+	health := "ok"
+	if s.Health.Wedged {
+		health = fmt.Sprintf("WEDGED (shards %v)", s.Health.WedgedShards)
+	}
+	tw.printf("health: %s cleanupErrs=%d flushRetries=%d\n", health, s.Health.CleanupErrs, s.Health.FlushRetries)
+	if len(s.Traces) > 0 {
+		tw.printf("traces: %d sampled spans\n", len(s.Traces))
+	}
+	return tw.err
+}
+
 type promWriter struct {
 	w   io.Writer
 	err error

@@ -63,7 +63,7 @@ func openFaulty(t *testing.T, cfg adept2.CheckpointConfig) (*adept2.System, *vfs
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sys.Close() })
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
 	return sys, ffs
@@ -167,8 +167,7 @@ func TestOpsRoutes(t *testing.T) {
 	})
 
 	t.Run("wedged", func(t *testing.T) {
-		sys, ffs := openFaulty(t, adept2.CheckpointConfig{Every: -1,
-			RetryMax: 2, RetryBase: 100 * time.Microsecond, RetryCap: time.Millisecond})
+		sys, ffs := openFaulty(t, adept2.CheckpointConfig{Every: -1})
 		srv, cli := serve(t, sys, rpc.Options{})
 		ffs.SetScript(vfs.FailFrom(1, vfs.ErrInjected,
 			vfs.OpWrite, vfs.OpSync, vfs.OpTruncate, vfs.OpStatFile))

@@ -28,7 +28,7 @@ func openSystem(t *testing.T, cfg adept2.CheckpointConfig, opts ...adept2.Option
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sys.Close() })
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
 	return sys

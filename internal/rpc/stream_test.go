@@ -339,7 +339,7 @@ func TestClientSubmitAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sys.Close() })
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
 	_, cli := serve(t, sys, rpc.Options{})

@@ -42,7 +42,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sort"
 	"strings"
 	"time"
 
@@ -155,7 +154,8 @@ type Result struct {
 
 	// MetricsSummary renders the telemetry plane of the busiest session
 	// (captured after the drain, before the final reopen resets the
-	// counters); `adeptctl sim -stats` prints it. Not part of String().
+	// counters) with obs.WriteText; `adeptctl sim -stats` prints it. Not
+	// part of String().
 	MetricsSummary string `json:"-"`
 }
 
@@ -286,7 +286,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if err := r.open(); err != nil {
 		return nil, fmt.Errorf("sim: soak: first open: %w", err)
 	}
-	if err := r.sys.Deploy(Schema()); err != nil {
+	if _, err := r.sys.Submit(ctx, &adept2.Deploy{Schema: Schema()}); err != nil {
 		return nil, fmt.Errorf("sim: soak: deploy: %w", err)
 	}
 	if err := r.run(ctx); err != nil {
@@ -313,7 +313,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if err := r.checkMining(ctx); err != nil {
 		return nil, fmt.Errorf("sim: soak: after drain: %w", err)
 	}
-	r.res.MetricsSummary = metricsSummary(r.sys.Metrics())
+	var summary strings.Builder
+	_ = obs.WriteText(&summary, r.sys.Metrics()) // a strings.Builder does not fail
+	r.res.MetricsSummary = summary.String()
 	if err := r.reopenClean(ctx); err != nil {
 		return nil, fmt.Errorf("sim: soak: final reopen: %w", err)
 	}
@@ -467,12 +469,12 @@ func (r *runner) run(ctx context.Context) error {
 			}
 		}
 		if r.cfg.EvolveEvery > 0 && step%r.cfg.EvolveEvery == 0 {
-			if err := r.evolve(); err != nil {
+			if err := r.evolve(ctx); err != nil {
 				return fmt.Errorf("sim: soak step %d: evolve: %w", step, err)
 			}
 		}
 		if r.cfg.AdHocEvery > 0 && step%r.cfg.AdHocEvery == 0 {
-			if err := r.adHoc(); err != nil {
+			if err := r.adHoc(ctx); err != nil {
 				return fmt.Errorf("sim: soak step %d: adhoc: %w", step, err)
 			}
 		}
@@ -535,15 +537,16 @@ func (r *runner) topUpInstances(ctx context.Context) error {
 		}
 	}
 	for live < r.cfg.Instances {
-		inst, err := r.sys.CreateInstance("soak_order")
+		res, err := r.sys.Submit(ctx, &adept2.CreateInstance{TypeName: "soak_order"})
 		if err != nil {
-			if inst != nil { // applied, then wedged before the acknowledgement
+			var e *adept2.Error
+			if errors.As(err, &e) && e.Applied { // applied, then wedged before the acknowledgement
 				r.unackedCreates++
 			}
 			return r.tolerate(err)
 		}
 		r.res.Created++
-		r.ackNow(inst.ID())
+		r.ackNow(res.(*adept2.Instance).ID())
 		live++
 	}
 	return nil
@@ -583,7 +586,7 @@ func (r *runner) userAction(ctx context.Context) error {
 			}
 		}
 	case !running && r.rng.Float64() < 0.35:
-		err := r.sys.Start(it.Instance, it.Node, user)
+		_, err := r.sys.Submit(ctx, &adept2.StartActivity{Instance: it.Instance, Node: it.Node, User: user})
 		if terr := r.tolerate(err); terr != nil {
 			return terr
 		}
@@ -591,14 +594,15 @@ func (r *runner) userAction(ctx context.Context) error {
 			r.ackNow(it.Instance)
 		}
 	default:
-		return r.complete(it, inst, user)
+		return r.complete(ctx, it, inst, user)
 	}
 	return nil
 }
 
 // complete completes the item's activity and counts what was acknowledged.
-func (r *runner) complete(it *adept2.WorkItem, inst *adept2.Instance, user string) error {
-	err := r.sys.Complete(it.Instance, it.Node, user, r.outputsFor(inst, it.Node))
+func (r *runner) complete(ctx context.Context, it *adept2.WorkItem, inst *adept2.Instance, user string) error {
+	_, err := r.sys.Submit(ctx, &adept2.CompleteActivity{
+		Instance: it.Instance, Node: it.Node, User: user, Outputs: r.outputsFor(inst, it.Node)})
 	if err != nil {
 		return r.tolerate(err)
 	}
@@ -650,7 +654,7 @@ func (r *runner) sweep(ctx context.Context) error {
 // evolve serially inserts a fresh audit activity into the type's tail
 // (between the last inserted audit — or ship — and archive), migrating
 // compliant instances on the fly.
-func (r *runner) evolve() error {
+func (r *runner) evolve(ctx context.Context) error {
 	latest := 1
 	for _, s := range r.sys.Engine().AllSchemas() {
 		if s.TypeName() == "soak_order" && s.Version() > latest {
@@ -671,7 +675,7 @@ func (r *runner) evolve() error {
 		Pred: pred,
 		Succ: "archive",
 	}}
-	_, err := r.sys.Evolve("soak_order", ops, adept2.EvolveOptions{})
+	_, err := r.sys.Submit(ctx, &adept2.Evolve{TypeName: "soak_order", Ops: ops})
 	if terr := r.tolerate(err); terr != nil {
 		return terr
 	}
@@ -685,7 +689,7 @@ func (r *runner) evolve() error {
 // adHoc deletes a random still-activated skippable activity of a random
 // live instance (the user-initiated flavor of the policy's skip
 // compensation). Rejections are part of the experiment.
-func (r *runner) adHoc() error {
+func (r *runner) adHoc(ctx context.Context) error {
 	insts := r.sys.Instances()
 	if len(insts) == 0 {
 		return nil
@@ -704,7 +708,7 @@ func (r *runner) adHoc() error {
 		return nil
 	}
 	node := candidates[r.rng.Intn(len(candidates))]
-	err := r.sys.AdHocChange(inst.ID(), &adept2.DeleteActivity{ID: node})
+	_, err := r.sys.Submit(ctx, &adept2.AdHoc{Instance: inst.ID(), Ops: []adept2.Operation{&adept2.DeleteActivity{ID: node}}})
 	if terr := r.tolerate(err); terr != nil {
 		return terr
 	}
@@ -789,7 +793,8 @@ func (r *runner) drain(ctx context.Context) error {
 				continue
 			}
 			if inst.Suspended() {
-				if err := r.tolerate(r.sys.Resume(inst.ID())); err != nil {
+				_, err := r.sys.Submit(ctx, &adept2.Resume{Instance: inst.ID()})
+				if err := r.tolerate(err); err != nil {
 					return fmt.Errorf("sim: drain resume %s: %w", inst.ID(), err)
 				}
 			}
@@ -813,7 +818,7 @@ func (r *runner) drain(ctx context.Context) error {
 				if !ok {
 					continue
 				}
-				if err := r.complete(it, inst, user); err != nil {
+				if err := r.complete(ctx, it, inst, user); err != nil {
 					return fmt.Errorf("sim: drain complete %s/%s: %w", it.Instance, it.Node, err)
 				}
 			}
@@ -929,44 +934,6 @@ func (r *runner) checkMining(ctx context.Context) error {
 		}
 	}
 	return nil
-}
-
-// metricsSummary renders the scrape-worthy families of a snapshot as an
-// indented block for the -stats output of adeptctl sim.
-func metricsSummary(snap *obs.Snapshot) string {
-	var b strings.Builder
-	ops := make([]string, 0, len(snap.Ops))
-	for op := range snap.Ops {
-		ops = append(ops, op)
-	}
-	sort.Strings(ops)
-	for _, op := range ops {
-		o := snap.Ops[op]
-		errs := int64(0)
-		for _, n := range o.Errors {
-			errs += n
-		}
-		fmt.Fprintf(&b, "  op %-9s ok=%-6d batched=%-6d errs=%d\n", op, o.OK, o.Batched, errs)
-	}
-	for _, sh := range snap.Shards {
-		fmt.Fprintf(&b, "  shard %d: appends=%d seq=%d depth=%d wedged=%v\n",
-			sh.Shard, sh.Appends, sh.Seq, sh.Depth, sh.Wedged)
-	}
-	fmt.Fprintf(&b, "  committer: fsyncs=%d retries=%d wedges=%d heals=%d\n",
-		snap.Committer.Fsync.Count, snap.Committer.FlushRetries,
-		snap.Committer.Wedges, snap.Committer.Heals)
-	fmt.Fprintf(&b, "  checkpoint: count=%d failures=%d bytesWritten=%d\n",
-		snap.Checkpoint.Count, snap.Checkpoint.Failures, snap.Checkpoint.BytesWritten)
-	fmt.Fprintf(&b, "  recovery: replayed=%d fallbacks=%d fullReplays=%d bytesRead=%d\n",
-		snap.Recovery.Replayed, snap.Recovery.Fallbacks, snap.Recovery.FullReplays,
-		snap.Checkpoint.BytesRead)
-	fmt.Fprintf(&b, "  exception: failures=%d timeouts=%d retries=%d escalations=%d compensated=%d sweeps=%d\n",
-		snap.Exception.Failures, snap.Exception.Timeouts, snap.Exception.Retries,
-		snap.Exception.Escalations, snap.Exception.Compensated, snap.Exception.Sweeps)
-	fmt.Fprintf(&b, "  engine: instances=%d worklist=%d openExceptions=%d traces=%d\n",
-		snap.Engine.Instances, snap.Engine.WorklistDepth, snap.Engine.OpenExceptions,
-		len(snap.Traces))
-	return strings.TrimRight(b.String(), "\n")
 }
 
 // checkInvariants asserts the global safety invariants over the live

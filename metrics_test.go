@@ -44,7 +44,7 @@ func TestMetricsReconcile(t *testing.T) {
 
 	wantOK := map[string]int64{}
 	wantErr := map[string]int64{}
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(ctx, &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
 	wantOK["deploy"]++
@@ -53,10 +53,11 @@ func TestMetricsReconcile(t *testing.T) {
 	ids := make([]string, insts)
 	suspended := make([]bool, insts)
 	for i := range ids {
-		inst, err := sys.CreateInstance("online_order")
+		res, err := sys.Submit(ctx, &adept2.CreateInstance{TypeName: "online_order"})
 		if err != nil {
 			t.Fatal(err)
 		}
+		inst := res.(*adept2.Instance)
 		ids[i] = inst.ID()
 		wantOK["create"]++
 	}
@@ -184,13 +185,14 @@ func TestMetricsReplayRecordsNothing(t *testing.T) {
 	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
 	sys := openMetrics(t, path)
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(ctx, &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
-	inst, err := sys.CreateInstance("online_order")
+	res, err := sys.Submit(ctx, &adept2.CreateInstance{TypeName: "online_order"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	inst := res.(*adept2.Instance)
 	for i := 0; i < 10; i++ {
 		if _, err := sys.Submit(ctx, toggle(inst.ID(), i)); err != nil {
 			t.Fatal(err)
@@ -236,13 +238,14 @@ func TestMetricsDisabled(t *testing.T) {
 	ctx := context.Background()
 	sys := openMetrics(t, filepath.Join(t.TempDir(), "wal.ndjson"), adept2.WithMetricsDisabled())
 	defer sys.Close()
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(ctx, &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
-	inst, err := sys.CreateInstance("online_order")
+	res, err := sys.Submit(ctx, &adept2.CreateInstance{TypeName: "online_order"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	inst := res.(*adept2.Instance)
 	if _, err := sys.Submit(ctx, &adept2.Suspend{Instance: inst.ID()}); err != nil {
 		t.Fatal(err)
 	}
@@ -360,10 +363,10 @@ func TestExceptionMetrics(t *testing.T) {
 func TestCheckpointMetrics(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
 	sys := openMetrics(t, path)
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.CreateInstance("online_order"); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "online_order"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := sys.Checkpoint(); err != nil {

@@ -19,7 +19,7 @@ func mineSystem(t *testing.T, clk *testClock) *adept2.System {
 		adept2.WithClock(clk.Now),
 		adept2.WithExceptionPolicy(adept2.RetryThenSuspend(3, time.Minute)),
 	)
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
 	return sys
@@ -30,16 +30,17 @@ func mineSystem(t *testing.T, clk *testClock) *adept2.System {
 // completion so every activity records a duration.
 func runOrder(t *testing.T, sys *adept2.System, clk *testClock, step time.Duration) string {
 	t.Helper()
-	inst, err := sys.CreateInstance("online_order")
+	res, err := sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "online_order"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	inst := res.(*adept2.Instance)
 	steps := []struct{ node, user string }{
 		{"get_order", "ann"}, {"collect_data", "ann"}, {"confirm_order", "dan"},
 		{"compose_order", "bob"}, {"pack_goods", "bob"}, {"deliver_goods", "bob"},
 	}
 	for _, st := range steps {
-		if err := sys.Start(inst.ID(), st.node, st.user); err != nil {
+		if _, err := sys.Submit(context.Background(), &adept2.StartActivity{Instance: inst.ID(), Node: st.node, User: st.user}); err != nil {
 			t.Fatalf("start %s: %v", st.node, err)
 		}
 		clk.advance(step)
@@ -47,7 +48,7 @@ func runOrder(t *testing.T, sys *adept2.System, clk *testClock, step time.Durati
 		if st.node == "get_order" {
 			out = map[string]any{"out": "o-" + inst.ID()}
 		}
-		if err := sys.Complete(inst.ID(), st.node, st.user, out); err != nil {
+		if _, err := sys.Submit(context.Background(), &adept2.CompleteActivity{Instance: inst.ID(), Node: st.node, User: st.user, Outputs: out}); err != nil {
 			t.Fatalf("complete %s: %v", st.node, err)
 		}
 	}
@@ -68,11 +69,12 @@ func TestMineEndToEnd(t *testing.T) {
 	done := runOrder(t, sys, clk, 10*time.Second)
 
 	// i2 fails get_order once, retries after the backoff, completes it.
-	i2, err := sys.CreateInstance("online_order")
+	res, err := sys.Submit(ctx, &adept2.CreateInstance{TypeName: "online_order"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Start(i2.ID(), "get_order", "ann"); err != nil {
+	i2 := res.(*adept2.Instance)
+	if _, err := sys.Submit(ctx, &adept2.StartActivity{Instance: i2.ID(), Node: "get_order", User: "ann"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.Fail(ctx, i2.ID(), "get_order", "ann", "phone line dead"); err != nil {
@@ -82,27 +84,28 @@ func TestMineEndToEnd(t *testing.T) {
 	if _, err := sys.SweepDeadlines(ctx, clk.Now()); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Start(i2.ID(), "get_order", "ann"); err != nil {
+	if _, err := sys.Submit(ctx, &adept2.StartActivity{Instance: i2.ID(), Node: "get_order", User: "ann"}); err != nil {
 		t.Fatal(err)
 	}
 	clk.advance(30 * time.Second)
-	if err := sys.Complete(i2.ID(), "get_order", "ann", map[string]any{"out": "o2"}); err != nil {
+	if _, err := sys.Submit(ctx, &adept2.CompleteActivity{Instance: i2.ID(), Node: "get_order", User: "ann", Outputs: map[string]any{"out": "o2"}}); err != nil {
 		t.Fatal(err)
 	}
 
 	// i3 completes get_order, then takes the deadlock-causing Fig. 1
 	// bias — after ΔT it cannot migrate and strands on v1.
-	i3, err := sys.CreateInstance("online_order")
+	res, err = sys.Submit(ctx, &adept2.CreateInstance{TypeName: "online_order"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Complete(i3.ID(), "get_order", "cyn", map[string]any{"out": "o3"}); err != nil {
+	i3 := res.(*adept2.Instance)
+	if _, err := sys.Submit(ctx, &adept2.CompleteActivity{Instance: i3.ID(), Node: "get_order", User: "cyn", Outputs: map[string]any{"out": "o3"}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.AdHocChange(i3.ID(), sim.OnlineOrderBiasI2()...); err != nil {
+	if _, err := sys.Submit(ctx, &adept2.AdHoc{Instance: i3.ID(), Ops: sim.OnlineOrderBiasI2()}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Evolve("online_order", sim.OnlineOrderTypeChange(), adept2.EvolveOptions{}); err != nil {
+	if _, err := sys.Submit(ctx, &adept2.Evolve{TypeName: "online_order", Ops: sim.OnlineOrderTypeChange()}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -184,15 +187,16 @@ func TestMineEndToEnd(t *testing.T) {
 func TestMineAllocsBounded(t *testing.T) {
 	const n = 1024
 	sys := adept2.New(adept2.WithOrg(sim.Org()))
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		inst, err := sys.CreateInstance("online_order")
+		res, err := sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "online_order"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sys.Complete(inst.ID(), "get_order", "ann", map[string]any{"out": fmt.Sprint(i)}); err != nil {
+		inst := res.(*adept2.Instance)
+		if _, err := sys.Submit(context.Background(), &adept2.CompleteActivity{Instance: inst.ID(), Node: "get_order", User: "ann", Outputs: map[string]any{"out": fmt.Sprint(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -215,15 +219,16 @@ func TestMineAllocsBounded(t *testing.T) {
 func BenchmarkMine(b *testing.B) {
 	const n = 4096
 	sys := adept2.New(adept2.WithOrg(sim.Org()))
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		inst, err := sys.CreateInstance("online_order")
+		res, err := sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "online_order"})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := sys.Complete(inst.ID(), "get_order", "ann", map[string]any{"out": fmt.Sprint(i)}); err != nil {
+		inst := res.(*adept2.Instance)
+		if _, err := sys.Submit(context.Background(), &adept2.CompleteActivity{Instance: inst.ID(), Node: "get_order", User: "ann", Outputs: map[string]any{"out": fmt.Sprint(i)}}); err != nil {
 			b.Fatal(err)
 		}
 	}

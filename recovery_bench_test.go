@@ -1,6 +1,7 @@
 package adept2_test
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -22,27 +23,28 @@ func buildRecoveryJournal(b *testing.B, path string, churn int, ckpt adept2.Chec
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		b.Fatal(err)
 	}
 	var first string
 	for i := 0; i < 16; i++ {
-		inst, err := sys.CreateInstance("online_order")
+		res, err := sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "online_order"})
 		if err != nil {
 			b.Fatal(err)
 		}
+		inst := res.(*adept2.Instance)
 		if first == "" {
 			first = inst.ID()
 		}
-		if err := sys.Complete(inst.ID(), "get_order", "ann", map[string]any{"out": "o"}); err != nil {
+		if _, err := sys.Submit(context.Background(), &adept2.CompleteActivity{Instance: inst.ID(), Node: "get_order", User: "ann", Outputs: map[string]any{"out": "o"}}); err != nil {
 			b.Fatal(err)
 		}
 	}
 	for i := 0; i < churn/2; i++ {
-		if err := sys.Suspend(first); err != nil {
+		if _, err := sys.Submit(context.Background(), &adept2.Suspend{Instance: first}); err != nil {
 			b.Fatal(err)
 		}
-		if err := sys.Resume(first); err != nil {
+		if _, err := sys.Submit(context.Background(), &adept2.Resume{Instance: first}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -51,10 +53,10 @@ func buildRecoveryJournal(b *testing.B, path string, churn int, ckpt adept2.Chec
 			b.Fatal(err)
 		}
 		for i := 0; i < 8; i++ {
-			if err := sys.Suspend(first); err != nil {
+			if _, err := sys.Submit(context.Background(), &adept2.Suspend{Instance: first}); err != nil {
 				b.Fatal(err)
 			}
-			if err := sys.Resume(first); err != nil {
+			if _, err := sys.Submit(context.Background(), &adept2.Resume{Instance: first}); err != nil {
 				b.Fatal(err)
 			}
 		}

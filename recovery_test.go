@@ -1,6 +1,7 @@
 package adept2_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -21,17 +22,19 @@ import (
 // evolution. Returns the IDs of the created instances.
 func runPrefix(t *testing.T, sys *adept2.System) (string, string) {
 	t.Helper()
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
-	i1, err := sys.CreateInstance("online_order")
+	res, err := sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "online_order"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	i2, err := sys.CreateInstance("online_order")
+	i1 := res.(*adept2.Instance)
+	res, err = sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "online_order"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	i2 := res.(*adept2.Instance)
 	for _, step := range []struct{ node, user string }{
 		{"get_order", "ann"}, {"collect_data", "ann"}, {"compose_order", "bob"},
 	} {
@@ -39,14 +42,14 @@ func runPrefix(t *testing.T, sys *adept2.System) (string, string) {
 		if step.node == "get_order" {
 			out = map[string]any{"out": "o1"}
 		}
-		if err := sys.Complete(i1.ID(), step.node, step.user, out); err != nil {
+		if _, err := sys.Submit(context.Background(), &adept2.CompleteActivity{Instance: i1.ID(), Node: step.node, User: step.user, Outputs: out}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := sys.AdHocChange(i2.ID(), sim.OnlineOrderBiasI2()...); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.AdHoc{Instance: i2.ID(), Ops: sim.OnlineOrderBiasI2()}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Evolve("online_order", sim.OnlineOrderTypeChange(), adept2.EvolveOptions{}); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Evolve{TypeName: "online_order", Ops: sim.OnlineOrderTypeChange()}); err != nil {
 		t.Fatal(err)
 	}
 	return i1.ID(), i2.ID()
@@ -55,13 +58,13 @@ func runPrefix(t *testing.T, sys *adept2.System) (string, string) {
 // runSuffix appends a few more commands past a checkpoint.
 func runSuffix(t *testing.T, sys *adept2.System, i1 string) {
 	t.Helper()
-	if err := sys.Complete(i1, "send_questions", "ann", nil); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.CompleteActivity{Instance: i1, Node: "send_questions", User: "ann"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Suspend(i1); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Suspend{Instance: i1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Resume(i1); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Resume{Instance: i1}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -161,7 +164,7 @@ func TestSnapshotRecoveryReplaysOnlySuffix(t *testing.T) {
 	assertSameState(t, full, rec)
 
 	// Work continues seamlessly on the recovered system.
-	if err := rec.Complete(i1, "confirm_order", "ann", nil); err != nil {
+	if _, err := rec.Submit(context.Background(), &adept2.CompleteActivity{Instance: i1, Node: "confirm_order", User: "ann"}); err != nil {
 		t.Fatalf("continue after snapshot recovery: %v", err)
 	}
 }
@@ -169,7 +172,7 @@ func TestSnapshotRecoveryReplaysOnlySuffix(t *testing.T) {
 func TestRecoveryFallsBackOnTornSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.ndjson")
-	cfg := adept2.CheckpointConfig{Every: -1, Keep: 10}
+	cfg := adept2.CheckpointConfig{Every: -1}
 
 	sys := openCheckpointed(t, path, cfg)
 	i1, _ := runPrefix(t, sys)
@@ -374,7 +377,7 @@ func TestRecoveryAcrossCheckpointCrashWindow(t *testing.T) {
 		assertSameState(t, reference(t, true), rec)
 
 		// The next checkpoint (at a later cut) sweeps the stranded part.
-		if err := rec.Complete(i1, "confirm_order", "ann", nil); err != nil {
+		if _, err := rec.Submit(context.Background(), &adept2.CompleteActivity{Instance: i1, Node: "confirm_order", User: "ann"}); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := rec.Checkpoint(); err != nil {
@@ -437,7 +440,7 @@ func TestRecoveryEmptyJournalWithSnapshot(t *testing.T) {
 	assertSameState(t, full, rec)
 
 	// Work continues and journal seq numbers continue past the snapshot.
-	if err := rec.Complete(i1, "confirm_order", "ann", nil); err != nil {
+	if _, err := rec.Submit(context.Background(), &adept2.CompleteActivity{Instance: i1, Node: "confirm_order", User: "ann"}); err != nil {
 		t.Fatal(err)
 	}
 	if rec.JournalSeq() != snapSeq+1 {
@@ -538,10 +541,10 @@ func TestCompactedJournalRequiresSnapshot(t *testing.T) {
 func TestConcurrentAppendDuringBackgroundSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.ndjson")
-	cfg := adept2.CheckpointConfig{Every: 8, Keep: 2}
+	cfg := adept2.CheckpointConfig{Every: 8}
 
 	sys := openCheckpointed(t, path, cfg)
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
 	const workers, each = 4, 12
@@ -552,12 +555,13 @@ func TestConcurrentAppendDuringBackgroundSnapshot(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				inst, err := sys.CreateInstance("online_order")
+				res, err := sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "online_order"})
 				if err != nil {
 					errs <- err
 					return
 				}
-				if err := sys.Complete(inst.ID(), "get_order", "ann", map[string]any{"out": "o"}); err != nil {
+				inst := res.(*adept2.Instance)
+				if _, err := sys.Submit(context.Background(), &adept2.CompleteActivity{Instance: inst.ID(), Node: "get_order", User: "ann", Outputs: map[string]any{"out": "o"}}); err != nil {
 					errs <- err
 					return
 				}
@@ -626,13 +630,14 @@ func TestClaimsSurviveSnapshotRecovery(t *testing.T) {
 	cfg := adept2.CheckpointConfig{Every: -1}
 
 	sys := openCheckpointed(t, path, cfg)
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
-	inst, err := sys.CreateInstance("online_order")
+	res, err := sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "online_order"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	inst := res.(*adept2.Instance)
 	items := sys.WorkItems("ann")
 	if len(items) == 0 {
 		t.Fatal("no work items")

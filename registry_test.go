@@ -30,7 +30,7 @@ func fillRegistry(t *testing.T, sys *adept2.System) []string {
 		return ids[len(ids)-1]
 	}
 	for _, s := range []*adept2.Schema{sim.OnlineOrder(), sim.LoopProcess()} {
-		if err := sys.Deploy(s); err != nil {
+		if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: s}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -39,10 +39,10 @@ func fillRegistry(t *testing.T, sys *adept2.System) []string {
 	create("loopy", "inst-000300")
 	create("online_order", "inst-000200")
 	create("loopy", "")
-	if err := sys.AdHocChange(stays, sim.OnlineOrderBiasI2()...); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.AdHoc{Instance: stays, Ops: sim.OnlineOrderBiasI2()}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Evolve("online_order", sim.OnlineOrderTypeChange(), adept2.EvolveOptions{}); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Evolve{TypeName: "online_order", Ops: sim.OnlineOrderTypeChange()}); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range []string{"zeta", "", "inst-000290", "alpha", "", "inst-000280", "order-2", "", "inst-000270", "Order-1", "", "inst-000260"} {

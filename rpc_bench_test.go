@@ -47,7 +47,7 @@ func remoteBench(b *testing.B, writers int, fn func(cli *rpc.Client, id string, 
 		b.Fatal(err)
 	}
 	defer sys.Close()
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		b.Fatal(err)
 	}
 	srv, err := rpc.NewServer(sys, rpc.Options{})

@@ -1,6 +1,7 @@
 package adept2_test
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"sync/atomic"
@@ -19,15 +20,16 @@ func buildShardedSystem(b *testing.B, path string, shards, insts int) (*adept2.S
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		b.Fatal(err)
 	}
 	ids := make([]string, insts)
 	for i := range ids {
-		inst, err := sys.CreateInstance("online_order")
+		res, err := sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "online_order"})
 		if err != nil {
 			b.Fatal(err)
 		}
+		inst := res.(*adept2.Instance)
 		ids[i] = inst.ID()
 	}
 	return sys, ids
@@ -52,11 +54,11 @@ func BenchmarkShardedAppend(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				id := ids[(atomic.AddInt32(&next, 1)-1)%int32(len(ids))]
 				for pb.Next() {
-					if err := sys.Suspend(id); err != nil {
+					if _, err := sys.Submit(context.Background(), &adept2.Suspend{Instance: id}); err != nil {
 						b.Error(err)
 						return
 					}
-					if err := sys.Resume(id); err != nil {
+					if _, err := sys.Submit(context.Background(), &adept2.Resume{Instance: id}); err != nil {
 						b.Error(err)
 						return
 					}
@@ -79,10 +81,10 @@ func BenchmarkShardedRecovery(b *testing.B) {
 			sys, ids := buildShardedSystem(b, path, shards, 64)
 			for seq := sys.JournalSeq(); seq < history; seq = sys.JournalSeq() {
 				id := ids[seq%len(ids)]
-				if err := sys.Suspend(id); err != nil {
+				if _, err := sys.Submit(context.Background(), &adept2.Suspend{Instance: id}); err != nil {
 					b.Fatal(err)
 				}
-				if err := sys.Resume(id); err != nil {
+				if _, err := sys.Submit(context.Background(), &adept2.Resume{Instance: id}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -116,10 +118,10 @@ func BenchmarkShardedSnapshotRecovery(b *testing.B) {
 			sys, ids := buildShardedSystem(b, path, shards, 512)
 			for seq := sys.JournalSeq(); seq < history; seq = sys.JournalSeq() {
 				id := ids[seq%len(ids)]
-				if err := sys.Suspend(id); err != nil {
+				if _, err := sys.Submit(context.Background(), &adept2.Suspend{Instance: id}); err != nil {
 					b.Fatal(err)
 				}
-				if err := sys.Resume(id); err != nil {
+				if _, err := sys.Submit(context.Background(), &adept2.Resume{Instance: id}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -128,10 +130,10 @@ func BenchmarkShardedSnapshotRecovery(b *testing.B) {
 			}
 			for i := 0; i < 32; i++ {
 				id := ids[i]
-				if err := sys.Suspend(id); err != nil {
+				if _, err := sys.Submit(context.Background(), &adept2.Suspend{Instance: id}); err != nil {
 					b.Fatal(err)
 				}
-				if err := sys.Resume(id); err != nil {
+				if _, err := sys.Submit(context.Background(), &adept2.Resume{Instance: id}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,6 +1,7 @@
 package adept2_test
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -134,7 +135,6 @@ func TestShardedCheckpointSuffixRecovery(t *testing.T) {
 func TestShardedTornSnapshotFallsBackAGeneration(t *testing.T) {
 	eachShardCount(t, func(t *testing.T, cfg adept2.CheckpointConfig) {
 		path := filepath.Join(t.TempDir(), "wal.ndjson")
-		cfg.Keep = 3
 		sys := openSharded(t, path, cfg)
 		i1, _ := runPrefix(t, sys)
 		if _, _, err := sys.Checkpoint(); err != nil { // generation 1
@@ -144,7 +144,7 @@ func TestShardedTornSnapshotFallsBackAGeneration(t *testing.T) {
 		// A control record between the cuts gives generation 2 a new epoch,
 		// so every shard gets its own part file even where its journal did
 		// not advance (the fallback ladder depends on parts not being shared).
-		if err := sys.AddUser(&adept2.User{ID: "carl", Roles: []string{"clerk"}}); err != nil {
+		if _, err := sys.Submit(context.Background(), &adept2.AddUser{User: &adept2.User{ID: "carl", Roles: []string{"clerk"}}}); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := sys.Checkpoint(); err != nil { // generation 2
@@ -234,7 +234,7 @@ func TestShardedTornDataJournalTail(t *testing.T) {
 	if shard == 0 {
 		t.Skip("both scenario instances hash to shard 0")
 	}
-	if err := sys.Suspend(victim); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Suspend{Instance: victim}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.Close(); err != nil {
@@ -262,19 +262,20 @@ func TestShardedTornDataJournalTail(t *testing.T) {
 func TestShardedDanglingEpochRefuses(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
 	sys := openSharded(t, path, shardedCfg())
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
 	// A second control record, then data records stamped with its epoch.
-	if _, err := sys.Evolve("online_order", sim.OnlineOrderTypeChange(), adept2.EvolveOptions{}); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Evolve{TypeName: "online_order", Ops: sim.OnlineOrderTypeChange()}); err != nil {
 		t.Fatal(err)
 	}
 	spread := false
 	for i := 0; i < 8; i++ {
-		inst, err := sys.CreateInstance("online_order")
+		res, err := sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "online_order"})
 		if err != nil {
 			t.Fatal(err)
 		}
+		inst := res.(*adept2.Instance)
 		if sharded.ShardOf(inst.ID(), 4) != 0 {
 			spread = true
 		}
@@ -307,16 +308,17 @@ func TestShardedDanglingEpochRefuses(t *testing.T) {
 func TestShardedCountMismatchRefuses(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
 	sys := openSharded(t, path, shardedCfg())
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
 	// Populate the upper shards so the lie below is detectable.
 	high := false
 	for i := 0; i < 8; i++ {
-		inst, err := sys.CreateInstance("online_order")
+		res, err := sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "online_order"})
 		if err != nil {
 			t.Fatal(err)
 		}
+		inst := res.(*adept2.Instance)
 		if sharded.ShardOf(inst.ID(), 4) >= 2 {
 			high = true
 		}
@@ -440,18 +442,19 @@ func TestReshardAfterSuffixOnSharded(t *testing.T) {
 // and parallel recovery all run concurrently here).
 func TestShardedConcurrentLoad(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
-	cfg := adept2.CheckpointConfig{Shards: 4, Every: 64, Keep: 2}
+	cfg := adept2.CheckpointConfig{Shards: 4, Every: 64}
 	sys := openSharded(t, path, cfg)
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
 	const workers = 4
 	insts := make([]string, workers)
 	for i := range insts {
-		inst, err := sys.CreateInstance("online_order")
+		res, err := sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "online_order"})
 		if err != nil {
 			t.Fatal(err)
 		}
+		inst := res.(*adept2.Instance)
 		insts[i] = inst.ID()
 	}
 	var wg sync.WaitGroup
@@ -460,11 +463,11 @@ func TestShardedConcurrentLoad(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 32; i++ {
-				if err := sys.Suspend(insts[w]); err != nil {
+				if _, err := sys.Submit(context.Background(), &adept2.Suspend{Instance: insts[w]}); err != nil {
 					t.Error(err)
 					return
 				}
-				if err := sys.Resume(insts[w]); err != nil {
+				if _, err := sys.Submit(context.Background(), &adept2.Resume{Instance: insts[w]}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -474,7 +477,7 @@ func TestShardedConcurrentLoad(t *testing.T) {
 	// Control commands race the data traffic through the exclusive
 	// barrier.
 	for i := 0; i < 4; i++ {
-		if err := sys.AddUser(&adept2.User{ID: fmt.Sprintf("u%d", i), Roles: []string{"clerk"}}); err != nil {
+		if _, err := sys.Submit(context.Background(), &adept2.AddUser{User: &adept2.User{ID: fmt.Sprintf("u%d", i), Roles: []string{"clerk"}}}); err != nil {
 			t.Fatal(err)
 		}
 	}

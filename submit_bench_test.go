@@ -41,15 +41,16 @@ func submitBench(b *testing.B, writers int, shards int, extra []adept2.Option, f
 		b.Fatal(err)
 	}
 	defer sys.Close()
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		b.Fatal(err)
 	}
 	ids := make([]string, writers)
 	for i := range ids {
-		inst, err := sys.CreateInstance("online_order")
+		res, err := sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "online_order"})
 		if err != nil {
 			b.Fatal(err)
 		}
+		inst := res.(*adept2.Instance)
 		ids[i] = inst.ID()
 	}
 	b.ResetTimer()

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -30,7 +31,7 @@ func TestSubmitBatchSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -94,13 +95,14 @@ func TestSubmitBatchSingleFsync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
-	inst, err := sys.CreateInstance("online_order")
+	res, err := sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "online_order"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	inst := res.(*adept2.Instance)
 	before := sys.JournalSeq()
 	batch := make([]adept2.Command, 0, 8)
 	for i := 0; i < 4; i++ {
@@ -139,7 +141,7 @@ func TestSubmitAsyncReceiptResolvesDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -178,11 +180,11 @@ func TestSubmitAsyncReceiptResolvesDurable(t *testing.T) {
 // are honored, and unknown cursors yield empty pages.
 func TestPaginationMatchesFullListings(t *testing.T) {
 	sys := adept2.New(adept2.WithOrg(sim.Org()))
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 23; i++ {
-		if _, err := sys.CreateInstance("online_order"); err != nil {
+		if _, err := sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "online_order"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -251,15 +253,16 @@ func TestPaginationSurvivesShardedRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
 	var want []string
 	for i := 0; i < 11; i++ {
-		inst, err := sys.CreateInstance("online_order")
+		res, err := sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "online_order"})
 		if err != nil {
 			t.Fatal(err)
 		}
+		inst := res.(*adept2.Instance)
 		want = append(want, inst.ID())
 	}
 	if err := sys.Close(); err != nil {
@@ -305,13 +308,14 @@ func TestSubmitCheckpointTriggerAllocationFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer sys.Close()
-		if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+		if _, err := sys.Submit(ctx, &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 			t.Fatal(err)
 		}
-		inst, err := sys.CreateInstance("online_order")
+		res, err := sys.Submit(ctx, &adept2.CreateInstance{TypeName: "online_order"})
 		if err != nil {
 			t.Fatal(err)
 		}
+		inst := res.(*adept2.Instance)
 		i := 0
 		return testing.AllocsPerRun(200, func() {
 			if _, err := sys.Submit(ctx, toggle(inst.ID(), i)); err != nil {
@@ -340,7 +344,7 @@ func TestSubmitStampsTheRecordNotTheCommand(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -457,12 +461,13 @@ func sameData(t *testing.T, want, got *adept2.System) {
 func instanceOnShard(t *testing.T, sys *adept2.System, k, n int) string {
 	t.Helper()
 	for i := 0; i < 256; i++ {
-		inst, err := sys.CreateInstance("measure")
+		res, err := sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "measure"})
 		if err != nil {
 			t.Fatal(err)
 		}
+		inst := res.(*adept2.Instance)
 		if sharded.ShardOf(inst.ID(), n) == k {
-			if err := sys.Start(inst.ID(), "a", "ann"); err != nil {
+			if _, err := sys.Submit(context.Background(), &adept2.StartActivity{Instance: inst.ID(), Node: "a", User: "ann"}); err != nil {
 				t.Fatal(err)
 			}
 			return inst.ID()
@@ -509,7 +514,7 @@ func TestSubmitRefusesOutputsTheJournalCannotCarry(t *testing.T) {
 				return sys
 			}
 			sys := open()
-			if err := sys.Deploy(measureSchema(t)); err != nil {
+			if _, err := sys.Submit(ctx, &adept2.Deploy{Schema: measureSchema(t)}); err != nil {
 				t.Fatal(err)
 			}
 			id := instanceOnShard(t, sys, 0, 1)
@@ -543,6 +548,83 @@ func TestSubmitRefusesOutputsTheJournalCannotCarry(t *testing.T) {
 	}
 }
 
+// TestRefusedCompletionLeavesTheNodeActivated: completing a node that is
+// only activated starts it first, and a completion the engine refuses — a
+// missing, unknown or NaN output, or an XOR split with no decision — is
+// ErrInvalid, not applied, and leaves the node activated: the same state,
+// history and work items, and a reopen equal to the live state. A start
+// made before the refusal left the node running, with a Started event and
+// a started work item that no journal record carried.
+func TestRefusedCompletionLeavesTheNodeActivated(t *testing.T) {
+	ctx := context.Background()
+	b := adept2.NewBuilder("refuse")
+	b.DataElement("x", adept2.TypeFloat)
+	first := b.Activity("a", "Measure", adept2.WithRole("clerk"))
+	b.Write("a", "x", "x")
+	choice := b.Choice("",
+		b.Activity("y", "Y", adept2.WithRole("clerk")),
+		b.Activity("z", "Z", adept2.WithRole("clerk")))
+	schema, err := b.Build(b.Seq(first, choice))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var split string
+	for _, n := range schema.Nodes() {
+		if n.Type == adept2.NodeXORSplit {
+			split = n.ID
+		}
+	}
+
+	fsys := vfs.NewMemFS()
+	open := func() *adept2.System {
+		sys, err := adept2.Open("wal", adept2.WithVFS(fsys), adept2.WithOrg(sim.Org()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	sys := open()
+	if _, err := sys.Submit(ctx, &adept2.Deploy{Schema: schema}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Submit(ctx, &adept2.CreateInstance{TypeName: "refuse"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := res.(*adept2.Instance)
+	refuse := func(node string, outputs map[string]any) {
+		t.Helper()
+		events, items := len(inst.HistoryEvents()), sys.WorkItems("ann")
+		_, err := sys.Submit(ctx, &adept2.CompleteActivity{Instance: inst.ID(), Node: node, User: "ann", Outputs: outputs})
+		var e *adept2.Error
+		if !errors.Is(err, adept2.ErrInvalid) || !errors.As(err, &e) || e.Applied {
+			t.Fatalf("completion of %s with %v: %v, want ErrInvalid not applied", node, outputs, err)
+		}
+		if st := inst.NodeState(node).String(); st != "activated" || len(inst.HistoryEvents()) != events {
+			t.Fatalf("a refused completion of %s moved the instance: %s is %s, %d events, want activated, %d",
+				node, node, st, len(inst.HistoryEvents()), events)
+		}
+		if got := sys.WorkItems("ann"); !reflect.DeepEqual(got, items) {
+			t.Fatalf("a refused completion of %s changed ann's work items: %+v, want %+v", node, got, items)
+		}
+	}
+	refuse("a", map[string]any{})
+	refuse("a", map[string]any{"x": 1.5, "y": 2.5})
+	refuse("a", map[string]any{"x": math.NaN()})
+	if _, err := sys.Submit(ctx, &adept2.CompleteActivity{Instance: inst.ID(), Node: "a", User: "ann", Outputs: map[string]any{"x": 1.5}}); err != nil {
+		t.Fatal(err)
+	}
+	refuse(split, nil)
+
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := open()
+	defer got.Close()
+	assertSameState(t, sys, got)
+	sameData(t, sys, got)
+}
+
 // TestSubmitBatchKeepsStagedPrefix: a run of [valid, refused, valid]
 // completions on one shard keeps what it staged before the refusal. The
 // results hold the first completion, the error is the refusal's (not
@@ -563,7 +645,7 @@ func TestSubmitBatchKeepsStagedPrefix(t *testing.T) {
 				return sys
 			}
 			sys := open()
-			if err := sys.Deploy(measureSchema(t)); err != nil {
+			if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: measureSchema(t)}); err != nil {
 				t.Fatal(err)
 			}
 			ids := make([]string, 3)
@@ -638,7 +720,7 @@ func openParkedShard(t *testing.T) *parkedShard {
 		p.release()
 		sys.Close()
 	})
-	if err := sys.Deploy(measureSchema(t)); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: measureSchema(t)}); err != nil {
 		t.Fatal(err)
 	}
 	return p
@@ -701,7 +783,10 @@ func TestSubmitBatchWaitHoldsNoBarrier(t *testing.T) {
 	}()
 	<-p.parked
 	added := make(chan error, 1)
-	go func() { added <- p.sys.AddUser(&adept2.User{ID: "eve", Roles: []string{"clerk"}}) }()
+	go func() {
+		_, err := p.sys.Submit(ctx, &adept2.AddUser{User: &adept2.User{ID: "eve", Roles: []string{"clerk"}}})
+		added <- err
+	}()
 	within(t, "AddUser during a batch's durability wait", added)
 	select {
 	case err := <-batch:

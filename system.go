@@ -2,7 +2,6 @@ package adept2
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -88,7 +87,6 @@ func (s *System) now() int64 {
 // checkpointer tracks automatic background snapshots.
 type checkpointer struct {
 	every int // journal growth (records) that triggers a snapshot; <=0 disables
-	keep  int // generations retained after a write
 
 	mu       sync.Mutex
 	idle     *sync.Cond // signaled when an in-flight snapshot finishes
@@ -99,7 +97,7 @@ type checkpointer struct {
 }
 
 func newCheckpointer(cfg *CheckpointConfig, lastSeq int) *checkpointer {
-	ck := &checkpointer{every: cfg.Every, keep: cfg.Keep, lastSeq: lastSeq}
+	ck := &checkpointer{every: cfg.Every, lastSeq: lastSeq}
 	ck.idle = sync.NewCond(&ck.mu)
 	return ck
 }
@@ -128,9 +126,6 @@ type CheckpointConfig struct {
 	// 1024; negative disables automatic snapshots (Checkpoint can still be
 	// called explicitly).
 	Every int
-	// Keep bounds the snapshot generations retained after a successful
-	// write (older ones are pruned). Default 3.
-	Keep int
 	// Deprecated: ignored, every layout group-commits. The declaration
 	// stays only because the frozen bench/ names it in a struct literal.
 	GroupCommit bool
@@ -142,20 +137,6 @@ type CheckpointConfig struct {
 	// layout takes the count from its manifest and refuses a conflicting
 	// non-zero setting (reshard offline to change it).
 	Shards int
-	// RetryMax bounds how many times a failed flush is retried (with
-	// exponential backoff from RetryBase up to RetryCap) before the
-	// committer wedges and the system degrades to read-only serving (see
-	// System.Heal). Zero values take the committer defaults (4 retries,
-	// 1ms base, 50ms cap); RetryMax < 0 disables retries.
-	RetryMax  int
-	RetryBase time.Duration
-	RetryCap  time.Duration
-}
-
-// committerOptions maps the config's retry knobs onto the committer's
-// option set.
-func (c *CheckpointConfig) committerOptions() durable.CommitterOptions {
-	return durable.CommitterOptions{RetryMax: c.RetryMax, RetryBase: c.RetryBase, RetryCap: c.RetryCap}
 }
 
 // RecoveryInfo describes how Open rebuilt the system state.
@@ -231,8 +212,8 @@ func WithOrg(m *OrgModel) Option { return func(c *config) { c.org = m } }
 func WithVFS(fsys vfs.FS) Option { return func(c *config) { c.fs = fsys } }
 
 // WithCheckpointing tunes the durability pipeline of Open: where snapshots
-// live and how often they are written, the committers' retry budget, and
-// the shard count of a layout created fresh. Without it Open runs the
+// live, how often they are written, and the shard count of a layout
+// created fresh. Without it Open runs the
 // zero-value CheckpointConfig. It only takes effect through Open (and
 // Reshard, VerifyLayout); New has no journal.
 func WithCheckpointing(cfg CheckpointConfig) Option {
@@ -263,8 +244,7 @@ func newSystem(c *config) *System {
 // the journal suffixes past it, falling back to older generations and
 // finally to a full replay when snapshots are torn, corrupt, or version-
 // skewed; Recovery reports what happened. WithCheckpointing tunes the
-// pipeline (snapshot cadence and directory, flush retry tuning, shard
-// count).
+// pipeline (snapshot cadence and directory, shard count).
 func Open(path string, opts ...Option) (*System, error) {
 	sys, err := open(path, opts...)
 	if err != nil {
@@ -584,120 +564,4 @@ func (s *System) JournalSeq() int {
 		total += q
 	}
 	return total
-}
-
-// AddUser registers a user in the organizational model (journaled, unlike
-// direct Org() mutation).
-func (s *System) AddUser(u *User) error {
-	_, err := s.Submit(context.Background(), &AddUser{User: u})
-	return err
-}
-
-// Deploy verifies and registers a schema version.
-func (s *System) Deploy(schema *Schema) error {
-	_, err := s.Submit(context.Background(), &Deploy{Schema: schema})
-	return err
-}
-
-// CreateInstance instantiates the latest version of a process type.
-func (s *System) CreateInstance(typeName string) (*Instance, error) {
-	return s.CreateInstanceVersion(typeName, 0)
-}
-
-// CreateInstanceVersion instantiates an explicit schema version (0 =
-// latest).
-func (s *System) CreateInstanceVersion(typeName string, version int) (*Instance, error) {
-	res, err := s.Submit(context.Background(), &CreateInstance{TypeName: typeName, Version: version})
-	if err != nil {
-		// The instance may exist despite the error (journaling failed
-		// after the create); hand it back alongside, as before PR 5.
-		inst, _ := appliedResult(err).(*Instance)
-		return inst, err
-	}
-	return res.(*Instance), nil
-}
-
-// appliedResult extracts the result of a command that WAS applied even
-// though its submission returned an error (Error.Applied).
-func appliedResult(err error) any {
-	var e *Error
-	if errors.As(err, &e) && e.Applied {
-		return e.Result
-	}
-	return nil
-}
-
-// Start starts an activated activity on behalf of a user.
-func (s *System) Start(instID, node, user string) error {
-	_, err := s.Submit(context.Background(), &StartActivity{Instance: instID, Node: node, User: user})
-	return err
-}
-
-// Complete completes a node (starting it first when merely activated).
-func (s *System) Complete(instID, node, user string, outputs map[string]any) error {
-	_, err := s.Submit(context.Background(), &CompleteActivity{Instance: instID, Node: node, User: user, Outputs: outputs})
-	return err
-}
-
-// CompleteWithDecision completes an XOR split with an explicit routing
-// decision.
-func (s *System) CompleteWithDecision(instID, node, user string, outputs map[string]any, decision int) error {
-	_, err := s.Submit(context.Background(), &CompleteActivity{
-		Instance: instID, Node: node, User: user, Outputs: outputs, Decision: &decision})
-	return err
-}
-
-// CompleteLoop completes a loop end with an explicit iteration decision.
-func (s *System) CompleteLoop(instID, node, user string, outputs map[string]any, again bool) error {
-	_, err := s.Submit(context.Background(), &CompleteActivity{
-		Instance: instID, Node: node, User: user, Outputs: outputs, Again: &again})
-	return err
-}
-
-// AdHocChange applies an ad-hoc change to a single running instance (the
-// paper's instance-level change dimension).
-func (s *System) AdHocChange(instID string, ops ...Operation) error {
-	_, err := s.Submit(context.Background(), &AdHoc{Instance: instID, Ops: ops})
-	return err
-}
-
-// Suspend blocks user operations on an instance; ad-hoc changes and
-// migration stay possible.
-func (s *System) Suspend(instID string) error {
-	_, err := s.Submit(context.Background(), &Suspend{Instance: instID})
-	return err
-}
-
-// Resume re-enables user operations on a suspended instance.
-func (s *System) Resume(instID string) error {
-	_, err := s.Submit(context.Background(), &Resume{Instance: instID})
-	return err
-}
-
-// UndoAdHocChange removes the most recent ad-hoc change of the instance,
-// provided it has not progressed into the changed region.
-func (s *System) UndoAdHocChange(instID string) error {
-	_, err := s.Submit(context.Background(), &Undo{Instance: instID})
-	return err
-}
-
-// UndoAllAdHocChanges returns the instance to its plain schema version.
-func (s *System) UndoAllAdHocChanges(instID string) error {
-	_, err := s.Submit(context.Background(), &Undo{Instance: instID, All: true})
-	return err
-}
-
-// Evolve performs a schema evolution of the process type and migrates all
-// compliant instances on the fly (the paper's type-level change
-// dimension). The returned report classifies every instance.
-func (s *System) Evolve(typeName string, ops []Operation, opts EvolveOptions) (*MigrationReport, error) {
-	res, err := s.Submit(context.Background(), &Evolve{TypeName: typeName, Ops: ops, Options: opts})
-	if err != nil {
-		// The evolution may have run despite the error (journaling
-		// failed after the migration); the report still classifies every
-		// instance, so hand it back alongside, as before PR 5.
-		report, _ := appliedResult(err).(*MigrationReport)
-		return report, err
-	}
-	return res.(*MigrationReport), nil
 }

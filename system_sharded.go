@@ -39,14 +39,15 @@ func shardedLayout(c *config, path string) sharded.Layout {
 	return sharded.Layout{Base: path, SnapBase: c.ckpt.Dir, FS: c.fsys()}
 }
 
+// keepGenerations is how many snapshot generations a checkpoint leaves on
+// disk: the one it wrote and two to fall back to.
+const keepGenerations = 3
+
 // openSharded opens the layout l described by man: recoverLayout rebuilds
 // the state, then the shard journals resume under a WAL router.
 func openSharded(c *config, l sharded.Layout, man *sharded.Manifest) (*System, error) {
 	if c.ckpt.Every == 0 {
 		c.ckpt.Every = 1024
-	}
-	if c.ckpt.Keep <= 0 {
-		c.ckpt.Keep = 3
 	}
 	recoverStart := time.Now()
 	sys, res, lastControl, err := recoverLayout(c, l, man, false)
@@ -69,7 +70,7 @@ func openSharded(c *config, l sharded.Layout, man *sharded.Manifest) (*System, e
 			tails[k].LastSeq = res.Gen.Parts[k].Seq
 		}
 	}
-	copts := c.ckpt.committerOptions()
+	var copts durable.CommitterOptions
 	if sys.met != nil {
 		copts.Metrics = &sys.met.Committer
 	}
@@ -190,7 +191,7 @@ func (s *System) checkpoint() (string, int, error) {
 	s.snapMu.Unlock()
 
 	caps := staged.Split(seqs, epoch, s.wal.ShardFor)
-	man, file0, err := sharded.WriteCheckpoint(s.layout, s.gman, s.stores, caps, epoch, seqs, s.ckpt.keep)
+	man, file0, err := sharded.WriteCheckpoint(s.layout, s.gman, s.stores, caps, epoch, seqs, keepGenerations)
 	if err != nil {
 		return file0, seqs[0], err
 	}

@@ -1,6 +1,7 @@
 package adept2_test
 
 import (
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -14,7 +15,7 @@ func demoSystem(t *testing.T, opts ...adept2.Option) *adept2.System {
 	t.Helper()
 	opts = append([]adept2.Option{adept2.WithOrg(sim.Org())}, opts...)
 	sys := adept2.New(opts...)
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
 	return sys
@@ -22,10 +23,11 @@ func demoSystem(t *testing.T, opts ...adept2.Option) *adept2.System {
 
 func TestSystemEndToEnd(t *testing.T) {
 	sys := demoSystem(t)
-	inst, err := sys.CreateInstance("online_order")
+	res, err := sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "online_order"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	inst := res.(*adept2.Instance)
 	items := sys.WorkItems("ann")
 	if len(items) != 1 {
 		t.Fatalf("worklist = %v", items)
@@ -33,24 +35,25 @@ func TestSystemEndToEnd(t *testing.T) {
 	if err := sys.Claim(items[0].ID, "ann"); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Start(inst.ID(), "get_order", "ann"); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.StartActivity{Instance: inst.ID(), Node: "get_order", User: "ann"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Complete(inst.ID(), "get_order", "ann", map[string]any{"out": "o1"}); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.CompleteActivity{Instance: inst.ID(), Node: "get_order", User: "ann", Outputs: map[string]any{"out": "o1"}}); err != nil {
 		t.Fatal(err)
 	}
 	// Ad-hoc change through the facade.
-	if err := sys.AdHocChange(inst.ID(), &adept2.InsertSyncEdge{From: "collect_data", To: "compose_order"}); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.AdHoc{Instance: inst.ID(), Ops: []adept2.Operation{&adept2.InsertSyncEdge{From: "collect_data", To: "compose_order"}}}); err != nil {
 		t.Fatal(err)
 	}
 	if !inst.Biased() {
 		t.Fatal("instance should be biased")
 	}
 	// Evolution through the facade.
-	report, err := sys.Evolve("online_order", sim.OnlineOrderTypeChange(), adept2.EvolveOptions{})
+	res, err = sys.Submit(context.Background(), &adept2.Evolve{TypeName: "online_order", Ops: sim.OnlineOrderTypeChange()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	report := res.(*adept2.MigrationReport)
 	if report.Count(adept2.Migrated) != 1 {
 		t.Fatalf("report: %+v", report.Results)
 	}
@@ -78,30 +81,32 @@ func TestSystemJournalRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
-	i1, err := sys.CreateInstance("online_order")
+	res, err := sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "online_order"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	i2, err := sys.CreateInstance("online_order")
+	i1 := res.(*adept2.Instance)
+	res, err = sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "online_order"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Complete(i1.ID(), "get_order", "ann", map[string]any{"out": "o1"}); err != nil {
+	i2 := res.(*adept2.Instance)
+	if _, err := sys.Submit(context.Background(), &adept2.CompleteActivity{Instance: i1.ID(), Node: "get_order", User: "ann", Outputs: map[string]any{"out": "o1"}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Complete(i1.ID(), "collect_data", "ann", nil); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.CompleteActivity{Instance: i1.ID(), Node: "collect_data", User: "ann"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Complete(i1.ID(), "compose_order", "bob", nil); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.CompleteActivity{Instance: i1.ID(), Node: "compose_order", User: "bob"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.AdHocChange(i2.ID(), sim.OnlineOrderBiasI2()...); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.AdHoc{Instance: i2.ID(), Ops: sim.OnlineOrderBiasI2()}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Evolve("online_order", sim.OnlineOrderTypeChange(), adept2.EvolveOptions{}); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Evolve{TypeName: "online_order", Ops: sim.OnlineOrderTypeChange()}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.Close(); err != nil {
@@ -139,14 +144,14 @@ func TestSystemJournalRecovery(t *testing.T) {
 		t.Fatal("history length mismatch after recovery")
 	}
 	// Work continues seamlessly after recovery.
-	if err := sys2.Complete(r1.ID(), "send_questions", "ann", nil); err != nil {
+	if _, err := sys2.Submit(context.Background(), &adept2.CompleteActivity{Instance: r1.ID(), Node: "send_questions", User: "ann"}); err != nil {
 		t.Fatalf("continue after recovery: %v", err)
 	}
 }
 
 func TestSystemAdHocChangeUnknownInstance(t *testing.T) {
 	sys := demoSystem(t)
-	if err := sys.AdHocChange("nope", &adept2.DeleteSyncEdge{From: "a", To: "b"}); err == nil {
+	if _, err := sys.Submit(context.Background(), &adept2.AdHoc{Instance: "nope", Ops: []adept2.Operation{&adept2.DeleteSyncEdge{From: "a", To: "b"}}}); err == nil {
 		t.Fatal("unknown instance must fail")
 	}
 }
@@ -172,29 +177,31 @@ func TestSystemDecisionAndLoopCompletion(t *testing.T) {
 		}
 	}
 	sys := adept2.New(adept2.WithOrg(sim.Org()))
-	if err := sys.Deploy(schema); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: schema}); err != nil {
 		t.Fatal(err)
 	}
-	inst, err := sys.CreateInstance("flow")
+	res, err := sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "flow"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.CompleteWithDecision(inst.ID(), split, "", nil, 1); err != nil {
+	inst := res.(*adept2.Instance)
+	decision, again, stop := 1, true, false
+	if _, err := sys.Submit(context.Background(), &adept2.CompleteActivity{Instance: inst.ID(), Node: split, Decision: &decision}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Complete(inst.ID(), "y", "ann", nil); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.CompleteActivity{Instance: inst.ID(), Node: "y", User: "ann"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Complete(inst.ID(), "w", "ann", nil); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.CompleteActivity{Instance: inst.ID(), Node: "w", User: "ann"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.CompleteLoop(inst.ID(), loopEnd, "", nil, true); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.CompleteActivity{Instance: inst.ID(), Node: loopEnd, Again: &again}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Complete(inst.ID(), "w", "ann", nil); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.CompleteActivity{Instance: inst.ID(), Node: "w", User: "ann"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.CompleteLoop(inst.ID(), loopEnd, "", nil, false); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.CompleteActivity{Instance: inst.ID(), Node: loopEnd, Again: &stop}); err != nil {
 		t.Fatal(err)
 	}
 	if !inst.Done() {

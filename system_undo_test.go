@@ -1,6 +1,7 @@
 package adept2_test
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -14,37 +15,38 @@ func TestSystemUndoAndSuspendJournaled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
-	inst, err := sys.CreateInstance("online_order")
+	res, err := sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "online_order"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	inst := res.(*adept2.Instance)
 	// Two ad-hoc changes, then undo one.
-	if err := sys.AdHocChange(inst.ID(), sim.OnlineOrderBiasI2()...); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.AdHoc{Instance: inst.ID(), Ops: sim.OnlineOrderBiasI2()}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.UndoAdHocChange(inst.ID()); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Undo{Instance: inst.ID()}); err != nil {
 		t.Fatal(err)
 	}
 	if len(inst.BiasOps()) != 1 {
 		t.Fatalf("bias ops = %d", len(inst.BiasOps()))
 	}
 	// Suspend, verify user ops blocked, resume.
-	if err := sys.Suspend(inst.ID()); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Suspend{Instance: inst.ID()}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Complete(inst.ID(), "get_order", "ann", map[string]any{"out": "o"}); err == nil {
+	if _, err := sys.Submit(context.Background(), &adept2.CompleteActivity{Instance: inst.ID(), Node: "get_order", User: "ann", Outputs: map[string]any{"out": "o"}}); err == nil {
 		t.Fatal("suspended instance must reject completion")
 	}
-	if err := sys.Resume(inst.ID()); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Resume{Instance: inst.ID()}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Complete(inst.ID(), "get_order", "ann", map[string]any{"out": "o"}); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.CompleteActivity{Instance: inst.ID(), Node: "get_order", User: "ann", Outputs: map[string]any{"out": "o"}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.UndoAllAdHocChanges(inst.ID()); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Undo{Instance: inst.ID(), All: true}); err != nil {
 		t.Fatal(err)
 	}
 	if inst.Biased() {
@@ -74,32 +76,34 @@ func TestSystemUndoAndSuspendJournaled(t *testing.T) {
 		t.Fatal("history mismatch after recovery")
 	}
 	// Error paths through the facade.
-	if err := sys2.UndoAdHocChange("nope"); err == nil {
+	if _, err := sys2.Submit(context.Background(), &adept2.Undo{Instance: "nope"}); err == nil {
 		t.Fatal("unknown instance undo must fail")
 	}
-	if err := sys2.Suspend("nope"); err == nil {
+	if _, err := sys2.Submit(context.Background(), &adept2.Suspend{Instance: "nope"}); err == nil {
 		t.Fatal("unknown instance suspend must fail")
 	}
 }
 
 func TestSystemVersionPinning(t *testing.T) {
 	sys := demoSystem(t)
-	if _, err := sys.Evolve("online_order", sim.OnlineOrderTypeChange(), adept2.EvolveOptions{}); err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.Evolve{TypeName: "online_order", Ops: sim.OnlineOrderTypeChange()}); err != nil {
 		t.Fatal(err)
 	}
 	// New instances default to V2; explicit V1 creation still works (the
 	// old version remains deployed for its running instances).
-	latest, err := sys.CreateInstance("online_order")
+	res, err := sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "online_order"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	latest := res.(*adept2.Instance)
 	if latest.Version() != 2 {
 		t.Fatalf("latest version = %d", latest.Version())
 	}
-	pinned, err := sys.CreateInstanceVersion("online_order", 1)
+	res, err = sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "online_order", Version: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pinned := res.(*adept2.Instance)
 	if pinned.Version() != 1 {
 		t.Fatalf("pinned version = %d", pinned.Version())
 	}

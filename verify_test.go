@@ -1,6 +1,7 @@
 package adept2_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -131,7 +132,7 @@ func TestVerifyAgreesWithOpen(t *testing.T) {
 			t.Fatal(err)
 		}
 		if two {
-			if err := sys.AddUser(&adept2.User{ID: "carl", Roles: []string{"clerk"}}); err != nil {
+			if _, err := sys.Submit(context.Background(), &adept2.AddUser{User: &adept2.User{ID: "carl", Roles: []string{"clerk"}}}); err != nil {
 				t.Fatal(err)
 			}
 			runSuffix(t, sys, i1)
@@ -202,14 +203,14 @@ func TestVerifyAgreesWithOpen(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := sys.Deploy(sim.OnlineOrder()); err != nil {
+			if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := sys.Evolve("online_order", sim.OnlineOrderTypeChange(), adept2.EvolveOptions{}); err != nil {
+			if _, err := sys.Submit(context.Background(), &adept2.Evolve{TypeName: "online_order", Ops: sim.OnlineOrderTypeChange()}); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < 8; i++ {
-				if _, err := sys.CreateInstance("online_order"); err != nil {
+				if _, err := sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "online_order"}); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -224,13 +224,9 @@ func (s *System) SyncDurable() error {
 
 // WireRecord is one journal record in wire form: the shard-local
 // sequence number, the control epoch it was stamped under (0 on the
-// control log itself), and the registry op + args. DecodeWireCommand turns Op/Args back into the typed command.
-type WireRecord struct {
-	Seq   int             `json:"seq"`
-	Epoch int             `json:"epoch,omitempty"`
-	Op    string          `json:"op"`
-	Args  json.RawMessage `json:"args"`
-}
+// control log itself), and the registry op + args. DecodeWireCommand
+// turns Op/Args back into the typed command.
+type WireRecord = persist.Record
 
 // ControlLog reads the durable suffix of the control log — shard 0's
 // journal, the epoch-stamping global ordering primitive (with one shard,
@@ -249,12 +245,9 @@ func (s *System) ControlLog(afterSeq int) ([]WireRecord, int, error) {
 	if err != nil {
 		return nil, 0, wrapErr("control_log", "", err)
 	}
-	out := make([]WireRecord, 0, len(recs))
-	for _, r := range recs {
-		if r.Seq > wm {
-			break // staged past the fsync watermark: not durable yet
-		}
-		out = append(out, WireRecord{Seq: r.Seq, Epoch: r.Epoch, Op: r.Op, Args: r.Args})
+	n := 0
+	for n < len(recs) && recs[n].Seq <= wm { // past the fsync watermark: not durable yet
+		n++
 	}
-	return out, wm, nil
+	return recs[:n], wm, nil
 }
