@@ -30,7 +30,7 @@ type legacyDir struct {
 // buildLegacyDir writes the canonical scenario (runPrefix, a snapshot,
 // runSuffix) with persist and durable primitives only: records go through
 // persist.Journal without instance IDs or epochs, the snapshot through
-// durable.Stage(…).Encode() and SnapshotStore.Write under its plain name,
+// durable.Stage and SnapshotStore.Write under its plain name,
 // and the per-store MANIFEST.json such builds kept is there too. With
 // compact the journal is cut down to the suffix past the snapshot.
 func buildLegacyDir(t *testing.T, snapDir string, compact bool) legacyDir {
@@ -74,10 +74,7 @@ func buildLegacyDir(t *testing.T, snapDir string, compact bool) legacyDir {
 	submit(&adept2.Evolve{TypeName: "online_order", Ops: sim.OnlineOrderTypeChange()})
 
 	d.snapSeq = j.Seq()
-	state, err := durable.Stage(d.want.Engine(), d.snapSeq).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	state := durable.Stage(d.want.Engine(), d.snapSeq)
 	store, err := durable.OpenStore(d.snapDir)
 	if err != nil {
 		t.Fatal(err)

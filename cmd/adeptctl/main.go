@@ -298,12 +298,10 @@ func snapshot(args []string) {
 	file, seq, err := sys.Checkpoint()
 	must(err)
 	must(sys.Close())
-	if info, err := durable.ReadSnapshotInfo(vfs.OS(), file); err == nil && info.Compressed {
-		fmt.Printf("snapshot %s covering journal seq %d (%d B payload, %d B compressed, %.1fx)\n",
-			file, seq, info.RawLen, info.StoredLen, float64(info.RawLen)/float64(info.StoredLen))
-	} else {
-		fmt.Printf("snapshot %s covering journal seq %d\n", file, seq)
-	}
+	info, err := durable.ReadSnapshotInfo(vfs.OS(), file)
+	must(err)
+	fmt.Printf("snapshot %s covering journal seq %d (%d B payload, %d B compressed, %.1fx)\n",
+		file, seq, info.RawLen, info.StoredLen, float64(info.RawLen)/float64(info.StoredLen))
 }
 
 // compact checkpoints, then rewrites every shard journal without the

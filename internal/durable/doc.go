@@ -90,13 +90,18 @@
 //
 // # Snapshots
 //
-// SnapshotStore persists point-in-time captures of engine state (deployed
-// schemas, per-instance markings/stats/histories/data/bias, worklists, org
-// model — see Capture) as versioned, checksummed files in one shard's
-// snapshot directory. The file name ties a snapshot to the journal
-// sequence number it covers and the control epoch it was cut at; nothing
-// else in the directory is consulted (the per-store MANIFEST.json earlier
-// builds kept there is ignored). Snapshot files are written atomically:
+// A checkpoint's state has one form, SystemState: deployed schemas, org
+// users, each instance's snapshot (markings, stats, history, data) with
+// its bias operations, the worklist and the instance counter. Stage takes
+// it under the facade's barrier as clones and references, without JSON
+// work, and Split cuts it into per-shard parts. SnapshotStore.Write
+// encodes a part — schemas through their own codec, bias operations
+// through the change codec — outside the barrier, one goroutine per
+// shard, into a checksummed file in the shard's snapshot directory. The
+// file name ties a snapshot to the journal sequence number it covers and
+// the control epoch it was cut at; nothing else in the directory is
+// consulted (the per-store MANIFEST.json earlier builds kept there is
+// ignored). Snapshot files are written atomically:
 // payload to a temporary file, fsync, rename into place, directory fsync.
 // A torn snapshot therefore never destroys an older good one, and a
 // snapshot only takes part in recovery once a generation names it.
@@ -106,11 +111,17 @@
 //	{"format":2,"seq":N,"len":L,"crc32":C,"rawLen":R}\n   <- header line
 //	<L bytes of gzip-compressed SystemState JSON>          <- payload, CRC-32 (IEEE) = C
 //
-// (format 1 stores the payload raw; both load.)
+// Format 2 is the only container read or written: a part in any other
+// format — the raw format 1 only the first checkpointing build wrote — is
+// refused like a torn one, and recovery falls back past its generation.
+// A directory that needs such a snapshot is re-checkpointed first by
+// `adeptctl snapshot` of a build that reads both (commit 8068fca and
+// earlier).
 //
 // Journal compaction (CompactJournal) rewrites a journal to the suffix
-// not covered by a given snapshot; the persist readers accept journals
-// starting past sequence 1, and recovery then requires that snapshot.
+// not covered by a given snapshot, its lines byte for byte as the scan
+// read them; the persist readers accept journals starting past sequence
+// 1, and recovery then requires that snapshot.
 //
 // # One layout of N >= 1 shards (internal/durable/sharded)
 //

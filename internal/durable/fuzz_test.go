@@ -17,8 +17,9 @@ const fuzzSnapFile = "snap-000000000007.json"
 // whatever bytes sit in a snapshot file, Load returns an error, or a state
 // that Write and a second Load return unchanged. It never panics, and a
 // header never makes Load allocate what the file does not hold. The
-// checked-in corpus has a v1 raw and a v2 gzip container, a header without
-// its newline, and negative, huge and off-by-one payload lengths.
+// checked-in corpus has a v2 gzip container, a v1 raw one (which only a
+// pre-compression build wrote, and Load refuses), a header without its
+// newline, and negative, huge and off-by-one payload lengths.
 func FuzzSnapshotLoad(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mem := vfs.NewMemFS()

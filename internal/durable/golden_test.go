@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -11,9 +12,10 @@ import (
 	"adept2/internal/engine"
 	"adept2/internal/model"
 	"adept2/internal/sim"
+	"adept2/internal/vfs"
 )
 
-// The two files under testdata/ were written by goldenState and
+// The two .json files under testdata/ were written by goldenState and
 // goldenEvents at the commit BEFORE a history event's reads and writes
 // became one sorted data.Values and the data store a sorted slice — while
 // both were Go maps encoded by encoding/json. They are the compatibility
@@ -22,8 +24,9 @@ import (
 // same instance built live must encode to them too. Regenerate them only
 // from a commit whose format is the one to stay compatible with.
 const (
-	goldenStateFile  = "testdata/parent_snapshot.json"
-	goldenEventsFile = "testdata/parent_history_events.json"
+	goldenStateFile     = "testdata/parent_snapshot.json"
+	goldenEventsFile    = "testdata/parent_history_events.json"
+	goldenContainerFile = "testdata/parent_container.snap"
 )
 
 // goldenEngine builds one seeded instance that exercises every member of
@@ -90,10 +93,7 @@ func goldenEngine(t *testing.T) (*engine.Engine, *engine.Instance) {
 
 func goldenState(t *testing.T, e *engine.Engine) []byte {
 	t.Helper()
-	st, err := Stage(e, 17).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := Stage(e, 17)
 	blob, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)
@@ -166,6 +166,37 @@ func TestGoldenSnapshotCompatibility(t *testing.T) {
 	}
 	if !rinst.Done() || rinst.LoopIterations(loopEndOf(t, rinst)) != 1 {
 		t.Errorf("restored instance: done %t, loop iterations %d", rinst.Done(), rinst.LoopIterations(loopEndOf(t, rinst)))
+	}
+}
+
+// TestGoldenContainer: goldenContainerFile is the snapshot file the build
+// before SystemState became the one state type wrote from goldenState
+// (Stage at seq 17, then SnapshotStore.Write). Load returns its payload
+// as the golden bytes, and ReadSnapshotInfo reports its two sizes.
+func TestGoldenContainer(t *testing.T) {
+	wantState, err := os.ReadFile(goldenStateFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(goldenContainerFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, name := filepath.Split(goldenContainerFile)
+	st, err := ViewStore(vfs.OS(), dir).Load(ManifestEntry{File: name, Seq: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := json.Marshal(st); err != nil || !bytes.Equal(got, wantState) {
+		t.Errorf("loaded state differs from the parent's snapshot (%v):\n got %s\nwant %s", err, got, wantState)
+	}
+	info, err := ReadSnapshotInfo(vfs.OS(), goldenContainerFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := len(file) - (bytes.IndexByte(file, '\n') + 1)
+	if info.Seq != 17 || info.RawLen != len(wantState) || info.StoredLen != stored {
+		t.Errorf("info %+v, want seq 17, raw %d B, stored %d B", info, len(wantState), stored)
 	}
 }
 

@@ -8,15 +8,15 @@ import (
 	"adept2/internal/durable"
 )
 
-// WriteCheckpoint persists one generation: every shard's staged capture
-// is encoded and written to its snapshot store concurrently, and only
-// when all parts are durable is the global manifest rewritten with the
-// new generation appended (and trimmed to keep generations). A crash —
-// or any part failing — before the manifest write leaves the previous
-// generations fully intact; the orphaned part files are swept by the
-// next successful checkpoint's pruning pass. Returns the updated
+// WriteCheckpoint persists one generation: every shard's part of the
+// staged state is encoded and written to its snapshot store concurrently,
+// and only when all parts are durable is the global manifest rewritten
+// with the new generation appended (and trimmed to keep generations). A
+// crash — or any part failing — before the manifest write leaves the
+// previous generations fully intact; the orphaned part files are swept by
+// the next successful checkpoint's pruning pass. Returns the updated
 // manifest and shard 0's snapshot file path.
-func WriteCheckpoint(l Layout, man *Manifest, stores []*durable.SnapshotStore, caps []*durable.StagedCapture, epoch int, seqs []int, keep int) (*Manifest, string, error) {
+func WriteCheckpoint(l Layout, man *Manifest, stores []*durable.SnapshotStore, parts []*durable.SystemState, epoch int, seqs []int, keep int) (*Manifest, string, error) {
 	n := l.Shards
 	files := make([]string, n)
 	errs := make([]error, n)
@@ -25,12 +25,7 @@ func WriteCheckpoint(l Layout, man *Manifest, stores []*durable.SnapshotStore, c
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			st, err := caps[k].Encode()
-			if err != nil {
-				errs[k] = err
-				return
-			}
-			files[k], errs[k] = stores[k].Write(st)
+			files[k], errs[k] = stores[k].Write(parts[k])
 		}(k)
 	}
 	wg.Wait()

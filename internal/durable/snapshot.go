@@ -19,19 +19,15 @@ import (
 	"adept2/internal/vfs"
 )
 
-// Snapshot container versions: v1 stores the SystemState JSON payload
-// raw, v2 gzip-compresses it (the payload is highly repetitive — node
-// IDs, marking vocabularies — so compression is cheap and large). New
-// snapshots are written as v2; both versions load.
-const (
-	containerRaw  = 1
-	containerGzip = 2
-)
+// containerFormat is the snapshot container version this build writes and
+// reads: the SystemState JSON payload, gzip-compressed (it is highly
+// repetitive — node IDs, marking vocabularies — so compression is cheap
+// and large).
+const containerFormat = 2
 
 // snapHeader is the first line of a snapshot file; the payload follows as
 // exactly Len bytes with CRC-32 (IEEE) checksum CRC32 over the stored
-// (possibly compressed) bytes. RawLen records the uncompressed payload
-// size for v2 containers (equal to Len for v1, where it is omitted).
+// (compressed) bytes. RawLen records the uncompressed payload size.
 type snapHeader struct {
 	Format int    `json:"format"`
 	Seq    int    `json:"seq"`
@@ -163,8 +159,8 @@ func (st *SnapshotStore) Write(state *SystemState) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("durable: marshal snapshot: %w", err)
 	}
-	// v2 container: gzip at the fastest level — checkpoint latency
-	// matters more than the last few percent of ratio on this payload.
+	// gzip at the fastest level — checkpoint latency matters more than the
+	// last few percent of ratio on this payload.
 	var gz bytes.Buffer
 	zw, _ := gzip.NewWriterLevel(&gz, gzip.BestSpeed)
 	if _, err := zw.Write(raw); err != nil {
@@ -175,7 +171,7 @@ func (st *SnapshotStore) Write(state *SystemState) (string, error) {
 	}
 	payload := gz.Bytes()
 	hdr, err := json.Marshal(snapHeader{
-		Format: containerGzip,
+		Format: containerFormat,
 		Seq:    state.Seq,
 		Len:    len(payload),
 		CRC32:  crc32.ChecksumIEEE(payload),
@@ -297,22 +293,19 @@ func (st *SnapshotStore) Load(entry ManifestEntry) (*SystemState, error) {
 		return nil, fmt.Errorf("durable: snapshot %s: checksum mismatch (%08x != %08x)", entry.File, crc, hdr.CRC32)
 	}
 	st.bytesRead.Add(int64(hdrLen + hdr.Len))
-	if hdr.Format == containerGzip {
-		zr, err := gzip.NewReader(bytes.NewReader(payload))
-		if err != nil {
-			return nil, fmt.Errorf("durable: snapshot %s: corrupt gzip payload: %w", entry.File, err)
-		}
-		raw, err := io.ReadAll(zr)
-		if cerr := zr.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return nil, fmt.Errorf("durable: snapshot %s: corrupt gzip payload: %w", entry.File, err)
-		}
-		payload = raw
+	zr, err := gzip.NewReader(bytes.NewReader(payload))
+	if err != nil {
+		return nil, fmt.Errorf("durable: snapshot %s: corrupt gzip payload: %w", entry.File, err)
+	}
+	raw, err := io.ReadAll(zr)
+	if cerr := zr.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, fmt.Errorf("durable: snapshot %s: corrupt gzip payload: %w", entry.File, err)
 	}
 	var state SystemState
-	if err := json.Unmarshal(payload, &state); err != nil {
+	if err := json.Unmarshal(raw, &state); err != nil {
 		return nil, fmt.Errorf("durable: snapshot %s: corrupt payload: %w", entry.File, err)
 	}
 	if state.Seq != hdr.Seq {
@@ -322,9 +315,9 @@ func (st *SnapshotStore) Load(entry ManifestEntry) (*SystemState, error) {
 }
 
 // readHeader reads a snapshot's header line and checks what every reader
-// relies on: a known container format and a payload length that is not
-// negative. It returns the header and the line's length; name labels the
-// errors.
+// relies on: this build's container format and a payload length that is
+// not negative. It returns the header and the line's length; name labels
+// the errors.
 func readHeader(br *bufio.Reader, name string) (snapHeader, int, error) {
 	var hdr snapHeader
 	line, err := br.ReadBytes('\n')
@@ -334,9 +327,8 @@ func readHeader(br *bufio.Reader, name string) (snapHeader, int, error) {
 	if err := json.Unmarshal(line, &hdr); err != nil {
 		return hdr, 0, fmt.Errorf("durable: snapshot %s: corrupt header: %w", name, err)
 	}
-	if hdr.Format != containerRaw && hdr.Format != containerGzip {
-		return hdr, 0, fmt.Errorf("durable: snapshot %s: container format %d, want %d or %d",
-			name, hdr.Format, containerRaw, containerGzip)
+	if hdr.Format != containerFormat {
+		return hdr, 0, fmt.Errorf("durable: snapshot %s: container format %d, want %d", name, hdr.Format, containerFormat)
 	}
 	if hdr.Len < 0 {
 		return hdr, 0, fmt.Errorf("durable: snapshot %s: corrupt header: payload length %d", name, hdr.Len)
@@ -345,13 +337,12 @@ func readHeader(br *bufio.Reader, name string) (snapHeader, int, error) {
 }
 
 // SnapshotInfo summarizes a snapshot file's header: the journal sequence
-// number it covers, the stored (on-disk) payload size, the uncompressed
-// payload size, and whether the container is compressed.
+// number it covers, the stored (compressed) payload size and the
+// uncompressed one.
 type SnapshotInfo struct {
-	Seq        int
-	StoredLen  int
-	RawLen     int
-	Compressed bool
+	Seq       int
+	StoredLen int
+	RawLen    int
 }
 
 // ReadSnapshotInfo reads just the header line of the snapshot file at path
@@ -366,11 +357,7 @@ func ReadSnapshotInfo(fsys vfs.FS, path string) (SnapshotInfo, error) {
 	if err != nil {
 		return SnapshotInfo{}, err
 	}
-	info := SnapshotInfo{Seq: hdr.Seq, StoredLen: hdr.Len, RawLen: hdr.RawLen, Compressed: hdr.Format == containerGzip}
-	if info.RawLen == 0 {
-		info.RawLen = hdr.Len
-	}
-	return info, nil
+	return SnapshotInfo{Seq: hdr.Seq, StoredLen: hdr.Len, RawLen: hdr.RawLen}, nil
 }
 
 // PruneExcept removes every snapshot file whose name is not in keep.
@@ -409,8 +396,8 @@ func CompactJournal(path string, keepSeq int) (int, error) {
 
 // CompactJournalFS is CompactJournal over an explicit filesystem.
 func CompactJournalFS(fsys vfs.FS, path string, keepSeq int) (int, error) {
-	// Only the kept suffix needs decoding; the dropped prefix is
-	// integrity-scanned by the cheap sequence probe.
+	// The scan checks the whole journal and reports where the kept suffix
+	// starts; its lines are written back exactly as they were read.
 	recs, tail, err := persist.LoadJournalSuffixFS(fsys, path, keepSeq)
 	if err != nil {
 		return 0, err
@@ -434,18 +421,27 @@ func CompactJournalFS(fsys vfs.FS, path string, keepSeq int) (int, error) {
 	if dropped == 0 {
 		return 0, nil
 	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for _, rec := range recs {
-		if err := enc.Encode(rec); err != nil {
-			return 0, fmt.Errorf("durable: compact: %w", err)
-		}
+	f, err := vfs.Open(fsys, path)
+	if err != nil {
+		return 0, fmt.Errorf("durable: compact: %w", err)
+	}
+	kept := make([]byte, tail.ValidSize-tail.SuffixStart, tail.ValidSize-tail.SuffixStart+1)
+	_, err = io.CopyN(io.Discard, f, tail.SuffixStart)
+	if err == nil {
+		_, err = io.ReadFull(f, kept)
+	}
+	f.Close() // read only, and closed before the rename replaces it
+	if err != nil {
+		return 0, fmt.Errorf("durable: compact: read %s: %w", path, err)
+	}
+	if tail.OpenTail {
+		kept = append(kept, '\n')
 	}
 	dir, name := filepath.Split(path)
 	if dir == "" {
 		dir = "."
 	}
-	if err := AtomicWriteFS(fsys, dir, name, buf.Bytes()); err != nil {
+	if err := AtomicWriteFS(fsys, dir, name, kept); err != nil {
 		return 0, err
 	}
 	return dropped, nil

@@ -1,6 +1,8 @@
 package durable
 
 import (
+	"bytes"
+	"compress/gzip"
 	"encoding/json"
 	"hash/crc32"
 	"os"
@@ -48,10 +50,7 @@ func populate(t *testing.T) *engine.Engine {
 func TestCaptureRestoreRoundTrip(t *testing.T) {
 	e := populate(t)
 	insts := e.Instances()
-	st, err := Stage(e, 42).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := Stage(e, 42)
 	if st.Seq != 42 || len(st.Instances) != 2 || len(st.Schemas) != 1 {
 		t.Fatalf("capture: %+v", st)
 	}
@@ -113,10 +112,7 @@ func TestCaptureRestoreBiasedInstance(t *testing.T) {
 	if err := change.ApplyAdHoc(inst, sim.OnlineOrderBiasI2()...); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Stage(e, 1).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := Stage(e, 1)
 	e2 := engine.New(nil)
 	if err := Restore(e2, st); err != nil {
 		t.Fatal(err)
@@ -127,6 +123,20 @@ func TestCaptureRestoreBiasedInstance(t *testing.T) {
 	}
 	if re.NodeState("confirm_order") != inst.NodeState("confirm_order") {
 		t.Fatal("bias-inserted node state differs")
+	}
+}
+
+// TestRestoreRefusesAnInstanceWithoutState: an instance entry that decodes
+// to no snapshot — {} or null — fails the restore instead of crashing it.
+func TestRestoreRefusesAnInstanceWithoutState(t *testing.T) {
+	for _, entry := range []string{`{}`, `null`} {
+		var st SystemState
+		if err := json.Unmarshal([]byte(`{"format":1,"seq":1,"instances":[`+entry+`]}`), &st); err != nil {
+			t.Fatal(err)
+		}
+		if err := Restore(engine.New(nil), &st); err == nil {
+			t.Fatalf("instance %s restored", entry)
+		}
 	}
 }
 
@@ -200,10 +210,19 @@ func TestSnapshotLoadChecksPayloadLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := json.Marshal(&SystemState{Format: FormatVersion, Seq: 7})
+	raw, err := json.Marshal(&SystemState{Format: FormatVersion, Seq: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var gz bytes.Buffer
+	zw := gzip.NewWriter(&gz)
+	if _, err := zw.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	payload := gz.Bytes()
 	entry := ManifestEntry{File: "snap-000000000007.json", Seq: 7}
 	for _, tc := range []struct {
 		name string
@@ -215,7 +234,7 @@ func TestSnapshotLoadChecksPayloadLength(t *testing.T) {
 		{"short", len(payload) + 1, "torn payload"},
 		{"long", len(payload) - 1, "trailing data"},
 	} {
-		hdr, err := json.Marshal(snapHeader{Format: containerRaw, Seq: 7, Len: tc.len, CRC32: crc32.ChecksumIEEE(payload)})
+		hdr, err := json.Marshal(snapHeader{Format: containerFormat, Seq: 7, Len: tc.len, CRC32: crc32.ChecksumIEEE(payload), RawLen: len(raw)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,9 +261,18 @@ func TestCompactJournal(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dropped, err := CompactJournal(path, 6)
 	if err != nil || dropped != 6 {
 		t.Fatalf("dropped=%d err=%v", dropped, err)
+	}
+	// The kept records are the journal's own lines, byte for byte.
+	lines := strings.SplitAfter(string(before), "\n")
+	if after, err := os.ReadFile(path); err != nil || string(after) != strings.Join(lines[6:], "") {
+		t.Fatalf("compacted journal %q, want the last four lines of %q (%v)", after, before, err)
 	}
 	recs, _, err := persist.LoadJournalSuffixFS(vfs.OS(), path, 0)
 	if err != nil {
@@ -286,13 +314,12 @@ func TestOpenStoreSweepsOrphanedTempFiles(t *testing.T) {
 
 // TestSnapshotCompression: new snapshots use the gzip container, report
 // both sizes through ReadSnapshotInfo, and load back exactly; a raw v1
-// container written by a pre-compression build still loads.
+// container, which only a pre-compression build wrote, is refused with the
+// format error (the root TestV1SnapshotPartFallsBack opens a layout whose
+// newest generation holds one).
 func TestSnapshotCompression(t *testing.T) {
 	e := populate(t)
-	st, err := Stage(e, 9).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := Stage(e, 9)
 	dir := filepath.Join(t.TempDir(), "snaps")
 	store, err := OpenStore(dir)
 	if err != nil {
@@ -306,7 +333,7 @@ func TestSnapshotCompression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info.Compressed || info.Seq != 9 {
+	if info.Seq != 9 {
 		t.Fatalf("info: %+v", info)
 	}
 	if info.StoredLen >= info.RawLen {
@@ -325,7 +352,7 @@ func TestSnapshotCompression(t *testing.T) {
 	}
 
 	// Hand-build a v1 (raw) container the way pre-compression builds
-	// wrote them: it must keep loading.
+	// wrote them: it is refused like a torn one, naming its format.
 	payload, err := json.Marshal(&SystemState{Format: FormatVersion, Seq: 4, InstanceCounter: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -338,16 +365,12 @@ func TestSnapshotCompression(t *testing.T) {
 	if err := os.WriteFile(v1, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	old, err := store.Load(ManifestEntry{File: "snap-000000000004.json", Seq: 4})
-	if err != nil {
-		t.Fatalf("v1 container must load: %v", err)
+	const refusal = "container format 1, want 2"
+	if old, err := store.Load(ManifestEntry{File: "snap-000000000004.json", Seq: 4}); err == nil || !strings.Contains(err.Error(), refusal) {
+		t.Fatalf("v1 container: loaded %+v, err %v; want an error containing %q", old, err, refusal)
 	}
-	if old.InstanceCounter != 2 {
-		t.Fatalf("v1 payload: %+v", old)
-	}
-	oldInfo, err := ReadSnapshotInfo(vfs.OS(), v1)
-	if err != nil || oldInfo.Compressed || oldInfo.RawLen != len(payload) {
-		t.Fatalf("v1 info: %+v err=%v", oldInfo, err)
+	if oldInfo, err := ReadSnapshotInfo(vfs.OS(), v1); err == nil || !strings.Contains(err.Error(), refusal) {
+		t.Fatalf("v1 info: %+v, err %v; want an error containing %q", oldInfo, err, refusal)
 	}
 }
 

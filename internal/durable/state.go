@@ -1,7 +1,6 @@
 package durable
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"adept2/internal/change"
@@ -15,9 +14,13 @@ import (
 // accepts. Recovery treats any other version as skew and falls back.
 const FormatVersion = 1
 
-// SystemState is the complete serialized engine state a snapshot carries:
-// everything OpenSystem needs to resume without replaying the journal
-// prefix the snapshot covers.
+// SystemState is the engine state a checkpoint persists: everything Open
+// needs to resume without replaying the journal prefix the snapshot
+// covers. Stage takes it under the facade's snapshot barrier as clones
+// (users, per-instance facets) and references to what never changes once
+// recorded (deployed schemas, bias operations), Split partitions it per
+// shard, SnapshotStore.Write encodes it outside the barrier, and Restore
+// applies it, whether Load decoded it or Stage took it.
 type SystemState struct {
 	Format int `json:"format"`
 	// Seq is the journal sequence number the state reflects: every record
@@ -26,111 +29,94 @@ type SystemState struct {
 	Seq int `json:"seq"`
 	// Epoch is the control-log cut the state was captured at (sharded
 	// layouts only; see internal/durable/sharded). Zero otherwise.
-	Epoch           int                        `json:"epoch,omitempty"`
-	InstanceCounter int                        `json:"instanceCounter"`
-	Users           []*org.User                `json:"users,omitempty"`
-	Schemas         []json.RawMessage          `json:"schemas,omitempty"`
-	Instances       []*engine.InstanceSnapshot `json:"instances,omitempty"`
-	Worklist        *worklist.ManagerExport    `json:"worklist,omitempty"`
+	Epoch           int                     `json:"epoch,omitempty"`
+	InstanceCounter int                     `json:"instanceCounter"`
+	Users           []*org.User             `json:"users,omitempty"`
+	Schemas         []*model.Schema         `json:"schemas,omitempty"`
+	Instances       []instanceState         `json:"instances,omitempty"`
+	Worklist        *worklist.ManagerExport `json:"worklist,omitempty"`
 }
 
-// StagedCapture is the cheap in-memory clone of the engine state taken
-// under the facade's snapshot barrier. Only Stage must run inside the
-// barrier — it clones per-instance facets and collects shared references
-// without any JSON work; Encode (marshaling schemas, bias payloads) runs
-// after the barrier is released so commands are not stalled behind
-// serialization.
-type StagedCapture struct {
-	seq     int
-	epoch   int
-	counter int
-	users   []*org.User
-	schemas []*model.Schema // deployed schemas are immutable: refs suffice
-	insts   []stagedInstance
-	wl      *worklist.ManagerExport
+// instanceState is one instance of a SystemState: the engine's snapshot
+// of it and the operations of its bias, encoded as the snapshot's last
+// member.
+type instanceState struct {
+	*engine.InstanceSnapshot
+	Bias biasOps `json:"bias,omitempty"`
 }
 
-type stagedInstance struct {
-	snap *engine.InstanceSnapshot
-	bias []engine.BiasOp
+// biasOps encodes an instance's bias through the change codec, which the
+// engine does not import.
+type biasOps []engine.BiasOp
+
+func (b biasOps) MarshalJSON() ([]byte, error) {
+	ops, err := change.AsOperations(b)
+	if err != nil {
+		return nil, err
+	}
+	return change.MarshalOps(ops)
 }
 
-// Stage clones the engine state at journal sequence seq. The caller must
+func (b *biasOps) UnmarshalJSON(data []byte) error {
+	ops, err := change.UnmarshalOps(data)
+	if err != nil {
+		return err
+	}
+	*b = make(biasOps, len(ops))
+	for i, op := range ops {
+		(*b)[i] = op
+	}
+	return nil
+}
+
+// Stage takes the engine state at journal sequence seq. The caller must
 // guarantee a command boundary: no state-changing command may run between
 // reading seq and the per-instance exports (the facade holds its snapshot
 // barrier across Stage).
-func Stage(eng *engine.Engine, seq int) *StagedCapture {
-	sc := &StagedCapture{
-		seq:     seq,
-		counter: eng.InstanceCounter(),
-		users:   eng.Org().AllUsers(),
-		schemas: eng.AllSchemas(),
-		wl:      eng.Worklist().Export(),
+func Stage(eng *engine.Engine, seq int) *SystemState {
+	insts := eng.Instances()
+	st := &SystemState{
+		Format:          FormatVersion,
+		Seq:             seq,
+		InstanceCounter: eng.InstanceCounter(),
+		Users:           eng.Org().AllUsers(),
+		Schemas:         eng.AllSchemas(),
+		Instances:       make([]instanceState, len(insts)),
+		Worklist:        eng.Worklist().Export(),
 	}
-	for _, inst := range eng.Instances() {
-		snap, biasOps := inst.Snapshot()
-		sc.insts = append(sc.insts, stagedInstance{snap: snap, bias: biasOps})
+	for i, inst := range insts {
+		st.Instances[i].InstanceSnapshot, st.Instances[i].Bias = inst.Snapshot()
 	}
-	return sc
+	return st
 }
 
-// Split partitions a staged capture into n per-shard captures sharing the
+// Encode returns st: a SystemState is encoded by SnapshotStore.Write.
+//
+// Deprecated: the declaration stays only because the frozen bench/ calls
+// it.
+func (st *SystemState) Encode() (*SystemState, error) { return st, nil }
+
+// Split partitions a staged state into per-shard states sharing the
 // consistent cut Stage observed: shard k receives the instances shardOf
 // assigns to it plus the journal sequence number seqs[k] its snapshot
 // covers; shard 0 additionally carries the control state (users, schemas,
 // worklist, instance counter). All parts record the same control epoch, so
 // recovery can re-establish the cut. Safe outside the barrier — it only
-// re-buckets the already-cloned staged state.
-func (sc *StagedCapture) Split(seqs []int, epoch int, shardOf func(instID string) int) []*StagedCapture {
-	parts := make([]*StagedCapture, len(seqs))
+// re-buckets what Stage took.
+func (st *SystemState) Split(seqs []int, epoch int, shardOf func(instID string) int) []*SystemState {
+	parts := make([]*SystemState, len(seqs))
 	for k := range parts {
-		parts[k] = &StagedCapture{seq: seqs[k], epoch: epoch}
+		parts[k] = &SystemState{Format: FormatVersion, Seq: seqs[k], Epoch: epoch}
 	}
-	parts[0].counter = sc.counter
-	parts[0].users = sc.users
-	parts[0].schemas = sc.schemas
-	parts[0].wl = sc.wl
-	for _, si := range sc.insts {
-		k := shardOf(si.snap.ID)
-		parts[k].insts = append(parts[k].insts, si)
+	parts[0].InstanceCounter = st.InstanceCounter
+	parts[0].Users = st.Users
+	parts[0].Schemas = st.Schemas
+	parts[0].Worklist = st.Worklist
+	for _, in := range st.Instances {
+		k := shardOf(in.ID)
+		parts[k].Instances = append(parts[k].Instances, in)
 	}
 	return parts
-}
-
-// Encode serializes a staged capture into the snapshot payload. Safe to
-// call outside the barrier: everything it touches is either cloned
-// (instance facets) or immutable (deployed schemas, bias operations).
-func (sc *StagedCapture) Encode() (*SystemState, error) {
-	st := &SystemState{
-		Format:          FormatVersion,
-		Seq:             sc.seq,
-		Epoch:           sc.epoch,
-		InstanceCounter: sc.counter,
-		Users:           sc.users,
-		Worklist:        sc.wl,
-	}
-	for _, s := range sc.schemas {
-		blob, err := json.Marshal(s)
-		if err != nil {
-			return nil, fmt.Errorf("durable: capture schema %s v%d: %w", s.TypeName(), s.Version(), err)
-		}
-		st.Schemas = append(st.Schemas, blob)
-	}
-	for _, si := range sc.insts {
-		if len(si.bias) > 0 {
-			ops, err := change.AsOperations(si.bias)
-			if err != nil {
-				return nil, fmt.Errorf("durable: capture %s: %w", si.snap.ID, err)
-			}
-			blob, err := change.MarshalOps(ops)
-			if err != nil {
-				return nil, fmt.Errorf("durable: capture %s: %w", si.snap.ID, err)
-			}
-			si.snap.Bias = blob
-		}
-		st.Instances = append(st.Instances, si.snap)
-	}
-	return st, nil
 }
 
 // Restore rebuilds the engine state from a captured snapshot. The engine
@@ -151,28 +137,16 @@ func Restore(eng *engine.Engine, st *SystemState) error {
 			return fmt.Errorf("durable: restore user: %w", err)
 		}
 	}
-	for _, blob := range st.Schemas {
-		var s model.Schema
-		if err := json.Unmarshal(blob, &s); err != nil {
-			return fmt.Errorf("durable: restore schema: %w", err)
-		}
-		if err := eng.Deploy(&s); err != nil {
+	for _, s := range st.Schemas {
+		if err := eng.Deploy(s); err != nil {
 			return fmt.Errorf("durable: restore: %w", err)
 		}
 	}
-	for _, snap := range st.Instances {
-		var bias []engine.BiasOp
-		if len(snap.Bias) > 0 {
-			ops, err := change.UnmarshalOps(snap.Bias)
-			if err != nil {
-				return fmt.Errorf("durable: restore %s: %w", snap.ID, err)
-			}
-			bias = make([]engine.BiasOp, len(ops))
-			for i, op := range ops {
-				bias[i] = op
-			}
+	for _, in := range st.Instances {
+		if in.InstanceSnapshot == nil {
+			return fmt.Errorf("durable: restore: an instance without its state")
 		}
-		if err := eng.RestoreInstance(snap, bias); err != nil {
+		if err := eng.RestoreInstance(in.InstanceSnapshot, in.Bias); err != nil {
 			return err
 		}
 	}

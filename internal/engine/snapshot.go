@@ -2,7 +2,6 @@ package engine
 
 import (
 	"cmp"
-	"encoding/json"
 	"fmt"
 	"slices"
 	"sort"
@@ -20,17 +19,16 @@ import (
 // everything needed to rebuild it without replaying its command history.
 // Markings and stats are exported in their stable ID-keyed form, so the
 // snapshot survives the topology rebuild that deserializing the schema
-// implies. The instance bias is opaque to the engine (layering: the change
-// package owns the operation codec) — Snapshot hands the recorded ops back
-// to the caller, which serializes them into Bias; RestoreInstance receives
-// them decoded again.
+// implies. The instance's bias is not part of it: Snapshot returns the
+// recorded operations beside it, and RestoreInstance takes them back, so
+// the caller encodes them (the change package owns the operation codec).
 type InstanceSnapshot struct {
 	ID       string `json:"id"`
 	TypeName string `json:"type"`
 	Version  int    `json:"version"`
 	// Strategy is written as 0 and read for nothing: it named one of three
 	// biased-instance representations, and an instance restores as the
-	// one there is, rebuilt from Bias, whatever value it holds.
+	// one there is, rebuilt from its bias, whatever value it holds.
 	Strategy   uint8          `json:"strategy"`
 	Done       bool           `json:"done,omitempty"`
 	Suspended  bool           `json:"suspended,omitempty"`
@@ -49,14 +47,10 @@ type InstanceSnapshot struct {
 	Stats       []history.StatExport `json:"stats,omitempty"`
 	History     *history.Log         `json:"history"`
 	Store       *data.Store          `json:"data"`
-	// Bias is the change.MarshalOps payload of the instance's recorded
-	// operations; the engine never interprets it.
-	Bias json.RawMessage `json:"bias,omitempty"`
 }
 
-// Snapshot exports the instance state under its lock. The recorded bias
-// operations are returned separately for the caller to serialize (see
-// InstanceSnapshot.Bias).
+// Snapshot exports the instance state under its lock, and beside it a
+// copy of the recorded bias operations.
 func (inst *Instance) Snapshot() (*InstanceSnapshot, []BiasOp) {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()

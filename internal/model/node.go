@@ -51,20 +51,9 @@ func (t NodeType) String() string {
 	return fmt.Sprintf("node-type(%d)", uint8(t))
 }
 
-// IsSplit reports whether the node type opens a block.
-func (t NodeType) IsSplit() bool {
-	return t == NodeANDSplit || t == NodeXORSplit || t == NodeLoopStart
-}
-
 // IsJoin reports whether the node type closes a block.
 func (t NodeType) IsJoin() bool {
 	return t == NodeANDJoin || t == NodeXORJoin || t == NodeLoopEnd
-}
-
-// IsGateway reports whether the node type is a routing construct rather
-// than a work item.
-func (t NodeType) IsGateway() bool {
-	return t.IsSplit() || t.IsJoin()
 }
 
 // MatchingJoin returns the join type that closes a block opened by t.

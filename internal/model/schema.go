@@ -97,9 +97,6 @@ func (s *Schema) Nodes() []*Node {
 	return ns
 }
 
-// NumNodes returns the node count.
-func (s *Schema) NumNodes() int { return len(s.nodes) }
-
 // Edges implements SchemaView.
 func (s *Schema) Edges() []*Edge { return s.edges }
 

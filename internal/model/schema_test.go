@@ -243,7 +243,7 @@ func TestMatchingJoin(t *testing.T) {
 	if _, ok := NodeActivity.MatchingJoin(); ok {
 		t.Error("activity should have no matching join")
 	}
-	if !NodeANDSplit.IsSplit() || !NodeLoopEnd.IsJoin() || !NodeXORJoin.IsGateway() || NodeActivity.IsGateway() {
+	if NodeANDSplit.IsJoin() || !NodeLoopEnd.IsJoin() || !NodeXORJoin.IsJoin() || NodeActivity.IsJoin() {
 		t.Error("type predicates mismatch")
 	}
 }

@@ -113,22 +113,6 @@ func (h *Histogram) Observe(v int64) {
 	h.sum.Add(v)
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
 // UpperBound returns bucket i's inclusive upper boundary in observation
 // units (the final bucket returns -1: unbounded).
 func (h *Histogram) UpperBound(i int) int64 {

@@ -26,7 +26,7 @@ func TestNilSafety(t *testing.T) {
 	}
 	var h *Histogram
 	h.Observe(42)
-	if h.Count() != 0 || h.Sum() != 0 {
+	if s := h.Snapshot(); s.Count != 0 || s.Sum != 0 {
 		t.Fatal("nil histogram counted")
 	}
 	if s := h.Snapshot(); s.Count != 0 || len(s.Buckets) != 0 {
@@ -87,14 +87,14 @@ func TestHistogramBuckets(t *testing.T) {
 	for _, v := range []int64{0, 1, 2, 3, 4, 1 << 40, -5} {
 		h.Observe(v)
 	}
-	if h.Count() != 7 {
-		t.Fatalf("count = %d, want 7", h.Count())
+	s := h.Snapshot()
+	if s.Count != 7 {
+		t.Fatalf("count = %d, want 7", s.Count)
 	}
 	// -5 clamps to 0; sum = 0+1+2+3+4+2^40+0.
-	if want := int64(10 + 1<<40); h.Sum() != want {
-		t.Fatalf("sum = %d, want %d", h.Sum(), want)
+	if want := int64(10 + 1<<40); s.Sum != want {
+		t.Fatalf("sum = %d, want %d", s.Sum, want)
 	}
-	s := h.Snapshot()
 	// Buckets: v=0,-5 → bucket 0; v=1 → 1; v=2,3 → 2; v=4, 2^40 (clamped) → 3.
 	want := []int64{2, 1, 2, 2}
 	if len(s.Buckets) != 4 {

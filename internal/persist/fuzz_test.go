@@ -107,6 +107,14 @@ func FuzzScanAndRepair(f *testing.F) {
 		if tail.ValidSize < 0 || tail.ValidSize > int64(len(file)) {
 			t.Fatalf("tail %+v over a %d-byte file", tail, len(file))
 		}
+		if len(recs) > 0 {
+			// The bytes from SuffixStart to ValidSize are the returned records'
+			// lines: alone in a file, they read back as those records.
+			putFile(t, fsys, "suffix", file[tail.SuffixStart:tail.ValidSize])
+			if cut, _, err := LoadJournalSuffixFS(fsys, "suffix", 0); err != nil || !reflect.DeepEqual(cut, recs) {
+				t.Fatalf("suffix at %d reads %+v, %v; want %+v", tail.SuffixStart, cut, err, recs)
+			}
+		}
 
 		j, err := ResumeJournalFS(fsys, "wal", tail)
 		if err != nil {
@@ -133,6 +141,9 @@ func FuzzScanAndRepair(f *testing.F) {
 			want.FirstSeq = seq
 		}
 		if seq > afterSeq {
+			if len(recs) == 0 { // the suffix starts at the appended line
+				want.SuffixStart = int64(bytes.LastIndexByte(repaired[:len(repaired)-1], '\n') + 1)
+			}
 			recs = append(recs, Record{Seq: seq, Op: "fuzz", Args: json.RawMessage("null")})
 		}
 		again, tail2, err := LoadJournalSuffixFS(fsys, "wal", afterSeq)

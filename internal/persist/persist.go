@@ -48,12 +48,10 @@ import (
 	"adept2/internal/vfs"
 )
 
-// Record is one journaled command. The record format is versioned by
-// field presence, not an explicit tag: v1 records (through PR 3) carry
-// seq/op/args; v2 records add the optional epoch reference for sharded
-// journals. Decoders accept both — a missing epoch is zero — and Seq
-// stays the first encoded field so the fast sequence probe (quickSeq)
-// works on either version.
+// Record is one journaled command, one line of the journal:
+// {"seq":N,"epoch":E,"op":"...","args":...}. The epoch is present only
+// on sharded data records (a missing one is zero), and Seq is the first
+// member so the fast sequence probe (quickSeq) reads it without a decode.
 type Record struct {
 	// Seq is the journal sequence number (1-based).
 	Seq int `json:"seq"`
@@ -315,13 +313,15 @@ func (j *Journal) Close() error {
 // TailInfo describes the boundaries and physical integrity of a scanned
 // journal: the first and last intact sequence numbers (0, 0 when empty or
 // missing), how many leading bytes hold intact records (a torn or corrupt
-// tail lies beyond ValidSize), and whether the final intact record lost
-// its newline terminator.
+// tail lies beyond ValidSize), whether the final intact record lost its
+// newline terminator, and the offset of the line holding the first record
+// the scan returned (0 when it returned none).
 type TailInfo struct {
-	FirstSeq  int
-	LastSeq   int
-	ValidSize int64
-	OpenTail  bool
+	FirstSeq    int
+	LastSeq     int
+	ValidSize   int64
+	OpenTail    bool
+	SuffixStart int64
 }
 
 // ResumeJournalFS opens a journal whose scan result the caller already
@@ -397,8 +397,9 @@ func scanRecords(r io.Reader, afterSeq int) ([]Record, TailInfo, error) {
 		advance    int   // bytes the splitter consumed for the current token
 		terminated bool  // the consumed bytes end in the newline
 	)
+	// A line is as long as the record the journal wrote: no limit.
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), math.MaxInt)
 	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
 		adv, tok, err := bufio.ScanLines(data, atEOF)
 		advance = adv
@@ -450,6 +451,9 @@ func scanRecords(r io.Reader, afterSeq int) ([]Record, TailInfo, error) {
 				return nil, TailInfo{}, err
 			}
 			if seq > afterSeq {
+				if len(recs) == 0 {
+					tail.SuffixStart = offset - int64(advance)
+				}
 				recs = append(recs, rec)
 			}
 		} else if err := checkSeq(seq, tail.LastSeq, lineNo); err != nil {

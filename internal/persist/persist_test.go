@@ -129,6 +129,39 @@ func TestJournalAppendAndRead(t *testing.T) {
 	}
 }
 
+// TestJournalReadsEveryLineItWrites: whatever record an append accepts,
+// the scan reads back — here one of 17 MiB, longer than any line buffer
+// a scanner starts with — both the suffix load and the reopen, which
+// would otherwise acknowledge a record no later Open could read.
+func TestJournalReadsEveryLineItWrites(t *testing.T) {
+	j, mem := memJournal(t)
+	big := strings.Repeat("x", 17<<20)
+	stage(t, j, "complete", map[string]string{"out": big})
+	stage(t, j, "create", nil)
+	if err := j.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, tail, err := LoadJournalSuffixFS(mem, "wal", 0)
+	if err != nil || len(recs) != 2 || tail.LastSeq != 2 {
+		t.Fatalf("scan: %d records, tail %+v, %v", len(recs), tail, err)
+	}
+	var args map[string]string
+	if err := json.Unmarshal(recs[0].Args, &args); err != nil || args["out"] != big {
+		t.Fatalf("the long record reads back as %d bytes of output, %v", len(args["out"]), err)
+	}
+	j2, err := OpenJournalBufferedFS(mem, "wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if j2.Seq() != 2 {
+		t.Fatalf("reopened at seq %d, want 2", j2.Seq())
+	}
+}
+
 func TestJournalToleratesTornTail(t *testing.T) {
 	j, mem := memJournal(t)
 	stage(t, j, "create", nil)

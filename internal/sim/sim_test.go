@@ -92,7 +92,7 @@ func TestDriverCompletesRandomSchemas(t *testing.T) {
 		}
 		d := NewDriver(rng, e)
 		if err := d.RunToCompletion(inst); err != nil {
-			t.Fatalf("trial %d (%d nodes): %v", i, s.NumNodes(), err)
+			t.Fatalf("trial %d (%d nodes): %v", i, len(s.Nodes()), err)
 		}
 		if !inst.Done() {
 			t.Fatalf("trial %d: not done", i)

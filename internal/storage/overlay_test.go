@@ -82,7 +82,7 @@ func TestOverlayAddAndRemove(t *testing.T) {
 	for _, id := range o.NodeIDs() {
 		seen[id]++
 	}
-	if seen["n"] != 1 || seen["a"] != 1 || len(seen) != base.NumNodes()+1 {
+	if seen["n"] != 1 || seen["a"] != 1 || len(seen) != len(base.Nodes())+1 {
 		t.Fatalf("NodeIDs = %v", o.NodeIDs())
 	}
 	if len(o.addedNodes) != 1 || len(o.addedEdges) != 2 || len(o.removedEdges) != 1 {

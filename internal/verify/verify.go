@@ -84,15 +84,10 @@ type Result struct {
 }
 
 // Errors returns the issues with severity Error.
-func (r *Result) Errors() []Issue { return r.filter(Error) }
-
-// Warnings returns the issues with severity Warning.
-func (r *Result) Warnings() []Issue { return r.filter(Warning) }
-
-func (r *Result) filter(s Severity) []Issue {
+func (r *Result) Errors() []Issue {
 	var out []Issue
 	for _, i := range r.Issues {
-		if i.Severity == s {
+		if i.Severity == Error {
 			out = append(out, i)
 		}
 	}

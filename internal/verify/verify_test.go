@@ -49,8 +49,8 @@ func TestCheckAcceptsOnlineOrder(t *testing.T) {
 	if !r.OK() {
 		t.Fatalf("expected OK, got: %v", r.Err())
 	}
-	if len(r.Warnings()) != 0 {
-		t.Fatalf("expected no warnings, got %v", r.Warnings())
+	if len(r.Issues) != 0 {
+		t.Fatalf("expected no warnings, got %v", r.Issues)
 	}
 	if r.Blocks == nil || len(r.Blocks.Blocks()) != 1 {
 		t.Fatal("block analysis missing")

@@ -17,7 +17,7 @@
 //   - Decision{Err: e} fails it with e. The script sees the operation
 //     counter, so transient faults (fail once, pass on retry) and
 //     persistent faults (fail forever after N) are both expressible —
-//     see FailNth and FailFrom.
+//     see FailFrom.
 //   - Decision{Err: e, TornPrefix: k} on a write persists only the
 //     first k bytes before failing — a torn write, the case journal
 //     tail repair exists for.

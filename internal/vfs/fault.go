@@ -266,17 +266,6 @@ func (f *faultFile) Close() error {
 
 func (f *faultFile) Name() string { return f.inner.Name() }
 
-// FailNth returns a script failing exactly the n-th operation with err
-// (transient: every other operation passes).
-func FailNth(n int64, err error) Script {
-	return func(i int64, _ OpRef) Decision {
-		if i == n {
-			return Decision{Err: err}
-		}
-		return Decision{}
-	}
-}
-
 // FailFrom returns a script failing every operation from the n-th on
 // that matches kinds (all kinds when empty) — a persistent fault.
 func FailFrom(n int64, err error, kinds ...OpKind) Script {

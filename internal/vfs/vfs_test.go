@@ -226,7 +226,13 @@ func TestFaultInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ff.SetScript(FailNth(ff.OpCount()+1, ErrInjected))
+	next := ff.OpCount() + 1
+	ff.SetScript(func(i int64, _ OpRef) Decision {
+		if i == next {
+			return Decision{Err: ErrInjected}
+		}
+		return Decision{}
+	})
 	if _, err := f.Write([]byte("x")); !errors.Is(err, ErrInjected) {
 		t.Fatalf("injected write: %v", err)
 	}

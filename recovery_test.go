@@ -2,7 +2,9 @@ package adept2_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -662,10 +664,10 @@ func TestClaimsSurviveSnapshotRecovery(t *testing.T) {
 }
 
 // TestFailedRestoreDoesNotPoisonFallback: a snapshot that passes checksum
-// validation but fails mid-restore (corrupt bias payload) must fall back
-// to full replay with a clean slate — earlier the half-restored users
-// leaked into the shared org model and made the fallback fail with
-// duplicate-ID errors.
+// validation and loads but fails mid-restore (a bias op that cannot
+// re-apply) must fall back to full replay with a clean slate — earlier the
+// half-restored users leaked into the shared org model and made the
+// fallback fail with duplicate-ID errors.
 func TestFailedRestoreDoesNotPoisonFallback(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.ndjson")
@@ -680,9 +682,9 @@ func TestFailedRestoreDoesNotPoisonFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Forge a checksum-valid snapshot whose restore fails: corrupt the
-	// biased instance's ops payload and rewrite through the store (which
-	// recomputes the CRC).
+	// Forge a checksum-valid snapshot whose restore fails: give the biased
+	// instance an op that decodes but deletes a node its schema lacks, and
+	// rewrite through the store (which recomputes the CRC).
 	store, err := durable.OpenStore(cfg.Dir)
 	if err != nil {
 		t.Fatal(err)
@@ -696,9 +698,9 @@ func TestFailedRestoreDoesNotPoisonFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	poisoned := false
-	for _, inst := range st.Instances {
-		if len(inst.Bias) > 0 {
-			inst.Bias = []byte(`[{"op":"no-such-op","args":{}}]`)
+	for i := range st.Instances {
+		if inst := &st.Instances[i]; len(inst.Bias) > 0 {
+			inst.Bias = append(inst.Bias, &adept2.DeleteActivity{ID: "no-such-node"})
 			poisoned = true
 		}
 	}
@@ -708,14 +710,74 @@ func TestFailedRestoreDoesNotPoisonFallback(t *testing.T) {
 	if _, err := store.Write(st); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := store.Load(entries[len(entries)-1]); err != nil {
+		t.Fatalf("the poisoned snapshot must load and fail in restore: %v", err)
+	}
 
 	rec := openCheckpointed(t, path, cfg)
 	defer rec.Close()
 	info := rec.Recovery()
-	if !info.FullReplay || len(info.Fallbacks) == 0 {
-		t.Fatalf("expected clean full-replay fallback, got %+v", info)
+	if !info.FullReplay || len(info.Fallbacks) == 0 || !strings.Contains(strings.Join(info.Fallbacks, "\n"), "re-apply bias") {
+		t.Fatalf("expected clean full-replay fallback from a failed restore, got %+v", info)
 	}
 	if _, ok := rec.Instance(i1); !ok {
 		t.Fatal("state missing after fallback")
+	}
+}
+
+// TestV1SnapshotPartFallsBack: a v1 (raw) snapshot container, which only a
+// pre-compression build wrote, is refused like a torn part — Open falls
+// back past the generation that holds it, and the fallback names the
+// container format.
+func TestV1SnapshotPartFallsBack(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "wal.ndjson")
+	cfg := adept2.CheckpointConfig{Every: -1, Dir: filepath.Join(dir, "snaps")}
+
+	sys := openCheckpointed(t, path, cfg)
+	i1, i2 := runPrefix(t, sys)
+	if _, _, err := sys.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Store the newest part's payload raw under a format 1 header.
+	store, err := durable.OpenStore(cfg.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := store.Entries()
+	if err != nil || len(entries) == 0 {
+		t.Fatalf("entries=%v err=%v", entries, err)
+	}
+	newest := entries[len(entries)-1]
+	st, err := store.Load(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, err := json.Marshal(map[string]any{"format": 1, "seq": newest.Seq, "len": len(payload), "crc32": crc32.ChecksumIEEE(payload)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(cfg.Dir, newest.File), append(append(hdr, '\n'), payload...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := openCheckpointed(t, path, cfg)
+	defer rec.Close()
+	info := rec.Recovery()
+	if !info.FullReplay || !strings.Contains(strings.Join(info.Fallbacks, "\n"), "container format 1") {
+		t.Fatalf("expected a full-replay fallback naming container format 1, got %+v", info)
+	}
+	for _, id := range []string{i1, i2} {
+		if _, ok := rec.Instance(id); !ok {
+			t.Fatalf("instance %s missing after the fallback", id)
+		}
 	}
 }

@@ -71,10 +71,7 @@ func TestRegistryAgrees(t *testing.T) {
 		{"live", live},
 		{"restored", func(t *testing.T) (*adept2.Engine, []string) {
 			src, ids := live(t)
-			st, err := durable.Stage(src, 1).Encode()
-			if err != nil {
-				t.Fatal(err)
-			}
+			st := durable.Stage(src, 1)
 			eng := engine.New(sim.Org())
 			if err := durable.Restore(eng, st); err != nil {
 				t.Fatal(err)

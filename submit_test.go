@@ -8,6 +8,7 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -546,6 +547,38 @@ func TestSubmitRefusesOutputsTheJournalCannotCarry(t *testing.T) {
 			sameData(t, sys, got)
 		})
 	}
+}
+
+// TestSubmitKeepsAnOutputPast16MiB: a completion whose journal line is
+// 17 MiB long is acknowledged, and a reopen reads it back — the same
+// state and data as the live system. With the journal scan capped at
+// 16 MiB a line, Submit returned nil and every later Open failed with
+// "bufio.Scanner: token too long".
+func TestSubmitKeepsAnOutputPast16MiB(t *testing.T) {
+	ctx := context.Background()
+	fsys := vfs.NewMemFS()
+	open := func() *adept2.System {
+		sys, err := adept2.Open("wal", adept2.WithVFS(fsys), adept2.WithOrg(sim.Org()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	sys := open()
+	if _, err := sys.Submit(ctx, &adept2.Deploy{Schema: measureSchema(t)}); err != nil {
+		t.Fatal(err)
+	}
+	id := instanceOnShard(t, sys, 0, 1)
+	if _, err := sys.Submit(ctx, measure(id, 1.5, strings.Repeat("x", 17<<20))); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := open()
+	defer got.Close()
+	assertSameState(t, sys, got)
+	sameData(t, sys, got)
 }
 
 // TestRefusedCompletionLeavesTheNodeActivated: completing a node that is

@@ -190,8 +190,8 @@ func (s *System) checkpoint() (string, int, error) {
 	staged := durable.Stage(s.eng, 0)
 	s.snapMu.Unlock()
 
-	caps := staged.Split(seqs, epoch, s.wal.ShardFor)
-	man, file0, err := sharded.WriteCheckpoint(s.layout, s.gman, s.stores, caps, epoch, seqs, keepGenerations)
+	parts := staged.Split(seqs, epoch, s.wal.ShardFor)
+	man, file0, err := sharded.WriteCheckpoint(s.layout, s.gman, s.stores, parts, epoch, seqs, keepGenerations)
 	if err != nil {
 		return file0, seqs[0], err
 	}
@@ -290,7 +290,7 @@ func Reshard(path string, n int, opts ...Option) error {
 		}
 		stores[k] = st
 	}
-	caps := staged.Split(seqs, epoch, func(id string) int { return sharded.ShardOf(id, n) })
+	parts := staged.Split(seqs, epoch, func(id string) int { return sharded.ShardOf(id, n) })
 	// The kept journals' existing records were partitioned under the old
 	// shard count: record the cut as each shard's replay floor so a
 	// future full-replay fallback refuses to reorder them — or, after a
@@ -306,7 +306,7 @@ func Reshard(path string, n int, opts ...Option) error {
 			base.ReplayFloors[0] = man.ReplayFloors[0]
 		}
 	}
-	if _, _, err := sharded.WriteCheckpoint(l, base, stores, caps, epoch, seqs, 1); err != nil {
+	if _, _, err := sharded.WriteCheckpoint(l, base, stores, parts, epoch, seqs, 1); err != nil {
 		return err
 	}
 

@@ -171,9 +171,9 @@ func TestVerifyAgreesWithOpen(t *testing.T) {
 		{name: "part fails restore", fallback: true, build: func(t *testing.T, mem *vfs.MemFS, l sharded.Layout, opts []adept2.Option) {
 			biased := seed(t, opts, true)
 			rewritePart(t, mem, l, sharded.ShardOf(biased, l.Shards), func(st *durable.SystemState) {
-				for _, inst := range st.Instances {
-					if len(inst.Bias) > 0 {
-						inst.Bias = []byte(`[{"op":"no-such-op","args":{}}]`)
+				for i := range st.Instances {
+					if inst := &st.Instances[i]; len(inst.Bias) > 0 {
+						inst.Bias = append(inst.Bias, &adept2.DeleteActivity{ID: "no-such-node"})
 					}
 				}
 			})
