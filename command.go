@@ -4,8 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
+	"unsafe"
 
 	"adept2/internal/change"
 	"adept2/internal/engine"
@@ -70,7 +74,7 @@ type argsEncoder interface {
 // path assigned, or has the wire shape Suspend and Resume share. The
 // caller's command is never written to (one &CreateInstance{} may be
 // submitted twice, and a stamped ID would make the second submit a
-// duplicate), and a value handed to the encoder as `any` cannot live on
+// duplicate), and a value handed to the journal as `any` cannot live on
 // the stack — so the forms are recycled through stampedPool.
 type stampedArgs struct {
 	create   CreateInstance
@@ -197,114 +201,348 @@ func register(op string, control bool, c codec) {
 	registry[op] = &cmdSpec{op: op, control: control, codec: c}
 }
 
-// structCodec is the codec of a command whose wire form is the command
-// struct itself.
-func structCodec[T any, P interface {
+// decodeStruct decodes the args of a command whose wire form is the
+// command struct itself and has members only encoding/json reads and
+// writes (a user, a schema).
+func decodeStruct[T any, P interface {
 	*T
 	command
-}]() codec {
-	return wireCodec(func(v *T) command { return P(v) })
+}](raw json.RawMessage) (command, error) {
+	v := new(T)
+	if err := json.Unmarshal(raw, v); err != nil {
+		return nil, err
+	}
+	return P(v), nil
 }
 
-// wireCodec is the codec of the wire form W, whose json tags are the one
-// field table both decoders read; finish makes the command of a decoded W.
-// The plain decoder knows W's string, integer and boolean members. Any
-// other member — a completion's outputs — is one it does not know, and
-// args that carry it are the reference's.
-func wireCodec[W any](finish func(*W) command) codec {
-	c := codec{decode: func(raw json.RawMessage) (command, error) {
-		v := new(W)
-		if err := json.Unmarshal(raw, v); err != nil {
-			return nil, err
-		}
-		return finish(v), nil
-	}}
-	var keys []string
-	var fields []int
-	var kinds []reflect.Kind
+// wireForm is the field table of a flat wire form W, read once from W's
+// json tags. Both directions run on it: the plain decoder of the form's
+// codec, and appendJSON, behind the form's AppendJSON, which the journal
+// line and the command line both append through — so a member cannot be
+// written under one key and read under another.
+type wireForm[W any] struct {
+	fields []wireField
+	keys   []string // the json key of each field
+}
+
+// wireField is one member of a flat wire form.
+type wireField struct {
+	name      string  // the json key quoted, with its colon
+	offset    uintptr // the member's place in the form
+	kind      fieldKind
+	omitEmpty bool
+}
+
+// fieldKind is what a member holds: one of the plain kinds, which the
+// plain decoder reads in place, or one of a completion's members only the
+// reference decodes.
+type fieldKind uint8
+
+const (
+	fieldString fieldKind = iota
+	fieldInt
+	fieldInt64
+	fieldBool
+	fieldIntPtr  // a completion's XOR decision
+	fieldBoolPtr // a completion's loop decision
+	fieldOutputs // a completion's outputs, map[string]any
+)
+
+// maxFields bounds a form's members, so that the plain decoder splits args
+// into an array on its stack.
+const maxFields = 8
+
+// The flat wire forms, one table each.
+var (
+	createForm   = newWireForm[CreateInstance]()
+	startForm    = newWireForm[StartActivity]()
+	completeForm = newWireForm[CompleteActivity]()
+	failForm     = newWireForm[FailActivity]()
+	timeoutForm  = newWireForm[TimeoutActivity]()
+	retryForm    = newWireForm[RetryActivity]()
+	suspendForm  = newWireForm[suspendArgs]()
+	undoForm     = newWireForm[Undo]()
+)
+
+func newWireForm[W any]() *wireForm[W] {
 	typ := reflect.TypeFor[W]()
+	f := new(wireForm[W])
 	for i := 0; i < typ.NumField(); i++ {
-		switch f := typ.Field(i); f.Type.Kind() {
-		case reflect.String, reflect.Int, reflect.Int64, reflect.Bool:
-			key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
-			keys, fields, kinds = append(keys, key), append(fields, i), append(kinds, f.Type.Kind())
+		sf := typ.Field(i)
+		var kind fieldKind
+		switch t := sf.Type; {
+		case t.Kind() == reflect.String:
+			kind = fieldString
+		case t.Kind() == reflect.Int:
+			kind = fieldInt
+		case t.Kind() == reflect.Int64:
+			kind = fieldInt64
+		case t.Kind() == reflect.Bool:
+			kind = fieldBool
+		case t == reflect.TypeFor[*int]():
+			kind = fieldIntPtr
+		case t == reflect.TypeFor[*bool]():
+			kind = fieldBoolPtr
+		case t == reflect.TypeFor[map[string]any]():
+			kind = fieldOutputs
+		default:
+			panic(fmt.Sprintf("adept2: %v.%s is not a flat member", typ, sf.Name))
 		}
-	}
-	const maxPlain = 8
-	if len(keys) > maxPlain {
-		panic(fmt.Sprintf("adept2: %v has more than %d flat members", typ, maxPlain))
-	}
-	if keys == nil {
-		return c
-	}
-	c.plain = func(args []byte) (command, bool) {
-		var buf [maxPlain][]byte
-		vals := buf[:len(keys)]
-		if !jsonx.Members(args, keys, vals) {
-			return nil, false
+		key, opts, _ := strings.Cut(sf.Tag.Get("json"), ",")
+		if key == "" || key == "-" || (opts != "" && opts != "omitempty") {
+			panic(fmt.Sprintf("adept2: %v.%s has a json tag the field table does not read", typ, sf.Name))
 		}
-		// Nothing is allocated until every member has been read once, so
-		// args refused here cost the reference nothing extra.
-		for k, val := range vals {
-			if val != nil && !readPlain(val, kinds[k], reflect.Value{}) {
+		f.fields = append(f.fields, wireField{name: string(jsonx.AppendString(nil, key)) + ":",
+			offset: sf.Offset, kind: kind, omitEmpty: opts == "omitempty"})
+		f.keys = append(f.keys, key)
+	}
+	if len(f.fields) > maxFields {
+		panic(fmt.Sprintf("adept2: %v has more than %d members", typ, maxFields))
+	}
+	return f
+}
+
+// codec is the form's codec; finish makes the command of a decoded W. The
+// plain decoder reads the string, integer and boolean members; args that
+// carry any other member are the reference's.
+func (f *wireForm[W]) codec(finish func(*W) command) codec {
+	return codec{
+		decode: func(raw json.RawMessage) (command, error) {
+			v := new(W)
+			if err := json.Unmarshal(raw, v); err != nil {
+				return nil, err
+			}
+			return finish(v), nil
+		},
+		plain: func(args []byte) (command, bool) {
+			var buf [maxFields][]byte
+			vals := buf[:len(f.fields)]
+			if !jsonx.Members(args, f.keys, vals) {
 				return nil, false
 			}
-		}
-		v := new(W)
-		dst := reflect.ValueOf(v).Elem()
-		for k, val := range vals {
-			if val != nil {
-				readPlain(val, kinds[k], dst.Field(fields[k]))
+			// Nothing is allocated until every member has been read once, so
+			// args refused here cost the reference nothing extra.
+			for k, val := range vals {
+				if val != nil && !f.fields[k].read(val, nil) {
+					return nil, false
+				}
 			}
-		}
-		return finish(v), true
+			v := new(W)
+			for k, val := range vals {
+				if val != nil {
+					f.fields[k].read(val, unsafe.Pointer(v))
+				}
+			}
+			return finish(v), true
+		},
 	}
-	return c
 }
 
-// readPlain reads a raw member value as the plain form of kind and
-// stores it in dst, if dst is a field; it reports whether val is plain.
-func readPlain(val []byte, kind reflect.Kind, dst reflect.Value) bool {
-	switch kind {
-	case reflect.String:
+// read reads a raw member value as the member's plain form and, if form
+// is not nil, stores it at the member's place in form; it reports whether
+// val is plain.
+func (fd *wireField) read(val []byte, form unsafe.Pointer) bool {
+	var p unsafe.Pointer
+	if form != nil {
+		p = unsafe.Add(form, fd.offset)
+	}
+	switch fd.kind {
+	case fieldString:
 		s, ok := jsonx.Str(val)
-		if ok && dst.IsValid() {
-			dst.SetString(string(s))
+		if ok && p != nil {
+			*(*string)(p) = string(s)
 		}
 		return ok
-	case reflect.Bool:
+	case fieldBool:
 		b, ok := jsonx.Bool(val)
-		if ok && dst.IsValid() {
-			dst.SetBool(b)
+		if ok && p != nil {
+			*(*bool)(p) = b
+		}
+		return ok
+	case fieldInt:
+		n, ok := jsonx.Int(val)
+		ok = ok && int64(int(n)) == n
+		if ok && p != nil {
+			*(*int)(p) = int(n)
+		}
+		return ok
+	case fieldInt64:
+		n, ok := jsonx.Int(val)
+		if ok && p != nil {
+			*(*int64)(p) = n
 		}
 		return ok
 	}
-	n, ok := jsonx.Int(val)
-	if ok && dst.IsValid() {
-		dst.SetInt(n)
+	return false
+}
+
+// appendJSON appends v as encoding/json writes it: members in field order,
+// an omitempty member left out when it is empty. It refuses with
+// ErrInvalid what a JSON line cannot carry as it stands: a string that is
+// not UTF-8, which encoding/json would write as U+FFFD, and an output
+// encoding/json refuses (NaN, ±Inf). On error the slice is nil.
+func (f *wireForm[W]) appendJSON(b []byte, v *W) ([]byte, error) {
+	if v == nil {
+		return append(b, "null"...), nil
 	}
-	return ok && (kind == reflect.Int64 || int64(int(n)) == n)
+	sep := byte('{')
+	for i := range f.fields {
+		fd := &f.fields[i]
+		p := unsafe.Add(unsafe.Pointer(v), fd.offset)
+		if fd.omitEmpty && fd.empty(p) {
+			continue
+		}
+		b = append(append(b, sep), fd.name...)
+		sep = ','
+		var err error
+		if b, err = fd.appendValue(b, p); err != nil {
+			return nil, err
+		}
+	}
+	if sep == '{' {
+		b = append(b, '{')
+	}
+	return append(b, '}'), nil
+}
+
+// empty reports whether the member at p is what omitempty leaves out.
+func (fd *wireField) empty(p unsafe.Pointer) bool {
+	switch fd.kind {
+	case fieldString:
+		return *(*string)(p) == ""
+	case fieldInt:
+		return *(*int)(p) == 0
+	case fieldInt64:
+		return *(*int64)(p) == 0
+	case fieldBool:
+		return !*(*bool)(p)
+	case fieldIntPtr:
+		return *(**int)(p) == nil
+	case fieldBoolPtr:
+		return *(**bool)(p) == nil
+	}
+	return len(*(*map[string]any)(p)) == 0
+}
+
+// appendValue appends the member at p.
+func (fd *wireField) appendValue(b []byte, p unsafe.Pointer) ([]byte, error) {
+	switch fd.kind {
+	case fieldString:
+		return appendCarried(b, *(*string)(p))
+	case fieldInt:
+		return strconv.AppendInt(b, int64(*(*int)(p)), 10), nil
+	case fieldInt64:
+		return strconv.AppendInt(b, *(*int64)(p), 10), nil
+	case fieldBool:
+		return strconv.AppendBool(b, *(*bool)(p)), nil
+	case fieldIntPtr:
+		if n := *(**int)(p); n != nil {
+			return strconv.AppendInt(b, int64(*n), 10), nil
+		}
+	case fieldBoolPtr:
+		if t := *(**bool)(p); t != nil {
+			return strconv.AppendBool(b, *t), nil
+		}
+	case fieldOutputs:
+		if m := *(*map[string]any)(p); m != nil {
+			return appendOutputs(b, m)
+		}
+	}
+	return append(b, "null"...), nil
+}
+
+// appendOutputs appends a completion's outputs as encoding/json writes the
+// map, keys in byte order, refusing what appendJSON refuses.
+func appendOutputs(b []byte, m map[string]any) ([]byte, error) {
+	var buf [8]string
+	keys := buf[:0]
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	b = append(b, '{')
+	for i, k := range keys {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		var err error
+		if b, err = appendCarried(b, k); err != nil {
+			return nil, err
+		}
+		b = append(b, ':')
+		if s, ok := m[k].(string); ok {
+			b, err = appendCarried(b, s)
+		} else if b, err = jsonx.AppendValue(b, m[k]); err != nil {
+			err = fault.Tag(fault.Invalid, err)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return append(b, '}'), nil
+}
+
+// appendCarried appends s as a JSON string, refusing one that is not UTF-8.
+func appendCarried(b []byte, s string) ([]byte, error) {
+	if !utf8.ValidString(s) {
+		return nil, fault.Tagf(fault.Invalid, "adept2: %q is not UTF-8, which a journal line cannot carry", s)
+	}
+	return jsonx.AppendString(b, s), nil
+}
+
+// structCommand is a form's finish where the form is the command struct.
+func structCommand[T any, P interface {
+	*T
+	command
+}](v *T) command {
+	return P(v)
 }
 
 func init() {
-	register("user", true, structCodec[AddUser]())
-	register("deploy", true, structCodec[Deploy]())
+	register("user", true, codec{decode: decodeStruct[AddUser]})
+	register("deploy", true, codec{decode: decodeStruct[Deploy]})
 	register("evolve", true, codec{decode: decodeEvolve})
-	register("create", false, structCodec[CreateInstance]())
-	register("start", false, structCodec[StartActivity]())
-	register("fail", false, structCodec[FailActivity]())
-	register("timeout", false, structCodec[TimeoutActivity]())
-	register("retry", false, structCodec[RetryActivity]())
-	register("complete", false, structCodec[CompleteActivity]())
+	register("create", false, createForm.codec(structCommand[CreateInstance]))
+	register("start", false, startForm.codec(structCommand[StartActivity]))
+	register("fail", false, failForm.codec(structCommand[FailActivity]))
+	register("timeout", false, timeoutForm.codec(structCommand[TimeoutActivity]))
+	register("retry", false, retryForm.codec(structCommand[RetryActivity]))
+	register("complete", false, completeForm.codec(structCommand[CompleteActivity]))
 	register("adhoc", false, codec{decode: decodeAdHoc})
-	register("suspend", false, wireCodec(func(a *suspendArgs) command {
+	register("suspend", false, suspendForm.codec(func(a *suspendArgs) command {
 		if a.Resume {
 			return &Resume{Instance: a.Instance}
 		}
 		return &Suspend{Instance: a.Instance}
 	}))
-	register("undo", false, structCodec[Undo]())
+	register("undo", false, undoForm.codec(structCommand[Undo]))
 }
+
+// AppendJSON appends the create's journal args (see AppendCommandArgs).
+func (c *CreateInstance) AppendJSON(b []byte) ([]byte, error) { return createForm.appendJSON(b, c) }
+
+// AppendJSON appends the start's journal args (see AppendCommandArgs).
+func (c *StartActivity) AppendJSON(b []byte) ([]byte, error) { return startForm.appendJSON(b, c) }
+
+// AppendJSON appends the completion's journal args (see AppendCommandArgs).
+func (c *CompleteActivity) AppendJSON(b []byte) ([]byte, error) {
+	return completeForm.appendJSON(b, c)
+}
+
+// AppendJSON appends the failure's journal args (see AppendCommandArgs).
+func (c *FailActivity) AppendJSON(b []byte) ([]byte, error) { return failForm.appendJSON(b, c) }
+
+// AppendJSON appends the timeout's journal args (see AppendCommandArgs).
+func (c *TimeoutActivity) AppendJSON(b []byte) ([]byte, error) { return timeoutForm.appendJSON(b, c) }
+
+// AppendJSON appends the retry's journal args (see AppendCommandArgs).
+func (c *RetryActivity) AppendJSON(b []byte) ([]byte, error) { return retryForm.appendJSON(b, c) }
+
+// AppendJSON appends the undo's journal args (see AppendCommandArgs).
+func (c *Undo) AppendJSON(b []byte) ([]byte, error) { return undoForm.appendJSON(b, c) }
+
+// AppendJSON appends a suspension's or a resumption's journal args.
+func (a *suspendArgs) AppendJSON(b []byte) ([]byte, error) { return suspendForm.appendJSON(b, a) }
 
 // isControlOp classifies journal ops that belong to the shard-0 control
 // log: commands that change shared state every instance may depend on

@@ -131,9 +131,10 @@
 // scratch; and an offered item aliases the role's immutable candidate
 // slice. What is left, over the 13-command online-order lifecycle (one
 // create, six start + complete pairs; 16 history events, six work items)
-// — 32 allocations, 2.5 per command, where the same loop made 13.4
+// — 29 allocations, 2.2 per command, where the same loop made 13.4
 // before this budget was drawn, 4.8 with an instance's small collections
-// as Go maps, 4.4 with heap history events, 3.2 with stored item IDs
+// as Go maps, 4.4 with heap history events, 3.2 with stored item IDs, 2.5
+// while the journal encoded a command's args through encoding/json
 // (allocation profile of 2 000 lifecycles, MemProfileRate 1):
 //
 //	per lifecycle  allocation, and why it stays
@@ -154,17 +155,18 @@
 //	     3  transient: the reads or writes of a node with data edges,
 //	        gathered in an exactly sized data.Values that Append copies
 //	        into the log's binding list
-//	     3  transient: encoding/json's reflective encode of
-//	        CompleteActivity.Outputs (a sorted key slice, two reflect
-//	        copies)
 //	  ~0.4  transient: one command in 64 builds a trace span and the
 //	        clock closure its receipt stamps it with
 //
-// The outputs encode stays because removing it takes a hand-written
-// encoder for arbitrary values that is byte-identical to encoding/json's,
-// and every stored byte would have to trust it; the journal's own line is
-// simple enough for that (internal/persist.FuzzAppendRecord holds it to
-// encoding/json), a map of `any` is not.
+// A flat command's args are appended by hand like the line around them:
+// each wire form's AppendJSON runs on the field table its plain decoder
+// reads (wireForm in command.go), and a completion's outputs sort their
+// keys on the stack and write each value with jsonx.AppendValue, which
+// leaves only a float or a nested value to encoding/json.
+// internal/rpc.FuzzDecodeAgainstJSON holds the args to json.Marshal of the
+// wire form and internal/persist.FuzzAppendRecord the line to json.Marshal
+// of the Record; user, deploy, adhoc and evolve records are still encoded
+// by encoding/json, once per control record or change.
 //
 // A start allocates only when the log grows under it; a complete, what it
 // activates; suspend and resume allocate nothing.
@@ -173,14 +175,16 @@
 // name; internal/history.TestHistoryAppendAllocations pins the six; the
 // benchmark's allocs_per_cmd gates the sum.
 //
-// The remote hop adds 105 to the lifecycle's 32 — 8.1 a command, where it
+// The remote hop adds 102 to the lifecycle's 29 — 7.8 a command, where it
 // added 27 while the server decoded every line twice through
 // encoding/json (envelope, then args) and the client marshalled every
-// command twice (args, then line). A line is now read in one pass
-// (internal/rpc "Wire model"), the client writes its line into one reused
-// buffer and reads a bare acknowledgement in place, calls and their
-// channels are reused, and neither end of the watermark stream allocates
-// per event. What is left, from an allocation profile of 550 lifecycles
+// command twice (args, then line), and 105 while the client encoded args
+// through encoding/json. A line is now read in one pass (internal/rpc
+// "Wire model"), the client appends its args with the journal's own
+// appender and builds its line around them in reused buffers, reads a
+// bare acknowledgement in place, calls and their channels are reused, and
+// neither end of the watermark stream allocates per event. What is left,
+// from an allocation profile of 550 lifecycles
 // over the command stream (sync starts and create, async completions;
 // MemProfileRate 1, tiny strings counted from runtime.MemStats):
 //
@@ -192,9 +196,7 @@
 //	        outlives the command: the engine keeps the schema's node ID
 //	        and the org model's user ID (a work item's ClaimedBy) instead
 //	    16  server: the completion that carries outputs, decoded by
-//	        encoding/json — a map of `any` is the reference's, as it is
-//	        on the way out
-//	     3  client: the reflective encode of those outputs
+//	        encoding/json — a map of `any` is the reference's
 //	    13  server: SubmitAsync's Receipt; every remote command is
 //	        applied through it, and a sync one waits on it in the reply
 //	        writer, off the reader's goroutine
@@ -207,7 +209,7 @@
 //
 // internal/rpc.TestClientSubmitAllocations pins a remote create, start,
 // complete, complete with outputs and suspend at their measured counts
-// (33, 7, 9, 35, 6), TestDecodeWireCommandAllocations the decode alone —
+// (32, 7, 8, 25, 4), TestDecodeWireCommandAllocations the decode alone —
 // which recovery shares, record by record — at the struct and its strings.
 //
 // # Memory budget
@@ -412,9 +414,10 @@
 // internal/rpc turns the in-process API into a network service without
 // inventing a second protocol: the wire envelope {"op","args"} IS the
 // journal record format, encoded and decoded through the same command
-// registry (EncodeCommand / DecodeWireCommand on this façade), so a
-// command serialized by a remote client is byte-compatible with what
-// the journal stores and replay consumes. rpc.NewServer mounts the
+// registry (AppendCommandArgs / EncodeCommand / DecodeWireCommand on this
+// façade), so a command serialized by a remote client is byte for byte
+// what the journal stores and replay consumes: a flat command's args are
+// appended by the one AppendJSON the journal calls. rpc.NewServer mounts the
 // HTTP/JSON plane on a System; rpc.Dial returns a typed Client whose
 // Submit / SubmitAsync / SubmitBatch mirror the façade with identical
 // durable-on-resolution semantics and the identical Error taxonomy —

@@ -51,7 +51,11 @@ func ApplyAdHoc(inst *engine.Instance, ops ...Operation) error {
 		// 2. The changed schema must satisfy every buildtime guarantee.
 		res := verify.Check(trial)
 		if !res.OK() {
-			return fault.Tag(fault.NotCompliant, &StructuralError{Reason: res.Err().Error()})
+			kind := fault.NotCompliant
+			if res.Has(verify.CodeNotUTF8) {
+				kind = fault.Invalid // a string no journal line carries: a malformed change, not an unsafe one
+			}
+			return fault.Tag(kind, &StructuralError{Reason: res.Err().Error()})
 		}
 		// 3. State conditions against the live instance.
 		view, _ := mx.View()

@@ -188,7 +188,7 @@ func (s *Store) MarshalJSON() ([]byte, error) {
 			}
 			b = append(b, `{"value":`...)
 			var err error
-			if b, err = appendJSONValue(b, v.Value); err != nil {
+			if b, err = jsonx.AppendValue(b, v.Value); err != nil {
 				return nil, err
 			}
 			b = append(b, `,"writer":`...)

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
-	"strconv"
 	"strings"
 	"unsafe"
 
@@ -69,33 +68,11 @@ func (vs Values) AppendJSON(b []byte) ([]byte, error) {
 		}
 		b = append(jsonx.AppendString(b, vs[i].Name), ':')
 		var err error
-		if b, err = appendJSONValue(b, vs[i].Value); err != nil {
+		if b, err = jsonx.AppendValue(b, vs[i].Value); err != nil {
 			return nil, err
 		}
 	}
 	return append(b, '}'), nil
-}
-
-// appendJSONValue appends one dynamic value as encoding/json encodes it.
-// The types Coerce produces and a decoded JSON string or bool are written
-// directly; a float64 (every number of a decoded snapshot) and anything
-// else an unchecked caller stored go through the encoder.
-func appendJSONValue(b []byte, v any) ([]byte, error) {
-	switch x := v.(type) {
-	case nil:
-		return append(b, "null"...), nil
-	case string:
-		return jsonx.AppendString(b, x), nil
-	case bool:
-		return strconv.AppendBool(b, x), nil
-	case int64:
-		return strconv.AppendInt(b, x, 10), nil
-	}
-	enc, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	return append(b, enc...), nil
 }
 
 // MarshalJSON implements json.Marshaler.

@@ -35,6 +35,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"unicode/utf8"
 
 	"adept2/internal/fault"
 	"adept2/internal/graph"
@@ -200,6 +201,9 @@ func (e *Engine) CreateInstance(typeName string, version int) (*Instance, error)
 // (inst-%06d) advances the counter past its numeric suffix so
 // post-recovery creations cannot collide.
 func (e *Engine) CreateInstanceID(id, typeName string, version int) (*Instance, error) {
+	if err := checkUTF8("create instance", "ID", id); err != nil {
+		return nil, err
+	}
 	e.mu.Lock()
 	if version == 0 {
 		version = latestOf(e.types[typeName])
@@ -215,6 +219,16 @@ func (e *Engine) CreateInstanceID(id, typeName string, version int) (*Instance, 
 		return nil, err
 	}
 	return inst, nil
+}
+
+// checkUTF8 refuses as invalid a string the engine would keep that is not
+// UTF-8: the journal and the snapshot write JSON, which carries such a
+// string only as U+FFFD, so the state would change across a reopen.
+func checkUTF8(op, what, s string) error {
+	if utf8.ValidString(s) {
+		return nil
+	}
+	return fault.Tagf(fault.Invalid, "engine: %s: %s %q is not UTF-8", op, what, s)
 }
 
 // registerLocked is the one place an instance enters the registry: it
@@ -330,6 +344,9 @@ func (e *Engine) InstancesOf(typeName string, version int) []*Instance {
 // relative deadline at at + Node.Deadline. Callers journal at on the
 // start command, so recovery re-arms the identical absolute deadline.
 func (e *Engine) StartActivityAt(instID, node, user string, at int64) error {
+	if err := checkUTF8("start", "user", user); err != nil {
+		return err
+	}
 	inst, ok := e.Instance(instID)
 	if !ok {
 		return fault.Tagf(fault.NotFound, "engine: start: unknown instance %q", instID)
@@ -342,6 +359,9 @@ func (e *Engine) StartActivityAt(instID, node, user string, at int64) error {
 // CompleteActivity completes a running node (starting it first if it was
 // only activated), writes its outputs, and advances the instance.
 func (e *Engine) CompleteActivity(instID, node, user string, outputs map[string]any, opts ...CompleteOption) error {
+	if err := checkUTF8("complete", "user", user); err != nil {
+		return err
+	}
 	inst, ok := e.Instance(instID)
 	if !ok {
 		return fault.Tagf(fault.NotFound, "engine: complete: unknown instance %q", instID)

@@ -129,6 +129,12 @@ func (inst *Instance) retryLocked(node string) error {
 // FailActivity records a process-level failure of a running activity
 // (see failLocked).
 func (e *Engine) FailActivity(instID, node, user, reason string, retryAt int64, pending bool) error {
+	if err := checkUTF8("fail", "user", user); err != nil {
+		return err
+	}
+	if err := checkUTF8("fail", "reason", reason); err != nil {
+		return err
+	}
 	inst, ok := e.Instance(instID)
 	if !ok {
 		return fault.Tagf(fault.NotFound, "engine: fail: unknown instance %q", instID)

@@ -2,12 +2,15 @@
 // string quoting its encoders share, and a reader for the one shape its
 // decoders meet once per command.
 //
-// Writing: the journal line (internal/persist), a value set and a data
-// store (internal/data) and the execution history (internal/history) are
-// appended by hand because they are written once per command or per
-// checkpointed event; each is held byte for byte to what encoding/json
-// writes for the same value by a fuzz target, and all of them quote
-// strings with AppendString.
+// Writing: the journal line (internal/persist), a flat command's args
+// (the field table behind each wire form's AppendJSON in the root
+// package, for the journal line and the command line alike), a value set
+// and a data store (internal/data) and the execution history
+// (internal/history) are appended by hand because they are written once
+// per command or per checkpointed event; each is held byte for byte to
+// what encoding/json writes for the same value by a fuzz target, all of
+// them quote strings with AppendString, and a command's outputs, a value
+// set and a data store write their dynamic values with AppendValue.
 //
 // Reading: a command line and a flat command's args are each one small
 // JSON object of known members. Members splits such an object into the
@@ -29,8 +32,31 @@ package jsonx
 import (
 	"encoding/json"
 	"math"
+	"strconv"
 	"unicode/utf8"
 )
+
+// AppendValue appends one dynamic value as encoding/json encodes it. The
+// types data.Coerce produces and a decoded JSON string or bool are written
+// directly; a float64 (every number of a decoded snapshot) and anything
+// else an unchecked caller stored go through the encoder.
+func AppendValue(b []byte, v any) ([]byte, error) {
+	switch x := v.(type) {
+	case nil:
+		return append(b, "null"...), nil
+	case string:
+		return AppendString(b, x), nil
+	case bool:
+		return strconv.AppendBool(b, x), nil
+	case int64:
+		return strconv.AppendInt(b, x, 10), nil
+	}
+	enc, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	return append(b, enc...), nil
+}
 
 // AppendString appends s as encoding/json encodes a string. Plain ASCII —
 // every op, node, element and user ID this system defines — is quoted as

@@ -13,6 +13,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"unicode/utf8"
 
 	"adept2/internal/fault"
 )
@@ -44,6 +45,13 @@ func NewModel() *Model {
 func (m *Model) AddUser(u *User) error {
 	if u == nil || u.ID == "" {
 		return fault.Tagf(fault.Invalid, "org: add user: empty ID")
+	}
+	// The journal and the snapshot write JSON, which carries a string that
+	// is not UTF-8 only as U+FFFD: such a user would change across a reopen.
+	for _, s := range append([]string{u.ID, u.Name, u.Unit}, u.Roles...) {
+		if !utf8.ValidString(s) {
+			return fault.Tagf(fault.Invalid, "org: add user %q: %q is not UTF-8", u.ID, s)
+		}
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -148,21 +148,21 @@ func repairTail(f vfs.File, tail TailInfo) error {
 	return nil
 }
 
+// argsAppender is args that append their own JSON, byte for byte what
+// encoding/json writes for them where both succeed, and nil on failure: a
+// flat command's wire form.
+type argsAppender interface {
+	AppendJSON(b []byte) ([]byte, error)
+}
+
 // encodeLocked writes one record's line into lineBuf (caller holds mu).
 // The line is json.Marshal(Record{seq, epoch, op, args}) plus the newline
 // terminator, byte for byte, written by hand so that no Record is boxed
-// per line: the args blob is the encoder's own compact, HTML-escaped
-// output, which is what encoding/json emits for a RawMessage field.
+// per line. An argsAppender appends itself in place; any other args (a
+// control record, a change-op carrier, a RawMessage) go through the
+// encoder, whose compact, HTML-escaped output is what encoding/json emits
+// for a RawMessage field.
 func (j *Journal) encodeLocked(seq, epoch int, op string, args any) error {
-	if j.argsEnc == nil {
-		j.argsEnc = json.NewEncoder(&j.argsBuf)
-	}
-	j.argsBuf.Reset()
-	if err := j.argsEnc.Encode(args); err != nil {
-		return fmt.Errorf("persist: marshal %s args: %w", op, err)
-	}
-	blob := j.argsBuf.Bytes()
-	blob = blob[:len(blob)-1] // drop the encoder's trailing newline
 	b := append(j.lineBuf[:0], `{"seq":`...)
 	b = strconv.AppendInt(b, int64(seq), 10)
 	if epoch != 0 {
@@ -172,7 +172,23 @@ func (j *Journal) encodeLocked(seq, epoch int, op string, args any) error {
 	b = append(b, `,"op":`...)
 	b = jsonx.AppendString(b, op)
 	b = append(b, `,"args":`...)
-	b = append(b, blob...)
+	if a, ok := args.(argsAppender); ok {
+		out, err := a.AppendJSON(b)
+		if err != nil {
+			return fmt.Errorf("persist: marshal %s args: %w", op, err)
+		}
+		b = out
+	} else {
+		if j.argsEnc == nil {
+			j.argsEnc = json.NewEncoder(&j.argsBuf)
+		}
+		j.argsBuf.Reset()
+		if err := j.argsEnc.Encode(args); err != nil {
+			return fmt.Errorf("persist: marshal %s args: %w", op, err)
+		}
+		blob := j.argsBuf.Bytes()
+		b = append(b, blob[:len(blob)-1]...) // without the encoder's trailing newline
+	}
 	j.lineBuf = append(b, '}', '\n')
 	return nil
 }
@@ -365,22 +381,27 @@ func LoadJournalSuffixFS(fsys vfs.FS, path string, afterSeq int) ([]Record, Tail
 // quickSeq extracts the sequence number from a journal line without a
 // full decode. The encoder always emits {"seq":N,... first (fixed struct
 // field order), so a miss only happens on hand-edited or torn lines —
-// those fall back to the full decoder.
+// those fall back to the full decoder. N is read as the decoder reads it
+// or not at all: digits past an int, or a leading zero JSON does not
+// allow, make the line not plain, and the full decode judges it.
 func quickSeq(line []byte) (int, bool) {
 	const prefix = `{"seq":`
 	if !bytes.HasPrefix(line, []byte(prefix)) {
 		return 0, false
 	}
-	n, i, digits := 0, len(prefix), false
-	for i < len(line) && line[i] >= '0' && line[i] <= '9' {
-		n = n*10 + int(line[i]-'0')
-		digits = true
-		i++
+	end := len(prefix)
+	for end < len(line) && line[end] >= '0' && line[end] <= '9' {
+		end++
 	}
-	if !digits || i >= len(line) || (line[i] != ',' && line[i] != '}') {
+	digits := line[len(prefix):end]
+	if end == len(line) || (line[end] != ',' && line[end] != '}') || len(digits) > 1 && digits[0] == '0' {
 		return 0, false
 	}
-	return n, true
+	n, ok := jsonx.Int(digits)
+	if !ok || int64(int(n)) != n {
+		return 0, false
+	}
+	return int(n), true
 }
 
 // scanRecords is the shared journal scanner: it validates sequence

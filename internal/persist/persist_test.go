@@ -194,6 +194,53 @@ func TestJournalRejectsGaps(t *testing.T) {
 	}
 }
 
+// TestProbeReadsNoSeqTheDecoderRefuses: the sequence probe that spares a
+// snapshot recovery the decode of its covered prefix reads a number as the
+// decoder does or not at all. A sequence number past an int, or written
+// with a leading zero, is no JSON the decoder takes, so a journal holding
+// one between two good records is corrupt for a full replay and for a
+// recovery whose snapshot covers all three alike; a probe that wrapped
+// 18446744073709551618 to 2, or read 02 as 2, accepted it for the second.
+func TestProbeReadsNoSeqTheDecoderRefuses(t *testing.T) {
+	for _, seq := range []string{"18446744073709551618", "9223372036854775810", "02", "0002", "00"} {
+		data := `{"seq":1,"op":"a","args":null}
+{"seq":` + seq + `,"op":"b","args":null}
+{"seq":3,"op":"c","args":null}
+`
+		mem := vfs.NewMemFS()
+		putFile(t, mem, "wal", []byte(data))
+		for _, afterSeq := range []int{0, 3} {
+			if recs, tail, err := LoadJournalSuffixFS(mem, "wal", afterSeq); err == nil {
+				t.Errorf("seq %s after %d: read %+v, tail %+v; want the line refused", seq, afterSeq, recs, tail)
+			}
+		}
+	}
+}
+
+// TestAppenderArgsAppendThemselves: args that implement argsAppender are
+// written as they append themselves, and a refusal leaves the journal as
+// it was.
+func TestAppenderArgsAppendThemselves(t *testing.T) {
+	j, mem := memJournal(t)
+	stage(t, j, "a", appendArgs(`{"x":1}`))
+	if _, err := j.AppendRecord("b", 0, appendArgs("")); err == nil {
+		t.Fatal("a refusing appender made a record")
+	}
+	if got, want := string(flushed(t, j, mem)), `{"seq":1,"op":"a","args":{"x":1}}`+"\n"; got != want || j.Seq() != 1 {
+		t.Fatalf("journal %q at seq %d, want %q at 1", got, j.Seq(), want)
+	}
+}
+
+// appendArgs appends itself, or refuses when empty.
+type appendArgs string
+
+func (a appendArgs) AppendJSON(b []byte) ([]byte, error) {
+	if a == "" {
+		return nil, errors.New("refused")
+	}
+	return append(b, a...), nil
+}
+
 func TestFileJournalReopenContinuesSeq(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
 	j := fileJournal(t, path)

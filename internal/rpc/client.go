@@ -32,11 +32,10 @@ type Client struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	cmdMu sync.Mutex    // orders command lines; guards the fields below
-	cmds  *cmdStream    // nil until the first submit and after a loss
-	line  bytes.Buffer  // the line being sent, reused
-	enc   *json.Encoder // onto line
-	free  []*call       // answered calls, for reuse
+	cmdMu sync.Mutex // orders command lines; guards the fields below
+	cmds  *cmdStream // nil until the first submit and after a loss
+	out   lineBuf    // the line being sent, reused
+	free  []*call    // answered calls, for reuse
 
 	mu        sync.Mutex
 	wm        []int         // per-shard durable watermarks learned
@@ -52,7 +51,6 @@ type Client struct {
 func Dial(ctx context.Context, base string) (*Client, error) {
 	c := &Client{base: strings.TrimRight(base, "/")}
 	c.ctx, c.cancel = context.WithCancel(context.Background())
-	c.enc = json.NewEncoder(&c.line)
 	var snap WatermarksSnapshot
 	if err := c.get(ctx, "/v1/watermarks?once=1", &snap); err != nil {
 		c.cancel()
@@ -334,16 +332,12 @@ func (c *Client) SubmitAsync(ctx context.Context, cmd adept2.Command) (*Receipt,
 // results hold the applied (and durable) prefix and the error carries the
 // server's taxonomy envelope, mirroring System.SubmitBatch.
 func (c *Client) SubmitBatch(ctx context.Context, cmds []adept2.Command) ([]*ResultSummary, error) {
-	req := batchRequest{Commands: make([]Envelope, len(cmds))}
-	for i, cmd := range cmds {
-		op, args, err := adept2.EncodeCommand(cmd)
-		if err != nil {
-			return nil, err
-		}
-		req.Commands[i] = Envelope{Op: op, Args: args}
+	body, err := batchBody(cmds)
+	if err != nil {
+		return nil, err
 	}
 	var resp BatchResponse
-	if err := c.post(ctx, "/v1/batch", req, &resp); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/batch", body, &resp); err != nil {
 		return nil, err
 	}
 	if resp.Error != nil {
@@ -474,17 +468,10 @@ func pageQuery(cursor string, limit int) url.Values {
 	return q
 }
 
-// get/post run one JSON round-trip, rehydrating error envelopes.
+// get runs one JSON round-trip, rehydrating error envelopes; do is get
+// with a method and a body.
 func (c *Client) get(ctx context.Context, path string, out any) error {
 	return c.do(ctx, http.MethodGet, path, nil, out)
-}
-
-func (c *Client) post(ctx context.Context, path string, in, out any) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return err
-	}
-	return c.do(ctx, http.MethodPost, path, body, out)
 }
 
 func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {

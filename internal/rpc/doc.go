@@ -6,8 +6,8 @@
 // # Wire model
 //
 // Commands travel as registry envelopes — {"op": <name>, "args":
-// <json>} — produced by adept2.EncodeCommand and decoded server-side
-// by adept2.DecodeWireCommand. The command registry is the single
+// <json>} — args appended by adept2.AppendCommandArgs and decoded
+// server-side by adept2.DecodeWireCommand. The command registry is the single
 // codec: an envelope is byte-compatible with the journal record the
 // command produces, so the wire protocol versions with the journal
 // format (a server replays and serves the same vocabulary). Unknown
@@ -26,8 +26,11 @@
 // that is not JSON, is decoded by encoding/json from the start
 // (decodeCommandLineJSON), so what a line means and why a bad one is bad
 // are encoding/json's to say; FuzzDecodeAgainstJSON holds the two
-// together. The client builds its line the same way, in one reused
-// buffer, and reads a bare acknowledgement in place.
+// together. The client appends a command's args with the journal's own
+// appender, which refuses with ErrInvalid what Submit refuses for the
+// journal's sake (a string that is not UTF-8, a NaN or infinite output),
+// builds the line — or a batch's body — around them in reused buffers,
+// and reads a bare acknowledgement in place.
 //
 // Command-plane routes live under the /v1 prefix; a breaking change to
 // envelope, receipt, or stream semantics must mount a new version

@@ -64,10 +64,7 @@ func decodeReference(line []byte) (adept2.Command, string, string, error) {
 		return nil, "", "", decodeErr("command envelope", errors.New("mode"))
 	}
 	var cmd adept2.Command
-	var suspend struct {
-		Instance string `json:"instance"`
-		Resume   bool   `json:"resume,omitempty"`
-	}
+	var suspend suspendWire
 	into := any(&suspend)
 	switch req.Op {
 	case "create":
@@ -104,12 +101,17 @@ func decodeReference(line []byte) (adept2.Command, string, string, error) {
 	return cmd, req.Op, req.Mode, nil
 }
 
-// FuzzDecodeAgainstJSON holds the one-pass line decoder to encoding/json:
-// on every input the two either both fail with ErrInvalid, or return equal
-// commands, op and mode. The corpus is the inputs on which a hand-written
-// reader and the reference are most likely to part: repeated, case-folded
-// and escaped keys, null members, integers at the ends of int64, numbers
-// that are not integers, strings that are not ASCII.
+// FuzzDecodeAgainstJSON holds the one-pass line decoder to encoding/json,
+// and the args appender to encoding/json too: on every input the two
+// decoders either both fail with ErrInvalid, or return equal commands, op
+// and mode; and then the args the decoded command appends are, byte for
+// byte, what json.Marshal writes for its wire form (or both refuse), and
+// decode back to the same command. The corpus is the inputs on which a
+// hand-written reader or writer and the reference are most likely to part:
+// repeated, case-folded and escaped keys, null members, integers at the
+// ends of int64, numbers that are not integers, strings that are not
+// ASCII, HTML characters and line separators the encoder escapes, and
+// outputs of several keys it sorts.
 func FuzzDecodeAgainstJSON(f *testing.F) {
 	f.Add([]byte(`{"op":"suspend","args":{"instance":"inst-000001"},"mode":"async"}`))
 	f.Fuzz(func(t *testing.T, line []byte) {
@@ -124,5 +126,56 @@ func FuzzDecodeAgainstJSON(f *testing.F) {
 		if !reflect.DeepEqual(cmd, ref) || op != refOp || mode != refMode {
 			t.Fatalf("line %q: decoded %#v op %q mode %q, encoding/json decodes %#v op %q mode %q", line, cmd, op, mode, ref, refOp, refMode)
 		}
+		checkAppend(t, line, cmd, op)
 	})
+}
+
+// checkAppend holds the args a decoded command appends to encoding/json:
+// json.Marshal of the command's wire form, byte for byte, or a refusal
+// from both, and the registry's decoder reads them back to the command. A
+// change-op carrier has no wire form outside the registry: its args are
+// held to the round trip alone.
+func checkAppend(t *testing.T, line []byte, cmd adept2.Command, op string) {
+	t.Helper()
+	appendOp, args, err := adept2.AppendCommandArgs(nil, cmd)
+	var wire any = cmd
+	switch c := cmd.(type) {
+	case *adept2.Suspend:
+		wire = suspendWire{Instance: c.Instance}
+	case *adept2.Resume:
+		wire = suspendWire{Instance: c.Instance, Resume: true}
+	case *adept2.AdHoc, *adept2.Evolve:
+		wire = nil
+	}
+	if wire != nil {
+		want, wantErr := json.Marshal(wire)
+		if (err == nil) != (wantErr == nil) || err == nil && string(args) != string(want) {
+			t.Fatalf("line %q: %#v appends %s, %v; json.Marshal writes %s, %v", line, cmd, args, err, want, wantErr)
+		}
+	}
+	if err != nil {
+		if !errors.Is(err, adept2.ErrInvalid) {
+			t.Fatalf("line %q: %#v refused with %v, want ErrInvalid", line, cmd, err)
+		}
+		return
+	}
+	if appendOp != op {
+		t.Fatalf("line %q: decoded op %q appends as %q", line, op, appendOp)
+	}
+	again, err := adept2.DecodeWireCommand(op, args)
+	if err != nil {
+		t.Fatalf("line %q: appended args %s do not decode: %v", line, args, err)
+	}
+	if c, ok := cmd.(*adept2.CompleteActivity); ok && c.Outputs != nil && len(c.Outputs) == 0 {
+		c.Outputs = nil // omitempty leaves empty outputs out: they read back absent
+	}
+	if !reflect.DeepEqual(cmd, again) {
+		t.Fatalf("line %q: %#v appends %s, which decodes to %#v", line, cmd, args, again)
+	}
+}
+
+// suspendWire is the wire form Suspend and Resume share.
+type suspendWire struct {
+	Instance string `json:"instance"`
+	Resume   bool   `json:"resume,omitempty"`
 }

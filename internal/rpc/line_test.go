@@ -1,8 +1,9 @@
 package rpc
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -10,22 +11,38 @@ import (
 )
 
 // TestLineIsTheEnvelopes: the line the client builds in place is, byte for
-// byte, what encoding/json makes of the commandRequest — escapes the
-// encoder adds, HTML's among them, included.
+// byte, what encoding/json makes of the commandRequest with the command
+// as its args — escapes the encoder adds, HTML's among them, included. A
+// command whose strings or outputs no line carries as they stand is
+// refused with ErrInvalid and leaves the buffer's last line as it was.
 func TestLineIsTheEnvelopes(t *testing.T) {
 	decision, again := 2, true
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for _, cmd := range []adept2.Command{
-		&adept2.CreateInstance{TypeName: "online_order"},
-		&adept2.StartActivity{Instance: "inst-000001", Node: "get_order", User: "ann"},
-		&adept2.CompleteActivity{Instance: "i<&>\"\\\u2028é\xff", Node: "n", Outputs: map[string]any{"b": 1.5, "a": []any{"<", nil}}, Decision: &decision, Again: &again},
-		&adept2.Suspend{Instance: "inst-000001"},
-		&adept2.Resume{Instance: "inst-000001"},
-		&adept2.Undo{Instance: "inst-000001", All: true},
+	var lb lineBuf
+	var batch []adept2.Command
+	var envelopes []Envelope
+	for _, c := range []struct {
+		cmd  adept2.Command
+		wire any // what encoding/json is given as the args
+	}{
+		{&adept2.CreateInstance{TypeName: "online_order"}, nil},
+		{&adept2.StartActivity{Instance: "inst-000001", Node: "get_order", User: "ann"}, nil},
+		{&adept2.CompleteActivity{Instance: "i<&>\"\\\u2028é", Node: "n", Outputs: map[string]any{"b": 1.5, "a": []any{"<", nil}, "c": "x\u2029<"}, Decision: &decision, Again: &again}, nil},
+		{&adept2.CompleteActivity{Instance: "i", Node: "n", Outputs: map[string]any{}}, nil},
+		{&adept2.FailActivity{Instance: "i", Node: "n", Reason: "<boom>", RetryAt: -1, Pending: true}, nil},
+		{&adept2.Suspend{Instance: "inst-000001"}, map[string]any{"instance": "inst-000001"}},
+		{&adept2.Resume{Instance: "inst-000001"}, map[string]any{"instance": "inst-000001", "resume": true}},
+		{&adept2.Undo{Instance: "inst-000001", All: true}, nil},
 	} {
+		wire := c.wire
+		if wire == nil {
+			wire = c.cmd
+		}
+		args, err := json.Marshal(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, mode := range []string{"sync", "async"} {
-			op, args, err := adept2.EncodeCommand(cmd)
+			op, err := lb.encode(c.cmd, mode)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -33,20 +50,39 @@ func TestLineIsTheEnvelopes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			op, wire, err := adept2.WireArgs(cmd)
-			if err != nil {
-				t.Fatal(err)
+			if got := string(lb.line); got != string(want)+"\n" {
+				t.Errorf("%T in mode %s:\n line %s encoding/json %s", c.cmd, mode, got, want)
 			}
-			if err := encodeLine(&buf, enc, op, wire, mode); err != nil {
-				t.Fatal(err)
-			}
-			if got := buf.String(); got != string(want)+"\n" {
-				t.Errorf("%T in mode %s:\n line %s encoding/json %s", cmd, mode, got, want)
-			}
+			batch, envelopes = append(batch, c.cmd), append(envelopes, Envelope{Op: op, Args: args})
 		}
 	}
-	if err := encodeLine(&buf, enc, "complete", &adept2.CompleteActivity{Outputs: map[string]any{"f": func() {}}}, "sync"); err == nil {
-		t.Error("a value that does not encode made a line")
+	for _, n := range []int{0, 1, len(batch)} {
+		want, err := json.Marshal(batchRequest{Commands: append([]Envelope{}, envelopes[:n]...)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := batchBody(batch[:n]); err != nil || string(got) != string(want) {
+			t.Errorf("batch of %d: body %s, %v; encoding/json %s", n, got, err, want)
+		}
+	}
+	last := string(lb.line)
+	for _, cmd := range []adept2.Command{
+		&adept2.CompleteActivity{Instance: "i", Node: "n", Outputs: map[string]any{"f": func() {}}},
+		&adept2.CompleteActivity{Instance: "i", Node: "n", Outputs: map[string]any{"x": math.NaN()}},
+		&adept2.CompleteActivity{Instance: "i", Node: "n", Outputs: map[string]any{"note": "bad\xff"}},
+		&adept2.CompleteActivity{Instance: "i", Node: "n", Outputs: map[string]any{"bad\xff": "note"}},
+		&adept2.StartActivity{Instance: "i\xff", Node: "n"},
+		&adept2.CreateInstance{TypeName: "online_order", ID: "inst-\xff"},
+	} {
+		if _, err := lb.encode(cmd, "sync"); !errors.Is(err, adept2.ErrInvalid) {
+			t.Errorf("%#v made a line: %v, want ErrInvalid", cmd, err)
+		}
+		if string(lb.line) != last {
+			t.Errorf("a refused %T left %q behind", cmd, lb.line)
+		}
+		if _, err := batchBody(append(batch[:1:1], cmd)); !errors.Is(err, adept2.ErrInvalid) {
+			t.Errorf("a batch holding %#v made a body: %v, want ErrInvalid", cmd, err)
+		}
 	}
 }
 

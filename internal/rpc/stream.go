@@ -89,17 +89,14 @@ func streamLost(cause error) error {
 // send writes one command line down the stream, dialing it if there is
 // none, and returns the call that will receive its reply.
 func (c *Client) send(ctx context.Context, cmd adept2.Command, mode string) (*call, error) {
-	op, args, err := adept2.WireArgs(cmd)
+	c.cmdMu.Lock()
+	defer c.cmdMu.Unlock()
+	op, err := c.out.encode(cmd, mode)
 	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, &adept2.Error{Code: adept2.CodeCanceled, Op: op, Err: err}
-	}
-	c.cmdMu.Lock()
-	defer c.cmdMu.Unlock()
-	if err := encodeLine(&c.line, c.enc, op, args, mode); err != nil {
-		return nil, &adept2.Error{Code: adept2.CodeInternal, Op: op, Err: err}
 	}
 	var cl *call
 	if n := len(c.free); n > 0 {
@@ -118,29 +115,66 @@ func (c *Client) send(ctx context.Context, cmd adept2.Command, mode string) (*ca
 			return nil, err
 		}
 	}
-	if _, err := st.body.Write(c.line.Bytes()); err != nil {
+	if _, err := st.body.Write(c.out.line); err != nil {
 		st.fail(err) // cl is queued: it fails with the rest
 	}
 	return cl, nil
 }
 
-// encodeLine builds one command line in buf, byte for byte what
-// encoding/json makes of a commandRequest: enc, an encoder onto buf,
-// writes the args where they belong, so they are encoded once and
-// nothing is copied.
-func encodeLine(buf *bytes.Buffer, enc *json.Encoder, op string, args any, mode string) error {
-	buf.Reset()
-	buf.WriteString(`{"op":`)
-	buf.Write(jsonx.AppendString(buf.AvailableBuffer(), op))
-	buf.WriteString(`,"args":`)
-	if err := enc.Encode(args); err != nil {
-		return err
+// lineBuf builds command lines: a command's args are appended to args
+// first, by the journal's own appender (adept2.AppendCommandArgs), and line
+// is then built around them. Both are reused from line to line.
+type lineBuf struct {
+	line, args []byte
+}
+
+// encode builds cmd's line, byte for byte what encoding/json makes of a
+// commandRequest, and returns its op.
+func (lb *lineBuf) encode(cmd adept2.Command, mode string) (string, error) {
+	op, b, err := lb.appendEnvelope(lb.line[:0], cmd)
+	if err != nil {
+		return "", err
 	}
-	buf.Truncate(buf.Len() - 1) // the encoder ends a value with a newline
-	buf.WriteString(`,"mode":`)
-	buf.Write(jsonx.AppendString(buf.AvailableBuffer(), mode))
-	buf.WriteString("}\n")
-	return nil
+	b = append(b, `,"mode":`...)
+	b = jsonx.AppendString(b, mode)
+	lb.line = append(b, "}\n"...)
+	return op, nil
+}
+
+// batchBody builds the POST /v1/batch body of cmds, byte for byte what
+// encoding/json makes of their batchRequest, each envelope built as a
+// command line's is.
+func batchBody(cmds []adept2.Command) ([]byte, error) {
+	var lb lineBuf
+	body := append(make([]byte, 0, 128*len(cmds)), `{"commands":[`...)
+	for i, cmd := range cmds {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		var err error
+		if _, body, err = lb.appendEnvelope(body, cmd); err != nil {
+			return nil, err
+		}
+		body = append(body, '}')
+	}
+	return append(body, "]}"...), nil
+}
+
+// appendEnvelope appends cmd's Envelope to b as encoding/json writes it,
+// short of its closing brace, and returns its op. It refuses, with
+// ErrInvalid, what Submit refuses for the journal's sake — a string that
+// is not UTF-8, an output with no JSON form — so such a command never
+// leaves the client.
+func (lb *lineBuf) appendEnvelope(b []byte, cmd adept2.Command) (string, []byte, error) {
+	op, args, err := adept2.AppendCommandArgs(lb.args[:0], cmd)
+	if err != nil {
+		return "", nil, err
+	}
+	lb.args = args
+	b = append(b, `{"op":`...)
+	b = jsonx.AppendString(b, op)
+	b = append(b, `,"args":`...)
+	return op, append(b, args...), nil
 }
 
 // release returns a call whose reply its submitter has taken.

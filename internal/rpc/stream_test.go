@@ -327,8 +327,9 @@ func TestCommandStreamDrain(t *testing.T) {
 // — the cheapest command there is, so the row is the hop — and for the
 // commands of an order's lifecycle. Root doc.go "Allocation budget" names
 // each site. A whole HTTP request per command cost 125; the stream with
-// two reflective decodes a command 24. Each bound is the measured count
-// plus two.
+// two reflective decodes a command 24; a completion with outputs 31 and a
+// suspend or resume 6 while the client encoded args through encoding/json.
+// Each bound is the measured count plus two, suspend/resume's plus one.
 func TestClientSubmitAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not reproducible under the race detector")
@@ -361,7 +362,7 @@ func TestClientSubmitAllocations(t *testing.T) {
 		}
 	}
 	create := &adept2.CreateInstance{TypeName: "online_order"}
-	row("create", 35, func() adept2.Command { return create })
+	row("create", 34, func() adept2.Command { return create })
 	// One instance a run, and one for the warm-up call AllocsPerRun makes;
 	// a row's commands are built before they are counted.
 	ids := make([]string, runs+1)
@@ -379,15 +380,15 @@ func TestClientSubmitAllocations(t *testing.T) {
 	row("start", 9, each(func(id string) adept2.Command {
 		return &adept2.StartActivity{Instance: id, Node: "get_order", User: "ann"}
 	}))
-	row("complete with outputs", 37, each(func(id string) adept2.Command {
+	row("complete with outputs", 27, each(func(id string) adept2.Command {
 		return &adept2.CompleteActivity{Instance: id, Node: "get_order", User: "ann", Outputs: map[string]any{"out": "order"}}
 	}))
-	row("complete", 11, each(func(id string) adept2.Command {
+	row("complete", 10, each(func(id string) adept2.Command {
 		return &adept2.CompleteActivity{Instance: id, Node: "collect_data", User: "ann"}
 	}))
 	suspend, resume := &adept2.Suspend{Instance: ids[0]}, &adept2.Resume{Instance: ids[0]}
 	n := 0
-	row("suspend/resume", 8, func() adept2.Command {
+	row("suspend/resume", 5, func() adept2.Command {
 		if n++; n%2 == 1 {
 			return suspend
 		}

@@ -12,8 +12,10 @@ package verify
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"adept2/internal/graph"
 	"adept2/internal/model"
@@ -36,6 +38,7 @@ const (
 	CodeSyncEndpoint  Code = "sync-endpoint"
 	CodeMissingData   Code = "missing-data"
 	CodeDecisionData  Code = "decision-data"
+	CodeNotUTF8       Code = "not-utf8"
 
 	// Warnings (schema is accepted but flagged).
 	CodeSyncRedundant  Code = "sync-redundant"
@@ -137,6 +140,7 @@ func (l *listed) DataEdges() []*model.DataEdge { return l.dataEdges }
 func Check(v model.SchemaView) *Result {
 	v = &listed{SchemaView: v, ids: v.NodeIDs(), edges: v.Edges(), dataEdges: v.DataEdges()}
 	r := &Result{}
+	checkStrings(v, r)
 	checkCardinalities(v, r)
 	checkConnectivity(v, r)
 
@@ -159,6 +163,40 @@ func Check(v model.SchemaView) *Result {
 // Err is a convenience wrapper: it runs Check and returns Result.Err().
 func Err(v model.SchemaView) error {
 	return Check(v).Err()
+}
+
+// Has reports whether the result holds an issue with the code.
+func (r *Result) Has(code Code) bool {
+	return slices.ContainsFunc(r.Issues, func(i Issue) bool { return i.Code == code })
+}
+
+// checkStrings refuses a schema holding a string that is not UTF-8: the
+// journal and the snapshot write JSON, which carries such a string only as
+// U+FFFD, so the schema would come back altered after a reopen.
+func checkStrings(v model.SchemaView, r *Result) {
+	check := func(node, what, s string) {
+		if !utf8.ValidString(s) {
+			var nodes []string
+			if node != "" {
+				nodes = []string{node}
+			}
+			r.add(CodeNotUTF8, Error, nodes, "%s %q is not UTF-8", what, s)
+		}
+	}
+	check("", "type name", v.TypeName())
+	for _, id := range v.NodeIDs() {
+		n, _ := v.Node(id)
+		for _, s := range [...]string{n.ID, n.Name, n.Role, n.Template, n.DecisionElement} {
+			check(id, "node string", s)
+		}
+	}
+	for _, d := range v.DataElements() {
+		check("", "data element ID", d.ID)
+		check("", "data element name", d.Name)
+	}
+	for _, de := range v.DataEdges() {
+		check(de.Activity, "data edge parameter", de.Parameter)
+	}
 }
 
 // checkCardinalities validates per-node edge counts. In a block-structured

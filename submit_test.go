@@ -17,6 +17,7 @@ import (
 	"adept2"
 	"adept2/internal/durable/sharded"
 	"adept2/internal/persist"
+	"adept2/internal/rpc"
 	"adept2/internal/sim"
 	"adept2/internal/vfs"
 )
@@ -484,9 +485,27 @@ func instanceOnShard(t *testing.T, sys *adept2.System, k, n int) string {
 // every submission path, and a reopen equals the live state. Accepted,
 // such a completion was applied and then lost its record (an error with
 // Applied set, the completion gone after a reopen), or came back altered
-// ("bad\xff" as "bad�").
+// ("bad\xff" as "bad�"). An rpc client answers as Submit does: it refuses
+// such a completion before its line leaves. It failed NaN and ±Inf with
+// CodeInternal, and sent "bad\xff" as "bad�", which the server applied.
 func TestSubmitRefusesOutputsTheJournalCannotCarry(t *testing.T) {
 	ctx := context.Background()
+	// remote submits through an rpc client of sys, served for the one call.
+	remote := func(submit func(cli *rpc.Client, cmd adept2.Command) error) func(*adept2.System, adept2.Command) error {
+		return func(sys *adept2.System, cmd adept2.Command) error {
+			srv, err := rpc.NewServer(sys, rpc.Options{})
+			if err != nil {
+				return err
+			}
+			defer srv.Close(ctx)
+			cli, err := rpc.Dial(ctx, srv.URL())
+			if err != nil {
+				return err
+			}
+			defer cli.Close()
+			return submit(cli, cmd)
+		}
+	}
 	paths := map[string]func(sys *adept2.System, cmd adept2.Command) error{
 		"Submit": func(sys *adept2.System, cmd adept2.Command) error {
 			_, err := sys.Submit(ctx, cmd)
@@ -503,6 +522,21 @@ func TestSubmitRefusesOutputsTheJournalCannotCarry(t *testing.T) {
 			}
 			return err
 		},
+		"rpc Submit": remote(func(cli *rpc.Client, cmd adept2.Command) error {
+			_, err := cli.Submit(ctx, cmd)
+			return err
+		}),
+		"rpc SubmitAsync": remote(func(cli *rpc.Client, cmd adept2.Command) error {
+			_, err := cli.SubmitAsync(ctx, cmd)
+			return err
+		}),
+		"rpc SubmitBatch": remote(func(cli *rpc.Client, cmd adept2.Command) error {
+			res, err := cli.SubmitBatch(ctx, []adept2.Command{cmd})
+			if err != nil && len(res) != 0 {
+				return fmt.Errorf("a refused batch returned results %v (%v)", res, err)
+			}
+			return err
+		}),
 	}
 	for name, submit := range paths {
 		t.Run(name, func(t *testing.T) {
@@ -547,6 +581,83 @@ func TestSubmitRefusesOutputsTheJournalCannotCarry(t *testing.T) {
 			sameData(t, sys, got)
 		})
 	}
+}
+
+// TestSubmitRefusesStringsTheJournalCannotCarry: a command that would keep
+// a string that is not UTF-8 — an instance ID, a user, a schema's node or
+// data element, a failure's reason, a completing user — is refused with
+// ErrInvalid before it mutates anything, and a reopen equals the live
+// state. Acknowledged, such a string came back as U+FFFD after the reopen:
+// "inst-\xff" was gone and "inst-�" there instead.
+func TestSubmitRefusesStringsTheJournalCannotCarry(t *testing.T) {
+	ctx := context.Background()
+	fsys := vfs.NewMemFS()
+	open := func() *adept2.System {
+		sys, err := adept2.Open("wal", adept2.WithVFS(fsys), adept2.WithOrg(sim.Org()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	sys := open()
+	if _, err := sys.Submit(ctx, &adept2.Deploy{Schema: measureSchema(t)}); err != nil {
+		t.Fatal(err)
+	}
+	id := instanceOnShard(t, sys, 0, 1)
+	inst, _ := sys.Instance(id)
+	events := len(inst.HistoryEvents())
+
+	badSchema := func(typeName, activity, element string) *adept2.Schema {
+		b := adept2.NewBuilder(typeName)
+		b.DataElement(element, adept2.TypeFloat)
+		a := b.Activity("a", activity, adept2.WithRole("clerk"))
+		b.Write("a", element, "x")
+		s, err := b.Build(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	insert := func(nodeID, name string) []adept2.Operation {
+		return []adept2.Operation{&adept2.SerialInsert{
+			Node: &adept2.Node{ID: nodeID, Name: name, Type: adept2.NodeActivity, Role: "clerk"},
+			Pred: "a", Succ: "b",
+		}}
+	}
+	for _, cmd := range []adept2.Command{
+		&adept2.CreateInstance{TypeName: "measure", ID: "inst-\xff"},
+		&adept2.AddUser{User: &adept2.User{ID: "eve\xff", Name: "Eve", Roles: []string{"clerk"}}},
+		&adept2.AddUser{User: &adept2.User{ID: "eve", Name: "Eve\xff", Roles: []string{"clerk"}}},
+		&adept2.Deploy{Schema: badSchema("measure\xff", "Measure", "x")},
+		&adept2.Deploy{Schema: badSchema("other", "Me\xffasure", "x")},
+		&adept2.Deploy{Schema: badSchema("other", "Measure", "x\xff")},
+		&adept2.AdHoc{Instance: id, Ops: insert("c\xff", "Check")},
+		&adept2.AdHoc{Instance: id, Ops: insert("c", "Ch\xffeck")},
+		&adept2.Evolve{TypeName: "measure", Ops: insert("c", "Ch\xffeck")},
+		&adept2.FailActivity{Instance: id, Node: "a", User: "ann", Reason: "boom\xff"},
+		&adept2.CompleteActivity{Instance: id, Node: "a", User: "ann\xff", Outputs: map[string]any{"x": 1.5}},
+	} {
+		_, err := sys.Submit(ctx, cmd)
+		var e *adept2.Error
+		if !errors.Is(err, adept2.ErrInvalid) || !errors.As(err, &e) || e.Applied {
+			t.Errorf("%#v: %v, want ErrInvalid not applied", cmd, err)
+		}
+		if inst.NodeState("a").String() != "running" || len(inst.HistoryEvents()) != events || inst.Biased() {
+			t.Fatalf("a refused %T moved the instance", cmd)
+		}
+	}
+	if _, ok := sys.Org().User("eve"); ok {
+		t.Fatal("a refused user was added")
+	}
+	if len(sys.Instances()) != 1 {
+		t.Fatalf("%d instances, want the one created before", len(sys.Instances()))
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := open()
+	defer got.Close()
+	assertSameState(t, sys, got)
 }
 
 // TestSubmitKeepsAnOutputPast16MiB: a completion whose journal line is

@@ -19,44 +19,55 @@ import (
 
 // EncodeCommand serializes a Command into its wire form: the registry op
 // name and the JSON args a server-side DecodeWireCommand (or recovery
-// replay) decodes back into the identical typed command. The encoding is
-// byte-compatible with the journal's record format — Resume encodes as op
-// "suspend" with the resume flag, ad-hoc changes and evolutions serialize
-// their operations through the change codec. Foreign Command
-// implementations are rejected with ErrInvalid, mirroring SubmitAsync.
+// replay) decodes back into the identical typed command. It is
+// AppendCommandArgs into a fresh slice, made with room for a flat
+// command's args so that they take one allocation.
 func EncodeCommand(cmd Command) (op string, args json.RawMessage, err error) {
-	op, wire, err := WireArgs(cmd)
+	op, args, err = AppendCommandArgs(make([]byte, 0, 128), cmd)
 	if err != nil {
 		return "", nil, err
 	}
-	blob, err := json.Marshal(wire)
-	if err != nil {
-		return "", nil, wrapErr(op, cmd.(command).target(), err)
-	}
-	return op, blob, nil
+	return op, args, nil
 }
 
-// WireArgs is EncodeCommand short of the encoding: the registry op name
-// and the value whose JSON is the command's args, for a caller that
-// encodes into a buffer of its own. The value may be cmd itself; it is
-// read, never written.
-func WireArgs(cmd Command) (op string, args any, err error) {
-	c, ok := cmd.(command)
-	if !ok {
-		return "", nil, &Error{Code: CodeInvalid, Op: cmd.CommandName(),
-			Err: fmt.Errorf("adept2: foreign Command implementation %T", cmd)}
+// AppendCommandArgs appends cmd's wire args to b and returns its registry
+// op: byte for byte the args the journal writes for the command — Resume
+// as op "suspend" with the resume flag, ad-hoc changes and evolutions with
+// their operations in the change codec. A flat command appends through its
+// wire form's AppendJSON, the journal's own path; a user, a deployment and
+// a change-op carrier go through encoding/json. A string that is not
+// UTF-8, an output with no JSON form (NaN, ±Inf) and a foreign Command
+// implementation are refused with ErrInvalid, mirroring Submit. On error
+// the returned slice is nil.
+func AppendCommandArgs(b []byte, cmd Command) (op string, _ []byte, err error) {
+	c, err := asCommand(cmd)
+	if err != nil {
+		return "", nil, err
 	}
 	op = c.CommandName()
 	switch t := cmd.(type) {
 	case *Resume:
-		return "suspend", suspendArgs{Instance: t.Instance, Resume: true}, nil
+		op = "suspend"
+		b, err = suspendForm.appendJSON(b, &suspendArgs{Instance: t.Instance, Resume: true})
 	case *Suspend:
-		return op, suspendArgs{Instance: t.Instance}, nil
-	case argsEncoder:
-		args, err = t.encodeArgs()
-		return op, args, wrapErr(op, c.target(), err)
+		b, err = suspendForm.appendJSON(b, &suspendArgs{Instance: t.Instance})
+	case interface{ AppendJSON([]byte) ([]byte, error) }: // a flat command
+		b, err = t.AppendJSON(b)
+	default:
+		args := any(cmd)
+		if enc, ok := cmd.(argsEncoder); ok {
+			args, err = enc.encodeArgs()
+		}
+		var blob []byte
+		if err == nil {
+			blob, err = json.Marshal(args)
+		}
+		b = append(b, blob...)
 	}
-	return op, cmd, nil
+	if err != nil {
+		return op, nil, wrapErr(op, c.target(), err)
+	}
+	return op, b, nil
 }
 
 // DecodeWireCommand resolves a wire (op, args) pair — produced by
