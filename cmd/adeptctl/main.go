@@ -923,35 +923,21 @@ func journalSpans(journal string) ([]obs.Span, error) {
 // acknowledged-write loss, replay fidelity, liveness).
 func simCmd(args []string) {
 	fs := flag.NewFlagSet("sim", flag.ExitOnError)
-	def := soak.DefaultConfig()
-	steps := fs.Int("steps", def.Steps, "driver steps")
-	instances := fs.Int("instances", def.Instances, "target live instances")
-	seed := fs.Int64("seed", def.Seed, "scenario seed")
-	shards := fs.Int("shards", def.Shards, "journal shards (0/1 = one shard)")
-	failProb := fs.Float64("fail", def.FailProb, "per-action activity failure probability")
-	storm := fs.Bool("storm", def.DeadlineStorm, "periodic deadline storms")
-	evolve := fs.Int("evolve", def.EvolveEvery, "steps between schema evolutions (0 = never)")
-	adhoc := fs.Int("adhoc", def.AdHocEvery, "steps between ad-hoc changes (0 = never)")
-	faults := fs.Bool("faults", def.DiskFaults, "inject transient disk faults")
-	reopen := fs.Int("reopen", def.ReopenEvery, "steps between close→reopen checks (0 = never)")
-	crash := fs.Int("crash", def.CrashEvery, "steps between simulated crashes (0 = never)")
-	retries := fs.Int("retries", def.MaxRetries, "exception policy retry budget")
+	cfg := soak.DefaultConfig()
+	fs.IntVar(&cfg.Steps, "steps", cfg.Steps, "driver steps")
+	fs.IntVar(&cfg.Instances, "instances", cfg.Instances, "target live instances")
+	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "scenario seed")
+	fs.IntVar(&cfg.Shards, "shards", cfg.Shards, "journal shards (0/1 = one shard)")
+	fs.Float64Var(&cfg.FailProb, "fail", cfg.FailProb, "per-action activity failure probability")
+	fs.BoolVar(&cfg.DeadlineStorm, "storm", cfg.DeadlineStorm, "periodic deadline storms")
+	fs.IntVar(&cfg.EvolveEvery, "evolve", cfg.EvolveEvery, "steps between schema evolutions (0 = never)")
+	fs.IntVar(&cfg.AdHocEvery, "adhoc", cfg.AdHocEvery, "steps between ad-hoc changes (0 = never)")
+	fs.BoolVar(&cfg.DiskFaults, "faults", cfg.DiskFaults, "inject transient disk faults")
+	fs.IntVar(&cfg.ReopenEvery, "reopen", cfg.ReopenEvery, "steps between close→reopen checks (0 = never)")
+	fs.IntVar(&cfg.CrashEvery, "crash", cfg.CrashEvery, "steps between simulated crashes (0 = never)")
+	fs.IntVar(&cfg.MaxRetries, "retries", cfg.MaxRetries, "exception policy retry budget")
 	showStats := fs.Bool("stats", false, "print the soak's telemetry summary")
 	must(fs.Parse(args))
-
-	cfg := def
-	cfg.Steps = *steps
-	cfg.Instances = *instances
-	cfg.Seed = *seed
-	cfg.Shards = *shards
-	cfg.FailProb = *failProb
-	cfg.DeadlineStorm = *storm
-	cfg.EvolveEvery = *evolve
-	cfg.AdHocEvery = *adhoc
-	cfg.DiskFaults = *faults
-	cfg.ReopenEvery = *reopen
-	cfg.CrashEvery = *crash
-	cfg.MaxRetries = *retries
 
 	start := time.Now()
 	res, err := soak.Run(context.Background(), cfg)

@@ -15,49 +15,54 @@ import (
 	"adept2/internal/state"
 )
 
-// cmdDriver feeds a random command stream into a System through all
-// three submission paths (Submit, SubmitAsync, SubmitBatch), picked at
-// random per step. Command rejections are tolerated — a rejected command
-// mutates nothing and journals nothing — so the driver can propose
-// sloppily and still leave live state and journal in exact agreement.
-type cmdDriver struct {
+// driver feeds a seeded random command stream over the Fig. 1 type into
+// a System through all three submission paths (Submit, SubmitAsync,
+// SubmitBatch), picked at random per step, and keeps a sim.Ledger of what
+// the system acknowledged: a nil Submit or SubmitBatch error, or a nil
+// receipt Wait. A refusal mutates nothing and journals nothing, so the
+// driver proposes sloppily and live state and journal still agree. A
+// CodeWedged or CodeInternal reply kills it: it stops driving, and the
+// test fails unless the driver was built for a dying disk (mayDie).
+type driver struct {
 	t        *testing.T
 	sys      *adept2.System
 	rng      *rand.Rand
 	ctx      context.Context
+	mayDie   bool
 	insts    []string
-	receipts []*adept2.Receipt
+	receipts []receipt
+	ledger   sim.Ledger
 	applied  int
+	evolves  int    // extra_N evolutions proposed (names the inserted node)
+	dead     bool   // a durability failure ended the walk
+	killedBy string // the command whose reply killed the driver
 }
 
-func newCmdDriver(t *testing.T, sys *adept2.System, seed int64) *cmdDriver {
+// receipt is an outstanding SubmitAsync and its command's name.
+type receipt struct {
+	*adept2.Receipt
+	cmd string
+}
+
+func newDriver(t *testing.T, sys *adept2.System, seed int64, mayDie bool) *driver {
 	t.Helper()
-	d := &cmdDriver{t: t, sys: sys, rng: rand.New(rand.NewSource(seed)), ctx: context.Background()}
-	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
-		t.Fatal(err)
-	}
+	d := &driver{t: t, sys: sys, rng: rand.New(rand.NewSource(seed)), ctx: context.Background(), mayDie: mayDie}
+	_, err := sys.Submit(d.ctx, &adept2.Deploy{Schema: sim.OnlineOrder()})
+	d.note("deploy", nil, err)
 	return d
 }
 
-// userFor picks a user holding the node's role ("" for auto/role-less
-// nodes, a non-candidate sometimes never — rejections are exercised by
-// the random walk anyway via wrong node states).
-func (d *cmdDriver) userFor(role string) string {
-	if role == "" {
-		return ""
+// userFor picks the first user holding the role ("" for a role-less node).
+func (d *driver) userFor(role string) string {
+	if users := d.sys.Org().UsersInRole(role); len(users) > 0 {
+		return users[0]
 	}
-	org := d.sys.Org()
-	for _, u := range []string{"ann", "bob"} {
-		if _, ok := org.HasRole(u, role); ok {
-			return u
-		}
-	}
-	return "ann"
+	return ""
 }
 
 // proposeComplete builds a CompleteActivity for a random activated or
 // running node of the instance (nil when it has none).
-func (d *cmdDriver) proposeComplete(instID string) adept2.Command {
+func (d *driver) proposeComplete(instID string) adept2.Command {
 	inst, ok := d.sys.Instance(instID)
 	if !ok {
 		return nil
@@ -81,103 +86,182 @@ func (d *cmdDriver) proposeComplete(instID string) adept2.Command {
 	return &adept2.CompleteActivity{Instance: instID, Node: node, User: d.userFor(n.Role), Outputs: outputs}
 }
 
-// propose builds the next random command. It may return nil (nothing
-// sensible to do this step).
-func (d *cmdDriver) propose() adept2.Command {
-	pickInst := func() string {
-		if len(d.insts) == 0 {
-			return ""
-		}
-		return d.insts[d.rng.Intn(len(d.insts))]
+// propose builds the next random command and names the instance it
+// targets ("" for a type-level command); the command is nil when there is
+// nothing sensible to do. The mix holds data commands and the control
+// commands Evolve and Undo, so the crash-point test also kills the store
+// mid-evolution and mid-undo.
+func (d *driver) propose() (adept2.Command, string) {
+	inst := ""
+	if len(d.insts) > 0 {
+		inst = d.insts[d.rng.Intn(len(d.insts))]
 	}
 	switch r := d.rng.Intn(100); {
-	case r < 20 || len(d.insts) == 0:
-		return &adept2.CreateInstance{TypeName: "online_order"}
-	case r < 60:
-		return d.proposeComplete(pickInst())
-	case r < 70:
-		return &adept2.Suspend{Instance: pickInst()}
-	case r < 80:
-		return &adept2.Resume{Instance: pickInst()}
-	case r < 88:
-		return &adept2.AdHoc{Instance: pickInst(), Ops: sim.OnlineOrderBiasI2()}
-	case r < 94:
-		return &adept2.Undo{Instance: pickInst()}
+	case r < 15 || inst == "":
+		return &adept2.CreateInstance{TypeName: "online_order"}, ""
+	case r < 45:
+		return d.proposeComplete(inst), inst
+	case r < 52:
+		return &adept2.Suspend{Instance: inst}, inst
+	case r < 59:
+		return &adept2.Resume{Instance: inst}, inst
+	case r < 71:
+		return &adept2.AdHoc{Instance: inst, Ops: sim.OnlineOrderBiasI2()}, inst
+	case r < 85: // an unbiased instance refuses an undo before the disk sees it
+		for _, id := range d.insts {
+			if i, ok := d.sys.Instance(id); ok && i.Biased() {
+				inst = id
+				break
+			}
+		}
+		return &adept2.Undo{Instance: inst, All: d.rng.Intn(2) == 0}, inst
+	case r < 89:
+		return &adept2.Evolve{TypeName: "online_order", Ops: sim.OnlineOrderTypeChange()}, ""
 	default:
-		return &adept2.Evolve{TypeName: "online_order", Ops: sim.OnlineOrderTypeChange()}
+		// Serial-insert a fresh node into the type's head. The chain is
+		// counted on proposal, not success: a link whose predecessor never
+		// landed is refused, which keeps the stream deterministic across
+		// crash sites.
+		d.evolves++
+		pred := "get_order"
+		if d.evolves > 1 {
+			pred = fmt.Sprintf("extra_%d", d.evolves-1)
+		}
+		name := fmt.Sprintf("extra_%d", d.evolves)
+		return &adept2.Evolve{TypeName: "online_order", Ops: []adept2.Operation{
+			&adept2.SerialInsert{
+				Node: &adept2.Node{ID: name, Name: name, Type: adept2.NodeActivity,
+					Role: "worker", Template: name},
+				Pred: pred,
+				Succ: "collect_data",
+			},
+		}}, ""
 	}
 }
 
-// note records the outcome of a submission: new instances join the pool,
-// rejections are tolerated, unexpected error classes fail the test.
-func (d *cmdDriver) note(res any, err error) {
+// note records the reply to the named command: a created instance joins
+// the pool, a refusal is part of the walk, CodeWedged or CodeInternal
+// kills the driver, and an untyped error fails the test. It reports
+// success.
+func (d *driver) note(cmd string, res any, err error) bool {
 	if err != nil {
 		var e *adept2.Error
 		if !errors.As(err, &e) {
 			d.t.Fatalf("untyped command error: %v", err)
 		}
-		return
+		if e.Code == adept2.CodeWedged || e.Code == adept2.CodeInternal {
+			if !d.mayDie {
+				d.t.Fatalf("%s killed the driver on a store that may not fail: %v", cmd, err)
+			}
+			if !d.dead {
+				d.dead, d.killedBy = true, cmd
+			}
+		}
+		return false
 	}
 	d.applied++
 	if inst, ok := res.(*adept2.Instance); ok {
 		d.insts = append(d.insts, inst.ID())
 	}
+	return true
 }
 
-// step submits one random command through a random path.
-func (d *cmdDriver) step() {
+// ack records an acknowledged submission: its creates, and the history of
+// the instances it targeted. Every earlier record of such an instance
+// lies on its shard below the acknowledged one, so it is durable too.
+func (d *driver) ack(results []any, targets []string) {
+	for _, res := range results {
+		if inst, ok := res.(*adept2.Instance); ok {
+			d.ledger.Created(inst.ID())
+			targets = append(targets, inst.ID())
+		}
+	}
+	d.ledger.Ack(d.sys, targets...)
+}
+
+// step submits one random command, or a batch of one to four, through a
+// random path.
+func (d *driver) step() {
+	if d.dead {
+		return
+	}
 	switch d.rng.Intn(3) {
-	case 0: // blocking submit
-		cmd := d.propose()
+	case 0: // blocking: a nil error is the acknowledgement
+		cmd, inst := d.propose()
 		if cmd == nil {
 			return
 		}
-		d.note(d.sys.Submit(d.ctx, cmd))
-	case 1: // pipelined async submit
-		cmd := d.propose()
+		res, err := d.sys.Submit(d.ctx, cmd)
+		if d.note(cmd.CommandName(), res, err) {
+			d.ack([]any{res}, []string{inst})
+		}
+	case 1: // pipelined: acknowledged when the receipt resolves
+		cmd, _ := d.propose()
 		if cmd == nil {
 			return
 		}
 		r, err := d.sys.SubmitAsync(d.ctx, cmd)
 		if err != nil {
-			d.note(nil, err)
+			d.note(cmd.CommandName(), nil, err)
 			return
 		}
-		d.note(r.Result(), nil)
-		d.receipts = append(d.receipts, r)
-	case 2: // batch of 1-4 commands
+		d.note(cmd.CommandName(), r.Result(), nil)
+		d.receipts = append(d.receipts, receipt{r, cmd.CommandName()})
+	case 2: // batch: a nil error acknowledges every result
 		n := 1 + d.rng.Intn(4)
 		var batch []adept2.Command
+		var targets []string
 		for i := 0; i < n; i++ {
-			if cmd := d.propose(); cmd != nil {
-				batch = append(batch, cmd)
+			if cmd, inst := d.propose(); cmd != nil {
+				batch, targets = append(batch, cmd), append(targets, inst)
 			}
 		}
 		if len(batch) == 0 {
 			return
 		}
 		results, err := d.sys.SubmitBatch(d.ctx, batch)
-		for _, res := range results {
-			d.note(res, nil)
+		for i, res := range results {
+			d.note(batch[i].CommandName(), res, nil)
 		}
-		if err != nil {
-			d.note(nil, err)
+		if err != nil { // the results are the staged prefix: batch[len(results)] was refused
+			d.note(batch[min(len(results), len(batch)-1)].CommandName(), nil, err)
+			return
 		}
+		d.ack(results, targets)
 	}
-	// Bound the receipt backlog; awaiting is also part of the contract.
-	if len(d.receipts) >= 32 {
+	if len(d.receipts) >= 16 {
 		d.drain()
 	}
 }
 
-// drain awaits every outstanding receipt.
-func (d *cmdDriver) drain() {
+// drain awaits every outstanding receipt. A resolved receipt acknowledges
+// its create and the watermark that covers it, not its instance's history:
+// later commands on the instance may not be durable yet.
+func (d *driver) drain() {
 	for _, r := range d.receipts {
 		if err := r.Wait(d.ctx); err != nil {
-			d.t.Fatalf("receipt: %v", err)
+			if d.note(r.cmd, nil, err); !d.dead {
+				d.t.Fatalf("receipt of %s: %v", r.cmd, err)
+			}
+			continue
 		}
+		if w := d.sys.DurableWatermark(r.Shard()); w < r.Seq() {
+			d.t.Fatalf("receipt of %s resolved at shard %d seq %d above the durable watermark %d", r.cmd, r.Shard(), r.Seq(), w)
+		}
+		if inst, ok := r.Result().(*adept2.Instance); ok {
+			d.ledger.Created(inst.ID())
+		}
+		d.ledger.Ack(d.sys)
 	}
 	d.receipts = d.receipts[:0]
+}
+
+// run drives steps and drains the receipts left.
+func (d *driver) run(steps int) {
+	for i := 0; i < steps && !d.dead; i++ {
+		d.step()
+	}
+	d.drain()
 }
 
 // TestDifferentialCommandRecovery is the PR 5 acceptance property test:
@@ -197,15 +281,9 @@ func TestDifferentialCommandRecovery(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", l.name, seed), func(t *testing.T) {
 				path := filepath.Join(t.TempDir(), "wal.ndjson")
-				sys, err := adept2.Open(path, adept2.WithOrg(sim.Org()), adept2.WithCheckpointing(l.cfg))
-				if err != nil {
-					t.Fatal(err)
-				}
-				d := newCmdDriver(t, sys, seed)
-				for i := 0; i < 150; i++ {
-					d.step()
-				}
-				d.drain()
+				sys := openCheckpointed(t, path, l.cfg)
+				d := newDriver(t, sys, seed, false)
+				d.run(150)
 				if d.applied < 50 {
 					t.Fatalf("random walk applied only %d commands — driver degenerated", d.applied)
 				}
@@ -219,12 +297,12 @@ func TestDifferentialCommandRecovery(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				got, err := adept2.Open(path, adept2.WithOrg(sim.Org()), adept2.WithCheckpointing(l.cfg))
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := openCheckpointed(t, path, l.cfg)
 				defer got.Close()
 				assertSameState(t, sys, got)
+				if err := d.ledger.Check(got); err != nil {
+					t.Fatal(err)
+				}
 			})
 		}
 	}
@@ -239,10 +317,7 @@ func TestDifferentialConcurrentAsyncRecovery(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "wal.ndjson")
 			cfg := adept2.CheckpointConfig{Every: 32, Shards: shards}
-			sys, err := adept2.Open(path, adept2.WithOrg(sim.Org()), adept2.WithCheckpointing(cfg))
-			if err != nil {
-				t.Fatal(err)
-			}
+			sys := openCheckpointed(t, path, cfg)
 			if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 				t.Fatal(err)
 			}
@@ -299,10 +374,7 @@ func TestDifferentialConcurrentAsyncRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			got, err := adept2.Open(path, adept2.WithOrg(sim.Org()), adept2.WithCheckpointing(cfg))
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := openCheckpointed(t, path, cfg)
 			defer got.Close()
 			assertSameState(t, sys, got)
 		})
@@ -344,19 +416,19 @@ func TestDifferentialRemoteLocal(t *testing.T) {
 			}
 			defer cli.Close()
 
-			d := newCmdDriver(t, local, seed) // deploys on local
+			d := newDriver(t, local, seed, false) // deploys on local
 			if _, err := cli.Submit(ctx, &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 				t.Fatal(err)
 			}
 
 			var receipts []*rpc.Receipt
 			for i := 0; i < 120; i++ {
-				cmd := d.propose()
+				cmd, _ := d.propose()
 				if cmd == nil {
 					continue
 				}
 				lres, lerr := local.Submit(ctx, cmd)
-				d.note(lres, lerr)
+				d.note(cmd.CommandName(), lres, lerr)
 				var rerr error
 				mode := i % 3
 				switch mode {
@@ -374,7 +446,7 @@ func TestDifferentialRemoteLocal(t *testing.T) {
 				if (lerr == nil) != (rerr == nil) {
 					t.Fatalf("step %d (%s): local err %v, remote err %v", i, cmd.CommandName(), lerr, rerr)
 				}
-				if lerr != nil && mode != 2 {
+				if lerr != nil {
 					var le, re *adept2.Error
 					if !errors.As(lerr, &le) || !errors.As(rerr, &re) || le.Code != re.Code {
 						t.Fatalf("step %d (%s): taxonomy diverged across the wire: local %v, remote %v",

@@ -205,10 +205,7 @@ func TestErrorTaxonomyWedged(t *testing.T) {
 	path := filepath.Join(dir, "wal.ndjson")
 	snaps := filepath.Join(dir, "snaps")
 	cfg := adept2.CheckpointConfig{Dir: snaps, Every: 1}
-	sys, err := adept2.Open(path, adept2.WithOrg(sim.Org()), adept2.WithCheckpointing(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := openCheckpointed(t, path, cfg)
 	defer sys.Close()
 	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
@@ -234,7 +231,7 @@ func TestErrorTaxonomyWedged(t *testing.T) {
 			break
 		}
 	}
-	err = sys.Health()
+	err := sys.Health()
 	if err == nil {
 		t.Fatal("Health must report the failing checkpointer")
 	}

@@ -61,19 +61,13 @@ func viewWorklists(t *testing.T, sys *adept2.System) worklistView {
 func TestWorkItemIdentityAcrossRecoveryAndReshard(t *testing.T) {
 	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
-	sys := openSharded(t, path, shardedCfg())
-	d := newCmdDriver(t, sys, 5)
-	for i := 0; i < 200; i++ {
-		d.step()
-	}
-	d.drain()
+	sys := openCheckpointed(t, path, shardedCfg())
+	d := newDriver(t, sys, 5, false)
+	d.run(200)
 	if _, _, err := sys.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 100; i++ {
-		d.step()
-	}
-	d.drain()
+	d.run(100)
 	want := viewWorklists(t, sys)
 
 	// The same cursor as the wire hands it out.
@@ -147,7 +141,7 @@ func TestWorkItemIdentityAcrossRecoveryAndReshard(t *testing.T) {
 	}
 
 	t.Run("snapshot+suffix", func(t *testing.T) {
-		got := openSharded(t, path, shardedCfg())
+		got := openCheckpointed(t, path, shardedCfg())
 		defer got.Close()
 		if info := got.Recovery(); info.FullReplay || info.Replayed == 0 {
 			t.Fatalf("expected snapshot + suffix recovery, got %+v", info)
@@ -170,7 +164,7 @@ func TestWorkItemIdentityAcrossRecoveryAndReshard(t *testing.T) {
 			if err := adept2.Reshard(path, n, adept2.WithOrg(sim.Org())); err != nil {
 				t.Fatal(err)
 			}
-			got := openSharded(t, path, adept2.CheckpointConfig{Shards: n, Every: -1})
+			got := openCheckpointed(t, path, adept2.CheckpointConfig{Shards: n, Every: -1})
 			defer got.Close()
 			if got.Recovery().Shards != n {
 				t.Fatalf("recovered %d shards, want %d", got.Recovery().Shards, n)
@@ -188,7 +182,7 @@ func TestWorkItemIdentityAcrossRecoveryAndReshard(t *testing.T) {
 func TestLateRoleMemberSeesTheItemTheyStart(t *testing.T) {
 	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
-	sys := openSharded(t, path, adept2.CheckpointConfig{Every: -1})
+	sys := openCheckpointed(t, path, adept2.CheckpointConfig{Every: -1})
 	if _, err := sys.Submit(ctx, &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,10 @@
 // (Fig. 1 / Fig. 3), randomized block-structured schemas, a random
 // execution driver, and random ad-hoc changes. Everything is seeded
 // explicitly, so experiments are reproducible.
+//
+// It also holds the checks the randomized system tests share: Summary and
+// Diff for state equality, and a Ledger of what a system acknowledged,
+// which Ledger.Check holds a recovered system to.
 package sim
 
 import (

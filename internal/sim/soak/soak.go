@@ -10,12 +10,19 @@
 //     has exactly one work item, and every item maps to such a node;
 //   - no wedged instances: every instance is terminal, suspended, or
 //     has an activated/running node;
-//   - no acknowledged-write loss: a crash never loses a mutation whose
-//     Submit returned success;
+//   - no acknowledged-write loss: a sim.Ledger records what every
+//     successful Submit acknowledged, and a crash recovery, like the
+//     final reopen, must hold all of it (Ledger.Check);
 //   - replay fidelity: closing and reopening the system (snapshot +
-//     journal-suffix recovery) reproduces the exact live state,
-//     including armed deadlines, retry backoffs, failure counts,
-//     escalations, and per-user worklists;
+//     journal-suffix recovery) reproduces the exact live state as
+//     sim.Summary renders it, including data, bias, history, armed
+//     deadlines, retry backoffs, failure counts, escalations, and every
+//     user's worklist;
+//   - predicted refusals only: a command may be refused with ErrWedged
+//     while a fault window is open or a crash is armed, and a start,
+//     completion or failure with ErrSuspended when its item's instance
+//     was suspended as the item was picked; any other refusal fails the
+//     run with its seed and step;
 //   - liveness: once faults stop and an administrator resumes suspended
 //     instances and releases pending compensations, every instance
 //     runs to completion.
@@ -25,10 +32,10 @@
 // A scenario is a Config value: Seed fixes the PRNG, and every other
 // field is a dial on the adversarial mix (population size, step count,
 // shard layout, failure probability, deadline storms, evolution/ad-hoc/
-// reopen/crash cadences, the retry policy, and the sweep period). The
-// zero value of a dial disables that behavior, so a scenario is written
-// by starting from DefaultConfig (the full mix) or the zero Config (a
-// quiet baseline) and setting dials. `adeptctl sim` exposes the same
+// reopen/crash cadences, and the retry budget). The zero value of a dial
+// disables that behavior, so a scenario is written by starting from
+// DefaultConfig (the full mix) or the zero Config (a quiet baseline) and
+// setting dials. `adeptctl sim` exposes the same
 // dials as flags. A scenario is deterministic per (Seed, Config): the
 // soak uses a logical clock injected via adept2.WithClock and a seeded
 // PRNG, runs on an in-memory filesystem wrapped in a vfs.FaultFS, and
@@ -97,12 +104,14 @@ type Config struct {
 	// MaxRetries is the exception policy's retry budget before it
 	// compensates by skip or suspend.
 	MaxRetries int
-	// RetryBackoff is the base (logical) retry backoff.
-	RetryBackoff time.Duration
-	// SweepEvery runs the deadline sweep every this many steps
-	// (default 7).
-	SweepEvery int
 }
+
+// The exception policy's base (logical) retry backoff, doubled with every
+// further failure, and the deadline sweep's period in steps.
+const (
+	retryBackoff = 20 * time.Second
+	sweepEvery   = 7
+)
 
 // DefaultConfig is the full adversarial mix at a size that runs in
 // a few seconds.
@@ -120,34 +129,35 @@ func DefaultConfig() Config {
 		ReopenEvery:   900,
 		CrashEvery:    1150,
 		MaxRetries:    2,
-		RetryBackoff:  20 * time.Second,
-		SweepEvery:    7,
 	}
 }
 
 // Result counts what one soak run exercised. A result is only
 // returned when every invariant held.
 type Result struct {
-	Steps         int // driver steps executed
-	Created       int // instances created
-	Finished      int // instances that reached the end node
-	Activities    int // activities completed
-	Failures      int // activity failures injected
-	Timeouts      int // deadline expiries fired by sweeps
-	Retries       int // retry backoffs lifted by sweeps
-	Compensations int // policy compensations submitted by sweeps
-	Skips         int // failures compensated by machine-generated skip changes
-	Suspends      int // failures compensated by suspension
-	Evolutions    int // schema evolutions applied
-	AdHocs        int // ad-hoc changes applied
-	FaultWindows  int // injected disk-fault windows
-	Heals         int // successful heals (each forcing a checkpoint)
-	WedgedSubmits int // submits rejected while the store was wedged
-	Unacked       int // submits applied in memory whose acknowledgement failed (Error.Applied)
-	Crashes       int // simulated crashes survived
-	Reopens       int // clean close→reopen cycles verified
+	Steps int // driver steps executed
+	// Created counts acknowledged creates and Finished acknowledged
+	// completions that finished an instance. An applied-but-unacknowledged
+	// create (counted in Unacked) still makes an instance that may finish,
+	// so Finished may exceed Created.
+	Created, Finished int
+	Activities        int // activities completed
+	Failures          int // activity failures injected
+	Timeouts          int // deadline expiries fired by sweeps
+	Retries           int // retry backoffs lifted by sweeps
+	Compensations     int // policy compensations submitted by sweeps
+	Skips             int // failures compensated by machine-generated skip changes
+	Suspends          int // failures compensated by suspension
+	Evolutions        int // schema evolutions applied
+	AdHocs            int // ad-hoc changes applied
+	FaultWindows      int // injected disk-fault windows
+	Heals             int // successful heals (each forcing a checkpoint)
+	WedgedSubmits     int // submits rejected while the store was wedged
+	Unacked           int // submits applied in memory whose acknowledgement failed (Error.Applied)
+	Crashes           int // simulated crashes survived
+	Reopens           int // clean close→reopen cycles verified
 
-	// Digest is FNV-64a over the final state (summarize), the per-shard
+	// Digest is FNV-64a over the final state (sim.Summary), the per-shard
 	// durable watermarks and the filesystem's operation count: two runs
 	// with equal digests ended in the same place by the same I/O.
 	Digest uint64
@@ -166,9 +176,6 @@ func (r *Result) String() string {
 		r.Retries, r.Compensations, r.Skips, r.Suspends, r.Evolutions, r.AdHocs,
 		r.FaultWindows, r.Heals, r.WedgedSubmits, r.Unacked, r.Crashes, r.Reopens, r.Digest)
 }
-
-// users is the deterministic user pool (see Org).
-var users = []string{"ann", "bob", "cyn", "dan"}
 
 // skippable names the activities the exception policy may skip via
 // a machine-generated DeleteActivity: side branches whose loss keeps the
@@ -216,26 +223,16 @@ type logicalClock struct{ t int64 }
 
 func (c *logicalClock) Now() time.Time          { return time.Unix(0, c.t) }
 func (c *logicalClock) Advance(d time.Duration) { c.t += int64(d) }
-func (c *logicalClock) nanos() int64            { return c.t }
 
 type runner struct {
 	cfg   Config
 	rng   *rand.Rand
 	clock *logicalClock
 	ffs   *vfs.FaultFS
-	path  string
 	sys   *adept2.System
 	res   *Result
 
-	// ackHist records, per instance, the history length at the last
-	// acknowledged (successfully submitted) mutation; ackDone the
-	// acknowledged completions. History only ever appends, so after a
-	// crash the recovered lengths must cover these.
-	ackHist map[string]int
-	ackDone map[string]bool
-	// unackedCreates counts the creates among Result.Unacked: such an
-	// instance survives iff the next Heal, not a crash, reaches it first.
-	unackedCreates int
+	ledger sim.Ledger // what Submit acknowledged; every recovery is checked against it
 
 	faultCloseAt int  // step at which the open fault window closes (0 = none)
 	crashArmed   bool // a CrashAt script is pending
@@ -261,24 +258,15 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Steps <= 0 {
 		cfg.Steps = 1000
 	}
-	if cfg.SweepEvery <= 0 {
-		cfg.SweepEvery = 7
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 20 * time.Second
-	}
 	if cfg.MaxRetries <= 0 {
 		cfg.MaxRetries = 2
 	}
 	r := &runner{
-		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		clock:   &logicalClock{t: time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC).UnixNano()},
-		ffs:     vfs.NewFaultFS(vfs.NewMemFS(), nil),
-		path:    "soak/journal.wal",
-		res:     &Result{},
-		ackHist: make(map[string]int),
-		ackDone: make(map[string]bool),
+		cfg:   cfg,
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		clock: &logicalClock{t: time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC).UnixNano()},
+		ffs:   vfs.NewFaultFS(vfs.NewMemFS(), nil),
+		res:   &Result{},
 	}
 	if err := r.ffs.MkdirAll("soak", 0o755); err != nil {
 		return nil, err
@@ -302,7 +290,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("sim: soak: final heal: %w", err)
 	}
 	if err := r.drain(ctx); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("sim: soak seed %d: drain: %w", cfg.Seed, err)
 	}
 	// The post-drain session is the busiest the metrics plane gets:
 	// reconcile it against ground truth and keep its summary before the
@@ -316,17 +304,18 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	var summary strings.Builder
 	_ = obs.WriteText(&summary, r.sys.Metrics()) // a strings.Builder does not fail
 	r.res.MetricsSummary = summary.String()
-	if err := r.reopenClean(ctx); err != nil {
+	if err := r.reopenClean(); err != nil {
 		return nil, fmt.Errorf("sim: soak: final reopen: %w", err)
 	}
-	if err := r.checkInvariants(); err != nil {
-		return nil, err
+	if err := r.ledger.Check(r.sys); err != nil {
+		return nil, fmt.Errorf("sim: soak: final reopen: %w", err)
 	}
-	if err := r.checkCounters(); err != nil {
-		return nil, err
+	if n := len(r.sys.Instances()); n > r.res.Created+r.res.Unacked {
+		return nil, fmt.Errorf("sim: soak: %d instances for %d acknowledged creates and %d unacknowledged commands",
+			n, r.res.Created, r.res.Unacked)
 	}
 	h := fnv.New64a()
-	fmt.Fprint(h, summarize(r.sys), r.sys.DurableWatermarks(), r.ffs.OpCount())
+	fmt.Fprint(h, sim.Summary(r.sys), r.sys.DurableWatermarks(), r.ffs.OpCount())
 	r.res.Digest = h.Sum64()
 	if err := r.sys.Close(); err != nil {
 		return nil, fmt.Errorf("sim: soak: final close: %w", err)
@@ -334,46 +323,22 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	return r.res, nil
 }
 
-// checkCounters reconciles the Result with the population recovered
-// after the drain: every acknowledged create is an instance, every
-// instance an acknowledged or applied-but-unacknowledged create, all done.
-func (r *runner) checkCounters() error {
-	insts := r.sys.Instances()
-	done := 0
-	for _, inst := range insts {
-		if inst.Done() {
-			done++
-		}
-	}
-	if n := len(insts); n < r.res.Created || n > r.res.Created+r.unackedCreates || done != n {
-		return fmt.Errorf("sim: soak: %d instances (%d done) for %d acknowledged and %d applied-but-unacknowledged creates",
-			n, done, r.res.Created, r.unackedCreates)
-	}
-	return nil
-}
-
+// policy is adept2.RetryThenSuspend, except that it skips a skippable
+// activity where that suspends the instance.
 func (r *runner) policy() adept2.ExceptionPolicy {
-	maxRetries, backoff := r.cfg.MaxRetries, r.cfg.RetryBackoff
+	retry := adept2.RetryThenSuspend(r.cfg.MaxRetries, retryBackoff)
 	return adept2.PolicyFunc(func(x adept2.Exception) adept2.Reaction {
-		if x.Kind == adept2.DeadlineExpired {
-			return adept2.Reaction{Action: adept2.ActionNone}
+		re := retry.Decide(x)
+		if re.Action == adept2.ActionSuspend && skippable(x.Node) {
+			re.Action = adept2.ActionSkip
 		}
-		if x.Failures <= maxRetries {
-			d := backoff
-			for i := 1; i < x.Failures; i++ {
-				d *= 2
-			}
-			return adept2.Reaction{Action: adept2.ActionRetry, Backoff: d}
-		}
-		if skippable(x.Node) {
-			return adept2.Reaction{Action: adept2.ActionSkip}
-		}
-		return adept2.Reaction{Action: adept2.ActionSuspend}
+		return re
 	})
 }
 
+// open opens the store and checks the invariants of what it recovered.
 func (r *runner) open() error {
-	sys, err := adept2.Open(r.path,
+	sys, err := adept2.Open("soak/journal.wal",
 		adept2.WithOrg(sim.Org()),
 		adept2.WithVFS(r.ffs),
 		adept2.WithClock(r.clock.Now),
@@ -393,13 +358,19 @@ func (r *runner) open() error {
 		r.baseSeqs[sh.Shard] = sh.Seq
 	}
 	r.sessionDirty = false
+	if err := r.checkInvariants(); err != nil {
+		return fmt.Errorf("recovered state: %w", err)
+	}
+	// What recovered is durable, an unacknowledged suffix included.
+	r.ledger.AckAll(r.sys)
 	return nil
 }
 
-// tolerate classifies a command error under adversarial conditions:
-// raced-moot refusals and wedged-store rejections are part of the
-// scenario; anything else is a soak failure.
-func (r *runner) tolerate(err error) error {
+// tolerate accepts the two refusals the soak predicts and no other:
+// ErrWedged while a fault window is open or a crash is armed, and
+// ErrSuspended when the item's instance was suspended as it was picked.
+// An error with Applied set is counted in Unacked either way.
+func (r *runner) tolerate(err error, suspended bool) error {
 	if err == nil {
 		return nil
 	}
@@ -407,35 +378,14 @@ func (r *runner) tolerate(err error) error {
 	if errors.As(err, &e) && e.Applied {
 		r.res.Unacked++
 	}
-	if errors.Is(err, adept2.ErrWedged) {
+	switch {
+	case errors.Is(err, adept2.ErrWedged) && (r.faultCloseAt != 0 || r.crashArmed):
 		r.res.WedgedSubmits++
 		return nil
-	}
-	if errors.Is(err, adept2.ErrConflict) || errors.Is(err, adept2.ErrNotFound) ||
-		errors.Is(err, adept2.ErrCompleted) || errors.Is(err, adept2.ErrSuspended) ||
-		errors.Is(err, adept2.ErrNotCompliant) || errors.Is(err, adept2.ErrInvalid) {
+	case errors.Is(err, adept2.ErrSuspended) && suspended:
 		return nil
 	}
-	return err
-}
-
-// ackNow records the acknowledged state of an instance after a
-// successful mutation.
-func (r *runner) ackNow(instID string) {
-	inst, ok := r.sys.Instance(instID)
-	if !ok {
-		return
-	}
-	r.ackHist[instID] = inst.HistoryLen()
-	if inst.Done() {
-		r.ackDone[instID] = true
-	}
-}
-
-func (r *runner) ackAll() {
-	for _, inst := range r.sys.Instances() {
-		r.ackNow(inst.ID())
-	}
+	return fmt.Errorf("unpredicted refusal: %w", err)
 }
 
 func (r *runner) run(ctx context.Context) error {
@@ -444,56 +394,64 @@ func (r *runner) run(ctx context.Context) error {
 			return err
 		}
 		r.res.Steps = step
-		r.clock.Advance(time.Duration(1+r.rng.Intn(5)) * time.Second)
+		if err := r.step(ctx, step); err != nil {
+			return fmt.Errorf("sim: soak seed %d step %d: %w", r.cfg.Seed, step, err)
+		}
+	}
+	return nil
+}
 
-		if r.crashArmed && r.ffs.Crashed() {
-			if err := r.reopenAfterCrash(ctx); err != nil {
-				return fmt.Errorf("sim: soak step %d: crash recovery: %w", step, err)
-			}
+// step runs one driver step: crash recovery and fault management, the top-up,
+// one user action, and the timer work, change, reopen or check due now.
+func (r *runner) step(ctx context.Context, step int) error {
+	r.clock.Advance(time.Duration(1+r.rng.Intn(5)) * time.Second)
+	if r.crashArmed && r.ffs.Crashed() {
+		if err := r.reopenAfterCrash(); err != nil {
+			return fmt.Errorf("crash recovery: %w", err)
 		}
-		if err := r.manageFaults(ctx, step); err != nil {
-			return fmt.Errorf("sim: soak step %d: %w", step, err)
+	}
+	if err := r.manageFaults(ctx, step); err != nil {
+		return err
+	}
+	if err := r.topUpInstances(ctx); err != nil {
+		return fmt.Errorf("create: %w", err)
+	}
+	if err := r.userAction(ctx); err != nil {
+		return fmt.Errorf("action: %w", err)
+	}
+	if r.cfg.DeadlineStorm && step%211 == 0 {
+		r.clock.Advance(10 * time.Minute)
+	}
+	if step%sweepEvery == 0 {
+		if err := r.sweep(ctx); err != nil {
+			return fmt.Errorf("sweep: %w", err)
 		}
-		if err := r.topUpInstances(ctx); err != nil {
-			return fmt.Errorf("sim: soak step %d: create: %w", step, err)
+	}
+	if r.cfg.EvolveEvery > 0 && step%r.cfg.EvolveEvery == 0 {
+		if err := r.evolve(ctx); err != nil {
+			return fmt.Errorf("evolve: %w", err)
 		}
-		if err := r.userAction(ctx); err != nil {
-			return fmt.Errorf("sim: soak step %d: action: %w", step, err)
+	}
+	if r.cfg.AdHocEvery > 0 && step%r.cfg.AdHocEvery == 0 {
+		if err := r.adHoc(ctx); err != nil {
+			return fmt.Errorf("adhoc: %w", err)
 		}
-		if r.cfg.DeadlineStorm && step%211 == 0 {
-			r.clock.Advance(10 * time.Minute)
+	}
+	if r.cfg.ReopenEvery > 0 && step%r.cfg.ReopenEvery == 0 &&
+		!r.crashArmed && r.faultCloseAt == 0 {
+		if err := r.reopenClean(); err != nil {
+			return fmt.Errorf("reopen: %w", err)
 		}
-		if step%r.cfg.SweepEvery == 0 {
-			if err := r.sweep(ctx); err != nil {
-				return fmt.Errorf("sim: soak step %d: sweep: %w", step, err)
-			}
+	}
+	if step%50 == 0 {
+		if err := r.checkInvariants(); err != nil {
+			return err
 		}
-		if r.cfg.EvolveEvery > 0 && step%r.cfg.EvolveEvery == 0 {
-			if err := r.evolve(ctx); err != nil {
-				return fmt.Errorf("sim: soak step %d: evolve: %w", step, err)
-			}
+		if err := r.checkMetrics(); err != nil {
+			return err
 		}
-		if r.cfg.AdHocEvery > 0 && step%r.cfg.AdHocEvery == 0 {
-			if err := r.adHoc(ctx); err != nil {
-				return fmt.Errorf("sim: soak step %d: adhoc: %w", step, err)
-			}
-		}
-		if r.cfg.ReopenEvery > 0 && step%r.cfg.ReopenEvery == 0 &&
-			!r.crashArmed && r.faultCloseAt == 0 {
-			if err := r.reopenClean(ctx); err != nil {
-				return fmt.Errorf("sim: soak step %d: reopen: %w", step, err)
-			}
-		}
-		if step%50 == 0 {
-			if err := r.checkInvariants(); err != nil {
-				return fmt.Errorf("sim: soak step %d: %w", step, err)
-			}
-			if err := r.checkMetrics(); err != nil {
-				return fmt.Errorf("sim: soak step %d: %w", step, err)
-			}
-			if err := r.checkMining(ctx); err != nil {
-				return fmt.Errorf("sim: soak step %d: %w", step, err)
-			}
+		if err := r.checkMining(ctx); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -529,25 +487,25 @@ func (r *runner) manageFaults(ctx context.Context, step int) error {
 	return nil
 }
 
-func (r *runner) topUpInstances(ctx context.Context) error {
-	live := 0
+// unfinished returns the instances that have not reached their end node.
+func (r *runner) unfinished() []*adept2.Instance {
+	var out []*adept2.Instance
 	for _, inst := range r.sys.Instances() {
 		if !inst.Done() {
-			live++
+			out = append(out, inst)
 		}
 	}
-	for live < r.cfg.Instances {
+	return out
+}
+
+func (r *runner) topUpInstances(ctx context.Context) error {
+	for live := len(r.unfinished()); live < r.cfg.Instances; live++ {
 		res, err := r.sys.Submit(ctx, &adept2.CreateInstance{TypeName: "soak_order"})
 		if err != nil {
-			var e *adept2.Error
-			if errors.As(err, &e) && e.Applied { // applied, then wedged before the acknowledgement
-				r.unackedCreates++
-			}
-			return r.tolerate(err)
+			return r.tolerate(err, false)
 		}
 		r.res.Created++
-		r.ackNow(res.(*adept2.Instance).ID())
-		live++
+		r.ledger.Ack(r.sys, res.(*adept2.Instance).ID())
 	}
 	return nil
 }
@@ -555,6 +513,7 @@ func (r *runner) topUpInstances(ctx context.Context) error {
 // userAction performs one random worklist action: start, complete, or
 // fail an offered/running activity on behalf of a random user.
 func (r *runner) userAction(ctx context.Context) error {
+	users := r.sys.Org().Users()
 	user := users[r.rng.Intn(len(users))]
 	items := r.sys.WorkItems(user)
 	if len(items) == 0 {
@@ -565,17 +524,17 @@ func (r *runner) userAction(ctx context.Context) error {
 	if !ok {
 		return nil
 	}
-	running := inst.NodeState(it.Node) == state.Running
+	running, suspended := inst.NodeState(it.Node) == state.Running, inst.Suspended()
 	switch {
 	case running && r.rng.Float64() < r.cfg.FailProb:
 		err := r.sys.Fail(ctx, it.Instance, it.Node, user,
 			fmt.Sprintf("injected failure #%d", r.res.Failures+1))
-		if terr := r.tolerate(err); terr != nil {
+		if terr := r.tolerate(err, suspended); terr != nil {
 			return terr
 		}
 		if err == nil {
 			r.res.Failures++
-			r.ackNow(it.Instance)
+			r.ledger.Ack(r.sys, it.Instance)
 			// Classify the observed compensation: the policy's skip
 			// deletes the node from the instance view; its suspend
 			// freezes the instance.
@@ -587,11 +546,11 @@ func (r *runner) userAction(ctx context.Context) error {
 		}
 	case !running && r.rng.Float64() < 0.35:
 		_, err := r.sys.Submit(ctx, &adept2.StartActivity{Instance: it.Instance, Node: it.Node, User: user})
-		if terr := r.tolerate(err); terr != nil {
+		if terr := r.tolerate(err, suspended); terr != nil {
 			return terr
 		}
 		if err == nil {
-			r.ackNow(it.Instance)
+			r.ledger.Ack(r.sys, it.Instance)
 		}
 	default:
 		return r.complete(ctx, it, inst, user)
@@ -599,15 +558,17 @@ func (r *runner) userAction(ctx context.Context) error {
 	return nil
 }
 
-// complete completes the item's activity and counts what was acknowledged.
+// complete completes the item's activity, just picked, and counts what
+// was acknowledged.
 func (r *runner) complete(ctx context.Context, it *adept2.WorkItem, inst *adept2.Instance, user string) error {
+	suspended := inst.Suspended()
 	_, err := r.sys.Submit(ctx, &adept2.CompleteActivity{
 		Instance: it.Instance, Node: it.Node, User: user, Outputs: r.outputsFor(inst, it.Node)})
 	if err != nil {
-		return r.tolerate(err)
+		return r.tolerate(err, suspended)
 	}
 	r.res.Activities++
-	r.ackNow(it.Instance)
+	r.ledger.Ack(r.sys, it.Instance)
 	if inst.Done() {
 		r.res.Finished++
 	}
@@ -615,9 +576,8 @@ func (r *runner) complete(ctx context.Context, it *adept2.WorkItem, inst *adept2
 }
 
 func (r *runner) outputsFor(inst *adept2.Instance, node string) map[string]any {
-	v := inst.View()
 	var out map[string]any
-	for _, de := range v.DataEdgesOf(node) {
+	for _, de := range inst.View().DataEdgesOf(node) {
 		if de.Access != model.Write {
 			continue
 		}
@@ -632,12 +592,7 @@ func (r *runner) outputsFor(inst *adept2.Instance, node string) map[string]any {
 func (r *runner) sweep(ctx context.Context) error {
 	rep, err := r.sys.SweepDeadlines(ctx, r.clock.Now())
 	if err != nil {
-		// The sweep aborts on a wedged store — expected inside a fault
-		// window.
-		if errors.Is(err, adept2.ErrWedged) {
-			return r.tolerate(err)
-		}
-		return err
+		return r.tolerate(err, false) // a wedged store aborts the sweep
 	}
 	if len(rep.Errors) > 0 {
 		return fmt.Errorf("sweep reported %d errors, first: %w", len(rep.Errors), rep.Errors[0])
@@ -646,7 +601,7 @@ func (r *runner) sweep(ctx context.Context) error {
 	r.res.Retries += rep.Retries
 	r.res.Compensations += rep.Compensated
 	if rep.Timeouts+rep.Retries+rep.Compensated > 0 {
-		r.ackAll()
+		r.ledger.AckAll(r.sys)
 	}
 	return nil
 }
@@ -676,19 +631,19 @@ func (r *runner) evolve(ctx context.Context) error {
 		Succ: "archive",
 	}}
 	_, err := r.sys.Submit(ctx, &adept2.Evolve{TypeName: "soak_order", Ops: ops})
-	if terr := r.tolerate(err); terr != nil {
+	if terr := r.tolerate(err, false); terr != nil {
 		return terr
 	}
 	if err == nil {
 		r.res.Evolutions++
-		r.ackAll()
+		r.ledger.AckAll(r.sys)
 	}
 	return nil
 }
 
 // adHoc deletes a random still-activated skippable activity of a random
 // live instance (the user-initiated flavor of the policy's skip
-// compensation). Rejections are part of the experiment.
+// compensation).
 func (r *runner) adHoc(ctx context.Context) error {
 	insts := r.sys.Instances()
 	if len(insts) == 0 {
@@ -709,44 +664,36 @@ func (r *runner) adHoc(ctx context.Context) error {
 	}
 	node := candidates[r.rng.Intn(len(candidates))]
 	_, err := r.sys.Submit(ctx, &adept2.AdHoc{Instance: inst.ID(), Ops: []adept2.Operation{&adept2.DeleteActivity{ID: node}}})
-	if terr := r.tolerate(err); terr != nil {
+	if terr := r.tolerate(err, false); terr != nil {
 		return terr
 	}
 	if err == nil {
 		r.res.AdHocs++
-		r.ackNow(inst.ID())
+		r.ledger.Ack(r.sys, inst.ID())
 	}
 	return nil
 }
 
 // reopenClean closes the system and reopens it from disk, asserting the
 // recovered state is byte-identical to the live state it replaced.
-func (r *runner) reopenClean(ctx context.Context) error {
-	want := summarize(r.sys)
+func (r *runner) reopenClean() error {
+	want := sim.Summary(r.sys)
 	if err := r.sys.Close(); err != nil {
 		return fmt.Errorf("close: %w", err)
 	}
 	if err := r.open(); err != nil {
 		return fmt.Errorf("open: %w", err)
 	}
-	got := summarize(r.sys)
-	if want != got {
-		return fmt.Errorf("recovered state diverges from live state:\n%s", summaryDiff(want, got))
+	if d := sim.Diff(want, sim.Summary(r.sys)); d != "" {
+		return fmt.Errorf("recovered state diverges from live state:\n%s", d)
 	}
-	if err := r.checkInvariants(); err != nil {
-		return fmt.Errorf("after reopen: %w", err)
-	}
-	r.ackAll()
 	r.res.Reopens++
 	return nil
 }
 
 // reopenAfterCrash recovers from a tripped crash script and asserts no
-// acknowledged write was lost: every instance whose mutation was
-// acknowledged still exists with at least the acknowledged history
-// length (history only appends), and acknowledged completions stay
-// completed.
-func (r *runner) reopenAfterCrash(ctx context.Context) error {
+// acknowledged write was lost (Ledger.Check).
+func (r *runner) reopenAfterCrash() error {
 	_ = r.sys.Close() // the crashed store may refuse a clean close
 	r.ffs.ClearCrash()
 	r.ffs.SetScript(nil)
@@ -754,26 +701,9 @@ func (r *runner) reopenAfterCrash(ctx context.Context) error {
 	if err := r.open(); err != nil {
 		return fmt.Errorf("open after crash: %w", err)
 	}
-	for id, n := range r.ackHist {
-		inst, ok := r.sys.Instance(id)
-		if !ok {
-			return fmt.Errorf("acknowledged instance %s lost in crash", id)
-		}
-		if got := inst.HistoryLen(); got < n {
-			return fmt.Errorf("instance %s lost acknowledged history: %d < %d", id, got, n)
-		}
-		if r.ackDone[id] && !inst.Done() {
-			return fmt.Errorf("instance %s lost acknowledged completion", id)
-		}
+	if err := r.ledger.Check(r.sys); err != nil {
+		return err
 	}
-	if err := r.checkInvariants(); err != nil {
-		return fmt.Errorf("after crash recovery: %w", err)
-	}
-	// Unacknowledged suffixes may have survived; rebase the
-	// acknowledged baseline on what actually recovered.
-	r.ackHist = make(map[string]int)
-	r.ackDone = make(map[string]bool)
-	r.ackAll()
 	r.res.Crashes++
 	return nil
 }
@@ -788,58 +718,47 @@ func (r *runner) drain(ctx context.Context) error {
 			return err
 		}
 		r.clock.Advance(45 * time.Second)
-		for _, inst := range r.sys.Instances() {
-			if inst.Done() {
-				continue
-			}
+		for _, inst := range r.unfinished() {
 			if inst.Suspended() {
 				_, err := r.sys.Submit(ctx, &adept2.Resume{Instance: inst.ID()})
-				if err := r.tolerate(err); err != nil {
-					return fmt.Errorf("sim: drain resume %s: %w", inst.ID(), err)
+				if err := r.tolerate(err, false); err != nil {
+					return fmt.Errorf("resume %s: %w", inst.ID(), err)
 				}
 			}
 			for _, node := range inst.View().NodeIDs() {
 				if inst.PendingCompensation(node) {
 					_, err := r.sys.Submit(ctx, &adept2.RetryActivity{
-						Instance: inst.ID(), Node: node, At: r.clock.nanos(),
+						Instance: inst.ID(), Node: node, At: r.clock.t,
 					})
-					if terr := r.tolerate(err); terr != nil {
-						return fmt.Errorf("sim: drain retry %s/%s: %w", inst.ID(), node, terr)
+					if terr := r.tolerate(err, false); terr != nil {
+						return fmt.Errorf("retry %s/%s: %w", inst.ID(), node, terr)
 					}
 				}
 			}
 		}
 		if err := r.sweep(ctx); err != nil {
-			return fmt.Errorf("sim: drain: %w", err)
+			return err
 		}
-		for _, user := range users {
+		for _, user := range r.sys.Org().Users() {
 			for _, it := range r.sys.WorkItems(user) {
 				inst, ok := r.sys.Instance(it.Instance)
 				if !ok {
 					continue
 				}
 				if err := r.complete(ctx, it, inst, user); err != nil {
-					return fmt.Errorf("sim: drain complete %s/%s: %w", it.Instance, it.Node, err)
+					return fmt.Errorf("complete %s/%s: %w", it.Instance, it.Node, err)
 				}
 			}
 		}
-		stuck := 0
-		for _, inst := range r.sys.Instances() {
-			if !inst.Done() {
-				stuck++
-			}
-		}
-		if stuck == 0 {
+		if len(r.unfinished()) == 0 {
 			return nil
 		}
 	}
 	var stuck []string
-	for _, inst := range r.sys.Instances() {
-		if !inst.Done() {
-			stuck = append(stuck, fmt.Sprintf("%s(susp=%v)", inst.ID(), inst.Suspended()))
-		}
+	for _, inst := range r.unfinished() {
+		stuck = append(stuck, fmt.Sprintf("%s(susp=%v)", inst.ID(), inst.Suspended()))
 	}
-	return fmt.Errorf("sim: drain: %d instances never finished: %s", len(stuck), strings.Join(stuck, " "))
+	return fmt.Errorf("%d instances never finished: %s", len(stuck), strings.Join(stuck, " "))
 }
 
 // checkMetrics reconciles the telemetry plane against ground truth of
@@ -871,9 +790,7 @@ func (r *runner) checkMetrics() error {
 	var appends, growth int64
 	for _, sh := range snap.Shards {
 		appends += sh.Appends
-		if sh.Shard < len(r.baseSeqs) {
-			growth += int64(sh.Seq - r.baseSeqs[sh.Shard])
-		}
+		growth += int64(sh.Seq - r.baseSeqs[sh.Shard])
 	}
 	if appends > growth {
 		return fmt.Errorf("metrics invariant: %d appends counted but journals grew by %d", appends, growth)
@@ -941,6 +858,14 @@ func (r *runner) checkMining(ctx context.Context) error {
 func (r *runner) checkInvariants() error {
 	wl := r.sys.Engine().Worklist()
 	for _, inst := range r.sys.Instances() {
+		for _, it := range wl.ItemsForInstance(inst.ID()) {
+			if inst.Done() {
+				return fmt.Errorf("invariant: phantom work item %s on completed %s", it.ID, inst.ID())
+			}
+			if st := inst.NodeState(it.Node); st != state.Activated && st != state.Running {
+				return fmt.Errorf("invariant: work item %s for %s/%s in state %s", it.ID, inst.ID(), it.Node, st)
+			}
+		}
 		if inst.Done() {
 			continue
 		}
@@ -976,68 +901,5 @@ func (r *runner) checkInvariants() error {
 			return fmt.Errorf("invariant: instance %s is wedged (live, nothing activated or running)", inst.ID())
 		}
 	}
-	for _, inst := range r.sys.Instances() {
-		for _, it := range wl.ItemsForInstance(inst.ID()) {
-			if inst.Done() {
-				return fmt.Errorf("invariant: phantom work item %s on completed %s", it.ID, inst.ID())
-			}
-			if st := inst.NodeState(it.Node); st != state.Activated && st != state.Running {
-				return fmt.Errorf("invariant: work item %s for %s/%s in state %s", it.ID, inst.ID(), it.Node, st)
-			}
-		}
-	}
 	return nil
-}
-
-// summarize renders the complete observable state of a system into a
-// deterministic string: per-instance flags, per-node marking and
-// exception state (deadlines, retry backoffs, failure counts,
-// escalations, pending compensations), history lengths, and every
-// user's worklist. Two systems with equal summaries are
-// indistinguishable to every public API the soak exercises.
-func summarize(sys *adept2.System) string {
-	var b strings.Builder
-	for _, inst := range sys.Instances() {
-		fmt.Fprintf(&b, "%s type=%s v=%d done=%v susp=%v hist=%d migr=%d\n",
-			inst.ID(), inst.TypeName(), inst.Version(), inst.Done(), inst.Suspended(),
-			inst.HistoryLen(), inst.Migrations())
-		v := inst.View()
-		for _, id := range v.NodeIDs() {
-			dl, _ := inst.Deadline(id)
-			ra, _ := inst.RetryDue(id)
-			fmt.Fprintf(&b, "  %s st=%s dl=%d ra=%d f=%d esc=%v cp=%v\n",
-				id, inst.NodeState(id), dl, ra, inst.FailureCount(id),
-				inst.Escalated(id), inst.PendingCompensation(id))
-		}
-	}
-	for _, user := range users {
-		for _, it := range sys.WorkItems(user) {
-			fmt.Fprintf(&b, "wl %s %s role=%s state=%s claimed=%s\n",
-				user, it.ID, it.Role, it.State, it.ClaimedBy)
-		}
-	}
-	return b.String()
-}
-
-// summaryDiff returns the first few differing lines of two summaries.
-func summaryDiff(want, got string) string {
-	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
-	var out []string
-	for i := 0; i < len(w) || i < len(g); i++ {
-		var lw, lg string
-		if i < len(w) {
-			lw = w[i]
-		}
-		if i < len(g) {
-			lg = g[i]
-		}
-		if lw != lg {
-			out = append(out, fmt.Sprintf("-%s\n+%s", lw, lg))
-			if len(out) >= 8 {
-				out = append(out, "…")
-				break
-			}
-		}
-	}
-	return strings.Join(out, "\n")
 }

@@ -19,88 +19,49 @@ import (
 	"adept2/internal/vfs"
 )
 
+// mustSubmit submits cmds in order, fails the test on a refusal, and
+// returns the last result.
+func mustSubmit(t *testing.T, sys *adept2.System, cmds ...adept2.Command) any {
+	t.Helper()
+	var res any
+	for _, cmd := range cmds {
+		var err error
+		if res, err = sys.Submit(context.Background(), cmd); err != nil {
+			t.Fatalf("%s: %v", cmd.CommandName(), err)
+		}
+	}
+	return res
+}
+
 // runPrefix drives a deterministic scenario through the facade: deploy,
 // two instances, progress on the first, a bias on the second, an
 // evolution. Returns the IDs of the created instances.
 func runPrefix(t *testing.T, sys *adept2.System) (string, string) {
 	t.Helper()
-	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "online_order"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	i1 := res.(*adept2.Instance)
-	res, err = sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "online_order"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	i2 := res.(*adept2.Instance)
-	for _, step := range []struct{ node, user string }{
-		{"get_order", "ann"}, {"collect_data", "ann"}, {"compose_order", "bob"},
-	} {
-		var out map[string]any
-		if step.node == "get_order" {
-			out = map[string]any{"out": "o1"}
-		}
-		if _, err := sys.Submit(context.Background(), &adept2.CompleteActivity{Instance: i1.ID(), Node: step.node, User: step.user, Outputs: out}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := sys.Submit(context.Background(), &adept2.AdHoc{Instance: i2.ID(), Ops: sim.OnlineOrderBiasI2()}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Submit(context.Background(), &adept2.Evolve{TypeName: "online_order", Ops: sim.OnlineOrderTypeChange()}); err != nil {
-		t.Fatal(err)
-	}
-	return i1.ID(), i2.ID()
+	mustSubmit(t, sys, &adept2.Deploy{Schema: sim.OnlineOrder()})
+	i1 := mustSubmit(t, sys, &adept2.CreateInstance{TypeName: "online_order"}).(*adept2.Instance).ID()
+	i2 := mustSubmit(t, sys, &adept2.CreateInstance{TypeName: "online_order"}).(*adept2.Instance).ID()
+	mustSubmit(t, sys,
+		&adept2.CompleteActivity{Instance: i1, Node: "get_order", User: "ann", Outputs: map[string]any{"out": "o1"}},
+		&adept2.CompleteActivity{Instance: i1, Node: "collect_data", User: "ann"},
+		&adept2.CompleteActivity{Instance: i1, Node: "compose_order", User: "bob"},
+		&adept2.AdHoc{Instance: i2, Ops: sim.OnlineOrderBiasI2()},
+		&adept2.Evolve{TypeName: "online_order", Ops: sim.OnlineOrderTypeChange()})
+	return i1, i2
 }
 
 // runSuffix appends a few more commands past a checkpoint.
 func runSuffix(t *testing.T, sys *adept2.System, i1 string) {
 	t.Helper()
-	if _, err := sys.Submit(context.Background(), &adept2.CompleteActivity{Instance: i1, Node: "send_questions", User: "ann"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Submit(context.Background(), &adept2.Suspend{Instance: i1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Submit(context.Background(), &adept2.Resume{Instance: i1}); err != nil {
-		t.Fatal(err)
-	}
+	mustSubmit(t, sys, &adept2.CompleteActivity{Instance: i1, Node: "send_questions", User: "ann"},
+		&adept2.Suspend{Instance: i1}, &adept2.Resume{Instance: i1})
 }
 
-// assertSameState compares the externally observable state of two systems.
+// assertSameState fails unless two systems summarize alike (sim.Summary).
 func assertSameState(t *testing.T, want, got *adept2.System) {
 	t.Helper()
-	wi, gi := want.Instances(), got.Instances()
-	if len(wi) != len(gi) {
-		t.Fatalf("instance count: %d != %d", len(wi), len(gi))
-	}
-	for i := range wi {
-		w, g := wi[i], gi[i]
-		if w.ID() != g.ID() || w.Version() != g.Version() || w.Done() != g.Done() ||
-			w.Biased() != g.Biased() || w.Suspended() != g.Suspended() {
-			t.Fatalf("instance %s flags differ (%d/%d, done %v/%v)", w.ID(), w.Version(), g.Version(), w.Done(), g.Done())
-		}
-		wv, gv := w.View(), g.View()
-		for _, id := range wv.NodeIDs() {
-			if ws, gs := w.NodeState(id), g.NodeState(id); ws != gs {
-				t.Fatalf("instance %s node %s: %s != %s", w.ID(), id, ws, gs)
-			}
-		}
-		if len(wv.NodeIDs()) != len(gv.NodeIDs()) {
-			t.Fatalf("instance %s view size differs", w.ID())
-		}
-		if len(w.HistoryEvents()) != len(g.HistoryEvents()) {
-			t.Fatalf("instance %s history differs", w.ID())
-		}
-	}
-	for _, user := range []string{"ann", "bob"} {
-		if len(want.WorkItems(user)) != len(got.WorkItems(user)) {
-			t.Fatalf("worklist of %s differs", user)
-		}
+	if d := sim.Diff(sim.Summary(want), sim.Summary(got)); d != "" {
+		t.Fatalf("states differ:\n%s", d)
 	}
 }
 
@@ -111,6 +72,7 @@ func fullReplay(t testing.TB) adept2.Option {
 	return adept2.WithCheckpointing(adept2.CheckpointConfig{Every: -1, Dir: t.TempDir()})
 }
 
+// openCheckpointed opens the journal at path with the Fig. 1 org and cfg.
 func openCheckpointed(t *testing.T, path string, cfg adept2.CheckpointConfig) *adept2.System {
 	t.Helper()
 	sys, err := adept2.Open(path, adept2.WithOrg(sim.Org()), adept2.WithCheckpointing(cfg))
@@ -463,9 +425,7 @@ func TestRecoveryEmptyJournalWithSnapshot(t *testing.T) {
 	if info.FullReplay || info.SnapshotSeq != snapSeq || info.Replayed != 0 {
 		t.Fatalf("empty journal + snapshot: %+v", info)
 	}
-	if got, ok := empty.Instance(i1); !ok || got.NodeState("confirm_order") == 0 {
-		t.Fatalf("state lost across empty-journal recovery")
-	}
+	assertSameState(t, full, empty)
 }
 
 // TestRecoveryRejectsSnapshotNewerThanJournal: a snapshot claiming a
@@ -635,11 +595,9 @@ func TestClaimsSurviveSnapshotRecovery(t *testing.T) {
 	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "online_order"})
-	if err != nil {
+	if _, err := sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "online_order"}); err != nil {
 		t.Fatal(err)
 	}
-	inst := res.(*adept2.Instance)
 	items := sys.WorkItems("ann")
 	if len(items) == 0 {
 		t.Fatal("no work items")
@@ -656,11 +614,7 @@ func TestClaimsSurviveSnapshotRecovery(t *testing.T) {
 
 	rec := openCheckpointed(t, path, cfg)
 	defer rec.Close()
-	got := rec.WorkItems("ann")
-	if len(got) != 1 || got[0].ID != items[0].ID || got[0].ClaimedBy != "ann" {
-		t.Fatalf("claim lost: %+v", got)
-	}
-	_ = inst
+	assertSameState(t, sys, rec) // the summary renders every item's claimant
 }
 
 // TestFailedRestoreDoesNotPoisonFallback: a snapshot that passes checksum
@@ -674,7 +628,7 @@ func TestFailedRestoreDoesNotPoisonFallback(t *testing.T) {
 	cfg := adept2.CheckpointConfig{Every: -1, Dir: filepath.Join(dir, "snaps")}
 
 	sys := openCheckpointed(t, path, cfg)
-	i1, _ := runPrefix(t, sys) // includes a biased instance
+	runPrefix(t, sys) // includes a biased instance
 	if _, _, err := sys.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -720,9 +674,7 @@ func TestFailedRestoreDoesNotPoisonFallback(t *testing.T) {
 	if !info.FullReplay || len(info.Fallbacks) == 0 || !strings.Contains(strings.Join(info.Fallbacks, "\n"), "re-apply bias") {
 		t.Fatalf("expected clean full-replay fallback from a failed restore, got %+v", info)
 	}
-	if _, ok := rec.Instance(i1); !ok {
-		t.Fatal("state missing after fallback")
-	}
+	assertSameState(t, sys, rec)
 }
 
 // TestV1SnapshotPartFallsBack: a v1 (raw) snapshot container, which only a
@@ -735,7 +687,7 @@ func TestV1SnapshotPartFallsBack(t *testing.T) {
 	cfg := adept2.CheckpointConfig{Every: -1, Dir: filepath.Join(dir, "snaps")}
 
 	sys := openCheckpointed(t, path, cfg)
-	i1, i2 := runPrefix(t, sys)
+	runPrefix(t, sys)
 	if _, _, err := sys.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -775,9 +727,5 @@ func TestV1SnapshotPartFallsBack(t *testing.T) {
 	if !info.FullReplay || !strings.Contains(strings.Join(info.Fallbacks, "\n"), "container format 1") {
 		t.Fatalf("expected a full-replay fallback naming container format 1, got %+v", info)
 	}
-	for _, id := range []string{i1, i2} {
-		if _, ok := rec.Instance(id); !ok {
-			t.Fatalf("instance %s missing after the fallback", id)
-		}
-	}
+	assertSameState(t, sys, rec)
 }

@@ -80,7 +80,7 @@ func TestRegistryAgrees(t *testing.T) {
 		}},
 		{"replayed", func(t *testing.T) (*adept2.Engine, []string) {
 			path := filepath.Join(t.TempDir(), "wal.ndjson")
-			sys := openSharded(t, path, shardedCfg())
+			sys := openCheckpointed(t, path, shardedCfg())
 			ids := fillRegistry(t, sys)
 			if err := sys.Close(); err != nil {
 				t.Fatal(err)

@@ -24,15 +24,6 @@ func shardedCfg() adept2.CheckpointConfig {
 	return adept2.CheckpointConfig{Shards: 4, Every: -1}
 }
 
-func openSharded(t *testing.T, path string, cfg adept2.CheckpointConfig) *adept2.System {
-	t.Helper()
-	sys, err := adept2.Open(path, adept2.WithOrg(sim.Org()), adept2.WithCheckpointing(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sys
-}
-
 // reference replays the canonical scenario on an in-memory system for
 // state comparison.
 func reference(t *testing.T, suffix bool) *adept2.System {
@@ -50,7 +41,7 @@ func reference(t *testing.T, suffix bool) *adept2.System {
 // merged replay.
 func TestShardedRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
-	sys := openSharded(t, path, shardedCfg())
+	sys := openCheckpointed(t, path, shardedCfg())
 	i1, _ := runPrefix(t, sys)
 	runSuffix(t, sys, i1)
 	if err := sys.Close(); err != nil {
@@ -69,7 +60,7 @@ func TestShardedRoundTrip(t *testing.T) {
 		t.Fatal("no data shard received records")
 	}
 
-	got := openSharded(t, path, shardedCfg())
+	got := openCheckpointed(t, path, shardedCfg())
 	defer got.Close()
 	info := got.Recovery()
 	if !info.FullReplay || info.Shards != 4 {
@@ -96,7 +87,7 @@ func eachShardCount(t *testing.T, fn func(t *testing.T, cfg adept2.CheckpointCon
 func TestShardedCheckpointSuffixRecovery(t *testing.T) {
 	eachShardCount(t, func(t *testing.T, cfg adept2.CheckpointConfig) {
 		path := filepath.Join(t.TempDir(), "wal.ndjson")
-		sys := openSharded(t, path, cfg)
+		sys := openCheckpointed(t, path, cfg)
 		i1, _ := runPrefix(t, sys)
 		preSeq := sys.JournalSeq()
 		if _, _, err := sys.Checkpoint(); err != nil {
@@ -108,7 +99,7 @@ func TestShardedCheckpointSuffixRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		got := openSharded(t, path, cfg)
+		got := openCheckpointed(t, path, cfg)
 		defer got.Close()
 		info := got.Recovery()
 		if info.FullReplay {
@@ -135,7 +126,7 @@ func TestShardedCheckpointSuffixRecovery(t *testing.T) {
 func TestShardedTornSnapshotFallsBackAGeneration(t *testing.T) {
 	eachShardCount(t, func(t *testing.T, cfg adept2.CheckpointConfig) {
 		path := filepath.Join(t.TempDir(), "wal.ndjson")
-		sys := openSharded(t, path, cfg)
+		sys := openCheckpointed(t, path, cfg)
 		i1, _ := runPrefix(t, sys)
 		if _, _, err := sys.Checkpoint(); err != nil { // generation 1
 			t.Fatal(err)
@@ -171,7 +162,7 @@ func TestShardedTornSnapshotFallsBackAGeneration(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		got := openSharded(t, path, cfg)
+		got := openCheckpointed(t, path, cfg)
 		defer got.Close()
 		info := got.Recovery()
 		if info.FullReplay {
@@ -193,7 +184,7 @@ func TestShardedTornSnapshotFallsBackAGeneration(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got2 := openSharded(t, path, cfg)
+		got2 := openCheckpointed(t, path, cfg)
 		defer got2.Close()
 		if !got2.Recovery().FullReplay {
 			t.Fatalf("expected full replay: %+v", got2.Recovery())
@@ -224,7 +215,7 @@ func dropLastLine(t *testing.T, path string) {
 // lands deterministically on the state just before the lost command.
 func TestShardedTornDataJournalTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
-	sys := openSharded(t, path, shardedCfg())
+	sys := openCheckpointed(t, path, shardedCfg())
 	i1, i2 := runPrefix(t, sys)
 	// Route one extra command to a non-control shard and then lose it.
 	victim, shard := i1, sharded.ShardOf(i1, 4)
@@ -243,7 +234,7 @@ func TestShardedTornDataJournalTail(t *testing.T) {
 	l := sharded.Layout{Base: path, Shards: 4}
 	dropLastLine(t, l.JournalPath(shard))
 
-	got := openSharded(t, path, shardedCfg())
+	got := openCheckpointed(t, path, shardedCfg())
 	defer got.Close()
 	inst, ok := got.Instance(victim)
 	if !ok {
@@ -261,7 +252,7 @@ func TestShardedTornDataJournalTail(t *testing.T) {
 // history.
 func TestShardedDanglingEpochRefuses(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
-	sys := openSharded(t, path, shardedCfg())
+	sys := openCheckpointed(t, path, shardedCfg())
 	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +298,7 @@ func TestShardedDanglingEpochRefuses(t *testing.T) {
 // authoritative; shard journals past it holding records refuse the open.
 func TestShardedCountMismatchRefuses(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
-	sys := openSharded(t, path, shardedCfg())
+	sys := openCheckpointed(t, path, shardedCfg())
 	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +409,7 @@ func TestReshardPreservesState(t *testing.T) {
 // live journal suffixes past its newest generation, then keep working.
 func TestReshardAfterSuffixOnSharded(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
-	sys := openSharded(t, path, shardedCfg())
+	sys := openCheckpointed(t, path, shardedCfg())
 	i1, _ := runPrefix(t, sys)
 	if _, _, err := sys.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -430,7 +421,7 @@ func TestReshardAfterSuffixOnSharded(t *testing.T) {
 	if err := adept2.Reshard(path, 2, adept2.WithOrg(sim.Org())); err != nil {
 		t.Fatal(err)
 	}
-	got := openSharded(t, path, adept2.CheckpointConfig{Shards: 2, Every: -1})
+	got := openCheckpointed(t, path, adept2.CheckpointConfig{Shards: 2, Every: -1})
 	defer got.Close()
 	assertSameState(t, reference(t, true), got)
 }
@@ -443,7 +434,7 @@ func TestReshardAfterSuffixOnSharded(t *testing.T) {
 func TestShardedConcurrentLoad(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
 	cfg := adept2.CheckpointConfig{Shards: 4, Every: 64}
-	sys := openSharded(t, path, cfg)
+	sys := openCheckpointed(t, path, cfg)
 	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
@@ -493,23 +484,12 @@ func TestShardedConcurrentLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got := openSharded(t, path, cfg)
+	got := openCheckpointed(t, path, cfg)
 	defer got.Close()
 	if got.JournalSeq() != total {
 		t.Fatalf("journal total %d after reopen, want %d", got.JournalSeq(), total)
 	}
-	if len(got.Instances()) != workers {
-		t.Fatalf("%d instances after reopen, want %d", len(got.Instances()), workers)
-	}
-	for _, id := range insts {
-		inst, ok := got.Instance(id)
-		if !ok || inst.Suspended() {
-			t.Fatalf("instance %s state wrong after reopen", id)
-		}
-	}
-	if _, ok := got.Org().User("u3"); !ok {
-		t.Fatal("journaled user lost")
-	}
+	assertSameState(t, sys, got)
 }
 
 // TestReshardRerunCompletesInterruptedShrink: a crash between the
@@ -519,7 +499,7 @@ func TestShardedConcurrentLoad(t *testing.T) {
 // finishes the job.
 func TestReshardRerunCompletesInterruptedShrink(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
-	sys := openSharded(t, path, shardedCfg())
+	sys := openCheckpointed(t, path, shardedCfg())
 	i1, _ := runPrefix(t, sys)
 	runSuffix(t, sys, i1)
 	if err := sys.Close(); err != nil {
@@ -633,7 +613,7 @@ func TestReshardFloorRefusesFullReplay(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "wal.ndjson")
-			sys := openSharded(t, path, adept2.CheckpointConfig{Shards: tc.from, Every: -1})
+			sys := openCheckpointed(t, path, adept2.CheckpointConfig{Shards: tc.from, Every: -1})
 			i1, _ := runPrefix(t, sys)
 			runSuffix(t, sys, i1)
 			if err := sys.Close(); err != nil {

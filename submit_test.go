@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -29,10 +28,7 @@ import (
 func TestSubmitBatchSemantics(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
 	cfg := adept2.CheckpointConfig{Every: -1}
-	sys, err := adept2.Open(path, adept2.WithOrg(sim.Org()), adept2.WithCheckpointing(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := openCheckpointed(t, path, cfg)
 	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
@@ -80,10 +76,7 @@ func TestSubmitBatchSemantics(t *testing.T) {
 
 	// Everything applied (including the batch prefix before the failure)
 	// must be durable and replayable.
-	got, err := adept2.Open(path, adept2.WithOrg(sim.Org()), adept2.WithCheckpointing(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := openCheckpointed(t, path, cfg)
 	defer got.Close()
 	assertSameState(t, sys, got)
 }
@@ -138,10 +131,7 @@ func TestSubmitBatchSingleFsync(t *testing.T) {
 func TestSubmitAsyncReceiptResolvesDurable(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
 	cfg := adept2.CheckpointConfig{Every: -1}
-	sys, err := adept2.Open(path, adept2.WithOrg(sim.Org()), adept2.WithCheckpointing(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := openCheckpointed(t, path, cfg)
 	defer sys.Close()
 	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
@@ -251,10 +241,7 @@ func TestPaginationMatchesFullListings(t *testing.T) {
 func TestPaginationSurvivesShardedRecovery(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.ndjson")
 	cfg := adept2.CheckpointConfig{Every: -1, Shards: 4}
-	sys, err := adept2.Open(path, adept2.WithOrg(sim.Org()), adept2.WithCheckpointing(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := openCheckpointed(t, path, cfg)
 	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
@@ -270,10 +257,7 @@ func TestPaginationSurvivesShardedRecovery(t *testing.T) {
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := adept2.Open(path, adept2.WithOrg(sim.Org()), adept2.WithCheckpointing(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := openCheckpointed(t, path, cfg)
 	defer got.Close()
 	var pageWalk []string
 	for cursor := ""; ; {
@@ -435,29 +419,6 @@ func measure(id string, x any, note string) adept2.Command {
 		Outputs: map[string]any{"x": x, "note": note}}
 }
 
-// sameData fails unless every instance of got holds the data of its
-// namesake in want, version for version.
-func sameData(t *testing.T, want, got *adept2.System) {
-	t.Helper()
-	for _, w := range want.Instances() {
-		g, ok := got.Instance(w.ID())
-		if !ok {
-			t.Fatalf("instance %s is gone", w.ID())
-		}
-		wd, err := json.Marshal(w.DataSnapshot())
-		if err != nil {
-			t.Fatal(err)
-		}
-		gd, err := json.Marshal(g.DataSnapshot())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(wd) != string(gd) {
-			t.Fatalf("instance %s holds %s, want %s", w.ID(), gd, wd)
-		}
-	}
-}
-
 // instanceOnShard creates measure instances until one routes to shard k of
 // an n-shard layout and returns it, its first step started.
 func instanceOnShard(t *testing.T, sys *adept2.System, k, n int) string {
@@ -553,8 +514,7 @@ func TestSubmitRefusesOutputsTheJournalCannotCarry(t *testing.T) {
 				t.Fatal(err)
 			}
 			id := instanceOnShard(t, sys, 0, 1)
-			inst, _ := sys.Instance(id)
-			events := len(inst.HistoryEvents())
+			before := sim.Summary(sys)
 			for _, out := range []struct {
 				x    any
 				note string
@@ -564,9 +524,8 @@ func TestSubmitRefusesOutputsTheJournalCannotCarry(t *testing.T) {
 				if !errors.Is(err, adept2.ErrInvalid) || !errors.As(err, &e) || e.Applied {
 					t.Fatalf("completion with x=%v note=%q: %v, want ErrInvalid not applied", out.x, out.note, err)
 				}
-				if inst.NodeState("a").String() != "running" || len(inst.HistoryEvents()) != events {
-					t.Fatalf("a refused completion moved the instance: a is %s, %d events, want running, %d",
-						inst.NodeState("a"), len(inst.HistoryEvents()), events)
+				if d := sim.Diff(before, sim.Summary(sys)); d != "" {
+					t.Fatalf("a refused completion with x=%v note=%q moved the system:\n%s", out.x, out.note, d)
 				}
 			}
 			if err := submit(sys, measure(id, 1.5, "fine")); err != nil {
@@ -578,7 +537,6 @@ func TestSubmitRefusesOutputsTheJournalCannotCarry(t *testing.T) {
 			got := open()
 			defer got.Close()
 			assertSameState(t, sys, got)
-			sameData(t, sys, got)
 		})
 	}
 }
@@ -604,8 +562,7 @@ func TestSubmitRefusesStringsTheJournalCannotCarry(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := instanceOnShard(t, sys, 0, 1)
-	inst, _ := sys.Instance(id)
-	events := len(inst.HistoryEvents())
+	before := sim.Summary(sys)
 
 	badSchema := func(typeName, activity, element string) *adept2.Schema {
 		b := adept2.NewBuilder(typeName)
@@ -642,15 +599,12 @@ func TestSubmitRefusesStringsTheJournalCannotCarry(t *testing.T) {
 		if !errors.Is(err, adept2.ErrInvalid) || !errors.As(err, &e) || e.Applied {
 			t.Errorf("%#v: %v, want ErrInvalid not applied", cmd, err)
 		}
-		if inst.NodeState("a").String() != "running" || len(inst.HistoryEvents()) != events || inst.Biased() {
-			t.Fatalf("a refused %T moved the instance", cmd)
+		if d := sim.Diff(before, sim.Summary(sys)); d != "" {
+			t.Fatalf("a refused %T moved the system:\n%s", cmd, d)
 		}
 	}
 	if _, ok := sys.Org().User("eve"); ok {
 		t.Fatal("a refused user was added")
-	}
-	if len(sys.Instances()) != 1 {
-		t.Fatalf("%d instances, want the one created before", len(sys.Instances()))
 	}
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
@@ -689,7 +643,6 @@ func TestSubmitKeepsAnOutputPast16MiB(t *testing.T) {
 	got := open()
 	defer got.Close()
 	assertSameState(t, sys, got)
-	sameData(t, sys, got)
 }
 
 // TestRefusedCompletionLeavesTheNodeActivated: completing a node that is
@@ -738,18 +691,17 @@ func TestRefusedCompletionLeavesTheNodeActivated(t *testing.T) {
 	inst := res.(*adept2.Instance)
 	refuse := func(node string, outputs map[string]any) {
 		t.Helper()
-		events, items := len(inst.HistoryEvents()), sys.WorkItems("ann")
+		before := sim.Summary(sys)
 		_, err := sys.Submit(ctx, &adept2.CompleteActivity{Instance: inst.ID(), Node: node, User: "ann", Outputs: outputs})
 		var e *adept2.Error
 		if !errors.Is(err, adept2.ErrInvalid) || !errors.As(err, &e) || e.Applied {
 			t.Fatalf("completion of %s with %v: %v, want ErrInvalid not applied", node, outputs, err)
 		}
-		if st := inst.NodeState(node).String(); st != "activated" || len(inst.HistoryEvents()) != events {
-			t.Fatalf("a refused completion of %s moved the instance: %s is %s, %d events, want activated, %d",
-				node, node, st, len(inst.HistoryEvents()), events)
+		if st := inst.NodeState(node).String(); st != "activated" {
+			t.Fatalf("a refused completion of %s left it %s, want activated", node, st)
 		}
-		if got := sys.WorkItems("ann"); !reflect.DeepEqual(got, items) {
-			t.Fatalf("a refused completion of %s changed ann's work items: %+v, want %+v", node, got, items)
+		if d := sim.Diff(before, sim.Summary(sys)); d != "" {
+			t.Fatalf("a refused completion of %s moved the system:\n%s", node, d)
 		}
 	}
 	refuse("a", map[string]any{})
@@ -766,7 +718,6 @@ func TestRefusedCompletionLeavesTheNodeActivated(t *testing.T) {
 	got := open()
 	defer got.Close()
 	assertSameState(t, sys, got)
-	sameData(t, sys, got)
 }
 
 // TestSubmitBatchKeepsStagedPrefix: a run of [valid, refused, valid]
@@ -819,7 +770,6 @@ func TestSubmitBatchKeepsStagedPrefix(t *testing.T) {
 			got := open()
 			defer got.Close()
 			assertSameState(t, sys, got)
-			sameData(t, sys, got)
 		})
 	}
 }

@@ -81,34 +81,7 @@ func TestSystemJournalRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "online_order"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	i1 := res.(*adept2.Instance)
-	res, err = sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "online_order"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	i2 := res.(*adept2.Instance)
-	if _, err := sys.Submit(context.Background(), &adept2.CompleteActivity{Instance: i1.ID(), Node: "get_order", User: "ann", Outputs: map[string]any{"out": "o1"}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Submit(context.Background(), &adept2.CompleteActivity{Instance: i1.ID(), Node: "collect_data", User: "ann"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Submit(context.Background(), &adept2.CompleteActivity{Instance: i1.ID(), Node: "compose_order", User: "bob"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Submit(context.Background(), &adept2.AdHoc{Instance: i2.ID(), Ops: sim.OnlineOrderBiasI2()}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Submit(context.Background(), &adept2.Evolve{TypeName: "online_order", Ops: sim.OnlineOrderTypeChange()}); err != nil {
-		t.Fatal(err)
-	}
+	i1, i2 := runPrefix(t, sys)
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -120,14 +93,9 @@ func TestSystemJournalRecovery(t *testing.T) {
 	}
 	defer sys2.Close()
 
-	r1, ok := sys2.Instance(i1.ID())
-	if !ok {
-		t.Fatal("i1 missing after recovery")
-	}
-	r2, ok := sys2.Instance(i2.ID())
-	if !ok {
-		t.Fatal("i2 missing after recovery")
-	}
+	assertSameState(t, sys, sys2)
+	r1, _ := sys2.Instance(i1)
+	r2, _ := sys2.Instance(i2)
 	// i1 migrated to v2 with adapted state.
 	if r1.Version() != 2 {
 		t.Fatalf("recovered i1 version = %d", r1.Version())
@@ -138,10 +106,6 @@ func TestSystemJournalRecovery(t *testing.T) {
 	// i2 kept its structural conflict on v1 with its bias.
 	if r2.Version() != 1 || !r2.Biased() {
 		t.Fatalf("recovered i2: version=%d biased=%v", r2.Version(), r2.Biased())
-	}
-	// Recovered histories match the originals.
-	if len(r1.HistoryEvents()) != len(i1.HistoryEvents()) {
-		t.Fatal("history length mismatch after recovery")
 	}
 	// Work continues seamlessly after recovery.
 	if _, err := sys2.Submit(context.Background(), &adept2.CompleteActivity{Instance: r1.ID(), Node: "send_questions", User: "ann"}); err != nil {

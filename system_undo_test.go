@@ -62,19 +62,7 @@ func TestSystemUndoAndSuspendJournaled(t *testing.T) {
 		t.Fatalf("recovery: %v", err)
 	}
 	defer sys2.Close()
-	r, ok := sys2.Instance(inst.ID())
-	if !ok {
-		t.Fatal("instance missing")
-	}
-	if r.Biased() {
-		t.Fatal("recovered instance should be unbiased")
-	}
-	if r.Suspended() {
-		t.Fatal("recovered instance should not be suspended")
-	}
-	if len(r.HistoryEvents()) != len(inst.HistoryEvents()) {
-		t.Fatal("history mismatch after recovery")
-	}
+	assertSameState(t, sys, sys2)
 	// Error paths through the facade.
 	if _, err := sys2.Submit(context.Background(), &adept2.Undo{Instance: "nope"}); err == nil {
 		t.Fatal("unknown instance undo must fail")
