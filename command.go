@@ -234,8 +234,9 @@ type wireField struct {
 }
 
 // fieldKind is what a member holds: one of the plain kinds, which the
-// plain decoder reads in place, or one of a completion's members only the
-// reference decodes.
+// plain decoder reads in place, a completion's decisions, which only the
+// reference decodes, or its outputs, read in place while they are plain
+// strings.
 type fieldKind uint8
 
 const (
@@ -303,8 +304,10 @@ func newWireForm[W any]() *wireForm[W] {
 }
 
 // codec is the form's codec; finish makes the command of a decoded W. The
-// plain decoder reads the string, integer and boolean members; args that
-// carry any other member are the reference's.
+// plain decoder reads the string, integer and boolean members and outputs
+// whose values are all plain strings; args that carry any other member —
+// a decision, a number or a nested value among the outputs — are the
+// reference's.
 func (f *wireForm[W]) codec(finish func(*W) command) codec {
 	return codec{
 		decode: func(raw json.RawMessage) (command, error) {
@@ -372,9 +375,24 @@ func (fd *wireField) read(val []byte, form unsafe.Pointer) bool {
 			*(*int64)(p) = n
 		}
 		return ok
+	case fieldOutputs:
+		var keys, strs [maxOutputs][]byte
+		n, ok := jsonx.Strings(val, keys[:], strs[:])
+		if ok && p != nil {
+			m := make(map[string]any, n) // {} reads as an empty map, not nil, as the reference's does
+			for i := range n {
+				m[string(keys[i])] = string(strs[i])
+			}
+			*(*map[string]any)(p) = m
+		}
+		return ok
 	}
 	return false
 }
+
+// maxOutputs bounds the outputs the plain decoder reads, so that it splits
+// them into arrays on its stack; a completion with more is the reference's.
+const maxOutputs = 8
 
 // appendJSON appends v as encoding/json writes it: members in field order,
 // an omitempty member left out when it is empty. It refuses with
@@ -454,7 +472,7 @@ func (fd *wireField) appendValue(b []byte, p unsafe.Pointer) ([]byte, error) {
 // appendOutputs appends a completion's outputs as encoding/json writes the
 // map, keys in byte order, refusing what appendJSON refuses.
 func appendOutputs(b []byte, m map[string]any) ([]byte, error) {
-	var buf [8]string
+	var buf [maxOutputs]string
 	keys := buf[:0]
 	for k := range m {
 		keys = append(keys, k)

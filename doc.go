@@ -175,15 +175,18 @@
 // name; internal/history.TestHistoryAppendAllocations pins the six; the
 // benchmark's allocs_per_cmd gates the sum.
 //
-// The remote hop adds 102 to the lifecycle's 29 — 7.8 a command, where it
+// The remote hop adds 85 to the lifecycle's 29 — 6.5 a command, where it
 // added 27 while the server decoded every line twice through
 // encoding/json (envelope, then args) and the client marshalled every
-// command twice (args, then line), and 105 while the client encoded args
-// through encoding/json. A line is now read in one pass (internal/rpc
-// "Wire model"), the client appends its args with the journal's own
-// appender and builds its line around them in reused buffers, reads a
-// bare acknowledgement in place, calls and their channels are reused, and
-// neither end of the watermark stream allocates per event. What is left,
+// command twice (args, then line), 105 while the client encoded args
+// through encoding/json, and 102 while a completion's outputs and a
+// create's result reply were encoding/json's. A line is now read in one
+// pass (internal/rpc "Wire model"), outputs that are plain strings
+// included, the client appends its args with the journal's own appender
+// and builds its line around them in reused buffers, the server appends
+// its reply and the client reads it in place, calls and their channels
+// are reused, and neither end of the watermark stream allocates per
+// event. What is left,
 // from an allocation profile of 550 lifecycles
 // over the command stream (sync starts and create, async completions;
 // MemProfileRate 1, tiny strings counted from runtime.MemStats):
@@ -195,22 +198,25 @@
 //	        eleven starts and completions, the type of the create. None
 //	        outlives the command: the engine keeps the schema's node ID
 //	        and the org model's user ID (a work item's ClaimedBy) instead
-//	    16  server: the completion that carries outputs, decoded by
-//	        encoding/json — a map of `any` is the reference's
+//	     9  server: the completion that carries outputs, read from its
+//	        field table — its struct and three strings, the map, and
+//	        the one output's key, value and the value's interface box
 //	    13  server: SubmitAsync's Receipt; every remote command is
 //	        applied through it, and a sync one waits on it in the reply
 //	        writer, off the reader's goroutine
 //	    13  client: what the caller is handed — Submit's SubmitResult,
 //	        SubmitAsync's Receipt
-//	    14  the create's result: a ResultSummary and an InstanceSummary
-//	        on the server (2); on the client a reply that carries a
-//	        result is encoding/json's (12)
+//	     5  the create's result: a ResultSummary and an InstanceSummary
+//	        on the server (2); on the client one object holding both,
+//	        and the instance's ID and type (3)
 //	    ~1  client: the wake-up channel of a Receipt.Wait that parks
 //
 // internal/rpc.TestClientSubmitAllocations pins a remote create, start,
 // complete, complete with outputs and suspend at their measured counts
-// (32, 7, 8, 25, 4), TestDecodeWireCommandAllocations the decode alone —
-// which recovery shares, record by record — at the struct and its strings.
+// (22, 7, 8, 18, 4), TestDecodeWireCommandAllocations the decode alone —
+// which recovery shares, record by record — at the struct and its strings,
+// and TestDecodeBatchAllocations a 64-command batch body at its commands'
+// decodes plus the one slice that holds them.
 //
 // # Memory budget
 //

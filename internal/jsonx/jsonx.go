@@ -1,10 +1,12 @@
 // Package jsonx is the one home of this tree's hand-written JSON: the
-// string quoting its encoders share, and a reader for the one shape its
-// decoders meet once per command.
+// string quoting its encoders share, and a reader for the few shapes its
+// decoders meet once per command: objects of known members, objects of
+// strings, and arrays of either.
 //
 // Writing: the journal line (internal/persist), a flat command's args
 // (the field table behind each wire form's AppendJSON in the root
-// package, for the journal line and the command line alike), a value set
+// package, for the journal line and the command line alike), the command
+// plane's replies (internal/rpc), a value set
 // and a data store (internal/data) and the execution history
 // (internal/history) are appended by hand because they are written once
 // per command or per checkpointed event; each is held byte for byte to
@@ -12,21 +14,24 @@
 // them quote strings with AppendString, and a command's outputs, a value
 // set and a data store write their dynamic values with AppendValue.
 //
-// Reading: a command line and a flat command's args are each one small
-// JSON object of known members. Members splits such an object into the
-// raw value of each member, and Str, Int and Bool read a raw value, none
-// of them allocating — for input that is plain. Plain means: an object
-// whose keys are spelled exactly as the caller lists them, each at most
-// once, with no escape and no non-ASCII byte in a key or in a string
-// value read, integers written as plain int64 digits (no fraction, no
-// exponent), booleans true or false. Everything else — a repeated, an
-// unknown or a case-folded key, "\u0061", null, 1e3, a value of another
-// type — is reported as not plain rather than interpreted, and the caller
-// decodes that input with encoding/json, which stays the reference for
-// what any input means: a reader here may refuse an input, it never reads
-// one differently. The input must have passed json.Valid first; the
-// reader checks shape, not syntax, and indexes past the end of anything
-// else.
+// Reading: a command line, a flat command's args, a batch body and a
+// reply are each small JSON objects of known members, or arrays of them.
+// Object walks an object's members and Array an array's elements, each
+// handing over the raw value where it lies; Members splits an object into
+// the raw value of each listed key, Strings splits an object of plain
+// strings (a completion's outputs), and Str, Int and Bool read a raw value,
+// none of them allocating — for input that is plain. Plain means: an
+// object whose keys are spelled exactly as the caller lists them (any
+// key, for Strings), each at most once, with no escape and no non-ASCII
+// byte in a key or in a string value read, integers written as plain
+// int64 digits (no fraction, no exponent), booleans true or false.
+// Everything else — a repeated, an unknown or a case-folded key,
+// "\u0061", null, 1e3, a value of another type — is reported as not plain
+// rather than interpreted, and the caller decodes that input with
+// encoding/json, which stays the reference for what any input means: a
+// reader here may refuse an input, it never reads one differently. The
+// input must have passed json.Valid first; the reader checks shape, not
+// syntax, and indexes past the end of anything else.
 package jsonx
 
 import (
@@ -81,6 +86,49 @@ func AppendString(b []byte, s string) []byte {
 // object whose every key is plain, in keys, and there once.
 func Members(data []byte, keys []string, vals [][]byte) bool {
 	clear(vals)
+	return Object(data, func(key, val []byte) bool {
+		k := 0
+		for k < len(keys) && keys[k] != string(key) {
+			k++
+		}
+		if k == len(keys) || vals[k] != nil {
+			return false
+		}
+		vals[k] = val
+		return true
+	})
+}
+
+// Strings splits an object whose every value is a plain string: keys[:n]
+// and vals[:n] become its keys and the contents of their strings, in
+// order, aliasing data. It reports false — not plain — unless data is one
+// object of at most len(keys) members whose every key is plain and there
+// once and whose every value Str reads.
+func Strings(data []byte, keys, vals [][]byte) (n int, plain bool) {
+	plain = Object(data, func(key, val []byte) bool {
+		s, ok := Str(val)
+		if !ok || n == len(keys) {
+			return false
+		}
+		for _, k := range keys[:n] {
+			if string(k) == string(key) {
+				return false
+			}
+		}
+		keys[n], vals[n] = key, s
+		n++
+		return true
+	})
+	return n, plain
+}
+
+// Object is the one member walker: it calls fn with the key — its bytes
+// between the quotes, aliasing data — and the raw value of each member of
+// the object data holds, in order, and stops at the first member fn
+// refuses. It reports false unless data, which json.Valid has accepted,
+// is one object whose every key is plain and whose every member fn
+// accepted.
+func Object(data []byte, fn func(key, val []byte) bool) bool {
 	i := skipSpace(data, 0)
 	if data[i] != '{' {
 		return false
@@ -95,17 +143,37 @@ func Members(data []byte, keys []string, vals [][]byte) bool {
 				return false
 			}
 		}
-		k := 0
-		for k < len(keys) && keys[k] != string(data[start:i]) {
-			k++
-		}
-		if k == len(keys) || vals[k] != nil {
-			return false
-		}
+		key := data[start:i]
 		i = skipSpace(data, skipSpace(data, i+1)+1) // past the colon
 		end := skipValue(data, i)
-		vals[k] = data[i:end]
+		if !fn(key, data[i:end]) {
+			return false
+		}
 		if i = skipSpace(data, end); data[i] == '}' {
+			return true
+		}
+		i = skipSpace(data, i+1) // past the comma
+	}
+}
+
+// Array is the one element walker: it calls fn with the raw value of each
+// element of the array data holds, in order, and stops at the first
+// element fn refuses. It reports false unless data, which json.Valid has
+// accepted, is one array whose every element fn accepted.
+func Array(data []byte, fn func(elem []byte) bool) bool {
+	i := skipSpace(data, 0)
+	if data[i] != '[' {
+		return false
+	}
+	if i = skipSpace(data, i+1); data[i] == ']' {
+		return true
+	}
+	for {
+		end := skipValue(data, i)
+		if !fn(data[i:end]) {
+			return false
+		}
+		if i = skipSpace(data, end); data[i] == ']' {
 			return true
 		}
 		i = skipSpace(data, i+1) // past the comma
@@ -138,7 +206,7 @@ func skipValue(data []byte, i int) int {
 			}
 		}
 	}
-	for data[i] != ',' && data[i] != '}' && data[i] > ' ' { // a number or a literal ends where its member does
+	for data[i] != ',' && data[i] != '}' && data[i] != ']' && data[i] > ' ' { // a number or a literal ends where its member or element does
 		i++
 	}
 	return i

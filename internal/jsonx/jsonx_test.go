@@ -54,6 +54,70 @@ func TestMembers(t *testing.T) {
 	}
 }
 
+// TestArrayAndStrings: the element walker ends a number or a literal at
+// the array's close as well as at a comma, and Strings reads an object of
+// plain strings and nothing else; neither allocates.
+func TestArrayAndStrings(t *testing.T) {
+	for in, want := range map[string][]string{
+		`[]`:                        {},
+		` [ 1 , -2.5e3 ] `:          {`1`, `-2.5e3`},
+		`[true,null,"]",{"a":[1]}]`: {`true`, `null`, `"]"`, `{"a":[1]}`},
+		`[[1],[]]`:                  {`[1]`, `[]`},
+		`{"a":1}`:                   nil,
+		`1`:                         nil,
+	} {
+		data := []byte(in)
+		var elems [4][]byte
+		n := 0
+		var ok bool
+		if allocs := testing.AllocsPerRun(10, func() {
+			n = 0
+			ok = Array(data, func(elem []byte) bool { elems[n] = elem; n++; return true })
+		}); allocs != 0 {
+			t.Errorf("%s: Array allocates %.0f times", in, allocs)
+		}
+		if ok != (want != nil) || n != len(want) {
+			t.Fatalf("%s: walked %d elements (%t), want %q", in, n, ok, want)
+		}
+		for i, w := range want {
+			if string(elems[i]) != w {
+				t.Errorf("%s: element %d is %q, want %q", in, i, elems[i], w)
+			}
+		}
+	}
+	for in, want := range map[string][]string{
+		`{}`:                      {},
+		`{"out":"order-0"}`:       {"out", "order-0"},
+		` { "b" : "" , "a":"x" }`: {"b", "", "a", "x"},
+		`{"":"a"}`:                {"", "a"},
+		`{"a":1}`:                 nil,
+		`{"a":null}`:              nil,
+		`{"a":{"b":"c"}}`:         nil,
+		`{"a":"x","a":"y"}`:       nil,
+		`{"\u0061":"x"}`:          nil,
+		`{"a":"\u0061"}`:          nil,
+		`{"a":"é"}`:               nil,
+		`{"1":"","2":"","3":"","4":"","5":"","6":"","7":"","8":"","9":""}`: nil,
+		`["a"]`: nil,
+	} {
+		data := []byte(in)
+		var keys, vals [8][]byte
+		var n int
+		var ok bool
+		if allocs := testing.AllocsPerRun(10, func() { n, ok = Strings(data, keys[:], vals[:]) }); allocs != 0 {
+			t.Errorf("%s: Strings allocates %.0f times", in, allocs)
+		}
+		if ok != (want != nil) || ok && 2*n != len(want) {
+			t.Fatalf("%s: read %d strings (%t), want %q", in, n, ok, want)
+		}
+		for i := 0; ok && i < n; i++ {
+			if string(keys[i]) != want[2*i] || string(vals[i]) != want[2*i+1] {
+				t.Errorf("%s: member %d is %q:%q, want %q:%q", in, i, keys[i], vals[i], want[2*i], want[2*i+1])
+			}
+		}
+	}
+}
+
 // TestValues: each reader accepts its plain form — every int64, at every
 // length — and nothing else.
 func TestValues(t *testing.T) {
@@ -90,13 +154,15 @@ func TestValues(t *testing.T) {
 
 // FuzzReader holds the reader to encoding/json on every valid input: it
 // stays inside the input, what it splits is what the reference's token
-// stream holds, member for member, and a value it reads is the value the
-// reference decodes. It may refuse; it may not differ.
+// stream holds, member for member and element for element, an object of
+// strings it reads is the map the reference decodes, and a value it reads
+// is the value the reference decodes. It may refuse; it may not differ.
 func FuzzReader(f *testing.F) {
 	for _, seed := range []string{
 		`{"op":"start","args":{"instance":"inst-000001","at":1700000000000000000},"ok":true}`,
 		`{"op":"a","op":"b"}`, `{"OP":"a","at":1,"ok":null}`, ` { "at" : -9223372036854775808 , "ok" : false } `,
 		`{"args":[[[{"x":"]}"}]]],"at":1e3}`, `{"op":"é\"\\","at":-0}`, `[1,2]`, `"s"`, `{"at":9223372036854775808}`,
+		`[1, -2.5e3]`, `[true,null]`, ` [ {"a":[1]} , "]" , [] ] `, `{"out":"order-0","b":""}`, `{"a":"x","a":"y"}`, `{"a":1}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -132,6 +198,30 @@ func FuzzReader(f *testing.F) {
 			}
 			if members != 0 {
 				t.Fatalf("%q: split as %q, the reference counts %d members more", data, vals, members)
+			}
+		}
+		var elems []json.RawMessage
+		if Array(data, func(elem []byte) bool { elems = append(elems, elem); return true }) {
+			var want []json.RawMessage
+			if err := json.Unmarshal(data, &want); err != nil || len(want) != len(elems) {
+				t.Fatalf("%q: walked as an array of %q, the reference reads %q, %v", data, elems, want, err)
+			}
+			for i := range want {
+				if !bytes.Equal(elems[i], want[i]) {
+					t.Fatalf("%q: element %d walked as %q, the reference reads %q", data, i, elems[i], want[i])
+				}
+			}
+		}
+		var keys, strs [8][]byte
+		if n, ok := Strings(data, keys[:], strs[:]); ok {
+			var want map[string]any
+			if err := json.Unmarshal(data, &want); err != nil || len(want) != n {
+				t.Fatalf("%q: read as %d strings, the reference reads %v, %v", data, n, want, err)
+			}
+			for i := range n {
+				if s, ok := want[string(keys[i])].(string); !ok || s != string(strs[i]) {
+					t.Fatalf("%q: %q read as %q, the reference reads %#v", data, keys[i], strs[i], want[string(keys[i])])
+				}
 			}
 		}
 		// data is a raw value too, less the space around it.

@@ -336,8 +336,20 @@ func (c *Client) SubmitBatch(ctx context.Context, cmds []adept2.Command) ([]*Res
 	if err != nil {
 		return nil, err
 	}
+	httpResp, err := c.request(ctx, http.MethodPost, "/v1/batch", body)
+	if err != nil {
+		return nil, err
+	}
+	defer httpResp.Body.Close()
+	if httpResp.StatusCode >= 400 {
+		return nil, responseError(httpResp)
+	}
+	reply, err := readBody(httpResp.Body, httpResp.ContentLength)
+	if err != nil {
+		return nil, err
+	}
 	var resp BatchResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/batch", body, &resp); err != nil {
+	if err := readBatchResponse(reply, &resp); err != nil {
 		return nil, err
 	}
 	if resp.Error != nil {
@@ -468,42 +480,37 @@ func pageQuery(cursor string, limit int) url.Values {
 	return q
 }
 
-// get runs one JSON round-trip, rehydrating error envelopes; do is get
-// with a method and a body.
+// get runs one JSON round-trip, rehydrating error envelopes. The body of
+// an error status is decoded into out as well, for the callers that want
+// it (healthz).
 func (c *Client) get(ctx context.Context, path string, out any) error {
-	return c.do(ctx, http.MethodGet, path, nil, out)
+	resp, err := c.request(ctx, http.MethodGet, path, nil)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode >= 400 {
+		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+		_ = json.Unmarshal(raw, out)
+		return wireErrFromBody(raw, resp.StatusCode)
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
+// request sends one request, a JSON body if body is not nil.
+func (c *Client) request(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		// Best-effort body decode for callers that want it (healthz).
-		if out != nil {
-			raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-			_ = json.Unmarshal(raw, out)
-			return wireErrFromBody(raw, resp.StatusCode)
-		}
-		return responseError(resp)
-	}
-	if out == nil {
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return http.DefaultClient.Do(req)
 }
 
 // responseError rehydrates a non-2xx response into the taxonomy error

@@ -7,30 +7,52 @@
 //
 // Commands travel as registry envelopes — {"op": <name>, "args":
 // <json>} — args appended by adept2.AppendCommandArgs and decoded
-// server-side by adept2.DecodeWireCommand. The command registry is the single
-// codec: an envelope is byte-compatible with the journal record the
-// command produces, so the wire protocol versions with the journal
-// format (a server replays and serves the same vocabulary). Unknown
-// ops and malformed args are rejected before dispatch with ErrInvalid
-// (and counted as decode errors in the RPC metrics).
+// server-side through the same registry (adept2.DecodeWireSpans where the
+// envelope is cut in place, adept2.DecodeWireCommand where encoding/json
+// read it). The command registry is the single codec: an envelope is
+// byte-compatible with the journal record the command produces, so the
+// wire protocol versions with the journal format (a server replays and
+// serves the same vocabulary). Unknown ops and malformed args are
+// rejected before dispatch with ErrInvalid (and counted as decode errors
+// in the RPC metrics).
 //
 // A command line is decoded in one pass. Once json.Valid has accepted
 // the line, the envelope's members are cut where they lie
 // (internal/jsonx) and the registry decodes the args span in place: a
-// flat command — create, start, complete without outputs, suspend, fail,
-// timeout, retry, undo — from the json tags of its struct, at the cost of
-// that struct and its strings; any other through its encoding/json
-// decoder. The pass declines whatever is not plain — an escaped,
-// repeated, case-folded or unknown key, a null, a number that is not a
-// plain integer, a non-ASCII string — and such a line, like every line
-// that is not JSON, is decoded by encoding/json from the start
+// flat command — create, start, complete (with outputs too, while they
+// are plain strings), suspend, fail, timeout, retry, undo — from the json
+// tags of its struct, at the cost of that struct and its strings; any
+// other through its encoding/json decoder. The pass declines whatever is
+// not plain — an escaped, repeated, case-folded or unknown key, a null, a
+// number that is not a plain integer, a non-ASCII string, an output that
+// is not a plain string, more than eight outputs — and such a line, like
+// every line that is not JSON, is decoded by encoding/json from the start
 // (decodeCommandLineJSON), so what a line means and why a bad one is bad
 // are encoding/json's to say; FuzzDecodeAgainstJSON holds the two
-// together. The client appends a command's args with the journal's own
-// appender, which refuses with ErrInvalid what Submit refuses for the
-// journal's sake (a string that is not UTF-8, a NaN or infinite output),
-// builds the line — or a batch's body — around them in reused buffers,
-// and reads a bare acknowledgement in place.
+// together.
+//
+// A POST /v1/batch body is read whole (sized from its Content-Length),
+// validated once and cut the same way: "commands" is an array, and each
+// element is read by the envelope reader a line is read by — a batch
+// element is a line without a mode. A body that declines anywhere — a
+// case-folded or repeated key, an element that is null, not an object or
+// has a mode, an element whose decode fails — goes to encoding/json whole
+// (decodeBatchJSON), and json.Unmarshal refuses anything after the one
+// object, so a body with trailing data runs nothing and answers invalid;
+// FuzzBatchAgainstJSON holds the two together.
+//
+// Replies are appended as the client appends commands: a SubmitResult (on
+// a stream or as a unary reply) and a BatchResponse are byte for byte what
+// json.Encoder writes, newline included, while an error envelope and a
+// migration report are still written by encoding/json. The client
+// appends a command's args with the journal's own appender, which refuses
+// with ErrInvalid what Submit refuses for the journal's sake (a string
+// that is not UTF-8, a NaN or infinite output), builds the line — or a
+// batch's body — around them in reused buffers, and reads an
+// acknowledgement, a create's result and a batch reply in place, with one
+// reader for an instance summary; anything else in a reply is
+// encoding/json's. FuzzRepliesAgainstJSON holds both ends of a reply to
+// encoding/json.
 //
 // Command-plane routes live under the /v1 prefix; a breaking change to
 // envelope, receipt, or stream semantics must mount a new version

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -51,10 +52,7 @@ func FuzzCommandLine(f *testing.F) {
 }
 
 // decodeReference is decodeCommandLine by encoding/json and nothing else:
-// the envelope by Unmarshal, then the args of a flat command by Unmarshal
-// into its exported struct, which is what the registry's reference row
-// does (an op without a flat form has no other decoder, so the registry
-// is its reference).
+// the envelope by Unmarshal, then its command by referenceCommand.
 func decodeReference(line []byte) (adept2.Command, string, string, error) {
 	var req commandRequest
 	if err := json.Unmarshal(line, &req); err != nil {
@@ -63,10 +61,19 @@ func decodeReference(line []byte) (adept2.Command, string, string, error) {
 	if req.Mode != "" && req.Mode != "sync" && req.Mode != "async" {
 		return nil, "", "", decodeErr("command envelope", errors.New("mode"))
 	}
+	cmd, err := referenceCommand(req.Op, req.Args)
+	return cmd, req.Op, req.Mode, err
+}
+
+// referenceCommand decodes the args of a flat command by Unmarshal into
+// its exported struct, which is what the registry's reference row does
+// (an op without a flat form has no other decoder, so the registry is its
+// reference).
+func referenceCommand(op string, args json.RawMessage) (adept2.Command, error) {
 	var cmd adept2.Command
 	var suspend suspendWire
 	into := any(&suspend)
-	switch req.Op {
+	switch op {
 	case "create":
 		cmd = new(adept2.CreateInstance)
 	case "start":
@@ -83,14 +90,13 @@ func decodeReference(line []byte) (adept2.Command, string, string, error) {
 		cmd = new(adept2.Undo)
 	case "suspend":
 	default:
-		cmd, err := adept2.DecodeWireCommand(req.Op, req.Args)
-		return cmd, req.Op, req.Mode, err
+		return adept2.DecodeWireCommand(op, args)
 	}
 	if cmd != nil {
 		into = cmd
 	}
-	if err := json.Unmarshal(req.Args, into); err != nil {
-		return nil, "", "", &adept2.Error{Code: adept2.CodeInvalid, Op: req.Op, Err: err}
+	if err := json.Unmarshal(args, into); err != nil {
+		return nil, &adept2.Error{Code: adept2.CodeInvalid, Op: op, Err: err}
 	}
 	if cmd == nil {
 		cmd = &adept2.Suspend{Instance: suspend.Instance}
@@ -98,7 +104,7 @@ func decodeReference(line []byte) (adept2.Command, string, string, error) {
 			cmd = &adept2.Resume{Instance: suspend.Instance}
 		}
 	}
-	return cmd, req.Op, req.Mode, nil
+	return cmd, nil
 }
 
 // FuzzDecodeAgainstJSON holds the one-pass line decoder to encoding/json,
@@ -178,4 +184,159 @@ func checkAppend(t *testing.T, line []byte, cmd adept2.Command, op string) {
 type suspendWire struct {
 	Instance string `json:"instance"`
 	Resume   bool   `json:"resume,omitempty"`
+}
+
+// FuzzBatchAgainstJSON holds the one-pass batch decoder to encoding/json:
+// on every body the two either both fail with ErrInvalid or return equal
+// commands. The corpus is the bodies the one pass must hand over whole: a
+// case-folded or repeated "commands", data after the object, a null
+// element, an element with a mode, and outputs that are not all plain
+// strings — a number, a repeated or escaped key, nine keys — or none.
+func FuzzBatchAgainstJSON(f *testing.F) {
+	const (
+		create   = `{"op":"create","args":{"type":"online_order"}}`
+		start    = `{"op":"start","args":{"instance":"inst-000001","node":"get_order","user":"ann"}}`
+		complete = `{"op":"complete","args":{"instance":"inst-000001","node":"get_order","user":"ann","outputs":%s}}`
+	)
+	for _, seed := range []string{
+		`{"commands":[]}`,
+		`{"commands":[` + create + `,` + start + `,` + fmt.Sprintf(complete, `{"out":"order-0"}`) + `]}`,
+		`{"Commands":[` + create + `]}`,
+		`{"commands":[` + create + `],"commands":[` + start + `]}`,
+		`{"commands":[` + create + `]}{"commands":[` + start + `]}`,
+		`{"commands":[` + create + `]} garbage`,
+		`{"commands":[null]}`,
+		`{"commands":[` + create + `,1]}`,
+		`{"commands":[{"op":"create","args":{"type":"online_order"},"mode":"async"}]}`,
+		`{"commands":[` + fmt.Sprintf(complete, `{"out":1}`) + `]}`,
+		`{"commands":[` + fmt.Sprintf(complete, `{"out":"a","out":"b"}`) + `]}`,
+		`{"commands":[` + fmt.Sprintf(complete, `{"\u006fut":"a"}`) + `]}`,
+		`{"commands":[` + fmt.Sprintf(complete, `{"1":"","2":"","3":"","4":"","5":"","6":"","7":"","8":"","9":""}`) + `]}`,
+		`{"commands":[` + fmt.Sprintf(complete, `{}`) + `]}`,
+		`{"commands":[{"op":"no_such_op","args":{}}]}`,
+		`{}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		cmds, err := decodeBatch(body)
+		ref, refErr := decodeBatchReference(body)
+		if err != nil || refErr != nil {
+			if !errors.Is(err, adept2.ErrInvalid) || !errors.Is(refErr, adept2.ErrInvalid) {
+				t.Fatalf("body %q: decoder says %v, encoding/json says %v; want ErrInvalid from both or neither", body, err, refErr)
+			}
+			return
+		}
+		if !reflect.DeepEqual(cmds, ref) {
+			t.Fatalf("body %q: decoded %#v, encoding/json decodes %#v", body, cmds, ref)
+		}
+	})
+}
+
+// decodeBatchReference is decodeBatch by encoding/json and nothing else.
+func decodeBatchReference(body []byte) ([]adept2.Command, error) {
+	var req batchRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		return nil, decodeErr("batch envelope", err)
+	}
+	cmds := make([]adept2.Command, len(req.Commands))
+	for i, env := range req.Commands {
+		cmd, err := referenceCommand(env.Op, env.Args)
+		if err != nil {
+			return nil, err
+		}
+		cmds[i] = cmd
+	}
+	return cmds, nil
+}
+
+// FuzzRepliesAgainstJSON holds the reply appender and the client's reply
+// readers to encoding/json. From the fuzzed fields it builds a run of
+// result summaries — none, an instance, a report, an empty one — and a
+// batch reply around them, with an error envelope or without: each reply
+// appended, a SubmitResult per result and the BatchResponse, is byte for
+// byte what json.Encoder writes, and reads back as json.Unmarshal reads
+// it. raw is read as a reply line and as a batch reply: the readers hold
+// what json.Unmarshal makes of it, or fail as it does.
+func FuzzRepliesAgainstJSON(f *testing.F) {
+	f.Add("inst-000001", "online_order", 1, 0, uint8(0b0110_1101), []byte(`{"results":[null,{"instance":{"id":"i","type":"t","version":2,"done":true}}]}`))
+	f.Add("i<&>\"\u2028é", "t\xff", -1, 3, uint8(0xff), []byte(`{"op":"create","shard":0,"seq":1,"durable":true,"result":{"instance":{"id":"i","type":"t","version":1,"migrations":2,"migrations":3}}}`))
+	f.Add("", "", 0, 0, uint8(0), []byte(`{"results":[{"report":{"type":"t","from":1,"to":2,"total":0,"elapsedNanos":5}}],"error":{"code":"invalid","message":"m"}}`))
+	f.Add("a", "b", 9, -9, uint8(0b1001_0010), []byte(`{"op":"create","shard":0,"seq":1,"durable":true,"result":{"instance":{"ID":"i","type":"t","version":1}}}`))
+	f.Fuzz(func(t *testing.T, id, typ string, version, migrations int, pick uint8, raw []byte) {
+		var results []*ResultSummary
+		if pick&1 != 0 {
+			results = []*ResultSummary{}
+		}
+		for i := 0; i < int(pick>>5); i++ {
+			in := &InstanceSummary{ID: id, Type: typ, Version: version + i, Done: pick&2 != 0, Suspended: pick&4 != 0,
+				Biased: pick&8 != 0, Migrations: migrations}
+			switch (i + int(pick>>1)) % 4 {
+			case 0:
+				results = append(results, nil)
+			case 1:
+				results = append(results, &ResultSummary{Instance: in})
+			case 2:
+				results = append(results, &ResultSummary{Report: &ReportSummary{Type: typ, From: version, To: migrations,
+					Outcomes: map[string]int{id: i, typ: version}, ElapsedNanos: int64(migrations)}})
+			default:
+				results = append(results, &ResultSummary{})
+			}
+		}
+		resp := &BatchResponse{Results: results}
+		if pick&16 != 0 {
+			resp.Error = &WireError{Code: typ, Op: id, Message: id + typ, Applied: pick&2 != 0}
+		}
+		batch := encoded(t, resp)
+		if got := appendBatchResponse(nil, resp); !bytes.Equal(got, batch) {
+			t.Fatalf("%+v appends as\n%s\njson.Encoder writes\n%s", resp, got, batch)
+		}
+		checkBatchRead(t, batch)
+		for _, res := range results {
+			reply := &SubmitResult{Op: typ, Shard: version, Seq: migrations, Durable: pick&4 != 0, Result: res}
+			line := encoded(t, reply)
+			if got := appendSubmitResult(nil, reply); !bytes.Equal(got, line) {
+				t.Fatalf("%+v appends as\n%s\njson.Encoder writes\n%s", reply, got, line)
+			}
+			checkLineRead(t, line, typ)
+		}
+		checkBatchRead(t, raw)
+		checkLineRead(t, raw, typ)
+	})
+}
+
+// encoded is what json.Encoder writes for v.
+func encoded(t *testing.T, v any) []byte {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// checkBatchRead holds readBatchResponse to json.Unmarshal on body.
+func checkBatchRead(t *testing.T, body []byte) {
+	t.Helper()
+	var got, want BatchResponse
+	err, wantErr := readBatchResponse(body, &got), json.Unmarshal(body, &want)
+	if (err == nil) != (wantErr == nil) || err == nil && !reflect.DeepEqual(got, want) {
+		t.Fatalf("batch reply %q:\nread %s, %v\nencoding/json %s, %v", body, dump(got), err, dump(want), wantErr)
+	}
+}
+
+// checkLineRead holds a call's reply read to json.Unmarshal on line.
+func checkLineRead(t *testing.T, line []byte, op string) {
+	t.Helper()
+	var want replyLine
+	wantErr := json.Unmarshal(line, &want)
+	cl := &call{op: op}
+	if err := cl.read(line); (err == nil) != (wantErr == nil) || err == nil && !reflect.DeepEqual(cl.reply, want) {
+		t.Fatalf("reply line %q:\nread %s, %v\nencoding/json %s, %v", line, dump(cl.reply), err, dump(want), wantErr)
+	}
+}
+
+// dump shows a reply with what its pointers point to.
+func dump(v any) string {
+	b, _ := json.Marshal(v)
+	return string(b)
 }

@@ -99,6 +99,13 @@ func TestReplyReadIsEncodingJSONs(t *testing.T) {
 		`{"op":"st\u0061rt","shard":1,"seq":9,"durable":true}`,
 		`{"op":"start","shard":1,"seq":9,"durable":true,"durable":false}`,
 		`{"op":"start","shard":1,"seq":9,"durable":true,"result":{"instance":{"id":"inst-000001","type":"online_order","version":1}}}`,
+		`{"op":"start","shard":1,"seq":9,"durable":true,"result":{"instance":{"id":"i","type":"t","version":1,"done":true,"suspended":false,"biased":true,"migrations":2}}}`,
+		`{"op":"start","shard":1,"seq":9,"durable":true,"result":null}`,
+		`{"op":"start","shard":1,"seq":9,"durable":true,"result":{}}`,
+		`{"op":"start","shard":1,"seq":9,"durable":true,"result":{"instance":null}}`,
+		`{"op":"start","shard":1,"seq":9,"durable":true,"result":{"instance":{"id":"i","type":"t"}}}`,
+		`{"op":"start","shard":1,"seq":9,"durable":true,"result":{"instance":{"id":"\u0069","type":"t","version":1}}}`,
+		`{"op":"start","shard":1,"seq":9,"durable":true,"result":{"report":{"type":"t","from":1,"to":2,"total":3,"elapsedNanos":4}}}`,
 		`{"error":{"code":"not_found","op":"start","instance":"inst-9","message":"no such instance"}}`,
 		`{"op":"start","shard":null,"seq":9,"durable":null}`,
 		`{"op":"start","shard":1.0,"seq":9,"durable":true}`,

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"path/filepath"
 	"strings"
@@ -274,6 +275,56 @@ func TestRemoteDecodeErrors(t *testing.T) {
 	}
 	if ep, ok := snap.RPC.Endpoints["commands"]; !ok || ep.Requests != 3 || ep.Failures != 3 {
 		t.Fatalf("commands endpoint family: %+v", snap.RPC.Endpoints)
+	}
+}
+
+// TestBatchRefusesTrailingData: a batch body is one object and nothing
+// after it. Data after the object is refused as invalid before any
+// command runs — it once ran the first object's commands and dropped the
+// rest without a word — while a body the one-pass reader declines, a
+// case-folded "Commands", is still encoding/json's to run.
+func TestBatchRefusesTrailingData(t *testing.T) {
+	sys := openSystem(t, adept2.CheckpointConfig{})
+	srv, _ := serve(t, sys, rpc.Options{})
+	const create = `{"op":"create","args":{"type":"online_order"}}`
+	post := func(body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(srv.URL()+"/v1/batch", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		reply, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(reply)
+	}
+	for _, body := range []string{
+		`{"commands":[` + create + `]}{"commands":[` + create + `]}`,
+		`{"commands":[` + create + `]} garbage`,
+		`{"commands":[` + create + `]}]`,
+	} {
+		status, reply := post(body)
+		if status != http.StatusBadRequest || !strings.Contains(reply, `"code":"invalid"`) {
+			t.Errorf("%s: answered %d %s, want 400 invalid", body, status, reply)
+		}
+	}
+	if n := len(sys.Instances()); n != 0 {
+		t.Fatalf("refused bodies ran %d creates", n)
+	}
+	for _, body := range []string{
+		`{"commands":[` + create + `,` + create + `]}`,
+		` {"Commands":[` + create + `,` + create + `]}` + "\n",
+	} {
+		status, reply := post(body)
+		var resp rpc.BatchResponse
+		if err := json.Unmarshal([]byte(reply), &resp); status != http.StatusOK || err != nil || len(resp.Results) != 2 || resp.Error != nil {
+			t.Errorf("%s: answered %d %s, want 200 and two results", body, status, reply)
+		}
+	}
+	if n := len(sys.Instances()); n != 4 {
+		t.Fatalf("two batches of two creates made %d instances", n)
 	}
 }
 

@@ -288,13 +288,33 @@ func (s *Server) handleCommands(w http.ResponseWriter, r *http.Request) {
 		s.streamCommands(w, r)
 		return
 	}
-	body, _ := io.ReadAll(r.Body) // a body cut short fails the decode in apply
+	body, _ := readBody(r.Body, r.ContentLength) // a body cut short fails the decode in apply
 	p := s.apply(r.Context(), body)
 	if err := s.settle(r.Context(), &p); err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, &p.res)
+	writeReply(w, appendSubmitResult(make([]byte, 0, 256), &p.res))
+}
+
+// writeReply answers 200 with an appended reply.
+func writeReply(w http.ResponseWriter, reply []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(reply) // a client that left fails the write; nothing is left to tell it
+}
+
+// maxPresize caps what readBody allocates on a declared length before the
+// bytes arrive; a longer body grows past it as it is read.
+const maxPresize = 1 << 20
+
+// readBody reads a request or reply body whole, in one allocation when it
+// declares its length.
+func readBody(r io.Reader, length int64) ([]byte, error) {
+	var buf bytes.Buffer
+	buf.Grow(int(min(max(length, 0), maxPresize)) + bytes.MinRead) // MinRead free is where EOF is read
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
 }
 
 // streamCommands serves the full-duplex form: every non-empty request
@@ -359,13 +379,15 @@ func commandLines(r io.Reader) *bufio.Scanner {
 func (s *Server) writeReplies(ctx context.Context, w io.Writer, rc *http.ResponseController, queue <-chan pending) {
 	enc := json.NewEncoder(w)
 	var p pending
+	var line []byte
 	for p = range queue {
-		var reply any = &p.res
 		if err := s.settle(ctx, &p); err != nil {
 			we, _ := toWireError(err)
-			reply = errorBody{Error: we}
+			_ = enc.Encode(errorBody{Error: we})
+		} else {
+			line = appendSubmitResult(line[:0], &p.res)
+			_, _ = w.Write(line)
 		}
-		_ = enc.Encode(reply)
 		p = pending{} // an idle stream must not pin its last receipt and result
 		if len(queue) == 0 {
 			_ = rc.Flush()
@@ -373,30 +395,27 @@ func (s *Server) writeReplies(ctx context.Context, w io.Writer, rc *http.Respons
 	}
 }
 
-// handleBatch serves POST /v1/batch: decode every envelope, land the
-// run through SubmitBatch (durable on return), answer the applied
-// results plus the in-band error envelope of the first failure.
+// handleBatch serves POST /v1/batch: decode the whole body, land the run
+// through SubmitBatch (durable on return), answer the applied results
+// plus the in-band error envelope of the first failure. A body that does
+// not decode whole — trailing data included — runs nothing.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if err := s.acquireSlot(r.Context()); err != nil {
 		writeError(w, err)
 		return
 	}
 	defer s.releaseSlot()
-	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.met.RPCDecodeError()
-		writeError(w, decodeErr("batch envelope", err))
-		return
+	body, err := readBody(r.Body, r.ContentLength)
+	var cmds []adept2.Command
+	if err != nil {
+		err = decodeErr("batch envelope", err)
+	} else {
+		cmds, err = decodeBatch(body)
 	}
-	cmds := make([]adept2.Command, len(req.Commands))
-	for i, env := range req.Commands {
-		cmd, err := adept2.DecodeWireCommand(env.Op, env.Args)
-		if err != nil {
-			s.met.RPCDecodeError()
-			writeError(w, decodeErr(fmt.Sprintf("batch command %d", i), err))
-			return
-		}
-		cmds[i] = cmd
+	if err != nil {
+		s.met.RPCDecodeError()
+		writeError(w, err)
+		return
 	}
 	results, err := s.sys.SubmitBatch(r.Context(), cmds)
 	resp := BatchResponse{Results: make([]*ResultSummary, len(results))}
@@ -406,7 +425,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		resp.Error, _ = toWireError(err)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeReply(w, appendBatchResponse(make([]byte, 0, 128*len(results)+64), &resp))
 }
 
 // streamWriter serializes NDJSON lines from concurrent per-shard

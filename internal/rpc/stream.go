@@ -264,12 +264,12 @@ func (c *Client) readReplies(st *cmdStream, body io.ReadCloser) {
 	st.fail(err)
 }
 
-var replyKeys = [...]string{"op", "shard", "seq", "durable"}
+var replyKeys = [...]string{"op", "shard", "seq", "durable", "result"}
 
-// read decodes a reply line into the call. The acknowledgement of a
-// command without a result — four plain members, the op the one sent —
-// is read in place; a result, an error envelope or anything unexpected
-// is encoding/json's.
+// read decodes a reply line into the call. An acknowledgement — four
+// plain members, the op the one sent, and a result readResult reads, if
+// any — is read in place; a report, an error envelope or anything
+// unexpected is encoding/json's.
 func (cl *call) read(line []byte) error {
 	var vals [len(replyKeys)][]byte
 	if json.Valid(line) && jsonx.Members(line, replyKeys[:], vals[:]) {
@@ -278,8 +278,14 @@ func (cl *call) read(line []byte) error {
 		seq, ok2 := jsonx.Int(vals[2])
 		durable, ok3 := jsonx.Bool(vals[3])
 		if ok0 && ok1 && ok2 && ok3 && string(op) == cl.op && int64(int(shard)) == shard && int64(int(seq)) == seq {
-			cl.reply.SubmitResult = SubmitResult{Op: cl.op, Shard: int(shard), Seq: int(seq), Durable: durable}
-			return nil
+			res, ok := (*ResultSummary)(nil), true
+			if vals[4] != nil {
+				res, ok = readResult(vals[4])
+			}
+			if ok {
+				cl.reply.SubmitResult = SubmitResult{Op: cl.op, Shard: int(shard), Seq: int(seq), Durable: durable, Result: res}
+				return nil
+			}
 		}
 	}
 	return json.Unmarshal(line, &cl.reply)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"adept2"
 	"adept2/internal/jsonx"
@@ -35,18 +36,13 @@ type commandRequest struct {
 // every failure is ErrInvalid and leaves nothing behind for the next
 // line.
 //
-// A line that is valid JSON and whose envelope is plain (internal/jsonx:
-// op, args and mode spelled so, each at most once, op a known name
-// without escapes, args an object) is read in one pass: the registry
-// decodes the args where they lie in the line, a flat command from its
-// field table. Any other line is decodeCommandLineJSON's, which is also
-// what says why a bad line is bad.
+// A line that is valid JSON and whose envelope is plain (cutEnvelope) is
+// read in one pass: the registry decodes the args where they lie in the
+// line, a flat command from its field table. Any other line is
+// decodeCommandLineJSON's, which is also what says why a bad line is bad.
 func decodeCommandLine(line []byte) (adept2.Command, string, string, error) {
-	var vals [len(envelopeKeys)][]byte
-	if json.Valid(line) && jsonx.Members(line, envelopeKeys[:], vals[:]) {
-		op, plain := jsonx.Str(vals[0])
-		mode, known := plainModes[string(vals[2])]
-		if args := vals[1]; plain && known && len(args) > 0 && args[0] == '{' {
+	if json.Valid(line) {
+		if op, args, mode, plain := cutEnvelope(line); plain {
 			cmd, name, err := adept2.DecodeWireSpans(op, args)
 			return cmd, name, mode, err
 		}
@@ -60,6 +56,23 @@ var (
 	// the two strings the protocol has.
 	plainModes = map[string]string{"": "", `"sync"`: "sync", `"async"`: "async"}
 )
+
+// cutEnvelope is the one envelope reader, for a command line and a batch
+// element alike: it cuts data, which json.Valid has accepted, into the op
+// name's bytes, the args span and the mode, all in place. It reports not
+// plain unless the envelope's members are op, args and mode spelled so,
+// each at most once (internal/jsonx), op a string without escapes, args
+// an object and mode absent or one of the protocol's two.
+func cutEnvelope(data []byte) (op, args []byte, mode string, plain bool) {
+	var vals [len(envelopeKeys)][]byte
+	if !jsonx.Members(data, envelopeKeys[:], vals[:]) {
+		return nil, nil, "", false
+	}
+	op, plain = jsonx.Str(vals[0])
+	mode, known := plainModes[string(vals[2])]
+	args = vals[1]
+	return op, args, mode, plain && known && len(args) > 0 && args[0] == '{'
+}
 
 // decodeCommandLineJSON is decodeCommandLine by encoding/json alone: the
 // reference the one-pass reader is held to (FuzzDecodeAgainstJSON) and
@@ -82,6 +95,58 @@ func decodeCommandLineJSON(line []byte) (cmd adept2.Command, op, mode string, er
 // System.SubmitBatch, so it is durable when the response arrives.
 type batchRequest struct {
 	Commands []Envelope `json:"commands"`
+}
+
+var batchKeys = [...]string{"commands"}
+
+// decodeBatch decodes a POST /v1/batch body into its commands; every
+// failure is ErrInvalid, and nothing runs unless the whole body decodes.
+//
+// A body that is valid JSON and plain — one member, "commands", spelled
+// so and there once, an array whose every element is an envelope
+// cutEnvelope reads, without a mode, and whose args decode — is read in
+// one pass, each element as a command line is. Any other body is
+// decodeBatchJSON's, whole, so what a body means and why a bad one is bad
+// are encoding/json's to say (FuzzBatchAgainstJSON holds the two
+// together).
+func decodeBatch(body []byte) ([]adept2.Command, error) {
+	var vals [len(batchKeys)][]byte
+	n := 0
+	count := func([]byte) bool { n++; return true }
+	if json.Valid(body) && jsonx.Members(body, batchKeys[:], vals[:]) && vals[0] != nil && jsonx.Array(vals[0], count) {
+		cmds := make([]adept2.Command, 0, n)
+		if jsonx.Array(vals[0], func(elem []byte) bool {
+			op, args, mode, plain := cutEnvelope(elem)
+			if !plain || mode != "" {
+				return false
+			}
+			cmd, _, err := adept2.DecodeWireSpans(op, args)
+			cmds = append(cmds, cmd)
+			return err == nil
+		}) {
+			return cmds, nil
+		}
+	}
+	return decodeBatchJSON(body)
+}
+
+// decodeBatchJSON is decodeBatch by encoding/json alone: the body by
+// Unmarshal, which refuses anything after the one object, and each
+// envelope through the registry.
+func decodeBatchJSON(body []byte) ([]adept2.Command, error) {
+	var req batchRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		return nil, decodeErr("batch envelope", err)
+	}
+	cmds := make([]adept2.Command, len(req.Commands))
+	for i, env := range req.Commands {
+		cmd, err := adept2.DecodeWireCommand(env.Op, env.Args)
+		if err != nil {
+			return nil, decodeErr(fmt.Sprintf("batch command %d", i), err)
+		}
+		cmds[i] = cmd
+	}
+	return cmds, nil
 }
 
 // SubmitResult answers a command submission. Shard and Seq are the
@@ -357,4 +422,166 @@ func codeOf(err error) adept2.Code {
 func decodeErr(what string, err error) error {
 	return &adept2.Error{Code: adept2.CodeInvalid, Op: "rpc",
 		Err: fmt.Errorf("rpc: malformed %s: %w", what, err)}
+}
+
+// The command plane's replies — a SubmitResult on a stream or a unary
+// POST /v1/commands, a BatchResponse — are appended by the one appender
+// below, byte for byte what json.Encoder writes for the same value, its
+// newline included; a migration report and an error envelope inside one
+// go through encoding/json. The client reads a reply in place where it
+// is plain (readResult) and hands anything else to encoding/json.
+// FuzzRepliesAgainstJSON holds both directions to the reference.
+
+// appendSubmitResult appends r as json.Encoder writes it.
+func appendSubmitResult(b []byte, r *SubmitResult) []byte {
+	b = append(b, `{"op":`...)
+	b = jsonx.AppendString(b, r.Op)
+	b = append(b, `,"shard":`...)
+	b = strconv.AppendInt(b, int64(r.Shard), 10)
+	b = append(b, `,"seq":`...)
+	b = strconv.AppendInt(b, int64(r.Seq), 10)
+	b = append(b, `,"durable":`...)
+	b = strconv.AppendBool(b, r.Durable)
+	if r.Result != nil {
+		b = appendResult(append(b, `,"result":`...), r.Result)
+	}
+	return append(b, "}\n"...)
+}
+
+// appendBatchResponse appends r as json.Encoder writes it.
+func appendBatchResponse(b []byte, r *BatchResponse) []byte {
+	b = append(b, `{"results":`...)
+	if r.Results == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, res := range r.Results {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendResult(b, res)
+		}
+		b = append(b, ']')
+	}
+	if r.Error != nil {
+		b = appendMarshal(append(b, `,"error":`...), r.Error)
+	}
+	return append(b, "}\n"...)
+}
+
+func appendResult(b []byte, r *ResultSummary) []byte {
+	if r == nil {
+		return append(b, "null"...)
+	}
+	sep := byte('{')
+	if in := r.Instance; in != nil {
+		b = append(b, `{"instance":{"id":`...)
+		b = jsonx.AppendString(b, in.ID)
+		b = append(b, `,"type":`...)
+		b = jsonx.AppendString(b, in.Type)
+		b = append(b, `,"version":`...)
+		b = strconv.AppendInt(b, int64(in.Version), 10)
+		if in.Done {
+			b = append(b, `,"done":true`...)
+		}
+		if in.Suspended {
+			b = append(b, `,"suspended":true`...)
+		}
+		if in.Biased {
+			b = append(b, `,"biased":true`...)
+		}
+		if in.Migrations != 0 {
+			b = strconv.AppendInt(append(b, `,"migrations":`...), int64(in.Migrations), 10)
+		}
+		b = append(b, '}')
+		sep = ','
+	}
+	if r.Report != nil {
+		b = appendMarshal(append(append(b, sep), `"report":`...), r.Report)
+		sep = ','
+	}
+	if sep == '{' {
+		b = append(b, '{')
+	}
+	return append(b, '}')
+}
+
+// appendMarshal appends what json.Marshal writes for v, a value of this
+// file's types, which always marshal.
+func appendMarshal(b []byte, v any) []byte {
+	enc, _ := json.Marshal(v)
+	return append(b, enc...)
+}
+
+var (
+	resultKeys   = [...]string{"instance", "report"}
+	instanceKeys = [...]string{"id", "type", "version", "done", "suspended", "biased", "migrations"}
+	// instanceZero is what an absent instance member reads as.
+	instanceZero = [len(instanceKeys)][]byte{[]byte(`""`), []byte(`""`), []byte("0"), []byte("false"), []byte("false"), []byte("false"), []byte("0")}
+)
+
+// readResult reads a raw ResultSummary in place: null, or an object whose
+// one member is a plain instance — no key twice or case-folded, strings
+// without escapes, an absent member its zero. It reports false for
+// anything else, a report included. A summary and its instance take one
+// allocation, their two strings one each.
+func readResult(val []byte) (*ResultSummary, bool) {
+	if string(val) == "null" {
+		return nil, true
+	}
+	var res [len(resultKeys)][]byte
+	var in [len(instanceKeys)][]byte
+	if !jsonx.Members(val, resultKeys[:], res[:]) || res[0] == nil || res[1] != nil ||
+		!jsonx.Members(res[0], instanceKeys[:], in[:]) {
+		return nil, false
+	}
+	for k := range in {
+		if in[k] == nil {
+			in[k] = instanceZero[k]
+		}
+	}
+	id, ok0 := jsonx.Str(in[0])
+	typ, ok1 := jsonx.Str(in[1])
+	version, ok2 := jsonx.Int(in[2])
+	done, ok3 := jsonx.Bool(in[3])
+	suspended, ok4 := jsonx.Bool(in[4])
+	biased, ok5 := jsonx.Bool(in[5])
+	migrations, ok6 := jsonx.Int(in[6])
+	if !ok0 || !ok1 || !ok2 || !ok3 || !ok4 || !ok5 || !ok6 ||
+		int64(int(version)) != version || int64(int(migrations)) != migrations {
+		return nil, false
+	}
+	both := new(struct {
+		res ResultSummary
+		in  InstanceSummary
+	})
+	both.in = InstanceSummary{ID: string(id), Type: string(typ), Version: int(version),
+		Done: done, Suspended: suspended, Biased: biased, Migrations: int(migrations)}
+	both.res.Instance = &both.in
+	return &both.res, true
+}
+
+var batchReplyKeys = [...]string{"results", "error"}
+
+// readBatchResponse reads a POST /v1/batch reply into r: in place when it
+// is plain — a results array of what readResult reads and no error —
+// and by encoding/json otherwise.
+func readBatchResponse(body []byte, r *BatchResponse) error {
+	var vals [len(batchReplyKeys)][]byte
+	n := 0
+	count := func([]byte) bool { n++; return true }
+	if json.Valid(body) && jsonx.Members(body, batchReplyKeys[:], vals[:]) && vals[0] != nil && vals[1] == nil &&
+		jsonx.Array(vals[0], count) {
+		results := make([]*ResultSummary, 0, n)
+		if jsonx.Array(vals[0], func(elem []byte) bool {
+			res, ok := readResult(elem)
+			results = append(results, res)
+			return ok
+		}) {
+			*r = BatchResponse{Results: results}
+			return nil
+		}
+	}
+	*r = BatchResponse{}
+	return json.Unmarshal(body, r)
 }
