@@ -83,16 +83,16 @@ var (
 
 // Runtime layer.
 type (
-	// Engine is the process runtime.
-	Engine = engine.Engine
 	// Instance is one running process instance.
 	Instance = engine.Instance
 	// CompleteOption customizes activity completion.
 	CompleteOption = engine.CompleteOption
 	// WorkItem is one unit of offered work.
 	WorkItem = worklist.Item
-	// OrgModel registers users and roles.
+	// OrgModel registers users and roles; WithOrg takes one.
 	OrgModel = org.Model
+	// OrgReader reads a System's organizational model (System.Org).
+	OrgReader = org.Reader
 	// User is an organizational agent.
 	User = org.User
 )
@@ -173,6 +173,4 @@ var (
 	RenderInstance = monitor.RenderInstance
 	// FormatReport renders a migration report (Fig. 3 style).
 	FormatReport = monitor.FormatReport
-	// SummarizeWorklists renders all user worklists.
-	SummarizeWorklists = monitor.SummarizeWorklists
 )

@@ -74,7 +74,7 @@ func buildLegacyDir(t *testing.T, snapDir string, compact bool) legacyDir {
 	submit(&adept2.Evolve{TypeName: "online_order", Ops: sim.OnlineOrderTypeChange()})
 
 	d.snapSeq = j.Seq()
-	state := durable.Stage(d.want.Engine(), d.snapSeq)
+	state := durable.Stage(adept2.EngineOf(d.want), d.snapSeq)
 	store, err := durable.OpenStore(d.snapDir)
 	if err != nil {
 		t.Fatal(err)

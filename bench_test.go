@@ -119,7 +119,7 @@ func BenchmarkHistoryReads(b *testing.B) {
 	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		b.Fatal(err)
 	}
-	eng := sys.Engine()
+	eng := adept2.EngineOf(sys)
 	insts, err := sim.BuildPopulation(eng, rand.New(rand.NewSource(1)), sim.DefaultPopulationOpts(n))
 	if err != nil {
 		b.Fatal(err)

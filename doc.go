@@ -22,7 +22,7 @@
 //
 //	ctx := context.Background()
 //	sys := adept2.New()
-//	_ = sys.Org().AddUser(&adept2.User{ID: "ann", Roles: []string{"clerk"}})
+//	_, _ = sys.Submit(ctx, &adept2.AddUser{User: &adept2.User{ID: "ann", Roles: []string{"clerk"}}})
 //	_, _ = sys.Submit(ctx, &adept2.Deploy{Schema: schema})
 //	res, _ := sys.Submit(ctx, &adept2.CreateInstance{TypeName: "order"})
 //	inst := res.(*adept2.Instance)
@@ -37,6 +37,10 @@
 //	res, err := sys.Submit(ctx, cmd)        // durable when it returns
 //	rcpt, err := sys.SubmitAsync(ctx, cmd)  // durable when rcpt.Wait returns
 //	ress, err := sys.SubmitBatch(ctx, cmds) // one barrier + one wait per run
+//
+// These are the only way to change a System's state (Fail and
+// SweepDeadlines submit commands too): Org and every other accessor only
+// read. A work item is reserved by starting it.
 //
 // A result is read by type assertion: a create returns the *Instance, an
 // evolution the *MigrationReport, every other command nil. A command that

@@ -28,8 +28,8 @@ const (
 	// IDs, a node not in the required state, resuming a running
 	// instance).
 	CodeConflict Code = "conflict"
-	// CodeDenied marks authorization failures (role mismatches, claiming
-	// a work item without being a candidate).
+	// CodeDenied marks authorization failures (a start or completion by a
+	// user without the activity's role).
 	CodeDenied Code = "denied"
 	// CodeSuspended marks user operations refused because the instance is
 	// suspended (Resume it first).
@@ -75,7 +75,7 @@ type Error struct {
 	// Code is the failure class.
 	Code Code
 	// Op names the command that failed (its CommandName), or the façade
-	// entry point for non-command failures ("open", "claim", "health").
+	// entry point for non-command failures ("open", "health").
 	Op string
 	// Instance is the targeted instance ID, when the command had one.
 	Instance string

@@ -140,13 +140,6 @@ func TestErrorTaxonomy(t *testing.T) {
 			_, err := sys.Submit(context.Background(), &adept2.Evolve{TypeName: "no_such_type", Ops: sim.OnlineOrderTypeChange()})
 			return err
 		}, adept2.ErrNotFound},
-		{"claim by a non-candidate", func() error {
-			items := sys.WorkItems("ann")
-			if len(items) == 0 {
-				t.Fatal("expected work items for ann")
-			}
-			return sys.Claim(items[0].ID, "bob")
-		}, adept2.ErrDenied},
 		{"foreign command implementation", func() error {
 			_, err := sys.Submit(context.Background(), fakeCommand{})
 			return err

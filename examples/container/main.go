@@ -78,7 +78,8 @@ func main() {
 	} {
 		submit(&adept2.AddUser{User: u})
 	}
-	submit(&adept2.Deploy{Schema: buildTransport()})
+	transport := buildTransport()
+	submit(&adept2.Deploy{Schema: transport})
 
 	// A small fleet in different states.
 	var ids []string
@@ -105,9 +106,8 @@ func main() {
 			Succ: "and-join_2", // the join closing the preparation block
 		},
 	}
-	// Resolve the actual join ID from the deployed schema.
-	schema, _ := sys.Engine().Schema("container_transport", 1)
-	for _, n := range schema.Nodes() {
+	// Resolve the actual join ID from the schema deployed above.
+	for _, n := range transport.Nodes() {
 		if n.Type == adept2.NodeANDJoin {
 			deltaT[0].(*adept2.SerialInsert).Succ = n.ID
 		}

@@ -34,7 +34,7 @@ func main() {
 		{ID: "bob", Name: "Bob", Roles: []string{"analyst"}},
 		{ID: "eve", Name: "Eve", Roles: []string{"manager", "analyst"}},
 	} {
-		if err := sys.Org().AddUser(u); err != nil {
+		if _, err := sys.Submit(ctx, &adept2.AddUser{User: u}); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -51,9 +51,6 @@ func main() {
 	inst := res.(*adept2.Instance)
 	items := sys.WorkItems("ann")
 	fmt.Printf("\nann's worklist: %d item(s), first: %s\n", len(items), items[0].Node)
-	if err := sys.Claim(items[0].ID, "ann"); err != nil {
-		log.Fatal(err)
-	}
 	if _, err := sys.Submit(ctx, &adept2.CompleteActivity{
 		Instance: inst.ID(), Node: "receive", User: "ann", Outputs: map[string]any{"amount": 5000}}); err != nil {
 		log.Fatal(err)

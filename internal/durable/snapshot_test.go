@@ -18,7 +18,7 @@ import (
 )
 
 // populate builds a small engine: two instances of the online-order
-// process, one advanced and one biased, with claimed work items.
+// process, one advanced and one biased, with a started work item.
 func populate(t *testing.T) *engine.Engine {
 	t.Helper()
 	e := engine.New(sim.Org())
@@ -39,10 +39,8 @@ func populate(t *testing.T) *engine.Engine {
 	if err := e.CompleteActivity(i2.ID(), "get_order", "ann", map[string]any{"out": "order-2"}); err != nil {
 		t.Fatal(err)
 	}
-	if it, ok := e.Worklist().ItemFor(i2.ID(), "collect_data"); ok {
-		if err := e.Claim(it.ID, "ann"); err != nil {
-			t.Fatal(err)
-		}
+	if err := e.StartActivityAt(i2.ID(), "collect_data", "ann", 0); err != nil {
+		t.Fatal(err)
 	}
 	return e
 }
@@ -76,7 +74,7 @@ func TestCaptureRestoreRoundTrip(t *testing.T) {
 			t.Fatalf("%s history length differs", orig.ID())
 		}
 	}
-	// Worklist items (and the claim) survived with their IDs.
+	// Worklist items (and the started one's state) survived with their IDs.
 	origItems := e.Worklist().ItemsFor("ann")
 	restItems := e2.Worklist().ItemsFor("ann")
 	if len(origItems) != len(restItems) {

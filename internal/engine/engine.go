@@ -403,12 +403,6 @@ func (e *Engine) Resume(instID string) error {
 	return nil
 }
 
-// Claim reserves a work item for a user.
-func (e *Engine) Claim(itemID, user string) error { return e.wl.Claim(itemID, user) }
-
-// Release un-claims a work item.
-func (e *Engine) Release(itemID, user string) error { return e.wl.Release(itemID, user) }
-
 // WorkItems returns the work items visible to a user.
 func (e *Engine) WorkItems(user string) []*worklist.Item { return e.wl.ItemsFor(user) }
 

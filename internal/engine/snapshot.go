@@ -113,8 +113,9 @@ func sortedKeys(m map[string]bool) []string {
 // RestoreInstance rebuilds an instance from a snapshot: the referenced
 // schema version must already be deployed, the decoded bias builds the
 // instance's overlay (BuildOverlay) and the view's analysis, and markings,
-// stats, history, data, and flags are installed verbatim. The worklist is NOT reconciled — callers restore
-// worklist items wholesale so pre-crash claims survive.
+// stats, history, data, and flags are installed verbatim. The worklist is
+// NOT reconciled: callers restore worklist items wholesale, each with the
+// candidates it was offered to.
 func (e *Engine) RestoreInstance(snap *InstanceSnapshot, bias []BiasOp) error {
 	e.mu.Lock()
 	inst, err := e.registerLocked(snap.ID, snap.TypeName, snap.Version)

@@ -24,10 +24,10 @@ const (
 	// nodes, work items, process types).
 	NotFound
 	// Conflict marks requests that contradict current state (duplicate
-	// IDs, wrong node state, releasing an unclaimed item).
+	// IDs, wrong node state, resuming a running instance).
 	Conflict
-	// Denied marks authorization failures (role mismatches, claiming a
-	// work item without being a candidate).
+	// Denied marks authorization failures (a start or completion by a
+	// user without the activity's role).
 	Denied
 	// Suspended marks operations refused because the instance is
 	// suspended.

@@ -342,12 +342,12 @@ func (m *Miner) nodeAgg(name string) *nodeAgg {
 // count.
 func (m *Miner) Report() *Report {
 	r := &Report{
-		Instances:       m.instances,
-		Done:            m.done,
-		Biased:          m.biased,
+		Instances:        m.instances,
+		Done:             m.done,
+		Biased:           m.biased,
 		DistinctVariants: len(m.variants),
-		VariantOverflow: m.variantOverflow,
-		EdgeOverflow:    m.edgeOverflow,
+		VariantOverflow:  m.variantOverflow,
+		EdgeOverflow:     m.edgeOverflow,
 	}
 
 	for shard, n := range m.shards {

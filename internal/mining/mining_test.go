@@ -146,8 +146,8 @@ func TestMinerDriftClassification(t *testing.T) {
 	m := NewMiner(Options{})
 	m.Deployed("t", 2, []string{"a", "b"})
 
-	m.Observe(view("i1", "t", 2, "a", "b"), 0) // current, compliant
-	m.Observe(view("i2", "t", 1, "a"), 0)      // stale
+	m.Observe(view("i1", "t", 2, "a", "b"), 0)  // current, compliant
+	m.Observe(view("i2", "t", 1, "a"), 0)       // stale
 	m.Observe(view("i3", "t", 2, "a", "zz"), 0) // foreign node
 	biased := view("i4", "t", 2, "a", "b")
 	biased.Biased = true

@@ -57,12 +57,6 @@ func TestSchemaAccessors(t *testing.T) {
 	if got := len(s.DataEdgesOf("a")); got != 1 {
 		t.Fatalf("DataEdgesOf(a) = %d edges", got)
 	}
-	if got := WritersOf(s, "d1"); len(got) != 1 || got[0] != "a" {
-		t.Fatalf("WritersOf(d1) = %v", got)
-	}
-	if got := ReadersOf(s, "d1"); len(got) != 1 || got[0] != "b" {
-		t.Fatalf("ReadersOf(d1) = %v", got)
-	}
 }
 
 func TestSchemaMutationErrors(t *testing.T) {

@@ -127,25 +127,3 @@ func InControlEdges(v SchemaView, id string) []*Edge {
 	}
 	return es
 }
-
-// WritersOf returns the activities with a write data edge on the element.
-func WritersOf(v SchemaView, element string) []string {
-	var ids []string
-	for _, de := range v.DataEdges() {
-		if de.Element == element && de.Access == Write {
-			ids = append(ids, de.Activity)
-		}
-	}
-	return ids
-}
-
-// ReadersOf returns the activities with a read data edge on the element.
-func ReadersOf(v SchemaView, element string) []string {
-	var ids []string
-	for _, de := range v.DataEdges() {
-		if de.Element == element && de.Access == Read {
-			ids = append(ids, de.Activity)
-		}
-	}
-	return ids
-}

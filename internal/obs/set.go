@@ -231,14 +231,14 @@ var ActionNames = [4]string{"none", "retry", "skip", "suspend"}
 // RPC endpoint indexes into RPCEndpoints — the networked command plane's
 // fixed label space (one slot per wire endpoint family).
 const (
-	EpCommands = iota // POST /v1/commands: one request per command, unary or a stream's line
-	EpBatch           // POST /v1/batch
-	EpInstances       // GET /v1/instances, /v1/instances/{id}
-	EpWorkItems       // GET /v1/workitems
-	EpExceptions      // GET /v1/exceptions
-	EpHealth          // GET /v1/healthz
-	EpWatermarks      // GET /v1/watermarks (snapshot + NDJSON stream)
-	EpControlLog      // GET /v1/control-log (suffix read + NDJSON tail)
+	EpCommands   = iota // POST /v1/commands: one request per command, unary or a stream's line
+	EpBatch             // POST /v1/batch
+	EpInstances         // GET /v1/instances, /v1/instances/{id}
+	EpWorkItems         // GET /v1/workitems
+	EpExceptions        // GET /v1/exceptions
+	EpHealth            // GET /v1/healthz
+	EpWatermarks        // GET /v1/watermarks (snapshot + NDJSON stream)
+	EpControlLog        // GET /v1/control-log (suffix read + NDJSON tail)
 	NumEndpoints
 )
 

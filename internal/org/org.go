@@ -26,11 +26,29 @@ type User struct {
 	Unit  string   `json:"unit,omitempty"`
 }
 
+// Reader is the read side of a Model. A System hands out its model as a
+// Reader: its users change only through a journaled command.
+type Reader interface {
+	// User returns a copy of the user with the ID.
+	User(id string) (*User, bool)
+	// Users returns all user IDs, sorted.
+	Users() []string
+	// UsersInRole returns the IDs of the role's users, sorted; the slice
+	// is shared and must not be modified.
+	UsersInRole(role string) []string
+}
+
 // Model is a thread-safe registry of users and roles.
 type Model struct {
 	mu    sync.RWMutex
 	users map[string]*User
 	roles map[string][]string // role -> user IDs (sorted; each slice immutable, see the package doc)
+}
+
+func (u *User) clone() *User {
+	cp := *u
+	cp.Roles = append([]string(nil), u.Roles...)
+	return &cp
 }
 
 // NewModel returns an empty organizational model.
@@ -58,21 +76,23 @@ func (m *Model) AddUser(u *User) error {
 	if _, dup := m.users[u.ID]; dup {
 		return fault.Tagf(fault.Conflict, "org: add user %q: duplicate ID", u.ID)
 	}
-	cp := *u
-	cp.Roles = append([]string(nil), u.Roles...)
-	m.users[u.ID] = &cp
+	cp := u.clone()
+	m.users[u.ID] = cp
 	for _, r := range cp.Roles {
 		m.roles[r] = insertSorted(m.roles[r], u.ID)
 	}
 	return nil
 }
 
-// User looks up a user by ID.
+// User returns a copy of the user with the ID.
 func (m *Model) User(id string) (*User, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	u, ok := m.users[id]
-	return u, ok
+	if !ok {
+		return nil, false
+	}
+	return u.clone(), true
 }
 
 // UsersInRole returns the IDs of all users holding the role, sorted. The
@@ -97,18 +117,6 @@ func (m *Model) HasRole(userID, role string) (string, bool) {
 	return u.ID, true
 }
 
-// Roles returns all known roles, sorted.
-func (m *Model) Roles() []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	rs := make([]string, 0, len(m.roles))
-	for r := range m.roles {
-		rs = append(rs, r)
-	}
-	sort.Strings(rs)
-	return rs
-}
-
 // Clone returns a deep copy of the model. Recovery restores snapshots
 // into a clone so a failed attempt cannot leak users into the model the
 // fallback attempt starts from.
@@ -127,9 +135,7 @@ func (m *Model) AllUsers() []*User {
 	defer m.mu.RUnlock()
 	out := make([]*User, 0, len(m.users))
 	for _, u := range m.users {
-		cp := *u
-		cp.Roles = append([]string(nil), u.Roles...)
-		out = append(out, &cp)
+		out = append(out, u.clone())
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out

@@ -43,9 +43,6 @@ func TestModelLookup(t *testing.T) {
 	if id, _ := m.HasRole(string([]byte("ann")), "sales"); id != "ann" || unsafe.StringData(id) != unsafe.StringData(u.ID) {
 		t.Fatalf("HasRole returned %q at %p, not the model's %q at %p", id, unsafe.StringData(id), u.ID, unsafe.StringData(u.ID))
 	}
-	if got := m.Roles(); len(got) != 3 {
-		t.Fatalf("Roles = %v", got)
-	}
 	if got := m.Users(); len(got) != 3 || got[0] != "ann" {
 		t.Fatalf("Users = %v", got)
 	}

@@ -31,7 +31,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	sum := HealthSummary{
 		Healthy:      true,
 		Shards:       s.sys.NumShards(),
-		Instances:    s.sys.Engine().NumInstances(),
+		Instances:    len(s.sys.Instances()),
 		WedgedShards: s.sys.HealthInfo().WedgedShards,
 		Draining:     s.draining.Load(),
 	}

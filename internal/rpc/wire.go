@@ -318,7 +318,7 @@ type WorkItemSummary struct {
 	Node      string   `json:"node"`
 	Role      string   `json:"role,omitempty"`
 	Offered   []string `json:"offered,omitempty"`
-	ClaimedBy string   `json:"claimedBy,omitempty"`
+	ClaimedBy string   `json:"claimedBy,omitempty"` // the user who started the item
 	State     string   `json:"state"`
 }
 

@@ -7,12 +7,17 @@ import (
 	"strings"
 
 	"adept2/internal/engine"
+	"adept2/internal/org"
+	"adept2/internal/worklist"
 )
 
 // System is what Summary and a Ledger read of an *adept2.System (sim cannot
 // import adept2: the tests of packages adept2 imports import sim).
 type System interface {
-	Engine() *engine.Engine
+	Instance(id string) (*engine.Instance, bool)
+	Instances() []*engine.Instance
+	Org() org.Reader
+	WorkItems(user string) []*worklist.Item
 	DurableWatermarks() []int
 }
 
@@ -22,9 +27,8 @@ type System interface {
 // wall-clock stamp is left out, so two systems driven through the same
 // commands at different times summarize alike.
 func Summary(sys System) string {
-	e := sys.Engine()
 	var b strings.Builder
-	for _, inst := range e.Instances() {
+	for _, inst := range sys.Instances() {
 		data, _ := json.Marshal(inst.DataSnapshot()) // what cannot be encoded is refused before it is stored
 		fmt.Fprintf(&b, "%s type=%s v=%d done=%v susp=%v hist=%d migr=%d biased=%v ops=%d\n  data %s\n",
 			inst.ID(), inst.TypeName(), inst.Version(), inst.Done(), inst.Suspended(),
@@ -42,8 +46,10 @@ func Summary(sys System) string {
 				ev.Seq, ev.Kind, ev.Node, ev.User, ev.Reason, values)
 		}
 	}
-	for _, user := range e.Org().Users() {
-		for _, it := range e.WorkItems(user) {
+	for _, user := range sys.Org().Users() {
+		for _, it := range sys.WorkItems(user) {
+			// claimed= is the starter (ClaimedBy); a new label would move
+			// every digest CI pins.
 			fmt.Fprintf(&b, "wl %s %s role=%s state=%s claimed=%s\n",
 				user, it.ID, it.Role, it.State, it.ClaimedBy)
 		}
@@ -95,7 +101,7 @@ func (l *Ledger) Ack(sys System, insts ...string) {
 		l.marks[k] = max(l.marks[k], m)
 	}
 	for _, id := range insts {
-		if inst, ok := sys.Engine().Instance(id); ok {
+		if inst, ok := sys.Instance(id); ok {
 			l.record(id, inst.HistoryLen(), inst.Done())
 		}
 	}
@@ -104,7 +110,7 @@ func (l *Ledger) Ack(sys System, insts ...string) {
 // AckAll is Ack of every instance sys holds: what a clean reopen, or a
 // command that may touch any instance, acknowledges.
 func (l *Ledger) AckAll(sys System) {
-	for _, inst := range sys.Engine().Instances() {
+	for _, inst := range sys.Instances() {
 		l.Ack(sys, inst.ID())
 	}
 }
@@ -128,7 +134,7 @@ func (l *Ledger) Check(recovered System) error {
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		inst, ok := recovered.Engine().Instance(id)
+		inst, ok := recovered.Instance(id)
 		switch {
 		case !ok:
 			return fmt.Errorf("acknowledged instance %s lost", id)

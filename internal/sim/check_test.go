@@ -40,16 +40,6 @@ func build(t *testing.T, at time.Duration, cmds ...adept2.Command) *adept2.Syste
 	return sys
 }
 
-// claimed is build's system with the named item claimed by user.
-func claimed(t *testing.T, item, user string, cmds ...adept2.Command) *adept2.System {
-	t.Helper()
-	sys := build(t, 0, cmds...)
-	if err := sys.Claim(item, user); err != nil {
-		t.Fatal(err)
-	}
-	return sys
-}
-
 // TestDiffSeesEveryDifference: two systems that differ in one thing — a
 // data value, a deadline or retry stamp, a failure count, a worklist of a
 // user beyond ann and bob, or a bias op — never summarize alike. Each row
@@ -69,7 +59,10 @@ func TestDiffSeesEveryDifference(t *testing.T) {
 	for _, id := range []string{"y", "z"} {
 		elements = append(elements, &adept2.AddDataElement{Element: &adept2.DataElement{ID: id, Name: id, Type: adept2.TypeString}})
 	}
-	inst := []string{"i1/a", "i2/a"}
+	inst := []string{"i1", "i2"}
+	startBy := func(inst, user string) adept2.Command {
+		return &adept2.StartActivity{Instance: inst, Node: "a", User: user}
+	}
 	for _, row := range []struct {
 		name  string
 		build func(t *testing.T, v int) *adept2.System
@@ -87,8 +80,10 @@ func TestDiffSeesEveryDifference(t *testing.T) {
 			}
 			return build(t, 0, cmds...)
 		}},
-		{"cyn's worklist", func(t *testing.T, v int) *adept2.System { return claimed(t, inst[v], "cyn") }},
-		{"dan's worklist", func(t *testing.T, v int) *adept2.System { return claimed(t, inst[v], "dan", courier...) }},
+		{"cyn's worklist", func(t *testing.T, v int) *adept2.System { return build(t, 0, startBy(inst[v], "cyn")) }},
+		{"dan's worklist", func(t *testing.T, v int) *adept2.System {
+			return build(t, 0, append(courier, startBy(inst[v], "dan"))...)
+		}},
 		{"bias op", func(t *testing.T, v int) *adept2.System {
 			return build(t, 0, &adept2.AdHoc{Instance: "i1", Ops: elements[:v+1]})
 		}},

@@ -49,6 +49,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
@@ -610,12 +611,7 @@ func (r *runner) sweep(ctx context.Context) error {
 // (between the last inserted audit — or ship — and archive), migrating
 // compliant instances on the fly.
 func (r *runner) evolve(ctx context.Context) error {
-	latest := 1
-	for _, s := range r.sys.Engine().AllSchemas() {
-		if s.TypeName() == "soak_order" && s.Version() > latest {
-			latest = s.Version()
-		}
-	}
+	latest := max(1, r.sys.LatestVersion("soak_order"))
 	pred := "ship"
 	if latest > 1 {
 		pred = fmt.Sprintf("audit_%d", latest-1)
@@ -854,11 +850,33 @@ func (r *runner) checkMining(ctx context.Context) error {
 }
 
 // checkInvariants asserts the global safety invariants over the live
-// state: no lost or phantom work items, and no wedged instances.
+// state: no lost or phantom work items, and no wedged instances. The
+// worklist is the union of every user's, which holds every item only
+// while every role an item can be offered to is held by a user.
 func (r *runner) checkInvariants() error {
-	wl := r.sys.Engine().Worklist()
+	org := r.sys.Org()
+	roles := []string{"worker"} // evolve's audit activities
+	for _, n := range Schema().Nodes() {
+		roles = append(roles, n.Role, n.Escalation)
+	}
+	for _, role := range roles {
+		if role != "" && len(org.UsersInRole(role)) == 0 {
+			return fmt.Errorf("invariant: no user holds role %q, so no worklist lists its items", role)
+		}
+	}
+	wl := make(map[string][]*adept2.WorkItem) // instance -> its items, each once
+	hasItem := func(inst, node string) bool {
+		return slices.ContainsFunc(wl[inst], func(it *adept2.WorkItem) bool { return it.Node == node })
+	}
+	for _, user := range org.Users() {
+		for _, it := range r.sys.WorkItems(user) {
+			if !hasItem(it.Instance, it.Node) {
+				wl[it.Instance] = append(wl[it.Instance], it)
+			}
+		}
+	}
 	for _, inst := range r.sys.Instances() {
-		for _, it := range wl.ItemsForInstance(inst.ID()) {
+		for _, it := range wl[inst.ID()] {
 			if inst.Done() {
 				return fmt.Errorf("invariant: phantom work item %s on completed %s", it.ID, inst.ID())
 			}
@@ -884,15 +902,15 @@ func (r *runner) checkInvariants() error {
 			suppressed := retryPending || inst.PendingCompensation(id)
 			switch st {
 			case state.Activated:
-				_, hasItem := wl.ItemFor(inst.ID(), id)
-				if suppressed && hasItem {
+				has := hasItem(inst.ID(), id)
+				if suppressed && has {
 					return fmt.Errorf("invariant: %s/%s is suppressed but has a work item", inst.ID(), id)
 				}
-				if !suppressed && !hasItem {
+				if !suppressed && !has {
 					return fmt.Errorf("invariant: lost work item for activated %s/%s", inst.ID(), id)
 				}
 			case state.Running:
-				if _, hasItem := wl.ItemFor(inst.ID(), id); !hasItem {
+				if !hasItem(inst.ID(), id) {
 					return fmt.Errorf("invariant: lost work item for running %s/%s", inst.ID(), id)
 				}
 			}

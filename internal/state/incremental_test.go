@@ -40,8 +40,8 @@ func newRefMarking() *refMarking {
 	}
 }
 
-func (m *refMarking) node(id string) NodeState         { return m.nodes[id] }
-func (m *refMarking) edge(k model.EdgeKey) EdgeState   { return m.edges[k] }
+func (m *refMarking) node(id string) NodeState       { return m.nodes[id] }
+func (m *refMarking) edge(k model.EdgeKey) EdgeState { return m.edges[k] }
 
 func (m *refMarking) setNode(id string, s NodeState) {
 	if s == NotActivated {

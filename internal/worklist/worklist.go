@@ -1,8 +1,11 @@
 // Package worklist implements the ADEPT2 worklist manager. When an
 // activity becomes activated, a work item is offered to every user whose
-// role matches the activity's staff assignment; users claim, start, and
-// complete items. Items of skipped, completed, or migrated-away activities
-// are withdrawn automatically by the engine.
+// role matches the activity's staff assignment; a candidate starts and
+// completes it. There is no claim: an item is reserved by starting it, and
+// the engine refuses a second start of a running activity. An item a
+// snapshot stores in state 1, a claim an older build kept, is read as
+// Offered. Items of skipped, completed, or migrated-away activities are
+// withdrawn automatically by the engine.
 //
 // # Identity
 //
@@ -17,8 +20,8 @@
 // The name belongs to the activity, not to one offer of it: an escalated
 // item, or an offered one whose staff assignment changed, is re-offered
 // to the new candidates under its old ID, and so is the next iteration
-// of a loop. Whether the holder of an ID may act is decided by Claim,
-// against the item's current state and candidates.
+// of a loop. Nothing resolves an ID back to its item: commands name the
+// (instance, node) pair, and the engine decides who may act.
 //
 // Every listing (ItemsFor, ItemsForPage, ItemsForInstance, Export) is in
 // ascending ID order, and a page cursor is the last ID returned.
@@ -62,22 +65,18 @@ type ItemState uint8
 
 const (
 	// Offered: visible in the worklists of all candidate users.
-	Offered ItemState = iota
-	// Claimed: one user reserved the item.
-	Claimed
-	// InProgress: the activity was started.
-	InProgress
+	Offered ItemState = 0
+	// InProgress: the activity was started. Snapshots store the value;
+	// 1 was a claim, which Import reads as Offered.
+	InProgress ItemState = 2
 )
 
-var itemStateNames = [...]string{
-	Offered:    "offered",
-	Claimed:    "claimed",
-	InProgress: "in-progress",
-}
-
 func (s ItemState) String() string {
-	if int(s) < len(itemStateNames) {
-		return itemStateNames[s]
+	switch s {
+	case Offered:
+		return "offered"
+	case InProgress:
+		return "in-progress"
 	}
 	return fmt.Sprintf("item-state(%d)", uint8(s))
 }
@@ -89,7 +88,7 @@ type Item struct {
 	Node      string
 	Role      string
 	Offered   []string // candidate user IDs, sorted (shared and immutable inside the manager)
-	ClaimedBy string
+	ClaimedBy string   // the user who started the item; empty while it is offered
 	State     ItemState
 }
 
@@ -106,7 +105,7 @@ func itemID(instance, node string) string {
 	return idEscaper.Replace(instance) + "/" + node
 }
 
-var idEscaper, idUnescaper = strings.NewReplacer("%", "%25", "/", "%2F"), strings.NewReplacer("%25", "%", "%2F", "/")
+var idEscaper = strings.NewReplacer("%", "%25", "/", "%2F")
 
 // idPiece is what byte i of an instance becomes in an item ID, and the
 // "/" that follows the instance for i == len(instance).
@@ -220,15 +219,6 @@ func (m *Manager) find(instance, node string) *Item {
 	return nil
 }
 
-// lookup returns the live item whose ID is exactly id, or nil.
-func (m *Manager) lookup(id string) *Item {
-	esc, node, _ := strings.Cut(id, "/")
-	if it := m.find(idUnescaper.Replace(esc), node); it != nil && cmpID(it.Instance, it.Node, id) == 0 {
-		return it
-	}
-	return nil
-}
-
 // relistLocked applies op — seq.insert or seq.remove — to it in the
 // sequence of each of users, and of whoever started it unoffered.
 func (m *Manager) relistLocked(it *Item, op func(seq, *Item) seq, users []string) {
@@ -310,42 +300,6 @@ func (m *Manager) Escalate(instance, node, role string, users []string) {
 	m.offerLocked(instance, node, role, users)
 }
 
-// Claim reserves an offered item for one of its candidate users.
-func (m *Manager) Claim(id, user string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	it := m.lookup(id)
-	if it == nil {
-		return fault.Tagf(fault.NotFound, "worklist: claim %q: no such item", id)
-	}
-	if it.State != Offered {
-		return fault.Tagf(fault.Conflict, "worklist: claim %q: item is %s", id, it.State)
-	}
-	i := slices.Index(it.Offered, user)
-	if i < 0 {
-		return fault.Tagf(fault.Denied, "worklist: claim %q: user %q is not a candidate", id, user)
-	}
-	it.State = Claimed
-	it.ClaimedBy = it.Offered[i] // the org model's string, not the command's: see MarkStarted
-	return nil
-}
-
-// Release returns a claimed item to the offered state.
-func (m *Manager) Release(id, user string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	it := m.lookup(id)
-	if it == nil {
-		return fault.Tagf(fault.NotFound, "worklist: release %q: no such item", id)
-	}
-	if it.State != Claimed || it.ClaimedBy != user {
-		return fault.Tagf(fault.Conflict, "worklist: release %q: not claimed by %q", id, user)
-	}
-	it.State = Offered
-	it.ClaimedBy = ""
-	return nil
-}
-
 // MarkStarted transitions the item of the given activity to InProgress. A
 // starter the offer does not name (who joined the role after it) has the
 // item in their worklist from then on.
@@ -355,9 +309,6 @@ func (m *Manager) MarkStarted(instance, node, user string) error {
 	it := m.find(instance, node)
 	if it == nil {
 		return fault.Tagf(fault.NotFound, "worklist: start %s/%s: no work item", instance, node)
-	}
-	if it.State == Claimed && it.ClaimedBy != user {
-		return fault.Tagf(fault.Denied, "worklist: start %s/%s: claimed by %q, not %q", instance, node, it.ClaimedBy, user)
 	}
 	// The item outlives the command. Where the offer names the user it
 	// keeps the offer's string — the org model's, shared by every item —
@@ -483,8 +434,8 @@ func (m *Manager) BatchUpdate(instance string, wanted []Wanted, usersInRole func
 }
 
 // ManagerExport is the serialized state of a worklist manager: every live
-// item. Restoring it wholesale (instead of re-offering from markings)
-// preserves claims.
+// item. Restoring it wholesale keeps each item's candidates as they were
+// offered, which re-offering from markings would not.
 type ManagerExport struct {
 	Items []*Item `json:"items,omitempty"`
 }
@@ -512,7 +463,9 @@ func sortedClones(items []*Item) []*Item {
 // Import replaces the manager state with the exported one, rebuilding all
 // indexes. Pre-existing items are dropped. An item's ID is derived from
 // its instance and node, whatever the export says: a snapshot written
-// when IDs came from a counter restores with the derived names.
+// when IDs came from a counter restores with the derived names, and an
+// item a parent build stored as claimed (state 1) restores as Offered with
+// no ClaimedBy, which is what a full replay of the same journal yields.
 func (m *Manager) Import(ex *ManagerExport) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -523,14 +476,17 @@ func (m *Manager) Import(ex *ManagerExport) error {
 		}
 		it := *src
 		it.ID, it.Offered = "", slices.Clone(src.Offered)
+		if it.State == 1 {
+			it.State, it.ClaimedBy = Offered, ""
+		}
 		fresh.indexLocked(&it)
 	}
 	m.byInst, m.byUser, m.n = fresh.byInst, fresh.byUser, fresh.n
 	return nil
 }
 
-// ItemsFor returns the items visible to a user (offered to or claimed by),
-// ordered by item ID.
+// ItemsFor returns the items visible to a user (offered to or started
+// by), ordered by item ID.
 func (m *Manager) ItemsFor(user string) []*Item {
 	items, _ := m.ItemsForPage(user, "", math.MaxInt)
 	return items
@@ -556,9 +512,6 @@ func (m *Manager) ItemsForPage(user, cursor string, limit int) ([]*Item, string)
 	items := make([]*Item, 0, min(limit, n))
 	for b, i := b0, i0; b < len(s); b, i = b+1, 0 {
 		for _, it := range s[b][i:] {
-			if it.State == Claimed && it.ClaimedBy != user {
-				continue // reserved by someone else
-			}
 			if len(items) == limit {
 				return items, items[limit-1].ID // page full with candidates left
 			}

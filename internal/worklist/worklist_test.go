@@ -25,27 +25,8 @@ func TestOfferClaimStartWithdraw(t *testing.T) {
 	if _, err := m.Offer("i1", "a", "clerk", nil); err == nil {
 		t.Fatal("duplicate offer must fail")
 	}
-	if err := m.Claim(it.ID, "zoe"); err == nil {
-		t.Fatal("claim by non-candidate must fail")
-	}
-	if err := m.Claim(it.ID, "ann"); err != nil {
-		t.Fatalf("claim: %v", err)
-	}
-	if err := m.Claim(it.ID, "bob"); err == nil {
-		t.Fatal("double claim must fail")
-	}
-	// Bob no longer sees the claimed item; Ann does.
-	if got := m.ItemsFor("bob"); len(got) != 0 {
-		t.Fatalf("bob sees %v", got)
-	}
-	if got := m.ItemsFor("ann"); len(got) != 1 {
-		t.Fatalf("ann sees %v", got)
-	}
-	if err := m.Release(it.ID, "bob"); err == nil {
-		t.Fatal("release by non-claimer must fail")
-	}
-	if err := m.Release(it.ID, "ann"); err != nil {
-		t.Fatalf("release: %v", err)
+	if err := m.MarkStarted("i9", "a", "bob"); fault.KindOf(err) != fault.NotFound {
+		t.Fatalf("start without an item: %v, want not-found", err)
 	}
 	if err := m.MarkStarted("i1", "a", "bob"); err != nil {
 		t.Fatalf("start: %v", err)
@@ -54,6 +35,12 @@ func TestOfferClaimStartWithdraw(t *testing.T) {
 	if !ok || got.State != InProgress || got.ClaimedBy != "bob" {
 		t.Fatalf("ItemFor = %+v, %v", got, ok)
 	}
+	// Both candidates still list the started item.
+	for _, user := range []string{"ann", "bob"} {
+		if got := m.ItemsFor(user); len(got) != 1 || got[0].State != InProgress {
+			t.Fatalf("%s sees %+v", user, got)
+		}
+	}
 	m.Withdraw("i1", "a")
 	if m.Len() != 0 {
 		t.Fatal("withdraw failed")
@@ -61,32 +48,6 @@ func TestOfferClaimStartWithdraw(t *testing.T) {
 	m.Withdraw("i1", "a") // no-op
 	if _, ok := m.ItemFor("i1", "a"); ok {
 		t.Fatal("item should be gone")
-	}
-}
-
-func TestClaimConflictsAndErrors(t *testing.T) {
-	m := NewManager()
-	if err := m.Claim("nope", "ann"); err == nil {
-		t.Fatal("claim unknown item")
-	}
-	if err := m.Release("nope", "ann"); err == nil {
-		t.Fatal("release unknown item")
-	}
-	if err := m.MarkStarted("i", "n", "u"); err == nil {
-		t.Fatal("start without item")
-	}
-	it, err := m.Offer("i1", "a", "clerk", []string{"ann"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Claim(it.ID, "ann"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.MarkStarted("i1", "a", "zoe"); err == nil {
-		t.Fatal("start of claimed item by other user must fail")
-	}
-	if err := m.MarkStarted("i1", "a", "ann"); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -154,11 +115,8 @@ func TestBatchUpdateReconciles(t *testing.T) {
 		t.Fatal("new item not offered")
 	}
 
-	// A role change on an offered item — even a claimed one — withdraws
-	// it and re-offers it to the new role's candidates under its old name.
-	if err := m.Claim(itA.ID, "ann"); err != nil {
-		t.Fatal(err)
-	}
+	// A role change on an offered item withdraws it and re-offers it to
+	// the new role's candidates under its old name.
 	m.BatchUpdate("i1", []Wanted{
 		{Node: "a", Role: "sales"},
 		{Node: "c", Role: "sales"},
@@ -206,17 +164,17 @@ func TestBatchUpdateReconciles(t *testing.T) {
 }
 
 func TestItemStateString(t *testing.T) {
-	if Offered.String() != "offered" || Claimed.String() != "claimed" || InProgress.String() != "in-progress" {
+	if Offered.String() != "offered" || InProgress.String() != "in-progress" {
 		t.Fatal("state strings")
 	}
-	if ItemState(9).String() == "" {
+	if ItemState(1).String() != "item-state(1)" || ItemState(9).String() == "" {
 		t.Fatal("out-of-range string")
 	}
 }
 
 // TestImportParentFormat: a snapshot written when item IDs came from a
-// counter ("seq", "wi-N") restores with the derived names in their place;
-// claims survive, the old names mean nothing.
+// counter ("seq", "wi-N") restores with the derived names in their place,
+// and a claim (state 1) restores as an offer.
 func TestImportParentFormat(t *testing.T) {
 	const parent = `{"seq":7,"items":[
 		{"id":"wi-3","Instance":"inst-000002","Node":"pack_goods","Role":"warehouse","Offered":["bob","cyn"],"ClaimedBy":"bob","State":1},
@@ -229,15 +187,13 @@ func TestImportParentFormat(t *testing.T) {
 	if err := m.Import(&ex); err != nil {
 		t.Fatal(err)
 	}
+	// The claim (state 1) reads as an offer, as a full replay has it.
 	it, ok := m.ItemFor("inst-000002", "pack_goods")
-	if !ok || it.ID != "inst-000002/pack_goods" || it.State != Claimed || it.ClaimedBy != "bob" {
+	if !ok || it.ID != "inst-000002/pack_goods" || it.State != Offered || it.ClaimedBy != "" {
 		t.Fatalf("imported item = %+v", it)
 	}
-	if err := m.Claim("wi-3", "cyn"); fault.KindOf(err) != fault.NotFound {
-		t.Fatalf("claim by the counter name: %v, want not-found", err)
-	}
-	if err := m.Release(it.ID, "bob"); err != nil {
-		t.Fatal(err)
+	if got := m.ItemsFor("cyn"); len(got) != 1 || got[0].ID != it.ID {
+		t.Fatalf("cyn sees %+v", got)
 	}
 	if got := m.ItemsFor("ann"); len(got) != 1 || got[0].ID != "inst-000001/get_order" {
 		t.Fatalf("ann sees %+v", got)
@@ -356,8 +312,8 @@ func TestWorklistPageAllocations(t *testing.T) {
 	}
 }
 
-// TestIndexMatchesExport: random offers, withdrawals, claims, releases,
-// starts (by candidates and by a late member), escalations,
+// TestIndexMatchesExport: random offers, withdrawals, starts (by
+// candidates and by a late member), escalations,
 // reconciliations and imports over instance IDs chosen to stress the ID
 // order — zero-padded counters, prefix pairs, "%" and "/" inside — and
 // after every operation each user's paged walk, from the start and from a
@@ -387,22 +343,18 @@ func TestIndexMatchesExport(t *testing.T) {
 			it := live[rng.Intn(len(live))]
 			inst, node = it.Instance, it.Node
 		}
-		switch op := rng.Intn(10); {
+		switch op := rng.Intn(8); {
 		case op < 3 && step < steps*2/3:
 			r := role()
 			m.Offer(inst, node, r, roles[r])
 		case op <= 3:
 			m.Withdraw(inst, node)
 		case op == 4:
-			m.Claim(itemID(inst, node), user)
-		case op == 5:
-			m.Release(itemID(inst, node), user)
-		case op == 6:
 			m.MarkStarted(inst, node, user)
-		case op == 7 && step < steps*2/3:
+		case op == 5 && step < steps*2/3:
 			r := role()
 			m.Escalate(inst, node, r, roles[r])
-		case op == 8:
+		case op == 6:
 			var wanted []Wanted
 			for _, n := range nodes {
 				if rng.Intn(2) == 0 {
@@ -410,7 +362,7 @@ func TestIndexMatchesExport(t *testing.T) {
 				}
 			}
 			m.BatchUpdate(inst, wanted, byRole)
-		case op == 9:
+		case op == 7:
 			if rng.Intn(20) == 0 {
 				if err := m.Import(m.Export()); err != nil {
 					t.Fatal(err)
@@ -432,7 +384,7 @@ func TestIndexMatchesExport(t *testing.T) {
 			var want []string
 			for _, it := range ex {
 				_, named := slices.BinarySearch(it.Offered, u)
-				if named && !(it.State == Claimed && it.ClaimedBy != u) || it.State == InProgress && it.ClaimedBy == u {
+				if named || it.State == InProgress && it.ClaimedBy == u {
 					want = append(want, it.ID)
 				}
 			}

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -583,28 +584,17 @@ func TestJournalOnlyEndToEnd(t *testing.T) {
 	assertSameState(t, full, rec)
 }
 
-// TestClaimsSurviveSnapshotRecovery: work-item claims are not journaled
-// (full replay loses them) but a snapshot preserves them — the recovered
-// worklist keeps pre-crash item IDs and reservations.
-func TestClaimsSurviveSnapshotRecovery(t *testing.T) {
+// TestParentClaimRecoversLikeFullReplay: a snapshot an older build wrote
+// may hold a claimed work item (state 1), which no journal record
+// carries. Recovery from that snapshot reads the item as offered, which
+// is what a full replay of the same journal yields.
+func TestParentClaimRecoversLikeFullReplay(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.ndjson")
-	cfg := adept2.CheckpointConfig{Every: -1}
+	cfg := adept2.CheckpointConfig{Every: -1, Dir: filepath.Join(dir, "snaps")}
 
 	sys := openCheckpointed(t, path, cfg)
-	if _, err := sys.Submit(context.Background(), &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Submit(context.Background(), &adept2.CreateInstance{TypeName: "online_order"}); err != nil {
-		t.Fatal(err)
-	}
-	items := sys.WorkItems("ann")
-	if len(items) == 0 {
-		t.Fatal("no work items")
-	}
-	if err := sys.Claim(items[0].ID, "ann"); err != nil {
-		t.Fatal(err)
-	}
+	mustSubmit(t, sys, &adept2.Deploy{Schema: sim.OnlineOrder()}, &adept2.CreateInstance{TypeName: "online_order"})
 	if _, _, err := sys.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -612,9 +602,39 @@ func TestClaimsSurviveSnapshotRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Store ann's item as claimed by her, the way such a build did.
+	store, err := durable.OpenStore(cfg.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := store.Entries()
+	if err != nil || len(entries) == 0 {
+		t.Fatalf("entries=%v err=%v", entries, err)
+	}
+	st, err := store.Load(entries[len(entries)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := slices.IndexFunc(st.Worklist.Items, func(it *adept2.WorkItem) bool { return slices.Contains(it.Offered, "ann") })
+	if i < 0 {
+		t.Fatal("no item offered to ann")
+	}
+	st.Worklist.Items[i].State, st.Worklist.Items[i].ClaimedBy = 1, "ann"
+	if _, err := store.Write(st); err != nil {
+		t.Fatal(err)
+	}
+
 	rec := openCheckpointed(t, path, cfg)
 	defer rec.Close()
-	assertSameState(t, sys, rec) // the summary renders every item's claimant
+	if info := rec.Recovery(); info.FullReplay {
+		t.Fatalf("recovered by full replay, want the snapshot: %+v", info)
+	}
+	full, err := adept2.Open(path, adept2.WithOrg(sim.Org()), fullReplay(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer full.Close()
+	assertSameState(t, full, rec)
 }
 
 // TestFailedRestoreDoesNotPoisonFallback: a snapshot that passes checksum

@@ -59,17 +59,17 @@ func fillRegistry(t *testing.T, sys *adept2.System) []string {
 // creation order and the position each instance holds in it say the same
 // thing through every listing.
 func TestRegistryAgrees(t *testing.T) {
-	live := func(t *testing.T) (*adept2.Engine, []string) {
+	live := func(t *testing.T) (*engine.Engine, []string) {
 		sys := adept2.New(adept2.WithOrg(sim.Org()))
 		ids := fillRegistry(t, sys)
-		return sys.Engine(), ids
+		return adept2.EngineOf(sys), ids
 	}
 	for _, tc := range []struct {
 		name string
-		fill func(t *testing.T) (*adept2.Engine, []string)
+		fill func(t *testing.T) (*engine.Engine, []string)
 	}{
 		{"live", live},
-		{"restored", func(t *testing.T) (*adept2.Engine, []string) {
+		{"restored", func(t *testing.T) (*engine.Engine, []string) {
 			src, ids := live(t)
 			st := durable.Stage(src, 1)
 			eng := engine.New(sim.Org())
@@ -78,7 +78,7 @@ func TestRegistryAgrees(t *testing.T) {
 			}
 			return eng, ids
 		}},
-		{"replayed", func(t *testing.T) (*adept2.Engine, []string) {
+		{"replayed", func(t *testing.T) (*engine.Engine, []string) {
 			path := filepath.Join(t.TempDir(), "wal.ndjson")
 			sys := openCheckpointed(t, path, shardedCfg())
 			ids := fillRegistry(t, sys)
@@ -105,7 +105,7 @@ func TestRegistryAgrees(t *testing.T) {
 			}
 			slices.Sort(numbered)
 			slices.Sort(named)
-			return sys.Engine(), append(numbered, named...)
+			return adept2.EngineOf(sys), append(numbered, named...)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

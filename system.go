@@ -202,7 +202,8 @@ func (c *config) fsys() vfs.FS {
 	return vfs.OS()
 }
 
-// WithOrg supplies a pre-populated organizational model.
+// WithOrg supplies a pre-populated organizational model. The system
+// works on its own copy, so a later change to m does not reach it.
 func WithOrg(m *OrgModel) Option { return func(c *config) { c.org = m } }
 
 // WithVFS routes every file access of the durability stack (journals,
@@ -233,7 +234,11 @@ func New(opts ...Option) *System {
 }
 
 func newSystem(c *config) *System {
-	e := engine.New(c.org)
+	var o *org.Model
+	if c.org != nil {
+		o = c.org.Clone()
+	}
+	e := engine.New(o)
 	return &System{eng: e, mgr: evolution.NewManager(e), layout: sharded.Layout{Shards: 1},
 		fsys: c.fsys(), nowFn: c.nowFn, policy: c.policy}
 }
@@ -432,24 +437,16 @@ func (s *System) Heal(ctx context.Context) error {
 	return nil
 }
 
-// Engine exposes the underlying runtime (read paths, worklists).
-func (s *System) Engine() *Engine { return s.eng }
+// Org reads the organizational model; a user is added by submitting
+// AddUser.
+func (s *System) Org() OrgReader { return s.eng.Org() }
 
-// Org exposes the organizational model.
-func (s *System) Org() *OrgModel { return s.eng.Org() }
+// LatestVersion returns the newest deployed version of a type (0 if the
+// type is not deployed).
+func (s *System) LatestVersion(typeName string) int { return s.eng.LatestVersion(typeName) }
 
 // WorkItems returns the work items visible to a user.
 func (s *System) WorkItems(user string) []*WorkItem { return s.eng.WorkItems(user) }
-
-// Claim reserves a work item for a user.
-func (s *System) Claim(itemID, user string) error {
-	return wrapErr("claim", "", s.eng.Claim(itemID, user))
-}
-
-// Release un-claims a work item.
-func (s *System) Release(itemID, user string) error {
-	return wrapErr("release", "", s.eng.Release(itemID, user))
-}
 
 // Instance looks up an instance.
 func (s *System) Instance(id string) (*Instance, bool) { return s.eng.Instance(id) }

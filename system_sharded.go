@@ -110,16 +110,12 @@ func recoverLayout(c *config, l sharded.Layout, man *sharded.Manifest, inspect b
 		stores[k] = st
 	}
 
-	// Each generation attempt restores into a fresh system so a half-
-	// restored failure cannot leak into the fallback; any caller-supplied
-	// org model is cloned per attempt for the same reason.
+	// Each generation attempt restores into a fresh system, with its own
+	// copy of any caller-supplied org model, so a half-restored failure
+	// cannot leak into the fallback.
 	var sys *System
 	fresh := func() *engine.Engine {
-		attempt := *c
-		if c.org != nil {
-			attempt.org = c.org.Clone()
-		}
-		sys = newSystem(&attempt)
+		sys = newSystem(c)
 		return sys.eng
 	}
 	_, res, err := sharded.Recover(l, man, stores, fresh)

@@ -32,9 +32,6 @@ func TestSystemEndToEnd(t *testing.T) {
 	if len(items) != 1 {
 		t.Fatalf("worklist = %v", items)
 	}
-	if err := sys.Claim(items[0].ID, "ann"); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := sys.Submit(context.Background(), &adept2.StartActivity{Instance: inst.ID(), Node: "get_order", User: "ann"}); err != nil {
 		t.Fatal(err)
 	}

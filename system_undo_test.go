@@ -95,10 +95,10 @@ func TestSystemVersionPinning(t *testing.T) {
 	if pinned.Version() != 1 {
 		t.Fatalf("pinned version = %d", pinned.Version())
 	}
-	if sys.Engine().LatestVersion("online_order") != 2 {
+	if sys.LatestVersion("online_order") != 2 {
 		t.Fatal("latest version bookkeeping")
 	}
-	if got := len(sys.Engine().InstancesOf("online_order", 1)); got != 1 {
+	if got := len(adept2.EngineOf(sys).InstancesOf("online_order", 1)); got != 1 {
 		t.Fatalf("v1 instances = %d", got)
 	}
 }
