@@ -132,25 +132,30 @@
 // complete, the shared wire shape of suspend and resume) is built in a
 // pooled copy, never in the caller's command; completion options are
 // values; the worklist reconciliation and the cascade run on stack
-// scratch; and an offered item aliases the role's immutable candidate
-// slice. What is left, over the 13-command online-order lifecycle (one
-// create, six start + complete pairs; 16 history events, six work items)
-// — 29 allocations, 2.2 per command, where the same loop made 13.4
-// before this budget was drawn, 4.8 with an instance's small collections
-// as Go maps, 4.4 with heap history events, 3.2 with stored item IDs, 2.5
-// while the journal encoded a command's args through encoding/json
+// scratch; an offered item is one a withdrawal recycled, and aliases the
+// role's immutable candidate slice. What is left, over the 13-command
+// online-order lifecycle (one create, six start + complete pairs; 16
+// history events, six work items) — 18 allocations, 1.4 per command, where
+// the same loop made 13.4 before this budget was drawn, 4.8 with an
+// instance's small collections as Go maps, 4.4 with heap history events,
+// 3.2 with stored item IDs, 2.5 while the journal encoded a command's args
+// through encoding/json, 2.2 while a create allocated an instance's
+// structures field by field (ten objects) and every offer a new Item
 // (allocation profile of 2 000 lifecycles, MemProfileRate 1):
 //
 //	per lifecycle  allocation, and why it stays
-//	    10  instance structures, per create: the Instance, which holds
-//	        the history log by value (1), the marking and its node,
-//	        skip, edge and pending arrays (5), the execution index (2),
-//	        the data store (1), the ID string (1)
+//	     4  instance structures, per create: one block holding the
+//	        Instance (which holds the history log by value), its
+//	        marking, execution index and data store (1); the marking's
+//	        four dense arrays, laid out in one pointer-free block (1);
+//	        the execution index's records (1); the ID string (1)
+//	  ~0.5  the marking's evaluation worklist, grown on its first use
 //	     6  history growth: the log's records doubling (32, 64, 128 B)
 //	        and its binding list (1, 2, 4). An event allocates nothing:
 //	        the engine builds it on its stack and Append packs it
-//	     6  work items: an Item per offered activity, kept until the
-//	        item is withdrawn (its ID is built on the copies handed out)
+//	     0  work items: an offer takes the Item a withdrawal recycled
+//	        (internal/worklist, "Lifetime"); only a population's
+//	        growth allocates one
 //	    ~1  worklist index: the instance's item list, made with room for
 //	        two and kept while it has items; a user's list splitting a block
 //	     3  the first write of a data element: its version list and its
@@ -159,8 +164,8 @@
 //	     3  transient: the reads or writes of a node with data edges,
 //	        gathered in an exactly sized data.Values that Append copies
 //	        into the log's binding list
-//	  ~0.4  transient: one command in 64 builds a trace span and the
-//	        clock closure its receipt stamps it with
+//	  ~0.2  transient: one command in 64 builds a trace span, which its
+//	        receipt stamps through the System's clock
 //
 // A flat command's args are appended by hand like the line around them:
 // each wire form's AppendJSON runs on the field table its plain decoder
@@ -172,14 +177,16 @@
 // of the Record; user, deploy, adhoc and evolve records are still encoded
 // by encoding/json, once per control record or change.
 //
-// A start allocates only when the log grows under it; a complete, what it
-// activates; suspend and resume allocate nothing.
+// A create allocates seven objects: its four instance structures, the
+// marking's worklist, the instance's item list and, when no withdrawal
+// left one to recycle, the Item of its first offer. A start or a complete allocates only when the log grows under it or it
+// writes a data element; suspend and resume allocate nothing.
 // TestSubmitAllocationBudget pins each command kind on each submission
 // path at its measured count, so an allocation that comes back fails by
 // name; internal/history.TestHistoryAppendAllocations pins the six; the
 // benchmark's allocs_per_cmd gates the sum.
 //
-// The remote hop adds 85 to the lifecycle's 29 — 6.5 a command, where it
+// The remote hop adds 85 to the lifecycle's 18 — 6.5 a command, where it
 // added 27 while the server decoded every line twice through
 // encoding/json (envelope, then args) and the client marshalled every
 // command twice (args, then line), 105 while the client encoded args
@@ -228,33 +235,42 @@
 // server holds 10⁴–10⁵ instances because each keeps only what is its own
 // — marking, history, data versions, and a substitution block if biased —
 // and references its schema; this is that argument in bytes. A finished
-// online-order instance (the same 13 commands) holds 1 237 B of live heap,
-// where it held 2 766 B while each of its 16 history events was a 96 B
-// object behind a pointer slice, and 4 694 B while its loop counts, data
-// store and every event's reads and writes were Go maps (336 B each to
-// hold one entry). What is left, from an in-use heap profile of 2 000 such
-// instances (MemProfileRate 1, sizes as the allocator rounds them):
+// online-order instance (the same 13 commands) holds 1 218 B of live heap,
+// where it held 1 237 B while its marking, execution index and data store
+// were objects of their own and the marking's arrays four, 2 766 B while
+// each of its 16 history events was a 96 B object behind a pointer slice,
+// and 4 694 B while its loop counts, data store and every event's reads
+// and writes were Go maps (336 B each to hold one entry). What is left,
+// from an in-use heap profile of 2 000 such instances (MemProfileRate 1,
+// sizes as the allocator rounds them):
 //
 //	  B  structure, and why it stays
-//	288  the Instance: identity, schema reference, bias slots, its
-//	     mutex, five nil exception maps, pointers to the structures
-//	     below, and the history log (72) by value
+//	480  the instance block (engine's instanceBlock): the Instance
+//	     (264: identity, schema reference, bias slots, its mutex, five
+//	     nil exception maps, pointers to the three structs beside it,
+//	     and the history log (72) by value), its marking (128),
+//	     execution index (40) and data store (24)
 //	256  the execution history: its 16 events packed into about 100
 //	     bytes of records (128 as the log doubled), and the three
 //	     bindings two activities read and one wrote, in a list of four
 //	     (128). internal/history says what a record holds; compliance
 //	     replay, mining and the snapshot encoder decode it into scratch
-//	223  the marking: its struct (128) and four dense arrays — node
-//	     states, skip stamps, edge states, the evaluation worklist's
-//	     bitset — sized by the schema, not by progress
-//	176  the execution index: Stats (48) and 12 B per schema node
+//	 88  the marking's four dense arrays — the evaluation worklist's
+//	     bitset, skip stamps, node states, edge states — in one block
+//	     sized by the schema, not by progress (80), and the worklist (8)
+//	128  the execution index's records: 12 B per schema node
 //	 80  the engine's two instance containers (the ID map's entry and
 //	     a pointer in the creation order; the instance holds its own
 //	     position there) and the ID string
-//	136  the data store (24), its element list (48), one version list
-//	     (48) and the box of the written string (16)
-//	 78  not the instance's: the order ID the caller wrote (24), and
+//	112  the data store's element list (48), one version list (48) and
+//	     the box of the written string (16)
+//	 74  not the instance's: the order ID the caller wrote (24), and
 //	     the system's own structures divided by the population
+//
+// An instance recovered from a snapshot holds the same to within 3 %
+// (TestRecoveredInstanceHeap): RestoreInstance fills the structs of the
+// instance's own block, and shares the schema's IDs and the data store's
+// values with what it decoded, as a live instance does.
 //
 // A biased instance adds 4 400 B for its overlay (the hybrid
 // representation of the paper's Fig. 2, the only one), where it added
@@ -287,10 +303,12 @@
 // its value as an (element, version) of the data store instead of holding
 // it (at most 96 B here, and it would tie the log's lifetime to the
 // store's DropWritesBy, Clone and decode order); the log's two slices grow
-// by doubling, so a finished instance holds up to half of each unused;
-// the marking's five allocations could be one; an instance that will
-// never run again is two small blocks and a few flat arrays, and could be
-// paged out whole.
+// by doubling, so a finished instance holds 87 B of records in 128, but a
+// live one holds 49 B in 73.5 on average (adapt_evolve keeps 35 176 live
+// instances against 8 233 finished), so sizing the log for a finished
+// instance would grow the heap of a live population; an instance that
+// will never run again is a few small blocks, and could be paged out
+// whole.
 //
 // # Changes: one trial, one analysis
 //

@@ -137,6 +137,40 @@ func (s *Store) DropWritesBy(writer string) {
 	s.elems = slices.DeleteFunc(s.elems, func(e element) bool { return len(e.versions) == 0 })
 }
 
+// Share replaces the store's element IDs and writers by what canon
+// returns for them. A store decoded from a snapshot holds copies of
+// strings its schema already holds; a restore passes the schema's, so the
+// recovered store keeps what a live one keeps.
+func (s *Store) Share(canon func(string) string) {
+	for i := range s.elems {
+		e := &s.elems[i]
+		e.id = canon(e.id)
+		for j := range e.versions {
+			e.versions[j].Writer = canon(e.versions[j].Writer)
+		}
+	}
+}
+
+// Held returns the value of a version of elem that equals v — the store's
+// own box, and for a string its bytes — or v if no version does. A
+// restore passes a history binding's decoded value through it, so the
+// binding shares the value with the store as it does live.
+func (s *Store) Held(elem string, v any) any {
+	i, ok := s.find(elem)
+	if !ok {
+		return v
+	}
+	for _, ver := range s.elems[i].versions {
+		switch ver.Value.(type) {
+		case string, float64, int64, bool:
+			if ver.Value == v {
+				return ver.Value
+			}
+		}
+	}
+	return v
+}
+
 // Clone returns a deep copy of the store.
 func (s *Store) Clone() *Store {
 	c := &Store{elems: slices.Clone(s.elems)}

@@ -63,17 +63,31 @@ type Instance struct {
 	migrations int
 }
 
+// instanceBlock is the one object newInstance allocates: an instance and
+// the marking, execution index and data store it points to. The marking's
+// arrays and the index's records are the instance's only other blocks.
+type instanceBlock struct {
+	inst    Instance
+	marking state.Marking
+	stats   history.Stats
+	store   data.Store
+}
+
 func newInstance(e *Engine, id string, d Deployed) *Instance {
-	return &Instance{
+	b := &instanceBlock{}
+	b.marking.Reset(d.Schema)
+	b.stats.Reset(d.Schema.Topology())
+	b.inst = Instance{
 		eng:      e,
 		id:       id,
 		typeName: d.Schema.TypeName(),
 		base:     d,
-		marking:  state.NewMarking(d.Schema),
+		marking:  &b.marking,
 		hist:     *e.syms.NewLog(),
-		stats:    history.NewStatsFor(d.Schema.Topology()),
-		store:    data.NewStore(),
+		stats:    &b.stats,
+		store:    &b.store,
 	}
+	return &b.inst
 }
 
 // ID returns the instance identifier.
@@ -464,5 +478,7 @@ func (mx *Mutable) Cascade() error { return mx.inst.cascadeLocked() }
 
 // SetMarking replaces the instance marking wholesale. The replay-based
 // state adaptation path (the ablation baseline to Adapt) installs the
-// marking reconstructed by compliance.Replay and then runs Cascade.
-func (mx *Mutable) SetMarking(m *state.Marking) { mx.inst.marking = m }
+// marking reconstructed by compliance.Replay and then runs Cascade. The
+// instance's own marking takes over m's arrays, so the caller must not use
+// m afterwards.
+func (mx *Mutable) SetMarking(m *state.Marking) { *mx.inst.marking = *m }

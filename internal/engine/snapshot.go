@@ -139,19 +139,38 @@ func (e *Engine) RestoreInstance(snap *InstanceSnapshot, bias []BiasOp) error {
 		}
 		(&Mutable{inst: inst}).SetBias(ov, info, bias)
 	}
+	// The marking, the index and the store are filled where newInstance
+	// put them, in the instance's own block: pointing the instance at new
+	// ones would keep the embedded ones alive beside them.
 	v, _ := inst.viewLocked()
-	m, err := state.ImportMarking(v, snap.Marking)
-	if err != nil {
+	if err := inst.marking.Import(v, snap.Marking); err != nil {
 		return fmt.Errorf("engine: restore %s: %w", snap.ID, err)
 	}
-	inst.marking = m
-	inst.stats = history.ImportStats(v.Topology(), snap.Stats)
+	inst.stats.Import(v.Topology(), snap.Stats)
 	if snap.History != nil {
 		inst.hist = *snap.History.In(e.syms)
 	}
 	if snap.Store != nil {
-		inst.store = snap.Store
+		*inst.store = *snap.Store
 	}
+	// The decoded store and bindings hold copies of the schema's node and
+	// element IDs, and each binding a copy of the value the store holds:
+	// sharing them makes a restored instance hold what a live one holds.
+	topo := v.Topology()
+	canon := func(id string) string {
+		if i, ok := topo.Idx(id); ok {
+			return topo.ID(i)
+		}
+		if d, ok := inst.base.Schema.DataElement(id); ok {
+			return d.ID
+		}
+		return id
+	}
+	inst.store.Share(canon)
+	inst.hist.ShareBindings(func(b *data.Binding) {
+		b.Name = canon(b.Name)
+		b.Value = inst.store.Held(b.Name, b.Value)
+	})
 	if snap.LoopIter != nil {
 		inst.loopIter = snap.LoopIter
 	}

@@ -374,8 +374,8 @@ func ReduceInto(info *graph.Info, events Cursor, buf []*Event) []*Event {
 // of scanning the history: "has this node started?", "when did it
 // complete?", "which branch did this split choose?" all answer in O(1).
 //
-// The index is array-backed: when bound to a topology (NewStatsFor /
-// Rebind), records live in a dense slice indexed by the interned
+// The index is array-backed: when bound to a topology (Reset / Rebind),
+// records live in a dense slice indexed by the interned
 // model.NodeIdx. Nodes unknown to the bound topology (e.g. inserted by an
 // ad-hoc change before the next rebind) spill into an overflow map, so the
 // index stays correct even when a rebind is deferred.
@@ -403,13 +403,17 @@ type NodeStat struct {
 
 func (st *NodeStat) live() bool { return st.StartSeq > 0 || st.CompleteSeq > 0 }
 
-// NewStats returns an empty, unbound index (all records overflow-kept).
-func NewStats() *Stats { return &Stats{} }
-
-// NewStatsFor returns an empty index bound to the topology, so records of
-// its nodes are array-indexed.
-func NewStatsFor(topo *model.Topology) *Stats {
-	return &Stats{topo: topo, recs: make([]NodeStat, topo.NumNodes())}
+// Reset empties the index and binds it to the topology, so records of its
+// nodes are array-indexed. An index already bound to it keeps its record
+// array, cleared. The engine resets the index it embeds in an instance
+// instead of allocating one.
+func (s *Stats) Reset(topo *model.Topology) {
+	if s.topo != topo {
+		s.topo, s.recs = topo, make([]NodeStat, topo.NumNodes())
+	} else {
+		clear(s.recs)
+	}
+	s.overflow = nil
 }
 
 // RebindScratch amortizes the dense record-array allocation of stats
@@ -641,15 +645,14 @@ func (s *Stats) Export() []StatExport {
 	return out
 }
 
-// ImportStats rebuilds a stats index bound to topo from exported records.
-// Records of nodes unknown to topo land in the overflow map, exactly as a
-// live index would keep them across a rebind.
-func ImportStats(topo *model.Topology, recs []StatExport) *Stats {
-	s := NewStatsFor(topo)
+// Import resets the index to topo (Reset) and fills it from exported
+// records. Records of nodes unknown to topo land in the overflow map,
+// exactly as a live index would keep them across a rebind.
+func (s *Stats) Import(topo *model.Topology, recs []StatExport) {
+	s.Reset(topo)
 	for _, r := range recs {
 		*s.slot(r.ID) = NodeStat{StartSeq: int32(r.StartSeq), CompleteSeq: int32(r.CompleteSeq), Decision: int32(r.Decision)}
 	}
-	return s
 }
 
 // Decisions extracts the selection codes of all completed XOR splits,

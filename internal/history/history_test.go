@@ -305,7 +305,7 @@ func TestReduceIntoReusesBuffer(t *testing.T) {
 // next rebind.
 func TestStatsRebind(t *testing.T) {
 	s, _, _, _ := loopSchema(t)
-	st := NewStatsFor(s.Topology())
+	st := newStatsFor(s.Topology())
 	st.OnStart("pre", 1)
 	st.OnComplete("pre", 2, -1)
 	st.OnStart("ghost", 3) // unknown to the topology: overflow-kept
@@ -335,7 +335,7 @@ func TestStatsRebind(t *testing.T) {
 }
 
 func TestStatsLifecycle(t *testing.T) {
-	s := NewStats()
+	s := &Stats{} // unbound: every record overflow-kept
 	s.OnStart("a", 3)
 	if !s.Started("a") || s.StartSeq("a") != 3 || s.CompleteSeq("a") != 0 {
 		t.Fatal("start bookkeeping")
@@ -395,13 +395,14 @@ func TestStatsExportImportRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := NewStatsFor(s.Topology())
+	st := newStatsFor(s.Topology())
 	st.OnStart("a", 1)
 	st.OnComplete("a", 2, 3)
 	st.OnStart("ghost", 4) // overflow record (node unknown to the topology)
 
 	ex := st.Export()
-	re := ImportStats(s.Topology(), ex)
+	re := &Stats{}
+	re.Import(s.Topology(), ex)
 	if !re.Started("a") || re.CompleteSeq("a") != 2 || re.Decisions()["a"] != 3 {
 		t.Fatalf("dense record lost: %+v", ex)
 	}
@@ -422,7 +423,7 @@ func TestStatsDenseAccessorsMatchStringPath(t *testing.T) {
 		}
 	}
 	topo := s.Topology()
-	st := NewStatsFor(topo)
+	st := newStatsFor(topo)
 	st.OnStart("a", 1)
 	st.OnComplete("a", 2, -1)
 	ai, _ := topo.Idx("a")
@@ -471,7 +472,7 @@ func TestStatsRebindPooledMatchesRebind(t *testing.T) {
 	a, b := mk()
 	sc := &RebindScratch{}
 	for iter := 0; iter < 3; iter++ {
-		pooled := NewStatsFor(a.Topology())
+		pooled := newStatsFor(a.Topology())
 		pooled.OnStart("x", 1)
 		plain := pooled.Clone()
 		pooled.RebindPooled(b.Topology(), sc)
@@ -522,4 +523,11 @@ func TestSymbolsConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// newStatsFor returns an empty index bound to topo.
+func newStatsFor(topo *model.Topology) *Stats {
+	s := &Stats{}
+	s.Reset(topo)
+	return s
 }

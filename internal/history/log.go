@@ -181,6 +181,15 @@ func (l *Log) In(t *Symbols) *Log {
 	return out
 }
 
+// ShareBindings calls share on each of the log's bindings, which may
+// replace the name or the value by an equal one. A restore draws them from
+// the schema and the data store this way (engine.RestoreInstance).
+func (l *Log) ShareBindings(share func(*data.Binding)) {
+	for i := range l.vals {
+		share(&l.vals[i])
+	}
+}
+
 // ApproxBytes returns the memory the history holds beside the Log value
 // itself (an instance embeds it): its records and bindings by the
 // capacities allocated, which append leaves at the allocator's size

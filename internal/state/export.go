@@ -67,16 +67,16 @@ func (m *Marking) Export() *MarkingExport {
 	return ex
 }
 
-// ImportMarking rebuilds a marking from its exported form against the
-// given view. Every exported node and edge must exist in the view — a
-// mismatch means the snapshot does not belong to this schema and is an
+// Import resets the marking to the given view (Reset) and fills it from
+// its exported form. Every exported node and edge must exist in the view —
+// a mismatch means the snapshot does not belong to this schema and is an
 // error, never a silent drop.
-func ImportMarking(v model.SchemaView, ex *MarkingExport) (*Marking, error) {
-	m := NewMarking(v)
+func (m *Marking) Import(v model.SchemaView, ex *MarkingExport) error {
+	m.Reset(v)
 	for _, n := range ex.Nodes {
 		i, ok := m.topo.Idx(n.ID)
 		if !ok {
-			return nil, fmt.Errorf("state: import marking: node %q not in schema", n.ID)
+			return fmt.Errorf("state: import marking: node %q not in schema", n.ID)
 		}
 		m.nodes[i] = NodeState(n.State)
 		m.skipSeq[i] = n.SkipSeq
@@ -84,16 +84,16 @@ func ImportMarking(v model.SchemaView, ex *MarkingExport) (*Marking, error) {
 	for _, e := range ex.Edges {
 		i, ok := m.topo.EdgeIdxOf(model.EdgeKey{From: e.From, To: e.To, Type: model.EdgeType(e.Type)})
 		if !ok {
-			return nil, fmt.Errorf("state: import marking: edge %s->%s not in schema", e.From, e.To)
+			return fmt.Errorf("state: import marking: edge %s->%s not in schema", e.From, e.To)
 		}
 		m.edges[i] = EdgeState(e.State)
 	}
 	for _, id := range ex.Pending {
 		i, ok := m.topo.Idx(id)
 		if !ok {
-			return nil, fmt.Errorf("state: import marking: pending node %q not in schema", id)
+			return fmt.Errorf("state: import marking: pending node %q not in schema", id)
 		}
 		m.markPendingAt(i)
 	}
-	return m, nil
+	return nil
 }

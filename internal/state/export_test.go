@@ -50,8 +50,8 @@ func TestMarkingExportImportRoundTrip(t *testing.T) {
 	// Import against a freshly parsed clone of the schema: the topology is
 	// rebuilt from scratch, so only the stable keys may be consulted.
 	s2 := chainSchema(t, "s1")
-	m2, err := ImportMarking(s2, ex)
-	if err != nil {
+	m2 := &Marking{}
+	if err := m2.Import(s2, ex); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range []string{"start", "a", "b", "end"} {
@@ -66,10 +66,10 @@ func TestMarkingExportImportRoundTrip(t *testing.T) {
 
 func TestImportMarkingRejectsForeignNodes(t *testing.T) {
 	s := chainSchema(t, "s1")
-	if _, err := ImportMarking(s, &MarkingExport{Nodes: []ExportedNode{{ID: "ghost", State: uint8(Completed)}}}); err == nil {
+	if err := (&Marking{}).Import(s, &MarkingExport{Nodes: []ExportedNode{{ID: "ghost", State: uint8(Completed)}}}); err == nil {
 		t.Fatal("unknown node must be rejected")
 	}
-	if _, err := ImportMarking(s, &MarkingExport{Edges: []ExportedEdge{{From: "x", To: "y", State: uint8(TrueSignaled)}}}); err == nil {
+	if err := (&Marking{}).Import(s, &MarkingExport{Edges: []ExportedEdge{{From: "x", To: "y", State: uint8(TrueSignaled)}}}); err == nil {
 		t.Fatal("unknown edge must be rejected")
 	}
 }

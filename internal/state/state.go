@@ -104,6 +104,13 @@ func (s EdgeState) String() string {
 // indexed by the interned indices of the bound topology; the zero state of
 // every node is NotActivated and of every edge NotSignaled.
 //
+// The four dense arrays (the evaluation worklist's bitset, skip stamps,
+// node states, edge states) are one allocation: a pointer-free []uint64
+// block laid out by layOut, each array with cap == len, so a marking costs
+// its struct and one block sized by the schema. Every path that binds a
+// marking to a topology (Reset, Clone, a remap, RebindTo, Import) lays out
+// a block of its own; no two markings share one.
+//
 // The marking additionally maintains the evaluation worklist: every edge
 // signal records its target node and every demotion to NotActivated
 // records the node itself as pending re-examination. Evaluate consumes the
@@ -116,29 +123,78 @@ func (s EdgeState) String() string {
 // survive ad-hoc changes, new biases on an overlay, and migrations without
 // caller-side bookkeeping.
 type Marking struct {
-	topo    *model.Topology
-	nodes   []NodeState // dense by NodeIdx
-	skipSeq []int32     // dense by NodeIdx; see SkipSeq
-	edges   []EdgeState // dense by EdgeIdx
+	topo *model.Topology
+	arrays
 
 	// pending is the evaluation worklist: nodes whose activation/skip
-	// question may have a new answer. pendingSet is a bitset (sized by the
-	// view's node count) deduplicating it.
-	pending    []model.NodeIdx
-	pendingSet bitset.Set
+	// question may have a new answer. pendingSet (in arrays) deduplicates
+	// it.
+	pending []model.NodeIdx
 }
+
+// arrays are a marking's dense arrays, carved from one block (layOut).
+type arrays struct {
+	pendingSet bitset.Set  // dense by NodeIdx
+	skipSeq    []int32     // dense by NodeIdx; see SkipSeq
+	nodes      []NodeState // dense by NodeIdx
+	edges      []EdgeState // dense by EdgeIdx
+}
+
+// blockWords is the size in words of the block that holds the arrays of a
+// marking over n nodes and e edges: the bitset's words, then 4n bytes of
+// skip stamps, n of node states and e of edge states.
+func blockWords(n, e int) int { return bitset.Words(n) + (5*n+e+7)/8 }
+
+// layOut carves the arrays for n nodes and e edges out of block, which
+// holds blockWords(n, e) zeroed words, in the order blockWords lists them:
+// each array starts aligned for its type and ends where the next begins.
+// An empty array is nil, so no slice points past the block.
+func layOut(block []uint64, n, e int) arrays {
+	w := bitset.Words(n)
+	a := arrays{pendingSet: bitset.Set(block[:w:w])}
+	if rest := block[w:]; len(rest) > 0 {
+		p := unsafe.Pointer(unsafe.SliceData(rest))
+		a.skipSeq = carve[int32](p, 0, n)
+		a.nodes = carve[NodeState](p, 4*n, n)
+		a.edges = carve[EdgeState](p, 5*n, e)
+	}
+	return a
+}
+
+// carve returns the n elements of type T at byte offset off from p.
+func carve[T any](p unsafe.Pointer, off, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return unsafe.Slice((*T)(unsafe.Add(p, off)), n)
+}
+
+// newArrays lays out zeroed arrays for n nodes and e edges in a fresh block.
+func newArrays(n, e int) arrays { return layOut(make([]uint64, blockWords(n, e)), n, e) }
 
 // NewMarking returns an empty marking (everything not activated) bound to
 // the view's topology.
 func NewMarking(v model.SchemaView) *Marking {
+	m := &Marking{}
+	m.Reset(v)
+	return m
+}
+
+// Reset empties the marking (everything not activated, nothing pending)
+// and binds it to the view's topology. A marking already bound to it keeps
+// its block, cleared; any other lays out a fresh one. The engine resets
+// the marking it embeds in an instance instead of allocating one.
+func (m *Marking) Reset(v model.SchemaView) {
 	t := v.Topology()
-	return &Marking{
-		topo:       t,
-		nodes:      make([]NodeState, t.NumNodes()),
-		skipSeq:    make([]int32, t.NumNodes()),
-		edges:      make([]EdgeState, t.NumEdges()),
-		pendingSet: bitset.New(t.NumNodes()),
+	if m.topo != t {
+		m.topo, m.arrays = t, newArrays(t.NumNodes(), t.NumEdges())
+	} else {
+		clear(m.pendingSet)
+		clear(m.skipSeq)
+		clear(m.nodes)
+		clear(m.edges)
 	}
+	m.pending = m.pending[:0]
 }
 
 // Topology returns the topology the marking is currently bound to.
@@ -179,23 +235,19 @@ func sameShape(a, b *model.Topology) bool {
 	return true
 }
 
-// RemapScratch amortizes the dense-array allocations of marking remaps:
-// loops that rebind many markings onto one target topology (the fast-mode
-// migration workers) carve each instance's four target arrays out of
-// block-allocated arenas instead of making four fresh allocations per
-// instance. Carved chunks are owned by their marking for good (remaps
-// replace, never grow, the arrays), so the arena only ever moves forward.
-// The zero value is ready to use; a scratch must not be shared between
-// goroutines.
+// RemapScratch amortizes the block allocation of marking remaps: loops
+// that rebind many markings onto one target topology (the fast-mode
+// migration workers) carve each instance's block out of one word arena
+// instead of allocating one per instance. A carved block is owned by its
+// marking for good (remaps replace, never grow, the arrays), so the arena
+// only ever moves forward. The zero value is ready to use; a scratch must
+// not be shared between goroutines.
 type RemapScratch struct {
-	nodes   []NodeState
-	skip    []int32
-	edges   []EdgeState
-	pendSet []uint64
+	words []uint64
 }
 
 // RebindTo re-binds the marking to the topology like ensure, drawing the
-// target arrays from the scratch arenas. Passing a nil scratch degrades to
+// target block from the scratch arena. Passing a nil scratch degrades to
 // the allocating remap.
 func (m *Marking) RebindTo(t *model.Topology, sc *RemapScratch) {
 	if m.topo == t {
@@ -205,11 +257,8 @@ func (m *Marking) RebindTo(t *model.Topology, sc *RemapScratch) {
 		m.remap(t)
 		return
 	}
-	m.remapInto(t,
-		arena.Carve(&sc.nodes, t.NumNodes()),
-		arena.Carve(&sc.skip, t.NumNodes()),
-		arena.Carve(&sc.edges, t.NumEdges()),
-		arena.Carve(&sc.pendSet, bitset.Words(t.NumNodes())))
+	n, e := t.NumNodes(), t.NumEdges()
+	m.remapInto(t, layOut(arena.Carve(&sc.words, blockWords(n, e)), n, e))
 }
 
 func (m *Marking) remap(t *model.Topology) {
@@ -217,24 +266,20 @@ func (m *Marking) remap(t *model.Topology) {
 		m.topo = t
 		return
 	}
-	m.remapInto(t,
-		make([]NodeState, t.NumNodes()),
-		make([]int32, t.NumNodes()),
-		make([]EdgeState, t.NumEdges()),
-		bitset.New(t.NumNodes()))
+	m.remapInto(t, newArrays(t.NumNodes(), t.NumEdges()))
 }
 
 // remapInto moves the marking's state onto topology t using the provided
 // (zeroed, correctly sized) target arrays.
-func (m *Marking) remapInto(t *model.Topology, nodes []NodeState, skip []int32, edges []EdgeState, pendingSet bitset.Set) {
+func (m *Marking) remapInto(t *model.Topology, to arrays) {
 	old := m.topo
 	for i := range m.nodes {
 		if m.nodes[i] == NotActivated && m.skipSeq[i] == 0 {
 			continue
 		}
 		if j, ok := t.Idx(old.ID(model.NodeIdx(i))); ok {
-			nodes[j] = m.nodes[i]
-			skip[j] = m.skipSeq[i]
+			to.nodes[j] = m.nodes[i]
+			to.skipSeq[j] = m.skipSeq[i]
 		}
 	}
 	for i := range m.edges {
@@ -242,7 +287,7 @@ func (m *Marking) remapInto(t *model.Topology, nodes []NodeState, skip []int32, 
 			continue
 		}
 		if j, ok := t.EdgeIdxOf(old.EdgeAt(model.EdgeIdx(i)).Key()); ok {
-			edges[j] = m.edges[i]
+			to.edges[j] = m.edges[i]
 		}
 	}
 	// The retained pending entries shrink or keep their count, so the old
@@ -253,14 +298,12 @@ func (m *Marking) remapInto(t *model.Topology, nodes []NodeState, skip []int32, 
 		if !ok {
 			continue
 		}
-		if !pendingSet.Has(int(j)) {
-			pendingSet.Set(int(j))
+		if !to.pendingSet.Has(int(j)) {
+			to.pendingSet.Set(int(j))
 			pending = append(pending, j)
 		}
 	}
-	m.topo = t
-	m.nodes, m.skipSeq, m.edges = nodes, skip, edges
-	m.pending, m.pendingSet = pending, pendingSet
+	m.topo, m.arrays, m.pending = t, to, pending
 }
 
 // markPendingAt queues a node for re-examination by the next Evaluate.
@@ -362,24 +405,23 @@ func (m *Marking) NodesInState(s NodeState) []string {
 }
 
 // Clone returns a deep copy of the marking, including the pending
-// evaluation worklist. The clone shares the (immutable) topology binding.
+// evaluation worklist, in a block of its own. The clone shares the
+// (immutable) topology binding.
 func (m *Marking) Clone() *Marking {
-	return &Marking{
-		topo:       m.topo,
-		nodes:      slices.Clone(m.nodes),
-		skipSeq:    slices.Clone(m.skipSeq),
-		edges:      slices.Clone(m.edges),
-		pending:    slices.Clone(m.pending),
-		pendingSet: slices.Clone(m.pendingSet),
-	}
+	c := &Marking{topo: m.topo, arrays: newArrays(len(m.nodes), len(m.edges)), pending: slices.Clone(m.pending)}
+	copy(c.pendingSet, m.pendingSet)
+	copy(c.skipSeq, m.skipSeq)
+	copy(c.nodes, m.nodes)
+	copy(c.edges, m.edges)
+	return c
 }
 
-// ApproxBytes returns the memory held by the marking: the struct and its
-// dense arrays by the capacities actually allocated. The arrays scale with
-// the view size (a byte per node/edge state plus the skip stamps), not
+// ApproxBytes returns the memory held by the marking: the struct, its
+// block and the worklist's capacity. The block scales with the view size
+// (a byte per node/edge state plus the skip stamps and the bitset), not
 // with the number of non-default entries.
 func (m *Marking) ApproxBytes() int {
-	return int(unsafe.Sizeof(*m)) + cap(m.nodes) + 4*cap(m.skipSeq) + cap(m.edges) + 8*cap(m.pendingSet) + 4*cap(m.pending)
+	return int(unsafe.Sizeof(*m)) + 8*blockWords(len(m.nodes), len(m.edges)) + 4*cap(m.pending)
 }
 
 // Init marks the start node of the view completed and signals its outgoing

@@ -37,6 +37,13 @@
 // O(log n + blockSize) and allocates only when a full block splits; a page
 // is O(log n + limit) whether or not a write came before it.
 //
+// # Lifetime
+//
+// No *Item the manager holds leaves it: Offer, ItemsFor, ItemsForPage,
+// ItemsForInstance, ItemFor and Export hand out clones. A withdrawn item
+// is therefore cleared and put in a pool, and the next offer takes it from
+// there, so a steady stream of offers and withdrawals allocates no items.
+//
 // # Candidates
 //
 // An item does not copy its candidate list: Item.Offered inside the
@@ -242,16 +249,21 @@ func (m *Manager) indexLocked(it *Item) {
 	m.n++
 }
 
-// removeLocked drops it from every index. An emptied instance list stays
-// for the reconciliation after a withdrawal to offer into; BatchUpdate
-// deletes a list it leaves empty.
+// removeLocked drops it from every index and recycles it (see Lifetime).
+// An emptied instance list stays for the reconciliation after a withdrawal
+// to offer into; BatchUpdate deletes a list it leaves empty.
 func (m *Manager) removeLocked(it *Item) {
 	m.relistLocked(it, seq.remove, it.Offered)
 	rest := m.byInst[it.Instance]
 	i := slices.Index(rest, it)
 	m.byInst[it.Instance] = slices.Delete(rest, i, i+1)
 	m.n--
+	*it = Item{}
+	itemPool.Put(it)
 }
+
+// itemPool holds withdrawn items for the next offer.
+var itemPool = sync.Pool{New: func() any { return new(Item) }}
 
 // Offer creates a work item for an activated activity and offers it to the
 // candidate users, given in any order; the item keeps its own sorted copy.
@@ -275,7 +287,8 @@ func (m *Manager) offerLocked(instance, node, role string, users []string) *Item
 	if m.find(instance, node) != nil {
 		return nil
 	}
-	it := &Item{
+	it := itemPool.Get().(*Item)
+	*it = Item{
 		Instance: instance,
 		Node:     node,
 		Role:     role,

@@ -243,10 +243,12 @@ func TestLateStarterSeesTheItem(t *testing.T) {
 	}
 }
 
-// TestOfferAllocatesItsItem: in steady state a withdrawal allocates
-// nothing and the reconciliation after it allocates the one Item it
-// offers — no ID string, no rebuilt item list, no index entry.
-func TestOfferAllocatesItsItem(t *testing.T) {
+// TestWithdrawalAndOfferAllocateNothing: in steady state a withdrawal
+// and the reconciliation after it allocate nothing — the offer takes the
+// Item the withdrawal recycled, and builds no ID string, no item list and
+// no index entry. (It allocated the one Item while withdrawn items were
+// dropped.)
+func TestWithdrawalAndOfferAllocateNothing(t *testing.T) {
 	m := NewManager()
 	users := []string{"ann", "bob"}
 	for i := 0; i < 1000; i++ {
@@ -262,8 +264,62 @@ func TestOfferAllocatesItsItem(t *testing.T) {
 		m.BatchUpdate(inst, []Wanted{{Node: nodes[(step+1)%2], Role: "r"}}, byRole)
 		step++
 	})
-	if allocs != 1 {
-		t.Fatalf("a withdrawal and the offer after it allocate %.0f objects, want 1 (the Item)", allocs)
+	if allocs != 0 {
+		t.Fatalf("a withdrawal and the offer after it allocate %.0f objects, want 0", allocs)
+	}
+}
+
+// TestNoItemLeavesTheManager: items are recycled, which is sound only
+// while no *Item the manager holds is handed out. Every item the read and
+// offer methods return is mutated, field by field and candidate by
+// candidate, and the manager's state is what it was. A started item that
+// is withdrawn and recycled into the next offer comes back Offered, with no
+// starter.
+func TestNoItemLeavesTheManager(t *testing.T) {
+	m := NewManager()
+	var handed []*Item
+	for i := 0; i < 3; i++ {
+		it, err := m.Offer(fmt.Sprintf("inst-%d", i), "a", "r", []string{"bob", "ann"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		handed = append(handed, it)
+	}
+	if err := m.MarkStarted("inst-1", "a", "eve"); err != nil {
+		t.Fatal(err)
+	}
+	want := m.Export()
+	page, _ := m.ItemsForPage("ann", "", 2)
+	handed = append(handed, page...)
+	handed = append(handed, m.ItemsFor("eve")...)
+	handed = append(handed, m.ItemsForInstance("inst-2")...)
+	it, _ := m.ItemFor("inst-0", "a")
+	handed = append(handed, it)
+	handed = append(handed, m.Export().Items...)
+	for _, it := range handed {
+		it.ID, it.Instance, it.Node, it.Role = "x", "x", "x", "x"
+		for i := range it.Offered {
+			it.Offered[i] = "x"
+		}
+		it.ClaimedBy, it.State = "x", InProgress
+	}
+	if got := m.Export(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("mutating the handed-out items changed the manager:\n got %+v\nwant %+v", got.Items, want.Items)
+	}
+
+	// Start, complete (the engine withdraws the item) and offer the next
+	// node: whether or not the offer reuses the started item, it is fresh.
+	if err := m.MarkStarted("inst-0", "a", "ann"); err != nil {
+		t.Fatal(err)
+	}
+	m.Withdraw("inst-0", "a")
+	m.BatchUpdate("inst-0", []Wanted{{Node: "b", Role: "r"}}, func(string) []string { return []string{"ann"} })
+	next, ok := m.ItemFor("inst-0", "b")
+	if !ok || next.State != Offered || next.ClaimedBy != "" || !slices.Equal(next.Offered, []string{"ann"}) {
+		t.Fatalf("the offer after a started item's withdrawal is %+v, %v; want offered to ann, unstarted", next, ok)
+	}
+	if _, ok := m.ItemFor("inst-0", "a"); ok {
+		t.Fatal("the withdrawn item is still there")
 	}
 }
 

@@ -27,11 +27,11 @@ type Receipt struct {
 	wal    *sharded.WAL // awaits (shard, seq); nil = durable already
 
 	// span is this command's sampled trace (nil for unsampled ones):
-	// built on the submit path, published into ring once the first Wait
-	// resolves the durability outcome. nowNanos is the system clock.
-	span     *obs.Span
-	ring     *obs.TraceRing
-	nowNanos func() int64
+	// built on the submit path, stamped with sys's clock and published
+	// into sys's trace ring once the first Wait resolves the durability
+	// outcome.
+	span *obs.Span
+	sys  *System
 
 	mu   sync.Mutex
 	done bool
@@ -103,11 +103,11 @@ func (r *Receipt) resolve(err error) {
 		return
 	}
 	if err == nil {
-		r.span.DurableNanos = r.nowNanos()
+		r.span.DurableNanos = r.sys.now()
 	} else {
 		r.span.Err = string(codeOf(err))
 	}
-	r.ring.Publish(*r.span)
+	r.sys.met.Ring.Publish(*r.span)
 	r.span = nil
 }
 
@@ -223,8 +223,7 @@ func (s *System) submitOne(ctx context.Context, c command, span *obs.Span, rcpt 
 			span.DurableNanos = s.now()
 			s.met.Ring.Publish(*span)
 		} else {
-			rcpt.span, rcpt.ring = span, s.met.Ring
-			rcpt.nowNanos = func() int64 { return s.now() }
+			rcpt.span, rcpt.sys = span, s
 		}
 	}
 	return nil
