@@ -410,7 +410,12 @@
 // (the snapshot as JSON), /mine.json, /trace.json, and /healthz,
 // folding HealthInfo into both metric forms; and `adeptctl stats`
 // renders any journal's snapshot as text, Prometheus, or JSON, or
-// validates a served endpoint. WithSweepInterval completes the
+// validates a served endpoint. Every family is declared once, in one
+// table in internal/obs: the Prometheus writer, the text form (one
+// sample per line, counters and gauges without durations) and the
+// exposition checker behind `adeptctl stats -fetch` all walk it, and
+// `adeptctl stats -format prom` on any journal prints the whole
+// catalogue with its HELP and TYPE. WithSweepInterval completes the
 // operational story: an in-process timer runs SweepDeadlines on the
 // system clock, records sweep duration and due-to-done lag, and shuts
 // down cleanly on Close (`adeptctl serve` runs it every second).

@@ -70,16 +70,16 @@ func (g *Gauge) Load() int64 {
 // boundaries: observation v lands in bucket bits.Len64(v>>shift), so
 // bucket i covers (2^(i-1), 2^i] in units of 2^shift. A latency
 // histogram with shift 10 buckets by ~1µs, ~2µs, ~4µs, … — 28 buckets
-// reach ~2¼ minutes. Observe is one shift, one bits.Len64, and two-three
-// atomic adds: cheap enough for every hot path. Count and Sum are padded;
-// the bucket array is shared (bucket contention only matters when many
+// reach ~2¼ minutes. Observe is one shift, one bits.Len64, and two
+// atomic adds (the bucket, then the sum): cheap enough for every hot
+// path. There is no count of its own: a snapshot's Count is the sum of
+// the buckets it loaded, so the two always agree. Sum is padded; the
+// bucket array is shared (bucket contention only matters when many
 // cores observe identical values, which the workloads here do not).
 //
 // The zero value is NOT ready — use NewHistogram. A nil *Histogram
 // ignores observations and snapshots empty.
 type Histogram struct {
-	count   atomic.Int64
-	_       [120]byte
 	sum     atomic.Int64
 	_       [120]byte
 	shift   uint
@@ -109,7 +109,6 @@ func (h *Histogram) Observe(v int64) {
 		i = len(h.buckets) - 1
 	}
 	h.buckets[i].Add(1)
-	h.count.Add(1)
 	h.sum.Add(v)
 }
 
@@ -133,24 +132,25 @@ type HistogramSnapshot struct {
 	Buckets []int64 `json:"buckets,omitempty"`
 }
 
-// Snapshot copies the histogram. Concurrent observations may tear
-// between count and buckets by a few events — fine for monitoring; the
-// invariant tests quiesce first. Trailing empty buckets are trimmed
-// (the unbounded bucket is kept only when occupied).
+// Snapshot copies the histogram. Each bucket is loaded once and Count
+// is their sum, so a snapshot taken under load is self-consistent; Sum
+// is loaded apart from them and may be off by the observations in
+// flight. Trailing empty buckets are trimmed (the unbounded bucket is
+// kept only when occupied).
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {
 		return HistogramSnapshot{}
 	}
-	s := HistogramSnapshot{Count: h.count.Load(), Sum: h.sum.Load()}
-	last := -1
+	s := HistogramSnapshot{Sum: h.sum.Load()}
+	buckets := make([]int64, len(h.buckets))
 	for i := range h.buckets {
-		if h.buckets[i].Load() > 0 {
-			last = i
+		if buckets[i] = h.buckets[i].Load(); buckets[i] > 0 {
+			s.Count += buckets[i]
+			s.Buckets = buckets[:i+1]
 		}
 	}
-	for i := 0; i <= last; i++ {
+	for i := range s.Buckets {
 		s.Bounds = append(s.Bounds, h.UpperBound(i))
-		s.Buckets = append(s.Buckets, h.buckets[i].Load())
 	}
 	return s
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"bytes"
 	"strconv"
 	"strings"
@@ -188,7 +187,7 @@ func TestRingConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 200; i++ {
+			for i := 0; i < 2000; i++ {
 				// Op and Seq move together; a torn span would mismatch.
 				r.Publish(Span{Op: strconv.Itoa(w), Seq: w, SubmitNanos: int64(i)})
 			}
@@ -241,9 +240,10 @@ func TestSetSnapshot(t *testing.T) {
 	}
 }
 
-// TestPrometheusRendering renders a populated snapshot and validates the
-// exposition format: headers for every family, cumulative le buckets
-// whose +Inf sample equals _count, and escaped label values.
+// TestPrometheusRendering renders a snapshot of a live Set and checks
+// it with CheckExposition: every family declared with its TYPE,
+// cumulative le buckets whose +Inf sample equals _count, and escaped
+// label values.
 func TestPrometheusRendering(t *testing.T) {
 	ops := []string{`we"ird\op` + "\n", "plain"}
 	codes := []string{"ok", "invalid"}
@@ -255,121 +255,128 @@ func TestPrometheusRendering(t *testing.T) {
 	s.ShardAppend(0, 3)
 	s.Committer.ObserveFsync(250_000)
 	s.Committer.ObserveBatch(12)
-	snap := s.Snapshot()
+	s.RPCRequest(EpCommands, 70_000, true)
+	s.RPCRequest(EpCommands, 90_000, false)
 
 	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, snap); err != nil {
+	if err := WritePrometheus(&buf, s.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	text := buf.String()
-
-	// Escaping: the weird op renders with \" \\ \n escapes.
 	if !strings.Contains(text, `op="we\"ird\\op\n"`) {
 		t.Fatalf("label not escaped:\n%s", text)
 	}
+	if _, err := CheckExposition(buf.Bytes()); err != nil {
+		t.Fatalf("%v\n%s", err, text)
+	}
+}
 
-	// Parse every line; collect TYPE-declared families and samples.
-	families := map[string]string{}
-	type sample struct {
-		labels string
-		value  float64
+// TestCheckExpositionRefuses feeds the checker one defect at a time.
+func TestCheckExpositionRefuses(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WritePrometheus(&buf, fixture()); err != nil {
+		t.Fatal(err)
 	}
-	samples := map[string][]sample{}
-	sc := bufio.NewScanner(strings.NewReader(text))
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			f := strings.Fields(line)
-			if len(f) < 4 || (f[1] != "HELP" && f[1] != "TYPE") {
-				t.Fatalf("bad comment line: %q", line)
-			}
-			if f[1] == "TYPE" {
-				families[f[2]] = f[3]
-			}
-			continue
-		}
-		i := strings.LastIndexByte(line, ' ')
-		if i < 0 {
-			t.Fatalf("bad sample line: %q", line)
-		}
-		v, err := strconv.ParseFloat(line[i+1:], 64)
-		if err != nil {
-			t.Fatalf("bad value in %q: %v", line, err)
-		}
-		name, labels := line[:i], ""
-		if j := strings.IndexByte(name, '{'); j >= 0 {
-			labels = name[j:]
-			name = name[:j]
-		}
-		samples[name] = append(samples[name], sample{labels, v})
-	}
-	for _, fam := range []string{
-		"adept2_submit_total", "adept2_submit_latency_seconds",
-		"adept2_shard_appends_total", "adept2_committer_fsync_seconds",
-		"adept2_checkpoint_total", "adept2_exception_failures_total",
-		"adept2_sweep_lag_seconds", "adept2_instances", "adept2_wedged",
+	good := buf.String()
+	for name, c := range map[string]struct{ old, new string }{
+		"falling bucket":     {`adept2_batch_commands_bucket{le="4"} 4`, `adept2_batch_commands_bucket{le="4"} 2`},
+		"+Inf off its count": {`adept2_batch_commands_count 6`, `adept2_batch_commands_count 7`},
+		"no +Inf bucket":     {`adept2_batch_commands_bucket{le="+Inf"} 6` + "\n", ""},
+		"le out of order":    {`{le="2"} 3`, `{le="0.5"} 3`},
+		"undeclared family":  {"# TYPE adept2_instances gauge\n", ""},
+		"wrong TYPE":         {"# TYPE adept2_instances gauge", "# TYPE adept2_instances counter"},
+		"foreign namespace":  {"adept2_instances 12", "go_instances 12"},
+		"bad value":          {"adept2_instances 12", "adept2_instances twelve"},
+		"unterminated label": {`{shard="0"} 21`, `{shard="0} 21`},
+		"bad escape":         {`op="we\"ird`, `op="we\qird`},
+		"stray comment":      {"# HELP adept2_instances", "# NOTE adept2_instances"},
 	} {
-		if _, ok := families[fam]; !ok {
-			t.Fatalf("family %s missing", fam)
+		bad := strings.Replace(good, c.old, c.new, 1)
+		if bad == good {
+			t.Fatalf("%s: %q not in the fixture's exposition", name, c.old)
 		}
-	}
-
-	// Histogram contract per labelset: buckets cumulative, +Inf == count.
-	for fam, kind := range families {
-		if kind != "histogram" {
-			continue
-		}
-		counts := map[string]float64{}
-		for _, sm := range samples[fam+"_count"] {
-			counts[sm.labels] = sm.value
-		}
-		byLabels := map[string][]sample{}
-		for _, sm := range samples[fam+"_bucket"] {
-			base, le := splitLe(t, sm.labels)
-			byLabels[base] = append(byLabels[base], sample{le, sm.value})
-		}
-		for base, buckets := range byLabels {
-			prev := -1.0
-			last := buckets[len(buckets)-1]
-			if last.labels != "+Inf" {
-				t.Fatalf("%s%s: final bucket le=%q, want +Inf", fam, base, last.labels)
-			}
-			for _, b := range buckets {
-				if b.value < prev {
-					t.Fatalf("%s%s: buckets not cumulative: %v", fam, base, buckets)
-				}
-				prev = b.value
-			}
-			key := base
-			if key == "{}" {
-				key = ""
-			}
-			if last.value != counts[key] {
-				t.Fatalf("%s%s: +Inf %v != count %v", fam, base, last.value, counts[key])
-			}
+		if _, err := CheckExposition([]byte(bad)); err == nil {
+			t.Errorf("%s: accepted", name)
 		}
 	}
 }
 
-// splitLe strips the le label out of a bucket labelset, returning the
-// remaining labels (normalized) and the le value.
-func splitLe(t *testing.T, labels string) (string, string) {
-	t.Helper()
-	inner := strings.TrimSuffix(strings.TrimPrefix(labels, "{"), "}")
-	var rest []string
-	le := ""
-	for _, part := range strings.Split(inner, ",") {
-		if strings.HasPrefix(part, `le="`) {
-			le = strings.TrimSuffix(strings.TrimPrefix(part, `le="`), `"`)
-		} else if part != "" {
-			rest = append(rest, part)
+// TestHistogramSnapshotUnderLoad takes snapshots while observers run:
+// every snapshot's buckets sum to its Count, and its rendering passes
+// the checker, so /metrics never shows a bucket above +Inf.
+func TestHistogramSnapshotUnderLoad(t *testing.T) {
+	h := NewHistogram(28, 10)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := int64(0); ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				h.Observe((i % 8) << (10 + w))
+			}
+		}(w)
+	}
+	defer func() { close(stop); wg.Wait() }()
+	for h.Snapshot().Count < 10000 { // the observers are running
+	}
+	var buf bytes.Buffer
+	for i := 0; i < 300; i++ {
+		hs := h.Snapshot()
+		var sum int64
+		for _, n := range hs.Buckets {
+			sum += n
+		}
+		if sum != hs.Count {
+			t.Fatalf("snapshot %d: buckets sum to %d, Count is %d", i, sum, hs.Count)
+		}
+		buf.Reset()
+		if err := WritePrometheus(&buf, &Snapshot{Batch: BatchSnapshot{Nanos: hs}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := CheckExposition(buf.Bytes()); err != nil {
+			t.Fatalf("snapshot %d: %v", i, err)
 		}
 	}
-	if le == "" {
-		t.Fatalf("bucket labels %q missing le", labels)
+}
+
+// TestRPCOkNeverFalls takes successive snapshots while writers record
+// mixed outcomes: the ok sample of adept2_rpc_requests_total, a counter,
+// never falls, and Failures never exceeds Requests.
+func TestRPCOkNeverFalls(t *testing.T) {
+	s := New(nil, []string{"ok"}, 1, Options{})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				s.RPCRequest(EpCommands, 1000, (i+w)%3 != 0)
+			}
+		}(w)
 	}
-	return "{" + strings.Join(rest, ",") + "}", le
+	defer func() { close(stop); wg.Wait() }()
+	var prev int64
+	for i := 0; i < 20000; i++ {
+		e := s.Snapshot().RPC.Endpoints["commands"]
+		if e.Failures > e.Requests {
+			t.Fatalf("snapshot %d: %d failures of %d requests", i, e.Failures, e.Requests)
+		}
+		if ok := e.Requests - e.Failures; ok < prev {
+			t.Fatalf("snapshot %d: ok fell from %d to %d", i, prev, ok)
+		} else {
+			prev = ok
+		}
+	}
 }

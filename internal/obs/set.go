@@ -76,8 +76,8 @@ func New(ops, codes []string, shards int, o Options) *Set {
 	}
 	s.Checkpoint.Nanos = NewHistogram(28, 10)
 	s.Exception.SweepNanos = NewHistogram(28, 10)
-	s.RPC.requests = make([]Counter, len(RPCEndpoints))
-	s.RPC.failures = make([]Counter, len(RPCEndpoints))
+	s.RPC.ok = make([]Counter, len(RPCEndpoints))
+	s.RPC.failed = make([]Counter, len(RPCEndpoints))
 	s.RPC.Latency = make([]*Histogram, len(RPCEndpoints))
 	for i := range s.RPC.Latency {
 		s.RPC.Latency[i] = NewHistogram(28, 10)
@@ -255,9 +255,12 @@ var RPCEndpoints = [NumEndpoints]string{
 // through the nil-safe *Set methods below, so a System without metrics
 // (or a Server handed obs.Disabled) pays one branch.
 type RPCMetrics struct {
-	requests []Counter    // per endpoint: requests answered (any status)
-	failures []Counter    // per endpoint: non-2xx answers and error reply lines
-	Latency  []*Histogram // per endpoint, nanos: handler duration, or a command's read to reply
+	// ok and failed count each endpoint's answers apart, so neither
+	// count is a difference of two loads and neither can fall between
+	// snapshots; a snapshot's Requests is their sum.
+	ok      []Counter    // per endpoint: 2xx answers and result lines
+	failed  []Counter    // per endpoint: non-2xx answers and error reply lines
+	Latency []*Histogram // per endpoint, nanos: handler duration, or a command's read to reply
 
 	// OpenStreams counts currently-connected NDJSON subscribers
 	// (watermark + control-log tails); StreamEvents counts lines pushed
@@ -273,12 +276,13 @@ type RPCMetrics struct {
 // endpoint, one command: the endpoint slot, the duration, and whether
 // the answer was a success (2xx, or a result line).
 func (s *Set) RPCRequest(ep int, nanos int64, ok bool) {
-	if s == nil || ep < 0 || ep >= len(s.RPC.requests) {
+	if s == nil || ep < 0 || ep >= len(s.RPC.ok) {
 		return
 	}
-	s.RPC.requests[ep].Inc()
-	if !ok {
-		s.RPC.failures[ep].Inc()
+	if ok {
+		s.RPC.ok[ep].Inc()
+	} else {
+		s.RPC.failed[ep].Inc()
 	}
 	s.RPC.Latency[ep].Observe(nanos)
 }

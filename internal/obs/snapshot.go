@@ -203,17 +203,17 @@ func (s *Set) Snapshot() *Snapshot {
 		StreamEvents: s.RPC.StreamEvents.Load(),
 		DecodeErrors: s.RPC.DecodeErrors.Load(),
 	}
-	for i := range s.RPC.requests {
-		n := s.RPC.requests[i].Load()
-		if n == 0 {
+	for i := range s.RPC.ok {
+		ok, failed := s.RPC.ok[i].Load(), s.RPC.failed[i].Load()
+		if ok+failed == 0 {
 			continue
 		}
 		if snap.RPC.Endpoints == nil {
 			snap.RPC.Endpoints = map[string]RPCEndpointSnapshot{}
 		}
 		snap.RPC.Endpoints[RPCEndpoints[i]] = RPCEndpointSnapshot{
-			Requests: n,
-			Failures: s.RPC.failures[i].Load(),
+			Requests: ok + failed,
+			Failures: failed,
 			Latency:  s.RPC.Latency[i].Snapshot(),
 		}
 	}

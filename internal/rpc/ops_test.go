@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptrace"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -110,28 +109,8 @@ func TestOpsRoutes(t *testing.T) {
 		if status != http.StatusOK {
 			t.Fatalf("/metrics: %d: %s", status, body)
 		}
-		text := string(body)
-		for _, fam := range []string{
-			"adept2_submit_total", "adept2_submit_latency_seconds",
-			"adept2_committer_fsync_seconds", "adept2_checkpoint_total",
-			"adept2_exception_failures_total", "adept2_sweep_lag_seconds",
-			"adept2_instances", "adept2_wedged", "adept2_rpc_requests_total",
-		} {
-			if !strings.Contains(text, "# TYPE "+fam+" ") {
-				t.Errorf("family %s missing from /metrics", fam)
-			}
-		}
-		for _, line := range strings.Split(text, "\n") {
-			if line == "" || strings.HasPrefix(line, "#") {
-				continue
-			}
-			i := strings.LastIndexByte(line, ' ')
-			if i < 0 || !strings.HasPrefix(line, "adept2_") {
-				t.Fatalf("unparseable sample line: %q", line)
-			}
-			if _, err := strconv.ParseFloat(line[i+1:], 64); err != nil {
-				t.Fatalf("bad value in %q: %v", line, err)
-			}
+		if _, err := obs.CheckExposition(body); err != nil {
+			t.Fatalf("/metrics under load: %v", err)
 		}
 
 		status, body = get(t, srv.URL()+"/metrics.json")
