@@ -276,7 +276,7 @@ func TestInstanceHeapBudget(t *testing.T) {
 	}
 	const (
 		n      = 2000
-		pinned = 1218 // bytes per instance, measured; 1 237 while an instance's marking, execution index and data store were separate objects and the marking's arrays four, 1 303 while the engine kept a position map and the order as ID strings, 2 766 while every history event was a 96 B heap object, 4 694 with the per-instance maps
+		pinned = 1137 // bytes per instance, measured; 1 218 while the marking stored a skip stamp per node, 1 237 while an instance's marking, execution index and data store were separate objects and the marking's arrays four, 1 303 while the engine kept a position map and the order as ID strings, 2 766 while every history event was a 96 B heap object, 4 694 with the per-instance maps
 	)
 	// The journal's bytes live in the MemFS, which stays referenced across
 	// both readings and so cancels out of the difference.

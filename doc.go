@@ -147,7 +147,7 @@
 //	     4  instance structures, per create: one block holding the
 //	        Instance (which holds the history log by value), its
 //	        marking, execution index and data store (1); the marking's
-//	        four dense arrays, laid out in one pointer-free block (1);
+//	        three dense arrays, laid out in one pointer-free block (1);
 //	        the execution index's records (1); the ID string (1)
 //	  ~0.5  the marking's evaluation worklist, grown on its first use
 //	     6  history growth: the log's records doubling (32, 64, 128 B)
@@ -235,36 +235,37 @@
 // server holds 10⁴–10⁵ instances because each keeps only what is its own
 // — marking, history, data versions, and a substitution block if biased —
 // and references its schema; this is that argument in bytes. A finished
-// online-order instance (the same 13 commands) holds 1 218 B of live heap,
-// where it held 1 237 B while its marking, execution index and data store
-// were objects of their own and the marking's arrays four, 2 766 B while
-// each of its 16 history events was a 96 B object behind a pointer slice,
+// online-order instance (the same 13 commands) holds 1 137 B of live heap,
+// where it held 1 218 B while its marking stored a 4-byte skip stamp per
+// node, 1 237 B while its marking, execution index and data store were
+// objects of their own and the marking's arrays four, 2 766 B while each
+// of its 16 history events was a 96 B object behind a pointer slice,
 // and 4 694 B while its loop counts, data store and every event's reads
 // and writes were Go maps (336 B each to hold one entry). What is left,
 // from an in-use heap profile of 2 000 such instances (MemProfileRate 1,
 // sizes as the allocator rounds them):
 //
 //	  B  structure, and why it stays
-//	480  the instance block (engine's instanceBlock): the Instance
+//	448  the instance block (engine's instanceBlock): the Instance
 //	     (264: identity, schema reference, bias slots, its mutex, five
 //	     nil exception maps, pointers to the three structs beside it,
-//	     and the history log (72) by value), its marking (128),
+//	     and the history log (72) by value), its marking (104),
 //	     execution index (40) and data store (24)
 //	256  the execution history: its 16 events packed into about 100
 //	     bytes of records (128 as the log doubled), and the three
 //	     bindings two activities read and one wrote, in a list of four
 //	     (128). internal/history says what a record holds; compliance
 //	     replay, mining and the snapshot encoder decode it into scratch
-//	 88  the marking's four dense arrays — the evaluation worklist's
-//	     bitset, skip stamps, node states, edge states — in one block
-//	     sized by the schema, not by progress (80), and the worklist (8)
+//	 40  the marking's three dense arrays — the evaluation worklist's
+//	     bitset, node states, edge states — in one block sized by the
+//	     schema, not by progress (32), and the worklist (8)
 //	128  the execution index's records: 12 B per schema node
 //	 80  the engine's two instance containers (the ID map's entry and
 //	     a pointer in the creation order; the instance holds its own
 //	     position there) and the ID string
 //	112  the data store's element list (48), one version list (48) and
 //	     the box of the written string (16)
-//	 74  not the instance's: the order ID the caller wrote (24), and
+//	 73  not the instance's: the order ID the caller wrote (24), and
 //	     the system's own structures divided by the population
 //
 // An instance recovered from a snapshot holds the same to within 3 %

@@ -4,9 +4,15 @@ import (
 	"testing"
 
 	"adept2/internal/change"
+	"adept2/internal/compliance"
 	"adept2/internal/engine"
+	"adept2/internal/graph"
+	"adept2/internal/history"
 	"adept2/internal/model"
+	"adept2/internal/rollback"
 	"adept2/internal/sim"
+	"adept2/internal/storage"
+	"adept2/internal/verify"
 )
 
 // fastCtx captures the instance facets the conditions consult.
@@ -271,52 +277,108 @@ func TestInsertSyncEdgeCondition(t *testing.T) {
 	}
 }
 
+// TestSyncEdgeFromSkippedSource: InsertSyncEdge's fast condition gives
+// the verdict replay gives on the changed view. In every history the XOR
+// split chooses y, so x is skipped, and then z is started; the histories
+// differ in the ad-hoc changes made after that. A sync edge from a node
+// that was skipped before z started is compliant, whenever the node came
+// to be on the dead branch; one from y, which has not run, is not.
 func TestSyncEdgeFromSkippedSource(t *testing.T) {
-	// The sync source was definitely skipped before the target started:
-	// compliant (the edge would have been false-signaled).
-	b := model.NewBuilder("skipsync")
-	par := b.Parallel(
-		b.Seq(
-			func() model.Fragment {
-				return b.Choice("", b.Activity("x", "X", model.WithRole("worker")), b.Activity("y", "Y", model.WithRole("worker")))
-			}(),
-			b.Activity("after", "After", model.WithRole("worker")),
-		),
-		b.Activity("z", "Z", model.WithRole("worker")),
-	)
-	s, err := b.Build(par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var split string
-	for _, n := range s.Nodes() {
-		if n.Type == model.NodeXORSplit {
-			split = n.ID
-		}
-	}
-	e := engine.New(sim.Org())
-	if err := e.Deploy(s); err != nil {
-		t.Fatal(err)
-	}
-	inst, err := e.CreateInstance("skipsync", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Choose y (skipping x), then run z.
-	if err := e.CompleteActivity(inst.ID(), split, "", nil, engine.WithDecision(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.CompleteActivity(inst.ID(), "z", "ann", nil); err != nil {
-		t.Fatal(err)
-	}
-	// x was skipped before z started: sync x ~> z is compliant.
-	if err := (&change.InsertSyncEdge{From: "x", To: "z"}).FastCompliance(fastCtx(t, inst)); err != nil {
-		t.Fatalf("skipped source: %v", err)
-	}
-	// y completed after z started? y is not even started: sync y ~> z
-	// conflicts (y activated, z completed).
-	if err := (&change.InsertSyncEdge{From: "y", To: "z"}).FastCompliance(fastCtx(t, inst)); err == nil {
-		t.Fatal("unfinished source with started target must conflict")
+	for _, tc := range []struct {
+		name     string
+		changes  func(t *testing.T, inst *engine.Instance, join string)
+		from     string
+		accepted bool
+	}{
+		{name: "plain", from: "x", accepted: true},
+		{name: "unfinished source", from: "y"},
+		{
+			name: "deleted and undone",
+			changes: func(t *testing.T, inst *engine.Instance, _ string) {
+				if err := change.ApplyAdHoc(inst, &change.DeleteActivity{ID: "x"}); err != nil {
+					t.Fatal(err)
+				}
+				if err := rollback.UndoLast(inst); err != nil {
+					t.Fatal(err)
+				}
+			},
+			from:     "x",
+			accepted: true,
+		},
+		{
+			name: "inserted into the dead branch",
+			changes: func(t *testing.T, inst *engine.Instance, join string) {
+				if err := change.ApplyAdHoc(inst, &change.SerialInsert{Node: manualNode("w"), Pred: "x", Succ: join}); err != nil {
+					t.Fatal(err)
+				}
+			},
+			from:     "w",
+			accepted: true,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := model.NewBuilder("skipsync")
+			par := b.Parallel(
+				b.Seq(
+					b.Choice("", b.Activity("x", "X", model.WithRole("worker")), b.Activity("y", "Y", model.WithRole("worker"))),
+					b.Activity("after", "After", model.WithRole("worker")),
+				),
+				b.Activity("z", "Z", model.WithRole("worker")),
+			)
+			s, err := b.Build(par)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var split, join string
+			for _, n := range s.Nodes() {
+				switch n.Type {
+				case model.NodeXORSplit:
+					split = n.ID
+				case model.NodeXORJoin:
+					join = n.ID
+				}
+			}
+			e := engine.New(sim.Org())
+			if err := e.Deploy(s); err != nil {
+				t.Fatal(err)
+			}
+			inst, err := e.CreateInstance("skipsync", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.CompleteActivity(inst.ID(), split, "", nil, engine.WithDecision(1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.StartActivityAt(inst.ID(), "z", "ann", 0); err != nil {
+				t.Fatal(err)
+			}
+			if tc.changes != nil {
+				tc.changes(t, inst, join)
+			}
+
+			op := &change.InsertSyncEdge{From: tc.from, To: "z"}
+			fast := op.FastCompliance(fastCtx(t, inst))
+			view := inst.View()
+			target, err := storage.Materialize(view, "target", view.TypeName(), view.Version())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := op.ApplyTo(target); err != nil {
+				t.Fatal(err)
+			}
+			res := verify.Check(target)
+			if !res.OK() {
+				t.Fatal(res.Err())
+			}
+			info, err := graph.Analyze(view)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, replay := compliance.Replay(target, res.Blocks, history.Reduce(info, inst.HistoryEvents()))
+			if (fast == nil) != tc.accepted || (replay == nil) != tc.accepted {
+				t.Fatalf("%s: fast condition %v, replay %v, want accepted=%v", op, fast, replay, tc.accepted)
+			}
+		})
 	}
 }
 

@@ -619,7 +619,7 @@ func (o *InsertSyncEdge) FastCompliance(ctx *Context) error {
 				return nil
 			}
 		case state.Skipped:
-			if ctx.Marking.SkipSeqAt(from) <= startSeq {
+			if ctx.Marking.SkipSeqAt(from, ctx.Stats) <= startSeq {
 				return nil
 			}
 		}

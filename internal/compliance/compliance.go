@@ -108,8 +108,8 @@ type replayRun struct {
 
 // evaluate runs one incremental evaluation pass through the scratch
 // activation buffer.
-func (r *replayRun) evaluate(seq int) []model.NodeIdx {
-	r.sc.evalBuf = state.EvaluateInto(r.view, r.m, seq, r.sc.evalBuf)
+func (r *replayRun) evaluate() []model.NodeIdx {
+	r.sc.evalBuf = state.EvaluateInto(r.view, r.m, r.sc.evalBuf)
 	return r.sc.evalBuf
 }
 
@@ -146,7 +146,7 @@ func (sc *Replayer) Replay(view model.SchemaView, info *graph.Info, events []*hi
 	// virtual-firing candidates are maintained from its activation output
 	// instead of rescanning the whole schema per blocked event.
 	r := replayRun{view: view, topo: topo, m: m, store: store, res: res, sc: sc}
-	r.observe(r.evaluate(0))
+	r.observe(r.evaluate())
 
 	for i, e := range events {
 		ni := sc.evIdx[i]
@@ -162,7 +162,7 @@ func (sc *Replayer) Replay(view model.SchemaView, info *graph.Info, events []*hi
 				if !r.fireVirtual(seq) {
 					return nil, eventError(e, fmt.Sprintf("node is %s and cannot become activated", m.NodeAt(ni)))
 				}
-				r.observe(r.evaluate(seq))
+				r.observe(r.evaluate())
 			}
 			// Mandatory inputs must have been available.
 			for _, de := range view.DataEdgesOf(e.Node) {
@@ -233,7 +233,7 @@ func (sc *Replayer) Replay(view model.SchemaView, info *graph.Info, events []*hi
 				return nil, eventError(e, fmt.Sprintf("node is %s, not running", m.NodeAt(ni)))
 			}
 		}
-		r.observe(r.evaluate(seq))
+		r.observe(r.evaluate())
 	}
 	return res, nil
 }

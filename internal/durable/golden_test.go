@@ -169,6 +169,47 @@ func TestGoldenSnapshotCompatibility(t *testing.T) {
 	}
 }
 
+// TestSnapshotSkipStampsAreIgnored: a snapshot's skip stamps are derived
+// from the execution index when written and ignored when read, so an
+// older snapshot whose stamps disagree restores to the instance the index
+// describes. Every stamp of a captured state is perturbed; the restored
+// instance gives the unperturbed sync-edge verdicts for every node pair
+// and re-captures to the unperturbed bytes.
+func TestSnapshotSkipStampsAreIgnored(t *testing.T) {
+	e, inst := goldenEngine(t)
+	want := goldenState(t, e)
+	st := Stage(e, 17)
+	for _, is := range st.Instances {
+		for i := range is.Marking.Nodes {
+			is.Marking.Nodes[i].SkipSeq = 1000 + int32(i)
+		}
+	}
+	re := engine.New(nil)
+	if err := Restore(re, st); err != nil {
+		t.Fatal(err)
+	}
+	if got := goldenState(t, re); !bytes.Equal(got, want) {
+		t.Errorf("restore of perturbed stamps + capture differs:\n got %s\nwant %s", got, want)
+	}
+	rinst, ok := re.Instance(inst.ID())
+	if !ok {
+		t.Fatalf("instance %s missing after restore", inst.ID())
+	}
+	ctx := func(inst *engine.Instance) *change.Context {
+		return &change.Context{View: inst.View(), Marking: inst.MarkingSnapshot(), Stats: inst.StatsSnapshot(), Store: inst.DataSnapshot()}
+	}
+	live, restored := ctx(inst), ctx(rinst)
+	ids := inst.View().NodeIDs()
+	for _, from := range ids {
+		for _, to := range ids {
+			op := &change.InsertSyncEdge{From: from, To: to}
+			if w, g := op.FastCompliance(live), op.FastCompliance(restored); (w == nil) != (g == nil) {
+				t.Errorf("%s: live %v, restored %v", op, w, g)
+			}
+		}
+	}
+}
+
 // TestGoldenContainer: goldenContainerFile is the snapshot file the build
 // before SystemState became the one state type wrote from goldenState
 // (Stage at seq 17, then SnapshotStore.Write). Load returns its payload

@@ -426,7 +426,7 @@ func (inst *Instance) cascadeLocked() error {
 	var scratch [16]model.NodeIdx
 	evalBuf := scratch[:0]
 	for {
-		evalBuf = state.EvaluateInto(v, inst.marking, inst.hist.NextSeq(), evalBuf)
+		evalBuf = state.EvaluateInto(v, inst.marking, evalBuf)
 
 		if end := topo.EndIdx(); end != model.InvalidNode && inst.marking.NodeAt(end) == state.Activated {
 			inst.marking.SetNodeAt(end, state.Completed)

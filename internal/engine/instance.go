@@ -465,7 +465,7 @@ func (mx *Mutable) MigrateTo(to Deployed, ov *storage.Overlay, blocks *graph.Inf
 func (mx *Mutable) AdaptState() ([]string, error) {
 	inst := mx.inst
 	v, _ := inst.viewLocked()
-	activated := state.Adapt(v, inst.marking, inst.stats.Decisions(), inst.hist.NextSeq())
+	activated := state.Adapt(v, inst.marking, inst.stats)
 	if err := inst.cascadeLocked(); err != nil {
 		return activated, err
 	}

@@ -67,7 +67,7 @@ func (inst *Instance) Snapshot() (*InstanceSnapshot, []BiasOp) {
 		Failures:    copyIntMap(inst.failures),
 		Escalated:   sortedKeys(inst.escalated),
 		CompPending: sortedKeys(inst.compPending),
-		Marking:     inst.marking.Export(),
+		Marking:     inst.marking.Export(inst.stats),
 		Stats:       inst.stats.Export(),
 		History:     inst.hist.Clone(),
 		Store:       inst.store.Clone(),

@@ -245,7 +245,7 @@ type instState struct {
 }
 
 func stateOf(inst *engine.Instance) instState {
-	return instState{inst.Footprint(), inst.BiasOps(), viewSets(inst.View()), inst.MarkingSnapshot().Export()}
+	return instState{inst.Footprint(), inst.BiasOps(), viewSets(inst.View()), inst.MarkingSnapshot().Export(inst.StatsSnapshot())}
 }
 
 // differential drives random changes, undos and migrations over instances
@@ -369,30 +369,18 @@ func (d *differential) apply(inst *engine.Instance, ops []change.Operation) {
 	if err != nil || d.rng.Intn(2) == 0 {
 		return
 	}
-	// Undone at once: the view and the marking are the pre-change ones —
-	// but for the skip stamps of nodes the change deleted and the undo
-	// restored in a dead branch, which state.Adapt stamps with the undo's
-	// sequence number, not the one their branch died at.
+	// Undone at once: the view and the marking, skip stamps included,
+	// are the pre-change ones.
 	changed := stateOf(inst)
 	ref = refUndo(d.t, inst, 1)
 	err = rollback.UndoLast(inst)
 	d.agree("UndoLast", inst, ref, err, changed)
 	if err == nil {
 		after := stateOf(inst)
-		if !reflect.DeepEqual(after.view, before.view) || !reflect.DeepEqual(unstamped(after.marking), unstamped(before.marking)) {
+		if !reflect.DeepEqual(after.view, before.view) || !reflect.DeepEqual(after.marking, before.marking) {
 			d.t.Fatalf("AdHoc %v then UndoLast on %s does not return the pre-change view and marking", ops, inst.ID())
 		}
 	}
-}
-
-// unstamped is a marking export without its skip stamps.
-func unstamped(ex *state.MarkingExport) *state.MarkingExport {
-	c := *ex
-	c.Nodes = slices.Clone(ex.Nodes)
-	for i := range c.Nodes {
-		c.Nodes[i].SkipSeq = 0
-	}
-	return &c
 }
 
 func (d *differential) undo(inst *engine.Instance, all bool) {

@@ -614,6 +614,22 @@ func (s *Stats) CompleteSeqAt(topo *model.Topology, i model.NodeIdx) int {
 	return s.CompleteSeq(topo.ID(i))
 }
 
+// DecisionAt returns the selection code recorded for the completion of an
+// interned node of topo (see StartedAt), or 0 if the node has none — the
+// code state.Adapt re-signals a completed XOR split with.
+func (s *Stats) DecisionAt(topo *model.Topology, i model.NodeIdx) int {
+	var st *NodeStat
+	if s.topo == topo {
+		st = &s.recs[i]
+	} else {
+		st = s.get(topo.ID(i))
+	}
+	if st == nil || st.CompleteSeq == 0 || st.Decision < 0 {
+		return 0
+	}
+	return int(st.Decision)
+}
+
 // StatExport is the stable, ID-keyed serialized record of one node's
 // execution — the dense index does not survive a topology rebuild, the ID
 // does.
@@ -653,23 +669,6 @@ func (s *Stats) Import(topo *model.Topology, recs []StatExport) {
 	for _, r := range recs {
 		*s.slot(r.ID) = NodeStat{StartSeq: int32(r.StartSeq), CompleteSeq: int32(r.CompleteSeq), Decision: int32(r.Decision)}
 	}
-}
-
-// Decisions extracts the selection codes of all completed XOR splits,
-// keyed by node ID; state.Adapt consumes this to re-derive dead paths.
-func (s *Stats) Decisions() map[string]int {
-	d := make(map[string]int)
-	for i := range s.recs {
-		if st := &s.recs[i]; st.CompleteSeq > 0 && st.Decision >= 0 {
-			d[s.topo.ID(model.NodeIdx(i))] = int(st.Decision)
-		}
-	}
-	for id, st := range s.overflow {
-		if st.CompleteSeq > 0 && st.Decision >= 0 {
-			d[id] = int(st.Decision)
-		}
-	}
-	return d
 }
 
 // ApproxBytes returns the memory the index holds: the dense record array

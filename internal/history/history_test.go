@@ -42,8 +42,8 @@ func TestLogAppendAssignsDenseSeq(t *testing.T) {
 	l := NewLog()
 	e1 := l.Append(&Event{Kind: Started, Node: "a"})
 	e2 := l.Append(&Event{Kind: Completed, Node: "a"})
-	if e1.Seq != 1 || e2.Seq != 2 || l.Len() != 2 || l.NextSeq() != 3 {
-		t.Fatalf("seq assignment broken: %d %d len=%d next=%d", e1.Seq, e2.Seq, l.Len(), l.NextSeq())
+	if e1.Seq != 1 || e2.Seq != 2 || l.Len() != 2 {
+		t.Fatalf("seq assignment broken: %d %d len=%d", e1.Seq, e2.Seq, l.Len())
 	}
 }
 
@@ -73,8 +73,8 @@ func TestLogJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(blob, &back); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if back.Len() != 2 || back.NextSeq() != 3 {
-		t.Fatalf("round trip: len=%d next=%d", back.Len(), back.NextSeq())
+	if back.Len() != 2 {
+		t.Fatalf("round trip: len=%d", back.Len())
 	}
 	if back.Events().Decode(nil)[1].Decision != 2 {
 		t.Fatal("decision lost")
@@ -345,12 +345,20 @@ func TestStatsLifecycle(t *testing.T) {
 		t.Fatal("complete bookkeeping")
 	}
 	s.OnComplete("split", 6, 1) // completion without recorded start
-	d := s.Decisions()
-	if d["split"] != 1 {
-		t.Fatalf("decisions = %v", d)
+	// A topology the index is not bound to is read through the node IDs.
+	other := model.NewSchema("o", "t", 1)
+	for _, id := range []string{"a", "split", "idle"} {
+		if err := other.AddNode(&model.Node{ID: id, Name: id, Type: model.NodeActivity}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, ok := d["a"]; ok {
-		t.Fatal("non-split decision leaked")
+	topo := other.Topology()
+	at := func(id string) model.NodeIdx { i, _ := topo.Idx(id); return i }
+	if d := s.DecisionAt(topo, at("split")); d != 1 {
+		t.Fatalf("decision of split = %d, want 1", d)
+	}
+	if s.DecisionAt(topo, at("a")) != 0 || s.DecisionAt(topo, at("idle")) != 0 {
+		t.Fatal("a node without a decision must read 0")
 	}
 	c := s.Clone()
 	c.OnStart("b", 9)
@@ -401,9 +409,10 @@ func TestStatsExportImportRoundTrip(t *testing.T) {
 	st.OnStart("ghost", 4) // overflow record (node unknown to the topology)
 
 	ex := st.Export()
+	aIdx, _ := s.Topology().Idx("a")
 	re := &Stats{}
 	re.Import(s.Topology(), ex)
-	if !re.Started("a") || re.CompleteSeq("a") != 2 || re.Decisions()["a"] != 3 {
+	if !re.Started("a") || re.CompleteSeq("a") != 2 || re.DecisionAt(s.Topology(), aIdx) != 3 {
 		t.Fatalf("dense record lost: %+v", ex)
 	}
 	if !re.Started("ghost") || re.StartSeq("ghost") != 4 {

@@ -154,9 +154,6 @@ func (l *Log) Append(e *Event) *Event {
 // Len returns the number of events.
 func (l *Log) Len() int { return int(l.n) }
 
-// NextSeq returns the sequence number the next event will receive.
-func (l *Log) NextSeq() int { return int(l.n) + 1 }
-
 // Clone returns a copy that shares nothing a later Append on either side
 // could reach (values are immutable scalars; the table is shared).
 func (l *Log) Clone() *Log {

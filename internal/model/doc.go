@@ -72,8 +72,8 @@
 //     through the string IDs when the topology pointer changes. The
 //     marking does this transparently — every view-taking entry point of
 //     internal/state compares the bound topology pointer against
-//     v.Topology() and translates node states, skip stamps, edge signals,
-//     and the pending worklist by identity; states of nodes/edges absent
+//     v.Topology() and translates node states, edge signals, and the
+//     pending worklist by identity; states of nodes/edges absent
 //     from the new topology are dropped, new ones start in their zero
 //     state. history.Stats follows the same rule via Rebind (with an
 //     overflow map as a correctness net for deferred rebinds). The

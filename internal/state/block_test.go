@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"adept2/internal/bitset"
+	"adept2/internal/history"
 	"adept2/internal/model"
 )
 
@@ -22,13 +23,13 @@ func spanOf[T any](s []T) span {
 
 func (a span) overlaps(b span) bool { return a.from < b.to && b.from < a.to }
 
-// spans returns the byte ranges of the four arrays, in layOut's order.
-func (a *arrays) spans() [4]span {
-	return [4]span{spanOf(a.pendingSet), spanOf(a.skipSeq), spanOf(a.nodes), spanOf(a.edges)}
+// spans returns the byte ranges of the three arrays, in layOut's order.
+func (a *arrays) spans() [3]span {
+	return [3]span{spanOf(a.pendingSet), spanOf(a.nodes), spanOf(a.edges)}
 }
 
 // TestLayOutSeparatesTheArrays: for every node and edge count up to 130,
-// the four arrays layOut carves have their lengths with cap == len, lie
+// the three arrays layOut carves have their lengths with cap == len, lie
 // inside the block without overlapping, and writing every element of one
 // leaves every other byte of the block zero.
 func TestLayOutSeparatesTheArrays(t *testing.T) {
@@ -36,10 +37,10 @@ func TestLayOutSeparatesTheArrays(t *testing.T) {
 		for e := 0; e <= 130; e++ {
 			block := make([]uint64, blockWords(n, e))
 			a := layOut(block, n, e)
-			if len(a.pendingSet) != bitset.Words(n) || len(a.skipSeq) != n || len(a.nodes) != n || len(a.edges) != e {
-				t.Fatalf("n=%d e=%d: lengths %d %d %d %d", n, e, len(a.pendingSet), len(a.skipSeq), len(a.nodes), len(a.edges))
+			if len(a.pendingSet) != bitset.Words(n) || len(a.nodes) != n || len(a.edges) != e {
+				t.Fatalf("n=%d e=%d: lengths %d %d %d", n, e, len(a.pendingSet), len(a.nodes), len(a.edges))
 			}
-			if cap(a.pendingSet) != len(a.pendingSet) || cap(a.skipSeq) != n || cap(a.nodes) != n || cap(a.edges) != e {
+			if cap(a.pendingSet) != len(a.pendingSet) || cap(a.nodes) != n || cap(a.edges) != e {
 				t.Fatalf("n=%d e=%d: an array has room past its length", n, e)
 			}
 			whole := spanOf(block)
@@ -54,15 +55,10 @@ func TestLayOutSeparatesTheArrays(t *testing.T) {
 					}
 				}
 			}
-			fills := [4]func(){
+			fills := [3]func(){
 				func() {
 					for i := range a.pendingSet {
 						a.pendingSet[i] = ^uint64(0)
-					}
-				},
-				func() {
-					for i := range a.skipSeq {
-						a.skipSeq[i] = -1
 					}
 				},
 				func() {
@@ -101,7 +97,7 @@ func TestDerivedMarkingsShareNoBlock(t *testing.T) {
 	fresh := func() *Marking {
 		m := NewMarking(src)
 		m.Init(src)
-		Evaluate(src, m, 1)
+		Evaluate(src, m)
 		run(t, src, m, "a", -1)
 		m.SetNode("a", NotActivated) // leaves a pending entry to carry over
 		return m
@@ -118,7 +114,7 @@ func TestDerivedMarkingsShareNoBlock(t *testing.T) {
 	}
 	sameState := func(what string, want, got *Marking) {
 		t.Helper()
-		if w, g := want.Export(), got.Export(); !reflect.DeepEqual(w, g) {
+		if w, g := want.Export(&history.Stats{}), got.Export(&history.Stats{}); !reflect.DeepEqual(w, g) {
 			t.Errorf("%s: state %+v, want %+v", what, g, w)
 		}
 	}
@@ -150,7 +146,7 @@ func TestDerivedMarkingsShareNoBlock(t *testing.T) {
 
 	m = fresh()
 	imported := NewMarking(src) // bound to the same topology: Import keeps its block
-	if err := imported.Import(src, m.Export()); err != nil {
+	if err := imported.Import(src, m.Export(&history.Stats{})); err != nil {
 		t.Fatal(err)
 	}
 	disjoint("Import", imported, m)

@@ -3,13 +3,16 @@ package state
 import (
 	"fmt"
 
+	"adept2/internal/history"
 	"adept2/internal/model"
 )
 
 // ExportedNode is the stable serialized state of one node: keyed by node
 // ID, not by the dense index, so an export survives topology rebinds
 // (snapshots are restored against freshly built topologies whose interning
-// order may differ).
+// order may differ). SkipSeq is written from SkipSeqAt for readers of the
+// snapshot; Import ignores it, because the restored execution index
+// derives it again.
 type ExportedNode struct {
 	ID      string `json:"id"`
 	State   uint8  `json:"state"`
@@ -36,17 +39,18 @@ type MarkingExport struct {
 	Pending []string       `json:"pending,omitempty"`
 }
 
-// Export serializes the marking into its stable, ID-keyed form.
-func (m *Marking) Export() *MarkingExport {
+// Export serializes the marking into its stable, ID-keyed form; stats is
+// the instance's execution index, which dates its skipped nodes.
+func (m *Marking) Export(stats *history.Stats) *MarkingExport {
 	ex := &MarkingExport{}
 	for i := range m.nodes {
-		if m.nodes[i] == NotActivated && m.skipSeq[i] == 0 {
+		if m.nodes[i] == NotActivated {
 			continue
 		}
 		ex.Nodes = append(ex.Nodes, ExportedNode{
 			ID:      m.topo.ID(model.NodeIdx(i)),
 			State:   uint8(m.nodes[i]),
-			SkipSeq: m.skipSeq[i],
+			SkipSeq: int32(m.SkipSeqAt(model.NodeIdx(i), stats)),
 		})
 	}
 	for i := range m.edges {
@@ -79,7 +83,6 @@ func (m *Marking) Import(v model.SchemaView, ex *MarkingExport) error {
 			return fmt.Errorf("state: import marking: node %q not in schema", n.ID)
 		}
 		m.nodes[i] = NodeState(n.State)
-		m.skipSeq[i] = n.SkipSeq
 	}
 	for _, e := range ex.Edges {
 		i, ok := m.topo.EdgeIdxOf(model.EdgeKey{From: e.From, To: e.To, Type: model.EdgeType(e.Type)})

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"adept2/internal/history"
 	"adept2/internal/model"
 )
 
@@ -37,16 +38,16 @@ func TestMarkingExportImportRoundTrip(t *testing.T) {
 	s := chainSchema(t, "s1")
 	m := NewMarking(s)
 	m.Init(s)
-	Evaluate(s, m, 1)
+	Evaluate(s, m)
 	if err := m.Start("a"); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Complete(s, "a", -1); err != nil {
 		t.Fatal(err)
 	}
-	Evaluate(s, m, 2)
+	Evaluate(s, m)
 
-	ex := m.Export()
+	ex := m.Export(&history.Stats{})
 	// Import against a freshly parsed clone of the schema: the topology is
 	// rebuilt from scratch, so only the stable keys may be consulted.
 	s2 := chainSchema(t, "s1")
@@ -99,7 +100,7 @@ func TestRebindToMatchesRemap(t *testing.T) {
 		mk := func() *Marking {
 			m := NewMarking(src)
 			m.Init(src)
-			Evaluate(src, m, 1)
+			Evaluate(src, m)
 			if err := m.Start("a"); err != nil {
 				t.Fatal(err)
 			}
@@ -114,14 +115,12 @@ func TestRebindToMatchesRemap(t *testing.T) {
 		if pooled.Topology() != dst.Topology() {
 			t.Fatal("pooled rebind did not bind the target topology")
 		}
-		if !reflect.DeepEqual(pooled.nodes, plain.nodes) ||
-			!reflect.DeepEqual(pooled.edges, plain.edges) ||
-			!reflect.DeepEqual(pooled.skipSeq, plain.skipSeq) {
+		if !reflect.DeepEqual(pooled.nodes, plain.nodes) || !reflect.DeepEqual(pooled.edges, plain.edges) {
 			t.Fatalf("iter %d: pooled rebind diverged from remap", iter)
 		}
 		// Both must evaluate identically afterwards.
-		a1 := Evaluate(dst, pooled, 5)
-		a2 := Evaluate(dst, plain, 5)
+		a1 := Evaluate(dst, pooled)
+		a2 := Evaluate(dst, plain)
 		if !reflect.DeepEqual(a1, a2) {
 			t.Fatalf("activations diverged: %v vs %v", a1, a2)
 		}

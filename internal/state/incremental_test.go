@@ -3,11 +3,13 @@ package state
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"adept2/internal/graph"
+	"adept2/internal/history"
 	"adept2/internal/model"
 	"adept2/internal/storage"
 )
@@ -15,10 +17,12 @@ import (
 // The tests in this file pin the tentpole invariant of the interned
 // incremental evaluator: array-indexed edge-driven propagation
 // (Evaluate/Adapt on the dense Marking) produces markings identical —
-// node states, edge signals, and skip stamps — to the retained
-// string-keyed global-fixpoint reference (refMarking/refFixpoint below),
-// event for event, on randomized schemas with XOR/AND blocks, loops, and
-// sync edges, across random event prefixes and biased overlay views.
+// node states and edge signals — to the retained string-keyed
+// global-fixpoint reference (refMarking/refFixpoint below), event for
+// event, on randomized schemas with XOR/AND blocks, loops, and sync edges,
+// across random event prefixes and biased overlay views. Along the way
+// every skipped node's derived stamp (SkipSeqAt) must name the evaluation
+// that skipped it.
 
 // --- string-keyed reference implementation -------------------------------
 //
@@ -27,16 +31,14 @@ import (
 // retained here, in full, as the semantic ground truth.
 
 type refMarking struct {
-	nodes   map[string]NodeState
-	edges   map[model.EdgeKey]EdgeState
-	skipSeq map[string]int
+	nodes map[string]NodeState
+	edges map[model.EdgeKey]EdgeState
 }
 
 func newRefMarking() *refMarking {
 	return &refMarking{
-		nodes:   make(map[string]NodeState),
-		edges:   make(map[model.EdgeKey]EdgeState),
-		skipSeq: make(map[string]int),
+		nodes: make(map[string]NodeState),
+		edges: make(map[model.EdgeKey]EdgeState),
 	}
 }
 
@@ -104,11 +106,8 @@ func (m *refMarking) complete(v model.SchemaView, id string, decision int) error
 	return nil
 }
 
-func (m *refMarking) skip(v model.SchemaView, id string, seq int) {
+func (m *refMarking) skip(v model.SchemaView, id string) {
 	m.setNode(id, Skipped)
-	if _, dup := m.skipSeq[id]; !dup {
-		m.skipSeq[id] = seq
-	}
 	for _, e := range v.OutEdges(id) {
 		if e.Type == model.EdgeLoop {
 			continue
@@ -119,7 +118,7 @@ func (m *refMarking) skip(v model.SchemaView, id string, seq int) {
 
 // refFixpoint rescans every node of the view until quiescence — the
 // historical global fixpoint evaluation.
-func refFixpoint(v model.SchemaView, m *refMarking, seq int) []string {
+func refFixpoint(v model.SchemaView, m *refMarking) []string {
 	var activated []string
 	for {
 		changed := false
@@ -160,7 +159,7 @@ func refFixpoint(v model.SchemaView, m *refMarking, seq int) []string {
 					activated = append(activated, id)
 					changed = true
 				case falseC == len(inC):
-					m.skip(v, id, seq)
+					m.skip(v, id)
 					changed = true
 				}
 			case model.NodeANDJoin:
@@ -170,7 +169,7 @@ func refFixpoint(v model.SchemaView, m *refMarking, seq int) []string {
 					activated = append(activated, id)
 					changed = true
 				case falseC == len(inC):
-					m.skip(v, id, seq)
+					m.skip(v, id)
 					changed = true
 				}
 			default:
@@ -180,7 +179,7 @@ func refFixpoint(v model.SchemaView, m *refMarking, seq int) []string {
 					activated = append(activated, id)
 					changed = true
 				case falseC > 0:
-					m.skip(v, id, seq)
+					m.skip(v, id)
 					changed = true
 				}
 			}
@@ -192,7 +191,7 @@ func refFixpoint(v model.SchemaView, m *refMarking, seq int) []string {
 	return activated
 }
 
-// refAdaptCore mirrors adaptCore on the string-keyed marking.
+// refAdaptCore mirrors Adapt's rewind on the string-keyed marking.
 func refAdaptCore(v model.SchemaView, m *refMarking, decisions map[string]int) {
 	for _, id := range v.NodeIDs() {
 		switch m.node(id) {
@@ -203,7 +202,6 @@ func refAdaptCore(v model.SchemaView, m *refMarking, decisions map[string]int) {
 	for id := range m.nodes {
 		if _, ok := v.Node(id); !ok {
 			delete(m.nodes, id)
-			delete(m.skipSeq, id)
 		}
 	}
 	clear(m.edges)
@@ -229,24 +227,16 @@ func refAdaptCore(v model.SchemaView, m *refMarking, decisions map[string]int) {
 	}
 }
 
-// refAdapt composes refAdaptCore with the fixpoint and the skip-stamp
-// pruning, mirroring Adapt.
-func refAdapt(v model.SchemaView, m *refMarking, decisions map[string]int, seq int) []string {
+// refAdapt composes refAdaptCore with the fixpoint, mirroring Adapt.
+func refAdapt(v model.SchemaView, m *refMarking, decisions map[string]int) []string {
 	refAdaptCore(v, m, decisions)
-	activated := refFixpoint(v, m, seq)
-	for id := range m.skipSeq {
-		if m.node(id) != Skipped {
-			delete(m.skipSeq, id)
-		}
-	}
-	return activated
+	return refFixpoint(v, m)
 }
 
 // refResetLoop mirrors ResetLoop on the string-keyed marking.
 func refResetLoop(v model.SchemaView, m *refMarking, region map[string]bool) {
 	for id := range region {
 		m.setNode(id, NotActivated)
-		delete(m.skipSeq, id)
 		for _, e := range v.OutEdges(id) {
 			if region[e.To] {
 				m.setEdge(e.Key(), NotSignaled)
@@ -318,11 +308,10 @@ func genRichSchema(rng *rand.Rand, name string) *model.Schema {
 }
 
 // markingsIdentical compares the interned marking against the string-keyed
-// reference exhaustively over a view: node states, edge signals, and skip
-// stamps.
+// reference exhaustively over a view: node states and edge signals.
 func markingsIdentical(v model.SchemaView, a *Marking, b *refMarking) bool {
 	for _, id := range v.NodeIDs() {
-		if a.Node(id) != b.node(id) || a.SkipSeq(id) != b.skipSeq[id] {
+		if a.Node(id) != b.node(id) {
 			return false
 		}
 	}
@@ -367,21 +356,28 @@ func sameSet(a, b []string) bool {
 
 // dualRun drives one random partial execution on two markings in lockstep:
 // mInc (interned, array-indexed) evolves through the incremental Evaluate,
-// mRef (string-keyed) through the global fixpoint reference. It fails the
-// test at the first divergence and returns the final state plus the XOR
-// decision record.
-func dualRun(t *testing.T, rng *rand.Rand, v model.SchemaView, info *graph.Info) (mInc *Marking, mRef *refMarking, decisions map[string]int) {
+// mRef (string-keyed) through the global fixpoint reference. Each start
+// and completion is an event with the next sequence number, recorded in
+// the execution index stats as the engine records it. It fails the test at
+// the first divergence, or at the first skipped node whose derived stamp
+// is not one past the completion that skipped it, and returns the final
+// state, the index, and the XOR decision record.
+func dualRun(t *testing.T, rng *rand.Rand, v model.SchemaView, info *graph.Info) (mInc *Marking, mRef *refMarking, stats *history.Stats, decisions map[string]int) {
 	t.Helper()
 	mInc, mRef = NewMarking(v), newRefMarking()
 	mInc.Init(v)
 	mRef.init(v)
-	actInc := Evaluate(v, mInc, 1)
-	actRef := refFixpoint(v, mRef, 1)
+	actInc := Evaluate(v, mInc)
+	actRef := refFixpoint(v, mRef)
 	if !sameSet(actInc, actRef) {
 		t.Fatalf("init activation sets diverge: inc=%v ref=%v", actInc, actRef)
 	}
+	stats = &history.Stats{}
+	stats.Reset(v.Topology())
 	decisions = map[string]int{}
 	loopIters := map[string]int{}
+	died := map[string]int{} // skipped node -> the evaluation that skipped it
+	seq := 0
 
 	for step := 0; step < 60; step++ {
 		enabled := mInc.NodesInState(Activated)
@@ -398,6 +394,8 @@ func dualRun(t *testing.T, rng *rand.Rand, v model.SchemaView, info *graph.Info)
 		if err := mRef.start(id); err != nil {
 			t.Fatalf("step %d: start ref: %v", step, err)
 		}
+		seq++
+		stats.OnStart(id, seq)
 		node, _ := v.Node(id)
 		dec := -1
 		if node.Type == model.NodeXORSplit {
@@ -405,7 +403,7 @@ func dualRun(t *testing.T, rng *rand.Rand, v model.SchemaView, info *graph.Info)
 			dec = outs[rng.Intn(len(outs))].Code
 			decisions[id] = dec
 		}
-		seq := step + 2
+		seq++
 		if node.Type == model.NodeLoopEnd && loopIters[id] < 1 && rng.Intn(2) == 0 {
 			// Iterate the loop once: both markings are completed and reset
 			// identically, exercising the worklist seeding of ResetLoop.
@@ -419,8 +417,10 @@ func dualRun(t *testing.T, rng *rand.Rand, v model.SchemaView, info *graph.Info)
 			region := blk.Region()
 			ResetLoop(v, mInc, region)
 			refResetLoop(v, mRef, region)
+			stats.PurgeRegion(region)
 			for n := range region {
 				delete(decisions, n)
+				delete(died, n)
 			}
 		} else {
 			if err := mInc.Complete(v, id, dec); err != nil {
@@ -429,17 +429,35 @@ func dualRun(t *testing.T, rng *rand.Rand, v model.SchemaView, info *graph.Info)
 			if err := mRef.complete(v, id, dec); err != nil {
 				t.Fatalf("step %d: complete ref: %v", step, err)
 			}
+			stats.OnComplete(id, seq, dec)
 		}
-		actInc = Evaluate(v, mInc, seq)
-		actRef = refFixpoint(v, mRef, seq)
+		actInc = Evaluate(v, mInc)
+		actRef = refFixpoint(v, mRef)
 		if !sameSet(actInc, actRef) {
 			t.Fatalf("step %d: activation sets diverge: inc=%v ref=%v", step, actInc, actRef)
 		}
 		if !markingsIdentical(v, mInc, mRef) {
 			t.Fatalf("step %d: markings diverge after completing %s", step, id)
 		}
+		for _, n := range refNodesInState(mRef, Skipped) {
+			if _, ok := died[n]; !ok {
+				died[n] = seq + 1
+			}
+			if got := skipSeq(mInc, n, stats); got != died[n] {
+				t.Fatalf("step %d: %s was skipped by the evaluation after #%d, derived stamp %d", step, n, died[n]-1, got)
+			}
+		}
 	}
-	return mInc, mRef, decisions
+	return mInc, mRef, stats, decisions
+}
+
+// skipSeq is SkipSeqAt by node ID.
+func skipSeq(m *Marking, id string, stats *history.Stats) int {
+	i, ok := m.Topology().Idx(id)
+	if !ok {
+		return 0
+	}
+	return m.SkipSeqAt(i, stats)
 }
 
 // TestIncrementalMatchesFixpoint: on random schemas and random event
@@ -453,7 +471,7 @@ func TestIncrementalMatchesFixpoint(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		mInc, mRef, _ := dualRun(t, rng, s, info)
+		mInc, mRef, _, _ := dualRun(t, rng, s, info)
 		return markingsIdentical(s, mInc, mRef)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
@@ -464,7 +482,7 @@ func TestIncrementalMatchesFixpoint(t *testing.T) {
 // TestAdaptMatchesFixpoint: state adaptation through the interned
 // incremental evaluator equals the adaptation closed by the string-keyed
 // fixpoint reference, on the unchanged schema (identity adaptation) after
-// a random prefix.
+// a random prefix, and reproduces the exported marking exactly.
 func TestAdaptMatchesFixpoint(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -473,20 +491,16 @@ func TestAdaptMatchesFixpoint(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		mInc, mRef, decisions := dualRun(t, rng, s, info)
-		before := mInc.Clone()
+		mInc, mRef, stats, decisions := dualRun(t, rng, s, info)
+		before := mInc.Export(stats)
 
-		actInc := Adapt(s, mInc, decisions, 99)
-		actRef := refAdapt(s, mRef, decisions, 99)
+		actInc := Adapt(s, mInc, stats)
+		actRef := refAdapt(s, mRef, decisions)
 		if !sameSet(actInc, actRef) {
 			t.Fatalf("adapt activation sets diverge: inc=%v ref=%v", actInc, actRef)
 		}
-		// Identity adaptation must also reproduce the pre-adapt marking
-		// (modulo skip stamps, which Adapt re-stamps with the adapt seq).
-		for _, id := range s.NodeIDs() {
-			if before.Node(id) != mInc.Node(id) {
-				t.Fatalf("identity adaptation changed node %s: %s -> %s", id, before.Node(id), mInc.Node(id))
-			}
+		if after := mInc.Export(stats); !reflect.DeepEqual(after, before) {
+			t.Fatalf("identity adaptation changed the marking:\n%+v\n->\n%+v", before, after)
 		}
 		return markingsIdentical(s, mInc, mRef)
 	}
@@ -543,12 +557,12 @@ func TestAdaptMatchesFixpointOnBiasedOverlay(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		mInc, mRef, decisions := dualRun(t, rng, base, info)
+		mInc, mRef, stats, decisions := dualRun(t, rng, base, info)
 
 		ov := biasOverlay(rng, base, "bias_x")
 
-		actInc := Adapt(ov, mInc, decisions, 99)
-		actRef := refAdapt(ov, mRef, decisions, 99)
+		actInc := Adapt(ov, mInc, stats)
+		actRef := refAdapt(ov, mRef, decisions)
 		if !sameSet(actInc, actRef) {
 			t.Fatalf("biased adapt activation sets diverge: inc=%v ref=%v", actInc, actRef)
 		}
@@ -560,10 +574,13 @@ func TestAdaptMatchesFixpointOnBiasedOverlay(t *testing.T) {
 }
 
 // TestOverlayRemapStability: bias refreshes re-intern the node set, and
-// the marking must remap so that all per-ID states (node states, skip
-// stamps, edge signals) survive unchanged across one — and a second —
-// refresh, while the bound topology follows the view. This pins the
-// index-validity-window rule documented in internal/model/doc.go.
+// the marking must remap so that all per-ID states (node states and edge
+// signals) survive unchanged across one — and a second — refresh, while
+// the bound topology follows the view. This pins the
+// index-validity-window rule documented in internal/model/doc.go. Adapting
+// to the twice-biased view then keeps every skipped node skipped, and the
+// stamp derived for it from the unchanged execution index is the one it
+// had before the refreshes.
 func TestOverlayRemapStability(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -572,16 +589,16 @@ func TestOverlayRemapStability(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		m, _, _ := dualRun(t, rng, base, info)
+		m, _, stats, _ := dualRun(t, rng, base, info)
 
 		// Snapshot the pre-refresh state by identity.
-		type snap struct {
-			state NodeState
-			skip  int
-		}
-		nodeSnap := make(map[string]snap)
+		nodeSnap := make(map[string]NodeState)
+		skips := make(map[string]int)
 		for _, id := range base.NodeIDs() {
-			nodeSnap[id] = snap{m.Node(id), m.SkipSeq(id)}
+			nodeSnap[id] = m.Node(id)
+			if m.Node(id) == Skipped {
+				skips[id] = skipSeq(m, id, stats)
+			}
 		}
 		edgeSnap := make(map[model.EdgeKey]EdgeState)
 		for _, e := range base.Edges() {
@@ -593,14 +610,13 @@ func TestOverlayRemapStability(t *testing.T) {
 		// The first view-taking entry point re-binds the marking. The
 		// pending worklist is empty (dualRun left a fixpoint), so this
 		// Evaluate changes nothing — it only triggers the remap.
-		Evaluate(ov, m, 99)
+		Evaluate(ov, m)
 		if m.Topology() != topo1 {
 			t.Fatalf("marking not rebound to overlay topology")
 		}
 		for id, want := range nodeSnap {
-			if m.Node(id) != want.state || m.SkipSeq(id) != want.skip {
-				t.Fatalf("node %s changed across remap: %s/%d -> %s/%d",
-					id, want.state, want.skip, m.Node(id), m.SkipSeq(id))
+			if m.Node(id) != want {
+				t.Fatalf("node %s changed across remap: %s -> %s", id, want, m.Node(id))
 			}
 		}
 		for k, want := range edgeSnap {
@@ -626,13 +642,21 @@ func TestOverlayRemapStability(t *testing.T) {
 		if topo2 == topo1 {
 			t.Fatalf("bias refresh did not re-intern the topology")
 		}
-		Evaluate(ov, m, 100) // binds to topo2
+		Evaluate(ov, m) // binds to topo2
 		if m.Topology() != topo2 {
 			t.Fatalf("marking not rebound after second refresh")
 		}
 		for id, want := range nodeSnap {
-			if m.Node(id) != want.state || m.SkipSeq(id) != want.skip {
+			if m.Node(id) != want {
 				t.Fatalf("node %s changed across second remap", id)
+			}
+		}
+
+		Adapt(ov, m, stats)
+		for id, want := range skips {
+			if m.Node(id) != Skipped || skipSeq(m, id, stats) != want {
+				t.Fatalf("node %s skipped from #%d before the inserts is %s from #%d after adapting to them",
+					id, want, m.Node(id), skipSeq(m, id, stats))
 			}
 		}
 		return true
@@ -661,8 +685,8 @@ func TestEvaluateAfterManualStaging(t *testing.T) {
 		ref := newRefMarking()
 		m.Init(s)
 		ref.init(s)
-		Evaluate(s, m, 1)
-		refFixpoint(s, ref, 1)
+		Evaluate(s, m)
+		refFixpoint(s, ref)
 		ids := s.NodeIDs()
 		for i := 0; i < 2; i++ {
 			id := ids[rng.Intn(len(ids))]
@@ -694,8 +718,8 @@ func TestEvaluateAfterManualStaging(t *testing.T) {
 				ref.setEdge(k, TrueSignaled)
 			}
 		}
-		incAct := Evaluate(s, m, 7)
-		refAct := refFixpoint(s, ref, 7)
+		incAct := Evaluate(s, m)
+		refAct := refFixpoint(s, ref)
 		if !sameSet(incAct, refAct) {
 			return false
 		}

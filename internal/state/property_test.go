@@ -5,12 +5,13 @@ import (
 	"testing"
 	"testing/quick"
 
+	"adept2/internal/history"
 	"adept2/internal/model"
 )
 
 // genRun builds a random schema and a random partial execution of it,
-// returning the view and the marking.
-func genRun(rng *rand.Rand) (model.SchemaView, *Marking, map[string]int) {
+// returning the view, the marking and the execution index.
+func genRun(rng *rand.Rand) (model.SchemaView, *Marking, *history.Stats) {
 	b := model.NewBuilder("p")
 	var n int
 	var frag func(depth int) model.Fragment
@@ -30,8 +31,9 @@ func genRun(rng *rand.Rand) (model.SchemaView, *Marking, map[string]int) {
 	}
 	m := NewMarking(s)
 	m.Init(s)
-	Evaluate(s, m, 1)
-	decisions := map[string]int{}
+	Evaluate(s, m)
+	stats := &history.Stats{}
+	stats.Reset(s.Topology())
 	// Random partial run: repeatedly pick an activated node and complete
 	// it (choosing random XOR branches).
 	for step := 0; step < 30; step++ {
@@ -43,19 +45,20 @@ func genRun(rng *rand.Rand) (model.SchemaView, *Marking, map[string]int) {
 		if m.Start(id) != nil {
 			break
 		}
+		stats.OnStart(id, 2*step+1)
 		node, _ := s.Node(id)
 		dec := -1
 		if node.Type == model.NodeXORSplit {
 			outs := model.OutControlEdges(s, id)
 			dec = outs[rng.Intn(len(outs))].Code
-			decisions[id] = dec
 		}
 		if m.Complete(s, id, dec) != nil {
 			break
 		}
-		Evaluate(s, m, step+2)
+		stats.OnComplete(id, 2*step+2, dec)
+		Evaluate(s, m)
 	}
-	return s, m, decisions
+	return s, m, stats
 }
 
 func actID(n int) string {
@@ -78,7 +81,7 @@ func TestEvaluateIdempotent(t *testing.T) {
 	f := func(seed int64) bool {
 		v, m, _ := genRun(rand.New(rand.NewSource(seed)))
 		before := m.Clone()
-		Evaluate(v, m, 99)
+		Evaluate(v, m)
 		return markingsEqual(v, before, m)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
@@ -90,9 +93,9 @@ func TestEvaluateIdempotent(t *testing.T) {
 // unchanged schema reproduces the marking exactly.
 func TestAdaptIsIdentityWithoutChange(t *testing.T) {
 	f := func(seed int64) bool {
-		v, m, decisions := genRun(rand.New(rand.NewSource(seed)))
+		v, m, stats := genRun(rand.New(rand.NewSource(seed)))
 		before := m.Clone()
-		Adapt(v, m, decisions, 100)
+		Adapt(v, m, stats)
 		return markingsEqual(v, before, m)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {

@@ -34,6 +34,7 @@ import (
 
 	"adept2/internal/arena"
 	"adept2/internal/bitset"
+	"adept2/internal/history"
 	"adept2/internal/model"
 )
 
@@ -100,16 +101,17 @@ func (s EdgeState) String() string {
 }
 
 // Marking is the complete execution state of one process instance over its
-// schema view. Node states, skip stamps, and edge signals are dense arrays
-// indexed by the interned indices of the bound topology; the zero state of
-// every node is NotActivated and of every edge NotSignaled.
+// schema view. Node states and edge signals are dense arrays indexed by the
+// interned indices of the bound topology; the zero state of every node is
+// NotActivated and of every edge NotSignaled. When a node was skipped is
+// not stored: SkipSeqAt derives it from the instance's execution index.
 //
-// The four dense arrays (the evaluation worklist's bitset, skip stamps,
-// node states, edge states) are one allocation: a pointer-free []uint64
-// block laid out by layOut, each array with cap == len, so a marking costs
-// its struct and one block sized by the schema. Every path that binds a
-// marking to a topology (Reset, Clone, a remap, RebindTo, Import) lays out
-// a block of its own; no two markings share one.
+// The three dense arrays (the evaluation worklist's bitset, node states,
+// edge states) are one allocation: a pointer-free []uint64 block laid out
+// by layOut, each array with cap == len, so a marking costs its struct and
+// one block sized by the schema. Every path that binds a marking to a
+// topology (Reset, Clone, a remap, RebindTo, Import) lays out a block of
+// its own; no two markings share one.
 //
 // The marking additionally maintains the evaluation worklist: every edge
 // signal records its target node and every demotion to NotActivated
@@ -135,28 +137,26 @@ type Marking struct {
 // arrays are a marking's dense arrays, carved from one block (layOut).
 type arrays struct {
 	pendingSet bitset.Set  // dense by NodeIdx
-	skipSeq    []int32     // dense by NodeIdx; see SkipSeq
 	nodes      []NodeState // dense by NodeIdx
 	edges      []EdgeState // dense by EdgeIdx
 }
 
 // blockWords is the size in words of the block that holds the arrays of a
-// marking over n nodes and e edges: the bitset's words, then 4n bytes of
-// skip stamps, n of node states and e of edge states.
-func blockWords(n, e int) int { return bitset.Words(n) + (5*n+e+7)/8 }
+// marking over n nodes and e edges: the bitset's words, then n bytes of
+// node states and e of edge states.
+func blockWords(n, e int) int { return bitset.Words(n) + (n+e+7)/8 }
 
 // layOut carves the arrays for n nodes and e edges out of block, which
 // holds blockWords(n, e) zeroed words, in the order blockWords lists them:
-// each array starts aligned for its type and ends where the next begins.
-// An empty array is nil, so no slice points past the block.
+// each array ends where the next begins. An empty array is nil, so no
+// slice points past the block.
 func layOut(block []uint64, n, e int) arrays {
 	w := bitset.Words(n)
 	a := arrays{pendingSet: bitset.Set(block[:w:w])}
 	if rest := block[w:]; len(rest) > 0 {
 		p := unsafe.Pointer(unsafe.SliceData(rest))
-		a.skipSeq = carve[int32](p, 0, n)
-		a.nodes = carve[NodeState](p, 4*n, n)
-		a.edges = carve[EdgeState](p, 5*n, e)
+		a.nodes = carve[NodeState](p, 0, n)
+		a.edges = carve[EdgeState](p, n, e)
 	}
 	return a
 }
@@ -190,7 +190,6 @@ func (m *Marking) Reset(v model.SchemaView) {
 		m.topo, m.arrays = t, newArrays(t.NumNodes(), t.NumEdges())
 	} else {
 		clear(m.pendingSet)
-		clear(m.skipSeq)
 		clear(m.nodes)
 		clear(m.edges)
 	}
@@ -274,12 +273,11 @@ func (m *Marking) remap(t *model.Topology) {
 func (m *Marking) remapInto(t *model.Topology, to arrays) {
 	old := m.topo
 	for i := range m.nodes {
-		if m.nodes[i] == NotActivated && m.skipSeq[i] == 0 {
+		if m.nodes[i] == NotActivated {
 			continue
 		}
 		if j, ok := t.Idx(old.ID(model.NodeIdx(i))); ok {
 			to.nodes[j] = m.nodes[i]
-			to.skipSeq[j] = m.skipSeq[i]
 		}
 	}
 	for i := range m.edges {
@@ -375,17 +373,30 @@ func (m *Marking) SetEdgeAt(i model.EdgeIdx, s EdgeState) {
 	}
 }
 
-// SkipSeq returns the event sequence number at which the node was skipped
-// (0 if the node is not skipped).
-func (m *Marking) SkipSeq(id string) int {
-	if i, ok := m.topo.Idx(id); ok {
-		return int(m.skipSeq[i])
+// SkipSeqAt returns the event sequence number from which an interned node
+// is skipped, derived from the instance's execution index (0 if the node
+// is not skipped). A branch dies in the evaluation that follows the
+// completion of the XOR split that deselected it, so an edge the split
+// false-signaled dates from one past the split's completion; a node on a
+// skipped node's edge dies with it, and a join with the last of its inputs.
+func (m *Marking) SkipSeqAt(i model.NodeIdx, stats *history.Stats) int {
+	if m.nodes[i] != Skipped {
+		return 0
 	}
-	return 0
+	seq := 0
+	for _, ei := range m.topo.At(i).InControlIdx() {
+		if m.edges[ei] != FalseSignaled {
+			continue
+		}
+		switch from, _ := m.topo.Idx(m.topo.EdgeAt(ei).From); m.nodes[from] {
+		case Completed:
+			seq = max(seq, stats.CompleteSeqAt(m.topo, from)+1)
+		case Skipped:
+			seq = max(seq, m.SkipSeqAt(from, stats))
+		}
+	}
+	return seq
 }
-
-// SkipSeqAt returns the skip stamp of an interned node (see SkipSeq).
-func (m *Marking) SkipSeqAt(i model.NodeIdx) int { return int(m.skipSeq[i]) }
 
 // NodesInState returns the IDs of all nodes currently in the given state,
 // sorted for determinism. NotActivated is not enumerable (it is the
@@ -410,7 +421,6 @@ func (m *Marking) NodesInState(s NodeState) []string {
 func (m *Marking) Clone() *Marking {
 	c := &Marking{topo: m.topo, arrays: newArrays(len(m.nodes), len(m.edges)), pending: slices.Clone(m.pending)}
 	copy(c.pendingSet, m.pendingSet)
-	copy(c.skipSeq, m.skipSeq)
 	copy(c.nodes, m.nodes)
 	copy(c.edges, m.edges)
 	return c
@@ -418,8 +428,8 @@ func (m *Marking) Clone() *Marking {
 
 // ApproxBytes returns the memory held by the marking: the struct, its
 // block and the worklist's capacity. The block scales with the view size
-// (a byte per node/edge state plus the skip stamps and the bitset), not
-// with the number of non-default entries.
+// (a byte per node/edge state plus the bitset), not with the number of
+// non-default entries.
 func (m *Marking) ApproxBytes() int {
 	return int(unsafe.Sizeof(*m)) + 8*blockWords(len(m.nodes), len(m.edges)) + 4*cap(m.pending)
 }
@@ -497,14 +507,10 @@ func (m *Marking) signalOutAt(i model.NodeIdx, decision int) {
 	}
 }
 
-// skipAt marks a node dead and false-signals everything leaving it. A node
-// skipped earlier (non-zero stamp) keeps its original stamp.
-func (m *Marking) skipAt(i model.NodeIdx, seq int) {
+// skipAt marks a node dead and false-signals everything leaving it.
+func (m *Marking) skipAt(i model.NodeIdx) {
 	nt := m.topo.At(i)
 	m.nodes[i] = Skipped
-	if m.skipSeq[i] == 0 {
-		m.skipSeq[i] = int32(seq)
-	}
 	for _, ei := range nt.OutControlIdx() {
 		m.SetEdgeAt(ei, FalseSignaled)
 	}
@@ -517,23 +523,22 @@ func (m *Marking) skipAt(i model.NodeIdx, seq int) {
 // with a newly signaled incoming edge (or demoted by ResetLoop/Adapt) is
 // re-examined; nodes whose incoming control edges are all true-signaled
 // and whose incoming sync edges are all signaled become Activated; nodes
-// on dead paths become Skipped, which cascades to their successors. seq
-// stamps newly skipped nodes (see SkipSeq). It returns the IDs of newly
-// activated nodes in view order.
-func Evaluate(v model.SchemaView, m *Marking, seq int) []string {
+// on dead paths become Skipped, which cascades to their successors. It
+// returns the IDs of newly activated nodes in view order.
+func Evaluate(v model.SchemaView, m *Marking) []string {
 	t := v.Topology()
 	m.ensure(t)
-	return idsOf(t, propagate(t, m, seq, nil))
+	return idsOf(t, propagate(t, m, nil))
 }
 
 // EvaluateInto is Evaluate with a caller-owned activation buffer: newly
 // activated nodes are appended to buf[:0] as interned indices and the
 // (possibly re-grown) buffer is returned, so per-event loops (compliance
 // replay) reuse one allocation across all evaluations.
-func EvaluateInto(v model.SchemaView, m *Marking, seq int, buf []model.NodeIdx) []model.NodeIdx {
+func EvaluateInto(v model.SchemaView, m *Marking, buf []model.NodeIdx) []model.NodeIdx {
 	t := v.Topology()
 	m.ensure(t)
-	return propagate(t, m, seq, buf[:0])
+	return propagate(t, m, buf[:0])
 }
 
 func idsOf(t *model.Topology, idxs []model.NodeIdx) []string {
@@ -552,7 +557,7 @@ func idsOf(t *model.Topology, idxs []model.NodeIdx) []string {
 // their successors, so the propagation covers exactly the affected region.
 // Newly activated nodes are appended to the provided buffer, which is
 // returned sorted by view order.
-func propagate(topo *model.Topology, m *Marking, seq int, activated []model.NodeIdx) []model.NodeIdx {
+func propagate(topo *model.Topology, m *Marking, activated []model.NodeIdx) []model.NodeIdx {
 	for i := 0; i < len(m.pending); i++ {
 		ni := m.pending[i]
 		m.pendingSet.Clear(int(ni)) // a later signal must be able to re-queue
@@ -592,7 +597,7 @@ func propagate(topo *model.Topology, m *Marking, seq int, activated []model.Node
 				m.nodes[ni] = Activated
 				activated = append(activated, ni)
 			case falseC == len(inC):
-				m.skipAt(ni, seq)
+				m.skipAt(ni)
 			}
 		case model.NodeANDJoin:
 			switch {
@@ -600,7 +605,7 @@ func propagate(topo *model.Topology, m *Marking, seq int, activated []model.Node
 				m.nodes[ni] = Activated
 				activated = append(activated, ni)
 			case falseC == len(inC):
-				m.skipAt(ni, seq)
+				m.skipAt(ni)
 			}
 		default:
 			// Single incoming control edge (activities, splits, loop
@@ -610,7 +615,7 @@ func propagate(topo *model.Topology, m *Marking, seq int, activated []model.Node
 				m.nodes[ni] = Activated
 				activated = append(activated, ni)
 			case falseC > 0:
-				m.skipAt(ni, seq)
+				m.skipAt(ni)
 			}
 		}
 	}
@@ -621,13 +626,18 @@ func propagate(topo *model.Topology, m *Marking, seq int, activated []model.Node
 	return activated
 }
 
-// adaptCore rewinds the derivable parts of the marking against the (possibly
-// changed) view: the marking is remapped onto the view's topology (dropping
-// states of deleted nodes), derived node states are demoted, and all edge
-// signals re-derived from the completed frontier. The subsequent evaluation
-// pass — incremental in Adapt, the fixpoint in the test reference — turns
-// the result back into a complete marking.
-func adaptCore(v model.SchemaView, m *Marking, decisions map[string]int) {
+// Adapt recomputes the marking after the underlying schema view changed
+// (ad-hoc change or migration): the efficient state adaptation procedure
+// the paper refers to for migrating instances. The marking is remapped
+// onto the view's topology (dropping states of deleted nodes); states of
+// started nodes (Running, Completed) are preserved; everything derivable —
+// activations, skips, edge signals — is recomputed from the completed
+// frontier.
+//
+// stats is the instance's execution index: it supplies the selection code
+// of every completed XOR split, so dead paths re-derive identically.
+// Returns the nodes activated after adaptation, in view order.
+func Adapt(v model.SchemaView, m *Marking, stats *history.Stats) []string {
 	topo := v.Topology()
 	m.ensure(topo)
 	// Demote derived states; keep started nodes. The demotions queue every
@@ -652,33 +662,11 @@ func adaptCore(v model.SchemaView, m *Marking, decisions map[string]int) {
 		}
 		var dec int
 		if topo.At(ni).Node().Type == model.NodeXORSplit {
-			dec = decisions[topo.ID(ni)]
+			dec = stats.DecisionAt(topo, ni)
 		}
 		m.signalOutAt(ni, dec)
 	}
-}
-
-// Adapt recomputes the marking after the underlying schema view changed
-// (ad-hoc change or migration): the efficient state adaptation procedure
-// the paper refers to for migrating instances. States of started nodes
-// (Running, Completed) are preserved; everything derivable — activations,
-// skips, edge signals — is recomputed from the completed frontier.
-//
-// decisions supplies the selection code of every completed XOR split
-// (taken from the execution history) so dead paths re-derive identically.
-// Skip stamps of nodes that remain skipped are preserved. Returns the
-// nodes activated after adaptation, in view order.
-func Adapt(v model.SchemaView, m *Marking, decisions map[string]int, seq int) []string {
-	adaptCore(v, m, decisions)
-	activated := Evaluate(v, m, seq)
-	// Prune stale skip stamps (Evaluate preserved stamps of re-skipped
-	// nodes).
-	for i := range m.skipSeq {
-		if m.skipSeq[i] != 0 && m.nodes[i] != Skipped {
-			m.skipSeq[i] = 0
-		}
-	}
-	return activated
+	return Evaluate(v, m)
 }
 
 // ResetLoop rewinds a loop body for the next iteration: every node in the
@@ -695,7 +683,6 @@ func ResetLoop(v model.SchemaView, m *Marking, region map[string]bool) {
 			continue
 		}
 		m.SetNodeAt(i, NotActivated)
-		m.skipSeq[i] = 0
 		nt := topo.At(i)
 		for _, out := range [...][]model.EdgeIdx{nt.OutControlIdx(), nt.OutSyncIdx(), nt.OutLoopIdx()} {
 			for _, ei := range out {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"adept2/internal/graph"
+	"adept2/internal/history"
 	"adept2/internal/model"
 )
 
@@ -57,14 +58,14 @@ func run(t *testing.T, v model.SchemaView, m *Marking, id string, decision int) 
 	if err := m.Complete(v, id, decision); err != nil {
 		t.Fatalf("complete %s: %v", id, err)
 	}
-	Evaluate(v, m, 1)
+	Evaluate(v, m)
 }
 
 func TestMarkingLifecycleBasics(t *testing.T) {
 	s := parSchema(t)
 	m := NewMarking(s)
 	m.Init(s)
-	Evaluate(s, m, 1)
+	Evaluate(s, m)
 
 	split := findNode(t, s, model.NodeANDSplit)
 	if m.Node(split) != Activated {
@@ -101,7 +102,7 @@ func TestMarkingTransitionErrors(t *testing.T) {
 	s := parSchema(t)
 	m := NewMarking(s)
 	m.Init(s)
-	Evaluate(s, m, 1)
+	Evaluate(s, m)
 	if err := m.Start("a1"); err == nil {
 		t.Fatal("starting a non-activated node must fail")
 	}
@@ -124,25 +125,32 @@ func TestXORSkipPropagation(t *testing.T) {
 	s := xorSchema(t)
 	m := NewMarking(s)
 	m.Init(s)
-	Evaluate(s, m, 1)
+	Evaluate(s, m)
 	split := findNode(t, s, model.NodeXORSplit)
 
-	// Choose branch to x (code 0): y's path dies.
+	// Choose branch to x (code 0) at #6: y's path dies in the evaluation
+	// after it.
+	stats := &history.Stats{}
+	stats.OnStart(split, 5)
 	if err := m.Start(split); err != nil {
 		t.Fatal(err)
 	}
+	stats.OnComplete(split, 6, 0)
 	if err := m.Complete(s, split, 0); err != nil {
 		t.Fatal(err)
 	}
-	Evaluate(s, m, 7)
+	Evaluate(s, m)
 	if m.Node("x") != Activated {
 		t.Fatalf("x should be activated, is %s", m.Node("x"))
 	}
 	if m.Node("y") != Skipped {
 		t.Fatalf("y should be skipped, is %s", m.Node("y"))
 	}
-	if m.SkipSeq("y") != 7 {
-		t.Fatalf("skip seq of y = %d, want 7", m.SkipSeq("y"))
+	if got := skipSeq(m, "y", stats); got != 7 {
+		t.Fatalf("skip seq of y = %d, want 7", got)
+	}
+	if got := skipSeq(m, "x", stats); got != 0 {
+		t.Fatalf("skip seq of activated x = %d, want 0", got)
 	}
 	// Join waits for x, then fires with one true edge.
 	join := findNode(t, s, model.NodeXORJoin)
@@ -162,7 +170,7 @@ func TestCloneIndependence(t *testing.T) {
 	s := xorSchema(t)
 	m := NewMarking(s)
 	m.Init(s)
-	Evaluate(s, m, 1)
+	Evaluate(s, m)
 	c := m.Clone()
 	split := findNode(t, s, model.NodeXORSplit)
 	if err := c.Start(split); err != nil {
@@ -192,7 +200,7 @@ func TestResetLoop(t *testing.T) {
 
 	m := NewMarking(s)
 	m.Init(s)
-	Evaluate(s, m, 1)
+	Evaluate(s, m)
 	run(t, s, m, ls, -1)
 	run(t, s, m, "w", -1)
 	if m.Node(le) != Activated {
@@ -208,7 +216,7 @@ func TestResetLoop(t *testing.T) {
 	if m.Node("w") != NotActivated || m.Node(le) != NotActivated {
 		t.Fatal("region not reset")
 	}
-	Evaluate(s, m, 9)
+	Evaluate(s, m)
 	if m.Node(ls) != Activated {
 		t.Fatalf("loop start should re-activate, is %s", m.Node(ls))
 	}
@@ -218,28 +226,33 @@ func TestAdaptPreservesStartedWorkAndRederivesSkips(t *testing.T) {
 	s := xorSchema(t)
 	m := NewMarking(s)
 	m.Init(s)
-	Evaluate(s, m, 1)
+	Evaluate(s, m)
 	split := findNode(t, s, model.NodeXORSplit)
+	stats := &history.Stats{}
+	stats.OnStart(split, 1)
 	if err := m.Start(split); err != nil {
 		t.Fatal(err)
 	}
+	stats.OnComplete(split, 2, 0)
 	if err := m.Complete(s, split, 0); err != nil {
 		t.Fatal(err)
 	}
-	Evaluate(s, m, 3)
+	Evaluate(s, m)
+	stats.OnStart("x", 3)
+	stats.OnComplete("x", 4, -1)
 	run(t, s, m, "x", -1)
 
-	decisions := map[string]int{split: 0}
+	// The decision Adapt re-signals the split with comes from the index.
 	before := m.Node("x")
-	activated := Adapt(s, m, decisions, 10)
+	activated := Adapt(s, m, stats)
 	if m.Node("x") != before {
 		t.Fatalf("adapt changed completed node state to %s", m.Node("x"))
 	}
 	if m.Node("y") != Skipped {
 		t.Fatalf("adapt lost the skip of y: %s", m.Node("y"))
 	}
-	if m.SkipSeq("y") != 3 {
-		t.Fatalf("adapt must preserve original skip stamp, got %d", m.SkipSeq("y"))
+	if got := skipSeq(m, "y", stats); got != 3 {
+		t.Fatalf("y died after the split's completion at #2, derived stamp %d", got)
 	}
 	join := findNode(t, s, model.NodeXORJoin)
 	found := false
@@ -263,7 +276,7 @@ func TestAdaptAfterSerialInsertionDemotesActivatedSuccessor(t *testing.T) {
 	}
 	m := NewMarking(s)
 	m.Init(s)
-	Evaluate(s, m, 1)
+	Evaluate(s, m)
 	run(t, s, m, "a", -1)
 	if m.Node("c") != Activated {
 		t.Fatalf("c should be activated, is %s", m.Node("c"))
@@ -281,7 +294,7 @@ func TestAdaptAfterSerialInsertionDemotesActivatedSuccessor(t *testing.T) {
 	if err := s.AddEdge(&model.Edge{From: "n", To: "c", Type: model.EdgeControl}); err != nil {
 		t.Fatal(err)
 	}
-	Adapt(s, m, nil, 5)
+	Adapt(s, m, &history.Stats{})
 	if m.Node("n") != Activated {
 		t.Fatalf("inserted node should be activated, is %s", m.Node("n"))
 	}
@@ -301,7 +314,7 @@ func TestAdaptDropsDeletedNodes(t *testing.T) {
 	}
 	m := NewMarking(s)
 	m.Init(s)
-	Evaluate(s, m, 1)
+	Evaluate(s, m)
 	run(t, s, m, "a", -1)
 
 	// Delete c (not started): rewire a -> end.
@@ -317,7 +330,7 @@ func TestAdaptDropsDeletedNodes(t *testing.T) {
 	if err := s.AddEdge(&model.Edge{From: "a", To: "end", Type: model.EdgeControl}); err != nil {
 		t.Fatal(err)
 	}
-	Adapt(s, m, nil, 5)
+	Adapt(s, m, &history.Stats{})
 	if m.Node(s.EndID()) != Activated {
 		t.Fatalf("end should be activated after delete, is %s", m.Node(s.EndID()))
 	}
