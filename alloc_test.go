@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"adept2"
 	"adept2/internal/change"
@@ -224,6 +226,13 @@ func TestSubmitAllocationBudget(t *testing.T) {
 // too: the command and its strings, the map, and each output's key, value
 // and the value's interface box (16 while the outputs were the
 // reference's).
+//
+// A stream's decoder (System.WireDecoder(true)) reuses its structs and
+// resolves names: a start or a complete that names an instance, a node and
+// a user the System holds allocates nothing, and each of its strings is
+// the engine's own — the instance's ID, the symbol table's node and user —
+// so overwriting the line leaves the command as it was. A name the System
+// does not hold still decodes, as a copy (4 and 4 with new structs).
 func TestDecodeWireCommandAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not reproducible under the race detector")
@@ -248,6 +257,65 @@ func TestDecodeWireCommandAllocations(t *testing.T) {
 		t.Logf("decoding %s %s allocates %.0f objects", c.op, c.args, allocs)
 		if allocs > c.bound {
 			t.Errorf("decoding %s %s allocates %.0f objects, want at most %.0f", c.op, c.args, allocs, c.bound)
+		}
+	}
+
+	sys := adept2.New(adept2.WithOrg(sim.Org()))
+	defer sys.Close()
+	runLifecycles(t, sys, 20)
+	inst, _ := sys.Instance("inst-000001")
+	var node, user string // the symbol table's strings, as the history names them
+	for _, ev := range inst.HistoryEvents() {
+		if ev.Node == "get_order" && ev.User == "ann" {
+			node, user = ev.Node, ev.User
+		}
+	}
+	dec := sys.WireDecoder(true)
+	for _, c := range []struct {
+		op, args string
+		bound    float64
+		held     bool // every name is one the System holds
+	}{
+		{"start", `{"instance":"inst-000001","node":"get_order","user":"ann","at":1700000000000000000}`, 0, true},
+		{"complete", `{"instance":"inst-000001","node":"get_order","user":"ann","at":1700000000000000000}`, 0, true},
+		{"start", `{"instance":"inst-900001","node":"no_such_node","user":"nobody"}`, 3, false},
+		{"complete", `{"instance":"inst-900001","node":"no_such_node","user":"nobody"}`, 3, false},
+	} {
+		op, line := []byte(c.op), []byte(c.args)
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, _, err := dec.Decode(op, line); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("a stream decoding %s %s allocates %.0f objects", c.op, c.args, allocs)
+		if allocs > c.bound {
+			t.Errorf("a stream decoding %s %s allocates %.0f objects, want at most %.0f", c.op, c.args, allocs, c.bound)
+		}
+		want, err := adept2.DecodeWireCommand(c.op, line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmd, _, err := dec.Decode(op, line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range line {
+			line[i] = '#'
+		}
+		if !reflect.DeepEqual(cmd, want) {
+			t.Errorf("%s %s: overwriting the line changed the decoded command to %#v", c.op, c.args, cmd)
+		}
+		var names [3]string
+		switch cmd := cmd.(type) {
+		case *adept2.StartActivity:
+			names = [3]string{cmd.Instance, cmd.Node, cmd.User}
+		case *adept2.CompleteActivity:
+			names = [3]string{cmd.Instance, cmd.Node, cmd.User}
+		}
+		for i, own := range []string{inst.ID(), node, user} {
+			if same := unsafe.StringData(names[i]) == unsafe.StringData(own); same != c.held {
+				t.Errorf("%s %s: %q is the engine's own string: %t, want %t", c.op, c.args, names[i], same, c.held)
+			}
 		}
 	}
 }
@@ -316,6 +384,13 @@ func TestInstanceHeapBudget(t *testing.T) {
 	}
 }
 
+// orderLifecycle is the start and completion order of an online-order
+// instance's activities, each with a user who may run it.
+var orderLifecycle = []struct{ node, user string }{
+	{"get_order", "ann"}, {"collect_data", "ann"}, {"compose_order", "bob"},
+	{"confirm_order", "ann"}, {"pack_goods", "bob"}, {"deliver_goods", "bob"},
+}
+
 // runLifecycles deploys the online-order type and runs n instances of it
 // through their 13-command lifecycle.
 func runLifecycles(t *testing.T, sys *adept2.System, n int) {
@@ -324,17 +399,13 @@ func runLifecycles(t *testing.T, sys *adept2.System, n int) {
 	if _, err := sys.Submit(ctx, &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
 		t.Fatal(err)
 	}
-	lifecycle := []struct{ node, user string }{
-		{"get_order", "ann"}, {"collect_data", "ann"}, {"compose_order", "bob"},
-		{"confirm_order", "ann"}, {"pack_goods", "bob"}, {"deliver_goods", "bob"},
-	}
 	for i := 0; i < n; i++ {
 		res, err := sys.Submit(ctx, &adept2.CreateInstance{TypeName: "online_order"})
 		if err != nil {
 			t.Fatal(err)
 		}
 		inst := res.(*adept2.Instance)
-		for _, step := range lifecycle {
+		for _, step := range orderLifecycle {
 			var out map[string]any
 			if step.node == "get_order" {
 				out = map[string]any{"out": "order-" + inst.ID()}

@@ -166,23 +166,71 @@ type effect struct {
 
 // codec is a row's pair of args decoders. decode is the reference,
 // encoding/json throughout. plain, where the wire form has flat members,
-// reads the plain shape of the same args (internal/jsonx) at the cost of
-// the command and its strings, and is tried first: it refuses whatever it
-// does not read exactly as decode would, so the two agree wherever both
-// answer (FuzzDecodeAgainstJSON in internal/rpc).
+// reads the plain shape of the same args (internal/jsonx) and is tried
+// first: it refuses whatever it does not read exactly as decode would, so
+// the two agree wherever both answer (FuzzDecodeAgainstJSON in
+// internal/rpc). It decodes into the form's struct in into, zeroed first,
+// or into a new one when into is nil. A string member naming something
+// the System names holds decodes to the System's own string
+// (System.heldName); any other string, and every one when names is nil,
+// is a copy.
 type codec struct {
 	decode func(json.RawMessage) (command, error)
-	plain  func(args []byte) (command, bool) // args have passed json.Valid
+	plain  func(args []byte, into *wireStructs, names *System) (command, bool) // args have passed json.Valid
 }
 
 // decodeArgs decodes a row's args; valid says they are known to be JSON.
-func (c *codec) decodeArgs(args []byte, valid bool) (command, error) {
+func (c *codec) decodeArgs(args []byte, valid bool, into *wireStructs, names *System) (command, error) {
 	if c.plain != nil && (valid || json.Valid(args)) {
-		if cmd, ok := c.plain(args); ok {
+		if cmd, ok := c.plain(args, into, names); ok {
 			return cmd, nil
 		}
 	}
 	return c.decode(args)
+}
+
+// wireStructs is what a reusing WireDecoder decodes plain args into: one
+// struct per flat form, the Suspend and Resume a suspend record is made
+// into, and the map a completion's outputs are read into. A decode zeroes
+// its form's struct before reading, so no member of one line survives
+// into the next; the map is emptied.
+type wireStructs struct {
+	create    CreateInstance
+	start     StartActivity
+	complete  CompleteActivity
+	fail      FailActivity
+	timeout   TimeoutActivity
+	retry     RetryActivity
+	undo      Undo
+	suspend   suspendArgs
+	suspended Suspend
+	resumed   Resume
+	outputs   map[string]any
+}
+
+// outputsMap returns the map a completion's n outputs are read into: the
+// structs' own, emptied, or a new one when into is nil. {} reads as an
+// empty map, not nil, as the reference's does.
+func (into *wireStructs) outputsMap(n int) map[string]any {
+	if into == nil {
+		return make(map[string]any, n)
+	}
+	if into.outputs == nil {
+		into.outputs = make(map[string]any, n)
+	}
+	clear(into.outputs)
+	return into.outputs
+}
+
+// heldName returns the System's own copy of the name b spells, or a copy
+// of b when s is nil or holds none (engine.HeldName).
+func (s *System) heldName(kind engine.NameKind, b []byte) string {
+	if s != nil {
+		if held, ok := s.eng.HeldName(kind, b); ok {
+			return held
+		}
+	}
+	return string(b)
 }
 
 // cmdSpec is one registry row.
@@ -223,6 +271,7 @@ func decodeStruct[T any, P interface {
 type wireForm[W any] struct {
 	fields []wireField
 	keys   []string // the json key of each field
+	slot   uintptr  // W's place in wireStructs
 }
 
 // wireField is one member of a flat wire form.
@@ -230,7 +279,18 @@ type wireField struct {
 	name      string  // the json key quoted, with its colon
 	offset    uintptr // the member's place in the form
 	kind      fieldKind
+	held      engine.NameKind // what a string member names
 	omitEmpty bool
+}
+
+// heldNames maps the keys of the string members that name what the System
+// holds to what they name. A create's explicit ID names an instance that
+// does not exist yet, and a failure's reason nothing.
+var heldNames = map[string]engine.NameKind{
+	"instance": engine.NameInstance,
+	"type":     engine.NameType,
+	"node":     engine.NameSymbol,
+	"user":     engine.NameSymbol,
 }
 
 // fieldKind is what a member holds: one of the plain kinds, which the
@@ -294,57 +354,73 @@ func newWireForm[W any]() *wireForm[W] {
 			panic(fmt.Sprintf("adept2: %v.%s has a json tag the field table does not read", typ, sf.Name))
 		}
 		f.fields = append(f.fields, wireField{name: string(jsonx.AppendString(nil, key)) + ":",
-			offset: sf.Offset, kind: kind, omitEmpty: opts == "omitempty"})
+			offset: sf.Offset, kind: kind, held: heldNames[key], omitEmpty: opts == "omitempty"})
 		f.keys = append(f.keys, key)
 	}
 	if len(f.fields) > maxFields {
 		panic(fmt.Sprintf("adept2: %v has more than %d members", typ, maxFields))
 	}
-	return f
+	slots := reflect.TypeFor[wireStructs]()
+	for i := 0; i < slots.NumField(); i++ {
+		if sf := slots.Field(i); sf.Type == typ {
+			f.slot = sf.Offset
+			return f
+		}
+	}
+	panic(fmt.Sprintf("adept2: wireStructs has no %v", typ))
 }
 
-// codec is the form's codec; finish makes the command of a decoded W. The
-// plain decoder reads the string, integer and boolean members and outputs
-// whose values are all plain strings; args that carry any other member —
-// a decision, a number or a nested value among the outputs — are the
-// reference's.
-func (f *wireForm[W]) codec(finish func(*W) command) codec {
+// codec is the form's codec; finish makes the command of a decoded W,
+// in into when it is not nil. The plain decoder reads the string, integer
+// and boolean members and outputs whose values are all plain strings; args
+// that carry any other member — a decision, a number or a nested value
+// among the outputs — are the reference's.
+func (f *wireForm[W]) codec(finish func(*W, *wireStructs) command) codec {
 	return codec{
 		decode: func(raw json.RawMessage) (command, error) {
 			v := new(W)
 			if err := json.Unmarshal(raw, v); err != nil {
 				return nil, err
 			}
-			return finish(v), nil
+			return finish(v, nil), nil
 		},
-		plain: func(args []byte) (command, bool) {
+		plain: func(args []byte, into *wireStructs, names *System) (command, bool) {
 			var buf [maxFields][]byte
 			vals := buf[:len(f.fields)]
 			if !jsonx.Members(args, f.keys, vals) {
 				return nil, false
 			}
-			// Nothing is allocated until every member has been read once, so
-			// args refused here cost the reference nothing extra.
+			// Nothing is allocated or overwritten until every member has been
+			// read once, so args refused here cost the reference nothing
+			// extra and leave into as it was.
 			for k, val := range vals {
-				if val != nil && !f.fields[k].read(val, nil) {
+				if val != nil && !f.fields[k].read(val, nil, nil, nil) {
 					return nil, false
 				}
 			}
-			v := new(W)
+			var v *W
+			if into == nil {
+				v = new(W)
+			} else {
+				var zero W
+				v = (*W)(unsafe.Add(unsafe.Pointer(into), f.slot))
+				*v = zero
+			}
 			for k, val := range vals {
 				if val != nil {
-					f.fields[k].read(val, unsafe.Pointer(v))
+					f.fields[k].read(val, unsafe.Pointer(v), into, names)
 				}
 			}
-			return finish(v), true
+			return finish(v, into), true
 		},
 	}
 }
 
 // read reads a raw member value as the member's plain form and, if form
-// is not nil, stores it at the member's place in form; it reports whether
-// val is plain.
-func (fd *wireField) read(val []byte, form unsafe.Pointer) bool {
+// is not nil, stores it at the member's place in form — a name the System
+// names holds as its own string, outputs in into's map (see codec); it
+// reports whether val is plain.
+func (fd *wireField) read(val []byte, form unsafe.Pointer, into *wireStructs, names *System) bool {
 	var p unsafe.Pointer
 	if form != nil {
 		p = unsafe.Add(form, fd.offset)
@@ -353,7 +429,7 @@ func (fd *wireField) read(val []byte, form unsafe.Pointer) bool {
 	case fieldString:
 		s, ok := jsonx.Str(val)
 		if ok && p != nil {
-			*(*string)(p) = string(s)
+			*(*string)(p) = names.heldName(fd.held, s)
 		}
 		return ok
 	case fieldBool:
@@ -379,7 +455,7 @@ func (fd *wireField) read(val []byte, form unsafe.Pointer) bool {
 		var keys, strs [maxOutputs][]byte
 		n, ok := jsonx.Strings(val, keys[:], strs[:])
 		if ok && p != nil {
-			m := make(map[string]any, n) // {} reads as an empty map, not nil, as the reference's does
+			m := into.outputsMap(n)
 			for i := range n {
 				m[string(keys[i])] = string(strs[i])
 			}
@@ -512,8 +588,24 @@ func appendCarried(b []byte, s string) ([]byte, error) {
 func structCommand[T any, P interface {
 	*T
 	command
-}](v *T) command {
+}](v *T, _ *wireStructs) command {
 	return P(v)
+}
+
+// suspendCommand is the suspend form's finish: a Suspend or a Resume, in
+// into when it is not nil.
+func suspendCommand(a *suspendArgs, into *wireStructs) command {
+	switch {
+	case a.Resume && into != nil:
+		into.resumed = Resume{Instance: a.Instance}
+		return &into.resumed
+	case a.Resume:
+		return &Resume{Instance: a.Instance}
+	case into != nil:
+		into.suspended = Suspend{Instance: a.Instance}
+		return &into.suspended
+	}
+	return &Suspend{Instance: a.Instance}
 }
 
 func init() {
@@ -527,12 +619,7 @@ func init() {
 	register("retry", false, retryForm.codec(structCommand[RetryActivity]))
 	register("complete", false, completeForm.codec(structCommand[CompleteActivity]))
 	register("adhoc", false, codec{decode: decodeAdHoc})
-	register("suspend", false, suspendForm.codec(func(a *suspendArgs) command {
-		if a.Resume {
-			return &Resume{Instance: a.Instance}
-		}
-		return &Suspend{Instance: a.Instance}
-	}))
+	register("suspend", false, suspendForm.codec(suspendCommand))
 	register("undo", false, undoForm.codec(structCommand[Undo]))
 }
 
@@ -576,7 +663,7 @@ func decodeCommand(op string, args json.RawMessage) (command, error) {
 	if !ok {
 		return nil, fmt.Errorf("adept2: unknown journal op %q", op)
 	}
-	return spec.decodeArgs(args, false)
+	return spec.decodeArgs(args, false, nil, nil)
 }
 
 // apply replays one journaled command (crash recovery): the same decode +

@@ -186,8 +186,9 @@
 // name; internal/history.TestHistoryAppendAllocations pins the six; the
 // benchmark's allocs_per_cmd gates the sum.
 //
-// The remote hop adds 85 to the lifecycle's 18 — 6.5 a command, where it
-// added 27 while the server decoded every line twice through
+// The remote hop adds 34 to the lifecycle's 18 — 2.6 a command, where it
+// added 6.5 while the server decoded every line into a new command and
+// copied its names, 27 while it decoded every line twice through
 // encoding/json (envelope, then args) and the client marshalled every
 // command twice (args, then line), 105 while the client encoded args
 // through encoding/json, and 102 while a completion's outputs and a
@@ -197,37 +198,42 @@
 // and builds its line around them in reused buffers, the server appends
 // its reply and the client reads it in place, calls and their channels
 // are reused, and neither end of the watermark stream allocates per
-// event. What is left,
-// from an allocation profile of 550 lifecycles
+// event. A command stream's decoder (WireDecoder) decodes every plain
+// line into its own struct for the line's form and a completion's
+// outputs into its own map, and resolves each name the System holds — an
+// instance ID, the create's type, a node ID or user name — to the
+// System's own string: the twelve decoded structs of a lifecycle, their
+// 34 strings and the outputs map are gone, and nothing decoded aliases
+// the line. What is left, from an allocation profile of 550 lifecycles
 // over the command stream (sync starts and create, async completions;
 // MemProfileRate 1, tiny strings counted from runtime.MemStats):
 //
 //	per lifecycle  allocation, and why it stays
-//	    12  server: the decoded command, one struct for each of the
-//	        twelve flat commands
-//	    34  server: their strings — the instance, node and user of
-//	        eleven starts and completions, the type of the create. None
-//	        outlives the command: the engine keeps the schema's node ID
-//	        and the org model's user ID (a work item's ClaimedBy) instead
-//	     9  server: the completion that carries outputs, read from its
-//	        field table — its struct and three strings, the map, and
-//	        the one output's key, value and the value's interface box
 //	    13  server: SubmitAsync's Receipt; every remote command is
 //	        applied through it, and a sync one waits on it in the reply
-//	        writer, off the reader's goroutine
+//	        writer, off the reader's goroutine. Dropping it needs a
+//	        receipt the caller owns, which would be a second way to
+//	        submit
 //	    13  client: what the caller is handed — Submit's SubmitResult,
-//	        SubmitAsync's Receipt
+//	        SubmitAsync's Receipt — for the same reason
 //	     5  the create's result: a ResultSummary and an InstanceSummary
 //	        on the server (2); on the client one object holding both,
 //	        and the instance's ID and type (3)
+//	     3  server: the one output of the completion that carries
+//	        outputs — its value, which the instance's data store keeps,
+//	        and the key and the value's interface box a map[string]any
+//	        needs, which the completion drops
 //	    ~1  client: the wake-up channel of a Receipt.Wait that parks
 //
 // internal/rpc.TestClientSubmitAllocations pins a remote create, start,
-// complete, complete with outputs and suspend at their measured counts
-// (22, 7, 8, 18, 4), TestDecodeWireCommandAllocations the decode alone —
-// which recovery shares, record by record — at the struct and its strings,
-// and TestDecodeBatchAllocations a 64-command batch body at its commands'
-// decodes plus the one slice that holds them.
+// complete, complete with outputs and suspend or resume at their measured
+// counts (14, 3, 3, 11, 2) plus two, suspend/resume's plus one;
+// TestDecodeWireCommandAllocations pins the decode alone — which recovery
+// shares, record by record, at the struct and its strings — and a
+// stream's decode of a start or complete whose names the System holds at
+// none; TestDecodeBatchAllocations pins a 64-command batch body at its
+// commands' decodes, a new struct each, plus the one slice that holds
+// them.
 //
 // # Memory budget
 //

@@ -273,6 +273,42 @@ func (e *Engine) Instance(id string) (*Instance, bool) {
 	return inst, ok
 }
 
+// HeldName returns the engine's own copy of a name b spells, and false
+// when the engine holds none: an instance ID (the key of the registry,
+// read under the engine's read lock), a deployed type name, or a node ID
+// or user name some history has recorded (the symbol table's published
+// map, read without a lock). A decoder stores the returned string instead
+// of copying b, so a name the engine holds costs nothing to decode.
+func (e *Engine) HeldName(kind NameKind, b []byte) (string, bool) {
+	switch kind {
+	case NameInstance:
+		e.mu.RLock()
+		defer e.mu.RUnlock()
+		if inst, ok := e.insts[string(b)]; ok {
+			return inst.id, true
+		}
+	case NameType:
+		e.mu.RLock()
+		defer e.mu.RUnlock()
+		if vs := e.types[string(b)]; len(vs) > 0 {
+			return vs[0].Schema.TypeName(), true
+		}
+	case NameSymbol:
+		return e.syms.Lookup(b)
+	}
+	return "", false
+}
+
+// NameKind is what a name HeldName resolves names. The zero kind names
+// nothing the engine holds (a failure's reason, a create's new ID).
+type NameKind uint8
+
+const (
+	NameInstance NameKind = iota + 1 // an instance ID
+	NameType                         // a deployed process type
+	NameSymbol                       // a node ID or user name
+)
+
 // NumInstances returns the live instance count without cloning the
 // listing — the metrics-poll read path.
 func (e *Engine) NumInstances() int {

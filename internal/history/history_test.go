@@ -494,9 +494,11 @@ func TestStatsRebindPooledMatchesRebind(t *testing.T) {
 
 // TestSymbolsConcurrent: goroutines that append to logs of one table —
 // each interning strings the others have and strings only it has — while
-// they decode their own logs read back exactly what they appended. Run
-// under the race detector this is the check that a decoder needs no lock:
-// the names slice it loaded is never written where it reads.
+// they decode their own logs read back exactly what they appended, and a
+// Lookup of a name answers that name or nothing. Run under the race
+// detector this is the check that a decoder and a lookup need no lock:
+// the names slice and the map they loaded are never written where they
+// read.
 func TestSymbolsConcurrent(t *testing.T) {
 	syms := NewSymbols()
 	var wg sync.WaitGroup
@@ -514,6 +516,10 @@ func TestSymbolsConcurrent(t *testing.T) {
 				}
 				want = append(want, node)
 				l.Append(&Event{Kind: Started, Node: node, User: fmt.Sprintf("user-%d", i%7), Decision: -1})
+				if held, ok := syms.Lookup([]byte(node)); ok && held != node {
+					t.Errorf("goroutine %d: Lookup(%q) = %q", g, node, held)
+					return
+				}
 				if i%25 != 0 {
 					continue
 				}

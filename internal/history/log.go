@@ -20,7 +20,9 @@ import (
 // append looks its strings up in read, an immutable copy of ids replaced
 // once as many lookups have missed it as it has entries — the misses pay
 // for the copy, and a new, hot symbol takes the mutex a bounded number of
-// times.
+// times. Lookup reads read alone, without the mutex and without counting a
+// miss, so a decoder resolves a name to the table's own string from any
+// goroutine; a name newer than the published copy reads as absent.
 type Symbols struct {
 	names atomic.Pointer[[]string]
 	read  atomic.Pointer[map[string]uint32]
@@ -68,6 +70,20 @@ func (t *Symbols) intern(s string) uint32 {
 		t.misses = 0
 	}
 	return sym
+}
+
+// Lookup returns the table's own copy of the name b spells, if the
+// published read map holds it. It takes no lock and counts no miss.
+func (t *Symbols) Lookup(b []byte) (string, bool) {
+	m := t.read.Load()
+	if m == nil {
+		return "", false
+	}
+	sym, ok := (*m)[string(b)]
+	if !ok {
+		return "", false
+	}
+	return (*t.names.Load())[sym], true // names was published before the map that holds sym
 }
 
 // The bits of a record's flags byte; the package documentation has the

@@ -15,9 +15,11 @@ import (
 
 // TestDecodeBatchAllocations: a plain batch body — the lifecycle commands
 // a bulk load sends, 64 of them — costs what its commands cost decoded
-// one by one, their structs and strings, plus the one slice that holds
-// them; cutting the body and its envelopes costs nothing.
+// one by one by the same decoder, a new struct each and the strings its
+// System does not hold, plus the one slice that holds them; cutting the
+// body and its envelopes costs nothing.
 func TestDecodeBatchAllocations(t *testing.T) {
+	dec := namedSystem(t).WireDecoder(false)
 	var cmds []adept2.Command
 	for i := 0; len(cmds) < 64; i++ {
 		id := fmt.Sprintf("inst-%06d", i+1)
@@ -38,14 +40,14 @@ func TestDecodeBatchAllocations(t *testing.T) {
 	var each float64
 	for _, env := range req.Commands {
 		each += testing.AllocsPerRun(10, func() {
-			if _, err := adept2.DecodeWireCommand(env.Op, env.Args); err != nil {
+			if _, _, err := dec.Decode([]byte(env.Op), env.Args); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 	var decoded []adept2.Command
 	allocs := testing.AllocsPerRun(10, func() {
-		if decoded, err = decodeBatch(body); err != nil {
+		if decoded, err = decodeBatch(dec, body); err != nil {
 			t.Fatal(err)
 		}
 	})

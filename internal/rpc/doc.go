@@ -7,7 +7,7 @@
 //
 // Commands travel as registry envelopes — {"op": <name>, "args":
 // <json>} — args appended by adept2.AppendCommandArgs and decoded
-// server-side through the same registry (adept2.DecodeWireSpans where the
+// server-side through the same registry (an adept2.WireDecoder where the
 // envelope is cut in place, adept2.DecodeWireCommand where encoding/json
 // read it). The command registry is the single codec: an envelope is
 // byte-compatible with the journal record the command produces, so the
@@ -21,8 +21,19 @@
 // (internal/jsonx) and the registry decodes the args span in place: a
 // flat command — create, start, complete (with outputs too, while they
 // are plain strings), suspend, fail, timeout, retry, undo — from the json
-// tags of its struct, at the cost of that struct and its strings; any
-// other through its encoding/json decoder. The pass declines whatever is
+// tags of its struct; any other through its encoding/json decoder. A
+// string that names what the System holds — an instance ID, a deployed
+// type, a node ID or user name its histories recorded — decodes to the
+// System's own string, and any other is copied, so nothing decoded
+// aliases the line. Each command stream has one decoder that decodes
+// every plain line into its own struct for the line's form, zeroed
+// first, and a completion's outputs into its own map: the reader is done
+// with a command once SubmitAsync returns, for the journal encodes the
+// record before the append returns. A stream's plain start or complete
+// naming a known instance, node and user therefore costs no allocation
+// to decode. The unary form and a batch — which holds all its commands
+// at once — decode each plain command into a new struct, with the same
+// names. The pass declines whatever is
 // not plain — an escaped, repeated, case-folded or unknown key, a null, a
 // number that is not a plain integer, a non-ASCII string, an output that
 // is not a plain string, more than eight outputs — and such a line, like

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,22 +12,61 @@ import (
 	"testing"
 
 	"adept2"
+	"adept2/internal/sim"
 )
+
+// namedSystem returns an in-memory system holding the names a decoder
+// resolves: the online-order type, instances inst-000001 to inst-000020,
+// each run through its lifecycle, and with them the node IDs and user
+// names of that lifecycle in the engine's symbol table.
+func namedSystem(tb testing.TB) *adept2.System {
+	tb.Helper()
+	ctx := context.Background()
+	sys := adept2.New(adept2.WithOrg(sim.Org()))
+	tb.Cleanup(func() { sys.Close() })
+	submit := func(cmd adept2.Command) any {
+		res, err := sys.Submit(ctx, cmd)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return res
+	}
+	submit(&adept2.Deploy{Schema: sim.OnlineOrder()})
+	lifecycle := []struct{ node, user string }{
+		{"get_order", "ann"}, {"collect_data", "ann"}, {"compose_order", "bob"},
+		{"confirm_order", "ann"}, {"pack_goods", "bob"}, {"deliver_goods", "bob"},
+	}
+	for i := 0; i < 20; i++ {
+		id := submit(&adept2.CreateInstance{TypeName: "online_order"}).(*adept2.Instance).ID()
+		for _, step := range lifecycle {
+			var out map[string]any
+			if step.node == "get_order" {
+				out = map[string]any{"out": "order-" + id}
+			}
+			submit(&adept2.StartActivity{Instance: id, Node: step.node, User: step.user})
+			submit(&adept2.CompleteActivity{Instance: id, Node: step.node, User: step.user, Outputs: out})
+		}
+	}
+	return sys
+}
 
 // FuzzCommandLine guards the command stream's decoder, the bytes a peer
 // controls. The input is a stream's opening lines and a known-good line
-// follows them: every line either fails with ErrInvalid or decodes to a
-// command whose EncodeCommand envelope decodes to an equal command, and
-// whatever came first, the good line is still read whole and last.
+// follows them, all read by one stream's reusing decoder: every line
+// either fails with ErrInvalid or decodes to a command whose EncodeCommand
+// envelope decodes to an equal command, and whatever came first, the good
+// line is still read whole and last.
 func FuzzCommandLine(f *testing.F) {
 	const good = `{"op":"suspend","args":{"instance":"inst-000001"},"mode":"async"}`
 	f.Add([]byte(good))
+	sys := namedSystem(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var last string
+		dec := sys.WireDecoder(true)
 		lines := commandLines(io.MultiReader(bytes.NewReader(data), strings.NewReader("\n"+good+"\n")))
 		for lines.Scan() {
 			last = string(lines.Bytes())
-			cmd, _, _, err := decodeCommandLine(lines.Bytes())
+			cmd, _, _, err := decodeCommandLine(dec, lines.Bytes())
 			if err != nil {
 				if !errors.Is(err, adept2.ErrInvalid) {
 					t.Fatalf("line %q: rejected with %v, want ErrInvalid", last, err)
@@ -112,7 +152,8 @@ func referenceCommand(op string, args json.RawMessage) (adept2.Command, error) {
 // decoders either both fail with ErrInvalid, or return equal commands, op
 // and mode; and then the args the decoded command appends are, byte for
 // byte, what json.Marshal writes for its wire form (or both refuse), and
-// decode back to the same command. The corpus is the inputs on which a
+// decode back to the same command. The line decoder resolves names
+// against a System that holds some, as the server's does. The corpus is the inputs on which a
 // hand-written reader or writer and the reference are most likely to part:
 // repeated, case-folded and escaped keys, null members, integers at the
 // ends of int64, numbers that are not integers, strings that are not
@@ -120,8 +161,9 @@ func referenceCommand(op string, args json.RawMessage) (adept2.Command, error) {
 // outputs of several keys it sorts.
 func FuzzDecodeAgainstJSON(f *testing.F) {
 	f.Add([]byte(`{"op":"suspend","args":{"instance":"inst-000001"},"mode":"async"}`))
+	dec := namedSystem(f).WireDecoder(false)
 	f.Fuzz(func(t *testing.T, line []byte) {
-		cmd, op, mode, err := decodeCommandLine(line)
+		cmd, op, mode, err := decodeCommandLine(dec, line)
 		ref, refOp, refMode, refErr := decodeReference(line)
 		if err != nil || refErr != nil {
 			if !errors.Is(err, adept2.ErrInvalid) || !errors.Is(refErr, adept2.ErrInvalid) {
@@ -133,6 +175,65 @@ func FuzzDecodeAgainstJSON(f *testing.F) {
 			t.Fatalf("line %q: decoded %#v op %q mode %q, encoding/json decodes %#v op %q mode %q", line, cmd, op, mode, ref, refOp, refMode)
 		}
 		checkAppend(t, line, cmd, op)
+	})
+}
+
+// FuzzStreamDecoderReuse holds a stream's reusing decoder to encoding/json
+// from one line to the next: one decoder, bound to a System that holds
+// instances and symbols, reads line a and then line b, and b decodes as
+// the reference decodes it, alone — no member of a (a user, a time,
+// outputs, a reason) survives into b's command. b's bytes are then
+// overwritten, and its command must not change: nothing decoded aliases
+// the line. The seeds are every ordered pair of lines that set different
+// members of one form, and of different forms.
+func FuzzStreamDecoderReuse(f *testing.F) {
+	lines := []string{
+		`{"op":"create","args":{"type":"online_order","version":1,"id":"inst-900001"}}`,
+		`{"op":"create","args":{"type":"online_order"}}`,
+		`{"op":"create","args":{"type":"no_such_type"},"mode":"async"}`,
+		`{"op":"start","args":{"instance":"inst-000001","node":"get_order","user":"ann","at":1700000000000000000}}`,
+		`{"op":"start","args":{"instance":"inst-000002","node":"collect_data"}}`,
+		`{"op":"complete","args":{"instance":"inst-000001","node":"get_order","user":"ann","outputs":{"out":"order-1","x":"y"},"at":5}}`,
+		`{"op":"complete","args":{"instance":"inst-000003","node":"get_order","outputs":{}}}`,
+		`{"op":"complete","args":{"instance":"inst-000003","node":"pack_goods","decision":1}}`,
+		`{"op":"complete","args":{"instance":"ghost","node":"ghost_node","user":"ghost_user"}}`,
+		`{"op":"fail","args":{"instance":"inst-000004","node":"pack_goods","user":"bob","reason":"r","retryAt":9,"pending":true}}`,
+		`{"op":"fail","args":{"instance":"inst-000004","node":"pack_goods"}}`,
+		`{"op":"timeout","args":{"instance":"inst-000005","node":"deliver_goods","at":3}}`,
+		`{"op":"retry","args":{"instance":"inst-000005","node":"deliver_goods"}}`,
+		`{"op":"suspend","args":{"instance":"inst-000006","resume":true}}`,
+		`{"op":"suspend","args":{"instance":"inst-000006"}}`,
+		`{"op":"undo","args":{"instance":"inst-000007","all":true}}`,
+		`{"op":"undo","args":{"instance":"inst-000007"}}`,
+		`{"op":"start","args":{"instance":"inst-000001","node":"get_order","user":1}}`,
+	}
+	for _, a := range lines {
+		for _, b := range lines {
+			f.Add([]byte(a), []byte(b))
+		}
+	}
+	sys := namedSystem(f)
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		dec := sys.WireDecoder(true)
+		decodeCommandLine(dec, a)
+		line := bytes.Clone(b)
+		cmd, op, mode, err := decodeCommandLine(dec, line)
+		ref, refOp, refMode, refErr := decodeReference(b)
+		if err != nil || refErr != nil {
+			if !errors.Is(err, adept2.ErrInvalid) || !errors.Is(refErr, adept2.ErrInvalid) {
+				t.Fatalf("line %q after %q: decoder says %v, encoding/json says %v; want ErrInvalid from both or neither", b, a, err, refErr)
+			}
+			return
+		}
+		if !reflect.DeepEqual(cmd, ref) || op != refOp || mode != refMode {
+			t.Fatalf("line %q after %q: decoded %#v op %q mode %q, encoding/json decodes %#v op %q mode %q", b, a, cmd, op, mode, ref, refOp, refMode)
+		}
+		for i := range line {
+			line[i] = '#'
+		}
+		if !reflect.DeepEqual(cmd, ref) {
+			t.Fatalf("line %q after %q: overwriting the line changed its command to %#v", b, a, cmd)
+		}
 	})
 }
 
@@ -218,8 +319,9 @@ func FuzzBatchAgainstJSON(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
+	dec := namedSystem(f).WireDecoder(false)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		cmds, err := decodeBatch(body)
+		cmds, err := decodeBatch(dec, body)
 		ref, refErr := decodeBatchReference(body)
 		if err != nil || refErr != nil {
 			if !errors.Is(err, adept2.ErrInvalid) || !errors.Is(refErr, adept2.ErrInvalid) {

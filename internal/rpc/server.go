@@ -48,6 +48,7 @@ const (
 type Server struct {
 	sys *adept2.System
 	met *obs.Set
+	dec *adept2.WireDecoder // a new command per decode: the unary form and batches
 
 	lis net.Listener
 	srv *http.Server
@@ -78,6 +79,7 @@ func NewServer(sys *adept2.System, opts Options) (*Server, error) {
 	s := &Server{
 		sys:      sys,
 		met:      sys.ObsSet(),
+		dec:      sys.WireDecoder(false),
 		lis:      lis,
 		sema:     make(chan struct{}, MaxInflight),
 		drainCh:  make(chan struct{}),
@@ -236,10 +238,13 @@ type pending struct {
 }
 
 // apply runs one command line up to the point where its record is
-// staged: decode through the registry, take a slot, SubmitAsync.
-func (s *Server) apply(ctx context.Context, line []byte) (p pending) {
+// staged: decode through the registry, take a slot, SubmitAsync. The
+// command is dec's, and apply is done with it when SubmitAsync returns:
+// the journal has encoded its record by then (effect.release), and
+// nothing else keeps it. A reusing dec decodes the next line into it.
+func (s *Server) apply(ctx context.Context, dec *adept2.WireDecoder, line []byte) (p pending) {
 	p.start = time.Now()
-	cmd, op, mode, err := decodeCommandLine(line)
+	cmd, op, mode, err := decodeCommandLine(dec, line)
 	if err != nil {
 		s.met.RPCDecodeError()
 		p.err = err
@@ -289,7 +294,7 @@ func (s *Server) handleCommands(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body, _ := readBody(r.Body, r.ContentLength) // a body cut short fails the decode in apply
-	p := s.apply(r.Context(), body)
+	p := s.apply(r.Context(), s.dec, body)
 	if err := s.settle(r.Context(), &p); err != nil {
 		writeError(w, err)
 		return
@@ -355,10 +360,11 @@ func (s *Server) streamCommands(w http.ResponseWriter, r *http.Request) {
 		defer close(written)
 		s.writeReplies(ctx, w, rc, queue)
 	}()
+	dec := s.sys.WireDecoder(true) // one command at a time: see apply
 	lines := commandLines(r.Body)
 	for lines.Scan() {
 		if line := lines.Bytes(); len(bytes.TrimSpace(line)) > 0 {
-			queue <- s.apply(ctx, line)
+			queue <- s.apply(ctx, dec, line)
 		}
 	}
 	close(queue)
@@ -410,7 +416,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		err = decodeErr("batch envelope", err)
 	} else {
-		cmds, err = decodeBatch(body)
+		cmds, err = decodeBatch(s.dec, body)
 	}
 	if err != nil {
 		s.met.RPCDecodeError()

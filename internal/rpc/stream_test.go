@@ -2,13 +2,17 @@ package rpc_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +20,7 @@ import (
 	"adept2"
 	"adept2/internal/rpc"
 	"adept2/internal/sim"
+	"adept2/internal/state"
 	"adept2/internal/vfs"
 )
 
@@ -330,8 +335,11 @@ func TestCommandStreamDrain(t *testing.T) {
 // two reflective decodes a command 24; a completion with outputs 31 and a
 // suspend or resume 6 while the client encoded args through encoding/json;
 // a completion with outputs 25 while the server decoded its outputs
-// through encoding/json, and a create 32 while the client did its result.
-// Each bound is the measured count plus two, suspend/resume's plus one.
+// through encoding/json, and a create 32 while the client did its result;
+// a create 16, a start or a complete 7, a completion with outputs 17 and a
+// suspend or resume 4 while the server decoded every line into a new
+// struct and copied its names. Each bound is the measured count plus two,
+// suspend/resume's plus one.
 func TestClientSubmitAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not reproducible under the race detector")
@@ -364,7 +372,7 @@ func TestClientSubmitAllocations(t *testing.T) {
 		}
 	}
 	create := &adept2.CreateInstance{TypeName: "online_order"}
-	row("create", 24, func() adept2.Command { return create })
+	row("create", 16, func() adept2.Command { return create })
 	// One instance a run, and one for the warm-up call AllocsPerRun makes;
 	// a row's commands are built before they are counted.
 	ids := make([]string, runs+1)
@@ -379,21 +387,197 @@ func TestClientSubmitAllocations(t *testing.T) {
 		i := -1
 		return func() adept2.Command { i++; return cmds[i] }
 	}
-	row("start", 9, each(func(id string) adept2.Command {
+	row("start", 5, each(func(id string) adept2.Command {
 		return &adept2.StartActivity{Instance: id, Node: "get_order", User: "ann"}
 	}))
-	row("complete with outputs", 20, each(func(id string) adept2.Command {
+	row("complete with outputs", 13, each(func(id string) adept2.Command {
 		return &adept2.CompleteActivity{Instance: id, Node: "get_order", User: "ann", Outputs: map[string]any{"out": "order"}}
 	}))
-	row("complete", 10, each(func(id string) adept2.Command {
+	row("complete", 5, each(func(id string) adept2.Command {
 		return &adept2.CompleteActivity{Instance: id, Node: "collect_data", User: "ann"}
 	}))
 	suspend, resume := &adept2.Suspend{Instance: ids[0]}, &adept2.Resume{Instance: ids[0]}
 	n := 0
-	row("suspend/resume", 5, func() adept2.Command {
+	row("suspend/resume", 3, func() adept2.Command {
 		if n++; n%2 == 1 {
 			return suspend
 		}
 		return resume
 	})
+}
+
+// TestPipelinedStreamJournalMatchesLocal: one seeded stream of creates,
+// starts, completions with outputs and without, suspensions, resumptions
+// and failures is submitted in process, one Submit at a time, and over
+// one command stream as async lines in windows of 64, so the server's
+// reader decodes each line into the structs its predecessor used while
+// that one's record is staged and flushed. Both systems run on one fixed
+// clock: every reply must report the in-process outcome, and the two
+// journals must be byte-identical. CI runs it under -race.
+func TestPipelinedStreamJournalMatchesLocal(t *testing.T) {
+	ctx := context.Background()
+	clock := adept2.WithClock(func() time.Time { return time.Unix(1_700_000_000, 0) })
+	open := func(name string) (*adept2.System, string) {
+		path := filepath.Join(t.TempDir(), name)
+		sys, err := adept2.Open(path, adept2.WithOrg(sim.Org()),
+			adept2.WithCheckpointing(adept2.CheckpointConfig{Every: -1}), clock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sys.Close() })
+		if _, err := sys.Submit(ctx, &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
+			t.Fatal(err)
+		}
+		return sys, path
+	}
+	local, localPath := open("local.ndjson")
+	remote, remotePath := open("remote.ndjson")
+
+	// The stream is proposed from the in-process system's state and
+	// applied there as it is proposed; want holds each command's code.
+	rng := rand.New(rand.NewSource(1))
+	var ids []string
+	var cmds []adept2.Command
+	var want []string
+	kinds := map[string]int{}
+	for len(cmds) < 640 {
+		cmd := proposeMixed(rng, local, ids)
+		res, err := local.Submit(ctx, cmd)
+		if inst, ok := res.(*adept2.Instance); ok {
+			ids = append(ids, inst.ID())
+		}
+		cmds, want = append(cmds, cmd), append(want, codeString(err))
+		if err == nil {
+			kind := cmd.CommandName()
+			if c, ok := cmd.(*adept2.CompleteActivity); ok && c.Outputs != nil {
+				kind += "+outputs"
+			}
+			kinds[kind]++
+		}
+	}
+	for _, kind := range []string{"create", "start", "complete", "complete+outputs", "suspend", "resume", "fail"} {
+		if kinds[kind] == 0 {
+			t.Fatalf("the stream applied no %s (applied: %v)", kind, kinds)
+		}
+	}
+
+	srv, _ := serve(t, remote, rpc.Options{})
+	rs := openRawStream(t, srv.URL())
+	for start := 0; start < len(cmds); start += 64 {
+		window := cmds[start:min(start+64, len(cmds))]
+		var lines []byte
+		for _, cmd := range window {
+			op, args, err := adept2.EncodeCommand(cmd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			line, _ := json.Marshal(struct {
+				Op   string          `json:"op"`
+				Args json.RawMessage `json:"args"`
+				Mode string          `json:"mode"`
+			}{op, args, "async"})
+			lines = append(append(lines, line...), '\n')
+		}
+		written := make(chan error, 1)
+		go func() { _, err := rs.lines.Write(lines); written <- err }()
+		for i := range window {
+			r, ok := rs.reply()
+			if !ok {
+				t.Fatalf("reply body ended at command %d", start+i)
+			}
+			got := ""
+			if r.Error != nil {
+				got = r.Error.Code
+			}
+			if got != want[start+i] {
+				t.Fatalf("command %d (%#v): remote %q, in process %q", start+i, window[i], got, want[start+i])
+			}
+		}
+		if err := <-written; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := remote.SyncDurable(); err != nil {
+		t.Fatal(err)
+	}
+	lj, err := os.ReadFile(localPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rj, err := os.ReadFile(remotePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(lj, rj) {
+		t.Fatalf("journals differ: %d bytes in process, %d over the stream, first difference at byte %d",
+			len(lj), len(rj), firstDifference(lj, rj))
+	}
+	t.Logf("%d commands, applied %v; both journals hold the same %d bytes", len(cmds), kinds, len(lj))
+}
+
+// proposeMixed picks the next command of the pipelined stream from sys's
+// state: mostly work on a random instance's activated or running node,
+// with creations, suspensions, resumptions and failures mixed in.
+func proposeMixed(rng *rand.Rand, sys *adept2.System, ids []string) adept2.Command {
+	r := rng.Intn(100)
+	if len(ids) == 0 || r < 12 {
+		return &adept2.CreateInstance{TypeName: "online_order"}
+	}
+	id := ids[rng.Intn(len(ids))]
+	switch {
+	case r < 20:
+		return &adept2.Suspend{Instance: id}
+	case r < 30:
+		return &adept2.Resume{Instance: id}
+	}
+	inst, _ := sys.Instance(id)
+	v := inst.View()
+	var ready []string
+	for _, node := range v.NodeIDs() {
+		if st := inst.NodeState(node); st == state.Activated || st == state.Running {
+			ready = append(ready, node)
+		}
+	}
+	if len(ready) == 0 {
+		return &adept2.Suspend{Instance: id}
+	}
+	node := ready[rng.Intn(len(ready))]
+	n, _ := v.Node(node)
+	user := ""
+	if users := sys.Org().UsersInRole(n.Role); len(users) > 0 {
+		user = users[0]
+	}
+	running := inst.NodeState(node) == state.Running
+	switch {
+	case r < 50:
+		return &adept2.StartActivity{Instance: id, Node: node, User: user}
+	case r < 60 && running:
+		return &adept2.FailActivity{Instance: id, Node: node, User: user, Reason: "courier lost the parcel"}
+	}
+	var outputs map[string]any
+	if node == "get_order" {
+		outputs = map[string]any{"out": fmt.Sprintf("order-%d", rng.Intn(1000))}
+	}
+	return &adept2.CompleteActivity{Instance: id, Node: node, User: user, Outputs: outputs}
+}
+
+// codeString is an error's taxonomy code as a reply names it, "" for nil.
+func codeString(err error) string {
+	var ae *adept2.Error
+	if errors.As(err, &ae) {
+		return string(ae.Code)
+	}
+	if err != nil {
+		return "untyped: " + err.Error()
+	}
+	return ""
+}
+
+// firstDifference is the index of the first byte where a and b differ.
+func firstDifference(a, b []byte) int {
+	n := 0
+	for n < len(a) && n < len(b) && a[n] == b[n] {
+		n++
+	}
+	return n
 }

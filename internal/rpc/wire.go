@@ -37,13 +37,14 @@ type commandRequest struct {
 // line.
 //
 // A line that is valid JSON and whose envelope is plain (cutEnvelope) is
-// read in one pass: the registry decodes the args where they lie in the
-// line, a flat command from its field table. Any other line is
-// decodeCommandLineJSON's, which is also what says why a bad line is bad.
-func decodeCommandLine(line []byte) (adept2.Command, string, string, error) {
+// read in one pass: dec decodes the args where they lie in the line, a
+// flat command from its field table, with the names its System holds. Any
+// other line is decodeCommandLineJSON's, which is also what says why a bad
+// line is bad.
+func decodeCommandLine(dec *adept2.WireDecoder, line []byte) (adept2.Command, string, string, error) {
 	if json.Valid(line) {
 		if op, args, mode, plain := cutEnvelope(line); plain {
-			cmd, name, err := adept2.DecodeWireSpans(op, args)
+			cmd, name, err := dec.Decode(op, args)
 			return cmd, name, mode, err
 		}
 	}
@@ -105,11 +106,12 @@ var batchKeys = [...]string{"commands"}
 // A body that is valid JSON and plain — one member, "commands", spelled
 // so and there once, an array whose every element is an envelope
 // cutEnvelope reads, without a mode, and whose args decode — is read in
-// one pass, each element as a command line is. Any other body is
-// decodeBatchJSON's, whole, so what a body means and why a bad one is bad
-// are encoding/json's to say (FuzzBatchAgainstJSON holds the two
+// one pass, each element as a command line is, by dec, which must not
+// reuse its structs: a batch holds all its commands at once. Any other
+// body is decodeBatchJSON's, whole, so what a body means and why a bad one
+// is bad are encoding/json's to say (FuzzBatchAgainstJSON holds the two
 // together).
-func decodeBatch(body []byte) ([]adept2.Command, error) {
+func decodeBatch(dec *adept2.WireDecoder, body []byte) ([]adept2.Command, error) {
 	var vals [len(batchKeys)][]byte
 	n := 0
 	count := func([]byte) bool { n++; return true }
@@ -120,7 +122,7 @@ func decodeBatch(body []byte) ([]adept2.Command, error) {
 			if !plain || mode != "" {
 				return false
 			}
-			cmd, _, err := adept2.DecodeWireSpans(op, args)
+			cmd, _, err := dec.Decode(op, args)
 			cmds = append(cmds, cmd)
 			return err == nil
 		}) {

@@ -11,8 +11,8 @@ import (
 
 // This file is the façade's wire plane: the exported choke points the
 // networked command plane (internal/rpc) builds on. The command registry
-// stays the single source of truth — EncodeCommand and DecodeWireCommand
-// expose its codec without exposing the registry itself — and the
+// stays the single source of truth — EncodeCommand, DecodeWireCommand and
+// WireDecoder expose its codec without exposing the registry itself — and the
 // durability watermarks exported here are what lets receipt resolution
 // stream across a network hop with the same fsync-coverage semantics as
 // the in-process Receipt.
@@ -82,19 +82,46 @@ func DecodeWireCommand(op string, args json.RawMessage) (Command, error) {
 	return cmd, nil
 }
 
-// DecodeWireSpans is DecodeWireCommand for a caller that holds a whole
-// line json.Valid has accepted and has cut it into members itself — the
-// command plane's line decoder. op is the bytes of the op name and args
-// the raw args value, both aliasing the line; nothing decoded does. The
-// op comes back as the registry's own string, so a command in its plain
-// shape costs its struct and its strings and nothing else.
-func DecodeWireSpans(op, args []byte) (Command, string, error) {
+// WireDecoder is the command plane's args decoder: DecodeWireCommand for
+// a caller that holds a whole line json.Valid has accepted and has cut it
+// into members itself. A string member that names what the System holds —
+// an instance ID, a deployed type, a node ID or user name some history
+// recorded — decodes to the System's own string, not a copy, so nothing
+// decoded aliases the line; any other string is a copy.
+//
+// A reusing decoder (System.WireDecoder(true)) decodes every plain command
+// into one struct of its own per flat form, zeroed first: the command it
+// returns is valid until the next Decode, so it belongs to one goroutine,
+// which must be done with a command — SubmitAsync has returned, and with
+// it the journal's encoding of the record — before it decodes the next.
+// Without reuse every command is new, and the decoder may be shared.
+type WireDecoder struct {
+	sys  *System
+	into *wireStructs // nil: a new command per Decode
+}
+
+// WireDecoder returns a decoder that resolves names against s, reusing
+// its command structs if reuse is set.
+func (s *System) WireDecoder(reuse bool) *WireDecoder {
+	d := &WireDecoder{sys: s}
+	if reuse {
+		d.into = new(wireStructs)
+	}
+	return d
+}
+
+// Decode decodes a command from op, the bytes of its op name, and args,
+// its raw args value, both aliasing a line json.Valid has accepted. The op
+// comes back as the registry's own string, so a plain command whose names
+// the System holds costs a reusing decoder nothing, and any other decoder
+// its struct.
+func (d *WireDecoder) Decode(op, args []byte) (Command, string, error) {
 	spec, ok := registry[string(op)]
 	if !ok {
 		_, err := DecodeWireCommand(string(op), args)
 		return nil, "", err
 	}
-	cmd, err := spec.decodeArgs(args, true)
+	cmd, err := spec.decodeArgs(args, true, d.into, d.sys)
 	if err != nil {
 		return nil, "", &Error{Code: CodeInvalid, Op: spec.op, Err: err}
 	}

@@ -1,7 +1,11 @@
 package adept2_test
 
 import (
+	"context"
+	"fmt"
 	"net/http"
+	"reflect"
+	"sync"
 	"testing"
 
 	"adept2"
@@ -93,4 +97,83 @@ func TestEncodeCommandRoundTrip(t *testing.T) {
 	if _, err := adept2.DecodeWireCommand("no_such_op", nil); err == nil {
 		t.Fatal("unknown op decoded")
 	}
+}
+
+// TestWireDecodersBesideWrites: decoders of one System — the shared one
+// that makes a new command per decode and a reusing one per goroutine —
+// resolve names while another goroutine creates instances and runs them,
+// writing the instance registry and the symbol table the decoders read.
+// Every command decodes to what DecodeWireCommand makes of the same args,
+// whether its instance exists yet or not. Under the race detector this is
+// the check that name resolution reads the engine safely.
+func TestWireDecodersBesideWrites(t *testing.T) {
+	ctx := context.Background()
+	sys := adept2.New(adept2.WithOrg(sim.Org()))
+	defer sys.Close()
+	if _, err := sys.Submit(ctx, &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
+		t.Fatal(err)
+	}
+	const n = 60
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			res, err := sys.Submit(ctx, &adept2.CreateInstance{TypeName: "online_order"})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			id := res.(*adept2.Instance).ID()
+			for _, step := range orderLifecycle {
+				var out map[string]any
+				if step.node == "get_order" {
+					out = map[string]any{"out": id}
+				}
+				for _, cmd := range []adept2.Command{
+					&adept2.StartActivity{Instance: id, Node: step.node, User: step.user},
+					&adept2.CompleteActivity{Instance: id, Node: step.node, User: step.user, Outputs: out},
+				} {
+					if _, err := sys.Submit(ctx, cmd); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}
+	}()
+	shared := sys.WireDecoder(false)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			dec := shared
+			if g%2 == 1 {
+				dec = sys.WireDecoder(true)
+			}
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				step := orderLifecycle[i%len(orderLifecycle)]
+				op, args := "start", fmt.Sprintf(`{"instance":"inst-%06d","node":%q,"user":%q}`, i%n+1, step.node, step.user)
+				if i%3 == 0 {
+					op, args = "complete", fmt.Sprintf(`{"instance":"inst-%06d","node":%q,"outputs":{"out":"o"}}`, i%n+1, step.node)
+				}
+				got, _, err := dec.Decode([]byte(op), []byte(args))
+				if err != nil {
+					t.Errorf("goroutine %d: %s %s: %v", g, op, args, err)
+					return
+				}
+				want, _ := adept2.DecodeWireCommand(op, []byte(args))
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("goroutine %d: %s %s decodes to %#v, want %#v", g, op, args, got, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
