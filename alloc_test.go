@@ -112,7 +112,10 @@ func TestSubmitAllocationBudget(t *testing.T) {
 	// 13, 1, 2, 1 and 7 while a create allocated an instance's marking,
 	// execution index and data store field by field (ten objects, now four)
 	// and a withdrawn work item was dropped instead of recycled into the
-	// next offer. doc.go's "Allocation budget"
+	// next offer. Start+reads and complete+outputs read 2 and 6 while a
+	// step gathered its reads or writes into a set on the heap, and the
+	// first also paid the binding list's growth, the second a written
+	// value boxed again by Coerce. doc.go's "Allocation budget"
 	// names every allocation behind the submit column; SubmitAsync adds its
 	// heap Receipt (create's fraction rounds it away), and SubmitBatch pays
 	// its two slices once per 64 commands. The biased rows are the start
@@ -129,6 +132,9 @@ func TestSubmitAllocationBudget(t *testing.T) {
 			cmds: []cmdFor{func(string) adept2.Command { return &adept2.CreateInstance{TypeName: "online_order"} }}},
 		{kind: "start", submit: 1, async: 2, batch: 1.03,
 			cmds: []cmdFor{start("get_order", "ann")}},
+		{kind: "start+reads", submit: 0, async: 1, batch: 0.03, // compose_order reads order
+			prepare: []cmdFor{complete("get_order", "ann", order)},
+			cmds:    []cmdFor{start("compose_order", "bob")}},
 		{kind: "complete", submit: 0, async: 1, batch: 1.05, // offers confirm_order in the item collect_data's withdrawal recycled
 			prepare: []cmdFor{complete("get_order", "ann", order), start("collect_data", "ann")},
 			cmds:    []cmdFor{complete("collect_data", "ann", nil)}},
@@ -144,7 +150,7 @@ func TestSubmitAllocationBudget(t *testing.T) {
 		{kind: "complete biased/inserted", submit: 0, async: 1, batch: 0.05, // offers confirm_order
 			prepare: []cmdFor{bias, complete("get_order", "ann", order), complete("collect_data", "ann", nil), start("send_brochure", "ann")},
 			cmds:    []cmdFor{complete("send_brochure", "ann", nil)}},
-		{kind: "complete+outputs", submit: 6, async: 7, batch: 6.06, // a data write, two items offered; 10 while the journal encoded the args through encoding/json
+		{kind: "complete+outputs", submit: 4, async: 5, batch: 4.06, // a data write, two items offered; 10 while the journal encoded the args through encoding/json
 			prepare: []cmdFor{start("get_order", "ann")},
 			cmds:    []cmdFor{complete("get_order", "ann", order)}},
 		{kind: "suspend/resume", submit: 0, async: 1, batch: 0.03,
@@ -344,7 +350,7 @@ func TestInstanceHeapBudget(t *testing.T) {
 	}
 	const (
 		n      = 2000
-		pinned = 1137 // bytes per instance, measured; 1 218 while the marking stored a skip stamp per node, 1 237 while an instance's marking, execution index and data store were separate objects and the marking's arrays four, 1 303 while the engine kept a position map and the order as ID strings, 2 766 while every history event was a 96 B heap object, 4 694 with the per-instance maps
+		pinned = 1105 // bytes per instance, measured; 1 137 while the history's binding list grew to four for three bindings, 1 218 while the marking stored a skip stamp per node, 1 237 while an instance's marking, execution index and data store were separate objects and the marking's arrays four, 1 303 while the engine kept a position map and the order as ID strings, 2 766 while every history event was a 96 B heap object, 4 694 with the per-instance maps
 	)
 	// The journal's bytes live in the MemFS, which stays referenced across
 	// both readings and so cancels out of the difference.

@@ -121,27 +121,29 @@
 //
 // # Allocation budget
 //
-// A command allocates what the instance keeps: apart from the two rows
-// marked transient below, the path Submit → command → engine → worklist →
-// sharded WAL → committer → journal makes no object it drops again.
-// Submit's Receipt stays on its
-// stack (SubmitAsync's is the one heap object that path adds); a parked
-// durability wait takes a recycled channel; the journal writes each line
-// by hand into its own buffer; a record that differs from the submitted
-// command (the assigned ID of a create, the stamped time of a start or
-// complete, the shared wire shape of suspend and resume) is built in a
-// pooled copy, never in the caller's command; completion options are
-// values; the worklist reconciliation and the cascade run on stack
-// scratch; an offered item is one a withdrawal recycled, and aliases the
-// role's immutable candidate slice. What is left, over the 13-command
-// online-order lifecycle (one create, six start + complete pairs; 16
-// history events, six work items) — 18 allocations, 1.4 per command, where
-// the same loop made 13.4 before this budget was drawn, 4.8 with an
-// instance's small collections as Go maps, 4.4 with heap history events,
-// 3.2 with stored item IDs, 2.5 while the journal encoded a command's args
-// through encoding/json, 2.2 while a create allocated an instance's
-// structures field by field (ten objects) and every offer a new Item
-// (allocation profile of 2 000 lifecycles, MemProfileRate 1):
+// A command allocates what the instance keeps: apart from the row marked
+// transient below, the path Submit → command → engine → worklist → sharded
+// WAL → committer → journal makes no object it drops again. Submit's
+// Receipt stays on its stack (SubmitAsync's is the one heap object that
+// path adds); a parked durability wait takes a recycled channel; the
+// journal writes each line by hand into its own buffer; a record that
+// differs from the submitted command (the assigned ID of a create, the
+// stamped time of a start or complete, the shared wire shape of suspend
+// and resume) is built in a pooled copy, never in the caller's command;
+// completion options are values; the worklist reconciliation, the cascade
+// and a step's reads or writes run on stack scratch; an offered item is
+// one a withdrawal recycled, and aliases the role's immutable candidate
+// slice. What is left, over the 13-command online-order lifecycle (one
+// create, six start + complete pairs; 16 history events, six work items) —
+// 12 allocations, 0.9 per command, where the same loop made 1.4 while a
+// step gathered its values into a set on the heap, the binding list grew
+// 1, 2, 4 and a written value was boxed again, 13.4 before this budget was
+// drawn, 4.8 with an instance's small collections as Go maps, 4.4 with
+// heap history events, 3.2 with stored item IDs, 2.5 while the journal
+// encoded a command's args through encoding/json, 2.2 while a create
+// allocated an instance's structures field by field (ten objects) and
+// every offer a new Item (allocation profile of 2 000 lifecycles,
+// MemProfileRate 1):
 //
 //	per lifecycle  allocation, and why it stays
 //	     4  instance structures, per create: one block holding the
@@ -150,20 +152,18 @@
 //	        three dense arrays, laid out in one pointer-free block (1);
 //	        the execution index's records (1); the ID string (1)
 //	  ~0.5  the marking's evaluation worklist, grown on its first use
-//	     6  history growth: the log's records doubling (32, 64, 128 B)
-//	        and its binding list (1, 2, 4). An event allocates nothing:
-//	        the engine builds it on its stack and Append packs it
+//	     4  history growth: the log's records doubling (32, 64, 128 B)
+//	        and its binding list, made once with room for the view's
+//	        data edges. An event and its values allocate nothing: the
+//	        engine builds them on its stack and Append packs them
 //	     0  work items: an offer takes the Item a withdrawal recycled
 //	        (internal/worklist, "Lifetime"); only a population's
 //	        growth allocates one
 //	    ~1  worklist index: the instance's item list, made with room for
 //	        two and kept while it has items; a user's list splitting a block
-//	     3  the first write of a data element: its version list and its
-//	        entry in the store's element list (2), the box of the
-//	        coerced value (1)
-//	     3  transient: the reads or writes of a node with data edges,
-//	        gathered in an exactly sized data.Values that Append copies
-//	        into the log's binding list
+//	     2  the first write of a data element: its version list and its
+//	        entry in the store's element list; the value is kept in the
+//	        caller's box (data.Coerce)
 //	  ~0.2  transient: one command in 64 builds a trace span, which its
 //	        receipt stamps through the System's clock
 //
@@ -183,10 +183,12 @@
 // writes a data element; suspend and resume allocate nothing.
 // TestSubmitAllocationBudget pins each command kind on each submission
 // path at its measured count, so an allocation that comes back fails by
-// name; internal/history.TestHistoryAppendAllocations pins the six; the
+// name; internal/history.TestHistoryAppendAllocations pins the four, and
+// internal/engine.TestStepAllocatesNothingItDrops a start with reads and
+// a complete with a write, on a log and a store with room, at none; the
 // benchmark's allocs_per_cmd gates the sum.
 //
-// The remote hop adds 34 to the lifecycle's 18 — 2.6 a command, where it
+// The remote hop adds 34 to the lifecycle's 12 — 2.6 a command, where it
 // added 6.5 while the server decoded every line into a new command and
 // copied its names, 27 while it decoded every line twice through
 // encoding/json (envelope, then args) and the client marshalled every
@@ -220,14 +222,14 @@
 //	        on the server (2); on the client one object holding both,
 //	        and the instance's ID and type (3)
 //	     3  server: the one output of the completion that carries
-//	        outputs — its value, which the instance's data store keeps,
-//	        and the key and the value's interface box a map[string]any
+//	        outputs — its value and the value's interface box, which the
+//	        instance's data store keeps, and the key a map[string]any
 //	        needs, which the completion drops
 //	    ~1  client: the wake-up channel of a Receipt.Wait that parks
 //
 // internal/rpc.TestClientSubmitAllocations pins a remote create, start,
 // complete, complete with outputs and suspend or resume at their measured
-// counts (14, 3, 3, 11, 2) plus two, suspend/resume's plus one;
+// counts (14, 3, 3, 9, 2) plus two, suspend/resume's plus one;
 // TestDecodeWireCommandAllocations pins the decode alone — which recovery
 // shares, record by record, at the struct and its strings — and a
 // stream's decode of a start or complete whose names the System holds at
@@ -241,8 +243,9 @@
 // server holds 10⁴–10⁵ instances because each keeps only what is its own
 // — marking, history, data versions, and a substitution block if biased —
 // and references its schema; this is that argument in bytes. A finished
-// online-order instance (the same 13 commands) holds 1 137 B of live heap,
-// where it held 1 218 B while its marking stored a 4-byte skip stamp per
+// online-order instance (the same 13 commands) holds 1 105 B of live heap,
+// where it held 1 137 B while its binding list grew to four for three
+// bindings, 1 218 B while its marking stored a 4-byte skip stamp per
 // node, 1 237 B while its marking, execution index and data store were
 // objects of their own and the marking's arrays four, 2 766 B while each
 // of its 16 history events was a 96 B object behind a pointer slice,
@@ -257,11 +260,12 @@
 //	     nil exception maps, pointers to the three structs beside it,
 //	     and the history log (72) by value), its marking (104),
 //	     execution index (40) and data store (24)
-//	256  the execution history: its 16 events packed into about 100
+//	224  the execution history: its 16 events packed into about 100
 //	     bytes of records (128 as the log doubled), and the three
-//	     bindings two activities read and one wrote, in a list of four
-//	     (128). internal/history says what a record holds; compliance
-//	     replay, mining and the snapshot encoder decode it into scratch
+//	     bindings two activities read and one wrote, in a list sized
+//	     for the schema's three data edges (96). internal/history says
+//	     what a record holds; compliance replay, mining and the
+//	     snapshot encoder decode it into scratch
 //	 40  the marking's three dense arrays — the evaluation worklist's
 //	     bitset, node states, edge states — in one block sized by the
 //	     schema, not by progress (32), and the worklist (8)
@@ -275,9 +279,10 @@
 //	     the system's own structures divided by the population
 //
 // An instance recovered from a snapshot holds the same to within 3 %
-// (TestRecoveredInstanceHeap): RestoreInstance fills the structs of the
-// instance's own block, and shares the schema's IDs and the data store's
-// values with what it decoded, as a live instance does.
+// (TestRecoveredInstanceHeap; 1 077 B, its records in an exact 96 B):
+// RestoreInstance fills the structs of the instance's own block, and
+// shares the schema's IDs and the data store's values — a read's through
+// its edge's element — with what it decoded, as a live instance does.
 //
 // A biased instance adds 4 400 B for its overlay (the hybrid
 // representation of the paper's Fig. 2, the only one), where it added
@@ -309,7 +314,7 @@
 // What would move it further is named, not done: a binding could name
 // its value as an (element, version) of the data store instead of holding
 // it (at most 96 B here, and it would tie the log's lifetime to the
-// store's DropWritesBy, Clone and decode order); the log's two slices grow
+// store's DropWritesBy, Clone and decode order); the log's records grow
 // by doubling, so a finished instance holds 87 B of records in 128, but a
 // live one holds 49 B in 73.5 on average (adapt_evolve keeps 35 176 live
 // instances against 8 233 finished), so sizing the log for a finished

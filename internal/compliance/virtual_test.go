@@ -156,7 +156,7 @@ func TestReplayNamesFirstOffendingWriteInElementOrder(t *testing.T) {
 	}
 	var writes data.Values
 	for _, elem := range []string{"zulu", "mike", "alpha", "kilo"} {
-		writes.Set(elem, "v")
+		writes = writes.With(elem, "v")
 	}
 	events := []*history.Event{
 		{Seq: 1, Kind: history.Started, Node: "a", Decision: -1},

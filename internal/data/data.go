@@ -259,21 +259,22 @@ func (s *Store) UnmarshalJSON(b []byte) error {
 // plain int values from call sites. It refuses what the journal cannot
 // carry, as fault.Invalid like any value of the wrong type: a NaN or
 // infinite float has no JSON encoding, and a string that is not valid
-// UTF-8 would come back from the journal altered.
+// UTF-8 would come back from the journal altered. A value of the declared
+// type is returned in the caller's box, not boxed again.
 func Coerce(value any, t model.DataType) (any, error) {
 	switch t {
 	case model.TypeString:
 		if v, ok := value.(string); ok && utf8.ValidString(v) {
-			return v, nil
+			return value, nil
 		}
 	case model.TypeBool:
-		if v, ok := value.(bool); ok {
-			return v, nil
+		if _, ok := value.(bool); ok {
+			return value, nil
 		}
 	case model.TypeInt:
 		switch v := value.(type) {
 		case int64:
-			return v, nil
+			return value, nil
 		case int:
 			return int64(v), nil
 		case float64:
@@ -285,7 +286,7 @@ func Coerce(value any, t model.DataType) (any, error) {
 		switch v := value.(type) {
 		case float64:
 			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				return v, nil
+				return value, nil
 			}
 		case int:
 			return float64(v), nil

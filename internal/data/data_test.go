@@ -152,10 +152,10 @@ func TestAsIntAsBool(t *testing.T) {
 func TestValuesSetGetClone(t *testing.T) {
 	var vs Values
 	for _, name := range []string{"m", "a", "z", "m"} {
-		vs.Set(name, name+"!")
+		vs = vs.With(name, name+"!")
 	}
 	if len(vs) != 3 || vs[0].Name != "a" || vs[1].Name != "m" || vs[2].Name != "z" {
-		t.Fatalf("Set keeps one binding per name in name order, got %v", vs)
+		t.Fatalf("With keeps one binding per name in name order, got %v", vs)
 	}
 	if v, ok := vs.Get("m"); !ok || v != "m!" {
 		t.Fatalf("Get(m) = %v, %v", v, ok)
@@ -181,7 +181,7 @@ func TestJSONMatchesMapForm(t *testing.T) {
 		versions := make(map[string][]Version)
 		seq := 0
 		for k, v := range m {
-			vs.Set(k, v)
+			vs = vs.With(k, v)
 			for _, writer := range []string{"w<1>", k} {
 				seq++
 				s.Write(k, v, writer, seq)

@@ -31,18 +31,19 @@ func (vs Values) Get(name string) (any, bool) {
 	return nil, false
 }
 
-// Set binds name to value, replacing the name's previous binding.
-func (vs *Values) Set(name string, value any) {
-	s := *vs
+// With returns the set with name bound to value, replacing the name's
+// previous binding. Like append it writes into the set's array while that
+// has room, so an array on the caller's stack stays there.
+func (vs Values) With(name string, value any) Values {
 	i := 0
-	for i < len(s) && s[i].Name < name {
+	for i < len(vs) && vs[i].Name < name {
 		i++
 	}
-	if i < len(s) && s[i].Name == name {
-		s[i].Value = value
-		return
+	if i < len(vs) && vs[i].Name == name {
+		vs[i].Value = value
+		return vs
 	}
-	*vs = slices.Insert(s, i, Binding{Name: name, Value: value})
+	return slices.Insert(vs, i, Binding{Name: name, Value: value})
 }
 
 // ApproxBytes returns the memory the set holds: its bindings by the

@@ -73,61 +73,67 @@ func WithCompletedAt(at int64) CompleteOption {
 // (unix nanos, recorded on the journaled start command so replay re-arms
 // identically) arms the node's relative deadline.
 func (inst *Instance) startLocked(node, user string, at int64) error {
-	st, err := inst.checkStartLocked(node, user)
+	var buf [stepValues]data.Binding
+	st, reads, err := inst.checkStartLocked(node, user, buf[:0])
 	if err != nil {
 		return err
 	}
-	return inst.applyStartLocked(st, at)
+	return inst.applyStartLocked(st, reads, at)
 }
 
-// pendingStart is a start checkStartLocked accepted: the node, the user
-// its work item keeps, and the input values it reads.
+// stepValues is the room of the stack array a step gathers its reads or
+// writes in, which Append copies; a node with more edges of one mode spills.
+const stepValues = 4
+
+// pendingStart is a start checkStartLocked accepted: the node and the user
+// its work item keeps. The input values it reads are returned beside it,
+// not in it: the worklist keeps the user, and escape analysis, which does
+// not tell a struct's fields apart, would move the reads to the heap too.
 type pendingStart struct {
-	n     *model.Node
-	user  string
-	reads data.Values
+	n    *model.Node
+	user string
 }
 
 // checkStartLocked validates the start of a node without changing
-// anything.
-func (inst *Instance) checkStartLocked(node, user string) (st pendingStart, err error) {
+// anything, and gathers its reads into buf's array.
+func (inst *Instance) checkStartLocked(node, user string, buf data.Values) (st pendingStart, reads data.Values, err error) {
 	if inst.done {
-		return st, fault.Tagf(fault.Completed, "engine: start %s/%s: instance is completed", inst.id, node)
+		return st, nil, fault.Tagf(fault.Completed, "engine: start %s/%s: instance is completed", inst.id, node)
 	}
 	if inst.suspended && user != "" {
-		return st, fault.Tagf(fault.Suspended, "engine: start %s/%s: instance is suspended", inst.id, node)
+		return st, nil, fault.Tagf(fault.Suspended, "engine: start %s/%s: instance is suspended", inst.id, node)
 	}
 	v, _ := inst.viewLocked()
 	n, ok := v.Node(node)
 	if !ok {
-		return st, fault.Tagf(fault.NotFound, "engine: start %s/%s: no such node", inst.id, node)
+		return st, nil, fault.Tagf(fault.NotFound, "engine: start %s/%s: no such node", inst.id, node)
 	}
 	node = n.ID // what the instance keeps is the schema's string, not the command's
 	if got := inst.marking.Node(node); got != state.Activated {
-		return st, fault.Tagf(fault.Conflict, "engine: start %s/%s: node is %s, not activated", inst.id, node, got)
+		return st, nil, fault.Tagf(fault.Conflict, "engine: start %s/%s: node is %s, not activated", inst.id, node, got)
 	}
 	if !n.Auto && n.Role != "" {
 		if user == "" {
-			return st, fault.Tagf(fault.Denied, "engine: start %s/%s: activity requires a user with role %q", inst.id, node, n.Role)
+			return st, nil, fault.Tagf(fault.Denied, "engine: start %s/%s: activity requires a user with role %q", inst.id, node, n.Role)
 		}
 		id, ok := inst.eng.org.HasRole(user, n.Role)
 		if !ok {
-			return st, fault.Tagf(fault.Denied, "engine: start %s/%s: user %q lacks role %q", inst.id, node, user, n.Role)
+			return st, nil, fault.Tagf(fault.Denied, "engine: start %s/%s: user %q lacks role %q", inst.id, node, user, n.Role)
 		}
 		user = id // what the work item keeps is the org model's string, not the command's
 	}
-	reads, err := inst.gatherReadsLocked(v, n)
-	return pendingStart{n: n, user: user, reads: reads}, err
+	reads, err = inst.gatherReadsLocked(v, n, buf)
+	return pendingStart{n: n, user: user}, reads, err
 }
 
 // applyStartLocked performs a start checkStartLocked accepted.
-func (inst *Instance) applyStartLocked(st pendingStart, at int64) error {
+func (inst *Instance) applyStartLocked(st pendingStart, reads data.Values, at int64) error {
 	n, node := st.n, st.n.ID
 	if err := inst.marking.Start(node); err != nil {
 		return err
 	}
 	// The event is read by Append, not kept: it stays on the stack.
-	e := inst.hist.Append(&history.Event{Kind: history.Started, Node: node, User: st.user, Values: st.reads, Decision: -1, At: at})
+	e := inst.appendLocked(&history.Event{Kind: history.Started, Node: node, User: st.user, Values: reads, Decision: -1, At: at})
 	inst.stats.OnStart(node, int(e.Seq))
 	// A fresh start clears any pending retry/compensation left from a
 	// prior failed attempt and arms the activity's deadline.
@@ -147,15 +153,20 @@ func (inst *Instance) applyStartLocked(st pendingStart, at int64) error {
 	return nil
 }
 
-// gatherReadsLocked collects the input parameter values of a node and
-// enforces mandatory supplies.
-func (inst *Instance) gatherReadsLocked(v model.SchemaView, n *model.Node) (data.Values, error) {
-	edges := v.DataEdgesOf(n.ID)
-	var reads data.Values
-	if k := countAccess(edges, model.Read); k > 0 {
-		reads = make(data.Values, 0, k) // the set's one allocation, exactly sized
+// appendLocked appends e to the history. The first binding an instance
+// records sizes its binding list for the view's data edges.
+func (inst *Instance) appendLocked(e *history.Event) *history.Event {
+	if len(e.Values) > 0 {
+		v, _ := inst.viewLocked()
+		inst.hist.ReserveBindings(v.Topology().NumDataEdges())
 	}
-	for _, de := range edges {
+	return inst.hist.Append(e)
+}
+
+// gatherReadsLocked collects the input parameter values of a node into
+// reads' array and enforces mandatory supplies.
+func (inst *Instance) gatherReadsLocked(v model.SchemaView, n *model.Node, reads data.Values) (data.Values, error) {
+	for _, de := range v.DataEdgesOf(n.ID) {
 		if de.Access != model.Read {
 			continue
 		}
@@ -168,20 +179,9 @@ func (inst *Instance) gatherReadsLocked(v model.SchemaView, n *model.Node) (data
 				val = elem.Type.ZeroValue()
 			}
 		}
-		reads.Set(de.Parameter, val)
+		reads = reads.With(de.Parameter, val)
 	}
 	return reads, nil
-}
-
-// countAccess counts the data edges of one access mode.
-func countAccess(edges []*model.DataEdge, access model.DataAccess) int {
-	k := 0
-	for _, de := range edges {
-		if de.Access == access {
-			k++
-		}
-	}
-	return k
 }
 
 // completeEntryLocked is the user-facing completion path: it completes
@@ -214,11 +214,13 @@ func (inst *Instance) completeLocked(node, user string, outputs map[string]any, 
 		return fault.Tagf(fault.NotFound, "engine: complete %s/%s: no such node", inst.id, node)
 	}
 	node = n.ID // as in checkStartLocked
+	var readBuf, writeBuf [stepValues]data.Binding
 	var st pendingStart
+	var reads data.Values
 	starting := inst.marking.Node(node) == state.Activated
 	if starting {
 		var err error
-		if st, err = inst.checkStartLocked(node, user); err != nil {
+		if st, reads, err = inst.checkStartLocked(node, user, readBuf[:0]); err != nil {
 			return err
 		}
 	} else if got := inst.marking.Node(node); got != state.Running {
@@ -244,7 +246,7 @@ func (inst *Instance) completeLocked(node, user string, outputs map[string]any, 
 	}
 
 	// Output parameters -> data element writes.
-	writes, err := inst.collectWritesLocked(v, n, outputs)
+	writes, err := inst.collectWritesLocked(v, n, outputs, writeBuf[:0])
 	if err != nil {
 		return err
 	}
@@ -252,11 +254,11 @@ func (inst *Instance) completeLocked(node, user string, outputs map[string]any, 
 	if starting {
 		// Implicit start: no deadline is armed — the completion follows
 		// immediately, so an expiry could never fire.
-		if err := inst.applyStartLocked(st, 0); err != nil {
+		if err := inst.applyStartLocked(st, reads, 0); err != nil {
 			return err
 		}
 	}
-	e := inst.hist.Append(&history.Event{
+	e := inst.appendLocked(&history.Event{
 		Kind:     history.Completed,
 		Node:     node,
 		User:     user,
@@ -373,16 +375,12 @@ func (inst *Instance) loopDecisionLocked(n *model.Node, co completeOpts) bool {
 }
 
 // collectWritesLocked validates output parameters against the node's write
-// data edges and returns element -> value. Manual nodes must supply every
-// output parameter; automatic nodes zero-fill missing ones.
-func (inst *Instance) collectWritesLocked(v model.SchemaView, n *model.Node, outputs map[string]any) (data.Values, error) {
-	edges := v.DataEdgesOf(n.ID)
-	var writes data.Values
-	if k := countAccess(edges, model.Write); k > 0 {
-		writes = make(data.Values, 0, k) // the set's one allocation, exactly sized
-	}
+// data edges and returns element -> value in writes' array. Manual nodes
+// must supply every output parameter; automatic nodes zero-fill missing
+// ones.
+func (inst *Instance) collectWritesLocked(v model.SchemaView, n *model.Node, outputs map[string]any, writes data.Values) (data.Values, error) {
 	seen := make(map[string]bool, len(outputs))
-	for _, de := range edges {
+	for _, de := range v.DataEdgesOf(n.ID) {
 		if de.Access != model.Write {
 			continue
 		}
@@ -401,7 +399,7 @@ func (inst *Instance) collectWritesLocked(v model.SchemaView, n *model.Node, out
 		if err != nil {
 			return nil, fmt.Errorf("engine: complete %s/%s: parameter %q: %w", inst.id, n.ID, de.Parameter, err)
 		}
-		writes.Set(de.Element, coerced)
+		writes = writes.With(de.Element, coerced)
 		seen[de.Parameter] = true
 	}
 	for p := range outputs {

@@ -155,7 +155,8 @@ func (e *Engine) RestoreInstance(snap *InstanceSnapshot, bias []BiasOp) error {
 	}
 	// The decoded store and bindings hold copies of the schema's node and
 	// element IDs, and each binding a copy of the value the store holds:
-	// sharing them makes a restored instance hold what a live one holds.
+	// sharing them makes a restored instance hold what a live one holds. A
+	// start binds a read under its edge's parameter, not the element.
 	topo := v.Topology()
 	canon := func(id string) string {
 		if i, ok := topo.Idx(id); ok {
@@ -167,9 +168,15 @@ func (e *Engine) RestoreInstance(snap *InstanceSnapshot, bias []BiasOp) error {
 		return id
 	}
 	inst.store.Share(canon)
-	inst.hist.ShareBindings(func(b *data.Binding) {
+	inst.hist.ShareBindings(func(ev *history.Event, b *data.Binding) {
 		b.Name = canon(b.Name)
-		b.Value = inst.store.Held(b.Name, b.Value)
+		elem := b.Name
+		for _, de := range v.DataEdgesOf(ev.Node) {
+			if ev.Kind == history.Started && de.Access == model.Read && de.Parameter == b.Name {
+				elem = de.Element
+			}
+		}
+		b.Value = inst.store.Held(elem, b.Value)
 	})
 	if snap.LoopIter != nil {
 		inst.loopIter = snap.LoopIter

@@ -49,7 +49,7 @@ func (r *refEvent) event() *Event {
 		Again: r.Again, Reason: r.Reason, At: r.At}
 	for _, m := range []map[string]any{r.Reads, r.Writes} {
 		for name, value := range m {
-			e.Values.Set(name, value)
+			e.Values = e.Values.With(name, value)
 		}
 	}
 	return e
@@ -212,7 +212,7 @@ func packedProgram(prog []byte, node, user, reason, key, s string, at int64, dec
 			last = e.At
 		}
 		for j := 0; j < int(prog[3]&3); j++ {
-			e.Values.Set(key+strconv.Itoa(j), values[(int(prog[3]>>2&7)+j)%len(values)])
+			e.Values = e.Values.With(key+strconv.Itoa(j), values[(int(prog[3]>>2&7)+j)%len(values)])
 		}
 		events = append(events, e)
 	}
@@ -282,13 +282,13 @@ func FuzzPackedLog(f *testing.F) {
 			t.Fatalf("clone decodes to\n%v\nwant\n%v", got, want)
 		}
 		extra := Event{Kind: Completed, Node: "only-here", User: user, At: at, Decision: -1}
-		extra.Values.Set(key, s)
+		extra.Values = extra.Values.With(key, s)
 		c.Append(&extra)
 		if got := l.Events().Decode(nil); !sameEvents(got, want) {
 			t.Fatalf("an append to the clone changed the log:\n%v\nwant\n%v", got, want)
 		}
 		other := Event{Kind: Started, Node: "nor-here", Decision: -1}
-		other.Values.Set(key, fl)
+		other.Values = other.Values.With(key, fl)
 		l.Append(&other)
 		if got := c.Events().Decode(nil); !sameEvents(got[:len(want)], want) || len(got) != len(want)+1 ||
 			got[len(want)].Node != "only-here" || !reflect.DeepEqual(got[len(want)].Values, extra.Values) {

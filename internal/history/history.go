@@ -40,6 +40,10 @@
 // encoding/json's output for that form, FuzzPackedLog the records to the
 // Event struct field for field.
 //
+// The binding list is made once, at an instance's first binding, with
+// room for its view's data edges (Log.ReserveBindings): a run binds one
+// value per data edge of each activity, so only a loop grows it.
+//
 // # The symbol table
 //
 // Node IDs and user names are kept once, in a Symbols table, and a record

@@ -51,7 +51,8 @@ func TestLogCloneIsDeep(t *testing.T) {
 	l := NewLog()
 	l.Append(&Event{Kind: Completed, Node: "a", Values: data.Values{{Name: "d", Value: int64(1)}}})
 	c := l.Clone()
-	c.Events().Decode(nil)[0].Values.Set("d", int64(99))
+	ev := c.Events().Decode(nil)[0]
+	ev.Values = ev.Values.With("d", int64(99)) // "d" is bound: With writes over it in place
 	if v, _ := l.Events().Decode(nil)[0].Writes().Get("d"); v != int64(1) {
 		t.Fatal("clone shares write sets")
 	}

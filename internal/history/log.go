@@ -42,9 +42,9 @@ func NewSymbols() *Symbols {
 // NewLog returns an empty history whose records draw on the table.
 func (t *Symbols) NewLog() *Log { return &Log{syms: t} }
 
-// intern returns the symbol of s, adding a copy of s when it is new: the
-// caller's string may be a window of a request buffer, which the table
-// must not keep alive.
+// intern returns the symbol of s, storing a copy when s is new: s may be
+// a window of a request buffer, and storing s would make it escape, and
+// with it the event Append reads it from.
 func (t *Symbols) intern(s string) uint32 {
 	if s == "" {
 		return 0
@@ -58,10 +58,10 @@ func (t *Symbols) intern(s string) uint32 {
 	defer t.mu.Unlock()
 	sym, ok := t.ids[s]
 	if !ok {
-		s = strings.Clone(s)
-		names := append(*t.names.Load(), s)
+		own := strings.Clone(s)
+		names := append(*t.names.Load(), own)
 		sym = uint32(len(names) - 1)
-		t.ids[s] = sym
+		t.ids[own] = sym
 		t.names.Store(&names)
 	}
 	if t.misses++; t.misses >= len(t.ids) {
@@ -118,9 +118,19 @@ func NewLog() *Log { return &Log{} }
 // to six events an instance records before its first user command returns.
 const minLogBytes = 32
 
+// ReserveBindings gives a log that holds no binding yet a list with room
+// for n. The engine passes its view's data-edge count: a run of an
+// activity binds one value per data edge.
+func (l *Log) ReserveBindings(n int) {
+	if cap(l.vals) == 0 && n > 0 {
+		l.vals = make([]data.Binding, 0, n)
+	}
+}
+
 // Append adds a copy of the event, assigning it the next sequence number,
 // and returns e. The log keeps e's strings by symbol and its bindings in
-// its own list, so e may live on the caller's stack and be reused.
+// its own list, so e and its Values may live on the caller's stack; the
+// list grows by doubling from where ReserveBindings sized it.
 func (l *Log) Append(e *Event) *Event {
 	if l.syms == nil {
 		l.syms = NewSymbols()
@@ -194,12 +204,18 @@ func (l *Log) In(t *Symbols) *Log {
 	return out
 }
 
-// ShareBindings calls share on each of the log's bindings, which may
-// replace the name or the value by an equal one. A restore draws them from
-// the schema and the data store this way (engine.RestoreInstance).
-func (l *Log) ShareBindings(share func(*data.Binding)) {
-	for i := range l.vals {
-		share(&l.vals[i])
+// ShareBindings calls share on each of the log's bindings with the event
+// that holds it; share may replace the binding's name or value by an equal
+// one. A restore draws them from the schema and the data store this way
+// (engine.RestoreInstance).
+func (l *Log) ShareBindings(share func(e *Event, b *data.Binding)) {
+	var e Event
+	i := 0
+	for c := l.Events(); c.Next(&e); {
+		for range e.Values {
+			share(&e, &l.vals[i])
+			i++
+		}
 	}
 }
 

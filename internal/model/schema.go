@@ -124,7 +124,7 @@ func (s *Schema) Topology() *Topology {
 }
 
 // invalidateTopology drops the cached topology index; every structural
-// mutation calls it.
+// mutation and every data-edge change calls it.
 func (s *Schema) invalidateTopology() { s.topo.Store(nil) }
 
 // StartID implements SchemaView.
@@ -320,6 +320,7 @@ func (s *Schema) AddDataEdge(d *DataEdge) error {
 	s.dataEdges = append(s.dataEdges, d)
 	s.dataEdgeSet[k] = d
 	s.edgesByAct[d.Activity] = append(s.edgesByAct[d.Activity], d)
+	s.invalidateTopology() // it counts the data edges
 	return nil
 }
 
@@ -332,6 +333,7 @@ func (s *Schema) RemoveDataEdge(k DataEdgeKey) error {
 	delete(s.dataEdgeSet, k)
 	s.dataEdges = remove(s.dataEdges, d)
 	s.edgesByAct[d.Activity] = remove(s.edgesByAct[d.Activity], d)
+	s.invalidateTopology()
 	return nil
 }
 

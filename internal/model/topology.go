@@ -103,8 +103,9 @@ type Topology struct {
 	autoIdx   []NodeIdx // CanAutoExecute nodes in view order
 	manualIdx []NodeIdx // manual (user-worked) activities in view order
 
-	start NodeIdx
-	end   NodeIdx
+	start     NodeIdx
+	end       NodeIdx
+	dataEdges int32 // of the indexed nodes
 }
 
 // BuildTopology computes the topology index of a view. Callers should
@@ -125,6 +126,7 @@ func BuildTopology(v SchemaView) *Topology {
 		idx := NodeIdx(len(t.nodes))
 		t.byID[id] = idx
 		t.nodes = append(t.nodes, n)
+		t.dataEdges += int32(len(v.DataEdgesOf(id)))
 		if n.CanAutoExecute() {
 			t.autoIdx = append(t.autoIdx, idx)
 		}
@@ -214,6 +216,9 @@ func (t *Topology) NumNodes() int { return len(t.nodes) }
 
 // NumEdges returns the number of indexed edges.
 func (t *Topology) NumEdges() int { return len(t.edges) }
+
+// NumDataEdges returns the number of data edges of the indexed nodes.
+func (t *Topology) NumDataEdges() int { return int(t.dataEdges) }
 
 // EdgeIdxOf interns an edge key to its dense index by scanning the source
 // node's outgoing edges of the key's type — a handful in any schema, and

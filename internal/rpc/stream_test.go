@@ -338,8 +338,10 @@ func TestCommandStreamDrain(t *testing.T) {
 // through encoding/json, and a create 32 while the client did its result;
 // a create 16, a start or a complete 7, a completion with outputs 17 and a
 // suspend or resume 4 while the server decoded every line into a new
-// struct and copied its names. Each bound is the measured count plus two,
-// suspend/resume's plus one.
+// struct and copied its names; a completion with outputs 11 while the
+// engine gathered its writes into a set on the heap and boxed the written
+// value again. Each bound is the measured count plus two, suspend/resume's
+// plus one.
 func TestClientSubmitAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not reproducible under the race detector")
@@ -390,7 +392,7 @@ func TestClientSubmitAllocations(t *testing.T) {
 	row("start", 5, each(func(id string) adept2.Command {
 		return &adept2.StartActivity{Instance: id, Node: "get_order", User: "ann"}
 	}))
-	row("complete with outputs", 13, each(func(id string) adept2.Command {
+	row("complete with outputs", 11, each(func(id string) adept2.Command {
 		return &adept2.CompleteActivity{Instance: id, Node: "get_order", User: "ann", Outputs: map[string]any{"out": "order"}}
 	}))
 	row("complete", 5, each(func(id string) adept2.Command {

@@ -40,7 +40,7 @@ type Overlay struct {
 	in   []touched[*model.Edge]
 	deOf []touched[*model.DataEdge]
 
-	topo *model.Topology // nil after a structural mutation
+	topo *model.Topology // nil after a structural or data-edge mutation
 }
 
 // touched is the view's list of one key the delta touches.
@@ -401,6 +401,7 @@ func (o *Overlay) RemoveDataElement(id string) error {
 func (o *Overlay) dataEdgeChanged(activity string) {
 	o.deOf = setTouched(o.deOf, activity, overlaid(o.base.DataEdgesOf(activity), o.hidesDataEdge, o.addedDataEdges,
 		func(d *model.DataEdge) bool { return d.Activity == activity }))
+	o.topo = nil // it counts the data edges
 }
 
 // AddDataEdge implements model.MutableView.

@@ -96,6 +96,9 @@ func topologyMatches(t *testing.T, ctx string, v model.SchemaView) {
 	if topo.NumEdges() != len(v.Edges()) {
 		t.Fatalf("%s: topology has %d edges, view %d", ctx, topo.NumEdges(), len(v.Edges()))
 	}
+	if topo.NumDataEdges() != len(v.DataEdges()) {
+		t.Fatalf("%s: topology counts %d data edges, view %d", ctx, topo.NumDataEdges(), len(v.DataEdges()))
+	}
 	for i, e := range v.Edges() {
 		ei, ok := topo.EdgeIdxOf(e.Key())
 		if !ok || int(ei) != i || topo.EdgeAt(ei) != e {
@@ -156,5 +159,25 @@ func TestOverlayTopologyCoherence(t *testing.T) {
 				t.Fatalf("%s: materialized view differs", ctx)
 			}
 		}
+	}
+}
+
+// TestTopologyFollowsDataEdges: a data-edge change touches no node or
+// control edge, but the topology counts the view's data edges, so a
+// schema and an overlay drop their cached index on one too.
+func TestTopologyFollowsDataEdges(t *testing.T) {
+	s := sim.OnlineOrder()
+	o := storage.NewOverlay(s)
+	pack := &model.DataEdge{Activity: "pack_goods", Element: "order", Access: model.Read, Parameter: "in"}
+	for _, v := range []model.MutableView{o, s} {
+		topologyMatches(t, fmt.Sprintf("%T before", v), v)
+		if err := v.AddDataEdge(pack); err != nil {
+			t.Fatal(err)
+		}
+		topologyMatches(t, fmt.Sprintf("%T after an added data edge", v), v)
+		if err := v.RemoveDataEdge(pack.Key()); err != nil {
+			t.Fatal(err)
+		}
+		topologyMatches(t, fmt.Sprintf("%T after a removed data edge", v), v)
 	}
 }
