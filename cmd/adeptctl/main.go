@@ -576,10 +576,11 @@ func load(args []string) {
 const sweepEvery = time.Second
 
 // serveCmd exposes a journaled system on its one network surface: open,
-// serve the command plane and the ops routes (/metrics, /metrics.json,
-// /mine.json, /trace.json, /healthz) on -addr, block until
-// SIGINT/SIGTERM, then drain — in-flight receipts resolve against the
-// final watermarks — and close.
+// serve the command plane (one command route, POST /v1/commands, for
+// commands and batch frames; the /v1 reads and the watermark stream) and
+// the ops routes (/metrics, /metrics.json, /mine.json, /trace.json,
+// /healthz) on -addr, block until SIGINT/SIGTERM, then drain — in-flight
+// receipts resolve against the final watermarks — and close.
 func serveCmd(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	journal := fs.String("journal", "", "journal file (required; created if missing)")

@@ -233,9 +233,9 @@
 // TestDecodeWireCommandAllocations pins the decode alone — which recovery
 // shares, record by record, at the struct and its strings — and a
 // stream's decode of a start or complete whose names the System holds at
-// none; TestDecodeBatchAllocations pins a 64-command batch body at its
-// commands' decodes, a new struct each, plus the one slice that holds
-// them.
+// none; TestDecodeBatchAllocations pins a 64-command frame on a stream
+// at its commands' decodes, a new struct each, plus the one slice that
+// holds them.
 //
 // # Memory budget
 //
@@ -468,12 +468,13 @@
 // durable-on-resolution semantics and the identical Error taxonomy —
 // non-2xx answers carry a structured error envelope mapped through
 // Code.HTTPStatus, and the client rehydrates it so errors.Is matches
-// the Err* sentinels across the network. Submit and SubmitAsync share
-// one full-duplex NDJSON exchange per client (POST /v1/commands: command
-// lines down, reply lines back in the same order), so a remote command
-// costs a line each way rather than an HTTP request, and one client's
-// commands reach the committer back to back; a single JSON body on the
-// same route is that stream's length-one case.
+// the Err* sentinels across the network. Submit, SubmitAsync and
+// SubmitBatch share one full-duplex NDJSON exchange per client (POST
+// /v1/commands: command lines and batch frames down, reply lines back in
+// the same order), so a remote command costs a line each way rather than
+// an HTTP request, and one client's commands reach the committer back to
+// back; a single JSON body on the same route is that stream's length-one
+// case.
 //
 // Async submission keeps its pipelining win remotely because receipts
 // are tokens, not server state: a receipt is (shard, shard-local seq),
@@ -481,20 +482,20 @@
 // The server streams watermark advances over one NDJSON subscription
 // (GET /v1/watermarks) and every client resolves any number of
 // receipts locally against that single shared stream — resolving a
-// window of N receipts costs zero additional requests. Reads (cursor-
-// paginated instances and work items, instance detail, open
-// exceptions, health) and a durable-gated control-log tail round out
-// the plane. What a client holds across the hop outlives the process
-// that handed it out: a work item is named by its (instance, node), so
-// item IDs and worklist cursors mean the same after a restart — from a
-// snapshot or by full replay — and after a reshard. The same listener
-// carries the ops routes — a served process has one address, one mux
-// and one drain; Server.Close drains
-// gracefully, refusing new work, answering every command already read,
-// forcing a final flush, and ending streams — tails with Final events,
-// so every receipt issued before the drain resolves, command streams
-// even when the client never closes its side. See internal/rpc's package documentation for the wire
-// invariants, and `adeptctl serve` / `-remote` for the CLI surface
-// (`adeptctl list` and `load` run the same client code against
-// -journal, serving the store on an in-process loopback listener).
+// window of N receipts costs zero additional requests. Reads
+// (cursor-paginated instances and work items, instance detail, open
+// exceptions, health) round out the plane. What a client holds across the
+// hop outlives the process that handed it out: a work item is named by
+// its (instance, node), so item IDs and worklist cursors mean the same
+// after a restart — from a snapshot or by full replay — and after a
+// reshard. The same listener carries the ops routes — a served process
+// has one address, one mux and one drain; Server.Close drains gracefully,
+// refusing new work, answering every command already read, forcing a
+// final flush, and ending streams — watermark streams with Final events,
+// so every receipt issued before the drain resolves, command streams even
+// when the client never closes its side. See internal/rpc's package
+// documentation for the wire invariants, and `adeptctl serve` /
+// `-remote` for the CLI surface (`adeptctl list` and `load` run the same
+// client code against -journal, serving the store on an in-process
+// loopback listener).
 package adept2

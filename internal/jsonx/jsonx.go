@@ -14,7 +14,7 @@
 // them quote strings with AppendString, and a command's outputs, a value
 // set and a data store write their dynamic values with AppendValue.
 //
-// Reading: a command line, a flat command's args, a batch body and a
+// Reading: a command line, a flat command's args, a batch frame and a
 // reply are each small JSON objects of known members, or arrays of them.
 // Object walks an object's members and Array an array's elements, each
 // handing over the raw value where it lies; Members splits an object into

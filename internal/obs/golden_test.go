@@ -15,7 +15,8 @@ import (
 // actions; histograms with and without an unbounded bucket, and one
 // empty. testdata/metrics.prom and testdata/metrics.json are its
 // Prometheus text and JSON as the renderer wrote them before the family
-// table existed; they are never regenerated from the current tree.
+// table existed; since then they have changed only where the fixture or a
+// family's HELP text did, never to follow a renderer change.
 func fixture() *Snapshot {
 	return &Snapshot{
 		Ops: map[string]OpSnapshot{
@@ -67,8 +68,8 @@ func fixture() *Snapshot {
 		},
 		RPC: RPCSnapshot{
 			Endpoints: map[string]RPCEndpointSnapshot{
-				"commands": {Requests: 40, Failures: 2, Latency: HistogramSnapshot{Count: 40, Sum: 4_000_000, Bounds: []int64{65536, 131072, -1}, Buckets: []int64{30, 9, 1}}},
-				"batch":    {Requests: 3, Latency: HistogramSnapshot{Count: 3, Sum: 900_000, Bounds: []int64{262144, 524288}, Buckets: []int64{2, 1}}},
+				"commands":   {Requests: 40, Failures: 2, Latency: HistogramSnapshot{Count: 40, Sum: 4_000_000, Bounds: []int64{65536, 131072, -1}, Buckets: []int64{30, 9, 1}}},
+				"watermarks": {Requests: 3, Latency: HistogramSnapshot{Count: 3, Sum: 900_000, Bounds: []int64{262144, 524288}, Buckets: []int64{2, 1}}},
 			},
 			OpenStreams:  2,
 			StreamEvents: 57,

@@ -101,7 +101,7 @@ var families = []family{
 			e.hist(s.RPC.Endpoints[ep].Latency, ep)
 		}
 	}},
-	{"adept2_rpc_open_streams", gauge, "Connected NDJSON stream subscribers (watermarks + control-log tails).", nil, 1, func(e *emitter, s *Snapshot) { e.val(s.RPC.OpenStreams) }},
+	{"adept2_rpc_open_streams", gauge, "Connected watermark stream subscribers.", nil, 1, func(e *emitter, s *Snapshot) { e.val(s.RPC.OpenStreams) }},
 	{"adept2_rpc_stream_events_total", counter, "Lines pushed to stream subscribers (receipt-resolution fan-out).", nil, 1, func(e *emitter, s *Snapshot) { e.val(s.RPC.StreamEvents) }},
 	{"adept2_rpc_decode_errors_total", counter, "Wire envelopes rejected before dispatch.", nil, 1, func(e *emitter, s *Snapshot) { e.val(s.RPC.DecodeErrors) }},
 

@@ -231,22 +231,20 @@ var ActionNames = [4]string{"none", "retry", "skip", "suspend"}
 // RPC endpoint indexes into RPCEndpoints — the networked command plane's
 // fixed label space (one slot per wire endpoint family).
 const (
-	EpCommands   = iota // POST /v1/commands: one request per command, unary or a stream's line
-	EpBatch             // POST /v1/batch
+	EpCommands   = iota // POST /v1/commands: one request per line, a command or a frame
 	EpInstances         // GET /v1/instances, /v1/instances/{id}
 	EpWorkItems         // GET /v1/workitems
 	EpExceptions        // GET /v1/exceptions
-	EpHealth            // GET /v1/healthz
+	EpHealth            // GET /healthz
 	EpWatermarks        // GET /v1/watermarks (snapshot + NDJSON stream)
-	EpControlLog        // GET /v1/control-log (suffix read + NDJSON tail)
 	NumEndpoints
 )
 
 // RPCEndpoints labels the RPC metric arrays, aligned with the Ep*
 // indexes.
 var RPCEndpoints = [NumEndpoints]string{
-	"commands", "batch", "instances", "workitems",
-	"exceptions", "health", "watermarks", "controllog",
+	"commands", "instances", "workitems",
+	"exceptions", "health", "watermarks",
 }
 
 // RPCMetrics is the networked command plane's family: per-endpoint
@@ -262,9 +260,9 @@ type RPCMetrics struct {
 	failed  []Counter    // per endpoint: non-2xx answers and error reply lines
 	Latency []*Histogram // per endpoint, nanos: handler duration, or a command's read to reply
 
-	// OpenStreams counts currently-connected NDJSON subscribers
-	// (watermark + control-log tails); StreamEvents counts lines pushed
-	// to them (receipt-resolution fan-out depth over time).
+	// OpenStreams counts currently-connected watermark subscribers;
+	// StreamEvents counts lines pushed to them (receipt-resolution
+	// fan-out depth over time).
 	OpenStreams  Gauge
 	StreamEvents Counter
 	// DecodeErrors counts wire envelopes rejected before dispatch

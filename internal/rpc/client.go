@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -18,13 +17,13 @@ import (
 
 // Client is the typed remote face of a System: it mirrors the façade's
 // Submit/SubmitAsync/SubmitBatch and read surface over the wire
-// protocol. Every Submit and SubmitAsync travels down one lazily opened
-// command stream (stream.go), so a command costs a line each way, not an
-// HTTP request. Async receipts resolve against one shared watermark
-// stream — the client tracks every shard's durable watermark locally and
-// a Receipt for (shard, seq) resolves the moment watermark[shard] >= seq,
-// so any number of in-flight receipts cost one server stream. Safe for
-// concurrent use.
+// protocol. Every Submit, SubmitAsync and SubmitBatch travels down one
+// lazily opened command stream (stream.go), so a command costs a line
+// each way, and a batch one frame each way, not an HTTP request. Async
+// receipts resolve against one shared watermark stream — the client
+// tracks every shard's durable watermark locally and a Receipt for
+// (shard, seq) resolves the moment watermark[shard] >= seq, so any number
+// of in-flight receipts cost one server stream. Safe for concurrent use.
 type Client struct {
 	base string
 
@@ -327,31 +326,28 @@ func (c *Client) SubmitAsync(ctx context.Context, cmd adept2.Command) (*Receipt,
 	return r, nil
 }
 
-// SubmitBatch sends a run of commands the server applies through
-// System.SubmitBatch, durable when SubmitBatch returns. On error the
-// results hold the applied (and durable) prefix and the error carries the
-// server's taxonomy envelope, mirroring System.SubmitBatch.
+// SubmitBatch sends a run of commands as one frame down the command
+// stream; the server applies it through System.SubmitBatch, durable when
+// SubmitBatch returns. On error the results hold the applied (and
+// durable) prefix and the error carries the server's taxonomy envelope,
+// mirroring System.SubmitBatch. When ctx ends first SubmitBatch returns
+// ErrCanceled and the frame may still apply, as with Submit.
 func (c *Client) SubmitBatch(ctx context.Context, cmds []adept2.Command) ([]*ResultSummary, error) {
-	body, err := batchBody(cmds)
+	c.cmdMu.Lock()
+	err := c.out.encodeFrame(cmds)
+	var cl *call
+	if err == nil {
+		cl, err = c.send(ctx, "batch", true)
+	}
+	c.cmdMu.Unlock()
+	if err == nil {
+		err = cl.wait(ctx)
+	}
 	if err != nil {
 		return nil, err
 	}
-	httpResp, err := c.request(ctx, http.MethodPost, "/v1/batch", body)
-	if err != nil {
-		return nil, err
-	}
-	defer httpResp.Body.Close()
-	if httpResp.StatusCode >= 400 {
-		return nil, responseError(httpResp)
-	}
-	reply, err := readBody(httpResp.Body, httpResp.ContentLength)
-	if err != nil {
-		return nil, err
-	}
-	var resp BatchResponse
-	if err := readBatchResponse(reply, &resp); err != nil {
-		return nil, err
-	}
+	resp := cl.batch
+	c.release(cl)
 	if resp.Error != nil {
 		return resp.Results, resp.Error.Err()
 	}
@@ -399,7 +395,7 @@ func (c *Client) OpenExceptions(ctx context.Context) ([]ExceptionSummary, error)
 // answers 503 but the summary still arrives alongside the error.
 func (c *Client) Health(ctx context.Context) (*HealthSummary, error) {
 	var sum HealthSummary
-	err := c.get(ctx, "/v1/healthz", &sum)
+	err := c.get(ctx, "/healthz", &sum)
 	if sum.Shards != 0 {
 		return &sum, err
 	}
@@ -413,60 +409,6 @@ func (c *Client) Watermarks(ctx context.Context) ([]int, error) {
 		return nil, err
 	}
 	return snap.Durable, nil
-}
-
-// ControlLog fetches the durable control-log suffix after afterSeq,
-// returning the records and the watermark to resume from.
-func (c *Client) ControlLog(ctx context.Context, afterSeq int) ([]adept2.WireRecord, int, error) {
-	var page ControlLogPage
-	if err := c.get(ctx, "/v1/control-log?after="+strconv.Itoa(afterSeq), &page); err != nil {
-		return nil, 0, err
-	}
-	return page.Records, page.Watermark, nil
-}
-
-// TailControlLog subscribes to the control-log tail after afterSeq,
-// invoking fn for every durable record until ctx is done, the server
-// drains (fn has then seen every record the drain made durable), or
-// the stream reports an error.
-func (c *Client) TailControlLog(ctx context.Context, afterSeq int, fn func(adept2.WireRecord) error) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.base+"/v1/control-log?follow=1&after="+strconv.Itoa(afterSeq), nil)
-	if err != nil {
-		return err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return responseError(resp)
-	}
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var ev ControlLogEvent
-		if err := dec.Decode(&ev); err != nil {
-			if errors.Is(err, io.EOF) || ctx.Err() != nil {
-				return nil // drain or caller cancel: clean end of tail
-			}
-			return err
-		}
-		switch {
-		case ev.Err != "":
-			code := adept2.Code(ev.Code)
-			if code == "" {
-				code = adept2.CodeInternal
-			}
-			return &adept2.Error{Code: code, Op: "control_log", Err: errors.New(ev.Err)}
-		case ev.Record != nil:
-			if err := fn(*ev.Record); err != nil {
-				return err
-			}
-		case ev.Final:
-			return nil
-		}
-	}
 }
 
 func pageQuery(cursor string, limit int) url.Values {
@@ -484,7 +426,11 @@ func pageQuery(cursor string, limit int) url.Values {
 // an error status is decoded into out as well, for the callers that want
 // it (healthz).
 func (c *Client) get(ctx context.Context, path string, out any) error {
-	resp, err := c.request(ctx, http.MethodGet, path, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
+	if err != nil {
+		return err
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -495,22 +441,6 @@ func (c *Client) get(ctx context.Context, path string, out any) error {
 		return wireErrFromBody(raw, resp.StatusCode)
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// request sends one request, a JSON body if body is not nil.
-func (c *Client) request(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
-	if err != nil {
-		return nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	return http.DefaultClient.Do(req)
 }
 
 // responseError rehydrates a non-2xx response into the taxonomy error

@@ -31,80 +31,88 @@
 // with a command once SubmitAsync returns, for the journal encodes the
 // record before the append returns. A stream's plain start or complete
 // naming a known instance, node and user therefore costs no allocation
-// to decode. The unary form and a batch — which holds all its commands
-// at once — decode each plain command into a new struct, with the same
-// names. The pass declines whatever is
-// not plain — an escaped, repeated, case-folded or unknown key, a null, a
-// number that is not a plain integer, a non-ASCII string, an output that
-// is not a plain string, more than eight outputs — and such a line, like
-// every line that is not JSON, is decoded by encoding/json from the start
-// (decodeCommandLineJSON), so what a line means and why a bad one is bad
-// are encoding/json's to say; FuzzDecodeAgainstJSON holds the two
-// together.
+// to decode. The unary form and a frame — which holds all its commands at
+// once — decode each plain command into a new struct, with the same
+// names. The pass declines whatever is not plain — an escaped, repeated,
+// case-folded or unknown key, a null, a number that is not a plain
+// integer, a non-ASCII string, an output that is not a plain string, more
+// than eight outputs — and such a line, like every line that is not JSON,
+// is decoded by encoding/json from the start (decodeCommandLineJSON), so
+// what a line means and why a bad one is bad are encoding/json's to say;
+// FuzzDecodeAgainstJSON holds the two together.
 //
-// A POST /v1/batch body is read whole (sized from its Content-Length),
-// validated once and cut the same way: "commands" is an array, and each
-// element is read by the envelope reader a line is read by — a batch
-// element is a line without a mode. A body that declines anywhere — a
-// case-folded or repeated key, an element that is null, not an object or
-// has a mode, an element whose decode fails — goes to encoding/json whole
-// (decodeBatchJSON), and json.Unmarshal refuses anything after the one
-// object, so a body with trailing data runs nothing and answers invalid;
-// FuzzBatchAgainstJSON holds the two together.
+// A batch is one request line too, a frame: {"batch": [<envelope>, …]},
+// read the same way. The line's one member is "batch", an array, and each
+// element is read by the envelope reader a command line is read by — a
+// frame's element is a command line without a mode. A frame that declines
+// anywhere — a case-folded or repeated key, an element that is null, not
+// an object or has a mode, an element whose decode fails — goes to
+// encoding/json whole, and the reference refuses a frame that also
+// carries an op, args or a mode, an element with a mode or a frame of its
+// own, and anything after the one object: such a frame runs nothing and
+// answers invalid in its position. FuzzDecodeAgainstJSON holds frames to
+// the reference as it holds command lines.
 //
-// Replies are appended as the client appends commands: a SubmitResult (on
-// a stream or as a unary reply) and a BatchResponse are byte for byte what
-// json.Encoder writes, newline included, while an error envelope and a
-// migration report are still written by encoding/json. The client
-// appends a command's args with the journal's own appender, which refuses
-// with ErrInvalid what Submit refuses for the journal's sake (a string
-// that is not UTF-8, a NaN or infinite output), builds the line — or a
-// batch's body — around them in reused buffers, and reads an
-// acknowledgement, a create's result and a batch reply in place, with one
-// reader for an instance summary; anything else in a reply is
+// Replies are appended as the client appends commands: a SubmitResult and
+// a frame's BatchResponse (on a stream or as a unary reply) are byte for
+// byte what json.Encoder writes, newline included, while an error
+// envelope and a migration report are still written by encoding/json.
+// The client appends a command's args with the journal's own appender,
+// which refuses with ErrInvalid what Submit refuses for the journal's
+// sake (a string that is not UTF-8, a NaN or infinite output), builds the
+// line or the frame around them in one reused buffer, and reads an
+// acknowledgement, a create's result and a frame's reply in place, with
+// one reader for an instance summary; anything else in a reply is
 // encoding/json's. FuzzRepliesAgainstJSON holds both ends of a reply to
 // encoding/json.
 //
-// Command-plane routes live under the /v1 prefix; a breaking change to
-// envelope, receipt, or stream semantics must mount a new version
-// prefix and keep /v1 serving. The operational routes are unversioned,
-// where scrapers and probes conventionally look for them.
+// Command-plane routes live under the /v1 prefix. Two of them were
+// removed from /v1 without a new prefix: POST /v1/batch, when a batch
+// became a frame on the command stream, and the GET /v1/control-log tail,
+// whose follower replay is parked (GET /v1/healthz, an alias of /healthz,
+// went with them). This module's own Client is the supported client, and
+// it speaks what this server serves. Any other breaking change to
+// envelope, receipt, or stream semantics must mount a new version prefix
+// and keep /v1 serving. The operational routes are unversioned, where
+// scrapers and probes conventionally look for them.
 //
 // # Endpoints
 //
-//	POST /v1/commands          submit commands: an NDJSON stream both ways, or one JSON body
-//	POST /v1/batch             submit a run, durable on return
-//	GET  /v1/watermarks        NDJSON watermark stream (?once=1: snapshot)
-//	GET  /v1/control-log       durable control-log suffix (?follow=1: NDJSON tail)
-//	GET  /v1/instances         cursor page; /v1/instances/{id} detail
-//	GET  /v1/workitems         cursor page of a user's worklist
-//	GET  /v1/exceptions        open exception set
-//	GET  /v1/healthz, /healthz 200 serving / 503 unhealthy or draining (one handler)
-//	GET  /metrics              Prometheus text format 0.0.4
-//	GET  /metrics.json         the typed obs.Snapshot
-//	GET  /mine.json            mining report (?variants=N caps the table)
-//	GET  /trace.json           sampled spans after cursor ?after=N
+//	POST /v1/commands    submit commands and frames: an NDJSON stream both ways, or one JSON body
+//	GET  /v1/watermarks  NDJSON watermark stream (?once=1: snapshot)
+//	GET  /v1/instances   cursor page; /v1/instances/{id} detail
+//	GET  /v1/workitems   cursor page of a user's worklist
+//	GET  /v1/exceptions  open exception set
+//	GET  /healthz        200 serving / 503 unhealthy or draining
+//	GET  /metrics        Prometheus text format 0.0.4
+//	GET  /metrics.json   the typed obs.Snapshot
+//	GET  /mine.json      mining report (?variants=N caps the table)
+//	GET  /trace.json     sampled spans after cursor ?after=N
 //
 // # The command stream
 //
 // POST /v1/commands with Content-Type application/x-ndjson is a
 // full-duplex stream. Every non-empty request line is one command —
-// {"op", "args", "mode"}, mode "sync" (the default) or "async" — and
-// every reply line is that command's SubmitResult or {"error": {…}}, in
-// request order, so nothing carries a correlation id. The response
-// headers (200) come at once and the exchange stays open until either
-// side ends it. A malformed line or an unknown op answers an invalid
-// envelope in its position and the stream carries on. So does a mode
-// that is present and neither "sync" nor "async": a misspelt "async" is
-// refused, in either framing, not quietly run as a blocking sync.
+// {"op", "args", "mode"}, mode "sync" (the default) or "async" — or one
+// frame, and every reply line is that command's SubmitResult, that
+// frame's BatchResponse, or {"error": {…}}, in request order, so nothing
+// carries a correlation id. The response headers (200) come at once and
+// the exchange stays open until either side ends it. A malformed line or
+// an unknown op answers an invalid envelope in its position and the
+// stream carries on. So does a mode that is present and neither "sync"
+// nor "async": a misspelt "async" is refused, in either framing, not
+// quietly run as a blocking sync.
 //
 // Any other Content-Type is the stream's length-one case: the body is one
-// command, answered with an HTTP status and a SubmitResult or error
-// envelope. Both framings run each command through the same two steps —
-// apply (decode, take a backpressure slot, SubmitAsync) and settle (a
-// sync command waits for its record's fsync; the slot frees; the command
-// is counted) — and adept2_rpc_requests_total{endpoint="commands"} and
-// its latency histogram count commands in both.
+// request line, answered with an HTTP status and a SubmitResult, a
+// BatchResponse (200, whatever its commands did) or an error envelope (a
+// frame that does not decode: 400). Both framings run each line through
+// the same two steps — apply (decode, take a backpressure slot,
+// SubmitAsync, or SubmitBatch for a frame) and settle (a sync command
+// waits for its record's fsync; the slot frees; the line is counted) —
+// and adept2_rpc_requests_total{endpoint="commands"} and its latency
+// histogram count one request per line, a command or a frame, in both;
+// adept2_batch_commands and adept2_submit_total count a frame's commands.
 //
 // On a stream the server's reader applies lines in arrival order without
 // waiting for replies, and a writer settles and answers them in the same
@@ -112,10 +120,11 @@
 // therefore reach the committer back to back and share flushes the way
 // in-process SubmitAsync callers do. Order has its price: a reply waits
 // for the replies before it, so an async acknowledgement queued behind a
-// sync command arrives when that command is durable. Client opens one stream lazily and
-// sends every Submit and SubmitAsync down it: a command costs a line each
-// way, not an HTTP request. A submitter whose ctx ends gets ErrCanceled
-// at once; its line had left, so the command may still have applied, and
+// sync command arrives when that command is durable. Client opens one
+// stream lazily and sends every Submit, SubmitAsync and SubmitBatch down
+// it: a command costs a line each way, and a batch one frame each way,
+// not an HTTP request. A submitter whose ctx ends gets ErrCanceled at
+// once; its line had left, so the command may still have applied, and
 // its reply is discarded in its position. When the stream is lost every
 // waiting call fails with ErrWedged (same caveat) and the next submit
 // dials a new stream.
@@ -151,8 +160,9 @@
 // parked server goroutines. Sync mode (the default) is the same dispatch
 // with the durability wait folded into the reply.
 //
-// A batch is System.SubmitBatch and is durable when the response
-// arrives; on a mid-run failure the response still carries the applied
+// A frame is System.SubmitBatch, on one backpressure slot, and is durable
+// when its reply arrives: one barrier per run, and a stop at the first
+// failure. On a mid-run failure the reply still carries the applied
 // prefix's results plus the in-band error envelope, because the prefix's
 // records are journaled and durable.
 //
@@ -170,17 +180,12 @@
 //
 // # Streams, backpressure, drain
 //
-// NDJSON subscriptions (watermarks, control-log tail) are bounded by
-// MaxStreams; excess subscriptions are rejected 503. Commands are bounded
-// by MaxInflight slots over all connections, each held from the moment
-// a command is decoded until it is settled; at the limit a stream's
-// reader stops reading (and a unary handler waits), so the TCP
+// Watermark subscriptions are bounded by MaxStreams; excess
+// subscriptions are rejected 503. Request lines are bounded by
+// MaxInflight slots over all connections, each held from the moment a
+// command or frame is decoded until it is settled; at the limit a
+// stream's reader stops reading (and a unary handler waits), so the TCP
 // connection carries the backpressure to the client's writes.
-//
-// The control-log tail serves only fsync-covered records (a subscriber
-// must never observe a record a crash could revoke) from shard 0, the
-// epoch-stamping global-ordering shard; records arrive epoch-stamped
-// exactly as journaled.
 //
 // Close drains in five steps. (1) New work is refused: 503 for a new
 // request, subscription or command stream, the same draining envelope in
@@ -189,10 +194,10 @@
 // true. (2) Close waits until it owns every backpressure slot, that is
 // until every command already read has been applied and answered. (3)
 // Every staged record is forced durable (SyncDurable). (4) Streams are
-// canceled: watermark and control-log tails emit their final events
-// ("final": true) first — resolving every receipt issued before the
-// drain — and a command stream's reply body ends, whether or not the
-// client ever closes its side. (5) The HTTP server shuts down. So every
+// canceled: watermark streams emit their final events ("final": true)
+// first — resolving every receipt issued before the drain — and a
+// command stream's reply body ends, whether or not the client ever closes
+// its side. (5) The HTTP server shuts down. So every
 // command acknowledged on a stream before or during the drain is durable
 // when Close returns. A client whose watermark stream ends refreshes the
 // watermark snapshot once before failing a wait, so receipts covered by

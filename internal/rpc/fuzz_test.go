@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -52,9 +51,10 @@ func namedSystem(tb testing.TB) *adept2.System {
 
 // FuzzCommandLine guards the command stream's decoder, the bytes a peer
 // controls. The input is a stream's opening lines and a known-good line
-// follows them, all read by one stream's reusing decoder: every line
-// either fails with ErrInvalid or decodes to a command whose EncodeCommand
-// envelope decodes to an equal command, and whatever came first, the good
+// follows them, all read as one stream reads them — a command by the
+// stream's reusing decoder, a frame by the shared one: every line either
+// fails with ErrInvalid or decodes to commands whose EncodeCommand
+// envelopes decode to equal commands, and whatever came first, the good
 // line is still read whole and last.
 func FuzzCommandLine(f *testing.F) {
 	const good = `{"op":"suspend","args":{"instance":"inst-000001"},"mode":"async"}`
@@ -62,27 +62,29 @@ func FuzzCommandLine(f *testing.F) {
 	sys := namedSystem(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var last string
-		dec := sys.WireDecoder(true)
+		dec, frames := sys.WireDecoder(true), sys.WireDecoder(false)
 		lines := commandLines(io.MultiReader(bytes.NewReader(data), strings.NewReader("\n"+good+"\n")))
 		for lines.Scan() {
 			last = string(lines.Bytes())
-			cmd, _, _, err := decodeCommandLine(dec, lines.Bytes())
+			req, err := decodeCommandLine(dec, frames, lines.Bytes())
 			if err != nil {
 				if !errors.Is(err, adept2.ErrInvalid) {
 					t.Fatalf("line %q: rejected with %v, want ErrInvalid", last, err)
 				}
 				continue
 			}
-			op, args, err := adept2.EncodeCommand(cmd)
-			if err != nil {
-				t.Fatalf("line %q decoded to %#v, which does not encode: %v", last, cmd, err)
-			}
-			again, err := adept2.DecodeWireCommand(op, args)
-			if err != nil {
-				t.Fatalf("line %q: envelope %s %s does not decode: %v", last, op, args, err)
-			}
-			if !reflect.DeepEqual(cmd, again) {
-				t.Fatalf("line %q: decoded %#v, its envelope %s %s decodes to %#v", last, cmd, op, args, again)
+			for _, cmd := range req.commands() {
+				op, args, err := adept2.EncodeCommand(cmd)
+				if err != nil {
+					t.Fatalf("line %q decoded to %#v, which does not encode: %v", last, cmd, err)
+				}
+				again, err := adept2.DecodeWireCommand(op, args)
+				if err != nil {
+					t.Fatalf("line %q: envelope %s %s does not decode: %v", last, op, args, err)
+				}
+				if !reflect.DeepEqual(cmd, again) {
+					t.Fatalf("line %q: decoded %#v, its envelope %s %s decodes to %#v", last, cmd, op, args, again)
+				}
 			}
 		}
 		if last != good {
@@ -91,18 +93,44 @@ func FuzzCommandLine(f *testing.F) {
 	})
 }
 
+// commands is what a decoded line runs: its frame's commands, or its one
+// command.
+func (r *request) commands() []adept2.Command {
+	if r.batch != nil {
+		return r.batch
+	}
+	return []adept2.Command{r.cmd}
+}
+
 // decodeReference is decodeCommandLine by encoding/json and nothing else:
-// the envelope by Unmarshal, then its command by referenceCommand.
-func decodeReference(line []byte) (adept2.Command, string, string, error) {
+// the line by Unmarshal, then each command by referenceCommand. A frame
+// carries no op, args or mode, and its commands no mode or frame.
+func decodeReference(line []byte) (request, error) {
 	var req commandRequest
 	if err := json.Unmarshal(line, &req); err != nil {
-		return nil, "", "", decodeErr("command envelope", err)
+		return request{}, decodeErr("command envelope", err)
 	}
-	if req.Mode != "" && req.Mode != "sync" && req.Mode != "async" {
-		return nil, "", "", decodeErr("command envelope", errors.New("mode"))
+	if req.Batch == nil {
+		if req.Mode != "" && req.Mode != "sync" && req.Mode != "async" {
+			return request{}, decodeErr("command envelope", errors.New("mode"))
+		}
+		cmd, err := referenceCommand(req.Op, req.Args)
+		return request{cmd: cmd, op: req.Op, mode: req.Mode}, err
 	}
-	cmd, err := referenceCommand(req.Op, req.Args)
-	return cmd, req.Op, req.Mode, err
+	if req.Op != "" || req.Args != nil || req.Mode != "" {
+		return request{}, decodeErr("batch frame", errors.New("op, args or mode"))
+	}
+	batch := make([]adept2.Command, len(req.Batch))
+	for i, env := range req.Batch {
+		if env.Mode != "" || env.Batch != nil {
+			return request{}, decodeErr("batch command", errors.New("mode or batch"))
+		}
+		var err error
+		if batch[i], err = referenceCommand(env.Op, env.Args); err != nil {
+			return request{}, err
+		}
+	}
+	return request{batch: batch}, nil
 }
 
 // referenceCommand decodes the args of a flat command by Unmarshal into
@@ -150,32 +178,61 @@ func referenceCommand(op string, args json.RawMessage) (adept2.Command, error) {
 // FuzzDecodeAgainstJSON holds the one-pass line decoder to encoding/json,
 // and the args appender to encoding/json too: on every input the two
 // decoders either both fail with ErrInvalid, or return equal commands, op
-// and mode; and then the args the decoded command appends are, byte for
-// byte, what json.Marshal writes for its wire form (or both refuse), and
-// decode back to the same command. The line decoder resolves names
-// against a System that holds some, as the server's does. The corpus is the inputs on which a
-// hand-written reader or writer and the reference are most likely to part:
-// repeated, case-folded and escaped keys, null members, integers at the
-// ends of int64, numbers that are not integers, strings that are not
-// ASCII, HTML characters and line separators the encoder escapes, and
-// outputs of several keys it sorts.
+// and mode, or equal frames; and then the args each decoded command
+// appends are, byte for byte, what json.Marshal writes for its wire form
+// (or both refuse), and decode back to the same command. The line decoder
+// resolves names against a System that holds some, as the server's does.
+// The corpus is the inputs on which a hand-written reader or writer and
+// the reference are most likely to part: repeated, case-folded and
+// escaped keys, null members, integers at the ends of int64, numbers that
+// are not integers, strings that are not ASCII, HTML characters and line
+// separators the encoder escapes, and outputs of several keys it sorts;
+// and the frames the one pass must hand over whole (frame_*): a
+// case-folded or repeated "batch", data after the frame, a frame that
+// also carries an op, a null element, an element with a mode, and outputs
+// that are not all plain strings.
 func FuzzDecodeAgainstJSON(f *testing.F) {
 	f.Add([]byte(`{"op":"suspend","args":{"instance":"inst-000001"},"mode":"async"}`))
 	dec := namedSystem(f).WireDecoder(false)
 	f.Fuzz(func(t *testing.T, line []byte) {
-		cmd, op, mode, err := decodeCommandLine(dec, line)
-		ref, refOp, refMode, refErr := decodeReference(line)
-		if err != nil || refErr != nil {
-			if !errors.Is(err, adept2.ErrInvalid) || !errors.Is(refErr, adept2.ErrInvalid) {
-				t.Fatalf("line %q: decoder says %v, encoding/json says %v; want ErrInvalid from both or neither", line, err, refErr)
-			}
-			return
-		}
-		if !reflect.DeepEqual(cmd, ref) || op != refOp || mode != refMode {
-			t.Fatalf("line %q: decoded %#v op %q mode %q, encoding/json decodes %#v op %q mode %q", line, cmd, op, mode, ref, refOp, refMode)
-		}
-		checkAppend(t, line, cmd, op)
+		checkAgainstJSON(t, dec, line)
 	})
+}
+
+// FuzzBatchAgainstJSON holds the frame decoder to encoding/json as
+// FuzzDecodeAgainstJSON does, on the frame {"batch":[...]} around the
+// input, so that every mutation lands among a frame's elements, where the
+// one pass reads each element's envelope in place. The corpus is element
+// lists: none, a whole lifecycle, an element without op, one of the wrong
+// type, a frame nested in an element, and outputs that are not plain
+// strings.
+func FuzzBatchAgainstJSON(f *testing.F) {
+	dec := namedSystem(f).WireDecoder(false)
+	f.Fuzz(func(t *testing.T, elements []byte) {
+		line := append(append([]byte(`{"batch":[`), elements...), "]}"...)
+		checkAgainstJSON(t, dec, line)
+	})
+}
+
+// checkAgainstJSON decodes line by dec and by decodeReference: both fail
+// with ErrInvalid, or both return the same command, op and mode, or the
+// same frame; and then every decoded command's args pass checkAppend.
+func checkAgainstJSON(t *testing.T, dec *adept2.WireDecoder, line []byte) {
+	t.Helper()
+	req, err := decodeCommandLine(dec, dec, line)
+	ref, refErr := decodeReference(line)
+	if err != nil || refErr != nil {
+		if !errors.Is(err, adept2.ErrInvalid) || !errors.Is(refErr, adept2.ErrInvalid) {
+			t.Fatalf("line %q: decoder says %v, encoding/json says %v; want ErrInvalid from both or neither", line, err, refErr)
+		}
+		return
+	}
+	if !reflect.DeepEqual(req, ref) {
+		t.Fatalf("line %q: decoded %#v, encoding/json decodes %#v", line, req, ref)
+	}
+	for _, cmd := range req.commands() {
+		checkAppend(t, line, cmd, req.op)
+	}
 }
 
 // FuzzStreamDecoderReuse holds a stream's reusing decoder to encoding/json
@@ -214,34 +271,35 @@ func FuzzStreamDecoderReuse(f *testing.F) {
 	}
 	sys := namedSystem(f)
 	f.Fuzz(func(t *testing.T, a, b []byte) {
-		dec := sys.WireDecoder(true)
-		decodeCommandLine(dec, a)
+		dec, frames := sys.WireDecoder(true), sys.WireDecoder(false)
+		decodeCommandLine(dec, frames, a)
 		line := bytes.Clone(b)
-		cmd, op, mode, err := decodeCommandLine(dec, line)
-		ref, refOp, refMode, refErr := decodeReference(b)
+		req, err := decodeCommandLine(dec, frames, line)
+		ref, refErr := decodeReference(b)
 		if err != nil || refErr != nil {
 			if !errors.Is(err, adept2.ErrInvalid) || !errors.Is(refErr, adept2.ErrInvalid) {
 				t.Fatalf("line %q after %q: decoder says %v, encoding/json says %v; want ErrInvalid from both or neither", b, a, err, refErr)
 			}
 			return
 		}
-		if !reflect.DeepEqual(cmd, ref) || op != refOp || mode != refMode {
-			t.Fatalf("line %q after %q: decoded %#v op %q mode %q, encoding/json decodes %#v op %q mode %q", b, a, cmd, op, mode, ref, refOp, refMode)
+		if !reflect.DeepEqual(req, ref) {
+			t.Fatalf("line %q after %q: decoded %#v, encoding/json decodes %#v", b, a, req, ref)
 		}
 		for i := range line {
 			line[i] = '#'
 		}
-		if !reflect.DeepEqual(cmd, ref) {
-			t.Fatalf("line %q after %q: overwriting the line changed its command to %#v", b, a, cmd)
+		if !reflect.DeepEqual(req, ref) {
+			t.Fatalf("line %q after %q: overwriting the line changed its decode to %#v", b, a, req)
 		}
 	})
 }
 
 // checkAppend holds the args a decoded command appends to encoding/json:
 // json.Marshal of the command's wire form, byte for byte, or a refusal
-// from both, and the registry's decoder reads them back to the command. A
-// change-op carrier has no wire form outside the registry: its args are
-// held to the round trip alone.
+// from both, and the registry's decoder reads them back to the command
+// under op, the one the line named ("" for a frame's command, which the
+// line names no op for). A change-op carrier has no wire form outside the
+// registry: its args are held to the round trip alone.
 func checkAppend(t *testing.T, line []byte, cmd adept2.Command, op string) {
 	t.Helper()
 	appendOp, args, err := adept2.AppendCommandArgs(nil, cmd)
@@ -266,10 +324,10 @@ func checkAppend(t *testing.T, line []byte, cmd adept2.Command, op string) {
 		}
 		return
 	}
-	if appendOp != op {
+	if op != "" && appendOp != op {
 		t.Fatalf("line %q: decoded op %q appends as %q", line, op, appendOp)
 	}
-	again, err := adept2.DecodeWireCommand(op, args)
+	again, err := adept2.DecodeWireCommand(appendOp, args)
 	if err != nil {
 		t.Fatalf("line %q: appended args %s do not decode: %v", line, args, err)
 	}
@@ -285,71 +343,6 @@ func checkAppend(t *testing.T, line []byte, cmd adept2.Command, op string) {
 type suspendWire struct {
 	Instance string `json:"instance"`
 	Resume   bool   `json:"resume,omitempty"`
-}
-
-// FuzzBatchAgainstJSON holds the one-pass batch decoder to encoding/json:
-// on every body the two either both fail with ErrInvalid or return equal
-// commands. The corpus is the bodies the one pass must hand over whole: a
-// case-folded or repeated "commands", data after the object, a null
-// element, an element with a mode, and outputs that are not all plain
-// strings — a number, a repeated or escaped key, nine keys — or none.
-func FuzzBatchAgainstJSON(f *testing.F) {
-	const (
-		create   = `{"op":"create","args":{"type":"online_order"}}`
-		start    = `{"op":"start","args":{"instance":"inst-000001","node":"get_order","user":"ann"}}`
-		complete = `{"op":"complete","args":{"instance":"inst-000001","node":"get_order","user":"ann","outputs":%s}}`
-	)
-	for _, seed := range []string{
-		`{"commands":[]}`,
-		`{"commands":[` + create + `,` + start + `,` + fmt.Sprintf(complete, `{"out":"order-0"}`) + `]}`,
-		`{"Commands":[` + create + `]}`,
-		`{"commands":[` + create + `],"commands":[` + start + `]}`,
-		`{"commands":[` + create + `]}{"commands":[` + start + `]}`,
-		`{"commands":[` + create + `]} garbage`,
-		`{"commands":[null]}`,
-		`{"commands":[` + create + `,1]}`,
-		`{"commands":[{"op":"create","args":{"type":"online_order"},"mode":"async"}]}`,
-		`{"commands":[` + fmt.Sprintf(complete, `{"out":1}`) + `]}`,
-		`{"commands":[` + fmt.Sprintf(complete, `{"out":"a","out":"b"}`) + `]}`,
-		`{"commands":[` + fmt.Sprintf(complete, `{"\u006fut":"a"}`) + `]}`,
-		`{"commands":[` + fmt.Sprintf(complete, `{"1":"","2":"","3":"","4":"","5":"","6":"","7":"","8":"","9":""}`) + `]}`,
-		`{"commands":[` + fmt.Sprintf(complete, `{}`) + `]}`,
-		`{"commands":[{"op":"no_such_op","args":{}}]}`,
-		`{}`,
-	} {
-		f.Add([]byte(seed))
-	}
-	dec := namedSystem(f).WireDecoder(false)
-	f.Fuzz(func(t *testing.T, body []byte) {
-		cmds, err := decodeBatch(dec, body)
-		ref, refErr := decodeBatchReference(body)
-		if err != nil || refErr != nil {
-			if !errors.Is(err, adept2.ErrInvalid) || !errors.Is(refErr, adept2.ErrInvalid) {
-				t.Fatalf("body %q: decoder says %v, encoding/json says %v; want ErrInvalid from both or neither", body, err, refErr)
-			}
-			return
-		}
-		if !reflect.DeepEqual(cmds, ref) {
-			t.Fatalf("body %q: decoded %#v, encoding/json decodes %#v", body, cmds, ref)
-		}
-	})
-}
-
-// decodeBatchReference is decodeBatch by encoding/json and nothing else.
-func decodeBatchReference(body []byte) ([]adept2.Command, error) {
-	var req batchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, decodeErr("batch envelope", err)
-	}
-	cmds := make([]adept2.Command, len(req.Commands))
-	for i, env := range req.Commands {
-		cmd, err := referenceCommand(env.Op, env.Args)
-		if err != nil {
-			return nil, err
-		}
-		cmds[i] = cmd
-	}
-	return cmds, nil
 }
 
 // FuzzRepliesAgainstJSON holds the reply appender and the client's reply

@@ -12,12 +12,14 @@ import (
 
 // TestLineIsTheEnvelopes: the line the client builds in place is, byte for
 // byte, what encoding/json makes of the commandRequest with the command
-// as its args — escapes the encoder adds, HTML's among them, included. A
-// command whose strings or outputs no line carries as they stand is
-// refused with ErrInvalid and leaves the buffer's last line as it was.
+// as its args — escapes the encoder adds, HTML's among them, included —
+// and a frame is what it makes of the frame of their envelopes. A command
+// whose strings or outputs no line carries as they stand is refused with
+// ErrInvalid, alone or in a frame, and leaves the buffer's last line as
+// it was.
 func TestLineIsTheEnvelopes(t *testing.T) {
 	decision, again := 2, true
-	var lb lineBuf
+	var lb, frames lineBuf
 	var batch []adept2.Command
 	var envelopes []Envelope
 	for _, c := range []struct {
@@ -57,12 +59,14 @@ func TestLineIsTheEnvelopes(t *testing.T) {
 		}
 	}
 	for _, n := range []int{0, 1, len(batch)} {
-		want, err := json.Marshal(batchRequest{Commands: append([]Envelope{}, envelopes[:n]...)})
+		want, err := json.Marshal(struct {
+			Batch []Envelope `json:"batch"`
+		}{append([]Envelope{}, envelopes[:n]...)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err := batchBody(batch[:n]); err != nil || string(got) != string(want) {
-			t.Errorf("batch of %d: body %s, %v; encoding/json %s", n, got, err, want)
+		if err := frames.encodeFrame(batch[:n]); err != nil || string(frames.line) != string(want)+"\n" {
+			t.Errorf("frame of %d: line %s, %v; encoding/json %s", n, frames.line, err, want)
 		}
 	}
 	last := string(lb.line)
@@ -80,8 +84,8 @@ func TestLineIsTheEnvelopes(t *testing.T) {
 		if string(lb.line) != last {
 			t.Errorf("a refused %T left %q behind", cmd, lb.line)
 		}
-		if _, err := batchBody(append(batch[:1:1], cmd)); !errors.Is(err, adept2.ErrInvalid) {
-			t.Errorf("a batch holding %#v made a body: %v, want ErrInvalid", cmd, err)
+		if err := frames.encodeFrame(append(batch[:1:1], cmd)); !errors.Is(err, adept2.ErrInvalid) {
+			t.Errorf("a frame holding %#v was made: %v, want ErrInvalid", cmd, err)
 		}
 	}
 }

@@ -22,11 +22,11 @@ func writePretty(w http.ResponseWriter, v any) {
 	_ = enc.Encode(v)
 }
 
-// handleHealth serves GET /healthz and GET /v1/healthz: 200 with the
-// summary while System.Health is nil and the server is not draining,
-// 503 with the same summary body otherwise — a wedged write path or a
-// failing background checkpoint, exactly what Health reports. The body
-// always parses, so a client learns the shard count either way.
+// handleHealth serves GET /healthz: 200 with the summary while
+// System.Health is nil and the server is not draining, 503 with the same
+// summary body otherwise — a wedged write path or a failing background
+// checkpoint, exactly what Health reports. The body always parses, so a
+// client learns the shard count either way.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	sum := HealthSummary{
 		Healthy:      true,

@@ -278,18 +278,17 @@ func TestRemoteDecodeErrors(t *testing.T) {
 	}
 }
 
-// TestBatchRefusesTrailingData: a batch body is one object and nothing
-// after it. Data after the object is refused as invalid before any
-// command runs — it once ran the first object's commands and dropped the
-// rest without a word — while a body the one-pass reader declines, a
-// case-folded "Commands", is still encoding/json's to run.
+// TestBatchRefusesTrailingData: a frame sent as the unary body is one
+// object and nothing after it. Data after the frame is refused as invalid
+// before any command runs, while a frame the one-pass reader declines, a
+// case-folded "Batch", is still encoding/json's to run.
 func TestBatchRefusesTrailingData(t *testing.T) {
 	sys := openSystem(t, adept2.CheckpointConfig{})
 	srv, _ := serve(t, sys, rpc.Options{})
 	const create = `{"op":"create","args":{"type":"online_order"}}`
 	post := func(body string) (int, string) {
 		t.Helper()
-		resp, err := http.Post(srv.URL()+"/v1/batch", "application/json", strings.NewReader(body))
+		resp, err := http.Post(srv.URL()+"/v1/commands", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,9 +300,10 @@ func TestBatchRefusesTrailingData(t *testing.T) {
 		return resp.StatusCode, string(reply)
 	}
 	for _, body := range []string{
-		`{"commands":[` + create + `]}{"commands":[` + create + `]}`,
-		`{"commands":[` + create + `]} garbage`,
-		`{"commands":[` + create + `]}]`,
+		`{"batch":[` + create + `]}{"batch":[` + create + `]}`,
+		`{"batch":[` + create + `]} garbage`,
+		`{"batch":[` + create + `]}]`,
+		`{"batch":[` + create + `],"op":"create"}`,
 	} {
 		status, reply := post(body)
 		if status != http.StatusBadRequest || !strings.Contains(reply, `"code":"invalid"`) {
@@ -311,11 +311,11 @@ func TestBatchRefusesTrailingData(t *testing.T) {
 		}
 	}
 	if n := len(sys.Instances()); n != 0 {
-		t.Fatalf("refused bodies ran %d creates", n)
+		t.Fatalf("refused frames ran %d creates", n)
 	}
 	for _, body := range []string{
-		`{"commands":[` + create + `,` + create + `]}`,
-		` {"Commands":[` + create + `,` + create + `]}` + "\n",
+		`{"batch":[` + create + `,` + create + `]}`,
+		` {"Batch":[` + create + `,` + create + `]}` + "\n",
 	} {
 		status, reply := post(body)
 		var resp rpc.BatchResponse
@@ -324,7 +324,37 @@ func TestBatchRefusesTrailingData(t *testing.T) {
 		}
 	}
 	if n := len(sys.Instances()); n != 4 {
-		t.Fatalf("two batches of two creates made %d instances", n)
+		t.Fatalf("two frames of two creates made %d instances", n)
+	}
+}
+
+// TestOneCommandRoute: commands have one route, health has one, and no
+// control-log tail is served: the former batch route, the control-log
+// tail and the versioned health route answer 404.
+func TestOneCommandRoute(t *testing.T) {
+	sys := openSystem(t, adept2.CheckpointConfig{})
+	srv, _ := serve(t, sys, rpc.Options{})
+	for _, r := range []struct{ method, path string }{
+		{http.MethodPost, "/v1/batch"},
+		{http.MethodGet, "/v1/control-log"},
+		{http.MethodGet, "/v1/control-log?follow=1"},
+		{http.MethodGet, "/v1/healthz"},
+	} {
+		req, err := http.NewRequest(r.method, srv.URL()+r.path, strings.NewReader(`{"batch":[]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: %d, want 404", r.method, r.path, resp.StatusCode)
+		}
+	}
+	if status, _ := get(t, srv.URL()+"/healthz"); status != http.StatusOK {
+		t.Fatalf("/healthz: %d", status)
 	}
 }
 
@@ -520,76 +550,6 @@ func TestRemoteReadEndpoints(t *testing.T) {
 	if !sum.Healthy || sum.Shards != 1 || sum.Instances != len(ids) {
 		t.Fatalf("health: %+v", sum)
 	}
-}
-
-// TestControlLogTail checks the durable-gated suffix read and the
-// follow stream: only fsync-covered records arrive, in order, with
-// their journaled epochs.
-func TestControlLogTail(t *testing.T) {
-	sys := openSystem(t, adept2.CheckpointConfig{Shards: 4})
-	srv, cli := serve(t, sys, rpc.Options{})
-	ctx := context.Background()
-
-	got := make(chan adept2.WireRecord, 64)
-	tailCtx, tailCancel := context.WithCancel(ctx)
-	defer tailCancel()
-	tailDone := make(chan error, 1)
-	go func() {
-		tailDone <- cli.TailControlLog(tailCtx, 0, func(rec adept2.WireRecord) error {
-			got <- rec
-			return nil
-		})
-	}()
-
-	// Control commands land on shard 0 durable-on-return.
-	if _, err := cli.Submit(ctx, &adept2.Evolve{TypeName: "online_order", Ops: sim.OnlineOrderTypeChange()}); err != nil {
-		t.Fatal(err)
-	}
-
-	recs, wm, err := cli.ControlLog(ctx, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) == 0 || wm < recs[len(recs)-1].Seq {
-		t.Fatalf("control log read: %d records, watermark %d", len(recs), wm)
-	}
-	ops := map[string]bool{}
-	lastSeq := 0
-	for _, r := range recs {
-		if r.Seq <= lastSeq {
-			t.Fatalf("control log out of order: %d after %d", r.Seq, lastSeq)
-		}
-		lastSeq = r.Seq
-		ops[r.Op] = true
-		if _, err := adept2.DecodeWireCommand(r.Op, r.Args); err != nil {
-			t.Fatalf("record %d (%s) does not decode: %v", r.Seq, r.Op, err)
-		}
-	}
-	if !ops["deploy"] || !ops["evolve"] {
-		t.Fatalf("control log misses deploy/evolve: %v", ops)
-	}
-
-	// The tail saw the same prefix.
-	deadline := time.After(5 * time.Second)
-	var tailSeqs []int
-	for len(tailSeqs) < len(recs) {
-		select {
-		case rec := <-got:
-			tailSeqs = append(tailSeqs, rec.Seq)
-		case <-deadline:
-			t.Fatalf("tail delivered %d of %d records", len(tailSeqs), len(recs))
-		}
-	}
-	for i, r := range recs {
-		if tailSeqs[i] != r.Seq {
-			t.Fatalf("tail order diverged at %d: %v vs %v", i, tailSeqs, recs)
-		}
-	}
-	tailCancel()
-	if err := <-tailDone; err != nil {
-		t.Fatalf("tail end: %v", err)
-	}
-	_ = srv
 }
 
 // TestStreamBackpressure checks the MaxStreams rejection.

@@ -29,14 +29,14 @@ type Options struct {
 }
 
 const (
-	// MaxInflight bounds commands and batches between read and reply,
-	// over every connection; past it a command stream's reader (or a
-	// unary handler) blocks until a slot frees — the wire plane's
-	// backpressure, which the TCP connection passes on to the client.
+	// MaxInflight bounds request lines — commands and frames — between
+	// read and reply, over every connection; past it a command stream's
+	// reader (or a unary handler) blocks until a slot frees — the wire
+	// plane's backpressure, which the TCP connection passes on to the
+	// client.
 	MaxInflight = 64
-	// MaxStreams bounds concurrently connected NDJSON subscribers
-	// (watermark + control-log tails); excess subscriptions are rejected
-	// with 503.
+	// MaxStreams bounds concurrently connected watermark subscribers;
+	// excess subscriptions are rejected with 503.
 	MaxStreams = 8
 )
 
@@ -48,13 +48,13 @@ const (
 type Server struct {
 	sys *adept2.System
 	met *obs.Set
-	dec *adept2.WireDecoder // a new command per decode: the unary form and batches
+	dec *adept2.WireDecoder // a new command per decode: the unary form and frames
 
 	lis net.Listener
 	srv *http.Server
 
-	sema     chan struct{} // command/batch backpressure slots
-	streams  atomic.Int64  // connected NDJSON subscribers
+	sema     chan struct{} // request-line backpressure slots
+	streams  atomic.Int64  // connected watermark subscribers
 	draining atomic.Bool
 	drainCh  chan struct{} // closed when drain begins: unblocks slot waiters
 
@@ -88,17 +88,13 @@ func NewServer(sys *adept2.System, opts Options) (*Server, error) {
 	s.streamCtx, s.streamCancel = context.WithCancel(context.Background())
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/commands", s.handleCommands) // counts commands itself, see settle
-	mux.HandleFunc("POST /v1/batch", s.instrument(obs.EpBatch, s.handleBatch))
+	mux.HandleFunc("POST /v1/commands", s.handleCommands) // counts request lines itself, see settle
 	mux.HandleFunc("GET /v1/instances", s.instrument(obs.EpInstances, s.handleInstances))
 	mux.HandleFunc("GET /v1/instances/{id}", s.instrument(obs.EpInstances, s.handleInstance))
 	mux.HandleFunc("GET /v1/workitems", s.instrument(obs.EpWorkItems, s.handleWorkItems))
 	mux.HandleFunc("GET /v1/exceptions", s.instrument(obs.EpExceptions, s.handleExceptions))
 	mux.HandleFunc("GET /v1/watermarks", s.instrument(obs.EpWatermarks, s.handleWatermarks))
-	mux.HandleFunc("GET /v1/control-log", s.instrument(obs.EpControlLog, s.handleControlLog))
-	health := s.instrument(obs.EpHealth, s.handleHealth)
-	mux.HandleFunc("GET /v1/healthz", health)
-	mux.HandleFunc("GET /healthz", health)
+	mux.HandleFunc("GET /healthz", s.instrument(obs.EpHealth, s.handleHealth))
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /metrics.json", s.handleMetricsJSON)
 	mux.HandleFunc("GET /mine.json", s.handleMine)
@@ -120,11 +116,11 @@ func (s *Server) URL() string { return "http://" + s.Addr() }
 // stream; the ops routes keep answering, /healthz with 503 and
 // "draining":true — (2) every command already read is applied and
 // answered (bounded by ctx), (3) every staged journal record is forced
-// durable, (4) streams end: watermark and control-log tails after their
-// final events — resolving every receipt issued before Close — command
-// streams by closing the reply body, whether or not the client closed
-// its side, and (5) the HTTP server shuts down. Close does not close
-// the underlying System.
+// durable, (4) streams end: watermark streams after their final events —
+// resolving every receipt issued before Close — command streams by
+// closing the reply body, whether or not the client closed its side, and
+// (5) the HTTP server shuts down. Close does not close the underlying
+// System.
 func (s *Server) Close(ctx context.Context) error {
 	s.closeOnce.Do(func() {
 		s.draining.Store(true)
@@ -225,26 +221,29 @@ func (s *Server) acquireSlot(ctx context.Context) error {
 
 func (s *Server) releaseSlot() { <-s.sema }
 
-// pending is one command between its two halves: apply (decode → slot →
-// SubmitAsync) and settle (optional durability wait → reply). A command
-// stream's reader hands it to the stream's writer; the unary form runs
-// both halves in place.
+// pending is one request line between its two halves: apply (decode →
+// slot → SubmitAsync, or a frame's SubmitBatch) and settle (optional
+// durability wait → reply). A command stream's reader hands it to the
+// stream's writer; the unary form runs both halves in place.
 type pending struct {
 	start time.Time
 	res   SubmitResult
+	batch *BatchResponse  // a frame's reply, durable when set
 	rcpt  *adept2.Receipt // sync mode: the reply waits for it
 	err   error           // the reply is this error's envelope
 	slot  bool            // holds a backpressure slot until settled
 }
 
-// apply runs one command line up to the point where its record is
+// apply runs one request line up to the point where its record is
 // staged: decode through the registry, take a slot, SubmitAsync. The
 // command is dec's, and apply is done with it when SubmitAsync returns:
 // the journal has encoded its record by then (effect.release), and
-// nothing else keeps it. A reusing dec decodes the next line into it.
+// nothing else keeps it. A reusing dec decodes the next line into it. A
+// frame's commands are s.dec's, and the frame runs through SubmitBatch on
+// its one slot: what it applied is durable when apply returns.
 func (s *Server) apply(ctx context.Context, dec *adept2.WireDecoder, line []byte) (p pending) {
 	p.start = time.Now()
-	cmd, op, mode, err := decodeCommandLine(dec, line)
+	req, err := decodeCommandLine(dec, s.dec, line)
 	if err != nil {
 		s.met.RPCDecodeError()
 		p.err = err
@@ -254,13 +253,17 @@ func (s *Server) apply(ctx context.Context, dec *adept2.WireDecoder, line []byte
 		return p
 	}
 	p.slot = true
-	rcpt, err := s.sys.SubmitAsync(ctx, cmd)
+	if req.batch != nil {
+		p.batch = s.submitBatch(ctx, req.batch)
+		return p
+	}
+	rcpt, err := s.sys.SubmitAsync(ctx, req.cmd)
 	if err != nil {
 		p.err = err
 		return p
 	}
-	p.res = SubmitResult{Op: op, Shard: rcpt.Shard(), Seq: rcpt.Seq(), Result: resultSummary(rcpt.Result())}
-	if mode == "async" {
+	p.res = SubmitResult{Op: req.op, Shard: rcpt.Shard(), Seq: rcpt.Seq(), Result: resultSummary(rcpt.Result())}
+	if req.mode == "async" {
 		p.res.Durable = s.sys.DurableWatermark(p.res.Shard) >= p.res.Seq
 	} else {
 		p.rcpt = rcpt
@@ -268,10 +271,25 @@ func (s *Server) apply(ctx context.Context, dec *adept2.WireDecoder, line []byte
 	return p
 }
 
-// settle finishes a command: a sync submission waits for its record's
-// fsync, the slot frees, and the command is counted — one request and
-// one latency sample per command in either framing. The result is the
-// error the reply carries, nil for p.res.
+// submitBatch lands a frame's commands through SubmitBatch and projects
+// the applied results and the first failure onto its reply.
+func (s *Server) submitBatch(ctx context.Context, cmds []adept2.Command) *BatchResponse {
+	results, err := s.sys.SubmitBatch(ctx, cmds)
+	resp := &BatchResponse{Results: make([]*ResultSummary, len(results))}
+	for i, res := range results {
+		resp.Results[i] = resultSummary(res)
+	}
+	if err != nil {
+		resp.Error, _ = toWireError(err)
+	}
+	return resp
+}
+
+// settle finishes a request line: a sync submission waits for its
+// record's fsync, the slot frees, and the line is counted — one request
+// and one latency sample per line, a command or a frame, in either
+// framing. The result is the error the reply carries, nil for the reply
+// appendReply writes.
 func (s *Server) settle(ctx context.Context, p *pending) error {
 	if p.rcpt != nil {
 		p.err = p.rcpt.Wait(ctx)
@@ -284,10 +302,19 @@ func (s *Server) settle(ctx context.Context, p *pending) error {
 	return p.err
 }
 
+// appendReply appends a settled line's reply: its frame's BatchResponse,
+// or its command's SubmitResult.
+func (p *pending) appendReply(b []byte) []byte {
+	if p.batch != nil {
+		return appendBatchResponse(b, p.batch)
+	}
+	return appendSubmitResult(b, &p.res)
+}
+
 // handleCommands serves POST /v1/commands. An application/x-ndjson body
-// is a command stream (streamCommands); any other body is one command
-// answered with an HTTP status — the stream's length-one case, through
-// the same apply and settle.
+// is a command stream (streamCommands); any other body is one request
+// line, a command or a frame, answered with an HTTP status — the
+// stream's length-one case, through the same apply and settle.
 func (s *Server) handleCommands(w http.ResponseWriter, r *http.Request) {
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/x-ndjson") {
 		s.streamCommands(w, r)
@@ -299,7 +326,7 @@ func (s *Server) handleCommands(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeReply(w, appendSubmitResult(make([]byte, 0, 256), &p.res))
+	writeReply(w, p.appendReply(make([]byte, 0, 256)))
 }
 
 // writeReply answers 200 with an appended reply.
@@ -313,8 +340,8 @@ func writeReply(w http.ResponseWriter, reply []byte) {
 // bytes arrive; a longer body grows past it as it is read.
 const maxPresize = 1 << 20
 
-// readBody reads a request or reply body whole, in one allocation when it
-// declares its length.
+// readBody reads a request body whole, in one allocation when it declares
+// its length.
 func readBody(r io.Reader, length int64) ([]byte, error) {
 	var buf bytes.Buffer
 	buf.Grow(int(min(max(length, 0), maxPresize)) + bytes.MinRead) // MinRead free is where EOF is read
@@ -323,13 +350,13 @@ func readBody(r io.Reader, length int64) ([]byte, error) {
 }
 
 // streamCommands serves the full-duplex form: every non-empty request
-// line is one command envelope, every reply line its SubmitResult or
-// {"error":{…}}, in request order. This goroutine reads and applies
-// lines in arrival order — so one client's commands reach the committer
-// back to back and share flushes — and a writer settles and answers
-// them. The stream ends when the client closes its side, goes away, or
-// the server's drain reaches its last step; every line read by then is
-// answered before the reply body closes.
+// line is one command envelope or one frame, every reply line its
+// SubmitResult, BatchResponse or {"error":{…}}, in request order. This
+// goroutine reads and applies lines in arrival order — so one client's
+// commands reach the committer back to back and share flushes — and a
+// writer settles and answers them. The stream ends when the client
+// closes its side, goes away, or the server's drain reaches its last
+// step; every line read by then is answered before the reply body closes.
 func (s *Server) streamCommands(w http.ResponseWriter, r *http.Request) {
 	rc := http.NewResponseController(w)
 	if err := rc.EnableFullDuplex(); err != nil {
@@ -379,9 +406,9 @@ func commandLines(r io.Reader) *bufio.Scanner {
 	return sc
 }
 
-// writeReplies settles queued commands in order and writes one reply
-// line each, flushing whenever the queue runs empty. A client that left
-// fails the writes; its commands are settled all the same.
+// writeReplies settles queued lines in order and writes one reply line
+// each, flushing whenever the queue runs empty. A client that left fails
+// the writes; its commands are settled all the same.
 func (s *Server) writeReplies(ctx context.Context, w io.Writer, rc *http.ResponseController, queue <-chan pending) {
 	enc := json.NewEncoder(w)
 	var p pending
@@ -391,7 +418,7 @@ func (s *Server) writeReplies(ctx context.Context, w io.Writer, rc *http.Respons
 			we, _ := toWireError(err)
 			_ = enc.Encode(errorBody{Error: we})
 		} else {
-			line = appendSubmitResult(line[:0], &p.res)
+			line = p.appendReply(line[:0])
 			_, _ = w.Write(line)
 		}
 		p = pending{} // an idle stream must not pin its last receipt and result
@@ -399,39 +426,6 @@ func (s *Server) writeReplies(ctx context.Context, w io.Writer, rc *http.Respons
 			_ = rc.Flush()
 		}
 	}
-}
-
-// handleBatch serves POST /v1/batch: decode the whole body, land the run
-// through SubmitBatch (durable on return), answer the applied results
-// plus the in-band error envelope of the first failure. A body that does
-// not decode whole — trailing data included — runs nothing.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if err := s.acquireSlot(r.Context()); err != nil {
-		writeError(w, err)
-		return
-	}
-	defer s.releaseSlot()
-	body, err := readBody(r.Body, r.ContentLength)
-	var cmds []adept2.Command
-	if err != nil {
-		err = decodeErr("batch envelope", err)
-	} else {
-		cmds, err = decodeBatch(s.dec, body)
-	}
-	if err != nil {
-		s.met.RPCDecodeError()
-		writeError(w, err)
-		return
-	}
-	results, err := s.sys.SubmitBatch(r.Context(), cmds)
-	resp := BatchResponse{Results: make([]*ResultSummary, len(results))}
-	for i, res := range results {
-		resp.Results[i] = resultSummary(res)
-	}
-	if err != nil {
-		resp.Error, _ = toWireError(err)
-	}
-	writeReply(w, appendBatchResponse(make([]byte, 0, 128*len(results)+64), &resp))
 }
 
 // streamWriter serializes NDJSON lines from concurrent per-shard
@@ -453,7 +447,7 @@ func (sw *streamWriter) send(v any) {
 	sw.met.RPCStreamEvents(1)
 }
 
-// acquireStream admits one NDJSON subscriber, rejecting past
+// acquireStream admits one watermark subscriber, rejecting past
 // MaxStreams and during drain. The caller must releaseStream.
 func (s *Server) acquireStream(w http.ResponseWriter) (*streamWriter, bool) {
 	if s.draining.Load() {
@@ -541,64 +535,6 @@ func (s *Server) handleWatermarks(w http.ResponseWriter, r *http.Request) {
 		for k, wm := range s.sys.DurableWatermarks() {
 			sw.send(WatermarkEvent{Shard: k, Durable: wm, Final: true})
 		}
-	}
-}
-
-// handleControlLog serves GET /v1/control-log?after=N: the durable
-// control-log suffix as JSON, or — with &follow=1 — an NDJSON tail
-// that parks on the shard-0 watermark and pushes records as they
-// become durable. Records are epoch-stamped exactly as journaled.
-func (s *Server) handleControlLog(w http.ResponseWriter, r *http.Request) {
-	after, _ := strconv.Atoi(r.URL.Query().Get("after"))
-	if r.URL.Query().Get("follow") == "" {
-		recs, wm, err := s.sys.ControlLog(after)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		if recs == nil {
-			recs = []adept2.WireRecord{}
-		}
-		writeJSON(w, http.StatusOK, ControlLogPage{Records: recs, Watermark: wm})
-		return
-	}
-	sw, ok := s.acquireStream(w)
-	if !ok {
-		return
-	}
-	defer s.releaseStream()
-	ctx, cancel := s.streamContext(r)
-	defer cancel()
-
-	emit := func() bool {
-		recs, wm, err := s.sys.ControlLog(after)
-		if err != nil {
-			sw.send(ControlLogEvent{Err: err.Error(), Code: string(codeOf(err))})
-			return false
-		}
-		for i := range recs {
-			sw.send(ControlLogEvent{Record: &recs[i]})
-		}
-		if wm > after {
-			after = wm
-		}
-		return true
-	}
-	for {
-		if !emit() {
-			return
-		}
-		if err := s.sys.WaitDurable(ctx, 0, after+1); err != nil {
-			if ctx.Err() != nil {
-				break
-			}
-			sw.send(ControlLogEvent{Err: err.Error(), Code: string(codeOf(err))})
-			return
-		}
-	}
-	if s.draining.Load() {
-		emit()
-		sw.send(ControlLogEvent{Watermark: after, Final: true})
 	}
 }
 

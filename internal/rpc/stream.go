@@ -15,12 +15,12 @@ import (
 )
 
 // cmdStream is the client's end of one POST /v1/commands exchange in its
-// NDJSON form: command lines go down the request body, reply lines come
-// back up the response body in the same order, so the oldest waiting
-// call owns the next reply and nothing is correlated by id.
+// NDJSON form: command lines and frames go down the request body, reply
+// lines come back up the response body in the same order, so the oldest
+// waiting call owns the next reply and nothing is correlated by id.
 type cmdStream struct {
 	cancel context.CancelFunc // ends the HTTP exchange
-	body   *io.PipeWriter     // request body, one line per command
+	body   *io.PipeWriter     // request body, one line per command or frame
 
 	mu    sync.Mutex
 	calls []*call // awaiting replies, oldest at head
@@ -35,7 +35,9 @@ type cmdStream struct {
 type call struct {
 	done  chan struct{}
 	op    string // as sent: an acknowledgement names it back
+	frame bool   // the line was a frame: its reply is batch's
 	reply replyLine
+	batch BatchResponse
 	err   error
 }
 
@@ -86,15 +88,10 @@ func streamLost(cause error) error {
 		Err: fmt.Errorf("rpc: command stream lost: %w", cause)}
 }
 
-// send writes one command line down the stream, dialing it if there is
-// none, and returns the call that will receive its reply.
-func (c *Client) send(ctx context.Context, cmd adept2.Command, mode string) (*call, error) {
-	c.cmdMu.Lock()
-	defer c.cmdMu.Unlock()
-	op, err := c.out.encode(cmd, mode)
-	if err != nil {
-		return nil, err
-	}
+// send writes the line c.out holds down the stream, dialing it if there
+// is none, and returns the call, named op, that will receive its reply (a
+// frame's reply if frame). Callers hold cmdMu.
+func (c *Client) send(ctx context.Context, op string, frame bool) (*call, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, &adept2.Error{Code: adept2.CodeCanceled, Op: op, Err: err}
 	}
@@ -104,9 +101,10 @@ func (c *Client) send(ctx context.Context, cmd adept2.Command, mode string) (*ca
 	} else {
 		cl = &call{done: make(chan struct{}, 1)}
 	}
-	cl.op = op
+	cl.op, cl.frame = op, frame
 	st := c.cmds
 	if st == nil || st.push(cl) != nil {
+		var err error
 		if st, err = c.openCommands(ctx); err != nil {
 			return nil, err
 		}
@@ -141,23 +139,23 @@ func (lb *lineBuf) encode(cmd adept2.Command, mode string) (string, error) {
 	return op, nil
 }
 
-// batchBody builds the POST /v1/batch body of cmds, byte for byte what
-// encoding/json makes of their batchRequest, each envelope built as a
-// command line's is.
-func batchBody(cmds []adept2.Command) ([]byte, error) {
-	var lb lineBuf
-	body := append(make([]byte, 0, 128*len(cmds)), `{"commands":[`...)
+// encodeFrame builds the frame of cmds, {"batch":[…]}, byte for byte
+// what encoding/json writes for it, each envelope built as a command
+// line's is.
+func (lb *lineBuf) encodeFrame(cmds []adept2.Command) error {
+	b := append(lb.line[:0], `{"batch":[`...)
 	for i, cmd := range cmds {
 		if i > 0 {
-			body = append(body, ',')
+			b = append(b, ',')
 		}
 		var err error
-		if _, body, err = lb.appendEnvelope(body, cmd); err != nil {
-			return nil, err
+		if _, b, err = lb.appendEnvelope(b, cmd); err != nil {
+			return err
 		}
-		body = append(body, '}')
+		b = append(b, '}')
 	}
-	return append(body, "]}"...), nil
+	lb.line = append(b, "]}\n"...)
+	return nil
 }
 
 // appendEnvelope appends cmd's Envelope to b as encoding/json writes it,
@@ -179,7 +177,7 @@ func (lb *lineBuf) appendEnvelope(b []byte, cmd adept2.Command) (string, []byte,
 
 // release returns a call whose reply its submitter has taken.
 func (c *Client) release(cl *call) {
-	cl.reply = replyLine{}
+	cl.reply, cl.batch = replyLine{}, BatchResponse{}
 	c.cmdMu.Lock()
 	c.free = append(c.free, cl)
 	c.cmdMu.Unlock()
@@ -266,11 +264,14 @@ func (c *Client) readReplies(st *cmdStream, body io.ReadCloser) {
 
 var replyKeys = [...]string{"op", "shard", "seq", "durable", "result"}
 
-// read decodes a reply line into the call. An acknowledgement — four
-// plain members, the op the one sent, and a result readResult reads, if
-// any — is read in place; a report, an error envelope or anything
-// unexpected is encoding/json's.
+// read decodes a reply line into the call. A frame's is
+// readBatchResponse's. An acknowledgement — four plain members, the op
+// the one sent, and a result readResult reads, if any — is read in place;
+// a report, an error envelope or anything unexpected is encoding/json's.
 func (cl *call) read(line []byte) error {
+	if cl.frame {
+		return readBatchResponse(line, &cl.batch)
+	}
 	var vals [len(replyKeys)][]byte
 	if json.Valid(line) && jsonx.Members(line, replyKeys[:], vals[:]) {
 		op, ok0 := jsonx.Str(vals[0])
@@ -294,21 +295,33 @@ func (cl *call) read(line []byte) error {
 // submit sends one command down the stream and waits for its reply: the
 // call comes back answered, for the caller to copy from and release.
 func (c *Client) submit(ctx context.Context, cmd adept2.Command, mode string) (*call, error) {
-	cl, err := c.send(ctx, cmd, mode)
+	c.cmdMu.Lock()
+	op, err := c.out.encode(cmd, mode)
+	var cl *call
+	if err == nil {
+		cl, err = c.send(ctx, op, false)
+	}
+	c.cmdMu.Unlock()
+	if err == nil {
+		err = cl.wait(ctx)
+	}
 	if err != nil {
 		return nil, err
-	}
-	select {
-	case <-cl.done:
-	case <-ctx.Done():
-		return nil, &adept2.Error{Code: adept2.CodeCanceled, Op: cl.op, Err: ctx.Err()}
-	}
-	if cl.err != nil {
-		return nil, cl.err
 	}
 	if we := cl.reply.Error; we != nil {
 		c.release(cl)
 		return nil, we.Err()
 	}
 	return cl, nil
+}
+
+// wait parks until the call is answered, or fails with ErrCanceled when
+// ctx ends first; the call then keeps its place in the stream.
+func (cl *call) wait(ctx context.Context) error {
+	select {
+	case <-cl.done:
+		return cl.err
+	case <-ctx.Done():
+		return &adept2.Error{Code: adept2.CodeCanceled, Op: cl.op, Err: ctx.Err()}
+	}
 }

@@ -67,13 +67,26 @@ func (rs *rawStream) send(line string) {
 // reply reads the next reply line; ok is false once the reply body ended.
 func (rs *rawStream) reply() (r rawReply, ok bool) {
 	rs.t.Helper()
+	return r, rs.read(&r)
+}
+
+// batchReply reads the next reply line as a frame's.
+func (rs *rawStream) batchReply() (r rpc.BatchResponse, ok bool) {
+	rs.t.Helper()
+	return r, rs.read(&r)
+}
+
+// read decodes the next reply line into v; false once the reply body
+// ended.
+func (rs *rawStream) read(v any) bool {
+	rs.t.Helper()
 	if !rs.replies.Scan() {
-		return r, false
+		return false
 	}
-	if err := json.Unmarshal(rs.replies.Bytes(), &r); err != nil {
+	if err := json.Unmarshal(rs.replies.Bytes(), v); err != nil {
 		rs.t.Fatalf("reply line %q: %v", rs.replies.Bytes(), err)
 	}
-	return r, true
+	return true
 }
 
 // eventually polls cond until it holds, failing the test after 5 s.
@@ -124,6 +137,74 @@ func TestCommandStreamBadLines(t *testing.T) {
 	if ep.Requests != 5 || ep.Failures != 4 || ep.Latency.Count != 5 || snap.RPC.DecodeErrors != 4 {
 		t.Fatalf("one stream of 5 commands, 4 rejected: requests %d failures %d latency samples %d decode errors %d",
 			ep.Requests, ep.Failures, ep.Latency.Count, snap.RPC.DecodeErrors)
+	}
+}
+
+// TestCommandStreamBadFrames: a frame with data after it, a null element,
+// an element that carries a mode, or an unknown op in its third element
+// answers one invalid envelope in its position, runs none of its commands,
+// and the stream carries on: the good frame after it runs.
+func TestCommandStreamBadFrames(t *testing.T) {
+	sys := openSystem(t, adept2.CheckpointConfig{})
+	srv, _ := serve(t, sys, rpc.Options{})
+	rs := openRawStream(t, srv.URL())
+
+	for _, frame := range []string{
+		`{"batch":[` + createLine + `,` + createLine + `]} {"batch":[]}`,
+		`{"batch":[` + createLine + `,null]}`,
+		`{"batch":[` + createLine + `,{"op":"create","args":{"type":"online_order"},"mode":"async"}]}`,
+		`{"batch":[` + createLine + `,` + createLine + `,{"op":"no_such_op","args":{}}]}`,
+	} {
+		head := sys.JournalSeq()
+		rs.send(frame)
+		if r, ok := rs.reply(); !ok || r.Error == nil || r.Error.Code != string(adept2.CodeInvalid) {
+			t.Fatalf("%s: want an invalid envelope, got %+v (replied %t)", frame, r, ok)
+		}
+		if got := sys.JournalSeq(); got != head {
+			t.Fatalf("%s: the journal head moved from %d to %d", frame, head, got)
+		}
+		rs.send(`{"batch":[` + createLine + `]}`)
+		if r, ok := rs.batchReply(); !ok || r.Error != nil || len(r.Results) != 1 || r.Results[0] == nil || r.Results[0].Instance == nil {
+			t.Fatalf("the frame after %s: want one create result, got %+v (replied %t)", frame, r, ok)
+		}
+	}
+	if n := len(sys.Instances()); n != 4 {
+		t.Fatalf("%d instances, want only the four good frames' creates", n)
+	}
+}
+
+// TestCommandStreamBatchRefusal: a frame whose third command is refused
+// answers the two results before it, durable, and the refusal's envelope,
+// and runs nothing after it — on a raw stream, and through
+// Client.SubmitBatch, which mirrors System.SubmitBatch.
+func TestCommandStreamBatchRefusal(t *testing.T) {
+	sys := openSystem(t, adept2.CheckpointConfig{})
+	srv, cli := serve(t, sys, rpc.Options{})
+	rs := openRawStream(t, srv.URL())
+	const ghost = `{"op":"start","args":{"instance":"ghost","node":"get_order","user":"ann"}}`
+
+	rs.send(`{"batch":[` + createLine + `,` + createLine + `,` + ghost + `,` + createLine + `]}`)
+	r, ok := rs.batchReply()
+	if !ok || len(r.Results) != 2 || r.Error == nil || r.Error.Code != string(adept2.CodeNotFound) {
+		t.Fatalf("a frame refused at its third command: %+v (replied %t), want two results and a not_found envelope", r, ok)
+	}
+	for i, res := range r.Results {
+		if res == nil || res.Instance == nil {
+			t.Fatalf("result %d of the durable prefix: %+v", i, res)
+		}
+	}
+	if wm, seq := sys.DurableWatermarks()[0], sys.JournalSeq(); wm != seq {
+		t.Fatalf("the prefix was answered at watermark %d, journal head %d", wm, seq)
+	}
+
+	create := &adept2.CreateInstance{TypeName: "online_order"}
+	results, err := cli.SubmitBatch(context.Background(), []adept2.Command{
+		create, create, &adept2.StartActivity{Instance: "ghost", Node: "get_order", User: "ann"}, create})
+	if !errors.Is(err, adept2.ErrNotFound) || len(results) != 2 || results[0].Instance == nil || results[1].Instance == nil {
+		t.Fatalf("Client.SubmitBatch refused at its third command: %+v, %v", results, err)
+	}
+	if n := len(sys.Instances()); n != 4 {
+		t.Fatalf("%d instances, want the two prefixes' four", n)
 	}
 }
 
@@ -410,12 +491,15 @@ func TestClientSubmitAllocations(t *testing.T) {
 
 // TestPipelinedStreamJournalMatchesLocal: one seeded stream of creates,
 // starts, completions with outputs and without, suspensions, resumptions
-// and failures is submitted in process, one Submit at a time, and over
-// one command stream as async lines in windows of 64, so the server's
+// and failures is submitted in process — one Submit at a time, and now
+// and then a run of them through one SubmitBatch — and over one command
+// stream as async lines and frames in windows of 64, so the server's
 // reader decodes each line into the structs its predecessor used while
-// that one's record is staged and flushed. Both systems run on one fixed
-// clock: every reply must report the in-process outcome, and the two
-// journals must be byte-identical. CI runs it under -race.
+// that one's record is staged and flushed, and a frame's into the shared
+// decoder's. Both systems run on one fixed clock: every reply must report
+// the in-process outcome — a frame's, its applied prefix and first
+// refusal — and the two journals must be byte-identical. CI runs it under
+// -race.
 func TestPipelinedStreamJournalMatchesLocal(t *testing.T) {
 	ctx := context.Background()
 	clock := adept2.WithClock(func() time.Time { return time.Unix(1_700_000_000, 0) })
@@ -436,63 +520,114 @@ func TestPipelinedStreamJournalMatchesLocal(t *testing.T) {
 	remote, remotePath := open("remote.ndjson")
 
 	// The stream is proposed from the in-process system's state and
-	// applied there as it is proposed; want holds each command's code.
+	// applied there as it is proposed: a line's command by Submit, a
+	// frame's, all proposed from the state before it, by SubmitBatch. want
+	// holds each line's outcome: a command's code, a frame's applied count
+	// and code.
 	rng := rand.New(rand.NewSource(1))
+	type line struct {
+		cmds  []adept2.Command
+		frame bool
+		want  string
+	}
 	var ids []string
-	var cmds []adept2.Command
-	var want []string
+	var lines []line
+	n, frames := 0, 0
 	kinds := map[string]int{}
-	for len(cmds) < 640 {
-		cmd := proposeMixed(rng, local, ids)
-		res, err := local.Submit(ctx, cmd)
+	applied := func(cmd adept2.Command, res any) {
 		if inst, ok := res.(*adept2.Instance); ok {
 			ids = append(ids, inst.ID())
 		}
-		cmds, want = append(cmds, cmd), append(want, codeString(err))
-		if err == nil {
-			kind := cmd.CommandName()
-			if c, ok := cmd.(*adept2.CompleteActivity); ok && c.Outputs != nil {
-				kind += "+outputs"
-			}
-			kinds[kind]++
+		kind := cmd.CommandName()
+		if c, ok := cmd.(*adept2.CompleteActivity); ok && c.Outputs != nil {
+			kind += "+outputs"
 		}
+		kinds[kind]++
+	}
+	for n < 640 {
+		if rng.Intn(8) > 0 {
+			cmd := proposeMixed(rng, local, ids)
+			res, err := local.Submit(ctx, cmd)
+			if err == nil {
+				applied(cmd, res)
+			}
+			lines = append(lines, line{cmds: []adept2.Command{cmd}, want: codeString(err)})
+			n++
+			continue
+		}
+		batch := make([]adept2.Command, 1+rng.Intn(6))
+		for i := range batch {
+			batch[i] = proposeMixed(rng, local, ids)
+		}
+		results, err := local.SubmitBatch(ctx, batch)
+		for i, res := range results {
+			applied(batch[i], res)
+		}
+		lines = append(lines, line{cmds: batch, frame: true, want: fmt.Sprintf("%d applied, %q", len(results), codeString(err))})
+		n += len(batch)
+		frames++
 	}
 	for _, kind := range []string{"create", "start", "complete", "complete+outputs", "suspend", "resume", "fail"} {
 		if kinds[kind] == 0 {
 			t.Fatalf("the stream applied no %s (applied: %v)", kind, kinds)
 		}
 	}
+	if frames == 0 {
+		t.Fatal("the stream sent no frame")
+	}
 
 	srv, _ := serve(t, remote, rpc.Options{})
 	rs := openRawStream(t, srv.URL())
-	for start := 0; start < len(cmds); start += 64 {
-		window := cmds[start:min(start+64, len(cmds))]
-		var lines []byte
-		for _, cmd := range window {
-			op, args, err := adept2.EncodeCommand(cmd)
-			if err != nil {
-				t.Fatal(err)
+	for start := 0; start < len(lines); start += 64 {
+		window := lines[start:min(start+64, len(lines))]
+		var body []byte
+		for _, l := range window {
+			envs := make([]rpc.Envelope, len(l.cmds))
+			for i, cmd := range l.cmds {
+				op, args, err := adept2.EncodeCommand(cmd)
+				if err != nil {
+					t.Fatal(err)
+				}
+				envs[i] = rpc.Envelope{Op: op, Args: args}
 			}
-			line, _ := json.Marshal(struct {
-				Op   string          `json:"op"`
-				Args json.RawMessage `json:"args"`
-				Mode string          `json:"mode"`
-			}{op, args, "async"})
-			lines = append(append(lines, line...), '\n')
+			var enc []byte
+			if l.frame {
+				enc, _ = json.Marshal(struct {
+					Batch []rpc.Envelope `json:"batch"`
+				}{envs})
+			} else {
+				enc, _ = json.Marshal(struct {
+					rpc.Envelope
+					Mode string `json:"mode"`
+				}{envs[0], "async"})
+			}
+			body = append(append(body, enc...), '\n')
 		}
 		written := make(chan error, 1)
-		go func() { _, err := rs.lines.Write(lines); written <- err }()
-		for i := range window {
-			r, ok := rs.reply()
+		go func() { _, err := rs.lines.Write(body); written <- err }()
+		for i, l := range window {
+			var got string
+			var ok bool
+			if l.frame {
+				var r rpc.BatchResponse
+				r, ok = rs.batchReply()
+				code := ""
+				if r.Error != nil {
+					code = r.Error.Code
+				}
+				got = fmt.Sprintf("%d applied, %q", len(r.Results), code)
+			} else {
+				var r rawReply
+				r, ok = rs.reply()
+				if r.Error != nil {
+					got = r.Error.Code
+				}
+			}
 			if !ok {
-				t.Fatalf("reply body ended at command %d", start+i)
+				t.Fatalf("reply body ended at line %d", start+i)
 			}
-			got := ""
-			if r.Error != nil {
-				got = r.Error.Code
-			}
-			if got != want[start+i] {
-				t.Fatalf("command %d (%#v): remote %q, in process %q", start+i, window[i], got, want[start+i])
+			if got != l.want {
+				t.Fatalf("line %d (%#v): remote %s, in process %s", start+i, l.cmds, got, l.want)
 			}
 		}
 		if err := <-written; err != nil {
@@ -514,7 +649,7 @@ func TestPipelinedStreamJournalMatchesLocal(t *testing.T) {
 		t.Fatalf("journals differ: %d bytes in process, %d over the stream, first difference at byte %d",
 			len(lj), len(rj), firstDifference(lj, rj))
 	}
-	t.Logf("%d commands, applied %v; both journals hold the same %d bytes", len(cmds), kinds, len(lj))
+	t.Logf("%d commands in %d lines, %d of them frames, applied %v; both journals hold the same %d bytes", n, len(lines), frames, kinds, len(lj))
 }
 
 // proposeMixed picks the next command of the pipelined stream from sys's

@@ -20,32 +20,47 @@ type Envelope struct {
 	Args json.RawMessage `json:"args"`
 }
 
-// commandRequest is the POST /v1/commands body, and each line of its
-// NDJSON form: an Envelope plus the submission mode ("sync" — the
-// default — blocks until the record is fsync-covered; "async" returns as
-// soon as the mutation is applied and the record staged, handing back a
-// receipt token).
+// commandRequest is one request line of the command plane: a line of a
+// command stream, or the unary POST /v1/commands body. A command line is
+// an Envelope plus the submission mode ("sync" — the default — blocks
+// until the record is fsync-covered; "async" returns as soon as the
+// mutation is applied and the record staged, handing back a receipt
+// token). A frame is a batch of envelopes and nothing else: it has no op,
+// args or mode of its own, and no element carries a mode or a batch.
 type commandRequest struct {
 	Envelope
-	Mode string `json:"mode,omitempty"`
+	Mode  string           `json:"mode,omitempty"`
+	Batch []commandRequest `json:"batch,omitempty"`
 }
 
-// decodeCommandLine decodes one command — the unary POST /v1/commands
-// body, or one line of the stream — into the typed command, its op name
-// and the submission mode. It is the plane's network-facing decoder:
-// every failure is ErrInvalid and leaves nothing behind for the next
-// line.
+// request is one decoded request line: a command with its op name and
+// mode, or a frame's commands (batch not nil, and no cmd).
+type request struct {
+	cmd      adept2.Command
+	op, mode string
+	batch    []adept2.Command
+}
+
+// decodeCommandLine decodes one request line, the unary POST /v1/commands
+// body or one line of the stream, into its command, or a frame into its
+// commands. It is the plane's network-facing decoder: every failure is
+// ErrInvalid, a frame decodes whole or not at all, and nothing is left
+// behind for the next line.
 //
 // A line that is valid JSON and whose envelope is plain (cutEnvelope) is
 // read in one pass: dec decodes the args where they lie in the line, a
-// flat command from its field table, with the names its System holds. Any
-// other line is decodeCommandLineJSON's, which is also what says why a bad
-// line is bad.
-func decodeCommandLine(dec *adept2.WireDecoder, line []byte) (adept2.Command, string, string, error) {
+// flat command from its field table, with the names its System holds. A
+// plain frame is read the same way, by frames (decodeBatch). Any other
+// line is decodeCommandLineJSON's, which is also what says why a bad line
+// is bad.
+func decodeCommandLine(dec, frames *adept2.WireDecoder, line []byte) (request, error) {
 	if json.Valid(line) {
 		if op, args, mode, plain := cutEnvelope(line); plain {
 			cmd, name, err := dec.Decode(op, args)
-			return cmd, name, mode, err
+			return request{cmd: cmd, op: name, mode: mode}, err
+		}
+		if batch, plain := decodeBatch(frames, line); plain {
+			return request{batch: batch}, nil
 		}
 	}
 	return decodeCommandLineJSON(line)
@@ -58,7 +73,7 @@ var (
 	plainModes = map[string]string{"": "", `"sync"`: "sync", `"async"`: "async"}
 )
 
-// cutEnvelope is the one envelope reader, for a command line and a batch
+// cutEnvelope is the one envelope reader, for a command line and a frame's
 // element alike: it cuts data, which json.Valid has accepted, into the op
 // name's bytes, the args span and the mode, all in place. It reports not
 // plain unless the envelope's members are op, args and mode spelled so,
@@ -75,80 +90,69 @@ func cutEnvelope(data []byte) (op, args []byte, mode string, plain bool) {
 	return op, args, mode, plain && known && len(args) > 0 && args[0] == '{'
 }
 
-// decodeCommandLineJSON is decodeCommandLine by encoding/json alone: the
-// reference the one-pass reader is held to (FuzzDecodeAgainstJSON) and
-// the decoder of every line that reader declines.
-func decodeCommandLineJSON(line []byte) (cmd adept2.Command, op, mode string, err error) {
-	var req commandRequest
-	if err := json.Unmarshal(line, &req); err != nil {
-		return nil, "", "", decodeErr("command envelope", err)
-	}
-	switch req.Mode {
-	case "", "sync", "async":
-	default:
-		return nil, "", "", decodeErr("command envelope", fmt.Errorf("mode %q is neither sync nor async", req.Mode))
-	}
-	cmd, err = adept2.DecodeWireCommand(req.Op, req.Args)
-	return cmd, req.Op, req.Mode, err
-}
+var batchKeys = [...]string{"batch"}
 
-// batchRequest is the POST /v1/batch body. The server runs it through
-// System.SubmitBatch, so it is durable when the response arrives.
-type batchRequest struct {
-	Commands []Envelope `json:"commands"`
-}
-
-var batchKeys = [...]string{"commands"}
-
-// decodeBatch decodes a POST /v1/batch body into its commands; every
-// failure is ErrInvalid, and nothing runs unless the whole body decodes.
-//
-// A body that is valid JSON and plain — one member, "commands", spelled
-// so and there once, an array whose every element is an envelope
-// cutEnvelope reads, without a mode, and whose args decode — is read in
-// one pass, each element as a command line is, by dec, which must not
-// reuse its structs: a batch holds all its commands at once. Any other
-// body is decodeBatchJSON's, whole, so what a body means and why a bad one
-// is bad are encoding/json's to say (FuzzBatchAgainstJSON holds the two
-// together).
-func decodeBatch(dec *adept2.WireDecoder, body []byte) ([]adept2.Command, error) {
+// decodeBatch reads a plain frame, which json.Valid has accepted: one
+// member, "batch", spelled so and there once, an array whose every
+// element is an envelope cutEnvelope reads, without a mode, and whose
+// args decode. Each element is decoded as a command line is, by dec,
+// which must not reuse its structs: a frame holds all its commands at
+// once. It reports not plain for any other line, which then goes to
+// encoding/json whole.
+func decodeBatch(dec *adept2.WireDecoder, line []byte) ([]adept2.Command, bool) {
 	var vals [len(batchKeys)][]byte
 	n := 0
 	count := func([]byte) bool { n++; return true }
-	if json.Valid(body) && jsonx.Members(body, batchKeys[:], vals[:]) && vals[0] != nil && jsonx.Array(vals[0], count) {
-		cmds := make([]adept2.Command, 0, n)
-		if jsonx.Array(vals[0], func(elem []byte) bool {
-			op, args, mode, plain := cutEnvelope(elem)
-			if !plain || mode != "" {
-				return false
-			}
-			cmd, _, err := dec.Decode(op, args)
-			cmds = append(cmds, cmd)
-			return err == nil
-		}) {
-			return cmds, nil
-		}
+	if !jsonx.Members(line, batchKeys[:], vals[:]) || vals[0] == nil || !jsonx.Array(vals[0], count) {
+		return nil, false
 	}
-	return decodeBatchJSON(body)
+	cmds := make([]adept2.Command, 0, n)
+	plain := jsonx.Array(vals[0], func(elem []byte) bool {
+		op, args, mode, ok := cutEnvelope(elem)
+		if !ok || mode != "" {
+			return false
+		}
+		cmd, _, err := dec.Decode(op, args)
+		cmds = append(cmds, cmd)
+		return err == nil
+	})
+	return cmds, plain
 }
 
-// decodeBatchJSON is decodeBatch by encoding/json alone: the body by
-// Unmarshal, which refuses anything after the one object, and each
-// envelope through the registry.
-func decodeBatchJSON(body []byte) ([]adept2.Command, error) {
-	var req batchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, decodeErr("batch envelope", err)
+// decodeCommandLineJSON is decodeCommandLine by encoding/json alone: the
+// reference the one-pass reader is held to (FuzzDecodeAgainstJSON) and
+// the decoder of every line that reader declines. json.Unmarshal refuses
+// anything after the one object, so a frame with trailing data runs
+// nothing.
+func decodeCommandLineJSON(line []byte) (request, error) {
+	var req commandRequest
+	if err := json.Unmarshal(line, &req); err != nil {
+		return request{}, decodeErr("command envelope", err)
 	}
-	cmds := make([]adept2.Command, len(req.Commands))
-	for i, env := range req.Commands {
+	if req.Batch == nil {
+		switch req.Mode {
+		case "", "sync", "async":
+		default:
+			return request{}, decodeErr("command envelope", fmt.Errorf("mode %q is neither sync nor async", req.Mode))
+		}
+		cmd, err := adept2.DecodeWireCommand(req.Op, req.Args)
+		return request{cmd: cmd, op: req.Op, mode: req.Mode}, err
+	}
+	if req.Op != "" || req.Args != nil || req.Mode != "" {
+		return request{}, decodeErr("batch frame", errors.New("a frame carries no op, args or mode"))
+	}
+	cmds := make([]adept2.Command, len(req.Batch))
+	for i, env := range req.Batch {
+		if env.Mode != "" || env.Batch != nil {
+			return request{}, decodeErr(fmt.Sprintf("batch command %d", i), errors.New("a frame's command carries no mode or batch"))
+		}
 		cmd, err := adept2.DecodeWireCommand(env.Op, env.Args)
 		if err != nil {
-			return nil, decodeErr(fmt.Sprintf("batch command %d", i), err)
+			return request{}, decodeErr(fmt.Sprintf("batch command %d", i), err)
 		}
 		cmds[i] = cmd
 	}
-	return cmds, nil
+	return request{batch: cmds}, nil
 }
 
 // SubmitResult answers a command submission. Shard and Seq are the
@@ -181,11 +185,12 @@ type ResultSummary struct {
 	Report   *ReportSummary   `json:"report,omitempty"`
 }
 
-// BatchResponse answers POST /v1/batch: one ResultSummary per applied
-// command (the applied prefix on error — its journal records are
-// durable even when a later command failed) and the in-band error
-// envelope of the first failure, if any. The HTTP status is 200
-// whenever the batch was dispatched, because partial results matter.
+// BatchResponse answers a frame, on a stream or as the unary reply: one
+// ResultSummary per applied command (the applied prefix on error — its
+// journal records are durable even when a later command failed) and the
+// in-band error envelope of the first failure, if any. The unary form
+// answers 200 whenever the frame was dispatched, because partial results
+// matter.
 type BatchResponse struct {
 	Results []*ResultSummary `json:"results"`
 	Error   *WireError       `json:"error,omitempty"`
@@ -256,25 +261,6 @@ type WatermarkEvent struct {
 // durable watermark, indexed by shard.
 type WatermarksSnapshot struct {
 	Durable []int `json:"durable"`
-}
-
-// ControlLogEvent is one line of the GET /v1/control-log?follow=1
-// NDJSON stream: a durable control-log record, an error, or the Final
-// watermark emitted on drain.
-type ControlLogEvent struct {
-	Record    *adept2.WireRecord `json:"record,omitempty"`
-	Watermark int                `json:"watermark,omitempty"`
-	Err       string             `json:"err,omitempty"`
-	Code      string             `json:"code,omitempty"`
-	Final     bool               `json:"final,omitempty"`
-}
-
-// ControlLogPage answers the non-follow GET /v1/control-log read: the
-// durable suffix after the requested sequence number and the watermark
-// the read was gated on (resume from it).
-type ControlLogPage struct {
-	Records   []adept2.WireRecord `json:"records"`
-	Watermark int                 `json:"watermark"`
 }
 
 // InstanceSummary is one instance's wire projection.
@@ -357,7 +343,7 @@ type ExceptionList struct {
 	Exceptions []ExceptionSummary `json:"exceptions"`
 }
 
-// HealthSummary answers GET /healthz and /v1/healthz (status 200
+// HealthSummary answers GET /healthz (status 200
 // healthy, 503 unhealthy or draining). Shards sizes a client's
 // watermark tracking.
 type HealthSummary struct {
@@ -426,12 +412,12 @@ func decodeErr(what string, err error) error {
 		Err: fmt.Errorf("rpc: malformed %s: %w", what, err)}
 }
 
-// The command plane's replies — a SubmitResult on a stream or a unary
-// POST /v1/commands, a BatchResponse — are appended by the one appender
-// below, byte for byte what json.Encoder writes for the same value, its
-// newline included; a migration report and an error envelope inside one
-// go through encoding/json. The client reads a reply in place where it
-// is plain (readResult) and hands anything else to encoding/json.
+// The command plane's replies — a command's SubmitResult and a frame's
+// BatchResponse, on a stream or as a unary reply — are appended by the
+// one appender below, byte for byte what json.Encoder writes for the same
+// value, its newline included; a migration report and an error envelope
+// inside one go through encoding/json. The client reads a reply in place
+// where it is plain (readResult) and hands anything else to encoding/json.
 // FuzzRepliesAgainstJSON holds both directions to the reference.
 
 // appendSubmitResult appends r as json.Encoder writes it.
@@ -565,7 +551,7 @@ func readResult(val []byte) (*ResultSummary, bool) {
 
 var batchReplyKeys = [...]string{"results", "error"}
 
-// readBatchResponse reads a POST /v1/batch reply into r: in place when it
+// readBatchResponse reads a frame's reply line into r: in place when it
 // is plain — a results array of what readResult reads and no error —
 // and by encoding/json otherwise.
 func readBatchResponse(body []byte, r *BatchResponse) error {

@@ -52,11 +52,6 @@ type System struct {
 
 	recovery *RecoveryInfo
 
-	// fsys is the filesystem every durability artifact lives on (vfs.OS
-	// unless WithVFS injected one). The wire plane's control-log tail
-	// reads journal suffixes through it.
-	fsys vfs.FS
-
 	// nowFn is the system clock (unix nanos), injectable via WithClock
 	// so deterministic soaks drive deadlines with a logical clock. Only
 	// the live path reads it — every timestamp that matters is stamped
@@ -240,7 +235,7 @@ func newSystem(c *config) *System {
 	}
 	e := engine.New(o)
 	return &System{eng: e, mgr: evolution.NewManager(e), layout: sharded.Layout{Shards: 1},
-		fsys: c.fsys(), nowFn: c.nowFn, policy: c.policy}
+		nowFn: c.nowFn, policy: c.policy}
 }
 
 // Open creates a System backed by the journal layout rooted at path,

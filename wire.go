@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-
-	"adept2/internal/persist"
 )
 
 // This file is the façade's wire plane: the exported choke points the
@@ -258,34 +256,4 @@ func (s *System) SyncDurable() error {
 		return nil // New(): nothing staged
 	}
 	return wrapErr("sync", "", s.wal.Sync())
-}
-
-// WireRecord is one journal record in wire form: the shard-local
-// sequence number, the control epoch it was stamped under (0 on the
-// control log itself), and the registry op + args. DecodeWireCommand
-// turns Op/Args back into the typed command.
-type WireRecord = persist.Record
-
-// ControlLog reads the durable suffix of the control log — shard 0's
-// journal, the epoch-stamping global ordering primitive (with one shard,
-// the whole journal) — returning records with afterSeq < seq <= durable
-// watermark. Staged-but-unflushed records are withheld: a tail subscriber
-// must never observe a record a crash could still revoke. The second
-// result is the watermark the read was gated on, so a tailer resumes from
-// max(lastSeen, watermark) without re-scanning. A system created with New
-// has watermark 0 and returns (nil, 0, nil).
-func (s *System) ControlLog(afterSeq int) ([]WireRecord, int, error) {
-	wm := s.DurableWatermarks()[0]
-	if wm <= max(afterSeq, 0) {
-		return nil, wm, nil
-	}
-	recs, _, err := persist.LoadJournalSuffixFS(s.fsys, s.layout.Base, afterSeq)
-	if err != nil {
-		return nil, 0, wrapErr("control_log", "", err)
-	}
-	n := 0
-	for n < len(recs) && recs[n].Seq <= wm { // past the fsync watermark: not durable yet
-		n++
-	}
-	return recs[:n], wm, nil
 }
