@@ -22,8 +22,7 @@ import (
 // Command is one typed, journal-able state mutation of a System. Every
 // mutation — instance execution, ad-hoc change, schema evolution, org and
 // deployment changes — is a value implementing Command, submitted through
-// Submit, SubmitAsync, or SubmitBatch (System.Fail submits a FailActivity
-// its exception policy completed). One registry owns each command's
+// Submit, SubmitAsync, or SubmitBatch. One registry owns each command's
 // journal name, JSON codec, control/data classification, and engine
 // application, and the SAME table drives both the live path and
 // crash-recovery replay, so a command type cannot drift between execution
@@ -330,6 +329,9 @@ func newWireForm[W any]() *wireForm[W] {
 	f := new(wireForm[W])
 	for i := 0; i < typ.NumField(); i++ {
 		sf := typ.Field(i)
+		if !sf.IsExported() {
+			continue // no member of the wire form
+		}
 		var kind fieldKind
 		switch t := sf.Type; {
 		case t.Kind() == reflect.String:
@@ -768,14 +770,13 @@ func (c *StartActivity) run(s *System) (effect, error) {
 	return effect{inst: c.Instance, op: "start", at: at}, nil
 }
 
-// FailActivity records a process-level failure of a running activity:
-// the attempt is undone (the node reverts to activated) and purged from
-// the logical history, so compliance judges the instance as if the
-// attempt never ran. RetryAt > 0 suppresses the work-item re-offer until
-// that time (retry backoff); Pending suppresses it until a policy
-// compensation lands. System.Fail fills both from the exception policy's
-// reaction; direct submitters may leave them zero for an immediate
-// re-offer.
+// FailActivity reports the failure of a running activity: the attempt is
+// undone (the node reverts to activated) and purged from the logical
+// history, and the System's ExceptionPolicy reacts in the same command. A
+// submitter sets the first four members; the rest are the record's
+// (live): RetryAt ends a retry's backoff, Reaction names the reaction
+// applied ("" for none), and Pending, which only journals from before a
+// reaction rode this record carry, withholds the item until a retry.
 type FailActivity struct {
 	Instance string `json:"instance"`
 	Node     string `json:"node"`
@@ -783,6 +784,9 @@ type FailActivity struct {
 	Reason   string `json:"reason,omitempty"`
 	RetryAt  int64  `json:"retryAt,omitempty"`
 	Pending  bool   `json:"pending,omitempty"`
+	Reaction string `json:"reaction,omitempty"`
+
+	live bool
 }
 
 func (*FailActivity) CommandName() string { return "fail" }
@@ -791,20 +795,27 @@ func (*FailActivity) opIndex() int        { return opFail }
 func (c *FailActivity) target() string    { return c.Instance }
 
 func (c *FailActivity) run(s *System) (effect, error) {
-	if err := s.eng.FailActivity(c.Instance, c.Node, c.User, c.Reason, c.RetryAt, c.Pending); err != nil {
-		return effect{}, err
+	x := Exception{Instance: c.Instance, Node: c.Node, Kind: ActivityFailed, Reason: c.Reason}
+	r, err := s.except(x, c.live, c.Reaction, reaction{retryAt: c.RetryAt, pending: c.Pending},
+		func(mx *engine.Mutable) (int, error) { return mx.Fail(c.Node, c.User, c.Reason) })
+	if c.live {
+		c.Reaction, c.RetryAt = reactionNames[r.action], r.retryAt
 	}
-	return effect{inst: c.Instance, op: "fail", args: c}, nil
+	return effect{inst: c.Instance, op: "fail", args: c}, err
 }
 
 // TimeoutActivity fires the armed deadline of a running activity: a
-// Timeout event is appended to the history and the work item escalates
-// to the node's escalation role. The deadline sweep submits these; At
-// records the sweep time for the journal's audit trail.
+// Timeout event is appended to the history, the work item escalates to
+// the node's escalation role, and the policy reacts as to a failure. The
+// deadline sweep submits these; At records the sweep time for the
+// journal's audit trail, and Reaction is the record's, as a failure's.
 type TimeoutActivity struct {
 	Instance string `json:"instance"`
 	Node     string `json:"node"`
 	At       int64  `json:"at,omitempty"`
+	Reaction string `json:"reaction,omitempty"`
+
+	live bool
 }
 
 func (*TimeoutActivity) CommandName() string { return "timeout" }
@@ -813,10 +824,28 @@ func (*TimeoutActivity) opIndex() int        { return opTimeout }
 func (c *TimeoutActivity) target() string    { return c.Instance }
 
 func (c *TimeoutActivity) run(s *System) (effect, error) {
-	if err := s.eng.TimeoutActivity(c.Instance, c.Node); err != nil {
-		return effect{}, err
+	x := Exception{Instance: c.Instance, Node: c.Node, Kind: DeadlineExpired}
+	r, err := s.except(x, c.live, c.Reaction, reaction{},
+		func(mx *engine.Mutable) (int, error) { return mx.Timeout(c.Node) })
+	if c.live {
+		c.Reaction = reactionNames[r.action]
 	}
-	return effect{inst: c.Instance, op: "timeout", args: c}, nil
+	return effect{inst: c.Instance, op: "timeout", args: c}, err
+}
+
+// live is the live path's one hook into a failure or a timeout (stage
+// calls it before run): a copy of c, marked live, without the members the
+// System decides, so a submitter's — in process or on a remote line —
+// reach neither the instance nor the record, and run writes the reaction
+// it applied into the copy. Replay runs the decoded record, unmarked.
+func live(c command) command {
+	switch c := c.(type) {
+	case *FailActivity:
+		return &FailActivity{Instance: c.Instance, Node: c.Node, User: c.User, Reason: c.Reason, live: true}
+	case *TimeoutActivity:
+		return &TimeoutActivity{Instance: c.Instance, Node: c.Node, At: c.At, live: true}
+	}
+	return c
 }
 
 // RetryActivity re-offers the suppressed work item of a failed activity

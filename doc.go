@@ -38,9 +38,8 @@
 //	rcpt, err := sys.SubmitAsync(ctx, cmd)  // durable when rcpt.Wait returns
 //	ress, err := sys.SubmitBatch(ctx, cmds) // one barrier + one wait per run
 //
-// These are the only way to change a System's state (Fail and
-// SweepDeadlines submit commands too): Org and every other accessor only
-// read. A work item is reserved by starting it.
+// These are the only way to change a System's state (SweepDeadlines
+// submits commands too): Org and every other accessor only read. A work item is reserved by starting it.
 //
 // A result is read by type assertion: a create returns the *Instance, an
 // evolution the *MigrationReport, every other command nil. A command that
@@ -351,36 +350,31 @@
 //
 // # Exceptions, deadlines, and escalation
 //
-// Process-level fault tolerance closes the detect→compensate loop with
-// two exception sources and three journaled transitions. A running
-// activity can FAIL (System.Fail / the FailActivity command): a Failed
-// event lands in the physical history, the attempt is purged from the
-// logical history (Reduce drops the Started/Failed pair, so compliance
-// treats the node as never executed), and the node reverts to
-// activated. A running activity with an armed deadline — declared
-// relative via WithDeadline and armed from the injected clock when the
-// activity starts — can TIME OUT (the TimeoutActivity command, fired by
-// System.SweepDeadlines): a Timeout event lands, the deadline disarms
-// (exactly once, across any number of recoveries), and the work item
-// escalates to the WithEscalation role. The node-level state machine:
+// An exception and the reaction to it are one journaled command. A
+// running activity can FAIL (FailActivity): a Failed event lands in the
+// physical history, the attempt is purged from the logical history, and
+// the node reverts to activated. A running activity whose deadline
+// (WithDeadline, armed from the injected clock at its start) expires
+// TIMES OUT (TimeoutActivity, fired by System.SweepDeadlines): a Timeout
+// event lands, the deadline disarms, and the work item escalates to the
+// WithEscalation role. Inside either command, under the instance's lock,
+// the ExceptionPolicy (WithExceptionPolicy) decides and the command
+// applies the reaction and records it:
 //
-//	                 ┌────────── retry (sweep lifts backoff) ──────────┐
-//	                 ▼                                                 │
-//	activated ── start ──▶ running ── fail ──▶ activated+suppressed ───┤
-//	                 │        │                  (retryAt / pending)   │
-//	                 │        └─ deadline expiry ─▶ running+escalated  │
-//	                 │                │                                │
-//	                 └─ complete ◀────┘        suspend / skip (AdHoc) ◀┘
+//	activated ── start ──▶ running ── fail ─┬─▶ activated, item withheld:
+//	    ▲                     │             │   retry until retryAt,
+//	    └──── RetryActivity ──┼─────────────┘   suspend until released
+//	                          │             └─▶ deleted (skip)
+//	                          └─ timeout ──▶ running, escalated
 //
-// An ExceptionPolicy (WithExceptionPolicy) maps each exception to a
-// Reaction: ActionRetry re-offers after a backoff, ActionSkip deletes
-// the node through a machine-generated AdHoc change (degrading to
-// suspend when not compliant), ActionSuspend freezes the instance for a
-// human. The policy runs on the live path only and BEFORE the fail
-// record is journaled, so the chosen suppression window rides the
-// record and replays identically; the compensating command is journaled
-// separately, and SweepDeadlines re-runs the policy over still-open
-// exceptions, healing compensations lost to a crash between the two.
+// A skip deletes the node through the trial an ad-hoc change runs and
+// suspends where that is not compliant. Replay applies the recorded
+// reaction without asking the policy, so no crash falls between an
+// exception and its reaction and nothing presents one twice; a
+// submitter's retryAt, pending or reaction never reaches the record. A
+// journal from before a reaction rode its record replays as written: a
+// pending failure whose separate compensation a crash lost stays
+// withheld, and listed by OpenExceptions, until a RetryActivity.
 // All timer math uses timestamps stamped onto journal records from the
 // WithClock source — replay never reads a clock, so armed deadlines and
 // backoffs survive snapshot+journal recovery bit-exactly.

@@ -3,19 +3,19 @@ package adept2
 import (
 	"context"
 	"errors"
+	"math"
+	"slices"
 	"time"
 
+	"adept2/internal/change"
+	"adept2/internal/engine"
 	"adept2/internal/fault"
 )
 
-// This file closes the detect→compensate loop of process-level fault
-// tolerance. The engine detects exceptions (activity failures, deadline
-// expiries) and records them as journaled commands; an ExceptionPolicy
-// maps each exception to a compensating reaction (retry with backoff,
-// skip via a machine-generated ad-hoc change, or suspend-and-escalate);
-// System.Fail and System.SweepDeadlines drive the reactions back through
-// the same typed command registry, so every machine-generated change is
-// journaled, replayable, and crash-safe.
+// This file closes the detect→react loop of process-level fault
+// tolerance: a failure or a deadline expiry and the ExceptionPolicy's
+// reaction to it are one journaled command (doc.go, "Exceptions,
+// deadlines, and escalation").
 
 // ExceptionKind classifies a process-level exception.
 type ExceptionKind uint8
@@ -23,8 +23,7 @@ type ExceptionKind uint8
 const (
 	// ActivityFailed: a running activity reported a failure. The attempt
 	// was undone (node back to activated, execution purged from the
-	// logical history) and its re-offer may be suppressed pending
-	// compensation.
+	// logical history) and the reaction may withhold its re-offer.
 	ActivityFailed ExceptionKind = iota
 	// DeadlineExpired: a running activity exceeded its armed deadline.
 	// The activity keeps running but its work item escalated to the
@@ -63,20 +62,21 @@ type Exception struct {
 type CompensationAction uint8
 
 const (
-	// ActionNone leaves the exception alone. A failed activity without a
-	// suppression window is re-offered immediately; an escalated
-	// activity stays with the escalation role.
+	// ActionNone leaves the exception alone. A failed activity is
+	// re-offered immediately; an escalated activity stays with the
+	// escalation role.
 	ActionNone CompensationAction = iota
 	// ActionRetry re-offers the failed activity, after Reaction.Backoff
-	// when set (the work item stays suppressed until the backoff
-	// elapses and the deadline sweep lifts it).
+	// when set (the work item stays withheld until the backoff elapses
+	// and the deadline sweep lifts it). A deadline expiry is not retried.
 	ActionRetry
-	// ActionSkip deletes the failed activity through a machine-generated
-	// ad-hoc change — the paper's instance-level change dimension used
-	// as a compensation primitive. Falls back to ActionSuspend when the
-	// deletion would not be compliant.
+	// ActionSkip deletes the activity through the trial an ad-hoc change
+	// runs — the paper's instance-level change dimension used as a
+	// compensation primitive. It suspends where the deletion would not be
+	// compliant (a running activity's never is).
 	ActionSkip
-	// ActionSuspend suspends the instance for human intervention.
+	// ActionSuspend suspends the instance for human intervention; a
+	// failed activity's item stays withheld until a RetryActivity.
 	ActionSuspend
 )
 
@@ -97,12 +97,12 @@ type Reaction struct {
 	Backoff time.Duration
 }
 
-// ExceptionPolicy maps detected exceptions to compensating reactions.
-// Decide must be deterministic in its argument: it runs on the live
-// path only (never during replay — the chosen compensation is journaled
-// as its own command), but the sweep may re-present an exception whose
-// compensation was lost to a crash, and flapping decisions would then
-// oscillate the instance.
+// ExceptionPolicy maps detected exceptions to reactions. Decide runs
+// inside the fail or timeout command, on the live path only, under the
+// instance's lock: it must not call the System (a command on the same
+// instance would wait on that lock forever). Each exception is presented
+// once — its reaction rides the command's record, which replay applies
+// without asking the policy — and never again.
 type ExceptionPolicy interface {
 	Decide(Exception) Reaction
 }
@@ -114,21 +114,21 @@ type PolicyFunc func(Exception) Reaction
 func (f PolicyFunc) Decide(x Exception) Reaction { return f(x) }
 
 // RetryThenSuspend is the default compensation policy: retry a failed
-// activity with exponential backoff (backoff, 2·backoff, 4·backoff, …)
-// up to maxRetries attempts, then suspend the instance for human
-// intervention. Deadline expiries get ActionNone — the escalation
-// re-offer already happened and the activity may still complete.
+// activity with exponential backoff (backoff, 2·backoff, 4·backoff, …,
+// saturating at the largest Duration) up to maxRetries attempts, then
+// suspend the instance for human intervention. Deadline expiries get
+// ActionNone — the escalation re-offer already happened and the activity
+// may still complete.
 func RetryThenSuspend(maxRetries int, backoff time.Duration) ExceptionPolicy {
 	return PolicyFunc(func(x Exception) Reaction {
 		if x.Kind == DeadlineExpired {
 			return Reaction{Action: ActionNone}
 		}
-		if x.Failures <= maxRetries {
-			d := backoff
-			for i := 1; i < x.Failures; i++ {
-				d *= 2
+		if n := max(x.Failures-1, 0); x.Failures <= maxRetries {
+			if backoff > 0 && (n >= 63 || backoff > math.MaxInt64>>n) {
+				return Reaction{Action: ActionRetry, Backoff: math.MaxInt64}
 			}
-			return Reaction{Action: ActionRetry, Backoff: d}
+			return Reaction{Action: ActionRetry, Backoff: backoff << n}
 		}
 		return Reaction{Action: ActionSuspend}
 	})
@@ -145,9 +145,9 @@ func WithClock(now func() time.Time) Option {
 	}
 }
 
-// WithExceptionPolicy installs the policy consulted by System.Fail and
-// the deadline sweep. Without one, failures re-offer immediately and
-// expiries only escalate.
+// WithExceptionPolicy installs the policy that fail and timeout commands
+// ask (see ExceptionPolicy). Without one, a failed activity is re-offered
+// at once and an expiry only escalates.
 func WithExceptionPolicy(p ExceptionPolicy) Option {
 	return func(c *config) { c.policy = p }
 }
@@ -164,78 +164,93 @@ func exceptionErr(kind ExceptionKind, instID, node, reason string) error {
 		Err: fault.Tagf(fault.Failed, "adept2: %s/%s: %s", instID, node, reason)}
 }
 
-// Fail reports the failure of a running activity and drives the
-// installed exception policy's compensation. The policy is consulted
-// BEFORE the fail command is submitted so the chosen suppression window
-// (retry backoff, pending compensation) rides the journaled fail record
-// and replays identically; the compensating command itself (ad-hoc skip,
-// suspend) is then submitted as its own journaled command. A crash
-// between the two is healed by the next deadline sweep, which re-runs
-// the policy over still-open exceptions.
-func (s *System) Fail(ctx context.Context, instID, node, user, reason string) error {
-	x := Exception{
-		Instance: instID,
-		Node:     node,
-		Kind:     ActivityFailed,
-		Reason:   reason,
-		Failures: 1,
-		Err:      exceptionErr(ActivityFailed, instID, node, reason),
-	}
-	if inst, ok := s.eng.Instance(instID); ok {
-		x.Failures = inst.FailureCount(node) + 1
-	}
-	r := s.decide(x)
-	cmd := &FailActivity{Instance: instID, Node: node, User: user, Reason: reason}
-	switch r.Action {
-	case ActionRetry:
-		if r.Backoff > 0 {
-			cmd.RetryAt = s.now() + int64(r.Backoff)
-		}
-	case ActionSkip, ActionSuspend:
-		cmd.Pending = true
-	}
-	if _, err := s.Submit(ctx, cmd); err != nil {
-		return err
-	}
-	return s.compensate(ctx, x, r)
+// reaction is a reaction as a record carries it: the action applied, the
+// end of a retry's backoff, and an older journal's pending mark.
+type reaction struct {
+	action  CompensationAction
+	retryAt int64
+	pending bool
 }
 
-func (s *System) decide(x Exception) Reaction {
-	if s.policy == nil {
-		return Reaction{Action: ActionNone}
-	}
-	r := s.policy.Decide(x)
-	if m := s.met; m != nil && int(r.Action) < len(m.Exception.Actions) {
-		m.Exception.Actions[r.Action].Inc()
-	}
-	return r
-}
+// reactionNames names each action in a record, none as "".
+var reactionNames = [...]string{"", "retry", "skip", "suspend"}
 
-// compensate submits the journaled compensating command for a reaction.
-// ActionSkip degrades to ActionSuspend when deleting the node would not
-// be compliant (e.g. the region already progressed, or the node is
-// running after a timeout).
-func (s *System) compensate(ctx context.Context, x Exception, r Reaction) error {
-	switch r.Action {
-	case ActionSkip:
-		_, err := s.Submit(ctx, &AdHoc{
-			Instance: x.Instance,
-			Ops:      []Operation{&DeleteActivity{ID: x.Node}},
-		})
-		if err == nil {
-			return nil
-		}
-		if !errors.Is(err, ErrNotCompliant) && !errors.Is(err, ErrConflict) && !errors.Is(err, ErrInvalid) {
+// except is a failure's or a timeout's command under the instance's lock:
+// detect records the exception and returns the node's failure count, and
+// a reaction is applied — live, the policy's, decided here; on replay the
+// record's, r with the action name. It returns the reaction applied.
+func (s *System) except(x Exception, live bool, name string, r reaction, detect func(*engine.Mutable) (int, error)) (reaction, error) {
+	a := slices.Index(reactionNames[:], name)
+	if a < 0 {
+		return r, fault.Tagf(fault.Invalid, "adept2: unknown reaction %q", name)
+	}
+	r.action = CompensationAction(a)
+	inst, ok := s.eng.Instance(x.Instance)
+	if !ok {
+		return r, fault.Tagf(fault.NotFound, "adept2: unknown instance %q", x.Instance)
+	}
+	err := inst.Mutate(func(mx *engine.Mutable) (err error) {
+		if x.Failures, err = detect(mx); err != nil {
 			return err
+		}
+		if live {
+			x.Err = exceptionErr(x.Kind, x.Instance, x.Node, x.Reason)
+			r = s.decide(x)
+		}
+		r.action, err = react(mx, x, r)
+		return err
+	})
+	if m := s.met; m != nil && err == nil && live && r.action >= ActionSkip {
+		m.Exception.Compensated.Inc()
+	}
+	return r, err
+}
+
+// decide asks the policy, stamping a retry's backoff onto the clock
+// (saturating). Without a policy, and for a retry of a running activity or
+// an action this package does not define, the reaction is none.
+func (s *System) decide(x Exception) reaction {
+	if s.policy == nil {
+		return reaction{}
+	}
+	d := s.policy.Decide(x)
+	if m := s.met; m != nil && int(d.Action) < len(m.Exception.Actions) {
+		m.Exception.Actions[d.Action].Inc()
+	}
+	retry := d.Action == ActionRetry && x.Kind == ActivityFailed
+	switch {
+	case retry && d.Backoff > 0:
+		if now := s.now(); int64(d.Backoff) < math.MaxInt64-now {
+			return reaction{action: ActionRetry, retryAt: now + int64(d.Backoff)}
+		}
+		return reaction{action: ActionRetry, retryAt: math.MaxInt64}
+	case retry, d.Action == ActionSkip, d.Action == ActionSuspend:
+		return reaction{action: d.Action}
+	}
+	return reaction{}
+}
+
+// react applies r to the exception just recorded and returns the action
+// applied: a skip deletes the node through the trial an ad-hoc change
+// runs, and suspends where that trial refuses; a suspend withholds a
+// failed node's item until a RetryActivity releases it.
+func react(mx *engine.Mutable, x Exception, r reaction) (CompensationAction, error) {
+	mx.Suppress(x.Node, r.retryAt, r.pending)
+	switch r.action {
+	case ActionSkip:
+		err := change.ApplyAdHocIn(mx, &DeleteActivity{ID: x.Node})
+		if k := fault.KindOf(err); err == nil || k != fault.NotCompliant && k != fault.Conflict && k != fault.Invalid {
+			return ActionSkip, err
 		}
 		fallthrough
 	case ActionSuspend:
-		_, err := s.Submit(ctx, &Suspend{Instance: x.Instance})
-		if err != nil && !errors.Is(err, ErrSuspended) && !errors.Is(err, ErrConflict) {
-			return err
+		if x.Kind == ActivityFailed {
+			mx.Suppress(x.Node, 0, true)
 		}
+		mx.Suspend()
+		return ActionSuspend, nil
 	}
-	return nil
+	return r.action, nil
 }
 
 // SweepReport summarizes one deadline sweep.
@@ -244,9 +259,6 @@ type SweepReport struct {
 	Timeouts int
 	// Retries is the number of elapsed retry backoffs lifted.
 	Retries int
-	// Compensated is the number of policy compensations submitted for
-	// still-open exceptions.
-	Compensated int
 	// Errors collects submit failures that were not raced-moot (an
 	// instance completing, suspending, or disappearing between scan and
 	// submit is not an error).
@@ -254,17 +266,14 @@ type SweepReport struct {
 }
 
 // SweepDeadlines is the periodic exception timer: callers invoke it from
-// a ticker (or a simulation step) with the current time. Three phases,
+// a ticker (or a simulation step) with the current time. Two phases,
 // each a scan followed by journaled commands:
 //
 //  1. every armed deadline at or before now fires a TimeoutActivity
-//     (history Timeout event + work-item escalation);
+//     (history Timeout event + work-item escalation, and the policy's
+//     reaction in the same command);
 //  2. every elapsed retry backoff lifts its suppression via
-//     RetryActivity (the work item re-offers);
-//  3. the exception policy re-runs over still-open exceptions —
-//     including the timeouts just fired and any failure whose
-//     compensation was lost to a crash — and its reactions are
-//     submitted as compensating commands.
+//     RetryActivity (the work item re-offers).
 //
 // Scans are deterministic (instance creation order, then node ID), so a
 // sweep at a given logical time issues the same command sequence on any
@@ -272,70 +281,29 @@ type SweepReport struct {
 // (ErrConflict/ErrNotFound/ErrCompleted/ErrSuspended) are skipped as
 // moot; a wedged or canceled store aborts the sweep with the error.
 func (s *System) SweepDeadlines(ctx context.Context, now time.Time) (*SweepReport, error) {
-	start := time.Now()
-	rep, err := s.sweepDeadlines(ctx, now)
+	start, rep, nowN := time.Now(), &SweepReport{}, now.UnixNano()
 	if m := s.met; m != nil {
-		m.Exception.Sweeps.Inc()
-		m.Exception.SweepNanos.Observe(time.Since(start).Nanoseconds())
-		m.Exception.Escalations.Add(int64(rep.Timeouts))
-		m.Exception.Compensated.Add(int64(rep.Compensated))
-		m.Exception.SweepErrors.Add(int64(len(rep.Errors)))
+		defer func() {
+			m.Exception.Sweeps.Inc()
+			m.Exception.SweepNanos.Observe(time.Since(start).Nanoseconds())
+			m.Exception.SweepErrors.Add(int64(len(rep.Errors)))
+		}()
 	}
-	return rep, err
-}
-
-func (s *System) sweepDeadlines(ctx context.Context, now time.Time) (*SweepReport, error) {
-	rep := &SweepReport{}
-	nowN := now.UnixNano()
-	for _, ex := range s.eng.ExpiredDeadlines(nowN) {
-		if _, err := s.Submit(ctx, &TimeoutActivity{Instance: ex.Instance, Node: ex.Node, At: nowN}); err != nil {
-			if abort := rep.noteErr(err); abort != nil {
-				return rep, abort
-			}
-			continue
+	submit := func(cmd Command, n *int) error {
+		if _, err := s.Submit(ctx, cmd); err != nil {
+			return rep.noteErr(err)
 		}
-		rep.Timeouts++
+		*n++
+		return nil
+	}
+	for _, ex := range s.eng.ExpiredDeadlines(nowN) {
+		if err := submit(&TimeoutActivity{Instance: ex.Instance, Node: ex.Node, At: nowN}, &rep.Timeouts); err != nil {
+			return rep, err
+		}
 	}
 	for _, ex := range s.eng.DueRetries(nowN) {
-		if _, err := s.Submit(ctx, &RetryActivity{Instance: ex.Instance, Node: ex.Node, At: nowN}); err != nil {
-			if abort := rep.noteErr(err); abort != nil {
-				return rep, abort
-			}
-			continue
-		}
-		rep.Retries++
-	}
-	if s.policy != nil {
-		for _, ox := range s.eng.OpenExceptions() {
-			x := Exception{Instance: ox.Instance, Node: ox.Node, Failures: ox.Failures}
-			if ox.Timeout {
-				x.Kind = DeadlineExpired
-			}
-			x.Err = exceptionErr(x.Kind, x.Instance, x.Node, "")
-			r := s.decide(x)
-			switch r.Action {
-			case ActionRetry:
-				// Only a failed node pending compensation can retry; an
-				// escalated activity is still running.
-				if ox.Timeout {
-					continue
-				}
-				if _, err := s.Submit(ctx, &RetryActivity{Instance: x.Instance, Node: x.Node, At: nowN}); err != nil {
-					if abort := rep.noteErr(err); abort != nil {
-						return rep, abort
-					}
-					continue
-				}
-				rep.Compensated++
-			case ActionSkip, ActionSuspend:
-				if err := s.compensate(ctx, x, r); err != nil {
-					if abort := rep.noteErr(err); abort != nil {
-						return rep, abort
-					}
-					continue
-				}
-				rep.Compensated++
-			}
+		if err := submit(&RetryActivity{Instance: ex.Instance, Node: ex.Node, At: nowN}, &rep.Retries); err != nil {
+			return rep, err
 		}
 	}
 	return rep, nil
@@ -355,10 +323,10 @@ func (rep *SweepReport) noteErr(err error) error {
 	return nil
 }
 
-// OpenExceptions lists the detected-but-uncompensated exceptions of all
-// live instances: failed activities whose re-offer is suppressed pending
-// compensation, and escalated activities still running past their
-// deadline. Ordered by instance creation order, then node ID.
+// OpenExceptions lists the open exceptions of all live instances: failed
+// activities withheld until a RetryActivity (after a suspend, or an older
+// journal's pending failure), and escalated activities still running past
+// their deadline. Ordered by instance creation order, then node ID.
 func (s *System) OpenExceptions() []Exception {
 	var out []Exception
 	for _, ox := range s.eng.OpenExceptions() {

@@ -2,15 +2,21 @@ package adept2_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"adept2"
 	"adept2/internal/history"
+	"adept2/internal/persist"
 	"adept2/internal/sim"
+	"adept2/internal/vfs"
 )
 
 // testClock is an injectable logical clock: time only moves when a test
@@ -100,7 +106,7 @@ func countEvents(inst *adept2.Instance, kind history.Kind) int {
 }
 
 // TestFailRetryBackoffLifecycle walks the full retry compensation loop:
-// Fail suppresses the re-offer for the policy's backoff (stamped from
+// a failure withholds the re-offer for the policy's backoff (stamped from
 // the injected clock onto the journaled record), an early sweep leaves
 // it suppressed, the on-time sweep lifts it, the backoff doubles on the
 // next failure, and a successful completion clears the failure counter.
@@ -113,7 +119,7 @@ func TestFailRetryBackoffLifecycle(t *testing.T) {
 	id := startFix(t, sys)
 	inst, _ := sys.Instance(id)
 
-	if err := sys.Fail(ctx, id, "fix", "ann", "printer on fire"); err != nil {
+	if _, err := sys.Submit(ctx, &adept2.FailActivity{Instance: id, Node: "fix", User: "ann", Reason: "printer on fire"}); err != nil {
 		t.Fatal(err)
 	}
 	if got := inst.FailureCount("fix"); got != 1 {
@@ -154,7 +160,7 @@ func TestFailRetryBackoffLifecycle(t *testing.T) {
 	if _, err := sys.Submit(ctx, &adept2.StartActivity{Instance: id, Node: "fix", User: "ann"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Fail(ctx, id, "fix", "ann", "printer still on fire"); err != nil {
+	if _, err := sys.Submit(ctx, &adept2.FailActivity{Instance: id, Node: "fix", User: "ann", Reason: "printer still on fire"}); err != nil {
 		t.Fatal(err)
 	}
 	if got := inst.FailureCount("fix"); got != 2 {
@@ -189,8 +195,9 @@ func TestFailRetryBackoffLifecycle(t *testing.T) {
 }
 
 // TestFailSkipCompensation: an ActionSkip policy compensates a failure
-// by deleting the activity through a machine-generated ad-hoc change —
-// the node leaves the instance view and the successor activates.
+// by deleting the activity through the trial an ad-hoc change runs, in
+// the fail command itself — the node leaves the instance view and the
+// successor activates.
 func TestFailSkipCompensation(t *testing.T) {
 	ctx := context.Background()
 	clk := newTestClock()
@@ -202,7 +209,7 @@ func TestFailSkipCompensation(t *testing.T) {
 	id := startFix(t, sys)
 	inst, _ := sys.Instance(id)
 
-	if err := sys.Fail(ctx, id, "fix", "ann", "unfixable"); err != nil {
+	if _, err := sys.Submit(ctx, &adept2.FailActivity{Instance: id, Node: "fix", User: "ann", Reason: "unfixable"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, still := inst.View().Node("fix"); still {
@@ -223,9 +230,9 @@ func TestFailSkipCompensation(t *testing.T) {
 }
 
 // TestFailSuspendThenAdminRecovers: an ActionSuspend policy freezes the
-// instance for human intervention; the administrator resumes it,
-// releases the pending compensation via RetryActivity, and the process
-// runs to completion.
+// instance for human intervention, in the fail command itself; the
+// administrator resumes it, releases the withheld work item via
+// RetryActivity, and the process runs to completion.
 func TestFailSuspendThenAdminRecovers(t *testing.T) {
 	ctx := context.Background()
 	clk := newTestClock()
@@ -237,7 +244,7 @@ func TestFailSuspendThenAdminRecovers(t *testing.T) {
 	id := startFix(t, sys)
 	inst, _ := sys.Instance(id)
 
-	if err := sys.Fail(ctx, id, "fix", "ann", "needs a human"); err != nil {
+	if _, err := sys.Submit(ctx, &adept2.FailActivity{Instance: id, Node: "fix", User: "ann", Reason: "needs a human"}); err != nil {
 		t.Fatal(err)
 	}
 	if !inst.Suspended() {
@@ -383,7 +390,7 @@ func TestRetryBackoffSurvivesRecovery(t *testing.T) {
 	sys := openRepair(t, path, clk, policy)
 	id := startFix(t, sys)
 
-	if err := sys.Fail(ctx, id, "fix", "ann", "transient"); err != nil {
+	if _, err := sys.Submit(ctx, &adept2.FailActivity{Instance: id, Node: "fix", User: "ann", Reason: "transient"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.Close(); err != nil {
@@ -407,8 +414,9 @@ func TestRetryBackoffSurvivesRecovery(t *testing.T) {
 }
 
 // TestFailErrorTaxonomy pins the exception error surface: failing a
-// node that is not running is a typed conflict, and the Exception
-// presented to the policy carries an ErrFailed-tagged error.
+// node that is not running is a typed conflict that presents nothing to
+// the policy, and the Exception presented carries an ErrFailed-tagged
+// error.
 func TestFailErrorTaxonomy(t *testing.T) {
 	ctx := context.Background()
 	clk := newTestClock()
@@ -421,22 +429,278 @@ func TestFailErrorTaxonomy(t *testing.T) {
 	defer sys.Close()
 	id := startFix(t, sys)
 
-	if err := sys.Fail(ctx, id, "wrap", "ann", "not even running"); !errors.Is(err, adept2.ErrConflict) {
+	if _, err := sys.Submit(ctx, &adept2.FailActivity{Instance: id, Node: "wrap", User: "ann", Reason: "not even running"}); !errors.Is(err, adept2.ErrConflict) {
 		t.Fatalf("failing a non-running node: %v, want conflict", err)
 	}
-	if err := sys.Fail(ctx, id, "fix", "ann", "boom"); err != nil {
+	if _, err := sys.Submit(ctx, &adept2.FailActivity{Instance: id, Node: "fix", User: "ann", Reason: "boom"}); err != nil {
 		t.Fatal(err)
 	}
-	// The rejected Fail consulted the policy too (decide-before-submit),
-	// so two exceptions were presented; only the second was journaled.
-	if len(seen) != 2 {
-		t.Fatalf("policy consulted %d times, want 2", len(seen))
+	// The policy decides inside the command, once the failure is
+	// recorded: the refused one presented nothing.
+	if len(seen) != 1 {
+		t.Fatalf("policy consulted %d times, want 1", len(seen))
 	}
-	x := seen[1]
+	x := seen[0]
 	if x.Kind != adept2.ActivityFailed || x.Node != "fix" || x.Failures != 1 {
 		t.Fatalf("exception presented to policy: %+v", x)
 	}
 	if x.Err == nil || fmt.Sprint(x.Err) == "" {
 		t.Fatal("exception lacks its taxonomy error")
+	}
+}
+
+// TestRetryThenSuspendBackoffSaturates: the doubled backoff stops at the
+// largest Duration instead of wrapping negative (with a 1 s base it
+// wrapped at the 35th failure and re-offered at once), and the retry time
+// a failure stamps stops at the largest time instead of wrapping past
+// now + backoff. Every row fails its failure count through the System.
+func TestRetryThenSuspendBackoffSaturates(t *testing.T) {
+	ctx := context.Background()
+	policy := adept2.RetryThenSuspend(100, time.Second)
+	for _, row := range []struct {
+		failures int
+		want     time.Duration
+	}{
+		{33, 1 << 32 * time.Second},
+		{34, 1 << 33 * time.Second}, // positive, but now + it wraps
+		{35, math.MaxInt64},
+		{36, math.MaxInt64},
+		{63, math.MaxInt64},
+	} {
+		x := adept2.Exception{Kind: adept2.ActivityFailed, Failures: row.failures}
+		if got := policy.Decide(x); got.Action != adept2.ActionRetry || got.Backoff != row.want {
+			t.Errorf("failure %d: %v after %d, want retry after %d", row.failures, got.Action, got.Backoff, row.want)
+		}
+		clk := newTestClock()
+		sys := adept2.New(adept2.WithOrg(sim.Org()), adept2.WithClock(clk.Now), adept2.WithExceptionPolicy(policy))
+		id := startFix(t, sys)
+		for i := 1; i <= row.failures; i++ {
+			if i > 1 {
+				if _, err := sys.Submit(ctx, &adept2.StartActivity{Instance: id, Node: "fix", User: "ann"}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := sys.Submit(ctx, &adept2.FailActivity{Instance: id, Node: "fix", User: "ann"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		inst, _ := sys.Instance(id)
+		want := int64(math.MaxInt64)
+		if now := clk.after(0); int64(row.want) < math.MaxInt64-now {
+			want = now + int64(row.want)
+		}
+		if due, ok := inst.RetryDue("fix"); !ok || due != want {
+			t.Errorf("failure %d: retry due at %d (%v), want %d", row.failures, due, ok, want)
+		}
+		clk.advance(time.Hour)
+		if rep, err := sys.SweepDeadlines(ctx, clk.Now()); err != nil || rep.Retries != 0 || hasItem(sys, "ann", id, "fix") {
+			t.Errorf("failure %d: a sweep an hour later re-offered it: %+v, %v", row.failures, rep, err)
+		}
+		sys.Close()
+	}
+}
+
+// The parent-journal fixture. testdata/parent_exceptions.ndjson was
+// written at commit 3bf0fc4, where System.Fail journaled a skip or a
+// suspend as a second command after the fail record: exceptionScenario
+// ran with that System.Fail as fail, and then a FailActivity with Pending
+// set, and no follow-up, was submitted for e6-window — the state a crash
+// between a fail record and its compensation left.
+// parent_exceptions.reacted.summary is that tree's sim.Summary before the
+// last record, parent_exceptions.summary after it.
+
+// fixturePolicy reacts by instance: e1 retries after a minute, e2 and e3
+// skip (e3's skip is not compliant and suspends), e4 and e5 — a deadline
+// expiry — suspend.
+var fixturePolicy = adept2.PolicyFunc(func(x adept2.Exception) adept2.Reaction {
+	switch x.Instance {
+	case "e1-retry":
+		return adept2.Reaction{Action: adept2.ActionRetry, Backoff: time.Minute}
+	case "e2-skip", "e3-degrade":
+		return adept2.Reaction{Action: adept2.ActionSkip}
+	case "e4-suspend", "e5-timeout":
+		return adept2.Reaction{Action: adept2.ActionSuspend}
+	}
+	return adept2.Reaction{Action: adept2.ActionNone}
+})
+
+// relaySchema is a → b, b reading mandatorily what a writes: deleting a
+// leaves b's read without a writer, which no change may do.
+func relaySchema(t *testing.T) *adept2.Schema {
+	t.Helper()
+	b := adept2.NewBuilder("relay")
+	b.DataElement("doc", adept2.TypeString)
+	a := b.Activity("a", "A", adept2.WithRole("clerk"))
+	c := b.Activity("b", "B", adept2.WithRole("clerk"))
+	b.Write("a", "doc", "doc")
+	b.Read("b", "doc", "doc", true)
+	s, err := b.Build(b.Seq(a, c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// exceptionScenario fails e1–e4 under fixturePolicy through fail, lets a
+// sweep three minutes later fire e5's deadline and lift e1's backoff, and
+// starts e6's fix.
+func exceptionScenario(t *testing.T, sys *adept2.System, clk *testClock, fail func(id, node string) error) {
+	t.Helper()
+	ctx := context.Background()
+	submit := func(cmd adept2.Command) {
+		t.Helper()
+		if _, err := sys.Submit(ctx, cmd); err != nil {
+			t.Fatalf("%s: %v", cmd.CommandName(), err)
+		}
+	}
+	submit(&adept2.Deploy{Schema: repairSchema(t)})
+	submit(&adept2.Deploy{Schema: relaySchema(t)})
+	for _, id := range []string{"e1-retry", "e2-skip", "e3-degrade", "e4-suspend", "e5-timeout", "e6-window"} {
+		if id == "e3-degrade" {
+			submit(&adept2.CreateInstance{TypeName: "relay", ID: id})
+			continue
+		}
+		submit(&adept2.CreateInstance{TypeName: "repair", ID: id})
+		submit(&adept2.CompleteActivity{Instance: id, Node: "triage", User: "ann"})
+	}
+	for _, id := range []string{"e1-retry", "e2-skip", "e4-suspend", "e5-timeout"} {
+		submit(&adept2.StartActivity{Instance: id, Node: "fix", User: "ann"})
+	}
+	submit(&adept2.StartActivity{Instance: "e3-degrade", Node: "a", User: "ann"})
+	for _, f := range [][2]string{{"e1-retry", "fix"}, {"e2-skip", "fix"}, {"e3-degrade", "a"}, {"e4-suspend", "fix"}} {
+		if err := fail(f[0], f[1]); err != nil {
+			t.Fatalf("fail %s/%s: %v", f[0], f[1], err)
+		}
+	}
+	clk.advance(3 * time.Minute)
+	if rep, err := sys.SweepDeadlines(ctx, clk.Now()); err != nil || rep.Timeouts != 1 || rep.Retries != 1 {
+		t.Fatalf("sweep: %+v, %v", rep, err)
+	}
+	submit(&adept2.StartActivity{Instance: "e6-window", Node: "fix", User: "ann"})
+}
+
+// fixtureRecords reads a journal's records.
+func fixtureRecords(t *testing.T, path string) []persist.Record {
+	t.Helper()
+	recs, _, err := persist.LoadJournalSuffixFS(vfs.OS(), path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+func readGolden(t *testing.T, name string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestParentExceptionJournalRecovers: the parent's journal — each
+// reaction, its skip and suspend as separate records, and a pending
+// failure whose compensation was never journaled — recovers here to the
+// parent's state, and replay asks the policy nothing. The pending failure
+// stays what it was: OpenExceptions lists it, a sweep does not present it
+// to the policy, and a RetryActivity releases it.
+func TestParentExceptionJournalRecovers(t *testing.T) {
+	ctx := context.Background()
+	path := filepath.Join(t.TempDir(), "wal")
+	if err := os.WriteFile(path, []byte(readGolden(t, "parent_exceptions.ndjson")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	asked := 0
+	counting := adept2.PolicyFunc(func(x adept2.Exception) adept2.Reaction {
+		asked++
+		return adept2.Reaction{Action: adept2.ActionSkip}
+	})
+	clk := newTestClock()
+	sys := openRepair(t, path, clk, counting)
+	defer sys.Close()
+	if d := sim.Diff(readGolden(t, "parent_exceptions.summary"), sim.Summary(sys)); d != "" {
+		t.Fatalf("the parent's journal recovers to another state:\n%s", d)
+	}
+	if asked != 0 {
+		t.Fatalf("replay asked the policy %d times", asked)
+	}
+
+	window := func() bool {
+		x := sys.OpenExceptions()
+		return len(x) == 1 && x[0].Instance == "e6-window" && x[0].Node == "fix" && x[0].Kind == adept2.ActivityFailed
+	}
+	if !window() {
+		t.Fatalf("open exceptions %+v, want the pending e6-window/fix alone", sys.OpenExceptions())
+	}
+	clk.advance(time.Hour)
+	if rep, err := sys.SweepDeadlines(ctx, clk.Now()); err != nil || rep.Timeouts+rep.Retries != 0 {
+		t.Fatalf("sweep: %+v, %v", rep, err)
+	}
+	if asked != 0 || !window() || hasItem(sys, "ann", "e6-window", "fix") {
+		t.Fatalf("a sweep re-decided the pending failure: policy asked %d times, open %+v", asked, sys.OpenExceptions())
+	}
+	if _, err := sys.Submit(ctx, &adept2.RetryActivity{Instance: "e6-window", Node: "fix"}); err != nil {
+		t.Fatal(err)
+	}
+	if len(sys.OpenExceptions()) != 0 || !hasItem(sys, "ann", "e6-window", "fix") {
+		t.Fatalf("the retry did not release the pending failure: open %+v", sys.OpenExceptions())
+	}
+}
+
+// TestFailIsOneRecord: the parent's failures, submitted here under the
+// same policy, reach the parent's state with one record each: the journal
+// is the parent's without its separate adhoc and suspend records, every
+// fail and timeout record names the reaction it applied, and it recovers
+// to the same state.
+func TestFailIsOneRecord(t *testing.T) {
+	ctx := context.Background()
+	clk := newTestClock()
+	path := filepath.Join(t.TempDir(), "wal")
+	sys := openRepair(t, path, clk, fixturePolicy)
+	exceptionScenario(t, sys, clk, func(id, node string) error {
+		_, err := sys.Submit(ctx, &adept2.FailActivity{Instance: id, Node: node, User: "ann", Reason: "failed on " + id})
+		return err
+	})
+	if d := sim.Diff(readGolden(t, "parent_exceptions.reacted.summary"), sim.Summary(sys)); d != "" {
+		t.Fatalf("the same failures reach another state here:\n%s", d)
+	}
+	if got := sys.Metrics().Exception.Compensated; got != 4 {
+		t.Errorf("%d skips and suspends counted, want 4", got)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	parent := fixtureRecords(t, filepath.Join("testdata", "parent_exceptions.ndjson"))
+	var want []string
+	for _, rec := range parent[:len(parent)-1] { // the pending failure is the parent's alone
+		if rec.Op != "adhoc" && rec.Op != "suspend" {
+			want = append(want, rec.Op)
+		}
+	}
+	var got []string
+	reactions := map[string]string{}
+	for _, rec := range fixtureRecords(t, path) {
+		got = append(got, rec.Op)
+		if rec.Op == "fail" || rec.Op == "timeout" {
+			var args struct{ Instance, Reaction string }
+			if err := json.Unmarshal(rec.Args, &args); err != nil || args.Reaction == "" {
+				t.Fatalf("%s record without its reaction: %s (%v)", rec.Op, rec.Args, err)
+			}
+			reactions[args.Instance] = args.Reaction
+		}
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("journal ops\n%v\nwant the parent's without its compensation records\n%v", got, want)
+	}
+	wantReactions := map[string]string{"e1-retry": "retry", "e2-skip": "skip", "e3-degrade": "suspend", "e4-suspend": "suspend", "e5-timeout": "suspend"}
+	if fmt.Sprint(reactions) != fmt.Sprint(wantReactions) {
+		t.Fatalf("recorded reactions %v, want %v", reactions, wantReactions)
+	}
+
+	re := openRepair(t, path, clk, nil)
+	defer re.Close()
+	if d := sim.Diff(readGolden(t, "parent_exceptions.reacted.summary"), sim.Summary(re)); d != "" {
+		t.Fatalf("the one-record journal recovers to another state:\n%s", d)
 	}
 }

@@ -1,7 +1,8 @@
 package engine
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"adept2/internal/fault"
 	"adept2/internal/history"
@@ -13,22 +14,24 @@ import (
 // the logical history), deadline expiry (the activity keeps running but
 // its work item escalates), and retry (the suppressed work item of a
 // failed activity is re-offered). Each transition is driven by its own
-// journaled command, so replay rebuilds identical exception state.
+// journaled command — a failure or an expiry with its reaction, under one
+// Mutate — so replay rebuilds identical exception state.
 
 // failLocked records that a running node's execution failed. The attempt
 // is undone: a Failed event is appended to the physical history, the
 // node's execution record is purged from the fast compliance index
 // (mirroring Reduce, which drops the Started/Failed pair), and the node
-// reverts to activated. retryAt > 0 suppresses the re-offer until that
-// time (retry backoff); pending suppresses it until a policy
-// compensation lands. Both ride the journaled fail command, so the
-// suppression window replays identically.
+// reverts to activated; the caller's worklist sync re-offers it unless
+// suppressLocked withheld it.
 func (inst *Instance) failLocked(node, user, reason string, retryAt int64, pending bool) error {
-	if inst.done {
-		return fault.Tagf(fault.Completed, "engine: fail %s/%s: instance is completed", inst.id, node)
+	if err := checkUTF8("fail", "user", user); err != nil {
+		return err
 	}
-	if inst.suspended {
-		return fault.Tagf(fault.Suspended, "engine: fail %s/%s: instance is suspended", inst.id, node)
+	if err := checkUTF8("fail", "reason", reason); err != nil {
+		return err
+	}
+	if err := inst.openLocked("fail", node); err != nil {
+		return err
 	}
 	v, _ := inst.viewLocked()
 	if n, ok := v.Node(node); ok {
@@ -46,6 +49,16 @@ func (inst *Instance) failLocked(node, user, reason string, retryAt int64, pendi
 	inst.failures[node]++
 	delete(inst.deadlines, node)
 	delete(inst.escalated, node)
+	inst.suppressLocked(node, retryAt, pending)
+	// The failed assignee's in-progress item is stale either way; the
+	// sync re-offers to the role's candidates unless suppressed.
+	inst.eng.wl.Withdraw(inst.id, node)
+	return nil
+}
+
+// suppressLocked withholds a failed node's work item until retryAt (unix
+// nanos, when not 0) or, when pending, until a Retry releases it.
+func (inst *Instance) suppressLocked(node string, retryAt int64, pending bool) {
 	if retryAt != 0 {
 		if inst.retryAt == nil {
 			inst.retryAt = make(map[string]int64)
@@ -58,12 +71,31 @@ func (inst *Instance) failLocked(node, user, reason string, retryAt int64, pendi
 		}
 		inst.compPending[node] = true
 	}
-	// The failed assignee's in-progress item is stale either way; the
-	// sync below re-offers to the role's candidates unless suppressed.
-	inst.eng.wl.Withdraw(inst.id, node)
-	inst.syncWorklistLocked()
-	return nil
 }
+
+// Fail is failLocked, unsuppressed, returning the node's failure count.
+func (mx *Mutable) Fail(node, user, reason string) (int, error) {
+	err := mx.inst.failLocked(node, user, reason, 0, false)
+	return mx.inst.failures[node], err
+}
+
+// Timeout is timeoutLocked, returning the node's failure count.
+func (mx *Mutable) Timeout(node string) (int, error) {
+	err := mx.inst.timeoutLocked(node)
+	return mx.inst.failures[node], err
+}
+
+// Suppress withholds a failed node's work item (suppressLocked).
+func (mx *Mutable) Suppress(node string, retryAt int64, pending bool) {
+	v, _ := mx.inst.viewLocked()
+	if n, ok := v.Node(node); ok {
+		node = n.ID // the maps keep the schema's string
+	}
+	mx.inst.suppressLocked(node, retryAt, pending)
+}
+
+// Suspend blocks user operations on the instance.
+func (mx *Mutable) Suspend() { mx.inst.suspended = true }
 
 // timeoutLocked records that a running node exceeded its armed deadline:
 // a Timeout event is appended, the deadline disarms (it fires exactly
@@ -71,11 +103,8 @@ func (inst *Instance) failLocked(node, user, reason string, retryAt int64, pendi
 // assignee and re-offered to the node's escalation role (its own role
 // when none is configured).
 func (inst *Instance) timeoutLocked(node string) error {
-	if inst.done {
-		return fault.Tagf(fault.Completed, "engine: timeout %s/%s: instance is completed", inst.id, node)
-	}
-	if inst.suspended {
-		return fault.Tagf(fault.Suspended, "engine: timeout %s/%s: instance is suspended", inst.id, node)
+	if err := inst.openLocked("timeout", node); err != nil {
+		return err
 	}
 	v, _ := inst.viewLocked()
 	n, ok := v.Node(node)
@@ -103,15 +132,24 @@ func (inst *Instance) timeoutLocked(node string) error {
 	return nil
 }
 
-// retryLocked lifts the suppression of a failed node's work item: the
-// retry backoff and any pending-compensation mark are cleared and the
-// worklist sync re-offers the item.
-func (inst *Instance) retryLocked(node string) error {
+// openLocked refuses an exception transition on a finished or suspended
+// instance.
+func (inst *Instance) openLocked(op, node string) error {
 	if inst.done {
-		return fault.Tagf(fault.Completed, "engine: retry %s/%s: instance is completed", inst.id, node)
+		return fault.Tagf(fault.Completed, "engine: %s %s/%s: instance is completed", op, inst.id, node)
 	}
 	if inst.suspended {
-		return fault.Tagf(fault.Suspended, "engine: retry %s/%s: instance is suspended", inst.id, node)
+		return fault.Tagf(fault.Suspended, "engine: %s %s/%s: instance is suspended", op, inst.id, node)
+	}
+	return nil
+}
+
+// retryLocked lifts the suppression of a failed node's work item: the
+// retry backoff and any pending mark are cleared, for the worklist sync to
+// re-offer the item.
+func (inst *Instance) retryLocked(node string) error {
+	if err := inst.openLocked("retry", node); err != nil {
+		return err
 	}
 	if got := inst.marking.Node(node); got != state.Activated {
 		return fault.Tagf(fault.Conflict, "engine: retry %s/%s: node is %s, not activated", inst.id, node, got)
@@ -122,26 +160,17 @@ func (inst *Instance) retryLocked(node string) error {
 	}
 	delete(inst.retryAt, node)
 	delete(inst.compPending, node)
-	inst.syncWorklistLocked()
 	return nil
 }
 
 // FailActivity records a process-level failure of a running activity
 // (see failLocked).
 func (e *Engine) FailActivity(instID, node, user, reason string, retryAt int64, pending bool) error {
-	if err := checkUTF8("fail", "user", user); err != nil {
-		return err
-	}
-	if err := checkUTF8("fail", "reason", reason); err != nil {
-		return err
-	}
 	inst, ok := e.Instance(instID)
 	if !ok {
 		return fault.Tagf(fault.NotFound, "engine: fail: unknown instance %q", instID)
 	}
-	inst.mu.Lock()
-	defer inst.mu.Unlock()
-	return inst.failLocked(node, user, reason, retryAt, pending)
+	return inst.Mutate(func(*Mutable) error { return inst.failLocked(node, user, reason, retryAt, pending) })
 }
 
 // TimeoutActivity fires the armed deadline of a running activity (see
@@ -151,9 +180,7 @@ func (e *Engine) TimeoutActivity(instID, node string) error {
 	if !ok {
 		return fault.Tagf(fault.NotFound, "engine: timeout: unknown instance %q", instID)
 	}
-	inst.mu.Lock()
-	defer inst.mu.Unlock()
-	return inst.timeoutLocked(node)
+	return inst.Mutate(func(*Mutable) error { return inst.timeoutLocked(node) })
 }
 
 // RetryActivity re-offers the suppressed work item of a failed activity
@@ -163,9 +190,7 @@ func (e *Engine) RetryActivity(instID, node string) error {
 	if !ok {
 		return fault.Tagf(fault.NotFound, "engine: retry: unknown instance %q", instID)
 	}
-	inst.mu.Lock()
-	defer inst.mu.Unlock()
-	return inst.retryLocked(node)
+	return inst.Mutate(func(*Mutable) error { return inst.retryLocked(node) })
 }
 
 // Expiry identifies one due exception-timer entry: an armed deadline
@@ -173,60 +198,44 @@ func (e *Engine) RetryActivity(instID, node string) error {
 type Expiry struct {
 	Instance string
 	Node     string
-	// At is the armed deadline (or retry due time) in unix nanos.
-	At int64
 }
 
-// ExpiredDeadlines scans all live instances for armed deadlines at or
-// before now. The result is ordered by instance creation order, then
-// node ID — deterministic, so a sweep loop issues the same command
-// sequence regardless of map iteration.
+// ExpiredDeadlines lists the armed deadlines of running nodes at or
+// before now (due).
 func (e *Engine) ExpiredDeadlines(now int64) []Expiry {
-	var out []Expiry
-	for _, inst := range e.Instances() {
-		inst.mu.Lock()
-		if !inst.done && !inst.suspended {
-			start := len(out)
-			for node, dl := range inst.deadlines {
-				if dl <= now && inst.marking.Node(node) == state.Running {
-					out = append(out, Expiry{Instance: inst.id, Node: node, At: dl})
-				}
-			}
-			sortExpiries(out[start:])
-		}
-		inst.mu.Unlock()
-	}
-	return out
+	return e.due(now, state.Running, func(inst *Instance) map[string]int64 { return inst.deadlines })
 }
 
-// DueRetries scans all live instances for retry backoffs due at or
-// before now (same ordering guarantees as ExpiredDeadlines).
+// DueRetries lists the retry backoffs of activated nodes due at or before
+// now (due).
 func (e *Engine) DueRetries(now int64) []Expiry {
+	return e.due(now, state.Activated, func(inst *Instance) map[string]int64 { return inst.retryAt })
+}
+
+// due scans all live instances for the entries of one exception timer at
+// or before now whose node is in state st, ordered by instance creation
+// order, then node ID — deterministic, so a sweep issues the same command
+// sequence regardless of map iteration.
+func (e *Engine) due(now int64, st state.NodeState, timer func(*Instance) map[string]int64) []Expiry {
 	var out []Expiry
 	for _, inst := range e.Instances() {
 		inst.mu.Lock()
 		if !inst.done && !inst.suspended {
 			start := len(out)
-			for node, at := range inst.retryAt {
-				if at <= now && inst.marking.Node(node) == state.Activated {
-					out = append(out, Expiry{Instance: inst.id, Node: node, At: at})
+			for node, at := range timer(inst) {
+				if at <= now && inst.marking.Node(node) == st {
+					out = append(out, Expiry{Instance: inst.id, Node: node})
 				}
 			}
-			sortExpiries(out[start:])
+			slices.SortFunc(out[start:], func(a, b Expiry) int { return strings.Compare(a.Node, b.Node) })
 		}
 		inst.mu.Unlock()
 	}
 	return out
 }
 
-func sortExpiries(s []Expiry) {
-	sort.Slice(s, func(i, j int) bool { return s[i].Node < s[j].Node })
-}
-
-// OpenException describes an exception that has been detected but not
-// yet compensated: a failed node awaiting its policy compensation, or a
-// running node whose deadline fired (escalated) and which a policy may
-// still want to act on.
+// OpenException describes an exception that is still open: a failed
+// node withheld until a Retry, or a running node whose deadline fired.
 type OpenException struct {
 	Instance string
 	Node     string
@@ -237,9 +246,8 @@ type OpenException struct {
 }
 
 // OpenExceptions scans all live instances for open exceptions, ordered
-// by instance creation order then node ID. The sweep re-runs the
-// exception policy over them, which heals compensations lost to a crash
-// between a fail record and its follow-up command.
+// by instance creation order then node ID. The policy reacted to each in
+// the command that detected it; nothing presents one to it again.
 func (e *Engine) OpenExceptions() []OpenException {
 	var out []OpenException
 	for _, inst := range e.Instances() {
@@ -256,13 +264,8 @@ func (e *Engine) OpenExceptions() []OpenException {
 					out = append(out, OpenException{Instance: inst.id, Node: node, Timeout: true, Failures: inst.failures[node]})
 				}
 			}
-			sort.Slice(out[start:], func(i, j int) bool {
-				a, b := out[start+i], out[start+j]
-				if a.Node != b.Node {
-					return a.Node < b.Node
-				}
-				return !a.Timeout && b.Timeout
-			})
+			// A node is activated or running: it is never in both maps.
+			slices.SortFunc(out[start:], func(a, b OpenException) int { return strings.Compare(a.Node, b.Node) })
 		}
 		inst.mu.Unlock()
 	}

@@ -471,8 +471,8 @@ func (inst *Instance) syncWorklistLocked() {
 		n := topo.At(ni).Node()
 		id := n.ID
 		if s := inst.marking.Node(id); s == state.Activated || s == state.Running {
-			// A failed activity in its retry backoff (or awaiting a
-			// policy compensation) keeps no offer: the re-offer is a
+			// A failed activity in its retry backoff (or withheld
+			// until a retry) keeps no offer: the re-offer is a
 			// journaled Retry command, so replay reproduces the same
 			// suppression window.
 			if s == state.Activated && (inst.retryAt[id] != 0 || inst.compPending[id]) {

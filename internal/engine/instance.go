@@ -50,8 +50,8 @@ type Instance struct {
 	// suppressed until then); failures counts consecutive failed
 	// attempts; escalated marks running nodes whose deadline fired and
 	// whose item was re-offered to the escalation role; compPending
-	// marks failed nodes awaiting a policy compensation (item suppressed
-	// until a Retry command or the compensation lands). Entries are
+	// marks failed nodes whose item is withheld until a Retry command
+	// (a suspend reaction, or an older journal's pending). Entries are
 	// reconciled against the marking on every worklist sync so they
 	// never outlive the node state they describe.
 	deadlines   map[string]int64
@@ -295,8 +295,8 @@ func (inst *Instance) RetryDue(node string) (int64, bool) {
 	return at, ok
 }
 
-// PendingCompensation reports whether the failed node awaits a policy
-// compensation (its work item is suppressed meanwhile).
+// PendingCompensation reports whether the failed node's work item is
+// withheld until a Retry releases it.
 func (inst *Instance) PendingCompensation(node string) bool {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
@@ -372,8 +372,9 @@ type Mutable struct {
 }
 
 // Mutate runs fn with exclusive access to the instance internals and
-// reconciles the worklist afterwards. The change framework and the
-// migration manager are its only intended callers.
+// reconciles the worklist afterwards. The change framework, the migration
+// manager and the failure and timeout commands are its only intended
+// callers.
 func (inst *Instance) Mutate(fn func(mx *Mutable) error) error {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
@@ -408,6 +409,9 @@ func (mx *Mutable) History() *history.Log { return &mx.inst.hist }
 
 // Store exposes the live data store.
 func (mx *Mutable) Store() *data.Store { return mx.inst.store }
+
+// ID returns the instance's ID.
+func (mx *Mutable) ID() string { return mx.inst.id }
 
 // Done reports whether the instance finished.
 func (mx *Mutable) Done() bool { return mx.inst.done }

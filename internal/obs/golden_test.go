@@ -58,7 +58,6 @@ func fixture() *Snapshot {
 			Failures:      7,
 			Timeouts:      2,
 			Retries:       3,
-			Escalations:   2,
 			Actions:       map[string]int64{"retry": 3, "suspend": 1},
 			Compensated:   4,
 			Sweeps:        11,

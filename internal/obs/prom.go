@@ -74,13 +74,12 @@ var families = []family{
 	{"adept2_exception_failures_total", counter, "Activity failures journaled.", nil, 1, func(e *emitter, s *Snapshot) { e.val(s.Exception.Failures) }},
 	{"adept2_exception_timeouts_total", counter, "Deadline expiries journaled.", nil, 1, func(e *emitter, s *Snapshot) { e.val(s.Exception.Timeouts) }},
 	{"adept2_exception_retries_total", counter, "Retry re-offers journaled.", nil, 1, func(e *emitter, s *Snapshot) { e.val(s.Exception.Retries) }},
-	{"adept2_exception_escalations_total", counter, "Work-item escalations (deadline expiries fired).", nil, 1, func(e *emitter, s *Snapshot) { e.val(s.Exception.Escalations) }},
 	{"adept2_exception_policy_actions_total", counter, "Exception-policy decisions, by action.", []string{"action"}, 1, func(e *emitter, s *Snapshot) {
 		for _, a := range sortedKeys(s.Exception.Actions) {
 			e.val(s.Exception.Actions[a], a)
 		}
 	}},
-	{"adept2_exception_compensated_total", counter, "Compensating commands submitted by sweeps.", nil, 1, func(e *emitter, s *Snapshot) { e.val(s.Exception.Compensated) }},
+	{"adept2_exception_compensated_total", counter, "Skips and suspends applied by fail and timeout commands.", nil, 1, func(e *emitter, s *Snapshot) { e.val(s.Exception.Compensated) }},
 
 	{"adept2_sweep_total", counter, "Deadline sweeps run.", nil, 1, func(e *emitter, s *Snapshot) { e.val(s.Exception.Sweeps) }},
 	{"adept2_sweep_errors_total", counter, "Non-moot submit errors collected by sweeps.", nil, 1, func(e *emitter, s *Snapshot) { e.val(s.Exception.SweepErrors) }},

@@ -205,16 +205,13 @@ type RecoveryMetrics struct {
 	FullReplays Counter
 }
 
-// ExceptionMetrics covers the detect→compensate loop and the deadline
-// sweep.
+// ExceptionMetrics covers the detect→react loop and the deadline sweep.
 type ExceptionMetrics struct {
 	// Actions counts policy decisions by CompensationAction ordinal
 	// (none, retry, skip, suspend — see ActionNames).
 	Actions [4]Counter
-	// Escalations counts deadline expiries fired (each escalates the
-	// work item); Compensated counts compensating commands submitted by
-	// sweeps.
-	Escalations Counter
+	// Compensated counts the skips and suspends that a fail or timeout
+	// command applied (a degraded skip counts as the suspend it became).
 	Compensated Counter
 	Sweeps      Counter
 	SweepErrors Counter

@@ -88,7 +88,6 @@ type ExceptionSnapshot struct {
 	Failures      int64             `json:"failures"`
 	Timeouts      int64             `json:"timeouts"`
 	Retries       int64             `json:"retries"`
-	Escalations   int64             `json:"escalations"`
 	Actions       map[string]int64  `json:"actions,omitempty"`
 	Compensated   int64             `json:"compensated"`
 	Sweeps        int64             `json:"sweeps"`
@@ -182,7 +181,6 @@ func (s *Set) Snapshot() *Snapshot {
 		FullReplays: s.Recovery.FullReplays.Load(),
 	}
 	x := ExceptionSnapshot{
-		Escalations:   s.Exception.Escalations.Load(),
 		Compensated:   s.Exception.Compensated.Load(),
 		Sweeps:        s.Exception.Sweeps.Load(),
 		SweepErrors:   s.Exception.SweepErrors.Load(),

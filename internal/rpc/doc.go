@@ -39,7 +39,9 @@
 // than eight outputs — and such a line, like every line that is not JSON,
 // is decoded by encoding/json from the start (decodeCommandLineJSON), so
 // what a line means and why a bad one is bad are encoding/json's to say;
-// FuzzDecodeAgainstJSON holds the two together.
+// FuzzDecodeAgainstJSON holds the two together. A fail line's retryAt,
+// pending and reaction are the record's: the server's exception policy
+// reacts inside the command and a client's members are dropped.
 //
 // A batch is one request line too, a frame: {"batch": [<envelope>, …]},
 // read the same way. The line's one member is "batch", an array, and each

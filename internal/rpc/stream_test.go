@@ -496,17 +496,31 @@ func TestClientSubmitAllocations(t *testing.T) {
 // stream as async lines and frames in windows of 64, so the server's
 // reader decodes each line into the structs its predecessor used while
 // that one's record is staged and flushed, and a frame's into the shared
-// decoder's. Both systems run on one fixed clock: every reply must report
-// the in-process outcome — a frame's, its applied prefix and first
-// refusal — and the two journals must be byte-identical. CI runs it under
-// -race.
+// decoder's. Both systems run on one fixed clock and one exception policy:
+// every reply must report the in-process outcome — a frame's, its applied
+// prefix and first refusal — every fail record must carry the reaction
+// the policy chose (a retry, a skip or a suspension), and the two
+// journals must be byte-identical. CI runs
+// it under -race.
 func TestPipelinedStreamJournalMatchesLocal(t *testing.T) {
 	ctx := context.Background()
 	clock := adept2.WithClock(func() time.Time { return time.Unix(1_700_000_000, 0) })
+	// RetryThenSuspend, except that a failed delivery is skipped and a
+	// failed packing suspends at once.
+	retry := adept2.RetryThenSuspend(1, time.Minute)
+	policy := adept2.WithExceptionPolicy(adept2.PolicyFunc(func(x adept2.Exception) adept2.Reaction {
+		switch x.Node {
+		case "deliver_goods":
+			return adept2.Reaction{Action: adept2.ActionSkip}
+		case "pack_goods":
+			return adept2.Reaction{Action: adept2.ActionSuspend}
+		}
+		return retry.Decide(x)
+	}))
 	open := func(name string) (*adept2.System, string) {
 		path := filepath.Join(t.TempDir(), name)
 		sys, err := adept2.Open(path, adept2.WithOrg(sim.Org()),
-			adept2.WithCheckpointing(adept2.CheckpointConfig{Every: -1}), clock)
+			adept2.WithCheckpointing(adept2.CheckpointConfig{Every: -1}), clock, policy)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -649,7 +663,25 @@ func TestPipelinedStreamJournalMatchesLocal(t *testing.T) {
 		t.Fatalf("journals differ: %d bytes in process, %d over the stream, first difference at byte %d",
 			len(lj), len(rj), firstDifference(lj, rj))
 	}
-	t.Logf("%d commands in %d lines, %d of them frames, applied %v; both journals hold the same %d bytes", n, len(lines), frames, kinds, len(lj))
+	reactions := map[string]int{}
+	for _, line := range bytes.Split(lj, []byte("\n")) {
+		var rec struct {
+			Op   string
+			Args adept2.FailActivity
+		}
+		if json.Unmarshal(line, &rec) != nil || rec.Op != "fail" {
+			continue
+		}
+		reactions[rec.Args.Reaction]++
+		if (rec.Args.Reaction == "retry") != (rec.Args.RetryAt == time.Unix(1_700_000_060, 0).UnixNano()) {
+			t.Fatalf("fail record %+v: the policy retries after a minute", rec.Args)
+		}
+	}
+	if reactions["retry"] == 0 || reactions["skip"] == 0 || reactions["suspend"] == 0 || len(reactions) != 3 {
+		t.Fatalf("fail records carry the reactions %v, want each of retry, skip and suspend, and no other", reactions)
+	}
+	t.Logf("%d commands in %d lines, %d of them frames, applied %v, failures reacted to %v; both journals hold the same %d bytes",
+		n, len(lines), frames, kinds, reactions, len(lj))
 }
 
 // proposeMixed picks the next command of the pipelined stream from sys's
@@ -717,4 +749,89 @@ func firstDifference(a, b []byte) int {
 		n++
 	}
 	return n
+}
+
+// TestCallerCannotSuppressReoffer: a failure's reaction is the System's,
+// whoever submits it. A FailActivity whose submitter sets Pending, RetryAt
+// and Reaction, in process and as a remote line, is with no policy
+// journaled without them and re-offered at once, and stays offered
+// through five hourly sweeps; under RetryThenSuspend both paths journal
+// the policy's retry, and nothing else.
+func TestCallerCannotSuppressReoffer(t *testing.T) {
+	ctx := context.Background()
+	for _, policy := range []string{"none", "retry-then-suspend"} {
+		for _, path := range []string{"in process", "remote"} {
+			t.Run(policy+"/"+path, func(t *testing.T) {
+				now := time.Unix(1_700_000_000, 0)
+				opts := []adept2.Option{adept2.WithOrg(sim.Org()), adept2.WithClock(func() time.Time { return now }),
+					adept2.WithCheckpointing(adept2.CheckpointConfig{Every: -1})}
+				want := `{"instance":"inst-000001","node":"get_order","user":"ann","reason":"forged"}`
+				if policy != "none" {
+					opts = append(opts, adept2.WithExceptionPolicy(adept2.RetryThenSuspend(3, time.Minute)))
+					want = fmt.Sprintf(`{"instance":"inst-000001","node":"get_order","user":"ann","reason":"forged","retryAt":%d,"reaction":"retry"}`,
+						now.Add(time.Minute).UnixNano())
+				}
+				journal := filepath.Join(t.TempDir(), "wal.ndjson")
+				sys, err := adept2.Open(journal, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { sys.Close() })
+				submit := func(cmd adept2.Command) error {
+					_, err := sys.Submit(ctx, cmd)
+					return err
+				}
+				if path == "remote" {
+					_, cli := serve(t, sys, rpc.Options{})
+					submit = func(cmd adept2.Command) error {
+						_, err := cli.Submit(ctx, cmd)
+						return err
+					}
+				}
+				for _, cmd := range []adept2.Command{
+					&adept2.Deploy{Schema: sim.OnlineOrder()},
+					&adept2.CreateInstance{TypeName: "online_order"},
+					&adept2.StartActivity{Instance: "inst-000001", Node: "get_order", User: "ann"},
+					&adept2.FailActivity{Instance: "inst-000001", Node: "get_order", User: "ann", Reason: "forged",
+						RetryAt: now.Add(24 * time.Hour).UnixNano(), Pending: true, Reaction: "suspend"},
+				} {
+					if err := submit(cmd); err != nil {
+						t.Fatalf("%s: %v", cmd.CommandName(), err)
+					}
+				}
+				if err := sys.SyncDurable(); err != nil {
+					t.Fatal(err)
+				}
+				var rec struct{ Args json.RawMessage }
+				if err := json.Unmarshal(lastRecord(t, journal), &rec); err != nil || string(rec.Args) != want {
+					t.Fatalf("the fail record is %s (%v), want %s", rec.Args, err, want)
+				}
+				inst, _ := sys.Instance("inst-000001")
+				offered := func() bool {
+					items := sys.WorkItems("ann")
+					return len(items) == 1 && items[0].Node == "get_order"
+				}
+				if inst.Suspended() || inst.PendingCompensation("get_order") || offered() == (policy != "none") {
+					t.Fatalf("after the failure: suspended %v, pending %v, offered %v", inst.Suspended(), inst.PendingCompensation("get_order"), offered())
+				}
+				for i := 0; i < 5 && policy == "none"; i++ {
+					now = now.Add(time.Hour)
+					if _, err := sys.SweepDeadlines(ctx, now); err != nil || !offered() {
+						t.Fatalf("sweep %d: %v, offered %v", i+1, err, offered())
+					}
+				}
+			})
+		}
+	}
+}
+
+// lastRecord returns the last line of a journal.
+func lastRecord(t *testing.T, journal string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(b), []byte("\n"))
+	return lines[len(lines)-1]
 }

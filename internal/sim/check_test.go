@@ -12,8 +12,9 @@ import (
 )
 
 // build opens a system on its own in-memory disk, its clock standing at the
-// given offset past the epoch, deploys "timed" (one clerk activity "a" that
-// carries a deadline and writes x), creates i1 and i2, and submits cmds.
+// given offset past the epoch and a failure retried after a minute,
+// deploys "timed" (one clerk activity "a" that carries a deadline and
+// writes x), creates i1 and i2, and submits cmds.
 func build(t *testing.T, at time.Duration, cmds ...adept2.Command) *adept2.System {
 	t.Helper()
 	b := adept2.NewBuilder("timed")
@@ -25,7 +26,8 @@ func build(t *testing.T, at time.Duration, cmds ...adept2.Command) *adept2.Syste
 		t.Fatal(err)
 	}
 	sys, err := adept2.Open("wal", adept2.WithOrg(sim.Org()), adept2.WithVFS(vfs.NewMemFS()),
-		adept2.WithClock(func() time.Time { return time.Unix(0, int64(at)) }))
+		adept2.WithClock(func() time.Time { return time.Unix(0, int64(at)) }),
+		adept2.WithExceptionPolicy(adept2.RetryThenSuspend(8, time.Minute)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,9 +48,7 @@ func build(t *testing.T, at time.Duration, cmds ...adept2.Command) *adept2.Syste
 // builds its two systems as variants 0 and 1.
 func TestDiffSeesEveryDifference(t *testing.T) {
 	start := &adept2.StartActivity{Instance: "i1", Node: "a", User: "ann"}
-	fail := func(retryAt int64) adept2.Command {
-		return &adept2.FailActivity{Instance: "i1", Node: "a", User: "ann", Reason: "boom", RetryAt: retryAt}
-	}
+	fail := &adept2.FailActivity{Instance: "i1", Node: "a", User: "ann", Reason: "boom"}
 	// courier hands both instances' "a" to bob and dan.
 	var courier []adept2.Command
 	for _, inst := range []string{"i1", "i2"} {
@@ -72,11 +72,11 @@ func TestDiffSeesEveryDifference(t *testing.T) {
 				Outputs: map[string]any{"x": float64(v)}})
 		}},
 		{"deadline stamp", func(t *testing.T, v int) *adept2.System { return build(t, time.Duration(v)*time.Second, start) }},
-		{"retry stamp", func(t *testing.T, v int) *adept2.System { return build(t, 0, start, fail(int64(v+1))) }},
+		{"retry stamp", func(t *testing.T, v int) *adept2.System { return build(t, time.Duration(v)*time.Second, start, fail) }},
 		{"failure count", func(t *testing.T, v int) *adept2.System {
 			cmds := []adept2.Command{start}
 			for i := 0; i < v; i++ {
-				cmds = append(cmds, fail(0), start)
+				cmds = append(cmds, fail, start)
 			}
 			return build(t, 0, cmds...)
 		}},

@@ -146,7 +146,6 @@ type Result struct {
 	Failures          int // activity failures injected
 	Timeouts          int // deadline expiries fired by sweeps
 	Retries           int // retry backoffs lifted by sweeps
-	Compensations     int // policy compensations submitted by sweeps
 	Skips             int // failures compensated by machine-generated skip changes
 	Suspends          int // failures compensated by suspension
 	Evolutions        int // schema evolutions applied
@@ -172,9 +171,9 @@ type Result struct {
 
 func (r *Result) String() string {
 	return fmt.Sprintf(
-		"steps=%d created=%d finished=%d activities=%d failures=%d timeouts=%d retries=%d compensations=%d skips=%d suspends=%d evolutions=%d adhocs=%d faultWindows=%d heals=%d wedgedSubmits=%d unacked=%d crashes=%d reopens=%d digest=%016x",
+		"steps=%d created=%d finished=%d activities=%d failures=%d timeouts=%d retries=%d skips=%d suspends=%d evolutions=%d adhocs=%d faultWindows=%d heals=%d wedgedSubmits=%d unacked=%d crashes=%d reopens=%d digest=%016x",
 		r.Steps, r.Created, r.Finished, r.Activities, r.Failures, r.Timeouts,
-		r.Retries, r.Compensations, r.Skips, r.Suspends, r.Evolutions, r.AdHocs,
+		r.Retries, r.Skips, r.Suspends, r.Evolutions, r.AdHocs,
 		r.FaultWindows, r.Heals, r.WedgedSubmits, r.Unacked, r.Crashes, r.Reopens, r.Digest)
 }
 
@@ -528,16 +527,16 @@ func (r *runner) userAction(ctx context.Context) error {
 	running, suspended := inst.NodeState(it.Node) == state.Running, inst.Suspended()
 	switch {
 	case running && r.rng.Float64() < r.cfg.FailProb:
-		err := r.sys.Fail(ctx, it.Instance, it.Node, user,
-			fmt.Sprintf("injected failure #%d", r.res.Failures+1))
+		_, err := r.sys.Submit(ctx, &adept2.FailActivity{Instance: it.Instance, Node: it.Node, User: user,
+			Reason: fmt.Sprintf("injected failure #%d", r.res.Failures+1)})
 		if terr := r.tolerate(err, suspended); terr != nil {
 			return terr
 		}
 		if err == nil {
 			r.res.Failures++
 			r.ledger.Ack(r.sys, it.Instance)
-			// Classify the observed compensation: the policy's skip
-			// deletes the node from the instance view; its suspend
+			// Classify the reaction the command applied: a skip
+			// deletes the node from the instance view, a suspend
 			// freezes the instance.
 			if inst.Suspended() {
 				r.res.Suspends++
@@ -600,8 +599,7 @@ func (r *runner) sweep(ctx context.Context) error {
 	}
 	r.res.Timeouts += rep.Timeouts
 	r.res.Retries += rep.Retries
-	r.res.Compensations += rep.Compensated
-	if rep.Timeouts+rep.Retries+rep.Compensated > 0 {
+	if rep.Timeouts+rep.Retries > 0 {
 		r.ledger.AckAll(r.sys)
 	}
 	return nil

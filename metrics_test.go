@@ -284,12 +284,12 @@ func TestSweepTimer(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		snap := sys.Metrics()
-		if snap.Exception.Sweeps > 0 && snap.Exception.Escalations == 1 {
+		if snap.Exception.Sweeps > 0 && snap.Exception.Timeouts == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("timer never escalated: sweeps=%d escalations=%d",
-				snap.Exception.Sweeps, snap.Exception.Escalations)
+			t.Fatalf("timer never escalated: sweeps=%d timeouts=%d",
+				snap.Exception.Sweeps, snap.Exception.Timeouts)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -328,7 +328,7 @@ func TestExceptionMetrics(t *testing.T) {
 	defer sys.Close()
 	id := startFix(t, sys)
 
-	if err := sys.Fail(ctx, id, "fix", "ann", "printer on fire"); err != nil {
+	if _, err := sys.Submit(ctx, &adept2.FailActivity{Instance: id, Node: "fix", User: "ann", Reason: "printer on fire"}); err != nil {
 		t.Fatal(err)
 	}
 	snap := sys.Metrics()

@@ -77,7 +77,7 @@ func TestMineEndToEnd(t *testing.T) {
 	if _, err := sys.Submit(ctx, &adept2.StartActivity{Instance: i2.ID(), Node: "get_order", User: "ann"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Fail(ctx, i2.ID(), "get_order", "ann", "phone line dead"); err != nil {
+	if _, err := sys.Submit(ctx, &adept2.FailActivity{Instance: i2.ID(), Node: "get_order", User: "ann", Reason: "phone line dead"}); err != nil {
 		t.Fatal(err)
 	}
 	clk.advance(2 * time.Minute)

@@ -230,8 +230,8 @@ func (s *System) submitOne(ctx context.Context, c command, span *obs.Span, rcpt 
 }
 
 // stage is one command's turn under the command barrier, which the caller
-// holds: the wedge check, the engine mutation, the record's args and the
-// staging of the record. Submit, SubmitAsync and every command of a
+// holds: the wedge check, the engine mutation (of the live form, live),
+// the record's args and the staging of the record. Submit, SubmitAsync and every command of a
 // SubmitBatch run go through it. It fills rcpt with the command's result
 // and with where the record's wait finds it: a zero position means durable
 // already (New(); a control record, which is durable on return). A data
@@ -244,6 +244,7 @@ func (s *System) stage(c command, span *obs.Span, rcpt *Receipt) error {
 	if err := s.wedgedErr(); err != nil {
 		return &Error{Code: CodeWedged, Op: c.CommandName(), Instance: c.target(), Err: err}
 	}
+	c = live(c)
 	eff, err := c.run(s)
 	if err == nil {
 		if span != nil {
