@@ -22,41 +22,39 @@ import (
 // Command is one typed, journal-able state mutation of a System. Every
 // mutation — instance execution, ad-hoc change, schema evolution, org and
 // deployment changes — is a value implementing Command, submitted through
-// Submit, SubmitAsync, or SubmitBatch. One registry owns each command's
-// journal name, JSON codec, control/data classification, and engine
-// application, and the SAME table drives both the live path and
-// crash-recovery replay, so a command type cannot drift between execution
-// and recovery.
+// Submit, SubmitAsync, or SubmitBatch. One table, cmdTable, holds each
+// command's row — its name, journal op, control/data classification and
+// JSON codec — and every projection of the vocabulary reads that row: the
+// live path, crash-recovery replay, the wire codec and the metric labels.
+// The engine application is the command's run, the SAME routine on the
+// live path and in replay, so a command type cannot drift between
+// execution and recovery.
 //
 // Commands are defined by this package; foreign implementations are
 // rejected with ErrInvalid.
 type Command interface {
-	// CommandName returns the command's registry name. It doubles as the
-	// journal op for every command except Resume (journaled as "suspend"
-	// with a resume flag, for wire compatibility with earlier releases).
+	// CommandName returns the name of the command's row: its metric
+	// label, and its journal op for every command except Resume (journaled
+	// as "suspend" with a resume flag, for wire compatibility with earlier
+	// releases).
 	CommandName() string
 }
 
-// command is the internal contract behind Command: classification and the
-// single apply routine shared by the live path and recovery replay.
+// command is the internal contract behind Command: the command's row and
+// the single apply routine shared by the live path and recovery replay.
 type command interface {
 	Command
-	// control reports whether the command journals to the control log
-	// (shard 0 in a sharded layout) and needs the exclusive barrier
-	// there: it mutates state every instance may depend on.
-	control() bool
+	// row returns the command's row of cmdTable, the same one for every
+	// value of the type, so the submit path classifies, journals and
+	// counts a command without a map lookup.
+	row() *cmdRow
 	// target returns the instance ID the command addresses, for error
 	// reporting ("" for control commands and unrouted creates).
 	target() string
-	// opIndex returns the command's position in the per-op metric
-	// arrays (see metrics.go) — a compile-time constant per type, so
-	// the hot path indexes without a map lookup. Resume has its own
-	// index even though it journals as "suspend".
-	opIndex() int
 	// run validates the command and applies it to the engine. It returns
 	// the effect: the caller-visible result, the instance the journal
-	// record routes on, and the wire op/args to journal. run never
-	// journals — Submit and replay decide that.
+	// record routes on, and the args to journal under the row's op. run
+	// never journals — Submit and replay decide that.
 	run(s *System) (effect, error)
 }
 
@@ -110,11 +108,8 @@ func (eff *effect) stamp(c command) bool {
 		rec.complete = *c
 		rec.complete.At = eff.at
 		eff.args = &rec.complete
-	case *Suspend:
-		rec.suspend = suspendArgs{Instance: c.Instance}
-		eff.args = &rec.suspend
-	case *Resume:
-		rec.suspend = suspendArgs{Instance: c.Instance, Resume: true}
+	case *Suspend, *Resume:
+		rec.suspend = suspendArgs{Instance: c.target(), Resume: c.row() == resumeCmd}
 		eff.args = &rec.suspend
 	default:
 		stampedPool.Put(rec)
@@ -137,7 +132,7 @@ func (eff *effect) release() {
 // finishEffect fills a nil effect.args with the command's stamped record
 // form or from its encoder (the live path's pre-journal step).
 func finishEffect(c command, eff *effect) error {
-	if eff.args != nil || eff.op == "" || eff.stamp(c) {
+	if eff.args != nil || eff.stamp(c) {
 		return nil
 	}
 	enc, ok := c.(argsEncoder)
@@ -155,8 +150,7 @@ func finishEffect(c command, eff *effect) error {
 // effect is what applying a command produced and what must be journaled.
 type effect struct {
 	result any    // returned to the submitter (nil for most commands)
-	inst   string // routing instance ("" = control record)
-	op     string // journal op
+	inst   string // routing instance ("" for a control record)
 	args   any    // journal args (wire form); nil until finishEffect for stamped and encoded ones
 	at     int64  // the time run stamped (StartActivity, CompleteActivity)
 
@@ -232,20 +226,16 @@ func (s *System) heldName(kind engine.NameKind, b []byte) string {
 	return string(b)
 }
 
-// cmdSpec is one registry row.
-type cmdSpec struct {
-	op      string
+// cmdRow is one command's row of cmdTable.
+type cmdRow struct {
+	name string // CommandName, and the op label of the command's metrics
+	op   string // the journal op of its records, and of its wire lines
+	// control is set for a command that journals to the control log
+	// (shard 0 in a sharded layout) and needs the exclusive barrier there:
+	// it mutates state every instance may depend on.
 	control bool
-	codec
-}
-
-// registry maps journal op names to their spec. It is the single source
-// of truth consumed by System.apply (replay), Submit (classification),
-// and the sharded WAL's control/data routing.
-var registry = map[string]*cmdSpec{}
-
-func register(op string, control bool, c codec) {
-	registry[op] = &cmdSpec{op: op, control: control, codec: c}
+	codec       // decodes the args of an op record (journalOps)
+	index   int // the row's place in cmdTable: its index in the metric arrays
 }
 
 // decodeStruct decodes the args of a command whose wire form is the
@@ -610,19 +600,41 @@ func suspendCommand(a *suspendArgs, into *wireStructs) command {
 	return &Suspend{Instance: a.Instance}
 }
 
+// The command table: one row per command, in the order of the op label
+// values (metrics). A command's type reaches its row through its row
+// method; replay and the wire decoder through journalOps. Resume journals
+// under the suspend op, whose records the suspend row's codec decodes.
+var (
+	userCmd     = &cmdRow{name: "user", op: "user", control: true, codec: codec{decode: decodeStruct[AddUser]}}
+	deployCmd   = &cmdRow{name: "deploy", op: "deploy", control: true, codec: codec{decode: decodeStruct[Deploy]}}
+	evolveCmd   = &cmdRow{name: "evolve", op: "evolve", control: true, codec: codec{decode: decodeEvolve}}
+	createCmd   = &cmdRow{name: "create", op: "create", codec: createForm.codec(structCommand[CreateInstance])}
+	startCmd    = &cmdRow{name: "start", op: "start", codec: startForm.codec(structCommand[StartActivity])}
+	failCmd     = &cmdRow{name: "fail", op: "fail", codec: failForm.codec(structCommand[FailActivity])}
+	timeoutCmd  = &cmdRow{name: "timeout", op: "timeout", codec: timeoutForm.codec(structCommand[TimeoutActivity])}
+	retryCmd    = &cmdRow{name: "retry", op: "retry", codec: retryForm.codec(structCommand[RetryActivity])}
+	completeCmd = &cmdRow{name: "complete", op: "complete", codec: completeForm.codec(structCommand[CompleteActivity])}
+	adhocCmd    = &cmdRow{name: "adhoc", op: "adhoc", codec: codec{decode: decodeAdHoc}}
+	suspendCmd  = &cmdRow{name: "suspend", op: "suspend", codec: suspendForm.codec(suspendCommand)}
+	undoCmd     = &cmdRow{name: "undo", op: "undo", codec: undoForm.codec(structCommand[Undo])}
+	resumeCmd   = &cmdRow{name: "resume", op: "suspend", codec: suspendCmd.codec}
+
+	cmdTable = [...]*cmdRow{userCmd, deployCmd, evolveCmd, createCmd, startCmd, failCmd,
+		timeoutCmd, retryCmd, completeCmd, adhocCmd, suspendCmd, undoCmd, resumeCmd}
+)
+
+// journalOps maps a journal op to the first row that journals under it,
+// whose codec decodes the op's records (replay, DecodeWireCommand and
+// WireDecoder).
+var journalOps = map[string]*cmdRow{}
+
 func init() {
-	register("user", true, codec{decode: decodeStruct[AddUser]})
-	register("deploy", true, codec{decode: decodeStruct[Deploy]})
-	register("evolve", true, codec{decode: decodeEvolve})
-	register("create", false, createForm.codec(structCommand[CreateInstance]))
-	register("start", false, startForm.codec(structCommand[StartActivity]))
-	register("fail", false, failForm.codec(structCommand[FailActivity]))
-	register("timeout", false, timeoutForm.codec(structCommand[TimeoutActivity]))
-	register("retry", false, retryForm.codec(structCommand[RetryActivity]))
-	register("complete", false, completeForm.codec(structCommand[CompleteActivity]))
-	register("adhoc", false, codec{decode: decodeAdHoc})
-	register("suspend", false, suspendForm.codec(suspendCommand))
-	register("undo", false, undoForm.codec(structCommand[Undo]))
+	for i, r := range cmdTable {
+		r.index = i
+		if journalOps[r.op] == nil {
+			journalOps[r.op] = r
+		}
+	}
 }
 
 // AppendJSON appends the create's journal args (see AppendCommandArgs).
@@ -655,17 +667,17 @@ func (a *suspendArgs) AppendJSON(b []byte) ([]byte, error) { return suspendForm.
 // log: commands that change shared state every instance may depend on
 // (schemas, users) or mutate instances across shards (evolutions).
 func isControlOp(op string) bool {
-	spec, ok := registry[op]
-	return ok && spec.control
+	r, ok := journalOps[op]
+	return ok && r.control
 }
 
 // decodeCommand resolves a journal record to its typed command.
 func decodeCommand(op string, args json.RawMessage) (command, error) {
-	spec, ok := registry[op]
+	r, ok := journalOps[op]
 	if !ok {
 		return nil, fmt.Errorf("adept2: unknown journal op %q", op)
 	}
-	return spec.decodeArgs(args, false, nil, nil)
+	return r.decodeArgs(args, false, nil, nil)
 }
 
 // apply replays one journaled command (crash recovery): the same decode +
@@ -687,16 +699,15 @@ type AddUser struct {
 	User *User `json:"user"`
 }
 
-func (*AddUser) CommandName() string { return "user" }
-func (*AddUser) control() bool       { return true }
-func (*AddUser) opIndex() int        { return opUser }
+func (*AddUser) CommandName() string { return userCmd.name }
+func (*AddUser) row() *cmdRow        { return userCmd }
 func (*AddUser) target() string      { return "" }
 
 func (c *AddUser) run(s *System) (effect, error) {
 	if err := s.eng.Org().AddUser(c.User); err != nil {
 		return effect{}, err
 	}
-	return effect{op: "user", args: c}, nil
+	return effect{args: c}, nil
 }
 
 // Deploy verifies and registers a schema version.
@@ -704,9 +715,8 @@ type Deploy struct {
 	Schema *Schema `json:"schema"`
 }
 
-func (*Deploy) CommandName() string { return "deploy" }
-func (*Deploy) control() bool       { return true }
-func (*Deploy) opIndex() int        { return opDeploy }
+func (*Deploy) CommandName() string { return deployCmd.name }
+func (*Deploy) row() *cmdRow        { return deployCmd }
 func (*Deploy) target() string      { return "" }
 
 func (c *Deploy) run(s *System) (effect, error) {
@@ -716,7 +726,7 @@ func (c *Deploy) run(s *System) (effect, error) {
 	if err := s.eng.Deploy(c.Schema); err != nil {
 		return effect{}, err
 	}
-	return effect{op: "deploy", args: c}, nil
+	return effect{args: c}, nil
 }
 
 // CreateInstance instantiates a process type. Version 0 selects the
@@ -729,9 +739,8 @@ type CreateInstance struct {
 	ID       string `json:"id,omitempty"`
 }
 
-func (*CreateInstance) CommandName() string { return "create" }
-func (*CreateInstance) control() bool       { return false }
-func (*CreateInstance) opIndex() int        { return opCreate }
+func (*CreateInstance) CommandName() string { return createCmd.name }
+func (*CreateInstance) row() *cmdRow        { return createCmd }
 func (c *CreateInstance) target() string    { return c.ID }
 
 func (c *CreateInstance) run(s *System) (effect, error) {
@@ -739,7 +748,7 @@ func (c *CreateInstance) run(s *System) (effect, error) {
 	if err != nil {
 		return effect{}, err
 	}
-	return effect{result: inst, inst: inst.ID(), op: "create"}, nil
+	return effect{result: inst, inst: inst.ID()}, nil
 }
 
 // StartActivity starts an activated activity on behalf of a user. At is
@@ -754,9 +763,8 @@ type StartActivity struct {
 	At       int64  `json:"at,omitempty"`
 }
 
-func (*StartActivity) CommandName() string { return "start" }
-func (*StartActivity) control() bool       { return false }
-func (*StartActivity) opIndex() int        { return opStart }
+func (*StartActivity) CommandName() string { return startCmd.name }
+func (*StartActivity) row() *cmdRow        { return startCmd }
 func (c *StartActivity) target() string    { return c.Instance }
 
 func (c *StartActivity) run(s *System) (effect, error) {
@@ -767,7 +775,7 @@ func (c *StartActivity) run(s *System) (effect, error) {
 	if err := s.eng.StartActivityAt(c.Instance, c.Node, c.User, at); err != nil {
 		return effect{}, err
 	}
-	return effect{inst: c.Instance, op: "start", at: at}, nil
+	return effect{inst: c.Instance, at: at}, nil
 }
 
 // FailActivity reports the failure of a running activity: the attempt is
@@ -789,9 +797,8 @@ type FailActivity struct {
 	live bool
 }
 
-func (*FailActivity) CommandName() string { return "fail" }
-func (*FailActivity) control() bool       { return false }
-func (*FailActivity) opIndex() int        { return opFail }
+func (*FailActivity) CommandName() string { return failCmd.name }
+func (*FailActivity) row() *cmdRow        { return failCmd }
 func (c *FailActivity) target() string    { return c.Instance }
 
 func (c *FailActivity) run(s *System) (effect, error) {
@@ -801,7 +808,7 @@ func (c *FailActivity) run(s *System) (effect, error) {
 	if c.live {
 		c.Reaction, c.RetryAt = reactionNames[r.action], r.retryAt
 	}
-	return effect{inst: c.Instance, op: "fail", args: c}, err
+	return effect{inst: c.Instance, args: c}, err
 }
 
 // TimeoutActivity fires the armed deadline of a running activity: a
@@ -818,9 +825,8 @@ type TimeoutActivity struct {
 	live bool
 }
 
-func (*TimeoutActivity) CommandName() string { return "timeout" }
-func (*TimeoutActivity) control() bool       { return false }
-func (*TimeoutActivity) opIndex() int        { return opTimeout }
+func (*TimeoutActivity) CommandName() string { return timeoutCmd.name }
+func (*TimeoutActivity) row() *cmdRow        { return timeoutCmd }
 func (c *TimeoutActivity) target() string    { return c.Instance }
 
 func (c *TimeoutActivity) run(s *System) (effect, error) {
@@ -830,7 +836,7 @@ func (c *TimeoutActivity) run(s *System) (effect, error) {
 	if c.live {
 		c.Reaction = reactionNames[r.action]
 	}
-	return effect{inst: c.Instance, op: "timeout", args: c}, err
+	return effect{inst: c.Instance, args: c}, err
 }
 
 // live is the live path's one hook into a failure or a timeout (stage
@@ -857,16 +863,15 @@ type RetryActivity struct {
 	At       int64  `json:"at,omitempty"`
 }
 
-func (*RetryActivity) CommandName() string { return "retry" }
-func (*RetryActivity) control() bool       { return false }
-func (*RetryActivity) opIndex() int        { return opRetry }
+func (*RetryActivity) CommandName() string { return retryCmd.name }
+func (*RetryActivity) row() *cmdRow        { return retryCmd }
 func (c *RetryActivity) target() string    { return c.Instance }
 
 func (c *RetryActivity) run(s *System) (effect, error) {
 	if err := s.eng.RetryActivity(c.Instance, c.Node); err != nil {
 		return effect{}, err
 	}
-	return effect{inst: c.Instance, op: "retry", args: c}, nil
+	return effect{inst: c.Instance, args: c}, nil
 }
 
 // CompleteActivity completes a node (starting it first when merely
@@ -887,9 +892,8 @@ type CompleteActivity struct {
 	At       int64          `json:"at,omitempty"`
 }
 
-func (*CompleteActivity) CommandName() string { return "complete" }
-func (*CompleteActivity) control() bool       { return false }
-func (*CompleteActivity) opIndex() int        { return opComplete }
+func (*CompleteActivity) CommandName() string { return completeCmd.name }
+func (*CompleteActivity) row() *cmdRow        { return completeCmd }
 func (c *CompleteActivity) target() string    { return c.Instance }
 
 func (c *CompleteActivity) run(s *System) (effect, error) {
@@ -908,7 +912,7 @@ func (c *CompleteActivity) run(s *System) (effect, error) {
 	if err := s.eng.CompleteActivity(c.Instance, c.Node, c.User, c.Outputs, opts...); err != nil {
 		return effect{}, err
 	}
-	return effect{inst: c.Instance, op: "complete", at: at}, nil
+	return effect{inst: c.Instance, at: at}, nil
 }
 
 // adHocArgs is the wire form of an ad-hoc change (ops serialized through
@@ -925,9 +929,8 @@ type AdHoc struct {
 	Ops      []Operation
 }
 
-func (*AdHoc) CommandName() string { return "adhoc" }
-func (*AdHoc) control() bool       { return false }
-func (*AdHoc) opIndex() int        { return opAdHoc }
+func (*AdHoc) CommandName() string { return adhocCmd.name }
+func (*AdHoc) row() *cmdRow        { return adhocCmd }
 func (c *AdHoc) target() string    { return c.Instance }
 
 func (c *AdHoc) run(s *System) (effect, error) {
@@ -938,7 +941,7 @@ func (c *AdHoc) run(s *System) (effect, error) {
 	if err := change.ApplyAdHoc(inst, c.Ops...); err != nil {
 		return effect{}, err
 	}
-	return effect{inst: c.Instance, op: "adhoc"}, nil
+	return effect{inst: c.Instance}, nil
 }
 
 func (c *AdHoc) encodeArgs() (any, error) {
@@ -974,16 +977,15 @@ type Suspend struct {
 	Instance string `json:"instance"`
 }
 
-func (*Suspend) CommandName() string { return "suspend" }
-func (*Suspend) control() bool       { return false }
-func (*Suspend) opIndex() int        { return opSuspend }
+func (*Suspend) CommandName() string { return suspendCmd.name }
+func (*Suspend) row() *cmdRow        { return suspendCmd }
 func (c *Suspend) target() string    { return c.Instance }
 
 func (c *Suspend) run(s *System) (effect, error) {
 	if err := s.eng.Suspend(c.Instance); err != nil {
 		return effect{}, err
 	}
-	return effect{inst: c.Instance, op: "suspend"}, nil
+	return effect{inst: c.Instance}, nil
 }
 
 // Resume re-enables user operations on a suspended instance.
@@ -991,16 +993,15 @@ type Resume struct {
 	Instance string `json:"instance"`
 }
 
-func (*Resume) CommandName() string { return "resume" }
-func (*Resume) control() bool       { return false }
-func (*Resume) opIndex() int        { return opResume }
+func (*Resume) CommandName() string { return resumeCmd.name }
+func (*Resume) row() *cmdRow        { return resumeCmd }
 func (c *Resume) target() string    { return c.Instance }
 
 func (c *Resume) run(s *System) (effect, error) {
 	if err := s.eng.Resume(c.Instance); err != nil {
 		return effect{}, err
 	}
-	return effect{inst: c.Instance, op: "suspend"}, nil
+	return effect{inst: c.Instance}, nil
 }
 
 // Undo removes the most recent ad-hoc change of an instance (or, with
@@ -1011,9 +1012,8 @@ type Undo struct {
 	All      bool   `json:"all,omitempty"`
 }
 
-func (*Undo) CommandName() string { return "undo" }
-func (*Undo) control() bool       { return false }
-func (*Undo) opIndex() int        { return opUndo }
+func (*Undo) CommandName() string { return undoCmd.name }
+func (*Undo) row() *cmdRow        { return undoCmd }
 func (c *Undo) target() string    { return c.Instance }
 
 func (c *Undo) run(s *System) (effect, error) {
@@ -1030,7 +1030,7 @@ func (c *Undo) run(s *System) (effect, error) {
 	if err != nil {
 		return effect{}, err
 	}
-	return effect{inst: c.Instance, op: "undo", args: c}, nil
+	return effect{inst: c.Instance, args: c}, nil
 }
 
 // evolveArgs is the wire form of a schema evolution.
@@ -1052,9 +1052,8 @@ type Evolve struct {
 	Options  EvolveOptions
 }
 
-func (*Evolve) CommandName() string { return "evolve" }
-func (*Evolve) control() bool       { return true }
-func (*Evolve) opIndex() int        { return opEvolve }
+func (*Evolve) CommandName() string { return evolveCmd.name }
+func (*Evolve) row() *cmdRow        { return evolveCmd }
 func (*Evolve) target() string      { return "" }
 
 func (c *Evolve) run(s *System) (effect, error) {
@@ -1062,7 +1061,7 @@ func (c *Evolve) run(s *System) (effect, error) {
 	if err != nil {
 		return effect{}, err
 	}
-	return effect{result: report, op: "evolve"}, nil
+	return effect{result: report}, nil
 }
 
 func (c *Evolve) encodeArgs() (any, error) {

@@ -46,11 +46,14 @@
 // was applied but not made durable fails with an Error whose Applied is
 // set, and its result is the Error's Result.
 //
-// A single registry owns each command's journal name, JSON codec,
-// control/data classification, and engine application. The SAME table
-// drives the live path and crash-recovery replay — executing a command
-// and replaying its journal record run the identical code — so a
-// command's live path, args codec and replay cannot drift. This
+// One table holds a row per command — its name, journal op, control/data
+// classification and JSON codec — and one per error Code — its fault kind
+// and HTTP status; everything that names a command or a code (the journal,
+// replay, the wire codec, the metric labels, the HTTP mapping) reads the
+// row. The live path and crash-recovery replay run the command's one
+// engine application — executing a command and replaying its journal
+// record run the identical code — so a command's live path, args codec
+// and replay cannot drift. This
 // uniformity is the paper's central architectural claim carried into the
 // implementation: execution, ad-hoc change, and schema evolution are the
 // same kind of logged, replayable operation.
@@ -453,7 +456,7 @@
 // internal/rpc turns the in-process API into a network service without
 // inventing a second protocol: the wire envelope {"op","args"} IS the
 // journal record format, encoded and decoded through the same command
-// registry (AppendCommandArgs / EncodeCommand / DecodeWireCommand on this
+// table (AppendCommandArgs / EncodeCommand / DecodeWireCommand on this
 // façade), so a command serialized by a remote client is byte for byte
 // what the journal stores and replay consumes: a flat command's args are
 // appended by the one AppendJSON the journal calls. rpc.NewServer mounts the

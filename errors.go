@@ -3,6 +3,7 @@ package adept2
 import (
 	"context"
 	"errors"
+	"net/http"
 
 	"adept2/internal/fault"
 )
@@ -137,20 +138,64 @@ var (
 	ErrTimeout       = &Error{Code: CodeTimeout}
 )
 
-// kindCodes maps the internal fault classification onto the public codes.
-var kindCodes = map[fault.Kind]Code{
-	fault.Internal:      CodeInternal,
-	fault.Invalid:       CodeInvalid,
-	fault.NotFound:      CodeNotFound,
-	fault.Conflict:      CodeConflict,
-	fault.Denied:        CodeDenied,
-	fault.Suspended:     CodeSuspended,
-	fault.Completed:     CodeCompleted,
-	fault.NotCompliant:  CodeNotCompliant,
-	fault.VersionSkew:   CodeVersionSkew,
-	fault.Unrecoverable: CodeUnrecoverable,
-	fault.Failed:        CodeFailed,
-	fault.Timeout:       CodeTimeout,
+// codeTable is the code table: one row per Code, in the order of the
+// code label values (metrics, after "ok"). A row holds the fault kind the
+// façade classifies as the code (wrapErr) and the HTTP status the
+// networked command plane answers it with. CodeForHTTPStatus reads the
+// first row of a status, so where codes share one the broader class comes
+// first.
+var codeTable = [...]struct {
+	code   Code
+	kind   fault.Kind
+	status int
+}{
+	{CodeInternal, fault.Internal, http.StatusInternalServerError},
+	{CodeInvalid, fault.Invalid, http.StatusBadRequest},
+	{CodeNotFound, fault.NotFound, http.StatusNotFound},
+	{CodeConflict, fault.Conflict, http.StatusConflict},
+	{CodeDenied, fault.Denied, http.StatusForbidden},
+	{CodeSuspended, fault.Suspended, http.StatusLocked},
+	{CodeCompleted, fault.Completed, http.StatusGone},
+	{CodeNotCompliant, fault.NotCompliant, http.StatusUnprocessableEntity},
+	{CodeVersionSkew, fault.VersionSkew, http.StatusConflict},
+	{CodeWedged, noKind, http.StatusServiceUnavailable},
+	{CodeUnrecoverable, fault.Unrecoverable, http.StatusInternalServerError},
+	{CodeCanceled, noKind, http.StatusRequestTimeout},
+	{CodeFailed, fault.Failed, http.StatusConflict}, // activity state contradicts the request
+	{CodeTimeout, fault.Timeout, http.StatusRequestTimeout},
+}
+
+// noKind is the kind of a code no fault kind classifies as: the façade
+// assigns CodeWedged and CodeCanceled itself.
+const noKind = ^fault.Kind(0)
+
+// index returns c's row in codeTable; an unknown code reads as
+// CodeInternal's.
+func (c Code) index() int {
+	for i := range codeTable {
+		if codeTable[i].code == c {
+			return i
+		}
+	}
+	return 0
+}
+
+// HTTPStatus maps a taxonomy code onto the HTTP status the networked
+// command plane answers with. The mapping is total: unknown codes fall
+// back to 500 like CodeInternal.
+func (c Code) HTTPStatus() int { return codeTable[c.index()].status }
+
+// CodeForHTTPStatus is the client-side fallback mapping for responses
+// whose error envelope was lost (proxies, panics): the best-effort code
+// for a bare status. It inverts HTTPStatus where the inverse is unique
+// and picks the broader class where it is not (409 → CodeConflict).
+func CodeForHTTPStatus(status int) Code {
+	for _, r := range codeTable {
+		if r.status == status {
+			return r.code
+		}
+	}
+	return CodeInternal
 }
 
 // wrapErr classifies an internal error at the façade boundary. An error
@@ -165,7 +210,13 @@ func wrapErr(op, instance string, err error) error {
 	if errors.As(err, &e) {
 		return err
 	}
-	code := kindCodes[fault.KindOf(err)]
+	code, kind := CodeInternal, fault.KindOf(err)
+	for _, r := range codeTable {
+		if r.kind == kind {
+			code = r.code
+			break
+		}
+	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		code = CodeCanceled
 	}

@@ -154,13 +154,13 @@ func WithExceptionPolicy(p ExceptionPolicy) Option {
 
 func exceptionErr(kind ExceptionKind, instID, node, reason string) error {
 	if kind == DeadlineExpired {
-		return &Error{Code: CodeTimeout, Op: "timeout", Instance: instID,
+		return &Error{Code: CodeTimeout, Op: timeoutCmd.name, Instance: instID,
 			Err: fault.Tagf(fault.Timeout, "adept2: %s/%s: deadline expired", instID, node)}
 	}
 	if reason == "" {
 		reason = "activity failed"
 	}
-	return &Error{Code: CodeFailed, Op: "fail", Instance: instID,
+	return &Error{Code: CodeFailed, Op: failCmd.name, Instance: instID,
 		Err: fault.Tagf(fault.Failed, "adept2: %s/%s: %s", instID, node, reason)}
 }
 
@@ -275,9 +275,10 @@ type SweepReport struct {
 //  2. every elapsed retry backoff lifts its suppression via
 //     RetryActivity (the work item re-offers).
 //
-// Scans are deterministic (instance creation order, then node ID), so a
-// sweep at a given logical time issues the same command sequence on any
-// replica of the state. Commands that lose a race with user activity
+// Scans are deterministic (instance key — an engine-assigned ID by its
+// number, before foreign IDs in string order — then node ID), so a sweep
+// at a given logical time issues the same command sequence on any replica
+// of the state, live or recovered. Commands that lose a race with user activity
 // (ErrConflict/ErrNotFound/ErrCompleted/ErrSuspended) are skipped as
 // moot; a wedged or canceled store aborts the sweep with the error.
 func (s *System) SweepDeadlines(ctx context.Context, now time.Time) (*SweepReport, error) {
@@ -326,7 +327,7 @@ func (rep *SweepReport) noteErr(err error) error {
 // OpenExceptions lists the open exceptions of all live instances: failed
 // activities withheld until a RetryActivity (after a suspend, or an older
 // journal's pending failure), and escalated activities still running past
-// their deadline. Ordered by instance creation order, then node ID.
+// their deadline. Ordered by instance key, as a sweep scans, then node ID.
 func (s *System) OpenExceptions() []Exception {
 	var out []Exception
 	for _, ox := range s.eng.OpenExceptions() {

@@ -704,3 +704,79 @@ func TestFailIsOneRecord(t *testing.T) {
 		t.Fatalf("the one-record journal recovers to another state:\n%s", d)
 	}
 }
+
+// TestSweepOrderSurvivesRecovery: a sweep issues the same commands on a
+// live system and on its recovery, whatever the instances' IDs. Three
+// failed activities under RetryThenSuspend, on instances created as zeta,
+// alpha and mid, are lifted by the live system and by a copy of its
+// journal reopened in one order; restarted, their deadlines expire in one
+// order, and both list the same open exceptions and summarize alike.
+func TestSweepOrderSurvivesRecovery(t *testing.T) {
+	ctx := context.Background()
+	clk := newTestClock()
+	dir := t.TempDir()
+	path, copied := filepath.Join(dir, "wal"), filepath.Join(dir, "copy")
+	policy := adept2.RetryThenSuspend(3, time.Minute)
+	sys := openRepair(t, path, clk, policy)
+	defer sys.Close()
+	ids := []string{"zeta", "alpha", "mid"}
+	submit := func(sys *adept2.System, cmd adept2.Command) {
+		t.Helper()
+		if _, err := sys.Submit(ctx, cmd); err != nil {
+			t.Fatalf("%s: %v", cmd.CommandName(), err)
+		}
+	}
+	submit(sys, &adept2.Deploy{Schema: repairSchema(t)})
+	for _, id := range ids {
+		submit(sys, &adept2.CreateInstance{TypeName: "repair", ID: id})
+		submit(sys, &adept2.CompleteActivity{Instance: id, Node: "triage", User: "ann"})
+		submit(sys, &adept2.StartActivity{Instance: id, Node: "fix", User: "ann"})
+		submit(sys, &adept2.FailActivity{Instance: id, Node: "fix", User: "ann"})
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(copied, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re := openRepair(t, copied, clk, policy)
+	defer re.Close()
+
+	// sweep runs one sweep on both systems and compares the records each
+	// appended.
+	sweep := func(phase string) {
+		t.Helper()
+		var issued [2]string
+		for k, s := range []struct {
+			sys  *adept2.System
+			path string
+		}{{sys, path}, {re, copied}} {
+			before := len(fixtureRecords(t, s.path))
+			if rep, err := s.sys.SweepDeadlines(ctx, clk.Now()); err != nil || rep.Timeouts+rep.Retries != len(ids) {
+				t.Fatalf("%s sweep: %+v, %v", phase, rep, err)
+			}
+			for _, rec := range fixtureRecords(t, s.path)[before:] {
+				issued[k] += rec.Op + " " + string(rec.Args) + "\n"
+			}
+		}
+		if issued[0] != issued[1] {
+			t.Errorf("the live %s sweep issued\n%sthe recovered one\n%s", phase, issued[0], issued[1])
+		}
+	}
+	clk.advance(time.Hour)
+	sweep("retry")
+	for _, s := range []*adept2.System{sys, re} {
+		for _, id := range ids {
+			submit(s, &adept2.StartActivity{Instance: id, Node: "fix", User: "ann"})
+		}
+	}
+	clk.advance(time.Hour)
+	sweep("timeout")
+	if live, rec := fmt.Sprint(sys.OpenExceptions()), fmt.Sprint(re.OpenExceptions()); live != rec {
+		t.Errorf("open exceptions: live %s, recovered %s", live, rec)
+	}
+	if d := sim.Diff(sim.Summary(sys), sim.Summary(re)); d != "" {
+		t.Errorf("the recovered system summarizes otherwise:\n%s", d)
+	}
+}

@@ -29,7 +29,8 @@ const (
 // documentation).
 type CommitterOptions struct {
 	// Metrics, when set, receives the committer's flush telemetry (fsync
-	// latency, batch occupancy, retries, wedge/heal transitions). All
+	// latency, batch occupancy, wedge/heal transitions; retries are
+	// counted by the committer itself, Retries, whatever Metrics is). All
 	// recording methods are nil-safe, so the zero value costs one branch.
 	// Sharded WALs share one CommitterMetrics across their per-shard
 	// committers — the families aggregate.
@@ -234,7 +235,6 @@ func (c *Committer) flushWithRetry() error {
 	backoff := retryBase
 	for attempt := 0; err != nil && attempt < retryMax; attempt++ {
 		c.retries.Add(1)
-		c.opts.Metrics.RetryInc()
 		time.Sleep(backoff)
 		if backoff *= 2; backoff > retryCap {
 			backoff = retryCap

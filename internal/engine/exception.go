@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"slices"
 	"strings"
 
@@ -213,24 +214,26 @@ func (e *Engine) DueRetries(now int64) []Expiry {
 }
 
 // due scans all live instances for the entries of one exception timer at
-// or before now whose node is in state st, ordered by instance creation
-// order, then node ID — deterministic, so a sweep issues the same command
-// sequence regardless of map iteration.
+// or before now whose node is in state st, ordered by instance key
+// (CompareInstanceIDs), then node ID — deterministic, so a sweep issues
+// the same command sequence regardless of map iteration, on a live engine
+// and on its recovery.
 func (e *Engine) due(now int64, st state.NodeState, timer func(*Instance) map[string]int64) []Expiry {
 	var out []Expiry
 	for _, inst := range e.Instances() {
 		inst.mu.Lock()
 		if !inst.done && !inst.suspended {
-			start := len(out)
 			for node, at := range timer(inst) {
 				if at <= now && inst.marking.Node(node) == st {
 					out = append(out, Expiry{Instance: inst.id, Node: node})
 				}
 			}
-			slices.SortFunc(out[start:], func(a, b Expiry) int { return strings.Compare(a.Node, b.Node) })
 		}
 		inst.mu.Unlock()
 	}
+	slices.SortFunc(out, func(a, b Expiry) int {
+		return cmp.Or(CompareInstanceIDs(a.Instance, b.Instance), strings.Compare(a.Node, b.Node))
+	})
 	return out
 }
 
@@ -246,14 +249,14 @@ type OpenException struct {
 }
 
 // OpenExceptions scans all live instances for open exceptions, ordered
-// by instance creation order then node ID. The policy reacted to each in
-// the command that detected it; nothing presents one to it again.
+// by instance key (CompareInstanceIDs), then node ID. The policy reacted
+// to each in the command that detected it; nothing presents one to it
+// again.
 func (e *Engine) OpenExceptions() []OpenException {
 	var out []OpenException
 	for _, inst := range e.Instances() {
 		inst.mu.Lock()
 		if !inst.done && !inst.suspended {
-			start := len(out)
 			for node := range inst.compPending {
 				if inst.marking.Node(node) == state.Activated {
 					out = append(out, OpenException{Instance: inst.id, Node: node, Failures: inst.failures[node]})
@@ -264,10 +267,12 @@ func (e *Engine) OpenExceptions() []OpenException {
 					out = append(out, OpenException{Instance: inst.id, Node: node, Timeout: true, Failures: inst.failures[node]})
 				}
 			}
-			// A node is activated or running: it is never in both maps.
-			slices.SortFunc(out[start:], func(a, b OpenException) int { return strings.Compare(a.Node, b.Node) })
 		}
 		inst.mu.Unlock()
 	}
+	// A node is activated or running, never in both maps: no two entries tie.
+	slices.SortFunc(out, func(a, b OpenException) int {
+		return cmp.Or(CompareInstanceIDs(a.Instance, b.Instance), strings.Compare(a.Node, b.Node))
+	})
 	return out
 }

@@ -234,46 +234,74 @@ func (e *Engine) SetInstanceCounter(n int) {
 	}
 }
 
-// SortInstanceOrder re-sorts the creation-order index by the numeric
-// suffix of engine-assigned IDs (inst-%d; the %06d padding alone would
-// misorder lexicographically past a million instances), falling back to
-// string order for foreign IDs. Recovery calls this once at the end:
-// sharded recovery restores and replays shards concurrently, and even a
-// single journal records concurrent creates in append order, not
-// engine-apply (ID-assignment) order — either way instances arrive out
-// of ID order and the live listing must not depend on which path built
-// it. Every suffix is parsed once, into a key slice that is what gets
-// sorted: parsing inside the comparator was 5 % of a 27 500-instance
-// recovery.
+// SortInstanceOrder re-sorts the creation-order index by instance key
+// (CompareInstanceIDs). Recovery calls this once at the end: sharded
+// recovery restores and replays shards concurrently, and even a single
+// journal records concurrent creates in append order, not engine-apply
+// (ID-assignment) order — either way instances arrive out of ID order and
+// the live listing must not depend on which path built it. Every suffix
+// is parsed once, into a key slice that is what gets sorted: parsing
+// inside the comparator was 5 % of a 27 500-instance recovery.
 func (e *Engine) SortInstanceOrder() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	type key struct {
-		inst   *Instance
-		n      int
-		engine bool // the ID is engine-style and n its number
+		inst *Instance
+		idNumber
 	}
 	keys := make([]key, len(e.order))
 	for i, inst := range e.order {
-		n, ok := instanceNumber(inst.id)
-		keys[i] = key{inst, n, ok}
+		keys[i] = key{inst, numberOf(inst.id)}
 	}
-	slices.SortStableFunc(keys, func(a, b key) int {
-		switch {
-		case a.engine && b.engine:
-			return cmp.Compare(a.n, b.n)
-		case a.engine != b.engine:
-			if a.engine {
-				return -1 // engine-assigned IDs before foreign ones
-			}
-			return 1
+	slices.SortFunc(keys, func(a, b key) int {
+		if c := compareIDs(a.inst.id, b.inst.id, a.idNumber, b.idNumber); c != 0 {
+			return c
 		}
-		return strings.Compare(a.inst.id, b.inst.id)
+		return cmp.Compare(a.inst.pos, b.inst.pos) // one number spelled two ways: kept in order, as a stable sort would
 	})
 	for i, k := range keys {
 		e.order[i] = k.inst
 		k.inst.pos = int32(i)
 	}
+}
+
+// idNumber is an instance ID's number, if the engine assigned the ID.
+type idNumber struct {
+	n      int
+	engine bool // the ID is engine-style and n its number
+}
+
+func numberOf(id string) idNumber {
+	n, ok := instanceNumber(id)
+	return idNumber{n, ok}
+}
+
+// CompareInstanceIDs orders two instance IDs by key, the order
+// SortInstanceOrder gives a recovered engine, and so what a listing sorts
+// by that must read alike on a live system and on its recovery: an
+// engine-assigned ID (inst-%d) by its number — the %06d padding alone
+// would misorder lexicographically past a million instances — before
+// every foreign ID, those in string order. For engine-assigned IDs it is
+// creation order. Where SortInstanceOrder keeps one number spelled two
+// ways ("inst-5", "inst-05") in the order it found them, this orders them
+// as strings, so that the order is total.
+func CompareInstanceIDs(a, b string) int {
+	return cmp.Or(compareIDs(a, b, numberOf(a), numberOf(b)), strings.Compare(a, b))
+}
+
+// compareIDs orders two IDs by key given their numbers; one number
+// spelled two ways ties.
+func compareIDs(a, b string, na, nb idNumber) int {
+	switch {
+	case na.engine && nb.engine:
+		return cmp.Compare(na.n, nb.n)
+	case na.engine != nb.engine:
+		if na.engine {
+			return -1 // engine-assigned IDs before foreign ones
+		}
+		return 1
+	}
+	return strings.Compare(a, b)
 }
 
 // instanceNumber parses the numeric suffix of an engine-style instance ID:

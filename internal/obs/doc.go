@@ -32,8 +32,9 @@
 // seconds (a name says _seconds exactly when its row scales by 1e-9),
 // sizes are unit-suffixed (e.g. _records, _commands), and instantaneous
 // values are plain gauges. Label spaces
-// are fixed at Set construction: op (command registry name), code
-// (error taxonomy; "ok" for success), shard, action, endpoint (RPC).
+// are fixed at Set construction: op (a command's name, one per row of
+// the façade's command table), code (error taxonomy, one per row of its
+// code table; "ok" for success), shard, action, endpoint (RPC).
 //
 // # Metric catalogue
 //

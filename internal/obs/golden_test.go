@@ -42,7 +42,6 @@ func fixture() *Snapshot {
 		Committer: CommitterSnapshot{
 			Fsync:        HistogramSnapshot{Count: 5, Sum: 2_500_000, Bounds: []int64{1 << 18, 1 << 19, 1 << 20}, Buckets: []int64{1, 3, 1}},
 			BatchRecords: HistogramSnapshot{Count: 8, Sum: 13, Bounds: []int64{1, 2, 4}, Buckets: []int64{5, 2, 1}},
-			FlushRetries: 6,
 			Wedges:       2,
 			Heals:        1,
 		},

@@ -42,7 +42,6 @@ func TestNilSafety(t *testing.T) {
 	var m *CommitterMetrics
 	m.ObserveFsync(1)
 	m.ObserveBatch(1)
-	m.RetryInc()
 	m.WedgeInc()
 	m.HealInc()
 

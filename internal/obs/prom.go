@@ -56,7 +56,6 @@ var families = []family{
 
 	{"adept2_committer_fsync_seconds", histogram, "Group-commit flush attempt duration, all shards.", nil, 1e-9, func(e *emitter, s *Snapshot) { e.hist(s.Committer.Fsync) }},
 	{"adept2_committer_batch_records", histogram, "Records covered per successful flush (batch occupancy).", nil, 1, func(e *emitter, s *Snapshot) { e.hist(s.Committer.BatchRecords) }},
-	{"adept2_committer_flush_retries_total", counter, "Flush attempts beyond each batch's first.", nil, 1, func(e *emitter, s *Snapshot) { e.val(s.Committer.FlushRetries) }},
 	{"adept2_committer_wedges_total", counter, "Committers entering the wedged state.", nil, 1, func(e *emitter, s *Snapshot) { e.val(s.Committer.Wedges) }},
 	{"adept2_committer_heals_total", counter, "Successful heals of wedged committers.", nil, 1, func(e *emitter, s *Snapshot) { e.val(s.Committer.Heals) }},
 
@@ -106,12 +105,12 @@ var families = []family{
 
 	{"adept2_instances", gauge, "Instances resident in the engine.", nil, 1, func(e *emitter, s *Snapshot) { e.val(int64(s.Engine.Instances)) }},
 	{"adept2_worklist_depth", gauge, "Offered work items across all users.", nil, 1, func(e *emitter, s *Snapshot) { e.val(int64(s.Engine.WorklistDepth)) }},
-	{"adept2_open_exceptions", gauge, "Detected-but-uncompensated exceptions.", nil, 1, func(e *emitter, s *Snapshot) { e.val(int64(s.Engine.OpenExceptions)) }},
+	{"adept2_open_exceptions", gauge, "Open exceptions: failed activities withheld until a retry, and escalated activities still running past their deadline.", nil, 1, func(e *emitter, s *Snapshot) { e.val(int64(s.Engine.OpenExceptions)) }},
 
 	{"adept2_wedged", gauge, "1 while the write path is wedged (read-only degraded serving).", nil, 1, func(e *emitter, s *Snapshot) { e.val(b2i(s.Health.Wedged)) }},
 	{"adept2_checkpoint_failing", gauge, "1 while the background checkpointer's last attempt failed.", nil, 1, func(e *emitter, s *Snapshot) { e.val(b2i(s.Health.CheckpointErr != "")) }},
 	{"adept2_cleanup_errors_total", counter, "Failed removals of stale snapshot/temp files.", nil, 1, func(e *emitter, s *Snapshot) { e.val(s.Health.CleanupErrs) }},
-	{"adept2_flush_retries_total", counter, "Transient flush failures absorbed (HealthInfo view).", nil, 1, func(e *emitter, s *Snapshot) { e.val(s.Health.FlushRetries) }},
+	{"adept2_flush_retries_total", counter, "Flush attempts beyond each batch's first, all shards' committers.", nil, 1, func(e *emitter, s *Snapshot) { e.val(s.Health.FlushRetries) }},
 }
 
 // perShard emits one sample per shard, labelled by its index.

@@ -8,8 +8,8 @@ package obs
 // predictable branch.
 type Set struct {
 	// Ops and Codes fix the label spaces: per-op arrays index by the
-	// command's registry position, the outcome matrix by (op, code) with
-	// Codes[0] = "ok".
+	// command's row in the façade's command table, the outcome matrix by
+	// (op, code) with Codes[0] = "ok".
 	Ops   []string
 	Codes []string
 
@@ -148,7 +148,6 @@ func (s *Set) ShardAppends(shard int) int64 {
 type CommitterMetrics struct {
 	FsyncNanos   *Histogram // per flush attempt (including retries)
 	BatchRecords *Histogram // records covered per successful flush
-	FlushRetries Counter    // attempts beyond each batch's first
 	Wedges       Counter    // committers entering the wedged state
 	Heals        Counter    // successful Heal calls on wedged committers
 }
@@ -164,13 +163,6 @@ func (m *CommitterMetrics) ObserveFsync(nanos int64) {
 func (m *CommitterMetrics) ObserveBatch(n int64) {
 	if m != nil && n > 0 {
 		m.BatchRecords.Observe(n)
-	}
-}
-
-// RetryInc counts one flush retry.
-func (m *CommitterMetrics) RetryInc() {
-	if m != nil {
-		m.FlushRetries.Inc()
 	}
 }
 

@@ -56,7 +56,6 @@ type ShardSnapshot struct {
 type CommitterSnapshot struct {
 	Fsync        HistogramSnapshot `json:"fsync"`
 	BatchRecords HistogramSnapshot `json:"batchRecords"`
-	FlushRetries int64             `json:"flushRetries"`
 	Wedges       int64             `json:"wedges"`
 	Heals        int64             `json:"heals"`
 }
@@ -164,7 +163,6 @@ func (s *Set) Snapshot() *Snapshot {
 	snap.Committer = CommitterSnapshot{
 		Fsync:        s.Committer.FsyncNanos.Snapshot(),
 		BatchRecords: s.Committer.BatchRecords.Snapshot(),
-		FlushRetries: s.Committer.FlushRetries.Load(),
 		Wedges:       s.Committer.Wedges.Load(),
 		Heals:        s.Committer.Heals.Load(),
 	}

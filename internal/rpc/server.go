@@ -518,7 +518,8 @@ func (s *Server) handleWatermarks(w http.ResponseWriter, r *http.Request) {
 			for {
 				if err := s.sys.WaitDurable(ctx, k, wm+1); err != nil {
 					if ctx.Err() == nil {
-						sw.send(WatermarkEvent{Shard: k, Err: err.Error(), Code: string(codeOf(err))})
+						we, _ := toWireError(err)
+						sw.send(WatermarkEvent{Shard: k, Err: we.Message, Code: we.Code})
 					}
 					return
 				}

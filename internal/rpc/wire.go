@@ -396,16 +396,6 @@ func resultSummary(res any) *ResultSummary {
 	}
 }
 
-// codeOf extracts the taxonomy code of an error (CodeInternal for
-// foreign errors), mirroring the facade's classification.
-func codeOf(err error) adept2.Code {
-	var ae *adept2.Error
-	if errors.As(err, &ae) {
-		return ae.Code
-	}
-	return adept2.CodeInternal
-}
-
 // decodeErr wraps a wire decode failure as ErrInvalid.
 func decodeErr(what string, err error) error {
 	return &adept2.Error{Code: adept2.CodeInvalid, Op: "rpc",

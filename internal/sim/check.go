@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -22,13 +23,16 @@ type System interface {
 }
 
 // Summary renders the observable state of a system deterministically: per
-// instance its flags, bias, data, every history event and per node its
-// marking and exception state, and every user's worklist. An event's
-// wall-clock stamp is left out, so two systems driven through the same
-// commands at different times summarize alike.
+// instance, in key order (engine.CompareInstanceIDs), its flags, bias,
+// data, every history event and per node its marking and exception state,
+// and every user's worklist. An event's wall-clock stamp is left out, so
+// two systems driven through the same commands at different times, or a
+// system and its recovery, summarize alike.
 func Summary(sys System) string {
 	var b strings.Builder
-	for _, inst := range sys.Instances() {
+	insts := sys.Instances()
+	slices.SortFunc(insts, func(a, c *engine.Instance) int { return engine.CompareInstanceIDs(a.ID(), c.ID()) })
+	for _, inst := range insts {
 		data, _ := json.Marshal(inst.DataSnapshot()) // what cannot be encoded is refused before it is stored
 		fmt.Fprintf(&b, "%s type=%s v=%d done=%v susp=%v hist=%d migr=%d biased=%v ops=%d\n  data %s\n",
 			inst.ID(), inst.TypeName(), inst.Version(), inst.Done(), inst.Suspended(),

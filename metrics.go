@@ -16,52 +16,6 @@ import (
 // Replay and recovery never record live-path metrics: the Set is
 // installed only after recovery completes, and replay bypasses Submit.
 
-// opIndex enumerates the command registry for per-op metric arrays.
-// Order matches the registry's init order; Resume is appended because it
-// shares the "suspend" journal op but is its own command (and its own
-// metric label).
-const (
-	opUser = iota
-	opDeploy
-	opEvolve
-	opCreate
-	opStart
-	opFail
-	opTimeout
-	opRetry
-	opComplete
-	opAdHoc
-	opSuspend
-	opUndo
-	opResume
-	numOps
-)
-
-// opNames labels the op indexes (the Prometheus op label values).
-var opNames = [numOps]string{
-	"user", "deploy", "evolve", "create", "start", "fail", "timeout",
-	"retry", "complete", "adhoc", "suspend", "undo", "resume",
-}
-
-// codeNames fixes the outcome-code label space: index 0 is success, the
-// rest are the Code taxonomy.
-var codeNames = []string{
-	"ok",
-	string(CodeInternal), string(CodeInvalid), string(CodeNotFound),
-	string(CodeConflict), string(CodeDenied), string(CodeSuspended),
-	string(CodeCompleted), string(CodeNotCompliant), string(CodeVersionSkew),
-	string(CodeWedged), string(CodeUnrecoverable), string(CodeCanceled),
-	string(CodeFailed), string(CodeTimeout),
-}
-
-var codeIndexes = func() map[Code]int {
-	m := make(map[Code]int, len(codeNames))
-	for i := 1; i < len(codeNames); i++ {
-		m[Code(codeNames[i])] = i
-	}
-	return m
-}()
-
 // codeOf extracts the taxonomy code of a submit failure.
 func codeOf(err error) Code {
 	var e *Error
@@ -71,13 +25,9 @@ func codeOf(err error) Code {
 	return CodeInternal
 }
 
-// codeIndexOf maps a submit failure to its outcome-matrix column.
-func codeIndexOf(err error) int {
-	if i, ok := codeIndexes[codeOf(err)]; ok {
-		return i
-	}
-	return 1 // internal
-}
+// codeIndexOf maps a submit failure to its outcome-matrix column: its
+// code's row of codeTable, after "ok".
+func codeIndexOf(err error) int { return 1 + codeOf(err).index() }
 
 // WithMetricsDisabled switches the telemetry plane off (obs.Disabled):
 // no counters, no histograms, no trace ring, no clock reads — the
@@ -96,8 +46,8 @@ func WithTraceSampling(slots, every int) Option {
 }
 
 // WithSweepInterval runs System.SweepDeadlines from an in-process timer
-// goroutine every d, so serving deployments get deadline expiry, retry
-// backoff lifting, and policy re-runs without wiring their own ticker.
+// goroutine every d, so serving deployments get deadline expiry and retry
+// backoff lifting without wiring their own ticker.
 // The sweep time comes from the system clock (WithClock), the sweep-lag
 // gauge tracks each tick's due-to-done gap, and Close shuts the timer
 // down cleanly. Sweep errors are absorbed (the next Health/Metrics poll
@@ -106,12 +56,22 @@ func WithSweepInterval(d time.Duration) Option {
 	return func(c *config) { c.sweepEvery = d }
 }
 
-// newMetricsSet builds the system's metric Set (nil when disabled).
+// newMetricsSet builds the system's metric Set (nil when disabled), its
+// label spaces read from the tables: an op per cmdTable row, and the
+// codes, success ("ok") first, then a code per codeTable row.
 func newMetricsSet(c *config, shards int) *obs.Set {
 	if c.metricsOff {
 		return obs.Disabled
 	}
-	return obs.New(opNames[:], codeNames, shards, c.obsOpts)
+	ops := make([]string, len(cmdTable))
+	for i, r := range cmdTable {
+		ops[i] = r.name
+	}
+	codes := []string{"ok"}
+	for _, r := range codeTable {
+		codes = append(codes, string(r.code))
+	}
+	return obs.New(ops, codes, shards, c.obsOpts)
 }
 
 // recordRecovery files the one-time recovery family, after the fact —
@@ -137,9 +97,9 @@ func recordRecovery(m *obs.Set, info *RecoveryInfo, dur time.Duration) {
 func (s *System) Metrics() *obs.Snapshot {
 	snap := s.met.Snapshot()
 	if s.met != nil {
-		snap.Exception.Failures = s.met.OpOK(opFail)
-		snap.Exception.Timeouts = s.met.OpOK(opTimeout)
-		snap.Exception.Retries = s.met.OpOK(opRetry)
+		snap.Exception.Failures = s.met.OpOK(failCmd.index)
+		snap.Exception.Timeouts = s.met.OpOK(timeoutCmd.index)
+		snap.Exception.Retries = s.met.OpOK(retryCmd.index)
 	}
 
 	// Shard live view: head sequence, group-commit backlog (head minus

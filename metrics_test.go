@@ -1,14 +1,19 @@
 package adept2_test
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"adept2"
+	"adept2/internal/obs"
 	"adept2/internal/sim"
 )
 
@@ -392,5 +397,73 @@ func TestCheckpointMetrics(t *testing.T) {
 	}
 	if snap.Recovery.Count != 1 {
 		t.Errorf("recovery count = %d, want 1", snap.Recovery.Count)
+	}
+}
+
+// TestSubmitLabelSpace pins the label values of adept2_submit_total: a
+// System driven through every command and refusals of three classes
+// renders the op and code of each sample, in exposition order, as
+// testdata/submit_labels.txt holds them. The file was written before the
+// command and code tables existed, so neither table can rename or drop a
+// label that a dashboard selects on.
+func TestSubmitLabelSpace(t *testing.T) {
+	ctx := context.Background()
+	clk := newTestClock()
+	sys := openRepair(t, filepath.Join(t.TempDir(), "wal"), clk, adept2.RetryThenSuspend(3, time.Minute))
+	defer sys.Close()
+	fix := startFix(t, sys) // deploy, create, complete, start
+	if _, err := sys.Submit(ctx, &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Submit(ctx, &adept2.CreateInstance{TypeName: "online_order"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := res.(*adept2.Instance).ID()
+	for _, cmd := range []adept2.Command{
+		&adept2.AddUser{User: &adept2.User{ID: "zoe", Roles: []string{"clerk"}}},
+		&adept2.TimeoutActivity{Instance: fix, Node: "fix"},
+		&adept2.FailActivity{Instance: fix, Node: "fix", User: "ann"},
+		&adept2.RetryActivity{Instance: fix, Node: "fix"},
+		&adept2.AdHoc{Instance: order, Ops: sim.OnlineOrderBiasI2()},
+		&adept2.Undo{Instance: order},
+		&adept2.Suspend{Instance: order},
+		&adept2.Resume{Instance: order},
+		&adept2.Evolve{TypeName: "online_order", Ops: sim.OnlineOrderTypeChange()},
+	} {
+		if _, err := sys.Submit(ctx, cmd); err != nil {
+			t.Fatalf("%s: %v", cmd.CommandName(), err)
+		}
+	}
+	for _, refusal := range []struct {
+		cmd  adept2.Command
+		want error
+	}{
+		{&adept2.StartActivity{Instance: "ghost", Node: "fix"}, adept2.ErrNotFound},
+		{&adept2.Resume{Instance: order}, adept2.ErrConflict},
+		{&adept2.Deploy{}, adept2.ErrInvalid},
+	} {
+		if _, err := sys.Submit(ctx, refusal.cmd); !errors.Is(err, refusal.want) {
+			t.Fatalf("%s: err = %v, want %v", refusal.cmd.CommandName(), err, refusal.want)
+		}
+	}
+
+	var prom bytes.Buffer
+	if err := obs.WritePrometheus(&prom, sys.Metrics()); err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, line := range strings.Split(prom.String(), "\n") {
+		if labels, ok := strings.CutPrefix(line, "adept2_submit_total{"); ok {
+			labels, _, _ = strings.Cut(labels, "}")
+			got.WriteString(labels + "\n")
+		}
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "submit_labels.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("adept2_submit_total labels moved:\n%s", sim.Diff(string(want), got.String()))
 	}
 }

@@ -170,14 +170,14 @@ func (s *System) submitInto(ctx context.Context, cmd Command, r *Receipt) error 
 		span = &obs.Span{Op: c.CommandName(), Instance: c.target(), SubmitNanos: s.now()}
 	}
 	if err := s.submitOne(ctx, c, span, r); err != nil {
-		m.SubmitErr(c.opIndex(), codeIndexOf(err))
+		m.SubmitErr(c.row().index, codeIndexOf(err))
 		if span != nil {
 			span.Err = string(codeOf(err))
 			m.Ring.Publish(*span)
 		}
 		return err
 	}
-	m.SubmitOK(c.opIndex(), time.Since(start).Nanoseconds())
+	m.SubmitOK(c.row().index, time.Since(start).Nanoseconds())
 	return nil
 }
 
@@ -200,7 +200,7 @@ func (s *System) submitOne(ctx context.Context, c command, span *obs.Span, rcpt 
 		return wrapErr(c.CommandName(), c.target(), err)
 	}
 	var unlock func()
-	if c.control() {
+	if c.row().control {
 		unlock = s.lockControl()
 	} else {
 		s.snapMu.RLock()
@@ -231,8 +231,10 @@ func (s *System) submitOne(ctx context.Context, c command, span *obs.Span, rcpt 
 
 // stage is one command's turn under the command barrier, which the caller
 // holds: the wedge check, the engine mutation (of the live form, live),
-// the record's args and the staging of the record. Submit, SubmitAsync and every command of a
-// SubmitBatch run go through it. It fills rcpt with the command's result
+// the record's args and the staging of the record under its row's op, on
+// the control log or on its instance's shard as the row says. Submit,
+// SubmitAsync and every command of a SubmitBatch run go through it. It
+// fills rcpt with the command's result
 // and with where the record's wait finds it: a zero position means durable
 // already (New(); a control record, which is durable on return). A data
 // record is staged without waking its shard's flusher.
@@ -260,12 +262,12 @@ func (s *System) stage(c command, span *obs.Span, rcpt *Receipt) error {
 	if s.wal == nil {
 		return nil // New(): nothing is journaled
 	}
-	if eff.inst == "" {
+	if row := c.row(); row.control {
 		// Control records advance the epoch, which is only sound once the
 		// record is durable — so they never pipeline.
-		rcpt.seq, err = s.wal.AppendControl(eff.op, eff.args)
+		rcpt.seq, err = s.wal.AppendControl(row.op, eff.args)
 	} else {
-		rcpt.shard, rcpt.seq, err = s.wal.AppendData(eff.inst, eff.op, eff.args)
+		rcpt.shard, rcpt.seq, err = s.wal.AppendData(eff.inst, row.op, eff.args)
 		rcpt.wal = s.wal
 	}
 	if err != nil {
@@ -299,7 +301,7 @@ func (s *System) SubmitBatch(ctx context.Context, cmds []Command) ([]any, error)
 		if err := ctx.Err(); err != nil {
 			return results, wrapErr(c.CommandName(), c.target(), err)
 		}
-		if c.control() {
+		if c.row().control {
 			res, err := s.Submit(ctx, c)
 			if err != nil {
 				return results, err
@@ -334,15 +336,15 @@ func (s *System) submitRun(ctx context.Context, cmds []Command, results []any) (
 	s.snapMu.RLock()
 	for ; n < len(cmds); n++ {
 		c, ok := cmds[n].(command)
-		if !ok || c.control() {
+		if !ok || c.row().control {
 			break
 		}
 		var r Receipt
 		if err = s.stage(c, nil, &r); err != nil {
-			m.SubmitErr(c.opIndex(), codeIndexOf(err))
+			m.SubmitErr(c.row().index, codeIndexOf(err))
 			break
 		}
-		m.SubmitBatched(c.opIndex())
+		m.SubmitBatched(c.row().index)
 		results = append(results, r.result)
 		staged++
 		if r.wal != nil {

@@ -4,19 +4,18 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net/http"
 )
 
 // This file is the façade's wire plane: the exported choke points the
-// networked command plane (internal/rpc) builds on. The command registry
+// networked command plane (internal/rpc) builds on. The command table
 // stays the single source of truth — EncodeCommand, DecodeWireCommand and
-// WireDecoder expose its codec without exposing the registry itself — and the
+// WireDecoder expose its codecs without exposing the table itself — and the
 // durability watermarks exported here are what lets receipt resolution
 // stream across a network hop with the same fsync-coverage semantics as
 // the in-process Receipt.
 
-// EncodeCommand serializes a Command into its wire form: the registry op
-// name and the JSON args a server-side DecodeWireCommand (or recovery
+// EncodeCommand serializes a Command into its wire form: its row's journal
+// op and the JSON args a server-side DecodeWireCommand (or recovery
 // replay) decodes back into the identical typed command. It is
 // AppendCommandArgs into a fresh slice, made with room for a flat
 // command's args so that they take one allocation.
@@ -28,27 +27,24 @@ func EncodeCommand(cmd Command) (op string, args json.RawMessage, err error) {
 	return op, args, nil
 }
 
-// AppendCommandArgs appends cmd's wire args to b and returns its registry
-// op: byte for byte the args the journal writes for the command — Resume
-// as op "suspend" with the resume flag, ad-hoc changes and evolutions with
-// their operations in the change codec. A flat command appends through its
-// wire form's AppendJSON, the journal's own path; a user, a deployment and
-// a change-op carrier go through encoding/json. A string that is not
+// AppendCommandArgs appends cmd's wire args to b and returns the journal
+// op of its row: byte for byte the args the journal writes for the
+// command — Resume as op "suspend" with the resume flag, ad-hoc changes
+// and evolutions with their operations in the change codec. A flat command
+// appends through its wire form's AppendJSON, the journal's own path; a
+// user, a deployment and a change-op carrier go through encoding/json. A string that is not
 // UTF-8, an output with no JSON form (NaN, ±Inf) and a foreign Command
-// implementation are refused with ErrInvalid, mirroring Submit. On error
-// the returned slice is nil.
+// implementation are refused with ErrInvalid naming the command, mirroring
+// Submit. On error the returned slice is nil.
 func AppendCommandArgs(b []byte, cmd Command) (op string, _ []byte, err error) {
 	c, err := asCommand(cmd)
 	if err != nil {
 		return "", nil, err
 	}
-	op = c.CommandName()
-	switch t := cmd.(type) {
-	case *Resume:
-		op = "suspend"
-		b, err = suspendForm.appendJSON(b, &suspendArgs{Instance: t.Instance, Resume: true})
-	case *Suspend:
-		b, err = suspendForm.appendJSON(b, &suspendArgs{Instance: t.Instance})
+	op = c.row().op
+	switch t := c.(type) {
+	case *Suspend, *Resume:
+		b, err = suspendForm.appendJSON(b, &suspendArgs{Instance: t.target(), Resume: t.row() == resumeCmd})
 	case interface{ AppendJSON([]byte) ([]byte, error) }: // a flat command
 		b, err = t.AppendJSON(b)
 	default:
@@ -63,15 +59,15 @@ func AppendCommandArgs(b []byte, cmd Command) (op string, _ []byte, err error) {
 		b = append(b, blob...)
 	}
 	if err != nil {
-		return op, nil, wrapErr(op, c.target(), err)
+		return op, nil, wrapErr(c.CommandName(), c.target(), err)
 	}
 	return op, b, nil
 }
 
 // DecodeWireCommand resolves a wire (op, args) pair — produced by
 // EncodeCommand on a remote client, or read from a journal — to its typed
-// Command through the same registry recovery replay uses. Unknown ops and
-// malformed args return ErrInvalid.
+// Command through the same command table recovery replay uses. Unknown
+// ops and malformed args return ErrInvalid.
 func DecodeWireCommand(op string, args json.RawMessage) (Command, error) {
 	cmd, err := decodeCommand(op, args)
 	if err != nil {
@@ -110,81 +106,20 @@ func (s *System) WireDecoder(reuse bool) *WireDecoder {
 
 // Decode decodes a command from op, the bytes of its op name, and args,
 // its raw args value, both aliasing a line json.Valid has accepted. The op
-// comes back as the registry's own string, so a plain command whose names
+// comes back as its row's own string, so a plain command whose names
 // the System holds costs a reusing decoder nothing, and any other decoder
 // its struct.
 func (d *WireDecoder) Decode(op, args []byte) (Command, string, error) {
-	spec, ok := registry[string(op)]
+	r, ok := journalOps[string(op)]
 	if !ok {
 		_, err := DecodeWireCommand(string(op), args)
 		return nil, "", err
 	}
-	cmd, err := spec.decodeArgs(args, true, d.into, d.sys)
+	cmd, err := r.decodeArgs(args, true, d.into, d.sys)
 	if err != nil {
-		return nil, "", &Error{Code: CodeInvalid, Op: spec.op, Err: err}
+		return nil, "", &Error{Code: CodeInvalid, Op: r.op, Err: err}
 	}
-	return cmd, spec.op, nil
-}
-
-// HTTPStatus maps a taxonomy code onto the HTTP status the networked
-// command plane answers with. The mapping is total: unknown codes fall
-// back to 500 like CodeInternal.
-func (c Code) HTTPStatus() int {
-	switch c {
-	case CodeInvalid:
-		return http.StatusBadRequest // 400
-	case CodeNotFound:
-		return http.StatusNotFound // 404
-	case CodeConflict, CodeVersionSkew:
-		return http.StatusConflict // 409
-	case CodeDenied:
-		return http.StatusForbidden // 403
-	case CodeSuspended:
-		return http.StatusLocked // 423
-	case CodeCompleted:
-		return http.StatusGone // 410
-	case CodeNotCompliant:
-		return http.StatusUnprocessableEntity // 422
-	case CodeWedged:
-		return http.StatusServiceUnavailable // 503
-	case CodeCanceled, CodeTimeout:
-		return http.StatusRequestTimeout // 408
-	case CodeFailed:
-		return http.StatusConflict // 409: activity state contradicts the request
-	case CodeInternal, CodeUnrecoverable:
-		return http.StatusInternalServerError // 500
-	default:
-		return http.StatusInternalServerError
-	}
-}
-
-// CodeForHTTPStatus is the client-side fallback mapping for responses
-// whose error envelope was lost (proxies, panics): the best-effort code
-// for a bare status. It inverts HTTPStatus where the inverse is unique
-// and picks the broader class where it is not (409 → CodeConflict).
-func CodeForHTTPStatus(status int) Code {
-	switch status {
-	case http.StatusBadRequest:
-		return CodeInvalid
-	case http.StatusNotFound:
-		return CodeNotFound
-	case http.StatusConflict:
-		return CodeConflict
-	case http.StatusForbidden:
-		return CodeDenied
-	case http.StatusLocked:
-		return CodeSuspended
-	case http.StatusGone:
-		return CodeCompleted
-	case http.StatusUnprocessableEntity:
-		return CodeNotCompliant
-	case http.StatusServiceUnavailable:
-		return CodeWedged
-	case http.StatusRequestTimeout:
-		return CodeCanceled
-	default:
-		return CodeInternal
-	}
+	return cmd, r.op, nil
 }
 
 // NumShards returns the durability layout's shard count (1 for a system

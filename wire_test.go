@@ -2,7 +2,9 @@ package adept2_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"reflect"
 	"sync"
@@ -96,6 +98,33 @@ func TestEncodeCommandRoundTrip(t *testing.T) {
 	}
 	if _, err := adept2.DecodeWireCommand("no_such_op", nil); err == nil {
 		t.Fatal("unknown op decoded")
+	}
+}
+
+// TestEncodeRefusalNamesTheCommand: every command whose wire form the
+// encoder refuses is refused as ErrInvalid naming the command itself, as
+// Submit names it, by EncodeCommand and by AppendCommandArgs alike — a
+// Resume too, though it journals under the suspend op.
+func TestEncodeRefusalNamesTheCommand(t *testing.T) {
+	for _, cmd := range []adept2.Command{
+		&adept2.CreateInstance{TypeName: "online_order", ID: "inst-\xff"},
+		&adept2.StartActivity{Instance: "\xff", Node: "get_order"},
+		&adept2.FailActivity{Instance: "inst-1", Node: "get_order", Reason: "boom\xff"},
+		&adept2.TimeoutActivity{Instance: "\xff", Node: "get_order"},
+		&adept2.RetryActivity{Instance: "\xff", Node: "get_order"},
+		&adept2.CompleteActivity{Instance: "inst-1", Node: "get_order", Outputs: map[string]any{"out": math.NaN()}},
+		&adept2.Suspend{Instance: "\xff"},
+		&adept2.Undo{Instance: "\xff"},
+		&adept2.Resume{Instance: "\xff"},
+	} {
+		_, _, encErr := adept2.EncodeCommand(cmd)
+		_, _, appendErr := adept2.AppendCommandArgs(nil, cmd)
+		for _, err := range []error{encErr, appendErr} {
+			var e *adept2.Error
+			if !errors.As(err, &e) || e.Code != adept2.CodeInvalid || e.Op != cmd.CommandName() {
+				t.Errorf("%T: %#v, want ErrInvalid with Op %q", cmd, e, cmd.CommandName())
+			}
+		}
 	}
 }
 
