@@ -350,7 +350,7 @@ func TestInstanceHeapBudget(t *testing.T) {
 	}
 	const (
 		n      = 2000
-		pinned = 1105 // bytes per instance, measured; 1 137 while the history's binding list grew to four for three bindings, 1 218 while the marking stored a skip stamp per node, 1 237 while an instance's marking, execution index and data store were separate objects and the marking's arrays four, 1 303 while the engine kept a position map and the order as ID strings, 2 766 while every history event was a 96 B heap object, 4 694 with the per-instance maps
+		pinned = 712 // bytes per instance, measured; 1 105 while a finished instance kept its marking, execution index, loop counts and exception state, 1 137 while the history's binding list grew to four for three bindings, 1 218 while the marking stored a skip stamp per node, 1 237 while an instance's marking, execution index and data store were separate objects and the marking's arrays four, 1 303 while the engine kept a position map and the order as ID strings, 2 766 while every history event was a 96 B heap object, 4 694 with the per-instance maps
 	)
 	// The journal's bytes live in the MemFS, which stays referenced across
 	// both readings and so cancels out of the difference.
@@ -435,9 +435,11 @@ func runLifecycles(t *testing.T, sys *adept2.System, n int) {
 // what a live one holds. 2 000 finished online-order instances are
 // measured as TestInstanceHeapBudget measures them, checkpointed, and
 // measured again after Open recovers them from the snapshot; the two
-// figures per instance may differ by 3 %. An instance is one block with
-// its marking, execution index and data store inside: a restore that
-// pointed it at new ones instead of filling those would keep both alive.
+// figures per instance may differ by 3 %. A finished instance is restored
+// sealed, as the live one is sealed: without a marking, an execution index
+// or exception state, its history's records in the capacity a live log of
+// their length has, and its bindings sharing the schema's names and the
+// store's values.
 func TestRecoveredInstanceHeap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are not reproducible under the race detector")

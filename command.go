@@ -806,7 +806,7 @@ func (c *FailActivity) run(s *System) (effect, error) {
 	r, err := s.except(x, c.live, c.Reaction, reaction{retryAt: c.RetryAt, pending: c.Pending},
 		func(mx *engine.Mutable) (int, error) { return mx.Fail(c.Node, c.User, c.Reason) })
 	if c.live {
-		c.Reaction, c.RetryAt = reactionNames[r.action], r.retryAt
+		c.Reaction, c.RetryAt = reactionName(r.action), r.retryAt
 	}
 	return effect{inst: c.Instance, args: c}, err
 }
@@ -834,7 +834,7 @@ func (c *TimeoutActivity) run(s *System) (effect, error) {
 	r, err := s.except(x, c.live, c.Reaction, reaction{},
 		func(mx *engine.Mutable) (int, error) { return mx.Timeout(c.Node) })
 	if c.live {
-		c.Reaction = reactionNames[r.action]
+		c.Reaction = reactionName(r.action)
 	}
 	return effect{inst: c.Instance, args: c}, err
 }

@@ -148,11 +148,13 @@
 // MemProfileRate 1):
 //
 //	per lifecycle  allocation, and why it stays
-//	     4  instance structures, per create: one block holding the
-//	        Instance (which holds the history log by value), its
-//	        marking, execution index and data store (1); the marking's
-//	        three dense arrays, laid out in one pointer-free block (1);
-//	        the execution index's records (1); the ID string (1)
+//	     4  instance structures, per create: the Instance, which holds
+//	        the history log and the data store by value (1); its running
+//	        part — marking, execution index, loop counts, exception
+//	        state (1); the marking's three dense arrays and the index's
+//	        records, laid out in one pointer-free block (1); the ID
+//	        string (1). The seal that finishes an instance allocates
+//	        nothing
 //	  ~0.5  the marking's evaluation worklist, grown on its first use
 //	     4  history growth: the log's records doubling (32, 64, 128 B)
 //	        and its binding list, made once with room for the view's
@@ -244,85 +246,82 @@
 // An instance costs what it records. ADEPT2's storage argument is that a
 // server holds 10⁴–10⁵ instances because each keeps only what is its own
 // — marking, history, data versions, and a substitution block if biased —
-// and references its schema; this is that argument in bytes. A finished
-// online-order instance (the same 13 commands) holds 1 105 B of live heap,
-// where it held 1 137 B while its binding list grew to four for three
-// bindings, 1 218 B while its marking stored a 4-byte skip stamp per
-// node, 1 237 B while its marking, execution index and data store were
-// objects of their own and the marking's arrays four, 2 766 B while each
-// of its 16 history events was a 96 B object behind a pointer slice,
-// and 4 694 B while its loop counts, data store and every event's reads
-// and writes were Go maps (336 B each to hold one entry). What is left,
-// from an in-use heap profile of 2 000 such instances (MemProfileRate 1,
-// sizes as the allocator rounds them):
+// and references its schema; this is that argument in bytes, for the
+// online-order instance the benchmark runs (10 nodes, 10 edges, 13
+// commands), from an in-use heap profile of 2 000 of them (MemProfileRate
+// 1, sizes as the allocator rounds them).
+//
+// A finished instance is sealed. Nothing runs it again — every mutating
+// path refuses it as completed, and a migration classifies it from its
+// done flag alone — so the command that finishes it drops its running
+// part (internal/engine, Instance). What it keeps is its record:
 //
 //	  B  structure, and why it stays
-//	448  the instance block (engine's instanceBlock): the Instance
-//	     (264: identity, schema reference, bias slots, its mutex, five
-//	     nil exception maps, pointers to the three structs beside it,
-//	     and the history log (72) by value), its marking (104),
-//	     execution index (40) and data store (24)
+//	224  the Instance: identity, type and schema reference, flags, bias
+//	     slots, migration count, its mutex, and the history log (72) and
+//	     data store (24) by value — what every reader of the instance and
+//	     every refusal reads
 //	224  the execution history: its 16 events packed into about 100
 //	     bytes of records (128 as the log doubled), and the three
-//	     bindings two activities read and one wrote, in a list sized
-//	     for the schema's three data edges (96). internal/history says
-//	     what a record holds; compliance replay, mining and the
-//	     snapshot encoder decode it into scratch
-//	 40  the marking's three dense arrays — the evaluation worklist's
-//	     bitset, node states, edge states — in one block sized by the
-//	     schema, not by progress (32), and the worklist (8)
-//	128  the execution index's records: 12 B per schema node
-//	 80  the engine's two instance containers (the ID map's entry and
-//	     a pointer in the creation order; the instance holds its own
-//	     position there) and the ID string
+//	     bindings two activities read and one wrote, in a list sized for
+//	     the schema's three data edges (96). It is the instance's record,
+//	     and what its marking and execution index are derived from
+//	 80  the engine's two instance containers (the ID map's entry and a
+//	     pointer in the order; the instance holds its own position
+//	     there) and the ID string: how the instance is found
 //	112  the data store's element list (48), one version list (48) and
-//	     the box of the written string (16)
-//	 73  not the instance's: the order ID the caller wrote (24), and
-//	     the system's own structures divided by the population
+//	     the box of the written string (16): the instance's data
 //
-// An instance recovered from a snapshot holds the same to within 3 %
-// (TestRecoveredInstanceHeap; 1 077 B, its records in an exact 96 B):
-// RestoreInstance fills the structs of the instance's own block, and
-// shares the schema's IDs and the data store's values — a read's through
-// its edge's element — with what it decoded, as a live instance does.
+// A reader of a sealed instance's marking, execution index or loop counts
+// (NodeState, MarkingSnapshot, StatsSnapshot, LoopIterations, a snapshot,
+// monitor.RenderInstance, sim.Summary) gets them derived from the history
+// on the instance's current view, into memory of its own: the index from
+// the events as the commands kept it, the marking by the state adaptation
+// a migration runs. Its exception state is empty. A running instance
+// keeps, besides its record:
 //
-// A biased instance adds 4 400 B for its overlay (the hybrid
-// representation of the paper's Fig. 2, the only one), where it added
-// 12 376 B while the overlay kept a second adjacency index of its
-// view and the topology a slice header per node and edge type. By the same
-// profile, 2 000 fresh instances with the benchmark's conflicting bias (an
-// inserted activity and a sync edge: an 11-node, 12-edge view):
+//	  B  structure, and why it stays
+//	192  the running part: the marking (104) and execution index (40)
+//	     every command reads and advances, loop counts and five
+//	     exception maps (nil until used)
+//	160  one pointer-free block: the marking's dense arrays — the
+//	     evaluation worklist's bitset, node states, edge states — and the
+//	     execution index's records, 12 B per schema node, sized by the
+//	     schema and not by progress
+//	     and per offered activity, a 112 B Item, an 8 B slot per
+//	     candidate and a 16 B item list (internal/worklist)
 //
-//	 was   is  structure
-//	4312  760  the overlay: its record, the delta's entries' lists and the
-//	           six edge lists of the four nodes the delta touches (was
-//	           eight maps and an index of every node's edges)
-//	5739 1321  the view's topology index: the ID map (503), an offset
-//	           table and one arena of edge indices (was eleven slices a
-//	           node and an edge-key map)
-//	1721 1721  the view's block analysis, five small maps
-//	 604  598  the inserted node and three edges, the two recorded
-//	           operations, and what the marking and the execution index
-//	           grow by for one more node
+// The node IDs and user names the histories refer to are kept once per
+// engine, in its symbol table. A finished instance recovered from a
+// snapshot is restored sealed and holds what the live one holds:
+// RestoreInstance gives its records the capacity a live log of their
+// length grew to, and shares the schema's IDs and parameter names and the
+// data store's values with what it decoded.
 //
-// An unfinished instance adds a 112 B Item and an 8 B slot per candidate
-// per offered activity, and a 16 B item list; the node IDs and user names
-// the histories refer to are kept once per engine, in its symbol table.
-// TestInstanceHeapBudget and TestBiasedInstanceHeapBudget pin the two
-// figures (+3 %), and hold Instance.Footprint() to the measured heap
-// (±10 %): StateBytes summed over the population, and what StateBytes,
-// BiasBytes and ViewBytes say the bias adds. The benchmark's
-// heap_bytes_per_inst gates both at scale.
-// What would move it further is named, not done: a binding could name
-// its value as an (element, version) of the data store instead of holding
-// it (at most 96 B here, and it would tie the log's lifetime to the
-// store's DropWritesBy, Clone and decode order); the log's records grow
-// by doubling, so a finished instance holds 87 B of records in 128, but a
-// live one holds 49 B in 73.5 on average (adapt_evolve keeps 35 176 live
-// instances against 8 233 finished), so sizing the log for a finished
-// instance would grow the heap of a live population; an instance that
-// will never run again is a few small blocks, and could be paged out
-// whole.
+// A biased instance adds its overlay (the hybrid representation of the
+// paper's Fig. 2, the only one). With the benchmark's conflicting bias (an
+// inserted activity and a sync edge: an 11-node, 12-edge view) that is,
+// per instance:
+//
+//	   B  structure
+//	 760  the overlay: its record, the delta's entries' lists and the six
+//	      edge lists of the four nodes the delta touches
+//	1321  the view's topology index: the ID map (503), an offset table and
+//	      one arena of edge indices
+//	1721  the view's block analysis, five small maps
+//	 598  the inserted node and three edges, the two recorded operations,
+//	      and what the marking and the execution index grow by for one
+//	      more node
+//
+// TestInstanceHeapBudget pins what a finished instance holds and holds
+// Instance.Footprint() to the measured heap; TestRecoveredInstanceHeap
+// holds a recovered one to the live one; TestBiasedInstanceHeapBudget
+// pins what the bias adds. The benchmark's heap_bytes_per_inst gates all
+// of it at scale. What would move it further is named, not done: a
+// binding could name its value as an (element, version) of the data store
+// instead of holding it (at most 96 B here, and it would tie the log's
+// lifetime to the store's DropWritesBy, Clone and decode order); and a
+// sealed instance is the unit that cold-instance paging would page out.
 //
 // # Changes: one trial, one analysis
 //

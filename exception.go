@@ -10,6 +10,7 @@ import (
 	"adept2/internal/change"
 	"adept2/internal/engine"
 	"adept2/internal/fault"
+	"adept2/internal/obs"
 )
 
 // This file closes the detect→react loop of process-level fault
@@ -80,13 +81,22 @@ const (
 	ActionSuspend
 )
 
-var actionNames = [...]string{"none", "retry", "skip", "suspend"}
-
+// String names the action. The names are one table, obs.ActionNames,
+// which labels the exception metrics by action too; a record carries the
+// same name, and none as "" (reactionName).
 func (a CompensationAction) String() string {
-	if int(a) < len(actionNames) {
-		return actionNames[a]
+	if int(a) < len(obs.ActionNames) {
+		return obs.ActionNames[a]
 	}
 	return "unknown"
+}
+
+// reactionName is the action as a record carries it: none as "".
+func reactionName(a CompensationAction) string {
+	if a == ActionNone {
+		return ""
+	}
+	return a.String()
 }
 
 // Reaction is a policy's decision for one exception.
@@ -172,17 +182,16 @@ type reaction struct {
 	pending bool
 }
 
-// reactionNames names each action in a record, none as "".
-var reactionNames = [...]string{"", "retry", "skip", "suspend"}
-
 // except is a failure's or a timeout's command under the instance's lock:
 // detect records the exception and returns the node's failure count, and
 // a reaction is applied — live, the policy's, decided here; on replay the
 // record's, r with the action name. It returns the reaction applied.
 func (s *System) except(x Exception, live bool, name string, r reaction, detect func(*engine.Mutable) (int, error)) (reaction, error) {
-	a := slices.Index(reactionNames[:], name)
-	if a < 0 {
-		return r, fault.Tagf(fault.Invalid, "adept2: unknown reaction %q", name)
+	a := 0 // "" is none; "none" itself is no record's reaction
+	if name != "" {
+		if a = slices.Index(obs.ActionNames[:], name); a <= int(ActionNone) {
+			return r, fault.Tagf(fault.Invalid, "adept2: unknown reaction %q", name)
+		}
 	}
 	r.action = CompensationAction(a)
 	inst, ok := s.eng.Instance(x.Instance)

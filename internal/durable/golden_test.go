@@ -10,6 +10,7 @@ import (
 
 	"adept2/internal/change"
 	"adept2/internal/engine"
+	"adept2/internal/evolution"
 	"adept2/internal/model"
 	"adept2/internal/sim"
 	"adept2/internal/vfs"
@@ -27,6 +28,13 @@ const (
 	goldenStateFile     = "testdata/parent_snapshot.json"
 	goldenEventsFile    = "testdata/parent_history_events.json"
 	goldenContainerFile = "testdata/parent_container.snap"
+
+	// goldenFinishedFile was written by goldenFinished at the commit before
+	// a finished instance was sealed: the capture of a finished instance,
+	// while it still held its marking and execution index. A sealed
+	// instance derives both from its history, and must encode to the same
+	// bytes.
+	goldenFinishedFile = "testdata/parent_finished_snapshot.json"
 )
 
 // goldenEngine builds one seeded instance that exercises every member of
@@ -166,6 +174,100 @@ func TestGoldenSnapshotCompatibility(t *testing.T) {
 	}
 	if !rinst.Done() || rinst.LoopIterations(loopEndOf(t, rinst)) != 1 {
 		t.Errorf("restored instance: done %t, loop iterations %d", rinst.Done(), rinst.LoopIterations(loopEndOf(t, rinst)))
+	}
+}
+
+// goldenFinished builds one seeded instance that runs to its end: an XOR
+// branch taken from a data element, a failed attempt, a loop iterated, an
+// ad-hoc bias and one migration, and returns its engine and the instance.
+func goldenFinished(t *testing.T) (*engine.Engine, *engine.Instance) {
+	t.Helper()
+	b := model.NewBuilder("finished")
+	b.DataElement("route", model.TypeInt)
+	b.DataElement("again", model.TypeBool)
+	init := b.Activity("init", "Init", model.WithRole("clerk"))
+	b.Write("init", "route", "r")
+	x := b.Activity("x", "X", model.WithRole("clerk"))
+	y := b.Activity("y", "Y", model.WithRole("clerk"))
+	work := b.Activity("work", "Work", model.WithRole("clerk"))
+	b.Write("work", "again", "more")
+	tail := b.Activity("tail", "Tail", model.WithRole("clerk"))
+	s, err := b.Build(b.Seq(init, b.Choice("route", x, y), b.Loop(work, "again", 10), tail))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := engine.New(sim.Org())
+	if err := e.Deploy(s); err != nil {
+		t.Fatal(err)
+	}
+	inst, err := e.CreateInstance("finished", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := inst.ID()
+	const t0 = int64(1_700_000_000_000_000_000)
+	do := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	do(e.StartActivityAt(id, "init", "ann", t0))
+	do(e.CompleteActivity(id, "init", "ann", map[string]any{"r": 0}, engine.WithCompletedAt(t0+1)))
+	do(e.StartActivityAt(id, "x", "cyn", t0+2))
+	do(e.FailActivity(id, "x", "cyn", "paper jam", 0, false))
+	do(e.StartActivityAt(id, "x", "ann", t0+3))
+	do(e.CompleteActivity(id, "x", "ann", nil, engine.WithCompletedAt(t0+4)))
+	do(e.CompleteActivity(id, "work", "ann", map[string]any{"more": true}))
+	do(e.CompleteActivity(id, "work", "cyn", map[string]any{"more": false}, engine.WithCompletedAt(t0+5)))
+	do(change.ApplyAdHoc(inst, &change.SerialInsert{
+		Node: &model.Node{ID: "audit", Name: "Audit", Type: model.NodeActivity, Role: "clerk"},
+		Pred: loopEndOf(t, inst), Succ: "tail",
+	}))
+	rep, err := evolution.NewManager(e).Evolve("finished", []change.Operation{&change.SerialInsert{
+		Node: &model.Node{ID: "archive", Name: "Archive", Type: model.NodeActivity, Role: "clerk"},
+		Pred: "tail", Succ: s.EndID(),
+	}}, evolution.Options{})
+	do(err)
+	if rep.Count(evolution.Migrated) != 1 {
+		t.Fatalf("migration report %+v, want the instance migrated", rep.Results)
+	}
+	for i, node := range []string{"audit", "tail", "archive"} {
+		do(e.StartActivityAt(id, node, "ann", t0+6+int64(2*i)))
+		do(e.CompleteActivity(id, node, "ann", nil, engine.WithCompletedAt(t0+7+int64(2*i))))
+	}
+	if !inst.Done() {
+		t.Fatal("the finished golden's instance did not finish")
+	}
+	return e, inst
+}
+
+// TestGoldenFinishedSnapshot holds the capture of a finished instance to
+// the bytes the parent of the seal wrote (see goldenFinishedFile): built
+// live and sealed, and restored from those bytes.
+func TestGoldenFinishedSnapshot(t *testing.T) {
+	want, err := os.ReadFile(goldenFinishedFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, inst := goldenFinished(t)
+	if got := goldenState(t, e); !bytes.Equal(got, want) {
+		t.Errorf("live capture differs from the parent's snapshot:\n got %s\nwant %s", got, want)
+	}
+	var st SystemState
+	if err := json.Unmarshal(want, &st); err != nil {
+		t.Fatal(err)
+	}
+	re := engine.New(nil)
+	if err := Restore(re, &st); err != nil {
+		t.Fatal(err)
+	}
+	if got := goldenState(t, re); !bytes.Equal(got, want) {
+		t.Errorf("restore + capture differs from the parent's snapshot:\n got %s\nwant %s", got, want)
+	}
+	rinst, ok := re.Instance(inst.ID())
+	if !ok || !rinst.Done() {
+		t.Fatalf("instance %s after restore: present %t", inst.ID(), ok)
 	}
 }
 

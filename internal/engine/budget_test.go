@@ -81,7 +81,8 @@ func TestStepAllocatesNothingItDrops(t *testing.T) {
 // under the element, so RestoreInstance maps the parameter to the element
 // through the node's read edges before it asks the store for its own copy
 // of the value; asking under the parameter found no element, and every
-// recovered read kept the copy the snapshot's history decoded.
+// recovered read kept the copy the snapshot's history decoded. The binding
+// keeps the schema's parameter string too, not the decoded one.
 func TestRestoreSharesReadValues(t *testing.T) {
 	e := newEngine(t)
 	inst, err := e.CreateInstance("online_order", 0)
@@ -121,8 +122,9 @@ func TestRestoreSharesReadValues(t *testing.T) {
 			t.Fatalf("compose_order's start binds %v, want its one read", ev.Values)
 		}
 		rb := ev.Values[0]
-		if rb.Name != param {
-			t.Errorf("the read is bound under %q, not the read edge's parameter %q", rb.Name, param)
+		if rb.Name != param || unsafe.StringData(rb.Name) != unsafe.StringData(param) {
+			t.Errorf("the read is bound under %q at %p, not the read edge's parameter %q at %p",
+				rb.Name, unsafe.StringData(rb.Name), param, unsafe.StringData(param))
 		}
 		v, _ := rb.Value.(string)
 		s, _ := held.(string)
@@ -133,5 +135,43 @@ func TestRestoreSharesReadValues(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("the restored history has no start of compose_order")
+	}
+}
+
+// TestSealedInstanceLayout: a finished instance keeps its core and drops
+// the running part, and the two together are no bigger than the one block
+// an instance was before the seal existed (448 B, a size class): the core
+// fits the 224 B class and the running part the 192 B one. The seal
+// happens in the command that finishes the instance, and a restored
+// finished instance has no running part either.
+func TestSealedInstanceLayout(t *testing.T) {
+	if core, run := unsafe.Sizeof(Instance{}), unsafe.Sizeof(running{}); core > 224 || run > 192 {
+		t.Errorf("an instance's core is %d B and its running part %d B, want at most 224 and 192", core, run)
+	}
+	e := newEngine(t)
+	inst, err := e.CreateInstance("online_order", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustComplete(t, e, inst.ID(), "get_order", "ann", map[string]any{"out": "order-1"})
+	for _, step := range []struct{ node, user string }{
+		{"collect_data", "ann"}, {"compose_order", "bob"}, {"confirm_order", "ann"}, {"pack_goods", "bob"},
+	} {
+		if inst.run == nil {
+			t.Fatalf("%s is sealed before it finished", inst.ID())
+		}
+		mustComplete(t, e, inst.ID(), step.node, step.user, nil)
+	}
+	mustComplete(t, e, inst.ID(), "deliver_goods", "bob", nil)
+	if !inst.Done() || inst.run != nil {
+		t.Fatalf("%s: done %t, running part %p after its last completion", inst.ID(), inst.Done(), inst.run)
+	}
+	snap, bias := inst.Snapshot()
+	restored := newEngine(t)
+	if err := restored.RestoreInstance(snap, bias); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := restored.Instance(inst.ID()); got.run != nil {
+		t.Error("a restored finished instance has a running part")
 	}
 }

@@ -161,7 +161,7 @@ func TestRetainedNodeStringsAreTheSchemas(t *testing.T) {
 		t.Errorf("the started work item is %+v, want it started by the org model's %q at %p", it, ann.ID, unsafe.StringData(ann.ID))
 	}
 	keys("deadlines", 1, func(y func(string)) {
-		for k := range inst.deadlines {
+		for k := range inst.run.deadlines {
 			y(k)
 		}
 	})
@@ -169,7 +169,7 @@ func TestRetainedNodeStringsAreTheSchemas(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys("escalated", 1, func(y func(string)) {
-		for k := range inst.escalated {
+		for k := range inst.run.escalated {
 			y(k)
 		}
 	})
@@ -182,13 +182,13 @@ func TestRetainedNodeStringsAreTheSchemas(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys("failures, retryAt and compPending", 3, func(y func(string)) {
-		for k := range inst.failures {
+		for k := range inst.run.failures {
 			y(k)
 		}
-		for k := range inst.retryAt {
+		for k := range inst.run.retryAt {
 			y(k)
 		}
-		for k := range inst.compPending {
+		for k := range inst.run.compPending {
 			y(k)
 		}
 	})

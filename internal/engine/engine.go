@@ -68,13 +68,18 @@ type Deployed struct {
 // Engine is the process management runtime. All methods are safe for
 // concurrent use.
 type Engine struct {
-	mu     sync.RWMutex
-	org    *org.Model
-	wl     *worklist.Manager
-	types  map[string][]Deployed // ascending by version; the latest is the last
-	insts  map[string]*Instance
-	order  []*Instance // creation order; order[inst.pos] == inst
-	nextID int
+	mu    sync.RWMutex
+	org   *org.Model
+	wl    *worklist.Manager
+	types map[string][]Deployed // ascending by version; the latest is the last
+	insts map[string]*Instance
+	order []*Instance // key order (CompareInstanceIDs); order[inst.pos] == inst
+	// unsorted is set when an instance was appended to order behind a
+	// larger key: a recovery restores and replays shards side by side, and
+	// a foreign ID may sort anywhere. The next read of order sorts it
+	// (readOrder), and recovery sorts it as it ends (SortInstanceOrder).
+	unsorted bool
+	nextID   int
 	// syms is the string table every instance's history log draws its
 	// node and user symbols from; it lives and dies with the engine.
 	syms *history.Symbols
@@ -208,7 +213,7 @@ func (e *Engine) CreateInstanceID(id, typeName string, version int) (*Instance, 
 	if version == 0 {
 		version = latestOf(e.types[typeName])
 	}
-	inst, err := e.registerLocked(id, typeName, version)
+	inst, err := e.registerLocked(id, typeName, version, true)
 	e.mu.Unlock()
 	if err != nil {
 		return nil, fmt.Errorf("engine: create instance: %w", err)
@@ -235,8 +240,9 @@ func checkUTF8(op, what, s string) error {
 // resolves the deployed version, assigns the next ID to an empty one,
 // refuses a taken one, keeps the counter ahead of every engine-style ID,
 // and appends the instance to the creation order at the position it
-// records. A create that fails consumes no ID.
-func (e *Engine) registerLocked(id, typeName string, version int) (*Instance, error) {
+// records. A create that fails consumes no ID. A live instance enters with
+// its running part, a sealed one without.
+func (e *Engine) registerLocked(id, typeName string, version int, live bool) (*Instance, error) {
 	d, ok := versionOf(e.types[typeName], version)
 	if !ok {
 		return nil, fault.Tagf(fault.NotFound, "no schema %s v%d", typeName, version)
@@ -249,7 +255,10 @@ func (e *Engine) registerLocked(id, typeName string, version int) (*Instance, er
 	} else if n, ok := instanceNumber(id); ok && n > e.nextID {
 		e.nextID = n
 	}
-	inst := newInstance(e, id, d)
+	inst := newInstance(e, id, d, live)
+	if n := len(e.order); n > 0 && !e.unsorted && CompareInstanceIDs(id, e.order[n-1].id) < 0 {
+		e.unsorted = true
+	}
 	inst.pos = int32(len(e.order))
 	e.insts[id] = inst
 	e.order = append(e.order, inst)
@@ -317,14 +326,32 @@ func (e *Engine) NumInstances() int {
 	return len(e.order)
 }
 
-// Instances returns all instances in creation order.
-func (e *Engine) Instances() []*Instance {
+// readOrder runs read under the engine's lock with order sorted: under the
+// read lock, or once under the write lock when an append left it unsorted.
+func (e *Engine) readOrder(read func()) {
 	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return slices.Clone(e.order)
+	if !e.unsorted {
+		defer e.mu.RUnlock()
+		read()
+		return
+	}
+	e.mu.RUnlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.sortOrderLocked()
+	read()
 }
 
-// InstancesPage returns up to limit instances in creation order,
+// Instances returns all instances in key order (CompareInstanceIDs): the
+// order they were created in, while the engine assigns their IDs, and the
+// same order on a live engine and on its recovery.
+func (e *Engine) Instances() []*Instance {
+	var out []*Instance
+	e.readOrder(func() { out = slices.Clone(e.order) })
+	return out
+}
+
+// InstancesPage returns up to limit instances in key order (Instances),
 // starting after the cursor (the last instance ID of the previous page;
 // "" starts from the beginning). It returns the page and the cursor for
 // the next call — "" once the listing is exhausted. Unlike Instances it
@@ -336,39 +363,41 @@ func (e *Engine) InstancesPage(cursor string, limit int) ([]*Instance, string) {
 	if limit <= 0 {
 		limit = 100
 	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	start := 0
-	if cursor != "" {
-		after, ok := e.insts[cursor]
-		if !ok {
-			return nil, ""
-		}
-		start = int(after.pos) + 1
-	}
-	if start >= len(e.order) {
-		return nil, ""
-	}
-	end := min(start+limit, len(e.order))
+	var page []*Instance
 	next := ""
-	if end < len(e.order) {
-		next = e.order[end-1].id
-	}
-	return slices.Clone(e.order[start:end]), next
+	e.readOrder(func() {
+		start := 0
+		if cursor != "" {
+			after, ok := e.insts[cursor]
+			if !ok {
+				return
+			}
+			start = int(after.pos) + 1
+		}
+		if start >= len(e.order) {
+			return
+		}
+		end := min(start+limit, len(e.order))
+		if end < len(e.order) {
+			next = e.order[end-1].id
+		}
+		page = slices.Clone(e.order[start:end])
+	})
+	return page, next
 }
 
 // InstancesOf returns the instances of one process type, optionally
 // filtered by schema version (version < 0 matches all). The version is an
 // instance's own, read under its lock once the engine's is released.
 func (e *Engine) InstancesOf(typeName string, version int) []*Instance {
-	e.mu.RLock()
 	var out []*Instance
-	for _, inst := range e.order {
-		if inst.typeName == typeName {
-			out = append(out, inst)
+	e.readOrder(func() {
+		for _, inst := range e.order {
+			if inst.typeName == typeName {
+				out = append(out, inst)
+			}
 		}
-	}
-	e.mu.RUnlock()
+	})
 	if version < 0 {
 		return out
 	}

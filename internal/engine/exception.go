@@ -38,18 +38,18 @@ func (inst *Instance) failLocked(node, user, reason string, retryAt int64, pendi
 	if n, ok := v.Node(node); ok {
 		node = n.ID // as in startLocked; a node the view lacks is not running
 	}
-	if got := inst.marking.Node(node); got != state.Running {
+	if got := inst.run.marking.Node(node); got != state.Running {
 		return fault.Tagf(fault.Conflict, "engine: fail %s/%s: node is %s, not running", inst.id, node, got)
 	}
 	inst.hist.Append(&history.Event{Kind: history.Failed, Node: node, User: user, Reason: reason, Decision: -1})
-	inst.stats.OnFail(node)
-	inst.marking.SetNode(node, state.Activated)
-	if inst.failures == nil {
-		inst.failures = make(map[string]int)
+	inst.run.stats.OnFail(node)
+	inst.run.marking.SetNode(node, state.Activated)
+	if inst.run.failures == nil {
+		inst.run.failures = make(map[string]int)
 	}
-	inst.failures[node]++
-	delete(inst.deadlines, node)
-	delete(inst.escalated, node)
+	inst.run.failures[node]++
+	delete(inst.run.deadlines, node)
+	delete(inst.run.escalated, node)
 	inst.suppressLocked(node, retryAt, pending)
 	// The failed assignee's in-progress item is stale either way; the
 	// sync re-offers to the role's candidates unless suppressed.
@@ -61,29 +61,33 @@ func (inst *Instance) failLocked(node, user, reason string, retryAt int64, pendi
 // nanos, when not 0) or, when pending, until a Retry releases it.
 func (inst *Instance) suppressLocked(node string, retryAt int64, pending bool) {
 	if retryAt != 0 {
-		if inst.retryAt == nil {
-			inst.retryAt = make(map[string]int64)
+		if inst.run.retryAt == nil {
+			inst.run.retryAt = make(map[string]int64)
 		}
-		inst.retryAt[node] = retryAt
+		inst.run.retryAt[node] = retryAt
 	}
 	if pending {
-		if inst.compPending == nil {
-			inst.compPending = make(map[string]bool)
+		if inst.run.compPending == nil {
+			inst.run.compPending = make(map[string]bool)
 		}
-		inst.compPending[node] = true
+		inst.run.compPending[node] = true
 	}
 }
 
 // Fail is failLocked, unsuppressed, returning the node's failure count.
 func (mx *Mutable) Fail(node, user, reason string) (int, error) {
-	err := mx.inst.failLocked(node, user, reason, 0, false)
-	return mx.inst.failures[node], err
+	if err := mx.inst.failLocked(node, user, reason, 0, false); err != nil {
+		return 0, err
+	}
+	return mx.inst.run.failures[node], nil
 }
 
 // Timeout is timeoutLocked, returning the node's failure count.
 func (mx *Mutable) Timeout(node string) (int, error) {
-	err := mx.inst.timeoutLocked(node)
-	return mx.inst.failures[node], err
+	if err := mx.inst.timeoutLocked(node); err != nil {
+		return 0, err
+	}
+	return mx.inst.run.failures[node], nil
 }
 
 // Suppress withholds a failed node's work item (suppressLocked).
@@ -113,18 +117,18 @@ func (inst *Instance) timeoutLocked(node string) error {
 		return fault.Tagf(fault.NotFound, "engine: timeout %s/%s: no such node", inst.id, node)
 	}
 	node = n.ID // as in startLocked
-	if got := inst.marking.Node(node); got != state.Running {
+	if got := inst.run.marking.Node(node); got != state.Running {
 		return fault.Tagf(fault.Conflict, "engine: timeout %s/%s: node is %s, not running", inst.id, node, got)
 	}
-	if _, armed := inst.deadlines[node]; !armed {
+	if _, armed := inst.run.deadlines[node]; !armed {
 		return fault.Tagf(fault.Conflict, "engine: timeout %s/%s: no armed deadline", inst.id, node)
 	}
 	inst.hist.Append(&history.Event{Kind: history.Timeout, Node: node, Reason: "deadline expired", Decision: -1})
-	delete(inst.deadlines, node)
-	if inst.escalated == nil {
-		inst.escalated = make(map[string]bool)
+	delete(inst.run.deadlines, node)
+	if inst.run.escalated == nil {
+		inst.run.escalated = make(map[string]bool)
 	}
-	inst.escalated[node] = true
+	inst.run.escalated[node] = true
 	role := n.Escalation
 	if role == "" {
 		role = n.Role
@@ -152,15 +156,15 @@ func (inst *Instance) retryLocked(node string) error {
 	if err := inst.openLocked("retry", node); err != nil {
 		return err
 	}
-	if got := inst.marking.Node(node); got != state.Activated {
+	if got := inst.run.marking.Node(node); got != state.Activated {
 		return fault.Tagf(fault.Conflict, "engine: retry %s/%s: node is %s, not activated", inst.id, node, got)
 	}
-	_, hasBackoff := inst.retryAt[node]
-	if !hasBackoff && !inst.compPending[node] {
+	_, hasBackoff := inst.run.retryAt[node]
+	if !hasBackoff && !inst.run.compPending[node] {
 		return fault.Tagf(fault.Conflict, "engine: retry %s/%s: no suppressed retry pending", inst.id, node)
 	}
-	delete(inst.retryAt, node)
-	delete(inst.compPending, node)
+	delete(inst.run.retryAt, node)
+	delete(inst.run.compPending, node)
 	return nil
 }
 
@@ -204,13 +208,13 @@ type Expiry struct {
 // ExpiredDeadlines lists the armed deadlines of running nodes at or
 // before now (due).
 func (e *Engine) ExpiredDeadlines(now int64) []Expiry {
-	return e.due(now, state.Running, func(inst *Instance) map[string]int64 { return inst.deadlines })
+	return e.due(now, state.Running, func(inst *Instance) map[string]int64 { return inst.run.deadlines })
 }
 
 // DueRetries lists the retry backoffs of activated nodes due at or before
 // now (due).
 func (e *Engine) DueRetries(now int64) []Expiry {
-	return e.due(now, state.Activated, func(inst *Instance) map[string]int64 { return inst.retryAt })
+	return e.due(now, state.Activated, func(inst *Instance) map[string]int64 { return inst.run.retryAt })
 }
 
 // due scans all live instances for the entries of one exception timer at
@@ -224,7 +228,7 @@ func (e *Engine) due(now int64, st state.NodeState, timer func(*Instance) map[st
 		inst.mu.Lock()
 		if !inst.done && !inst.suspended {
 			for node, at := range timer(inst) {
-				if at <= now && inst.marking.Node(node) == st {
+				if at <= now && inst.run.marking.Node(node) == st {
 					out = append(out, Expiry{Instance: inst.id, Node: node})
 				}
 			}
@@ -257,14 +261,14 @@ func (e *Engine) OpenExceptions() []OpenException {
 	for _, inst := range e.Instances() {
 		inst.mu.Lock()
 		if !inst.done && !inst.suspended {
-			for node := range inst.compPending {
-				if inst.marking.Node(node) == state.Activated {
-					out = append(out, OpenException{Instance: inst.id, Node: node, Failures: inst.failures[node]})
+			for node := range inst.run.compPending {
+				if inst.run.marking.Node(node) == state.Activated {
+					out = append(out, OpenException{Instance: inst.id, Node: node, Failures: inst.run.failures[node]})
 				}
 			}
-			for node := range inst.escalated {
-				if inst.marking.Node(node) == state.Running {
-					out = append(out, OpenException{Instance: inst.id, Node: node, Timeout: true, Failures: inst.failures[node]})
+			for node := range inst.run.escalated {
+				if inst.run.marking.Node(node) == state.Running {
+					out = append(out, OpenException{Instance: inst.id, Node: node, Timeout: true, Failures: inst.run.failures[node]})
 				}
 			}
 		}

@@ -109,7 +109,7 @@ func (inst *Instance) checkStartLocked(node, user string, buf data.Values) (st p
 		return st, nil, fault.Tagf(fault.NotFound, "engine: start %s/%s: no such node", inst.id, node)
 	}
 	node = n.ID // what the instance keeps is the schema's string, not the command's
-	if got := inst.marking.Node(node); got != state.Activated {
+	if got := inst.run.marking.Node(node); got != state.Activated {
 		return st, nil, fault.Tagf(fault.Conflict, "engine: start %s/%s: node is %s, not activated", inst.id, node, got)
 	}
 	if !n.Auto && n.Role != "" {
@@ -129,21 +129,21 @@ func (inst *Instance) checkStartLocked(node, user string, buf data.Values) (st p
 // applyStartLocked performs a start checkStartLocked accepted.
 func (inst *Instance) applyStartLocked(st pendingStart, reads data.Values, at int64) error {
 	n, node := st.n, st.n.ID
-	if err := inst.marking.Start(node); err != nil {
+	if err := inst.run.marking.Start(node); err != nil {
 		return err
 	}
 	// The event is read by Append, not kept: it stays on the stack.
 	e := inst.appendLocked(&history.Event{Kind: history.Started, Node: node, User: st.user, Values: reads, Decision: -1, At: at})
-	inst.stats.OnStart(node, int(e.Seq))
+	inst.run.stats.OnStart(node, int(e.Seq))
 	// A fresh start clears any pending retry/compensation left from a
 	// prior failed attempt and arms the activity's deadline.
-	delete(inst.retryAt, node)
-	delete(inst.compPending, node)
+	delete(inst.run.retryAt, node)
+	delete(inst.run.compPending, node)
 	if at != 0 && n.Deadline > 0 {
-		if inst.deadlines == nil {
-			inst.deadlines = make(map[string]int64)
+		if inst.run.deadlines == nil {
+			inst.run.deadlines = make(map[string]int64)
 		}
-		inst.deadlines[node] = at + n.Deadline
+		inst.run.deadlines[node] = at + n.Deadline
 	}
 	if !n.Auto && n.Type == model.NodeActivity {
 		// Best effort: the item exists unless the node was activated by
@@ -217,13 +217,13 @@ func (inst *Instance) completeLocked(node, user string, outputs map[string]any, 
 	var readBuf, writeBuf [stepValues]data.Binding
 	var st pendingStart
 	var reads data.Values
-	starting := inst.marking.Node(node) == state.Activated
+	starting := inst.run.marking.Node(node) == state.Activated
 	if starting {
 		var err error
 		if st, reads, err = inst.checkStartLocked(node, user, readBuf[:0]); err != nil {
 			return err
 		}
-	} else if got := inst.marking.Node(node); got != state.Running {
+	} else if got := inst.run.marking.Node(node); got != state.Running {
 		return fault.Tagf(fault.Conflict, "engine: complete %s/%s: node is %s, not running", inst.id, node, got)
 	}
 
@@ -267,7 +267,7 @@ func (inst *Instance) completeLocked(node, user string, outputs map[string]any, 
 		Values:   writes,
 		At:       co.at,
 	})
-	inst.stats.OnComplete(node, int(e.Seq), decision)
+	inst.run.stats.OnComplete(node, int(e.Seq), decision)
 	for _, w := range writes {
 		inst.store.Write(w.Name, w.Value, node, int(e.Seq))
 	}
@@ -278,28 +278,19 @@ func (inst *Instance) completeLocked(node, user string, outputs map[string]any, 
 			return fmt.Errorf("engine: complete %s/%s: loop end has no block", inst.id, node)
 		}
 		region := blk.Region()
-		inst.stats.PurgeRegion(region)
-		state.ResetLoop(v, inst.marking, region)
-		if inst.loopIter == nil {
-			inst.loopIter = make(map[string]int)
-		}
-		inst.loopIter[node]++
+		inst.run.iterate(v, node, region)
+		state.ResetLoop(v, &inst.run.marking, region)
 		inst.clearExceptionLocked(node)
-		// Nested loops restart their iteration count.
 		for id := range region {
-			if id == node {
-				continue
+			if id != node {
+				inst.clearExceptionLocked(id)
+				inst.eng.wl.Withdraw(inst.id, id)
 			}
-			if inner, ok := v.Node(id); ok && inner.Type == model.NodeLoopEnd {
-				inst.loopIter[id] = 0
-			}
-			inst.clearExceptionLocked(id)
-			inst.eng.wl.Withdraw(inst.id, id)
 		}
 		return nil
 	}
 
-	if err := inst.marking.Complete(v, node, decision); err != nil {
+	if err := inst.run.marking.Complete(v, node, decision); err != nil {
 		return err
 	}
 	inst.clearExceptionLocked(node)
@@ -307,15 +298,32 @@ func (inst *Instance) completeLocked(node, user string, outputs map[string]any, 
 	return nil
 }
 
+// iterate records that the loop ending at node iterates over region: the
+// region's execution records are purged, the loop's count rises, and the
+// nested loops restart theirs. The live completion and a sealed
+// instance's derivation (derivedLocked) share it.
+func (r *running) iterate(v model.SchemaView, node string, region map[string]bool) {
+	r.stats.PurgeRegion(region)
+	if r.loopIter == nil {
+		r.loopIter = make(map[string]int)
+	}
+	r.loopIter[node]++
+	for id := range region {
+		if inner, ok := v.Node(id); ok && id != node && inner.Type == model.NodeLoopEnd {
+			r.loopIter[id] = 0
+		}
+	}
+}
+
 // clearExceptionLocked drops all exception bookkeeping of a node — its
 // completion (or loop purge) moots armed deadlines, pending retries, and
 // accumulated failure counts alike.
 func (inst *Instance) clearExceptionLocked(node string) {
-	delete(inst.deadlines, node)
-	delete(inst.retryAt, node)
-	delete(inst.failures, node)
-	delete(inst.escalated, node)
-	delete(inst.compPending, node)
+	delete(inst.run.deadlines, node)
+	delete(inst.run.retryAt, node)
+	delete(inst.run.failures, node)
+	delete(inst.run.escalated, node)
+	delete(inst.run.compPending, node)
 }
 
 // xorDecisionLocked resolves the selection code of an XOR split from the
@@ -368,7 +376,7 @@ func (inst *Instance) loopDecisionLocked(n *model.Node, co completeOpts) bool {
 			}
 		}
 	}
-	if again && n.MaxIterations > 0 && inst.loopIter[n.ID]+1 >= n.MaxIterations {
+	if again && n.MaxIterations > 0 && inst.run.loopIter[n.ID]+1 >= n.MaxIterations {
 		again = false
 	}
 	return again
@@ -418,16 +426,16 @@ func (inst *Instance) cascadeLocked() error {
 	topo := v.Topology()
 	// The per-instance execution index follows every topology change the
 	// cascade observes (cheap no-op while the topology is unchanged).
-	inst.stats.Rebind(topo)
+	inst.run.stats.Rebind(topo)
 	// The activation buffer is stack scratch: a cascade step activates a
 	// handful of nodes (append spills to the heap past that).
 	var scratch [16]model.NodeIdx
 	evalBuf := scratch[:0]
 	for {
-		evalBuf = state.EvaluateInto(v, inst.marking, evalBuf)
+		evalBuf = state.EvaluateInto(v, &inst.run.marking, evalBuf)
 
-		if end := topo.EndIdx(); end != model.InvalidNode && inst.marking.NodeAt(end) == state.Activated {
-			inst.marking.SetNodeAt(end, state.Completed)
+		if end := topo.EndIdx(); end != model.InvalidNode && inst.run.marking.NodeAt(end) == state.Activated {
+			inst.run.marking.SetNodeAt(end, state.Completed)
 			inst.done = true
 			break
 		}
@@ -436,7 +444,7 @@ func (inst *Instance) cascadeLocked() error {
 		// topology index enumerates them without scanning the schema.
 		next := model.InvalidNode
 		for _, ni := range topo.AutoExecutableIdx() {
-			if inst.marking.NodeAt(ni) == state.Activated {
+			if inst.run.marking.NodeAt(ni) == state.Activated {
 				next = ni
 				break
 			}
@@ -451,6 +459,15 @@ func (inst *Instance) cascadeLocked() error {
 		// fixpoint (states were cleared); loop again from the top.
 	}
 	inst.syncWorklistLocked()
+	if inst.done {
+		// The seal: the sync above was the command's last read of the
+		// marking, and it left no activated or running node, no work item
+		// and no exception entry behind.
+		if check := sealCheck.Load(); check != nil {
+			(*check)(inst.id, diffRunning(inst.run, inst.derivedLocked()))
+		}
+		inst.run = nil
+	}
 	return nil
 }
 
@@ -470,12 +487,12 @@ func (inst *Instance) syncWorklistLocked() {
 	for _, ni := range topo.ManualActivitiesIdx() {
 		n := topo.At(ni).Node()
 		id := n.ID
-		if s := inst.marking.Node(id); s == state.Activated || s == state.Running {
+		if s := inst.run.marking.Node(id); s == state.Activated || s == state.Running {
 			// A failed activity in its retry backoff (or withheld
 			// until a retry) keeps no offer: the re-offer is a
 			// journaled Retry command, so replay reproduces the same
 			// suppression window.
-			if s == state.Activated && (inst.retryAt[id] != 0 || inst.compPending[id]) {
+			if s == state.Activated && (inst.run.retryAt[id] != 0 || inst.run.compPending[id]) {
 				continue
 			}
 			wanted = append(wanted, worklist.Wanted{
@@ -496,29 +513,29 @@ func (inst *Instance) syncWorklistLocked() {
 // escalations belong to running nodes, retry backoffs and pending
 // compensations to activated ones, failure counts to either.
 func (inst *Instance) reconcileExceptionsLocked() {
-	for id := range inst.deadlines {
-		if inst.marking.Node(id) != state.Running {
-			delete(inst.deadlines, id)
+	for id := range inst.run.deadlines {
+		if inst.run.marking.Node(id) != state.Running {
+			delete(inst.run.deadlines, id)
 		}
 	}
-	for id := range inst.escalated {
-		if inst.marking.Node(id) != state.Running {
-			delete(inst.escalated, id)
+	for id := range inst.run.escalated {
+		if inst.run.marking.Node(id) != state.Running {
+			delete(inst.run.escalated, id)
 		}
 	}
-	for id := range inst.retryAt {
-		if inst.marking.Node(id) != state.Activated {
-			delete(inst.retryAt, id)
+	for id := range inst.run.retryAt {
+		if inst.run.marking.Node(id) != state.Activated {
+			delete(inst.run.retryAt, id)
 		}
 	}
-	for id := range inst.compPending {
-		if inst.marking.Node(id) != state.Activated {
-			delete(inst.compPending, id)
+	for id := range inst.run.compPending {
+		if inst.run.marking.Node(id) != state.Activated {
+			delete(inst.run.compPending, id)
 		}
 	}
-	for id := range inst.failures {
-		if s := inst.marking.Node(id); s != state.Activated && s != state.Running {
-			delete(inst.failures, id)
+	for id := range inst.run.failures {
+		if s := inst.run.marking.Node(id); s != state.Activated && s != state.Running {
+			delete(inst.run.failures, id)
 		}
 	}
 }

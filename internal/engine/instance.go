@@ -12,9 +12,23 @@ import (
 	"adept2/internal/storage"
 )
 
-// Instance is one running process instance. All exported methods are safe
-// for concurrent use; the migration manager and the change framework
-// obtain exclusive access through Mutate.
+// Instance is one process instance. All exported methods are safe for
+// concurrent use; the migration manager and the change framework obtain
+// exclusive access through Mutate.
+//
+// While the instance can run it keeps a running part (running): its
+// marking, execution index, loop counts and exception state. The command
+// that finishes it seals it (cascadeLocked): under the instance's lock,
+// after the command's last read of the marking, the running part is
+// dropped. A sealed instance keeps its record — identity, version, flags,
+// bias, migrations, history and data store — and nothing runs it again:
+// every mutating path refuses it with fault.Completed before it reads the
+// running part. A reader of its marking, execution index or loop counts
+// (NodeState, MarkingSnapshot, StatsSnapshot, LoopIterations, Snapshot)
+// gets them derived from the history on the current view (derivedLocked),
+// in memory of its own; nothing derived is kept on the instance. Its
+// exception state is empty: the sync that precedes the seal reconciles it
+// against a marking with no activated or running node.
 type Instance struct {
 	mu  sync.Mutex
 	eng *Engine
@@ -33,13 +47,23 @@ type Instance struct {
 	// The bias: the overlay biasOps build over the base, and the block
 	// analysis of its view. All three are nil while the instance is
 	// unbiased, when its view and analysis are the base's.
-	overlay  *storage.Overlay
-	biasOps  []BiasOp
-	blocks   *graph.Info
-	marking  *state.Marking
-	hist     history.Log // by value: one allocation and one pointer fewer per instance
-	stats    *history.Stats
-	store    *data.Store
+	overlay *storage.Overlay
+	biasOps []BiasOp
+	blocks  *graph.Info
+	hist    history.Log // by value: one allocation and one pointer fewer per instance
+	store   data.Store  // by value, as hist
+
+	migrations int
+
+	run *running // nil once the instance is sealed
+}
+
+// running is the part of an instance that only a running one keeps, one
+// object; the marking's arrays and the execution index's records are one
+// more (newRunning).
+type running struct {
+	marking  state.Marking
+	stats    history.Stats
 	loopIter map[string]int // loop end ID -> completed iterations; nil until a loop iterates
 
 	// Exception state, all keyed by node ID and all rebuilt identically
@@ -59,35 +83,55 @@ type Instance struct {
 	failures    map[string]int
 	escalated   map[string]bool
 	compPending map[string]bool
-
-	migrations int
 }
 
-// instanceBlock is the one object newInstance allocates: an instance and
-// the marking, execution index and data store it points to. The marking's
-// arrays and the index's records are the instance's only other blocks.
-type instanceBlock struct {
-	inst    Instance
-	marking state.Marking
-	stats   history.Stats
-	store   data.Store
+// newRunning returns an empty running part bound to the view's topology.
+// Its marking's arrays and its index's records are both pointer-free, so
+// they share one block: the part costs two allocations.
+func newRunning(v model.SchemaView) *running {
+	t := v.Topology()
+	mw := state.Words(t)
+	block := make([]uint64, mw+history.RecordWords(t.NumNodes()))
+	r := &running{}
+	r.marking.ResetIn(v, block[:mw:mw])
+	r.stats.ResetIn(t, block[mw:])
+	return r
 }
 
-func newInstance(e *Engine, id string, d Deployed) *Instance {
-	b := &instanceBlock{}
-	b.marking.Reset(d.Schema)
-	b.stats.Reset(d.Schema.Topology())
-	b.inst = Instance{
+// newInstance returns an instance of d; a live one has a running part, a
+// sealed one (a finished instance a snapshot restores) none.
+func newInstance(e *Engine, id string, d Deployed, live bool) *Instance {
+	inst := &Instance{
 		eng:      e,
 		id:       id,
 		typeName: d.Schema.TypeName(),
 		base:     d,
-		marking:  &b.marking,
 		hist:     *e.syms.NewLog(),
-		stats:    &b.stats,
-		store:    &b.store,
 	}
-	return &b.inst
+	if live {
+		inst.run = newRunning(d.Schema)
+	}
+	return inst
+}
+
+// runLocked returns the running part to read: the instance's own, or for a
+// sealed instance one derived from its history, which the caller owns.
+func (inst *Instance) runLocked() *running {
+	if inst.run != nil {
+		return inst.run
+	}
+	return inst.derivedLocked()
+}
+
+// noExceptions is the exception state a sealed instance reads as: empty.
+var noExceptions running
+
+// exceptionsLocked returns the running part to read exception state from.
+func (inst *Instance) exceptionsLocked() *running {
+	if inst.run != nil {
+		return inst.run
+	}
+	return &noExceptions
 }
 
 // ID returns the instance identifier.
@@ -152,14 +196,14 @@ func (inst *Instance) View() model.SchemaView {
 func (inst *Instance) NodeState(node string) state.NodeState {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
-	return inst.marking.Node(node)
+	return inst.runLocked().marking.Node(node)
 }
 
 // MarkingSnapshot returns a copy of the instance marking.
 func (inst *Instance) MarkingSnapshot() *state.Marking {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
-	return inst.marking.Clone()
+	return inst.runLocked().marking.Clone()
 }
 
 // HistoryLen returns the number of events in the physical execution
@@ -230,7 +274,7 @@ func (inst *Instance) MineHistory(sc *MineScratch, visit func(MineView)) {
 func (inst *Instance) StatsSnapshot() *history.Stats {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
-	return inst.stats.Clone()
+	return inst.runLocked().stats.Clone()
 }
 
 // DataSnapshot returns a copy of the instance data store.
@@ -244,7 +288,7 @@ func (inst *Instance) DataSnapshot() *data.Store {
 func (inst *Instance) LoopIterations(loopEnd string) int {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
-	return inst.loopIter[loopEnd]
+	return inst.runLocked().loopIter[loopEnd]
 }
 
 // Deadline returns the armed absolute deadline (unix nanos) of a running
@@ -252,7 +296,7 @@ func (inst *Instance) LoopIterations(loopEnd string) int {
 func (inst *Instance) Deadline(node string) (int64, bool) {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
-	dl, ok := inst.deadlines[node]
+	dl, ok := inst.exceptionsLocked().deadlines[node]
 	return dl, ok
 }
 
@@ -260,14 +304,7 @@ func (inst *Instance) Deadline(node string) (int64, bool) {
 func (inst *Instance) Deadlines() map[string]int64 {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
-	if len(inst.deadlines) == 0 {
-		return nil
-	}
-	out := make(map[string]int64, len(inst.deadlines))
-	for k, v := range inst.deadlines {
-		out[k] = v
-	}
-	return out
+	return copyInt64Map(inst.exceptionsLocked().deadlines)
 }
 
 // FailureCount returns how many consecutive failed attempts the node has
@@ -275,7 +312,7 @@ func (inst *Instance) Deadlines() map[string]int64 {
 func (inst *Instance) FailureCount(node string) int {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
-	return inst.failures[node]
+	return inst.exceptionsLocked().failures[node]
 }
 
 // Escalated reports whether the running node's deadline fired and its
@@ -283,7 +320,7 @@ func (inst *Instance) FailureCount(node string) int {
 func (inst *Instance) Escalated(node string) bool {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
-	return inst.escalated[node]
+	return inst.exceptionsLocked().escalated[node]
 }
 
 // RetryDue returns the time (unix nanos) a failed node's re-offer
@@ -291,7 +328,7 @@ func (inst *Instance) Escalated(node string) bool {
 func (inst *Instance) RetryDue(node string) (int64, bool) {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
-	at, ok := inst.retryAt[node]
+	at, ok := inst.exceptionsLocked().retryAt[node]
 	return at, ok
 }
 
@@ -300,7 +337,7 @@ func (inst *Instance) RetryDue(node string) (int64, bool) {
 func (inst *Instance) PendingCompensation(node string) bool {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
-	return inst.compPending[node]
+	return inst.exceptionsLocked().compPending[node]
 }
 
 // StorageFootprint describes the memory attributable to one instance; the
@@ -340,7 +377,12 @@ func (inst *Instance) Footprint() StorageFootprint {
 	defer inst.mu.Unlock()
 	f := StorageFootprint{
 		StateBytes: int(unsafe.Sizeof(*inst)) + (len(inst.id)+7)&^7 + engineIndexBytes +
-			inst.marking.ApproxBytes() + inst.hist.ApproxBytes() + inst.stats.ApproxBytes() + inst.store.ApproxBytes(),
+			inst.hist.ApproxBytes() + inst.store.ApproxBytes(),
+	}
+	if r := inst.run; r != nil {
+		// The struct sizes ApproxBytes counts are inside the running part's.
+		f.StateBytes += int(unsafe.Sizeof(*r)-unsafe.Sizeof(r.marking)-unsafe.Sizeof(r.stats)) +
+			r.marking.ApproxBytes() + r.stats.ApproxBytes()
 	}
 	if inst.overlay != nil {
 		f.BiasBytes = inst.overlay.ApproxBytes()
@@ -361,7 +403,7 @@ func (inst *Instance) viewLocked() (model.SchemaView, *graph.Info) {
 // bootstrapLocked initializes the marking of a fresh instance and runs the
 // automatic cascade.
 func (inst *Instance) bootstrapLocked() error {
-	inst.marking.Init(inst.base.Schema)
+	inst.run.marking.Init(inst.base.Schema)
 	return inst.cascadeLocked()
 }
 
@@ -374,14 +416,17 @@ type Mutable struct {
 // Mutate runs fn with exclusive access to the instance internals and
 // reconciles the worklist afterwards. The change framework, the migration
 // manager and the failure and timeout commands are its only intended
-// callers.
+// callers. Each refuses a finished instance (Done) before it reads the
+// marking or the execution index: a sealed instance has neither.
 func (inst *Instance) Mutate(fn func(mx *Mutable) error) error {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
 	if err := fn(&Mutable{inst: inst}); err != nil {
 		return err
 	}
-	inst.syncWorklistLocked()
+	if inst.run != nil { // a sealed instance's items went with the seal
+		inst.syncWorklistLocked()
+	}
 	return nil
 }
 
@@ -398,17 +443,17 @@ func (mx *Mutable) Blocks() (*graph.Info, error) {
 	return info, nil
 }
 
-// Marking exposes the live marking.
-func (mx *Mutable) Marking() *state.Marking { return mx.inst.marking }
+// Marking exposes the live marking. A finished instance has none.
+func (mx *Mutable) Marking() *state.Marking { return &mx.inst.run.marking }
 
-// Stats exposes the live execution index.
-func (mx *Mutable) Stats() *history.Stats { return mx.inst.stats }
+// Stats exposes the live execution index. A finished instance has none.
+func (mx *Mutable) Stats() *history.Stats { return &mx.inst.run.stats }
 
 // History exposes the live history log.
 func (mx *Mutable) History() *history.Log { return &mx.inst.hist }
 
 // Store exposes the live data store.
-func (mx *Mutable) Store() *data.Store { return mx.inst.store }
+func (mx *Mutable) Store() *data.Store { return &mx.inst.store }
 
 // ID returns the instance's ID.
 func (mx *Mutable) ID() string { return mx.inst.id }
@@ -469,7 +514,7 @@ func (mx *Mutable) MigrateTo(to Deployed, ov *storage.Overlay, blocks *graph.Inf
 func (mx *Mutable) AdaptState() ([]string, error) {
 	inst := mx.inst
 	v, _ := inst.viewLocked()
-	activated := state.Adapt(v, inst.marking, inst.stats)
+	activated := state.Adapt(v, &inst.run.marking, &inst.run.stats)
 	if err := inst.cascadeLocked(); err != nil {
 		return activated, err
 	}
@@ -485,4 +530,4 @@ func (mx *Mutable) Cascade() error { return mx.inst.cascadeLocked() }
 // marking reconstructed by compliance.Replay and then runs Cascade. The
 // instance's own marking takes over m's arrays, so the caller must not use
 // m afterwards.
-func (mx *Mutable) SetMarking(m *state.Marking) { *mx.inst.marking = *m }
+func (mx *Mutable) SetMarking(m *state.Marking) { mx.inst.run.marking = *m }

@@ -50,10 +50,12 @@ type InstanceSnapshot struct {
 }
 
 // Snapshot exports the instance state under its lock, and beside it a
-// copy of the recorded bias operations.
+// copy of the recorded bias operations. A sealed instance exports the
+// marking, execution index and loop counts its history derives.
 func (inst *Instance) Snapshot() (*InstanceSnapshot, []BiasOp) {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
+	r := inst.runLocked()
 	return &InstanceSnapshot{
 		ID:          inst.id,
 		TypeName:    inst.typeName,
@@ -61,14 +63,14 @@ func (inst *Instance) Snapshot() (*InstanceSnapshot, []BiasOp) {
 		Done:        inst.done,
 		Suspended:   inst.suspended,
 		Migrations:  inst.migrations,
-		LoopIter:    copyIntMap(inst.loopIter),
-		Deadlines:   copyInt64Map(inst.deadlines),
-		RetryAt:     copyInt64Map(inst.retryAt),
-		Failures:    copyIntMap(inst.failures),
-		Escalated:   sortedKeys(inst.escalated),
-		CompPending: sortedKeys(inst.compPending),
-		Marking:     inst.marking.Export(inst.stats),
-		Stats:       inst.stats.Export(),
+		LoopIter:    copyIntMap(r.loopIter),
+		Deadlines:   copyInt64Map(r.deadlines),
+		RetryAt:     copyInt64Map(r.retryAt),
+		Failures:    copyIntMap(r.failures),
+		Escalated:   sortedKeys(r.escalated),
+		CompPending: sortedKeys(r.compPending),
+		Marking:     r.marking.Export(&r.stats),
+		Stats:       r.stats.Export(),
 		History:     inst.hist.Clone(),
 		Store:       inst.store.Clone(),
 	}, append([]BiasOp(nil), inst.biasOps...)
@@ -113,12 +115,14 @@ func sortedKeys(m map[string]bool) []string {
 // RestoreInstance rebuilds an instance from a snapshot: the referenced
 // schema version must already be deployed, the decoded bias builds the
 // instance's overlay (BuildOverlay) and the view's analysis, and markings,
-// stats, history, data, and flags are installed verbatim. The worklist is
-// NOT reconciled: callers restore worklist items wholesale, each with the
-// candidates it was offered to.
+// stats, history, data, and flags are installed verbatim. A finished
+// instance is restored sealed: its marking, stats, loop counts and
+// exception state are what its history derives, and the stored ones are
+// not read. The worklist is NOT reconciled: callers restore worklist items
+// wholesale, each with the candidates it was offered to.
 func (e *Engine) RestoreInstance(snap *InstanceSnapshot, bias []BiasOp) error {
 	e.mu.Lock()
-	inst, err := e.registerLocked(snap.ID, snap.TypeName, snap.Version)
+	inst, err := e.registerLocked(snap.ID, snap.TypeName, snap.Version, !snap.Done)
 	e.mu.Unlock()
 	if err != nil {
 		// %v: a snapshot that names a missing schema or a taken ID is a
@@ -139,24 +143,43 @@ func (e *Engine) RestoreInstance(snap *InstanceSnapshot, bias []BiasOp) error {
 		}
 		(&Mutable{inst: inst}).SetBias(ov, info, bias)
 	}
-	// The marking, the index and the store are filled where newInstance
-	// put them, in the instance's own block: pointing the instance at new
-	// ones would keep the embedded ones alive beside them.
 	v, _ := inst.viewLocked()
-	if err := inst.marking.Import(v, snap.Marking); err != nil {
-		return fmt.Errorf("engine: restore %s: %w", snap.ID, err)
+	if r := inst.run; r != nil {
+		// The marking and the index are filled where newInstance put them:
+		// pointing the instance at new ones would keep those alive beside
+		// them.
+		if err := r.marking.Import(v, snap.Marking); err != nil {
+			return fmt.Errorf("engine: restore %s: %w", snap.ID, err)
+		}
+		r.stats.Import(v.Topology(), snap.Stats)
+		r.loopIter = snap.LoopIter
+		r.deadlines = copyInt64Map(snap.Deadlines)
+		r.retryAt = copyInt64Map(snap.RetryAt)
+		r.failures = copyIntMap(snap.Failures)
+		if len(snap.Escalated) > 0 {
+			r.escalated = make(map[string]bool, len(snap.Escalated))
+			for _, id := range snap.Escalated {
+				r.escalated[id] = true
+			}
+		}
+		if len(snap.CompPending) > 0 {
+			r.compPending = make(map[string]bool, len(snap.CompPending))
+			for _, id := range snap.CompPending {
+				r.compPending[id] = true
+			}
+		}
 	}
-	inst.stats.Import(v.Topology(), snap.Stats)
 	if snap.History != nil {
 		inst.hist = *snap.History.In(e.syms)
 	}
 	if snap.Store != nil {
-		*inst.store = *snap.Store
+		inst.store = *snap.Store
 	}
 	// The decoded store and bindings hold copies of the schema's node and
 	// element IDs, and each binding a copy of the value the store holds:
 	// sharing them makes a restored instance hold what a live one holds. A
-	// start binds a read under its edge's parameter, not the element.
+	// start binds a read under its edge's parameter, not the element, and
+	// keeps the schema's parameter string.
 	topo := v.Topology()
 	canon := func(id string) string {
 		if i, ok := topo.Idx(id); ok {
@@ -173,29 +196,11 @@ func (e *Engine) RestoreInstance(snap *InstanceSnapshot, bias []BiasOp) error {
 		elem := b.Name
 		for _, de := range v.DataEdgesOf(ev.Node) {
 			if ev.Kind == history.Started && de.Access == model.Read && de.Parameter == b.Name {
-				elem = de.Element
+				b.Name, elem = de.Parameter, de.Element
 			}
 		}
 		b.Value = inst.store.Held(elem, b.Value)
 	})
-	if snap.LoopIter != nil {
-		inst.loopIter = snap.LoopIter
-	}
-	inst.deadlines = copyInt64Map(snap.Deadlines)
-	inst.retryAt = copyInt64Map(snap.RetryAt)
-	inst.failures = copyIntMap(snap.Failures)
-	if len(snap.Escalated) > 0 {
-		inst.escalated = make(map[string]bool, len(snap.Escalated))
-		for _, id := range snap.Escalated {
-			inst.escalated[id] = true
-		}
-	}
-	if len(snap.CompPending) > 0 {
-		inst.compPending = make(map[string]bool, len(snap.CompPending))
-		for _, id := range snap.CompPending {
-			inst.compPending[id] = true
-		}
-	}
 	inst.done = snap.Done
 	inst.suspended = snap.Suspended
 	inst.migrations = snap.Migrations
@@ -234,17 +239,23 @@ func (e *Engine) SetInstanceCounter(n int) {
 	}
 }
 
-// SortInstanceOrder re-sorts the creation-order index by instance key
-// (CompareInstanceIDs). Recovery calls this once at the end: sharded
-// recovery restores and replays shards concurrently, and even a single
-// journal records concurrent creates in append order, not engine-apply
-// (ID-assignment) order — either way instances arrive out of ID order and
-// the live listing must not depend on which path built it. Every suffix
-// is parsed once, into a key slice that is what gets sorted: parsing
-// inside the comparator was 5 % of a 27 500-instance recovery.
+// SortInstanceOrder sorts the order by instance key (CompareInstanceIDs).
+// Recovery calls this once at the end: sharded recovery restores and
+// replays shards concurrently, and even a single journal records
+// concurrent creates in append order, not engine-apply (ID-assignment)
+// order — either way instances arrive out of ID order, and the listing
+// must not depend on which path built it. A live engine keeps the order
+// sorted itself (readOrder).
 func (e *Engine) SortInstanceOrder() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.sortOrderLocked()
+}
+
+// sortOrderLocked sorts the order. Every suffix is parsed once, into a key
+// slice that is what gets sorted: parsing inside the comparator was 5 % of
+// a 27 500-instance recovery.
+func (e *Engine) sortOrderLocked() {
 	type key struct {
 		inst *Instance
 		idNumber
@@ -263,6 +274,7 @@ func (e *Engine) SortInstanceOrder() {
 		e.order[i] = k.inst
 		k.inst.pos = int32(i)
 	}
+	e.unsorted = false
 }
 
 // idNumber is an instance ID's number, if the engine assigned the ID.
@@ -276,9 +288,8 @@ func numberOf(id string) idNumber {
 	return idNumber{n, ok}
 }
 
-// CompareInstanceIDs orders two instance IDs by key, the order
-// SortInstanceOrder gives a recovered engine, and so what a listing sorts
-// by that must read alike on a live system and on its recovery: an
+// CompareInstanceIDs orders two instance IDs by key, the order of
+// Instances on a live engine and on its recovery: an
 // engine-assigned ID (inst-%d) by its number — the %06d padding alone
 // would misorder lexicographically past a million instances — before
 // every foreign ID, those in string order. For engine-assigned IDs it is

@@ -409,7 +409,7 @@ func (st *NodeStat) live() bool { return st.StartSeq > 0 || st.CompleteSeq > 0 }
 
 // Reset empties the index and binds it to the topology, so records of its
 // nodes are array-indexed. An index already bound to it keeps its record
-// array, cleared. The engine resets the index it embeds in an instance
+// array, cleared. A restore resets the index an instance was created with
 // instead of allocating one.
 func (s *Stats) Reset(topo *model.Topology) {
 	if s.topo != topo {
@@ -418,6 +418,25 @@ func (s *Stats) Reset(topo *model.Topology) {
 		clear(s.recs)
 	}
 	s.overflow = nil
+}
+
+// RecordWords returns the size in words of the record array of an index
+// over n nodes (ResetIn).
+func RecordWords(n int) int { return (n*int(unsafe.Sizeof(NodeStat{})) + 7) / 8 }
+
+// ResetIn is Reset into block, RecordWords(topo.NumNodes()) zeroed words
+// the caller allocated, which the index owns from then on: a record is
+// three int32s, so the engine carves the array from one pointer-free block
+// with its marking's arrays.
+func (s *Stats) ResetIn(topo *model.Topology, block []uint64) {
+	n := topo.NumNodes()
+	if len(block) < RecordWords(n) {
+		panic("history: ResetIn: block too small")
+	}
+	s.topo, s.recs, s.overflow = topo, nil, nil
+	if n > 0 {
+		s.recs = unsafe.Slice((*NodeStat)(unsafe.Pointer(unsafe.SliceData(block))), n)
+	}
 }
 
 // RebindScratch amortizes the dense record-array allocation of stats

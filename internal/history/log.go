@@ -196,12 +196,28 @@ func (l *Log) In(t *Symbols) *Log {
 	if l.syms == t {
 		return l
 	}
-	out := &Log{syms: t, buf: make([]byte, 0, len(l.buf)), vals: make([]data.Binding, 0, len(l.vals))}
+	out := &Log{syms: t, buf: make([]byte, 0, liveCap(len(l.buf))), vals: make([]data.Binding, 0, len(l.vals))}
 	var e Event
 	for c := l.Events(); c.Next(&e); {
 		out.Append(&e)
 	}
 	return out
+}
+
+// liveCap returns the capacity a log's records have when a run of Appends
+// has made them n bytes long: they start at minLogBytes and grow as append
+// grows them. A copy of a log gets it, so that a restored instance holds
+// what the live one held.
+func liveCap(n int) int {
+	c := minLogBytes
+	for c < n {
+		if c < 256 {
+			c *= 2 // append doubles a small slice, to a size class
+		} else {
+			c = cap(append(make([]byte, c), 0))
+		}
+	}
+	return c
 }
 
 // ShareBindings calls share on each of the log's bindings with the event

@@ -213,8 +213,9 @@ type ExceptionMetrics struct {
 	SweepLagNanos Gauge
 }
 
-// ActionNames labels ExceptionMetrics.Actions, aligned with the
-// facade's CompensationAction ordinals.
+// ActionNames is the one table of the exception-action names, indexed by
+// the facade's CompensationAction: it labels ExceptionMetrics.Actions, and
+// the facade's action names and journal reactions read it.
 var ActionNames = [4]string{"none", "retry", "skip", "suspend"}
 
 // RPC endpoint indexes into RPCEndpoints — the networked command plane's

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -585,5 +586,131 @@ func TestStreamBackpressure(t *testing.T) {
 	}
 	if got := sys.Metrics().RPC.OpenStreams; got != rpc.MaxStreams {
 		t.Fatalf("open streams gauge: %d", got)
+	}
+}
+
+// TestRemoteRefusesStringsTheJournalCannotCarry: a user, a deployment, an
+// ad-hoc change and an evolution whose strings are not UTF-8 are refused
+// through the client as Submit refuses them in process — as invalid, with
+// nothing journaled. The client's encoder refuses them before the line
+// leaves: encoding/json would have carried each string as U+FFFD, and the
+// server would have applied the altered command.
+func TestRemoteRefusesStringsTheJournalCannotCarry(t *testing.T) {
+	sys := openSystem(t, adept2.CheckpointConfig{})
+	_, cli := serve(t, sys, rpc.Options{})
+	ctx := context.Background()
+	res, err := sys.Submit(ctx, &adept2.CreateInstance{TypeName: "online_order"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := res.(*adept2.Instance).ID()
+	b := adept2.NewBuilder("bad\xfftype")
+	s, err := b.Build(b.Activity("a", "A", adept2.WithRole("clerk")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	insert := []adept2.Operation{&adept2.SerialInsert{
+		Node: &adept2.Node{ID: "c\xff", Name: "Check", Type: adept2.NodeActivity, Role: "clerk"},
+		Pred: "collect_data", Succ: "confirm_order",
+	}}
+	code := func(err error) adept2.Code {
+		var e *adept2.Error
+		if errors.As(err, &e) {
+			return e.Code
+		}
+		return ""
+	}
+	for _, cmd := range []adept2.Command{
+		&adept2.AddUser{User: &adept2.User{ID: "eve\xff", Name: "Eve", Roles: []string{"clerk"}}},
+		&adept2.Deploy{Schema: s},
+		&adept2.AdHoc{Instance: id, Ops: insert},
+		&adept2.Evolve{TypeName: "online_order", Ops: insert},
+	} {
+		seq := sys.JournalSeq()
+		_, local := sys.Submit(ctx, cmd)
+		_, remote := cli.Submit(ctx, cmd)
+		if code(local) != adept2.CodeInvalid || code(remote) != code(local) {
+			t.Errorf("%s: in process %v, through the client %v; want both refused as invalid", cmd.CommandName(), local, remote)
+		}
+		if got := sys.JournalSeq(); got != seq {
+			t.Errorf("%s: the journal moved from %d to %d", cmd.CommandName(), seq, got)
+		}
+	}
+	if _, ok := sys.Org().User("eve\uFFFD"); ok {
+		t.Error("the server added the user under a replaced name")
+	}
+}
+
+// TestInstanceOrderSurvivesReopen: Instances() and a paged GET
+// /v1/instances list instances in key order (engine-assigned IDs by
+// number, then foreign IDs by string) on a live system, and in the same
+// order after a reopen from a snapshot and by full replay. A live system
+// listed them in creation order, a recovered one in key order, so
+// instances created as zeta, alpha and mid moved after a restart.
+func TestInstanceOrderSurvivesReopen(t *testing.T) {
+	ctx := context.Background()
+	// listing returns both listings of sys, as IDs.
+	listing := func(t *testing.T, sys *adept2.System) (direct, paged []string) {
+		for _, inst := range sys.Instances() {
+			direct = append(direct, inst.ID())
+		}
+		srv, _ := serve(t, sys, rpc.Options{})
+		cursor := ""
+		for {
+			code, body := get(t, srv.URL()+"/v1/instances?limit=2&cursor="+cursor)
+			var page rpc.InstancePage
+			if err := json.Unmarshal(body, &page); code != http.StatusOK || err != nil {
+				t.Fatalf("GET /v1/instances: %d %s (%v)", code, body, err)
+			}
+			for _, in := range page.Instances {
+				paged = append(paged, in.ID)
+			}
+			if cursor = page.Next; cursor == "" {
+				return direct, paged
+			}
+		}
+	}
+	for _, snapshot := range []bool{true, false} {
+		t.Run(fmt.Sprintf("snapshot=%t", snapshot), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "wal.ndjson")
+			open := func() *adept2.System {
+				sys, err := adept2.Open(path, adept2.WithOrg(sim.Org()), adept2.WithCheckpointing(adept2.CheckpointConfig{Every: -1}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sys
+			}
+			sys := open()
+			if _, err := sys.Submit(ctx, &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range []string{"zeta", "", "alpha", "mid", "", "inst-000009", ""} {
+				if _, err := sys.Submit(ctx, &adept2.CreateInstance{TypeName: "online_order", ID: id}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := []string{"inst-000001", "inst-000002", "inst-000009", "inst-000010", "alpha", "mid", "zeta"}
+			direct, paged := listing(t, sys)
+			if !slices.Equal(direct, want) || !slices.Equal(paged, want) {
+				t.Errorf("live: Instances() %v, paged %v; want %v", direct, paged, want)
+			}
+			if snapshot {
+				if _, _, err := sys.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := sys.Close(); err != nil {
+				t.Fatal(err)
+			}
+			sys = open()
+			defer sys.Close()
+			if info := sys.Recovery(); info.FullReplay == snapshot {
+				t.Fatalf("recovery %+v, want full replay %t", info, !snapshot)
+			}
+			direct, paged = listing(t, sys)
+			if !slices.Equal(direct, want) || !slices.Equal(paged, want) {
+				t.Errorf("reopened: Instances() %v, paged %v; want %v", direct, paged, want)
+			}
+		})
 	}
 }

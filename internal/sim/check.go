@@ -37,11 +37,12 @@ func Summary(sys System) string {
 		fmt.Fprintf(&b, "%s type=%s v=%d done=%v susp=%v hist=%d migr=%d biased=%v ops=%d\n  data %s\n",
 			inst.ID(), inst.TypeName(), inst.Version(), inst.Done(), inst.Suspended(),
 			inst.HistoryLen(), inst.Migrations(), inst.Biased(), len(inst.BiasOps()), data)
+		m := inst.MarkingSnapshot() // a sealed instance derives it once, not once a node
 		for _, id := range inst.View().NodeIDs() {
 			dl, _ := inst.Deadline(id)
 			ra, _ := inst.RetryDue(id)
 			fmt.Fprintf(&b, "  %s st=%s dl=%d ra=%d f=%d esc=%v cp=%v\n",
-				id, inst.NodeState(id), dl, ra, inst.FailureCount(id),
+				id, m.Node(id), dl, ra, inst.FailureCount(id),
 				inst.Escalated(id), inst.PendingCompensation(id))
 		}
 		for _, ev := range inst.HistoryEvents() {

@@ -111,7 +111,8 @@ func (s EdgeState) String() string {
 // by layOut, each array with cap == len, so a marking costs its struct and
 // one block sized by the schema. Every path that binds a marking to a
 // topology (Reset, Clone, a remap, RebindTo, Import) lays out a block of
-// its own; no two markings share one.
+// its own, and ResetIn takes one from its caller — the engine's holds the
+// instance's execution index too; no two markings share one.
 //
 // The marking additionally maintains the evaluation worklist: every edge
 // signal records its target node and every demotion to NotActivated
@@ -182,8 +183,8 @@ func NewMarking(v model.SchemaView) *Marking {
 
 // Reset empties the marking (everything not activated, nothing pending)
 // and binds it to the view's topology. A marking already bound to it keeps
-// its block, cleared; any other lays out a fresh one. The engine resets
-// the marking it embeds in an instance instead of allocating one.
+// its block, cleared; any other lays out a fresh one. A restore resets
+// the marking an instance was created with instead of allocating one.
 func (m *Marking) Reset(v model.SchemaView) {
 	t := v.Topology()
 	if m.topo != t {
@@ -194,6 +195,18 @@ func (m *Marking) Reset(v model.SchemaView) {
 		clear(m.edges)
 	}
 	m.pending = m.pending[:0]
+}
+
+// Words returns the size in words of the block a marking bound to t lays
+// its arrays out in (ResetIn).
+func Words(t *model.Topology) int { return blockWords(t.NumNodes(), t.NumEdges()) }
+
+// ResetIn is Reset into block, Words(v.Topology()) zeroed words the caller
+// allocated, which the marking owns from then on: the engine carves it
+// from one block with the pointer-free arrays of the execution index.
+func (m *Marking) ResetIn(v model.SchemaView, block []uint64) {
+	t := v.Topology()
+	m.topo, m.arrays, m.pending = t, layOut(block, t.NumNodes(), t.NumEdges()), m.pending[:0]
 }
 
 // Topology returns the topology the marking is currently bound to.

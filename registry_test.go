@@ -53,16 +53,25 @@ func fillRegistry(t *testing.T, sys *adept2.System) []string {
 	return ids
 }
 
+// keyOrder returns ids in key order (engine.CompareInstanceIDs).
+func keyOrder(ids []string) []string {
+	out := slices.Clone(ids)
+	slices.SortFunc(out, engine.CompareInstanceIDs)
+	return out
+}
+
 // TestRegistryAgrees: however an engine filled up — live creates,
 // durable.Restore of a capture, a 4-shard full replay that delivers
 // creates out of ID order and is sorted afterwards — the instance map, the
-// creation order and the position each instance holds in it say the same
-// thing through every listing.
+// order and the position each instance holds in it say the same thing
+// through every listing, and every listing is in key order
+// (engine.CompareInstanceIDs: engine-style IDs by number, then the others
+// by name), so a live engine and its recovery list alike.
 func TestRegistryAgrees(t *testing.T) {
 	live := func(t *testing.T) (*engine.Engine, []string) {
 		sys := adept2.New(adept2.WithOrg(sim.Org()))
 		ids := fillRegistry(t, sys)
-		return adept2.EngineOf(sys), ids
+		return adept2.EngineOf(sys), keyOrder(ids)
 	}
 	for _, tc := range []struct {
 		name string
@@ -93,19 +102,7 @@ func TestRegistryAgrees(t *testing.T) {
 			if info := sys.Recovery(); !info.FullReplay || info.Shards != 4 {
 				t.Fatalf("recovery %+v, want a 4-shard full replay", info)
 			}
-			// What SortInstanceOrder leaves: engine-style IDs by number,
-			// then the others by name.
-			var numbered, named []string
-			for _, id := range ids {
-				if len(id) == len("inst-000000") && id[:5] == "inst-" {
-					numbered = append(numbered, id)
-				} else {
-					named = append(named, id)
-				}
-			}
-			slices.Sort(numbered)
-			slices.Sort(named)
-			return adept2.EngineOf(sys), append(numbered, named...)
+			return adept2.EngineOf(sys), keyOrder(ids)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,9 +1,12 @@
 package adept2
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+
+	"adept2/internal/fault"
 )
 
 // This file is the façade's wire plane: the exported choke points the
@@ -56,12 +59,30 @@ func AppendCommandArgs(b []byte, cmd Command) (op string, _ []byte, err error) {
 		if err == nil {
 			blob, err = json.Marshal(args)
 		}
+		if err == nil && replacedUTF8(blob) {
+			err = fault.Tagf(fault.Invalid, "adept2: a string is not UTF-8, which a journal line cannot carry")
+		}
 		b = append(b, blob...)
 	}
 	if err != nil {
 		return op, nil, wrapErr(c.CommandName(), c.target(), err)
 	}
 	return op, b, nil
+}
+
+// replacedUTF8 reports whether encoding/json replaced a sequence that is
+// not UTF-8 in the JSON it wrote: it writes one as the escape \ufffd, and a
+// valid U+FFFD as itself.
+func replacedUTF8(blob []byte) bool {
+	for i := 0; i < len(blob); i++ {
+		if blob[i] == '\\' {
+			if bytes.HasPrefix(blob[i+1:], []byte("ufffd")) {
+				return true
+			}
+			i++ // the escaped byte
+		}
+	}
+	return false
 }
 
 // DecodeWireCommand resolves a wire (op, args) pair — produced by
