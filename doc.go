@@ -136,16 +136,9 @@
 // and a step's reads or writes run on stack scratch; an offered item is
 // one a withdrawal recycled, and aliases the role's immutable candidate
 // slice. What is left, over the 13-command online-order lifecycle (one
-// create, six start + complete pairs; 16 history events, six work items) —
-// 12 allocations, 0.9 per command, where the same loop made 1.4 while a
-// step gathered its values into a set on the heap, the binding list grew
-// 1, 2, 4 and a written value was boxed again, 13.4 before this budget was
-// drawn, 4.8 with an instance's small collections as Go maps, 4.4 with
-// heap history events, 3.2 with stored item IDs, 2.5 while the journal
-// encoded a command's args through encoding/json, 2.2 while a create
-// allocated an instance's structures field by field (ten objects) and
-// every offer a new Item (allocation profile of 2 000 lifecycles,
-// MemProfileRate 1):
+// create, six start + complete pairs; 16 history events, six work items)
+// — 12 allocations, 0.9 per command (allocation profile of 2 000
+// lifecycles, MemProfileRate 1; CHANGES.md has the earlier figures):
 //
 //	per lifecycle  allocation, and why it stays
 //	     4  instance structures, per create: the Instance, which holds
@@ -192,13 +185,8 @@
 // a complete with a write, on a log and a store with room, at none; the
 // benchmark's allocs_per_cmd gates the sum.
 //
-// The remote hop adds 34 to the lifecycle's 12 — 2.6 a command, where it
-// added 6.5 while the server decoded every line into a new command and
-// copied its names, 27 while it decoded every line twice through
-// encoding/json (envelope, then args) and the client marshalled every
-// command twice (args, then line), 105 while the client encoded args
-// through encoding/json, and 102 while a completion's outputs and a
-// create's result reply were encoding/json's. A line is now read in one
+// The remote hop adds 34 to the lifecycle's 12 — 2.6 a command (CHANGES.md
+// has the earlier figures). A line is read in one
 // pass (internal/rpc "Wire model"), outputs that are plain strings
 // included, the client appends its args with the journal's own appender
 // and builds its line around them in reused buffers, the server appends
@@ -292,23 +280,29 @@
 //	     candidate and a 16 B item list (internal/worklist)
 //
 // The node IDs and user names the histories refer to are kept once per
-// engine, in its symbol table. A finished instance recovered from a
-// snapshot is restored sealed and holds what the live one holds:
-// RestoreInstance gives its records the capacity a live log of their
-// length grew to, and shares the schema's IDs and parameter names and the
-// data store's values with what it decoded.
+// engine, in its symbol table. An instance recovered from a snapshot holds
+// what the live one holds (TestRecoveredInstanceHeap): a finished one is
+// restored sealed; RestoreInstance gives its records the capacity a live
+// log of their length grew to, and shares the schema's IDs and parameter
+// names and the data store's values with what it decoded; and
+// RestoreWorklist gives a work item the instance's ID, the schema's names
+// and the organizational model's candidate list, as a live offer has.
 //
 // A biased instance adds its overlay (the hybrid representation of the
 // paper's Fig. 2, the only one). With the benchmark's conflicting bias (an
 // inserted activity and a sync edge: an 11-node, 12-edge view) that is,
-// per instance:
+// per instance, what TestBiasedInstanceHeapBudget pins in sum:
 //
 //	   B  structure
 //	 760  the overlay: its record, the delta's entries' lists and the six
 //	      edge lists of the four nodes the delta touches
 //	1321  the view's topology index: the ID map (503), an offset table and
 //	      one arena of edge indices
-//	1721  the view's block analysis, five small maps
+//	 312  the view's block analysis (graph.Info): its record (64), the one
+//	      block's record (112) and pointer, its two branch headers (48),
+//	      its four node sets — two branches, inside and region — as
+//	      one-word bitsets over the topology's node indices (32), and the
+//	      per-node join table ByJoin reads (48)
 //	 598  the inserted node and three edges, the two recorded operations,
 //	      and what the marking and the execution index grow by for one
 //	      more node
@@ -333,11 +327,9 @@
 // computed become the instance's — so the live overlay is by construction
 // the one a restore rebuilds from the recorded ops. An undo to no bias and
 // the migration of an unbiased instance verify nothing and reuse the
-// deployed version's analysis. TestAdHocAllocationBudget pins the path on
-// the engine: 174 allocations for a change of an unbiased or a biased
-// instance, 172 for UndoLast and 20 for UndoAll (330, 310, 359 and 267
-// while a change materialized the view, applied its ops a second time and
-// analysed the result twice). A refused change leaves the instance as it
+// deployed version's analysis. TestAdHocAllocationBudget pins what each
+// path allocates on the engine, most of it the verifier's whole-view lists
+// and the block analysis. A refused change leaves the instance as it
 // was; the evolution package's TestChangePathsAgreeWithReference holds all
 // four paths to that algorithm, kept as its reference.
 //

@@ -209,7 +209,7 @@ func (sc *Replayer) Replay(view model.SchemaView, info *graph.Info, events []*hi
 				store.Write(w.Name, w.Value, e.Node, seq)
 			}
 			if n.Type == model.NodeLoopEnd && e.Again {
-				blk, ok := info.ByJoin(e.Node)
+				blk, ok := info.ByJoinAt(ni)
 				if !ok {
 					return nil, eventError(e, "loop end has no loop block in the target schema")
 				}

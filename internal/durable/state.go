@@ -152,7 +152,7 @@ func Restore(eng *engine.Engine, st *SystemState) error {
 	}
 	eng.SetInstanceCounter(st.InstanceCounter)
 	if st.Worklist != nil {
-		if err := eng.Worklist().Import(st.Worklist); err != nil {
+		if err := eng.RestoreWorklist(st.Worklist); err != nil {
 			return err
 		}
 	}

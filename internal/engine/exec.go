@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"adept2/internal/bitset"
 	"adept2/internal/data"
 	"adept2/internal/fault"
 	"adept2/internal/history"
@@ -277,12 +278,12 @@ func (inst *Instance) completeLocked(node, user string, outputs map[string]any, 
 		if !ok {
 			return fmt.Errorf("engine: complete %s/%s: loop end has no block", inst.id, node)
 		}
-		region := blk.Region()
-		inst.run.iterate(v, node, region)
+		region, topo := blk.Region(), v.Topology()
+		inst.run.iterate(topo, node, region)
 		state.ResetLoop(v, &inst.run.marking, region)
 		inst.clearExceptionLocked(node)
-		for id := range region {
-			if id != node {
+		for i := region.Next(0); i >= 0; i = region.Next(i + 1) {
+			if id := topo.ID(model.NodeIdx(i)); id != node {
 				inst.clearExceptionLocked(id)
 				inst.eng.wl.Withdraw(inst.id, id)
 			}
@@ -298,19 +299,20 @@ func (inst *Instance) completeLocked(node, user string, outputs map[string]any, 
 	return nil
 }
 
-// iterate records that the loop ending at node iterates over region: the
-// region's execution records are purged, the loop's count rises, and the
-// nested loops restart theirs. The live completion and a sealed
-// instance's derivation (derivedLocked) share it.
-func (r *running) iterate(v model.SchemaView, node string, region map[string]bool) {
-	r.stats.PurgeRegion(region)
+// iterate records that the loop ending at node iterates over region, a
+// bitset over topo's NodeIdx space: the region's execution records are
+// purged, the loop's count rises, and the nested loops restart theirs. The
+// live completion and a sealed instance's derivation (derivedLocked) share
+// it.
+func (r *running) iterate(topo *model.Topology, node string, region bitset.Set) {
+	r.stats.PurgeRegion(topo, region)
 	if r.loopIter == nil {
 		r.loopIter = make(map[string]int)
 	}
 	r.loopIter[node]++
-	for id := range region {
-		if inner, ok := v.Node(id); ok && id != node && inner.Type == model.NodeLoopEnd {
-			r.loopIter[id] = 0
+	for i := region.Next(0); i >= 0; i = region.Next(i + 1) {
+		if inner := topo.At(model.NodeIdx(i)).Node(); inner.ID != node && inner.Type == model.NodeLoopEnd {
+			r.loopIter[inner.ID] = 0
 		}
 	}
 }

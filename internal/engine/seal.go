@@ -28,7 +28,8 @@ func (inst *Instance) derivedLocked() *running {
 	r := newRunning(v)
 	var e history.Event
 	for c := inst.hist.Events(); c.Next(&e); {
-		if _, ok := topo.Idx(e.Node); !ok {
+		ni, ok := topo.Idx(e.Node)
+		if !ok {
 			continue
 		}
 		switch e.Kind {
@@ -36,8 +37,8 @@ func (inst *Instance) derivedLocked() *running {
 			r.stats.OnStart(e.Node, int(e.Seq))
 		case history.Completed:
 			r.stats.OnComplete(e.Node, int(e.Seq), int(e.Decision))
-			if blk, ok := info.ByJoin(e.Node); ok && e.Again {
-				r.iterate(v, e.Node, blk.Region())
+			if blk, ok := info.ByJoinAt(ni); ok && e.Again {
+				r.iterate(topo, e.Node, blk.Region())
 			}
 		case history.Failed:
 			r.stats.OnFail(e.Node)

@@ -13,6 +13,7 @@ import (
 	"adept2/internal/history"
 	"adept2/internal/model"
 	"adept2/internal/state"
+	"adept2/internal/worklist"
 )
 
 // InstanceSnapshot is the engine-level serialized state of one instance:
@@ -205,6 +206,27 @@ func (e *Engine) RestoreInstance(snap *InstanceSnapshot, bias []BiasOp) error {
 	inst.suspended = snap.Suspended
 	inst.migrations = snap.Migrations
 	return nil
+}
+
+// RestoreWorklist replaces the worklist with an exported one once the
+// instances are restored, giving each item the strings a live offer keeps:
+// the instance's ID, its view's node ID and role, and the organizational
+// model's candidate list for the role when the item was offered exactly it.
+func (e *Engine) RestoreWorklist(ex *worklist.ManagerExport) error {
+	return e.wl.Import(ex, func(it *worklist.Item) {
+		if inst, ok := e.Instance(it.Instance); ok {
+			inst.mu.Lock()
+			v, _ := inst.viewLocked()
+			if n, ok := v.Node(it.Node); ok && n.Role == it.Role {
+				it.Node, it.Role = n.ID, n.Role
+			}
+			inst.mu.Unlock()
+			it.Instance = inst.id
+		}
+		if users := e.org.UsersInRole(it.Role); slices.Equal(users, it.Offered) {
+			it.Offered = users
+		}
+	})
 }
 
 // AllSchemas returns every deployed schema, ordered by type name then

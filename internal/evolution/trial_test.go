@@ -222,9 +222,9 @@ func blockSets(info *graph.Info) []string {
 	for _, b := range info.Blocks() {
 		branches := make([]string, 0, len(b.Branches))
 		for _, br := range b.Branches {
-			ids := make([]string, 0, len(br))
-			for id := range br {
-				ids = append(ids, id)
+			ids := make([]string, 0, br.Count())
+			for n := br.Next(0); n >= 0; n = br.Next(n + 1) {
+				ids = append(ids, info.Topology().ID(model.NodeIdx(n)))
 			}
 			slices.Sort(ids)
 			branches = append(branches, fmt.Sprint(ids))

@@ -1,8 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"unsafe"
 
 	"adept2/internal/bitset"
@@ -11,7 +12,9 @@ import (
 
 // Block describes one matched block of a block-structured schema: the
 // split node, its matching join, and the nodes strictly inside, grouped by
-// branch.
+// branch. Every node set is a bitset over the analysed view's NodeIdx space
+// (Info.Topology): bit n is set iff the node with NodeIdx n is in the set.
+// The sets are shared — callers must treat them as read-only.
 type Block struct {
 	// Split is the node opening the block (AND/XOR split or loop start).
 	Split string
@@ -22,115 +25,80 @@ type Block struct {
 	// Branches holds the node sets strictly inside each branch, indexed by
 	// the branch's position among the split's outgoing control edges. A
 	// loop block has exactly one branch (its body).
-	Branches []map[string]bool
+	Branches []bitset.Set
 	// Inside is the union of all branches (strictly between split and
 	// join).
-	Inside map[string]bool
-
-	// region caches Inside ∪ {Split, Join}; Analyze precomputes it so the
-	// hot consumers of Region (history reduction, loop resets) pay no
-	// per-call allocation.
-	region map[string]bool
-	// regionBits is the interned form of region: a bitset over the
-	// analyzed view's NodeIdx space (see Info.Topology). Analyze
-	// precomputes it; history reduction tests membership with one bit
-	// probe instead of a string-map lookup per event.
-	regionBits bitset.Set
+	Inside bitset.Set
+	// region is Inside ∪ {Split, Join}.
+	region bitset.Set
 }
 
-// Contains reports whether the node lies inside the block, including the
-// split and join themselves.
-func (b *Block) Contains(id string) bool {
-	return id == b.Split || id == b.Join || b.Inside[id]
-}
-
-// Region returns the block's node set including split and join. The
-// returned map is shared and cached — callers must treat it as read-only.
-func (b *Block) Region() map[string]bool {
-	if b.region == nil {
-		r := make(map[string]bool, len(b.Inside)+2)
-		for id := range b.Inside {
-			r[id] = true
-		}
-		r[b.Split] = true
-		r[b.Join] = true
-		b.region = r
-	}
-	return b.region
-}
-
-// BranchOf returns the index of the branch containing the node, or -1 if
-// the node is not strictly inside the block.
-func (b *Block) BranchOf(id string) int {
-	for i, br := range b.Branches {
-		if br[id] {
-			return i
-		}
-	}
-	return -1
-}
+// Region returns the block's node set including split and join: what a
+// loop's iteration resets and history reduction purges.
+func (b *Block) Region() bitset.Set { return b.region }
 
 // Info is the result of block-structure analysis of a schema view.
 type Info struct {
-	blocks  []*Block
-	bySplit map[string]*Block
-	byJoin  map[string]*Block
-
-	// topo is the topology index of the analyzed view, captured so
-	// consumers of the analysis (history reduction) can intern node IDs
-	// against the same snapshot the block regions were computed on.
+	blocks []*Block
+	// byJoin holds, per NodeIdx, one more than the position in blocks of
+	// the block the node closes, and 0 for a node that closes none.
+	byJoin []int32
+	// topo is the topology index of the analysed view: the NodeIdx space
+	// of every node set and of byJoin.
 	topo *model.Topology
 }
 
-// Topology returns the topology index of the analyzed view. Block region
-// bitsets (Block.RegionBits) are expressed in its NodeIdx space.
+// Topology returns the topology index of the analyzed view. Every node set
+// of a Block is expressed in its NodeIdx space.
 func (i *Info) Topology() *model.Topology { return i.topo }
-
-// RegionBits returns the block's region as a bitset over the analyzed
-// view's NodeIdx space: bit n is set iff the node with NodeIdx n lies in
-// Region(). The returned slice is shared and precomputed — callers must
-// treat it as read-only.
-func (b *Block) RegionBits() bitset.Set { return b.regionBits }
 
 // Analyze matches every split with its join, computes branch membership,
 // and checks proper nesting. It fails if the control-edge graph is cyclic,
 // a split has no matching join, branches overlap before the join, block
 // boundaries are crossed by control edges, or blocks are not properly
 // nested. The returned Info is consumed by the verifier (structural
-// soundness), the engine (loop-body resets), the change framework
-// (region checks for parallel insertion), and the storage layer (minimal
-// substitution blocks).
+// soundness), the engine (loop-body resets), compliance replay and history
+// reduction (loop regions). The analysis runs on the view's topology index
+// alone.
 func Analyze(v model.SchemaView) (*Info, error) {
-	order, err := TopoOrder(v, Control)
+	topo := v.Topology()
+	order, err := topoOrder(topo, Control)
 	if err != nil {
 		return nil, fmt.Errorf("graph: control flow not acyclic: %w", err)
 	}
-	pos := make(map[string]int, len(order))
-	for i, id := range order {
-		pos[id] = i
+	n := topo.NumNodes()
+	a := &analyzer{topo: topo, order: order, pos: make([]int32, n), from: make([]model.NodeIdx, topo.NumEdges())}
+	for p, i := range order {
+		a.pos[i] = int32(p)
 	}
-	info := &Info{
-		bySplit: make(map[string]*Block),
-		byJoin:  make(map[string]*Block),
+	for i := range a.from {
+		a.from[i] = model.InvalidNode
 	}
-
-	loopPairs, err := loopPairs(v)
+	for i := range n {
+		nt := topo.At(model.NodeIdx(i))
+		for _, out := range [...][]model.EdgeIdx{nt.OutControlIdx(), nt.OutLoopIdx()} {
+			for _, ei := range out {
+				a.from[ei] = model.NodeIdx(i)
+			}
+		}
+	}
+	loopEnd, err := a.loopPairs()
 	if err != nil {
 		return nil, err
 	}
 
-	for _, id := range v.NodeIDs() {
-		n, _ := v.Node(id)
+	info := &Info{byJoin: make([]int32, n), topo: topo}
+	for i := range n {
+		node := topo.At(model.NodeIdx(i)).Node()
 		var b *Block
-		switch n.Type {
+		switch node.Type {
 		case model.NodeANDSplit, model.NodeXORSplit:
-			b, err = matchSplit(v, n, pos)
+			b, err = a.matchSplit(model.NodeIdx(i))
 		case model.NodeLoopStart:
-			end, ok := loopPairs[id]
-			if !ok {
-				return nil, fmt.Errorf("graph: loop start %q has no loop edge", id)
+			if loopEnd[i] == model.InvalidNode {
+				return nil, fmt.Errorf("graph: loop start %q has no loop edge", node.ID)
 			}
-			b, err = matchLoop(v, id, end)
+			b, err = a.matchLoop(model.NodeIdx(i), loopEnd[i])
 		default:
 			continue
 		}
@@ -138,225 +106,214 @@ func Analyze(v model.SchemaView) (*Info, error) {
 			return nil, err
 		}
 		info.blocks = append(info.blocks, b)
-		info.bySplit[b.Split] = b
-		if prev, dup := info.byJoin[b.Join]; dup {
-			return nil, fmt.Errorf("graph: join %q closes both %q and %q", b.Join, prev.Split, b.Split)
+		j, _ := topo.Idx(b.Join)
+		if prev := info.byJoin[j]; prev != 0 {
+			return nil, fmt.Errorf("graph: join %q closes both %q and %q", b.Join, info.blocks[prev-1].Split, b.Split)
 		}
-		info.byJoin[b.Join] = b
+		info.byJoin[j] = int32(len(info.blocks))
 	}
 
 	// Every join must be matched by exactly one split.
-	for _, id := range v.NodeIDs() {
-		n, _ := v.Node(id)
-		if n.Type.IsJoin() {
-			if _, ok := info.byJoin[id]; !ok {
-				return nil, fmt.Errorf("graph: join %q has no matching split", id)
-			}
+	for i := range n {
+		if node := topo.At(model.NodeIdx(i)).Node(); node.Type.IsJoin() && info.byJoin[i] == 0 {
+			return nil, fmt.Errorf("graph: join %q has no matching split", node.ID)
 		}
 	}
-
-	// Precompute every block's region — and its interned bitset — before
-	// the Info escapes: the cache fills must not race when migration
-	// workers share one Info.
-	info.topo = v.Topology()
-	for _, b := range info.blocks {
-		bits := bitset.New(info.topo.NumNodes())
-		for id := range b.Region() {
-			if n, ok := info.topo.Idx(id); ok {
-				bits.Set(int(n))
-			}
-		}
-		b.regionBits = bits
-	}
-
 	if err := checkNesting(info.blocks); err != nil {
 		return nil, err
 	}
 
-	// Sort blocks by region size ascending so that the first containing
-	// block found is the innermost one.
-	sort.SliceStable(info.blocks, func(i, j int) bool {
-		return len(info.blocks[i].Inside) < len(info.blocks[j].Inside)
-	})
+	// Sort blocks by size ascending so that the first containing block
+	// found is the innermost one, and point each join at its new position.
+	slices.SortStableFunc(info.blocks, func(x, y *Block) int { return cmp.Compare(x.Inside.Count(), y.Inside.Count()) })
+	for k, b := range info.blocks {
+		j, _ := topo.Idx(b.Join)
+		info.byJoin[j] = int32(k + 1)
+	}
 	return info, nil
 }
 
-func loopPairs(v model.SchemaView) (map[string]string, error) {
-	pairs := make(map[string]string)
-	for _, e := range v.Edges() {
+// analyzer is the scratch of one Analyze, by NodeIdx: the control-flow
+// order and the edge sources the topology does not index.
+type analyzer struct {
+	topo  *model.Topology
+	order []model.NodeIdx // the nodes in control-flow topological order
+	pos   []int32         // per node: its position in order
+	from  []model.NodeIdx // per edge: its source, for control and loop edges
+}
+
+// loopPairs returns, per node, the loop end whose loop edge targets it
+// (InvalidNode if none), after checking that every loop edge runs from a
+// loop end to a loop start and pairs them one to one.
+func (a *analyzer) loopPairs() ([]model.NodeIdx, error) {
+	loopEnd := make([]model.NodeIdx, a.topo.NumNodes())
+	for i := range loopEnd {
+		loopEnd[i] = model.InvalidNode
+	}
+	var loops []model.EdgeIdx
+	for ei := range model.EdgeIdx(a.topo.NumEdges()) {
+		e, from, to := a.topo.EdgeAt(ei), a.from[ei], a.topo.EdgeTarget(ei)
 		if e.Type != model.EdgeLoop {
 			continue
 		}
-		from, _ := v.Node(e.From)
-		to, _ := v.Node(e.To)
-		if from == nil || to == nil || from.Type != model.NodeLoopEnd || to.Type != model.NodeLoopStart {
+		if from == model.InvalidNode || to == model.InvalidNode ||
+			a.topo.At(from).Node().Type != model.NodeLoopEnd || a.topo.At(to).Node().Type != model.NodeLoopStart {
 			return nil, fmt.Errorf("graph: loop edge %s must run from a loop end to a loop start", e)
 		}
-		if prev, dup := pairs[e.To]; dup {
-			return nil, fmt.Errorf("graph: loop start %q targeted by loop edges from %q and %q", e.To, prev, e.From)
+		if prev := loopEnd[to]; prev != model.InvalidNode {
+			return nil, fmt.Errorf("graph: loop start %q targeted by loop edges from %q and %q", e.To, a.topo.ID(prev), e.From)
 		}
-		pairs[e.To] = e.From
+		loopEnd[to] = from
+		loops = append(loops, ei)
 	}
 	// Every loop end must source exactly one loop edge.
-	ends := make(map[string]bool)
-	for _, le := range pairs {
-		if ends[le] {
-			return nil, fmt.Errorf("graph: loop end %q sources multiple loop edges", le)
+	ends := a.set()
+	for _, ei := range loops {
+		from := a.from[ei]
+		if ends.Has(int(from)) {
+			return nil, fmt.Errorf("graph: loop end %q sources multiple loop edges", a.topo.ID(from))
 		}
-		ends[le] = true
+		ends.Set(int(from))
 	}
-	for _, id := range v.NodeIDs() {
-		n, _ := v.Node(id)
-		switch n.Type {
-		case model.NodeLoopEnd:
-			if !ends[id] {
-				return nil, fmt.Errorf("graph: loop end %q has no loop edge", id)
-			}
+	for i := range a.topo.NumNodes() {
+		if node := a.topo.At(model.NodeIdx(i)).Node(); node.Type == model.NodeLoopEnd && !ends.Has(i) {
+			return nil, fmt.Errorf("graph: loop end %q has no loop edge", node.ID)
 		}
 	}
-	return pairs, nil
+	return loopEnd, nil
 }
 
-func matchSplit(v model.SchemaView, split *model.Node, pos map[string]int) (*Block, error) {
-	join, _ := split.Type.MatchingJoin()
-	outs := model.OutControlEdges(v, split.ID)
-	if len(outs) < 2 {
-		return nil, fmt.Errorf("graph: split %q has %d outgoing branches, need >=2", split.ID, len(outs))
-	}
-	if split.Type == model.NodeXORSplit {
-		codes := make(map[int]bool, len(outs))
-		for _, e := range outs {
-			if codes[e.Code] {
-				return nil, fmt.Errorf("graph: xor split %q has duplicate selection code %d", split.ID, e.Code)
+// set returns an empty node set.
+func (a *analyzer) set() bitset.Set { return bitset.New(a.topo.NumNodes()) }
+
+// reach returns the nodes reachable from the given one over control edges,
+// itself included.
+func (a *analyzer) reach(from model.NodeIdx) bitset.Set {
+	seen := a.set()
+	seen.Set(int(from))
+	for stack := []model.NodeIdx{from}; len(stack) > 0; {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, ei := range a.topo.At(n).OutControlIdx() {
+			if t := a.topo.EdgeTarget(ei); t != model.InvalidNode && !seen.Has(int(t)) {
+				seen.Set(int(t))
+				stack = append(stack, t)
 			}
-			codes[e.Code] = true
+		}
+	}
+	return seen
+}
+
+func (a *analyzer) matchSplit(split model.NodeIdx) (*Block, error) {
+	sn := a.topo.At(split).Node()
+	join, _ := sn.Type.MatchingJoin()
+	outs := a.topo.At(split).OutControlIdx()
+	if len(outs) < 2 {
+		return nil, fmt.Errorf("graph: split %q has %d outgoing branches, need >=2", sn.ID, len(outs))
+	}
+	if sn.Type == model.NodeXORSplit {
+		for x, ex := range outs {
+			code := a.topo.EdgeAt(ex).Code
+			if slices.ContainsFunc(outs[:x], func(ey model.EdgeIdx) bool { return a.topo.EdgeAt(ey).Code == code }) {
+				return nil, fmt.Errorf("graph: xor split %q has duplicate selection code %d", sn.ID, code)
+			}
 		}
 	}
 
 	// Reach sets per branch, never passing through the split again (the
 	// control graph is acyclic, so that cannot happen anyway).
-	reach := make([]map[string]bool, len(outs))
-	for i, e := range outs {
-		reach[i] = Reachable(v, e.To, Control, true)
+	b := &Block{Split: sn.ID, Kind: sn.Type, Branches: make([]bitset.Set, len(outs)), Inside: a.set()}
+	for k, ei := range outs {
+		b.Branches[k] = a.reach(a.topo.EdgeTarget(ei))
 	}
 	// The matching join is the topologically first node common to all
 	// branches.
-	joinID := ""
-	joinPos := -1
-	for id := range reach[0] {
-		common := true
-		for i := 1; i < len(reach); i++ {
-			if !reach[i][id] {
-				common = false
-				break
-			}
-		}
-		if common && (joinPos == -1 || pos[id] < joinPos) {
-			joinID, joinPos = id, pos[id]
+	joinIdx := model.InvalidNode
+	for n := b.Branches[0].Next(0); n >= 0; n = b.Branches[0].Next(n + 1) {
+		common := !slices.ContainsFunc(b.Branches[1:], func(br bitset.Set) bool { return !br.Has(n) })
+		if common && (joinIdx == model.InvalidNode || a.pos[n] < a.pos[joinIdx]) {
+			joinIdx = model.NodeIdx(n)
 		}
 	}
-	if joinID == "" {
-		return nil, fmt.Errorf("graph: split %q: branches never rejoin", split.ID)
+	if joinIdx == model.InvalidNode {
+		return nil, fmt.Errorf("graph: split %q: branches never rejoin", sn.ID)
 	}
-	jn, _ := v.Node(joinID)
+	jn := a.topo.At(joinIdx).Node()
 	if jn.Type != join {
-		return nil, fmt.Errorf("graph: split %q (%s) rejoins at %q (%s), expected a %s", split.ID, split.Type, joinID, jn.Type, join)
+		return nil, fmt.Errorf("graph: split %q (%s) rejoins at %q (%s), expected a %s", sn.ID, sn.Type, jn.ID, jn.Type, join)
 	}
-
-	b := &Block{Split: split.ID, Join: joinID, Kind: split.Type, Inside: make(map[string]bool)}
-	for i := range outs {
-		branch := make(map[string]bool)
-		for id := range reach[i] {
-			if pos[id] < joinPos {
-				branch[id] = true
+	b.Join = jn.ID
+	for _, br := range b.Branches {
+		for n := br.Next(0); n >= 0; n = br.Next(n + 1) {
+			if a.pos[n] >= a.pos[joinIdx] {
+				br.Clear(n)
+			} else if b.Inside.Has(n) {
+				return nil, fmt.Errorf("graph: split %q: node %q belongs to multiple branches", sn.ID, a.topo.ID(model.NodeIdx(n)))
 			}
 		}
-		b.Branches = append(b.Branches, branch)
-		for id := range branch {
-			if b.Inside[id] {
-				return nil, fmt.Errorf("graph: split %q: node %q belongs to multiple branches", split.ID, id)
-			}
-			b.Inside[id] = true
-		}
+		b.Inside.Union(br)
 	}
-	if err := checkBoundary(v, b); err != nil {
-		return nil, err
-	}
-	return b, nil
+	return b, a.bound(split, joinIdx, b)
 }
 
-func matchLoop(v model.SchemaView, start, end string) (*Block, error) {
-	fwd := Reachable(v, start, Control, true)
-	back := Reachable(v, end, Control, false)
-	if !fwd[end] {
-		return nil, fmt.Errorf("graph: loop start %q does not reach its loop end %q", start, end)
+func (a *analyzer) matchLoop(start, end model.NodeIdx) (*Block, error) {
+	body := a.reach(start)
+	b := &Block{Split: a.topo.ID(start), Join: a.topo.ID(end), Kind: model.NodeLoopStart, Branches: []bitset.Set{body}, Inside: body}
+	if !body.Has(int(end)) {
+		return nil, fmt.Errorf("graph: loop start %q does not reach its loop end %q", b.Split, b.Join)
 	}
-	body := make(map[string]bool)
-	for id := range fwd {
-		if back[id] && id != start && id != end {
-			body[id] = true
+	// The body is what the start reaches and what reaches the end: one
+	// sweep back along the control-flow order from the end finds the
+	// latter.
+	back := a.set()
+	back.Set(int(end))
+	for p := a.pos[end] - 1; p >= 0; p-- {
+		n := a.order[p]
+		if slices.ContainsFunc(a.topo.At(n).OutControlIdx(), func(ei model.EdgeIdx) bool {
+			t := a.topo.EdgeTarget(ei)
+			return t != model.InvalidNode && back.Has(int(t))
+		}) {
+			back.Set(int(n))
 		}
 	}
-	b := &Block{Split: start, Join: end, Kind: model.NodeLoopStart, Branches: []map[string]bool{body}, Inside: body}
-	if err := checkBoundary(v, b); err != nil {
-		return nil, err
+	for w := range body {
+		body[w] &= back[w]
 	}
-	return b, nil
+	body.Clear(int(start))
+	body.Clear(int(end))
+	return b, a.bound(start, end, b)
 }
 
-// checkBoundary verifies the block region is single-entry single-exit with
+// bound sets b's region and verifies it is single-entry single-exit with
 // respect to control edges: interior nodes connect only within the region.
-func checkBoundary(v model.SchemaView, b *Block) error {
-	for id := range b.Inside {
-		for _, e := range v.InEdges(id) {
-			if e.Type != model.EdgeControl {
-				continue
-			}
-			if !b.Inside[e.From] && e.From != b.Split {
-				return fmt.Errorf("graph: block %q..%q: control edge %s enters the block from outside", b.Split, b.Join, e)
+func (a *analyzer) bound(split, join model.NodeIdx, b *Block) error {
+	b.region = slices.Clone(b.Inside)
+	b.region.Set(int(split))
+	b.region.Set(int(join))
+	for n := b.Inside.Next(0); n >= 0; n = b.Inside.Next(n + 1) {
+		nt := a.topo.At(model.NodeIdx(n))
+		for _, ei := range nt.InControlIdx() {
+			if from := a.from[ei]; from == model.InvalidNode || (!b.Inside.Has(int(from)) && from != split) {
+				return fmt.Errorf("graph: block %q..%q: control edge %s enters the block from outside", b.Split, b.Join, a.topo.EdgeAt(ei))
 			}
 		}
-		for _, e := range v.OutEdges(id) {
-			if e.Type != model.EdgeControl {
-				continue
-			}
-			if !b.Inside[e.To] && e.To != b.Join {
-				return fmt.Errorf("graph: block %q..%q: control edge %s leaves the block before the join", b.Split, b.Join, e)
+		for _, ei := range nt.OutControlIdx() {
+			if to := a.topo.EdgeTarget(ei); to == model.InvalidNode || (!b.Inside.Has(int(to)) && to != join) {
+				return fmt.Errorf("graph: block %q..%q: control edge %s leaves the block before the join", b.Split, b.Join, a.topo.EdgeAt(ei))
 			}
 		}
 	}
 	return nil
 }
 
-// checkNesting verifies that block regions are pairwise disjoint or
-// properly contained in one another.
+// checkNesting verifies that block regions are pairwise disjoint or one
+// contains the other: two regions that share a node must share all of the
+// smaller one.
 func checkNesting(blocks []*Block) error {
-	for i := 0; i < len(blocks); i++ {
-		for j := i + 1; j < len(blocks); j++ {
-			a, b := blocks[i], blocks[j]
-			ra, rb := a.Region(), b.Region()
-			var shared, aInB, bInA int
-			for id := range ra {
-				if rb[id] {
-					shared++
-				}
-			}
-			if shared == 0 {
-				continue
-			}
-			for id := range ra {
-				if rb[id] {
-					aInB++
-				}
-			}
-			for id := range rb {
-				if ra[id] {
-					bInA++
-				}
-			}
-			// Containment: the inner block's region (minus its boundary
-			// nodes shared with the outer one) must lie inside the outer.
-			if aInB == len(ra) || bInA == len(rb) {
+	for i, a := range blocks {
+		for _, b := range blocks[i+1:] {
+			shared := a.region.AndCount(b.region)
+			if shared == 0 || shared == a.region.Count() || shared == b.region.Count() {
 				continue
 			}
 			return fmt.Errorf("graph: blocks %q..%q and %q..%q overlap without nesting", a.Split, a.Join, b.Split, b.Join)
@@ -366,49 +323,38 @@ func checkNesting(blocks []*Block) error {
 }
 
 // ApproxBytes returns the memory the analysis holds beside the topology it
-// points to: the block records with their node sets and the two lookup
-// maps, each map from its entry count.
+// points to: the Info, the block records and their pointers, the branch
+// headers, every node set's words and the join table.
 func (i *Info) ApproxBytes() int {
-	total := int(unsafe.Sizeof(*i)) + 8*cap(i.blocks) +
-		model.StringMapBytes(len(i.bySplit)) + model.StringMapBytes(len(i.byJoin))
+	total := int(unsafe.Sizeof(*i)) + 8*cap(i.blocks) + 4*cap(i.byJoin)
 	for _, b := range i.blocks {
-		total += int(unsafe.Sizeof(*b)) + 8*cap(b.Branches) + 8*cap(b.regionBits) +
-			model.StringMapBytes(len(b.region))
+		total += int(unsafe.Sizeof(*b)) + int(unsafe.Sizeof(bitset.Set{}))*len(b.Branches) +
+			8*(len(b.Inside)+len(b.region))
 		if b.Kind != model.NodeLoopStart { // a loop's one branch is its Inside
-			total += model.StringMapBytes(len(b.Inside))
-		}
-		for _, br := range b.Branches {
-			total += model.StringMapBytes(len(br))
+			total += 8 * len(b.Inside) * len(b.Branches)
 		}
 	}
 	return total
 }
 
-// Blocks returns all blocks ordered innermost-first (ascending region
-// size).
+// Blocks returns all blocks ordered innermost-first (ascending size).
 func (i *Info) Blocks() []*Block { return i.blocks }
-
-// BySplit returns the block opened by the given split node.
-func (i *Info) BySplit(split string) (*Block, bool) {
-	b, ok := i.bySplit[split]
-	return b, ok
-}
 
 // ByJoin returns the block closed by the given join node.
 func (i *Info) ByJoin(join string) (*Block, bool) {
-	b, ok := i.byJoin[join]
-	return b, ok
+	n, ok := i.topo.Idx(join)
+	if !ok {
+		return nil, false
+	}
+	return i.ByJoinAt(n)
 }
 
-// InnermostContaining returns the smallest block strictly containing the
-// node, or nil if the node lies at the top level.
-func (i *Info) InnermostContaining(id string) *Block {
-	for _, b := range i.blocks { // innermost-first order
-		if b.Inside[id] {
-			return b
-		}
+// ByJoinAt is ByJoin for a node already interned in Topology().
+func (i *Info) ByJoinAt(join model.NodeIdx) (*Block, bool) {
+	if k := i.byJoin[join]; k != 0 {
+		return i.blocks[k-1], true
 	}
-	return nil
+	return nil, false
 }
 
 // BranchRef locates a node within a block: the block and branch index.
@@ -420,15 +366,16 @@ type BranchRef struct {
 // Path returns the chain of blocks containing the node, outermost first,
 // with the branch index the node occupies in each.
 func (i *Info) Path(id string) []BranchRef {
-	var path []BranchRef
-	for _, b := range i.blocks {
-		if b.Inside[id] {
-			path = append(path, BranchRef{Block: b, Branch: b.BranchOf(id)})
-		}
+	n, ok := i.topo.Idx(id)
+	if !ok {
+		return nil
 	}
-	// blocks is innermost-first; reverse into outermost-first.
-	for l, r := 0, len(path)-1; l < r; l, r = l+1, r-1 {
-		path[l], path[r] = path[r], path[l]
+	var path []BranchRef
+	for k := len(i.blocks) - 1; k >= 0; k-- { // blocks is innermost-first
+		if b := i.blocks[k]; b.Inside.Has(int(n)) {
+			br := slices.IndexFunc(b.Branches, func(s bitset.Set) bool { return s.Has(int(n)) })
+			path = append(path, BranchRef{Block: b, Branch: br})
+		}
 	}
 	return path
 }
@@ -438,41 +385,15 @@ func (i *Info) Path(id string) []BranchRef {
 // identical with respect to block structure).
 func (i *Info) Divergence(a, b string) (blk *Block, branchA, branchB int, ok bool) {
 	pa, pb := i.Path(a), i.Path(b)
-	n := len(pa)
-	if len(pb) < n {
-		n = len(pb)
-	}
-	for k := 0; k < n; k++ {
+	for k := range min(len(pa), len(pb)) {
 		if pa[k].Block != pb[k].Block {
 			break
 		}
 		if pa[k].Branch != pb[k].Branch {
-			blk, branchA, branchB, ok = pa[k].Block, pa[k].Branch, pb[k].Branch, true
-			// Keep scanning: a deeper common block with differing branches
-			// would be more precise, but block paths diverge at the first
-			// differing branch, so this is the innermost one.
-			return
+			// Block paths diverge at the first differing branch, so this
+			// is the innermost such block.
+			return pa[k].Block, pa[k].Branch, pb[k].Branch, true
 		}
 	}
 	return nil, 0, 0, false
-}
-
-// MinimalRegion returns the smallest block whose region contains all the
-// given nodes, or nil if only the whole schema does. It computes the
-// "minimal substitution block" of the paper's hybrid storage
-// representation (Fig. 2).
-func (i *Info) MinimalRegion(ids []string) *Block {
-	for _, b := range i.blocks { // innermost-first
-		all := true
-		for _, id := range ids {
-			if !b.Contains(id) {
-				all = false
-				break
-			}
-		}
-		if all {
-			return b
-		}
-	}
-	return nil
 }

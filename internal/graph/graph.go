@@ -30,43 +30,55 @@ func ControlAndSync(e *model.Edge) bool {
 // edges. If the filtered graph contains a cycle, it returns an error
 // naming the nodes on the residual cycle.
 func TopoOrder(v model.SchemaView, filter EdgeFilter) ([]string, error) {
-	ids := v.NodeIDs()
-	indeg := make(map[string]int, len(ids))
-	for _, id := range ids {
-		indeg[id] = 0
+	topo := v.Topology()
+	order, err := topoOrder(topo, filter)
+	if err != nil {
+		return nil, err
 	}
-	for _, e := range v.Edges() {
-		if filter(e) {
-			indeg[e.To]++
-		}
+	ids := make([]string, len(order))
+	for k, i := range order {
+		ids[k] = topo.ID(i)
 	}
-	// Deterministic queue: process ready nodes in schema order.
-	queue := make([]string, 0, len(ids))
-	for _, id := range ids {
-		if indeg[id] == 0 {
-			queue = append(queue, id)
-		}
-	}
-	order := make([]string, 0, len(ids))
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		order = append(order, id)
-		for _, e := range v.OutEdges(id) {
-			if !filter(e) {
-				continue
-			}
-			indeg[e.To]--
-			if indeg[e.To] == 0 {
-				queue = append(queue, e.To)
+	return ids, nil
+}
+
+// topoOrder is TopoOrder over the topology's node indices. The queue is
+// deterministic: ready nodes in view order, first in, first out, each
+// node's edges by type in view order.
+func topoOrder(topo *model.Topology, filter EdgeFilter) ([]model.NodeIdx, error) {
+	n := topo.NumNodes()
+	indeg := make([]int32, n)
+	order := make([]model.NodeIdx, 0, n)
+	succ := func(i model.NodeIdx, visit func(model.NodeIdx)) {
+		nt := topo.At(i)
+		for _, out := range [...][]model.EdgeIdx{nt.OutControlIdx(), nt.OutSyncIdx(), nt.OutLoopIdx()} {
+			for _, ei := range out {
+				if t := topo.EdgeTarget(ei); t != model.InvalidNode && filter(topo.EdgeAt(ei)) {
+					visit(t)
+				}
 			}
 		}
 	}
-	if len(order) != len(ids) {
+	for i := range model.NodeIdx(n) {
+		succ(i, func(t model.NodeIdx) { indeg[t]++ })
+	}
+	for i := range model.NodeIdx(n) {
+		if indeg[i] == 0 {
+			order = append(order, i)
+		}
+	}
+	for head := 0; head < len(order); head++ {
+		succ(order[head], func(t model.NodeIdx) {
+			if indeg[t]--; indeg[t] == 0 {
+				order = append(order, t)
+			}
+		})
+	}
+	if len(order) != n {
 		var cyc []string
-		for _, id := range ids {
-			if indeg[id] > 0 {
-				cyc = append(cyc, id)
+		for i, d := range indeg {
+			if d > 0 {
+				cyc = append(cyc, topo.ID(model.NodeIdx(i)))
 			}
 		}
 		sort.Strings(cyc)

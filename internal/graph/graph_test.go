@@ -1,11 +1,31 @@
 package graph
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"adept2/internal/bitset"
 	"adept2/internal/model"
 )
+
+// in reports whether the node is in a node set of info's analysis.
+func in(info *Info, set bitset.Set, id string) bool {
+	n, ok := info.Topology().Idx(id)
+	return ok && set.Has(int(n))
+}
+
+// minimalRegion returns the smallest block whose region holds all the
+// given nodes, or nil if only the whole schema does: the "minimal
+// substitution block" of the paper's hybrid storage representation.
+func minimalRegion(info *Info, ids ...string) *Block {
+	for _, b := range info.Blocks() { // innermost-first
+		if !slices.ContainsFunc(ids, func(id string) bool { return !in(info, b.Region(), id) }) {
+			return b
+		}
+	}
+	return nil
+}
 
 // buildSeq assembles start -> a -> b -> c -> end.
 func buildSeq(t *testing.T) *model.Schema {
@@ -101,8 +121,8 @@ func TestAnalyzeSequenceHasNoBlocks(t *testing.T) {
 	if len(info.Blocks()) != 0 {
 		t.Fatalf("sequence should have no blocks, got %d", len(info.Blocks()))
 	}
-	if blk := info.InnermostContaining("b"); blk != nil {
-		t.Fatalf("no block should contain b, got %q..%q", blk.Split, blk.Join)
+	if path := info.Path("b"); len(path) != 0 {
+		t.Fatalf("no block should contain b, got %q..%q", path[0].Block.Split, path[0].Block.Join)
 	}
 }
 
@@ -119,16 +139,16 @@ func TestAnalyzeParallelBlock(t *testing.T) {
 	if b.Kind != model.NodeANDSplit || len(b.Branches) != 2 {
 		t.Fatalf("block mismatch: kind=%s branches=%d", b.Kind, len(b.Branches))
 	}
-	if !b.Inside["a1"] || !b.Inside["b2"] || b.Inside[s.StartID()] {
+	if !in(info, b.Inside, "a1") || !in(info, b.Inside, "b2") || in(info, b.Inside, s.StartID()) {
 		t.Fatalf("inside set wrong: %v", b.Inside)
 	}
-	if b.BranchOf("a1") == b.BranchOf("b1") {
+	if pa, pb := info.Path("a1"), info.Path("b1"); len(pa) != 1 || len(pb) != 1 || pa[0].Block != b || pb[0].Block != b || pa[0].Branch == pb[0].Branch {
 		t.Fatal("a1 and b1 must sit on different branches")
 	}
-	if b.BranchOf("start") != -1 {
+	if len(info.Path("start")) != 0 {
 		t.Fatal("start is not inside the block")
 	}
-	if !b.Contains(b.Split) || !b.Contains(b.Join) {
+	if !in(info, b.Region(), b.Split) || !in(info, b.Region(), b.Join) {
 		t.Fatal("block must contain its own split and join")
 	}
 	if blk, _, _, ok := info.Divergence("a1", "b2"); !ok || blk != b {
@@ -137,10 +157,10 @@ func TestAnalyzeParallelBlock(t *testing.T) {
 	if _, _, _, ok := info.Divergence("a1", "a2"); ok {
 		t.Fatal("a1/a2 are on the same branch: no divergence")
 	}
-	if got := info.MinimalRegion([]string{"a1", "b2"}); got != b {
+	if got := minimalRegion(info, "a1", "b2"); got != b {
 		t.Fatal("minimal region of {a1,b2} should be the AND block")
 	}
-	if got := info.MinimalRegion([]string{"a1", s.EndID()}); got != nil {
+	if got := minimalRegion(info, "a1", s.EndID()); got != nil {
 		t.Fatal("region spanning end must be nil (whole schema)")
 	}
 }
@@ -166,10 +186,10 @@ func TestAnalyzeNestedBlocks(t *testing.T) {
 		t.Fatalf("block order wrong: %s then %s", info.Blocks()[0].Kind, info.Blocks()[1].Kind)
 	}
 	xor := info.Blocks()[0]
-	if got := info.InnermostContaining("x"); got != xor {
+	path := info.Path("x")
+	if len(path) == 0 || path[len(path)-1].Block != xor {
 		t.Fatal("innermost block of x must be the XOR block")
 	}
-	path := info.Path("x")
 	if len(path) != 2 || path[0].Block.Kind != model.NodeANDSplit || path[1].Block.Kind != model.NodeXORSplit {
 		t.Fatalf("path of x wrong: %+v", path)
 	}
@@ -198,14 +218,14 @@ func TestAnalyzeLoopBlock(t *testing.T) {
 		t.Fatalf("want 1 loop block, got %d", len(info.Blocks()))
 	}
 	lb := info.Blocks()[0]
-	if lb.Kind != model.NodeLoopStart || !lb.Inside["w"] || !lb.Inside["v"] || lb.Inside["pre"] || lb.Inside["post"] {
+	if lb.Kind != model.NodeLoopStart || !in(info, lb.Inside, "w") || !in(info, lb.Inside, "v") || in(info, lb.Inside, "pre") || in(info, lb.Inside, "post") {
 		t.Fatalf("loop body wrong: %v", lb.Inside)
 	}
-	if _, ok := info.ByJoin(lb.Join); !ok {
+	if blk, ok := info.ByJoin(lb.Join); !ok || blk != lb {
 		t.Fatal("ByJoin lookup failed")
 	}
-	if _, ok := info.BySplit(lb.Split); !ok {
-		t.Fatal("BySplit lookup failed")
+	if k := slices.IndexFunc(info.Blocks(), func(b *Block) bool { return b.Split == lb.Split }); k < 0 || info.Blocks()[k] != lb {
+		t.Fatal("lookup by split failed")
 	}
 }
 

@@ -100,17 +100,17 @@ func TestAnalyzeProperty(t *testing.T) {
 				return false
 			}
 			// Branch union equals Inside and branches are disjoint.
-			seen := make(map[string]int)
+			seen := make(map[int]int)
 			for _, br := range blk.Branches {
-				for n := range br {
+				for n := br.Next(0); n >= 0; n = br.Next(n + 1) {
 					seen[n]++
 				}
 			}
-			if len(seen) != len(blk.Inside) {
+			if len(seen) != blk.Inside.Count() {
 				return false
 			}
 			for n, c := range seen {
-				if c != 1 || !blk.Inside[n] {
+				if c != 1 || !blk.Inside.Has(n) {
 					return false
 				}
 			}

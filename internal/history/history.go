@@ -306,12 +306,13 @@ func Reduce(info *graph.Info, events []*Event) []*Event {
 //
 // The reduction is a single backward pass: scanning from the youngest
 // event, an iterating loop-end completion activates its block's region
-// bitset (Block.RegionBits), and every older event whose node lies in the
+// bitset (Block.Region), and every older event whose node lies in the
 // active union is dropped. Properly nested loop blocks make this
 // equivalent to the forward purge-on-Again formulation (reduceForward in
 // history_test.go, the differential reference): an older Again inside an
 // active region is itself dropped, and its region is a subset of the
-// active one. A node is looked up only once a region is active.
+// active one. A node is looked up at most once, and only once a region is
+// active or for an iterating completion.
 func ReduceInPlace(info *graph.Info, events []*Event) []*Event {
 	topo := info.Topology()        // never nil: graph.Analyze returns no Info without one
 	var active bitset.Set          // lazily sized union of activated region bitsets
@@ -320,10 +321,13 @@ func ReduceInPlace(info *graph.Info, events []*Event) []*Event {
 	w := len(events)
 	for i := len(events) - 1; i >= 0; i-- {
 		e := events[i]
-		if active != nil {
-			if n, ok := topo.Idx(e.Node); ok && active.Has(int(n)) {
-				continue // inside an iterated loop's region: purged
-			}
+		again := e.Kind == Completed && e.Again
+		n, known := model.InvalidNode, false
+		if active != nil || again {
+			n, known = topo.Idx(e.Node)
+		}
+		if known && active != nil && active.Has(int(n)) {
+			continue // inside an iterated loop's region: purged
 		}
 		switch e.Kind {
 		case Timeout:
@@ -343,12 +347,12 @@ func ReduceInPlace(info *graph.Info, events []*Event) []*Event {
 				continue
 			}
 		}
-		if e.Kind == Completed && e.Again {
-			if blk, ok := info.ByJoin(e.Node); ok && blk.Kind == model.NodeLoopStart {
+		if again && known {
+			if blk, ok := info.ByJoinAt(n); ok && blk.Kind == model.NodeLoopStart {
 				if active == nil {
 					active = bitset.New(topo.NumNodes())
 				}
-				active.Union(blk.RegionBits())
+				active.Union(blk.Region())
 				continue // the iterating completion itself is purged
 			}
 		}
@@ -574,13 +578,15 @@ func (s *Stats) OnFail(node string) {
 	delete(s.overflow, node)
 }
 
-// PurgeRegion removes the stats of all nodes in a loop region, called when
-// the loop iterates (mirrors Reduce).
-func (s *Stats) PurgeRegion(region map[string]bool) {
-	for id := range region {
+// PurgeRegion removes the stats of all nodes in a loop region, a bitset
+// over topo's NodeIdx space, called when the loop iterates (mirrors
+// Reduce).
+func (s *Stats) PurgeRegion(topo *model.Topology, region bitset.Set) {
+	for i := region.Next(0); i >= 0; i = region.Next(i + 1) {
+		id := topo.ID(model.NodeIdx(i))
 		if s.topo != nil {
-			if i, ok := s.topo.Idx(id); ok {
-				s.recs[i] = NodeStat{}
+			if j, ok := s.topo.Idx(id); ok {
+				s.recs[j] = NodeStat{}
 				continue
 			}
 		}

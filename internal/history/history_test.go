@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"adept2/internal/bitset"
 	"adept2/internal/data"
 	"adept2/internal/graph"
 	"adept2/internal/model"
@@ -173,10 +174,10 @@ func reduceForward(info *graph.Info, events []*Event, buf []*Event) []*Event {
 		}
 		if e.Kind == Completed && e.Again {
 			if blk, ok := info.ByJoin(e.Node); ok && blk.Kind == model.NodeLoopStart {
-				region := blk.Region()
+				region, topo := blk.Region(), info.Topology()
 				kept := out[:0]
 				for _, prev := range out {
-					if !region[prev.Node] {
+					if n, ok := topo.Idx(prev.Node); !ok || !region.Has(int(n)) {
 						kept = append(kept, prev)
 					}
 				}
@@ -366,7 +367,9 @@ func TestStatsLifecycle(t *testing.T) {
 	if s.Started("b") {
 		t.Fatal("clone leaked")
 	}
-	s.PurgeRegion(map[string]bool{"a": true})
+	region := bitset.New(topo.NumNodes())
+	region.Set(int(at("a")))
+	s.PurgeRegion(topo, region)
 	if s.Started("a") {
 		t.Fatal("purge failed")
 	}

@@ -205,10 +205,13 @@ func (l *Log) In(t *Symbols) *Log {
 }
 
 // liveCap returns the capacity a log's records have when a run of Appends
-// has made them n bytes long: they start at minLogBytes and grow as append
-// grows them. A copy of a log gets it, so that a restored instance holds
-// what the live one held.
+// has made them n bytes long: none before the first, then minLogBytes,
+// grown as append grows them. A copy of a log gets it, so that a restored
+// instance holds what the live one held.
 func liveCap(n int) int {
+	if n == 0 {
+		return 0
+	}
 	c := minLogBytes
 	for c < n {
 		if c < 256 {

@@ -3,7 +3,9 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
+	"adept2/internal/bitset"
 	"adept2/internal/change"
 	"adept2/internal/engine"
 	"adept2/internal/graph"
@@ -160,8 +162,8 @@ func (g *generator) addSyncEdges(s *model.Schema) {
 		if i == j {
 			continue
 		}
-		from := randomMember(g.rng, blk.Branches[i])
-		to := randomMember(g.rng, blk.Branches[j])
+		from := randomMember(g.rng, info.Topology(), blk.Branches[i])
+		to := randomMember(g.rng, info.Topology(), blk.Branches[j])
 		if from == "" || to == "" {
 			continue
 		}
@@ -178,25 +180,17 @@ func (g *generator) addSyncEdges(s *model.Schema) {
 	}
 }
 
-func randomMember(rng *rand.Rand, set map[string]bool) string {
-	if len(set) == 0 {
+func randomMember(rng *rand.Rand, topo *model.Topology, set bitset.Set) string {
+	ids := make([]string, 0, set.Count())
+	for i := set.Next(0); i >= 0; i = set.Next(i + 1) {
+		ids = append(ids, topo.ID(model.NodeIdx(i)))
+	}
+	if len(ids) == 0 {
 		return ""
 	}
-	ids := make([]string, 0, len(set))
-	for id := range set {
-		ids = append(ids, id)
-	}
 	// Deterministic order before random pick keeps runs reproducible.
-	sortStrings(ids)
+	slices.Sort(ids)
 	return ids[rng.Intn(len(ids))]
-}
-
-func sortStrings(ss []string) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j] < ss[j-1]; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
-		}
-	}
 }
 
 // Driver advances instances by completing random enabled work with random

@@ -414,11 +414,14 @@ func dualRun(t *testing.T, rng *rand.Rand, v model.SchemaView, info *graph.Info)
 			}
 			// The engine resets without completing (the iterating
 			// completion only exists in the history); mirror that.
-			region := blk.Region()
+			region, ids := blk.Region(), make(map[string]bool)
+			for i := region.Next(0); i >= 0; i = region.Next(i + 1) {
+				ids[info.Topology().ID(model.NodeIdx(i))] = true
+			}
 			ResetLoop(v, mInc, region)
-			refResetLoop(v, mRef, region)
-			stats.PurgeRegion(region)
-			for n := range region {
+			refResetLoop(v, mRef, ids)
+			stats.PurgeRegion(info.Topology(), region)
+			for n := range ids {
 				delete(decisions, n)
 				delete(died, n)
 			}

@@ -686,20 +686,17 @@ func Adapt(v model.SchemaView, m *Marking, stats *history.Stats) []string {
 // region (including the loop start and loop end) returns to NotActivated
 // and every edge between region nodes to NotSignaled. The loop start's
 // incoming control edge from outside the region remains true-signaled, so
-// the next Evaluate pass re-activates the loop start.
-func ResetLoop(v model.SchemaView, m *Marking, region map[string]bool) {
+// the next Evaluate pass re-activates the loop start. The region is a
+// bitset over v's NodeIdx space: a graph.Block's Region of v's analysis.
+func ResetLoop(v model.SchemaView, m *Marking, region bitset.Set) {
 	topo := v.Topology()
 	m.ensure(topo)
-	for id := range region {
-		i, ok := topo.Idx(id)
-		if !ok {
-			continue
-		}
-		m.SetNodeAt(i, NotActivated)
-		nt := topo.At(i)
+	for i := region.Next(0); i >= 0; i = region.Next(i + 1) {
+		m.SetNodeAt(model.NodeIdx(i), NotActivated)
+		nt := topo.At(model.NodeIdx(i))
 		for _, out := range [...][]model.EdgeIdx{nt.OutControlIdx(), nt.OutSyncIdx(), nt.OutLoopIdx()} {
 			for _, ei := range out {
-				if region[topo.EdgeAt(ei).To] {
+				if to := topo.EdgeTarget(ei); to != model.InvalidNode && region.Has(int(to)) {
 					m.SetEdgeAt(ei, NotSignaled)
 				}
 			}

@@ -40,9 +40,9 @@ func blockShape(info *graph.Info) []string {
 	var out []string
 	for _, b := range info.Blocks() {
 		for i, br := range b.Branches {
-			ids := make([]string, 0, len(br))
-			for id := range br {
-				ids = append(ids, id)
+			ids := make([]string, 0, br.Count())
+			for n := br.Next(0); n >= 0; n = br.Next(n + 1) {
+				ids = append(ids, info.Topology().ID(model.NodeIdx(n)))
 			}
 			slices.Sort(ids)
 			out = append(out, fmt.Sprintf("%s..%s#%d%v", b.Split, b.Join, i, ids))

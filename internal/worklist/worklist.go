@@ -479,21 +479,30 @@ func sortedClones(items []*Item) []*Item {
 // when IDs came from a counter restores with the derived names, and an
 // item a parent build stored as claimed (state 1) restores as Offered with
 // no ClaimedBy, which is what a full replay of the same journal yields.
-func (m *Manager) Import(ex *ManagerExport) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	fresh := NewManager()
+// The manager keeps the export's candidate lists. share, if not nil, may
+// replace an item's names and list by equal ones the caller holds, as a
+// live offer keeps them; a starter the list names keeps the list's string.
+func (m *Manager) Import(ex *ManagerExport, share func(*Item)) error {
+	fresh := NewManager() // built unlocked: share may take the caller's locks
 	for _, src := range ex.Items {
 		if fresh.find(src.Instance, src.Node) != nil {
 			return fmt.Errorf("worklist: import: duplicate item for %s/%s", src.Instance, src.Node)
 		}
 		it := *src
-		it.ID, it.Offered = "", slices.Clone(src.Offered)
+		it.ID = ""
+		if share != nil {
+			share(&it)
+		}
+		if i, ok := slices.BinarySearch(it.Offered, it.ClaimedBy); ok {
+			it.ClaimedBy = it.Offered[i]
+		}
 		if it.State == 1 {
 			it.State, it.ClaimedBy = Offered, ""
 		}
 		fresh.indexLocked(&it)
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.byInst, m.byUser, m.n = fresh.byInst, fresh.byUser, fresh.n
 	return nil
 }

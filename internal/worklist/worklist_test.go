@@ -184,7 +184,7 @@ func TestImportParentFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewManager()
-	if err := m.Import(&ex); err != nil {
+	if err := m.Import(&ex, nil); err != nil {
 		t.Fatal(err)
 	}
 	// The claim (state 1) reads as an offer, as a full replay has it.
@@ -200,7 +200,7 @@ func TestImportParentFormat(t *testing.T) {
 	}
 	// What Export writes now imports to the same state.
 	m2 := NewManager()
-	if err := m2.Import(m.Export()); err != nil {
+	if err := m2.Import(m.Export(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(m.Export(), m2.Export()) {
@@ -208,7 +208,7 @@ func TestImportParentFormat(t *testing.T) {
 	}
 
 	ex.Items = append(ex.Items, &Item{ID: "wi-9", Instance: "inst-000001", Node: "get_order"})
-	if err := NewManager().Import(&ex); err == nil {
+	if err := NewManager().Import(&ex, nil); err == nil {
 		t.Fatal("two items for one (instance, node) must be refused")
 	}
 }
@@ -227,7 +227,7 @@ func TestLateStarterSeesTheItem(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored := NewManager()
-	if err := restored.Import(m.Export()); err != nil {
+	if err := restored.Import(m.Export(), nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, wl := range []*Manager{m, restored} {
@@ -420,7 +420,7 @@ func TestIndexMatchesExport(t *testing.T) {
 			m.BatchUpdate(inst, wanted, byRole)
 		case op == 7:
 			if rng.Intn(20) == 0 {
-				if err := m.Import(m.Export()); err != nil {
+				if err := m.Import(m.Export(), nil); err != nil {
 					t.Fatal(err)
 				}
 			}
