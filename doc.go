@@ -284,28 +284,38 @@
 // what the live one holds (TestRecoveredInstanceHeap): a finished one is
 // restored sealed; RestoreInstance gives its records the capacity a live
 // log of their length grew to, and shares the schema's IDs and parameter
-// names and the data store's values with what it decoded; and
-// RestoreWorklist gives a work item the instance's ID, the schema's names
-// and the organizational model's candidate list, as a live offer has.
+// names and the data store's values with what it decoded; a decoded bias
+// op shares the schema's node IDs and the organizational model's roles;
+// and RestoreWorklist gives a work item the instance's ID, the schema's
+// names and the organizational model's candidate list, as a live offer
+// has.
 //
 // A biased instance adds its overlay (the hybrid representation of the
 // paper's Fig. 2, the only one). With the benchmark's conflicting bias (an
 // inserted activity and a sync edge: an 11-node, 12-edge view) that is,
 // per instance, what TestBiasedInstanceHeapBudget pins in sum:
 //
-//	   B  structure
-//	 760  the overlay: its record, the delta's entries' lists and the six
-//	      edge lists of the four nodes the delta touches
-//	1321  the view's topology index: the ID map (503), an offset table and
-//	      one arena of edge indices
-//	 312  the view's block analysis (graph.Info): its record (64), the one
-//	      block's record (112) and pointer, its two branch headers (48),
-//	      its four node sets — two branches, inside and region — as
-//	      one-word bitsets over the topology's node indices (32), and the
-//	      per-node join table ByJoin reads (48)
-//	 598  the inserted node and three edges, the two recorded operations,
-//	      and what the marking and the execution index grow by for one
-//	      more node
+//	  B  structure
+//	760  the overlay: its record, the delta's entries' lists and the six
+//	     edge lists of the four nodes the delta touches
+//	536  the view's topology index, a patch of the schema's (its record is
+//	     288): the inserted node's lists and those of the three nodes the
+//	     delta touches, as an offset table and an arena, the appended
+//	     node and edge records and targets, a bitset that hides the split
+//	     edge and marks the nodes with lists of their own, and the
+//	     manual-activity list the insert extends. The lists are the
+//	     overlay's edge lists of those nodes, interned. Every
+//	     other node's record and lists, and the ID map, are the schema's:
+//	     the view reads them where the delta leaves them, so every base
+//	     node keeps its index and a marking carries over in place
+//	312  the view's block analysis (graph.Info): its record (64), the one
+//	     block's record (112) and pointer, its two branch headers (48),
+//	     its four node sets — two branches, inside and region — as
+//	     one-word bitsets over the topology's node indices (32), and the
+//	     per-node join table ByJoin reads (48)
+//	598  the inserted node and three edges, the two recorded operations,
+//	     and what the marking and the execution index grow by for one
+//	     more node
 //
 // TestInstanceHeapBudget pins what a finished instance holds and holds
 // Instance.Footprint() to the measured heap; TestRecoveredInstanceHeap

@@ -311,6 +311,7 @@ func (st *SnapshotStore) Load(entry ManifestEntry) (*SystemState, error) {
 	if state.Seq != hdr.Seq {
 		return nil, fmt.Errorf("durable: snapshot %s: payload seq %d != header seq %d", entry.File, state.Seq, hdr.Seq)
 	}
+	state.decoded = true
 	return &state, nil
 }
 

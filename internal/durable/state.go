@@ -2,6 +2,7 @@ package durable
 
 import (
 	"fmt"
+	"reflect"
 
 	"adept2/internal/change"
 	"adept2/internal/engine"
@@ -35,6 +36,12 @@ type SystemState struct {
 	Schemas         []*model.Schema         `json:"schemas,omitempty"`
 	Instances       []instanceState         `json:"instances,omitempty"`
 	Worklist        *worklist.ManagerExport `json:"worklist,omitempty"`
+
+	// decoded is set by Load: the bias ops are the state's own, each with
+	// its own copies of the names it holds, and Restore points those at
+	// the engine's (shareNames). A staged state's ops are the live
+	// instances' and are left alone.
+	decoded bool
 }
 
 // instanceState is one instance of a SystemState: the engine's snapshot
@@ -146,6 +153,9 @@ func Restore(eng *engine.Engine, st *SystemState) error {
 		if in.InstanceSnapshot == nil {
 			return fmt.Errorf("durable: restore: an instance without its state")
 		}
+		if st.decoded {
+			shareNames(eng, in)
+		}
 		if err := eng.RestoreInstance(in.InstanceSnapshot, in.Bias); err != nil {
 			return err
 		}
@@ -157,4 +167,52 @@ func Restore(eng *engine.Engine, st *SystemState) error {
 		}
 	}
 	return nil
+}
+
+// shareNames points every string of a decoded instance's bias ops at an
+// equal one the engine already holds: a node or data element ID of the
+// instance's schema, or a role of the organizational model, as
+// RestoreWorklist does for work items. The overlay the ops rebuild keeps
+// the ops' strings, so a recovered biased instance holds no copy of a name
+// a live one shares.
+func shareNames(eng *engine.Engine, in instanceState) {
+	s, ok := eng.Schema(in.TypeName, in.Version)
+	if !ok {
+		return
+	}
+	topo := s.Topology()
+	held := func(name string) string {
+		if i, ok := topo.Idx(name); ok {
+			return topo.ID(i)
+		}
+		if d, ok := s.DataElement(name); ok {
+			return d.ID
+		}
+		if role, ok := eng.Org().Role(name); ok {
+			return role
+		}
+		return name
+	}
+	for _, op := range in.Bias {
+		shareStrings(reflect.ValueOf(op), held)
+	}
+}
+
+// shareStrings sets every settable string reachable from v through
+// pointers, interfaces and struct fields to held's equal one.
+func shareStrings(v reflect.Value, held func(string) string) {
+	switch v.Kind() {
+	case reflect.String:
+		if v.CanSet() {
+			v.SetString(held(v.String()))
+		}
+	case reflect.Pointer, reflect.Interface:
+		if !v.IsNil() {
+			shareStrings(v.Elem(), held)
+		}
+	case reflect.Struct:
+		for i := range v.NumField() {
+			shareStrings(v.Field(i), held)
+		}
+	}
 }

@@ -47,6 +47,7 @@ func (inst *Instance) derivedLocked() *running {
 	for i := range topo.NumNodes() {
 		ni := model.NodeIdx(i)
 		switch {
+		case topo.Hidden(ni):
 		case r.stats.CompleteSeqAt(topo, ni) > 0:
 			r.marking.SetNodeAt(ni, state.Completed)
 		case r.stats.StartSeqAt(topo, ni) > 0:

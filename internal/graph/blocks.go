@@ -75,6 +75,9 @@ func Analyze(v model.SchemaView) (*Info, error) {
 		a.from[i] = model.InvalidNode
 	}
 	for i := range n {
+		if topo.Hidden(model.NodeIdx(i)) {
+			continue
+		}
 		nt := topo.At(model.NodeIdx(i))
 		for _, out := range [...][]model.EdgeIdx{nt.OutControlIdx(), nt.OutLoopIdx()} {
 			for _, ei := range out {
@@ -89,6 +92,9 @@ func Analyze(v model.SchemaView) (*Info, error) {
 
 	info := &Info{byJoin: make([]int32, n), topo: topo}
 	for i := range n {
+		if topo.Hidden(model.NodeIdx(i)) {
+			continue
+		}
 		node := topo.At(model.NodeIdx(i)).Node()
 		var b *Block
 		switch node.Type {
@@ -115,6 +121,9 @@ func Analyze(v model.SchemaView) (*Info, error) {
 
 	// Every join must be matched by exactly one split.
 	for i := range n {
+		if topo.Hidden(model.NodeIdx(i)) {
+			continue
+		}
 		if node := topo.At(model.NodeIdx(i)).Node(); node.Type.IsJoin() && info.byJoin[i] == 0 {
 			return nil, fmt.Errorf("graph: join %q has no matching split", node.ID)
 		}
@@ -152,6 +161,9 @@ func (a *analyzer) loopPairs() ([]model.NodeIdx, error) {
 	}
 	var loops []model.EdgeIdx
 	for ei := range model.EdgeIdx(a.topo.NumEdges()) {
+		if a.topo.EdgeHidden(ei) {
+			continue
+		}
 		e, from, to := a.topo.EdgeAt(ei), a.from[ei], a.topo.EdgeTarget(ei)
 		if e.Type != model.EdgeLoop {
 			continue
@@ -176,6 +188,9 @@ func (a *analyzer) loopPairs() ([]model.NodeIdx, error) {
 		ends.Set(int(from))
 	}
 	for i := range a.topo.NumNodes() {
+		if a.topo.Hidden(model.NodeIdx(i)) {
+			continue
+		}
 		if node := a.topo.At(model.NodeIdx(i)).Node(); node.Type == model.NodeLoopEnd && !ends.Has(i) {
 			return nil, fmt.Errorf("graph: loop end %q has no loop edge", node.ID)
 		}

@@ -46,7 +46,7 @@ func TopoOrder(v model.SchemaView, filter EdgeFilter) ([]string, error) {
 // deterministic: ready nodes in view order, first in, first out, each
 // node's edges by type in view order.
 func topoOrder(topo *model.Topology, filter EdgeFilter) ([]model.NodeIdx, error) {
-	n := topo.NumNodes()
+	n, visible := topo.NumNodes(), 0
 	indeg := make([]int32, n)
 	order := make([]model.NodeIdx, 0, n)
 	succ := func(i model.NodeIdx, visit func(model.NodeIdx)) {
@@ -60,10 +60,13 @@ func topoOrder(topo *model.Topology, filter EdgeFilter) ([]model.NodeIdx, error)
 		}
 	}
 	for i := range model.NodeIdx(n) {
-		succ(i, func(t model.NodeIdx) { indeg[t]++ })
+		if !topo.Hidden(i) {
+			visible++
+			succ(i, func(t model.NodeIdx) { indeg[t]++ })
+		}
 	}
 	for i := range model.NodeIdx(n) {
-		if indeg[i] == 0 {
+		if indeg[i] == 0 && !topo.Hidden(i) {
 			order = append(order, i)
 		}
 	}
@@ -74,7 +77,7 @@ func topoOrder(topo *model.Topology, filter EdgeFilter) ([]model.NodeIdx, error)
 			}
 		})
 	}
-	if len(order) != n {
+	if len(order) != visible {
 		var cyc []string
 		for i, d := range indeg {
 			if d > 0 {

@@ -466,7 +466,7 @@ func (s *Stats) RebindPooled(topo *model.Topology, sc *RebindScratch) {
 	if s.topo == topo || topo == nil {
 		return
 	}
-	if s.topo != nil && sameNodeSeq(s.topo, topo) {
+	if s.topo != nil && model.SameNodes(s.topo, topo) {
 		s.topo = topo
 		return
 	}
@@ -475,6 +475,12 @@ func (s *Stats) RebindPooled(topo *model.Topology, sc *RebindScratch) {
 		recs = arena.Carve(&sc.recs, topo.NumNodes())
 	} else {
 		recs = make([]NodeStat, topo.NumNodes())
+	}
+	// A record at an index the two topologies share stays in place unless
+	// topo hides it; every other one moves by its node's identity.
+	shared := 0
+	if s.topo != nil {
+		shared, _ = model.SharedPrefix(s.topo, topo)
 	}
 	var overflow map[string]*NodeStat
 	keep := func(id string, st NodeStat) {
@@ -489,29 +495,18 @@ func (s *Stats) RebindPooled(topo *model.Topology, sc *RebindScratch) {
 		overflow[id] = &cp
 	}
 	for i := range s.recs {
-		if s.recs[i].live() {
-			keep(s.topo.ID(model.NodeIdx(i)), s.recs[i])
+		switch ni := model.NodeIdx(i); {
+		case !s.recs[i].live():
+		case i < shared && !topo.Hidden(ni):
+			recs[i] = s.recs[i]
+		default:
+			keep(s.topo.ID(ni), s.recs[i])
 		}
 	}
 	for id, st := range s.overflow {
 		keep(id, *st)
 	}
 	s.topo, s.recs, s.overflow = topo, recs, overflow
-}
-
-// sameNodeSeq reports whether two topologies intern the identical node
-// sequence (cheap: clones share ID string backing, so equality
-// short-circuits on the data pointer).
-func sameNodeSeq(a, b *model.Topology) bool {
-	if a.NumNodes() != b.NumNodes() {
-		return false
-	}
-	for i, n := 0, a.NumNodes(); i < n; i++ {
-		if a.ID(model.NodeIdx(i)) != b.ID(model.NodeIdx(i)) {
-			return false
-		}
-	}
-	return true
 }
 
 // slot returns a writable record for the node, creating the overflow entry

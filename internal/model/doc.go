@@ -16,7 +16,8 @@
 // Every SchemaView exposes a precomputed Topology: per-node adjacency
 // lists split by edge type plus derived node lists (auto-executable
 // nodes, manual activities). The adjacency is one arena: a single array of
-// edge indices holds every list of every node back to back, an offset
+// edge indices holds every list of every node back to back (in a patch,
+// of every node the delta touches; the others' are the base's), an offset
 // table says where each list starts, and the NodeTopology handle At
 // returns slices the arena per call — no slice header and no allocation
 // per list. The index obeys the following invariants, which the marking
@@ -24,14 +25,15 @@
 // replayer rely on:
 //
 //   - Completeness: Topology().Idx(id) succeeds exactly for the IDs in
-//     NodeIDs() and returns the ID's position there; At(i).Node() is the
-//     same *Node that Node(id) returns.
+//     NodeIDs() and returns a visible index; the visible indices in
+//     ascending order are NodeIDs(), and At(i).Node() is the same *Node
+//     that Node(id) returns.
 //   - Partition: the typed lists of a node partition InEdges/OutEdges by
 //     EdgeType — every incident control and sync edge appears in exactly
 //     one in list and one out list, every loop edge in its source's out
 //     list (incoming loop edges are not indexed: nothing reads them) —
 //     each list in Edges() order, and EdgeAt returns the *Edge pointers of
-//     Edges() (no copies).
+//     Edges() (no copies). No list holds a hidden edge.
 //   - Derived lists: AutoExecutableIdx() holds exactly the nodes with
 //     CanAutoExecute() true, ManualActivitiesIdx() exactly the non-Auto
 //     NodeActivity nodes, both in NodeIDs() order.
@@ -54,33 +56,47 @@
 // # Interning invariants
 //
 // The Topology doubles as the view's node/edge interner: every node owns a
-// dense NodeIdx equal to its position in NodeIDs() (contiguous in
-// [0, NumNodes())), every edge a dense EdgeIdx equal to its position in
-// Edges(). Consumers that index per-instance state by these indices
-// (internal/state.Marking, internal/history.Stats, the compliance
+// dense NodeIdx and every edge a dense EdgeIdx. A built topology
+// (BuildTopology, which indexes every Schema) numbers the nodes of
+// NodeIDs() and the edges of Edges() from 0 with no gaps. The overlay of a
+// biased instance (internal/storage) indexes its view as a patch of its
+// base schema's topology (Topology.Patch): a patch shares its base's
+// indices and hides some. Every base node and edge the delta keeps keeps
+// its base index; the ones it removes or replaces are hidden (Hidden,
+// EdgeHidden); the nodes and edges it adds, re-adds or replaces are
+// appended after the base's, in the order the delta made them. The patch
+// holds only the appended records, the lists of the nodes the delta
+// touches and what the delta changes of the derived lists; everything else
+// it reads from the base. Consumers that index per-instance state by these
+// indices (internal/state.Marking, internal/history.Stats, the compliance
 // replayer's scratch) rely on:
 //
-//   - Index validity window: a NodeIdx/EdgeIdx is meaningful only for the
-//     exact *Topology value that assigned it. The window opens when the
-//     index is obtained from a Topology and closes when the view's
-//     Topology() returns a different pointer — i.e. at the next structural
-//     mutation (of a Schema or of an overlay's delta).
-//     Indices must never be mixed across Topology values, not even for
-//     views with identical node sets: only the string IDs are stable
-//     identity.
+//   - Hidden indices: every index below NumNodes()/NumEdges() names a node
+//     or edge of the view unless it is hidden. Idx never returns a hidden
+//     index, no list holds one, and every walk over 0..NumNodes() or
+//     0..NumEdges() skips them. State arrays are sized by NumNodes() and
+//     NumEdges(), and a hidden index's entry stays in its zero state.
+//   - Index validity window: a NodeIdx/EdgeIdx is meaningful for the
+//     *Topology value that assigned it, and below the base's counts for
+//     the base and every patch of it (SharedPrefix). The window closes when
+//     the view's Topology() returns a different pointer — i.e. at the next
+//     structural mutation (of a Schema or of an overlay's delta). Past the
+//     shared prefix, and between topologies of different bases, only the
+//     string IDs are stable identity.
 //   - Remap-on-refresh: state keyed by interned indices must be remapped
-//     through the string IDs when the topology pointer changes. The
-//     marking does this transparently — every view-taking entry point of
-//     internal/state compares the bound topology pointer against
-//     v.Topology() and translates node states, edge signals, and the
-//     pending worklist by identity; states of nodes/edges absent
-//     from the new topology are dropped, new ones start in their zero
-//     state. history.Stats follows the same rule via Rebind (with an
-//     overflow map as a correctness net for deferred rebinds). The
-//     overlay (internal/storage) triggers this by dropping its Topology
-//     on every node or edge mutation, so a bias that alters the node set
-//     re-interns and every bound consumer remaps on next contact.
-//   - Order preservation: interned indices order exactly like view order
+//     when the topology pointer changes. The marking does this
+//     transparently — every view-taking entry point of internal/state
+//     compares the bound topology pointer against v.Topology() and moves
+//     node states, edge signals, and the pending worklist: an index in the
+//     shared prefix that the new topology does not hide keeps its entry in
+//     place, every other entry moves by identity; states of nodes/edges
+//     absent from the new topology are dropped, new ones start in their
+//     zero state. history.Stats follows the same rule via Rebind (with an
+//     overflow map as a correctness net for deferred rebinds). The overlay
+//     triggers this by dropping its Topology on every node or edge
+//     mutation, so a bias that alters the node set is patched anew and
+//     every bound consumer remaps on next contact.
+//   - Order preservation: visible indices order exactly like view order
 //     (NodeIdx ascending == NodeIDs order), so sorting activation sets by
 //     index reproduces the deterministic schema order the string API
 //     promised.

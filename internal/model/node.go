@@ -143,6 +143,9 @@ func (n *Node) CanAutoExecute() bool {
 	}
 }
 
+// manual reports whether the node is a user-worked activity.
+func (n *Node) manual() bool { return n.Type == NodeActivity && !n.Auto }
+
 func (n *Node) String() string {
 	if n.Name != "" && n.Name != n.ID {
 		return fmt.Sprintf("%s[%s %q]", n.ID, n.Type, n.Name)

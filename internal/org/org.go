@@ -117,6 +117,19 @@ func (m *Model) HasRole(userID, role string) (string, bool) {
 	return u.ID, true
 }
 
+// Role returns the model's own string for a role some user holds, and
+// false when no user holds it.
+func (m *Model) Role(role string) (string, bool) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	ids := m.roles[role]
+	if len(ids) == 0 {
+		return "", false
+	}
+	roles := m.users[ids[0]].Roles
+	return roles[slices.Index(roles, role)], true
+}
+
 // Clone returns a deep copy of the model. Recovery restores snapshots
 // into a clone so a failed attempt cannot leak users into the model the
 // fallback attempt starts from.

@@ -521,6 +521,22 @@ func biasOverlay(rng *rand.Rand, base *model.Schema, nodeID string) *storage.Ove
 	return ov
 }
 
+// keepsBaseIndices fails unless the overlay's index is a patch of its
+// base's: the two share the base's index space, and every base node the
+// bias keeps has its base index.
+func keepsBaseIndices(t *testing.T, base *model.Schema, ov *storage.Overlay) {
+	t.Helper()
+	bt, pt := base.Topology(), ov.Topology()
+	if n, _ := model.SharedPrefix(bt, pt); n != bt.NumNodes() {
+		t.Fatalf("the overlay's index shares %d of its base's %d node indices", n, bt.NumNodes())
+	}
+	for i := range model.NodeIdx(bt.NumNodes()) {
+		if j, ok := pt.Idx(bt.ID(i)); !pt.Hidden(i) && (!ok || j != i) {
+			t.Fatalf("base node %s moved from index %d to %d", bt.ID(i), i, j)
+		}
+	}
+}
+
 // biasInto performs the same serial insert on an existing mutable view.
 func biasInto(rng *rand.Rand, ov model.MutableView, nodeID string) {
 	var ctrl []*model.Edge
@@ -551,7 +567,8 @@ func biasInto(rng *rand.Rand, ov model.MutableView, nodeID string) {
 // and both adaptation paths must agree on the overlaid view. For the
 // interned marking this exercises the index remap across the bias refresh:
 // the marking was bound to the base topology and must carry its state onto
-// the overlay's re-interned node set.
+// the overlay's patched index, which keeps the base's indices, hides the
+// split edge and appends the inserted node and its edges.
 func TestAdaptMatchesFixpointOnBiasedOverlay(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -563,6 +580,7 @@ func TestAdaptMatchesFixpointOnBiasedOverlay(t *testing.T) {
 		mInc, mRef, stats, decisions := dualRun(t, rng, base, info)
 
 		ov := biasOverlay(rng, base, "bias_x")
+		keepsBaseIndices(t, base, ov)
 
 		actInc := Adapt(ov, mInc, stats)
 		actRef := refAdapt(ov, mRef, decisions)
@@ -576,10 +594,11 @@ func TestAdaptMatchesFixpointOnBiasedOverlay(t *testing.T) {
 	}
 }
 
-// TestOverlayRemapStability: bias refreshes re-intern the node set, and
-// the marking must remap so that all per-ID states (node states and edge
-// signals) survive unchanged across one — and a second — refresh, while
-// the bound topology follows the view. This pins the
+// TestOverlayRemapStability: a bias refresh patches the base's index anew,
+// and the marking must remap so that all per-ID states (node states and
+// edge signals) survive unchanged across one — and a second — refresh,
+// while the bound topology follows the view and every kept base node keeps
+// its base index. This pins the
 // index-validity-window rule documented in internal/model/doc.go. Adapting
 // to the twice-biased view then keeps every skipped node skipped, and the
 // stamp derived for it from the unchanged execution index is the one it
@@ -609,6 +628,7 @@ func TestOverlayRemapStability(t *testing.T) {
 		}
 
 		ov := biasOverlay(rng, base, "bias_x")
+		keepsBaseIndices(t, base, ov)
 		topo1 := ov.Topology()
 		// The first view-taking entry point re-binds the marking. The
 		// pending worklist is empty (dualRun left a fixpoint), so this
@@ -641,6 +661,7 @@ func TestOverlayRemapStability(t *testing.T) {
 		// A second refresh (another insert) must remap again and still
 		// preserve everything, including any state on the first insert.
 		biasInto(rng, ov, "bias_y")
+		keepsBaseIndices(t, base, ov)
 		topo2 := ov.Topology()
 		if topo2 == topo1 {
 			t.Fatalf("bias refresh did not re-intern the topology")

@@ -228,24 +228,8 @@ func (m *Marking) ensure(t *model.Topology) {
 // builds a fresh overlay, and with it a fresh topology; one that only
 // touches data flow (or restores it) leaves the node and edge sequence as
 // it was — this check turns those re-binds into a pointer swap instead of
-// a full remap copy. The ID comparisons are cheap: views share their ID
-// string backing, so equality short-circuits on the data pointer.
-func sameShape(a, b *model.Topology) bool {
-	if a.NumNodes() != b.NumNodes() || a.NumEdges() != b.NumEdges() {
-		return false
-	}
-	for i, n := 0, a.NumNodes(); i < n; i++ {
-		if a.ID(model.NodeIdx(i)) != b.ID(model.NodeIdx(i)) {
-			return false
-		}
-	}
-	for i, n := 0, a.NumEdges(); i < n; i++ {
-		if a.EdgeAt(model.EdgeIdx(i)).Key() != b.EdgeAt(model.EdgeIdx(i)).Key() {
-			return false
-		}
-	}
-	return true
-}
+// a full remap copy.
+func sameShape(a, b *model.Topology) bool { return model.SameNodes(a, b) && model.SameEdges(a, b) }
 
 // RemapScratch amortizes the block allocation of marking remaps: loops
 // that rebind many markings onto one target topology (the fast-mode
@@ -282,14 +266,23 @@ func (m *Marking) remap(t *model.Topology) {
 }
 
 // remapInto moves the marking's state onto topology t using the provided
-// (zeroed, correctly sized) target arrays.
+// (zeroed, correctly sized) target arrays. An index the two topologies
+// share (a base's and its patches') keeps its state in place unless t
+// hides it; every other one is carried by its node or edge identity.
 func (m *Marking) remapInto(t *model.Topology, to arrays) {
 	old := m.topo
+	sn, se := model.SharedPrefix(old, t)
+	node := func(i model.NodeIdx) (model.NodeIdx, bool) {
+		if int(i) < sn && !t.Hidden(i) {
+			return i, true
+		}
+		return t.Idx(old.ID(i))
+	}
 	for i := range m.nodes {
 		if m.nodes[i] == NotActivated {
 			continue
 		}
-		if j, ok := t.Idx(old.ID(model.NodeIdx(i))); ok {
+		if j, ok := node(model.NodeIdx(i)); ok {
 			to.nodes[j] = m.nodes[i]
 		}
 	}
@@ -297,7 +290,10 @@ func (m *Marking) remapInto(t *model.Topology, to arrays) {
 		if m.edges[i] == NotSignaled {
 			continue
 		}
-		if j, ok := t.EdgeIdxOf(old.EdgeAt(model.EdgeIdx(i)).Key()); ok {
+		ei := model.EdgeIdx(i)
+		if int(ei) < se && !t.EdgeHidden(ei) {
+			to.edges[ei] = m.edges[i]
+		} else if j, ok := t.EdgeIdxOf(old.EdgeAt(ei).Key()); ok {
 			to.edges[j] = m.edges[i]
 		}
 	}
@@ -305,7 +301,7 @@ func (m *Marking) remapInto(t *model.Topology, to arrays) {
 	// slice can be compacted in place (reads stay ahead of writes).
 	pending := m.pending[:0]
 	for _, pi := range m.pending {
-		j, ok := t.Idx(old.ID(pi))
+		j, ok := node(pi)
 		if !ok {
 			continue
 		}

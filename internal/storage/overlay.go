@@ -20,6 +20,8 @@ import (
 // edge and data-edge list of every key the delta touches (a node that
 // gained or lost an edge, an activity that gained or lost a data edge) and
 // the view's topology index; every other key reads the base's own list.
+// The index is a patch of the base's (model.Topology.Patch) that interns
+// the touched nodes' edge lists rather than working them out again.
 type Overlay struct {
 	base *model.Schema
 
@@ -229,11 +231,21 @@ func (o *Overlay) DataElement(id string) (*model.DataElement, bool) {
 	return o.base.DataElement(id)
 }
 
-// Topology implements model.SchemaView: the index of the overlaid view,
-// built on first use after a structural mutation.
+// Topology implements model.SchemaView: the index of the overlaid view, a
+// patch of the base's index by the delta and the touched nodes' lists,
+// made on first use after a structural or data-edge mutation.
 func (o *Overlay) Topology() *model.Topology {
 	if o.topo == nil {
-		o.topo = model.BuildTopology(o)
+		base := o.base.Topology()
+		dataEdges := base.NumDataEdges()
+		for _, de := range o.deOf {
+			dataEdges += len(de.list) - len(o.base.DataEdgesOf(de.id))
+		}
+		o.topo = base.Patch(o, model.Delta{
+			AddedNodes: o.addedNodes, RemovedNodes: o.removedNodes,
+			AddedEdges: o.addedEdges, RemovedEdges: o.removedEdges,
+			DataEdges: dataEdges,
+		})
 	}
 	return o.topo
 }
@@ -492,7 +504,7 @@ func (o *Overlay) IndexBytes() int {
 		int(unsafe.Sizeof(model.EdgeKey{}))*cap(o.removedEdges) +
 		int(unsafe.Sizeof(model.DataEdgeKey{}))*cap(o.removedDataEdges) +
 		touchedBytes(o.out) + touchedBytes(o.in) + touchedBytes(o.deOf)
-	if o.topo != nil {
+	if o.topo != nil && o.topo != o.base.Topology() { // an empty delta's index is the base's
 		total += o.topo.ApproxBytes()
 	}
 	return total

@@ -52,7 +52,26 @@ func describe(v model.SchemaView, nodes, elems []string, keys []model.EdgeKey) [
 		lines = append(lines, fmt.Sprintf("has %s %v", k, v.HasEdge(k)))
 	}
 
+	// The topology is rendered by visible position: a patch shares its
+	// base's indices and hides some, a built index numbers its view's
+	// nodes and edges from 0, and both order them as the view does.
 	topo := v.Topology()
+	var nodeAt []model.NodeIdx
+	nodePos := make(map[model.NodeIdx]int)
+	for i := range model.NodeIdx(topo.NumNodes()) {
+		if !topo.Hidden(i) {
+			nodePos[i] = len(nodeAt)
+			nodeAt = append(nodeAt, i)
+		}
+	}
+	var edgeAt []model.EdgeIdx
+	edgePos := make(map[model.EdgeIdx]int)
+	for i := range model.EdgeIdx(topo.NumEdges()) {
+		if !topo.EdgeHidden(i) {
+			edgePos[i] = len(edgeAt)
+			edgeAt = append(edgeAt, i)
+		}
+	}
 	ids := func(idxs []model.NodeIdx) (out []string) {
 		for _, ni := range idxs {
 			out = append(out, topo.ID(ni))
@@ -62,31 +81,30 @@ func describe(v model.SchemaView, nodes, elems []string, keys []model.EdgeKey) [
 	adjacent := func(idxs []model.EdgeIdx) (out []string) {
 		for _, ei := range idxs {
 			e := topo.EdgeAt(ei)
-			out = append(out, fmt.Sprintf("%d:%s/%d", ei, e, e.Code))
+			out = append(out, fmt.Sprintf("%d:%s/%d", edgePos[ei], e, e.Code))
 		}
 		return out
 	}
-	lines = append(lines, fmt.Sprintf("topology: %d nodes %d edges auto %q manual %q", topo.NumNodes(), topo.NumEdges(),
+	lines = append(lines, fmt.Sprintf("topology: %d nodes %d edges auto %q manual %q", len(nodeAt), len(edgeAt),
 		ids(topo.AutoExecutableIdx()), ids(topo.ManualActivitiesIdx())))
 	for _, ni := range []model.NodeIdx{topo.StartIdx(), topo.EndIdx()} {
 		if ni != model.InvalidNode {
 			lines = append(lines, "topology: boundary "+topo.ID(ni))
 		}
 	}
-	for i := 0; i < topo.NumNodes(); i++ {
-		nt := topo.At(model.NodeIdx(i))
-		lines = append(lines, fmt.Sprintf("topology: %d %+v out %q %q %q in %q %q", i, *nt.Node(),
+	for pos, ni := range nodeAt {
+		nt := topo.At(ni)
+		lines = append(lines, fmt.Sprintf("topology: %d %+v out %q %q %q in %q %q", pos, *nt.Node(),
 			adjacent(nt.OutControlIdx()), adjacent(nt.OutSyncIdx()), adjacent(nt.OutLoopIdx()),
 			adjacent(nt.InControlIdx()), adjacent(nt.InSyncIdx())))
 	}
-	for i := 0; i < topo.NumEdges(); i++ {
-		ei := model.EdgeIdx(i)
+	for pos, ei := range edgeAt {
 		back, ok := topo.EdgeIdxOf(topo.EdgeAt(ei).Key())
 		target := "none"
 		if to := topo.EdgeTarget(ei); to != model.InvalidNode {
-			target = topo.ID(to)
+			target = fmt.Sprintf("%s at %d", topo.ID(to), nodePos[to])
 		}
-		lines = append(lines, fmt.Sprintf("topology: edge %d %s to %s interns to %d %v", i, topo.EdgeAt(ei), target, back, ok))
+		lines = append(lines, fmt.Sprintf("topology: edge %d %s to %s interns to %d %v", pos, topo.EdgeAt(ei), target, edgePos[back], ok))
 	}
 	return lines
 }
