@@ -563,7 +563,7 @@ func TestBiasedInstanceHeapBudget(t *testing.T) {
 	}
 	const (
 		n      = 2000
-		pinned = 2213 // bytes the bias adds per instance, measured
+		pinned = 1798 // bytes the bias adds per instance, measured
 	)
 	// population returns the heap and the footprint per instance of n fresh
 	// instances, biased or not.
@@ -641,10 +641,10 @@ func TestAdHocAllocationBudget(t *testing.T) {
 		pinned  float64
 	}{
 		{"AdHoc unbiased", nil,
-			func(inst *engine.Instance) error { return change.ApplyAdHoc(inst, insert, syncEdge) }, 141},
+			func(inst *engine.Instance) error { return change.ApplyAdHoc(inst, insert, syncEdge) }, 101},
 		{"AdHoc biased", []change.Operation{insert},
-			func(inst *engine.Instance) error { return change.ApplyAdHoc(inst, syncEdge) }, 141},
-		{"UndoLast", []change.Operation{insert, syncEdge}, rollback.UndoLast, 135},
+			func(inst *engine.Instance) error { return change.ApplyAdHoc(inst, syncEdge) }, 101},
+		{"UndoLast", []change.Operation{insert, syncEdge}, rollback.UndoLast, 101},
 		{"UndoAll", []change.Operation{insert, syncEdge}, rollback.UndoAll, 14}, // the deployed version's analysis: no verification, no overlay
 	} {
 		insts := make([]*engine.Instance, runs+1)

@@ -296,18 +296,20 @@
 // per instance, what TestBiasedInstanceHeapBudget pins in sum:
 //
 //	  B  structure
-//	760  the overlay: its record, the delta's entries' lists and the six
-//	     edge lists of the four nodes the delta touches
-//	536  the view's topology index, a patch of the schema's (its record is
-//	     288): the inserted node's lists and those of the three nodes the
-//	     delta touches, as an offset table and an arena, the appended
+//	328  the overlay: its record (240) and the delta's three entry
+//	     lists — the added node, the three added edges, the removed
+//	     edge's key. It keeps no edge list of a node: the index below is
+//	     the view's only adjacency
+//	550  the view's topology index, a patch of the schema's (its record is
+//	     288): the six typed lists of the inserted node and of the three
+//	     nodes the delta touches, as an offset table and an arena worked
+//	     out from the schema's lists and the delta alone, the appended
 //	     node and edge records and targets, a bitset that hides the split
 //	     edge and marks the nodes with lists of their own, and the
-//	     manual-activity list the insert extends. The lists are the
-//	     overlay's edge lists of those nodes, interned. Every
-//	     other node's record and lists, and the ID map, are the schema's:
-//	     the view reads them where the delta leaves them, so every base
-//	     node keeps its index and a marking carries over in place
+//	     manual-activity list the insert extends. Every other node's
+//	     record and lists, and the ID map, are the schema's: the view
+//	     reads them where the delta leaves them, so every base node keeps
+//	     its index and a marking carries over in place
 //	312  the view's block analysis (graph.Info): its record (64), the one
 //	     block's record (112) and pointer, its two branch headers (48),
 //	     its four node sets — two branches, inside and region — as

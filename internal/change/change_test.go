@@ -198,7 +198,7 @@ func TestMoveActivityOnSchema(t *testing.T) {
 	if err := verify.Err(s); err != nil {
 		t.Fatalf("changed schema must verify: %v", err)
 	}
-	if got := model.ControlSuccs(s, "confirm_order"); len(got) != 1 || got[0] != "collect_data" {
+	if got := model.OutControlEdges(s, "confirm_order"); len(got) != 1 || got[0].To != "collect_data" {
 		t.Fatalf("collect_data not at new position: %v", got)
 	}
 	if err := (&change.MoveActivity{ID: "zz", NewPred: "a", NewSucc: "b"}).Precheck(s); err == nil {

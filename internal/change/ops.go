@@ -124,13 +124,13 @@ func (o *ParallelInsert) region(v model.SchemaView) (map[string]bool, error) {
 	}
 	// Single entry (into From) and single exit (out of To).
 	for id := range region {
-		for _, e := range v.InEdges(id) {
-			if e.Type == model.EdgeControl && !region[e.From] && id != o.From {
+		for _, e := range model.InControlEdges(v, id) {
+			if !region[e.From] && id != o.From {
 				return nil, fmt.Errorf("change: parallel-insert: region %s..%s is not SESE (edge %s enters it)", o.From, o.To, e)
 			}
 		}
-		for _, e := range v.OutEdges(id) {
-			if e.Type == model.EdgeControl && !region[e.To] && id != o.To {
+		for _, e := range model.OutControlEdges(v, id) {
+			if !region[e.To] && id != o.To {
 				return nil, fmt.Errorf("change: parallel-insert: region %s..%s is not SESE (edge %s leaves it)", o.From, o.To, e)
 			}
 		}
@@ -168,6 +168,10 @@ func (o *ParallelInsert) ApplyTo(v model.MutableView) error {
 	if err := o.Precheck(v); err != nil {
 		return err
 	}
+	// The edges to rewire, gathered before the first mutation: the
+	// incoming control edges of From move to the split, the outgoing
+	// control edges of To to the join.
+	into, outOf := model.InControlEdges(v, o.From), model.OutControlEdges(v, o.To)
 	split := &model.Node{ID: o.splitID(), Name: o.splitID(), Type: model.NodeANDSplit, Auto: true}
 	join := &model.Node{ID: o.joinID(), Name: o.joinID(), Type: model.NodeANDJoin, Auto: true}
 	if err := v.AddNode(split); err != nil {
@@ -179,9 +183,7 @@ func (o *ParallelInsert) ApplyTo(v model.MutableView) error {
 	if err := v.AddNode(o.Node.Clone()); err != nil {
 		return err
 	}
-	// Rewire the incoming control edges of From to the split and the
-	// outgoing control edges of To to the join.
-	for _, e := range append([]*model.Edge(nil), model.InControlEdges(v, o.From)...) {
+	for _, e := range into {
 		if err := v.RemoveEdge(e.Key()); err != nil {
 			return err
 		}
@@ -189,7 +191,7 @@ func (o *ParallelInsert) ApplyTo(v model.MutableView) error {
 			return err
 		}
 	}
-	for _, e := range append([]*model.Edge(nil), model.OutControlEdges(v, o.To)...) {
+	for _, e := range outOf {
 		if err := v.RemoveEdge(e.Key()); err != nil {
 			return err
 		}
@@ -223,9 +225,9 @@ func (o *ParallelInsert) FastCompliance(ctx *Context) error {
 	to, ok := ctx.node(o.To)
 	if !ok {
 		// Outside the marking's binding: fall back to the view walk.
-		for _, s := range model.ControlSuccs(ctx.View, o.To) {
-			if ctx.started(s) && ctx.Marking.Node(o.To) != state.Skipped {
-				return stateConflict(o.String(), "node %q behind the region already started", s)
+		for _, e := range model.OutControlEdges(ctx.View, o.To) {
+			if ctx.started(e.To) && ctx.Marking.Node(o.To) != state.Skipped {
+				return stateConflict(o.String(), "node %q behind the region already started", e.To)
 			}
 		}
 		return nil
@@ -384,14 +386,9 @@ func (o *DeleteActivity) ApplyTo(v model.MutableView) error {
 	if err := o.Precheck(v); err != nil {
 		return err
 	}
-	pred := model.ControlPreds(v, o.ID)[0]
-	succ := model.ControlSuccs(v, o.ID)[0]
-	for _, e := range append([]*model.Edge(nil), v.InEdges(o.ID)...) {
-		if err := v.RemoveEdge(e.Key()); err != nil {
-			return err
-		}
-	}
-	for _, e := range append([]*model.Edge(nil), v.OutEdges(o.ID)...) {
+	pred, succ := model.InControlEdges(v, o.ID)[0].From, model.OutControlEdges(v, o.ID)[0].To
+	// Gathered before the first mutation, so the operation reads one index.
+	for _, e := range model.IncidentEdges(v, o.ID) {
 		if err := v.RemoveEdge(e.Key()); err != nil {
 			return err
 		}
@@ -474,19 +471,14 @@ func (o *MoveActivity) ApplyTo(v model.MutableView) error {
 	}
 	n, _ := v.Node(o.ID)
 	moved := n.Clone()
-	pred := model.ControlPreds(v, o.ID)[0]
-	succ := model.ControlSuccs(v, o.ID)[0]
+	pred, succ := model.InControlEdges(v, o.ID)[0].From, model.OutControlEdges(v, o.ID)[0].To
 	dataEdges := make([]*model.DataEdge, 0, 2)
 	for _, de := range v.DataEdgesOf(o.ID) {
 		dataEdges = append(dataEdges, de.Clone())
 	}
-	// Detach.
-	for _, e := range append([]*model.Edge(nil), v.InEdges(o.ID)...) {
-		if err := v.RemoveEdge(e.Key()); err != nil {
-			return err
-		}
-	}
-	for _, e := range append([]*model.Edge(nil), v.OutEdges(o.ID)...) {
+	// Detach; the edges are gathered before the first mutation, so the
+	// operation reads one index.
+	for _, e := range model.IncidentEdges(v, o.ID) {
 		if err := v.RemoveEdge(e.Key()); err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"reflect"
 	"sync"
 	"unsafe"
 
@@ -368,8 +369,19 @@ type StorageFootprint struct {
 const engineIndexBytes = 8 + (16+8+1)*8/7
 
 // biasOpBytes is the estimate of one recorded change operation: its record
-// and the node or the key it carries.
-const biasOpBytes = 64
+// at its size, and every node record it carries — an insert holds its own
+// beside the clone the overlay keeps. Its strings are the overlay's or the
+// schema's.
+func biasOpBytes(op BiasOp) int {
+	v := reflect.Indirect(reflect.ValueOf(op))
+	total := int(v.Type().Size())
+	for i := range v.NumField() {
+		if f := v.Field(i); f.Type() == reflect.TypeFor[*model.Node]() && !f.IsNil() {
+			total += int(unsafe.Sizeof(model.Node{}))
+		}
+	}
+	return total
+}
 
 // Footprint returns the instance's storage footprint.
 func (inst *Instance) Footprint() StorageFootprint {
@@ -386,8 +398,10 @@ func (inst *Instance) Footprint() StorageFootprint {
 	}
 	if inst.overlay != nil {
 		f.BiasBytes = inst.overlay.ApproxBytes()
-		f.ViewBytes = inst.overlay.IndexBytes() + inst.blocks.ApproxBytes() +
-			16*cap(inst.biasOps) + biasOpBytes*len(inst.biasOps)
+		f.ViewBytes = inst.overlay.IndexBytes() + inst.blocks.ApproxBytes() + 16*cap(inst.biasOps)
+		for _, op := range inst.biasOps {
+			f.ViewBytes += biasOpBytes(op)
+		}
 	}
 	return f
 }

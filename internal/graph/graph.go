@@ -94,31 +94,12 @@ func topoOrder(topo *model.Topology, filter EdgeFilter) ([]model.NodeIdx, error)
 // the filtered edges. With forward=false it follows edges backwards.
 // The start node itself is included.
 func Reachable(v model.SchemaView, from string, filter EdgeFilter, forward bool) map[string]bool {
+	topo := v.Topology()
 	seen := map[string]bool{from: true}
-	stack := []string{from}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		var edges []*model.Edge
-		if forward {
-			edges = v.OutEdges(id)
-		} else {
-			edges = v.InEdges(id)
-		}
-		for _, e := range edges {
-			if !filter(e) {
-				continue
-			}
-			next := e.To
-			if !forward {
-				next = e.From
-			}
-			if !seen[next] {
-				seen[next] = true
-				stack = append(stack, next)
-			}
-		}
-	}
+	walk(topo, from, filter, forward, func(i model.NodeIdx) bool {
+		seen[topo.ID(i)] = true
+		return true
+	})
 	return seen
 }
 
@@ -128,23 +109,54 @@ func HasPath(v model.SchemaView, from, to string, filter EdgeFilter) bool {
 	if from == to {
 		return true
 	}
-	seen := map[string]bool{from: true}
-	stack := []string{from}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
+	topo := v.Topology()
+	target, ok := topo.Idx(to)
+	found := false
+	if ok {
+		walk(topo, from, filter, true, func(i model.NodeIdx) bool {
+			found = i == target
+			return !found
+		})
+	}
+	return found
+}
+
+// walk is a depth-first search of the view's index from a node over the
+// filtered edges, forward or backward: it calls visit once on every node
+// it reaches, and stops when visit returns false.
+func walk(topo *model.Topology, from string, filter EdgeFilter, forward bool, visit func(model.NodeIdx) bool) {
+	i, ok := topo.Idx(from)
+	if !ok {
+		return
+	}
+	seen := make([]bool, topo.NumNodes())
+	seen[i] = true
+	for stack := []model.NodeIdx{i}; len(stack) > 0; {
+		nt := topo.At(stack[len(stack)-1])
 		stack = stack[:len(stack)-1]
-		for _, e := range v.OutEdges(id) {
-			if !filter(e) {
-				continue
-			}
-			if e.To == to {
-				return true
-			}
-			if !seen[e.To] {
-				seen[e.To] = true
-				stack = append(stack, e.To)
+		lists := [...][]model.EdgeIdx{nt.OutControlIdx(), nt.OutSyncIdx(), nt.OutLoopIdx()}
+		if !forward {
+			lists = [...][]model.EdgeIdx{nt.InControlIdx(), nt.InSyncIdx(), nt.InLoopIdx()}
+		}
+		for _, list := range lists {
+			for _, ei := range list {
+				e := topo.EdgeAt(ei)
+				if !filter(e) {
+					continue
+				}
+				next := topo.EdgeTarget(ei)
+				if !forward {
+					next, _ = topo.Idx(e.From)
+				}
+				if seen[next] {
+					continue
+				}
+				if !visit(next) {
+					return
+				}
+				seen[next] = true
+				stack = append(stack, next)
 			}
 		}
 	}
-	return false
 }

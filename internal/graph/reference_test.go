@@ -103,6 +103,18 @@ func refAnalyze(v model.SchemaView) ([]*refBlock, error) {
 	return blocks, nil
 }
 
+// controlEdges returns the control edges that leave (out) or enter the
+// node, in Edges order, from Edges alone: the reference reads no index.
+func controlEdges(v model.SchemaView, id string, out bool) []*model.Edge {
+	var es []*model.Edge
+	for _, e := range v.Edges() {
+		if e.Type == model.EdgeControl && (out && e.From == id || !out && e.To == id) {
+			es = append(es, e)
+		}
+	}
+	return es
+}
+
 // refTopoOrder is graph.TopoOrder over control edges as it was before it
 // ran on the topology.
 func refTopoOrder(v model.SchemaView) ([]string, error) {
@@ -127,10 +139,7 @@ func refTopoOrder(v model.SchemaView) ([]string, error) {
 		id := queue[0]
 		queue = queue[1:]
 		order = append(order, id)
-		for _, e := range v.OutEdges(id) {
-			if e.Type != model.EdgeControl {
-				continue
-			}
+		for _, e := range controlEdges(v, id, true) {
 			if indeg[e.To]--; indeg[e.To] == 0 {
 				queue = append(queue, e.To)
 			}
@@ -184,7 +193,7 @@ func refLoopPairs(v model.SchemaView) (map[string]string, error) {
 
 func refMatchSplit(v model.SchemaView, split *model.Node, pos map[string]int) (*refBlock, error) {
 	join, _ := split.Type.MatchingJoin()
-	outs := model.OutControlEdges(v, split.ID)
+	outs := controlEdges(v, split.ID, true)
 	if len(outs) < 2 {
 		return nil, fmt.Errorf("graph: split %q has %d outgoing branches, need >=2", split.ID, len(outs))
 	}
@@ -264,13 +273,13 @@ func refMatchLoop(v model.SchemaView, start, end string) (*refBlock, error) {
 
 func refCheckBoundary(v model.SchemaView, b *refBlock) error {
 	for _, id := range inViewOrder(v, b.inside) {
-		for _, e := range v.InEdges(id) {
-			if e.Type == model.EdgeControl && !b.inside[e.From] && e.From != b.split {
+		for _, e := range controlEdges(v, id, false) {
+			if !b.inside[e.From] && e.From != b.split {
 				return fmt.Errorf("graph: block %q..%q: control edge %s enters the block from outside", b.split, b.join, e)
 			}
 		}
-		for _, e := range v.OutEdges(id) {
-			if e.Type == model.EdgeControl && !b.inside[e.To] && e.To != b.join {
+		for _, e := range controlEdges(v, id, true) {
+			if !b.inside[e.To] && e.To != b.join {
 				return fmt.Errorf("graph: block %q..%q: control edge %s leaves the block before the join", b.split, b.join, e)
 			}
 		}

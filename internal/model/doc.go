@@ -15,7 +15,10 @@
 //
 // Every SchemaView exposes a precomputed Topology: per-node adjacency
 // lists split by edge type plus derived node lists (auto-executable
-// nodes, manual activities). The adjacency is one arena: a single array of
+// nodes, manual activities). The index is the view's only adjacency — a
+// view keeps no second copy of who connects to whom, and every reader
+// (the graph walks, the verifier, the change operations, the monitor, the
+// engine) reads the typed lists. The adjacency is one arena: a single array of
 // edge indices holds every list of every node back to back (in a patch,
 // of every node the delta touches; the others' are the base's), an offset
 // table says where each list starts, and the NodeTopology handle At
@@ -28,12 +31,11 @@
 //     NodeIDs() and returns a visible index; the visible indices in
 //     ascending order are NodeIDs(), and At(i).Node() is the same *Node
 //     that Node(id) returns.
-//   - Partition: the typed lists of a node partition InEdges/OutEdges by
-//     EdgeType — every incident control and sync edge appears in exactly
-//     one in list and one out list, every loop edge in its source's out
-//     list (incoming loop edges are not indexed: nothing reads them) —
-//     each list in Edges() order, and EdgeAt returns the *Edge pointers of
-//     Edges() (no copies). No list holds a hidden edge.
+//   - Partition: the six typed lists of a node partition the edges of
+//     Edges() incident to it by direction and EdgeType — every edge
+//     appears in exactly one out list of its source and one in list of its
+//     target — each list in Edges() order, and EdgeAt returns the *Edge
+//     pointers of Edges() (no copies). No list holds a hidden edge.
 //   - Derived lists: AutoExecutableIdx() holds exactly the nodes with
 //     CanAutoExecute() true, ManualActivitiesIdx() exactly the non-Auto
 //     NodeActivity nodes, both in NodeIDs() order.

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Schema is a buildtime process schema: the template from which process
@@ -21,10 +22,8 @@ type Schema struct {
 	nodes     map[string]*Node
 	nodeOrder []string
 
-	edges    []*Edge
-	edgeSet  map[EdgeKey]*Edge
-	outEdges map[string][]*Edge
-	inEdges  map[string][]*Edge
+	edges   []*Edge
+	edgeSet map[EdgeKey]*Edge
 
 	data      map[string]*DataElement
 	dataOrder []string
@@ -54,8 +53,6 @@ func NewSchema(id, typeName string, version int) *Schema {
 		version:     version,
 		nodes:       make(map[string]*Node),
 		edgeSet:     make(map[EdgeKey]*Edge),
-		outEdges:    make(map[string][]*Edge),
-		inEdges:     make(map[string][]*Edge),
 		data:        make(map[string]*DataElement),
 		dataEdgeSet: make(map[DataEdgeKey]*DataEdge),
 		edgesByAct:  make(map[string][]*DataEdge),
@@ -99,12 +96,6 @@ func (s *Schema) Nodes() []*Node {
 
 // Edges implements SchemaView.
 func (s *Schema) Edges() []*Edge { return s.edges }
-
-// OutEdges implements SchemaView.
-func (s *Schema) OutEdges(id string) []*Edge { return s.outEdges[id] }
-
-// InEdges implements SchemaView.
-func (s *Schema) InEdges(id string) []*Edge { return s.inEdges[id] }
 
 // HasEdge implements SchemaView.
 func (s *Schema) HasEdge(k EdgeKey) bool {
@@ -208,7 +199,7 @@ func (s *Schema) RemoveNode(id string) error {
 	if _, ok := s.nodes[id]; !ok {
 		return fmt.Errorf("model: remove node %q: not found", id)
 	}
-	if len(s.outEdges[id]) > 0 || len(s.inEdges[id]) > 0 {
+	if slices.ContainsFunc(s.edges, func(e *Edge) bool { return e.From == id || e.To == id }) {
 		return fmt.Errorf("model: remove node %q: incident edges remain", id)
 	}
 	if len(s.edgesByAct[id]) > 0 {
@@ -222,8 +213,6 @@ func (s *Schema) RemoveNode(id string) error {
 	}
 	delete(s.nodes, id)
 	s.nodeOrder = remove(s.nodeOrder, id)
-	delete(s.outEdges, id)
-	delete(s.inEdges, id)
 	delete(s.edgesByAct, id)
 	s.invalidateTopology()
 	return nil
@@ -250,8 +239,6 @@ func (s *Schema) AddEdge(e *Edge) error {
 	}
 	s.edges = append(s.edges, e)
 	s.edgeSet[k] = e
-	s.outEdges[e.From] = append(s.outEdges[e.From], e)
-	s.inEdges[e.To] = append(s.inEdges[e.To], e)
 	s.invalidateTopology()
 	return nil
 }
@@ -264,8 +251,6 @@ func (s *Schema) RemoveEdge(k EdgeKey) error {
 	}
 	delete(s.edgeSet, k)
 	s.edges = remove(s.edges, e)
-	s.outEdges[e.From] = remove(s.outEdges[e.From], e)
-	s.inEdges[e.To] = remove(s.inEdges[e.To], e)
 	s.invalidateTopology()
 	return nil
 }
@@ -381,14 +366,13 @@ func (s *Schema) ApproxBytes() int {
 	for _, de := range s.dataEdges {
 		total += 24 + len(de.Activity) + len(de.Element) + len(de.Parameter)
 	}
-	// Index structures: order slices and adjacency map headers.
+	// Index structures: the order slices.
 	total += 16 * (len(s.nodeOrder) + len(s.dataOrder))
-	total += 48 * len(s.nodes) // out/in adjacency slots
 	return total
 }
 
 func nodeApproxBytes(n *Node) int {
-	return 48 + len(n.ID) + len(n.Name) + len(n.Role) + len(n.Template) + len(n.DecisionElement)
+	return int(unsafe.Sizeof(*n)) + len(n.ID) + len(n.Name) + len(n.Role) + len(n.Template) + len(n.DecisionElement)
 }
 
 func edgeApproxBytes(e *Edge) int {

@@ -48,11 +48,11 @@ func TestSchemaAccessors(t *testing.T) {
 	if s.HasEdge(EdgeKey{From: "a", To: "b", Type: EdgeSync}) {
 		t.Fatal("sync edge a~>b should not exist")
 	}
-	if got := ControlSuccs(s, "a"); len(got) != 1 || got[0] != "b" {
-		t.Fatalf("ControlSuccs(a) = %v", got)
+	if got := OutControlEdges(s, "a"); len(got) != 1 || got[0].To != "b" {
+		t.Fatalf("OutControlEdges(a) = %v", got)
 	}
-	if got := ControlPreds(s, "b"); len(got) != 1 || got[0] != "a" {
-		t.Fatalf("ControlPreds(b) = %v", got)
+	if got := InControlEdges(s, "b"); len(got) != 1 || got[0].From != "a" {
+		t.Fatalf("InControlEdges(b) = %v", got)
 	}
 	if got := len(s.DataEdgesOf("a")); got != 1 {
 		t.Fatalf("DataEdgesOf(a) = %d edges", got)
@@ -107,8 +107,8 @@ func TestSchemaRemoveRoundTrip(t *testing.T) {
 	if len(s.Edges()) != 2 {
 		t.Fatalf("want 2 edges after removal, got %d", len(s.Edges()))
 	}
-	if got := ControlSuccs(s, "a"); len(got) != 1 || got[0] != "end" {
-		t.Fatalf("ControlSuccs(a) = %v", got)
+	if got := OutControlEdges(s, "a"); len(got) != 1 || got[0].To != "end" {
+		t.Fatalf("OutControlEdges(a) = %v", got)
 	}
 	// Removing start clears the cached ID.
 	mustAdd(t, s.RemoveEdge(EdgeKey{From: "start", To: "a", Type: EdgeControl}))

@@ -32,30 +32,30 @@ const InvalidNode NodeIdx = -1
 // shares its base's edge indices, hides some and appends its own.
 type EdgeIdx int32
 
-// The typed adjacency ranges of one node, in arena order. The three out
-// ranges come first and in EdgeType order, so adjOut+EdgeType names the out
-// range of an edge type.
+// The typed adjacency ranges of one node, in arena order: the three out
+// ranges in EdgeType order, then the three in ranges, so adjOutControl+t
+// and adjInControl+t name the ranges of edge type t.
 const (
 	adjOutControl = iota
 	adjOutSync
 	adjOutLoop
 	adjInControl
 	adjInSync
+	adjInLoop
 	adjRanges
 )
 
 // NodeTopology is the handle of one node of a Topology: the node record
 // and its incident edges split by edge type, each list a sub-slice of one
 // adjacency arena — the topology's own or, for a node a patch leaves
-// untouched, its base's; At resolves which once per handle. The marking
-// evaluator (internal/state) consults these lists in its inner loop
-// instead of filtering InEdges/OutEdges on every visit, so the hot path
-// allocates nothing.
+// untouched, its base's; At resolves which once per handle. The lists are
+// the view's only adjacency: every reader of who connects to whom — the
+// marking evaluator's inner loop, the graph walks, the verifier, the
+// change operations — reads them, and the hot path allocates nothing.
 //
 // The lists hold dense edge indices; Topology.EdgeAt turns one into the
 // edge record (selection code, endpoint IDs). They alias the arena and
-// must not be mutated. Incoming loop edges are not indexed: nothing reads
-// them.
+// must not be mutated.
 type NodeTopology struct {
 	t *Topology // the topology the handle was taken from
 	a *Topology // the topology whose arena holds the node's lists
@@ -87,6 +87,9 @@ func (nt NodeTopology) InControlIdx() []EdgeIdx { return nt.list(adjInControl) }
 
 // InSyncIdx returns the incoming sync edges.
 func (nt NodeTopology) InSyncIdx() []EdgeIdx { return nt.list(adjInSync) }
+
+// InLoopIdx returns the incoming loop back edges.
+func (nt NodeTopology) InLoopIdx() []EdgeIdx { return nt.list(adjInLoop) }
 
 // Topology is the precomputed topology index of a schema view: per-node
 // typed adjacency plus derived node lists the engine's hot paths scan
@@ -198,7 +201,7 @@ func BuildTopology(v SchemaView) *Topology {
 		if i, ok := t.byID[e.From]; ok && e.Type <= EdgeLoop {
 			out = adjRanges*int(i) + adjOutControl + int(e.Type)
 		}
-		if i := t.edgeTo[ei]; i != InvalidNode && e.Type <= EdgeSync {
+		if i := t.edgeTo[ei]; i != InvalidNode && e.Type <= EdgeLoop {
 			in = adjRanges*int(i) + adjInControl + int(e.Type)
 		}
 		return out, in
@@ -255,11 +258,10 @@ type Delta struct {
 // what it adds. The patch owns only what differs from t: the appended
 // records and their targets, the lists of the appended nodes and of the
 // base nodes an added or hidden edge touches, the targets of base edges
-// into a replaced node, and a derived list the delta changes. The lists
-// are v's, the biased view itself: its owner keeps the edge lists of the
-// nodes its delta touches, and the patch interns them. An empty delta is
-// t itself.
-func (t *Topology) Patch(v SchemaView, d Delta) *Topology {
+// into a replaced node, and a derived list the delta changes. It works
+// those lists out from t's and the delta alone (appendLists). An empty
+// delta is t itself.
+func (t *Topology) Patch(d Delta) *Topology {
 	if len(d.AddedNodes)+len(d.RemovedNodes)+len(d.AddedEdges)+len(d.RemovedEdges) == 0 && d.DataEdges == int(t.dataEdges) {
 		return t
 	}
@@ -313,16 +315,16 @@ func (t *Topology) Patch(v SchemaView, d Delta) *Topology {
 		touch(e.To)
 	}
 	slices.Sort(p.own)
-	size := 0
+	size := 2 * len(p.edges) // each appended edge sits in two lists; the base's part is at most the base's lists
 	for k := range len(p.nodes) + len(p.own) {
-		id := p.slotID(k)
-		size += len(v.OutEdges(id)) + len(v.InEdges(id))
+		if i, ok := t.byID[p.slotID(k)]; ok {
+			size += int(t.off[adjRanges*(i+1)] - t.off[adjRanges*i])
+		}
 	}
 	p.off = make([]uint32, 1, adjRanges*(len(p.nodes)+len(p.own))+1)
 	p.adj = make([]EdgeIdx, 0, size)
 	for k := range len(p.nodes) + len(p.own) {
-		id := p.slotID(k)
-		p.appendLists(v.OutEdges(id), v.InEdges(id))
+		p.appendLists(p.slotID(k))
 	}
 
 	p.edgeTo = make([]NodeIdx, len(p.edges))
@@ -367,31 +369,29 @@ func (p *Topology) slotID(k int) string {
 }
 
 // appendLists appends a patch's lists of one node to its arena, in range
-// order: the view's outgoing and incoming edges of the node split by type,
-// each interned to the index the patch gives it.
-func (p *Topology) appendLists(out, in []*Edge) {
+// order. Each is the base's list of the node's ID (none for a node the
+// base lacks) without the edges the patch hides, then the appended edges
+// of the range's type and direction at the node, in delta order: the
+// view's Edges order, since the kept base edges keep theirs and the
+// appended ones follow.
+func (p *Topology) appendLists(id string) {
+	i, inBase := p.base.byID[id]
 	for r := range adjRanges {
-		list, typ := out, EdgeType(r-adjOutControl)
-		if r >= adjInControl {
-			list, typ = in, EdgeType(r-adjInControl)
+		if inBase {
+			for _, ei := range p.base.At(i).list(r) {
+				if !p.EdgeHidden(ei) {
+					p.adj = append(p.adj, ei)
+				}
+			}
 		}
-		for _, e := range list {
-			if e.Type == typ {
-				p.adj = append(p.adj, p.edgeIdx(e))
+		for k, e := range p.edges {
+			if r < adjInControl && e.From == id && int(e.Type) == r-adjOutControl ||
+				r >= adjInControl && e.To == id && int(e.Type) == r-adjInControl {
+				p.adj = append(p.adj, EdgeIdx(int(p.baseEdges)+k))
 			}
 		}
 		p.off = append(p.off, uint32(len(p.adj)))
 	}
-}
-
-// edgeIdx returns the index a patch gives one edge of its view: its
-// position after the base's if the patch appended it, else the base's.
-func (p *Topology) edgeIdx(e *Edge) EdgeIdx {
-	if k := slices.Index(p.edges, e); k >= 0 {
-		return EdgeIdx(int(p.baseEdges) + k)
-	}
-	ei, _ := p.base.EdgeIdxOf(e.Key())
-	return ei
 }
 
 // derived returns a patch's form of one of its base's derived node lists:

@@ -22,10 +22,6 @@ type SchemaView interface {
 	Node(id string) (*Node, bool)
 	// Edges enumerates all edges in a stable order.
 	Edges() []*Edge
-	// OutEdges returns all edges (of every type) leaving the node.
-	OutEdges(id string) []*Edge
-	// InEdges returns all edges (of every type) entering the node.
-	InEdges(id string) []*Edge
 	// HasEdge reports whether the edge identified by the key exists.
 	HasEdge(k EdgeKey) bool
 
@@ -34,7 +30,8 @@ type SchemaView interface {
 	// EndID returns the ID of the unique end node ("" if absent).
 	EndID() string
 
-	// Topology returns the precomputed topology index of the view.
+	// Topology returns the precomputed topology index of the view, its only
+	// adjacency: which edges touch a node is read from its typed lists.
 	// Implementations cache the index and invalidate it on structural
 	// mutation; the returned value is immutable and must not be held
 	// across mutations of the view.
@@ -70,59 +67,36 @@ type MutableView interface {
 	RemoveDataEdge(k DataEdgeKey) error
 }
 
-// ControlSuccs returns the targets of outgoing control edges of the node,
-// in edge order.
-func ControlSuccs(v SchemaView, id string) []string {
-	return edgeTargets(v.OutEdges(id), EdgeControl, true)
-}
-
-// ControlPreds returns the sources of incoming control edges of the node.
-func ControlPreds(v SchemaView, id string) []string {
-	return edgeTargets(v.InEdges(id), EdgeControl, false)
-}
-
-// SyncSuccs returns the targets of outgoing sync edges of the node.
-func SyncSuccs(v SchemaView, id string) []string {
-	return edgeTargets(v.OutEdges(id), EdgeSync, true)
-}
-
-// SyncPreds returns the sources of incoming sync edges of the node.
-func SyncPreds(v SchemaView, id string) []string {
-	return edgeTargets(v.InEdges(id), EdgeSync, false)
-}
-
-func edgeTargets(edges []*Edge, t EdgeType, out bool) []string {
-	var ids []string
-	for _, e := range edges {
-		if e.Type != t {
-			continue
-		}
-		if out {
-			ids = append(ids, e.To)
-		} else {
-			ids = append(ids, e.From)
-		}
-	}
-	return ids
-}
-
-// OutControlEdges returns the outgoing control edges of the node.
+// OutControlEdges returns the node's outgoing control edges, in edge
+// order, in a slice of the caller's: a change operation gathers them
+// before it mutates the view.
 func OutControlEdges(v SchemaView, id string) []*Edge {
-	var es []*Edge
-	for _, e := range v.OutEdges(id) {
-		if e.Type == EdgeControl {
-			es = append(es, e)
-		}
-	}
-	return es
+	return edgesOf(v, id, adjOutControl, adjOutControl+1)
 }
 
-// InControlEdges returns the incoming control edges of the node.
+// InControlEdges returns the node's incoming control edges, like
+// OutControlEdges.
 func InControlEdges(v SchemaView, id string) []*Edge {
+	return edgesOf(v, id, adjInControl, adjInControl+1)
+}
+
+// IncidentEdges returns every edge that touches the node, the outgoing
+// ones first, each direction by type in edge order, in a slice of the
+// caller's.
+func IncidentEdges(v SchemaView, id string) []*Edge { return edgesOf(v, id, 0, adjRanges) }
+
+// edgesOf returns the records of the node's lists of ranges [from, to) in
+// the view's index; none for a node the view lacks.
+func edgesOf(v SchemaView, id string, from, to int) []*Edge {
+	t := v.Topology()
+	i, ok := t.Idx(id)
+	if !ok {
+		return nil
+	}
 	var es []*Edge
-	for _, e := range v.InEdges(id) {
-		if e.Type == EdgeControl {
-			es = append(es, e)
+	for r := from; r < to; r++ {
+		for _, ei := range t.At(i).list(r) {
+			es = append(es, t.EdgeAt(ei))
 		}
 	}
 	return es

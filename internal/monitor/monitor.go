@@ -5,6 +5,7 @@ package monitor
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -24,6 +25,7 @@ func RenderSchema(v model.SchemaView) string {
 	if err != nil {
 		order = v.NodeIDs()
 	}
+	topo := v.Topology()
 	for _, id := range order {
 		n, _ := v.Node(id)
 		var attrs []string
@@ -41,7 +43,12 @@ func RenderSchema(v model.SchemaView) string {
 			attr = " [" + strings.Join(attrs, ", ") + "]"
 		}
 		fmt.Fprintf(&b, "  %-12s %s%s\n", n.Type, id, attr)
-		for _, e := range v.OutEdges(id) {
+		i, _ := topo.Idx(id)
+		nt := topo.At(i)
+		out := slices.Concat(nt.OutControlIdx(), nt.OutSyncIdx(), nt.OutLoopIdx())
+		slices.Sort(out) // edge order
+		for _, ei := range out {
+			e := topo.EdgeAt(ei)
 			switch e.Type {
 			case model.EdgeControl:
 				if n.Type == model.NodeXORSplit {

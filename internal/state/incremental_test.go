@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -61,13 +62,25 @@ func (m *refMarking) setEdge(k model.EdgeKey, s EdgeState) {
 	m.edges[k] = s
 }
 
+// refEdges returns the edges of every type that leave (out) or enter the
+// node, in Edges order, from Edges alone: the reference reads no index.
+func refEdges(v model.SchemaView, id string, out bool) []*model.Edge {
+	var es []*model.Edge
+	for _, e := range v.Edges() {
+		if out && e.From == id || !out && e.To == id {
+			es = append(es, e)
+		}
+	}
+	return es
+}
+
 func (m *refMarking) init(v model.SchemaView) {
 	start := v.StartID()
 	if start == "" {
 		return
 	}
 	m.setNode(start, Completed)
-	for _, e := range v.OutEdges(start) {
+	for _, e := range refEdges(v, start, true) {
 		if e.Type != model.EdgeLoop {
 			m.setEdge(e.Key(), TrueSignaled)
 		}
@@ -91,7 +104,7 @@ func (m *refMarking) complete(v model.SchemaView, id string, decision int) error
 		return fmt.Errorf("ref: complete %q: not in schema", id)
 	}
 	m.setNode(id, Completed)
-	for _, e := range v.OutEdges(id) {
+	for _, e := range refEdges(v, id, true) {
 		switch e.Type {
 		case model.EdgeControl:
 			if n.Type == model.NodeXORSplit && e.Code != decision {
@@ -108,7 +121,7 @@ func (m *refMarking) complete(v model.SchemaView, id string, decision int) error
 
 func (m *refMarking) skip(v model.SchemaView, id string) {
 	m.setNode(id, Skipped)
-	for _, e := range v.OutEdges(id) {
+	for _, e := range refEdges(v, id, true) {
 		if e.Type == model.EdgeLoop {
 			continue
 		}
@@ -130,7 +143,7 @@ func refFixpoint(v model.SchemaView, m *refMarking) []string {
 			if n.Type == model.NodeStart {
 				continue
 			}
-			inC := model.InControlEdges(v, id)
+			inC := slices.DeleteFunc(refEdges(v, id, false), func(e *model.Edge) bool { return e.Type != model.EdgeControl })
 			if len(inC) == 0 {
 				continue
 			}
@@ -144,7 +157,7 @@ func refFixpoint(v model.SchemaView, m *refMarking) []string {
 				}
 			}
 			syncReady := true
-			for _, e := range v.InEdges(id) {
+			for _, e := range refEdges(v, id, false) {
 				if e.Type == model.EdgeSync && m.edge(e.Key()) == NotSignaled {
 					syncReady = false
 					break
@@ -212,7 +225,7 @@ func refAdaptCore(v model.SchemaView, m *refMarking, decisions map[string]int) {
 			continue
 		}
 		n, _ := v.Node(id)
-		for _, e := range v.OutEdges(id) {
+		for _, e := range refEdges(v, id, true) {
 			switch e.Type {
 			case model.EdgeControl:
 				if n.Type == model.NodeXORSplit && e.Code != decisions[id] {
@@ -237,7 +250,7 @@ func refAdapt(v model.SchemaView, m *refMarking, decisions map[string]int) []str
 func refResetLoop(v model.SchemaView, m *refMarking, region map[string]bool) {
 	for id := range region {
 		m.setNode(id, NotActivated)
-		for _, e := range v.OutEdges(id) {
+		for _, e := range refEdges(v, id, true) {
 			if region[e.To] {
 				m.setEdge(e.Key(), NotSignaled)
 			}
@@ -736,10 +749,11 @@ func TestEvaluateAfterManualStaging(t *testing.T) {
 				m.SetEdge(e.Key(), es)
 				ref.setEdge(e.Key(), es)
 			}
-			for _, to := range model.SyncSuccs(s, id) {
-				k := model.EdgeKey{From: id, To: to, Type: model.EdgeSync}
-				m.SetEdge(k, TrueSignaled)
-				ref.setEdge(k, TrueSignaled)
+			for _, e := range refEdges(s, id, true) {
+				if e.Type == model.EdgeSync {
+					m.SetEdge(e.Key(), TrueSignaled)
+					ref.setEdge(e.Key(), TrueSignaled)
+				}
 			}
 		}
 		incAct := Evaluate(s, m)

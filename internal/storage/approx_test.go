@@ -3,6 +3,7 @@ package storage_test
 import (
 	"slices"
 	"testing"
+	"unsafe"
 
 	"adept2/internal/change"
 	"adept2/internal/model"
@@ -19,20 +20,21 @@ import (
 func TestOverlayApproxBytesCountsEveryEntry(t *testing.T) {
 	base := sim.OnlineOrder()
 	node := func(n *model.Node) int {
-		return 48 + len(n.ID) + len(n.Name) + len(n.Role) + len(n.Template) + len(n.DecisionElement)
+		return int(unsafe.Sizeof(*n)) + len(n.ID) + len(n.Name) + len(n.Role) + len(n.Template) + len(n.DecisionElement)
 	}
 	edge := func(from, to string) int { return 24 + len(from) + len(to) }
 	// detached is what taking an activity out of the base costs: its edges,
 	// its data edges and the node removed, its neighbours reconnected.
 	detached := func(id string) int {
 		total := 16 + len(id)
-		for _, e := range slices.Concat(base.InEdges(id), base.OutEdges(id)) {
+		out, in := adjacency(base)
+		for _, e := range slices.Concat(in[id], out[id]) {
 			total += edge(e.From, e.To)
 		}
 		for _, de := range base.DataEdgesOf(id) {
 			total += 24 + len(de.Activity) + len(de.Element) + len(de.Parameter)
 		}
-		return total + edge(model.ControlPreds(base, id)[0], model.ControlSuccs(base, id)[0])
+		return total + edge(model.InControlEdges(base, id)[0].From, model.OutControlEdges(base, id)[0].To)
 	}
 	brochure := sim.OnlineOrderBiasI2()[0].(*change.SerialInsert)
 	confirm, _ := base.Node("confirm_order")

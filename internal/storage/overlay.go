@@ -17,11 +17,11 @@ import (
 //
 // The delta is a handful of entries, so it is kept in slices, made on
 // first use and searched linearly. Beside it the overlay keeps the view's
-// edge and data-edge list of every key the delta touches (a node that
-// gained or lost an edge, an activity that gained or lost a data edge) and
-// the view's topology index; every other key reads the base's own list.
-// The index is a patch of the base's (model.Topology.Patch) that interns
-// the touched nodes' edge lists rather than working them out again.
+// data-edge list of every activity the delta touches (one that gained or
+// lost a data edge; every other reads the base's own list) and the view's
+// topology index, a patch of the base's (model.Topology.Patch) made from
+// the base's index and the delta alone. The index is the view's only
+// adjacency: the overlay keeps no edge list of a node.
 type Overlay struct {
 	base *model.Schema
 
@@ -36,43 +36,17 @@ type Overlay struct {
 	addedDataEdges   []*model.DataEdge
 	removedDataEdges []model.DataEdgeKey
 
-	// The view's lists of the touched keys, replaced whole by the mutation
-	// that touches the key.
-	out  []touched[*model.Edge]
-	in   []touched[*model.Edge]
-	deOf []touched[*model.DataEdge]
+	// The view's data-edge lists of the touched activities, each replaced
+	// whole by the mutation that touches the activity.
+	deOf []touched
 
 	topo *model.Topology // nil after a structural or data-edge mutation
 }
 
-// touched is the view's list of one key the delta touches.
-type touched[T any] struct {
+// touched is the view's data-edge list of one activity the delta touches.
+type touched struct {
 	id   string
-	list []T
-}
-
-// listOf returns the view's list of a key: the delta's where it touches
-// the key, otherwise the base's, capped so that an append cannot reach the
-// base schema's memory.
-func listOf[T any](ts []touched[T], id string, base []T) []T {
-	for i := range ts {
-		if ts[i].id == id {
-			return ts[i].list
-		}
-	}
-	return base[:len(base):len(base)]
-}
-
-// setTouched makes list, trimmed to its length, the view's list of a key.
-func setTouched[T any](ts []touched[T], id string, list []T) []touched[T] {
-	list = slices.Clone(list)
-	for i := range ts {
-		if ts[i].id == id {
-			ts[i].list = list
-			return ts
-		}
-	}
-	return append(ts, touched[T]{id, list})
+	list []*model.DataEdge
 }
 
 // overlaid builds the view's form of one of the base's lists: the base's
@@ -174,16 +148,6 @@ func (o *Overlay) Edges() []*model.Edge {
 	return whole(o.base.Edges(), len(o.removedEdges), o.hidesEdge, o.addedEdges)
 }
 
-// OutEdges implements model.SchemaView.
-func (o *Overlay) OutEdges(id string) []*model.Edge {
-	return listOf(o.out, id, o.base.OutEdges(id))
-}
-
-// InEdges implements model.SchemaView.
-func (o *Overlay) InEdges(id string) []*model.Edge {
-	return listOf(o.in, id, o.base.InEdges(id))
-}
-
 // HasEdge implements model.SchemaView.
 func (o *Overlay) HasEdge(k model.EdgeKey) bool {
 	if o.addedEdge(k) >= 0 {
@@ -232,8 +196,8 @@ func (o *Overlay) DataElement(id string) (*model.DataElement, bool) {
 }
 
 // Topology implements model.SchemaView: the index of the overlaid view, a
-// patch of the base's index by the delta and the touched nodes' lists,
-// made on first use after a structural or data-edge mutation.
+// patch of the base's index by the delta, made on first use after a
+// structural or data-edge mutation.
 func (o *Overlay) Topology() *model.Topology {
 	if o.topo == nil {
 		base := o.base.Topology()
@@ -241,7 +205,7 @@ func (o *Overlay) Topology() *model.Topology {
 		for _, de := range o.deOf {
 			dataEdges += len(de.list) - len(o.base.DataEdgesOf(de.id))
 		}
-		o.topo = base.Patch(o, model.Delta{
+		o.topo = base.Patch(model.Delta{
 			AddedNodes: o.addedNodes, RemovedNodes: o.removedNodes,
 			AddedEdges: o.addedEdges, RemovedEdges: o.removedEdges,
 			DataEdges: dataEdges,
@@ -255,9 +219,17 @@ func (o *Overlay) DataEdges() []*model.DataEdge {
 	return whole(o.base.DataEdges(), len(o.removedDataEdges), o.hidesDataEdge, o.addedDataEdges)
 }
 
-// DataEdgesOf implements model.SchemaView.
+// DataEdgesOf implements model.SchemaView: the delta's list where it
+// touches the activity, otherwise the base's, capped so that an append
+// cannot reach the base schema's memory.
 func (o *Overlay) DataEdgesOf(activity string) []*model.DataEdge {
-	return listOf(o.deOf, activity, o.base.DataEdgesOf(activity))
+	for _, t := range o.deOf {
+		if t.id == activity {
+			return t.list
+		}
+	}
+	base := o.base.DataEdgesOf(activity)
+	return base[:len(base):len(base)]
 }
 
 // --- MutableView ---
@@ -313,7 +285,7 @@ func (o *Overlay) RemoveNode(id string) error {
 	if _, visible := o.Node(id); !visible {
 		return fmt.Errorf("storage: overlay remove node %q: not found", id)
 	}
-	if len(o.OutEdges(id)) > 0 || len(o.InEdges(id)) > 0 {
+	if o.hasIncidentEdge(id) {
 		return fmt.Errorf("storage: overlay remove node %q: incident edges remain", id)
 	}
 	if len(o.DataEdgesOf(id)) > 0 {
@@ -330,14 +302,13 @@ func (o *Overlay) RemoveNode(id string) error {
 	return nil
 }
 
-// edgeChanged replaces the view's edge lists of the two nodes an added or
-// removed edge connects.
-func (o *Overlay) edgeChanged(from, to string) {
-	o.out = setTouched(o.out, from, overlaid(o.base.OutEdges(from), o.hidesEdge, o.addedEdges,
-		func(e *model.Edge) bool { return e.From == from }))
-	o.in = setTouched(o.in, to, overlaid(o.base.InEdges(to), o.hidesEdge, o.addedEdges,
-		func(e *model.Edge) bool { return e.To == to }))
-	o.topo = nil
+// hasIncidentEdge reports whether an edge of the view touches the node:
+// one the delta adds, or one of the base's that the delta does not hide.
+// It reads the base's index, not the view's, so a change operation's
+// removal of a node patches nothing.
+func (o *Overlay) hasIncidentEdge(id string) bool {
+	return slices.ContainsFunc(o.addedEdges, func(e *model.Edge) bool { return e.From == id || e.To == id }) ||
+		slices.ContainsFunc(model.IncidentEdges(o.base, id), func(e *model.Edge) bool { return !o.hidesEdge(e) })
 }
 
 // AddEdge implements model.MutableView.
@@ -358,7 +329,7 @@ func (o *Overlay) AddEdge(e *model.Edge) error {
 		return fmt.Errorf("storage: overlay add edge %s: duplicate edge", e)
 	}
 	o.addedEdges = append(o.addedEdges, e)
-	o.edgeChanged(e.From, e.To)
+	o.topo = nil
 	return nil
 }
 
@@ -373,7 +344,7 @@ func (o *Overlay) RemoveEdge(k model.EdgeKey) error {
 	if o.base.HasEdge(k) && !slices.Contains(o.removedEdges, k) {
 		o.removedEdges = append(o.removedEdges, k)
 	}
-	o.edgeChanged(k.From, k.To)
+	o.topo = nil
 	return nil
 }
 
@@ -411,8 +382,13 @@ func (o *Overlay) RemoveDataElement(id string) error {
 // dataEdgeChanged replaces the view's data-edge list of the activity an
 // added or removed data edge belongs to.
 func (o *Overlay) dataEdgeChanged(activity string) {
-	o.deOf = setTouched(o.deOf, activity, overlaid(o.base.DataEdgesOf(activity), o.hidesDataEdge, o.addedDataEdges,
+	list := slices.Clone(overlaid(o.base.DataEdgesOf(activity), o.hidesDataEdge, o.addedDataEdges,
 		func(d *model.DataEdge) bool { return d.Activity == activity }))
+	if i := slices.IndexFunc(o.deOf, func(t touched) bool { return t.id == activity }); i >= 0 {
+		o.deOf[i].list = list
+	} else {
+		o.deOf = append(o.deOf, touched{activity, list})
+	}
 	o.topo = nil // it counts the data edges
 }
 
@@ -466,7 +442,7 @@ func baseHasDataEdge(s *model.Schema, k model.DataEdgeKey) bool {
 func (o *Overlay) ApproxBytes() int {
 	total := 0
 	for _, n := range o.addedNodes {
-		total += 48 + len(n.ID) + len(n.Name) + len(n.Role) + len(n.Template) + len(n.DecisionElement)
+		total += int(unsafe.Sizeof(*n)) + len(n.ID) + len(n.Name) + len(n.Role) + len(n.Template) + len(n.DecisionElement)
 	}
 	for _, id := range o.removedNodes {
 		total += len(id) + 16
@@ -494,8 +470,8 @@ func (o *Overlay) ApproxBytes() int {
 
 // IndexBytes returns what the overlay holds around the substitution block
 // to serve the view: its own record, the lists the delta's entries sit in,
-// the lists of the touched keys, and the topology index — each from its
-// size and the capacity it holds.
+// the data-edge lists of the touched activities, and the topology index —
+// each from its size and the capacity it holds.
 func (o *Overlay) IndexBytes() int {
 	const ptr, str = 8, 16
 	total := int(unsafe.Sizeof(*o)) +
@@ -503,17 +479,12 @@ func (o *Overlay) IndexBytes() int {
 		str*(cap(o.removedNodes)+cap(o.removedData)) +
 		int(unsafe.Sizeof(model.EdgeKey{}))*cap(o.removedEdges) +
 		int(unsafe.Sizeof(model.DataEdgeKey{}))*cap(o.removedDataEdges) +
-		touchedBytes(o.out) + touchedBytes(o.in) + touchedBytes(o.deOf)
+		int(unsafe.Sizeof(touched{}))*cap(o.deOf)
+	for _, t := range o.deOf {
+		total += ptr * cap(t.list)
+	}
 	if o.topo != nil && o.topo != o.base.Topology() { // an empty delta's index is the base's
 		total += o.topo.ApproxBytes()
-	}
-	return total
-}
-
-func touchedBytes[T any](ts []touched[T]) int {
-	total := int(unsafe.Sizeof(touched[T]{})) * cap(ts)
-	for _, t := range ts {
-		total += 8 * cap(t.list) // lists of pointers
 	}
 	return total
 }

@@ -64,11 +64,11 @@ func TestOverlayAddAndRemove(t *testing.T) {
 	if o.HasEdge(model.EdgeKey{From: "a", To: "c", Type: model.EdgeControl}) {
 		t.Fatal("removed edge still visible")
 	}
-	if got := model.ControlSuccs(o, "a"); len(got) != 1 || got[0] != "n" {
-		t.Fatalf("ControlSuccs(a) = %v", got)
+	if got := model.OutControlEdges(o, "a"); len(got) != 1 || got[0].To != "n" {
+		t.Fatalf("OutControlEdges(a) = %v", got)
 	}
-	if got := model.ControlPreds(o, "c"); len(got) != 1 || got[0] != "n" {
-		t.Fatalf("ControlPreds(c) = %v", got)
+	if got := model.InControlEdges(o, "c"); len(got) != 1 || got[0].From != "n" {
+		t.Fatalf("InControlEdges(c) = %v", got)
 	}
 	// The base is untouched.
 	if _, ok := base.Node("n"); ok {

@@ -16,14 +16,15 @@
 // from the same delta — Materialize is the full copy, the recorded
 // operations re-applied to the original schema the on-the-fly view.
 //
-// An Overlay answers a read by one rule: a key the delta does not touch —
-// a node whose edges it left alone, an activity whose data edges it left
-// alone — reads the base schema's own list (capped, so that an append
-// copies instead of writing into the base); a key the delta touches reads
-// the list the overlay keeps for it, replaced whole by each mutation that
-// touches the key. Nothing is built per read. The whole-view lists
-// (NodeIDs, Edges, DataElements, DataEdges) are built per call — unless the
-// delta has no entry of the kind, when they are the base's too — for their
-// cold callers: the verifier, the block analysis, the topology build and
-// Materialize.
+// An Overlay answers a read by one rule: an activity whose data edges the
+// delta left alone reads the base schema's own list (capped, so that an
+// append copies instead of writing into the base); one the delta touches
+// reads the list the overlay keeps for it, replaced whole by each mutation
+// that touches it. Which edges touch a node is read from the view's
+// topology index, a patch of the base's that the overlay makes from the
+// delta on first use after a mutation; the overlay keeps no edge list of
+// its own. Nothing is built per read. The whole-view lists (NodeIDs,
+// Edges, DataElements, DataEdges) are built per call — unless the delta
+// has no entry of the kind, when they are the base's too — for their cold
+// callers: the verifier, the block analysis and Materialize.
 package storage

@@ -68,6 +68,7 @@ func topologyMatches(t *testing.T, ctx string, v model.SchemaView) (hiddenNodes,
 			{"out-loop", nt.OutLoopIdx(), rt.OutLoopIdx()},
 			{"in-control", nt.InControlIdx(), rt.InControlIdx()},
 			{"in-sync", nt.InSyncIdx(), rt.InSyncIdx()},
+			{"in-loop", nt.InLoopIdx(), rt.InLoopIdx()},
 		} {
 			if got, want := keys(topo, l.got), keys(ref, l.want); !slices.Equal(got, want) {
 				t.Fatalf("%s: node %q: %s %v, built from scratch %v", ctx, id, l.kind, got, want)
@@ -111,8 +112,9 @@ func topologyMatches(t *testing.T, ctx string, v model.SchemaView) (hiddenNodes,
 // of the view it indexes: the i-th visible node index is NodeIDs()[i] and
 // interns back to itself, the i-th visible edge index is Edges()[i] and
 // EdgeIdxOf finds it with its target interned, no ID interns to a hidden
-// index, each node's typed lists split the view's InEdges/OutEdges by edge
-// type in order, and the derived lists are the view's nodes that satisfy
+// index, each node's six typed lists are the view's Edges() that leave or
+// enter the node with the list's type, in Edges() order — a reference that
+// reads neither the patch nor BuildTopology — and the derived lists are the view's nodes that satisfy
 // CanAutoExecute and the manual-activity test, in view order. It returns
 // the numbers of hidden node and edge indices.
 func viewAgrees(t *testing.T, ctx string, v model.SchemaView, topo *model.Topology) (hiddenNodes, hiddenEdges int) {
@@ -133,6 +135,7 @@ func viewAgrees(t *testing.T, ctx string, v model.SchemaView, topo *model.Topolo
 		t.Fatalf("%s: topology shows %d nodes, the view %d", ctx, len(visible), len(ids))
 	}
 	var wantAuto, wantManual []string
+	out, in := adjacency(v)
 	for i, id := range ids {
 		n, ok := v.Node(id)
 		if !ok {
@@ -154,14 +157,15 @@ func viewAgrees(t *testing.T, ctx string, v model.SchemaView, topo *model.Topolo
 				}
 			}
 			if !slices.Equal(got, want) {
-				t.Fatalf("%s: node %q: %s lists %v, the view %v", ctx, id, kind, got, want)
+				t.Fatalf("%s: node %q: %s lists %v, the view's edges %v", ctx, id, kind, got, want)
 			}
 		}
-		split("in-control", nt.InControlIdx(), v.InEdges(id), model.EdgeControl)
-		split("in-sync", nt.InSyncIdx(), v.InEdges(id), model.EdgeSync)
-		split("out-control", nt.OutControlIdx(), v.OutEdges(id), model.EdgeControl)
-		split("out-sync", nt.OutSyncIdx(), v.OutEdges(id), model.EdgeSync)
-		split("out-loop", nt.OutLoopIdx(), v.OutEdges(id), model.EdgeLoop)
+		split("in-control", nt.InControlIdx(), in[id], model.EdgeControl)
+		split("in-sync", nt.InSyncIdx(), in[id], model.EdgeSync)
+		split("in-loop", nt.InLoopIdx(), in[id], model.EdgeLoop)
+		split("out-control", nt.OutControlIdx(), out[id], model.EdgeControl)
+		split("out-sync", nt.OutSyncIdx(), out[id], model.EdgeSync)
+		split("out-loop", nt.OutLoopIdx(), out[id], model.EdgeLoop)
 		if n.CanAutoExecute() {
 			wantAuto = append(wantAuto, id)
 		}
@@ -428,7 +432,7 @@ func BenchmarkPatchedIndex(b *testing.B) {
 	b.Run("patch", func(b *testing.B) {
 		for range b.N {
 			for _, v := range views {
-				benchSink += v.base.Patch(v.o, v.d).NumNodes()
+				benchSink += v.base.Patch(v.d).NumNodes()
 			}
 		}
 	})
@@ -485,8 +489,68 @@ func BenchmarkPatchedIndex(b *testing.B) {
 	}
 }
 
-// benchSink keeps what BenchmarkPatchedIndex reads, so that no read is
-// optimised away.
+// BenchmarkPatch measures how a biased view's index scales with its bias:
+// over biases of 1, 4 and 16 random operations drawn as
+// TestPatchAgreesWithBuild draws them, 40 per length, "make" applies each
+// bias to a fresh overlay and takes its Topology(), and "read" reads every
+// node of each view's index: its ID interned (Idx), its handle (At) and
+// the targets of its outgoing edges (EdgeTarget). It calls the Overlay and
+// Topology API only. Each iteration covers all 40 biases.
+func BenchmarkPatch(b *testing.B) {
+	for _, n := range []int{1, 4, 16} {
+		type bias struct {
+			base *model.Schema
+			ops  []change.Operation
+			o    *storage.Overlay
+			ids  []string
+		}
+		var biases []bias
+		for schema := 0; schema < 10; schema++ {
+			base := sim.RandomSchema(rand.New(rand.NewSource(int64(schema)+7700)), fmt.Sprintf("patch%d", schema), sim.DefaultSchemaOpts())
+			for seq := 0; seq < 4; seq++ {
+				rng := rand.New(rand.NewSource(int64(schema)*31 + int64(seq)))
+				o := storage.NewOverlay(base)
+				var ops []change.Operation
+				for step := range n {
+					op := randomOp(rng, o, step)
+					_ = op.ApplyTo(o)
+					ops = append(ops, op)
+				}
+				biases = append(biases, bias{base, ops, o, o.NodeIDs()})
+			}
+		}
+		b.Run(fmt.Sprintf("ops=%d/make", n), func(b *testing.B) {
+			for range b.N {
+				for _, bi := range biases {
+					o := storage.NewOverlay(bi.base)
+					for _, op := range bi.ops {
+						_ = op.ApplyTo(o)
+					}
+					benchSink += o.Topology().NumNodes()
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("ops=%d/read", n), func(b *testing.B) {
+			for range b.N {
+				for _, bi := range biases {
+					tp := bi.o.Topology()
+					for _, id := range bi.ids {
+						i, _ := tp.Idx(id)
+						nt := tp.At(i)
+						for _, list := range [...][]model.EdgeIdx{nt.OutControlIdx(), nt.OutSyncIdx(), nt.OutLoopIdx()} {
+							for _, ei := range list {
+								benchSink += int(tp.EdgeTarget(ei))
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// benchSink keeps what the benchmarks read, so that no read is optimised
+// away.
 var benchSink int
 
 // deltaOf returns the delta that makes view v of its base schema: the

@@ -60,28 +60,28 @@ func checkDataFlow(v model.SchemaView, info *graph.Info, r *Result) {
 
 	for _, id := range order {
 		n, _ := v.Node(id)
-		preds := model.ControlPreds(v, id)
+		preds := model.InControlEdges(v, id)
 		var in map[string]bool
 		switch {
 		case len(preds) == 0:
 			in = map[string]bool{}
 		case len(preds) == 1:
-			in = outCache[preds[0]]
+			in = outCache[preds[0].From]
 		default:
 			if n.Type == model.NodeANDJoin {
 				in = make(map[string]bool)
 				for _, p := range preds {
-					for e := range outCache[p] {
+					for e := range outCache[p.From] {
 						in[e] = true
 					}
 				}
 			} else {
 				// XOR join (and any other multi-pred node): intersection.
 				in = make(map[string]bool)
-				for e := range outCache[preds[0]] {
+				for e := range outCache[preds[0].From] {
 					all := true
 					for _, p := range preds[1:] {
-						if !outCache[p][e] {
+						if !outCache[p.From][e] {
 							all = false
 							break
 						}
@@ -147,7 +147,10 @@ func suppliedAt(v model.SchemaView, info *graph.Info, written map[string]map[str
 	if written[node][elem] {
 		return true
 	}
-	for _, src := range model.SyncPreds(v, node) {
+	topo := v.Topology()
+	i, _ := topo.Idx(node)
+	for _, ei := range topo.At(i).InSyncIdx() {
+		src := topo.EdgeAt(ei).From
 		if !writesElement(v, src, elem) {
 			continue
 		}

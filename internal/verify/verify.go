@@ -208,24 +208,17 @@ func checkCardinalities(v model.SchemaView, r *Result) {
 	if v.EndID() == "" {
 		r.add(CodeNoEnd, Error, nil, "schema has no end node")
 	}
-	for _, id := range v.NodeIDs() {
-		n, _ := v.Node(id)
-		inC := len(model.InControlEdges(v, id))
-		outC := len(model.OutControlEdges(v, id))
-		var inLoop, outLoop int
-		for _, e := range v.InEdges(id) {
-			if e.Type == model.EdgeLoop {
-				inLoop++
-			}
-			if e.Type == model.EdgeSync && (n.Type == model.NodeStart || n.Type == model.NodeEnd) {
-				r.add(CodeSyncEndpoint, Error, []string{id}, "sync edge attached to %s node", n.Type)
-			}
+	topo := v.Topology()
+	for i := range model.NodeIdx(topo.NumNodes()) {
+		if topo.Hidden(i) {
+			continue
 		}
-		for _, e := range v.OutEdges(id) {
-			if e.Type == model.EdgeLoop {
-				outLoop++
-			}
-			if e.Type == model.EdgeSync && (n.Type == model.NodeStart || n.Type == model.NodeEnd) {
+		nt := topo.At(i)
+		n, id := nt.Node(), topo.ID(i)
+		inC, outC := len(nt.InControlIdx()), len(nt.OutControlIdx())
+		inLoop, outLoop := len(nt.InLoopIdx()), len(nt.OutLoopIdx())
+		if n.Type == model.NodeStart || n.Type == model.NodeEnd {
+			for range len(nt.InSyncIdx()) + len(nt.OutSyncIdx()) {
 				r.add(CodeSyncEndpoint, Error, []string{id}, "sync edge attached to %s node", n.Type)
 			}
 		}
