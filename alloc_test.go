@@ -521,12 +521,18 @@ func TestRecoveredInstanceHeap(t *testing.T) {
 // it, passing each to then if it is not nil.
 func createInstances(t *testing.T, sys *adept2.System, n int, then func(*adept2.Instance)) {
 	t.Helper()
+	createInstancesOf(t, sys, sim.OnlineOrder(), n, then)
+}
+
+// createInstancesOf is createInstances for the process type of s.
+func createInstancesOf(t *testing.T, sys *adept2.System, s *adept2.Schema, n int, then func(*adept2.Instance)) {
+	t.Helper()
 	ctx := context.Background()
-	if _, err := sys.Submit(ctx, &adept2.Deploy{Schema: sim.OnlineOrder()}); err != nil {
+	if _, err := sys.Submit(ctx, &adept2.Deploy{Schema: s}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		res, err := sys.Submit(ctx, &adept2.CreateInstance{TypeName: "online_order"})
+		res, err := sys.Submit(ctx, &adept2.CreateInstance{TypeName: s.TypeName()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -561,13 +567,64 @@ func TestBiasedInstanceHeapBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are not reproducible under the race detector")
 	}
-	const (
-		n      = 2000
-		pinned = 1798 // bytes the bias adds per instance, measured
-	)
-	// population returns the heap and the footprint per instance of n fresh
-	// instances, biased or not.
-	population := func(bias bool) (heap, footprint float64) {
+	const pinned = 1798 // bytes the bias adds per instance, measured
+	added, accounted := biasHeap(t, sim.OnlineOrder(), benchBias)
+	t.Logf("the bias adds %.0f B of heap to an instance (pinned %d); Footprint says it adds %.0f B", added, pinned, accounted)
+	if added > pinned*1.03 {
+		t.Errorf("the bias adds %.0f B of heap to an instance, pinned at %d (+3 %%)", added, pinned)
+	}
+	footprintAgrees(t, added, accounted)
+}
+
+// TestEdgeBiasFootprint: a bias of many edges and no node — every base
+// sync edge between two parallel branches deleted, every other one from
+// the first branch to the second inserted — is accounted for by Footprint
+// as TestBiasedInstanceHeapBudget's is, within 10 % of what it adds to the
+// heap.
+func TestEdgeBiasFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are not reproducible under the race detector")
+	}
+	as, bs := []string{"a1", "a2", "a3"}, []string{"b1", "b2", "b3"}
+	b := adept2.NewBuilder("synced")
+	var branchA, branchB []model.Fragment
+	for i := range as {
+		branchA = append(branchA, b.Activity(as[i], "A", model.WithRole("clerk")))
+		branchB = append(branchB, b.Activity(bs[i], "B", model.WithRole("clerk")))
+		b.Sync(as[i], bs[i])
+	}
+	s, err := b.Build(b.Parallel(b.Seq(branchA...), b.Seq(branchB...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each instance's ops are its own records, as a submitter's are; the
+	// node IDs they name are the schema's.
+	added, accounted := biasHeap(t, s, func(inst *adept2.Instance, _ int) *adept2.AdHoc {
+		var ops []adept2.Operation
+		for _, from := range as {
+			for _, to := range bs {
+				if from[1:] == to[1:] {
+					ops = append(ops, &adept2.DeleteSyncEdge{From: from, To: to})
+				} else {
+					ops = append(ops, &adept2.InsertSyncEdge{From: from, To: to})
+				}
+			}
+		}
+		return &adept2.AdHoc{Instance: inst.ID(), Ops: ops}
+	})
+	t.Logf("the bias adds %.0f B of heap to an instance; Footprint says it adds %.0f B", added, accounted)
+	footprintAgrees(t, added, accounted)
+}
+
+// biasHeap measures what a bias adds to an instance of s: 2 000 fresh
+// instances are measured as TestInstanceHeapBudget measures them, once as
+// created and once after bias(inst, i) is submitted for the i-th, and the
+// difference per instance is returned as the heap reads it and as
+// StateBytes + BiasBytes + ViewBytes say it.
+func biasHeap(t *testing.T, s *adept2.Schema, bias func(*adept2.Instance, int) *adept2.AdHoc) (added, accounted float64) {
+	t.Helper()
+	const n = 2000
+	population := func(biased bool) (heap, footprint float64) {
 		fs := vfs.NewMemFS()
 		sys, err := adept2.Open("wal", adept2.WithVFS(fs), adept2.WithOrg(sim.Org()),
 			adept2.WithCheckpointing(adept2.CheckpointConfig{Every: -1}))
@@ -575,9 +632,9 @@ func TestBiasedInstanceHeapBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		i := 0
-		createInstances(t, sys, n, func(inst *adept2.Instance) {
-			if bias {
-				if _, err := sys.Submit(context.Background(), benchBias(inst, i)); err != nil {
+		createInstancesOf(t, sys, s, n, func(inst *adept2.Instance) {
+			if biased {
+				if _, err := sys.Submit(context.Background(), bias(inst, i)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -599,12 +656,13 @@ func TestBiasedInstanceHeapBudget(t *testing.T) {
 	}
 	unbiased, unbiasedFootprint := population(false)
 	biased, biasedFootprint := population(true)
-	added, accounted := biased-unbiased, biasedFootprint-unbiasedFootprint
-	t.Logf("a fresh instance holds %.0f B of heap, a biased one %.0f B: the bias adds %.0f B (pinned %d); Footprint says it adds %.0f B",
-		unbiased, biased, added, pinned, accounted)
-	if added > pinned*1.03 {
-		t.Errorf("the bias adds %.0f B of heap to an instance, pinned at %d (+3 %%)", added, pinned)
-	}
+	return biased - unbiased, biasedFootprint - unbiasedFootprint
+}
+
+// footprintAgrees fails the test unless what Footprint says a bias adds is
+// what the heap says within 10 %.
+func footprintAgrees(t *testing.T, added, accounted float64) {
+	t.Helper()
 	if ratio := accounted / added; ratio < 0.9 || ratio > 1.1 {
 		t.Errorf("StateBytes + BiasBytes + ViewBytes grow by %.0f B per biased instance, the heap by %.0f B: off by more than 10 %%",
 			accounted, added)

@@ -21,6 +21,7 @@ import (
 	"adept2/internal/history"
 	"adept2/internal/model"
 	"adept2/internal/sim"
+	"adept2/internal/state"
 	"adept2/internal/storage"
 	"adept2/internal/verify"
 	"adept2/internal/worklist"
@@ -53,12 +54,13 @@ func BenchmarkFig1ComplianceFast(b *testing.B) {
 	for _, iters := range []int{1, 16, 256} {
 		b.Run(fmt.Sprintf("iters=%d", iters), func(b *testing.B) {
 			_, inst := benchLoopInstance(b, iters)
-			ctx := &change.Context{
-				View:    inst.View(),
-				Marking: inst.MarkingSnapshot(),
-				Stats:   inst.StatsSnapshot(),
-				Store:   inst.DataSnapshot(),
+			snap, _ := inst.Snapshot()
+			v := inst.View()
+			ctx := &change.Context{View: v, Marking: new(state.Marking), Stats: new(history.Stats), Store: snap.Store}
+			if err := ctx.Marking.Import(v, snap.Marking); err != nil {
+				b.Fatal(err)
 			}
+			ctx.Stats.Import(v.Topology(), snap.Stats)
 			b.ReportMetric(float64(len(inst.HistoryEvents())), "history-events")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -261,7 +261,7 @@
 //	     the box of the written string (16): the instance's data
 //
 // A reader of a sealed instance's marking, execution index or loop counts
-// (NodeState, MarkingSnapshot, StatsSnapshot, LoopIterations, a snapshot,
+// (NodeState, MarkingSnapshot, LoopIterations, a snapshot,
 // monitor.RenderInstance, sim.Summary) gets them derived from the history
 // on the instance's current view, into memory of its own: the index from
 // the events as the commands kept it, the marking by the state adaptation
@@ -269,9 +269,11 @@
 // keeps, besides its record:
 //
 //	  B  structure, and why it stays
-//	192  the running part: the marking (104) and execution index (40)
-//	     every command reads and advances, loop counts and five
-//	     exception maps (nil until used)
+//	160  the running part, 152 B by unsafe.Sizeof: the marking (104) and
+//	     the execution index (32) every command reads and advances, bound
+//	     to the view's topology, loop counts, and one map of a node's
+//	     exception record — deadline, retry time, failure count,
+//	     escalated, pending — (nil until used)
 //	160  one pointer-free block: the marking's dense arrays — the
 //	     evaluation worklist's bitset, node states, edge states — and the
 //	     execution index's records, 12 B per schema node, sized by the

@@ -122,15 +122,14 @@ func TestFailRetryBackoffLifecycle(t *testing.T) {
 	if _, err := sys.Submit(ctx, &adept2.FailActivity{Instance: id, Node: "fix", User: "ann", Reason: "printer on fire"}); err != nil {
 		t.Fatal(err)
 	}
-	if got := inst.FailureCount("fix"); got != 1 {
+	if got := inst.ExceptionState("fix").Failures; got != 1 {
 		t.Fatalf("failure count after first fail: %d", got)
 	}
-	if _, armed := inst.Deadline("fix"); armed {
+	if inst.ExceptionState("fix").Armed {
 		t.Fatal("failing the activity must disarm its deadline")
 	}
-	due, ok := inst.RetryDue("fix")
-	if !ok || due != clk.after(time.Minute) {
-		t.Fatalf("retry due %d (%v), want %d", due, ok, clk.after(time.Minute))
+	if due := inst.ExceptionState("fix").RetryAt; due != clk.after(time.Minute) {
+		t.Fatalf("retry due %d, want %d", due, clk.after(time.Minute))
 	}
 	if hasItem(sys, "ann", id, "fix") || hasItem(sys, "cyn", id, "fix") {
 		t.Fatal("failed activity re-offered during its backoff window")
@@ -163,10 +162,10 @@ func TestFailRetryBackoffLifecycle(t *testing.T) {
 	if _, err := sys.Submit(ctx, &adept2.FailActivity{Instance: id, Node: "fix", User: "ann", Reason: "printer still on fire"}); err != nil {
 		t.Fatal(err)
 	}
-	if got := inst.FailureCount("fix"); got != 2 {
+	if got := inst.ExceptionState("fix").Failures; got != 2 {
 		t.Fatalf("failure count after second fail: %d", got)
 	}
-	if due, _ := inst.RetryDue("fix"); due != clk.after(2*time.Minute) {
+	if due := inst.ExceptionState("fix").RetryAt; due != clk.after(2*time.Minute) {
 		t.Fatalf("second backoff %d, want doubled %d", due, clk.after(2*time.Minute))
 	}
 
@@ -180,7 +179,7 @@ func TestFailRetryBackoffLifecycle(t *testing.T) {
 	if _, err := sys.Submit(ctx, &adept2.CompleteActivity{Instance: id, Node: "fix", User: "cyn"}); err != nil {
 		t.Fatal(err)
 	}
-	if got := inst.FailureCount("fix"); got != 0 {
+	if got := inst.ExceptionState("fix").Failures; got != 0 {
 		t.Fatalf("completion must clear the failure count, got %d", got)
 	}
 	if got := countEvents(inst, history.Failed); got != 2 {
@@ -250,7 +249,7 @@ func TestFailSuspendThenAdminRecovers(t *testing.T) {
 	if !inst.Suspended() {
 		t.Fatal("suspend compensation did not suspend the instance")
 	}
-	if !inst.PendingCompensation("fix") {
+	if !inst.ExceptionState("fix").Pending {
 		t.Fatal("failed node not marked pending compensation")
 	}
 	if hasItem(sys, "ann", id, "fix") {
@@ -268,7 +267,7 @@ func TestFailSuspendThenAdminRecovers(t *testing.T) {
 	if _, err := sys.Submit(ctx, &adept2.RetryActivity{Instance: id, Node: "fix"}); err != nil {
 		t.Fatal(err)
 	}
-	if inst.PendingCompensation("fix") {
+	if inst.ExceptionState("fix").Pending {
 		t.Fatal("retry did not clear the pending compensation")
 	}
 	if !hasItem(sys, "ann", id, "fix") {
@@ -298,8 +297,8 @@ func TestDeadlineEscalationSurvivesRecovery(t *testing.T) {
 	inst, _ := sys.Instance(id)
 
 	armedUntil := clk.after(2 * time.Minute)
-	if dl, ok := inst.Deadline("fix"); !ok || dl != armedUntil {
-		t.Fatalf("deadline armed at %d (%v), want %d", dl, ok, armedUntil)
+	if x := inst.ExceptionState("fix"); !x.Armed || x.Deadline != armedUntil {
+		t.Fatalf("deadline armed at %d (%v), want %d", x.Deadline, x.Armed, armedUntil)
 	}
 
 	// Snapshot round-trip: the armed deadline must come back from the
@@ -316,8 +315,8 @@ func TestDeadlineEscalationSurvivesRecovery(t *testing.T) {
 		t.Fatalf("recovery bypassed the snapshot: %+v", info)
 	}
 	inst, _ = sys.Instance(id)
-	if dl, ok := inst.Deadline("fix"); !ok || dl != armedUntil {
-		t.Fatalf("deadline lost in recovery: %d (%v), want %d", dl, ok, armedUntil)
+	if x := inst.ExceptionState("fix"); !x.Armed || x.Deadline != armedUntil {
+		t.Fatalf("deadline lost in recovery: %d (%v), want %d", x.Deadline, x.Armed, armedUntil)
 	}
 
 	// Before expiry: nothing fires.
@@ -335,7 +334,7 @@ func TestDeadlineEscalationSurvivesRecovery(t *testing.T) {
 	if err != nil || rep.Timeouts != 1 {
 		t.Fatalf("expiry sweep: %v, timeouts %d", err, rep.Timeouts)
 	}
-	if !inst.Escalated("fix") {
+	if !inst.ExceptionState("fix").Escalated {
 		t.Fatal("node not marked escalated")
 	}
 	if !hasItem(sys, "dan", id, "fix") {
@@ -489,8 +488,8 @@ func TestRetryThenSuspendBackoffSaturates(t *testing.T) {
 		if now := clk.after(0); int64(row.want) < math.MaxInt64-now {
 			want = now + int64(row.want)
 		}
-		if due, ok := inst.RetryDue("fix"); !ok || due != want {
-			t.Errorf("failure %d: retry due at %d (%v), want %d", row.failures, due, ok, want)
+		if due := inst.ExceptionState("fix").RetryAt; due != want {
+			t.Errorf("failure %d: retry due at %d, want %d", row.failures, due, want)
 		}
 		clk.advance(time.Hour)
 		if rep, err := sys.SweepDeadlines(ctx, clk.Now()); err != nil || rep.Retries != 0 || hasItem(sys, "ann", id, "fix") {

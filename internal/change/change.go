@@ -31,8 +31,8 @@ import (
 // The conditions intern each referenced node ID once against the marking's
 // bound topology and then consult markings and stats through dense
 // index-based accessors — one map lookup per distinct node instead of one
-// per facet read (the string-keyed path remains as the fallback for nodes
-// outside the binding).
+// per facet read. The execution index is bound to the same topology as
+// the marking; a node outside it has no record.
 type Context struct {
 	View    model.SchemaView
 	Marking *state.Marking
@@ -60,12 +60,10 @@ func (c *Context) node(id string) (model.NodeIdx, bool) { return c.topology().Id
 func (c *Context) startedAt(i model.NodeIdx) bool { return c.Stats.StartedAt(c.topology(), i) }
 
 // started reports whether the node entered execution in the current loop
-// iteration (string fallback for nodes outside the marking's topology).
+// iteration; a node outside the marking's topology never did.
 func (c *Context) started(node string) bool {
-	if i, ok := c.node(node); ok {
-		return c.startedAt(i)
-	}
-	return c.Stats.Started(node)
+	i, ok := c.node(node)
+	return ok && c.startedAt(i)
 }
 
 // startSeqAt returns the interned node's start sequence (0 if never

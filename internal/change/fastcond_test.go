@@ -11,6 +11,7 @@ import (
 	"adept2/internal/model"
 	"adept2/internal/rollback"
 	"adept2/internal/sim"
+	"adept2/internal/state"
 	"adept2/internal/storage"
 	"adept2/internal/verify"
 )
@@ -18,12 +19,14 @@ import (
 // fastCtx captures the instance facets the conditions consult.
 func fastCtx(t *testing.T, inst *engine.Instance) *change.Context {
 	t.Helper()
-	return &change.Context{
-		View:    inst.View(),
-		Marking: inst.MarkingSnapshot(),
-		Stats:   inst.StatsSnapshot(),
-		Store:   inst.DataSnapshot(),
+	snap, _ := inst.Snapshot()
+	v := inst.View()
+	ctx := &change.Context{View: v, Marking: new(state.Marking), Stats: new(history.Stats), Store: snap.Store}
+	if err := ctx.Marking.Import(v, snap.Marking); err != nil {
+		t.Fatal(err)
 	}
+	ctx.Stats.Import(v.Topology(), snap.Stats)
+	return ctx
 }
 
 // stateI1 returns an instance in the Fig. 1 I1 state (confirm_order and

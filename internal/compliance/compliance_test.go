@@ -50,13 +50,17 @@ func reducedHistory(t *testing.T, inst *engine.Instance) []*history.Event {
 	return history.Reduce(info, inst.HistoryEvents())
 }
 
+// fastCtx captures the instance facets the conditions consult, from its
+// snapshot.
 func fastCtx(inst *engine.Instance) *change.Context {
-	return &change.Context{
-		View:    inst.View(),
-		Marking: inst.MarkingSnapshot(),
-		Stats:   inst.StatsSnapshot(),
-		Store:   inst.DataSnapshot(),
+	snap, _ := inst.Snapshot()
+	v := inst.View()
+	ctx := &change.Context{View: v, Marking: new(state.Marking), Stats: new(history.Stats), Store: snap.Store}
+	if err := ctx.Marking.Import(v, snap.Marking); err != nil {
+		panic(err)
 	}
+	ctx.Stats.Import(v.Topology(), snap.Stats)
+	return ctx
 }
 
 // TestFig1InstanceI1 reproduces the compliant instance of the paper's

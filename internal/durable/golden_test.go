@@ -11,8 +11,11 @@ import (
 	"adept2/internal/change"
 	"adept2/internal/engine"
 	"adept2/internal/evolution"
+	"adept2/internal/history"
 	"adept2/internal/model"
+	"adept2/internal/org"
 	"adept2/internal/sim"
+	"adept2/internal/state"
 	"adept2/internal/vfs"
 )
 
@@ -35,6 +38,16 @@ const (
 	// instance derives both from its history, and must encode to the same
 	// bytes.
 	goldenFinishedFile = "testdata/parent_finished_snapshot.json"
+
+	// goldenExceptionFile and goldenExceptionSummary were written by the
+	// steps of goldenExceptions, at commit a26f379 — while an instance kept
+	// its exception state in five maps, and the engine's FailActivity and
+	// TimeoutActivity ran the failure and the expiry — from Stage at seq 23
+	// and sim.Summary of that engine. They pin the five exception members
+	// of a snapshot, and what a summary reads of them, across the fold of
+	// the five maps into one record per node.
+	goldenExceptionFile    = "testdata/parent_exception_snapshot.json"
+	goldenExceptionSummary = "testdata/parent_exception_summary.txt"
 )
 
 // goldenEngine builds one seeded instance that exercises every member of
@@ -84,8 +97,8 @@ func goldenEngine(t *testing.T) (*engine.Engine, *engine.Instance) {
 	do(e.StartActivityAt(id, "init", "ann", t0))
 	do(e.CompleteActivity(id, "init", "ann", map[string]any{"r": 1, "n": "a<b>&\"c\"", "amt": 2.5}, engine.WithCompletedAt(t0+1)))
 	do(e.StartActivityAt(id, "y", "cyn", t0+2)) // arms y's deadline
-	do(e.TimeoutActivity(id, "y"))
-	do(e.FailActivity(id, "y", "cyn", "printer on fire", 0, false))
+	do(timeout(inst, "y"))
+	do(fail(inst, "y", "cyn", "printer on fire", 0, false))
 	do(e.StartActivityAt(id, "y", "ann", t0+3))
 	do(e.CompleteActivity(id, "y", "ann", nil, engine.WithCompletedAt(t0+4)))
 	do(e.CompleteActivity(id, "work", "ann", map[string]any{"more": true}))
@@ -95,8 +108,29 @@ func goldenEngine(t *testing.T) (*engine.Engine, *engine.Instance) {
 		Pred: "tail", Succ: s.EndID(),
 	}))
 	do(e.StartActivityAt(id, "tail", "ann", t0+6))
-	do(e.FailActivity(id, "tail", "ann", "retry later", t0+1000, false)) // leaves a failure count and a retry backoff
+	do(fail(inst, "tail", "ann", "retry later", t0+1000, false)) // leaves a failure count and a retry backoff
 	return e, inst
+}
+
+// fail is what the System's fail command runs: the failure and its
+// suppression under one Mutate.
+func fail(inst *engine.Instance, node, user, reason string, retryAt int64, pending bool) error {
+	return inst.Mutate(func(mx *engine.Mutable) error {
+		if _, err := mx.Fail(node, user, reason); err != nil {
+			return err
+		}
+		mx.Suppress(node, retryAt, pending)
+		return nil
+	})
+}
+
+// timeout is what the System's timeout command runs: the expiry under a
+// Mutate.
+func timeout(inst *engine.Instance, node string) error {
+	return inst.Mutate(func(mx *engine.Mutable) error {
+		_, err := mx.Timeout(node)
+		return err
+	})
 }
 
 func goldenState(t *testing.T, e *engine.Engine) []byte {
@@ -215,7 +249,7 @@ func goldenFinished(t *testing.T) (*engine.Engine, *engine.Instance) {
 	do(e.StartActivityAt(id, "init", "ann", t0))
 	do(e.CompleteActivity(id, "init", "ann", map[string]any{"r": 0}, engine.WithCompletedAt(t0+1)))
 	do(e.StartActivityAt(id, "x", "cyn", t0+2))
-	do(e.FailActivity(id, "x", "cyn", "paper jam", 0, false))
+	do(fail(inst, "x", "cyn", "paper jam", 0, false))
 	do(e.StartActivityAt(id, "x", "ann", t0+3))
 	do(e.CompleteActivity(id, "x", "ann", nil, engine.WithCompletedAt(t0+4)))
 	do(e.CompleteActivity(id, "work", "ann", map[string]any{"more": true}))
@@ -298,7 +332,14 @@ func TestSnapshotSkipStampsAreIgnored(t *testing.T) {
 		t.Fatalf("instance %s missing after restore", inst.ID())
 	}
 	ctx := func(inst *engine.Instance) *change.Context {
-		return &change.Context{View: inst.View(), Marking: inst.MarkingSnapshot(), Stats: inst.StatsSnapshot(), Store: inst.DataSnapshot()}
+		snap, _ := inst.Snapshot()
+		v := inst.View()
+		ctx := &change.Context{View: v, Marking: new(state.Marking), Stats: new(history.Stats), Store: snap.Store}
+		if err := ctx.Marking.Import(v, snap.Marking); err != nil {
+			t.Fatal(err)
+		}
+		ctx.Stats.Import(v.Topology(), snap.Stats)
+		return ctx
 	}
 	live, restored := ctx(inst), ctx(rinst)
 	ids := inst.View().NodeIDs()
@@ -352,4 +393,104 @@ func loopEndOf(t *testing.T, inst *engine.Instance) string {
 	}
 	t.Fatal("no loop end")
 	return ""
+}
+
+// goldenExceptions builds one instance that holds all five kinds of
+// exception state on four parallel activities: a, failed once and running
+// again with an armed deadline; b, failed once and running again with its
+// deadline fired (escalated); c, failed with a retry backoff; d, failed
+// twice and withheld until a Retry.
+func goldenExceptions(t *testing.T) *engine.Engine {
+	t.Helper()
+	b := model.NewBuilder("exceptions")
+	a := b.Activity("a", "A", model.WithRole("clerk"), model.WithDeadline(time.Minute))
+	bn := b.Activity("b", "B", model.WithRole("clerk"), model.WithDeadline(2*time.Minute), model.WithEscalation("sales"))
+	c := b.Activity("c", "C", model.WithRole("clerk"))
+	d := b.Activity("d", "D", model.WithRole("clerk"), model.WithDeadline(time.Minute))
+	tail := b.Activity("tail", "Tail", model.WithRole("clerk"))
+	s, err := b.Build(b.Seq(b.Parallel(a, bn, c, d), tail))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := engine.New(sim.Org())
+	if err := e.Deploy(s); err != nil {
+		t.Fatal(err)
+	}
+	inst, err := e.CreateInstance("exceptions", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := inst.ID()
+	const t0 = int64(1_700_000_000_000_000_000)
+	do := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	do(e.StartActivityAt(id, "a", "ann", t0))
+	do(fail(inst, "a", "ann", "jam", 0, false))
+	do(e.StartActivityAt(id, "a", "cyn", t0+1))
+	do(e.StartActivityAt(id, "b", "ann", t0+2))
+	do(fail(inst, "b", "ann", "jam", 0, false))
+	do(e.StartActivityAt(id, "b", "ann", t0+3))
+	do(timeout(inst, "b"))
+	do(e.StartActivityAt(id, "c", "cyn", t0+4))
+	do(fail(inst, "c", "cyn", "retry later", t0+5000, false))
+	do(e.StartActivityAt(id, "d", "ann", t0+5))
+	do(fail(inst, "d", "ann", "needs a human", 0, true))
+	do(e.RetryActivity(id, "d"))
+	do(e.StartActivityAt(id, "d", "ann", t0+6))
+	do(fail(inst, "d", "ann", "still needs a human", 0, true))
+	return e
+}
+
+// engineSystem is an engine as sim.Summary reads a system.
+type engineSystem struct{ *engine.Engine }
+
+func (s engineSystem) Org() org.Reader        { return s.Engine.Org() }
+func (engineSystem) DurableWatermarks() []int { return nil }
+
+// TestGoldenExceptionSnapshot holds an instance's exception state to the
+// bytes and the summary the parent of the one-record fold wrote (see
+// goldenExceptionFile): built live, and restored from those bytes, it
+// captures to the same bytes and summarizes alike.
+func TestGoldenExceptionSnapshot(t *testing.T) {
+	want, err := os.ReadFile(goldenExceptionFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSummary, err := os.ReadFile(goldenExceptionSummary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capture := func(e *engine.Engine) []byte {
+		t.Helper()
+		blob, err := json.Marshal(Stage(e, 23))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	e := goldenExceptions(t)
+	if got := capture(e); !bytes.Equal(got, want) {
+		t.Errorf("live capture differs from the parent's snapshot:\n got %s\nwant %s", got, want)
+	}
+	if d := sim.Diff(string(wantSummary), sim.Summary(engineSystem{e})); d != "" {
+		t.Errorf("live summary differs from the parent's:\n%s", d)
+	}
+	var st SystemState
+	if err := json.Unmarshal(want, &st); err != nil {
+		t.Fatal(err)
+	}
+	re := engine.New(sim.Org())
+	if err := Restore(re, &st); err != nil {
+		t.Fatal(err)
+	}
+	if got := capture(re); !bytes.Equal(got, want) {
+		t.Errorf("restore + capture differs from the parent's snapshot:\n got %s\nwant %s", got, want)
+	}
+	if d := sim.Diff(string(wantSummary), sim.Summary(engineSystem{re})); d != "" {
+		t.Errorf("restored summary differs from the parent's:\n%s", d)
+	}
 }

@@ -145,8 +145,8 @@ func TestRestoreSharesReadValues(t *testing.T) {
 // happens in the command that finishes the instance, and a restored
 // finished instance has no running part either.
 func TestSealedInstanceLayout(t *testing.T) {
-	if core, run := unsafe.Sizeof(Instance{}), unsafe.Sizeof(running{}); core > 224 || run > 192 {
-		t.Errorf("an instance's core is %d B and its running part %d B, want at most 224 and 192", core, run)
+	if core, run := unsafe.Sizeof(Instance{}), unsafe.Sizeof(running{}); core > 224 || run > 152 {
+		t.Errorf("an instance's core is %d B and its running part %d B, want at most 224 and 152", core, run)
 	}
 	e := newEngine(t)
 	inst, err := e.CreateInstance("online_order", 0)

@@ -8,6 +8,7 @@ import (
 
 	"adept2/internal/model"
 	"adept2/internal/org"
+	"adept2/internal/state"
 )
 
 func TestXORDecisionElementErrors(t *testing.T) {
@@ -52,10 +53,6 @@ func TestEngineAccessors(t *testing.T) {
 	inst, err := e.CreateInstance("online_order", 0)
 	if err != nil {
 		t.Fatal(err)
-	}
-	snap := inst.StatsSnapshot()
-	if snap == nil {
-		t.Fatal("stats snapshot")
 	}
 	ds := inst.DataSnapshot()
 	if ds == nil {
@@ -160,38 +157,37 @@ func TestRetainedNodeStringsAreTheSchemas(t *testing.T) {
 	if it, _ := e.Worklist().ItemFor(inst.ID(), "get_order"); it == nil || it.ClaimedBy != "ann" || unsafe.StringData(it.ClaimedBy) != unsafe.StringData(ann.ID) {
 		t.Errorf("the started work item is %+v, want it started by the org model's %q at %p", it, ann.ID, unsafe.StringData(ann.ID))
 	}
-	keys("deadlines", 1, func(y func(string)) {
-		for k := range inst.run.deadlines {
-			y(k)
+	records := func(want ExceptionState) {
+		t.Helper()
+		keys("the exception records", 1, func(y func(string)) {
+			for k := range inst.run.exceptions {
+				y(k)
+			}
+		})
+		if got := inst.ExceptionState(cmd()); got != want {
+			t.Errorf("the exception record is %+v, want %+v", got, want)
 		}
-	})
-	if err := e.TimeoutActivity(inst.ID(), cmd()); err != nil {
+	}
+	records(ExceptionState{Deadline: 1000 + int64(time.Second), Armed: true})
+	if err := inst.Mutate(func(mx *Mutable) error { _, err := mx.Timeout(cmd()); return err }); err != nil {
 		t.Fatal(err)
 	}
-	keys("escalated", 1, func(y func(string)) {
-		for k := range inst.run.escalated {
-			y(k)
-		}
-	})
+	records(ExceptionState{Escalated: true})
 	if it, ok := e.Worklist().ItemFor(inst.ID(), "get_order"); !ok {
 		t.Error("no escalated work item")
 	} else {
 		check("the escalated work item", it.Node)
 	}
-	if err := e.FailActivity(inst.ID(), cmd(), "ann", "boom", 5000, true); err != nil {
+	if err := inst.Mutate(func(mx *Mutable) error {
+		if _, err := mx.Fail(cmd(), "ann", "boom"); err != nil {
+			return err
+		}
+		mx.Suppress(cmd(), 5000, true)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	keys("failures, retryAt and compPending", 3, func(y func(string)) {
-		for k := range inst.run.failures {
-			y(k)
-		}
-		for k := range inst.run.retryAt {
-			y(k)
-		}
-		for k := range inst.run.compPending {
-			y(k)
-		}
-	})
+	records(ExceptionState{RetryAt: 5000, Failures: 1, Pending: true})
 	if err := e.RetryActivity(inst.ID(), cmd()); err != nil {
 		t.Fatal(err)
 	}
@@ -215,5 +211,43 @@ func TestRetainedNodeStringsAreTheSchemas(t *testing.T) {
 	}
 	if it, _ := e.Worklist().ItemFor(inst.ID(), "ship"); it == nil || it.ClaimedBy != "eve" || unsafe.StringData(it.ClaimedBy) != unsafe.StringData(eve.ID) {
 		t.Errorf("a late member's start: the work item is %+v, want it started by the org model's %q at %p", it, eve.ID, unsafe.StringData(eve.ID))
+	}
+}
+
+// TestReconcileKeepsWhatTheNodeStateAllows: the worklist sync keeps of a
+// node's one exception record exactly the fields its state allows — a
+// deadline and an escalation while it runs, a retry backoff and a pending
+// compensation while it is activated, a failure count in either — and
+// drops the record when nothing is left.
+func TestReconcileKeepsWhatTheNodeStateAllows(t *testing.T) {
+	e := newEngine(t)
+	inst, err := e.CreateInstance("online_order", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const node = "get_order"
+	full := ExceptionState{Deadline: 7, RetryAt: 9, Failures: 2, Armed: true, Escalated: true, Pending: true}
+	for _, tc := range []struct {
+		st   state.NodeState
+		want ExceptionState
+	}{
+		{state.Running, ExceptionState{Deadline: 7, Failures: 2, Armed: true, Escalated: true}},
+		{state.Activated, ExceptionState{RetryAt: 9, Failures: 2, Pending: true}},
+		{state.NotActivated, ExceptionState{}},
+		{state.Completed, ExceptionState{}},
+		{state.Skipped, ExceptionState{}},
+	} {
+		inst.mu.Lock()
+		inst.run.marking.SetNode(node, tc.st)
+		inst.run.exceptions = map[string]ExceptionState{node: full}
+		inst.reconcileExceptionsLocked()
+		got, kept := inst.run.exceptions[node]
+		inst.mu.Unlock()
+		if got != tc.want || kept != (tc.want != ExceptionState{}) {
+			t.Errorf("%s: record %+v (stored %t), want %+v", tc.st, got, kept, tc.want)
+		}
+		if x := inst.ExceptionState(node); x != tc.want {
+			t.Errorf("%s: ExceptionState reads %+v, want %+v", tc.st, x, tc.want)
+		}
 	}
 }

@@ -18,12 +18,49 @@ import (
 // journaled command — a failure or an expiry with its reaction, under one
 // Mutate — so replay rebuilds identical exception state.
 
+// ExceptionState is one node's exception record: what the failure,
+// deadline and retry transitions keep about it. The zero record is a node
+// without exception state, and the instance stores none.
+type ExceptionState struct {
+	// Deadline is the absolute expiry (unix nanos) armed when a
+	// deadline-bearing activity started, while Armed.
+	Deadline int64
+	// RetryAt is the time (unix nanos) a failed activity's re-offer
+	// becomes due — its work item is suppressed until then — or 0 when no
+	// backoff is pending.
+	RetryAt int64
+	// Failures counts consecutive failed attempts, reset on successful
+	// completion or loop purge.
+	Failures int
+	// Armed reports that Deadline is armed.
+	Armed bool
+	// Escalated marks a running node whose deadline fired and whose item
+	// was re-offered to the escalation role.
+	Escalated bool
+	// Pending marks a failed node whose item is withheld until a Retry
+	// command (a suspend reaction, or an older journal's pending).
+	Pending bool
+}
+
+// setException stores the node's record, or drops it when it is empty.
+func (r *running) setException(node string, x ExceptionState) {
+	if x == (ExceptionState{}) {
+		delete(r.exceptions, node)
+		return
+	}
+	if r.exceptions == nil {
+		r.exceptions = make(map[string]ExceptionState)
+	}
+	r.exceptions[node] = x
+}
+
 // failLocked records that a running node's execution failed. The attempt
 // is undone: a Failed event is appended to the physical history, the
 // node's execution record is purged from the fast compliance index
-// (mirroring Reduce, which drops the Started/Failed pair), and the node
-// reverts to activated; the caller's worklist sync re-offers it unless
-// suppressLocked withheld it.
+// (mirroring Reduce, which drops the Started/Failed pair), the node
+// reverts to activated, and its record counts the failure and disarms its
+// deadline; the caller's worklist sync re-offers it unless suppressLocked
+// withheld it.
 func (inst *Instance) failLocked(node, user, reason string, retryAt int64, pending bool) error {
 	if err := checkUTF8("fail", "user", user); err != nil {
 		return err
@@ -44,12 +81,10 @@ func (inst *Instance) failLocked(node, user, reason string, retryAt int64, pendi
 	inst.hist.Append(&history.Event{Kind: history.Failed, Node: node, User: user, Reason: reason, Decision: -1})
 	inst.run.stats.OnFail(node)
 	inst.run.marking.SetNode(node, state.Activated)
-	if inst.run.failures == nil {
-		inst.run.failures = make(map[string]int)
-	}
-	inst.run.failures[node]++
-	delete(inst.run.deadlines, node)
-	delete(inst.run.escalated, node)
+	x := inst.run.exceptions[node]
+	x.Failures++
+	x.Deadline, x.Armed, x.Escalated = 0, false, false
+	inst.run.setException(node, x)
 	inst.suppressLocked(node, retryAt, pending)
 	// The failed assignee's in-progress item is stale either way; the
 	// sync re-offers to the role's candidates unless suppressed.
@@ -60,18 +95,12 @@ func (inst *Instance) failLocked(node, user, reason string, retryAt int64, pendi
 // suppressLocked withholds a failed node's work item until retryAt (unix
 // nanos, when not 0) or, when pending, until a Retry releases it.
 func (inst *Instance) suppressLocked(node string, retryAt int64, pending bool) {
+	x := inst.run.exceptions[node]
 	if retryAt != 0 {
-		if inst.run.retryAt == nil {
-			inst.run.retryAt = make(map[string]int64)
-		}
-		inst.run.retryAt[node] = retryAt
+		x.RetryAt = retryAt
 	}
-	if pending {
-		if inst.run.compPending == nil {
-			inst.run.compPending = make(map[string]bool)
-		}
-		inst.run.compPending[node] = true
-	}
+	x.Pending = x.Pending || pending
+	inst.run.setException(node, x)
 }
 
 // Fail is failLocked, unsuppressed, returning the node's failure count.
@@ -79,7 +108,7 @@ func (mx *Mutable) Fail(node, user, reason string) (int, error) {
 	if err := mx.inst.failLocked(node, user, reason, 0, false); err != nil {
 		return 0, err
 	}
-	return mx.inst.run.failures[node], nil
+	return mx.inst.run.exceptions[node].Failures, nil
 }
 
 // Timeout is timeoutLocked, returning the node's failure count.
@@ -87,14 +116,14 @@ func (mx *Mutable) Timeout(node string) (int, error) {
 	if err := mx.inst.timeoutLocked(node); err != nil {
 		return 0, err
 	}
-	return mx.inst.run.failures[node], nil
+	return mx.inst.run.exceptions[node].Failures, nil
 }
 
 // Suppress withholds a failed node's work item (suppressLocked).
 func (mx *Mutable) Suppress(node string, retryAt int64, pending bool) {
 	v, _ := mx.inst.viewLocked()
 	if n, ok := v.Node(node); ok {
-		node = n.ID // the maps keep the schema's string
+		node = n.ID // the record is keyed by the schema's string
 	}
 	mx.inst.suppressLocked(node, retryAt, pending)
 }
@@ -120,15 +149,13 @@ func (inst *Instance) timeoutLocked(node string) error {
 	if got := inst.run.marking.Node(node); got != state.Running {
 		return fault.Tagf(fault.Conflict, "engine: timeout %s/%s: node is %s, not running", inst.id, node, got)
 	}
-	if _, armed := inst.run.deadlines[node]; !armed {
+	x := inst.run.exceptions[node]
+	if !x.Armed {
 		return fault.Tagf(fault.Conflict, "engine: timeout %s/%s: no armed deadline", inst.id, node)
 	}
 	inst.hist.Append(&history.Event{Kind: history.Timeout, Node: node, Reason: "deadline expired", Decision: -1})
-	delete(inst.run.deadlines, node)
-	if inst.run.escalated == nil {
-		inst.run.escalated = make(map[string]bool)
-	}
-	inst.run.escalated[node] = true
+	x.Deadline, x.Armed, x.Escalated = 0, false, true
+	inst.run.setException(node, x)
 	role := n.Escalation
 	if role == "" {
 		role = n.Role
@@ -159,33 +186,13 @@ func (inst *Instance) retryLocked(node string) error {
 	if got := inst.run.marking.Node(node); got != state.Activated {
 		return fault.Tagf(fault.Conflict, "engine: retry %s/%s: node is %s, not activated", inst.id, node, got)
 	}
-	_, hasBackoff := inst.run.retryAt[node]
-	if !hasBackoff && !inst.run.compPending[node] {
+	x := inst.run.exceptions[node]
+	if x.RetryAt == 0 && !x.Pending {
 		return fault.Tagf(fault.Conflict, "engine: retry %s/%s: no suppressed retry pending", inst.id, node)
 	}
-	delete(inst.run.retryAt, node)
-	delete(inst.run.compPending, node)
+	x.RetryAt, x.Pending = 0, false
+	inst.run.setException(node, x)
 	return nil
-}
-
-// FailActivity records a process-level failure of a running activity
-// (see failLocked).
-func (e *Engine) FailActivity(instID, node, user, reason string, retryAt int64, pending bool) error {
-	inst, ok := e.Instance(instID)
-	if !ok {
-		return fault.Tagf(fault.NotFound, "engine: fail: unknown instance %q", instID)
-	}
-	return inst.Mutate(func(*Mutable) error { return inst.failLocked(node, user, reason, retryAt, pending) })
-}
-
-// TimeoutActivity fires the armed deadline of a running activity (see
-// timeoutLocked).
-func (e *Engine) TimeoutActivity(instID, node string) error {
-	inst, ok := e.Instance(instID)
-	if !ok {
-		return fault.Tagf(fault.NotFound, "engine: timeout: unknown instance %q", instID)
-	}
-	return inst.Mutate(func(*Mutable) error { return inst.timeoutLocked(node) })
 }
 
 // RetryActivity re-offers the suppressed work item of a failed activity
@@ -208,27 +215,27 @@ type Expiry struct {
 // ExpiredDeadlines lists the armed deadlines of running nodes at or
 // before now (due).
 func (e *Engine) ExpiredDeadlines(now int64) []Expiry {
-	return e.due(now, state.Running, func(inst *Instance) map[string]int64 { return inst.run.deadlines })
+	return e.due(now, state.Running, func(x ExceptionState) (int64, bool) { return x.Deadline, x.Armed })
 }
 
 // DueRetries lists the retry backoffs of activated nodes due at or before
 // now (due).
 func (e *Engine) DueRetries(now int64) []Expiry {
-	return e.due(now, state.Activated, func(inst *Instance) map[string]int64 { return inst.run.retryAt })
+	return e.due(now, state.Activated, func(x ExceptionState) (int64, bool) { return x.RetryAt, x.RetryAt != 0 })
 }
 
-// due scans all live instances for the entries of one exception timer at
-// or before now whose node is in state st, ordered by instance key
-// (CompareInstanceIDs), then node ID — deterministic, so a sweep issues
-// the same command sequence regardless of map iteration, on a live engine
-// and on its recovery.
-func (e *Engine) due(now int64, st state.NodeState, timer func(*Instance) map[string]int64) []Expiry {
+// due scans all live instances for the records whose timer — the time
+// and whether it is set — is at or before now and whose node is in state
+// st, ordered by instance key (CompareInstanceIDs), then node ID —
+// deterministic, so a sweep issues the same command sequence regardless
+// of map iteration, on a live engine and on its recovery.
+func (e *Engine) due(now int64, st state.NodeState, timer func(ExceptionState) (int64, bool)) []Expiry {
 	var out []Expiry
 	for _, inst := range e.Instances() {
 		inst.mu.Lock()
 		if !inst.done && !inst.suspended {
-			for node, at := range timer(inst) {
-				if at <= now && inst.run.marking.Node(node) == st {
+			for node, x := range inst.run.exceptions {
+				if at, set := timer(x); set && at <= now && inst.run.marking.Node(node) == st {
 					out = append(out, Expiry{Instance: inst.id, Node: node})
 				}
 			}
@@ -261,20 +268,18 @@ func (e *Engine) OpenExceptions() []OpenException {
 	for _, inst := range e.Instances() {
 		inst.mu.Lock()
 		if !inst.done && !inst.suspended {
-			for node := range inst.run.compPending {
-				if inst.run.marking.Node(node) == state.Activated {
-					out = append(out, OpenException{Instance: inst.id, Node: node, Failures: inst.run.failures[node]})
-				}
-			}
-			for node := range inst.run.escalated {
-				if inst.run.marking.Node(node) == state.Running {
-					out = append(out, OpenException{Instance: inst.id, Node: node, Timeout: true, Failures: inst.run.failures[node]})
+			for node, x := range inst.run.exceptions {
+				switch s := inst.run.marking.Node(node); {
+				case x.Pending && s == state.Activated:
+					out = append(out, OpenException{Instance: inst.id, Node: node, Failures: x.Failures})
+				case x.Escalated && s == state.Running:
+					out = append(out, OpenException{Instance: inst.id, Node: node, Timeout: true, Failures: x.Failures})
 				}
 			}
 		}
 		inst.mu.Unlock()
 	}
-	// A node is activated or running, never in both maps: no two entries tie.
+	// A node has one record: no two entries tie.
 	slices.SortFunc(out, func(a, b OpenException) int {
 		return cmp.Or(CompareInstanceIDs(a.Instance, b.Instance), strings.Compare(a.Node, b.Node))
 	})

@@ -138,14 +138,12 @@ func (inst *Instance) applyStartLocked(st pendingStart, reads data.Values, at in
 	inst.run.stats.OnStart(node, int(e.Seq))
 	// A fresh start clears any pending retry/compensation left from a
 	// prior failed attempt and arms the activity's deadline.
-	delete(inst.run.retryAt, node)
-	delete(inst.run.compPending, node)
+	x := inst.run.exceptions[node]
+	x.RetryAt, x.Pending = 0, false
 	if at != 0 && n.Deadline > 0 {
-		if inst.run.deadlines == nil {
-			inst.run.deadlines = make(map[string]int64)
-		}
-		inst.run.deadlines[node] = at + n.Deadline
+		x.Deadline, x.Armed = at+n.Deadline, true
 	}
+	inst.run.setException(node, x)
 	if !n.Auto && n.Type == model.NodeActivity {
 		// Best effort: the item exists unless the node was activated by
 		// adaptation inside a Mutate (reconciled afterwards).
@@ -317,16 +315,10 @@ func (r *running) iterate(topo *model.Topology, node string, region bitset.Set) 
 	}
 }
 
-// clearExceptionLocked drops all exception bookkeeping of a node — its
-// completion (or loop purge) moots armed deadlines, pending retries, and
-// accumulated failure counts alike.
-func (inst *Instance) clearExceptionLocked(node string) {
-	delete(inst.run.deadlines, node)
-	delete(inst.run.retryAt, node)
-	delete(inst.run.failures, node)
-	delete(inst.run.escalated, node)
-	delete(inst.run.compPending, node)
-}
+// clearExceptionLocked drops a node's exception record — its completion
+// (or loop purge) moots armed deadlines, pending retries, and accumulated
+// failure counts alike.
+func (inst *Instance) clearExceptionLocked(node string) { delete(inst.run.exceptions, node) }
 
 // xorDecisionLocked resolves the selection code of an XOR split from the
 // explicit option or the split's decision element. An unmatched code is
@@ -426,9 +418,6 @@ func (inst *Instance) collectWritesLocked(v model.SchemaView, n *model.Node, out
 func (inst *Instance) cascadeLocked() error {
 	v, _ := inst.viewLocked()
 	topo := v.Topology()
-	// The per-instance execution index follows every topology change the
-	// cascade observes (cheap no-op while the topology is unchanged).
-	inst.run.stats.Rebind(topo)
 	// The activation buffer is stack scratch: a cascade step activates a
 	// handful of nodes (append spills to the heap past that).
 	var scratch [16]model.NodeIdx
@@ -494,7 +483,7 @@ func (inst *Instance) syncWorklistLocked() {
 			// until a retry) keeps no offer: the re-offer is a
 			// journaled Retry command, so replay reproduces the same
 			// suppression window.
-			if s == state.Activated && (inst.run.retryAt[id] != 0 || inst.run.compPending[id]) {
+			if x := inst.run.exceptions[id]; s == state.Activated && (x.RetryAt != 0 || x.Pending) {
 				continue
 			}
 			wanted = append(wanted, worklist.Wanted{
@@ -507,37 +496,28 @@ func (inst *Instance) syncWorklistLocked() {
 	inst.eng.wl.BatchUpdate(inst.id, wanted, inst.eng.org.UsersInRole)
 }
 
-// reconcileExceptionsLocked drops exception entries that no longer match
-// the node state they describe — a migration, ad-hoc change, undo, or
-// loop reset may have moved or deleted the node underneath them. The
-// rule is a pure function of the marking, so live execution and command
-// replay converge on identical exception state: deadlines and
-// escalations belong to running nodes, retry backoffs and pending
-// compensations to activated ones, failure counts to either.
+// reconcileExceptionsLocked drops the parts of exception records that no
+// longer match the node state they describe — a migration, ad-hoc change,
+// undo, or loop reset may have moved or deleted the node underneath them.
+// The rule is a pure function of the marking, so live execution and
+// command replay converge on identical exception state: a deadline and an
+// escalation belong to a running node, a retry backoff and a pending
+// compensation to an activated one, a failure count to either.
 func (inst *Instance) reconcileExceptionsLocked() {
-	for id := range inst.run.deadlines {
-		if inst.run.marking.Node(id) != state.Running {
-			delete(inst.run.deadlines, id)
+	for id, x := range inst.run.exceptions {
+		was := x
+		s := inst.run.marking.Node(id)
+		if s != state.Running {
+			x.Deadline, x.Armed, x.Escalated = 0, false, false
 		}
-	}
-	for id := range inst.run.escalated {
-		if inst.run.marking.Node(id) != state.Running {
-			delete(inst.run.escalated, id)
+		if s != state.Activated {
+			x.RetryAt, x.Pending = 0, false
 		}
-	}
-	for id := range inst.run.retryAt {
-		if inst.run.marking.Node(id) != state.Activated {
-			delete(inst.run.retryAt, id)
+		if s != state.Activated && s != state.Running {
+			x.Failures = 0
 		}
-	}
-	for id := range inst.run.compPending {
-		if inst.run.marking.Node(id) != state.Activated {
-			delete(inst.run.compPending, id)
-		}
-	}
-	for id := range inst.run.failures {
-		if s := inst.run.marking.Node(id); s != state.Activated && s != state.Running {
-			delete(inst.run.failures, id)
+		if x != was {
+			inst.run.setException(id, x)
 		}
 	}
 }

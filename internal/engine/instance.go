@@ -25,7 +25,7 @@ import (
 // bias, migrations, history and data store — and nothing runs it again:
 // every mutating path refuses it with fault.Completed before it reads the
 // running part. A reader of its marking, execution index or loop counts
-// (NodeState, MarkingSnapshot, StatsSnapshot, LoopIterations, Snapshot)
+// (NodeState, MarkingSnapshot, LoopIterations, Snapshot)
 // gets them derived from the history on the current view (derivedLocked),
 // in memory of its own; nothing derived is kept on the instance. Its
 // exception state is empty: the sync that precedes the seal reconciles it
@@ -64,26 +64,16 @@ type Instance struct {
 // more (newRunning).
 type running struct {
 	marking  state.Marking
-	stats    history.Stats
+	stats    history.Stats  // bound to the view's topology (Mutable.AdaptState)
 	loopIter map[string]int // loop end ID -> completed iterations; nil until a loop iterates
 
-	// Exception state, all keyed by node ID and all rebuilt identically
-	// by command replay (every transition below rides a journaled
-	// command): deadlines holds the absolute expiry (unix nanos) armed
-	// when a deadline-bearing activity started; retryAt holds the time a
-	// failed activity's re-offer becomes due (its work item is
-	// suppressed until then); failures counts consecutive failed
-	// attempts; escalated marks running nodes whose deadline fired and
-	// whose item was re-offered to the escalation role; compPending
-	// marks failed nodes whose item is withheld until a Retry command
-	// (a suspend reaction, or an older journal's pending). Entries are
-	// reconciled against the marking on every worklist sync so they
-	// never outlive the node state they describe.
-	deadlines   map[string]int64
-	retryAt     map[string]int64
-	failures    map[string]int
-	escalated   map[string]bool
-	compPending map[string]bool
+	// exceptions holds the exception record of every node that has one,
+	// keyed by node ID; nil while none has. Every transition that writes
+	// a record rides a journaled command, so replay rebuilds them
+	// identically, and the worklist sync reconciles them against the
+	// marking (reconcileExceptionsLocked) so none outlives the node state
+	// it describes.
+	exceptions map[string]ExceptionState
 }
 
 // newRunning returns an empty running part bound to the view's topology.
@@ -122,17 +112,6 @@ func (inst *Instance) runLocked() *running {
 		return inst.run
 	}
 	return inst.derivedLocked()
-}
-
-// noExceptions is the exception state a sealed instance reads as: empty.
-var noExceptions running
-
-// exceptionsLocked returns the running part to read exception state from.
-func (inst *Instance) exceptionsLocked() *running {
-	if inst.run != nil {
-		return inst.run
-	}
-	return &noExceptions
 }
 
 // ID returns the instance identifier.
@@ -271,13 +250,6 @@ func (inst *Instance) MineHistory(sc *MineScratch, visit func(MineView)) {
 	})
 }
 
-// StatsSnapshot returns a copy of the per-node execution index.
-func (inst *Instance) StatsSnapshot() *history.Stats {
-	inst.mu.Lock()
-	defer inst.mu.Unlock()
-	return inst.runLocked().stats.Clone()
-}
-
 // DataSnapshot returns a copy of the instance data store.
 func (inst *Instance) DataSnapshot() *data.Store {
 	inst.mu.Lock()
@@ -292,53 +264,15 @@ func (inst *Instance) LoopIterations(loopEnd string) int {
 	return inst.runLocked().loopIter[loopEnd]
 }
 
-// Deadline returns the armed absolute deadline (unix nanos) of a running
-// node, and whether one is armed.
-func (inst *Instance) Deadline(node string) (int64, bool) {
+// ExceptionState returns the node's exception record: the zero record when
+// it has none, as every node of a sealed instance has.
+func (inst *Instance) ExceptionState(node string) ExceptionState {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
-	dl, ok := inst.exceptionsLocked().deadlines[node]
-	return dl, ok
-}
-
-// Deadlines returns a copy of all armed deadlines (node -> unix nanos).
-func (inst *Instance) Deadlines() map[string]int64 {
-	inst.mu.Lock()
-	defer inst.mu.Unlock()
-	return copyInt64Map(inst.exceptionsLocked().deadlines)
-}
-
-// FailureCount returns how many consecutive failed attempts the node has
-// accumulated (reset on successful completion or loop purge).
-func (inst *Instance) FailureCount(node string) int {
-	inst.mu.Lock()
-	defer inst.mu.Unlock()
-	return inst.exceptionsLocked().failures[node]
-}
-
-// Escalated reports whether the running node's deadline fired and its
-// work item was re-offered to the escalation role.
-func (inst *Instance) Escalated(node string) bool {
-	inst.mu.Lock()
-	defer inst.mu.Unlock()
-	return inst.exceptionsLocked().escalated[node]
-}
-
-// RetryDue returns the time (unix nanos) a failed node's re-offer
-// becomes due, and whether a backoff is pending.
-func (inst *Instance) RetryDue(node string) (int64, bool) {
-	inst.mu.Lock()
-	defer inst.mu.Unlock()
-	at, ok := inst.exceptionsLocked().retryAt[node]
-	return at, ok
-}
-
-// PendingCompensation reports whether the failed node's work item is
-// withheld until a Retry releases it.
-func (inst *Instance) PendingCompensation(node string) bool {
-	inst.mu.Lock()
-	defer inst.mu.Unlock()
-	return inst.exceptionsLocked().compPending[node]
+	if inst.run == nil {
+		return ExceptionState{}
+	}
+	return inst.run.exceptions[node]
 }
 
 // StorageFootprint describes the memory attributable to one instance; the
@@ -460,7 +394,8 @@ func (mx *Mutable) Blocks() (*graph.Info, error) {
 // Marking exposes the live marking. A finished instance has none.
 func (mx *Mutable) Marking() *state.Marking { return &mx.inst.run.marking }
 
-// Stats exposes the live execution index. A finished instance has none.
+// Stats exposes the live execution index, bound to the view's topology
+// from AdaptState on. A finished instance has none.
 func (mx *Mutable) Stats() *history.Stats { return &mx.inst.run.stats }
 
 // History exposes the live history log.
@@ -521,13 +456,17 @@ func (mx *Mutable) MigrateTo(to Deployed, ov *storage.Overlay, blocks *graph.Inf
 	mx.inst.migrations++
 }
 
-// AdaptState recomputes the marking against the current view (the
-// efficient state adaptation of the paper) and returns the newly activated
-// nodes. It also advances the instance over any automatic nodes the
-// adaptation enabled.
+// AdaptState binds the execution index to the current view and recomputes
+// the marking against it (the efficient state adaptation of the paper),
+// returning the newly activated nodes. It also advances the instance over
+// any automatic nodes the adaptation enabled. Every SetBias and MigrateTo
+// is followed by it, so it is the one place the index follows a view
+// change; a caller that adapts otherwise (the replay path, SetMarking and
+// Cascade) binds the index first.
 func (mx *Mutable) AdaptState() ([]string, error) {
 	inst := mx.inst
 	v, _ := inst.viewLocked()
+	inst.run.stats.Rebind(v.Topology())
 	activated := state.Adapt(v, &inst.run.marking, &inst.run.stats)
 	if err := inst.cascadeLocked(); err != nil {
 		return activated, err
@@ -540,8 +479,9 @@ func (mx *Mutable) AdaptState() ([]string, error) {
 func (mx *Mutable) Cascade() error { return mx.inst.cascadeLocked() }
 
 // SetMarking replaces the instance marking wholesale. The replay-based
-// state adaptation path (the ablation baseline to Adapt) installs the
-// marking reconstructed by compliance.Replay and then runs Cascade. The
+// state adaptation path (the ablation baseline to Adapt) binds the
+// execution index to the view (Stats().Rebind), installs the marking
+// reconstructed by compliance.Replay and then runs Cascade. The
 // instance's own marking takes over m's arrays, so the caller must not use
 // m afterwards.
 func (mx *Mutable) SetMarking(m *state.Marking) { mx.inst.run.marking = *m }

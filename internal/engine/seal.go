@@ -132,8 +132,8 @@ func diffRunning(held, derived *running) string {
 			return fmt.Sprintf("%s: held %+v, derived %+v", p.what, p.held, p.got)
 		}
 	}
-	if n := len(held.deadlines) + len(held.retryAt) + len(held.failures) + len(held.escalated) + len(held.compPending); n > 0 {
-		return fmt.Sprintf("exception state: %d entries held at the seal", n)
+	if n := len(held.exceptions); n > 0 {
+		return fmt.Sprintf("exception state: %d records held at the seal", n)
 	}
 	return ""
 }

@@ -37,8 +37,9 @@ type InstanceSnapshot struct {
 	LoopIter   map[string]int `json:"loopIter,omitempty"`
 	// Exception state (armed absolute deadlines, retry due times,
 	// consecutive-failure counts, escalated nodes, pending policy
-	// compensations), all keyed by node ID. Deadlines survive the
-	// snapshot verbatim so recovery re-arms them exactly once.
+	// compensations), all keyed by node ID: the instance's ExceptionState
+	// records, a member per field. Deadlines survive the snapshot verbatim
+	// so recovery re-arms them exactly once.
 	Deadlines   map[string]int64     `json:"deadlines,omitempty"`
 	RetryAt     map[string]int64     `json:"retryAt,omitempty"`
 	Failures    map[string]int       `json:"failures,omitempty"`
@@ -57,35 +58,48 @@ func (inst *Instance) Snapshot() (*InstanceSnapshot, []BiasOp) {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
 	r := inst.runLocked()
-	return &InstanceSnapshot{
-		ID:          inst.id,
-		TypeName:    inst.typeName,
-		Version:     inst.base.Schema.Version(),
-		Done:        inst.done,
-		Suspended:   inst.suspended,
-		Migrations:  inst.migrations,
-		LoopIter:    copyIntMap(r.loopIter),
-		Deadlines:   copyInt64Map(r.deadlines),
-		RetryAt:     copyInt64Map(r.retryAt),
-		Failures:    copyIntMap(r.failures),
-		Escalated:   sortedKeys(r.escalated),
-		CompPending: sortedKeys(r.compPending),
-		Marking:     r.marking.Export(&r.stats),
-		Stats:       r.stats.Export(),
-		History:     inst.hist.Clone(),
-		Store:       inst.store.Clone(),
-	}, append([]BiasOp(nil), inst.biasOps...)
+	snap := &InstanceSnapshot{
+		ID:         inst.id,
+		TypeName:   inst.typeName,
+		Version:    inst.base.Schema.Version(),
+		Done:       inst.done,
+		Suspended:  inst.suspended,
+		Migrations: inst.migrations,
+		LoopIter:   copyIntMap(r.loopIter),
+		Marking:    r.marking.Export(&r.stats),
+		Stats:      r.stats.Export(),
+		History:    inst.hist.Clone(),
+		Store:      inst.store.Clone(),
+	}
+	for id, x := range r.exceptions {
+		if x.Armed {
+			snap.Deadlines = put(snap.Deadlines, id, x.Deadline)
+		}
+		if x.RetryAt != 0 {
+			snap.RetryAt = put(snap.RetryAt, id, x.RetryAt)
+		}
+		if x.Failures != 0 {
+			snap.Failures = put(snap.Failures, id, x.Failures)
+		}
+		if x.Escalated {
+			snap.Escalated = append(snap.Escalated, id)
+		}
+		if x.Pending {
+			snap.CompPending = append(snap.CompPending, id)
+		}
+	}
+	sort.Strings(snap.Escalated)
+	sort.Strings(snap.CompPending)
+	return snap, append([]BiasOp(nil), inst.biasOps...)
 }
 
-func copyInt64Map(m map[string]int64) map[string]int64 {
-	if len(m) == 0 {
-		return nil
+// put sets m[k] to v, making m when it is nil.
+func put[V any](m map[string]V, k string, v V) map[string]V {
+	if m == nil {
+		m = make(map[string]V)
 	}
-	c := make(map[string]int64, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
+	m[k] = v
+	return m
 }
 
 func copyIntMap(m map[string]int) map[string]int {
@@ -97,20 +111,6 @@ func copyIntMap(m map[string]int) map[string]int {
 		c[k] = v
 	}
 	return c
-}
-
-// sortedKeys flattens a string set into a sorted slice, the
-// deterministic serialized form of the escalated/pending marks.
-func sortedKeys(m map[string]bool) []string {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // RestoreInstance rebuilds an instance from a snapshot: the referenced
@@ -154,20 +154,26 @@ func (e *Engine) RestoreInstance(snap *InstanceSnapshot, bias []BiasOp) error {
 		}
 		r.stats.Import(v.Topology(), snap.Stats)
 		r.loopIter = snap.LoopIter
-		r.deadlines = copyInt64Map(snap.Deadlines)
-		r.retryAt = copyInt64Map(snap.RetryAt)
-		r.failures = copyIntMap(snap.Failures)
-		if len(snap.Escalated) > 0 {
-			r.escalated = make(map[string]bool, len(snap.Escalated))
-			for _, id := range snap.Escalated {
-				r.escalated[id] = true
-			}
+		// The five members are folded into one record per node.
+		set := func(id string, f func(*ExceptionState)) {
+			x := r.exceptions[id]
+			f(&x)
+			r.setException(id, x)
 		}
-		if len(snap.CompPending) > 0 {
-			r.compPending = make(map[string]bool, len(snap.CompPending))
-			for _, id := range snap.CompPending {
-				r.compPending[id] = true
-			}
+		for id, dl := range snap.Deadlines {
+			set(id, func(x *ExceptionState) { x.Deadline, x.Armed = dl, true })
+		}
+		for id, at := range snap.RetryAt {
+			set(id, func(x *ExceptionState) { x.RetryAt = at })
+		}
+		for id, n := range snap.Failures {
+			set(id, func(x *ExceptionState) { x.Failures = n })
+		}
+		for _, id := range snap.Escalated {
+			set(id, func(x *ExceptionState) { x.Escalated = true })
+		}
+		for _, id := range snap.CompPending {
+			set(id, func(x *ExceptionState) { x.Pending = true })
 		}
 	}
 	if snap.History != nil {

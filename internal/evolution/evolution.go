@@ -330,6 +330,12 @@ func (m *Manager) migrateLocked(mx *engine.Mutable, to engine.Deployed, ops []ch
 	// 4. Migrate: the target version and the trial become the instance's,
 	// and the state adapts.
 	mx.MigrateTo(to, trial, targetBlocks, bias)
+	// Pre-bind the execution index onto the target topology through the
+	// worker's pooled scratch: AdaptState's own rebind then degenerates to
+	// a pointer check, and the replay path, which cascades without it,
+	// records on the target too.
+	topo := targetView.Topology()
+	mx.Stats().RebindPooled(topo, &sc.rebind)
 	switch opts.Adapt {
 	case AdaptReplay:
 		sc.reduced = history.ReduceInto(targetBlocks, mx.History().Events(), sc.reduced)
@@ -342,12 +348,9 @@ func (m *Manager) migrateLocked(mx *engine.Mutable, to engine.Deployed, ops []ch
 			return Failed, err.Error()
 		}
 	default:
-		// Pre-bind marking and stats onto the target topology through the
-		// worker's pooled scratch; the adaptation's own ensure/rebind then
-		// degenerates to a pointer check instead of an allocating remap.
-		topo := targetView.Topology()
+		// The marking is pre-bound the same way: state.Adapt's ensure is
+		// then a pointer check instead of an allocating remap.
 		mx.Marking().RebindTo(topo, &sc.remap)
-		mx.Stats().RebindPooled(topo, &sc.rebind)
 		if _, err := mx.AdaptState(); err != nil {
 			return Failed, err.Error()
 		}

@@ -245,7 +245,8 @@ type instState struct {
 }
 
 func stateOf(inst *engine.Instance) instState {
-	return instState{inst.Footprint(), inst.BiasOps(), viewSets(inst.View()), inst.MarkingSnapshot().Export(inst.StatsSnapshot())}
+	snap, _ := inst.Snapshot()
+	return instState{inst.Footprint(), inst.BiasOps(), viewSets(inst.View()), snap.Marking}
 }
 
 // differential drives random changes, undos and migrations over instances

@@ -382,15 +382,15 @@ func ReduceInto(info *graph.Info, events Cursor, buf []*Event) []*Event {
 // of scanning the history: "has this node started?", "when did it
 // complete?", "which branch did this split choose?" all answer in O(1).
 //
-// The index is array-backed: when bound to a topology (Reset / Rebind),
-// records live in a dense slice indexed by the interned
-// model.NodeIdx. Nodes unknown to the bound topology (e.g. inserted by an
-// ad-hoc change before the next rebind) spill into an overflow map, so the
-// index stays correct even when a rebind is deferred.
+// The index is bound to one topology (Reset, ResetIn, Rebind) and keeps
+// its records in a dense slice indexed by that topology's interned
+// model.NodeIdx. Its instance binds it to the view's topology whenever
+// the view changes, before anything reads it, so every node it records is
+// one of the bound topology's: recording any other node, or reading
+// against any other topology, panics.
 type Stats struct {
-	topo     *model.Topology
-	recs     []NodeStat // dense by NodeIdx; live iff StartSeq or CompleteSeq > 0
-	overflow map[string]*NodeStat
+	topo *model.Topology
+	recs []NodeStat // dense by NodeIdx; live iff StartSeq or CompleteSeq > 0
 }
 
 // NodeStat is the execution record of one node in the *current* loop
@@ -411,17 +411,15 @@ type NodeStat struct {
 
 func (st *NodeStat) live() bool { return st.StartSeq > 0 || st.CompleteSeq > 0 }
 
-// Reset empties the index and binds it to the topology, so records of its
-// nodes are array-indexed. An index already bound to it keeps its record
-// array, cleared. A restore resets the index an instance was created with
-// instead of allocating one.
+// Reset empties the index and binds it to the topology. An index already
+// bound to it keeps its record array, cleared. A restore resets the index
+// an instance was created with instead of allocating one.
 func (s *Stats) Reset(topo *model.Topology) {
 	if s.topo != topo {
 		s.topo, s.recs = topo, make([]NodeStat, topo.NumNodes())
 	} else {
 		clear(s.recs)
 	}
-	s.overflow = nil
 }
 
 // RecordWords returns the size in words of the record array of an index
@@ -437,7 +435,7 @@ func (s *Stats) ResetIn(topo *model.Topology, block []uint64) {
 	if len(block) < RecordWords(n) {
 		panic("history: ResetIn: block too small")
 	}
-	s.topo, s.recs, s.overflow = topo, nil, nil
+	s.topo, s.recs = topo, nil
 	if n > 0 {
 		s.recs = unsafe.Slice((*NodeStat)(unsafe.Pointer(unsafe.SliceData(block))), n)
 	}
@@ -452,12 +450,12 @@ type RebindScratch struct {
 }
 
 // Rebind re-indexes the stats against a new topology (after an ad-hoc
-// change, bias refresh, or migration changed the node set): dense and
-// overflow records resolvable in the new topology move into the new dense
-// array, the rest stay in overflow. Rebinding to the already-bound
-// topology is a cheap no-op; a fresh topology with an identical node
-// sequence (the overlay a data-flow-only change builds) only swaps the
-// binding.
+// change, an undo or a migration changed the view): every record moves to
+// its node's index in topo. A record of a node topo lacks is dropped — a
+// change deletes no node that started, and a failure removed the record
+// of an attempt it undid. Rebinding to the already-bound topology is a
+// cheap no-op; a fresh topology with an identical node sequence (the
+// overlay a data-flow-only change builds) only swaps the binding.
 func (s *Stats) Rebind(topo *model.Topology) { s.RebindPooled(topo, nil) }
 
 // RebindPooled is Rebind drawing the target record array from — and
@@ -482,67 +480,38 @@ func (s *Stats) RebindPooled(topo *model.Topology, sc *RebindScratch) {
 	if s.topo != nil {
 		shared, _ = model.SharedPrefix(s.topo, topo)
 	}
-	var overflow map[string]*NodeStat
-	keep := func(id string, st NodeStat) {
-		if i, ok := topo.Idx(id); ok {
-			recs[i] = st
-			return
-		}
-		if overflow == nil {
-			overflow = make(map[string]*NodeStat)
-		}
-		cp := st
-		overflow[id] = &cp
-	}
 	for i := range s.recs {
 		switch ni := model.NodeIdx(i); {
 		case !s.recs[i].live():
 		case i < shared && !topo.Hidden(ni):
 			recs[i] = s.recs[i]
 		default:
-			keep(s.topo.ID(ni), s.recs[i])
+			if j, ok := topo.Idx(s.topo.ID(ni)); ok {
+				recs[j] = s.recs[i]
+			}
 		}
 	}
-	for id, st := range s.overflow {
-		keep(id, *st)
-	}
-	s.topo, s.recs, s.overflow = topo, recs, overflow
+	s.topo, s.recs = topo, recs
 }
 
-// slot returns a writable record for the node, creating the overflow entry
-// if the node is unknown to the bound topology.
+// slot returns the node's record, which must be one of the bound
+// topology's.
 func (s *Stats) slot(node string) *NodeStat {
 	if s.topo != nil {
 		if i, ok := s.topo.Idx(node); ok {
 			return &s.recs[i]
 		}
 	}
-	st, ok := s.overflow[node]
-	if !ok {
-		st = &NodeStat{}
-		if s.overflow == nil {
-			s.overflow = make(map[string]*NodeStat)
-		}
-		s.overflow[node] = st
-	}
-	return st
+	panic("history: node " + strconv.Quote(node) + " is not in the execution index's topology")
 }
 
-// get returns the node's record, or nil if the node never executed in the
-// current iteration.
-func (s *Stats) get(node string) *NodeStat {
-	if s.topo != nil {
-		if i, ok := s.topo.Idx(node); ok {
-			if s.recs[i].live() {
-				return &s.recs[i]
-			}
-			return nil
-		}
+// bound returns the record array for a read against topo, which must be
+// the bound topology.
+func (s *Stats) bound(topo *model.Topology) []NodeStat {
+	if s.topo != topo {
+		panic("history: execution index read against a topology it is not bound to")
 	}
-	if st, ok := s.overflow[node]; ok && st.live() {
-		return st
-	}
-	return nil
+	return s.recs
 }
 
 // OnStart records a start event.
@@ -563,95 +532,44 @@ func (s *Stats) OnComplete(node string, seq, decision int) {
 // OnFail removes the node's execution record: a failed attempt is not
 // part of the logical history (Reduce purges its Started/Failed pair),
 // so the fast compliance conditions must forget it the same way.
-func (s *Stats) OnFail(node string) {
-	if s.topo != nil {
-		if i, ok := s.topo.Idx(node); ok {
-			s.recs[i] = NodeStat{}
-			return
-		}
-	}
-	delete(s.overflow, node)
-}
+func (s *Stats) OnFail(node string) { *s.slot(node) = NodeStat{} }
 
 // PurgeRegion removes the stats of all nodes in a loop region, a bitset
 // over topo's NodeIdx space, called when the loop iterates (mirrors
 // Reduce).
 func (s *Stats) PurgeRegion(topo *model.Topology, region bitset.Set) {
+	recs := s.bound(topo)
 	for i := region.Next(0); i >= 0; i = region.Next(i + 1) {
-		id := topo.ID(model.NodeIdx(i))
-		if s.topo != nil {
-			if j, ok := s.topo.Idx(id); ok {
-				s.recs[j] = NodeStat{}
-				continue
-			}
-		}
-		delete(s.overflow, id)
+		recs[i] = NodeStat{}
 	}
 }
 
-// Started reports whether the node started in the current iteration.
-func (s *Stats) Started(node string) bool {
-	st := s.get(node)
-	return st != nil && st.StartSeq > 0
-}
-
-// StartSeq returns the node's start sequence (0 if not started).
-func (s *Stats) StartSeq(node string) int {
-	if st := s.get(node); st != nil {
-		return int(st.StartSeq)
-	}
-	return 0
-}
-
-// CompleteSeq returns the node's completion sequence (0 if not completed).
-func (s *Stats) CompleteSeq(node string) int {
-	if st := s.get(node); st != nil {
-		return int(st.CompleteSeq)
-	}
-	return 0
-}
-
-// StartedAt is Started for an interned node of topo. When the stats are
-// bound to exactly that topology the answer is a single array probe; any
-// other binding falls back to the string path (correct, just slower).
+// StartedAt reports whether an interned node of topo, the bound topology,
+// started in the current iteration: a single array probe.
 func (s *Stats) StartedAt(topo *model.Topology, i model.NodeIdx) bool {
-	if s.topo == topo {
-		return s.recs[i].StartSeq > 0
-	}
-	return s.Started(topo.ID(i))
+	return s.bound(topo)[i].StartSeq > 0
 }
 
-// StartSeqAt is StartSeq for an interned node of topo (see StartedAt).
+// StartSeqAt returns the start sequence of an interned node of topo, the
+// bound topology (0 if not started).
 func (s *Stats) StartSeqAt(topo *model.Topology, i model.NodeIdx) int {
-	if s.topo == topo {
-		return int(s.recs[i].StartSeq)
-	}
-	return s.StartSeq(topo.ID(i))
+	return int(s.bound(topo)[i].StartSeq)
 }
 
-// CompleteSeqAt is CompleteSeq for an interned node of topo (see
-// StartedAt).
+// CompleteSeqAt returns the completion sequence of an interned node of
+// topo, the bound topology (0 if not completed).
 func (s *Stats) CompleteSeqAt(topo *model.Topology, i model.NodeIdx) int {
-	if s.topo == topo {
-		return int(s.recs[i].CompleteSeq)
-	}
-	return s.CompleteSeq(topo.ID(i))
+	return int(s.bound(topo)[i].CompleteSeq)
 }
 
 // DecisionAt returns the selection code recorded for the completion of an
-// interned node of topo (see StartedAt), or 0 if the node has none — the
-// code state.Adapt re-signals a completed XOR split with.
+// interned node of topo, the bound topology, or 0 if the node has none —
+// the code state.Adapt re-signals a completed XOR split with.
 func (s *Stats) DecisionAt(topo *model.Topology, i model.NodeIdx) int {
-	var st *NodeStat
-	if s.topo == topo {
-		st = &s.recs[i]
-	} else {
-		st = s.get(topo.ID(i))
+	if st := &s.bound(topo)[i]; st.CompleteSeq > 0 && st.Decision >= 0 {
+		return int(st.Decision)
 	}
-	if st == nil || st.CompleteSeq == 0 || st.Decision < 0 {
-		return 0
-	}
-	return int(st.Decision)
+	return 0
 }
 
 // StatExport is the stable, ID-keyed serialized record of one node's
@@ -664,21 +582,12 @@ type StatExport struct {
 	Decision    int    `json:"decision"`
 }
 
-// Export serializes all live records (dense and overflow), sorted by node
-// ID for determinism.
+// Export serializes all live records, sorted by node ID for determinism.
 func (s *Stats) Export() []StatExport {
 	var out []StatExport
-	add := func(id string, st *NodeStat) {
-		out = append(out, StatExport{ID: id, StartSeq: int(st.StartSeq), CompleteSeq: int(st.CompleteSeq), Decision: int(st.Decision)})
-	}
 	for i := range s.recs {
-		if s.recs[i].live() {
-			add(s.topo.ID(model.NodeIdx(i)), &s.recs[i])
-		}
-	}
-	for id, st := range s.overflow {
-		if st.live() {
-			add(id, st)
+		if st := &s.recs[i]; st.live() {
+			out = append(out, StatExport{ID: s.topo.ID(model.NodeIdx(i)), StartSeq: int(st.StartSeq), CompleteSeq: int(st.CompleteSeq), Decision: int(st.Decision)})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
@@ -686,49 +595,19 @@ func (s *Stats) Export() []StatExport {
 }
 
 // Import resets the index to topo (Reset) and fills it from exported
-// records. Records of nodes unknown to topo land in the overflow map,
-// exactly as a live index would keep them across a rebind.
+// records. A record of a node topo lacks is skipped, as a rebind drops it.
 func (s *Stats) Import(topo *model.Topology, recs []StatExport) {
 	s.Reset(topo)
 	for _, r := range recs {
-		*s.slot(r.ID) = NodeStat{StartSeq: int32(r.StartSeq), CompleteSeq: int32(r.CompleteSeq), Decision: int32(r.Decision)}
+		if i, ok := topo.Idx(r.ID); ok {
+			s.recs[i] = NodeStat{StartSeq: int32(r.StartSeq), CompleteSeq: int32(r.CompleteSeq), Decision: int32(r.Decision)}
+		}
 	}
 }
 
-// ApproxBytes returns the memory the index holds: the dense record array
-// by its capacity — one record per schema node, executed or not — and the
-// overflow records.
+// ApproxBytes returns the memory the index holds: its struct and the dense
+// record array by its capacity — one record per schema node, executed or
+// not.
 func (s *Stats) ApproxBytes() int {
-	overflowEntry := unsafe.Sizeof("") + unsafe.Sizeof((*NodeStat)(nil)) + unsafe.Sizeof(NodeStat{})
-	return int(unsafe.Sizeof(*s)) + cap(s.recs)*int(unsafe.Sizeof(NodeStat{})) + len(s.overflow)*int(overflowEntry)
-}
-
-// Len returns the number of live records (nodes that executed in the
-// current iteration).
-func (s *Stats) Len() int {
-	n := 0
-	for i := range s.recs {
-		if s.recs[i].live() {
-			n++
-		}
-	}
-	for _, st := range s.overflow {
-		if st.live() {
-			n++
-		}
-	}
-	return n
-}
-
-// Clone returns a deep copy of the stats index.
-func (s *Stats) Clone() *Stats {
-	c := &Stats{topo: s.topo, recs: append([]NodeStat(nil), s.recs...)}
-	if len(s.overflow) > 0 {
-		c.overflow = make(map[string]*NodeStat, len(s.overflow))
-		for id, st := range s.overflow {
-			cp := *st
-			c.overflow[id] = &cp
-		}
-	}
-	return c
+	return int(unsafe.Sizeof(*s)) + cap(s.recs)*int(unsafe.Sizeof(NodeStat{}))
 }

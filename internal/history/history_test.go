@@ -302,16 +302,14 @@ func TestReduceIntoReusesBuffer(t *testing.T) {
 	}
 }
 
-// TestStatsRebind: dense records survive a rebind to a mutated topology,
-// records of unknown nodes spill into the overflow and fold back in on the
-// next rebind.
+// TestStatsRebind: records survive a rebind to a mutated topology, which
+// an index is bound to before it records the node the mutation added.
 func TestStatsRebind(t *testing.T) {
 	s, _, _, _ := loopSchema(t)
 	st := newStatsFor(s.Topology())
 	st.OnStart("pre", 1)
 	st.OnComplete("pre", 2, -1)
-	st.OnStart("ghost", 3) // unknown to the topology: overflow-kept
-	if !st.Started("pre") || !st.Started("ghost") {
+	if start, _ := seqsOf(t, st, s.Topology(), "pre"); start != 1 {
 		t.Fatal("records lost before rebind")
 	}
 
@@ -321,33 +319,23 @@ func TestStatsRebind(t *testing.T) {
 	}
 	topo2 := s.Topology()
 	st.Rebind(topo2)
-	if st.StartSeq("pre") != 1 || st.CompleteSeq("pre") != 2 {
+	if start, complete := seqsOf(t, st, topo2, "pre"); start != 1 || complete != 2 {
 		t.Fatal("dense record lost across rebind")
 	}
-	if st.StartSeq("ghost") != 3 {
-		t.Fatal("overflow record not folded into the new topology")
+	st.OnStart("ghost", 3) // the index is bound to the topology that has it
+	if start, _ := seqsOf(t, st, topo2, "ghost"); start != 3 {
+		t.Fatal("record of the added node not kept")
 	}
 	st.Rebind(topo2) // same-topology rebind is a no-op
-	if st.StartSeq("pre") != 1 {
+	if start, _ := seqsOf(t, st, topo2, "pre"); start != 1 {
 		t.Fatal("no-op rebind corrupted records")
 	}
-	if st.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", st.Len())
+	if n := len(st.Export()); n != 2 {
+		t.Fatalf("%d live records, want 2", n)
 	}
 }
 
 func TestStatsLifecycle(t *testing.T) {
-	s := &Stats{} // unbound: every record overflow-kept
-	s.OnStart("a", 3)
-	if !s.Started("a") || s.StartSeq("a") != 3 || s.CompleteSeq("a") != 0 {
-		t.Fatal("start bookkeeping")
-	}
-	s.OnComplete("a", 4, -1)
-	if s.CompleteSeq("a") != 4 {
-		t.Fatal("complete bookkeeping")
-	}
-	s.OnComplete("split", 6, 1) // completion without recorded start
-	// A topology the index is not bound to is read through the node IDs.
 	other := model.NewSchema("o", "t", 1)
 	for _, id := range []string{"a", "split", "idle"} {
 		if err := other.AddNode(&model.Node{ID: id, Name: id, Type: model.NodeActivity}); err != nil {
@@ -356,25 +344,34 @@ func TestStatsLifecycle(t *testing.T) {
 	}
 	topo := other.Topology()
 	at := func(id string) model.NodeIdx { i, _ := topo.Idx(id); return i }
+	s := newStatsFor(topo)
+	s.OnStart("a", 3)
+	if !s.StartedAt(topo, at("a")) || s.StartSeqAt(topo, at("a")) != 3 || s.CompleteSeqAt(topo, at("a")) != 0 {
+		t.Fatal("start bookkeeping")
+	}
+	s.OnComplete("a", 4, -1)
+	if s.CompleteSeqAt(topo, at("a")) != 4 {
+		t.Fatal("complete bookkeeping")
+	}
+	s.OnComplete("split", 6, 1) // completion without recorded start
 	if d := s.DecisionAt(topo, at("split")); d != 1 {
 		t.Fatalf("decision of split = %d, want 1", d)
 	}
 	if s.DecisionAt(topo, at("a")) != 0 || s.DecisionAt(topo, at("idle")) != 0 {
 		t.Fatal("a node without a decision must read 0")
 	}
-	c := s.Clone()
-	c.OnStart("b", 9)
-	if s.Started("b") {
-		t.Fatal("clone leaked")
-	}
 	region := bitset.New(topo.NumNodes())
 	region.Set(int(at("a")))
 	s.PurgeRegion(topo, region)
-	if s.Started("a") {
+	if s.StartedAt(topo, at("a")) {
 		t.Fatal("purge failed")
 	}
-	if s.Started("nope") || s.StartSeq("nope") != 0 || s.CompleteSeq("nope") != 0 {
-		t.Fatal("zero stats for unknown nodes")
+	if s.StartedAt(topo, at("idle")) || s.StartSeqAt(topo, at("idle")) != 0 || s.CompleteSeqAt(topo, at("idle")) != 0 {
+		t.Fatal("zero stats for nodes that never ran")
+	}
+	s.OnFail("split")
+	if s.CompleteSeqAt(topo, at("split")) != 0 || len(s.Export()) != 0 {
+		t.Fatalf("a failure leaves a record: %+v", s.Export())
 	}
 }
 
@@ -410,56 +407,66 @@ func TestStatsExportImportRoundTrip(t *testing.T) {
 	st := newStatsFor(s.Topology())
 	st.OnStart("a", 1)
 	st.OnComplete("a", 2, 3)
-	st.OnStart("ghost", 4) // overflow record (node unknown to the topology)
 
-	ex := st.Export()
+	// A record of a node the topology lacks is skipped.
+	ex := append(st.Export(), StatExport{ID: "ghost", StartSeq: 4, Decision: -1})
 	aIdx, _ := s.Topology().Idx("a")
 	re := &Stats{}
 	re.Import(s.Topology(), ex)
-	if !re.Started("a") || re.CompleteSeq("a") != 2 || re.DecisionAt(s.Topology(), aIdx) != 3 {
+	if !re.StartedAt(s.Topology(), aIdx) || re.CompleteSeqAt(s.Topology(), aIdx) != 2 || re.DecisionAt(s.Topology(), aIdx) != 3 {
 		t.Fatalf("dense record lost: %+v", ex)
 	}
-	if !re.Started("ghost") || re.StartSeq("ghost") != 4 {
-		t.Fatalf("overflow record lost: %+v", ex)
+	if got := re.Export(); !reflect.DeepEqual(got, ex[:1]) {
+		t.Fatalf("re-export %+v, want %+v", got, ex[:1])
 	}
 }
 
-func TestStatsDenseAccessorsMatchStringPath(t *testing.T) {
-	s := model.NewSchema("s", "t", 1)
-	for _, n := range []*model.Node{
-		{ID: "start", Name: "start", Type: model.NodeStart, Auto: true},
-		{ID: "a", Name: "a", Type: model.NodeActivity},
-		{ID: "end", Name: "end", Type: model.NodeEnd, Auto: true},
-	} {
-		if err := s.AddNode(n); err != nil {
-			t.Fatal(err)
+// TestStatsReadsOnlyItsBoundTopology: every read names the topology it
+// interned its node in, and one the index is not bound to — a foreign one
+// with the same node IDs, or any topology for an unbound index — panics
+// instead of being answered; a record of a node outside the bound
+// topology panics the same way.
+func TestStatsReadsOnlyItsBoundTopology(t *testing.T) {
+	mk := func(name string) *model.Topology {
+		s := model.NewSchema(name, "t", 1)
+		for _, n := range []*model.Node{
+			{ID: "start", Name: "s", Type: model.NodeStart, Auto: true},
+			{ID: "a", Name: "a", Type: model.NodeActivity},
+			{ID: "end", Name: "e", Type: model.NodeEnd, Auto: true},
+		} {
+			if err := s.AddNode(n); err != nil {
+				t.Fatal(err)
+			}
 		}
+		return s.Topology()
 	}
-	topo := s.Topology()
+	topo, other := mk("s"), mk("o")
 	st := newStatsFor(topo)
 	st.OnStart("a", 1)
 	st.OnComplete("a", 2, -1)
 	ai, _ := topo.Idx("a")
-	if st.StartedAt(topo, ai) != st.Started("a") ||
-		st.StartSeqAt(topo, ai) != st.StartSeq("a") ||
-		st.CompleteSeqAt(topo, ai) != st.CompleteSeq("a") {
-		t.Fatal("dense accessors diverge from string path")
+	if !st.StartedAt(topo, ai) || st.StartSeqAt(topo, ai) != 1 || st.CompleteSeqAt(topo, ai) != 2 {
+		t.Fatal("the bound topology's reads")
 	}
-	// Foreign topology binding falls back to the string path.
-	other := model.NewSchema("o", "t", 1)
-	for _, n := range []*model.Node{
-		{ID: "start", Name: "s", Type: model.NodeStart, Auto: true},
-		{ID: "a", Name: "a", Type: model.NodeActivity},
-		{ID: "end", Name: "e", Type: model.NodeEnd, Auto: true},
-	} {
-		if err := other.AddNode(n); err != nil {
-			t.Fatal(err)
-		}
+	oi, _ := other.Idx("a")
+	panics := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
 	}
-	oi, _ := other.Topology().Idx("a")
-	if !st.StartedAt(other.Topology(), oi) {
-		t.Fatal("fallback path broken")
+	for _, s := range []*Stats{st, {}} {
+		panics("StartedAt", func() { s.StartedAt(other, oi) })
+		panics("StartSeqAt", func() { s.StartSeqAt(other, oi) })
+		panics("CompleteSeqAt", func() { s.CompleteSeqAt(other, oi) })
+		panics("DecisionAt", func() { s.DecisionAt(other, oi) })
+		panics("PurgeRegion", func() { s.PurgeRegion(other, bitset.New(other.NumNodes())) })
 	}
+	panics("OnStart of a node the topology lacks", func() { st.OnStart("ghost", 3) })
+	panics("OnStart on an unbound index", func() { (&Stats{}).OnStart("a", 3) })
 }
 
 func TestStatsRebindPooledMatchesRebind(t *testing.T) {
@@ -485,12 +492,12 @@ func TestStatsRebindPooledMatchesRebind(t *testing.T) {
 	a, b := mk()
 	sc := &RebindScratch{}
 	for iter := 0; iter < 3; iter++ {
-		pooled := newStatsFor(a.Topology())
+		pooled, plain := newStatsFor(a.Topology()), newStatsFor(a.Topology())
 		pooled.OnStart("x", 1)
-		plain := pooled.Clone()
+		plain.OnStart("x", 1)
 		pooled.RebindPooled(b.Topology(), sc)
 		plain.Rebind(b.Topology())
-		if pooled.StartSeq("x") != plain.StartSeq("x") || pooled.Len() != plain.Len() {
+		if !reflect.DeepEqual(pooled.Export(), plain.Export()) || len(plain.Export()) != 1 {
 			t.Fatalf("iter %d: pooled rebind diverged", iter)
 		}
 	}
@@ -549,4 +556,15 @@ func newStatsFor(topo *model.Topology) *Stats {
 	s := &Stats{}
 	s.Reset(topo)
 	return s
+}
+
+// seqsOf returns the start and completion sequences the index records for
+// a node of topo.
+func seqsOf(t *testing.T, st *Stats, topo *model.Topology, id string) (start, complete int) {
+	t.Helper()
+	i, ok := topo.Idx(id)
+	if !ok {
+		t.Fatalf("no node %q", id)
+	}
+	return st.StartSeqAt(topo, i), st.CompleteSeqAt(topo, i)
 }

@@ -93,8 +93,10 @@
 //     shared prefix that the new topology does not hide keeps its entry in
 //     place, every other entry moves by identity; states of nodes/edges
 //     absent from the new topology are dropped, new ones start in their
-//     zero state. history.Stats follows the same rule via Rebind (with an
-//     overflow map as a correctness net for deferred rebinds). The overlay
+//     zero state. history.Stats follows the same rule via Rebind, which
+//     the engine calls in one place, before anything reads the index after
+//     a view change (engine.Mutable.AdaptState); it keeps no record of a
+//     node its topology lacks and refuses a read against another. The overlay
 //     triggers this by dropping its Topology on every node or edge
 //     mutation, so a bias that alters the node set is patched anew and
 //     every bound consumer remaps on next contact.

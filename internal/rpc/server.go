@@ -565,7 +565,14 @@ func (s *Server) handleInstance(w http.ResponseWriter, r *http.Request) {
 	detail := InstanceDetail{
 		InstanceSummary: *instanceSummary(inst),
 		HistoryLen:      inst.HistoryLen(),
-		Deadlines:       inst.Deadlines(),
+	}
+	for _, node := range inst.View().NodeIDs() {
+		if x := inst.ExceptionState(node); x.Armed {
+			if detail.Deadlines == nil {
+				detail.Deadlines = make(map[string]int64)
+			}
+			detail.Deadlines[node] = x.Deadline
+		}
 	}
 	writeJSON(w, http.StatusOK, detail)
 }

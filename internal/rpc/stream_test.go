@@ -811,8 +811,8 @@ func TestCallerCannotSuppressReoffer(t *testing.T) {
 					items := sys.WorkItems("ann")
 					return len(items) == 1 && items[0].Node == "get_order"
 				}
-				if inst.Suspended() || inst.PendingCompensation("get_order") || offered() == (policy != "none") {
-					t.Fatalf("after the failure: suspended %v, pending %v, offered %v", inst.Suspended(), inst.PendingCompensation("get_order"), offered())
+				if inst.Suspended() || inst.ExceptionState("get_order").Pending || offered() == (policy != "none") {
+					t.Fatalf("after the failure: suspended %v, pending %v, offered %v", inst.Suspended(), inst.ExceptionState("get_order").Pending, offered())
 				}
 				for i := 0; i < 5 && policy == "none"; i++ {
 					now = now.Add(time.Hour)

@@ -39,11 +39,9 @@ func Summary(sys System) string {
 			inst.HistoryLen(), inst.Migrations(), inst.Biased(), len(inst.BiasOps()), data)
 		m := inst.MarkingSnapshot() // a sealed instance derives it once, not once a node
 		for _, id := range inst.View().NodeIDs() {
-			dl, _ := inst.Deadline(id)
-			ra, _ := inst.RetryDue(id)
+			x := inst.ExceptionState(id)
 			fmt.Fprintf(&b, "  %s st=%s dl=%d ra=%d f=%d esc=%v cp=%v\n",
-				id, m.Node(id), dl, ra, inst.FailureCount(id),
-				inst.Escalated(id), inst.PendingCompensation(id))
+				id, m.Node(id), x.Deadline, x.RetryAt, x.Failures, x.Escalated, x.Pending)
 		}
 		for _, ev := range inst.HistoryEvents() {
 			values, _ := ev.Values.AppendJSON(nil)

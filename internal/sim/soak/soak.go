@@ -720,7 +720,7 @@ func (r *runner) drain(ctx context.Context) error {
 				}
 			}
 			for _, node := range inst.View().NodeIDs() {
-				if inst.PendingCompensation(node) {
+				if inst.ExceptionState(node).Pending {
 					_, err := r.sys.Submit(ctx, &adept2.RetryActivity{
 						Instance: inst.ID(), Node: node, At: r.clock.t,
 					})
@@ -896,8 +896,8 @@ func (r *runner) checkInvariants() error {
 			if inst.Suspended() || n.Type != model.NodeActivity || n.Auto {
 				continue
 			}
-			_, retryPending := inst.RetryDue(id)
-			suppressed := retryPending || inst.PendingCompensation(id)
+			x := inst.ExceptionState(id)
+			suppressed := x.RetryAt != 0 || x.Pending
 			switch st {
 			case state.Activated:
 				has := hasItem(inst.ID(), id)

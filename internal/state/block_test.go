@@ -6,7 +6,6 @@ import (
 	"unsafe"
 
 	"adept2/internal/bitset"
-	"adept2/internal/history"
 	"adept2/internal/model"
 )
 
@@ -114,7 +113,7 @@ func TestDerivedMarkingsShareNoBlock(t *testing.T) {
 	}
 	sameState := func(what string, want, got *Marking) {
 		t.Helper()
-		if w, g := want.Export(&history.Stats{}), got.Export(&history.Stats{}); !reflect.DeepEqual(w, g) {
+		if w, g := want.Export(boundStats(want.topo)), got.Export(boundStats(got.topo)); !reflect.DeepEqual(w, g) {
 			t.Errorf("%s: state %+v, want %+v", what, g, w)
 		}
 	}
@@ -146,7 +145,7 @@ func TestDerivedMarkingsShareNoBlock(t *testing.T) {
 
 	m = fresh()
 	imported := NewMarking(src) // bound to the same topology: Import keeps its block
-	if err := imported.Import(src, m.Export(&history.Stats{})); err != nil {
+	if err := imported.Import(src, m.Export(boundStats(src.Topology()))); err != nil {
 		t.Fatal(err)
 	}
 	disjoint("Import", imported, m)

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"adept2/internal/history"
 	"adept2/internal/model"
 )
 
@@ -47,7 +46,7 @@ func TestMarkingExportImportRoundTrip(t *testing.T) {
 	}
 	Evaluate(s, m)
 
-	ex := m.Export(&history.Stats{})
+	ex := m.Export(boundStats(s.Topology()))
 	// Import against a freshly parsed clone of the schema: the topology is
 	// rebuilt from scratch, so only the stable keys may be consulted.
 	s2 := chainSchema(t, "s1")

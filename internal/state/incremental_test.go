@@ -595,6 +595,7 @@ func TestAdaptMatchesFixpointOnBiasedOverlay(t *testing.T) {
 		ov := biasOverlay(rng, base, "bias_x")
 		keepsBaseIndices(t, base, ov)
 
+		stats.Rebind(ov.Topology()) // as the engine binds it before adapting
 		actInc := Adapt(ov, mInc, stats)
 		actRef := refAdapt(ov, mRef, decisions)
 		if !sameSet(actInc, actRef) {
@@ -689,6 +690,7 @@ func TestOverlayRemapStability(t *testing.T) {
 			}
 		}
 
+		stats.Rebind(topo2) // as the engine binds it before adapting
 		Adapt(ov, m, stats)
 		for id, want := range skips {
 			if m.Node(id) != Skipped || skipSeq(m, id, stats) != want {

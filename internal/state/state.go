@@ -383,8 +383,8 @@ func (m *Marking) SetEdgeAt(i model.EdgeIdx, s EdgeState) {
 }
 
 // SkipSeqAt returns the event sequence number from which an interned node
-// is skipped, derived from the instance's execution index (0 if the node
-// is not skipped). A branch dies in the evaluation that follows the
+// is skipped, derived from the instance's execution index, which is bound
+// to the marking's topology (0 if the node is not skipped). A branch dies in the evaluation that follows the
 // completion of the XOR split that deselected it, so an edge the split
 // false-signaled dates from one past the split's completion; a node on a
 // skipped node's edge dies with it, and a join with the last of its inputs.
@@ -643,8 +643,9 @@ func propagate(topo *model.Topology, m *Marking, activated []model.NodeIdx) []mo
 // activations, skips, edge signals — is recomputed from the completed
 // frontier.
 //
-// stats is the instance's execution index: it supplies the selection code
-// of every completed XOR split, so dead paths re-derive identically.
+// stats is the instance's execution index, bound to v's topology before
+// the call (engine.Mutable.AdaptState binds it): it supplies the selection
+// code of every completed XOR split, so dead paths re-derive identically.
 // Returns the nodes activated after adaptation, in view order.
 func Adapt(v model.SchemaView, m *Marking, stats *history.Stats) []string {
 	topo := v.Topology()

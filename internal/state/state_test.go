@@ -130,7 +130,7 @@ func TestXORSkipPropagation(t *testing.T) {
 
 	// Choose branch to x (code 0) at #6: y's path dies in the evaluation
 	// after it.
-	stats := &history.Stats{}
+	stats := boundStats(s.Topology())
 	stats.OnStart(split, 5)
 	if err := m.Start(split); err != nil {
 		t.Fatal(err)
@@ -228,7 +228,7 @@ func TestAdaptPreservesStartedWorkAndRederivesSkips(t *testing.T) {
 	m.Init(s)
 	Evaluate(s, m)
 	split := findNode(t, s, model.NodeXORSplit)
-	stats := &history.Stats{}
+	stats := boundStats(s.Topology())
 	stats.OnStart(split, 1)
 	if err := m.Start(split); err != nil {
 		t.Fatal(err)
@@ -294,7 +294,7 @@ func TestAdaptAfterSerialInsertionDemotesActivatedSuccessor(t *testing.T) {
 	if err := s.AddEdge(&model.Edge{From: "n", To: "c", Type: model.EdgeControl}); err != nil {
 		t.Fatal(err)
 	}
-	Adapt(s, m, &history.Stats{})
+	Adapt(s, m, boundStats(s.Topology()))
 	if m.Node("n") != Activated {
 		t.Fatalf("inserted node should be activated, is %s", m.Node("n"))
 	}
@@ -330,7 +330,7 @@ func TestAdaptDropsDeletedNodes(t *testing.T) {
 	if err := s.AddEdge(&model.Edge{From: "a", To: "end", Type: model.EdgeControl}); err != nil {
 		t.Fatal(err)
 	}
-	Adapt(s, m, &history.Stats{})
+	Adapt(s, m, boundStats(s.Topology()))
 	if m.Node(s.EndID()) != Activated {
 		t.Fatalf("end should be activated after delete, is %s", m.Node(s.EndID()))
 	}
@@ -349,4 +349,12 @@ func TestStateStrings(t *testing.T) {
 	if !Running.Started() || !Completed.Started() || Activated.Started() {
 		t.Fatal("Started predicate")
 	}
+}
+
+// boundStats returns an empty execution index bound to the topology, as
+// an instance's is to its view's.
+func boundStats(topo *model.Topology) *history.Stats {
+	st := &history.Stats{}
+	st.Reset(topo)
+	return st
 }

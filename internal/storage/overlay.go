@@ -438,47 +438,41 @@ func baseHasDataEdge(s *model.Schema, k model.DataEdgeKey) bool {
 }
 
 // ApproxBytes estimates the memory held by the substitution block (the
-// delta only — the base schema is shared across all instances).
+// delta only — the base schema is shared across all instances): every
+// delta record at its size, and the strings an added node, data element or
+// data edge holds of its own. An edge's endpoints, a data edge's activity
+// and element, and the names a removal lists are strings the view's nodes,
+// elements and edges hold, and are not counted again. A removed entry is
+// a record in its list, which IndexBytes counts beyond the entries.
 func (o *Overlay) ApproxBytes() int {
-	total := 0
+	total := int(unsafe.Sizeof(""))*(len(o.removedNodes)+len(o.removedData)) +
+		int(unsafe.Sizeof(model.EdgeKey{}))*len(o.removedEdges) +
+		int(unsafe.Sizeof(model.DataEdgeKey{}))*len(o.removedDataEdges) +
+		int(unsafe.Sizeof(model.Edge{}))*len(o.addedEdges)
 	for _, n := range o.addedNodes {
 		total += int(unsafe.Sizeof(*n)) + len(n.ID) + len(n.Name) + len(n.Role) + len(n.Template) + len(n.DecisionElement)
 	}
-	for _, id := range o.removedNodes {
-		total += len(id) + 16
-	}
-	for _, e := range o.addedEdges {
-		total += 24 + len(e.From) + len(e.To)
-	}
-	for _, k := range o.removedEdges {
-		total += 24 + len(k.From) + len(k.To)
-	}
 	for _, d := range o.addedData {
-		total += 16 + len(d.ID) + len(d.Name)
-	}
-	for _, id := range o.removedData {
-		total += 16 + len(id)
+		total += int(unsafe.Sizeof(*d)) + len(d.ID) + len(d.Name)
 	}
 	for _, de := range o.addedDataEdges {
-		total += 24 + len(de.Activity) + len(de.Element) + len(de.Parameter)
-	}
-	for _, k := range o.removedDataEdges {
-		total += 24 + len(k.Activity) + len(k.Element) + len(k.Parameter)
+		total += int(unsafe.Sizeof(*de)) + len(de.Parameter)
 	}
 	return total
 }
 
 // IndexBytes returns what the overlay holds around the substitution block
-// to serve the view: its own record, the lists the delta's entries sit in,
-// the data-edge lists of the touched activities, and the topology index —
+// to serve the view: its own record, the lists the delta's entries sit in
+// (a removal list beyond its entries, which ApproxBytes counts), the
+// data-edge lists of the touched activities, and the topology index —
 // each from its size and the capacity it holds.
 func (o *Overlay) IndexBytes() int {
 	const ptr, str = 8, 16
 	total := int(unsafe.Sizeof(*o)) +
 		ptr*(cap(o.addedNodes)+cap(o.addedEdges)+cap(o.addedData)+cap(o.addedDataEdges)) +
-		str*(cap(o.removedNodes)+cap(o.removedData)) +
-		int(unsafe.Sizeof(model.EdgeKey{}))*cap(o.removedEdges) +
-		int(unsafe.Sizeof(model.DataEdgeKey{}))*cap(o.removedDataEdges) +
+		str*(spare(o.removedNodes)+spare(o.removedData)) +
+		int(unsafe.Sizeof(model.EdgeKey{}))*spare(o.removedEdges) +
+		int(unsafe.Sizeof(model.DataEdgeKey{}))*spare(o.removedDataEdges) +
 		int(unsafe.Sizeof(touched{}))*cap(o.deOf)
 	for _, t := range o.deOf {
 		total += ptr * cap(t.list)
@@ -488,6 +482,9 @@ func (o *Overlay) IndexBytes() int {
 	}
 	return total
 }
+
+// spare is a list's capacity beyond its length.
+func spare[T any](list []T) int { return cap(list) - len(list) }
 
 // Materialize builds a standalone schema equal to the overlaid view: the
 // full copy of the Fig. 2 comparison.

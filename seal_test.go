@@ -211,7 +211,7 @@ func driveRandomToCompletion(t *testing.T, seed int64, n int) (mix randomMix) {
 					continue
 				}
 				if e.StartActivityAt(inst.ID(), node, "ann", 0) == nil {
-					if err := e.FailActivity(inst.ID(), node, "ann", "jam", 0, false); err != nil {
+					if err := inst.Mutate(func(mx *engine.Mutable) error { _, err := mx.Fail(node, "ann", "jam"); return err }); err != nil {
 						t.Fatal(err)
 					}
 					mix.fails++
