@@ -141,12 +141,12 @@ type (
 	InstanceResult = evolution.InstanceResult
 	// Outcome classifies a migration result.
 	Outcome = evolution.Outcome
-	// EvolveOptions tunes a migration run.
+	// EvolveOptions tunes a migration run: its one setting is the
+	// compliance check. A migrated instance's state adapts one way, by
+	// incremental state adaptation, on GOMAXPROCS workers.
 	EvolveOptions = evolution.Options
 	// CheckMode selects fast conditions vs. history replay.
 	CheckMode = evolution.CheckMode
-	// AdaptMode selects the state adaptation procedure.
-	AdaptMode = evolution.AdaptMode
 )
 
 // Migration outcome and mode constants.
@@ -160,9 +160,6 @@ const (
 
 	FastCheck   = evolution.FastCheck
 	ReplayCheck = evolution.ReplayCheck
-
-	AdaptIncremental = evolution.AdaptIncremental
-	AdaptReplay      = evolution.AdaptReplay
 )
 
 // Monitoring helpers.

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -97,7 +98,7 @@ func BenchmarkFig1ComplianceReplay(b *testing.B) {
 			b.ReportMetric(float64(len(events)), "history-events")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				reduced := history.Reduce(baseInfo, events)
+				reduced := history.ReduceInPlace(baseInfo, slices.Clone(events))
 				if _, err := compliance.Replay(target, targetInfo, reduced); err != nil {
 					b.Fatal(err)
 				}
@@ -446,28 +447,63 @@ func BenchmarkAdHocChange(b *testing.B) {
 // --- E6: state adaptation ablation ----------------------------------------
 
 // BenchmarkStateAdaptation compares the incremental marking adaptation
-// with full history replay during migration.
+// with full history replay over one population of 500 online orders.
+// "incremental" times the Evolve that checks and migrates them (its state
+// adaptation is state.Adapt and the cascade). "replay" times what replay
+// adaptation would have added to it: every instance's history reduced and
+// replayed on the new version by compliance.Replayer, the result
+// discarded (an instance the change does not fit is refused there too).
 func BenchmarkStateAdaptation(b *testing.B) {
-	for _, adapt := range []evolution.AdaptMode{evolution.AdaptIncremental, evolution.AdaptReplay} {
-		b.Run(adapt.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				e := engine.New(sim.Org())
-				if err := e.Deploy(sim.OnlineOrder()); err != nil {
-					b.Fatal(err)
-				}
-				rng := rand.New(rand.NewSource(1))
-				if _, err := sim.BuildPopulation(e, rng, sim.DefaultPopulationOpts(500)); err != nil {
-					b.Fatal(err)
-				}
-				mgr := evolution.NewManager(e)
-				b.StartTimer()
-				if _, err := mgr.Evolve("online_order", sim.OnlineOrderTypeChange(), evolution.Options{Adapt: adapt}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	populate := func(b *testing.B) *engine.Engine {
+		b.Helper()
+		e := engine.New(sim.Org())
+		if err := e.Deploy(sim.OnlineOrder()); err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(1))
+		if _, err := sim.BuildPopulation(e, rng, sim.DefaultPopulationOpts(500)); err != nil {
+			b.Fatal(err)
+		}
+		return e
 	}
+	b.Run("incremental", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			mgr := evolution.NewManager(populate(b))
+			b.StartTimer()
+			if _, err := mgr.Evolve("online_order", sim.OnlineOrderTypeChange(), evolution.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("replay", func(b *testing.B) {
+		var (
+			rp      compliance.Replayer
+			reduced []*history.Event
+		)
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			e := populate(b)
+			next, err := evolution.NewManager(e).DeriveVersion("online_order", sim.OnlineOrderTypeChange())
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := e.Deploy(next); err != nil {
+				b.Fatal(err)
+			}
+			to, _ := e.Deployed("online_order", next.Version())
+			insts := e.InstancesOf("online_order", 1)
+			b.StartTimer()
+			for _, inst := range insts {
+				_ = inst.Mutate(func(mx *engine.Mutable) error {
+					blocks, _ := mx.Blocks()
+					reduced = history.ReduceInto(blocks, mx.History().Events(), reduced)
+					_, _ = rp.Replay(to.Schema, to.Blocks, reduced)
+					return nil
+				})
+			}
+		}
+	})
 }
 
 // --- E7: biased migration --------------------------------------------------
@@ -500,7 +536,7 @@ func BenchmarkBiasedMigration(b *testing.B) {
 
 // BenchmarkEngineComplete measures the plain user-operation path, and the
 // same operation while a bulk Evolve of 5 000 instances runs beside it on
-// half the CPUs ("on-the-fly ... avoid performance penalties"): 200 fresh
+// GOMAXPROCS workers, as every evolve does ("on-the-fly ... avoid performance penalties"): 200 fresh
 // instances are the users' working set and us/user-op, their mean latency,
 // carries the result (ns/op there is a whole round, population build
 // included: stopping the clock around it would run hundreds of rounds).
@@ -547,8 +583,7 @@ func BenchmarkEngineComplete(b *testing.B) {
 			work := fresh(b, e, working)
 			migrated := make(chan error, 1)
 			go func() {
-				_, err := evolution.NewManager(e).Evolve("online_order", sim.OnlineOrderTypeChange(),
-					evolution.Options{Workers: runtime.GOMAXPROCS(0) / 2})
+				_, err := evolution.NewManager(e).Evolve("online_order", sim.OnlineOrderTypeChange(), evolution.Options{})
 				migrated <- err
 			}()
 			start := time.Now()

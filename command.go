@@ -1033,13 +1033,14 @@ func (c *Undo) run(s *System) (effect, error) {
 	return effect{inst: c.Instance, args: c}, nil
 }
 
-// evolveArgs is the wire form of a schema evolution.
+// evolveArgs is the wire form of a schema evolution. A record or line of
+// an earlier tree may carry "workers" and "adapt" members, a worker count
+// and an adaptation mode; they decode and are ignored, as a snapshot's
+// "strategy" is: a migration runs GOMAXPROCS workers and adapts one way.
 type evolveArgs struct {
 	TypeName string          `json:"type"`
 	Ops      json.RawMessage `json:"ops"`
-	Workers  int             `json:"workers,omitempty"`
 	Mode     uint8           `json:"mode,omitempty"`
-	Adapt    uint8           `json:"adapt,omitempty"`
 }
 
 // Evolve performs a schema evolution of the process type and migrates all
@@ -1072,9 +1073,7 @@ func (c *Evolve) encodeArgs() (any, error) {
 	return evolveArgs{
 		TypeName: c.TypeName,
 		Ops:      blob,
-		Workers:  c.Options.Workers,
 		Mode:     uint8(c.Options.Mode),
-		Adapt:    uint8(c.Options.Adapt),
 	}, nil
 }
 
@@ -1087,9 +1086,5 @@ func decodeEvolve(raw json.RawMessage) (command, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Evolve{TypeName: a.TypeName, Ops: ops, Options: evolution.Options{
-		Workers: a.Workers,
-		Mode:    evolution.CheckMode(a.Mode),
-		Adapt:   evolution.AdaptMode(a.Adapt),
-	}}, nil
+	return &Evolve{TypeName: a.TypeName, Ops: ops, Options: evolution.Options{Mode: evolution.CheckMode(a.Mode)}}, nil
 }

@@ -9,7 +9,8 @@
 // (deadlock-causing cycles, data flow), the execution engine with
 // worklists and an org model, the change framework with per-operation
 // compliance conditions, the replay-based compliance criterion, the
-// migration manager, the hybrid substitution-block storage for biased
+// migration manager and its one state adaptation (which that criterion
+// checks), the hybrid substitution-block storage for biased
 // instances, and the checkpointed durability layer (a write-ahead log of
 // N >= 1 shards).
 //

@@ -114,8 +114,7 @@ func main() {
 	}
 
 	fmt.Println("=== fleet-wide evolution: add security scan ===")
-	report := submit(&adept2.Evolve{TypeName: "container_transport", Ops: deltaT,
-		Options: adept2.EvolveOptions{Workers: 4}}).(*adept2.MigrationReport)
+	report := submit(&adept2.Evolve{TypeName: "container_transport", Ops: deltaT}).(*adept2.MigrationReport)
 	fmt.Print(adept2.FormatReport(report))
 
 	// Instances that already passed loading keep running on V1; the rest

@@ -377,7 +377,7 @@ func TestSyncEdgeFromSkippedSource(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, replay := compliance.Replay(target, res.Blocks, history.Reduce(info, inst.HistoryEvents()))
+			_, replay := compliance.Replay(target, res.Blocks, history.ReduceInPlace(info, inst.HistoryEvents()))
 			if (fast == nil) != tc.accepted || (replay == nil) != tc.accepted {
 				t.Fatalf("%s: fast condition %v, replay %v, want accepted=%v", op, fast, replay, tc.accepted)
 			}

@@ -220,7 +220,7 @@ func (sc *Replayer) Replay(view model.SchemaView, info *graph.Info, events []*hi
 				}
 			}
 		case history.Failed:
-			// Reduce purges failed attempts, so reduced histories never
+			// ReduceInPlace purges failed attempts, so reduced histories never
 			// reach this case; raw replays undo the attempt like the
 			// live engine did: the node reverts to activated.
 			if m.NodeAt(ni) != state.Running {

@@ -47,7 +47,7 @@ func reducedHistory(t *testing.T, inst *engine.Instance) []*history.Event {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return history.Reduce(info, inst.HistoryEvents())
+	return history.ReduceInPlace(info, inst.HistoryEvents())
 }
 
 // fastCtx captures the instance facets the conditions consult, from its
@@ -290,7 +290,7 @@ func TestReplayRejectsVanishedBranch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rerr := compliance.Replay(s2, info, history.Reduce(baseInfo, inst.HistoryEvents()))
+	_, rerr := compliance.Replay(s2, info, history.ReduceInPlace(baseInfo, inst.HistoryEvents()))
 	if rerr == nil || !strings.Contains(rerr.Error(), "no longer exists") {
 		t.Fatalf("expected vanished-branch failure, got %v", rerr)
 	}

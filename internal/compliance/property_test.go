@@ -68,7 +68,7 @@ func TestFastEqualsReplayProperty(t *testing.T) {
 		}
 
 		fastErr := compliance.CheckFast(fastCtx(inst), ops)
-		reduced := history.Reduce(baseInfo, inst.HistoryEvents())
+		reduced := history.ReduceInPlace(baseInfo, inst.HistoryEvents())
 		_, replayErr := compliance.Replay(target, targetInfo, reduced)
 
 		checked++

@@ -64,7 +64,7 @@ func replayConditional(t *testing.T, base *model.Schema, inst *engine.Instance, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	reduced := history.Reduce(baseInfo, inst.HistoryEvents())
+	reduced := history.ReduceInPlace(baseInfo, inst.HistoryEvents())
 	return compliance.Replay(target, targetInfo, reduced)
 }
 

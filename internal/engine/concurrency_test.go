@@ -249,11 +249,11 @@ func TestDeployAndEvolveBesideCommands(t *testing.T) {
 			Pred: "deliver_goods",
 			Succ: "end",
 		}}
-		if _, err := mgr.Evolve("online_order", sim.OnlineOrderTypeChange(), evolution.Options{Workers: 2}); err != nil {
+		if _, err := mgr.Evolve("online_order", sim.OnlineOrderTypeChange(), evolution.Options{}); err != nil {
 			errs <- err
 			return
 		}
-		if _, err := mgr.Evolve("online_order", second, evolution.Options{Workers: 2, Mode: evolution.ReplayCheck}); err != nil {
+		if _, err := mgr.Evolve("online_order", second, evolution.Options{Mode: evolution.ReplayCheck}); err != nil {
 			errs <- err
 		}
 	}()

@@ -180,17 +180,6 @@ func (e *Engine) typesLocked() []string {
 	return ts
 }
 
-// Versions returns the deployed versions of a type in ascending order.
-func (e *Engine) Versions(typeName string) []int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	var vs []int
-	for _, d := range e.types[typeName] {
-		vs = append(vs, d.Schema.Version())
-	}
-	return vs
-}
-
 // CreateInstance instantiates a process type. version 0 selects the
 // latest deployed version. The new instance immediately executes all
 // automatic nodes up to the first user-visible state.

@@ -101,8 +101,8 @@ func TestDeployValidation(t *testing.T) {
 	if got := e.Types(); len(got) != 1 || got[0] != "online_order" {
 		t.Fatalf("Types = %v", got)
 	}
-	if got := e.Versions("online_order"); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("Versions = %v", got)
+	if _, ok := e.Schema("online_order", 1); !ok {
+		t.Fatal("Schema v1")
 	}
 	if e.LatestVersion("online_order") != 1 || e.LatestVersion("nope") != 0 {
 		t.Fatal("LatestVersion")

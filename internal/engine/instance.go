@@ -215,7 +215,7 @@ type MineView struct {
 
 	// Events is the physical history (every Started/Completed/Failed/
 	// Timeout marker); Reduced is the logical history per
-	// history.Reduce — superseded loop iterations and failed
+	// history.ReduceInPlace — superseded loop iterations and failed
 	// attempts purged, Timeout markers dropped.
 	Events  []*history.Event
 	Reduced []*history.Event
@@ -461,8 +461,7 @@ func (mx *Mutable) MigrateTo(to Deployed, ov *storage.Overlay, blocks *graph.Inf
 // returning the newly activated nodes. It also advances the instance over
 // any automatic nodes the adaptation enabled. Every SetBias and MigrateTo
 // is followed by it, so it is the one place the index follows a view
-// change; a caller that adapts otherwise (the replay path, SetMarking and
-// Cascade) binds the index first.
+// change.
 func (mx *Mutable) AdaptState() ([]string, error) {
 	inst := mx.inst
 	v, _ := inst.viewLocked()
@@ -473,15 +472,3 @@ func (mx *Mutable) AdaptState() ([]string, error) {
 	}
 	return activated, nil
 }
-
-// Cascade runs the automatic execution cascade (used after replay-based
-// state adaptation).
-func (mx *Mutable) Cascade() error { return mx.inst.cascadeLocked() }
-
-// SetMarking replaces the instance marking wholesale. The replay-based
-// state adaptation path (the ablation baseline to Adapt) binds the
-// execution index to the view (Stats().Rebind), installs the marking
-// reconstructed by compliance.Replay and then runs Cascade. The
-// instance's own marking takes over m's arrays, so the caller must not use
-// m afterwards.
-func (mx *Mutable) SetMarking(m *state.Marking) { mx.inst.run.marking = *m }

@@ -56,11 +56,14 @@ func (inst *Instance) derivedLocked() *running {
 	}
 	state.Adapt(v, &r.marking, &r.stats)
 	// An automatic node a migration inserted where the instance had passed
-	// is fired by the cascade after a state adaptation, which records it,
-	// but compliance replay fires it virtually, without an event
-	// (evolution.AdaptReplay). It is the one node besides the end that a
-	// finished instance's history leaves activated, and it is fired here as
-	// replay fired it, until none is left.
+	// is fired by the cascade after the state adaptation, which records it.
+	// Its one other producer is a snapshot that an earlier tree wrote of a
+	// running instance its replay adaptation had migrated: that adaptation
+	// fired the node virtually, without an event (a journal of that tree
+	// recovers under the one adaptation there is, and records it). It is
+	// the one node besides the end that such an instance's history leaves
+	// activated once it finishes, and it is fired here as replay fired it,
+	// until none is left.
 	for fired := true; fired; {
 		fired = false
 		for _, ni := range topo.AutoExecutableIdx() {

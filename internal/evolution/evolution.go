@@ -4,6 +4,13 @@
 // version — on the fly, classifying every instance as migrated or as
 // having a state-related, structural, or semantical conflict (the Fig. 3
 // migration report of the paper).
+//
+// A migrated instance's state adapts one way: incremental state adaptation
+// (state.Adapt, through engine.Mutable.AdaptState), after which the
+// automatic cascade fires and records whatever the adaptation enabled.
+// History replay (compliance.Replayer) is the criterion that adaptation
+// answers to: Options.Mode may select it as the compliance check, and the
+// tests hold every adapted marking to the marking replay gives.
 package evolution
 
 import (
@@ -85,35 +92,10 @@ func (m CheckMode) String() string {
 	return "fast"
 }
 
-// AdaptMode selects the state adaptation procedure for migrated instances.
-type AdaptMode uint8
-
-const (
-	// AdaptIncremental recomputes derivable marking parts in place
-	// (state.Adapt — the paper's efficient procedure).
-	AdaptIncremental AdaptMode = iota
-	// AdaptReplay rebuilds the marking by replaying the reduced history on
-	// the new schema (baseline for the ablation).
-	AdaptReplay
-)
-
-func (m AdaptMode) String() string {
-	if m == AdaptReplay {
-		return "replay-adapt"
-	}
-	return "incremental-adapt"
-}
-
 // Options tunes a migration run.
 type Options struct {
-	// Workers bounds the number of instances migrated concurrently
-	// (default: GOMAXPROCS).
-	Workers int
 	// Mode selects the compliance check (default FastCheck).
 	Mode CheckMode
-	// Adapt selects the state adaptation procedure (default
-	// AdaptIncremental).
-	Adapt AdaptMode
 }
 
 // InstanceResult is the per-instance row of a migration report.
@@ -201,20 +183,18 @@ func (m *Manager) Evolve(typeName string, ops []change.Operation, opts Options) 
 }
 
 // MigrateAll migrates every instance of (typeName, fromVersion) towards
-// the deployed target version and returns the report. Every worker shares
-// (read-only) the target's topology and the block analysis it was deployed
-// with instead of deriving them per instance.
+// the deployed target version and returns the report. GOMAXPROCS workers,
+// at most one per instance, share (read-only) the target's topology and
+// the block analysis it was deployed with instead of deriving them per
+// instance.
 func (m *Manager) MigrateAll(typeName string, fromVersion int, to engine.Deployed, ops []change.Operation, opts Options) *Report {
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
 	start := time.Now()
 	insts := m.eng.InstancesOf(typeName, fromVersion)
 	results := make([]InstanceResult, len(insts))
 
 	var wg sync.WaitGroup
 	work := make(chan int)
-	for w := 0; w < opts.Workers; w++ {
+	for range min(runtime.GOMAXPROCS(0), len(insts)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -245,9 +225,9 @@ func (m *Manager) MigrateAll(typeName string, fromVersion int, to engine.Deploye
 
 // migrateScratch bundles the per-worker reusable buffers of a migration
 // run: the replay checker's scratch, the history-reduction buffer, and the
-// marking/stats remap pools (fast-mode state adaptation recycles the
-// previous instance's discarded dense arrays instead of allocating four
-// fresh ones per migrated instance).
+// marking/stats remap pools (state adaptation recycles the previous
+// instance's discarded dense arrays instead of allocating four fresh ones
+// per migrated instance).
 type migrateScratch struct {
 	rp      compliance.Replayer
 	reduced []*history.Event
@@ -330,30 +310,15 @@ func (m *Manager) migrateLocked(mx *engine.Mutable, to engine.Deployed, ops []ch
 	// 4. Migrate: the target version and the trial become the instance's,
 	// and the state adapts.
 	mx.MigrateTo(to, trial, targetBlocks, bias)
-	// Pre-bind the execution index onto the target topology through the
-	// worker's pooled scratch: AdaptState's own rebind then degenerates to
-	// a pointer check, and the replay path, which cascades without it,
-	// records on the target too.
+	// Pre-bind the execution index and the marking onto the target
+	// topology through the worker's pooled scratch: AdaptState's rebind and
+	// state.Adapt's ensure are then pointer checks instead of allocating
+	// remaps.
 	topo := targetView.Topology()
 	mx.Stats().RebindPooled(topo, &sc.rebind)
-	switch opts.Adapt {
-	case AdaptReplay:
-		sc.reduced = history.ReduceInto(targetBlocks, mx.History().Events(), sc.reduced)
-		rr, err := sc.rp.Replay(targetView, targetBlocks, sc.reduced)
-		if err != nil {
-			return Failed, "replay adaptation after successful check: " + err.Error()
-		}
-		mx.SetMarking(rr.Marking)
-		if err := mx.Cascade(); err != nil {
-			return Failed, err.Error()
-		}
-	default:
-		// The marking is pre-bound the same way: state.Adapt's ensure is
-		// then a pointer check instead of an allocating remap.
-		mx.Marking().RebindTo(topo, &sc.remap)
-		if _, err := mx.AdaptState(); err != nil {
-			return Failed, err.Error()
-		}
+	mx.Marking().RebindTo(topo, &sc.remap)
+	if _, err := mx.AdaptState(); err != nil {
+		return Failed, err.Error()
 	}
 	return Migrated, ""
 }

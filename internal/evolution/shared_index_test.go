@@ -3,6 +3,7 @@ package evolution_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"adept2/internal/change"
@@ -39,29 +40,29 @@ func outcomeCounts(r *evolution.Report) map[evolution.Outcome]int {
 	return c
 }
 
-// TestConcurrentMigrationSharedIndex migrates a population with many
-// workers under both check modes. All workers share the target schema's
-// precomputed block analysis and topology index; run under -race this
-// asserts the sharing is sound, and the per-outcome counts must match a
-// single-worker run of the identically-seeded population.
+// TestConcurrentMigrationSharedIndex migrates a population on 8 workers
+// under both check modes (a migration runs GOMAXPROCS workers, so the test
+// sets it). All workers share the target schema's precomputed block
+// analysis and topology index; run under -race this asserts the sharing is
+// sound, and the per-outcome counts must match a single-worker run
+// (GOMAXPROCS 1) of the identically-seeded population.
 func TestConcurrentMigrationSharedIndex(t *testing.T) {
+	// evolve migrates a fresh population with GOMAXPROCS set to procs, and
+	// restores it.
+	evolve := func(t *testing.T, procs int, mode evolution.CheckMode) *evolution.Report {
+		t.Helper()
+		e := buildPopulatedEngine(t, 120)
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		report, err := evolution.NewManager(e).Evolve("online_order", sim.OnlineOrderTypeChange(), evolution.Options{Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return report
+	}
 	for _, mode := range []evolution.CheckMode{evolution.FastCheck, evolution.ReplayCheck} {
 		t.Run(fmt.Sprintf("mode=%s", mode), func(t *testing.T) {
-			serial := buildPopulatedEngine(t, 120)
-			serialReport, err := evolution.NewManager(serial).Evolve(
-				"online_order", sim.OnlineOrderTypeChange(),
-				evolution.Options{Mode: mode, Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			parallel := buildPopulatedEngine(t, 120)
-			parallelReport, err := evolution.NewManager(parallel).Evolve(
-				"online_order", sim.OnlineOrderTypeChange(),
-				evolution.Options{Mode: mode, Workers: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
+			serialReport := evolve(t, 1, mode)
+			parallelReport := evolve(t, 8, mode)
 
 			if parallelReport.Total() != serialReport.Total() {
 				t.Fatalf("totals differ: serial=%d parallel=%d", serialReport.Total(), parallelReport.Total())
@@ -83,13 +84,13 @@ func TestConcurrentMigrationSharedIndex(t *testing.T) {
 }
 
 // TestMigrateAllReusesTargetIndexAcrossVersions runs two consecutive
-// evolutions with concurrent workers: the second migration starts from a
+// evolutions on GOMAXPROCS workers: the second migration starts from a
 // deployed version whose cached indexes were already shared by the first —
 // the long-lived-cache path a production engine exercises continuously.
 func TestMigrateAllReusesTargetIndexAcrossVersions(t *testing.T) {
 	e := buildPopulatedEngine(t, 60)
 	mgr := evolution.NewManager(e)
-	if _, err := mgr.Evolve("online_order", sim.OnlineOrderTypeChange(), evolution.Options{Workers: 6}); err != nil {
+	if _, err := mgr.Evolve("online_order", sim.OnlineOrderTypeChange(), evolution.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	second := []change.Operation{&change.SerialInsert{
@@ -97,7 +98,7 @@ func TestMigrateAllReusesTargetIndexAcrossVersions(t *testing.T) {
 		Pred: "deliver_goods",
 		Succ: "end",
 	}}
-	report, err := mgr.Evolve("online_order", second, evolution.Options{Workers: 6, Mode: evolution.ReplayCheck})
+	report, err := mgr.Evolve("online_order", second, evolution.Options{Mode: evolution.ReplayCheck})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -422,7 +422,7 @@ func (d *differential) evolve(mode evolution.CheckMode) {
 		refs[i] = refMigrate(t, inst, to, ops, mode)
 		befores[i] = stateOf(inst)
 	}
-	report := mgr.MigrateAll(d.name, from, to, ops, evolution.Options{Workers: 1, Mode: mode})
+	report := mgr.MigrateAll(d.name, from, to, ops, evolution.Options{Mode: mode})
 	for i, inst := range insts {
 		res := report.Results[i]
 		what := fmt.Sprintf("Evolve/%s (biased %t)", mode, res.Biased)

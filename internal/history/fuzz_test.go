@@ -81,7 +81,7 @@ func FuzzLogJSON(f *testing.F) {
 		case Completed:
 			ref.Writes = values
 		}
-		live := NewLog()
+		live := &Log{}
 		live.Append(ref.event())
 		got, gotErr := json.Marshal(live)
 		want, wantErr := json.Marshal([]*refEvent{ref})
@@ -135,7 +135,7 @@ func checkDecode(t *testing.T, raw []byte) {
 		t.Fatalf("re-encoding decodes to a different log\n%s", enc)
 	}
 	if ref != nil {
-		built := NewLog()
+		built := &Log{}
 		for _, r := range ref {
 			built.Append(r.event())
 		}
@@ -232,7 +232,7 @@ func FuzzPackedLog(f *testing.F) {
 	f.Add([]byte{0, 0x09, 0x01, 0x01, 1, 0x09, 0x19, 0x05}, "n", "u", "r", "k", "text", int64(1_790_000_000_000_000_000), int32(7), 2.5)
 	f.Fuzz(func(t *testing.T, prog []byte, node, user, reason, key, s string, at int64, dec int32, fl float64) {
 		events := packedProgram(prog, node, user, reason, key, s, at, dec, fl)
-		l := NewLog()
+		l := &Log{}
 		var ref []*refEvent
 		for i := range events {
 			e := events[i] // Append sets the copy's Seq, as it does the engine's stack event

@@ -1,6 +1,6 @@
 // Package history implements the ADEPT2 execution history: the per-
 // instance log of start and completion events the compliance criterion
-// replays. Reduce computes the *logical* (loop-purged) history — only the
+// replays. ReduceInPlace computes the *logical* (loop-purged) history — only the
 // last iteration of every loop block is retained — which is exactly the
 // view the paper's relaxed trace equivalence inspects.
 //
@@ -52,7 +52,7 @@
 // the distinct node IDs and user names that engine has recorded, strings
 // its schemas, overlays and org model hold anyway, and never shrinks.
 // Symbols are process-local: no journal or snapshot byte contains one. A
-// log decoded from JSON, or made by NewLog, has a table of its own until
+// log decoded from JSON, or the zero Log, has a table of its own until
 // Log.In moves it onto an engine's (engine.RestoreInstance).
 //
 // # Reading a log
@@ -72,7 +72,6 @@ package history
 import (
 	"encoding/json"
 	"fmt"
-	"slices"
 	"sort"
 	"strconv"
 	"unsafe"
@@ -101,7 +100,7 @@ const (
 	Failed
 	// Timeout records that a running node exceeded its armed deadline.
 	// The node keeps running (the work item escalates); Timeout events
-	// are audit markers that Reduce drops from the logical history.
+	// are audit markers that the reduction drops from the logical history.
 	Timeout
 )
 
@@ -284,25 +283,21 @@ func (e *Event) UnmarshalJSON(b []byte) error {
 	return w.event(e)
 }
 
-// Reduce computes the logical execution history: every loop iteration that
-// was superseded by a later one is purged. Concretely, whenever a loop end
-// completes with Again=true, all prior events of nodes inside that loop's
-// region (including nested loops) are dropped together with the iterating
-// completion itself. Failed activity attempts are purged the same way
-// (the Failed event and its matching Started both drop), and Timeout
-// markers are always dropped. The result is the history of the final
-// iteration of every loop, with only work that actually succeeded — the
-// paper's loop-tolerant compliance view.
+// ReduceInPlace computes the logical execution history: every loop
+// iteration that was superseded by a later one is purged. Concretely,
+// whenever a loop end completes with Again=true, all prior events of nodes
+// inside that loop's region (including nested loops) are dropped together
+// with the iterating completion itself. Failed activity attempts are
+// purged the same way (the Failed event and its matching Started both
+// drop), and Timeout markers are always dropped. The result is the history
+// of the final iteration of every loop, with only work that actually
+// succeeded — the paper's loop-tolerant compliance view.
 //
 // info must be the block analysis of the same schema view the events were
-// recorded on; events is a full history in order, and is left as it was.
-func Reduce(info *graph.Info, events []*Event) []*Event {
-	return ReduceInPlace(info, slices.Clone(events))
-}
-
-// ReduceInPlace is Reduce within the caller's own slice: events is
-// reordered so that the survivors come first, still in order, and that
-// prefix is returned; the purged events stay behind it, in no order.
+// recorded on; events is a full history in order. The reduction works
+// within the caller's slice: events is reordered so that the survivors
+// come first, still in order, and that prefix is returned; the purged
+// events stay behind it, in no order.
 //
 // The reduction is a single backward pass: scanning from the youngest
 // event, an iterating loop-end completion activates its block's region
@@ -368,7 +363,7 @@ func ReduceInPlace(info *graph.Info, events []*Event) []*Event {
 	return events[:len(events)-w]
 }
 
-// ReduceInto is Reduce over a log, decoded into the caller's scratch
+// ReduceInto is ReduceInPlace over a log, decoded into the caller's scratch
 // (Cursor.Decode) and reduced there: the result is a prefix of buf, with
 // its capacity, valid until it or buf is passed to another call. Loops
 // that reduce many histories (population migration workers, a mining scan)
@@ -394,7 +389,7 @@ type Stats struct {
 }
 
 // NodeStat is the execution record of one node in the *current* loop
-// iteration (stats of purged iterations are removed, mirroring Reduce).
+// iteration (stats of purged iterations are removed, mirroring ReduceInPlace).
 // Sequence numbers are event sequence numbers, 32-bit like Event.Seq: an
 // instance keeps one record per schema node (TestEventSize pins the 12 B).
 type NodeStat struct {
@@ -530,13 +525,13 @@ func (s *Stats) OnComplete(node string, seq, decision int) {
 }
 
 // OnFail removes the node's execution record: a failed attempt is not
-// part of the logical history (Reduce purges its Started/Failed pair),
+// part of the logical history (ReduceInPlace purges its Started/Failed pair),
 // so the fast compliance conditions must forget it the same way.
 func (s *Stats) OnFail(node string) { *s.slot(node) = NodeStat{} }
 
 // PurgeRegion removes the stats of all nodes in a loop region, a bitset
 // over topo's NodeIdx space, called when the loop iterates (mirrors
-// Reduce).
+// ReduceInPlace).
 func (s *Stats) PurgeRegion(topo *model.Topology, region bitset.Set) {
 	recs := s.bound(topo)
 	for i := region.Next(0); i >= 0; i = region.Next(i + 1) {

@@ -40,7 +40,7 @@ func loopSchema(t *testing.T) (*model.Schema, *graph.Info, string, string) {
 }
 
 func TestLogAppendAssignsDenseSeq(t *testing.T) {
-	l := NewLog()
+	l := &Log{}
 	e1 := l.Append(&Event{Kind: Started, Node: "a"})
 	e2 := l.Append(&Event{Kind: Completed, Node: "a"})
 	if e1.Seq != 1 || e2.Seq != 2 || l.Len() != 2 {
@@ -49,7 +49,7 @@ func TestLogAppendAssignsDenseSeq(t *testing.T) {
 }
 
 func TestLogCloneIsDeep(t *testing.T) {
-	l := NewLog()
+	l := &Log{}
 	l.Append(&Event{Kind: Completed, Node: "a", Values: data.Values{{Name: "d", Value: int64(1)}}})
 	c := l.Clone()
 	ev := c.Events().Decode(nil)[0]
@@ -64,7 +64,7 @@ func TestLogCloneIsDeep(t *testing.T) {
 }
 
 func TestLogJSONRoundTrip(t *testing.T) {
-	l := NewLog()
+	l := &Log{}
 	l.Append(&Event{Kind: Started, Node: "a", User: "u1", Values: data.Values{{Name: "p", Value: "v"}}})
 	l.Append(&Event{Kind: Completed, Node: "a", Decision: 2})
 	blob, err := json.Marshal(l)
@@ -88,7 +88,7 @@ func TestLogJSONRoundTrip(t *testing.T) {
 
 func TestReduceDropsSupersededIterations(t *testing.T) {
 	_, info, ls, le := loopSchema(t)
-	l := NewLog()
+	l := &Log{}
 	// pre, then two iterations of (ls, w, v, le-again), then final
 	// iteration completing.
 	l.Append(&Event{Kind: Started, Node: "pre"})
@@ -126,7 +126,7 @@ func TestReduceDropsSupersededIterations(t *testing.T) {
 
 func TestReduceKeepsNonLoopHistory(t *testing.T) {
 	_, info, _, _ := loopSchema(t)
-	l := NewLog()
+	l := &Log{}
 	l.Append(&Event{Kind: Started, Node: "pre"})
 	l.Append(&Event{Kind: Completed, Node: "pre"})
 	red := ReduceInto(info, l.Events(), nil)
@@ -208,7 +208,7 @@ func TestReduceBackwardMatchesForward(t *testing.T) {
 	var buf []*Event
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		l := NewLog()
+		l := &Log{}
 		for i, n := 0, rng.Intn(80); i < n; i++ {
 			e := Event{Node: ids[rng.Intn(len(ids))], Decision: -1}
 			switch rng.Intn(6) {
@@ -256,7 +256,7 @@ func TestReduceBackwardMatchesForward(t *testing.T) {
 // retried activity compliant with a schema that never saw the failure.
 func TestReducePurgesFailedAttempts(t *testing.T) {
 	_, info, _, _ := loopSchema(t)
-	l := NewLog()
+	l := &Log{}
 	l.Append(&Event{Kind: Started, Node: "pre"})
 	l.Append(&Event{Kind: Timeout, Node: "pre", Reason: "deadline expired"})
 	l.Append(&Event{Kind: Failed, Node: "pre", Reason: "attempt 1"})
@@ -283,7 +283,7 @@ func TestReducePurgesFailedAttempts(t *testing.T) {
 // it has capacity, and in the events a previous result left there.
 func TestReduceIntoReusesBuffer(t *testing.T) {
 	_, info, _, _ := loopSchema(t)
-	l := NewLog()
+	l := &Log{}
 	l.Append(&Event{Kind: Started, Node: "pre"})
 	l.Append(&Event{Kind: Completed, Node: "pre"})
 	buf := make([]*Event, 0, 32)

@@ -111,9 +111,6 @@ type Log struct {
 	n    int32
 }
 
-// NewLog returns an empty history with a table of its own.
-func NewLog() *Log { return &Log{} }
-
 // minLogBytes is the first capacity of a log's records: room for the four
 // to six events an instance records before its first user command returns.
 const minLogBytes = 32

@@ -89,13 +89,13 @@ func TestFingerprintMatchesStringReference(t *testing.T) {
 func TestFingerprintDifferential(t *testing.T) {
 	info := seqSchema(t)
 
-	clean := history.NewLog()
+	clean := &history.Log{}
 	for _, n := range []string{"a", "b", "c"} {
 		clean.Append(&history.Event{Kind: history.Started, Node: n})
 		clean.Append(&history.Event{Kind: history.Completed, Node: n})
 	}
 
-	dirty := history.NewLog()
+	dirty := &history.Log{}
 	dirty.Append(&history.Event{Kind: history.Started, Node: "a"})
 	dirty.Append(&history.Event{Kind: history.Completed, Node: "a"})
 	dirty.Append(&history.Event{Kind: history.Started, Node: "b"})
@@ -120,7 +120,7 @@ func TestFingerprintDifferential(t *testing.T) {
 	}
 
 	// Sanity: an actually different path must change the fingerprint.
-	short := history.NewLog()
+	short := &history.Log{}
 	short.Append(&history.Event{Kind: history.Started, Node: "a"})
 	short.Append(&history.Event{Kind: history.Completed, Node: "a"})
 	if Fingerprint(history.ReduceInto(info, short.Events(), nil)) == fpClean {

@@ -109,8 +109,8 @@ func RenderInstance(inst *engine.Instance) string {
 // details for the instances that stay behind.
 func FormatReport(r *evolution.Report) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "migration report: %s v%d -> v%d (%s check, %s)\n",
-		r.TypeName, r.FromVersion, r.ToVersion, r.Options.Mode, r.Options.Adapt)
+	fmt.Fprintf(&b, "migration report: %s v%d -> v%d (%s check)\n",
+		r.TypeName, r.FromVersion, r.ToVersion, r.Options.Mode)
 	fmt.Fprintf(&b, "  instances considered: %d, elapsed: %s\n", r.Total(), r.Elapsed.Round(1000))
 	for _, o := range evolution.Outcomes() {
 		if n := r.Count(o); n > 0 {

@@ -1,17 +1,24 @@
 package adept2_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
 	"adept2"
 	"adept2/internal/change"
+	"adept2/internal/durable"
 	"adept2/internal/engine"
 	"adept2/internal/evolution"
+	"adept2/internal/history"
 	"adept2/internal/model"
 	"adept2/internal/rollback"
 	"adept2/internal/sim"
@@ -28,8 +35,8 @@ import (
 // driver's (ad-hoc biases, undo, migration, suspension), the soak's at
 // seeds 1–3 (failed and timed-out attempts, skip and suspend reactions,
 // migrations, crashes), and sim.RandomSchema types driven through iterating
-// loops and XOR skips with failures, ad-hoc changes, undo and migration in
-// both adaptation modes. No seal may differ.
+// loops and XOR skips with failures, ad-hoc changes, undo and migration.
+// No seal may differ.
 func TestSealedInstancesDeriveWhatTheyHeld(t *testing.T) {
 	var (
 		mu    sync.Mutex
@@ -101,17 +108,17 @@ func TestSealedInstancesDeriveWhatTheyHeld(t *testing.T) {
 		})
 	}
 	t.Logf("random mix: %+v", mix)
-	if mix.fails == 0 || mix.adhocs == 0 || mix.undos == 0 || mix.migrations == 0 || mix.replayMigrations == 0 ||
+	if mix.fails == 0 || mix.adhocs == 0 || mix.undos == 0 || mix.migrations == 0 ||
 		mix.iterations == 0 || mix.skipped == 0 {
 		t.Errorf("the random mix missed a kind of step: %+v", mix)
 	}
 }
 
 // randomMix counts what driveRandomToCompletion applied: failed attempts,
-// ad-hoc changes, undos, migrations (and of them by replay adaptation),
-// loop iterations and skipped nodes of the finished instances.
+// ad-hoc changes, undos, migrations, loop iterations and skipped nodes of
+// the finished instances.
 type randomMix struct {
-	fails, adhocs, undos, migrations, replayMigrations, iterations, skipped int
+	fails, adhocs, undos, migrations, iterations, skipped int
 }
 
 func (m *randomMix) add(o randomMix) {
@@ -119,58 +126,144 @@ func (m *randomMix) add(o randomMix) {
 	m.adhocs += o.adhocs
 	m.undos += o.undos
 	m.migrations += o.migrations
-	m.replayMigrations += o.replayMigrations
 	m.iterations += o.iterations
 	m.skipped += o.skipped
 }
 
-// TestSealDerivesAVirtuallyFiredNode: a migration that adapts the state by
-// replay (AdaptReplay) fires an automatic node the new version inserted
-// where the instance had passed without recording it; the cascade after an
-// incremental adaptation fires and records it. The sealed instance derives
-// it completed either way, as the instance held it.
+// insertAutoX is the type change of the replay-adaptation fixtures: an
+// automatic activity x between a and b.
+var insertAutoX = []change.Operation{&change.SerialInsert{
+	Node: &model.Node{ID: "x", Name: "X", Type: model.NodeActivity, Auto: true},
+	Pred: "a", Succ: "b",
+}}
+
+// parentReplaySnapshot is a checkpoint's state (Stage at seq 5) written at
+// commit a7fe3d7: an instance of "passed", a → b → c, past a and b (both
+// steps stamped), migrated
+// by insertAutoX under that tree's replay adaptation (AdaptReplay). Its
+// marking holds x completed, and neither its history nor its execution
+// index records x. Never regenerate it from the current tree.
+var parentReplaySnapshot = filepath.Join("internal", "durable", "testdata", "parent_replay_adapt_snapshot.json")
+
+// TestSealDerivesAVirtuallyFiredNode: an automatic node the new version
+// inserted where the instance had passed is fired and recorded by the
+// cascade after the migration's state adaptation, and the sealed instance
+// derives it completed, as the instance held it. A running instance that
+// an older tree's replay adaptation migrated (parentReplaySnapshot) holds
+// the node completed with no event: it restores to the parent's bytes, and
+// sealed, it derives the node completed by the seal's virtual firing.
 func TestSealDerivesAVirtuallyFiredNode(t *testing.T) {
-	for _, adapt := range []evolution.AdaptMode{evolution.AdaptIncremental, evolution.AdaptReplay} {
-		t.Run(adapt.String(), func(t *testing.T) {
-			var diffs []string
-			engine.SetSealCheck(func(id, diff string) { diffs = append(diffs, diff) })
-			defer engine.SetSealCheck(nil)
-			b := model.NewBuilder("passed")
-			s, err := b.Build(b.Seq(
-				b.Activity("a", "A", model.WithRole("worker")),
-				b.Activity("b", "B", model.WithRole("worker")),
-				b.Activity("c", "C", model.WithRole("worker"))))
-			if err != nil {
+	// sealed completes c, the instance's last step, and requires the seal to
+	// derive what the instance held, x completed.
+	sealed := func(t *testing.T, e *engine.Engine, id string) {
+		t.Helper()
+		var diffs []string
+		engine.SetSealCheck(func(id, diff string) { diffs = append(diffs, diff) })
+		defer engine.SetSealCheck(nil)
+		if err := e.CompleteActivity(id, "c", "ann", nil); err != nil {
+			t.Fatal(err)
+		}
+		if len(diffs) != 1 || diffs[0] != "" {
+			t.Fatalf("seals %q, want one that derives what it held", diffs)
+		}
+		if inst, _ := e.Instance(id); inst.NodeState("x") != state.Completed {
+			t.Errorf("the sealed instance derives x %s, want completed", inst.NodeState("x"))
+		}
+	}
+	t.Run("incremental-adapt", func(t *testing.T) {
+		b := model.NewBuilder("passed")
+		s, err := b.Build(b.Seq(
+			b.Activity("a", "A", model.WithRole("worker")),
+			b.Activity("b", "B", model.WithRole("worker")),
+			b.Activity("c", "C", model.WithRole("worker"))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := engine.New(sim.Org())
+		if err := e.Deploy(s); err != nil {
+			t.Fatal(err)
+		}
+		inst, err := e.CreateInstance("passed", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, node := range []string{"a", "b"} {
+			if err := e.CompleteActivity(inst.ID(), node, "ann", nil); err != nil {
 				t.Fatal(err)
 			}
-			e := engine.New(sim.Org())
-			if err := e.Deploy(s); err != nil {
+		}
+		rep, err := evolution.NewManager(e).Evolve("passed", insertAutoX, evolution.Options{})
+		if err != nil || rep.Count(evolution.Migrated) != 1 {
+			t.Fatalf("migration: %v, %+v", err, rep)
+		}
+		if !slices.ContainsFunc(inst.HistoryEvents(), func(ev *history.Event) bool { return ev.Node == "x" && ev.Kind == history.Completed }) {
+			t.Fatal("the cascade after the adaptation did not record x")
+		}
+		sealed(t, e, inst.ID())
+	})
+	// The replay-adapted instance is the parent's snapshot of one.
+	t.Run("replay-adapt", func(t *testing.T) {
+		want, err := os.ReadFile(parentReplaySnapshot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st durable.SystemState
+		if err := json.Unmarshal(want, &st); err != nil {
+			t.Fatal(err)
+		}
+		e := engine.New(sim.Org())
+		if err := durable.Restore(e, &st); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := json.Marshal(durable.Stage(e, 5)); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("restore + capture differs from the parent's snapshot (%v):\n got %s\nwant %s", err, got, want)
+		}
+		sealed(t, e, "inst-000001")
+	})
+}
+
+// The parent-journal fixtures of replay adaptation.
+// testdata/parent_replay_adapt.ndjson and parent_default_adapt.ndjson were
+// written at commit a7fe3d7, where Evolve's options carried an adaptation
+// mode and a worker count: five instances of "passed" (past-b, running-c,
+// before-b and started-b on version 1, past and short of b; fresh created
+// after the change) and one Evolve of insertAutoX, journaled once with
+// that tree's replay adaptation and three workers ("adapt":1,"workers":3)
+// and once with the default options. The .summary files are that tree's
+// sim.Summary of each. Never regenerate them from the current tree.
+
+// TestParentReplayAdaptJournalRecovers: a parent journal whose evolve
+// record asks for replay adaptation recovers here under the one
+// adaptation there is, to the state the parent's default journal reached,
+// and in every recovered instance each node the marking holds completed
+// has its completion in the execution index. The start and end nodes are
+// the exceptions: no event records either. At the parent, the replay
+// journal's migrated instances hold x completed with no record.
+func TestParentReplayAdaptJournalRecovers(t *testing.T) {
+	want := readGolden(t, "parent_default_adapt.summary")
+	for _, name := range []string{"parent_replay_adapt", "parent_default_adapt"} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "wal")
+			if err := os.WriteFile(path, []byte(readGolden(t, name+".ndjson")), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			inst, err := e.CreateInstance("passed", 0)
-			if err != nil {
-				t.Fatal(err)
+			sys := openRepair(t, path, newTestClock(), nil)
+			defer sys.Close()
+			if d := sim.Diff(want, sim.Summary(sys)); d != "" {
+				t.Errorf("recovers to another state than the parent's default journal:\n%s", d)
 			}
-			for _, node := range []string{"a", "b"} {
-				if err := e.CompleteActivity(inst.ID(), node, "ann", nil); err != nil {
-					t.Fatal(err)
+			for _, inst := range sys.Instances() {
+				snap, _ := inst.Snapshot()
+				recorded := map[string]bool{}
+				for _, st := range snap.Stats {
+					recorded[st.ID] = st.CompleteSeq > 0
 				}
-			}
-			rep, err := evolution.NewManager(e).Evolve("passed", []change.Operation{&change.SerialInsert{
-				Node: &model.Node{ID: "x", Name: "X", Type: model.NodeActivity, Auto: true},
-				Pred: "a", Succ: "b",
-			}}, evolution.Options{Adapt: adapt})
-			if err != nil || rep.Count(evolution.Migrated) != 1 {
-				t.Fatalf("migration: %v, %+v", err, rep)
-			}
-			if err := e.CompleteActivity(inst.ID(), "c", "ann", nil); err != nil {
-				t.Fatal(err)
-			}
-			if len(diffs) != 1 || diffs[0] != "" {
-				t.Fatalf("seals %q, want one that derives what it held", diffs)
-			}
-			if st := inst.NodeState("x"); st != state.Completed {
-				t.Errorf("the sealed instance derives x %s, want completed", st)
+				v := inst.View()
+				for _, n := range snap.Marking.Nodes {
+					if state.NodeState(n.State) == state.Completed && n.ID != v.StartID() && n.ID != v.EndID() && !recorded[n.ID] {
+						t.Errorf("%s: the marking holds %s completed, the execution index records no completion", inst.ID(), n.ID)
+					}
+				}
 			}
 		})
 	}
@@ -228,15 +321,8 @@ func driveRandomToCompletion(t *testing.T, seed int64, n int) (mix randomMix) {
 			}
 		case r < 19:
 			latest, _ := e.Schema("random", e.LatestVersion("random"))
-			adapt := evolution.AdaptIncremental
-			if rng.Intn(2) == 0 {
-				adapt = evolution.AdaptReplay
-			}
-			if rep, err := mgr.Evolve("random", sim.RandomAdHocOps(rng, latest, step), evolution.Options{Adapt: adapt}); err == nil {
+			if rep, err := mgr.Evolve("random", sim.RandomAdHocOps(rng, latest, step), evolution.Options{}); err == nil {
 				mix.migrations += rep.Count(evolution.Migrated)
-				if adapt == evolution.AdaptReplay {
-					mix.replayMigrations += rep.Count(evolution.Migrated)
-				}
 			}
 		default:
 			if _, err := drv.Step(inst); err != nil {

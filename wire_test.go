@@ -1,6 +1,7 @@
 package adept2_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -98,6 +99,29 @@ func TestEncodeCommandRoundTrip(t *testing.T) {
 	}
 	if _, err := adept2.DecodeWireCommand("no_such_op", nil); err == nil {
 		t.Fatal("unknown op decoded")
+	}
+}
+
+// TestEvolveIgnoresRetiredMembers: an evolve line or record of an earlier
+// tree may carry a worker count and an adaptation mode ("workers",
+// "adapt"). It decodes, the two members are ignored, and the command
+// encodes without them, its check mode kept.
+func TestEvolveIgnoresRetiredMembers(t *testing.T) {
+	_, args, err := adept2.EncodeCommand(&adept2.Evolve{TypeName: "online_order", Ops: sim.OnlineOrderTypeChange(),
+		Options: adept2.EvolveOptions{Mode: adept2.ReplayCheck}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := append(bytes.TrimSuffix(args, []byte("}")), `,"workers":3,"adapt":1}`...)
+	cmd, err := adept2.DecodeWireCommand("evolve", old)
+	if err != nil {
+		t.Fatalf("decode %s: %v", old, err)
+	}
+	if ev, ok := cmd.(*adept2.Evolve); !ok || ev.Options.Mode != adept2.ReplayCheck {
+		t.Fatalf("decoded %#v, want an evolve with the replay check", cmd)
+	}
+	if _, again, err := adept2.EncodeCommand(cmd); err != nil || !bytes.Equal(again, args) {
+		t.Fatalf("re-encoded %s (%v), want %s", again, err, args)
 	}
 }
 
